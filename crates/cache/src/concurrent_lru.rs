@@ -84,15 +84,10 @@ impl PullCache for ConcurrentLruCache {
                 // be evicted by a concurrent insert).
                 let copy = nbrs.clone();
                 drop(shard);
-                self.stats.hit();
                 f(&copy);
                 true
             }
-            None => {
-                drop(shard);
-                self.stats.miss();
-                false
-            }
+            None => false,
         }
     }
 
@@ -137,6 +132,10 @@ impl PullCache for ConcurrentLruCache {
         self.capacity_per_shard * SHARDS as u64
     }
 
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        self.stats.record_lookups(hits, misses);
+    }
+
     fn stats(&self) -> CacheStats {
         self.stats.snapshot()
     }
@@ -162,6 +161,7 @@ mod tests {
         assert!(cache.read(1, &mut |n| out.extend_from_slice(n)));
         assert_eq!(out, vec![5, 6, 7]);
         assert!(!cache.read(2, &mut |_| {}));
+        cache.record_lookups(1, 1);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
     }

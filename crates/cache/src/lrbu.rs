@@ -94,15 +94,11 @@ impl PullCache for LrbuCache {
         let guard = self.inner.read();
         match guard.map.get(&v) {
             Some(entry) => {
-                self.stats.hit();
                 // Zero-copy: the closure borrows the cached slice directly.
                 f(&entry.neighbours);
                 true
             }
-            None => {
-                self.stats.miss();
-                false
-            }
+            None => false,
         }
     }
 
@@ -186,6 +182,10 @@ impl PullCache for LrbuCache {
         self.capacity_bytes
     }
 
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        self.stats.record_lookups(hits, misses);
+    }
+
     fn stats(&self) -> CacheStats {
         self.stats.snapshot()
     }
@@ -217,7 +217,6 @@ mod tests {
         assert_eq!(out.len(), 5);
         assert_eq!(cache.len(), 1);
         assert!(cache.size_bytes() > 0);
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
@@ -315,10 +314,14 @@ mod tests {
     }
 
     #[test]
-    fn miss_is_counted() {
+    fn only_recorded_lookups_are_counted() {
         let cache = LrbuCache::new(1024);
+        cache.insert(1, nbrs(2, 1));
+        assert!(cache.read(1, &mut |_| {}));
         assert!(!cache.read(42, &mut |_| panic!("must not be called")));
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
+        cache.record_lookups(3, 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (3, 1));
     }
 
     #[test]
@@ -335,6 +338,7 @@ mod tests {
                         let mut sum = 0u64;
                         assert!(c.read(v, &mut |n| sum = n.iter().map(|&x| x as u64).sum()));
                         assert!(sum > 0);
+                        c.record_lookups(1, 0);
                     }
                 });
             }

@@ -7,9 +7,9 @@ use huge_graph::VertexId;
 /// Counters reported by every cache implementation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Reads that found the vertex in the cache.
+    /// Lookups that found the vertex cached (no pull needed).
     pub hits: u64,
-    /// Reads (or containment checks preceding a fetch) that missed.
+    /// Lookups that missed, so the adjacency list had to be pulled.
     pub misses: u64,
     /// Entries inserted.
     pub inserts: u64,
@@ -21,7 +21,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit rate over all recorded lookups (0 when no lookups happened).
+    /// Hit rate over all lookups recorded with
+    /// [`PullCache::record_lookups`] (0 when there were none).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -53,12 +54,9 @@ impl AtomicCacheStats {
         }
     }
 
-    pub fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    pub fn record_lookups(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 }
 
@@ -102,6 +100,14 @@ pub trait PullCache: Send + Sync {
     /// Capacity in bytes (`u64::MAX` for unbounded designs).
     fn capacity_bytes(&self) -> u64;
 
+    /// Records the outcome of cache lookups: `hits` vertices were found
+    /// cached, `misses` had to be pulled. The caller counts, not
+    /// [`PullCache::read`], because a lookup is decided where the operator
+    /// chooses between the cache and the network (the fetch stage) — by the
+    /// time sealed entries are read they cannot miss, and counting those
+    /// reads would pin the hit rate at 1.
+    fn record_lookups(&self, hits: u64, misses: u64);
+
     /// Counter snapshot.
     fn stats(&self) -> CacheStats;
 
@@ -127,9 +133,7 @@ mod tests {
     #[test]
     fn atomic_stats_snapshot() {
         let s = AtomicCacheStats::default();
-        s.hit();
-        s.hit();
-        s.miss();
+        s.record_lookups(2, 1);
         let snap = s.snapshot();
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.misses, 1);

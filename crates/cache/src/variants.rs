@@ -66,6 +66,10 @@ impl PullCache for CopyLrbuCache {
         self.inner.capacity_bytes()
     }
 
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        self.inner.record_lookups(hits, misses);
+    }
+
     fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
@@ -131,6 +135,10 @@ impl PullCache for LockLrbuCache {
         self.inner.lock().capacity_bytes()
     }
 
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        self.inner.lock().record_lookups(hits, misses);
+    }
+
     fn stats(&self) -> CacheStats {
         self.inner.lock().stats()
     }
@@ -189,15 +197,10 @@ impl PullCache for InfiniteLruCache {
                 *stamp = clock;
                 let copy = nbrs.clone();
                 drop(guard);
-                self.stats.hit();
                 f(&copy);
                 true
             }
-            None => {
-                drop(guard);
-                self.stats.miss();
-                false
-            }
+            None => false,
         }
     }
 
@@ -228,6 +231,10 @@ impl PullCache for InfiniteLruCache {
 
     fn capacity_bytes(&self) -> u64 {
         u64::MAX
+    }
+
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        self.stats.record_lookups(hits, misses);
     }
 
     fn stats(&self) -> CacheStats {
@@ -305,6 +312,7 @@ mod tests {
                 s.spawn(move || {
                     for v in 0..50u32 {
                         c.read(v, &mut |_| {});
+                        c.record_lookups(1, 0);
                     }
                 });
             }

@@ -445,6 +445,16 @@ impl HugeCluster {
             )
             .add(join.speculative_seals);
             reg.counter(
+                "huge_join_probe_pairs_total",
+                "Candidate row pairs tested by PUSH-JOIN probes",
+            )
+            .add(join.probe_pairs);
+            reg.counter(
+                "huge_join_probe_matches_total",
+                "Tested pairs that survived the probe's checks (joined rows)",
+            )
+            .add(join.probe_matches);
+            reg.counter(
                 "huge_spill_bytes_total",
                 "Join build bytes spilled to disk under Red pressure",
             )

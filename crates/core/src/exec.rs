@@ -289,12 +289,17 @@ impl BatchOperator for PullExtend {
 /// buffered joiner into a lazily-driven [`JoinStream`], so *polling* drives
 /// the Grace partitions one at a time — memory is bounded by one partition
 /// plus one output batch on every consumption path.
+///
+/// In *count-only* mode ([`PushJoin::set_count_only`]) polling drives the
+/// same probe but only counts the joined rows ([`PushJoin::take_count`]) and
+/// emits no batches — the fast path for a join feeding a counting sink.
 pub struct PushJoin {
     joiner: Option<HashJoiner>,
     stream: Option<JoinStream>,
     out_arity: usize,
     batch_rows: usize,
-    produced: u64,
+    count_only: bool,
+    counted: u64,
     cancel: Option<crate::cancel::CancelToken>,
 }
 
@@ -323,9 +328,27 @@ impl PushJoin {
             stream: None,
             out_arity,
             batch_rows: batch_rows.max(1),
-            produced: 0,
+            count_only: false,
+            counted: 0,
             cancel: None,
         }
+    }
+
+    /// Switches the operator to count-only mode: joined rows are counted,
+    /// not materialised, and polling never yields output batches.
+    pub fn set_count_only(&mut self, count_only: bool) {
+        self.count_only = count_only;
+    }
+
+    /// Drains the joined rows counted in count-only mode.
+    pub fn take_count(&mut self) -> u64 {
+        std::mem::take(&mut self.counted)
+    }
+
+    /// `(candidate pairs tested, pairs that survived)` by the probe so far.
+    pub fn probe_stats(&self) -> (u64, u64) {
+        let stream = self.stream.as_ref();
+        stream.map_or((0, 0), |s| (s.tested(), s.produced()))
     }
 
     /// Threads the run's cancellation token into the join so probing
@@ -347,9 +370,9 @@ impl PushJoin {
         }
     }
 
-    /// Joined rows emitted so far.
+    /// Joined rows emitted or counted so far.
     pub fn produced(&self) -> u64 {
-        self.produced
+        self.probe_stats().1
     }
 
     /// `true` while the join may still produce output (inputs not sealed, or
@@ -441,9 +464,19 @@ impl BatchOperator for PushJoin {
 
     fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
         if let Some(stream) = self.stream.as_mut() {
+            if self.count_only {
+                // Yield after every batch of pairs, like a materialising poll:
+                // the scheduler absorbs the inbox and ticks the governor.
+                return Ok(match stream.count_batch()? {
+                    Some(counted) => {
+                        self.counted += counted;
+                        OpPoll::Pending
+                    }
+                    None => OpPoll::Exhausted,
+                });
+            }
             match stream.next_batch()? {
                 Some(batch) => {
-                    self.produced += batch.len() as u64;
                     ctx.rpc
                         .stats()
                         .machine(ctx.machine)

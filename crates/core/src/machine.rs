@@ -494,6 +494,7 @@ impl MachineState {
                     // adopted from the first copy, but the ack may have raced
                     // the retransmit — re-ack so the victim settles (it drops
                     // duplicate acks through its `pending_ships` ledger).
+                    self.rpc.stats().machine(self.machine).record_dedup_drop();
                     self.router.send_control(
                         from,
                         ControlMsg::ShipAck {
@@ -698,12 +699,10 @@ impl MachineState {
             .map(|op| PullExtend::new(op.clone()))
             .collect();
         // Count-only fast path: when the root segment merely counts matches,
-        // the final extension's output column never needs materialising.
-        let count_only = matches!(plan.terminal, Terminal::Sink)
-            && sink == SinkMode::Count
-            && !extends.is_empty();
-        if count_only {
-            extends.last_mut().expect("non-empty").set_count_only(true);
+        // its last operator (final extend, or the bare join) materialises nothing.
+        let count_only = matches!(plan.terminal, Terminal::Sink) && sink == SinkMode::Count;
+        if let Some(last) = extends.last_mut() {
+            last.set_count_only(count_only);
         }
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanSource::new(
@@ -718,6 +717,7 @@ impl MachineState {
                         plan.segment.id
                     ))
                 })?;
+                join.set_count_only(count_only && extends.is_empty());
                 let ctx = self.op_context();
                 join.finish_input(&ctx)?;
                 ChainSource::Join(Box::new(join))
@@ -738,6 +738,12 @@ impl MachineState {
                 }
             }
             self.matches += ext.take_count();
+        }
+        if let ChainSource::Join(join) = &mut chain.source {
+            self.matches += join.take_count();
+            let (pairs, matches) = join.probe_stats();
+            self.join_stats.probe_pairs += pairs;
+            self.join_stats.probe_matches += matches;
         }
         // Completion stamps over the start mark if the chain was built
         // without ever noting a start (the aggregate clamps end >= start).

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 pub struct MemoryTracker {
     current: AtomicI64,
     peak: AtomicU64,
+    allocations: AtomicU64,
 }
 
 impl MemoryTracker {
@@ -25,6 +26,7 @@ impl MemoryTracker {
 
     /// Records an allocation of `bytes`.
     pub fn allocate(&self, bytes: u64) {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
         let now = self.current.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
         let now = now.max(0) as u64;
         self.peak.fetch_max(now, Ordering::Relaxed);
@@ -69,6 +71,13 @@ impl MemoryTracker {
     pub fn peak(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
+
+    /// Calls to [`MemoryTracker::allocate`] since creation: what the
+    /// accounting itself costs its callers, one contended read-modify-write
+    /// pair each.
+    pub fn allocations(&self) -> u64 {
+        self.allocations.load(Ordering::Relaxed)
+    }
 }
 
 /// Router inboxes charge their queued bytes to the owning machine's tracker,
@@ -97,6 +106,43 @@ mod tests {
         t.allocate(10);
         assert_eq!(t.current(), 60);
         assert_eq!(t.peak(), 300);
+    }
+
+    #[test]
+    fn join_build_charges_the_tracker_once_per_batch() {
+        use crate::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
+        use huge_plan::translate::JoinOp;
+
+        let op = JoinOp {
+            left: 0,
+            right: 1,
+            key_left: vec![0],
+            key_right: vec![0],
+            right_payload: vec![1],
+            filters: vec![],
+        };
+        let t = Arc::new(MemoryTracker::new());
+        let dir = std::env::temp_dir().join(format!("huge-memory-test-{}", std::process::id()));
+        // A 1 KiB spill threshold: the second batch trips the spill loop.
+        let mut joiner = HashJoiner::new(
+            op,
+            2,
+            2,
+            1024,
+            dir,
+            MemoryTrackerHandle::Tracked(Arc::clone(&t)),
+        );
+        let batch = huge_comm::RowBatch::from_flat(2, (0..200).collect());
+        let bytes = batch.byte_size();
+        joiner.add(JoinSide::Left, &batch).unwrap();
+        assert_eq!((t.allocations(), t.current(), t.peak()), (1, bytes, bytes));
+        // Spilling runs after the whole batch is charged, so the peak is
+        // what a row-by-row charge would have reached.
+        joiner.add(JoinSide::Left, &batch).unwrap();
+        assert_eq!((t.allocations(), t.peak()), (2, 2 * bytes));
+        assert!(joiner.spilled() && t.current() <= 1024);
+        drop(joiner);
+        assert_eq!(t.current(), 0);
     }
 
     #[test]

@@ -232,6 +232,11 @@ fn resolve_remote(
                 to_fetch.push(v);
             }
         }
+        // This is where a lookup hits or misses: once sealed, the intersect
+        // stage's reads cannot miss.
+        let misses = to_fetch.len() as u64;
+        ctx.cache
+            .record_lookups(remote.len() as u64 - misses, misses);
         if !to_fetch.is_empty() {
             for (v, nbrs) in ctx.rpc.get_nbrs(ctx.machine, &to_fetch) {
                 ctx.cache.insert(v, nbrs);
@@ -672,6 +677,7 @@ fn with_neighbours<R>(
         // Cache designs without seal/release (the Exp-6 LRU variants) may
         // have evicted the entry between the fetch and intersect stages;
         // correctness requires falling back to an extra (accounted) pull.
+        ctx.cache.record_lookups(0, 1);
         let fetched = ctx.rpc.get_nbrs(ctx.machine, &[v]);
         return fetched.first().map(|(_, nbrs)| f(nbrs));
     }

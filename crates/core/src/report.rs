@@ -55,6 +55,12 @@ pub struct JoinReport {
     pub speculative_seals: u64,
     /// Largest lead a speculative seal gained over counter readiness.
     pub seal_lead: Duration,
+    /// Candidate `(left row, right row)` pairs the probes tested (same join
+    /// key within a partition).
+    pub probe_pairs: u64,
+    /// Tested pairs that survived injectivity, key re-check and order
+    /// filters — the joined rows, whether counted or materialised.
+    pub probe_matches: u64,
 }
 
 impl JoinReport {
@@ -66,6 +72,8 @@ impl JoinReport {
         self.shipped_bytes += other.shipped_bytes;
         self.speculative_seals += other.speculative_seals;
         self.seal_lead = self.seal_lead.max(other.seal_lead);
+        self.probe_pairs += other.probe_pairs;
+        self.probe_matches += other.probe_matches;
     }
 }
 
@@ -389,6 +397,8 @@ mod tests {
             shipped_bytes: 100,
             speculative_seals: 1,
             seal_lead: Duration::from_millis(3),
+            probe_pairs: 10,
+            probe_matches: 4,
         };
         total.merge(&JoinReport {
             partitions_shipped: 0,
@@ -396,12 +406,15 @@ mod tests {
             shipped_bytes: 50,
             speculative_seals: 1,
             seal_lead: Duration::from_millis(8),
+            probe_pairs: 5,
+            probe_matches: 5,
         });
         assert_eq!(total.partitions_shipped, 1);
         assert_eq!(total.partitions_stolen, 2);
         assert_eq!(total.shipped_bytes, 150);
         assert_eq!(total.speculative_seals, 2);
         assert_eq!(total.seal_lead, Duration::from_millis(8));
+        assert_eq!((total.probe_pairs, total.probe_matches), (15, 9));
     }
 
     #[test]

@@ -71,7 +71,11 @@ fn cache_reduces_pulled_traffic() {
         with_cache.comm.bytes_pulled,
         without_cache.comm.bytes_pulled
     );
+    // Lookups are counted in the fetch stage, where they can miss: every
+    // cached list was pulled once first.
     assert!(with_cache.cache.hits > 0);
+    assert!(with_cache.cache.misses > 0);
+    assert!(with_cache.cache.hit_rate() < 1.0);
 }
 
 #[test]
