@@ -27,6 +27,11 @@ pub struct CommStats {
     pub kernel_gallop: AtomicU64,
     /// Hub-bitmap intersection kernel invocations.
     pub kernel_bitmap: AtomicU64,
+    /// Rows fed to match-mode `PULL-EXTEND`s.
+    pub extend_rows: AtomicU64,
+    /// Of those, rows whose shared prefix intersection was the previous
+    /// row's (same prefix vertices), so it was not recomputed.
+    pub extend_prefix_reuses: AtomicU64,
     /// Bytes of columnar batches produced by this machine's operators (what
     /// the memory governor charges for in-flight columnar data).
     pub col_bytes: AtomicU64,
@@ -82,6 +87,16 @@ impl CommStats {
         }
     }
 
+    /// Records `rows` match-mode extend rows, `reuses` of which were served
+    /// the previous row's prefix intersection (one flush per work item).
+    pub fn record_extend(&self, rows: u64, reuses: u64) {
+        self.extend_rows.fetch_add(rows, Ordering::Relaxed);
+        if reuses > 0 {
+            self.extend_prefix_reuses
+                .fetch_add(reuses, Ordering::Relaxed);
+        }
+    }
+
     /// Records `bytes` of columnar batch data produced by an operator.
     pub fn record_col_bytes(&self, bytes: u64) {
         self.col_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -120,6 +135,8 @@ impl CommStats {
             kernel_merge: self.kernel_merge.load(Ordering::Relaxed),
             kernel_gallop: self.kernel_gallop.load(Ordering::Relaxed),
             kernel_bitmap: self.kernel_bitmap.load(Ordering::Relaxed),
+            extend_rows: self.extend_rows.load(Ordering::Relaxed),
+            extend_prefix_reuses: self.extend_prefix_reuses.load(Ordering::Relaxed),
             col_bytes: self.col_bytes.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             transport_drops: self.transport_drops.load(Ordering::Relaxed),
@@ -152,6 +169,10 @@ pub struct CommSnapshot {
     pub kernel_gallop: u64,
     /// Hub-bitmap intersection kernel invocations.
     pub kernel_bitmap: u64,
+    /// Rows fed to match-mode `PULL-EXTEND`s.
+    pub extend_rows: u64,
+    /// Of those, rows served the previous row's prefix intersection.
+    pub extend_prefix_reuses: u64,
     /// Bytes of columnar batches produced by the operator layer.
     pub col_bytes: u64,
     /// Data envelopes retransmitted over the unreliable transport.
@@ -193,6 +214,8 @@ impl CommSnapshot {
             kernel_merge: self.kernel_merge + other.kernel_merge,
             kernel_gallop: self.kernel_gallop + other.kernel_gallop,
             kernel_bitmap: self.kernel_bitmap + other.kernel_bitmap,
+            extend_rows: self.extend_rows + other.extend_rows,
+            extend_prefix_reuses: self.extend_prefix_reuses + other.extend_prefix_reuses,
             col_bytes: self.col_bytes + other.col_bytes,
             retransmits: self.retransmits + other.retransmits,
             transport_drops: self.transport_drops + other.transport_drops,
@@ -251,6 +274,7 @@ mod tests {
         stats.record_pull(3, 300);
         stats.record_steal(10);
         stats.record_kernels(5, 2, 1);
+        stats.record_extend(9, 4);
         stats.record_col_bytes(128);
         let s = stats.snapshot();
         assert_eq!(s.bytes_pushed, 150);
@@ -264,6 +288,8 @@ mod tests {
         assert_eq!(s.kernel_gallop, 2);
         assert_eq!(s.kernel_bitmap, 1);
         assert_eq!(s.kernel_invocations(), 8);
+        assert_eq!((s.extend_rows, s.extend_prefix_reuses), (9, 4));
+        assert_eq!(s.merge(&s).extend_prefix_reuses, 8);
         assert_eq!(s.col_bytes, 128);
     }
 

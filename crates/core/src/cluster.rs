@@ -455,6 +455,16 @@ impl HugeCluster {
             )
             .add(join.probe_matches);
             reg.counter(
+                "huge_extend_rows_total",
+                "Rows fed to match-mode PULL-EXTENDs",
+            )
+            .add(comm_total.extend_rows);
+            reg.counter(
+                "huge_extend_prefix_reuse_total",
+                "Extend rows served the previous row's prefix intersection",
+            )
+            .add(comm_total.extend_prefix_reuses);
+            reg.counter(
                 "huge_spill_bytes_total",
                 "Join build bytes spilled to disk under Red pressure",
             )

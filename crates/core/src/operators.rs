@@ -2,6 +2,21 @@
 //!
 //! (`PUSH-JOIN` lives in [`crate::join`]; the `SINK` is part of the segment
 //! terminal in [`crate::machine`].)
+//!
+//! Match-mode `PULL-EXTEND` is **one run-aware candidate generator with two
+//! sinks** (`for_each_candidate_set`). A batch comes out of the previous
+//! extend, so its rows arrive in runs that differ only in their newest
+//! column; the generator keeps the intersection of the other extend
+//! positions' lists and recomputes it only when those vertices change, then
+//! intersects it with the newest column's list per row. The reuse test
+//! compares vertex ids, nothing else, so it cannot be wrong for any row
+//! order — shuffled, selected, split or stolen rows only reuse less.
+//! [`run_extend_count_cols`] counts each row's last step with the kernel
+//! count twins; [`run_extend_cols`] lets the kernels write it straight into
+//! the new column. Verify mode is a per-row membership test and shares only
+//! the fetch stage. The row-major [`run_extend`] / [`run_extend_count`]
+//! intersect every list for every row and filter per candidate: the
+//! reference the tests hold the generator to.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -274,33 +289,36 @@ fn fetch_stage(
 
 /// Columnar fetch stage: identical to [`fetch_stage`] but reads the extend
 /// positions column-at-a-time (one dense column scan per position instead
-/// of a strided walk over rows).
+/// of a strided walk over rows), skipping consecutive duplicates: a column
+/// that is constant over a run of rows would push the same vertex once per
+/// row only for [`resolve_remote`]'s sort + dedup to throw it away.
 fn fetch_stage_cols(
     op: &ExtendOp,
     input: &ColBatch,
     ctx: &OpContext<'_>,
 ) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
+    fn collect(
+        values: impl Iterator<Item = VertexId>,
+        ctx: &OpContext<'_>,
+        remote: &mut Vec<VertexId>,
+    ) {
+        let mut prev = None;
+        for v in values {
+            if prev != Some(v) {
+                prev = Some(v);
+                if !ctx.partition.is_local(v) {
+                    remote.push(v);
+                }
+            }
+        }
+    }
     let fetch_start = Instant::now();
     let mut remote: Vec<VertexId> = Vec::new();
     for &pos in &op.ext_positions {
+        let col = input.column(pos);
         match input.selection() {
-            None => {
-                remote.extend(
-                    input
-                        .column(pos)
-                        .iter()
-                        .copied()
-                        .filter(|&v| !ctx.partition.is_local(v)),
-                );
-            }
-            Some(sel) => {
-                let col = input.column(pos);
-                remote.extend(
-                    sel.iter()
-                        .map(|&i| col[i as usize])
-                        .filter(|&v| !ctx.partition.is_local(v)),
-                );
-            }
+            None => collect(col.iter().copied(), ctx, &mut remote),
+            Some(sel) => collect(sel.iter().map(|&i| col[i as usize]), ctx, &mut remote),
         }
     }
     let batch_table = resolve_remote(remote, ctx);
@@ -447,64 +465,6 @@ fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
     }
 }
 
-/// How the non-hub half of the kernel dispatch is resolved.
-///
-/// The hub class needs no choice — an indexed hub always dispatches to the
-/// bitmap kernel. The list class either re-runs [`kernels::select_kernel`]
-/// per intersection call (the row-major paths) or uses one kernel picked up
-/// front for the whole batch (the columnar paths, via
-/// [`plan_batch_kernel`]), hoisting the dispatch out of the per-candidate
-/// loop.
-#[derive(Clone, Copy)]
-enum ListKernel {
-    /// Cardinality comparison per intersection call.
-    Adaptive,
-    /// One pre-selected kernel for every non-hub step of the batch.
-    Fixed(KernelKind),
-}
-
-/// Picks the list kernel once per batch for the columnar paths.
-///
-/// Samples the degree spread of the extend columns (smallest vs. largest
-/// degree per row — the shape every intersection step of that row sees) and
-/// runs the per-call selection rule on the sampled means. Hub vertices are
-/// excluded: they dispatch to the bitmap kernel regardless of what is
-/// chosen here. Any outcome is correct on any row; the pick only decides
-/// which kernel the batch's non-hub steps run without re-deriving it per
-/// candidate.
-fn plan_batch_kernel(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> KernelKind {
-    const SAMPLE: usize = 128;
-    let rows = input.len();
-    if rows == 0 || op.ext_positions.len() < 2 {
-        // Single-list extensions never intersect; nothing to pick.
-        return KernelKind::Merge;
-    }
-    let step = rows.div_ceil(SAMPLE).max(1);
-    let (mut small_sum, mut large_sum, mut sampled) = (0usize, 0usize, 0usize);
-    for i in (0..rows).step_by(step) {
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for &pos in &op.ext_positions {
-            let v = input.value(pos, i);
-            if ctx.partition.hub_bitmap(v).is_some() {
-                continue;
-            }
-            let d = ctx.partition.degree(v);
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo != usize::MAX {
-            small_sum += lo;
-            large_sum += hi;
-            sampled += 1;
-        }
-    }
-    if sampled == 0 {
-        // Every sampled vertex is an indexed hub; the list kernel is moot.
-        return KernelKind::Merge;
-    }
-    kernels::select_kernel(small_sum / sampled, large_sum / sampled, false)
-}
-
 /// Intersects the adjacency lists of `exts` (already sorted smallest-degree
 /// first) into `scratch`, dispatching every step through the adaptive
 /// kernel family: hub bitmaps for indexed high-degree vertices, galloping
@@ -516,7 +476,6 @@ fn intersect_ext_lists(
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
     scratch: &mut Vec<VertexId>,
     tally: &mut KernelTally,
-    list: ListKernel,
 ) {
     scratch.clear();
     let mut first = true;
@@ -538,42 +497,13 @@ fn intersect_ext_lists(
             tally.bump(KernelKind::Bitmap);
             continue;
         }
-        let used = match list {
-            ListKernel::Adaptive => with_neighbours(ctx, batch_table, v, |nbrs| {
-                kernels::intersect_in_place(scratch, nbrs)
-            }),
-            ListKernel::Fixed(kind) => with_neighbours(ctx, batch_table, v, |nbrs| {
-                kernels::intersect_in_place_with(scratch, nbrs, kind);
-                kind
-            }),
-        };
-        match used {
+        match with_neighbours(ctx, batch_table, v, |nbrs| {
+            kernels::intersect_in_place(scratch, nbrs)
+        }) {
             Some(kind) => tally.bump(kind),
             None => scratch.clear(),
         }
     }
-}
-
-/// Computes the raw multiway candidate set of one row (Equation 2) into
-/// `scratch` (before injectivity and order filters). The extend lists are
-/// ordered smallest-degree first — degree is metadata every machine reads
-/// for free — so the accumulator starts minimal and skew is maximal, which
-/// is what lets the galloping and bitmap branches win.
-#[allow(clippy::too_many_arguments)]
-fn gather_candidates(
-    op: &ExtendOp,
-    row: &[VertexId],
-    ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    exts: &mut Vec<VertexId>,
-    scratch: &mut Vec<VertexId>,
-    tally: &mut KernelTally,
-    list: ListKernel,
-) {
-    exts.clear();
-    exts.extend(op.ext_positions.iter().map(|&p| row[p]));
-    exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-    intersect_ext_lists(exts, ctx, batch_table, scratch, tally, list);
 }
 
 /// Injectivity plus order filters for one candidate against the *output*
@@ -638,17 +568,12 @@ fn extend_one_row(
         return;
     }
 
-    // Match mode: multiway intersection of the neighbourhoods (Equation 2).
-    gather_candidates(
-        op,
-        row,
-        ctx,
-        batch_table,
-        exts,
-        scratch,
-        tally,
-        ListKernel::Adaptive,
-    );
+    // Match mode: multiway intersection of the neighbourhoods (Equation 2),
+    // smallest-degree list first so the accumulator starts minimal.
+    exts.clear();
+    exts.extend(op.ext_positions.iter().map(|&p| row[p]));
+    exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+    intersect_ext_lists(exts, ctx, batch_table, scratch, tally);
     for &candidate in scratch.iter() {
         if candidate_passes(op, row, candidate) {
             sink.emit_extended(row, candidate);
@@ -698,12 +623,206 @@ pub struct ExtendColsOutput {
     pub fetch_time: Duration,
 }
 
+/// The last step of one row's extension, as the generator hands it to a
+/// sink: the sorted operands whose intersection is the row's candidate set,
+/// already narrowed to the value range the order filters allow.
+enum Candidates<'a> {
+    /// The set itself: a one-list extend, or no extend position in the
+    /// newest column.
+    Slice(&'a [VertexId]),
+    /// Shared prefix intersection ∩ the newest column's list.
+    Lists(&'a [VertexId], &'a [VertexId]),
+    /// Shared prefix intersection ∩ the newest column's hub bitmap.
+    Hub(&'a [VertexId], &'a kernels::HubBitmap),
+}
+
+impl Candidates<'_> {
+    /// The counting sink: `|candidates|` via the kernel count twins, minus
+    /// the `bound` row values among them (injectivity).
+    fn count(self, bound: &[VertexId], tally: &mut KernelTally) -> u64 {
+        let has = |s: &[VertexId], r: &VertexId| s.binary_search(r).is_ok();
+        let (n, dups) = match self {
+            Candidates::Slice(s) => (s.len() as u64, bound.iter().filter(|r| has(s, r)).count()),
+            Candidates::Lists(s, nb) => {
+                let (n, kind) = kernels::intersect_count_adaptive(s, nb);
+                tally.bump(kind);
+                let dups = bound.iter().filter(|r| has(nb, r) && has(s, r));
+                (n, dups.count())
+            }
+            Candidates::Hub(s, bm) => {
+                tally.bump(KernelKind::Bitmap);
+                let dups = bound.iter().filter(|r| bm.contains(**r) && has(s, r));
+                (kernels::intersect_count_bitmap(s, bm), dups.count())
+            }
+        };
+        n - dups as u64
+    }
+
+    /// The materialising sink: appends the candidates, minus the `bound`
+    /// row values among them, to `out`. Returns how many it appended.
+    fn append_to(
+        self,
+        bound: &[VertexId],
+        out: &mut Vec<VertexId>,
+        tally: &mut KernelTally,
+    ) -> usize {
+        let from = out.len();
+        match self {
+            Candidates::Slice(s) => out.extend_from_slice(s),
+            Candidates::Lists(s, nb) => tally.bump(kernels::intersect_into(s, nb, out)),
+            Candidates::Hub(s, bm) => {
+                kernels::intersect_bitmap_into(s, bm, out);
+                tally.bump(KernelKind::Bitmap);
+            }
+        }
+        for r in bound {
+            if let Ok(k) = out[from..].binary_search(r) {
+                out.remove(from + k);
+            }
+        }
+        out.len() - from
+    }
+}
+
+/// The part of sorted `s` strictly between `lo` and `hi`.
+fn range_slice(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+    let a = lo.map_or(0, |l| s.partition_point(|&x| x <= l));
+    let b = hi.map_or(s.len(), |h| s.partition_point(|&x| x < h));
+    &s[a..b.max(a)]
+}
+
+/// The run-aware candidate generator of match mode (Equation 2): walks the
+/// rows `start..end` of `input` and hands `sink` each row's [`Candidates`]
+/// plus the row's own values that lie in the candidate range (what
+/// injectivity must remove).
+///
+/// The extend positions split into the *newest* input column, if it is one,
+/// and the *prefix* positions. Batches come out of the previous extend, so
+/// consecutive rows differ only in their newest column: the prefix lists'
+/// intersection (smallest-degree first, hub bitmaps where indexed) is kept
+/// and recomputed only when a row's prefix vertices differ from the previous
+/// row's. That reuse is keyed on the vertex ids alone — equal vertices have
+/// equal adjacency lists — so any row order, selection vector, chunk split
+/// or stolen batch is correct; a row that starts a new run just misses.
+///
+/// Per row: order filters among bound positions gate the row, filters
+/// against the candidate position become a value range applied to both
+/// operands (an empty slice of the shared list ends the row without
+/// touching the newest list), and the newest column's list is borrowed, not
+/// copied — as is the only list of a one-list extend, which has no prefix.
+/// A list that is unavailable (evicted and not re-pullable) yields no
+/// candidates.
+fn for_each_candidate_set(
+    op: &ExtendOp,
+    input: &ColBatch,
+    (start, end): (usize, usize),
+    ctx: &OpContext<'_>,
+    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    mut sink: impl FnMut(usize, Candidates<'_>, &[VertexId], &mut KernelTally),
+) {
+    let n = input.arity();
+    let exts = &op.ext_positions;
+    let last = match exts[..] {
+        [only] => Some(only),
+        _ => exts.contains(&(n - 1)).then_some(n - 1),
+    };
+    let prefix: Vec<usize> = exts.iter().copied().filter(|&p| Some(p) != last).collect();
+
+    let mut row: Vec<VertexId> = Vec::new();
+    let mut bound: Vec<VertexId> = Vec::new();
+    // `shared` is the intersection of the lists of `key`'s vertices.
+    let (mut key, mut shared): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
+    let mut by_degree: Vec<VertexId> = Vec::new();
+    let mut tally = KernelTally::default();
+    let mut reuses = 0u64;
+    'rows: for i in start..end {
+        row.clear();
+        input.read_row(i, &mut row);
+        let (mut lo, mut hi): (Option<VertexId>, Option<VertexId>) = (None, None);
+        for f in &op.filters {
+            if f.larger == n {
+                lo = Some(lo.map_or(row[f.smaller], |l| l.max(row[f.smaller])));
+            } else if f.smaller == n {
+                hi = Some(hi.map_or(row[f.larger], |h| h.min(row[f.larger])));
+            } else if row[f.smaller] >= row[f.larger] {
+                continue 'rows;
+            }
+        }
+        if !prefix.is_empty() {
+            if prefix.iter().map(|&p| row[p]).eq(key.iter().copied()) {
+                reuses += 1;
+            } else {
+                key.clear();
+                key.extend(prefix.iter().map(|&p| row[p]));
+                by_degree.clone_from(&key);
+                by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+                intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
+            }
+        }
+        let s = range_slice(&shared, lo, hi);
+        if s.is_empty() && !prefix.is_empty() {
+            continue;
+        }
+        // Distinct bound values an unconstrained candidate set could hold.
+        bound.clear();
+        for (idx, &r) in row.iter().enumerate() {
+            if lo.is_none_or(|l| r > l) && hi.is_none_or(|h| r < h) && !row[..idx].contains(&r) {
+                bound.push(r);
+            }
+        }
+        let Some(last) = last else {
+            sink(i, Candidates::Slice(s), &bound, &mut tally);
+            continue;
+        };
+        let v = row[last];
+        if prefix.is_empty() {
+            with_neighbours(ctx, batch_table, v, |nbrs| {
+                let only = Candidates::Slice(range_slice(nbrs, lo, hi));
+                sink(i, only, &bound, &mut tally);
+            });
+        } else if let Some(bm) = ctx.partition.hub_bitmap(v) {
+            sink(i, Candidates::Hub(s, bm), &bound, &mut tally);
+        } else {
+            with_neighbours(ctx, batch_table, v, |nbrs| {
+                let both = Candidates::Lists(s, range_slice(nbrs, lo, hi));
+                sink(i, both, &bound, &mut tally);
+            });
+        }
+    }
+    flush_tally(ctx, &tally);
+    let stats = ctx.rpc.stats().machine(ctx.machine);
+    stats.record_extend((end - start) as u64, reuses);
+}
+
+/// Verify mode over the rows `start..end` of `input`: calls `keep` with the
+/// logical index of every row that passes [`verify_one_row`].
+fn for_each_verified_row(
+    op: &ExtendOp,
+    vpos: usize,
+    input: &ColBatch,
+    (start, end): (usize, usize),
+    ctx: &OpContext<'_>,
+    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    mut keep: impl FnMut(usize),
+) {
+    let mut row: Vec<VertexId> = Vec::new();
+    for i in start..end {
+        row.clear();
+        input.read_row(i, &mut row);
+        if verify_one_row(op, vpos, &row, ctx, batch_table) {
+            keep(i);
+        }
+    }
+}
+
 /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one columnar batch.
 ///
 /// *Verify* mode never moves data: the surviving rows become a narrowed
-/// selection vector over the input's columns. *Match* mode gathers the
-/// prefix columns once per output column (dense sequential writes) and
-/// appends exactly one new candidate column — no `arity + 1`-wide row
+/// selection vector over the input's columns. *Match* mode is the
+/// materialising sink of [`for_each_candidate_set`]: the kernels write each
+/// row's candidates straight into a piece of the new column, and the prefix
+/// columns are then gathered once per output column (dense sequential
+/// writes, one input read per extended row) — no `arity + 1`-wide row
 /// rewrites.
 pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
     let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
@@ -714,15 +833,10 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
     if let Some(vpos) = op.verify_position {
         // Survivors as physical indices; the pool returns work items in
         // arbitrary order, so sort before installing the selection.
-        let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u32>| {
-            let mut row: Vec<VertexId> = Vec::new();
-            for i in start..end {
-                row.clear();
-                input_ref.read_row(i, &mut row);
-                if verify_one_row(op, vpos, &row, ctx, batch_table) {
-                    out.push(input_ref.physical_index(i) as u32);
-                }
-            }
+        let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
+            for_each_verified_row(op, vpos, input_ref, range, ctx, batch_table, |i| {
+                out.push(input_ref.physical_index(i) as u32)
+            });
         });
         let worker_busy = run.busy.clone();
         let mut sel: Vec<u32> = run.outputs.into_iter().flatten().collect();
@@ -743,49 +857,38 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
         };
     }
 
-    // Match mode: workers emit (logical row, candidate) pairs; the output
-    // columns are then assembled column-at-a-time. The list kernel is
-    // picked once for the whole batch — the per-candidate loop below runs
-    // dispatch-free.
-    let list = ListKernel::Fixed(plan_batch_kernel(op, input_ref, ctx));
-    let run = ctx
-        .pool
-        .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
-            let mut row: Vec<VertexId> = Vec::new();
-            let mut exts: Vec<VertexId> = Vec::new();
-            let mut scratch: Vec<VertexId> = Vec::new();
-            let mut tally = KernelTally::default();
-            for i in start..end {
-                row.clear();
-                input_ref.read_row(i, &mut row);
-                gather_candidates(
-                    op,
-                    &row,
-                    ctx,
-                    batch_table,
-                    &mut exts,
-                    &mut scratch,
-                    &mut tally,
-                    list,
-                );
-                for &candidate in scratch.iter() {
-                    if candidate_passes(op, &row, candidate) {
-                        out.push(i as u32);
-                        out.push(candidate);
-                    }
+    // Match mode: each work item emits its piece of the candidate column
+    // and, per extended row, (logical row, number of candidates).
+    type Piece = (Vec<(u32, u32)>, Vec<VertexId>);
+    let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
+        let (mut rows, mut cands) = (Vec::new(), Vec::new());
+        for_each_candidate_set(
+            op,
+            input_ref,
+            range,
+            ctx,
+            batch_table,
+            |i, c, bound, tally| {
+                let n = c.append_to(bound, &mut cands, tally);
+                if n > 0 {
+                    rows.push((i as u32, n as u32));
                 }
-            }
-            flush_tally(ctx, &tally);
-        });
+            },
+        );
+        out.push((rows, cands));
+    });
     let worker_busy = run.busy.clone();
     let arity = input.arity();
-    let total: usize = run.outputs.iter().map(|o| o.len() / 2).sum();
+    let pieces = || run.outputs.iter().flatten();
+    let total: usize = pieces().map(|(_, cands)| cands.len()).sum();
     let mut cols: Vec<Vec<VertexId>> = (0..=arity).map(|_| Vec::with_capacity(total)).collect();
-    for flat in &run.outputs {
+    for (rows, cands) in pieces() {
         for (c, col) in cols.iter_mut().enumerate().take(arity) {
-            col.extend(flat.chunks_exact(2).map(|p| input.value(c, p[0] as usize)));
+            for &(i, n) in rows {
+                col.extend(std::iter::repeat_n(input.value(c, i as usize), n as usize));
+            }
         }
-        cols[arity].extend(flat.chunks_exact(2).map(|p| p[1]));
+        cols[arity].extend_from_slice(cands);
     }
     let batch = ColBatch::from_columns(cols);
     if ctx.use_cache {
@@ -803,15 +906,11 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
 }
 
 /// Counts the extensions of one columnar batch without materialising
-/// anything the kernels can avoid.
-///
-/// The candidate-position order filters are turned into a `(lo, hi)` value
-/// range and the *largest* extend list is never written: with one extend
-/// list the count is two `partition_point`s; with several, all but the
-/// largest are intersected into a scratch accumulator and the final step
-/// runs an `intersect_count_*` twin (bitmap twin for indexed hubs).
-/// Injectivity is restored by subtracting the bound row values that would
-/// have been counted.
+/// anything the kernels can avoid: the counting sink of
+/// [`for_each_candidate_set`]. The newest column's list is never written —
+/// with one extend list the count is two `partition_point`s; with several,
+/// the final step runs an `intersect_count_*` twin (bitmap twin for indexed
+/// hubs) against the shared prefix intersection.
 pub fn run_extend_count_cols(
     op: &ExtendOp,
     input: &ColBatch,
@@ -820,28 +919,15 @@ pub fn run_extend_count_cols(
     let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
     let ranges = intersect_ranges(input.len(), ctx);
     let batch_table = &batch_table;
-    let list = ListKernel::Fixed(plan_batch_kernel(op, input, ctx));
-    let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
-        let mut row: Vec<VertexId> = Vec::new();
-        let mut exts: Vec<VertexId> = Vec::new();
-        let mut scratch: Vec<VertexId> = Vec::new();
-        let mut tally = KernelTally::default();
+    let run = ctx.pool.run(ranges, |range, out: &mut Vec<u64>| {
         let mut count = 0u64;
-        for i in start..end {
-            row.clear();
-            input.read_row(i, &mut row);
-            count += count_one_row(
-                op,
-                &row,
-                ctx,
-                batch_table,
-                &mut exts,
-                &mut scratch,
-                &mut tally,
-                list,
-            );
+        if let Some(vpos) = op.verify_position {
+            for_each_verified_row(op, vpos, input, range, ctx, batch_table, |_| count += 1);
+        } else {
+            for_each_candidate_set(op, input, range, ctx, batch_table, |_, c, bound, tally| {
+                count += c.count(bound, tally)
+            });
         }
-        flush_tally(ctx, &tally);
         out.push(count);
     });
     if ctx.use_cache {
@@ -852,112 +938,6 @@ pub fn run_extend_count_cols(
         worker_busy: run.busy,
         fetch_time,
     }
-}
-
-/// Counts the extensions of one row via the kernel count twins.
-#[allow(clippy::too_many_arguments)]
-fn count_one_row(
-    op: &ExtendOp,
-    row: &[VertexId],
-    ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    exts: &mut Vec<VertexId>,
-    scratch: &mut Vec<VertexId>,
-    tally: &mut KernelTally,
-    list: ListKernel,
-) -> u64 {
-    if let Some(vpos) = op.verify_position {
-        return verify_one_row(op, vpos, row, ctx, batch_table) as u64;
-    }
-
-    // Split the order filters: filters among bound positions gate the whole
-    // row; filters against the candidate position become a value range.
-    let n = row.len();
-    let mut lo: Option<VertexId> = None;
-    let mut hi: Option<VertexId> = None;
-    for f in &op.filters {
-        if f.larger == n {
-            let b = row[f.smaller];
-            lo = Some(lo.map_or(b, |x| x.max(b)));
-        } else if f.smaller == n {
-            let b = row[f.larger];
-            hi = Some(hi.map_or(b, |x| x.min(b)));
-        } else if row[f.smaller] >= row[f.larger] {
-            return 0;
-        }
-    }
-    let in_range = |x: VertexId| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h);
-    fn range_slice(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
-        let a = match lo {
-            Some(l) => s.partition_point(|&x| x <= l),
-            None => 0,
-        };
-        let b = match hi {
-            Some(h) => s.partition_point(|&x| x < h),
-            None => s.len(),
-        };
-        &s[a..b.max(a)]
-    }
-    // Distinct bound values that an unconstrained count would wrongly
-    // include (injectivity corrections).
-    let distinct = |idx: usize| !row[..idx].contains(&row[idx]);
-
-    exts.clear();
-    exts.extend(op.ext_positions.iter().map(|&p| row[p]));
-    exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-    let (&last, rest) = exts.split_last().expect("extend needs positions");
-
-    // Materialise every list except the largest.
-    intersect_ext_lists(rest, ctx, batch_table, scratch, tally, list);
-    let single = rest.is_empty();
-    if !single && scratch.is_empty() {
-        return 0;
-    }
-
-    if !single {
-        if let Some(bm) = ctx.partition.hub_bitmap(last) {
-            let s = range_slice(scratch, lo, hi);
-            let mut count = kernels::intersect_count_bitmap(s, bm);
-            tally.bump(KernelKind::Bitmap);
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx) && in_range(r) && bm.contains(r) && s.binary_search(&r).is_ok() {
-                    count -= 1;
-                }
-            }
-            return count;
-        }
-    }
-
-    with_neighbours(ctx, batch_table, last, |nbrs| {
-        let nb = range_slice(nbrs, lo, hi);
-        if single {
-            let mut count = nb.len() as u64;
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx) && in_range(r) && nb.binary_search(&r).is_ok() {
-                    count -= 1;
-                }
-            }
-            count
-        } else {
-            let s = range_slice(scratch, lo, hi);
-            let (mut count, kind) = match list {
-                ListKernel::Adaptive => kernels::intersect_count_adaptive(s, nb),
-                ListKernel::Fixed(kind) => (kernels::intersect_count_with(s, nb, kind), kind),
-            };
-            tally.bump(kind);
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx)
-                    && in_range(r)
-                    && nb.binary_search(&r).is_ok()
-                    && s.binary_search(&r).is_ok()
-                {
-                    count -= 1;
-                }
-            }
-            count
-        }
-    })
-    .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -1209,43 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernel_plan_reflects_degree_spread() {
-        let ext = ExtendOp {
-            target: 2,
-            ext_positions: vec![0, 1],
-            verify_position: None,
-            filters: vec![],
-            comm: CommMode::Pulling,
-        };
-
-        // Balanced degrees (K8: every vertex has degree 7) → merge.
-        let (parts, rpc) = setup(1);
-        let cache = huge_cache::LrbuCache::new(1 << 20);
-        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
-        let mut balanced = ColBatch::new(2);
-        balanced.push_row(&[0, 1]);
-        assert_eq!(plan_batch_kernel(&ext, &balanced, &c), KernelKind::Merge);
-
-        // Empty batches and single-list extensions have nothing to pick.
-        let empty = ColBatch::new(2);
-        assert_eq!(plan_batch_kernel(&ext, &empty, &c), KernelKind::Merge);
-
-        // ≥ GALLOP_RATIO× degree spread between the extend columns → gallop.
-        let mut edges: Vec<(VertexId, VertexId)> = (1..=512u32).map(|v| (0, v)).collect();
-        edges.push((1, 2));
-        edges.push((1, 3));
-        let g = huge_graph::Graph::from_edges(edges);
-        let parts = Partitioner::new(1).unwrap().partition(g);
-        let stats = ClusterStats::new(1);
-        let rpc = RpcFabric::new(Arc::new(parts.clone()), stats);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
-        let mut skewed = ColBatch::new(2);
-        skewed.push_row(&[1, 0]); // degree 3 vs. degree 512
-        assert_eq!(plan_batch_kernel(&ext, &skewed, &c), KernelKind::Gallop);
-    }
-
-    #[test]
     fn columnar_count_uses_hub_bitmaps() {
         let g = gen::barabasi_albert(400, 6, 3);
         let mut parts = Partitioner::new(1).unwrap().partition(g);
@@ -1287,5 +1230,263 @@ mod tests {
             snap.kernel_bitmap > 0,
             "hub bitmaps must be dispatched on a BA graph: {snap:?}"
         );
+    }
+    /// Embeddings of the 4-clique, no order filters: scan `(a, b)`, then
+    /// `c ∈ N(a) ∩ N(b)`, then `d ∈ N(a) ∩ N(b) ∩ N(c)`.
+    fn clique_steps() -> [ExtendOp; 2] {
+        let step = |k: usize| ExtendOp {
+            target: k as u8,
+            ext_positions: (0..k).collect(),
+            verify_position: None,
+            filters: vec![],
+            comm: CommMode::Pulling,
+        };
+        [step(2), step(3)]
+    }
+
+    /// Every directed edge of machine 0's partition as one columnar batch.
+    fn all_edges(c: &OpContext<'_>) -> ColBatch {
+        let scan = ScanOp {
+            src: 0,
+            dst: 1,
+            filters: vec![],
+        };
+        let pool = ScanPool::new(c.partition.local_vertices(), 4);
+        let mut cursor = ScanCursor::new(scan, pool);
+        let mut all = ColBatch::new(2);
+        while let Some(batch) = cursor.next_batch(c) {
+            all.append(&mut ColBatch::from_rows(&batch));
+        }
+        all
+    }
+
+    #[test]
+    fn a_run_intersects_its_prefix_once() {
+        // K6 on one machine: 120 rows (a, b, c) in 30 runs of equal (a, b).
+        let g = gen::complete(6);
+        let parts = Partitioner::new(1).unwrap().partition(g);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let [third, fourth] = clique_steps();
+        let rows = run_extend_cols(&third, all_edges(&c), &c).batch;
+        assert_eq!(rows.len(), 120);
+        let executed = |f: &dyn Fn() -> u64| {
+            let before = rpc.stats().total();
+            let count = f();
+            let after = rpc.stats().total();
+            (
+                count,
+                after.kernel_invocations() - before.kernel_invocations(),
+                after.extend_rows - before.extend_rows,
+                after.extend_prefix_reuses - before.extend_prefix_reuses,
+            )
+        };
+
+        // Both sinks: N(a) ∩ N(b) once per run, the last step once per row —
+        // not two intersections per row.
+        let counted = executed(&|| run_extend_count_cols(&fourth, &rows, &c).count);
+        assert_eq!(counted, (360, 30 + 120, 120, 90));
+        let gathered = executed(&|| run_extend_cols(&fourth, rows.clone(), &c).batch.len() as u64);
+        assert_eq!(gathered, counted);
+
+        // Runs of length one (every row's prefix differs from the previous
+        // row's) execute what a per-row intersection would, and no more.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| (rows.value(2, i), i));
+        let mut scattered = ColBatch::new(3);
+        let mut row = Vec::new();
+        for i in order {
+            row.clear();
+            rows.read_row(i, &mut row);
+            scattered.push_row(&row);
+        }
+        let missed = executed(&|| run_extend_count_cols(&fourth, &scattered, &c).count);
+        assert_eq!(missed, (360, 2 * 120, 120, 0));
+
+        // A filter among bound positions gates the whole row, a filter on
+        // the new position narrows its candidates; the row-major reference
+        // checks both per candidate.
+        let filtered = ExtendOp {
+            filters: vec![
+                OrderFilter {
+                    smaller: 2,
+                    larger: 0,
+                },
+                OrderFilter {
+                    smaller: 3,
+                    larger: 1,
+                },
+            ],
+            ..fourth.clone()
+        };
+        let reference = run_extend_count(&filtered, &rows.to_rows(), &c).count;
+        assert!(reference > 0 && reference < 360);
+        assert_eq!(run_extend_count_cols(&filtered, &rows, &c).count, reference);
+        let gathered = run_extend_cols(&filtered, rows.clone(), &c).batch;
+        assert_eq!(gathered.len() as u64, reference);
+        assert!(gathered
+            .to_rows()
+            .rows()
+            .all(|r| r[2] < r[0] && r[3] < r[1]));
+
+        // A one-list extend has no prefix: no intersection, nothing reused.
+        let path = ExtendOp {
+            target: 3,
+            ext_positions: vec![1],
+            verify_position: None,
+            filters: vec![],
+            comm: CommMode::Pulling,
+        };
+        let one_list = executed(&|| run_extend_count_cols(&path, &rows, &c).count);
+        assert_eq!(one_list, (360, 0, 120, 0));
+    }
+
+    mod properties {
+        use super::*;
+        use huge_cache::CacheKind;
+        use huge_plan::translate::{translate, SegmentSource};
+        use huge_query::{naive, Pattern};
+        use proptest::prelude::*;
+
+        /// How a stage's input batches are rearranged before the extend sees
+        /// them; none of it may change the answer.
+        #[derive(Clone, Copy, Debug)]
+        enum Shape {
+            /// As produced: runs intact, one work item per 256 rows.
+            Plain,
+            /// Every row followed by a junk row the selection vector skips.
+            Selected,
+            /// Runs split across batches of this many rows.
+            Chunked(usize),
+            /// Seeded shuffle: (almost) every row starts a new run.
+            Shuffled(u64),
+        }
+
+        fn reshape(batch: ColBatch, shape: Shape) -> Vec<ColBatch> {
+            let arity = batch.arity();
+            let rows = batch.to_rows();
+            match shape {
+                Shape::Plain => vec![batch],
+                Shape::Chunked(n) => batch.split_into_chunks(n),
+                Shape::Selected => {
+                    let mut padded = ColBatch::new(arity);
+                    for row in rows.rows() {
+                        padded.push_row(row);
+                        padded.push_row(&vec![row[0]; arity]);
+                    }
+                    padded.set_selection((0..rows.len() as u32).map(|i| 2 * i).collect());
+                    vec![padded]
+                }
+                Shape::Shuffled(seed) => {
+                    let mut order: Vec<usize> = (0..rows.len()).collect();
+                    let mut state = seed | 1;
+                    for i in (1..order.len()).rev() {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        order.swap(i, (state % (i as u64 + 1)) as usize);
+                    }
+                    let mut shuffled = ColBatch::new(arity);
+                    order.iter().for_each(|&i| shuffled.push_row(rows.row(i)));
+                    vec![shuffled]
+                }
+            }
+        }
+
+        fn arb_shape() -> impl Strategy<Value = Shape> {
+            prop_oneof![
+                Just(Shape::Plain),
+                Just(Shape::Selected),
+                (1usize..9).prop_map(Shape::Chunked),
+                (0u64..1 << 32).prop_map(Shape::Shuffled),
+            ]
+        }
+
+        /// `None` runs without a cache (per-batch table); the LRU variants
+        /// get a capacity of one entry per shard, so sealed-looking entries
+        /// are gone by the intersect stage and the fallback pull runs.
+        fn arb_lists() -> impl Strategy<Value = Option<(CacheKind, u64)>> {
+            prop_oneof![
+                Just(Some((CacheKind::Lrbu, 1 << 20))),
+                Just(None),
+                Just(Some((CacheKind::ConcurrentLru, 8))),
+                Just(Some((CacheKind::LruInfinite, 0))),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The run-aware count, the materialised batches, the row-major
+            /// reference and the sequential enumerator agree on every
+            /// pure-extend chain, however the rows reach the generator and
+            /// wherever the lists come from.
+            #[test]
+            fn both_sinks_match_the_row_major_reference_and_naive(
+                n in 8usize..36,
+                density in 2usize..7,
+                seed in 0u64..1 << 32,
+                pattern in prop_oneof![
+                    Just(Pattern::Triangle),
+                    Just(Pattern::Square),
+                    Just(Pattern::ChordalSquare),
+                    Just(Pattern::FourClique),
+                    Just(Pattern::FiveClique),
+                    Just(Pattern::House),
+                ],
+                k in 1usize..4,
+                hub_threshold in prop_oneof![Just(0usize), Just(4usize), Just(9usize)],
+                shape in arb_shape(),
+                lists in arb_lists(),
+            ) {
+                let graph = gen::erdos_renyi(n, n * density, seed);
+                let query = pattern.query_graph();
+                let expected = naive::enumerate(&graph, &query);
+                let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+                let dataflow = translate(&plan).unwrap();
+                prop_assert_eq!(dataflow.segments.len(), 1);
+                let segment = dataflow.root();
+                let SegmentSource::Scan(scan) = &segment.source else {
+                    panic!("a worst-case-optimal plan starts from a scan");
+                };
+                let (last, inner) = segment.extends.split_last().unwrap();
+
+                let mut parts = Partitioner::new(k).unwrap().partition(graph);
+                parts.iter_mut().for_each(|p| p.build_hub_index(hub_threshold));
+                let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(k));
+                let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+                let (mut counted, mut gathered, mut reference) = (0, 0, 0);
+                for m in 0..k {
+                    let (kind, bytes) = lists.unwrap_or((CacheKind::Lrbu, 0));
+                    let cache = kind.build(bytes);
+                    let mut c = ctx(m, &parts, &rpc, cache.as_ref(), &pool);
+                    c.use_cache = lists.is_some();
+                    let vertices = ScanPool::new(parts[m].local_vertices(), 8);
+                    let mut cursor = ScanCursor::new(scan.clone(), vertices);
+                    let mut rows: Vec<RowBatch> = Vec::new();
+                    while let Some(batch) = cursor.next_batch(&c) {
+                        rows.push(batch);
+                    }
+                    let mut cols: Vec<ColBatch> = rows.iter().map(ColBatch::from_rows).collect();
+                    for op in inner {
+                        let inputs = cols.into_iter().flat_map(|b| reshape(b, shape));
+                        cols = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
+                        rows = rows.iter().map(|b| run_extend(op, b, &c).batch).collect();
+                    }
+                    for batch in cols.into_iter().flat_map(|b| reshape(b, shape)) {
+                        counted += run_extend_count_cols(last, &batch, &c).count;
+                        gathered += run_extend_cols(last, batch, &c).batch.len() as u64;
+                    }
+                    for batch in &rows {
+                        reference += run_extend_count(last, batch, &c).count;
+                    }
+                }
+                prop_assert_eq!(counted, expected);
+                prop_assert_eq!(gathered, expected);
+                prop_assert_eq!(reference, expected);
+            }
+        }
     }
 }

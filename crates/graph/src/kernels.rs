@@ -27,8 +27,13 @@
 //! Every kernel has an `intersect_count_*` twin that skips output writes
 //! entirely — the count-only sinks of the runtime never materialise
 //! candidates. [`select_kernel`] picks the branch per call from
-//! `(|smallest|, |largest|, hub-ness)` and callers record the choice in a
-//! [`KernelTally`] so the kernel mix is observable in `ClusterStats`.
+//! `(|smallest|, |largest|, hub-ness)` — the operands of a call are what is
+//! left of the lists after earlier steps and range filters, which no
+//! up-front look at vertex degrees describes — and callers record the choice
+//! in a [`KernelTally`] so the kernel mix is observable in `ClusterStats`.
+//! The tally counts intersections *executed*: `PULL-EXTEND` reuses a run's
+//! prefix intersection instead of repeating it per row, so the mix is that
+//! of the work done, not of the extend steps the plan nominally has.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -319,24 +324,11 @@ pub fn intersect_count_bitmap(query: &[VertexId], hub: &HubBitmap) -> u64 {
 /// on cardinality skew. Returns the kernel used so callers can tally it.
 ///
 /// This is the one shared in-place compaction used by `intersect_many` and
-/// the operator layer's multiway extension loop.
+/// the operator layer's multiway extension loop. Galloping searches
+/// whichever side is larger: the accumulator shrinks as a multiway
+/// intersection proceeds, so the galloped side can flip between steps.
 pub fn intersect_in_place(acc: &mut Vec<VertexId>, other: &[VertexId]) -> KernelKind {
     let kind = select_kernel(acc.len(), other.len(), false);
-    intersect_in_place_with(acc, other, kind);
-    kind
-}
-
-/// Dispatch-free twin of [`intersect_in_place`]: runs a *pre-selected*
-/// kernel instead of calling [`select_kernel`] per invocation.
-///
-/// Callers that process whole batches (the columnar `PULL-EXTEND`) pick the
-/// kernel once per batch and hub class and hand it down here, hoisting the
-/// cardinality comparison out of the per-candidate loop. Any `kind` is
-/// correct on any input — the choice only affects speed. `Bitmap` has no
-/// bitmap operand in list form and falls back to the merge loop; `Gallop`
-/// still branches on which side is smaller (the accumulator shrinks as the
-/// multiway intersection proceeds, so the galloped side can flip mid-batch).
-pub fn intersect_in_place_with(acc: &mut Vec<VertexId>, other: &[VertexId], kind: KernelKind) {
     let mut w = 0usize;
     match kind {
         KernelKind::Merge | KernelKind::Bitmap => {
@@ -386,28 +378,34 @@ pub fn intersect_in_place_with(acc: &mut Vec<VertexId>, other: &[VertexId], kind
         }
     }
     acc.truncate(w);
+    kind
 }
 
-/// Dispatch-free count twin: counts `|a ∩ b|` with a pre-selected kernel.
-///
-/// Orders the operands internally for the galloping twin; `Bitmap` falls
-/// back to the merge twin (use [`intersect_count_bitmap`] when the actual
-/// bitmap is at hand). Like [`intersect_in_place_with`], any `kind` is
-/// correct on any input.
-pub fn intersect_count_with(a: &[VertexId], b: &[VertexId], kind: KernelKind) -> u64 {
+/// Appends `a ∩ b` (sorted) to `out`, dispatching between the merge and
+/// galloping kernels on skew. Returns the kernel used. The out-of-place
+/// sibling of [`intersect_in_place`], for callers whose operands are
+/// borrowed slices.
+pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> KernelKind {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let kind = select_kernel(small.len(), large.len(), false);
     match kind {
-        KernelKind::Gallop => intersect_count_gallop(small, large),
-        _ => intersect_count_merge(small, large),
+        KernelKind::Gallop => intersect_gallop_into(small, large, out),
+        _ => intersect_merge_into(small, large, out),
     }
+    kind
 }
 
 /// Counts `|a ∩ b|`, dispatching between the merge and galloping count
 /// twins on skew (use [`intersect_count_bitmap`] directly when a hub bitmap
 /// is cached). Returns the count and the kernel used.
 pub fn intersect_count_adaptive(a: &[VertexId], b: &[VertexId]) -> (u64, KernelKind) {
-    let kind = select_kernel(a.len(), b.len(), false);
-    (intersect_count_with(a, b, kind), kind)
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let kind = select_kernel(small.len(), large.len(), false);
+    let n = match kind {
+        KernelKind::Gallop => intersect_count_gallop(small, large),
+        _ => intersect_count_merge(small, large),
+    };
+    (n, kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -582,9 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn fixed_kind_variants_match_adaptive_on_every_kind() {
-        // Any pre-selected kind must produce the same set/count as the
-        // adaptive dispatcher — the batch-level hoist relies on this.
+    fn adaptive_entry_points_agree_on_every_shape() {
+        // In place, out of place and count-only must produce the same
+        // set/count whichever kernel the operand sizes select.
         let shapes = [
             (strided(64, 3, 0), strided(64, 2, 0)),   // balanced
             (strided(8, 50, 0), strided(1024, 5, 0)), // small acc, large list
@@ -594,16 +592,16 @@ mod tests {
         ];
         for (acc0, other) in &shapes {
             let want = intersect_sorted(acc0, other);
-            for kind in [KernelKind::Merge, KernelKind::Gallop, KernelKind::Bitmap] {
-                let mut acc = acc0.clone();
-                intersect_in_place_with(&mut acc, other, kind);
-                assert_eq!(acc, want, "in-place {kind:?}");
-                assert_eq!(
-                    intersect_count_with(acc0, other, kind),
-                    want.len() as u64,
-                    "count {kind:?}"
-                );
-            }
+            let mut acc = acc0.clone();
+            let kind = intersect_in_place(&mut acc, other);
+            assert_eq!(acc, want, "in-place {kind:?}");
+            let mut out = vec![7];
+            assert_eq!(intersect_into(acc0, other, &mut out), kind);
+            assert_eq!(out[1..], want[..], "appends after what `out` held");
+            assert_eq!(
+                intersect_count_adaptive(acc0, other),
+                (want.len() as u64, kind)
+            );
         }
     }
 

@@ -183,10 +183,16 @@ impl GraphPartition {
     }
 
     /// The cached bitmap for a local hub vertex, if the index is built and
-    /// `v` met the degree threshold.
+    /// `v` met the degree threshold. The degree compare (one array read)
+    /// answers for the non-hubs — nearly every vertex — before the index's
+    /// hash lookup is paid.
     #[inline]
     pub fn hub_bitmap(&self, v: VertexId) -> Option<&HubBitmap> {
-        self.hubs.as_ref()?.get(v)
+        let hubs = self.hubs.as_ref()?;
+        if self.graph.degree(v) < hubs.threshold() {
+            return None;
+        }
+        hubs.get(v)
     }
 
     /// The hub index handle, if built.

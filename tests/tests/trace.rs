@@ -110,10 +110,20 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
         assert_eq!(mt.events_recorded, 0, "span recording stays gated off");
         assert_eq!(mt.spans, 0);
         assert!(mt.chrome_json.is_none(), "no timeline without spans");
-        assert!(huge_metrics
+        let snapshot = huge_metrics
             .metrics
-            .expect("metrics mode attaches a snapshot")
-            .contains("huge_matches_total"));
+            .expect("metrics mode attaches a snapshot");
+        assert!(snapshot.contains("huge_matches_total"));
+        // The extend counters of the snapshot are the report's.
+        let comm = &huge_metrics.comm;
+        assert!(comm.extend_rows > 0 && comm.extend_prefix_reuses <= comm.extend_rows);
+        for (name, value) in [
+            ("huge_extend_rows_total", comm.extend_rows),
+            ("huge_extend_prefix_reuse_total", comm.extend_prefix_reuses),
+        ] {
+            let line = format!("\n{name} {value}\n");
+            assert!(snapshot.contains(&line), "{name} on {pattern:?}");
+        }
 
         let huge_full = HugeCluster::build(graph.clone(), full.clone())
             .unwrap()
