@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use huge_cache::LrbuCache;
 use huge_comm::stats::ClusterStats;
-use huge_comm::RpcFabric;
-use huge_core::operators::{run_extend, OpContext, ScanCursor, ScanPool};
+use huge_comm::{ColBatch, RpcFabric};
+use huge_core::operators::{run_extend_cols, OpContext, ScanCursor, ScanPool};
 use huge_core::pool::WorkerPool;
 use huge_core::LoadBalance;
 use huge_graph::{gen, Partitioner};
@@ -64,7 +64,7 @@ fn bench_scan_and_extend(c: &mut Criterion) {
         }],
     };
     let mut cursor = ScanCursor::new(scan, ScanPool::new(partitions[0].local_vertices(), 1024));
-    let input = cursor.next_batch(&ctx).expect("scan batch");
+    let input = ColBatch::from_rows(&cursor.next_batch(&ctx).expect("scan batch"));
     let extend = ExtendOp {
         target: 2,
         ext_positions: vec![0, 1],
@@ -76,7 +76,7 @@ fn bench_scan_and_extend(c: &mut Criterion) {
         comm: CommMode::Pulling,
     };
     group.bench_function("pull_extend_triangle", |b| {
-        b.iter(|| run_extend(&extend, &input, &ctx).batch.len())
+        b.iter(|| run_extend_cols(&extend, input.clone(), &ctx).batch.len())
     });
     group.finish();
 }

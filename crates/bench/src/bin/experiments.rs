@@ -454,12 +454,12 @@ fn exp9(opts: &Options) {
     println!("\n{}", table.render());
 }
 
-/// Barrier teardown: the same multi-segment `PUSH-JOIN` plans under the
-/// barriered escape hatch (`pipeline_segments(false)`) and the per-machine
-/// dataflow scheduler, so the per-segment synchronisation cost is
-/// quantifiable. "barrier bound" is the wall clock a barriered execution of
-/// the measured per-machine work needs at minimum; "overlap saved" is how
-/// much of it the pipelined run converted into overlap.
+/// Barrier teardown: the same multi-segment `PUSH-JOIN` plans with the
+/// scheduler's barrier gate on (`pipeline_segments(false)`) and off, so the
+/// per-segment synchronisation cost is quantifiable. "barrier bound" is the
+/// wall clock a barriered execution of the measured per-machine work needs
+/// at minimum; "overlap saved" is how much of it the pipelined run converted
+/// into overlap.
 fn barrier(opts: &Options) {
     let graph = load_dataset(DatasetKind::Lj, opts.scale);
     let mut table = TextTable::new(vec![
@@ -468,7 +468,6 @@ fn barrier(opts: &Options) {
         "T_R(s)",
         "barrier bound(s)",
         "overlap saved(s)",
-        "threads",
     ]);
     for qi in [1usize, 2] {
         let query = paper_query(qi);
@@ -495,7 +494,6 @@ fn barrier(opts: &Options) {
                 secs(report.compute_time),
                 secs(report.barrier_bound()),
                 secs(report.overlap_saved()),
-                report.machine_threads_spawned.to_string(),
             ]);
         }
         assert!(

@@ -1,14 +1,13 @@
 //! The public entry point: [`HugeCluster`].
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use huge_comm::stats::ClusterStats;
 use huge_comm::{LinkFault, LinkFaultKind, Router, RouterTrace, RpcFabric, TransportConfig};
 use huge_graph::{Graph, GraphStats, Partitioner};
-use huge_plan::baselines::{plug_into_huge, BaselineSystem};
 use huge_plan::cost::{CostModel, HybridEstimator};
 use huge_plan::logical::ExecutionPlan;
 use huge_plan::optimizer::{Optimizer, OptimizerOptions};
@@ -116,19 +115,6 @@ impl HugeCluster {
         self.run_dataflow_with_cancel(&dataflow, sink, cancel)
     }
 
-    /// Runs a baseline system's *logical* plan on the HUGE engine after
-    /// re-configuring its physical settings by Equation 3 (the paper's
-    /// HUGE-BENU / HUGE-RADS / HUGE-SEED / HUGE-WCO variants of Exp-1).
-    pub fn run_plugged_baseline(
-        &self,
-        system: BaselineSystem,
-        query: &QueryGraph,
-        sink: SinkMode,
-    ) -> Result<RunReport> {
-        let plan = plug_into_huge(system, query)?;
-        self.run_with_plan(&plan, sink)
-    }
-
     /// Runs an already-computed execution plan.
     pub fn run_with_plan(&self, plan: &ExecutionPlan, sink: SinkMode) -> Result<RunReport> {
         let dataflow = translate(plan)?;
@@ -166,7 +152,7 @@ impl HugeCluster {
         // destination inbox fills; consumers park on it instead of spinning.
         let mut router =
             Router::with_capacity(k, comm_stats.clone(), self.config.router_queue_rows.max(1));
-        if self.config.unreliable_transport {
+        if self.config.unreliable_transport() {
             let faults = self
                 .config
                 .fault_plan
@@ -247,7 +233,7 @@ impl HugeCluster {
 
         // Pre-build every segment's cross-machine state (stealable scan
         // pools, operator queues, end-of-stream counters) up front, so the
-        // pipelined scheduler never synchronises to set a segment up.
+        // scheduler never synchronises to set a segment up.
         let shared_segments: Vec<SegmentShared> = segment_plans
             .iter()
             .map(|plan| {
@@ -282,63 +268,28 @@ impl HugeCluster {
             .collect();
         let run_shared = RunShared::new(shared_segments, cancel.clone());
 
-        let threads_spawned = AtomicUsize::new(0);
+        // One thread per machine for the whole run; each drives all segments
+        // through the dataflow scheduler (barriered mode is a readiness gate
+        // inside that loop, not a second spawn/join site).
         let start = Instant::now();
-        let run_result: Result<()> = if self.config.pipeline_segments {
-            // Barrier-free execution: one thread per machine for the whole
-            // run; each drives all segments through the dataflow scheduler.
-            let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(k);
-                for state in machines.iter_mut() {
-                    let run_shared = &run_shared;
-                    let segment_plans = &segment_plans;
-                    threads_spawned.fetch_add(1, Ordering::Relaxed);
-                    handles
-                        .push(scope.spawn(move || state.run_all(segment_plans, run_shared, sink)));
-                }
-                for handle in handles {
-                    outcome.push(match handle.join() {
-                        Ok(res) => res,
-                        Err(_) => Err(EngineError::WorkerPanic(
-                            "machine thread panicked".to_string(),
-                        )),
-                    });
-                }
-            });
-            collapse_outcomes(outcome)
-        } else {
-            // Historic barriered execution: machine threads are spawned and
-            // joined per segment (the escape hatch the `barrier` experiment
-            // quantifies).
-            let mut res = Ok(());
-            for (idx, plan) in segment_plans.iter().enumerate() {
-                let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(k);
-                    for state in machines.iter_mut() {
-                        let run_shared = &run_shared;
-                        threads_spawned.fetch_add(1, Ordering::Relaxed);
-                        handles.push(
-                            scope.spawn(move || state.run_segment(idx, plan, run_shared, sink)),
-                        );
-                    }
-                    for handle in handles {
-                        outcome.push(match handle.join() {
-                            Ok(res) => res,
-                            Err(_) => Err(EngineError::WorkerPanic(
-                                "machine thread panicked".to_string(),
-                            )),
-                        });
-                    }
-                });
-                res = collapse_outcomes(outcome);
-                if res.is_err() {
-                    break;
-                }
+        let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(k);
+            for state in machines.iter_mut() {
+                let run_shared = &run_shared;
+                let segment_plans = &segment_plans;
+                handles.push(scope.spawn(move || state.run_all(segment_plans, run_shared, sink)));
             }
-            res
-        };
+            for handle in handles {
+                outcome.push(match handle.join() {
+                    Ok(res) => res,
+                    Err(_) => Err(EngineError::WorkerPanic(
+                        "machine thread panicked".to_string(),
+                    )),
+                });
+            }
+        });
+        let run_result = collapse_outcomes(outcome);
         let compute_time = start.elapsed();
 
         // Teardown sweep — runs whatever the outcome. Finishing each machine
@@ -503,7 +454,6 @@ impl HugeCluster {
             cache,
             fetch_time,
             pipelined: self.config.pipeline_segments,
-            machine_threads_spawned: threads_spawned.load(Ordering::Relaxed),
             governor: governor_report,
             join,
             machines: machine_reports,
@@ -616,12 +566,14 @@ fn build_segment_plans(dataflow: &Dataflow) -> Vec<SegmentPlan> {
         .collect()
 }
 
+/// A spill root no other run of this process shares: each run's teardown
+/// audit counts and deletes everything under its root, so two concurrent
+/// runs (the test harness runs cluster tests on parallel threads) must
+/// never be handed the same one.
 fn spill_dir() -> PathBuf {
-    let unique = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    std::env::temp_dir().join(format!("huge-spill-{}-{}", std::process::id(), unique))
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("huge-spill-{}-{run}", std::process::id()))
 }
 
 #[cfg(test)]
@@ -677,6 +629,28 @@ mod tests {
             assert!(g.has_edge(m[1], m[2]));
             assert!(g.has_edge(m[0], m[2]));
         }
+    }
+
+    #[test]
+    fn concurrent_runs_get_pairwise_distinct_spill_roots() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 64;
+        let gate = Arc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    gate.wait();
+                    (0..PER_THREAD).map(|_| spill_dir()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let dirs: Vec<PathBuf> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        let distinct: std::collections::HashSet<&PathBuf> = dirs.iter().collect();
+        assert_eq!(distinct.len(), THREADS * PER_THREAD);
     }
 
     #[test]

@@ -47,10 +47,10 @@ pub enum PanicPoint {
 /// `Panic`/`PanicAt`/`Delay` fire once, at (or inside) the named segment on
 /// the named machine. The transport faults (`DropBatch`, `DuplicateBatch`,
 /// `ReorderWindow`, `SlowLink`) instead *arm a lossy link* for every data
-/// envelope the machine sends while executing that segment's shuffle; they
-/// require [`ClusterConfig::unreliable_transport`] (the run is rejected
-/// otherwise — without the retry/ack path the faults would silently corrupt
-/// results). All probabilistic decisions derive from
+/// envelope the machine sends while executing that segment's shuffle; a plan
+/// holding any of them runs its data envelopes over the retry/ack path
+/// ([`ClusterConfig::unreliable_transport`]) — without it the faults would
+/// silently corrupt results. All probabilistic decisions derive from
 /// [`ClusterConfig::fault_seed`], so a fault plan replays identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
@@ -91,7 +91,7 @@ pub enum Fault {
 
 impl Fault {
     /// `true` for the fault kinds that perturb the data transport (and so
-    /// require [`ClusterConfig::unreliable_transport`]).
+    /// arm [`ClusterConfig::unreliable_transport`]).
     pub fn is_transport(&self) -> bool {
         matches!(
             self,
@@ -137,10 +137,8 @@ pub struct ClusterConfig {
     /// cooperate by absorbing their own inbox while they wait.
     pub router_queue_rows: usize,
     /// Cache capacity as a fraction of the data graph's CSR size (the paper
-    /// defaults to 30%). Ignored if `cache_capacity_bytes` is set.
+    /// defaults to 30%).
     pub cache_capacity_fraction: f64,
-    /// Absolute cache capacity in bytes (overrides the fraction when `Some`).
-    pub cache_capacity_bytes: Option<u64>,
     /// Which cache design to use (Exp-6).
     pub cache_kind: CacheKind,
     /// Disable the cache entirely (Exp-4 runs with the cache off).
@@ -153,15 +151,12 @@ pub struct ClusterConfig {
     pub hub_degree_threshold: usize,
     /// Load-balancing strategy.
     pub load_balance: LoadBalance,
-    /// Enable inter-machine work stealing (only meaningful with
-    /// [`LoadBalance::WorkStealing`]).
-    pub inter_machine_stealing: bool,
     /// Enable cross-machine Grace *partition* stealing: a machine that has
     /// finished probing its own sealed join build requests
     /// sealed-but-unprobed partitions from busy peers through the router's
     /// control plane, so one hot partition no longer serialises the join
-    /// phase. Requires inter-machine stealing (the same Exp-8 knob covers
-    /// both layers) and a pipelined multi-machine run to have any effect.
+    /// phase. Requires [`LoadBalance::WorkStealing`] (the same Exp-8 knob
+    /// covers both layers) and more than one machine to have any effect.
     pub partition_stealing: bool,
     /// Enable speculative sealing: producers broadcast per-source-machine
     /// end-of-stream control envelopes when they finish feeding a join, and
@@ -170,35 +165,27 @@ pub struct ClusterConfig {
     /// counter gate. The lead is reported per run
     /// ([`JoinReport::seal_lead`](crate::report::JoinReport)).
     pub speculative_sealing: bool,
-    /// Execute segments without barriers (default): each machine thread is
-    /// spawned once per run and drives all segments by readiness, so a fast
-    /// machine moves on while a straggler finishes. `false` restores the
-    /// historic barriered execution (machine threads joined between
-    /// segments), the escape hatch the `barrier` experiment quantifies.
+    /// Execute segments without barriers (default): each machine thread
+    /// drives all segments by readiness, so a fast machine moves on while a
+    /// straggler finishes. `false` adds a scheduling gate to the same loop —
+    /// no machine starts a segment before every machine has released every
+    /// earlier one — which is the barriered execution the `barrier`
+    /// experiment quantifies.
     pub pipeline_segments: bool,
     /// Global byte budget for intermediate-result memory across the cluster.
     /// When set, the run instantiates a
     /// [`MemoryGovernor`](crate::governor::MemoryGovernor) that enforces the
-    /// per-machine share (`memory_budget / machines`, unless
-    /// [`ClusterConfig::memory_budget_per_machine`] overrides it) by
-    /// shrinking queue/inbox capacities, tightening the scheduler into
-    /// strict DFS and spilling `PUSH-JOIN` buffers under pressure. `None`
-    /// (the default) disables governance entirely.
+    /// per-machine share (`memory_budget / machines`) by shrinking
+    /// queue/inbox capacities, tightening the scheduler into strict DFS and
+    /// spilling `PUSH-JOIN` buffers under pressure. `None` (the default)
+    /// disables governance entirely.
     pub memory_budget: Option<u64>,
-    /// Per-machine byte budget override. `None` derives the per-machine
-    /// share from `memory_budget`.
-    pub memory_budget_per_machine: Option<u64>,
     /// Chaos-testing hooks; see [`FaultSpec`]. Empty in production. Faults
     /// are independent: several may target the same machine/segment.
     pub fault_plan: Vec<FaultSpec>,
     /// Seed for every probabilistic fault decision (drop/duplicate fates,
     /// reorder shuffles). The same plan + seed replays identically.
     pub fault_seed: u64,
-    /// Run data envelopes over the lossy-transport path: sequence-numbered,
-    /// receiver-deduplicated, sender-retried with bounded backoff. Required
-    /// by the transport fault kinds; harmless (but slightly slower) without
-    /// them.
-    pub unreliable_transport: bool,
     /// Wall-clock budget for a run. When set, the run's
     /// [`CancelToken`](crate::cancel::CancelToken) trips to
     /// `DeadlineExceeded` once the budget elapses and the cluster returns
@@ -208,18 +195,6 @@ pub struct ClusterConfig {
     /// Network model used to convert recorded traffic into the reported
     /// communication time `T_C`.
     pub network: NetworkModel,
-    /// Budget fraction at which the memory governor enters the Yellow
-    /// pressure level (queue/inbox capacities shrink).
-    pub governor_enter_yellow: f64,
-    /// Budget fraction below which Yellow pressure clears (hysteresis: must
-    /// be below [`ClusterConfig::governor_enter_yellow`]).
-    pub governor_exit_yellow: f64,
-    /// Budget fraction at which the governor enters the Red pressure level
-    /// (strict DFS, one-row queues, join spill).
-    pub governor_enter_red: f64,
-    /// Budget fraction below which Red pressure drops back to Yellow
-    /// (hysteresis: must be below [`ClusterConfig::governor_enter_red`]).
-    pub governor_exit_red: f64,
     /// Flight-recorder configuration: off (default), metrics-only, or full
     /// span recording with timeline export. See
     /// [`RunReport::trace`](crate::report::RunReport) and
@@ -237,27 +212,19 @@ impl ClusterConfig {
             output_queue_rows: 128 * 1024,
             router_queue_rows: 256 * 1024,
             cache_capacity_fraction: 0.3,
-            cache_capacity_bytes: None,
             cache_kind: CacheKind::Lrbu,
             disable_cache: false,
             join_buffer_bytes: 64 * 1024 * 1024,
             hub_degree_threshold: 256,
             load_balance: LoadBalance::WorkStealing,
-            inter_machine_stealing: true,
             partition_stealing: true,
             speculative_sealing: true,
             pipeline_segments: true,
             memory_budget: None,
-            memory_budget_per_machine: None,
             fault_plan: Vec::new(),
             fault_seed: 0x9e37_79b9_7f4a_7c15,
-            unreliable_transport: false,
             deadline: None,
             network: NetworkModel::ten_gbps(machines.max(1)),
-            governor_enter_yellow: 0.60,
-            governor_exit_yellow: 0.45,
-            governor_enter_red: 0.85,
-            governor_exit_red: 0.70,
             tracing: TraceConfig::default(),
         }
     }
@@ -291,13 +258,6 @@ impl ClusterConfig {
     /// Sets the cache capacity as a fraction of the graph size.
     pub fn cache_fraction(mut self, fraction: f64) -> Self {
         self.cache_capacity_fraction = fraction.clamp(0.0, 10.0);
-        self.cache_capacity_bytes = None;
-        self
-    }
-
-    /// Sets an absolute cache capacity in bytes.
-    pub fn cache_bytes(mut self, bytes: u64) -> Self {
-        self.cache_capacity_bytes = Some(bytes);
         self
     }
 
@@ -317,10 +277,15 @@ impl ClusterConfig {
     pub fn load_balance(mut self, lb: LoadBalance) -> Self {
         self.load_balance = lb;
         if lb != LoadBalance::WorkStealing {
-            self.inter_machine_stealing = false;
             self.partition_stealing = false;
         }
         self
+    }
+
+    /// Whether idle machines steal scan chunks and queued batches from
+    /// their peers: exactly under [`LoadBalance::WorkStealing`].
+    pub fn inter_machine_stealing(&self) -> bool {
+        self.load_balance == LoadBalance::WorkStealing
     }
 
     /// Enables or disables cross-machine Grace partition stealing.
@@ -336,25 +301,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the memory governor's pressure-ladder thresholds as budget
-    /// fractions. Each level's enter threshold must stay above its exit
-    /// threshold (that gap is the hysteresis band) and the Red thresholds
-    /// above their Yellow counterparts; [`ClusterConfig::validate`] enforces
-    /// both.
-    pub fn governor_thresholds(
-        mut self,
-        enter_yellow: f64,
-        exit_yellow: f64,
-        enter_red: f64,
-        exit_red: f64,
-    ) -> Self {
-        self.governor_enter_yellow = enter_yellow;
-        self.governor_exit_yellow = exit_yellow;
-        self.governor_enter_red = enter_red;
-        self.governor_exit_red = exit_red;
-        self
-    }
-
     /// Enables or disables barrier-free cross-segment pipelining.
     pub fn pipeline_segments(mut self, pipelined: bool) -> Self {
         self.pipeline_segments = pipelined;
@@ -362,12 +308,7 @@ impl ClusterConfig {
     }
 
     /// Appends a chaos-testing fault to the plan (see [`FaultSpec`]).
-    /// Transport faults also switch on [`ClusterConfig::unreliable_transport`]
-    /// — they are meaningless (and rejected) without the retry/ack path.
     pub fn inject_fault(mut self, machine: usize, segment: usize, fault: Fault) -> Self {
-        if fault.is_transport() {
-            self.unreliable_transport = true;
-        }
         self.fault_plan.push(FaultSpec {
             machine,
             segment,
@@ -377,27 +318,23 @@ impl ClusterConfig {
     }
 
     /// Replaces the whole fault plan at once (the chaos harness's entry
-    /// point). Transport faults switch on
-    /// [`ClusterConfig::unreliable_transport`], as with
-    /// [`ClusterConfig::inject_fault`].
+    /// point).
     pub fn fault_plan(mut self, plan: Vec<FaultSpec>) -> Self {
-        if plan.iter().any(|s| s.fault.is_transport()) {
-            self.unreliable_transport = true;
-        }
         self.fault_plan = plan;
         self
+    }
+
+    /// Whether data envelopes ride the lossy-transport path
+    /// (sequence-numbered, receiver-deduplicated, sender-retried with
+    /// bounded backoff): exactly when the fault plan holds a transport
+    /// fault, which would corrupt results without it.
+    pub fn unreliable_transport(&self) -> bool {
+        self.fault_plan.iter().any(|s| s.fault.is_transport())
     }
 
     /// Sets the seed behind every probabilistic fault decision.
     pub fn fault_seed(mut self, seed: u64) -> Self {
         self.fault_seed = seed;
-        self
-    }
-
-    /// Enables (or disables) the lossy-transport path independently of any
-    /// injected fault — useful to measure its overhead on a clean network.
-    pub fn unreliable_transport(mut self, enabled: bool) -> Self {
-        self.unreliable_transport = enabled;
         self
     }
 
@@ -420,12 +357,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the hub-bitmap degree threshold (`0` disables hub bitmaps).
-    pub fn hub_degree_threshold(mut self, degree: usize) -> Self {
-        self.hub_degree_threshold = degree;
-        self
-    }
-
     /// Sets the global intermediate-result memory budget in bytes and
     /// enables the [`MemoryGovernor`](crate::governor::MemoryGovernor).
     pub fn memory_budget(mut self, bytes: u64) -> Self {
@@ -433,34 +364,23 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the per-machine byte budget (otherwise derived as
-    /// `memory_budget / machines`).
-    pub fn memory_budget_per_machine(mut self, bytes: u64) -> Self {
-        self.memory_budget_per_machine = Some(bytes.max(1));
-        self
+    /// Sets the same budget from its per-machine share:
+    /// `memory_budget = bytes × machines`.
+    pub fn memory_budget_per_machine(self, bytes: u64) -> Self {
+        let machines = self.machines as u64;
+        self.memory_budget(bytes.max(1).saturating_mul(machines))
     }
 
-    /// The per-machine byte budget the governor enforces, if any: the
-    /// explicit per-machine override, else an even share of the global
-    /// budget.
+    /// The per-machine byte budget the governor enforces, if any: an even
+    /// share of the global budget.
     pub fn machine_memory_budget(&self) -> Option<u64> {
-        self.memory_budget_per_machine.or_else(|| {
-            self.memory_budget
-                .map(|b| (b / self.machines.max(1) as u64).max(1))
-        })
-    }
-
-    /// Overrides the network model.
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
+        self.memory_budget
+            .map(|b| (b / self.machines.max(1) as u64).max(1))
     }
 
     /// The effective cache capacity for a graph of `graph_bytes` CSR bytes.
     pub fn effective_cache_bytes(&self, graph_bytes: u64) -> u64 {
-        self.cache_capacity_bytes
-            .unwrap_or(((graph_bytes as f64) * self.cache_capacity_fraction) as u64)
-            .max(1024)
+        (((graph_bytes as f64) * self.cache_capacity_fraction) as u64).max(1024)
     }
 
     /// Validates the configuration.
@@ -473,33 +393,6 @@ impl ClusterConfig {
         }
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
-        }
-        let ladder = [
-            (
-                "yellow",
-                self.governor_enter_yellow,
-                self.governor_exit_yellow,
-            ),
-            ("red", self.governor_enter_red, self.governor_exit_red),
-        ];
-        for (level, enter, exit) in ladder {
-            if !(enter.is_finite() && exit.is_finite()) || enter <= 0.0 || exit < 0.0 {
-                return Err(format!(
-                    "governor {level} thresholds must be positive and finite"
-                ));
-            }
-            if enter <= exit {
-                return Err(format!(
-                    "governor {level} enter threshold ({enter}) must exceed its exit \
-                     threshold ({exit}) — the gap is the hysteresis band"
-                ));
-            }
-        }
-        if self.governor_enter_red <= self.governor_enter_yellow {
-            return Err(format!(
-                "governor red enter threshold ({}) must exceed the yellow enter threshold ({})",
-                self.governor_enter_red, self.governor_enter_yellow
-            ));
         }
         for (i, spec) in self.fault_plan.iter().enumerate() {
             if spec.machine >= self.machines {
@@ -521,12 +414,6 @@ impl ClusterConfig {
                     ));
                 }
                 _ => {}
-            }
-            if spec.fault.is_transport() && !self.unreliable_transport {
-                return Err(format!(
-                    "fault_plan[{i}] injects a transport fault but unreliable_transport is \
-                     off — without the retry/ack path the fault would corrupt results"
-                ));
             }
         }
         Ok(())
@@ -580,7 +467,7 @@ mod tests {
         assert_eq!(cfg.workers_per_machine, 5);
         assert_eq!(cfg.batch_size, 100);
         assert_eq!(cfg.output_queue_rows, 1000);
-        assert!(!cfg.inter_machine_stealing);
+        assert!(!cfg.inter_machine_stealing());
         assert_eq!(cfg.join_buffer_bytes, 2048);
     }
 
@@ -588,8 +475,6 @@ mod tests {
     fn cache_capacity_resolution() {
         let cfg = ClusterConfig::new(2).cache_fraction(0.5);
         assert_eq!(cfg.effective_cache_bytes(10_000), 5_000);
-        let cfg = ClusterConfig::new(2).cache_bytes(12345);
-        assert_eq!(cfg.effective_cache_bytes(1000), 12345);
         // Tiny fractions are clamped to a sane minimum.
         let cfg = ClusterConfig::new(2).cache_fraction(0.0);
         assert_eq!(cfg.effective_cache_bytes(1000), 1024);
@@ -643,25 +528,28 @@ mod tests {
     }
 
     #[test]
-    fn transport_faults_arm_the_lossy_transport() {
+    fn a_transport_fault_alone_arms_the_lossy_transport() {
         let cfg = ClusterConfig::new(2);
-        assert!(!cfg.unreliable_transport);
+        assert!(!cfg.unreliable_transport());
         let cfg = cfg.inject_fault(0, 0, Fault::DropBatch { ppm: 1000 });
-        assert!(cfg.unreliable_transport);
+        assert!(cfg.unreliable_transport());
         assert!(cfg.validate().is_ok());
-        // Same through the whole-plan setter.
-        let cfg = ClusterConfig::new(2).fault_plan(vec![FaultSpec {
+        // Same through the whole-plan setter, and through the public field.
+        let spec = FaultSpec {
             machine: 1,
             segment: 0,
             fault: Fault::ReorderWindow { window: 4 },
-        }]);
-        assert!(cfg.unreliable_transport);
-        // Forcing the transport off under a transport fault is rejected.
-        let cfg = cfg.unreliable_transport(false);
-        assert!(cfg.validate().is_err());
-        // Non-transport faults leave the transport alone.
+        };
+        let cfg = ClusterConfig::new(2).fault_plan(vec![spec]);
+        assert!(cfg.unreliable_transport());
+        let mut cfg = ClusterConfig::new(2);
+        cfg.fault_plan.push(spec);
+        assert!(cfg.unreliable_transport());
+        assert!(cfg.validate().is_ok());
+        // Replacing the plan disarms it again; non-transport faults never arm it.
+        assert!(!cfg.fault_plan(Vec::new()).unreliable_transport());
         let cfg = ClusterConfig::new(2).inject_fault(0, 0, Fault::PanicAt(PanicPoint::Probe));
-        assert!(!cfg.unreliable_transport);
+        assert!(!cfg.unreliable_transport());
         assert!(cfg.validate().is_ok());
     }
 
@@ -699,42 +587,15 @@ mod tests {
         assert!(cfg.partition_stealing);
         assert!(cfg.speculative_sealing);
         // Static load balancing turns both stealing layers off.
+        assert!(cfg.inter_machine_stealing());
         let cfg = ClusterConfig::new(4).load_balance(LoadBalance::None);
-        assert!(!cfg.inter_machine_stealing);
+        assert!(!cfg.inter_machine_stealing());
         assert!(!cfg.partition_stealing);
         let cfg = ClusterConfig::new(4)
             .partition_stealing(false)
             .speculative_sealing(false);
         assert!(!cfg.partition_stealing);
         assert!(!cfg.speculative_sealing);
-    }
-
-    #[test]
-    fn governor_thresholds_default_to_the_historic_ladder_and_validate() {
-        let cfg = ClusterConfig::new(2);
-        assert_eq!(
-            (
-                cfg.governor_enter_yellow,
-                cfg.governor_exit_yellow,
-                cfg.governor_enter_red,
-                cfg.governor_exit_red
-            ),
-            (0.60, 0.45, 0.85, 0.70)
-        );
-        assert!(cfg.validate().is_ok());
-        let cfg = ClusterConfig::new(2).governor_thresholds(0.5, 0.3, 0.9, 0.8);
-        assert!(cfg.validate().is_ok());
-        // Enter must exceed exit (no hysteresis band = flapping).
-        let cfg = ClusterConfig::new(2).governor_thresholds(0.45, 0.60, 0.85, 0.70);
-        assert!(cfg.validate().is_err());
-        let cfg = ClusterConfig::new(2).governor_thresholds(0.60, 0.45, 0.70, 0.70);
-        assert!(cfg.validate().is_err());
-        // Red must sit above yellow.
-        let cfg = ClusterConfig::new(2).governor_thresholds(0.80, 0.45, 0.60, 0.50);
-        assert!(cfg.validate().is_err());
-        // Degenerate values are rejected.
-        let cfg = ClusterConfig::new(2).governor_thresholds(f64::NAN, 0.45, 0.85, 0.70);
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -745,7 +606,9 @@ mod tests {
         let cfg = cfg.memory_budget(4096);
         assert_eq!(cfg.memory_budget, Some(4096));
         assert_eq!(cfg.machine_memory_budget(), Some(1024));
+        // The per-machine spelling sets the same budget from its share.
         let cfg = cfg.memory_budget_per_machine(9999);
+        assert_eq!(cfg.memory_budget, Some(4 * 9999));
         assert_eq!(cfg.machine_memory_budget(), Some(9999));
         // The budget never collapses to zero, even for huge clusters.
         let cfg = ClusterConfig::new(8).memory_budget(3);

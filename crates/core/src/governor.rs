@@ -24,11 +24,12 @@
 //!   flushes its `PUSH-JOIN` Grace partitions to disk
 //!   ([`PushJoin::spill_to_disk`](crate::exec::PushJoin::spill_to_disk)).
 //!
-//! Hysteresis (separate enter/exit thresholds) keeps the ladder from
-//! flapping around a threshold. The governor is **passive**: machines call
-//! [`MemoryGovernor::tick`] from their scheduling loops, so control
-//! decisions are deterministic per machine and need no extra thread. All
-//! actuators only *tighten or relax existing flow-control paths*
+//! Hysteresis (separate enter/exit thresholds — the `ENTER_*`/`EXIT_*`
+//! constants below, fixed fractions of the per-machine budget) keeps the
+//! ladder from flapping around a threshold. The governor is **passive**:
+//! machines call [`MemoryGovernor::tick`] from their scheduling loops, so
+//! control decisions are deterministic per machine and need no extra thread.
+//! All actuators only *tighten or relax existing flow-control paths*
 //! (`is_full`, `try_push`/`wait_space`, the spill threshold), so a governed
 //! run can throttle but never deadlock — the same overflow-by-one-batch and
 //! cooperative-drain arguments as the ungoverned runtime apply.
@@ -47,6 +48,16 @@ use crate::config::ClusterConfig;
 use crate::memory::MemoryTracker;
 use crate::report::GovernorReport;
 
+/// Budget fraction at which a machine enters Yellow.
+const ENTER_YELLOW: f64 = 0.60;
+/// Budget fraction below which Yellow clears. The gap to [`ENTER_YELLOW`] is
+/// the hysteresis band: without it the ladder flaps around the threshold.
+const EXIT_YELLOW: f64 = 0.45;
+/// Budget fraction at which a machine enters Red (above [`ENTER_YELLOW`]).
+const ENTER_RED: f64 = 0.85;
+/// Budget fraction below which Red drops back to Yellow (hysteresis band
+/// below [`ENTER_RED`], and not below [`EXIT_YELLOW`]).
+const EXIT_RED: f64 = 0.70;
 /// Capacity divisor applied under Yellow pressure.
 const YELLOW_SHRINK: usize = 8;
 /// Scan-batch divisor applied under Red pressure.
@@ -97,13 +108,6 @@ pub struct MemoryGovernor {
     output_queue_rows: usize,
     router_queue_rows: usize,
     batch_size: usize,
-    /// Ladder thresholds as budget fractions, from
-    /// [`ClusterConfig::governor_thresholds`](crate::config::ClusterConfig::governor_thresholds):
-    /// `(enter_yellow, exit_yellow, enter_red, exit_red)`.
-    enter_yellow: f64,
-    exit_yellow: f64,
-    enter_red: f64,
-    exit_red: f64,
     router: RouterEndpoint,
     /// Ladder transitions, sourced from the run's flight-recorder registry
     /// (one clock, one collection path — these also feed the Prometheus
@@ -142,10 +146,6 @@ impl MemoryGovernor {
             output_queue_rows,
             router_queue_rows: config.router_queue_rows.max(1),
             batch_size: config.batch_size.max(1),
-            enter_yellow: config.governor_enter_yellow,
-            exit_yellow: config.governor_exit_yellow,
-            enter_red: config.governor_enter_red,
-            exit_red: config.governor_exit_red,
             router,
             transitions_yellow: registry.counter(
                 "huge_governor_transitions_yellow_total",
@@ -202,27 +202,27 @@ impl MemoryGovernor {
         let old = PressureLevel::from_u8(ctl.level.load(Ordering::Relaxed));
         let new = match old {
             PressureLevel::Green => {
-                if current >= budget * self.enter_red {
+                if current >= budget * ENTER_RED {
                     PressureLevel::Red
-                } else if current >= budget * self.enter_yellow {
+                } else if current >= budget * ENTER_YELLOW {
                     PressureLevel::Yellow
                 } else {
                     PressureLevel::Green
                 }
             }
             PressureLevel::Yellow => {
-                if current >= budget * self.enter_red {
+                if current >= budget * ENTER_RED {
                     PressureLevel::Red
-                } else if current < budget * self.exit_yellow {
+                } else if current < budget * EXIT_YELLOW {
                     PressureLevel::Green
                 } else {
                     PressureLevel::Yellow
                 }
             }
             PressureLevel::Red => {
-                if current < budget * self.exit_yellow {
+                if current < budget * EXIT_YELLOW {
                     PressureLevel::Green
-                } else if current < budget * self.exit_red {
+                } else if current < budget * EXIT_RED {
                     PressureLevel::Yellow
                 } else {
                     PressureLevel::Red
@@ -304,6 +304,7 @@ impl MemoryGovernor {
     /// budget.
     pub fn report(&self, peak_bytes: u64) -> Option<GovernorReport> {
         let machine_budget = self.machine_budget?;
+        let budget_bytes = self.global_budget?;
         let sum = |f: fn(&MachineControl) -> &AtomicU64| -> u64 {
             self.machines
                 .iter()
@@ -311,9 +312,7 @@ impl MemoryGovernor {
                 .sum()
         };
         Some(GovernorReport {
-            budget_bytes: self
-                .global_budget
-                .unwrap_or(machine_budget * self.machines.len() as u64),
+            budget_bytes,
             machine_budget_bytes: machine_budget,
             transitions_to_yellow: self.transitions_yellow.get(),
             transitions_to_red: self.transitions_red.get(),
@@ -435,29 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn ladder_thresholds_come_from_the_config() {
-        // A much earlier ladder: Yellow at 20%, Red at 50%.
-        let config = ClusterConfig::new(1)
-            .batch_size(16)
-            .output_queue_rows(8_000)
-            .router_queue_rows(8_000)
-            .governor_thresholds(0.20, 0.10, 0.50, 0.30)
-            .memory_budget(1_000);
-        config.validate().unwrap();
-        let (gov, trackers, _router) = setup(&config);
-        let t = &trackers[0];
-        t.allocate(190);
-        assert_eq!(gov.tick(0), PressureLevel::Green);
-        t.allocate(10);
-        assert_eq!(gov.tick(0), PressureLevel::Yellow);
-        t.allocate(300);
-        assert_eq!(gov.tick(0), PressureLevel::Red);
-        // Hysteresis bands follow the configured exits, not the defaults.
-        t.release(150);
-        assert_eq!(gov.tick(0), PressureLevel::Red);
-        t.release(60);
-        assert_eq!(gov.tick(0), PressureLevel::Yellow);
-        t.release(200);
-        assert_eq!(gov.tick(0), PressureLevel::Green);
+    #[allow(clippy::assertions_on_constants)]
+    fn ladder_constants_are_ordered_with_hysteresis_bands() {
+        // Every level enters above where it exits (the band that keeps the
+        // ladder from flapping), Red sits above Yellow on both edges, and
+        // every threshold is a positive, finite fraction of the budget.
+        // `ladder_climbs_and_descends_with_hysteresis` walks the bands.
+        assert!(ENTER_YELLOW > EXIT_YELLOW && ENTER_RED > EXIT_RED);
+        assert!(ENTER_RED > ENTER_YELLOW && EXIT_RED >= EXIT_YELLOW);
+        assert!(EXIT_YELLOW > 0.0 && ENTER_RED <= 1.0);
     }
 }

@@ -12,8 +12,11 @@
 //! and picks the next segment by readiness (see
 //! [`crate::scheduler::RunShared`]), so a fast machine moves on to the next
 //! runnable segment while a straggler finishes — there is no per-segment
-//! barrier. When a machine has nothing to compute it *parks* on the router's
-//! notify handle instead of spinning.
+//! barrier unless `pipeline_segments(false)` asks for one, and then the
+//! barrier is a readiness gate in the same loop (a segment starts only once
+//! every earlier segment is released cluster-wide). When a machine has
+//! nothing to compute it *parks* on the router's notify handle instead of
+//! spinning.
 //!
 //! Join skew is handled by two mechanisms layered on the router's control
 //! plane: **cross-machine Grace partition stealing** (a machine that drained
@@ -126,9 +129,9 @@ impl ChainSource {
     }
 }
 
-/// One segment's instantiated operator chain on one machine. Under the
-/// pipelined scheduler a chain persists across scheduler visits (a draining
-/// segment is revisited to steal from peers) until the segment finishes.
+/// One segment's instantiated operator chain on one machine. A chain
+/// persists across scheduler visits (a draining segment is revisited to
+/// steal from peers) until the segment finishes.
 struct SegmentChain {
     source: ChainSource,
     extends: Vec<PullExtend>,
@@ -751,22 +754,6 @@ impl MachineState {
         self.trace.seg_mark_end(idx);
     }
 
-    /// Releases this machine's end-of-stream slot for segment `idx` and
-    /// nudges parked peers to re-check readiness: once every machine has
-    /// released, the segment's shuffle output is complete and consuming
-    /// joins may seal.
-    ///
-    /// For shuffle-producing segments an [`ControlMsg::Eos`] is broadcast
-    /// first (speculative sealing): every push of this segment has already
-    /// completed, so consumers holding EOS evidence from all `k` machines
-    /// may seal and probe *before* the release counter drains — the control
-    /// envelope races ahead of the counter because it is sent before the
-    /// `fetch_sub` and wakes the consumer directly.
-    fn release_segment(&mut self, idx: usize, plan: &SegmentPlan, run: &RunShared) {
-        self.broadcast_eos(plan);
-        self.release_counter(idx, run);
-    }
-
     /// The lossy-transport delivery barrier a shuffle producer runs before
     /// announcing end-of-stream: every envelope this machine still owes the
     /// segment's consumers (stashed behind a reorder/slow gate or awaiting
@@ -801,7 +788,7 @@ impl MachineState {
     /// Broadcasts this machine's `ControlMsg::Eos` for a shuffle-producing
     /// segment once every push of the segment has completed (own chain and
     /// stolen work alike). Returns whether envelopes went out — the
-    /// pipelined scheduler then defers the counter settle one visit
+    /// scheduler then defers the counter settle one visit
     /// ([`SegmentState::Releasing`]) so the EOS evidence genuinely races
     /// ahead of the coarse counter gate.
     fn broadcast_eos(&mut self, plan: &SegmentPlan) -> bool {
@@ -832,17 +819,40 @@ impl MachineState {
         }
     }
 
+    /// A segment's epilogue on this machine, once its own and any stolen work
+    /// is done: deliver what the lossy transport still owes, harvest the
+    /// chain, announce end-of-stream. Returns the state the segment moves to
+    /// — [`SegmentState::Releasing`] when EOS envelopes went out (the counter
+    /// settles one visit later, see [`MachineState::broadcast_eos`]), else
+    /// [`SegmentState::Done`] with the counter already settled.
+    fn complete_segment(
+        &mut self,
+        idx: usize,
+        plan: &SegmentPlan,
+        chain: &mut SegmentChain,
+        run: &RunShared,
+    ) -> Result<SegmentState> {
+        self.flush_segment_transport(plan, run)?;
+        self.finish_chain(idx, chain);
+        if self.broadcast_eos(plan) {
+            return Ok(SegmentState::Releasing);
+        }
+        self.release_counter(idx, run);
+        Ok(SegmentState::Done)
+    }
+
     // -----------------------------------------------------------------------
-    // The per-machine dataflow scheduler (pipelined execution)
+    // The per-machine dataflow scheduler
     // -----------------------------------------------------------------------
 
     /// Drives *all* segments of the run to completion from this machine's
-    /// single thread: the barrier-free replacement for per-segment
-    /// spawn/join. Segments advance through
-    /// [`SegmentState`](crate::scheduler::SegmentState); the next segment is
-    /// picked deepest-first among the runnable ones (DFS bias — drain
-    /// consumers before growing producers). Any failure (or panic) aborts
-    /// the whole run and unparks every peer.
+    /// single thread — the one run driver, pipelined or barriered. Segments
+    /// advance through [`SegmentState`](crate::scheduler::SegmentState); the
+    /// next segment is picked deepest-first among the runnable ones (DFS
+    /// bias — drain consumers before growing producers), and
+    /// `pipeline_segments(false)` only narrows "runnable" to
+    /// [`RunShared::barrier_open`]. Any failure (or panic) aborts the whole
+    /// run and unparks every peer.
     pub fn run_all(
         &mut self,
         plans: &[SegmentPlan],
@@ -915,8 +925,14 @@ impl MachineState {
                         progressed = true;
                     }
                     SegmentState::NotStarted => {
-                        let counters_ready = run.ready(&plan.segment.dependencies());
-                        if !counters_ready {
+                        if !self.config.pipeline_segments {
+                            // Barriered mode is this gate and nothing else.
+                            // An open barrier implies ready counters, so the
+                            // speculative bypass below never applies.
+                            if !run.barrier_open(idx) {
+                                continue;
+                            }
+                        } else if !run.ready(&plan.segment.dependencies()) {
                             if !self.speculatively_ready(plan) {
                                 continue;
                             }
@@ -935,7 +951,7 @@ impl MachineState {
                         let mut chain = self.build_chain(plan, seg, sink)?;
                         self.run_chain(&mut chain, plan, seg, run, sink)?;
                         let drains = k > 1
-                            && self.config.inter_machine_stealing
+                            && self.config.inter_machine_stealing()
                             && match chain.source {
                                 ChainSource::Scan(_) => true,
                                 ChainSource::Join(_) => self.config.partition_stealing && k <= 64,
@@ -944,15 +960,8 @@ impl MachineState {
                             states[idx] = SegmentState::Draining;
                             chains[idx] = Some(chain);
                         } else {
-                            self.flush_segment_transport(plan, run)?;
-                            self.finish_chain(idx, &mut chain);
-                            if self.broadcast_eos(plan) {
-                                states[idx] = SegmentState::Releasing;
-                            } else {
-                                self.release_counter(idx, run);
-                                states[idx] = SegmentState::Done;
-                                done += 1;
-                            }
+                            states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
+                            done += usize::from(states[idx] == SegmentState::Done);
                         }
                         self.record_segment_busy(idx, start.elapsed());
                         progressed = true;
@@ -979,15 +988,8 @@ impl MachineState {
                                 break;
                             }
                             StealOutcome::AllIdle => {
-                                self.flush_segment_transport(plan, run)?;
-                                self.finish_chain(idx, &mut chain);
-                                if self.broadcast_eos(plan) {
-                                    states[idx] = SegmentState::Releasing;
-                                } else {
-                                    self.release_counter(idx, run);
-                                    states[idx] = SegmentState::Done;
-                                    done += 1;
-                                }
+                                states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
+                                done += usize::from(states[idx] == SegmentState::Done);
                                 self.record_segment_busy(idx, start.elapsed());
                                 progressed = true;
                                 break;
@@ -1030,80 +1032,6 @@ impl MachineState {
             self.router.wait_data(PARK_TIMEOUT);
         }
         self.finalize_speculative_leads();
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------------
-    // Barriered execution (the `pipeline_segments = false` escape hatch)
-    // -----------------------------------------------------------------------
-
-    /// Runs one segment to completion (own work, then stolen work, then a
-    /// lingering absorb until every machine has finished the segment).
-    ///
-    /// Whatever the outcome, this machine's slot on the segment's
-    /// end-of-stream counter is released — an erroring (or panicking)
-    /// machine flags the run as aborted so its peers bail out of
-    /// backpressure, stealing and linger loops instead of waiting forever.
-    pub fn run_segment(
-        &mut self,
-        idx: usize,
-        plan: &SegmentPlan,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        let seg = &run.segments[idx];
-        let panic_guard = AbortOnPanic(run);
-        let mut result = self.run_segment_inner(idx, plan, seg, run, sink);
-        if result.is_ok() {
-            // Deliver everything still owed over the lossy transport before
-            // announcing end-of-stream (failed runs release regardless — the
-            // abort flag stops consumers from trusting the stream anyway).
-            result = self.flush_segment_transport(plan, run);
-        }
-        if result.is_err() {
-            run.abort();
-        }
-        // Release our end-of-stream slot and nudge parked peers.
-        self.release_segment(idx, plan, run);
-        // Linger: keep absorbing the inbox until every machine is done with
-        // this segment, so producers blocked on our bounded inbox always
-        // drain. The machine parks on the router between sweeps.
-        let linger = (|| -> Result<()> {
-            while !seg.is_done() && !run.is_aborted() {
-                run.check_cancel()?;
-                self.absorb_inbox()?;
-                self.router.wait_data(PARK_TIMEOUT);
-            }
-            self.absorb_inbox()
-        })();
-        if linger.is_err() {
-            run.abort();
-        }
-        drop(panic_guard);
-        result.and(linger)
-    }
-
-    /// The fallible body of [`MachineState::run_segment`]: instantiates the
-    /// segment's operators and drives them with the BFS/DFS-adaptive
-    /// scheduler below, then steals until the cluster is idle.
-    fn run_segment_inner(
-        &mut self,
-        idx: usize,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        let start = Instant::now();
-        self.note_segment_start(idx);
-        self.maybe_inject_fault(idx)?;
-        let mut chain = self.build_chain(plan, seg, sink)?;
-        self.run_chain(&mut chain, plan, seg, run, sink)?;
-        if matches!(chain.source, ChainSource::Scan(_)) && self.config.inter_machine_stealing {
-            self.steal_loop(&mut chain, plan, seg, run, sink)?;
-        }
-        self.finish_chain(idx, &mut chain);
-        self.record_segment_busy(idx, start.elapsed());
         Ok(())
     }
 
@@ -1322,8 +1250,8 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         // Drop the idle flag *before* scanning for work: the instant every
-        // flag is set doubles as the segment's end-of-stream
-        // ([`SegmentShared::is_done`]), so a machine must never hold (or be
+        // flag is set is the segment's end-of-stream
+        // ([`SegmentShared::idle`]), so a machine must never hold (or be
         // acquiring) work while it advertises idleness.
         seg.idle[self.machine].store(false, Ordering::SeqCst);
         let mut stolen_any = false;
@@ -1373,30 +1301,6 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         Ok(StealOutcome::Pending)
-    }
-
-    /// The barriered-mode stealing loop: steal until every machine is idle,
-    /// parking on the inbox (and absorbing arriving shuffle data) while
-    /// there is nothing to take.
-    fn steal_loop(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        loop {
-            match self.steal_once(chain, plan, seg, run, sink)? {
-                StealOutcome::Stole => continue,
-                StealOutcome::AllIdle => return Ok(()),
-                StealOutcome::Pending => {
-                    run.check_cancel()?;
-                    self.absorb_inbox()?;
-                    self.router.wait_data(PARK_TIMEOUT);
-                }
-            }
-        }
     }
 
     // -----------------------------------------------------------------------

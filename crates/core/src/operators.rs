@@ -14,9 +14,10 @@
 //! [`run_extend_count_cols`] counts each row's last step with the kernel
 //! count twins; [`run_extend_cols`] lets the kernels write it straight into
 //! the new column. Verify mode is a per-row membership test and shares only
-//! the fetch stage. The row-major [`run_extend`] / [`run_extend_count`]
-//! intersect every list for every row and filter per candidate: the
-//! reference the tests hold the generator to.
+//! the fetch stage. A row-major `run_extend` / `run_extend_count` that
+//! intersects every list for every row and filters per candidate lives in
+//! the test-only `row_major` module: the reference the tests hold the
+//! generator to.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -207,16 +208,6 @@ impl ScanCursor {
 // PULL-EXTEND
 // ---------------------------------------------------------------------------
 
-/// The result of running a `PULL-EXTEND` over one input batch.
-pub struct ExtendOutput {
-    /// The extended (or verified) rows.
-    pub batch: RowBatch,
-    /// Busy time of each intra-machine worker during the intersect stage.
-    pub worker_busy: Vec<Duration>,
-    /// Time spent in the fetch stage (RPCs + cache writes + sealing).
-    pub fetch_time: Duration,
-}
-
 /// The result of counting a `PULL-EXTEND` over one input batch without
 /// materialising the extended rows.
 pub struct ExtendCountOutput {
@@ -265,33 +256,12 @@ fn resolve_remote(
 }
 
 /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
-/// remote adjacency list the batch's extend positions reference. Returns the
-/// per-batch side table (used when the cache is disabled) and the stage
-/// duration.
-fn fetch_stage(
-    op: &ExtendOp,
-    input: &RowBatch,
-    ctx: &OpContext<'_>,
-) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
-    let fetch_start = Instant::now();
-    let mut remote: Vec<VertexId> = Vec::new();
-    for row in input.rows() {
-        for &pos in &op.ext_positions {
-            let v = row[pos];
-            if !ctx.partition.is_local(v) {
-                remote.push(v);
-            }
-        }
-    }
-    let batch_table = resolve_remote(remote, ctx);
-    (batch_table, fetch_start.elapsed())
-}
-
-/// Columnar fetch stage: identical to [`fetch_stage`] but reads the extend
-/// positions column-at-a-time (one dense column scan per position instead
-/// of a strided walk over rows), skipping consecutive duplicates: a column
-/// that is constant over a run of rows would push the same vertex once per
-/// row only for [`resolve_remote`]'s sort + dedup to throw it away.
+/// remote adjacency list the batch's extend positions reference, and returns
+/// the per-batch side table (used when the cache is disabled) and the stage
+/// duration. Reads the extend positions column-at-a-time, skipping
+/// consecutive duplicates: a column that is constant over a run of rows
+/// would push the same vertex once per row only for [`resolve_remote`]'s
+/// sort + dedup to throw it away.
 fn fetch_stage_cols(
     op: &ExtendOp,
     input: &ColBatch,
@@ -332,124 +302,6 @@ fn intersect_ranges(rows: usize, ctx: &OpContext<'_>) -> Vec<(usize, usize)> {
         .step_by(chunk_rows)
         .map(|start| (start, (start + chunk_rows).min(rows)))
         .collect()
-}
-
-/// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one input batch.
-pub fn run_extend(op: &ExtendOp, input: &RowBatch, ctx: &OpContext<'_>) -> ExtendOutput {
-    let out_arity = if op.verify_position.is_some() {
-        input.arity()
-    } else {
-        input.arity() + 1
-    };
-    let (batch_table, fetch_time) = fetch_stage(op, input, ctx);
-
-    // ---------------- intersect stage ----------------
-    let ranges = intersect_ranges(input.len(), ctx);
-    let batch_table = &batch_table;
-    let run = ctx
-        .pool
-        .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
-            let mut exts: Vec<VertexId> = Vec::new();
-            let mut scratch: Vec<VertexId> = Vec::new();
-            let mut tally = KernelTally::default();
-            for i in start..end {
-                let row = input.row(i);
-                extend_one_row(
-                    op,
-                    row,
-                    ctx,
-                    batch_table,
-                    &mut exts,
-                    &mut scratch,
-                    &mut tally,
-                    &mut ExtendSink::Materialise(out),
-                );
-            }
-            flush_tally(ctx, &tally);
-        });
-
-    let mut batch = RowBatch::new(out_arity);
-    let worker_busy = run.busy.clone();
-    for flat in run.outputs {
-        let mut piece = RowBatch::from_flat(out_arity, flat);
-        batch.append(&mut piece);
-    }
-
-    if ctx.use_cache {
-        ctx.cache.release();
-    }
-
-    ExtendOutput {
-        batch,
-        worker_busy,
-        fetch_time,
-    }
-}
-
-/// Runs the two-stage `PULL-EXTEND` over one input batch, *counting* the
-/// extensions instead of materialising them — the count-only sink fast path:
-/// the final output column (and the batch allocation behind it) is skipped
-/// entirely.
-pub fn run_extend_count(op: &ExtendOp, input: &RowBatch, ctx: &OpContext<'_>) -> ExtendCountOutput {
-    let (batch_table, fetch_time) = fetch_stage(op, input, ctx);
-    let ranges = intersect_ranges(input.len(), ctx);
-    let batch_table = &batch_table;
-    let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
-        let mut exts: Vec<VertexId> = Vec::new();
-        let mut scratch: Vec<VertexId> = Vec::new();
-        let mut tally = KernelTally::default();
-        let mut count = 0u64;
-        for i in start..end {
-            let row = input.row(i);
-            extend_one_row(
-                op,
-                row,
-                ctx,
-                batch_table,
-                &mut exts,
-                &mut scratch,
-                &mut tally,
-                &mut ExtendSink::Count(&mut count),
-            );
-        }
-        flush_tally(ctx, &tally);
-        out.push(count);
-    });
-    if ctx.use_cache {
-        ctx.cache.release();
-    }
-    ExtendCountOutput {
-        count: run.outputs.iter().flatten().sum(),
-        worker_busy: run.busy,
-        fetch_time,
-    }
-}
-
-/// Where an extension's results go: materialised flat rows, or a counter.
-enum ExtendSink<'a> {
-    Materialise(&'a mut Vec<VertexId>),
-    Count(&'a mut u64),
-}
-
-impl ExtendSink<'_> {
-    #[inline]
-    fn emit_verified(&mut self, row: &[VertexId]) {
-        match self {
-            ExtendSink::Materialise(out) => out.extend_from_slice(row),
-            ExtendSink::Count(count) => **count += 1,
-        }
-    }
-
-    #[inline]
-    fn emit_extended(&mut self, row: &[VertexId], candidate: VertexId) {
-        match self {
-            ExtendSink::Materialise(out) => {
-                out.extend_from_slice(row);
-                out.push(candidate);
-            }
-            ExtendSink::Count(count) => **count += 1,
-        }
-    }
 }
 
 /// Flushes a work item's kernel tally to the machine's shared counters
@@ -506,29 +358,6 @@ fn intersect_ext_lists(
     }
 }
 
-/// Injectivity plus order filters for one candidate against the *output*
-/// row layout (`row ++ candidate`).
-#[inline]
-fn candidate_passes(op: &ExtendOp, row: &[VertexId], candidate: VertexId) -> bool {
-    // Injectivity: the new vertex must differ from every bound vertex.
-    if row.contains(&candidate) {
-        return false;
-    }
-    op.filters.iter().all(|f| {
-        let smaller = if f.smaller == row.len() {
-            candidate
-        } else {
-            row[f.smaller]
-        };
-        let larger = if f.larger == row.len() {
-            candidate
-        } else {
-            row[f.larger]
-        };
-        smaller < larger
-    })
-}
-
 /// Verify mode for one row: the already-bound vertex must be adjacent to
 /// every extend position (no intersection needs materialising).
 #[inline]
@@ -547,38 +376,6 @@ fn verify_one_row(
         })
         .unwrap_or(false)
     }) && passes_filters(row, &op.filters)
-}
-
-/// Extends (or verifies) a single row, feeding the results to `sink`.
-#[allow(clippy::too_many_arguments)]
-fn extend_one_row(
-    op: &ExtendOp,
-    row: &[VertexId],
-    ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    exts: &mut Vec<VertexId>,
-    scratch: &mut Vec<VertexId>,
-    tally: &mut KernelTally,
-    sink: &mut ExtendSink<'_>,
-) {
-    if let Some(vpos) = op.verify_position {
-        if verify_one_row(op, vpos, row, ctx, batch_table) {
-            sink.emit_verified(row);
-        }
-        return;
-    }
-
-    // Match mode: multiway intersection of the neighbourhoods (Equation 2),
-    // smallest-degree list first so the accumulator starts minimal.
-    exts.clear();
-    exts.extend(op.ext_positions.iter().map(|&p| row[p]));
-    exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-    intersect_ext_lists(exts, ctx, batch_table, scratch, tally);
-    for &candidate in scratch.iter() {
-        if candidate_passes(op, row, candidate) {
-            sink.emit_extended(row, candidate);
-        }
-    }
 }
 
 /// Looks up the adjacency list of `v` (local partition, cache, or the
@@ -940,8 +737,219 @@ pub fn run_extend_count_cols(
     }
 }
 
+/// The row-major `PULL-EXTEND`: every list intersected for every row, every
+/// candidate filtered on its own. Not part of the library — it is the
+/// independent reference `tests::properties` holds the run-aware generator
+/// to.
+#[cfg(test)]
+mod row_major {
+    use super::*;
+
+    /// The result of running a `PULL-EXTEND` over one input batch.
+    pub(super) struct ExtendOutput {
+        /// The extended (or verified) rows.
+        pub(super) batch: RowBatch,
+    }
+
+    /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
+    /// remote adjacency list the batch's extend positions reference. Returns the
+    /// per-batch side table (used when the cache is disabled) and the stage
+    /// duration.
+    fn fetch_stage(
+        op: &ExtendOp,
+        input: &RowBatch,
+        ctx: &OpContext<'_>,
+    ) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
+        let fetch_start = Instant::now();
+        let mut remote: Vec<VertexId> = Vec::new();
+        for row in input.rows() {
+            for &pos in &op.ext_positions {
+                let v = row[pos];
+                if !ctx.partition.is_local(v) {
+                    remote.push(v);
+                }
+            }
+        }
+        let batch_table = resolve_remote(remote, ctx);
+        (batch_table, fetch_start.elapsed())
+    }
+
+    /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one input batch.
+    pub(super) fn run_extend(op: &ExtendOp, input: &RowBatch, ctx: &OpContext<'_>) -> ExtendOutput {
+        let out_arity = if op.verify_position.is_some() {
+            input.arity()
+        } else {
+            input.arity() + 1
+        };
+        let (batch_table, _) = fetch_stage(op, input, ctx);
+
+        // ---------------- intersect stage ----------------
+        let ranges = intersect_ranges(input.len(), ctx);
+        let batch_table = &batch_table;
+        let run = ctx
+            .pool
+            .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
+                let mut exts: Vec<VertexId> = Vec::new();
+                let mut scratch: Vec<VertexId> = Vec::new();
+                let mut tally = KernelTally::default();
+                for i in start..end {
+                    let row = input.row(i);
+                    extend_one_row(
+                        op,
+                        row,
+                        ctx,
+                        batch_table,
+                        &mut exts,
+                        &mut scratch,
+                        &mut tally,
+                        &mut ExtendSink::Materialise(out),
+                    );
+                }
+                flush_tally(ctx, &tally);
+            });
+
+        let mut batch = RowBatch::new(out_arity);
+        for flat in run.outputs {
+            let mut piece = RowBatch::from_flat(out_arity, flat);
+            batch.append(&mut piece);
+        }
+
+        if ctx.use_cache {
+            ctx.cache.release();
+        }
+
+        ExtendOutput { batch }
+    }
+
+    /// Runs the two-stage `PULL-EXTEND` over one input batch, *counting* the
+    /// extensions instead of materialising them — the count-only sink fast path:
+    /// the final output column (and the batch allocation behind it) is skipped
+    /// entirely.
+    pub(super) fn run_extend_count(
+        op: &ExtendOp,
+        input: &RowBatch,
+        ctx: &OpContext<'_>,
+    ) -> ExtendCountOutput {
+        let (batch_table, fetch_time) = fetch_stage(op, input, ctx);
+        let ranges = intersect_ranges(input.len(), ctx);
+        let batch_table = &batch_table;
+        let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
+            let mut exts: Vec<VertexId> = Vec::new();
+            let mut scratch: Vec<VertexId> = Vec::new();
+            let mut tally = KernelTally::default();
+            let mut count = 0u64;
+            for i in start..end {
+                let row = input.row(i);
+                extend_one_row(
+                    op,
+                    row,
+                    ctx,
+                    batch_table,
+                    &mut exts,
+                    &mut scratch,
+                    &mut tally,
+                    &mut ExtendSink::Count(&mut count),
+                );
+            }
+            flush_tally(ctx, &tally);
+            out.push(count);
+        });
+        if ctx.use_cache {
+            ctx.cache.release();
+        }
+        ExtendCountOutput {
+            count: run.outputs.iter().flatten().sum(),
+            worker_busy: run.busy,
+            fetch_time,
+        }
+    }
+
+    /// Where an extension's results go: materialised flat rows, or a counter.
+    enum ExtendSink<'a> {
+        Materialise(&'a mut Vec<VertexId>),
+        Count(&'a mut u64),
+    }
+
+    impl ExtendSink<'_> {
+        #[inline]
+        fn emit_verified(&mut self, row: &[VertexId]) {
+            match self {
+                ExtendSink::Materialise(out) => out.extend_from_slice(row),
+                ExtendSink::Count(count) => **count += 1,
+            }
+        }
+
+        #[inline]
+        fn emit_extended(&mut self, row: &[VertexId], candidate: VertexId) {
+            match self {
+                ExtendSink::Materialise(out) => {
+                    out.extend_from_slice(row);
+                    out.push(candidate);
+                }
+                ExtendSink::Count(count) => **count += 1,
+            }
+        }
+    }
+
+    /// Injectivity plus order filters for one candidate against the *output*
+    /// row layout (`row ++ candidate`).
+    #[inline]
+    fn candidate_passes(op: &ExtendOp, row: &[VertexId], candidate: VertexId) -> bool {
+        // Injectivity: the new vertex must differ from every bound vertex.
+        if row.contains(&candidate) {
+            return false;
+        }
+        op.filters.iter().all(|f| {
+            let smaller = if f.smaller == row.len() {
+                candidate
+            } else {
+                row[f.smaller]
+            };
+            let larger = if f.larger == row.len() {
+                candidate
+            } else {
+                row[f.larger]
+            };
+            smaller < larger
+        })
+    }
+
+    /// Extends (or verifies) a single row, feeding the results to `sink`.
+    #[allow(clippy::too_many_arguments)]
+    fn extend_one_row(
+        op: &ExtendOp,
+        row: &[VertexId],
+        ctx: &OpContext<'_>,
+        batch_table: &HashMap<VertexId, Vec<VertexId>>,
+        exts: &mut Vec<VertexId>,
+        scratch: &mut Vec<VertexId>,
+        tally: &mut KernelTally,
+        sink: &mut ExtendSink<'_>,
+    ) {
+        if let Some(vpos) = op.verify_position {
+            if verify_one_row(op, vpos, row, ctx, batch_table) {
+                sink.emit_verified(row);
+            }
+            return;
+        }
+
+        // Match mode: multiway intersection of the neighbourhoods (Equation 2),
+        // smallest-degree list first so the accumulator starts minimal.
+        exts.clear();
+        exts.extend(op.ext_positions.iter().map(|&p| row[p]));
+        exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+        intersect_ext_lists(exts, ctx, batch_table, scratch, tally);
+        for &candidate in scratch.iter() {
+            if candidate_passes(op, row, candidate) {
+                sink.emit_extended(row, candidate);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::row_major::{run_extend, run_extend_count};
     use super::*;
     use crate::pool::WorkerPool;
     use huge_cache::PullCache;

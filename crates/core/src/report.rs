@@ -166,13 +166,10 @@ pub struct RunReport {
     /// Time spent in the fetch stage of `PULL-EXTEND` (the `t_f` reported in
     /// Table 5 to bound the two-stage synchronisation overhead).
     pub fetch_time: Duration,
-    /// `true` when segments executed without barriers (the per-machine
-    /// dataflow scheduler); `false` under the barriered escape hatch.
+    /// `true` when segments executed without barriers; `false` when the
+    /// scheduler's barrier gate was on (`pipeline_segments(false)`: no
+    /// segment starts before every machine released every earlier one).
     pub pipelined: bool,
-    /// Machine threads spawned for this run: `k` when pipelined, `k ×
-    /// segments` under barriers — the regression handle for "machine threads
-    /// are spawned once per run".
-    pub machine_threads_spawned: usize,
     /// What the memory governor did (`None` for ungoverned runs).
     pub governor: Option<GovernorReport>,
     /// Aggregated skew-handling join counters (sums over machines; the seal

@@ -12,9 +12,8 @@
 //!
 //! # Cross-segment readiness
 //!
-//! With `pipeline_segments` on there is no barrier between segments: each
-//! machine thread drives *all* segments of the dataflow through a small state
-//! machine ([`SegmentState`]) and picks what to run next by readiness:
+//! Each machine thread drives *all* segments of the dataflow through a small
+//! state machine ([`SegmentState`]) and picks what to run next by readiness:
 //!
 //! * a **scan** segment is always runnable;
 //! * a **join** segment becomes runnable (its `PUSH-JOIN` may be sealed and
@@ -22,6 +21,11 @@
 //!   machine — tracked by the per-segment [`SegmentShared::remaining`]
 //!   counter, which doubles as the end-of-stream signal for the shuffle
 //!   envelopes demultiplexed by the router.
+//!
+//! There is no barrier between segments unless `pipeline_segments` is off,
+//! and then the barrier is a stricter readiness rule in the same loop, not a
+//! second driver: a segment is runnable only once *every earlier* segment is
+//! released by every machine ([`RunShared::barrier_open`]).
 //!
 //! Among the runnable segments the scheduler prefers the *deepest* one
 //! (highest id, closest to the sink): draining consumers first bounds the
@@ -222,13 +226,21 @@ impl SegmentQueues {
 /// Cross-machine shared state of one segment: every machine's stealable scan
 /// pool and operator queues, plus the counters of the termination protocol.
 /// Pre-built for *all* segments before any machine thread starts, so the
-/// pipelined scheduler never synchronises to set up a segment.
+/// scheduler never synchronises to set up a segment.
 pub struct SegmentShared {
     /// One scan pool per machine (empty for join segments).
     pub scan_pools: Vec<ScanPool>,
     /// One set of operator queues per machine.
     pub queues: Vec<Arc<SegmentQueues>>,
-    /// Idle flags used by the work-stealing termination protocol.
+    /// Idle flags of the work-stealing termination protocol: a machine sets
+    /// its flag once its own work is drained and nothing is stealable, and
+    /// finishes the segment when every flag is set — then no chain can run
+    /// and no envelope can still be produced (work for a segment only comes
+    /// from stealing existing work). Scan segments steal scan chunks and
+    /// queued batches; join segments steal sealed Grace partitions over the
+    /// router's control plane, and never advertise idleness while a
+    /// `PartitionShip` they solicited could be in flight. No-stealing
+    /// configurations never set the flags and rely on `remaining` alone.
     pub idle: Vec<AtomicBool>,
     /// Machines that have not yet finished this segment. Reaching zero is the
     /// segment's end-of-stream signal: every machine has executed (and
@@ -238,33 +250,12 @@ pub struct SegmentShared {
 }
 
 impl SegmentShared {
-    /// `true` once the segment is at end-of-stream: every machine has
-    /// finished it, or — for stealable segments — every machine is *idle*
-    /// on it. The idle clause matters for liveness: a machine goes idle the
-    /// moment its own work is drained and nothing is stealable, but it
-    /// releases its `remaining` slot lazily (on its next scheduler visit).
-    /// Once all machines are idle simultaneously no chain can run and no
-    /// envelope can still be produced (work for a segment only comes from
-    /// stealing existing work, and there is none), so consumers may treat
-    /// the shuffle as complete even while a straggler is busy inside another
-    /// segment. Scan segments steal scan chunks and queued batches; join
-    /// segments steal sealed Grace partitions over the router's control
-    /// plane (`huge_comm::ControlMsg`), and their idle protocol additionally
-    /// guarantees no machine advertises idleness while a `PartitionShip` it
-    /// solicited could still be in flight. No-stealing configurations never
-    /// set idle flags and rely on `remaining` alone.
-    pub fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::SeqCst) == 0
-            || (self.idle.len() > 1 && self.idle.iter().all(|f| f.load(Ordering::SeqCst)))
-    }
-
     /// `true` once every machine has settled its `remaining` slot — the
-    /// *coarse* end-of-stream gate. Unlike [`SegmentShared::is_done`] this
-    /// never consults the idle flags: a machine's slot settles one scheduler
-    /// visit *after* it broadcast its `ControlMsg::Eos` envelopes, which is
-    /// exactly the gap speculative sealing exploits (a consumer holding EOS
-    /// evidence from all `k` machines seals and probes before the counters
-    /// drain).
+    /// *coarse* end-of-stream gate. It never consults the idle flags: a
+    /// machine's slot settles one scheduler visit *after* it broadcast its
+    /// `ControlMsg::Eos` envelopes, which is exactly the gap speculative
+    /// sealing exploits (a consumer holding EOS evidence from all `k`
+    /// machines seals and probes before the counters drain).
     pub fn released(&self) -> bool {
         self.remaining.load(Ordering::SeqCst) == 0
     }
@@ -276,10 +267,9 @@ pub struct RunShared {
     /// Per-segment shared state, indexed by segment id.
     pub segments: Vec<SegmentShared>,
     /// Set when any machine fails (or panics) anywhere in the run: peers
-    /// blocked on backpressure, stealing, readiness waits or the
-    /// end-of-segment linger bail out instead of waiting for a machine that
-    /// will never make progress. Under pipelined execution an abort fails the
-    /// *whole run*, not one segment.
+    /// blocked on backpressure, stealing or readiness waits bail out instead
+    /// of waiting for a machine that will never make progress. An abort
+    /// fails the *whole run*, not one segment.
     pub aborted: AtomicBool,
     /// The run's cooperative cancellation token (explicit cancel and the
     /// configured deadline). Machines poll it at batch granularity alongside
@@ -326,9 +316,17 @@ impl RunShared {
     pub fn ready(&self, dependencies: &[usize]) -> bool {
         dependencies.iter().all(|&d| self.segments[d].released())
     }
+
+    /// The barriered readiness policy (`pipeline_segments(false)`): segment
+    /// `idx` may start only once *every earlier* segment is released by every
+    /// machine, dependency or not. Segments are numbered producers-first, so
+    /// an open barrier implies [`RunShared::ready`].
+    pub fn barrier_open(&self, idx: usize) -> bool {
+        self.segments[..idx].iter().all(SegmentShared::released)
+    }
 }
 
-/// Where one machine stands with one segment under the pipelined scheduler.
+/// Where one machine stands with one segment under the dataflow scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SegmentState {
     /// Not yet started (may be waiting on producer segments).
@@ -468,16 +466,21 @@ mod tests {
         // A join is ready only once every producer is globally done.
         assert!(run.ready(&[0]));
         assert!(!run.ready(&[0, 1]));
-        // Idle flags feed `is_done` (drain-dance termination), never the
-        // counter gate — EOS envelopes, not shared flags, are the fast path.
+        // Idle flags end the drain dance, never the counter gate — EOS
+        // envelopes, not shared flags, are the fast path.
         run.segments[1].idle[0].store(true, Ordering::SeqCst);
         run.segments[1].idle[1].store(true, Ordering::SeqCst);
-        assert!(run.segments[1].is_done(), "all-idle ends the drain dance");
         assert!(!run.ready(&[0, 1]));
         assert!(!run.segments[1].released());
+        // The barrier gate looks at every earlier segment, not only the
+        // dependencies: segment 2 with the single dependency 0 is ready but
+        // stays behind the barrier until segment 1 is released too.
+        assert!(run.ready(&[0]) && !run.barrier_open(2));
+        assert!(run.barrier_open(0) && run.barrier_open(1));
         run.segments[1].remaining.store(0, Ordering::SeqCst);
         assert!(run.ready(&[0, 1]));
         assert!(run.segments[1].released());
+        assert!(run.barrier_open(2));
         assert!(!run.is_aborted());
         run.abort();
         assert!(run.is_aborted());

@@ -112,53 +112,55 @@ fn mid_run_cancel_returns_partial_report_within_bound() {
     // Cancel a skewed join run stuck in an injected straggler stall. The
     // run must unwind cooperatively — a typed error carrying partial stats,
     // within a bounded wall-clock window of the cancel — and the teardown
-    // sweep must leave no tracked bytes and no spill files behind.
+    // sweep must leave no tracked bytes and no spill files behind. Pipelined
+    // or barriered, the one scheduling loop serves the cancel.
     let graph = hot_partition_graph(48);
     let query = Pattern::Square.query_graph();
     let probe = HugeCluster::build(graph.clone(), ClusterConfig::new(2).workers(1)).unwrap();
     let (_, segments) = join_plan(&probe, &query);
     let join_segment = segments - 1;
-    let config = ClusterConfig::new(2).workers(1).inject_fault(
-        1,
-        join_segment,
-        Fault::Delay(Duration::from_secs(5)),
-    );
-    let cluster = HugeCluster::build(graph, config).unwrap();
-    let (plan, _) = join_plan(&cluster, &query);
-    let dataflow = huge_plan::translate::translate(&plan).unwrap();
+    for pipelined in [true, false] {
+        let config = ClusterConfig::new(2)
+            .workers(1)
+            .pipeline_segments(pipelined)
+            .inject_fault(1, join_segment, Fault::Delay(Duration::from_secs(5)));
+        let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+        let (plan, _) = join_plan(&cluster, &query);
+        let dataflow = huge_plan::translate::translate(&plan).unwrap();
 
-    let cancel = CancelToken::new();
-    let canceller = cancel.clone();
-    let cancelled_at = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(100));
-        canceller.cancel();
-        Instant::now()
-    });
-    let result = cluster.run_dataflow_with_cancel(&dataflow, SinkMode::Count, cancel);
-    let returned_at = Instant::now();
-    let cancelled_at = cancelled_at.join().unwrap();
+        let cancel = CancelToken::new();
+        let canceller = cancel.clone();
+        let cancelled_at = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            canceller.cancel();
+            Instant::now()
+        });
+        let result = cluster.run_dataflow_with_cancel(&dataflow, SinkMode::Count, cancel);
+        let returned_at = Instant::now();
+        let cancelled_at = cancelled_at.join().unwrap();
 
-    let report = match result {
-        Err(EngineError::Cancelled(Some(report))) => report,
-        other => panic!("expected Cancelled with a partial report, got {other:?}"),
-    };
-    let latency = returned_at.saturating_duration_since(cancelled_at);
-    assert!(
-        latency < Duration::from_secs(3),
-        "cancel took {latency:?} to observe (the injected stall was 5s — \
-         the run must not wait it out)"
-    );
-    assert_eq!(report.outcome, RunOutcome::Cancelled);
-    assert_eq!(
-        report.machines.len(),
-        2,
-        "partial stats cover every machine"
-    );
-    assert_eq!(
-        report.leaked_bytes, 0,
-        "ship/queue charges must be released"
-    );
-    assert_eq!(report.orphaned_spill_files, 0);
+        let report = match result {
+            Err(EngineError::Cancelled(Some(report))) => report,
+            other => panic!("expected Cancelled with a partial report, got {other:?}"),
+        };
+        let latency = returned_at.saturating_duration_since(cancelled_at);
+        assert!(
+            latency < Duration::from_secs(3),
+            "cancel took {latency:?} to observe (the injected stall was 5s — \
+             the run must not wait it out; pipelined = {pipelined})"
+        );
+        assert_eq!(report.outcome, RunOutcome::Cancelled);
+        assert_eq!(
+            report.machines.len(),
+            2,
+            "partial stats cover every machine"
+        );
+        assert_eq!(
+            report.leaked_bytes, 0,
+            "ship/queue charges must be released"
+        );
+        assert_eq!(report.orphaned_spill_files, 0);
+    }
 }
 
 #[test]
@@ -305,42 +307,52 @@ fn drop_batch_on_ship_path_recovers_with_retry_ack() {
 
 #[test]
 fn lossy_transport_preserves_parity_with_retransmits() {
-    // All four transport fault kinds at once, on every sender of every
-    // producing segment: drops retransmit, duplicates dedup, reorders and
-    // slow links deliver late — and the result is bit-identical.
+    // Each transport fault kind on its own, then all four at once, on every
+    // sender of every producing segment: drops retransmit, duplicates dedup,
+    // reorders and slow links deliver late — and the result is bit-identical,
+    // with nothing leaked.
     let graph = gen::erdos_renyi(200, 1100, 17);
     let query = Pattern::Square.query_graph();
     let expected = naive::enumerate(&graph, &query);
     let probe = HugeCluster::build(graph.clone(), ClusterConfig::new(3).workers(1)).unwrap();
     let (_, segments) = join_plan(&probe, &query);
-    let mut config = ClusterConfig::new(3).workers(1).fault_seed(0xC0FFEE);
-    for segment in 0..segments {
-        for machine in 0..3 {
-            config = config
-                .inject_fault(machine, segment, Fault::DropBatch { ppm: 200_000 })
-                .inject_fault(machine, segment, Fault::DuplicateBatch { ppm: 200_000 })
-                .inject_fault(machine, segment, Fault::ReorderWindow { window: 4 })
-                .inject_fault(
-                    machine,
-                    segment,
-                    Fault::SlowLink {
-                        delay: Duration::from_millis(2),
-                    },
-                );
+    let drop = Fault::DropBatch { ppm: 200_000 };
+    let duplicate = Fault::DuplicateBatch { ppm: 200_000 };
+    let reorder = Fault::ReorderWindow { window: 4 };
+    let slow = Fault::SlowLink {
+        delay: Duration::from_millis(2),
+    };
+    let mixes: [&[Fault]; 5] = [
+        &[drop],
+        &[duplicate],
+        &[reorder],
+        &[slow],
+        &[drop, duplicate, reorder, slow],
+    ];
+    for mix in mixes {
+        let mut config = ClusterConfig::new(3).workers(1).fault_seed(0xC0FFEE);
+        for segment in 0..segments {
+            for machine in 0..3 {
+                for &fault in mix {
+                    config = config.inject_fault(machine, segment, fault);
+                }
+            }
         }
+        let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+        let (plan, _) = join_plan(&cluster, &query);
+        let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
+        assert_eq!(report.matches, expected, "parity under {mix:?}");
+        if mix.contains(&drop) {
+            assert!(report.comm.transport_drops > 0, "{mix:?} never dropped");
+            assert!(report.comm.retransmits > 0, "{mix:?} never retransmitted");
+        }
+        assert_eq!(
+            report.comm.dedup_drops, report.comm.transport_dups,
+            "every duplicated envelope must be deduplicated by its receiver ({mix:?})"
+        );
+        assert_eq!(report.leaked_bytes, 0, "{mix:?}");
+        assert_eq!(report.orphaned_spill_files, 0, "{mix:?}");
     }
-    let cluster = HugeCluster::build(graph, config).unwrap();
-    let (plan, _) = join_plan(&cluster, &query);
-    let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
-    assert_eq!(report.matches, expected, "parity under the full fault mix");
-    assert!(report.comm.transport_drops > 0);
-    assert!(report.comm.retransmits > 0);
-    assert_eq!(
-        report.comm.dedup_drops, report.comm.transport_dups,
-        "every duplicated envelope must be deduplicated by its receiver"
-    );
-    assert_eq!(report.leaked_bytes, 0);
-    assert_eq!(report.orphaned_spill_files, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,6 +114,7 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
             .metrics
             .expect("metrics mode attaches a snapshot");
         assert!(snapshot.contains("huge_matches_total"));
+        assert!(snapshot.contains("huge_router_batches_pushed_total"));
         // The extend counters of the snapshot are the report's.
         let comm = &huge_metrics.comm;
         assert!(comm.extend_rows > 0 && comm.extend_prefix_reuses <= comm.extend_rows);
@@ -161,6 +162,77 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
             );
             assert!(b_full.trace.is_none());
         }
+    }
+
+    // One more input: a stalled, governed join plan. Machine 1 sleeps at the
+    // start of the root join of a hot-partition square while its peer drains
+    // and adopts its sealed partitions, under half the natural peak as the
+    // budget. Every mode counts the same, and the full-span timeline shows
+    // the stall, the chains and the recovering adoption.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for v in 0..120u32 {
+        edges.push((v, (v + 1) % 120));
+        edges.push((v, (v + 7) % 120));
+    }
+    for i in 0..48u32 {
+        edges.push((200, 300 + i));
+        edges.push((201, 300 + i));
+    }
+    let graph = huge_graph::Graph::from_edges(edges);
+    let query = Pattern::Square.query_graph();
+    let expected = naive::enumerate(&graph, &query);
+    let probe = HugeCluster::build(graph.clone(), ClusterConfig::new(2).workers(1)).unwrap();
+    let plan = probe
+        .plan_with_options(
+            &query,
+            huge_plan::optimizer::OptimizerOptions {
+                disable_pulling: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let join_segment = huge_plan::translate::translate(&plan)
+        .unwrap()
+        .segments
+        .len()
+        - 1;
+    let natural_peak = probe
+        .run_with_plan(&plan, SinkMode::Count)
+        .unwrap()
+        .peak_memory_bytes;
+    let stalled = ClusterConfig::new(2)
+        .workers(1)
+        .memory_budget_per_machine((natural_peak / 2).max(1))
+        .inject_fault(
+            1,
+            join_segment,
+            huge_core::Fault::Delay(std::time::Duration::from_millis(300)),
+        );
+    for tracing in [
+        TraceConfig::off(),
+        TraceConfig::metrics_only(),
+        TraceConfig::full(),
+    ] {
+        let report = HugeCluster::build(graph.clone(), stalled.clone().tracing(tracing))
+            .unwrap()
+            .run_with_plan(&plan, SinkMode::Count)
+            .unwrap();
+        assert_eq!(report.matches, expected, "stalled join under {tracing:?}");
+        let Some(trace) = report.trace else { continue };
+        let busy: std::time::Duration = trace.segments.iter().map(|s| s.busy).sum();
+        assert!(busy > std::time::Duration::ZERO, "no segment busy time");
+        let Some(chrome) = trace.chrome_json else {
+            continue;
+        };
+        assert!(
+            chrome.contains("\"fault_delay\""),
+            "timeline misses the stall"
+        );
+        assert!(chrome.contains("\"chain\""));
+        assert!(
+            chrome.contains("\"adopt_partition\"") || chrome.contains("\"steal\""),
+            "timeline misses the recovering steal"
+        );
     }
 }
 
