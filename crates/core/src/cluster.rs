@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use huge_comm::stats::ClusterStats;
 use huge_comm::{LinkFault, LinkFaultKind, Router, RouterTrace, RpcFabric, TransportConfig};
@@ -223,11 +223,14 @@ impl HugeCluster {
         // then pre-instantiate every join segment's PUSH-JOIN on each machine
         // so shuffled inputs stream into the builds as they arrive.
         let segment_plans = build_segment_plans(dataflow);
+        let op_names: Vec<Vec<String>> = segment_plans.iter().map(|p| p.op_names()).collect();
+        let op_slots: Vec<usize> = op_names.iter().map(Vec::len).collect();
         for (m, state) in machines.iter_mut().enumerate() {
             // One flight-recorder track per machine thread, with a per-run
-            // aggregate slot for every segment. The single-writer ring moves
-            // into the machine; the recorder keeps the read side.
-            let trace = recorder.ring(m as u32, format!("machine-{m}"), segment_plans.len());
+            // aggregate slot for every segment and each of its operators.
+            // The single-writer ring moves into the machine; the recorder
+            // keeps the read side.
+            let trace = recorder.ring(m as u32, format!("machine-{m}"), &op_slots);
             state.prepare_run(&segment_plans, trace, cancel.clone());
         }
 
@@ -424,6 +427,22 @@ impl HugeCluster {
                     .as_ref()
                     .map(|g| g.spilled_bytes)
                     .unwrap_or(0),
+            );
+            let mut op_busy = Vec::new();
+            for (segment, names) in op_names.iter().enumerate() {
+                for (slot, op) in names.iter().enumerate() {
+                    let busy: Duration = machine_reports
+                        .iter()
+                        .map(|m| m.op_busy[segment][slot])
+                        .sum();
+                    let labels = format!("segment=\"{segment}\",op=\"{op}\"");
+                    op_busy.push((labels, busy.as_secs_f64()));
+                }
+            }
+            reg.counter_family(
+                "huge_operator_busy_seconds_total",
+                "Busy time per segment and operator slot, summed over machines",
+                op_busy,
             );
             let compute_ms = reg.histogram(
                 "huge_machine_compute_ms",

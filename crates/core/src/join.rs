@@ -13,15 +13,20 @@
 //! buffer size" claim — on *every* consumption path, including incremental
 //! `poll`-driven execution.
 //!
-//! The probe is **one pair generator with two sinks**. The generator yields
-//! the `(left row, right row)` index pairs that survive the wide-key
-//! re-check, cross-side injectivity and the order filters, all evaluated
-//! against the *virtual* joined row, never a copied one.
-//! [`JoinStream::next_batch`] gathers the output columns from a batch of
-//! pairs; [`JoinStream::count_batch`] only counts them — the sink the engine
-//! pushes down when the join feeds a counting `SINK` directly. Both share
-//! the partition lifecycle, the tracker charges and the per-poll cancel
-//! check.
+//! The probe is **one pair generator with two sinks**. What a candidate pair
+//! must pass — the wide-key re-check, cross-side injectivity, the order
+//! filters — is compiled once when the join seals ([`ProbeSpec::compile`]):
+//! every filter is classified by where its operands live (both on the left
+//! row, one on each side, both in the right payload) and the right columns
+//! the checks read are fixed. The resident partition keeps exactly those
+//! columns of its build side, one dense vector each, grouped by join key;
+//! the generator binds a left row's values once, then tests its key group a
+//! block of right rows at a time, one branch-free pass per column into a
+//! mask. [`JoinStream::count_batch`] sums the mask — the sink the engine
+//! pushes down when the join feeds a counting `SINK` directly —
+//! [`JoinStream::next_batch`] turns it into `(left row, right row)` index
+//! pairs and gathers the output columns from them. Both share the partition
+//! lifecycle, the tracker charges and the per-poll cancel check.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -98,6 +103,15 @@ pub fn key_hash(row: &[VertexId], key_positions: &[usize]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// The Grace partition of a row whose join key hashes to `hash`. The shuffle
+/// already routed the row by `hash % k`, so every row a machine receives
+/// agrees on those low bits; taking the partition from them again would leave
+/// all but `NUM_PARTITIONS / k` partitions empty. The multiply folds the
+/// whole hash into the high half, which the shuffle never looked at.
+fn grace_partition(hash: u64) -> usize {
+    (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % NUM_PARTITIONS
 }
 
 /// Widest join key (in columns) that packs exactly into a `u128`.
@@ -291,7 +305,7 @@ impl HashJoiner {
         };
         debug_assert_eq!(batch.arity(), buffer.arity);
         for row in batch.rows() {
-            let p = (key_hash(row, &buffer.key_positions) as usize) % NUM_PARTITIONS;
+            let p = grace_partition(key_hash(row, &buffer.key_positions));
             let part = &mut buffer.partitions[p];
             part.rows_in_memory.extend_from_slice(row);
             part.memory_bytes += std::mem::size_of_val(row) as u64;
@@ -355,12 +369,7 @@ impl HashJoiner {
     pub fn into_stream(mut self, batch_rows: usize) -> JoinStream {
         let left = std::mem::replace(&mut self.left, SideBuffer::new(0, Vec::new()));
         let right = std::mem::replace(&mut self.right, SideBuffer::new(0, Vec::new()));
-        let spec = ProbeSpec {
-            verify_keys: self.op.key_right.len() > PACK_MAX_KEY,
-            left_arity: left.arity,
-            right_arity: right.arity,
-            op: self.op.clone(),
-        };
+        let spec = ProbeSpec::compile(&self.op, left.arity, right.arity);
         let sealed_or_shipped = |&shipped: &bool| match shipped {
             true => PartitionState::Shipped,
             false => PartitionState::Sealed,
@@ -395,63 +404,142 @@ impl Drop for HashJoiner {
     }
 }
 
-/// What every probe of one join needs to know, fixed when the join seals.
+/// Right rows the pair test covers at a time: the width of the mask the two
+/// sinks read.
+const BLOCK: usize = 64;
+
+/// Granularity of a block's column reads. A key group rarely ends on a
+/// multiple of it, so the last read of a block runs up to `LANES - 1` rows
+/// into whatever follows the group — the next group's rows, or the padding
+/// every column carries after its last row — and the mask's lanes past the
+/// group are never looked at. That keeps every pass a fixed-width loop with
+/// no remainder.
+const LANES: usize = 8;
+
+/// Left-row values one injectivity pass compares a column against.
+const BOUND_LANES: usize = 4;
+
+/// The pair predicate of one join, compiled when the join seals: which right
+/// columns the probe keeps and what each is tested against. Positions of the
+/// (virtual) joined row below `left_arity` are left-row columns, the rest are
+/// right payload columns in output order.
+#[derive(Debug, PartialEq)]
 struct ProbeSpec {
-    op: JoinOp,
+    key_left: Vec<usize>,
+    key_right: Vec<usize>,
     left_arity: usize,
     right_arity: usize,
-    /// Keys wider than [`PACK_MAX_KEY`] columns are FNV-hashed into the
-    /// `u128` instead of packed exactly; candidates then re-check key
-    /// equality column-by-column during the probe.
-    verify_keys: bool,
+    /// Right-row positions of the kept columns: the payload columns in
+    /// output order, then — only for keys wider than [`PACK_MAX_KEY`], which
+    /// are FNV-hashed into the table key instead of packed exactly, so a
+    /// group can hold colliding keys — the key columns, re-checked per pair.
+    kept: Vec<usize>,
+    /// How many of `kept` are payload columns. Those must differ from every
+    /// left value (cross-side injectivity); a kept key column must equal its
+    /// left counterpart.
+    payload: usize,
+    /// Left–left filters `(smaller, larger)`: they gate the left row.
+    gates: Vec<(usize, usize)>,
+    /// `(kept column, left position)`: the column must exceed the left value.
+    above: Vec<(usize, usize)>,
+    /// `(kept column, left position)`: the column must stay below it.
+    below: Vec<(usize, usize)>,
+    /// Payload–payload filters `(smaller, larger)` over kept columns.
+    ordered: Vec<(usize, usize)>,
 }
 
 impl ProbeSpec {
-    /// The checks a candidate pair must pass to be a joined row, read off
-    /// the two input rows: position `i` of the virtual joined row is
-    /// `lrow[i]` in the left prefix and a right payload column after it.
-    /// No short-circuiting: which check rejects a pair is data-dependent, so
-    /// a branch per check mispredicts more than the extra compares cost.
-    /// Always inlined: a call per candidate pair costs as much as the checks.
-    #[inline(always)]
-    fn pair_survives(&self, lrow: &[VertexId], rrow: &[VertexId]) -> bool {
-        let op = &self.op;
-        let mut ok = true;
-        // Hash-packed (wide) keys can collide: re-check equality.
-        if self.verify_keys {
-            for (&lpos, &rpos) in op.key_left.iter().zip(&op.key_right) {
-                ok &= lrow[lpos] == rrow[rpos];
-            }
-        }
-        // Cross-side injectivity: appended payload vertices must not
-        // collide with any left-bound vertex.
-        for &pos in &op.right_payload {
-            let appended = rrow[pos];
-            for &bound in lrow {
-                ok &= bound != appended;
-            }
-        }
-        let joined = |i: usize| match i.checked_sub(self.left_arity) {
-            None => lrow[i],
-            Some(payload) => rrow[op.right_payload[payload]],
+    fn compile(op: &JoinOp, left_arity: usize, right_arity: usize) -> Self {
+        let payload = op.right_payload.len();
+        let mut spec = ProbeSpec {
+            key_left: op.key_left.clone(),
+            key_right: op.key_right.clone(),
+            left_arity,
+            right_arity,
+            kept: op.right_payload.clone(),
+            payload,
+            gates: Vec::new(),
+            above: Vec::new(),
+            below: Vec::new(),
+            ordered: Vec::new(),
         };
-        for f in &op.filters {
-            ok &= joined(f.smaller) < joined(f.larger);
+        if op.key_right.len() > PACK_MAX_KEY {
+            spec.kept.extend_from_slice(&op.key_right);
         }
-        ok
+        for f in &op.filters {
+            let column = |position: usize| position.checked_sub(left_arity);
+            match (column(f.smaller), column(f.larger)) {
+                (None, None) => spec.gates.push((f.smaller, f.larger)),
+                (None, Some(larger)) => spec.above.push((larger, f.smaller)),
+                (Some(smaller), None) => spec.below.push((smaller, f.larger)),
+                (Some(smaller), Some(larger)) => spec.ordered.push((smaller, larger)),
+            }
+        }
+        spec
+    }
+
+    /// Binds one left row: decides whether any right row can pair with it at
+    /// all (left–left gates, a non-empty value range for every kept column)
+    /// and, if so, leaves in `bound` what the column passes compare against.
+    fn bind(&self, lrow: &[VertexId], bound: &mut BoundRow) -> bool {
+        if !self.gates.iter().all(|&(s, l)| lrow[s] < lrow[l]) {
+            return false;
+        }
+        let (payload, keys) = bound.range.split_at_mut(self.payload);
+        payload.fill((0, i64::from(VertexId::MAX)));
+        for &(column, left) in &self.above {
+            payload[column].0 = payload[column].0.max(i64::from(lrow[left]) + 1);
+        }
+        for &(column, left) in &self.below {
+            payload[column].1 = payload[column].1.min(i64::from(lrow[left]) - 1);
+        }
+        for (range, &k) in keys.iter_mut().zip(&self.key_left) {
+            *range = (i64::from(lrow[k]), i64::from(lrow[k]));
+        }
+        if bound.range.iter().any(|&(lo, hi)| lo > hi) {
+            return false;
+        }
+        // The tail repeats a real value: comparing against it twice is free
+        // of false rejections, which no constant would be.
+        let (row, tail) = bound.distinct.as_flattened_mut().split_at_mut(lrow.len());
+        row.copy_from_slice(lrow);
+        tail.fill(lrow.first().copied().unwrap_or_default());
+        true
+    }
+}
+
+/// What the column passes compare against for the left row being probed.
+struct BoundRow {
+    /// The left row, padded to whole [`BOUND_LANES`]-wide pieces.
+    distinct: Vec<[VertexId; BOUND_LANES]>,
+    /// Inclusive `(lo, hi)` per kept column, both within `VertexId`'s range
+    /// once [`ProbeSpec::bind`] returned `true` (the wider type keeps
+    /// `> u32::MAX` and `< 0` representable until its emptiness check).
+    range: Vec<(i64, i64)>,
+}
+
+impl BoundRow {
+    fn new(spec: &ProbeSpec) -> Self {
+        BoundRow {
+            distinct: vec![[0; BOUND_LANES]; spec.left_arity.div_ceil(BOUND_LANES)],
+            range: vec![(0, 0); spec.kept.len()],
+        }
     }
 }
 
 /// Probe state of the one partition currently loaded in memory.
 ///
-/// The right rows are physically grouped by join key, so a left row's
-/// candidates are one contiguous slice and the probe loop allocates nothing
-/// per row — stolen partitions are probed *concurrently* by several machine
-/// threads, and per-row allocation serialises them on the global allocator.
+/// The kept right columns are physically grouped by join key, so a left
+/// row's candidates are one contiguous range of every column and the probe
+/// loop allocates nothing per row — stolen partitions are probed
+/// *concurrently* by several machine threads, and per-row allocation
+/// serialises them on the global allocator.
 struct PartitionProbe {
     left_rows: Vec<VertexId>,
-    /// Right rows, grouped by join key (input order kept within a group).
-    right_rows: Vec<VertexId>,
+    /// One dense vector per kept right column ([`ProbeSpec::kept`]), rows
+    /// grouped by join key (input order kept within a group), [`LANES`]
+    /// zeroes after the last row.
+    columns: Vec<Vec<VertexId>>,
     table: KeyTable,
     /// Index of the left row being probed.
     probe: usize,
@@ -459,21 +547,29 @@ struct PartitionProbe {
     match_pos: u32,
     /// End of the current left row's range of right rows.
     match_end: u32,
-    /// Bytes of the loaded rows, charged to the tracker while resident.
+    bound: BoundRow,
+    /// Bytes of the left rows and the kept columns, charged to the tracker
+    /// while resident.
     loaded_bytes: u64,
     /// Local partition index (`None` for partitions adopted from a peer).
     index: Option<usize>,
 }
 
 impl PartitionProbe {
-    /// Groups the right rows (the build side) by join key in place and
-    /// indexes the groups. One hash per right row: the counting pass
-    /// remembers each row's group, so placement needs no second lookup.
+    /// Groups the right rows (the build side) by join key, indexes the
+    /// groups, and keeps only the columns the probe reads, scattered into
+    /// group order. One hash per right row: the counting pass remembers each
+    /// row's group, so placement needs no second lookup.
+    ///
+    /// On entry the tracker holds both row buffers' bytes; on return it holds
+    /// `loaded_bytes`. The columns are charged before they are filled and the
+    /// row-major right side released after it is dropped, so the tracked
+    /// peak covers the moment both exist.
     fn build(
         spec: &ProbeSpec,
         left_rows: Vec<VertexId>,
-        mut right_rows: Vec<VertexId>,
-        loaded_bytes: u64,
+        right_rows: Vec<VertexId>,
+        memory: &MemoryTrackerHandle,
         index: Option<usize>,
     ) -> Self {
         let arity = spec.right_arity.max(1);
@@ -486,7 +582,7 @@ impl PartitionProbe {
         for row in right_rows.chunks_exact(arity) {
             let next = starts.len() as u32;
             let group = table
-                .entry(pack_key(row, &spec.op.key_right))
+                .entry(pack_key(row, &spec.key_right))
                 .or_insert((next, 0))
                 .0;
             if group == next {
@@ -512,32 +608,48 @@ impl PartitionProbe {
             *d = *cursor;
             *cursor += 1;
         }
-        permute_rows(&mut right_rows, arity, &mut dest);
+        let column_len = n_rows + LANES;
+        let column_bytes = (spec.kept.len() * column_len * std::mem::size_of::<VertexId>()) as u64;
+        memory.allocate(column_bytes);
+        let mut columns = vec![vec![0; column_len]; spec.kept.len()];
+        for (row, &d) in right_rows.chunks_exact(arity).zip(&dest) {
+            for (column, &position) in columns.iter_mut().zip(&spec.kept) {
+                column[d as usize] = row[position];
+            }
+        }
+        let right_bytes = std::mem::size_of_val(&right_rows[..]) as u64;
+        drop(right_rows);
+        memory.release(right_bytes);
         PartitionProbe {
+            loaded_bytes: std::mem::size_of_val(&left_rows[..]) as u64 + column_bytes,
             left_rows,
-            right_rows,
+            columns,
             table,
             probe: 0,
             match_pos: 0,
             match_end: 0,
-            loaded_bytes,
+            bound: BoundRow::new(spec),
             index,
         }
     }
 
-    /// The pair generator: resumes the probe, handing every surviving
-    /// `(left row, right row)` index pair to `emit`, until `budget` pairs
-    /// survived or the partition is exhausted. Returns the pairs tested, the
-    /// pairs that survived, and whether the partition is exhausted.
+    /// The pair generator: resumes the probe, one left row's key group at a
+    /// time, in blocks of at most [`BLOCK`] right rows and never more than
+    /// the `budget` of surviving pairs still allows. Each tested block goes
+    /// to `emit` as `(left row, first right row, mask)`, `mask[j] == 1` iff
+    /// the pair with right row `first + j` survived. Returns the key-equal
+    /// pairs covered, the pairs that survived, and whether the partition is
+    /// exhausted.
     fn walk(
         &mut self,
         spec: &ProbeSpec,
         budget: u64,
-        mut emit: impl FnMut(u32, u32),
+        mut emit: impl FnMut(u32, u32, &[u32]),
     ) -> (u64, u64, bool) {
-        let (left_arity, right_arity) = (spec.left_arity, spec.right_arity);
+        let left_arity = spec.left_arity;
         let left_len = self.left_rows.len() / left_arity.max(1);
         let (mut tested, mut matched) = (0, 0);
+        let mut mask = [0u32; BLOCK];
         while matched < budget {
             if self.match_pos == self.match_end {
                 // Advance to the next left row with candidate matches.
@@ -546,8 +658,7 @@ impl PartitionProbe {
                         return (tested, matched, true);
                     }
                     let lrow = &self.left_rows[self.probe * left_arity..][..left_arity];
-                    if let Some(&(start, end)) = self.table.get(&pack_key(lrow, &spec.op.key_left))
-                    {
+                    if let Some(&(start, end)) = self.table.get(&pack_key(lrow, &spec.key_left)) {
                         self.match_pos = start;
                         self.match_end = end;
                         break;
@@ -556,15 +667,25 @@ impl PartitionProbe {
                 }
             }
             let lrow = &self.left_rows[self.probe * left_arity..][..left_arity];
+            if !spec.bind(lrow, &mut self.bound) {
+                // No right row can pair with this left row. Its group still
+                // counts as candidates: `tested` means key-equal pairs.
+                tested += u64::from(self.match_end - self.match_pos);
+                self.match_pos = self.match_end;
+                self.probe += 1;
+                continue;
+            }
             while self.match_pos < self.match_end && matched < budget {
-                let ridx = self.match_pos;
-                self.match_pos += 1;
-                tested += 1;
-                let rrow = &self.right_rows[ridx as usize * right_arity..][..right_arity];
-                if spec.pair_survives(lrow, rrow) {
-                    emit(self.probe as u32, ridx);
-                    matched += 1;
-                }
+                let rows = u64::from(self.match_end - self.match_pos)
+                    .min(BLOCK as u64)
+                    .min(budget - matched) as usize;
+                let start = self.match_pos as usize;
+                test_block(spec, &self.columns, &self.bound, start, rows, &mut mask);
+                let mask = &mask[..rows];
+                emit(self.probe as u32, self.match_pos, mask);
+                tested += rows as u64;
+                matched += u64::from(mask.iter().sum::<u32>());
+                self.match_pos += rows as u32;
             }
             if self.match_pos == self.match_end {
                 self.probe += 1;
@@ -576,28 +697,71 @@ impl PartitionProbe {
     /// The materialising sink: gathers the joined rows of `pairs`, one
     /// output column at a time.
     fn gather(&self, spec: &ProbeSpec, pairs: &[(u32, u32)]) -> ColBatch {
-        let (la, ra) = (spec.left_arity, spec.right_arity);
-        let (lrows, rrows) = (&self.left_rows, &self.right_rows);
+        let (la, lrows) = (spec.left_arity, &self.left_rows);
         let left = (0..la).map(|c| pairs.iter().map(|p| lrows[p.0 as usize * la + c]).collect());
-        let payload = spec.op.right_payload.iter();
-        let right = payload.map(|&c| pairs.iter().map(|p| rrows[p.1 as usize * ra + c]).collect());
+        let payload = self.columns[..spec.payload].iter();
+        let right = payload.map(|column| pairs.iter().map(|p| column[p.1 as usize]).collect());
         ColBatch::from_columns(left.chain(right).collect())
     }
 }
 
-/// Moves row `i` of `rows` to row `dest[i]`, for every `i`, without a second
-/// buffer (the probe partition is the join's working set; a scatter copy
-/// would double its right side). `dest` must be a permutation; it is used as
-/// scratch and ends as the identity.
-fn permute_rows(rows: &mut [VertexId], arity: usize, dest: &mut [u32]) {
-    for i in 0..dest.len() {
-        // Rows before `i` are final, so `dest[i]` always points forward.
-        while dest[i] as usize != i {
-            let j = dest[i] as usize;
-            let (head, tail) = rows.split_at_mut(j * arity);
-            head[i * arity..][..arity].swap_with_slice(&mut tail[..arity]);
-            dest.swap(i, j);
+/// Tests right rows `start..start + rows` of a key group against the bound
+/// left row: `mask[j]` ends as 1 iff row `start + j` passes every column's
+/// checks. One branch-free pass per kept column — its value range and the
+/// first [`BOUND_LANES`] left values it must differ from, fused — and one
+/// more per further [`BOUND_LANES`] left values, all over whole
+/// [`LANES`]-wide pieces: the lanes past `rows` hold neighbouring rows'
+/// verdicts and mean nothing.
+fn test_block(
+    spec: &ProbeSpec,
+    columns: &[Vec<VertexId>],
+    bound: &BoundRow,
+    start: usize,
+    rows: usize,
+    mask: &mut [u32; BLOCK],
+) {
+    let lanes = rows.next_multiple_of(LANES);
+    let mask = &mut mask[..lanes];
+    mask.fill(1);
+    for (c, (column, &(lo, hi))) in columns.iter().zip(&bound.range).enumerate() {
+        let values = &column[start..start + lanes];
+        let (lo, hi) = (lo as VertexId, hi as VertexId);
+        let in_range = |v: VertexId| (v >= lo) & (v <= hi);
+        let differs = |v: VertexId, from: &[VertexId; BOUND_LANES]| {
+            from.iter().fold(true, |ok, &bound| ok & (v != bound))
+        };
+        let distinct: &[_] = if c < spec.payload {
+            &bound.distinct
+        } else {
+            &[]
+        };
+        let mut distinct = distinct.iter();
+        match distinct.next() {
+            Some(first) => pass(mask, values, |v| in_range(v) & differs(v, first)),
+            None => pass(mask, values, in_range),
         }
+        for more in distinct {
+            pass(mask, values, |v| differs(v, more));
+        }
+    }
+    for &(smaller, larger) in &spec.ordered {
+        let smaller = &columns[smaller][start..start + lanes];
+        let larger = &columns[larger][start..start + lanes];
+        for ((keep, s), l) in mask.iter_mut().zip(smaller).zip(larger) {
+            *keep &= u32::from(s < l);
+        }
+    }
+}
+
+/// One pass of [`test_block`]: clears the mask of every value `keep` rejects.
+#[inline(always)]
+fn pass(mask: &mut [u32], values: &[VertexId], keep: impl Fn(VertexId) -> bool) {
+    let (mask, values) = (
+        mask.as_chunks_mut::<LANES>().0,
+        values.as_chunks::<LANES>().0,
+    );
+    for (mask, values) in mask.iter_mut().zip(values) {
+        *mask = std::array::from_fn(|j| mask[j] & u32::from(keep(values[j])));
     }
 }
 
@@ -722,10 +886,21 @@ impl JoinStream {
     /// Produces the next output batch (at most `batch_rows` rows), or `None`
     /// when the join is exhausted.
     pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
-        let mut pairs = Vec::with_capacity(self.batch_rows.min(64 * 1024) as usize);
+        // A block's pairs are all written before the rejected ones are cut.
+        let mut pairs = Vec::with_capacity(self.batch_rows.min(64 * 1024) as usize + BLOCK);
         let polled = self.poll_pairs(|probe, spec, budget| {
             pairs.clear();
-            let walked = probe.walk(spec, budget, |l, r| pairs.push((l, r)));
+            let walked = probe.walk(spec, budget, |left, first, mask| {
+                // Branch-free compaction: every pair is written, the cursor
+                // only moves past the ones that survived.
+                let mut len = pairs.len();
+                pairs.resize(len + mask.len(), (0, 0));
+                for (right, &keep) in (first..).zip(mask) {
+                    pairs[len] = (left, right);
+                    len += keep as usize;
+                }
+                pairs.truncate(len);
+            });
             (walked, probe.gather(spec, &pairs))
         })?;
         Ok(polled.map(|(_, batch)| batch))
@@ -737,7 +912,7 @@ impl JoinStream {
     /// it is the same pair generator with a sink that only counts.
     pub fn count_batch(&mut self) -> Result<Option<u64>> {
         let polled =
-            self.poll_pairs(|probe, spec, budget| (probe.walk(spec, budget, |_, _| {}), ()))?;
+            self.poll_pairs(|probe, spec, budget| (probe.walk(spec, budget, |_, _, _| {}), ()))?;
         Ok(polled.map(|(matched, ())| matched))
     }
 
@@ -779,13 +954,13 @@ impl JoinStream {
     /// partitions first, then adopted (stolen) ones. Returns `false` when
     /// none is left.
     fn load_next_partition(&mut self) -> Result<bool> {
-        let (left_rows, right_rows, loaded_bytes, index) = loop {
+        let (left_rows, right_rows, index) = loop {
             if self.partition >= NUM_PARTITIONS {
                 // Adopted partitions' bytes were charged on receipt, not here.
                 let Some(a) = self.adopted.pop_front() else {
                     return Ok(false);
                 };
-                break (a.left_rows, a.right_rows, a.bytes, None);
+                break (a.left_rows, a.right_rows, None);
             }
             let p = self.partition;
             self.partition += 1;
@@ -806,13 +981,15 @@ impl JoinStream {
                 self.states[p] = PartitionState::Done;
                 continue;
             }
-            let loaded_bytes =
-                ((left_rows.len() + right_rows.len()) * std::mem::size_of::<VertexId>()) as u64;
-            self.memory.allocate(loaded_bytes);
+            // Both row buffers, as an adopted partition arrives charged; the
+            // build below trades the right one for the kept columns.
+            let row_bytes =
+                std::mem::size_of_val(&left_rows[..]) + std::mem::size_of_val(&right_rows[..]);
+            self.memory.allocate(row_bytes as u64);
             self.states[p] = PartitionState::Probing;
-            break (left_rows, right_rows, loaded_bytes, Some(p));
+            break (left_rows, right_rows, Some(p));
         };
-        let probe = PartitionProbe::build(&self.spec, left_rows, right_rows, loaded_bytes, index);
+        let probe = PartitionProbe::build(&self.spec, left_rows, right_rows, &self.memory, index);
         self.current = Some(probe);
         Ok(true)
     }
@@ -1365,8 +1542,8 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     }
 
-    /// The probe the pair generator replaced: every left row against every
-    /// right row, the joined row assembled before it is checked.
+    /// The reference probe: every left row against every right row, the
+    /// joined row assembled before it is checked.
     fn nested_loop_join(op: &JoinOp, left: &[Vec<u32>], right: &[Vec<u32>]) -> Vec<Vec<u32>> {
         let mut out = Vec::new();
         for l in left {
@@ -1394,6 +1571,94 @@ mod tests {
         out
     }
 
+    /// Two different 5-column keys with the same [`key_hash`], which is what
+    /// [`pack_key`] makes of a key that wide: the hash's last step only mixes
+    /// the final column into the low 32 bits, so two 4-column prefixes whose
+    /// states agree on the high 32 bits collide once the final columns make
+    /// up the difference (a birthday search over 32 bits).
+    fn colliding_wide_keys() -> ([u32; 5], [u32; 5]) {
+        const KEY: [usize; 4] = [0, 1, 2, 3];
+        let mut seen: HashMap<u32, ([u32; 4], u64)> = HashMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        loop {
+            let mut prefix = [0u32; 4];
+            for v in &mut prefix {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                *v = (x >> 33) as u32;
+            }
+            let state = key_hash(&prefix, &KEY);
+            match seen.insert((state >> 32) as u32, (prefix, state)) {
+                Some((other, other_state)) if other != prefix => {
+                    let [a, b, c, d] = prefix;
+                    let [e, f, g, h] = other;
+                    let last = (state ^ other_state) as u32;
+                    return ([a, b, c, d, last], [e, f, g, h, 0]);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn q7_compiles_to_one_upper_bound_on_its_second_payload_column() {
+        // The 6-path's join: left [a, b, c, key], right [x, y, key], output
+        // [a, b, c, key, x, y] with y < c.
+        let op = JoinOp {
+            left: 0,
+            right: 1,
+            key_left: vec![3],
+            key_right: vec![2],
+            right_payload: vec![0, 1],
+            filters: vec![OrderFilter {
+                smaller: 5,
+                larger: 2,
+            }],
+        };
+        let expected = ProbeSpec {
+            key_left: vec![3],
+            key_right: vec![2],
+            left_arity: 4,
+            right_arity: 3,
+            kept: vec![0, 1],
+            payload: 2,
+            gates: vec![],
+            above: vec![],
+            below: vec![(1, 2)],
+            ordered: vec![],
+        };
+        assert_eq!(ProbeSpec::compile(&op, 4, 3), expected);
+    }
+
+    #[test]
+    fn shuffled_rows_fill_every_grace_partition() {
+        // The shuffle routes by `key_hash % k`; what one machine receives
+        // must still spread over all of its Grace partitions.
+        let keys: Vec<u32> = (0..12_000).map(|i| i * 7 + 3).collect();
+        let batch = ColBatch::from_columns(vec![keys.clone(), keys]);
+        for k in [2, 4, 16] {
+            let routed = crate::exec::partition_cols_by_key(&batch, &[0], k);
+            for (machine, rows) in routed.iter().enumerate() {
+                let mut joiner = HashJoiner::new(
+                    simple_op(),
+                    2,
+                    2,
+                    1 << 30,
+                    spill_dir(),
+                    MemoryTrackerHandle::Untracked,
+                );
+                joiner.add(JoinSide::Left, rows).unwrap();
+                let empty: Vec<usize> = (0..NUM_PARTITIONS)
+                    .filter(|&p| !side_has_rows(&joiner.left, p))
+                    .collect();
+                assert!(
+                    empty.is_empty(),
+                    "k = {k}, machine {machine}: {} rows left partitions {empty:?} empty",
+                    rows.len()
+                );
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1401,31 +1666,57 @@ mod tests {
         /// Rows of the widest shape a case can ask for; each case reads a
         /// prefix. Values come from a handful of vertex ids so keys repeat
         /// and payloads collide with the other side's bindings.
-        fn arb_rows() -> impl Strategy<Value = Vec<Vec<u32>>> {
-            prop::collection::vec(prop::collection::vec(0u32..6, 7..8), 0..40)
+        fn arb_rows(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<u32>>> {
+            prop::collection::vec(prop::collection::vec(0u32..6, 7..8), len)
+        }
+
+        fn flag() -> impl Strategy<Value = bool> {
+            prop_oneof![Just(false), Just(true)]
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// Both sinks agree with the nested-loop reference — the count
-            /// sink on how many, the gather sink on which — whether the
-            /// partitions are resident or were spilled and re-loaded.
+            /// sink on how many, the gather sink on which and in what order —
+            /// whether the partitions are resident or were spilled and
+            /// re-loaded, and both report the reference's key-equal pairs as
+            /// tested.
             #[test]
             fn both_sinks_match_the_nested_loop_reference(
-                left in arb_rows(),
-                right in arb_rows(),
+                left in arb_rows(0..40),
+                right in arb_rows(0..40),
                 // 5 columns is past `PACK_MAX_KEY`: hash-packed, re-verified.
                 key_width in prop_oneof![Just(1usize), Just(2usize), Just(5usize)],
                 left_extra in 1usize..3,
-                right_extra in 1usize..3,
-                filters in prop::collection::vec((0usize..8, 0usize..8), 0..3),
-                batch_rows in prop_oneof![Just(1usize), Just(3usize), Just(64usize)],
-                spill in prop_oneof![Just(false), Just(true)],
+                // No payload is a shape too: the join only multiplies rows.
+                right_extra in 0usize..3,
+                // Up to four filters, each `(smaller on the right side?,
+                // larger on the right side?, smaller, larger)`: every operand
+                // class as often as the others, several on one column.
+                filters in prop::collection::vec((flag(), flag(), 0usize..8, 0usize..8), 0..5),
+                batch_rows in prop_oneof![
+                    Just(1usize), Just(3usize), Just(BLOCK - 1), Just(BLOCK + 1)
+                ],
+                spill in flag(),
+                // One key group sized around the block width, sharing the
+                // first left row's key.
+                hot_group in prop_oneof![
+                    Just(0usize), Just(BLOCK - 1), Just(BLOCK), Just(BLOCK + 1), Just(2 * BLOCK + 1)
+                ],
+                hot_rows in arb_rows(2 * BLOCK + 1..2 * BLOCK + 2),
+                // Stretch the id range to both ends: 0 is also what pads the
+                // columns, `u32::MAX` and 0 leave a bound no room.
+                extreme in flag(),
             ) {
                 // Left rows are [key.., extras..]; right rows [extras.., key..].
                 let (left_arity, right_arity) = (key_width + left_extra, right_extra + key_width);
-                let out_arity = left_arity + right_extra;
+                // A joined-row position on the asked-for side (the left one
+                // when there is no payload to pick from).
+                let position = |on_right: bool, i: usize| match on_right && right_extra > 0 {
+                    true => left_arity + i % right_extra,
+                    false => i % left_arity,
+                };
                 let op = JoinOp {
                     left: 0,
                     right: 1,
@@ -1434,13 +1725,32 @@ mod tests {
                     right_payload: (0..right_extra).collect(),
                     filters: filters
                         .iter()
-                        .map(|&(a, b)| (a % out_arity, b % out_arity))
+                        .map(|&(a_right, b_right, a, b)| (position(a_right, a), position(b_right, b)))
                         .filter(|(a, b)| a != b)
                         .map(|(smaller, larger)| OrderFilter { smaller, larger })
                         .collect(),
                 };
-                let left: Vec<Vec<u32>> = left.iter().map(|r| r[..left_arity].to_vec()).collect();
-                let right: Vec<Vec<u32>> = right.iter().map(|r| r[..right_arity].to_vec()).collect();
+                let id = |v: &u32| if extreme && *v == 5 { u32::MAX } else { *v };
+                let shaped = |rows: &[Vec<u32>], arity: usize| -> Vec<Vec<u32>> {
+                    rows.iter().map(|r| r[..arity].iter().map(id).collect()).collect()
+                };
+                let mut left = shaped(&left, left_arity);
+                let mut right = shaped(&right, right_arity);
+                let hot_key = left.first().map_or(vec![0; key_width], |l| l[..key_width].to_vec());
+                for row in &shaped(&hot_rows, right_extra)[..hot_group] {
+                    right.push(row.iter().chain(&hot_key).copied().collect());
+                }
+                if key_width > PACK_MAX_KEY {
+                    // Rows under two keys that hash alike share a key group.
+                    let (a, b) = colliding_wide_keys();
+                    assert_ne!(a, b);
+                    assert_eq!(pack_key(&a, &op.key_left), pack_key(&b, &op.key_left));
+                    for (i, key) in [a, b, a].iter().enumerate() {
+                        let extras = [i as u32, 4 - i as u32];
+                        left.push(key.iter().chain(&extras[..left_extra]).copied().collect());
+                        right.push(extras[..right_extra].iter().chain(key).copied().collect());
+                    }
+                }
                 let sealed = || {
                     let mut joiner = HashJoiner::new(
                         op.clone(),
@@ -1464,8 +1774,28 @@ mod tests {
                     joiner.into_stream(batch_rows)
                 };
 
+                // The stream walks the Grace partitions in order and, inside
+                // one, the reference's order: left rows as they arrived, each
+                // against its key group as that arrived.
                 let mut expected = nested_loop_join(&op, &left, &right);
-                let mut rows = drain(sealed());
+                expected.sort_by_key(|row| grace_partition(key_hash(row, &op.key_left)));
+                let candidates = left
+                    .iter()
+                    .flat_map(|l| right.iter().map(move |r| (l, r)))
+                    .filter(|(l, r)| pack_key(l, &op.key_left) == pack_key(r, &op.key_right))
+                    .count() as u64;
+
+                let mut gathering = sealed();
+                let mut rows = Vec::new();
+                while let Some(batch) = gathering.next_batch().unwrap() {
+                    prop_assert!(!batch.is_empty() && batch.len() <= batch_rows);
+                    rows.extend(batch.to_rows().rows().map(|r| r.to_vec()));
+                }
+                prop_assert!(gathering.is_exhausted());
+                prop_assert_eq!(&rows, &expected);
+                prop_assert_eq!(gathering.produced(), expected.len() as u64);
+                prop_assert_eq!(gathering.tested(), candidates);
+
                 let mut counting = sealed();
                 let mut counted = 0;
                 while let Some(n) = counting.count_batch().unwrap() {
@@ -1473,11 +1803,8 @@ mod tests {
                     counted += n;
                 }
                 prop_assert!(counting.is_exhausted());
-                prop_assert_eq!(counted, rows.len() as u64);
-                prop_assert!(counting.tested() >= counted);
-                expected.sort();
-                rows.sort();
-                prop_assert_eq!(rows, expected);
+                prop_assert_eq!(counted, expected.len() as u64);
+                prop_assert_eq!(counting.tested(), candidates);
             }
         }
     }

@@ -87,6 +87,25 @@ pub struct SegmentPlan {
     pub producer_arities: Option<(usize, usize)>,
 }
 
+impl SegmentPlan {
+    /// Names of the segment's operator slots, in the order of
+    /// [`MachineReport::op_busy`]: the source (`scan` or `join`, the probe),
+    /// each extend, the terminal (a shuffle's terminal includes its
+    /// backpressure waits), and the inbox absorbed between scheduling steps
+    /// (other segments' shuffle input landing in their builds).
+    pub fn op_names(&self) -> Vec<String> {
+        let source = match self.segment.source {
+            SegmentSource::Scan(_) => "scan",
+            SegmentSource::Join(_) => "join",
+        };
+        let extends = (1..=self.segment.extends.len()).map(|i| format!("extend{i}"));
+        std::iter::once(source.to_string())
+            .chain(extends)
+            .chain(["terminal".to_string(), "absorb".to_string()])
+            .collect()
+    }
+}
+
 /// Sets the run's abort flag if the holder unwinds (a panicking machine must
 /// not leave its peers parked forever; peers poll the flag on their park
 /// timeout).
@@ -306,7 +325,8 @@ impl MachineState {
     /// the moment it arrives — during the *producing* segment. `trace` is
     /// this machine's flight-recorder track, minted by the cluster's
     /// [`Recorder`](huge_trace::Recorder) with one aggregate slot per
-    /// segment; its epoch is the shared instant all spans measure against.
+    /// segment and per [`SegmentPlan::op_names`] entry; its epoch is the
+    /// shared instant all spans measure against.
     pub fn prepare_run(&mut self, plans: &[SegmentPlan], trace: TraceBuf, cancel: CancelToken) {
         self.trace = trace;
         self.last_level = PressureLevel::Green;
@@ -377,6 +397,7 @@ impl MachineState {
             comm: self.rpc.stats().machine(self.machine).snapshot(),
             batches_stolen: self.batches_stolen,
             segment_busy: self.trace.segment_busy(),
+            op_busy: self.trace.op_busy(),
             segment_spans: self.trace.segment_spans(),
             join: self.join_stats.clone(),
         }
@@ -1073,8 +1094,11 @@ impl MachineState {
         let queues = Arc::clone(&seg.queues[self.machine]);
         let num_extends = chain.extends.len();
         // Operator indices: 0 = source, 1..=num_extends = extends,
-        // num_extends + 1 = terminal.
+        // num_extends + 1 = terminal. They double as the operators' busy-time
+        // slots (`SegmentPlan::op_names`), followed by the absorb slot.
         let terminal_idx = num_extends + 1;
+        let absorb_slot = terminal_idx + 1;
+        let segment = plan.segment.id;
         let mut current = 0usize;
         loop {
             // The per-batch cancellation poll: one atomic load per
@@ -1083,14 +1107,17 @@ impl MachineState {
             // Keep the streaming shuffle flowing: route anything that peers
             // pushed at us into its pending joiner before scheduling.
             if self.router.has_data() {
+                let start = Instant::now();
                 self.absorb_inbox()?;
+                self.trace
+                    .op_add_busy(segment, absorb_slot, start.elapsed());
             }
             // Answer thieves without waiting for the chain to finish — both
             // for the join this chain is probing and for joins still pending
             // (a long probe must not starve an idle peer).
             if !self.steal_requests.is_empty() {
                 if let ChainSource::Join(join) = &mut chain.source {
-                    self.service_active_join_steals(plan.segment.id, join)?;
+                    self.service_active_join_steals(segment, join)?;
                 }
                 self.service_pending_join_steals()?;
             }
@@ -1134,15 +1161,18 @@ impl MachineState {
                 continue;
             }
             if current == terminal_idx {
+                let start = Instant::now();
                 while let Some(batch) = queues.queue(num_extends).pop() {
                     self.consume_terminal(plan, &batch, sink, run)?;
                 }
+                self.trace.op_add_busy(segment, current, start.elapsed());
                 current -= 1;
                 continue;
             }
             // Schedule the operator: consume input until its output queue
             // fills or the input drains (Algorithm 5 lines 6-9).
             loop {
+                let start = Instant::now();
                 let produced: Option<ColBatch> = if current == 0 {
                     let ctx = self.op_context();
                     chain.source.poll(&ctx)?
@@ -1160,6 +1190,7 @@ impl MachineState {
                         None => None,
                     }
                 };
+                self.trace.op_add_busy(segment, current, start.elapsed());
                 let Some(produced) = produced else { break };
                 for chunk in produced.split_into_chunks(self.effective_batch_size()) {
                     queues.queue(current).push(chunk);

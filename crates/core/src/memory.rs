@@ -141,7 +141,44 @@ mod tests {
         joiner.add(JoinSide::Left, &batch).unwrap();
         assert_eq!((t.allocations(), t.peak()), (2, 2 * bytes));
         assert!(joiner.spilled() && t.current() <= 1024);
-        drop(joiner);
+        // The build side (no payload equals a left value): one more batch,
+        // one more allocate.
+        let right = (0..200).map(|v| v + v % 2 * 1_000).collect();
+        let right = huge_comm::RowBatch::from_flat(2, right);
+        joiner.add(JoinSide::Right, &right).unwrap();
+        assert_eq!(t.allocations(), 3);
+
+        // Sealed, with a partition adopted from a peer — 64 × 64 pairs under
+        // one key, charged on receipt as the machine does — and a cancel
+        // that lands while it is being probed.
+        let mut stream = joiner.into_stream(16);
+        let cancel = crate::cancel::CancelToken::new();
+        stream.set_cancel(cancel.clone());
+        let rows = |payload: u32| -> Vec<u32> { (0..64).flat_map(|i| [7, payload + i]).collect() };
+        let (left_bytes, shipped_bytes) = (64 * 2 * 4, 2 * 64 * 2 * 4);
+        t.allocate(shipped_bytes);
+        stream.adopt_partition(rows(1_000), rows(2_000));
+        // The spilled local partitions come back, join to 200 rows (every
+        // left row arrived twice) and retire one by one.
+        let mut counted = 0;
+        while counted < 200 {
+            counted += stream.count_batch().unwrap().expect("local partitions");
+        }
+        assert_eq!(stream.count_batch().unwrap(), Some(16));
+        // Resident now: the adopted left rows and one payload column (plus
+        // its padding) — the build side's key column went with the rows.
+        let resident = t.current();
+        assert!(
+            (left_bytes + 64 * 4..shipped_bytes).contains(&resident),
+            "{resident} bytes resident"
+        );
+        cancel.cancel();
+        assert!(matches!(
+            stream.count_batch(),
+            Err(crate::EngineError::Cancelled(None))
+        ));
+        assert_eq!(t.current(), resident);
+        drop(stream);
         assert_eq!(t.current(), 0);
     }
 

@@ -27,6 +27,14 @@ pub struct MachineReport {
     /// Active execution time per segment on this machine (indexed by
     /// segment id).
     pub segment_busy: Vec<Duration>,
+    /// Where each segment's busy time went on this machine: indexed by
+    /// segment id, then by operator slot in the order of
+    /// [`SegmentPlan::op_names`](crate::machine::SegmentPlan::op_names)
+    /// (source, each extend, terminal, inbox absorb). A segment's slots sum
+    /// to at most its `segment_busy`; the rest is scheduling between
+    /// operators (queue checks, governor ticks, steal servicing, chain
+    /// set-up and teardown).
+    pub op_busy: Vec<Vec<Duration>>,
     /// First-activity and completion offsets of each segment relative to the
     /// run's start (`None` when the machine never reached the segment, e.g.
     /// on an aborted run). Under barriered execution no segment's start can

@@ -187,8 +187,11 @@ struct RingShared {
     /// Total events ever written; `head - capacity` of them were overwritten.
     head: AtomicU64,
     slots: Box<[UnsafeCell<Event>]>,
-    /// Always-on per-segment busy time (micros), independent of the span gate.
+    /// Always-on per-segment busy time (nanos), independent of the span gate.
     seg_busy: Box<[AtomicU64]>,
+    /// Always-on busy time (nanos) of each operator slot of each segment:
+    /// where inside a segment its busy time went.
+    op_busy: Box<[Box<[AtomicU64]>]>,
     /// First activation stamp per segment, micros + 1 (0 = never started).
     seg_first: Box<[AtomicU64]>,
     /// Last completion stamp per segment, micros + 1 (0 = never finished).
@@ -202,7 +205,9 @@ unsafe impl Send for RingShared {}
 unsafe impl Sync for RingShared {}
 
 impl RingShared {
-    fn new(pid: u32, name: String, capacity: usize, segments: usize) -> RingShared {
+    fn new(pid: u32, name: String, capacity: usize, op_slots: &[usize]) -> RingShared {
+        let segments = op_slots.len();
+        let zeroed = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         RingShared {
             pid,
             name,
@@ -211,9 +216,10 @@ impl RingShared {
             slots: (0..capacity)
                 .map(|_| UnsafeCell::new(Event::empty()))
                 .collect(),
-            seg_busy: (0..segments).map(|_| AtomicU64::new(0)).collect(),
-            seg_first: (0..segments).map(|_| AtomicU64::new(0)).collect(),
-            seg_last: (0..segments).map(|_| AtomicU64::new(0)).collect(),
+            seg_busy: zeroed(segments),
+            op_busy: op_slots.iter().map(|&slots| zeroed(slots)).collect(),
+            seg_first: zeroed(segments),
+            seg_last: zeroed(segments),
         }
     }
 
@@ -266,7 +272,7 @@ impl TraceBuf {
     /// capacity 1, no segments. Placeholder until a run attaches a real one.
     pub fn disabled() -> TraceBuf {
         TraceBuf::new(
-            Arc::new(RingShared::new(0, String::new(), 1, 0)),
+            Arc::new(RingShared::new(0, String::new(), 1, &[])),
             Arc::new(AtomicBool::new(false)),
             Instant::now(),
         )
@@ -380,7 +386,18 @@ impl TraceBuf {
     /// Adds busy time to a segment.
     pub fn seg_add_busy(&self, segment: usize, busy: Duration) {
         if let Some(cell) = self.ring.seg_busy.get(segment) {
-            cell.fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
+            cell.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds busy time to one operator slot of a segment. The caller times
+    /// slots inside the intervals it reports through
+    /// [`TraceBuf::seg_add_busy`], so a segment's slots never sum to more
+    /// than its busy time; the difference is scheduling the slots do not
+    /// cover.
+    pub fn op_add_busy(&self, segment: usize, slot: usize, busy: Duration) {
+        if let Some(cell) = self.ring.op_busy.get(segment).and_then(|s| s.get(slot)) {
+            cell.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         }
     }
 
@@ -401,8 +418,16 @@ impl TraceBuf {
         self.ring
             .seg_busy
             .iter()
-            .map(|b| Duration::from_micros(b.load(Ordering::Relaxed)))
+            .map(|b| Duration::from_nanos(b.load(Ordering::Relaxed)))
             .collect()
+    }
+
+    /// Busy time per operator slot, per segment, accumulated through
+    /// [`TraceBuf::op_add_busy`].
+    pub fn op_busy(&self) -> Vec<Vec<Duration>> {
+        let nanos = |b: &AtomicU64| Duration::from_nanos(b.load(Ordering::Relaxed));
+        let segments = self.ring.op_busy.iter();
+        segments.map(|s| s.iter().map(nanos).collect()).collect()
     }
 
     /// Per-segment `(first activation, last completion)` spans, run-relative.
@@ -479,14 +504,15 @@ impl Recorder {
     }
 
     /// Mints the single-writer buffer for a new track. `pid` groups tracks
-    /// into Perfetto processes (one per machine); `segments` sizes the
-    /// always-on per-segment aggregate table (0 for non-scheduler tracks).
-    pub fn ring(&self, pid: u32, name: impl Into<String>, segments: usize) -> TraceBuf {
+    /// into Perfetto processes (one per machine); `op_slots` sizes the
+    /// always-on aggregate tables — one entry per segment, holding how many
+    /// operator slots that segment has (empty for non-scheduler tracks).
+    pub fn ring(&self, pid: u32, name: impl Into<String>, op_slots: &[usize]) -> TraceBuf {
         let ring = Arc::new(RingShared::new(
             pid,
             name.into(),
             self.config.ring_capacity.max(1),
-            segments,
+            op_slots,
         ));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
         TraceBuf::new(ring, Arc::clone(&self.spans_enabled), self.epoch)
@@ -546,7 +572,7 @@ impl Recorder {
                 if s >= ring.seg_busy.len() {
                     continue;
                 }
-                let busy = Duration::from_micros(ring.seg_busy[s].load(Ordering::Relaxed));
+                let busy = Duration::from_nanos(ring.seg_busy[s].load(Ordering::Relaxed));
                 seg.busy += busy;
                 let first = ring.seg_first[s].load(Ordering::Relaxed);
                 let last = ring.seg_last[s].load(Ordering::Relaxed);
@@ -576,7 +602,7 @@ mod tests {
     #[test]
     fn disabled_buffer_records_nothing() {
         let rec = recorder(TraceMode::Off, 64);
-        let buf = rec.ring(0, "machine-0", 2);
+        let buf = rec.ring(0, "machine-0", &[0; 2]);
         for _ in 0..1000 {
             let id = buf.enter("chain");
             assert!(id.is_none());
@@ -592,7 +618,7 @@ mod tests {
     #[test]
     fn metrics_mode_still_records_no_spans() {
         let rec = recorder(TraceMode::Metrics, 64);
-        let buf = rec.ring(0, "machine-0", 0);
+        let buf = rec.ring(0, "machine-0", &[]);
         buf.exit(buf.enter("chain"));
         assert!(rec.timeline().tracks[0].events.is_empty());
     }
@@ -600,7 +626,7 @@ mod tests {
     #[test]
     fn overflow_keeps_newest_and_counts_drops_exactly() {
         let rec = recorder(TraceMode::Full, 8);
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         for i in 0..20u64 {
             buf.instant_kv("tick", kv("i", i));
         }
@@ -619,7 +645,7 @@ mod tests {
     #[test]
     fn exact_capacity_drops_nothing() {
         let rec = recorder(TraceMode::Full, 8);
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         for i in 0..8u64 {
             buf.instant_kv("tick", kv("i", i));
         }
@@ -632,11 +658,21 @@ mod tests {
     fn segment_aggregates_work_in_every_mode() {
         for mode in [TraceMode::Off, TraceMode::Metrics, TraceMode::Full] {
             let rec = recorder(mode, 16);
-            let buf = rec.ring(0, "m", 3);
+            let buf = rec.ring(0, "m", &[0, 2, 0]);
             buf.seg_mark_start(1);
             buf.seg_add_busy(1, Duration::from_millis(5));
             buf.seg_add_busy(1, Duration::from_millis(7));
             buf.seg_mark_end(1);
+            buf.op_add_busy(1, 1, Duration::from_nanos(300));
+            buf.op_add_busy(1, 1, Duration::from_nanos(900));
+            // Out-of-range slots and segments are ignored, like segments.
+            buf.op_add_busy(1, 2, Duration::from_secs(1));
+            buf.op_add_busy(3, 0, Duration::from_secs(1));
+            let nanos = Duration::from_nanos;
+            assert_eq!(
+                buf.op_busy(),
+                [vec![], vec![nanos(0), nanos(1_200)], vec![]]
+            );
             let busy = buf.segment_busy();
             assert_eq!(busy[0], Duration::ZERO);
             assert_eq!(busy[1], Duration::from_millis(12));
@@ -653,7 +689,7 @@ mod tests {
     #[test]
     fn first_activation_stamp_is_idempotent() {
         let rec = recorder(TraceMode::Off, 4);
-        let buf = rec.ring(0, "m", 1);
+        let buf = rec.ring(0, "m", &[0; 1]);
         buf.seg_mark_start(0);
         let first = buf.segment_spans_first_raw();
         std::thread::sleep(Duration::from_millis(2));
@@ -670,7 +706,7 @@ mod tests {
     #[test]
     fn global_instants_form_the_run_track() {
         let rec = recorder(TraceMode::Full, 4);
-        let _buf = rec.ring(0, "m", 0);
+        let _buf = rec.ring(0, "m", &[]);
         rec.global_instant("cancelled", 123, NO_ARGS);
         let tl = rec.timeline();
         assert_eq!(tl.tracks.len(), 2);
@@ -682,7 +718,7 @@ mod tests {
     #[test]
     fn span_ids_are_per_track_monotonic() {
         let rec = recorder(TraceMode::Full, 16);
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         let a = buf.enter("a");
         let b = buf.enter("b");
         assert_ne!(a, b);
@@ -695,7 +731,7 @@ mod tests {
     #[test]
     fn buffers_move_across_threads() {
         let rec = recorder(TraceMode::Full, 16);
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         std::thread::spawn(move || {
             buf.instant("hello");
         })

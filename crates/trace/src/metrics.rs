@@ -115,10 +115,19 @@ impl Histogram {
     }
 }
 
+/// A labelled counter family, registered whole with its final values.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    /// `(label set, value)`, the label set as it appears between the braces.
+    series: Vec<(String, f64)>,
+}
+
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+    Family(Family),
 }
 
 impl Metric {
@@ -127,6 +136,7 @@ impl Metric {
             Metric::Counter(c) => c.name,
             Metric::Gauge(g) => g.name,
             Metric::Histogram(h) => h.name,
+            Metric::Family(f) => f.name,
         }
     }
 }
@@ -218,6 +228,27 @@ impl Registry {
         h
     }
 
+    /// Registers a labelled counter family with its final values: one series
+    /// per `(label set, value)`, the label set written as it is exported
+    /// (`segment="2",op="join"`). For totals whose series are only known once
+    /// the run is over; there is no live handle.
+    ///
+    /// # Panics
+    /// If `name` is already registered.
+    pub fn counter_family(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        series: Vec<(String, f64)>,
+    ) {
+        let mut metrics = self.metrics.lock().unwrap();
+        assert!(
+            metrics.iter().all(|m| m.name() != name),
+            "metric {name} already registered"
+        );
+        metrics.push(Metric::Family(Family { name, help, series }));
+    }
+
     /// Renders every registered metric in the Prometheus text exposition
     /// format (histograms with cumulative `_bucket{le=..}` lines).
     pub fn prometheus_text(&self) -> String {
@@ -249,6 +280,13 @@ impl Registry {
                     let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", h.name, cumulative);
                     let _ = writeln!(out, "{}_sum {}", h.name, h.sum());
                     let _ = writeln!(out, "{}_count {}", h.name, h.count());
+                }
+                Metric::Family(f) => {
+                    let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+                    let _ = writeln!(out, "# TYPE {} counter", f.name);
+                    for (labels, value) in &f.series {
+                        let _ = writeln!(out, "{}{{{}}} {}", f.name, labels, value);
+                    }
                 }
             }
         }
@@ -299,6 +337,20 @@ mod tests {
         assert!(text.contains("huge_wait_micros_bucket{le=\"1000\"} 3"));
         assert!(text.contains("huge_wait_micros_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("huge_wait_micros_count 4"));
+    }
+
+    #[test]
+    fn counter_families_export_one_line_per_label_set() {
+        let r = Registry::new();
+        let series = vec![
+            ("segment=\"0\",op=\"scan\"".to_string(), 0.25),
+            ("segment=\"2\",op=\"join\"".to_string(), 1.5),
+        ];
+        r.counter_family("huge_busy_seconds_total", "busy", series);
+        let text = r.prometheus_text();
+        assert!(text.contains("# TYPE huge_busy_seconds_total counter"));
+        assert!(text.contains("huge_busy_seconds_total{segment=\"0\",op=\"scan\"} 0.25\n"));
+        assert!(text.contains("huge_busy_seconds_total{segment=\"2\",op=\"join\"} 1.5\n"));
     }
 
     #[test]

@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn pairing_follows_stack_discipline() {
         let rec = full_recorder();
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         let outer = buf.enter_kv("outer", kv("seg", 2));
         let inner = buf.enter("inner");
         buf.exit(inner);
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn orphan_exits_are_dropped_and_open_spans_closed() {
         let rec = full_recorder();
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         buf.exit(crate::SpanId(7)); // orphan: enter lost to "overflow"
         let open = buf.enter("open");
         buf.instant("tick");
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn chrome_json_has_metadata_and_events() {
         let rec = full_recorder();
-        let buf = rec.ring(3, "machine-3", 0);
+        let buf = rec.ring(3, "machine-3", &[]);
         let s = buf.enter("chain");
         buf.instant_kv("steal", kv("partition", 5));
         buf.exit(s);
@@ -325,7 +325,7 @@ mod tests {
             mode: TraceMode::Full,
             ring_capacity: 4,
         });
-        let buf = rec.ring(0, "m", 0);
+        let buf = rec.ring(0, "m", &[]);
         for _ in 0..3 {
             let s = buf.enter("a");
             buf.exit(s);

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 #[test]
 fn ring_overflow_keeps_newest_and_counts_drops_exactly() {
     let rec = Recorder::new(TraceConfig::full().ring_capacity(16));
-    let buf = rec.ring(0, "machine-0", 0);
+    let buf = rec.ring(0, "machine-0", &[]);
     for i in 0..100u64 {
         buf.instant_kv("tick", kv("seq", i));
     }
@@ -218,6 +218,32 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
             .run_with_plan(&plan, SinkMode::Count)
             .unwrap();
         assert_eq!(report.matches, expected, "stalled join under {tracing:?}");
+        // Where the busy time went, in every mode: a segment's operator
+        // slots are timed inside its busy intervals, and the root join's
+        // probe is the first of its slots.
+        for m in &report.machines {
+            assert_eq!(m.op_busy.len(), m.segment_busy.len());
+            for (segment, (slots, busy)) in m.op_busy.iter().zip(&m.segment_busy).enumerate() {
+                let attributed: std::time::Duration = slots.iter().sum();
+                assert!(
+                    attributed <= *busy,
+                    "machine {} segment {segment}: slots {slots:?} exceed busy {busy:?}",
+                    m.machine
+                );
+            }
+        }
+        let probe_busy: std::time::Duration = report
+            .machines
+            .iter()
+            .map(|m| m.op_busy[join_segment][0])
+            .sum();
+        assert!(probe_busy > std::time::Duration::ZERO, "no probe time");
+        if let Some(snapshot) = &report.metrics {
+            let series = format!(
+                "huge_operator_busy_seconds_total{{segment=\"{join_segment}\",op=\"join\"}} "
+            );
+            assert!(snapshot.contains(&series), "snapshot misses {series}");
+        }
         let Some(trace) = report.trace else { continue };
         let busy: std::time::Duration = trace.segments.iter().map(|s| s.busy).sum();
         assert!(busy > std::time::Duration::ZERO, "no segment busy time");
@@ -279,7 +305,7 @@ proptest! {
     ) {
         let rec = Recorder::new(TraceConfig::full().ring_capacity(capacity));
         let bufs: Vec<TraceBuf> = (0..tracks)
-            .map(|m| rec.ring(m as u32, format!("machine-{m}"), 0))
+            .map(|m| rec.ring(m as u32, format!("machine-{m}"), &[]))
             .collect();
         let mut stacks: Vec<Vec<SpanId>> = vec![Vec::new(); tracks];
         for (i, op) in ops.iter().enumerate() {
