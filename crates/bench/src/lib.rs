@@ -2,11 +2,11 @@
 //!
 //! The `experiments` binary (`cargo run -p huge-bench --release --bin
 //! experiments -- <exp> [--scale S]`) regenerates every table and figure of
-//! the paper's evaluation section at laptop scale; the Criterion benches
-//! under `benches/` cover the micro-benchmarks (cache designs, intersection
-//! kernels, planning time, operator throughput). This library holds the glue
-//! they share: dataset construction, query parsing and plain-text table
-//! rendering.
+//! the paper's evaluation section at laptop scale (micro-benchmark figures
+//! — cache designs, intersection kernels, planning time, operator throughput
+//! — come from the perf ledger in `bench/`). This library holds the glue the
+//! experiments share: dataset construction, query parsing and plain-text
+//! table rendering.
 
 use huge_core::report::RunReport;
 use huge_core::{ClusterConfig, HugeCluster, Result, SinkMode};

@@ -5,7 +5,8 @@
 //! every "machine" is a thread-hosted runtime holding its own graph
 //! partition, and all cross-machine traffic goes through this crate, which
 //!
-//! * moves pushed batches between machines over channels ([`router`]),
+//! * moves pushed batches between machines over channels ([`router`]) —
+//!   through an unreliable [`link`] when a test injects transport faults,
 //! * answers `GetNbrs` pulls against the owning partition ([`rpc`]),
 //! * counts every byte and message per machine ([`stats`]), and
 //! * converts the counted traffic into *modelled* communication time via a
@@ -24,6 +25,7 @@
 
 pub mod batch;
 pub mod kv;
+pub mod link;
 pub mod network;
 pub mod router;
 pub mod rpc;
@@ -31,10 +33,10 @@ pub mod stats;
 
 pub use batch::{ColBatch, RowBatch};
 pub use kv::ExternalKvStore;
+pub use link::{LinkFault, LinkFaultKind, TransportConfig};
 pub use network::NetworkModel;
 pub use router::{
-    ControlEnvelope, ControlMsg, LinkFault, LinkFaultKind, PushEnvelope, QueueAccounting, Router,
-    RouterEndpoint, RouterTrace, TransportConfig,
+    ControlEnvelope, ControlMsg, PushEnvelope, QueueAccounting, Router, RouterEndpoint, RouterTrace,
 };
 pub use rpc::RpcFabric;
 pub use stats::{ClusterStats, CommStats};

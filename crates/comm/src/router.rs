@@ -10,15 +10,23 @@
 //! The byte volume of every pushed batch is recorded against the sending
 //! machine, and the bytes queued in an inbox can be charged to the owning
 //! machine's memory accounting through [`QueueAccounting`].
+//!
+//! This module is the reliable core: inboxes, demultiplexing, notification.
+//! A router armed with [`Router::set_transport`] hands its cross-machine
+//! data envelopes and partition ships to the fault-injection
+//! [`link`](crate::link) instead of delivering them directly; all that shows
+//! of it here is that hand-off and the inbox's sequence-number dedup.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::batch::RowBatch;
+use crate::link::{Link, SeenSet, TransportConfig};
 use crate::stats::ClusterStats;
 use crate::MachineId;
+use huge_graph::VertexId;
 use huge_trace::{Counter, Registry};
 
 /// Router-level flight-recorder counters, shared by every endpoint of one
@@ -75,10 +83,6 @@ pub struct PushEnvelope {
     pub from: MachineId,
     /// Dataflow segment (operator) the batch belongs to.
     pub segment: usize,
-    /// Per-sender sequence number, present only on envelopes that crossed
-    /// the unreliable transport (the receiver dedups on `(from, seq)`).
-    /// `None` for local hand-offs and for the reliable default path.
-    pub seq: Option<u64>,
     /// The rows.
     pub batch: RowBatch,
 }
@@ -89,36 +93,24 @@ pub struct PushEnvelope {
 /// steal/ack protocol) and never be confused with row-carrying envelopes.
 #[derive(Clone, Debug)]
 pub enum ControlMsg {
-    /// The sender will push no more data for `segment` (per-source-machine
-    /// end-of-stream; the speculative-sealing gate for join consumers).
-    Eos {
-        /// The producing segment that finished at the sender.
-        segment: usize,
-    },
     /// The sender has drained its own Grace build for join `segment` and
     /// asks the receiver for a sealed-but-unprobed partition.
     StealRequest {
         /// The join segment being drained.
         segment: usize,
     },
-    /// One sealed Grace partition, shipped in the spill encoding
-    /// (little-endian `u32` values, both sides flat).
+    /// One sealed Grace partition, both sides as flat rows.
     PartitionShip {
         /// The join segment the partition belongs to.
         segment: usize,
         /// The Grace partition index at the shipper.
         partition: usize,
-        /// Shipper-unique id of this transfer. The thief echoes it in the
-        /// ack and dedups re-deliveries on `(victim, ship_id)`; the victim
-        /// ignores acks for ids it no longer tracks — together these make
-        /// the ship/ack exchange idempotent under a lossy transport.
-        ship_id: u64,
         /// Row bytes the shipper still holds charged until the ack arrives.
         bytes: u64,
-        /// Left (build) side rows, spill-encoded.
-        left: Vec<u8>,
-        /// Right (probe) side rows, spill-encoded.
-        right: Vec<u8>,
+        /// Left (build) side rows.
+        left: Vec<VertexId>,
+        /// Right (probe) side rows.
+        right: Vec<VertexId>,
     },
     /// Negative reply to a [`ControlMsg::StealRequest`]: nothing shippable.
     ShipNack {
@@ -130,8 +122,6 @@ pub enum ControlMsg {
     ShipAck {
         /// The join segment the partition belonged to.
         segment: usize,
-        /// Echo of the [`ControlMsg::PartitionShip`] id being acknowledged.
-        ship_id: u64,
         /// The byte charge transferred with the partition.
         bytes: u64,
     },
@@ -141,8 +131,20 @@ impl ControlMsg {
     /// Modelled wire size: a fixed header plus any shipped partition payload.
     pub fn byte_size(&self) -> u64 {
         match self {
-            ControlMsg::PartitionShip { left, right, .. } => 16 + (left.len() + right.len()) as u64,
+            ControlMsg::PartitionShip { left, right, .. } => {
+                16 + ((left.len() + right.len()) * std::mem::size_of::<VertexId>()) as u64
+            }
             _ => 16,
+        }
+    }
+
+    /// The join segment the message is about.
+    pub(crate) fn segment(&self) -> usize {
+        match *self {
+            ControlMsg::StealRequest { segment }
+            | ControlMsg::PartitionShip { segment, .. }
+            | ControlMsg::ShipNack { segment }
+            | ControlMsg::ShipAck { segment, .. } => segment,
         }
     }
 }
@@ -156,222 +158,6 @@ pub struct ControlEnvelope {
     pub msg: ControlMsg,
 }
 
-// ---------------------------------------------------------------------------
-// Unreliable transport
-// ---------------------------------------------------------------------------
-
-/// What an armed [`LinkFault`] does to matching envelopes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkFaultKind {
-    /// Lose the envelope in transit with probability `ppm` / 1 000 000
-    /// (re-drawn independently per delivery attempt).
-    Drop {
-        /// Loss probability in parts per million.
-        ppm: u32,
-    },
-    /// Deliver the envelope twice with probability `ppm` / 1 000 000; the
-    /// receiver's sequence dedup rejects the copy.
-    Duplicate {
-        /// Duplication probability in parts per million.
-        ppm: u32,
-    },
-    /// Buffer envelopes at the sender and release them in a seeded shuffle
-    /// every `window` sends (out-of-order delivery).
-    Reorder {
-        /// Shuffle window in envelopes.
-        window: usize,
-    },
-    /// Hold every envelope back `delay` before offering it for delivery.
-    Slow {
-        /// Added one-way latency.
-        delay: Duration,
-    },
-}
-
-/// One armed transport fault: perturbs data envelopes (and, for
-/// `Drop`/`Duplicate`, `PartitionShip` control envelopes) that machine
-/// `machine` sends for dataflow segment `segment`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkFault {
-    /// The sending machine whose link is faulty.
-    pub machine: MachineId,
-    /// The dataflow segment whose envelopes the fault matches.
-    pub segment: usize,
-    /// What happens to matching envelopes.
-    pub kind: LinkFaultKind,
-}
-
-/// Configuration of the lossy-transport path: sequence-numbered envelopes,
-/// receiver dedup, and a sender retry ledger with bounded exponential
-/// backoff. All probabilistic fates derive from `seed`, so a fault plan
-/// replays identically for a fixed per-sender send order.
-#[derive(Clone, Debug)]
-pub struct TransportConfig {
-    /// Seed behind every drop/duplicate fate and reorder shuffle.
-    pub seed: u64,
-    /// Armed link faults (empty = reliable but sequence-numbered).
-    pub faults: Vec<LinkFault>,
-    /// Delivery attempts per envelope before the sender gives up and the
-    /// run fails with a transport error.
-    pub max_attempts: u32,
-    /// Backoff before the first retransmit; doubles per further attempt.
-    pub base_backoff: Duration,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            seed: 0,
-            faults: Vec::new(),
-            max_attempts: 10,
-            base_backoff: Duration::from_millis(2),
-        }
-    }
-}
-
-const SALT_DROP: u64 = 0xD509;
-const SALT_DUP: u64 = 0xD0B1;
-const SALT_SHUFFLE: u64 = 0x5EED;
-const SALT_CTL: u64 = 0x0C71;
-
-/// Exponential backoff before retransmit attempt `attempt` (capped so the
-/// worst case stays well under a second with the default base).
-fn backoff(base: Duration, attempt: u32) -> Duration {
-    base * 2u32.saturating_pow(attempt.saturating_sub(1).min(7))
-}
-
-/// Outcome of one delivery attempt over the lossy path.
-enum Deliver {
-    /// Accepted by the receiver.
-    Delivered,
-    /// Lost to an injected drop fate; retry after backoff.
-    Dropped(PushEnvelope),
-    /// Receiver inbox at capacity; retry without burning an attempt.
-    Full(PushEnvelope),
-    /// Receiver already accepted this sequence number.
-    Stale,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A deterministic fate draw for one (envelope, attempt) pair: hashes the
-/// seed with the envelope identity so the same plan replays identically.
-fn fate_draw(seed: u64, from: MachineId, seq: u64, attempt: u32, salt: u64) -> u64 {
-    splitmix64(
-        seed ^ splitmix64(from as u64 ^ salt.rotate_left(17))
-            ^ splitmix64(seq.wrapping_mul(0x9E37).wrapping_add(attempt as u64)),
-    )
-}
-
-fn ppm_hits(draw: u64, ppm: u32) -> bool {
-    (draw % 1_000_000) < ppm as u64
-}
-
-/// A data envelope the sender still owes the receiver: its last delivery
-/// attempt was dropped by the fault injector (or bounced off a full inbox
-/// on retransmit), and the retry pump re-offers it after a backoff.
-struct RetryEntry {
-    to: MachineId,
-    env: PushEnvelope,
-    attempts: u32,
-    due: Instant,
-}
-
-/// A `PartitionShip` control envelope awaiting retransmit (same contract as
-/// [`RetryEntry`]; other control messages always ride the reliable path).
-struct CtlRetryEntry {
-    to: MachineId,
-    msg: ControlMsg,
-    fate_seq: u64,
-    segment: usize,
-    attempts: u32,
-    due: Instant,
-}
-
-/// A stashed envelope: held back by a `Slow` gate (until `release_at`) or
-/// parked in a `Reorder` window awaiting the seeded shuffle flush.
-struct StashEntry {
-    to: MachineId,
-    env: PushEnvelope,
-    release_at: Option<Instant>,
-}
-
-/// Per-sender transport state (owned by the sending machine's thread; the
-/// mutex only serialises against the final teardown sweep).
-#[derive(Default)]
-struct SenderState {
-    next_seq: u64,
-    retry: VecDeque<RetryEntry>,
-    ctl_retry: VecDeque<CtlRetryEntry>,
-    stash: Vec<StashEntry>,
-    shuffle_salt: u64,
-}
-
-struct Transport {
-    cfg: TransportConfig,
-    senders: Vec<Mutex<SenderState>>,
-}
-
-impl Transport {
-    fn new(k: usize, cfg: TransportConfig) -> Self {
-        Transport {
-            cfg,
-            senders: (0..k).map(|_| Mutex::new(SenderState::default())).collect(),
-        }
-    }
-
-    fn fault(&self, from: MachineId, segment: usize) -> impl Iterator<Item = &LinkFaultKind> {
-        self.cfg
-            .faults
-            .iter()
-            .filter(move |f| f.machine == from && f.segment == segment)
-            .map(|f| &f.kind)
-    }
-
-    fn drop_ppm(&self, from: MachineId, segment: usize) -> u32 {
-        self.fault(from, segment)
-            .filter_map(|k| match k {
-                LinkFaultKind::Drop { ppm } => Some(*ppm),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn dup_ppm(&self, from: MachineId, segment: usize) -> u32 {
-        self.fault(from, segment)
-            .filter_map(|k| match k {
-                LinkFaultKind::Duplicate { ppm } => Some(*ppm),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn slow_delay(&self, from: MachineId, segment: usize) -> Option<Duration> {
-        self.fault(from, segment)
-            .filter_map(|k| match k {
-                LinkFaultKind::Slow { delay } => Some(*delay),
-                _ => None,
-            })
-            .max()
-    }
-
-    fn reorder_window(&self, from: MachineId, segment: usize) -> Option<usize> {
-        self.fault(from, segment)
-            .filter_map(|k| match k {
-                LinkFaultKind::Reorder { window } => Some(*window),
-                _ => None,
-            })
-            .max()
-    }
-}
-
 /// Byte accounting hook for inbox contents, implemented by the engine's
 /// memory tracker so queued shuffle data counts towards the paper's `M`.
 pub trait QueueAccounting: Send + Sync {
@@ -381,36 +167,43 @@ pub trait QueueAccounting: Send + Sync {
     fn release(&self, bytes: u64);
 }
 
-/// Receiver-side dedup state for one sender link: a watermark below which
-/// every sequence number has been accepted, plus the sparse set of accepted
-/// numbers above it (out-of-order arrivals under `Reorder`).
-#[derive(Default)]
-struct SeenSet {
-    watermark: u64,
-    above: BTreeSet<u64>,
+/// What an inbox accepts: a data envelope for its bounded per-segment
+/// queues or a control envelope for its unbounded control queue.
+#[derive(Clone)]
+pub(crate) enum Frame {
+    Data(PushEnvelope),
+    Control(ControlEnvelope),
 }
 
-impl SeenSet {
-    fn contains(&self, seq: u64) -> bool {
-        seq < self.watermark || self.above.contains(&seq)
+impl Frame {
+    fn from(&self) -> MachineId {
+        match self {
+            Frame::Data(env) => env.from,
+            Frame::Control(env) => env.from,
+        }
     }
 
-    fn insert(&mut self, seq: u64) {
-        if seq < self.watermark || !self.above.insert(seq) {
-            return;
+    pub(crate) fn segment(&self) -> usize {
+        match self {
+            Frame::Data(env) => env.segment,
+            Frame::Control(env) => env.msg.segment(),
         }
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
+    }
+
+    fn byte_size(&self) -> u64 {
+        match self {
+            Frame::Data(env) => env.batch.byte_size(),
+            Frame::Control(env) => env.msg.byte_size(),
         }
     }
 }
 
-/// Outcome of offering an envelope to an inbox.
-enum Accept {
-    /// Enqueued (and its sequence number recorded).
+/// Outcome of offering a frame to an inbox.
+pub(crate) enum Accept {
+    /// Enqueued (and its sequence number, if any, recorded).
     Ok,
-    /// At capacity; the envelope is handed back for retry.
-    Full(PushEnvelope),
+    /// At capacity; the frame is handed back for retry.
+    Full(Frame),
     /// Sequence number already accepted once — a duplicate; dropped.
     Stale,
 }
@@ -421,8 +214,8 @@ struct InboxState {
     /// Control-plane queue: unbounded, drained separately from data so the
     /// steal/ship/ack protocol can always make progress.
     control: VecDeque<ControlEnvelope>,
-    /// Per-sender sequence dedup (only consulted for envelopes carrying a
-    /// sequence number, i.e. unreliable-transport traffic).
+    /// Per-sender sequence dedup (only consulted for frames carrying a
+    /// sequence number, i.e. those that crossed the link).
     seen: HashMap<MachineId, SeenSet>,
     accounting: Option<Arc<dyn QueueAccounting>>,
 }
@@ -462,41 +255,50 @@ impl Inbox {
         }
     }
 
-    /// Enqueues unless the inbox is at capacity (`force` bypasses the bound —
-    /// used for a machine's pushes to itself, which must never block).
-    /// Sequence-numbered envelopes already accepted once are rejected as
-    /// [`Accept::Stale`] regardless of capacity.
-    fn push(&self, env: PushEnvelope, force: bool) -> Accept {
+    /// Enqueues a frame. A data envelope bounces off an inbox at capacity
+    /// unless `force`d (a machine's pushes to itself must never block); a
+    /// control envelope is never bounded, or the steal/ack protocol could
+    /// wedge behind a full inbox. A frame whose sequence number was accepted
+    /// once already is [`Accept::Stale`] regardless of capacity. Queued bytes
+    /// — shipped partition payloads included — are charged to the owner's
+    /// accounting, so in-flight data counts towards `M`.
+    fn push(&self, frame: Frame, seq: Option<u64>, force: bool) -> Accept {
         {
             let mut state = self.state.lock().unwrap();
-            if let Some(seq) = env.seq {
-                if state
-                    .seen
-                    .get(&env.from)
-                    .is_some_and(|seen| seen.contains(seq))
-                {
+            if let Some(seq) = seq {
+                let seen = state.seen.get(&frame.from());
+                if seen.is_some_and(|seen| seen.contains(seq)) {
                     return Accept::Stale;
                 }
             }
             // "Overflow by at most one batch": accept whenever the inbox is
             // below capacity so a single oversized batch cannot wedge.
-            if !force
+            if matches!(frame, Frame::Data(_))
+                && !force
                 && self.rows.load(Ordering::Relaxed) >= self.capacity_rows.load(Ordering::Relaxed)
             {
-                return Accept::Full(env);
+                return Accept::Full(frame);
             }
-            if let Some(seq) = env.seq {
-                state.seen.entry(env.from).or_default().insert(seq);
+            if let Some(seq) = seq {
+                state.seen.entry(frame.from()).or_default().insert(seq);
             }
-            self.rows.fetch_add(env.batch.len(), Ordering::Relaxed);
             if let Some(acct) = &state.accounting {
-                acct.allocate(env.batch.byte_size());
+                acct.allocate(frame.byte_size());
             }
-            state
-                .by_segment
-                .entry(env.segment)
-                .or_default()
-                .push_back(env);
+            match frame {
+                Frame::Data(env) => {
+                    self.rows.fetch_add(env.batch.len(), Ordering::Relaxed);
+                    state
+                        .by_segment
+                        .entry(env.segment)
+                        .or_default()
+                        .push_back(env);
+                }
+                Frame::Control(env) => {
+                    state.control.push_back(env);
+                    self.control_msgs.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
         self.data.notify_all();
         Accept::Ok
@@ -534,22 +336,6 @@ impl Inbox {
         };
         self.space.notify_all();
         Some(env)
-    }
-
-    /// Enqueues a control message. Never bounded: control traffic must not
-    /// be rejectable or the steal/ack protocol could wedge behind a full
-    /// inbox. Shipped partition payload bytes are still charged to the
-    /// owner's accounting so in-flight partitions count towards `M`.
-    fn push_control(&self, env: ControlEnvelope) {
-        {
-            let mut state = self.state.lock().unwrap();
-            if let Some(acct) = &state.accounting {
-                acct.allocate(env.msg.byte_size());
-            }
-            state.control.push_back(env);
-            self.control_msgs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.data.notify_all();
     }
 
     /// Dequeues the next control message, if any.
@@ -593,7 +379,7 @@ impl Inbox {
 pub struct Router {
     inboxes: Vec<Arc<Inbox>>,
     stats: ClusterStats,
-    transport: Option<Arc<Transport>>,
+    link: Option<Arc<Link>>,
     trace: Option<RouterTrace>,
 }
 
@@ -611,7 +397,7 @@ impl Router {
                 .map(|_| Arc::new(Inbox::new(capacity_rows)))
                 .collect(),
             stats,
-            transport: None,
+            link: None,
             trace: None,
         }
     }
@@ -622,13 +408,12 @@ impl Router {
         self.trace = Some(trace);
     }
 
-    /// Switches cross-machine data envelopes (and `PartitionShip` control
-    /// envelopes sent through
-    /// [`RouterEndpoint::send_control_lossy`]) onto the unreliable-transport
-    /// path: sequence numbering, receiver dedup, injected link faults, and
-    /// the sender retry ledger. Call before handing out endpoints.
+    /// Arms the fault-injection [`link`](crate::link): cross-machine data
+    /// envelopes and `PartitionShip`s get sequence numbers, meet the
+    /// configured faults, and are retransmitted until the receiving inbox
+    /// has accepted each exactly once. Call before handing out endpoints.
     pub fn set_transport(&mut self, cfg: TransportConfig) {
-        self.transport = Some(Arc::new(Transport::new(self.inboxes.len(), cfg)));
+        self.link = Some(Arc::new(Link::new(self.inboxes.len(), cfg)));
     }
 
     /// Number of machines.
@@ -647,7 +432,7 @@ impl Router {
             machine: m,
             inboxes: self.inboxes.clone(),
             stats: self.stats.clone(),
-            transport: self.transport.clone(),
+            link: self.link.clone(),
             trace: self.trace.clone(),
         }
     }
@@ -657,11 +442,11 @@ impl Router {
 /// drain (or park on) its own inbox.
 #[derive(Clone)]
 pub struct RouterEndpoint {
-    machine: MachineId,
+    pub(crate) machine: MachineId,
     inboxes: Vec<Arc<Inbox>>,
-    stats: ClusterStats,
-    transport: Option<Arc<Transport>>,
-    trace: Option<RouterTrace>,
+    pub(crate) stats: ClusterStats,
+    pub(crate) link: Option<Arc<Link>>,
+    pub(crate) trace: Option<RouterTrace>,
 }
 
 impl RouterEndpoint {
@@ -675,422 +460,83 @@ impl RouterEndpoint {
         self.inboxes.len()
     }
 
-    fn envelope(&self, segment: usize, batch: RowBatch) -> PushEnvelope {
-        PushEnvelope {
-            from: self.machine,
-            segment,
-            seq: None,
-            batch,
-        }
-    }
-
     /// Pushes a batch to `to`, charging its bytes to this machine. Blocks
     /// while the destination inbox is full (backpressure); pushes to the own
     /// machine never block. Use [`RouterEndpoint::try_push`] on paths that
     /// must make progress while full (e.g. absorbing their own inbox).
     pub fn push(&self, to: MachineId, segment: usize, batch: RowBatch) {
-        if batch.is_empty() {
-            return;
-        }
         let mut pending = batch;
-        loop {
-            match self.try_push(to, segment, pending) {
-                Ok(()) => return,
-                Err(back) => {
-                    pending = back;
-                    if let Some(trace) = &self.trace {
-                        trace.backpressure_waits.inc();
-                    }
-                    let _ = self.pump_transport();
-                    self.inboxes[to].wait_space(Duration::from_millis(1));
-                }
+        while let Err(back) = self.try_push(to, segment, pending) {
+            pending = back;
+            if let Some(trace) = &self.trace {
+                trace.backpressure_waits.inc();
             }
+            self.inboxes[to].wait_space(Duration::from_millis(1));
         }
     }
 
     /// Non-blocking push: on backpressure the batch is handed back so the
     /// caller can drain its own inbox (or otherwise make progress) and retry.
-    /// The traffic is charged only once the push is accepted. Under the
-    /// unreliable transport an accepted push may still be in flight (stashed
-    /// or awaiting retransmit) — [`RouterEndpoint::flush_transport`] is the
-    /// delivery barrier.
+    /// The traffic is charged only once the push is accepted. On a router
+    /// with a [`link`](crate::link) armed an accepted cross-machine push may
+    /// still be in flight — [`RouterEndpoint::flush_link`] is the delivery
+    /// barrier.
     pub fn try_push(&self, to: MachineId, segment: usize, batch: RowBatch) -> Result<(), RowBatch> {
         if batch.is_empty() {
             return Ok(());
         }
-        if to != self.machine {
-            if let Some(t) = self.transport.clone() {
-                return self.transport_send(&t, to, segment, batch);
-            }
-        }
-        let force = to == self.machine;
-        let bytes = batch.byte_size();
-        match self.inboxes[to].push(self.envelope(segment, batch), force) {
-            Accept::Ok => {
-                // Charge only accepted pushes (rejected attempts move no data).
-                if to != self.machine {
-                    self.stats.machine(self.machine).record_push(bytes);
-                    if let Some(trace) = &self.trace {
-                        trace.batches_pushed.inc();
-                        trace.bytes_pushed.add(bytes);
-                    }
-                }
-                Ok(())
-            }
-            Accept::Full(env) => Err(env.batch),
-            // Unreachable without sequence numbers; treat as delivered.
-            Accept::Stale => Ok(()),
-        }
-    }
-
-    /// Sends a data batch over the unreliable transport: assign a sequence
-    /// number, stash it if a `Slow`/`Reorder` gate is armed on the link,
-    /// otherwise offer it for delivery with the drop/duplicate fates drawn
-    /// from the seed. A batch rejected by a full inbox on its *first* offer
-    /// is handed back (plain backpressure, sequence number not consumed);
-    /// once accepted, delivery is guaranteed-or-error by the retry ledger.
-    fn transport_send(
-        &self,
-        t: &Transport,
-        to: MachineId,
-        segment: usize,
-        batch: RowBatch,
-    ) -> Result<(), RowBatch> {
-        let from = self.machine;
-        let mut s = t.senders[from].lock().unwrap();
-        let slow = t.slow_delay(from, segment);
-        let reorder = t.reorder_window(from, segment);
-        if slow.is_some() || reorder.is_some() {
-            let seq = s.next_seq;
-            s.next_seq += 1;
-            s.stash.push(StashEntry {
-                to,
-                env: PushEnvelope {
-                    from,
-                    segment,
-                    seq: Some(seq),
-                    batch,
-                },
-                release_at: slow.map(|d| Instant::now() + d),
-            });
-            if let Some(window) = reorder {
-                let ready = s.stash.iter().filter(|e| e.release_at.is_none()).count();
-                if ready >= window {
-                    self.flush_stash(t, &mut s, false);
-                }
-            }
-            return Ok(());
-        }
-        let seq = s.next_seq;
-        let env = PushEnvelope {
-            from,
+        let frame = Frame::Data(PushEnvelope {
+            from: self.machine,
             segment,
-            seq: Some(seq),
             batch,
+        });
+        let accept = match &self.link {
+            Some(link) if to != self.machine => link.offer(self, to, frame),
+            _ => self.deliver(to, frame, None),
         };
-        match self.deliver_data(t, to, env, 1) {
-            Deliver::Delivered | Deliver::Stale => {
-                s.next_seq += 1;
-                Ok(())
-            }
-            Deliver::Dropped(env) => {
-                s.next_seq += 1;
-                s.retry.push_back(RetryEntry {
-                    to,
-                    env,
-                    attempts: 1,
-                    due: Instant::now() + t.cfg.base_backoff,
-                });
-                Ok(())
-            }
-            // First-offer backpressure: hand the batch back unsent so the
-            // caller cooperates (absorbs its own inbox) exactly as on the
-            // reliable path. The sequence number is not consumed.
-            Deliver::Full(env) => Err(env.batch),
+        match accept {
+            Accept::Full(Frame::Data(env)) => Err(env.batch),
+            _ => Ok(()),
         }
-    }
-
-    /// Offers one sequence-numbered envelope to `to`'s inbox, applying the
-    /// link's drop/duplicate fates for this delivery attempt.
-    fn deliver_data(
-        &self,
-        t: &Transport,
-        to: MachineId,
-        env: PushEnvelope,
-        attempt: u32,
-    ) -> Deliver {
-        let from = self.machine;
-        let segment = env.segment;
-        let seq = env
-            .seq
-            .expect("transport envelopes carry a sequence number");
-        let drop_ppm = t.drop_ppm(from, segment);
-        if drop_ppm > 0
-            && ppm_hits(
-                fate_draw(t.cfg.seed, from, seq, attempt, SALT_DROP),
-                drop_ppm,
-            )
-        {
-            self.stats.machine(from).record_transport_drop();
-            return Deliver::Dropped(env);
-        }
-        let dup_ppm = t.dup_ppm(from, segment);
-        let copy = if dup_ppm > 0
-            && ppm_hits(fate_draw(t.cfg.seed, from, seq, attempt, SALT_DUP), dup_ppm)
-        {
-            Some(env.clone())
-        } else {
-            None
-        };
-        let bytes = env.batch.byte_size();
-        match self.inboxes[to].push(env, false) {
-            Accept::Ok => {
-                self.stats.machine(from).record_push(bytes);
-                if let Some(trace) = &self.trace {
-                    trace.batches_pushed.inc();
-                    trace.bytes_pushed.add(bytes);
-                }
-                if let Some(copy) = copy {
-                    // The injected duplicate: the receiver's dedup takes it.
-                    self.stats.machine(from).record_transport_dup();
-                    if let Accept::Stale = self.inboxes[to].push(copy, false) {
-                        self.stats.machine(to).record_dedup_drop();
-                    }
-                }
-                Deliver::Delivered
-            }
-            Accept::Full(env) => Deliver::Full(env),
-            Accept::Stale => {
-                // A spurious retransmit of something already accepted.
-                self.stats.machine(to).record_dedup_drop();
-                Deliver::Stale
-            }
-        }
-    }
-
-    /// Delivers the stashed envelopes whose gates have opened: all reorder
-    /// entries (in a seeded shuffle — this is where out-of-order delivery
-    /// happens) plus slow entries past their release instant; `flush_all`
-    /// opens every gate (the end-of-segment delivery barrier).
-    fn flush_stash(&self, t: &Transport, s: &mut SenderState, flush_all: bool) {
-        let now = Instant::now();
-        let stash = std::mem::take(&mut s.stash);
-        let (mut due, mut keep): (Vec<_>, Vec<_>) = stash
-            .into_iter()
-            .partition(|e| flush_all || e.release_at.is_none_or(|at| at <= now));
-        s.shuffle_salt = s.shuffle_salt.wrapping_add(1);
-        for i in (1..due.len()).rev() {
-            let draw = fate_draw(
-                t.cfg.seed,
-                self.machine,
-                s.shuffle_salt,
-                i as u32,
-                SALT_SHUFFLE,
-            );
-            due.swap(i, (draw % (i as u64 + 1)) as usize);
-        }
-        for entry in due {
-            match self.deliver_data(t, entry.to, entry.env, 1) {
-                Deliver::Delivered | Deliver::Stale => {}
-                Deliver::Dropped(env) => s.retry.push_back(RetryEntry {
-                    to: entry.to,
-                    env,
-                    attempts: 1,
-                    due: now + t.cfg.base_backoff,
-                }),
-                Deliver::Full(env) => keep.push(StashEntry {
-                    to: entry.to,
-                    env,
-                    release_at: entry.release_at,
-                }),
-            }
-        }
-        s.stash = keep;
-    }
-
-    /// Drives the sender side of the unreliable transport: opens due `Slow`
-    /// gates and retransmits ledger entries whose backoff expired. Cheap
-    /// (and a no-op) when the transport is off or nothing is pending; the
-    /// machine loop calls it every time it absorbs its inbox. Returns an
-    /// error once an envelope exhausts its delivery attempts.
-    pub fn pump_transport(&self) -> Result<(), String> {
-        let Some(t) = self.transport.clone() else {
-            return Ok(());
-        };
-        let mut s = t.senders[self.machine].lock().unwrap();
-        self.pump_locked(&t, &mut s, false)
-    }
-
-    /// [`RouterEndpoint::pump_transport`] with every gate forced open — the
-    /// delivery barrier a producer runs before declaring end-of-stream for a
-    /// segment (combined with [`RouterEndpoint::transport_pending`]).
-    pub fn flush_transport(&self) -> Result<(), String> {
-        let Some(t) = self.transport.clone() else {
-            return Ok(());
-        };
-        let mut s = t.senders[self.machine].lock().unwrap();
-        self.pump_locked(&t, &mut s, true)
-    }
-
-    fn pump_locked(&self, t: &Transport, s: &mut SenderState, flush: bool) -> Result<(), String> {
-        let now = Instant::now();
-        if !s.stash.is_empty() {
-            let due_slow = s
-                .stash
-                .iter()
-                .any(|e| e.release_at.is_some_and(|at| at <= now));
-            if flush || due_slow {
-                self.flush_stash(t, s, flush);
-            }
-        }
-        for _ in 0..s.retry.len() {
-            let Some(mut e) = s.retry.pop_front() else {
-                break;
-            };
-            if e.due > now {
-                s.retry.push_back(e);
-                continue;
-            }
-            e.attempts += 1;
-            if e.attempts > t.cfg.max_attempts {
-                return Err(format!(
-                    "data envelope for segment {} to machine {} undelivered after {} attempts",
-                    e.env.segment, e.to, t.cfg.max_attempts
-                ));
-            }
-            match self.deliver_data(t, e.to, e.env, e.attempts) {
-                Deliver::Delivered => {
-                    self.stats.machine(self.machine).record_retransmit();
-                    if let Some(trace) = &self.trace {
-                        trace.retransmits.inc();
-                    }
-                }
-                Deliver::Stale => {}
-                Deliver::Dropped(env) => {
-                    e.env = env;
-                    e.due = now + backoff(t.cfg.base_backoff, e.attempts);
-                    s.retry.push_back(e);
-                }
-                Deliver::Full(env) => {
-                    // Backpressure, not loss: retry soon, without burning an
-                    // attempt.
-                    e.env = env;
-                    e.attempts -= 1;
-                    e.due = now + Duration::from_millis(1);
-                    s.retry.push_back(e);
-                }
-            }
-        }
-        for _ in 0..s.ctl_retry.len() {
-            let Some(mut e) = s.ctl_retry.pop_front() else {
-                break;
-            };
-            if e.due > now {
-                s.ctl_retry.push_back(e);
-                continue;
-            }
-            e.attempts += 1;
-            if e.attempts > t.cfg.max_attempts {
-                return Err(format!(
-                    "partition ship for segment {} to machine {} undelivered after {} attempts",
-                    e.segment, e.to, t.cfg.max_attempts
-                ));
-            }
-            let draw = fate_draw(t.cfg.seed, self.machine, e.fate_seq, e.attempts, SALT_CTL);
-            if ppm_hits(draw, t.drop_ppm(self.machine, e.segment)) {
-                self.stats.machine(self.machine).record_transport_drop();
-                e.due = now + backoff(t.cfg.base_backoff, e.attempts);
-                s.ctl_retry.push_back(e);
-            } else {
-                self.stats.machine(self.machine).record_retransmit();
-                if let Some(trace) = &self.trace {
-                    trace.retransmits.inc();
-                }
-                self.send_control(e.to, e.msg);
-            }
-        }
-        Ok(())
-    }
-
-    /// Envelopes this sender still owes receivers — stashed behind a gate or
-    /// awaiting retransmit — for `segment` (`None` counts every segment).
-    /// Zero (after a [`RouterEndpoint::flush_transport`]) means every
-    /// accepted push has actually been delivered.
-    pub fn transport_pending(&self, segment: Option<usize>) -> usize {
-        let Some(t) = &self.transport else {
-            return 0;
-        };
-        let s = t.senders[self.machine].lock().unwrap();
-        let hit = |seg: usize| segment.is_none_or(|want| want == seg);
-        s.stash.iter().filter(|e| hit(e.env.segment)).count()
-            + s.retry.iter().filter(|e| hit(e.env.segment)).count()
-            + s.ctl_retry.iter().filter(|e| hit(e.segment)).count()
-    }
-
-    /// `true` when this router runs the unreliable-transport path.
-    pub fn transport_enabled(&self) -> bool {
-        self.transport.is_some()
-    }
-
-    /// Sends a control message over the lossy path: `PartitionShip` rides
-    /// the link's drop/duplicate fates (recovered by retransmit and the
-    /// receiver's `ship_id` dedup); every other control message — and
-    /// everything when the transport is off — falls through to the reliable
-    /// [`RouterEndpoint::send_control`].
-    pub fn send_control_lossy(&self, to: MachineId, msg: ControlMsg) {
-        let Some(t) = self.transport.clone() else {
-            return self.send_control(to, msg);
-        };
-        if to == self.machine {
-            return self.send_control(to, msg);
-        }
-        let segment = match &msg {
-            ControlMsg::PartitionShip { segment, .. } => *segment,
-            _ => return self.send_control(to, msg),
-        };
-        let mut s = t.senders[self.machine].lock().unwrap();
-        let fate_seq = s.next_seq;
-        s.next_seq += 1;
-        let drop_draw = fate_draw(t.cfg.seed, self.machine, fate_seq, 1, SALT_CTL);
-        if ppm_hits(drop_draw, t.drop_ppm(self.machine, segment)) {
-            self.stats.machine(self.machine).record_transport_drop();
-            s.ctl_retry.push_back(CtlRetryEntry {
-                to,
-                msg,
-                fate_seq,
-                segment,
-                attempts: 1,
-                due: Instant::now() + t.cfg.base_backoff,
-            });
-            return;
-        }
-        let dup_draw = fate_draw(t.cfg.seed, self.machine, fate_seq, 1, SALT_DUP);
-        let duplicate = ppm_hits(dup_draw, t.dup_ppm(self.machine, segment));
-        drop(s);
-        if duplicate {
-            // The thief dedups the second copy on (victim, ship_id).
-            self.stats.machine(self.machine).record_transport_dup();
-            self.send_control(to, msg.clone());
-        }
-        self.send_control(to, msg);
     }
 
     /// Sends a control message to `to`. Control sends never observe
     /// backpressure (the queue is unbounded) and wake a parked receiver.
-    /// Shipped partition payloads are charged as pushed bytes like data.
+    /// Shipped partition payloads are charged as pushed bytes like data, and
+    /// like data a cross-machine `PartitionShip` rides the
+    /// [`link`](crate::link) when one is armed; every other control message
+    /// is always delivered directly.
     pub fn send_control(&self, to: MachineId, msg: ControlMsg) {
-        if to != self.machine {
-            self.stats
-                .machine(self.machine)
-                .record_push(msg.byte_size());
-            if let Some(trace) = &self.trace {
-                trace.control_messages.inc();
-            }
-        }
-        self.inboxes[to].push_control(ControlEnvelope {
+        let ship = matches!(msg, ControlMsg::PartitionShip { .. });
+        let frame = Frame::Control(ControlEnvelope {
             from: self.machine,
             msg,
         });
+        match &self.link {
+            Some(link) if ship && to != self.machine => link.offer(self, to, frame),
+            _ => self.deliver(to, frame, None),
+        };
+    }
+
+    /// Hands one frame to `to`'s inbox — `seq` is its sequence number if it
+    /// crossed the link — and charges it as traffic once accepted (rejected
+    /// attempts move no data; a machine's frames to itself are free).
+    pub(crate) fn deliver(&self, to: MachineId, frame: Frame, seq: Option<u64>) -> Accept {
+        let remote = to != self.machine;
+        let (bytes, data) = (frame.byte_size(), matches!(frame, Frame::Data(_)));
+        let accept = self.inboxes[to].push(frame, seq, !remote);
+        if remote && matches!(accept, Accept::Ok) {
+            self.stats.machine(self.machine).record_push(bytes);
+            if let Some(trace) = &self.trace {
+                if data {
+                    trace.batches_pushed.inc();
+                    trace.bytes_pushed.add(bytes);
+                } else {
+                    trace.control_messages.inc();
+                }
+            }
+        }
+        accept
     }
 
     /// Non-blocking receive of the next control message, if any.
@@ -1350,35 +796,33 @@ mod tests {
         assert!(a.try_push(1, 0, batch(&[1, 2])).is_ok());
         assert!(a.try_push(1, 0, batch(&[3])).is_err());
         // Control traffic still flows and is visible to has_data/wait_data.
-        a.send_control(1, ControlMsg::Eos { segment: 4 });
+        a.send_control(1, ControlMsg::StealRequest { segment: 4 });
         a.send_control(
             1,
             ControlMsg::PartitionShip {
                 segment: 9,
                 partition: 3,
-                ship_id: 42,
                 bytes: 8,
-                left: vec![1, 0, 0, 0],
-                right: vec![2, 0, 0, 0],
+                left: vec![1],
+                right: vec![2],
             },
         );
         assert!(b.has_data());
         assert!(b.wait_data(Duration::from_millis(1)));
         let first = b.try_recv_control().unwrap();
         assert_eq!(first.from, 0);
-        assert!(matches!(first.msg, ControlMsg::Eos { segment: 4 }));
+        assert!(matches!(first.msg, ControlMsg::StealRequest { segment: 4 }));
         let ship = b.try_recv_control().unwrap();
         match ship.msg {
             ControlMsg::PartitionShip {
                 segment,
                 partition,
-                ship_id,
                 bytes,
                 left,
                 right,
             } => {
-                assert_eq!((segment, partition, ship_id, bytes), (9, 3, 42, 8));
-                assert_eq!((left.len(), right.len()), (4, 4));
+                assert_eq!((segment, partition, bytes), (9, 3, 8));
+                assert_eq!((left, right), (vec![1], vec![2]));
             }
             other => panic!("expected a ship, got {other:?}"),
         }
@@ -1408,250 +852,14 @@ mod tests {
             ControlMsg::PartitionShip {
                 segment: 0,
                 partition: 0,
-                ship_id: 0,
                 bytes: 8,
-                left: vec![0; 4],
-                right: vec![0; 4],
+                left: vec![0],
+                right: vec![0],
             },
         );
         assert_eq!(counter.0.load(Ordering::SeqCst), 16 + 8);
         router.endpoint(1).try_recv_control().unwrap();
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-    }
-
-    fn lossy_router(k: usize, stats: ClusterStats, faults: Vec<LinkFault>) -> Router {
-        let mut router = Router::new(k, stats);
-        router.set_transport(TransportConfig {
-            seed: 7,
-            faults,
-            max_attempts: 10,
-            base_backoff: Duration::from_micros(100),
-        });
-        router
-    }
-
-    /// Drains `b` until `want` rows arrived, pumping `a`'s transport so
-    /// drops get retransmitted. Panics (instead of hanging) after ~2 s.
-    fn drain_rows(a: &RouterEndpoint, b: &RouterEndpoint, want: usize) -> Vec<u32> {
-        let mut rows = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while rows.len() < want {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "transport failed to deliver: got {} of {want} rows",
-                rows.len()
-            );
-            a.flush_transport().unwrap();
-            while let Some(env) = b.try_recv() {
-                for row in env.batch.rows() {
-                    rows.push(row[0]);
-                }
-            }
-        }
-        rows
-    }
-
-    #[test]
-    fn dropped_envelopes_are_retransmitted_exactly_once_each() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats.clone(),
-            vec![LinkFault {
-                machine: 0,
-                segment: 0,
-                kind: LinkFaultKind::Drop { ppm: 400_000 },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        for i in 0..200u32 {
-            a.push(1, 0, batch(&[i]));
-        }
-        let mut rows = drain_rows(&a, &b, 200);
-        rows.sort_unstable();
-        assert_eq!(rows, (0..200).collect::<Vec<_>>());
-        assert_eq!(a.transport_pending(None), 0);
-        let s = stats.machine(0).snapshot();
-        assert!(s.transport_drops > 0, "40% drop rate never fired");
-        // One successful retransmit per envelope dropped at least once; a
-        // retransmit re-dropped shows up as a further drop, never a double
-        // delivery.
-        assert!(s.retransmits > 0 && s.retransmits <= s.transport_drops);
-    }
-
-    #[test]
-    fn duplicated_envelopes_are_deduplicated_by_the_receiver() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats.clone(),
-            vec![LinkFault {
-                machine: 0,
-                segment: 0,
-                kind: LinkFaultKind::Duplicate { ppm: 500_000 },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        for i in 0..200u32 {
-            a.push(1, 0, batch(&[i]));
-        }
-        let mut rows = drain_rows(&a, &b, 200);
-        rows.sort_unstable();
-        // Every row exactly once despite the double deliveries.
-        assert_eq!(rows, (0..200).collect::<Vec<_>>());
-        let sent = stats.machine(0).snapshot();
-        let recv = stats.machine(1).snapshot();
-        assert!(sent.transport_dups > 0, "50% duplication never fired");
-        assert_eq!(recv.dedup_drops, sent.transport_dups);
-    }
-
-    #[test]
-    fn reordered_envelopes_all_arrive_despite_out_of_order_delivery() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats.clone(),
-            vec![LinkFault {
-                machine: 0,
-                segment: 0,
-                kind: LinkFaultKind::Reorder { window: 8 },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        for i in 0..64u32 {
-            a.push(1, 0, batch(&[i]));
-        }
-        // Everything below a full window waits for the flush barrier.
-        let arrival: Vec<u32> = drain_rows(&a, &b, 64);
-        let mut sorted = arrival.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-        assert_ne!(
-            arrival, sorted,
-            "a window of 8 should have shuffled something"
-        );
-    }
-
-    #[test]
-    fn slow_link_delays_but_delivers() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats,
-            vec![LinkFault {
-                machine: 0,
-                segment: 0,
-                kind: LinkFaultKind::Slow {
-                    delay: Duration::from_millis(5),
-                },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        a.push(1, 0, batch(&[1, 2, 3]));
-        // Held at the gate: pumping before the delay delivers nothing.
-        a.pump_transport().unwrap();
-        assert!(b.try_recv().is_none());
-        assert_eq!(a.transport_pending(Some(0)), 1);
-        std::thread::sleep(Duration::from_millis(6));
-        a.pump_transport().unwrap();
-        assert_eq!(b.try_recv().unwrap().batch.len(), 3);
-        assert_eq!(a.transport_pending(None), 0);
-    }
-
-    #[test]
-    fn total_loss_exhausts_attempts_with_a_typed_error() {
-        let stats = ClusterStats::new(2);
-        let mut router = Router::new(2, stats);
-        router.set_transport(TransportConfig {
-            seed: 3,
-            faults: vec![LinkFault {
-                machine: 0,
-                segment: 0,
-                kind: LinkFaultKind::Drop { ppm: 1_000_000 },
-            }],
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(10),
-        });
-        let a = router.endpoint(0);
-        a.push(1, 0, batch(&[1]));
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let err = loop {
-            assert!(std::time::Instant::now() < deadline, "never exhausted");
-            if let Err(e) = a.flush_transport() {
-                break e;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(err.contains("after 3 attempts"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn transport_faults_only_hit_their_armed_segment() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats.clone(),
-            vec![LinkFault {
-                machine: 0,
-                segment: 5,
-                kind: LinkFaultKind::Drop { ppm: 1_000_000 },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        // Segment 3 is clean: delivered first try, no pending state.
-        a.push(1, 3, batch(&[7]));
-        assert_eq!(b.try_recv_segment(3).unwrap().batch.len(), 1);
-        assert_eq!(a.transport_pending(None), 0);
-        assert_eq!(stats.machine(0).snapshot().transport_drops, 0);
-    }
-
-    #[test]
-    fn lossy_partition_ship_is_retransmitted() {
-        let stats = ClusterStats::new(2);
-        let router = lossy_router(
-            2,
-            stats.clone(),
-            vec![LinkFault {
-                machine: 0,
-                segment: 2,
-                kind: LinkFaultKind::Drop { ppm: 600_000 },
-            }],
-        );
-        let a = router.endpoint(0);
-        let b = router.endpoint(1);
-        let ship = ControlMsg::PartitionShip {
-            segment: 2,
-            partition: 1,
-            ship_id: 9,
-            bytes: 4,
-            left: vec![1, 0, 0, 0],
-            right: vec![2, 0, 0, 0],
-        };
-        a.send_control_lossy(1, ship);
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let got = loop {
-            assert!(std::time::Instant::now() < deadline, "ship never arrived");
-            a.flush_transport().unwrap();
-            if let Some(env) = b.try_recv_control() {
-                break env;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(matches!(
-            got.msg,
-            ControlMsg::PartitionShip { ship_id: 9, .. }
-        ));
-        // Non-ship control always rides the reliable path, faults or not.
-        a.send_control_lossy(1, ControlMsg::Eos { segment: 2 });
-        assert!(matches!(
-            b.try_recv_control().unwrap().msg,
-            ControlMsg::Eos { segment: 2 }
-        ));
     }
 
     #[test]

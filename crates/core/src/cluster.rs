@@ -394,11 +394,6 @@ impl HugeCluster {
             )
             .add(join.partitions_stolen);
             reg.counter(
-                "huge_join_speculative_seals_total",
-                "Join segments sealed on EOS evidence ahead of the counters",
-            )
-            .add(join.speculative_seals);
-            reg.counter(
                 "huge_join_probe_pairs_total",
                 "Candidate row pairs tested by PUSH-JOIN probes",
             )

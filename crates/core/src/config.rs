@@ -47,8 +47,9 @@ pub enum PanicPoint {
 /// `Panic`/`PanicAt`/`Delay` fire once, at (or inside) the named segment on
 /// the named machine. The transport faults (`DropBatch`, `DuplicateBatch`,
 /// `ReorderWindow`, `SlowLink`) instead *arm a lossy link* for every data
-/// envelope the machine sends while executing that segment's shuffle; a plan
-/// holding any of them runs its data envelopes over the retry/ack path
+/// envelope the machine sends while executing that segment's shuffle (drops
+/// and duplicates also hit the partitions it ships for the segment); a plan
+/// holding any of them runs on the fault-injection link of `huge_comm::link`
 /// ([`ClusterConfig::unreliable_transport`]) — without it the faults would
 /// silently corrupt results. All probabilistic decisions derive from
 /// [`ClusterConfig::fault_seed`], so a fault plan replays identically.
@@ -149,22 +150,14 @@ pub struct ClusterConfig {
     /// bitmap in the partition's hub index, switching their intersections to
     /// the block-skipping bitmap kernel. `0` disables hub bitmaps.
     pub hub_degree_threshold: usize,
-    /// Load-balancing strategy.
+    /// Load-balancing strategy. [`LoadBalance::WorkStealing`] covers every
+    /// inter-machine layer (the one Exp-8 knob): scan chunks and queued
+    /// batches on scan segments, and on join segments cross-machine Grace
+    /// *partition* stealing — a machine that has finished probing its own
+    /// sealed build requests sealed-but-unprobed partitions from busy peers
+    /// through the router's control plane, so one hot partition no longer
+    /// serialises the join phase.
     pub load_balance: LoadBalance,
-    /// Enable cross-machine Grace *partition* stealing: a machine that has
-    /// finished probing its own sealed join build requests
-    /// sealed-but-unprobed partitions from busy peers through the router's
-    /// control plane, so one hot partition no longer serialises the join
-    /// phase. Requires [`LoadBalance::WorkStealing`] (the same Exp-8 knob
-    /// covers both layers) and more than one machine to have any effect.
-    pub partition_stealing: bool,
-    /// Enable speculative sealing: producers broadcast per-source-machine
-    /// end-of-stream control envelopes when they finish feeding a join, and
-    /// a consumer seals (and starts probing) the join as soon as every
-    /// source has signalled — ahead of observing the per-segment `remaining`
-    /// counter gate. The lead is reported per run
-    /// ([`JoinReport::seal_lead`](crate::report::JoinReport)).
-    pub speculative_sealing: bool,
     /// Execute segments without barriers (default): each machine thread
     /// drives all segments by readiness, so a fast machine moves on while a
     /// straggler finishes. `false` adds a scheduling gate to the same loop —
@@ -217,8 +210,6 @@ impl ClusterConfig {
             join_buffer_bytes: 64 * 1024 * 1024,
             hub_degree_threshold: 256,
             load_balance: LoadBalance::WorkStealing,
-            partition_stealing: true,
-            speculative_sealing: true,
             pipeline_segments: true,
             memory_budget: None,
             fault_plan: Vec::new(),
@@ -276,29 +267,14 @@ impl ClusterConfig {
     /// Chooses the load-balancing strategy.
     pub fn load_balance(mut self, lb: LoadBalance) -> Self {
         self.load_balance = lb;
-        if lb != LoadBalance::WorkStealing {
-            self.partition_stealing = false;
-        }
         self
     }
 
-    /// Whether idle machines steal scan chunks and queued batches from
-    /// their peers: exactly under [`LoadBalance::WorkStealing`].
+    /// Whether idle machines steal from their peers — scan chunks, queued
+    /// batches and sealed Grace partitions: exactly under
+    /// [`LoadBalance::WorkStealing`].
     pub fn inter_machine_stealing(&self) -> bool {
         self.load_balance == LoadBalance::WorkStealing
-    }
-
-    /// Enables or disables cross-machine Grace partition stealing.
-    pub fn partition_stealing(mut self, enabled: bool) -> Self {
-        self.partition_stealing = enabled;
-        self
-    }
-
-    /// Enables or disables speculative join sealing via per-source-machine
-    /// end-of-stream control envelopes.
-    pub fn speculative_sealing(mut self, enabled: bool) -> Self {
-        self.speculative_sealing = enabled;
-        self
     }
 
     /// Enables or disables barrier-free cross-segment pipelining.
@@ -324,8 +300,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Whether data envelopes ride the lossy-transport path
-    /// (sequence-numbered, receiver-deduplicated, sender-retried with
+    /// Whether data envelopes and partition ships ride the fault-injection
+    /// link (sequence-numbered, receiver-deduplicated, sender-retried with
     /// bounded backoff): exactly when the fault plan holds a transport
     /// fault, which would corrupt results without it.
     pub fn unreliable_transport(&self) -> bool {
@@ -583,19 +559,14 @@ mod tests {
 
     #[test]
     fn skew_knobs_default_on_and_follow_load_balance() {
-        let cfg = ClusterConfig::new(4);
-        assert!(cfg.partition_stealing);
-        assert!(cfg.speculative_sealing);
-        // Static load balancing turns both stealing layers off.
-        assert!(cfg.inter_machine_stealing());
-        let cfg = ClusterConfig::new(4).load_balance(LoadBalance::None);
-        assert!(!cfg.inter_machine_stealing());
-        assert!(!cfg.partition_stealing);
-        let cfg = ClusterConfig::new(4)
-            .partition_stealing(false)
-            .speculative_sealing(false);
-        assert!(!cfg.partition_stealing);
-        assert!(!cfg.speculative_sealing);
+        // Inter-machine stealing — scan and join layers alike — is on by
+        // default and follows the load-balancing strategy.
+        assert!(ClusterConfig::new(4).inter_machine_stealing());
+        for lb in [LoadBalance::None, LoadBalance::RegionGroup] {
+            assert!(!ClusterConfig::new(4)
+                .load_balance(lb)
+                .inter_machine_stealing());
+        }
     }
 
     #[test]

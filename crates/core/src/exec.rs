@@ -416,21 +416,18 @@ impl PushJoin {
 
     /// Adopts a partition shipped from a peer into the sealed stream. The
     /// caller must have charged the rows' bytes to this machine's tracker
-    /// already (on receipt); the stream releases them after the probe.
-    /// Returns `false` (rows untouched, caller keeps the charge) when the
-    /// join is not in a phase that can adopt — exhausted streams still can.
+    /// already (on receipt); the stream releases them after the probe. An
+    /// exhausted stream still adopts; a join not sealed yet cannot.
     pub fn adopt_partition(
         &mut self,
         left_rows: Vec<huge_graph::VertexId>,
         right_rows: Vec<huge_graph::VertexId>,
-    ) -> bool {
-        match self.stream.as_mut() {
-            Some(s) => {
-                s.adopt_partition(left_rows, right_rows);
-                true
-            }
-            None => false,
-        }
+    ) -> Result<()> {
+        let stream = self.stream.as_mut().ok_or_else(|| {
+            EngineError::Config("PUSH-JOIN adopted a partition before sealing".into())
+        })?;
+        stream.adopt_partition(left_rows, right_rows);
+        Ok(())
     }
 }
 

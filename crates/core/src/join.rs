@@ -63,7 +63,7 @@ pub enum PartitionState {
 }
 
 /// A sealed Grace partition claimed for shipping: `(partition index, left
-/// rows, right rows)`, with both sides flat in the spill row encoding.
+/// rows, right rows)`, both sides flat.
 pub type TakenPartition = (usize, Vec<VertexId>, Vec<VertexId>);
 
 /// Which input of the join a batch belongs to.
@@ -75,11 +75,9 @@ pub enum JoinSide {
     Right,
 }
 
-/// Encodes rows in the spill encoding: every value as a little-endian
-/// `u32`, flat. This is byte-identical to the on-disk spill format, so a
-/// shipped partition round-trips bit-for-bit through [`decode_rows`]
-/// whether it came from memory or from a spill file.
-pub fn encode_rows(rows: &[VertexId]) -> Vec<u8> {
+/// Encodes rows in the spill-file format: every value as a little-endian
+/// `u32`, flat.
+fn encode_rows(rows: &[VertexId]) -> Vec<u8> {
     let mut out = Vec::with_capacity(std::mem::size_of_val(rows));
     for v in rows {
         out.extend_from_slice(&v.to_le_bytes());
@@ -87,8 +85,8 @@ pub fn encode_rows(rows: &[VertexId]) -> Vec<u8> {
     out
 }
 
-/// Decodes a spill-encoded byte buffer back into rows.
-pub fn decode_rows(bytes: &[u8]) -> Vec<VertexId> {
+/// Decodes a spill file's bytes back into rows.
+fn decode_rows(bytes: &[u8]) -> Vec<VertexId> {
     bytes
         .chunks_exact(std::mem::size_of::<VertexId>())
         .map(|c| VertexId::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -1110,7 +1108,7 @@ fn side_has_rows(side: &SideBuffer, p: usize) -> bool {
 
 /// Extracts one partition of one side for shipping, *keeping* its memory
 /// charge: in-memory rows stay charged to the tracker (ownership of the
-/// charge moves to the shipper's pending-ship ledger) and spilled rows are
+/// charge moves to the shipper's `pending_ship_bytes`) and spilled rows are
 /// newly charged as they come back from disk. Combined with the thief
 /// charging on receipt before the shipper releases on ack, the cluster-wide
 /// tracked sum can transiently over-count but never under-count during a
@@ -1374,8 +1372,8 @@ mod tests {
     #[test]
     fn spill_ship_reload_round_trip_is_bit_for_bit() {
         // The same partition taken from a fully-spilled joiner and from an
-        // all-in-memory joiner must encode to identical bytes: the ship
-        // encoding *is* the spill encoding.
+        // all-in-memory joiner must hold identical rows: a ship carries the
+        // same partition whether or not it went through a spill file.
         let n = 600u32;
         let left: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 10_000]).collect();
         let right: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 20_000]).collect();
@@ -1455,9 +1453,7 @@ mod tests {
         let mut shipped = 0;
         while let Some((p, l, r)) = shipper.take_unprobed_partition().unwrap() {
             assert_eq!(shipper.partition_states()[p], PartitionState::Shipped);
-            // Ship through the wire encoding, as the router does.
-            let (wire_l, wire_r) = (encode_rows(&l), encode_rows(&r));
-            adopter.adopt_partition(decode_rows(&wire_l), decode_rows(&wire_r));
+            adopter.adopt_partition(l, r);
             shipped += 1;
             if shipped == 2 {
                 break;

@@ -18,14 +18,12 @@
 //! nothing to compute it *parks* on the router's notify handle instead of
 //! spinning.
 //!
-//! Join skew is handled by two mechanisms layered on the router's control
-//! plane: **cross-machine Grace partition stealing** (a machine that drained
-//! its own build requests sealed-but-unprobed partitions from busy peers;
-//! see [`MachineState::steal_join_once`]) and **speculative sealing**
-//! (per-source-machine EOS envelopes let a consumer seal and probe before
-//! the release counters drain; see [`ControlMsg::Eos`]).
+//! Join skew is handled by **cross-machine Grace partition stealing** over
+//! the router's control plane: a machine that drained its own build requests
+//! sealed-but-unprobed partitions from busy peers (see
+//! [`MachineState::steal_join_once`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -44,11 +42,11 @@ use crate::exec::{
     partition_cols_by_key, BatchOperator, OpContext, OpPoll, PullExtend, PushJoin, ScanSource,
 };
 use crate::governor::{MemoryGovernor, PressureLevel};
-use crate::join::{decode_rows, encode_rows, JoinSide, MemoryTrackerHandle};
+use crate::join::{JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
-use crate::scheduler::{RunShared, SegmentShared, SegmentState};
+use crate::scheduler::{RunShared, SegmentShared};
 use crate::{EngineError, Result};
 
 /// How long a machine parks on the router before re-checking conditions that
@@ -156,6 +154,17 @@ struct SegmentChain {
     extends: Vec<PullExtend>,
 }
 
+/// Where this machine stands with one segment under the dataflow scheduler.
+enum SegmentState {
+    /// Not yet started (may be waiting on producer segments).
+    NotStarted,
+    /// Own work done; the machine revisits the segment's chain to steal from
+    /// peers until every machine is idle on it.
+    Draining(SegmentChain),
+    /// Finished on this machine (its `remaining` slot has been released).
+    Done,
+}
+
 /// The thief-side state of cross-machine Grace partition stealing for one
 /// join segment. The invariants the all-idle termination gate relies on:
 /// a machine never advertises idleness on a join segment while it has a
@@ -167,11 +176,12 @@ struct JoinSteal {
     /// A `StealRequest` is in flight and neither a ship nor a nack has
     /// arrived yet.
     outstanding: bool,
-    /// Bitmask of peers already asked (or observed idle) since the last
-    /// successful adoption. A nacking victim can never become shippable
-    /// again (join input is globally complete before any request is sent),
-    /// so the mask only resets when an adoption proves work still exists.
-    tried: u64,
+    /// Peers already asked (or observed idle) since the last successful
+    /// adoption, indexed by machine. A nacking victim can never become
+    /// shippable again (join input is globally complete before any request
+    /// is sent), so the marks only reset when an adoption proves work still
+    /// exists.
+    tried: Vec<bool>,
     /// Shipped partitions accepted but not yet attached to the local
     /// `JoinStream`: `(left rows, right rows, charged bytes)`.
     adopted: VecDeque<(Vec<VertexId>, Vec<VertexId>, u64)>,
@@ -239,10 +249,6 @@ pub struct MachineState {
     /// Routing table for inbound envelopes: producing segment id → (join
     /// segment id, side of the join it feeds).
     join_feeds: HashMap<usize, (usize, JoinSide)>,
-    /// Per-source end-of-stream evidence: producing segment id → bitmask of
-    /// machines that broadcast [`ControlMsg::Eos`] for it (the speculative
-    /// sealing gate).
-    eos_seen: HashMap<usize, u64>,
     /// Steal requests received but not yet answered, per join segment.
     steal_requests: HashMap<usize, VecDeque<MachineId>>,
     /// Thief-side partition-stealing state, per join segment.
@@ -250,24 +256,14 @@ pub struct MachineState {
     /// Bytes of shipped partitions this machine still holds charged while
     /// the thieves' acks are in flight (allocate-before-release: shipping
     /// may transiently double-count rows cluster-wide, never undercount).
+    /// Every ship is adopted and acked exactly once — the thief's inbox
+    /// deduplicates whatever a lossy link re-delivers.
     pending_ship_bytes: u64,
-    /// Victim-side ledger of unacked partition ships: `ship_id` → charged
-    /// bytes. An ack for an id not in the ledger is a re-delivery over the
-    /// lossy transport and is ignored, keeping the release idempotent.
-    pending_ships: HashMap<u64, u64>,
-    /// Monotonic id source for [`ControlMsg::PartitionShip`] envelopes.
-    next_ship_id: u64,
-    /// Thief-side dedup of adopted ships, keyed by `(victim, ship_id)`: a
-    /// duplicated ship envelope is re-acked but never re-adopted.
-    ship_seen: HashSet<(MachineId, u64)>,
     /// The run's cancellation token (deadline-armed by the cluster); every
     /// cooperative loop polls it at batch granularity.
     cancel: CancelToken,
     /// Skew-handling counters surfaced in the run report.
     join_stats: JoinReport,
-    /// Join segments started on EOS evidence, awaiting the moment the
-    /// dependency counters also report ready (measures the seal lead).
-    spec_pending: HashMap<usize, Instant>,
 }
 
 impl MachineState {
@@ -307,16 +303,11 @@ impl MachineState {
             last_level: PressureLevel::Green,
             pending_joins: HashMap::new(),
             join_feeds: HashMap::new(),
-            eos_seen: HashMap::new(),
             steal_requests: HashMap::new(),
             join_ctl: HashMap::new(),
             pending_ship_bytes: 0,
-            pending_ships: HashMap::new(),
-            next_ship_id: 0,
-            ship_seen: HashSet::new(),
             cancel: CancelToken::new(),
             join_stats: JoinReport::default(),
-            spec_pending: HashMap::new(),
         }
     }
 
@@ -329,19 +320,7 @@ impl MachineState {
     /// shared instant all spans measure against.
     pub fn prepare_run(&mut self, plans: &[SegmentPlan], trace: TraceBuf, cancel: CancelToken) {
         self.trace = trace;
-        self.last_level = PressureLevel::Green;
-        self.pending_joins.clear();
-        self.join_feeds.clear();
-        self.eos_seen.clear();
-        self.steal_requests.clear();
-        self.join_ctl.clear();
-        self.pending_ship_bytes = 0;
-        self.pending_ships.clear();
-        self.next_ship_id = 0;
-        self.ship_seen.clear();
         self.cancel = cancel;
-        self.join_stats = JoinReport::default();
-        self.spec_pending.clear();
         for plan in plans {
             if let SegmentSource::Join(op) = &plan.segment.source {
                 let (left_arity, right_arity) = plan
@@ -371,7 +350,7 @@ impl MachineState {
     /// Tears down this machine's per-run state after its thread has joined,
     /// whatever the run's outcome: drains the router inbox (releasing the
     /// byte charges queued envelopes hold), balances the skew-protocol
-    /// ledgers, and drops any unfinished `PUSH-JOIN` builds — their `Drop`
+    /// charges, and drops any unfinished `PUSH-JOIN` builds — their `Drop`
     /// impls release buffered bytes and delete spill files. After this sweep
     /// a non-leaky run leaves the memory trackers at zero.
     pub fn finish_run(&mut self) {
@@ -379,11 +358,6 @@ impl MachineState {
         while self.router.try_recv_control().is_some() {}
         self.reclaim_skew_state();
         self.pending_joins.clear();
-        self.join_feeds.clear();
-        self.eos_seen.clear();
-        self.join_ctl.clear();
-        self.ship_seen.clear();
-        self.pending_ships.clear();
     }
 
     /// Produces the per-machine report after a run.
@@ -464,12 +438,11 @@ impl MachineState {
     /// complete, so servicing it after the data drain guarantees every row
     /// of the requested partitions is already in the local build.
     fn absorb_inbox(&mut self) -> Result<()> {
-        // Service the lossy transport first: retransmit due drops and open
-        // any due slow-link gates, so inbound data below includes recovered
-        // envelopes. Exhausted retries surface as a typed transport failure.
-        self.router
-            .pump_transport()
-            .map_err(EngineError::Transport)?;
+        // Service the fault-injection link first (a no-op unless a test
+        // armed one): retransmit due drops and open due gates, so inbound
+        // data below includes recovered envelopes. Exhausted retries surface
+        // as a typed transport failure.
+        self.router.pump_link().map_err(EngineError::Transport)?;
         while let Some(env) = self.router.try_recv() {
             let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
                 EngineError::Config(format!(
@@ -494,9 +467,6 @@ impl MachineState {
     /// Routes one control envelope of the skew-handling protocol.
     fn handle_control(&mut self, from: MachineId, msg: ControlMsg) {
         match msg {
-            ControlMsg::Eos { segment } => {
-                *self.eos_seen.entry(segment).or_default() |= 1u64 << from;
-            }
             ControlMsg::StealRequest { segment } => {
                 // Stash it; requests are answered from the points that own
                 // the join (pending build, active chain, or draining chain).
@@ -508,57 +478,24 @@ impl MachineState {
             ControlMsg::PartitionShip {
                 segment,
                 partition: _,
-                ship_id,
                 bytes,
                 left,
                 right,
             } => {
-                if !self.ship_seen.insert((from, ship_id)) {
-                    // Re-delivery over the lossy control plane: the rows were
-                    // adopted from the first copy, but the ack may have raced
-                    // the retransmit — re-ack so the victim settles (it drops
-                    // duplicate acks through its `pending_ships` ledger).
-                    self.rpc.stats().machine(self.machine).record_dedup_drop();
-                    self.router.send_control(
-                        from,
-                        ControlMsg::ShipAck {
-                            segment,
-                            ship_id,
-                            bytes,
-                        },
-                    );
-                    return;
-                }
                 // Allocate on the thief *before* acking (the victim releases
                 // only on the ack), preserving the steal-accounting parity.
                 self.memory.allocate(bytes);
                 let ctl = self.join_ctl.entry(segment).or_default();
                 ctl.outstanding = false;
-                ctl.adopted
-                    .push_back((decode_rows(&left), decode_rows(&right), bytes));
-                self.router.send_control(
-                    from,
-                    ControlMsg::ShipAck {
-                        segment,
-                        ship_id,
-                        bytes,
-                    },
-                );
+                ctl.adopted.push_back((left, right, bytes));
+                self.router
+                    .send_control(from, ControlMsg::ShipAck { segment, bytes });
             }
             ControlMsg::ShipNack { segment } => {
                 self.join_ctl.entry(segment).or_default().outstanding = false;
             }
-            ControlMsg::ShipAck {
-                segment: _,
-                ship_id,
-                bytes: _,
-            } => {
-                // The thief owns the rows now; drop the charge we held — but
-                // only once per ship: a duplicated ship envelope provokes a
-                // second ack, which the ledger ignores.
-                let Some(bytes) = self.pending_ships.remove(&ship_id) else {
-                    return;
-                };
+            ControlMsg::ShipAck { segment: _, bytes } => {
+                // The thief owns the rows now; drop the charge we held.
                 self.memory.release(bytes);
                 self.pending_ship_bytes = self.pending_ship_bytes.saturating_sub(bytes);
                 self.join_stats.partitions_shipped += 1;
@@ -668,7 +605,7 @@ impl MachineState {
                     self.machine
                 ),
                 // Point panics fire from `maybe_panic_at` at their named
-                // sites; transport faults live in the router's lossy path.
+                // sites; transport faults live in the router's link.
                 Fault::PanicAt(_)
                 | Fault::DropBatch { .. }
                 | Fault::DuplicateBatch { .. }
@@ -775,21 +712,15 @@ impl MachineState {
         self.trace.seg_mark_end(idx);
     }
 
-    /// The lossy-transport delivery barrier a shuffle producer runs before
-    /// announcing end-of-stream: every envelope this machine still owes the
-    /// segment's consumers (stashed behind a reorder/slow gate or awaiting
-    /// retransmit) must actually land first, or a consumer with full EOS
-    /// evidence would seal its build with rows still in flight.
-    fn flush_segment_transport(&mut self, plan: &SegmentPlan, run: &RunShared) -> Result<()> {
-        if !self.router.transport_enabled() || !matches!(plan.terminal, Terminal::FeedJoin { .. }) {
-            return Ok(());
-        }
-        let segment = plan.segment.id;
+    /// The delivery barrier a segment runs before it releases its counter:
+    /// every frame this machine still owes for the segment over the
+    /// fault-injection link (parked behind a reorder/slow gate or awaiting
+    /// retransmit) must actually land first, or a consumer would seal its
+    /// build with rows still in flight. Returns at once on a reliable router.
+    fn flush_segment_link(&mut self, segment: usize, run: &RunShared) -> Result<()> {
         loop {
-            self.router
-                .flush_transport()
-                .map_err(EngineError::Transport)?;
-            if self.router.transport_pending(Some(segment)) == 0 {
+            self.router.flush_link().map_err(EngineError::Transport)?;
+            if self.router.link_pending(Some(segment)) == 0 {
                 return Ok(());
             }
             run.check_cancel()?;
@@ -806,60 +737,24 @@ impl MachineState {
         }
     }
 
-    /// Broadcasts this machine's `ControlMsg::Eos` for a shuffle-producing
-    /// segment once every push of the segment has completed (own chain and
-    /// stolen work alike). Returns whether envelopes went out — the
-    /// scheduler then defers the counter settle one visit
-    /// ([`SegmentState::Releasing`]) so the EOS evidence genuinely races
-    /// ahead of the coarse counter gate.
-    fn broadcast_eos(&mut self, plan: &SegmentPlan) -> bool {
-        let k = self.router.num_machines();
-        if !(self.config.speculative_sealing
-            && k <= 64
-            && matches!(plan.terminal, Terminal::FeedJoin { .. }))
-        {
-            return false;
-        }
-        for m in 0..k {
-            self.router.send_control(
-                m,
-                ControlMsg::Eos {
-                    segment: plan.segment.id,
-                },
-            );
-        }
-        true
-    }
-
-    /// Settles this machine's slot on the segment's release counter and
-    /// nudges every parked peer to re-check readiness.
-    fn release_counter(&mut self, idx: usize, run: &RunShared) {
+    /// A segment's epilogue on this machine, once its own and any stolen work
+    /// is done: deliver what the link still owes, harvest the chain, then
+    /// settle this machine's slot on the segment's release counter — the one
+    /// end-of-stream signal — and nudge every parked peer to re-check
+    /// readiness.
+    fn complete_segment(
+        &mut self,
+        idx: usize,
+        chain: &mut SegmentChain,
+        run: &RunShared,
+    ) -> Result<()> {
+        self.flush_segment_link(idx, run)?;
+        self.finish_chain(idx, chain);
         run.segments[idx].remaining.fetch_sub(1, Ordering::SeqCst);
         for m in 0..self.router.num_machines() {
             self.router.wake(m);
         }
-    }
-
-    /// A segment's epilogue on this machine, once its own and any stolen work
-    /// is done: deliver what the lossy transport still owes, harvest the
-    /// chain, announce end-of-stream. Returns the state the segment moves to
-    /// — [`SegmentState::Releasing`] when EOS envelopes went out (the counter
-    /// settles one visit later, see [`MachineState::broadcast_eos`]), else
-    /// [`SegmentState::Done`] with the counter already settled.
-    fn complete_segment(
-        &mut self,
-        idx: usize,
-        plan: &SegmentPlan,
-        chain: &mut SegmentChain,
-        run: &RunShared,
-    ) -> Result<SegmentState> {
-        self.flush_segment_transport(plan, run)?;
-        self.finish_chain(idx, chain);
-        if self.broadcast_eos(plan) {
-            return Ok(SegmentState::Releasing);
-        }
-        self.release_counter(idx, run);
-        Ok(SegmentState::Done)
+        Ok(())
     }
 
     // -----------------------------------------------------------------------
@@ -868,12 +763,11 @@ impl MachineState {
 
     /// Drives *all* segments of the run to completion from this machine's
     /// single thread — the one run driver, pipelined or barriered. Segments
-    /// advance through [`SegmentState`](crate::scheduler::SegmentState); the
-    /// next segment is picked deepest-first among the runnable ones (DFS
-    /// bias — drain consumers before growing producers), and
-    /// `pipeline_segments(false)` only narrows "runnable" to
-    /// [`RunShared::barrier_open`]. Any failure (or panic) aborts the whole
-    /// run and unparks every peer.
+    /// advance through `SegmentState`; the next segment is picked
+    /// deepest-first among the runnable ones (DFS bias — drain consumers
+    /// before growing producers), and `pipeline_segments(false)` only narrows
+    /// "runnable" to [`RunShared::barrier_open`]. Any failure (or panic)
+    /// aborts the whole run and unparks every peer.
     pub fn run_all(
         &mut self,
         plans: &[SegmentPlan],
@@ -904,21 +798,20 @@ impl MachineState {
         sink: SinkMode,
     ) -> Result<()> {
         let n = plans.len();
-        let k = self.router.num_machines();
-        let mut states = vec![SegmentState::NotStarted; n];
-        let mut chains: Vec<Option<SegmentChain>> = (0..n).map(|_| None).collect();
+        // Idle machines steal from peers: scan chunks and queued batches on
+        // scan segments, sealed Grace partitions on join segments.
+        let drains = self.router.num_machines() > 1 && self.config.inter_machine_stealing();
+        let mut states: Vec<SegmentState> = (0..n).map(|_| SegmentState::NotStarted).collect();
         let mut done = 0usize;
         while done < n {
             run.check_cancel()?;
             if run.is_aborted() {
                 return Err(EngineError::Aborted("a peer machine failed".into()));
             }
-            // Keep the streaming shuffle flowing whatever segment runs next.
+            // Keep the streaming shuffle flowing whatever segment runs next,
+            // and answer thieves queued on joins this machine has not started.
             self.absorb_inbox()?;
-            // Answer thieves queued on joins this machine has not started,
-            // and settle the lead of any speculatively-started segment.
             self.service_pending_join_steals()?;
-            self.settle_speculative_leads(plans, run);
             // Under Red pressure the DFS bias tightens into strict DFS:
             // *only* the deepest non-done segment may run, so the machine
             // drains partials towards the sink instead of starting shallower
@@ -928,92 +821,44 @@ impl MachineState {
             for idx in (0..n).rev() {
                 let plan = &plans[idx];
                 let seg = &run.segments[idx];
-                match states[idx] {
+                let start = Instant::now();
+                match &mut states[idx] {
                     SegmentState::Done => continue,
-                    SegmentState::Running => {
-                        unreachable!("Running is transient within one scheduler visit")
-                    }
-                    SegmentState::Releasing => {
-                        // The EOS envelopes went out at the end of the
-                        // previous visit; settle the coarse counter now.
-                        // Deeper consumers were visited first in this pass,
-                        // so one holding full EOS evidence has already
-                        // sealed and probed ahead of this settle — the
-                        // speculative lead the join report measures.
-                        self.release_counter(idx, run);
-                        states[idx] = SegmentState::Done;
-                        done += 1;
-                        progressed = true;
-                    }
                     SegmentState::NotStarted => {
-                        if !self.config.pipeline_segments {
-                            // Barriered mode is this gate and nothing else.
-                            // An open barrier implies ready counters, so the
-                            // speculative bypass below never applies.
-                            if !run.barrier_open(idx) {
-                                continue;
-                            }
-                        } else if !run.ready(&plan.segment.dependencies()) {
-                            if !self.speculatively_ready(plan) {
-                                continue;
-                            }
-                            // Speculative seal: EOS evidence from every
-                            // machine proves the join's input is complete
-                            // even though the release counters still lag.
-                            self.spec_pending.insert(idx, Instant::now());
-                            self.join_stats.speculative_seals += 1;
-                            self.trace
-                                .instant_kv("speculative_seal", kv("segment", idx as u64));
+                        // Barriered mode is this gate and nothing else.
+                        let open = if self.config.pipeline_segments {
+                            run.ready(&plan.segment.dependencies())
+                        } else {
+                            run.barrier_open(idx)
+                        };
+                        if !open {
+                            continue;
                         }
-                        states[idx] = SegmentState::Running;
-                        let start = Instant::now();
                         self.note_segment_start(idx);
                         self.maybe_inject_fault(idx)?;
                         let mut chain = self.build_chain(plan, seg, sink)?;
                         self.run_chain(&mut chain, plan, seg, run, sink)?;
-                        let drains = k > 1
-                            && self.config.inter_machine_stealing()
-                            && match chain.source {
-                                ChainSource::Scan(_) => true,
-                                ChainSource::Join(_) => self.config.partition_stealing && k <= 64,
-                            };
-                        if drains {
-                            states[idx] = SegmentState::Draining;
-                            chains[idx] = Some(chain);
+                        states[idx] = if drains {
+                            SegmentState::Draining(chain)
                         } else {
-                            states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
-                            done += usize::from(states[idx] == SegmentState::Done);
-                        }
-                        self.record_segment_busy(idx, start.elapsed());
-                        progressed = true;
-                        break;
+                            self.complete_segment(idx, &mut chain, run)?;
+                            done += 1;
+                            SegmentState::Done
+                        };
                     }
-                    SegmentState::Draining => {
-                        let mut chain = chains[idx]
-                            .take()
-                            .expect("draining segments keep their chain");
-                        let start = Instant::now();
+                    SegmentState::Draining(chain) => {
                         let outcome = match chain.source {
-                            ChainSource::Scan(_) => {
-                                self.steal_once(&mut chain, plan, seg, run, sink)?
-                            }
+                            ChainSource::Scan(_) => self.steal_once(chain, plan, seg, run, sink)?,
                             ChainSource::Join(_) => {
-                                self.steal_join_once(&mut chain, plan, seg, run, sink)?
+                                self.steal_join_once(chain, plan, seg, run, sink)?
                             }
                         };
                         match outcome {
-                            StealOutcome::Stole => {
-                                chains[idx] = Some(chain);
-                                self.record_segment_busy(idx, start.elapsed());
-                                progressed = true;
-                                break;
-                            }
+                            StealOutcome::Stole => {}
                             StealOutcome::AllIdle => {
-                                states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
-                                done += usize::from(states[idx] == SegmentState::Done);
-                                self.record_segment_busy(idx, start.elapsed());
-                                progressed = true;
-                                break;
+                                self.complete_segment(idx, chain, run)?;
+                                states[idx] = SegmentState::Done;
+                                done += 1;
                             }
                             StealOutcome::Pending => {
                                 // Peers still own the segment's remaining
@@ -1023,14 +868,17 @@ impl MachineState {
                                 // (the segment resolves without us: peers
                                 // drain it or go idle, and we keep absorbing
                                 // the inbox from the park below).
-                                chains[idx] = Some(chain);
                                 if strict {
                                     break;
                                 }
+                                continue;
                             }
                         }
                     }
                 }
+                self.record_segment_busy(idx, start.elapsed());
+                progressed = true;
+                break;
             }
             if !progressed && done < n {
                 // Nothing runnable: park on the inbox (absorbing whatever
@@ -1052,7 +900,6 @@ impl MachineState {
             }
             self.router.wait_data(PARK_TIMEOUT);
         }
-        self.finalize_speculative_leads();
         Ok(())
     }
 
@@ -1335,7 +1182,7 @@ impl MachineState {
     }
 
     // -----------------------------------------------------------------------
-    // Cross-machine Grace partition stealing and speculative sealing
+    // Cross-machine Grace partition stealing
     // -----------------------------------------------------------------------
 
     /// Pops the next unanswered steal request for `segment`, dropping the
@@ -1352,11 +1199,11 @@ impl MachineState {
 
     /// Pops the next adopted-but-unattached partition for `segment`. A
     /// successful adoption proves peers still had shippable work, so the
-    /// tried-peers mask resets.
+    /// tried-peers marks reset.
     fn pop_adopted(&mut self, segment: usize) -> Option<(Vec<VertexId>, Vec<VertexId>, u64)> {
         let ctl = self.join_ctl.get_mut(&segment)?;
         let part = ctl.adopted.pop_front()?;
-        ctl.tried = 0;
+        ctl.tried.clear();
         Some(part)
     }
 
@@ -1375,26 +1222,19 @@ impl MachineState {
     ) {
         self.maybe_panic_at(segment, PanicPoint::Ship);
         let bytes = ((left.len() + right.len()) * std::mem::size_of::<VertexId>()) as u64;
-        let ship_id = self.next_ship_id;
-        self.next_ship_id += 1;
         self.pending_ship_bytes += bytes;
-        self.pending_ships.insert(ship_id, bytes);
         self.trace.instant_kv(
             "ship_partition",
             kv2("segment", segment as u64, "bytes", bytes),
         );
-        // Ships ride the lossy path when the transport is armed: a dropped
-        // envelope is retransmitted from the control-retry ledger and a
-        // duplicated one is deduplicated by the thief on `(victim, ship_id)`.
-        self.router.send_control_lossy(
+        self.router.send_control(
             thief,
             ControlMsg::PartitionShip {
                 segment,
                 partition,
-                ship_id,
                 bytes,
-                left: encode_rows(&left),
-                right: encode_rows(&right),
+                left,
+                right,
             },
         );
     }
@@ -1478,14 +1318,9 @@ impl MachineState {
             // Adopted work in hand: stay visibly non-idle and probe the
             // partition through the chain like a locally-built one.
             seg.idle[self.machine].store(false, Ordering::SeqCst);
-            let attached = match &mut chain.source {
-                ChainSource::Join(join) => join.adopt_partition(left, right),
-                ChainSource::Scan(_) => false,
-            };
-            if !attached {
-                // No live stream to attach to; hand the charge back.
-                self.memory.release(bytes);
-                return Ok(StealOutcome::Pending);
+            match &mut chain.source {
+                ChainSource::Join(join) => join.adopt_partition(left, right)?,
+                ChainSource::Scan(_) => unreachable!("only join chains drain through here"),
             }
             self.join_stats.partitions_stolen += 1;
             self.trace.instant_kv(
@@ -1505,36 +1340,23 @@ impl MachineState {
             // fire under a ship.
             return Ok(StealOutcome::Pending);
         }
-        let target = {
-            let ctl = self.join_ctl.entry(segment).or_default();
-            let mut target = None;
-            for offset in 1..k {
-                let victim = (self.machine + offset) % k;
-                if ctl.tried & (1u64 << victim) != 0 {
-                    continue;
-                }
-                if seg.idle[victim].load(Ordering::SeqCst) {
-                    // A drained peer has nothing left to ship; skip the
-                    // round-trip. (Nacks are permanent for the same reason:
-                    // sealed partitions only ever get probed or shipped.)
-                    ctl.tried |= 1u64 << victim;
-                    continue;
-                }
-                ctl.tried |= 1u64 << victim;
-                target = Some(victim);
-                break;
-            }
-            target
-        };
+        // Ask the next peer not tried yet. A drained peer has nothing left to
+        // ship, so it is marked without the round-trip. (Nacks are permanent
+        // for the same reason: sealed partitions only ever get probed or
+        // shipped.)
+        let me = self.machine;
+        let ctl = self.join_ctl.entry(segment).or_default();
+        ctl.tried.resize(k, false);
+        let target = (1..k).map(|offset| (me + offset) % k).find(|&victim| {
+            !std::mem::replace(&mut ctl.tried[victim], true)
+                && !seg.idle[victim].load(Ordering::SeqCst)
+        });
         if let Some(victim) = target {
             // Drop the idle flag *before* the request leaves: a thief with
             // an outstanding request must never look idle, or the segment
             // could complete with a partition ship in flight.
-            seg.idle[self.machine].store(false, Ordering::SeqCst);
-            self.join_ctl
-                .get_mut(&segment)
-                .expect("entry created above")
-                .outstanding = true;
+            seg.idle[me].store(false, Ordering::SeqCst);
+            ctl.outstanding = true;
             self.router
                 .send_control(victim, ControlMsg::StealRequest { segment });
             return Ok(StealOutcome::Pending);
@@ -1544,52 +1366,6 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         Ok(StealOutcome::Pending)
-    }
-
-    /// Speculative sealing gate: a join segment whose every dependency has
-    /// broadcast [`ControlMsg::Eos`] from all `k` machines can no longer
-    /// receive input, even while the release counters lag behind.
-    fn speculatively_ready(&self, plan: &SegmentPlan) -> bool {
-        let k = self.router.num_machines();
-        if !self.config.speculative_sealing
-            || k > 64
-            || !matches!(plan.segment.source, SegmentSource::Join(_))
-        {
-            return false;
-        }
-        plan.segment.dependencies().iter().all(|dep| {
-            self.eos_seen
-                .get(dep)
-                .is_some_and(|mask| mask.count_ones() as usize >= k)
-        })
-    }
-
-    /// Records the seal lead of speculatively-started segments the moment
-    /// the counter path catches up (how much earlier the EOS gate opened
-    /// than the readiness the counter-gated scheduler would have observed).
-    fn settle_speculative_leads(&mut self, plans: &[SegmentPlan], run: &RunShared) {
-        if self.spec_pending.is_empty() {
-            return;
-        }
-        let settled: Vec<usize> = self
-            .spec_pending
-            .keys()
-            .copied()
-            .filter(|&idx| run.ready(&plans[idx].segment.dependencies()))
-            .collect();
-        for idx in settled {
-            if let Some(started) = self.spec_pending.remove(&idx) {
-                self.join_stats.seal_lead = self.join_stats.seal_lead.max(started.elapsed());
-            }
-        }
-    }
-
-    /// Settles any speculative leads still open when the run ends (the
-    /// counters were never observed ready from this machine's loop).
-    fn finalize_speculative_leads(&mut self) {
-        for (_, started) in self.spec_pending.drain() {
-            self.join_stats.seal_lead = self.join_stats.seal_lead.max(started.elapsed());
-        }
     }
 
     /// Releases any skew-protocol bytes still charged when a run tears down
@@ -1604,7 +1380,6 @@ impl MachineState {
             self.memory.release(self.pending_ship_bytes);
             self.pending_ship_bytes = 0;
         }
-        self.pending_ships.clear();
         self.steal_requests.clear();
     }
 }

@@ -41,15 +41,13 @@ pub struct MachineReport {
     /// precede another segment's end on any machine; under the pipelined
     /// scheduler the spans of different segments overlap.
     pub segment_spans: Vec<Option<(Duration, Duration)>>,
-    /// What this machine's joins did under skew (partition stealing and
-    /// speculative sealing).
+    /// What this machine's joins did: partition stealing and the probes.
     pub join: JoinReport,
 }
 
-/// What the skew-handling join machinery did during a run: cross-machine
-/// Grace partition stealing (ship/ack protocol over the router's control
-/// plane) and speculative sealing (per-source EOS envelopes letting a
-/// consumer start probing before the segment counters report readiness).
+/// What the join machinery did during a run: cross-machine Grace partition
+/// stealing (ship/ack protocol over the router's control plane) and the
+/// probes' pair counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JoinReport {
     /// Sealed partitions this machine shipped to thieves.
@@ -58,11 +56,6 @@ pub struct JoinReport {
     pub partitions_stolen: u64,
     /// Row payload bytes that crossed the wire in `PartitionShip` envelopes.
     pub shipped_bytes: u64,
-    /// Join segments this machine started on EOS evidence before the
-    /// dependency counters reported ready.
-    pub speculative_seals: u64,
-    /// Largest lead a speculative seal gained over counter readiness.
-    pub seal_lead: Duration,
     /// Candidate `(left row, right row)` pairs the probes tested (same join
     /// key within a partition).
     pub probe_pairs: u64,
@@ -72,14 +65,11 @@ pub struct JoinReport {
 }
 
 impl JoinReport {
-    /// Folds another machine's join counters into this one (sums the
-    /// counters, keeps the largest seal lead).
+    /// Folds another machine's join counters into this one.
     pub fn merge(&mut self, other: &JoinReport) {
         self.partitions_shipped += other.partitions_shipped;
         self.partitions_stolen += other.partitions_stolen;
         self.shipped_bytes += other.shipped_bytes;
-        self.speculative_seals += other.speculative_seals;
-        self.seal_lead = self.seal_lead.max(other.seal_lead);
         self.probe_pairs += other.probe_pairs;
         self.probe_matches += other.probe_matches;
     }
@@ -180,8 +170,7 @@ pub struct RunReport {
     pub pipelined: bool,
     /// What the memory governor did (`None` for ungoverned runs).
     pub governor: Option<GovernorReport>,
-    /// Aggregated skew-handling join counters (sums over machines; the seal
-    /// lead is the max).
+    /// Aggregated join counters (sums over machines).
     pub join: JoinReport,
     /// Per-machine breakdowns.
     pub machines: Vec<MachineReport>,
@@ -395,13 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn join_report_merge_sums_counters_and_keeps_max_lead() {
+    fn join_report_merge_sums_counters() {
         let mut total = JoinReport {
             partitions_shipped: 1,
             partitions_stolen: 0,
             shipped_bytes: 100,
-            speculative_seals: 1,
-            seal_lead: Duration::from_millis(3),
             probe_pairs: 10,
             probe_matches: 4,
         };
@@ -409,16 +396,12 @@ mod tests {
             partitions_shipped: 0,
             partitions_stolen: 2,
             shipped_bytes: 50,
-            speculative_seals: 1,
-            seal_lead: Duration::from_millis(8),
             probe_pairs: 5,
             probe_matches: 5,
         });
         assert_eq!(total.partitions_shipped, 1);
         assert_eq!(total.partitions_stolen, 2);
         assert_eq!(total.shipped_bytes, 150);
-        assert_eq!(total.speculative_seals, 2);
-        assert_eq!(total.seal_lead, Duration::from_millis(8));
         assert_eq!((total.probe_pairs, total.probe_matches), (15, 9));
     }
 

@@ -13,7 +13,8 @@
 //! # Cross-segment readiness
 //!
 //! Each machine thread drives *all* segments of the dataflow through a small
-//! state machine ([`SegmentState`]) and picks what to run next by readiness:
+//! state machine (not started → draining → done, in [`crate::machine`]) and
+//! picks what to run next by readiness:
 //!
 //! * a **scan** segment is always runnable;
 //! * a **join** segment becomes runnable (its `PUSH-JOIN` may be sealed and
@@ -251,11 +252,8 @@ pub struct SegmentShared {
 
 impl SegmentShared {
     /// `true` once every machine has settled its `remaining` slot — the
-    /// *coarse* end-of-stream gate. It never consults the idle flags: a
-    /// machine's slot settles one scheduler visit *after* it broadcast its
-    /// `ControlMsg::Eos` envelopes, which is exactly the gap speculative
-    /// sealing exploits (a consumer holding EOS evidence from all `k`
-    /// machines seals and probes before the counters drain).
+    /// segment's end-of-stream. It never consults the idle flags, which only
+    /// end the stealing among machines that are still inside the segment.
     pub fn released(&self) -> bool {
         self.remaining.load(Ordering::SeqCst) == 0
     }
@@ -305,14 +303,10 @@ impl RunShared {
         self.aborted.load(Ordering::SeqCst)
     }
 
-    /// The counter readiness policy: a segment may start once every
-    /// dependency's release counter has drained — every machine settled its
-    /// slot (scan segments have no dependencies and are always ready). This
-    /// is deliberately the *slow*, coarse gate: machines announce push
-    /// completeness earlier through per-source `ControlMsg::Eos` envelopes
-    /// on the router's control plane, and consumers with speculative
-    /// sealing enabled act on that evidence without waiting for the
-    /// counters (`MachineState::speculatively_ready`).
+    /// The readiness policy: a segment may start once every dependency's
+    /// release counter has drained — every machine settled its slot, which
+    /// it does the moment it finishes the segment (scan segments have no
+    /// dependencies and are always ready).
     pub fn ready(&self, dependencies: &[usize]) -> bool {
         dependencies.iter().all(|&d| self.segments[d].released())
     }
@@ -324,25 +318,6 @@ impl RunShared {
     pub fn barrier_open(&self, idx: usize) -> bool {
         self.segments[..idx].iter().all(SegmentShared::released)
     }
-}
-
-/// Where one machine stands with one segment under the dataflow scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SegmentState {
-    /// Not yet started (may be waiting on producer segments).
-    NotStarted,
-    /// The machine is actively executing the segment's operator chain.
-    Running,
-    /// Own work done; the machine revisits the segment to steal from peers
-    /// until every machine is idle on it.
-    Draining,
-    /// All work done and the EOS envelopes broadcast; the `remaining` slot
-    /// settles on the next scheduler visit. Consumers holding EOS evidence
-    /// from every machine seal and probe inside this gap (speculative
-    /// sealing) — counter-gated consumers wait it out.
-    Releasing,
-    /// Finished on this machine (its `remaining` slot has been released).
-    Done,
 }
 
 #[cfg(test)]
@@ -466,8 +441,7 @@ mod tests {
         // A join is ready only once every producer is globally done.
         assert!(run.ready(&[0]));
         assert!(!run.ready(&[0, 1]));
-        // Idle flags end the drain dance, never the counter gate — EOS
-        // envelopes, not shared flags, are the fast path.
+        // Idle flags end the drain dance, never the counter gate.
         run.segments[1].idle[0].store(true, Ordering::SeqCst);
         run.segments[1].idle[1].store(true, Ordering::SeqCst);
         assert!(!run.ready(&[0, 1]));

@@ -262,10 +262,11 @@ fn out_of_range_fault_specs_are_rejected() {
 #[test]
 fn drop_batch_on_ship_path_recovers_with_retry_ack() {
     // Partition stealing under a lossy link: the straggler's shuffle *and*
-    // its partition ships ride a dropping transport. The retry/ack path must
-    // recover every envelope — parity holds, every shipped partition is
-    // adopted exactly once, and the retransmit counters show the recovery
-    // actually happened.
+    // its partition ships ride a dropping transport, and the ships a
+    // duplicating one too. The retry path must recover every envelope and
+    // the thief's inbox must reject every duplicate — parity holds, every
+    // shipped partition is adopted exactly once, and the retransmit counters
+    // show the recovery actually happened.
     let graph = hot_partition_graph(48);
     let query = Pattern::Square.query_graph();
     let expected = naive::enumerate(&graph, &query);
@@ -276,7 +277,8 @@ fn drop_batch_on_ship_path_recovers_with_retry_ack() {
         .workers(1)
         .inject_fault(1, join_segment, Fault::Delay(Duration::from_millis(300)))
         // The ship path: machine 1's PartitionShip control envelopes.
-        .inject_fault(1, join_segment, Fault::DropBatch { ppm: 400_000 });
+        .inject_fault(1, join_segment, Fault::DropBatch { ppm: 400_000 })
+        .inject_fault(1, join_segment, Fault::DuplicateBatch { ppm: 1_000_000 });
     // The data path: every producing segment's shuffle, from both senders.
     for segment in 0..join_segment {
         for machine in 0..2 {
@@ -294,7 +296,12 @@ fn drop_batch_on_ship_path_recovers_with_retry_ack() {
     );
     assert_eq!(
         report.join.partitions_shipped, report.join.partitions_stolen,
-        "every shipped partition must be adopted exactly once (ship_id dedup)"
+        "every shipped partition must be adopted exactly once (inbox dedup)"
+    );
+    assert!(report.comm.transport_dups > 0, "no ship was duplicated");
+    assert_eq!(
+        report.comm.dedup_drops, report.comm.transport_dups,
+        "every duplicated ship must be rejected by the thief's inbox"
     );
     assert!(report.comm.transport_drops > 0, "the fault never fired");
     assert!(

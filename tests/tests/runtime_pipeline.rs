@@ -435,7 +435,7 @@ fn panicking_machine_aborts_the_whole_pipelined_run() {
 }
 
 // ---------------------------------------------------------------------------
-// Skew-proof joins: Grace partition stealing + speculative sealing
+// Skew-proof joins: Grace partition stealing; end-of-stream ordering
 // ---------------------------------------------------------------------------
 
 /// A sparse ring base with a K_{2,m} gadget implanted on two fresh hub
@@ -495,7 +495,7 @@ fn delayed_join_segment_ships_partitions_to_the_finished_machine() {
     // no partition may move.
     let config = ClusterConfig::new(2)
         .workers(1)
-        .partition_stealing(false)
+        .load_balance(LoadBalance::None)
         .inject_fault(1, join_segment, Fault::Delay(Duration::from_millis(300)));
     let cluster = HugeCluster::build(graph, config).unwrap();
     let (plan, _) = join_plan(&cluster, &query);
@@ -510,7 +510,7 @@ fn all_engines_agree_on_the_hot_partition_graph_with_stealing_forced_on() {
     let graph = hot_partition_graph(64);
     let query = Pattern::Square.query_graph();
     let expected = naive::enumerate(&graph, &query);
-    let config = ClusterConfig::new(2).workers(1).partition_stealing(true);
+    let config = ClusterConfig::new(2).workers(1);
     let cluster = HugeCluster::build(graph.clone(), config.clone()).unwrap();
     let (plan, _) = join_plan(&cluster, &query);
     let huge = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
@@ -527,11 +527,11 @@ fn all_engines_agree_on_the_hot_partition_graph_with_stealing_forced_on() {
 }
 
 #[test]
-fn speculative_sealing_probes_before_late_counters_settle() {
-    // Delay a straggler's first scan segment: the per-source EOS envelopes
-    // go out before the coarse `remaining` slots settle, so the machine
-    // holding full EOS evidence seals its join and probes ahead of the
-    // counter gate — the lead the join report measures.
+fn a_delayed_producer_never_lets_a_consumer_seal_early() {
+    // Delay a straggler's first scan segment. The release counters are the
+    // one end-of-stream signal: on every machine the join may start only
+    // once every machine — the straggler included — has finished both
+    // producing segments, and not a moment earlier.
     let graph = gen::erdos_renyi(120, 500, 23);
     let query = Pattern::Path(4).query_graph();
     let expected = naive::enumerate(&graph, &query);
@@ -541,27 +541,43 @@ fn speculative_sealing_probes_before_late_counters_settle() {
         Fault::Delay(Duration::from_millis(100)),
     );
     let cluster = HugeCluster::build(graph.clone(), config).unwrap();
-    let (plan, _) = join_plan(&cluster, &query);
+    let (plan, segments) = join_plan(&cluster, &query);
+    assert_eq!(segments, 3, "two producing scans into one join");
     let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
     assert_eq!(report.matches, expected);
-    assert!(
-        report.join.speculative_seals > 0,
-        "no seal beat the counter gate: {:?}",
-        report.join
-    );
-    assert!(report.join.seal_lead > Duration::ZERO);
+    let span = |machine: usize, segment: usize| {
+        report.machines[machine].segment_spans[segment]
+            .unwrap_or_else(|| panic!("machine {machine} never ran segment {segment}"))
+    };
+    for consumer in 0..2 {
+        let join_start = span(consumer, 2).0;
+        for producer in 0..2 {
+            for segment in 0..2 {
+                let end = span(producer, segment).1;
+                assert!(
+                    join_start >= end,
+                    "machine {consumer} started the join at {join_start:?}, before machine \
+                     {producer} finished segment {segment} at {end:?}"
+                );
+            }
+        }
+    }
+}
 
-    // With speculative sealing off, every seal waits for the counters.
-    let config = ClusterConfig::new(2)
-        .workers(1)
-        .speculative_sealing(false)
-        .inject_fault(1, 0, Fault::Delay(Duration::from_millis(100)));
-    let cluster = HugeCluster::build(graph, config).unwrap();
-    let (plan, _) = join_plan(&cluster, &query);
-    let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
+#[test]
+fn a_join_plan_at_65_machines_with_stealing_on_agrees_with_naive() {
+    // Partition stealing has no cluster-size limit (a thief's tried-peers
+    // marks are one flag per machine, not a 64-bit mask).
+    let graph = gen::erdos_renyi(200, 1_100, 17);
+    let query = Pattern::Path(5).query_graph();
+    let expected = naive::enumerate(&graph, &query);
+    let cluster = HugeCluster::build(graph, ClusterConfig::new(65).workers(1)).unwrap();
+    let dataflow = huge_plan::translate::translate(&cluster.plan(&query).unwrap()).unwrap();
+    assert_eq!((dataflow.segments.len(), dataflow.num_joins()), (3, 1));
+    let report = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
     assert_eq!(report.matches, expected);
-    assert_eq!(report.join.speculative_seals, 0);
-    assert_eq!(report.join.seal_lead, Duration::ZERO);
+    assert_eq!(report.leaked_bytes, 0);
+    assert_eq!(report.orphaned_spill_files, 0);
 }
 
 #[test]
