@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use huge_graph::KernelTally;
+
 /// Traffic counters of one machine. All counters are monotonically
 /// increasing and safe to update from any worker thread.
 #[derive(Debug, Default)]
@@ -27,6 +29,8 @@ pub struct CommStats {
     pub kernel_gallop: AtomicU64,
     /// Hub-bitmap intersection kernel invocations.
     pub kernel_bitmap: AtomicU64,
+    /// Probe-filter intersection kernel invocations.
+    pub kernel_probe: AtomicU64,
     /// Rows fed to match-mode `PULL-EXTEND`s.
     pub extend_rows: AtomicU64,
     /// Of those, rows whose shared prefix intersection was the previous
@@ -73,17 +77,19 @@ impl CommStats {
         self.steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a batch of intersection-kernel invocations (one flush per
+    /// Records a work item's intersection-kernel invocations (one flush per
     /// work item keeps the hot loop free of shared-counter traffic).
-    pub fn record_kernels(&self, merge: u64, gallop: u64, bitmap: u64) {
-        if merge > 0 {
-            self.kernel_merge.fetch_add(merge, Ordering::Relaxed);
-        }
-        if gallop > 0 {
-            self.kernel_gallop.fetch_add(gallop, Ordering::Relaxed);
-        }
-        if bitmap > 0 {
-            self.kernel_bitmap.fetch_add(bitmap, Ordering::Relaxed);
+    pub fn record_kernels(&self, tally: &KernelTally) {
+        let counters = [
+            (&self.kernel_merge, tally.merge),
+            (&self.kernel_gallop, tally.gallop),
+            (&self.kernel_bitmap, tally.bitmap),
+            (&self.kernel_probe, tally.probe),
+        ];
+        for (counter, n) in counters {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -135,6 +141,7 @@ impl CommStats {
             kernel_merge: self.kernel_merge.load(Ordering::Relaxed),
             kernel_gallop: self.kernel_gallop.load(Ordering::Relaxed),
             kernel_bitmap: self.kernel_bitmap.load(Ordering::Relaxed),
+            kernel_probe: self.kernel_probe.load(Ordering::Relaxed),
             extend_rows: self.extend_rows.load(Ordering::Relaxed),
             extend_prefix_reuses: self.extend_prefix_reuses.load(Ordering::Relaxed),
             col_bytes: self.col_bytes.load(Ordering::Relaxed),
@@ -169,6 +176,8 @@ pub struct CommSnapshot {
     pub kernel_gallop: u64,
     /// Hub-bitmap intersection kernel invocations.
     pub kernel_bitmap: u64,
+    /// Probe-filter intersection kernel invocations.
+    pub kernel_probe: u64,
     /// Rows fed to match-mode `PULL-EXTEND`s.
     pub extend_rows: u64,
     /// Of those, rows served the previous row's prefix intersection.
@@ -198,7 +207,7 @@ impl CommSnapshot {
 
     /// Total intersection-kernel invocations across the whole family.
     pub fn kernel_invocations(&self) -> u64 {
-        self.kernel_merge + self.kernel_gallop + self.kernel_bitmap
+        self.kernel_merge + self.kernel_gallop + self.kernel_bitmap + self.kernel_probe
     }
 
     /// Element-wise sum of two snapshots.
@@ -214,6 +223,7 @@ impl CommSnapshot {
             kernel_merge: self.kernel_merge + other.kernel_merge,
             kernel_gallop: self.kernel_gallop + other.kernel_gallop,
             kernel_bitmap: self.kernel_bitmap + other.kernel_bitmap,
+            kernel_probe: self.kernel_probe + other.kernel_probe,
             extend_rows: self.extend_rows + other.extend_rows,
             extend_prefix_reuses: self.extend_prefix_reuses + other.extend_prefix_reuses,
             col_bytes: self.col_bytes + other.col_bytes,
@@ -273,7 +283,12 @@ mod tests {
         stats.record_push(50);
         stats.record_pull(3, 300);
         stats.record_steal(10);
-        stats.record_kernels(5, 2, 1);
+        stats.record_kernels(&KernelTally {
+            merge: 5,
+            gallop: 2,
+            bitmap: 1,
+            probe: 3,
+        });
         stats.record_extend(9, 4);
         stats.record_col_bytes(128);
         let s = stats.snapshot();
@@ -287,7 +302,9 @@ mod tests {
         assert_eq!(s.kernel_merge, 5);
         assert_eq!(s.kernel_gallop, 2);
         assert_eq!(s.kernel_bitmap, 1);
-        assert_eq!(s.kernel_invocations(), 8);
+        assert_eq!(s.kernel_probe, 3);
+        assert_eq!(s.kernel_invocations(), 11);
+        assert_eq!(s.merge(&s).kernel_probe, 6);
         assert_eq!((s.extend_rows, s.extend_prefix_reuses), (9, 4));
         assert_eq!(s.merge(&s).extend_prefix_reuses, 8);
         assert_eq!(s.col_bytes, 128);

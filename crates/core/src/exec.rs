@@ -34,7 +34,7 @@ use huge_graph::GraphPartition;
 use huge_plan::translate::{ExtendOp, JoinOp, ScanOp};
 
 use crate::join::{key_hash, HashJoiner, JoinSide, JoinStream, MemoryTrackerHandle};
-use crate::operators::{run_extend_cols, run_extend_count_cols, ScanCursor, ScanPool};
+use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
 use crate::pool::WorkerPool;
 use crate::{EngineError, Result};
 
@@ -169,10 +169,9 @@ impl BatchOperator for ScanSource {
 /// batches — the fast path for count sinks on chain/path queries, whose
 /// final extension column dominates the materialised volume.
 pub struct PullExtend {
-    op: ExtendOp,
+    spec: ExtendSpec,
     inputs: VecDeque<ColBatch>,
     input_done: bool,
-    out_arity: usize,
     count_only: bool,
     counted: u64,
     fetch_time: Duration,
@@ -180,13 +179,13 @@ pub struct PullExtend {
 }
 
 impl PullExtend {
-    /// Creates the operator.
-    pub fn new(op: ExtendOp) -> Self {
+    /// Creates the operator over input rows of `input_arity` columns,
+    /// compiling `op` against them once ([`ExtendSpec::compile`]).
+    pub fn new(op: &ExtendOp, input_arity: usize) -> Self {
         PullExtend {
-            op,
+            spec: ExtendSpec::compile(op, input_arity),
             inputs: VecDeque::new(),
             input_done: false,
-            out_arity: 0,
             count_only: false,
             counted: 0,
             fetch_time: Duration::ZERO,
@@ -196,7 +195,7 @@ impl PullExtend {
 
     /// The translated operator this executes.
     pub fn op(&self) -> &ExtendOp {
-        &self.op
+        self.spec.op()
     }
 
     /// Switches the operator to count-only mode: inputs are counted, not
@@ -235,16 +234,10 @@ impl BatchOperator for PullExtend {
     }
 
     fn output_arity(&self) -> usize {
-        // Known once the first input batch fixes the input arity.
-        self.out_arity
+        self.spec.output_arity()
     }
 
     fn push_input(&mut self, input: ColBatch, _ctx: &OpContext<'_>) -> Result<()> {
-        self.out_arity = if self.op.verify_position.is_some() {
-            input.arity()
-        } else {
-            input.arity() + 1
-        };
         self.inputs.push_back(input);
         Ok(())
     }
@@ -263,7 +256,7 @@ impl BatchOperator for PullExtend {
             });
         };
         if self.count_only {
-            let out = run_extend_count_cols(&self.op, &input, ctx);
+            let out = self.spec.run_count_cols(&input, ctx);
             self.counted += out.count;
             self.absorb_timings(out.fetch_time, &out.worker_busy);
             return Ok(if self.input_done && self.inputs.is_empty() {
@@ -272,7 +265,7 @@ impl BatchOperator for PullExtend {
                 OpPoll::Pending
             });
         }
-        let out = run_extend_cols(&self.op, input, ctx);
+        let out = self.spec.run_cols(input, ctx);
         self.absorb_timings(out.fetch_time, &out.worker_busy);
         Ok(OpPoll::Ready(out.batch))
     }
@@ -631,16 +624,19 @@ mod tests {
                 },
                 ScanPool::new(partition.local_vertices(), 4),
             );
-            let mut extend = PullExtend::new(ExtendOp {
-                target: 2,
-                ext_positions: vec![0, 1],
-                verify_position: None,
-                filters: vec![OrderFilter {
-                    smaller: 1,
-                    larger: 2,
-                }],
-                comm: CommMode::Pulling,
-            });
+            let mut extend = PullExtend::new(
+                &ExtendOp {
+                    target: 2,
+                    ext_positions: vec![0, 1],
+                    verify_position: None,
+                    filters: vec![OrderFilter {
+                        smaller: 1,
+                        larger: 2,
+                    }],
+                    comm: CommMode::Pulling,
+                },
+                2,
+            );
             let mut ops: [&mut dyn BatchOperator; 2] = [&mut scan, &mut extend];
             run_pipeline(&mut ops, &ctx, &mut |b| total += b.len() as u64).unwrap();
         }

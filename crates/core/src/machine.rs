@@ -653,11 +653,18 @@ impl MachineState {
         sink: SinkMode,
     ) -> Result<SegmentChain> {
         self.maybe_panic_at(plan.segment.id, PanicPoint::Build);
-        let mut extends: Vec<PullExtend> = plan
-            .segment
-            .extends
+        // A match-mode extend adds a column, so the chain's input arities
+        // follow from the width of the segment's output.
+        let ops = &plan.segment.extends;
+        let added = ops.iter().filter(|op| op.verify_position.is_none());
+        let mut arity = plan.segment.schema.len() - added.count();
+        let mut extends: Vec<PullExtend> = ops
             .iter()
-            .map(|op| PullExtend::new(op.clone()))
+            .map(|op| {
+                let extend = PullExtend::new(op, arity);
+                arity = extend.output_arity();
+                extend
+            })
             .collect();
         // Count-only fast path: when the root segment merely counts matches,
         // its last operator (final extend, or the bare join) materialises nothing.

@@ -4,27 +4,46 @@
 //! terminal in [`crate::machine`].)
 //!
 //! Match-mode `PULL-EXTEND` is **one run-aware candidate generator with two
-//! sinks** (`for_each_candidate_set`). A batch comes out of the previous
-//! extend, so its rows arrive in runs that differ only in their newest
-//! column; the generator keeps the intersection of the other extend
-//! positions' lists and recomputes it only when those vertices change, then
-//! intersects it with the newest column's list per row. The reuse test
-//! compares vertex ids, nothing else, so it cannot be wrong for any row
-//! order — shuffled, selected, split or stolen rows only reuse less.
-//! [`run_extend_count_cols`] counts each row's last step with the kernel
-//! count twins; [`run_extend_cols`] lets the kernels write it straight into
-//! the new column. Verify mode is a per-row membership test and shares only
-//! the fetch stage. A row-major `run_extend` / `run_extend_count` that
+//! sinks** (`for_each_candidate_set`), and the generator is two things:
+//!
+//! * an [`ExtendSpec`] — what the plan decides, compiled once per operator:
+//!   which extend position is the newest column (`last`) and which are the
+//!   shared `prefix`, which order filters gate a row and which bound the
+//!   candidate from below or above, and the few positions (`collide`, often
+//!   none) whose value a candidate could equal at all;
+//! * the run state — what the previous row left. A batch comes out of the
+//!   previous extend, so its rows arrive in runs that differ only in their
+//!   newest column; the generator keeps the intersection of the prefix
+//!   positions' lists, recomputes it only when those vertices change, and
+//!   keeps the slice of it inside the candidates' value range *set in a
+//!   [`ProbeFilter`]*. A row then scans only its own newest list against the
+//!   filter — the shared side is not merged again for every row of the run.
+//!   The filter is set when a run's first slice is computed, once more with
+//!   the whole shared list if a later row's range reaches outside that slice
+//!   (so bounds that move with every row do not rebuild it once a row), and
+//!   cleared — by re-hashing what it holds — before the run's list is
+//!   replaced. It is refused for a set over [`kernels::PROBE_MAX_SET`] and
+//!   bypassed for a list over [`kernels::PROBE_MAX_SKEW`] × the slice; those
+//!   rows, and indexed hubs, take the merge / gallop / bitmap dispatch.
+//!
+//! The reuse test compares vertex ids, nothing else, so it cannot be wrong
+//! for any row order — shuffled, selected, split or stolen rows only reuse
+//! less and rebuild the filter more often. [`ExtendSpec::run_count_cols`]
+//! counts each row's last step with the kernel count twins;
+//! [`ExtendSpec::run_cols`] lets the kernels write it straight into the new
+//! column. Verify mode is a per-row membership test and shares only the
+//! fetch stage. A row-major `run_extend` / `run_extend_count` that
 //! intersects every list for every row and filters per candidate lives in
 //! the test-only `row_major` module: the reference the tests hold the
 //! generator to.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use huge_comm::{ColBatch, RowBatch};
-use huge_graph::kernels::{self, KernelKind, KernelTally};
+use huge_graph::kernels::{self, KernelKind, KernelTally, ProbeFilter};
 use huge_graph::VertexId;
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
@@ -309,11 +328,7 @@ fn intersect_ranges(rows: usize, ctx: &OpContext<'_>) -> Vec<(usize, usize)> {
 #[inline]
 fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
     if tally.total() > 0 {
-        ctx.rpc.stats().machine(ctx.machine).record_kernels(
-            tally.merge,
-            tally.gallop,
-            tally.bitmap,
-        );
+        ctx.rpc.stats().machine(ctx.machine).record_kernels(tally);
     }
 }
 
@@ -420,6 +435,80 @@ pub struct ExtendColsOutput {
     pub fetch_time: Duration,
 }
 
+/// A `PULL-EXTEND` compiled against the arity of its input, once per
+/// operator: everything about a row's extension that the plan decides and
+/// the rows do not. The fields below describe match mode; verify mode keeps
+/// reading `op`.
+#[derive(Clone, Debug)]
+pub struct ExtendSpec {
+    op: ExtendOp,
+    arity: usize,
+    /// The extend position whose list is borrowed per row: the newest input
+    /// column if it is an extend position, or the only one of a one-list
+    /// extend.
+    last: Option<usize>,
+    /// The other extend positions: a run of rows shares their vertices, and
+    /// so the intersection of their lists.
+    prefix: Vec<usize>,
+    /// Order filters between two bound positions, `(smaller, larger)`: they
+    /// pass or fail the whole row.
+    gates: Vec<(usize, usize)>,
+    /// Positions whose value the candidate must exceed.
+    lo_from: Vec<usize>,
+    /// Positions whose value the candidate must stay under.
+    hi_from: Vec<usize>,
+    /// The only positions whose value a candidate can equal, so the only
+    /// ones injectivity has to look at: not an extend position (the graph is
+    /// simple, `v ∉ N(v)`) and not strictly ordered against the candidate.
+    collide: Vec<usize>,
+}
+
+impl ExtendSpec {
+    /// Compiles `op` for input rows of `arity` columns (the candidate is
+    /// output position `arity`).
+    pub fn compile(op: &ExtendOp, arity: usize) -> ExtendSpec {
+        let exts = &op.ext_positions;
+        let last = match exts[..] {
+            [only] => Some(only),
+            _ => exts.contains(&(arity - 1)).then_some(arity - 1),
+        };
+        let prefix = exts.iter().copied().filter(|&p| Some(p) != last).collect();
+        let (mut gates, mut lo_from, mut hi_from) = (Vec::new(), Vec::new(), Vec::new());
+        for f in &op.filters {
+            if f.larger == arity {
+                lo_from.push(f.smaller);
+            } else if f.smaller == arity {
+                hi_from.push(f.larger);
+            } else {
+                gates.push((f.smaller, f.larger));
+            }
+        }
+        let collide = (0..arity)
+            .filter(|p| !exts.contains(p) && !lo_from.contains(p) && !hi_from.contains(p))
+            .collect();
+        ExtendSpec {
+            op: op.clone(),
+            arity,
+            last,
+            prefix,
+            gates,
+            lo_from,
+            hi_from,
+            collide,
+        }
+    }
+
+    /// The translated operator this was compiled from.
+    pub fn op(&self) -> &ExtendOp {
+        &self.op
+    }
+
+    /// Arity of the output rows: verify mode adds no column.
+    pub fn output_arity(&self) -> usize {
+        self.arity + self.op.verify_position.is_none() as usize
+    }
+}
+
 /// The last step of one row's extension, as the generator hands it to a
 /// sink: the sorted operands whose intersection is the row's candidate set,
 /// already narrowed to the value range the order filters allow.
@@ -429,6 +518,8 @@ enum Candidates<'a> {
     Slice(&'a [VertexId]),
     /// Shared prefix intersection ∩ the newest column's list.
     Lists(&'a [VertexId], &'a [VertexId]),
+    /// The same, through the run's filter over the shared side.
+    Probe(&'a ProbeFilter, &'a [VertexId], &'a [VertexId]),
     /// Shared prefix intersection ∩ the newest column's hub bitmap.
     Hub(&'a [VertexId], &'a kernels::HubBitmap),
 }
@@ -445,6 +536,11 @@ impl Candidates<'_> {
                 tally.bump(kind);
                 let dups = bound.iter().filter(|r| has(nb, r) && has(s, r));
                 (n, dups.count())
+            }
+            Candidates::Probe(filter, s, nb) => {
+                tally.bump(KernelKind::Probe);
+                let dups = bound.iter().filter(|r| has(nb, r) && has(s, r));
+                (kernels::intersect_count_probe(filter, s, nb), dups.count())
             }
             Candidates::Hub(s, bm) => {
                 tally.bump(KernelKind::Bitmap);
@@ -467,6 +563,10 @@ impl Candidates<'_> {
         match self {
             Candidates::Slice(s) => out.extend_from_slice(s),
             Candidates::Lists(s, nb) => tally.bump(kernels::intersect_into(s, nb, out)),
+            Candidates::Probe(filter, s, nb) => {
+                kernels::intersect_probe_into(filter, s, nb, out);
+                tally.bump(KernelKind::Probe);
+            }
             Candidates::Hub(s, bm) => {
                 kernels::intersect_bitmap_into(s, bm, out);
                 tally.bump(KernelKind::Bitmap);
@@ -481,110 +581,155 @@ impl Candidates<'_> {
     }
 }
 
-/// The part of sorted `s` strictly between `lo` and `hi`.
-fn range_slice(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+/// The index range of sorted `s` strictly between `lo` and `hi`.
+fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range<usize> {
     let a = lo.map_or(0, |l| s.partition_point(|&x| x <= l));
     let b = hi.map_or(s.len(), |h| s.partition_point(|&x| x < h));
-    &s[a..b.max(a)]
+    a..b.max(a)
 }
 
 /// The run-aware candidate generator of match mode (Equation 2): walks the
 /// rows `start..end` of `input` and hands `sink` each row's [`Candidates`]
-/// plus the row's own values that lie in the candidate range (what
-/// injectivity must remove).
+/// plus the row's values at the spec's `collide` positions (what
+/// injectivity must remove). The generator is the [`ExtendSpec`] — what the
+/// plan fixes — plus the run state below — what the previous row left.
 ///
-/// The extend positions split into the *newest* input column, if it is one,
-/// and the *prefix* positions. Batches come out of the previous extend, so
-/// consecutive rows differ only in their newest column: the prefix lists'
-/// intersection (smallest-degree first, hub bitmaps where indexed) is kept
-/// and recomputed only when a row's prefix vertices differ from the previous
-/// row's. That reuse is keyed on the vertex ids alone — equal vertices have
-/// equal adjacency lists — so any row order, selection vector, chunk split
-/// or stolen batch is correct; a row that starts a new run just misses.
+/// Batches come out of the previous extend, so consecutive rows differ only
+/// in their newest column: the prefix lists' intersection `shared`
+/// (smallest-degree first, hub bitmaps where indexed) is kept and recomputed
+/// only when a row's prefix vertices differ from the previous row's. That
+/// reuse is keyed on the vertex ids alone — equal vertices have equal
+/// adjacency lists — so any row order, selection vector, chunk split or
+/// stolen batch is correct; a row that starts a new run just misses.
 ///
-/// Per row: order filters among bound positions gate the row, filters
-/// against the candidate position become a value range applied to both
-/// operands (an empty slice of the shared list ends the row without
-/// touching the newest list), and the newest column's list is borrowed, not
-/// copied — as is the only list of a one-list extend, which has no prefix.
-/// A list that is unavailable (evicted and not re-pullable) yields no
-/// candidates.
+/// Per row: `gates` pass or fail the row, `lo_from` / `hi_from` give the
+/// candidates' value range, read straight from the columns; the slice of
+/// `shared` inside it is recomputed only when the run or the range changed
+/// (an empty slice ends the row without touching the newest list). That
+/// slice is not merged with each row's newest list: its elements are set in
+/// a [`ProbeFilter`] and each row only scans its own list against the
+/// filter ([`Candidates::Probe`]). A run sets the filter with its first
+/// slice and, if a later row's range reaches outside that, once more with
+/// the whole shared list; what the filter holds clears itself before it is
+/// replaced. The filter is refused for a set over
+/// [`kernels::PROBE_MAX_SET`] and bypassed for a newest list over
+/// [`kernels::PROBE_MAX_SKEW`] × the slice; those rows, and hubs' bitmaps,
+/// take the merge / gallop / bitmap dispatch. The newest column's list is
+/// borrowed, not copied — as is the only list of a one-list extend, which
+/// has no prefix and never builds a filter. A list that is unavailable
+/// (evicted and not re-pullable) yields no candidates.
+///
+/// Input rows are injective — scan, extend and join outputs are by
+/// construction — so the values at `collide` are distinct and each removes
+/// at most one candidate.
 fn for_each_candidate_set(
-    op: &ExtendOp,
+    spec: &ExtendSpec,
     input: &ColBatch,
     (start, end): (usize, usize),
     ctx: &OpContext<'_>,
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
     mut sink: impl FnMut(usize, Candidates<'_>, &[VertexId], &mut KernelTally),
 ) {
-    let n = input.arity();
-    let exts = &op.ext_positions;
-    let last = match exts[..] {
-        [only] => Some(only),
-        _ => exts.contains(&(n - 1)).then_some(n - 1),
-    };
-    let prefix: Vec<usize> = exts.iter().copied().filter(|&p| Some(p) != last).collect();
+    let cols: Vec<&[VertexId]> = (0..input.arity()).map(|c| input.column(c)).collect();
+    let sel = input.selection();
+    let has_prefix = !spec.prefix.is_empty();
 
-    let mut row: Vec<VertexId> = Vec::new();
-    let mut bound: Vec<VertexId> = Vec::new();
-    // `shared` is the intersection of the lists of `key`'s vertices.
+    // `shared` is the intersection of the lists of `key`'s vertices,
+    // `shared[span]` its part inside the range `cut`; `filter` holds exactly
+    // `shared[armed]`, which is empty or covers `span`.
     let (mut key, mut shared): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
     let mut by_degree: Vec<VertexId> = Vec::new();
+    let mut filter = ProbeFilter::default();
+    let (mut armed, mut sets_left) = (0..0, 0u8);
+    let (mut cut, mut span) = (None, 0..0);
+    let mut bound: Vec<VertexId> = Vec::new();
     let mut tally = KernelTally::default();
     let mut reuses = 0u64;
     'rows: for i in start..end {
-        row.clear();
-        input.read_row(i, &mut row);
-        let (mut lo, mut hi): (Option<VertexId>, Option<VertexId>) = (None, None);
-        for f in &op.filters {
-            if f.larger == n {
-                lo = Some(lo.map_or(row[f.smaller], |l| l.max(row[f.smaller])));
-            } else if f.smaller == n {
-                hi = Some(hi.map_or(row[f.larger], |h| h.min(row[f.larger])));
-            } else if row[f.smaller] >= row[f.larger] {
+        let p = sel.map_or(i, |sel| sel[i] as usize);
+        for &(smaller, larger) in &spec.gates {
+            if cols[smaller][p] >= cols[larger][p] {
                 continue 'rows;
             }
         }
-        if !prefix.is_empty() {
-            if prefix.iter().map(|&p| row[p]).eq(key.iter().copied()) {
-                reuses += 1;
-            } else {
-                key.clear();
-                key.extend(prefix.iter().map(|&p| row[p]));
-                by_degree.clone_from(&key);
-                by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-                intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
+        let lo = spec.lo_from.iter().map(|&c| cols[c][p]).max();
+        let hi = spec.hi_from.iter().map(|&c| cols[c][p]).min();
+        if has_prefix {
+            let same_run = spec
+                .prefix
+                .iter()
+                .map(|&c| cols[c][p])
+                .eq(key.iter().copied());
+            reuses += same_run as u64;
+            if !same_run || cut != Some((lo, hi)) {
+                if !same_run {
+                    filter.clear_all(&shared[armed.clone()]);
+                    (armed, sets_left) = (0..0, 2u8);
+                    key.clear();
+                    key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
+                    by_degree.clone_from(&key);
+                    by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+                    intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
+                }
+                cut = Some((lo, hi));
+                span = range_of(&shared, lo, hi);
+                let covered = armed.start <= span.start && span.end <= armed.end;
+                if !covered && !span.is_empty() {
+                    // A run sets the filter at most twice: its first slice,
+                    // then — if a later row's range reaches outside that —
+                    // the whole list, which covers every range. Bounds that
+                    // move with each row must not rebuild it once a row.
+                    filter.clear_all(&shared[armed.clone()]);
+                    armed = match sets_left {
+                        2 => span.clone(),
+                        1 => 0..shared.len(),
+                        _ => 0..0,
+                    };
+                    sets_left = sets_left.saturating_sub(1);
+                    if armed.len() > kernels::PROBE_MAX_SET {
+                        armed = 0..0;
+                    }
+                    filter.set_all(&shared[armed.clone()]);
+                }
+            }
+            if span.is_empty() {
+                continue;
             }
         }
-        let s = range_slice(&shared, lo, hi);
-        if s.is_empty() && !prefix.is_empty() {
-            continue;
-        }
-        // Distinct bound values an unconstrained candidate set could hold.
+        let s = &shared[span.clone()];
         bound.clear();
-        for (idx, &r) in row.iter().enumerate() {
-            if lo.is_none_or(|l| r > l) && hi.is_none_or(|h| r < h) && !row[..idx].contains(&r) {
-                bound.push(r);
-            }
-        }
-        let Some(last) = last else {
+        bound.extend(spec.collide.iter().map(|&c| cols[c][p]));
+        debug_assert!(
+            (1..bound.len()).all(|k| !bound[..k].contains(&bound[k])),
+            "input rows must be injective"
+        );
+        let Some(last) = spec.last else {
             sink(i, Candidates::Slice(s), &bound, &mut tally);
             continue;
         };
-        let v = row[last];
-        if prefix.is_empty() {
+        let v = cols[last][p];
+        if !has_prefix {
             with_neighbours(ctx, batch_table, v, |nbrs| {
-                let only = Candidates::Slice(range_slice(nbrs, lo, hi));
+                let only = Candidates::Slice(&nbrs[range_of(nbrs, lo, hi)]);
                 sink(i, only, &bound, &mut tally);
             });
         } else if let Some(bm) = ctx.partition.hub_bitmap(v) {
             sink(i, Candidates::Hub(s, bm), &bound, &mut tally);
         } else {
             with_neighbours(ctx, batch_table, v, |nbrs| {
-                let both = Candidates::Lists(s, range_slice(nbrs, lo, hi));
+                let nb = &nbrs[range_of(nbrs, lo, hi)];
+                let both = if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len() {
+                    Candidates::Probe(&filter, s, nb)
+                } else {
+                    Candidates::Lists(s, nb)
+                };
                 sink(i, both, &bound, &mut tally);
             });
         }
+    }
+    if cfg!(debug_assertions) {
+        filter.clear_all(&shared[armed]);
+        assert!(filter.is_clear(), "a replaced slice left its bits behind");
     }
     flush_tally(ctx, &tally);
     let stats = ctx.rpc.stats().machine(ctx.machine);
@@ -612,34 +757,85 @@ fn for_each_verified_row(
     }
 }
 
-/// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one columnar batch.
-///
-/// *Verify* mode never moves data: the surviving rows become a narrowed
-/// selection vector over the input's columns. *Match* mode is the
-/// materialising sink of [`for_each_candidate_set`]: the kernels write each
-/// row's candidates straight into a piece of the new column, and the prefix
-/// columns are then gathered once per output column (dense sequential
-/// writes, one input read per extended row) — no `arity + 1`-wide row
-/// rewrites.
-pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
-    let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
-    let ranges = intersect_ranges(input.len(), ctx);
-    let batch_table = &batch_table;
-    let input_ref = &input;
+impl ExtendSpec {
+    /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one columnar batch.
+    ///
+    /// *Verify* mode never moves data: the surviving rows become a narrowed
+    /// selection vector over the input's columns. *Match* mode is the
+    /// materialising sink of [`for_each_candidate_set`]: the kernels write each
+    /// row's candidates straight into a piece of the new column, and the prefix
+    /// columns are then gathered once per output column (dense sequential
+    /// writes, one input read per extended row) — no `arity + 1`-wide row
+    /// rewrites.
+    pub fn run_cols(&self, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
+        debug_assert_eq!(input.arity(), self.arity);
+        let op = &self.op;
+        let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
+        let ranges = intersect_ranges(input.len(), ctx);
+        let batch_table = &batch_table;
+        let input_ref = &input;
 
-    if let Some(vpos) = op.verify_position {
-        // Survivors as physical indices; the pool returns work items in
-        // arbitrary order, so sort before installing the selection.
-        let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
-            for_each_verified_row(op, vpos, input_ref, range, ctx, batch_table, |i| {
-                out.push(input_ref.physical_index(i) as u32)
+        if let Some(vpos) = op.verify_position {
+            // Survivors as physical indices; the pool returns work items in
+            // arbitrary order, so sort before installing the selection.
+            let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
+                for_each_verified_row(op, vpos, input_ref, range, ctx, batch_table, |i| {
+                    out.push(input_ref.physical_index(i) as u32)
+                });
             });
+            let worker_busy = run.busy.clone();
+            let mut sel: Vec<u32> = run.outputs.into_iter().flatten().collect();
+            sel.sort_unstable();
+            let mut batch = input;
+            batch.set_selection(sel);
+            if ctx.use_cache {
+                ctx.cache.release();
+            }
+            ctx.rpc
+                .stats()
+                .machine(ctx.machine)
+                .record_col_bytes(batch.byte_size());
+            return ExtendColsOutput {
+                batch,
+                worker_busy,
+                fetch_time,
+            };
+        }
+
+        // Match mode: each work item emits its piece of the candidate column
+        // and, per extended row, (logical row, number of candidates).
+        type Piece = (Vec<(u32, u32)>, Vec<VertexId>);
+        let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
+            let (mut rows, mut cands) = (Vec::new(), Vec::new());
+            for_each_candidate_set(
+                self,
+                input_ref,
+                range,
+                ctx,
+                batch_table,
+                |i, c, bound, tally| {
+                    let n = c.append_to(bound, &mut cands, tally);
+                    if n > 0 {
+                        rows.push((i as u32, n as u32));
+                    }
+                },
+            );
+            out.push((rows, cands));
         });
         let worker_busy = run.busy.clone();
-        let mut sel: Vec<u32> = run.outputs.into_iter().flatten().collect();
-        sel.sort_unstable();
-        let mut batch = input;
-        batch.set_selection(sel);
+        let arity = input.arity();
+        let pieces = || run.outputs.iter().flatten();
+        let total: usize = pieces().map(|(_, cands)| cands.len()).sum();
+        let mut cols: Vec<Vec<VertexId>> = (0..=arity).map(|_| Vec::with_capacity(total)).collect();
+        for (rows, cands) in pieces() {
+            for (c, col) in cols.iter_mut().enumerate().take(arity) {
+                for &(i, n) in rows {
+                    col.extend(std::iter::repeat_n(input.value(c, i as usize), n as usize));
+                }
+            }
+            cols[arity].extend_from_slice(cands);
+        }
+        let batch = ColBatch::from_columns(cols);
         if ctx.use_cache {
             ctx.cache.release();
         }
@@ -647,94 +843,66 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
             .stats()
             .machine(ctx.machine)
             .record_col_bytes(batch.byte_size());
-        return ExtendColsOutput {
+        ExtendColsOutput {
             batch,
             worker_busy,
             fetch_time,
-        };
+        }
     }
 
-    // Match mode: each work item emits its piece of the candidate column
-    // and, per extended row, (logical row, number of candidates).
-    type Piece = (Vec<(u32, u32)>, Vec<VertexId>);
-    let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
-        let (mut rows, mut cands) = (Vec::new(), Vec::new());
-        for_each_candidate_set(
-            op,
-            input_ref,
-            range,
-            ctx,
-            batch_table,
-            |i, c, bound, tally| {
-                let n = c.append_to(bound, &mut cands, tally);
-                if n > 0 {
-                    rows.push((i as u32, n as u32));
-                }
-            },
-        );
-        out.push((rows, cands));
-    });
-    let worker_busy = run.busy.clone();
-    let arity = input.arity();
-    let pieces = || run.outputs.iter().flatten();
-    let total: usize = pieces().map(|(_, cands)| cands.len()).sum();
-    let mut cols: Vec<Vec<VertexId>> = (0..=arity).map(|_| Vec::with_capacity(total)).collect();
-    for (rows, cands) in pieces() {
-        for (c, col) in cols.iter_mut().enumerate().take(arity) {
-            for &(i, n) in rows {
-                col.extend(std::iter::repeat_n(input.value(c, i as usize), n as usize));
+    /// Counts the extensions of one columnar batch without materialising
+    /// anything the kernels can avoid: the counting sink of
+    /// [`for_each_candidate_set`]. The newest column's list is never written —
+    /// with one extend list the count is two `partition_point`s; with several,
+    /// the final step runs an `intersect_count_*` twin (probe twin against the
+    /// run's filter, bitmap twin for indexed hubs) against the shared prefix
+    /// intersection.
+    pub fn run_count_cols(&self, input: &ColBatch, ctx: &OpContext<'_>) -> ExtendCountOutput {
+        debug_assert_eq!(input.arity(), self.arity);
+        let op = &self.op;
+        let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
+        let ranges = intersect_ranges(input.len(), ctx);
+        let batch_table = &batch_table;
+        let run = ctx.pool.run(ranges, |range, out: &mut Vec<u64>| {
+            let mut count = 0u64;
+            if let Some(vpos) = op.verify_position {
+                for_each_verified_row(op, vpos, input, range, ctx, batch_table, |_| count += 1);
+            } else {
+                for_each_candidate_set(
+                    self,
+                    input,
+                    range,
+                    ctx,
+                    batch_table,
+                    |_, c, bound, tally| count += c.count(bound, tally),
+                );
             }
+            out.push(count);
+        });
+        if ctx.use_cache {
+            ctx.cache.release();
         }
-        cols[arity].extend_from_slice(cands);
-    }
-    let batch = ColBatch::from_columns(cols);
-    if ctx.use_cache {
-        ctx.cache.release();
-    }
-    ctx.rpc
-        .stats()
-        .machine(ctx.machine)
-        .record_col_bytes(batch.byte_size());
-    ExtendColsOutput {
-        batch,
-        worker_busy,
-        fetch_time,
+        ExtendCountOutput {
+            count: run.outputs.iter().flatten().sum(),
+            worker_busy: run.busy,
+            fetch_time,
+        }
     }
 }
 
-/// Counts the extensions of one columnar batch without materialising
-/// anything the kernels can avoid: the counting sink of
-/// [`for_each_candidate_set`]. The newest column's list is never written —
-/// with one extend list the count is two `partition_point`s; with several,
-/// the final step runs an `intersect_count_*` twin (bitmap twin for indexed
-/// hubs) against the shared prefix intersection.
+/// [`ExtendSpec::run_cols`] for a caller that holds no operator (the perf
+/// ledger's stage replay, tests): compiles `op` for this one batch.
+pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
+    ExtendSpec::compile(op, input.arity()).run_cols(input, ctx)
+}
+
+/// [`ExtendSpec::run_count_cols`] for a caller that holds no operator.
 pub fn run_extend_count_cols(
     op: &ExtendOp,
     input: &ColBatch,
     ctx: &OpContext<'_>,
 ) -> ExtendCountOutput {
-    let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
-    let ranges = intersect_ranges(input.len(), ctx);
-    let batch_table = &batch_table;
-    let run = ctx.pool.run(ranges, |range, out: &mut Vec<u64>| {
-        let mut count = 0u64;
-        if let Some(vpos) = op.verify_position {
-            for_each_verified_row(op, vpos, input, range, ctx, batch_table, |_| count += 1);
-        } else {
-            for_each_candidate_set(op, input, range, ctx, batch_table, |_, c, bound, tally| {
-                count += c.count(bound, tally)
-            });
-        }
-        out.push(count);
-    });
-    if ctx.use_cache {
-        ctx.cache.release();
-    }
-    ExtendCountOutput {
-        count: run.outputs.iter().flatten().sum(),
-        worker_busy: run.busy,
-        fetch_time,
-    }
+    ExtendSpec::compile(op, input.arity()).run_count_cols(input, ctx)
 }
 
 /// The row-major `PULL-EXTEND`: every list intersected for every row, every
@@ -1268,6 +1436,79 @@ mod tests {
         all
     }
 
+    /// The match-mode extends of every segment of `dataflow`, compiled.
+    fn compiled(dataflow: &huge_plan::translate::Dataflow) -> Vec<Vec<ExtendSpec>> {
+        let chain = |segment: &huge_plan::translate::Segment| {
+            // Every chain here starts from a scan's two columns.
+            let mut arity = 2;
+            let specs = segment.extends.iter().map(|op| {
+                let spec = ExtendSpec::compile(op, arity);
+                arity = spec.output_arity();
+                spec
+            });
+            let matching = specs.filter(|spec| spec.op.verify_position.is_none());
+            matching.collect()
+        };
+        dataflow.segments.iter().map(chain).collect()
+    }
+
+    #[test]
+    fn compile_keeps_only_positions_that_can_collide() {
+        use huge_plan::cost::{CostModel, HybridEstimator};
+        use huge_plan::optimizer::Optimizer;
+        use huge_plan::translate::translate;
+        use huge_query::Pattern;
+
+        let wco = |pattern: Pattern| {
+            let plan = huge_plan::baselines::huge_wco_plan(&pattern.query_graph()).unwrap();
+            compiled(&translate(&plan).unwrap())
+        };
+        let graph = gen::barabasi_albert(5_000, 10, 7);
+        let estimator = HybridEstimator::from_graph(&graph);
+        let model = CostModel::new(10, graph.num_edges()).with_avg_degree(graph.avg_degree());
+        let six_path = Pattern::paper(7).unwrap().query_graph();
+        let plan = Optimizer::new(&estimator, model)
+            .optimize(&six_path)
+            .unwrap();
+        let q7 = compiled(&translate(&plan).unwrap());
+
+        let collide = |spec: &ExtendSpec| spec.collide.clone();
+        let square = wco(Pattern::Square);
+        assert_eq!(collide(square[0].last().unwrap()), []);
+        let clique: Vec<_> = wco(Pattern::FourClique)[0].iter().map(collide).collect();
+        assert_eq!(clique, [vec![], vec![]]);
+        // (v4, v3, v5) extended by v2 ∈ N(v3): v2 may be v4 or v5.
+        assert_eq!(q7.len(), 3, "two scan segments into a join");
+        assert_eq!(collide(&q7[0][1]), [0, 2]);
+
+        let mut chains = q7;
+        for pattern in [
+            Pattern::Triangle,
+            Pattern::Square,
+            Pattern::ChordalSquare,
+            Pattern::FourClique,
+            Pattern::House,
+        ] {
+            chains.extend(wco(pattern));
+        }
+        for spec in chains.iter().flatten() {
+            let ruled_out = spec
+                .op
+                .ext_positions
+                .iter()
+                .chain(&spec.lo_from)
+                .chain(&spec.hi_from);
+            for p in 0..spec.arity {
+                let ruled_out = ruled_out.clone().any(|&q| q == p);
+                assert_eq!(
+                    spec.collide.contains(&p),
+                    !ruled_out,
+                    "{spec:?} position {p}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_run_intersects_its_prefix_once() {
         // K6 on one machine: 120 rows (a, b, c) in 30 runs of equal (a, b).
@@ -1289,13 +1530,15 @@ mod tests {
                 after.kernel_invocations() - before.kernel_invocations(),
                 after.extend_rows - before.extend_rows,
                 after.extend_prefix_reuses - before.extend_prefix_reuses,
+                after.kernel_probe - before.kernel_probe,
             )
         };
 
-        // Both sinks: N(a) ∩ N(b) once per run, the last step once per row —
-        // not two intersections per row.
+        // Both sinks: N(a) ∩ N(b) once per run, the last step once per row
+        // (a probe of N(c) against the run's filter) — not two
+        // intersections per row.
         let counted = executed(&|| run_extend_count_cols(&fourth, &rows, &c).count);
-        assert_eq!(counted, (360, 30 + 120, 120, 90));
+        assert_eq!(counted, (360, 30 + 120, 120, 90, 120));
         let gathered = executed(&|| run_extend_cols(&fourth, rows.clone(), &c).batch.len() as u64);
         assert_eq!(gathered, counted);
 
@@ -1304,14 +1547,12 @@ mod tests {
         let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by_key(|&i| (rows.value(2, i), i));
         let mut scattered = ColBatch::new(3);
-        let mut row = Vec::new();
-        for i in order {
-            row.clear();
-            rows.read_row(i, &mut row);
-            scattered.push_row(&row);
-        }
+        let row_major = rows.to_rows();
+        order
+            .iter()
+            .for_each(|&i| scattered.push_row(row_major.row(i)));
         let missed = executed(&|| run_extend_count_cols(&fourth, &scattered, &c).count);
-        assert_eq!(missed, (360, 2 * 120, 120, 0));
+        assert_eq!(missed, (360, 2 * 120, 120, 0, 120));
 
         // A filter among bound positions gates the whole row, a filter on
         // the new position narrows its candidates; the row-major reference
@@ -1348,7 +1589,77 @@ mod tests {
             comm: CommMode::Pulling,
         };
         let one_list = executed(&|| run_extend_count_cols(&path, &rows, &c).count);
-        assert_eq!(one_list, (360, 0, 120, 0));
+        assert_eq!(one_list, (360, 0, 120, 0, 0));
+    }
+
+    /// `graph` plus `leaves` new vertices under two hubs: vertex 0
+    /// reaches every leaf, so its list straddles
+    /// [`kernels::PROBE_MAX_SET`] (4080 or 4100 leaves, plus its own few
+    /// neighbours) and a filter over it is built or refused; the highest
+    /// id reaches every 16th leaf, a list past
+    /// [`kernels::PROBE_MAX_SKEW`] × a leaf's two or three neighbours.
+    fn with_hubs(graph: huge_graph::Graph, leaves: usize) -> huge_graph::Graph {
+        if leaves == 0 {
+            return graph;
+        }
+        let n = graph.num_vertices() as VertexId;
+        let top = n + leaves as VertexId;
+        let mut edges: Vec<(VertexId, VertexId)> = graph
+            .vertices()
+            .flat_map(|u| graph.neighbours(u).iter().map(move |&v| (u, v)))
+            .collect();
+        edges.extend((n..top).map(|leaf| (0, leaf)));
+        edges.extend((n..top).step_by(16).map(|leaf| (top, leaf)));
+        huge_graph::Graph::from_edges(edges)
+    }
+
+    #[test]
+    fn moving_bounds_set_the_filter_at_most_twice_a_run() {
+        // One run — every edge (0, v) of hub 0, v ascending — extended by
+        // `w ∈ N(0) ∩ N(v), w < v`: the range's upper end moves with every
+        // row, so each row's slice of N(0) reaches outside the one before.
+        let op = ExtendOp {
+            target: 2,
+            ext_positions: vec![0, 1],
+            verify_position: None,
+            filters: vec![OrderFilter {
+                smaller: 2,
+                larger: 1,
+            }],
+            comm: CommMode::Pulling,
+        };
+        for (leaves, fits) in [(4080, true), (4100, false)] {
+            let g = with_hubs(gen::erdos_renyi(12, 30, 7), leaves);
+            let parts = Partitioner::new(1).unwrap().partition(g);
+            let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+            let cache = huge_cache::LrbuCache::new(1 << 20);
+            let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+            let mut c = ctx(0, &parts, &rpc, &cache, &pool);
+            c.batch_size = 8192;
+            let hub = parts[0].local_neighbours(0);
+            assert_eq!(hub.len() <= kernels::PROBE_MAX_SET, fits);
+            let rows = ColBatch::from_columns(vec![vec![0; hub.len()], hub.to_vec()]);
+
+            let reference = run_extend_count(&op, &rows.to_rows(), &c).count;
+            assert!(reference > 0);
+            let before = rpc.stats().total();
+            assert_eq!(run_extend_count_cols(&op, &rows, &c).count, reference);
+            let ran = rpc.stats().total();
+            let probes = ran.kernel_probe - before.kernel_probe;
+            let calls = ran.kernel_invocations() - before.kernel_invocations();
+            // Each work item starts the run over: its first slice is set,
+            // its next row widens the filter to all of N(0) — which either
+            // fits, and serves every later row, or is refused, and the rest
+            // of the run goes unfiltered.
+            let items = intersect_ranges(rows.len(), &c).len() as u64;
+            assert!(items > 1 && calls > 2 * items);
+            if fits {
+                assert_eq!(probes, calls);
+            } else {
+                assert!((1..=items).contains(&probes), "{probes} of {calls}");
+            }
+            assert_eq!(run_extend_cols(&op, rows, &c).batch.len() as u64, reference);
+        }
     }
 
     mod properties {
@@ -1448,8 +1759,11 @@ mod tests {
                 hub_threshold in prop_oneof![Just(0usize), Just(4usize), Just(9usize)],
                 shape in arb_shape(),
                 lists in arb_lists(),
+                leaves in prop_oneof![Just(0usize), Just(0usize), Just(4080usize), Just(4100usize)],
             ) {
-                let graph = gen::erdos_renyi(n, n * density, seed);
+                // Square-like patterns would enumerate leaf² paths through a hub.
+                let clique_like = !matches!(pattern, Pattern::Square | Pattern::House);
+                let graph = with_hubs(gen::erdos_renyi(n, n * density, seed), leaves * clique_like as usize);
                 let query = pattern.query_graph();
                 let expected = naive::enumerate(&graph, &query);
                 let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();

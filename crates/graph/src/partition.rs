@@ -22,6 +22,9 @@ pub type MachineId = usize;
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     num_machines: usize,
+    /// `⌊2⁶⁴ / num_machines⌋`, or 0 when `num_machines` is a power of two
+    /// and [`PartitionMap::owner`] masks instead of multiplying.
+    recip: u64,
 }
 
 impl PartitionMap {
@@ -30,7 +33,16 @@ impl PartitionMap {
         if num_machines == 0 {
             return Err(GraphError::InvalidPartitionCount);
         }
-        Ok(PartitionMap { num_machines })
+        let recip = if num_machines.is_power_of_two() {
+            0
+        } else {
+            // 2⁶⁴ is not a multiple of `k`, so ⌊(2⁶⁴ − 1) / k⌋ = ⌊2⁶⁴ / k⌋.
+            u64::MAX / num_machines as u64
+        };
+        Ok(PartitionMap {
+            num_machines,
+            recip,
+        })
     }
 
     /// Number of machines.
@@ -45,7 +57,16 @@ impl PartitionMap {
         // Multiplicative hashing spreads consecutive ids (BA generators
         // produce id-correlated degrees) across machines.
         let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h % self.num_machines as u64) as MachineId
+        // `h % k` without the division — this runs per row of every extend.
+        let k = self.num_machines as u64;
+        if self.recip == 0 {
+            return (h & (k - 1)) as MachineId;
+        }
+        // ⌊h · ⌊2⁶⁴/k⌋ / 2⁶⁴⌋ is ⌊h / k⌋ or one less, so the remainder it
+        // leaves is under 2k: one conditional subtraction finishes it.
+        let q = ((h as u128 * self.recip as u128) >> 64) as u64;
+        let r = h - q * k;
+        (if r >= k { r - k } else { r }) as MachineId
     }
 
     /// Returns `true` if `v` is owned by `machine`.
@@ -286,6 +307,18 @@ mod tests {
     fn zero_machines_rejected() {
         assert!(Partitioner::new(0).is_err());
         assert!(PartitionMap::new(0).is_err());
+    }
+
+    #[test]
+    fn owner_is_the_remainder_it_replaced() {
+        let ids = (0..=10_000).chain([u32::MAX - 1, u32::MAX]);
+        for v in ids {
+            let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for k in (1..=9usize).chain([1000, 65_537]) {
+                let map = PartitionMap::new(k).unwrap();
+                assert_eq!(map.owner(v), (h % k as u64) as usize, "v {v} k {k}");
+            }
+        }
     }
 
     #[test]

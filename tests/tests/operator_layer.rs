@@ -91,16 +91,19 @@ fn exec_layer_pipeline_matches_reference() {
             },
             ScanPool::new(partition.local_vertices(), 16),
         );
-        let mut extend = PullExtend::new(ExtendOp {
-            target: 2,
-            ext_positions: vec![0, 1],
-            verify_position: None,
-            filters: vec![OrderFilter {
-                smaller: 1,
-                larger: 2,
-            }],
-            comm: CommMode::Pulling,
-        });
+        let mut extend = PullExtend::new(
+            &ExtendOp {
+                target: 2,
+                ext_positions: vec![0, 1],
+                verify_position: None,
+                filters: vec![OrderFilter {
+                    smaller: 1,
+                    larger: 2,
+                }],
+                comm: CommMode::Pulling,
+            },
+            2,
+        );
         while let OpPoll::Ready(batch) = scan.poll_next(&ctx).unwrap() {
             extend.push_input(batch, &ctx).unwrap();
             while let OpPoll::Ready(out) = extend.poll_next(&ctx).unwrap() {
