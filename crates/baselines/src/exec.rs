@@ -3,7 +3,7 @@
 //!
 //! The baselines materialise their intermediate *results* in full (that is
 //! the behaviour the paper criticises), so the common substrate is a
-//! *distributed table*: one [`RowBatch`] buffer per machine plus the schema
+//! *distributed table*: one [`ColBatch`] buffer per machine plus the schema
 //! of query vertices bound by its columns. The operations on tables mirror
 //! the physical operators of the respective systems — star scans, pushing
 //! hash joins, pushing wco extensions and pulling star expansions — and they
@@ -39,9 +39,10 @@ use std::time::Duration;
 
 use huge_comm::router::PushEnvelope;
 use huge_comm::stats::ClusterStats;
-use huge_comm::{QueueAccounting, Router, RouterEndpoint, RowBatch, RpcFabric};
+use huge_comm::{ColBatch, QueueAccounting, Router, RouterEndpoint, RpcFabric};
 use huge_core::exec::{
-    partition_by_key, partition_by_owner, run_pipeline, BatchOperator, OpContext, OpPoll, PushJoin,
+    partition_cols_by_key, partition_cols_by_owner, run_pipeline, BatchOperator, OpContext, OpPoll,
+    PushJoin,
 };
 use huge_core::join::{JoinSide, MemoryTrackerHandle};
 use huge_core::memory::MemoryTracker;
@@ -69,8 +70,8 @@ const SHUFFLE_PARK: Duration = Duration::from_millis(1);
 pub struct DistTable {
     /// Query vertices bound by each column.
     pub schema: Vec<QueryVertex>,
-    /// Row storage, one batch buffer per machine.
-    pub rows: Vec<RowBatch>,
+    /// Row storage, one dense batch buffer per machine.
+    pub rows: Vec<ColBatch>,
 }
 
 impl DistTable {
@@ -83,7 +84,7 @@ impl DistTable {
         let arity = schema.len();
         DistTable {
             schema,
-            rows: (0..k).map(|_| RowBatch::new(arity)).collect(),
+            rows: (0..k).map(|_| ColBatch::new(arity)).collect(),
         }
     }
 
@@ -106,11 +107,6 @@ impl DistTable {
     /// metric).
     pub fn max_machine_bytes(&self) -> u64 {
         self.rows.iter().map(|r| r.byte_size()).max().unwrap_or(0)
-    }
-
-    /// Iterates the rows of one machine.
-    pub fn machine_rows(&self, m: usize) -> impl Iterator<Item = &[VertexId]> {
-        self.rows[m].rows()
     }
 }
 
@@ -255,8 +251,8 @@ impl BaselineCtx {
         from: usize,
         dest: usize,
         tag: usize,
-        batch: RowBatch,
-    ) -> std::result::Result<(), RowBatch> {
+        batch: ColBatch,
+    ) -> std::result::Result<(), ColBatch> {
         self.endpoints[from].try_push(dest, tag, batch)
     }
 
@@ -345,7 +341,7 @@ impl BatchOperator for StarScan {
         }
         let arity = self.output_arity();
         let locals = ctx.partition.local_vertices();
-        let mut batch = RowBatch::new(arity);
+        let mut batch = ColBatch::new(arity);
         while self.cursor < locals.len() && batch.len() < ctx.batch_size {
             let u = locals[self.cursor];
             self.cursor += 1;
@@ -371,12 +367,11 @@ impl BatchOperator for StarScan {
                 OpPoll::Pending
             })
         } else {
-            let cols = huge_comm::ColBatch::from_rows(&batch);
             ctx.rpc
                 .stats()
                 .machine(ctx.machine)
-                .record_col_bytes(cols.byte_size());
-            Ok(OpPoll::Ready(cols))
+                .record_col_bytes(batch.byte_size());
+            Ok(OpPoll::Ready(batch))
         }
     }
 }
@@ -400,13 +395,13 @@ pub fn scan_star(
     let shared: &BaselineCtx = ctx;
     let scanned = pool.run(
         (0..k).collect::<Vec<_>>(),
-        |m, out: &mut Vec<(usize, Result<RowBatch>)>| {
+        |m, out: &mut Vec<(usize, Result<ColBatch>)>| {
             let op_ctx = shared.op_context(m);
             let mut scan = StarScan::new(leaves.len(), filters.clone());
-            let mut rows = RowBatch::new(arity);
+            let mut rows = ColBatch::new(arity);
             let mut ops: [&mut dyn BatchOperator; 1] = [&mut scan];
-            let res = run_pipeline(&mut ops, &op_ctx, &mut |batch| {
-                rows.append(&mut batch.into_rows());
+            let res = run_pipeline(&mut ops, &op_ctx, &mut |mut batch| {
+                rows.append(&mut batch);
             });
             out.push((m, res.map(|()| rows)));
         },
@@ -480,25 +475,30 @@ fn guard_job<T>(failed: &AtomicBool, body: impl FnOnce() -> Result<T>) -> Result
 }
 
 /// The cooperative shuffle protocol of one machine `m`: push every chunk of
-/// `batches` (each a `(tag, rows)` side) to the destinations `route`
-/// chooses, draining the *own* inbox via `drain` under backpressure (the
-/// deadlock-free discipline the HUGE machines follow), then rendezvous —
-/// keep absorbing until every machine has decremented `shuffling` — so no
-/// peer's final envelopes are stranded. Bails out with an error as soon as
-/// `failed` is raised by any machine.
+/// `batches` (each a `(tag, rows)` side; a chunk is a selection over the
+/// side's columns, so nothing is copied before `route` scatters it) to the
+/// destinations `route` chooses, draining the *own* inbox via `drain` under
+/// backpressure (the deadlock-free discipline the HUGE machines follow), then
+/// rendezvous — keep absorbing until every machine has decremented
+/// `shuffling` — so no peer's final envelopes are stranded. Bails out with an
+/// error as soon as `failed` is raised by any machine.
 fn shuffle_rendezvous(
     shared: &BaselineCtx,
     m: usize,
     shuffling: &AtomicUsize,
     failed: &AtomicBool,
-    batches: Vec<(usize, RowBatch)>,
-    route: impl Fn(&RowBatch, usize) -> Vec<RowBatch>,
+    batches: Vec<(usize, ColBatch)>,
+    route: impl Fn(&ColBatch, usize) -> Vec<ColBatch>,
     mut drain: impl FnMut() -> Result<()>,
 ) -> Result<()> {
     let aborted = || EngineError::Aborted("baseline shuffle aborted by a failed machine".into());
-    for (tag, rows) in batches {
-        for chunk in rows.chunked(shared.batch_size) {
-            for (dest, part) in route(&chunk, tag).into_iter().enumerate() {
+    for (tag, mut rows) in batches {
+        rows.compact();
+        let total = u32::try_from(rows.len()).expect("selection vectors index rows in 32 bits");
+        for start in (0..total).step_by(shared.batch_size) {
+            let end = total.min(start.saturating_add(shared.batch_size as u32));
+            rows.set_selection((start..end).collect());
+            for (dest, part) in route(&rows, tag).into_iter().enumerate() {
                 let mut pending = part;
                 loop {
                     match shared.try_push_shuffled(m, dest, tag, pending) {
@@ -612,7 +612,7 @@ pub fn hash_join_pushing(
     // reported message counts stay comparable), then rendezvous and join.
     let shuffling = AtomicUsize::new(k);
     let failed = AtomicBool::new(false);
-    let items: Vec<(usize, RowBatch, RowBatch, PushJoin)> = joiners
+    let items: Vec<(usize, ColBatch, ColBatch, PushJoin)> = joiners
         .into_iter()
         .zip(left.rows)
         .zip(right.rows)
@@ -623,7 +623,7 @@ pub fn hash_join_pushing(
     let shared: &BaselineCtx = ctx;
     let joined = pool.run(
         items,
-        |(m, left_rows, right_rows, mut join), out: &mut Vec<(usize, Result<RowBatch>)>| {
+        |(m, left_rows, right_rows, mut join), out: &mut Vec<(usize, Result<ColBatch>)>| {
             let res = guard_job(&failed, || {
                 shuffle_rendezvous(
                     shared,
@@ -637,15 +637,15 @@ pub fn hash_join_pushing(
                         } else {
                             &op.key_right
                         };
-                        partition_by_key(chunk, keys, k)
+                        partition_cols_by_key(chunk, keys, k)
                     },
                     || absorb_into_joiner(shared, m, &mut join),
                 )?;
                 let op_ctx = shared.op_context(m);
                 join.finish_input(&op_ctx)?;
-                let mut rows = RowBatch::new(out_arity);
-                while let OpPoll::Ready(batch) = join.poll_next(&op_ctx)? {
-                    rows.append(&mut batch.into_rows());
+                let mut rows = ColBatch::new(out_arity);
+                while let OpPoll::Ready(mut batch) = join.poll_next(&op_ctx)? {
+                    rows.append(&mut batch);
                 }
                 Ok(rows)
             });
@@ -699,27 +699,26 @@ pub fn wco_extend_pushing(
     // buffer, so the bounded router never holds more than its capacity (and
     // the input table is consumed — its local shares move into the first
     // hop without being copied).
-    let mut current: Vec<RowBatch> = input.rows;
+    let mut current: Vec<ColBatch> = input.rows;
     for &p in &positions {
         let shuffling = AtomicUsize::new(k);
         let failed = AtomicBool::new(false);
         let shared: &BaselineCtx = ctx;
         let routed = pool.run(
             current.into_iter().enumerate().collect::<Vec<_>>(),
-            |(m, buffered), out: &mut Vec<(usize, Result<RowBatch>)>| {
+            |(m, buffered), out: &mut Vec<(usize, Result<ColBatch>)>| {
                 let res = guard_job(&failed, || {
-                    let mut mine = RowBatch::new(arity);
+                    let mut mine = ColBatch::new(arity);
                     shuffle_rendezvous(
                         shared,
                         m,
                         &shuffling,
                         &failed,
                         vec![(WCO_TAG, buffered)],
-                        |chunk, _tag| partition_by_owner(chunk, p, shared.rpc(), k),
+                        |chunk, _tag| partition_cols_by_owner(chunk, p, shared.rpc(), k),
                         || {
-                            for env in shared.drain_machine(m) {
-                                let mut batch = env.batch;
-                                mine.append(&mut batch);
+                            for mut env in shared.drain_machine(m) {
+                                mine.append(&mut env.batch);
                             }
                             Ok(())
                         },
@@ -729,7 +728,7 @@ pub fn wco_extend_pushing(
                 out.push((m, res));
             },
         );
-        let mut next: Vec<RowBatch> = (0..k).map(|_| RowBatch::new(arity)).collect();
+        let mut next: Vec<ColBatch> = (0..k).map(|_| ColBatch::new(arity)).collect();
         for (m, rows) in routed.into_flat() {
             next[m] = rows?;
         }
@@ -742,10 +741,13 @@ pub fn wco_extend_pushing(
     let shared: &BaselineCtx = ctx;
     let extended = pool.run(
         current.into_iter().enumerate().collect::<Vec<_>>(),
-        |(m, buffered), out: &mut Vec<(usize, RowBatch)>| {
-            let mut rows = RowBatch::new(out_arity);
+        |(m, buffered), out: &mut Vec<(usize, ColBatch)>| {
+            let mut rows = ColBatch::new(out_arity);
             let mut candidates: Vec<VertexId> = Vec::new();
-            for row in buffered.rows() {
+            let mut row = Vec::with_capacity(arity);
+            for i in 0..buffered.len() {
+                row.clear();
+                buffered.read_row(i, &mut row);
                 candidates.clear();
                 for (i, &p) in positions.iter().enumerate() {
                     let nbrs = shared.partitions[0].any_neighbours(row[p]);
@@ -764,7 +766,7 @@ pub fn wco_extend_pushing(
                         continue;
                     }
                     joined.clear();
-                    joined.extend_from_slice(row);
+                    joined.extend_from_slice(&row);
                     joined.push(c);
                     if passes_filters(&joined, &filters) {
                         rows.push_row(&joined);

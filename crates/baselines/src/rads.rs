@@ -138,15 +138,19 @@ fn expand_star_pulling(
     let out_schema_ref = &out_schema;
     let expanded = pool.run(
         (0..k).collect::<Vec<_>>(),
-        |m, out: &mut Vec<(usize, huge_comm::RowBatch)>| {
+        |m, out: &mut Vec<(usize, huge_comm::ColBatch)>| {
             // Per-machine cache of pulled adjacency lists (RADS caches within
             // a region group; we grant it a whole-machine cache, which is
             // generous). Fetches go through the shared RPC fabric, which
             // charges remote pulls exactly as the HUGE engine's `PULL-EXTEND`
             // is charged.
             let mut cache: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-            let mut rows = huge_comm::RowBatch::new(out_arity);
-            for row in input.machine_rows(m) {
+            let mut rows = huge_comm::ColBatch::new(out_arity);
+            let matched = &input.rows[m];
+            let mut row = Vec::with_capacity(matched.arity());
+            for i in 0..matched.len() {
+                row.clear();
+                matched.read_row(i, &mut row);
                 let anchor = row[root_pos];
                 let nbrs = &*cache.entry(anchor).or_insert_with(|| {
                     shared
@@ -166,9 +170,9 @@ fn expand_star_pulling(
                 }
                 // Enumerate injective assignments for the unbound leaves.
                 let mut assignment: Vec<VertexId> = Vec::with_capacity(unbound.len());
-                enumerate_unbound(nbrs, row, unbound.len(), &mut assignment, &mut |vals| {
+                enumerate_unbound(nbrs, &row, unbound.len(), &mut assignment, &mut |vals| {
                     let mut joined = Vec::with_capacity(out_arity);
-                    joined.extend_from_slice(row);
+                    joined.extend_from_slice(&row);
                     joined.extend_from_slice(vals);
                     if shared.order_ok(out_schema_ref, &joined) {
                         rows.push_row(&joined);

@@ -1,22 +1,24 @@
-//! Fixed-arity batches of partial matches, in two physical layouts.
+//! Fixed-arity batches of partial matches.
 //!
 //! Every operator in HUGE processes data in *batches* (§4.2): a batch of
 //! partial matches is the minimum scheduling and communication unit. A
 //! partial match is a compact array of data-vertex ids (one per bound query
-//! vertex). Two layouts coexist:
+//! vertex).
 //!
-//! * [`RowBatch`] — row-major: `n` rows of arity `a` as one flat `Vec<u32>`
-//!   of length `n · a`. This is the **wire format**: shuffles, RPC
-//!   envelopes and the join build side ship rows, which serialise for free.
-//! * [`ColBatch`] — columnar: one dense `Vec<u32>` per bound query vertex,
-//!   plus an optional *selection vector* of surviving row indices. This is
-//!   the **operator currency**: an extension appends one candidate column
-//!   instead of rewriting `a + 1`-wide rows, and a filter narrows the
-//!   selection instead of compacting the data.
+//! [`ColBatch`] is the one currency, between operators and on the wire: one
+//! dense `Vec<u32>` per bound query vertex, plus an optional *selection
+//! vector* of surviving row indices. An extension appends one candidate
+//! column instead of rewriting `a + 1`-wide rows, a filter narrows the
+//! selection instead of compacting the data, the shuffle scatters each column
+//! through the selection into dense per-destination batches, and the router,
+//! the join build, its spill files and partition ships move those columns as
+//! they are — nothing between an extend's output and a probe's output is
+//! transposed.
 //!
-//! Conversions ([`ColBatch::from_rows`] / [`ColBatch::into_rows`]) are the
-//! boundary between the two worlds; engines that have not migrated keep
-//! speaking `RowBatch` end to end.
+//! [`RowBatch`] — `n` rows of arity `a` as one flat `Vec<u32>` — is what is
+//! left of the row-major layout: the scan cursor still assembles `[src, dst]`
+//! rows and `SCAN` transposes them once ([`ColBatch::from_rows`]); tests use
+//! [`ColBatch::to_rows`] to compare against row-at-a-time references.
 
 use huge_graph::VertexId;
 
@@ -82,15 +84,6 @@ impl RowBatch {
         self.data.extend_from_slice(row);
     }
 
-    /// Appends a row made of an existing row plus one extra column (the
-    /// common case in `PULL-EXTEND`).
-    #[inline]
-    pub fn push_extended(&mut self, row: &[VertexId], extra: VertexId) {
-        debug_assert_eq!(row.len() + 1, self.arity);
-        self.data.extend_from_slice(row);
-        self.data.push(extra);
-    }
-
     /// The `i`-th row.
     #[inline]
     pub fn row(&self, i: usize) -> &[VertexId] {
@@ -111,47 +104,7 @@ impl RowBatch {
         self.data.append(&mut other.data);
     }
 
-    /// Splits off the last `rows` rows into a new batch (used by work
-    /// stealing to hand half a deque entry to another worker).
-    pub fn split_off_back(&mut self, rows: usize) -> RowBatch {
-        let rows = rows.min(self.len());
-        let at = self.data.len() - rows * self.arity;
-        let tail = self.data.split_off(at);
-        RowBatch {
-            arity: self.arity,
-            data: tail,
-        }
-    }
-
-    /// Consumes the batch, yielding its rows in chunks of at most
-    /// `rows_per_chunk` rows. When the whole batch fits in a single chunk it
-    /// is handed back *as-is* — no copy — so shuffling a small batch is
-    /// free; larger batches materialise one chunk at a time (the
-    /// streaming-shuffle counterpart of [`RowBatch::split_into_chunks`]).
-    pub fn chunked(self, rows_per_chunk: usize) -> Chunked {
-        assert!(rows_per_chunk > 0);
-        Chunked {
-            arity: self.arity,
-            chunk_vals: rows_per_chunk * self.arity,
-            data: self.data,
-            offset: 0,
-        }
-    }
-
-    /// Splits this batch into chunks of at most `rows_per_chunk` rows.
-    pub fn split_into_chunks(self, rows_per_chunk: usize) -> Vec<RowBatch> {
-        assert!(rows_per_chunk > 0);
-        if self.len() <= rows_per_chunk {
-            return vec![self];
-        }
-        let arity = self.arity;
-        self.data
-            .chunks(rows_per_chunk * arity)
-            .map(|c| RowBatch::from_flat(arity, c.to_vec()))
-            .collect()
-    }
-
-    /// The serialized size in bytes (what the network model charges).
+    /// Heap bytes of the row data.
     #[inline]
     pub fn byte_size(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<VertexId>()) as u64
@@ -160,11 +113,6 @@ impl RowBatch {
     /// The flat underlying data.
     pub fn as_flat(&self) -> &[VertexId] {
         &self.data
-    }
-
-    /// Consumes the batch, returning the flat data.
-    pub fn into_flat(self) -> Vec<VertexId> {
-        self.data
     }
 }
 
@@ -175,7 +123,7 @@ impl RowBatch {
 /// strictly ascending list of physical row indices — marks the rows that
 /// are logically present. Filters narrow the selection without touching
 /// column data; [`ColBatch::compact`] materialises the selection when a
-/// dense layout is needed (chunking, wire conversion).
+/// dense layout is needed (chunking, appending).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ColBatch {
     cols: Vec<Vec<VertexId>>,
@@ -237,11 +185,6 @@ impl ColBatch {
         out
     }
 
-    /// Consumes the batch, producing its row-major equivalent.
-    pub fn into_rows(self) -> RowBatch {
-        self.to_rows()
-    }
-
     /// Number of columns (bound query vertices).
     #[inline]
     pub fn arity(&self) -> usize {
@@ -269,32 +212,26 @@ impl ColBatch {
         self.len() == 0
     }
 
-    /// Physical index of logical row `i`.
-    #[inline]
-    fn phys(&self, i: usize) -> usize {
-        match &self.sel {
-            Some(sel) => sel[i] as usize,
-            None => i,
-        }
-    }
-
     /// The binding of query vertex `col` in logical row `i`.
     #[inline]
     pub fn value(&self, col: usize, i: usize) -> VertexId {
-        self.cols[col][self.phys(i)]
+        self.cols[col][self.physical_index(i)]
     }
 
     /// Physical index of logical row `i` (what a narrowed selection must
     /// reference when filters re-select an already-selected batch).
     #[inline]
     pub fn physical_index(&self, i: usize) -> usize {
-        self.phys(i)
+        match &self.sel {
+            Some(sel) => sel[i] as usize,
+            None => i,
+        }
     }
 
     /// Appends the values of logical row `i` to `out`.
     #[inline]
     pub fn read_row(&self, i: usize, out: &mut Vec<VertexId>) {
-        let p = self.phys(i);
+        let p = self.physical_index(i);
         for col in &self.cols {
             out.push(col[p]);
         }
@@ -340,11 +277,6 @@ impl ColBatch {
             "selection index out of range"
         );
         self.sel = Some(sel);
-    }
-
-    /// Drops the selection, making every physical row logical again.
-    pub fn clear_selection(&mut self) {
-        self.sel = None;
     }
 
     /// Materialises the selection: unselected rows are discarded and the
@@ -420,38 +352,6 @@ impl ColBatch {
     }
 }
 
-/// Owning chunk iterator over a [`RowBatch`] (see [`RowBatch::chunked`]).
-#[derive(Debug)]
-pub struct Chunked {
-    arity: usize,
-    chunk_vals: usize,
-    data: Vec<VertexId>,
-    offset: usize,
-}
-
-impl Iterator for Chunked {
-    type Item = RowBatch;
-
-    fn next(&mut self) -> Option<RowBatch> {
-        if self.offset >= self.data.len() {
-            return None;
-        }
-        let remaining = self.data.len() - self.offset;
-        if self.offset == 0 && remaining <= self.chunk_vals {
-            // The batch fits in one chunk: hand its buffer back untouched.
-            self.offset = self.data.len();
-            return Some(RowBatch::from_flat(
-                self.arity,
-                std::mem::take(&mut self.data),
-            ));
-        }
-        let take = remaining.min(self.chunk_vals);
-        let chunk = self.data[self.offset..self.offset + take].to_vec();
-        self.offset += take;
-        Some(RowBatch::from_flat(self.arity, chunk))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,68 +369,46 @@ mod tests {
     }
 
     #[test]
-    fn push_extended() {
-        let mut b = RowBatch::new(3);
-        b.push_extended(&[7, 8], 9);
-        assert_eq!(b.row(0), &[7, 8, 9]);
-    }
-
-    #[test]
     fn append_and_split() {
-        let mut a = RowBatch::from_flat(2, vec![1, 2, 3, 4, 5, 6]);
-        let mut b = RowBatch::from_flat(2, vec![7, 8]);
+        let mut a = ColBatch::from_columns(vec![vec![1, 3, 5], vec![2, 4, 6]]);
+        let mut b = ColBatch::from_columns(vec![vec![7], vec![8]]);
         a.append(&mut b);
         assert_eq!(a.len(), 4);
         assert!(b.is_empty());
         let tail = a.split_off_back(2);
         assert_eq!(a.len(), 2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail.row(0), &[5, 6]);
-        assert_eq!(tail.row(1), &[7, 8]);
-    }
-
-    #[test]
-    fn split_into_chunks() {
-        let b = RowBatch::from_flat(2, (0..20).collect());
-        let chunks = b.split_into_chunks(3);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0].len(), 3);
-        assert_eq!(chunks[3].len(), 1);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 10);
+        assert_eq!(tail.to_rows().as_flat(), &[5, 6, 7, 8]);
     }
 
     #[test]
     fn chunked_yields_every_row_in_order() {
-        let b = RowBatch::from_flat(2, (0..20).collect());
-        let chunks: Vec<RowBatch> = b.chunked(3).collect();
+        let b = ColBatch::from_rows(&RowBatch::from_flat(2, (0..20).collect()));
+        let chunks = b.split_into_chunks(3);
         assert_eq!(chunks.len(), 4);
         assert_eq!(chunks[0].len(), 3);
         assert_eq!(chunks[3].len(), 1);
-        let flat: Vec<u32> = chunks.iter().flat_map(|c| c.as_flat().to_vec()).collect();
+        let flat: Vec<u32> = chunks
+            .iter()
+            .flat_map(|c| c.to_rows().as_flat().to_vec())
+            .collect();
         assert_eq!(flat, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]
     fn chunked_single_chunk_reuses_the_buffer() {
-        let b = RowBatch::from_flat(2, (0..20).collect());
-        let ptr = b.as_flat().as_ptr();
-        let mut it = b.chunked(100);
-        let only = it.next().unwrap();
-        // The whole batch fits in one chunk: same allocation, no copy.
-        assert_eq!(only.as_flat().as_ptr(), ptr);
+        let b = ColBatch::from_columns(vec![(0..10).collect(), (10..20).collect()]);
+        let ptrs = [b.column(0).as_ptr(), b.column(1).as_ptr()];
+        let mut chunks = b.split_into_chunks(100);
+        let only = chunks.pop().unwrap();
+        // The whole batch fits in one chunk: same allocations, no copy.
+        assert_eq!([only.column(0).as_ptr(), only.column(1).as_ptr()], ptrs);
         assert_eq!(only.len(), 10);
-        assert!(it.next().is_none());
-    }
-
-    #[test]
-    fn chunked_empty_batch_yields_nothing() {
-        assert_eq!(RowBatch::new(3).chunked(4).count(), 0);
+        assert!(chunks.is_empty());
     }
 
     #[test]
     fn split_off_more_than_len_takes_everything() {
-        let mut b = RowBatch::from_flat(1, vec![1, 2, 3]);
+        let mut b = ColBatch::from_columns(vec![vec![1, 2, 3]]);
         let tail = b.split_off_back(10);
         assert_eq!(tail.len(), 3);
         assert!(b.is_empty());
@@ -551,7 +429,6 @@ mod tests {
         assert_eq!(cols.column(0), &[0, 3, 6, 9]);
         assert_eq!(cols.column(2), &[2, 5, 8, 11]);
         assert_eq!(cols.to_rows(), rows);
-        assert_eq!(cols.into_rows(), rows);
     }
 
     #[test]

@@ -395,10 +395,10 @@ impl RouterEndpoint {
 mod tests {
     use super::*;
     use crate::stats::ClusterStats;
-    use crate::{ControlMsg, Router, RowBatch};
+    use crate::{ColBatch, ControlMsg, Router};
 
-    fn batch(vals: &[u32]) -> RowBatch {
-        RowBatch::from_flat(1, vals.to_vec())
+    fn batch(vals: &[u32]) -> ColBatch {
+        ColBatch::from_columns(vec![vals.to_vec()])
     }
 
     fn lossy_router(k: usize, stats: ClusterStats, faults: Vec<LinkFault>) -> Router {
@@ -425,9 +425,7 @@ mod tests {
             );
             a.flush_link().unwrap();
             while let Some(env) = b.try_recv() {
-                for row in env.batch.rows() {
-                    rows.push(row[0]);
-                }
+                rows.extend_from_slice(env.batch.column(0));
             }
         }
         rows
@@ -610,8 +608,8 @@ mod tests {
             segment: 2,
             partition: 1,
             bytes: 8,
-            left: vec![1],
-            right: vec![2],
+            left: vec![vec![1]],
+            right: vec![vec![2]],
         };
         a.send_control(1, ship);
         let deadline = std::time::Instant::now() + Duration::from_secs(2);

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::batch::RowBatch;
+use crate::batch::ColBatch;
 use crate::link::{Link, SeenSet, TransportConfig};
 use crate::stats::ClusterStats;
 use crate::MachineId;
@@ -83,8 +83,8 @@ pub struct PushEnvelope {
     pub from: MachineId,
     /// Dataflow segment (operator) the batch belongs to.
     pub segment: usize,
-    /// The rows.
-    pub batch: RowBatch,
+    /// The rows, dense (no selection vector crosses the wire).
+    pub batch: ColBatch,
 }
 
 /// A control-plane message. Control traffic rides the same per-machine
@@ -99,7 +99,7 @@ pub enum ControlMsg {
         /// The join segment being drained.
         segment: usize,
     },
-    /// One sealed Grace partition, both sides as flat rows.
+    /// One sealed Grace partition, each side one vector per column.
     PartitionShip {
         /// The join segment the partition belongs to.
         segment: usize,
@@ -107,10 +107,10 @@ pub enum ControlMsg {
         partition: usize,
         /// Row bytes the shipper still holds charged until the ack arrives.
         bytes: u64,
-        /// Left (build) side rows.
-        left: Vec<VertexId>,
-        /// Right (probe) side rows.
-        right: Vec<VertexId>,
+        /// The left side's columns.
+        left: Vec<Vec<VertexId>>,
+        /// The right side's columns.
+        right: Vec<Vec<VertexId>>,
     },
     /// Negative reply to a [`ControlMsg::StealRequest`]: nothing shippable.
     ShipNack {
@@ -132,7 +132,8 @@ impl ControlMsg {
     pub fn byte_size(&self) -> u64 {
         match self {
             ControlMsg::PartitionShip { left, right, .. } => {
-                16 + ((left.len() + right.len()) * std::mem::size_of::<VertexId>()) as u64
+                let values: usize = left.iter().chain(right).map(Vec::len).sum();
+                16 + (values * std::mem::size_of::<VertexId>()) as u64
             }
             _ => 16,
         }
@@ -464,7 +465,7 @@ impl RouterEndpoint {
     /// while the destination inbox is full (backpressure); pushes to the own
     /// machine never block. Use [`RouterEndpoint::try_push`] on paths that
     /// must make progress while full (e.g. absorbing their own inbox).
-    pub fn push(&self, to: MachineId, segment: usize, batch: RowBatch) {
+    pub fn push(&self, to: MachineId, segment: usize, batch: ColBatch) {
         let mut pending = batch;
         while let Err(back) = self.try_push(to, segment, pending) {
             pending = back;
@@ -481,7 +482,7 @@ impl RouterEndpoint {
     /// with a [`link`](crate::link) armed an accepted cross-machine push may
     /// still be in flight — [`RouterEndpoint::flush_link`] is the delivery
     /// barrier.
-    pub fn try_push(&self, to: MachineId, segment: usize, batch: RowBatch) -> Result<(), RowBatch> {
+    pub fn try_push(&self, to: MachineId, segment: usize, batch: ColBatch) -> Result<(), ColBatch> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -636,8 +637,8 @@ impl RouterEndpoint {
 mod tests {
     use super::*;
 
-    fn batch(vals: &[u32]) -> RowBatch {
-        RowBatch::from_flat(1, vals.to_vec())
+    fn batch(vals: &[u32]) -> ColBatch {
+        ColBatch::from_columns(vec![vals.to_vec()])
     }
 
     #[test]
@@ -670,7 +671,7 @@ mod tests {
         let stats = ClusterStats::new(2);
         let router = Router::new(2, stats.clone());
         let a = router.endpoint(0);
-        a.push(1, 0, RowBatch::new(2));
+        a.push(1, 0, ColBatch::new(2));
         assert!(router.endpoint(1).try_recv().is_none());
     }
 
@@ -803,8 +804,8 @@ mod tests {
                 segment: 9,
                 partition: 3,
                 bytes: 8,
-                left: vec![1],
-                right: vec![2],
+                left: vec![vec![1]],
+                right: vec![vec![2]],
             },
         );
         assert!(b.has_data());
@@ -822,7 +823,7 @@ mod tests {
                 right,
             } => {
                 assert_eq!((segment, partition, bytes), (9, 3, 8));
-                assert_eq!((left, right), (vec![1], vec![2]));
+                assert_eq!((left, right), (vec![vec![1]], vec![vec![2]]));
             }
             other => panic!("expected a ship, got {other:?}"),
         }
@@ -853,8 +854,8 @@ mod tests {
                 segment: 0,
                 partition: 0,
                 bytes: 8,
-                left: vec![0],
-                right: vec![0],
+                left: vec![vec![0]],
+                right: vec![vec![0]],
             },
         );
         assert_eq!(counter.0.load(Ordering::SeqCst), 16 + 8);

@@ -2,8 +2,8 @@
 //!
 //! Every engine in this workspace — the HUGE engine itself *and* the
 //! baseline systems in `huge-baselines` — executes physical operators over
-//! columnar [`ColBatch`]es through this module (row-major [`RowBatch`]es
-//! remain the wire format of the shuffle paths):
+//! columnar [`ColBatch`]es through this module, and ships the same
+//! [`ColBatch`]es on its shuffle paths:
 //!
 //! * [`OpContext`] bundles what any operator needs from the machine it runs
 //!   on: the graph partition, the pulling fabric, the adjacency cache, the
@@ -14,11 +14,12 @@
 //!   (`SCAN`, `PULL-EXTEND`, `PUSH-JOIN`) behind that interface. The
 //!   baselines add their own sources (e.g. star scans) in their crate but
 //!   reuse [`PushJoin`] and the routing utilities below.
-//! * [`partition_by_key`] hash-partitions a batch over machines; callers
-//!   move the resulting per-destination batches through the accounted
-//!   `huge-comm` fabric (`RouterEndpoint::push` / `RpcFabric::get_nbrs`), so
-//!   every engine's traffic is charged to [`huge_comm::ClusterStats`] by the
-//!   same code path and the reported `C`/`T_C` columns are comparable.
+//! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
+//!   batch's columns into one dense batch per destination machine; callers
+//!   move those through the accounted `huge-comm` fabric
+//!   (`RouterEndpoint::push` / `RpcFabric::get_nbrs`), so every engine's
+//!   traffic is charged to [`huge_comm::ClusterStats`] by the same code path
+//!   and the reported `C`/`T_C` columns are comparable.
 //! * [`run_pipeline`] is a simple breadth-first driver (poll a stage to
 //!   exhaustion, feed the next) used by the BFS-style baselines and by
 //!   tests; the HUGE engine drives the same operators with its own
@@ -29,11 +30,13 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use huge_cache::PullCache;
-use huge_comm::{ColBatch, MachineId, RowBatch, RpcFabric};
+use huge_comm::{ColBatch, MachineId, RpcFabric};
 use huge_graph::GraphPartition;
 use huge_plan::translate::{ExtendOp, JoinOp, ScanOp};
 
-use crate::join::{key_hash, HashJoiner, JoinSide, JoinStream, MemoryTrackerHandle};
+use crate::join::{
+    row_key_hash, scatter_rows, HashJoiner, JoinSide, JoinStream, MemoryTrackerHandle,
+};
 use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
 use crate::pool::WorkerPool;
 use crate::{EngineError, Result};
@@ -138,7 +141,7 @@ impl BatchOperator for ScanSource {
         match self.cursor.next_batch(ctx) {
             Some(batch) => {
                 // The cursor assembles rows; transpose once into the columnar
-                // operator currency and charge the column bytes.
+                // currency and charge the column bytes.
                 let cols = ColBatch::from_rows(&batch);
                 ctx.rpc
                     .stats()
@@ -354,7 +357,7 @@ impl PushJoin {
     }
 
     /// Feeds one input batch to one side of the join.
-    pub fn push_side(&mut self, side: JoinSide, batch: &RowBatch) -> Result<()> {
+    pub fn push_side(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         match self.joiner.as_mut() {
             Some(j) => j.add(side, batch),
             None => Err(EngineError::Config(
@@ -396,7 +399,7 @@ impl PushJoin {
 
     /// Extracts one sealed-but-unprobed Grace partition for shipping to a
     /// peer (partition stealing), whichever phase the join is in. Returns
-    /// the partition index and both sides' rows, which keep their memory
+    /// the partition index and both sides' columns, which keep their memory
     /// charge until the thief acks adoption. `None` when nothing is
     /// shippable. Only sound once no further input can arrive for this join.
     pub fn take_unprobed_partition(&mut self) -> Result<Option<crate::join::TakenPartition>> {
@@ -408,18 +411,18 @@ impl PushJoin {
     }
 
     /// Adopts a partition shipped from a peer into the sealed stream. The
-    /// caller must have charged the rows' bytes to this machine's tracker
+    /// caller must have charged the columns' bytes to this machine's tracker
     /// already (on receipt); the stream releases them after the probe. An
     /// exhausted stream still adopts; a join not sealed yet cannot.
     pub fn adopt_partition(
         &mut self,
-        left_rows: Vec<huge_graph::VertexId>,
-        right_rows: Vec<huge_graph::VertexId>,
+        left: Vec<Vec<huge_graph::VertexId>>,
+        right: Vec<Vec<huge_graph::VertexId>>,
     ) -> Result<()> {
         let stream = self.stream.as_mut().ok_or_else(|| {
             EngineError::Config("PUSH-JOIN adopted a partition before sealing".into())
         })?;
-        stream.adopt_partition(left_rows, right_rows);
+        stream.adopt_partition(left, right);
         Ok(())
     }
 }
@@ -492,55 +495,40 @@ impl BatchOperator for PushJoin {
 // Routing utilities
 // ---------------------------------------------------------------------------
 
-/// Hash-partitions the rows of `batch` over `k` machines by the given key
-/// columns.
+/// Hash-partitions the logical rows of `batch` over `k` machines by the given
+/// key columns: one pass over the key columns computes the destinations, then
+/// every column of every destination is one gather through the selection
+/// vector, so the per-destination batches come out dense (input order kept).
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
 /// joins); the caller moves the per-destination batches through
-/// `RouterEndpoint::push`, which is where the traffic gets charged.
-pub fn partition_by_key(batch: &RowBatch, key_positions: &[usize], k: usize) -> Vec<RowBatch> {
-    let mut out: Vec<RowBatch> = (0..k).map(|_| RowBatch::new(batch.arity())).collect();
-    for row in batch.rows() {
-        let dest = (key_hash(row, key_positions) as usize) % k;
-        out[dest].push_row(row);
-    }
-    out
+/// `RouterEndpoint::push`, which is where the traffic gets charged. The
+/// destination is [`key_hash`](crate::join::key_hash)` % k`, the hash the
+/// receiving join takes its Grace partition from.
+pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
+    let hash = row_key_hash(batch, key_positions);
+    scatter(batch, |row| (hash(row) % k as u64) as usize, k)
 }
 
-/// Hash-partitions the logical rows of a columnar batch over `k` machines by
-/// the given key columns, producing the row-major *wire* batches the shuffle
-/// paths push through `RouterEndpoint`.
-///
-/// The gather through the selection vector happens here, exactly once per
-/// surviving row, so upstream verify filters never force a compaction.
-pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<RowBatch> {
-    let mut out: Vec<RowBatch> = (0..k).map(|_| RowBatch::new(batch.arity())).collect();
-    let mut row = Vec::with_capacity(batch.arity());
-    for i in 0..batch.len() {
-        row.clear();
-        batch.read_row(i, &mut row);
-        let dest = (key_hash(&row, key_positions) as usize) % k;
-        out[dest].push_row(&row);
-    }
-    out
-}
-
-/// Partitions the rows of `batch` over `k` machines by the *owner* of the
-/// vertex in `column` (used by pushing wco extensions, which route partial
-/// results to the owners of the vertices being intersected).
-pub fn partition_by_owner(
-    batch: &RowBatch,
+/// Partitions the logical rows of `batch` over `k` machines by the *owner* of
+/// the vertex in `column` (used by pushing wco extensions, which route
+/// partial results to the owners of the vertices being intersected).
+pub fn partition_cols_by_owner(
+    batch: &ColBatch,
     column: usize,
     rpc: &RpcFabric,
     k: usize,
-) -> Vec<RowBatch> {
-    let mut out: Vec<RowBatch> = (0..k).map(|_| RowBatch::new(batch.arity())).collect();
-    for row in batch.rows() {
-        let dest = rpc.owner(row[column]);
-        out[dest].push_row(row);
-    }
-    out
+) -> Vec<ColBatch> {
+    let vertices = batch.column(column);
+    scatter(batch, |row| rpc.owner(vertices[row]), k)
+}
+
+/// One dense batch per destination machine.
+fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
+    let mut parts = vec![vec![Vec::new(); batch.arity()]; k];
+    scatter_rows(batch, dest_of, parts.iter_mut());
+    parts.into_iter().map(ColBatch::from_columns).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -668,10 +656,10 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("huge-exec-test-{}", std::process::id()));
         let mut join = PushJoin::new(op, 2, 2, 1 << 20, dir, MemoryTrackerHandle::Untracked, 16);
-        let mut left = RowBatch::new(2);
+        let mut left = ColBatch::new(2);
         left.push_row(&[1, 10]);
         left.push_row(&[2, 20]);
-        let mut right = RowBatch::new(2);
+        let mut right = ColBatch::new(2);
         right.push_row(&[1, 100]);
         join.push_side(JoinSide::Left, &left).unwrap();
         join.push_side(JoinSide::Right, &right).unwrap();
@@ -688,29 +676,32 @@ mod tests {
 
     #[test]
     fn partition_by_key_is_total_and_deterministic() {
-        let batch = RowBatch::from_flat(2, (0..40).collect());
-        let parts = partition_by_key(&batch, &[0], 4);
+        let mut batch = ColBatch::from_columns(vec![(0..40).collect(), (100..140).collect()]);
+        batch.set_selection((0..40).filter(|i| i % 3 != 0).collect());
+        let parts = partition_cols_by_key(&batch, &[0], 4);
         let total: usize = parts.iter().map(|b| b.len()).sum();
         assert_eq!(total, batch.len());
-        let again = partition_by_key(&batch, &[0], 4);
-        for (a, b) in parts.iter().zip(&again) {
-            assert_eq!(a.as_flat(), b.as_flat());
+        for part in &parts {
+            // Dense, the payload still beside its key, input order kept.
+            assert_eq!(part.selection(), None);
+            assert!(part.column(0).windows(2).all(|w| w[0] < w[1]));
+            for (key, payload) in part.column(0).iter().zip(part.column(1)) {
+                assert!(key % 3 != 0 && *payload == key + 100);
+            }
         }
+        assert_eq!(partition_cols_by_key(&batch, &[0], 4), parts);
     }
 
     #[test]
     fn partition_by_owner_routes_to_owners() {
-        let (parts, rpc) = setup(3);
-        let mut batch = RowBatch::new(1);
-        for v in 0..8u32 {
-            batch.push_row(&[v]);
-        }
-        let routed = partition_by_owner(&batch, 0, &rpc, 3);
+        let (_parts, rpc) = setup(3);
+        let batch = ColBatch::from_columns(vec![(0..8).collect()]);
+        let routed = partition_cols_by_owner(&batch, 0, &rpc, 3);
+        assert_eq!(routed.iter().map(|b| b.len()).sum::<usize>(), 8);
         for (m, b) in routed.iter().enumerate() {
-            for row in b.rows() {
-                assert_eq!(rpc.owner(row[0]), m);
+            for &v in b.column(0) {
+                assert_eq!(rpc.owner(v), m);
             }
         }
-        let _ = parts;
     }
 }

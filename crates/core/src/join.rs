@@ -2,9 +2,13 @@
 //! with disk spill (§4.3).
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
-//! of partitions. A partition buffers rows in memory until the configured
-//! threshold, after which further rows are appended to a temporary file on
-//! disk. When both inputs are complete, the joiner converts into a
+//! of partitions, and a partition is columns from end to end: the shuffle's
+//! dense [`ColBatch`]es are scattered into one vector per column
+//! ([`HashJoiner::add`]), those vectors are what a spill file stores, what a
+//! partition ship carries and what the probe is built from — no row is ever
+//! assembled. A partition buffers rows in memory until the configured
+//! threshold, after which they are appended to a temporary file on disk.
+//! When both inputs are complete, the joiner converts into a
 //! [`JoinStream`] that drives the partitions *lazily*: each poll loads at
 //! most one partition, groups its right rows by join key behind a hash
 //! table, and probes with the left rows until one batch of pairs survived.
@@ -29,12 +33,12 @@
 //! lifecycle, the tracker charges and the per-poll cancel check.
 
 use std::collections::HashMap;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use huge_comm::{ColBatch, RowBatch};
+use huge_comm::ColBatch;
 use huge_graph::VertexId;
 use huge_plan::translate::JoinOp;
 
@@ -63,8 +67,8 @@ pub enum PartitionState {
 }
 
 /// A sealed Grace partition claimed for shipping: `(partition index, left
-/// rows, right rows)`, both sides flat.
-pub type TakenPartition = (usize, Vec<VertexId>, Vec<VertexId>);
+/// columns, right columns)`.
+pub type TakenPartition = (usize, Vec<Vec<VertexId>>, Vec<Vec<VertexId>>);
 
 /// Which input of the join a batch belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,32 +79,78 @@ pub enum JoinSide {
     Right,
 }
 
-/// Encodes rows in the spill-file format: every value as a little-endian
-/// `u32`, flat.
-fn encode_rows(rows: &[VertexId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(std::mem::size_of_val(rows));
-    for v in rows {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// Rows held by a partition's columns.
+fn column_rows(columns: &[Vec<VertexId>]) -> usize {
+    columns.first().map_or(0, Vec::len)
 }
 
-/// Decodes a spill file's bytes back into rows.
-fn decode_rows(bytes: &[u8]) -> Vec<VertexId> {
-    bytes
-        .chunks_exact(std::mem::size_of::<VertexId>())
-        .map(|c| VertexId::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+/// Bytes held by a partition's columns — what the tracker is charged for
+/// them and what a ship puts on the wire.
+pub(crate) fn column_bytes(columns: &[Vec<VertexId>]) -> u64 {
+    (columns.len() * column_rows(columns) * std::mem::size_of::<VertexId>()) as u64
 }
 
-/// Hashes the join-key columns of a row.
-pub fn key_hash(row: &[VertexId], key_positions: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &pos in key_positions {
-        h ^= row[pos] as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// Hashes a join key, given as its column values in key order. The shuffle's
+/// destination machine, the Grace partition and [`pack_key`]'s wide-key
+/// fallback are all taken from this one function of the key's values, which
+/// is what lands equal keys of the two sides on the same machine, in the same
+/// partition, under the same table key.
+pub fn key_hash(key: impl IntoIterator<Item = VertexId>) -> u64 {
+    key.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The [`key_hash`] of a physical row of `batch`, read off its key columns.
+pub(crate) fn row_key_hash<'a>(
+    batch: &'a ColBatch,
+    key_positions: &[usize],
+) -> impl Fn(usize) -> u64 + 'a {
+    let keys: Vec<&[VertexId]> = key_positions.iter().map(|&c| batch.column(c)).collect();
+    move |row| key_hash(keys.iter().map(|column| column[row]))
+}
+
+/// Appends every logical row of `batch` to the columns of the part (by
+/// position in `parts`) `dest_of` names for its physical row. One pass computes the destinations and each
+/// row's rank within its own, which fixes the batch's physical rows in
+/// destination order (input order kept within a destination); every column of
+/// every destination is then one gather through that order — so each
+/// destination receives its rows dense, and the read through the selection
+/// vector happens here, exactly once per surviving row: upstream verify
+/// filters never force a compaction.
+pub(crate) fn scatter_rows<'a>(
+    batch: &ColBatch,
+    dest_of: impl Fn(usize) -> usize,
+    parts: impl ExactSizeIterator<Item = &'a mut Vec<Vec<VertexId>>>,
+) {
+    assert!(
+        u32::try_from(batch.physical_rows()).is_ok(),
+        "row indices are 32-bit"
+    );
+    let mut counts = vec![0u32; parts.len()];
+    let ranked: Vec<(u32, u32)> = (0..batch.len())
+        .map(|i| {
+            let dest = dest_of(batch.physical_index(i));
+            counts[dest] += 1;
+            (dest as u32, counts[dest] - 1)
+        })
+        .collect();
+    // Each destination's first slot in the order, and one past the last one's.
+    let mut starts = vec![0u32; parts.len() + 1];
+    for (d, count) in counts.iter().enumerate() {
+        starts[d + 1] = starts[d] + count;
     }
-    h
+    let mut order = vec![0u32; ranked.len()];
+    for (i, &(dest, rank)) in ranked.iter().enumerate() {
+        order[(starts[dest as usize] + rank) as usize] = batch.physical_index(i) as u32;
+    }
+    for (part, range) in parts.zip(starts.windows(2)) {
+        let rows = &order[range[0] as usize..range[1] as usize];
+        for (c, out) in part.iter_mut().enumerate() {
+            let column = batch.column(c);
+            out.extend(rows.iter().map(|&row| column[row as usize]));
+        }
+    }
 }
 
 /// The Grace partition of a row whose join key hashes to `hash`. The shuffle
@@ -115,19 +165,16 @@ fn grace_partition(hash: u64) -> usize {
 /// Widest join key (in columns) that packs exactly into a `u128`.
 const PACK_MAX_KEY: usize = 4;
 
-/// Packs the join-key columns of a row into a single `u128` table key. Up to
-/// [`PACK_MAX_KEY`] columns pack positionally (collision-free); wider keys
-/// fall back to the FNV hash, and the probe re-checks column equality on
-/// each candidate match.
-fn pack_key(row: &[VertexId], key_positions: &[usize]) -> u128 {
+/// Packs the join-key values of row `row` of `columns` into a single `u128`
+/// table key. Up to [`PACK_MAX_KEY`] columns pack positionally
+/// (collision-free); wider keys fall back to [`key_hash`], and the probe
+/// re-checks column equality on each candidate match.
+fn pack_key(columns: &[Vec<VertexId>], key_positions: &[usize], row: usize) -> u128 {
+    let key = key_positions.iter().map(|&c| columns[c][row]);
     if key_positions.len() <= PACK_MAX_KEY {
-        let mut k = 0u128;
-        for &pos in key_positions {
-            k = (k << 32) | row[pos] as u128;
-        }
-        k
+        key.fold(0, |packed, v| (packed << 32) | u128::from(v))
     } else {
-        key_hash(row, key_positions) as u128
+        u128::from(key_hash(key))
     }
 }
 
@@ -161,21 +208,11 @@ impl Hasher for KeyHasher {
 type KeyTable = HashMap<u128, (u32, u32), BuildHasherDefault<KeyHasher>>;
 
 struct SidePartition {
-    rows_in_memory: Vec<VertexId>,
-    memory_bytes: u64,
+    /// The resident rows, one vector per column.
+    columns: Vec<Vec<VertexId>>,
     spill_file: Option<PathBuf>,
-    spilled_values: u64,
-}
-
-impl SidePartition {
-    fn new() -> Self {
-        SidePartition {
-            rows_in_memory: Vec::new(),
-            memory_bytes: 0,
-            spill_file: None,
-            spilled_values: 0,
-        }
-    }
+    /// Rows appended to the spill file so far — what a reload must find.
+    spilled_rows: u64,
 }
 
 impl Drop for SidePartition {
@@ -198,7 +235,13 @@ impl SideBuffer {
         SideBuffer {
             arity,
             key_positions,
-            partitions: (0..NUM_PARTITIONS).map(|_| SidePartition::new()).collect(),
+            partitions: (0..NUM_PARTITIONS)
+                .map(|_| SidePartition {
+                    columns: vec![Vec::new(); arity],
+                    spill_file: None,
+                    spilled_rows: 0,
+                })
+                .collect(),
             buffered_bytes: 0,
         }
     }
@@ -270,20 +313,19 @@ impl HashJoiner {
     /// end-of-stream for both producers. Partitions empty on either side are
     /// skipped (they produce nothing and are cheaper discarded locally).
     ///
-    /// The returned rows *keep* their memory-tracker charge: in-memory bytes
-    /// stay charged and spilled bytes are newly charged as they are read
-    /// back, so the charge travels with the partition and is only released
-    /// when the thief acknowledges adoption (allocate-before-release, as in
-    /// `SharedQueue::steal_into`).
+    /// The returned columns *keep* their memory-tracker charge: in-memory
+    /// bytes stay charged and spilled bytes are newly charged as they are
+    /// read back, so the charge travels with the partition and is only
+    /// released when the thief acknowledges adoption
+    /// (allocate-before-release, as in `SharedQueue::steal_into`).
     pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
         for p in (0..NUM_PARTITIONS).rev() {
             if self.shipped[p] || !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
                 continue;
             }
-            let left = take_side_rows(&mut self.left, p, &self.memory)?;
-            let right = take_side_rows(&mut self.right, p, &self.memory)?;
+            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
             self.shipped[p] = true;
-            return Ok(Some((p, left, right)));
+            return Ok(Some(taken));
         }
         Ok(None)
     }
@@ -293,41 +335,38 @@ impl HashJoiner {
         self.left.arity + self.op.right_payload.len()
     }
 
-    /// Adds an input batch to one side.
-    pub fn add(&mut self, side: JoinSide, batch: &RowBatch) -> Result<()> {
-        let spill_dir = self.spill_dir.clone();
-        let threshold = self.spill_threshold_bytes;
+    /// Adds an input batch to one side: one pass over its key columns picks
+    /// each row's Grace partition, then every partition's columns take their
+    /// rows in one gather each ([`scatter_rows`]).
+    pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         let (buffer, tag) = match side {
             JoinSide::Left => (&mut self.left, "l"),
             JoinSide::Right => (&mut self.right, "r"),
         };
         debug_assert_eq!(batch.arity(), buffer.arity);
-        for row in batch.rows() {
-            let p = grace_partition(key_hash(row, &buffer.key_positions));
-            let part = &mut buffer.partitions[p];
-            part.rows_in_memory.extend_from_slice(row);
-            part.memory_bytes += std::mem::size_of_val(row) as u64;
-        }
+        let hash = row_key_hash(batch, &buffer.key_positions);
+        let partition = |row| grace_partition(hash(row));
+        let parts = buffer.partitions.iter_mut().map(|p| &mut p.columns);
+        scatter_rows(batch, partition, parts);
         // One tracker charge per batch: the spill loop below only runs after
         // the whole batch is buffered, so the tracked peak is the same as
         // charging row by row.
-        let bytes = batch.byte_size();
+        let bytes = (batch.len() * buffer.arity * std::mem::size_of::<VertexId>()) as u64;
         buffer.buffered_bytes += bytes;
         self.memory.allocate(bytes);
         // Spill the largest partitions while the buffer exceeds the threshold.
-        while buffer.buffered_bytes > threshold {
-            let victim = buffer
+        while buffer.buffered_bytes > self.spill_threshold_bytes {
+            let (victim, part) = buffer
                 .partitions
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .max_by_key(|(_, p)| p.memory_bytes)
-                .map(|(i, _)| i)
+                .max_by_key(|(_, p)| column_rows(&p.columns))
                 .expect("partitions exist");
-            let part = &mut buffer.partitions[victim];
-            if part.rows_in_memory.is_empty() {
+            if column_rows(&part.columns) == 0 {
                 break;
             }
-            let bytes = spill_partition(part, &spill_dir, tag, victim, &mut self.spill_counter)?;
+            let bytes =
+                spill_partition(part, &self.spill_dir, tag, victim, &mut self.spill_counter)?;
             buffer.buffered_bytes -= bytes;
             self.memory.release(bytes);
         }
@@ -340,9 +379,9 @@ impl HashJoiner {
     /// unchanged; only the tracked resident bytes drop. Returns the bytes
     /// released.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
-        let dir = self.spill_dir.clone();
-        let mut total = spill_side(&mut self.left, &dir, "l", &mut self.spill_counter)?;
-        total += spill_side(&mut self.right, &dir, "r", &mut self.spill_counter)?;
+        let dir = &self.spill_dir;
+        let mut total = spill_side(&mut self.left, dir, "l", &mut self.spill_counter)?;
+        total += spill_side(&mut self.right, dir, "r", &mut self.spill_counter)?;
         self.memory.release(total);
         Ok(total)
     }
@@ -367,7 +406,7 @@ impl HashJoiner {
     pub fn into_stream(mut self, batch_rows: usize) -> JoinStream {
         let left = std::mem::replace(&mut self.left, SideBuffer::new(0, Vec::new()));
         let right = std::mem::replace(&mut self.right, SideBuffer::new(0, Vec::new()));
-        let spec = ProbeSpec::compile(&self.op, left.arity, right.arity);
+        let spec = ProbeSpec::compile(&self.op, left.arity);
         let sealed_or_shipped = |&shipped: &bool| match shipped {
             true => PartitionState::Shipped,
             false => PartitionState::Sealed,
@@ -426,7 +465,6 @@ struct ProbeSpec {
     key_left: Vec<usize>,
     key_right: Vec<usize>,
     left_arity: usize,
-    right_arity: usize,
     /// Right-row positions of the kept columns: the payload columns in
     /// output order, then — only for keys wider than [`PACK_MAX_KEY`], which
     /// are FNV-hashed into the table key instead of packed exactly, so a
@@ -447,13 +485,12 @@ struct ProbeSpec {
 }
 
 impl ProbeSpec {
-    fn compile(op: &JoinOp, left_arity: usize, right_arity: usize) -> Self {
+    fn compile(op: &JoinOp, left_arity: usize) -> Self {
         let payload = op.right_payload.len();
         let mut spec = ProbeSpec {
             key_left: op.key_left.clone(),
             key_right: op.key_right.clone(),
             left_arity,
-            right_arity,
             kept: op.right_payload.clone(),
             payload,
             gates: Vec::new(),
@@ -476,33 +513,34 @@ impl ProbeSpec {
         spec
     }
 
-    /// Binds one left row: decides whether any right row can pair with it at
-    /// all (left–left gates, a non-empty value range for every kept column)
-    /// and, if so, leaves in `bound` what the column passes compare against.
-    fn bind(&self, lrow: &[VertexId], bound: &mut BoundRow) -> bool {
-        if !self.gates.iter().all(|&(s, l)| lrow[s] < lrow[l]) {
+    /// Binds row `row` of the left columns: decides whether any right row can
+    /// pair with it at all (left–left gates, a non-empty value range for
+    /// every kept column) and, if so, leaves in `bound` what the column
+    /// passes compare against.
+    fn bind(&self, left: &[Vec<VertexId>], row: usize, bound: &mut BoundRow) -> bool {
+        // The row's values, gathered once. The tail repeats a real value:
+        // comparing against it twice is free of false rejections, which no
+        // constant would be.
+        let (values, tail) = bound.distinct.as_flattened_mut().split_at_mut(left.len());
+        for (value, column) in values.iter_mut().zip(left) {
+            *value = column[row];
+        }
+        tail.fill(values.first().copied().unwrap_or_default());
+        if !self.gates.iter().all(|&(s, l)| values[s] < values[l]) {
             return false;
         }
         let (payload, keys) = bound.range.split_at_mut(self.payload);
         payload.fill((0, i64::from(VertexId::MAX)));
-        for &(column, left) in &self.above {
-            payload[column].0 = payload[column].0.max(i64::from(lrow[left]) + 1);
+        for &(column, position) in &self.above {
+            payload[column].0 = payload[column].0.max(i64::from(values[position]) + 1);
         }
-        for &(column, left) in &self.below {
-            payload[column].1 = payload[column].1.min(i64::from(lrow[left]) - 1);
+        for &(column, position) in &self.below {
+            payload[column].1 = payload[column].1.min(i64::from(values[position]) - 1);
         }
         for (range, &k) in keys.iter_mut().zip(&self.key_left) {
-            *range = (i64::from(lrow[k]), i64::from(lrow[k]));
+            *range = (i64::from(values[k]), i64::from(values[k]));
         }
-        if bound.range.iter().any(|&(lo, hi)| lo > hi) {
-            return false;
-        }
-        // The tail repeats a real value: comparing against it twice is free
-        // of false rejections, which no constant would be.
-        let (row, tail) = bound.distinct.as_flattened_mut().split_at_mut(lrow.len());
-        row.copy_from_slice(lrow);
-        tail.fill(lrow.first().copied().unwrap_or_default());
-        true
+        bound.range.iter().all(|&(lo, hi)| lo <= hi)
     }
 }
 
@@ -533,7 +571,8 @@ impl BoundRow {
 /// *concurrently* by several machine threads, and per-row allocation
 /// serialises them on the global allocator.
 struct PartitionProbe {
-    left_rows: Vec<VertexId>,
+    /// The left side, one vector per column, as it was partitioned.
+    left: Vec<Vec<VertexId>>,
     /// One dense vector per kept right column ([`ProbeSpec::kept`]), rows
     /// grouped by join key (input order kept within a group), [`LANES`]
     /// zeroes after the last row.
@@ -546,8 +585,8 @@ struct PartitionProbe {
     /// End of the current left row's range of right rows.
     match_end: u32,
     bound: BoundRow,
-    /// Bytes of the left rows and the kept columns, charged to the tracker
-    /// while resident.
+    /// Bytes of the left columns and the kept columns, charged to the
+    /// tracker while resident.
     loaded_bytes: u64,
     /// Local partition index (`None` for partitions adopted from a peer).
     index: Option<usize>,
@@ -555,32 +594,32 @@ struct PartitionProbe {
 
 impl PartitionProbe {
     /// Groups the right rows (the build side) by join key, indexes the
-    /// groups, and keeps only the columns the probe reads, scattered into
-    /// group order. One hash per right row: the counting pass remembers each
-    /// row's group, so placement needs no second lookup.
+    /// groups from the key columns, and scatters the columns the probe reads
+    /// into group order. One hash per right row: the counting pass remembers
+    /// each row's group, so placement needs no second lookup.
     ///
-    /// On entry the tracker holds both row buffers' bytes; on return it holds
-    /// `loaded_bytes`. The columns are charged before they are filled and the
-    /// row-major right side released after it is dropped, so the tracked
-    /// peak covers the moment both exist.
+    /// On entry the tracker holds both sides' bytes; on return it holds
+    /// `loaded_bytes`. A right column the probe never reads is released as
+    /// soon as the groups are known; a kept one is charged before it is
+    /// filled and its source released right after, so the tracked peak covers
+    /// the one moment both exist.
     fn build(
         spec: &ProbeSpec,
-        left_rows: Vec<VertexId>,
-        right_rows: Vec<VertexId>,
+        left: Vec<Vec<VertexId>>,
+        mut right: Vec<Vec<VertexId>>,
         memory: &MemoryTrackerHandle,
         index: Option<usize>,
     ) -> Self {
-        let arity = spec.right_arity.max(1);
-        let n_rows = right_rows.len() / arity;
+        let n_rows = column_rows(&right);
         let mut table = KeyTable::with_capacity_and_hasher(n_rows, Default::default());
         // Rows per group, then (after the scan) each group's first row.
         let mut starts: Vec<u32> = Vec::new();
         // Each row's group, then (after placement) its destination row.
         let mut dest: Vec<u32> = Vec::with_capacity(n_rows);
-        for row in right_rows.chunks_exact(arity) {
+        for row in 0..n_rows {
             let next = starts.len() as u32;
             let group = table
-                .entry(pack_key(row, &spec.key_right))
+                .entry(pack_key(&right, &spec.key_right, row))
                 .or_insert((next, 0))
                 .0;
             if group == next {
@@ -606,21 +645,32 @@ impl PartitionProbe {
             *d = *cursor;
             *cursor += 1;
         }
-        let column_len = n_rows + LANES;
-        let column_bytes = (spec.kept.len() * column_len * std::mem::size_of::<VertexId>()) as u64;
-        memory.allocate(column_bytes);
-        let mut columns = vec![vec![0; column_len]; spec.kept.len()];
-        for (row, &d) in right_rows.chunks_exact(arity).zip(&dest) {
-            for (column, &position) in columns.iter_mut().zip(&spec.kept) {
-                column[d as usize] = row[position];
+        let release = |source: &mut Vec<VertexId>| {
+            memory.release(std::mem::size_of_val(&source[..]) as u64);
+            *source = Vec::new();
+        };
+        for (position, source) in right.iter_mut().enumerate() {
+            if !spec.kept.contains(&position) {
+                release(source);
             }
         }
-        let right_bytes = std::mem::size_of_val(&right_rows[..]) as u64;
-        drop(right_rows);
-        memory.release(right_bytes);
+        let column_len = n_rows + LANES;
+        let column_bytes = (column_len * std::mem::size_of::<VertexId>()) as u64;
+        let mut columns = Vec::with_capacity(spec.kept.len());
+        for (k, &position) in spec.kept.iter().enumerate() {
+            memory.allocate(column_bytes);
+            let mut column = vec![0; column_len];
+            for (&value, &d) in right[position].iter().zip(&dest) {
+                column[d as usize] = value;
+            }
+            columns.push(column);
+            if !spec.kept[k + 1..].contains(&position) {
+                release(&mut right[position]);
+            }
+        }
         PartitionProbe {
-            loaded_bytes: std::mem::size_of_val(&left_rows[..]) as u64 + column_bytes,
-            left_rows,
+            loaded_bytes: self::column_bytes(&left) + spec.kept.len() as u64 * column_bytes,
+            left,
             columns,
             table,
             probe: 0,
@@ -644,8 +694,7 @@ impl PartitionProbe {
         budget: u64,
         mut emit: impl FnMut(u32, u32, &[u32]),
     ) -> (u64, u64, bool) {
-        let left_arity = spec.left_arity;
-        let left_len = self.left_rows.len() / left_arity.max(1);
+        let left_len = column_rows(&self.left);
         let (mut tested, mut matched) = (0, 0);
         let mut mask = [0u32; BLOCK];
         while matched < budget {
@@ -655,8 +704,8 @@ impl PartitionProbe {
                     if self.probe >= left_len {
                         return (tested, matched, true);
                     }
-                    let lrow = &self.left_rows[self.probe * left_arity..][..left_arity];
-                    if let Some(&(start, end)) = self.table.get(&pack_key(lrow, &spec.key_left)) {
+                    let key = pack_key(&self.left, &spec.key_left, self.probe);
+                    if let Some(&(start, end)) = self.table.get(&key) {
                         self.match_pos = start;
                         self.match_end = end;
                         break;
@@ -664,8 +713,7 @@ impl PartitionProbe {
                     self.probe += 1;
                 }
             }
-            let lrow = &self.left_rows[self.probe * left_arity..][..left_arity];
-            if !spec.bind(lrow, &mut self.bound) {
+            if !spec.bind(&self.left, self.probe, &mut self.bound) {
                 // No right row can pair with this left row. Its group still
                 // counts as candidates: `tested` means key-equal pairs.
                 tested += u64::from(self.match_end - self.match_pos);
@@ -695,8 +743,8 @@ impl PartitionProbe {
     /// The materialising sink: gathers the joined rows of `pairs`, one
     /// output column at a time.
     fn gather(&self, spec: &ProbeSpec, pairs: &[(u32, u32)]) -> ColBatch {
-        let (la, lrows) = (spec.left_arity, &self.left_rows);
-        let left = (0..la).map(|c| pairs.iter().map(|p| lrows[p.0 as usize * la + c]).collect());
+        let left = self.left.iter();
+        let left = left.map(|column| pairs.iter().map(|p| column[p.0 as usize]).collect());
         let payload = self.columns[..spec.payload].iter();
         let right = payload.map(|column| pairs.iter().map(|p| column[p.1 as usize]).collect());
         ColBatch::from_columns(left.chain(right).collect())
@@ -763,13 +811,12 @@ fn pass(mask: &mut [u32], values: &[VertexId], keep: impl Fn(VertexId) -> bool) 
     }
 }
 
-/// A partition shipped from a peer, queued for probing. Its `bytes` were
-/// charged to this machine's tracker on receipt; the stream releases them
-/// when the probe completes (or on `Drop`).
+/// A partition shipped from a peer, queued for probing. Its columns' bytes
+/// were charged to this machine's tracker on receipt; the stream releases
+/// them when the probe completes (or on `Drop`).
 struct AdoptedPartition {
-    left_rows: Vec<VertexId>,
-    right_rows: Vec<VertexId>,
-    bytes: u64,
+    left: Vec<Vec<VertexId>>,
+    right: Vec<Vec<VertexId>>,
 }
 
 /// The sealed join, driven lazily one batch of pairs at a time.
@@ -825,7 +872,7 @@ impl JoinStream {
     /// probe cursor walks upward, so the highest sealed partition is the
     /// farthest from being reached — the same take-from-the-back policy as
     /// `SharedQueue::steal_into`). Partitions empty on either side are
-    /// skipped. The rows keep their tracker charge; see
+    /// skipped. The columns keep their tracker charge; see
     /// [`HashJoiner::take_unprobed_partition`] for the hand-off discipline.
     pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
         for p in (self.partition..NUM_PARTITIONS).rev() {
@@ -835,10 +882,9 @@ impl JoinStream {
             {
                 continue;
             }
-            let left = take_side_rows(&mut self.left, p, &self.memory)?;
-            let right = take_side_rows(&mut self.right, p, &self.memory)?;
+            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
             self.states[p] = PartitionState::Shipped;
-            return Ok(Some((p, left, right)));
+            return Ok(Some(taken));
         }
         Ok(None)
     }
@@ -847,13 +893,8 @@ impl JoinStream {
     /// charged the partition's bytes to this machine's tracker (on receipt,
     /// before the shipper releases its side — allocate-before-release); the
     /// stream releases the charge when the adopted probe completes.
-    pub fn adopt_partition(&mut self, left_rows: Vec<VertexId>, right_rows: Vec<VertexId>) {
-        let bytes = ((left_rows.len() + right_rows.len()) * std::mem::size_of::<VertexId>()) as u64;
-        self.adopted.push_back(AdoptedPartition {
-            left_rows,
-            right_rows,
-            bytes,
-        });
+    pub fn adopt_partition(&mut self, left: Vec<Vec<VertexId>>, right: Vec<Vec<VertexId>>) {
+        self.adopted.push_back(AdoptedPartition { left, right });
     }
 
     /// Bytes of not-yet-loaded partitions still resident in memory.
@@ -867,9 +908,9 @@ impl JoinStream {
     /// lazily re-loads spilled partitions exactly as it loads
     /// naturally-spilled ones. Returns the bytes released.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
-        let dir = self.spill_dir.clone();
-        let mut total = spill_side(&mut self.left, &dir, "l", &mut self.spill_counter)?;
-        total += spill_side(&mut self.right, &dir, "r", &mut self.spill_counter)?;
+        let dir = &self.spill_dir;
+        let mut total = spill_side(&mut self.left, dir, "l", &mut self.spill_counter)?;
+        total += spill_side(&mut self.right, dir, "r", &mut self.spill_counter)?;
         self.memory.release(total);
         Ok(total)
     }
@@ -952,13 +993,13 @@ impl JoinStream {
     /// partitions first, then adopted (stolen) ones. Returns `false` when
     /// none is left.
     fn load_next_partition(&mut self) -> Result<bool> {
-        let (left_rows, right_rows, index) = loop {
+        let (left, right, index) = loop {
             if self.partition >= NUM_PARTITIONS {
                 // Adopted partitions' bytes were charged on receipt, not here.
                 let Some(a) = self.adopted.pop_front() else {
                     return Ok(false);
                 };
-                break (a.left_rows, a.right_rows, None);
+                break (a.left, a.right, None);
             }
             let p = self.partition;
             self.partition += 1;
@@ -966,28 +1007,22 @@ impl JoinStream {
                 // A thief owns this partition now.
                 continue;
             }
-            let left_rows = load_partition(&mut self.left, p, &self.memory)?;
-            if left_rows.is_empty() {
-                // Nothing to probe with: unlink the right side's buffer and
-                // spill file without reading it back.
+            if !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
+                // Nothing can pair: unlink both sides' buffers and spill
+                // files without reading them back.
+                discard_partition(&mut self.left, p, &self.memory);
                 discard_partition(&mut self.right, p, &self.memory);
                 self.states[p] = PartitionState::Done;
                 continue;
             }
-            let right_rows = load_partition(&mut self.right, p, &self.memory)?;
-            if right_rows.is_empty() {
-                self.states[p] = PartitionState::Done;
-                continue;
-            }
-            // Both row buffers, as an adopted partition arrives charged; the
-            // build below trades the right one for the kept columns.
-            let row_bytes =
-                std::mem::size_of_val(&left_rows[..]) + std::mem::size_of_val(&right_rows[..]);
-            self.memory.allocate(row_bytes as u64);
+            // Both sides come out charged, as an adopted partition arrives;
+            // the build below trades the right one for the kept columns.
+            let (_, left, right) =
+                take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
             self.states[p] = PartitionState::Probing;
-            break (left_rows, right_rows, Some(p));
+            break (left, right, Some(p));
         };
-        let probe = PartitionProbe::build(&self.spec, left_rows, right_rows, &self.memory, index);
+        let probe = PartitionProbe::build(&self.spec, left, right, &self.memory, index);
         self.current = Some(probe);
         Ok(true)
     }
@@ -1005,16 +1040,26 @@ impl Drop for JoinStream {
             self.memory.release(probe.loaded_bytes);
         }
         for adopted in self.adopted.drain(..) {
-            self.memory.release(adopted.bytes);
+            self.memory
+                .release(column_bytes(&adopted.left) + column_bytes(&adopted.right));
         }
     }
 }
 
+/// Values a spill file moves at a time: the one fixed buffer (64 KiB) a spill
+/// or a reload holds beside the columns themselves.
+const SPILL_PIECE: usize = 16 * 1024;
+
+/// Bytes of one value in a spill file.
+const VALUE_BYTES: usize = std::mem::size_of::<VertexId>();
+
 /// Appends one partition's in-memory rows to its spill file (creating the
-/// file on first spill). Returns the in-memory bytes flushed; the caller is
-/// responsible for adjusting the side's `buffered_bytes` and the memory
-/// tracker (so the helper composes with both the threshold spill in
-/// [`HashJoiner::add`] and the governor-driven full spills).
+/// file on first spill) as one block: the row count as a little-endian `u64`,
+/// then the columns one after another, every value a little-endian `u32`.
+/// Returns the in-memory bytes flushed; the caller is responsible for
+/// adjusting the side's `buffered_bytes` and the memory tracker (so the
+/// helper composes with both the threshold spill in [`HashJoiner::add`] and
+/// the governor-driven full spills).
 fn spill_partition(
     part: &mut SidePartition,
     spill_dir: &Path,
@@ -1022,30 +1067,86 @@ fn spill_partition(
     index: usize,
     counter: &mut usize,
 ) -> Result<u64> {
-    if part.rows_in_memory.is_empty() {
+    let bytes = column_bytes(&part.columns);
+    if bytes == 0 {
         return Ok(0);
     }
-    let path = match part.spill_file.clone() {
-        Some(path) => path,
-        None => {
-            *counter += 1;
-            let path = spill_dir.join(format!("join-{tag}-{index}-{counter}.spill"));
-            part.spill_file = Some(path.clone());
-            path
-        }
-    };
+    let path = part.spill_file.get_or_insert_with(|| {
+        *counter += 1;
+        spill_dir.join(format!("join-{tag}-{index}-{counter}.spill"))
+    });
     std::fs::create_dir_all(spill_dir)?;
-    let file = OpenOptions::new().create(true).append(true).open(&path)?;
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
     let mut w = BufWriter::new(file);
-    w.write_all(&encode_rows(&part.rows_in_memory))?;
+    let block_rows = column_rows(&part.columns);
+    w.write_all(&(block_rows as u64).to_le_bytes())?;
+    let mut piece = vec![0u8; block_rows.min(SPILL_PIECE) * VALUE_BYTES];
+    for values in part.columns.iter().flat_map(|c| c.chunks(SPILL_PIECE)) {
+        let piece = &mut piece[..values.len() * VALUE_BYTES];
+        for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
+            bytes.copy_from_slice(&value.to_le_bytes());
+        }
+        w.write_all(piece)?;
+    }
     w.flush()?;
-    part.spilled_values += part.rows_in_memory.len() as u64;
-    let bytes = part.memory_bytes;
-    part.memory_bytes = 0;
-    // Drop the allocation too (not just the length): a spill exists to make
+    part.spilled_rows += block_rows as u64;
+    // Drop the allocations too (not just the lengths): a spill exists to make
     // the resident footprint actually shrink.
-    part.rows_in_memory = Vec::new();
+    part.columns.fill(Vec::new());
     Ok(bytes)
+}
+
+/// Reads a spill file's blocks back onto the end of `columns`. Nothing in the
+/// file is trusted: each block's row count is checked against what is left of
+/// the file before anything is reserved for it, and the blocks' total against
+/// the rows the partition spilled, so a truncated or overlong file is an
+/// `InvalidData` error instead of a silently shifted column.
+fn read_spill_file(
+    path: &Path,
+    spilled_rows: u64,
+    columns: &mut [Vec<VertexId>],
+) -> io::Result<()> {
+    let invalid = |what: &str| {
+        let message = format!("spill file {}: {what}", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, message)
+    };
+    let file = File::open(path)?;
+    let mut left = file.metadata()?.len();
+    let mut r = BufReader::new(file);
+    let row_bytes = (columns.len() * VALUE_BYTES) as u64;
+    let mut found_rows = 0u64;
+    let mut piece = vec![0u8; left.min((SPILL_PIECE * VALUE_BYTES) as u64) as usize];
+    while left > 0 {
+        let mut header = [0u8; 8];
+        left = left
+            .checked_sub(header.len() as u64)
+            .ok_or_else(|| invalid("ends inside a block header"))?;
+        r.read_exact(&mut header)?;
+        let block_rows = u64::from_le_bytes(header);
+        left = block_rows
+            .checked_mul(row_bytes)
+            .and_then(|block| left.checked_sub(block))
+            .ok_or_else(|| invalid("ends inside a block"))?;
+        found_rows += block_rows;
+        for column in columns.iter_mut() {
+            column.reserve(block_rows as usize);
+            let mut todo = block_rows as usize;
+            while todo > 0 {
+                let count = todo.min(SPILL_PIECE);
+                let piece = &mut piece[..count * VALUE_BYTES];
+                r.read_exact(piece)?;
+                let values = piece.chunks_exact(VALUE_BYTES);
+                column.extend(values.map(|b| VertexId::from_le_bytes([b[0], b[1], b[2], b[3]])));
+                todo -= count;
+            }
+        }
+    }
+    if found_rows != spilled_rows {
+        return Err(invalid(&format!(
+            "holds {found_rows} rows, {spilled_rows} were spilled"
+        )));
+    }
+    Ok(())
 }
 
 /// Spills every in-memory partition of one side, adjusting the side's
@@ -1058,8 +1159,8 @@ fn spill_side(
     counter: &mut usize,
 ) -> Result<u64> {
     let mut total = 0u64;
-    for index in 0..side.partitions.len() {
-        let bytes = spill_partition(&mut side.partitions[index], spill_dir, tag, index, counter)?;
+    for (index, part) in side.partitions.iter_mut().enumerate() {
+        let bytes = spill_partition(part, spill_dir, tag, index, counter)?;
         side.buffered_bytes -= bytes;
         total += bytes;
     }
@@ -1067,69 +1168,66 @@ fn spill_side(
 }
 
 /// Drops one partition of one side without reading it back: releases its
-/// in-memory rows and unlinks its spill file (used when the opposite side's
+/// in-memory rows and unlinks its spill file (used when either side's
 /// partition is empty, so the join cannot produce anything from it).
 fn discard_partition(side: &mut SideBuffer, p: usize, memory: &MemoryTrackerHandle) {
     let part = &mut side.partitions[p];
-    part.rows_in_memory = Vec::new();
-    side.buffered_bytes -= part.memory_bytes;
-    memory.release(part.memory_bytes);
-    part.memory_bytes = 0;
+    let bytes = column_bytes(&std::mem::take(&mut part.columns));
+    side.buffered_bytes -= bytes;
+    memory.release(bytes);
     if let Some(path) = part.spill_file.take() {
         let _ = std::fs::remove_file(path);
     }
 }
 
-/// Loads one partition of one side back into memory (in-memory rows plus any
-/// spilled rows); the spill file, if any, is deleted afterwards.
-fn load_partition(
-    side: &mut SideBuffer,
-    p: usize,
-    memory: &MemoryTrackerHandle,
-) -> Result<Vec<VertexId>> {
-    let part = &mut side.partitions[p];
-    let mut rows = std::mem::take(&mut part.rows_in_memory);
-    side.buffered_bytes -= part.memory_bytes;
-    memory.release(part.memory_bytes);
-    part.memory_bytes = 0;
-    if let Some(path) = part.spill_file.take() {
-        rows.extend(decode_rows(&std::fs::read(&path)?));
-        let _ = std::fs::remove_file(&path);
-    }
-    Ok(rows)
-}
-
 /// `true` when one partition of one side holds any rows (in memory or
-/// spilled) — i.e. shipping it would move real work.
+/// spilled) — i.e. probing or shipping it would move real work.
 fn side_has_rows(side: &SideBuffer, p: usize) -> bool {
     let part = &side.partitions[p];
-    !part.rows_in_memory.is_empty() || part.spill_file.is_some()
+    column_rows(&part.columns) > 0 || part.spill_file.is_some()
 }
 
-/// Extracts one partition of one side for shipping, *keeping* its memory
-/// charge: in-memory rows stay charged to the tracker (ownership of the
-/// charge moves to the shipper's `pending_ship_bytes`) and spilled rows are
-/// newly charged as they come back from disk. Combined with the thief
-/// charging on receipt before the shipper releases on ack, the cluster-wide
-/// tracked sum can transiently over-count but never under-count during a
-/// hand-off — the same discipline as `SharedQueue::steal_into`.
-fn take_side_rows(
+/// Takes one partition of one side out of its buffer — to be probed here or
+/// shipped — with whatever it spilled read back behind its resident rows
+/// (the file is deleted either way). The columns come out *charged*: resident
+/// rows stay charged to the tracker (ownership of the charge moves to the
+/// caller) and spilled rows are newly charged as they come back from disk.
+/// Combined with a thief charging on receipt before the shipper releases on
+/// ack, the cluster-wide tracked sum can transiently over-count but never
+/// under-count during a hand-off — the same discipline as
+/// `SharedQueue::steal_into`. A failed reload releases what it held.
+fn take_side_columns(
     side: &mut SideBuffer,
     p: usize,
     memory: &MemoryTrackerHandle,
-) -> Result<Vec<VertexId>> {
+) -> Result<Vec<Vec<VertexId>>> {
     let part = &mut side.partitions[p];
-    let mut rows = std::mem::take(&mut part.rows_in_memory);
-    side.buffered_bytes -= part.memory_bytes;
-    part.memory_bytes = 0;
+    let mut columns = std::mem::take(&mut part.columns);
+    let resident = column_bytes(&columns);
+    side.buffered_bytes -= resident;
     if let Some(path) = part.spill_file.take() {
-        let from_disk = decode_rows(&std::fs::read(&path)?);
-        memory.allocate((from_disk.len() * std::mem::size_of::<VertexId>()) as u64);
-        rows.extend(from_disk);
+        let read = read_spill_file(&path, std::mem::take(&mut part.spilled_rows), &mut columns);
         let _ = std::fs::remove_file(&path);
-        part.spilled_values = 0;
+        if let Err(e) = read {
+            memory.release(resident);
+            return Err(e.into());
+        }
+        memory.allocate(column_bytes(&columns) - resident);
     }
-    Ok(rows)
+    Ok(columns)
+}
+
+/// [`take_side_columns`] of both sides of partition `p`.
+fn take_partition(
+    left: &mut SideBuffer,
+    right: &mut SideBuffer,
+    p: usize,
+    memory: &MemoryTrackerHandle,
+) -> Result<TakenPartition> {
+    let left = take_side_columns(left, p, memory)?;
+    let right =
+        take_side_columns(right, p, memory).inspect_err(|_| memory.release(column_bytes(&left)))?;
+    Ok((p, left, right))
 }
 
 #[cfg(test)]
@@ -1172,8 +1270,8 @@ mod tests {
         rows
     }
 
-    fn batch2(rows: &[[u32; 2]]) -> RowBatch {
-        let mut b = RowBatch::new(2);
+    fn batch2(rows: &[[u32; 2]]) -> ColBatch {
+        let mut b = ColBatch::new(2);
         for r in rows {
             b.push_row(r);
         }
@@ -1292,10 +1390,10 @@ mod tests {
             spill_dir(),
             MemoryTrackerHandle::Untracked,
         );
-        let mut l = RowBatch::new(3);
+        let mut l = ColBatch::new(3);
         l.push_row(&[1, 2, 7]);
         l.push_row(&[1, 3, 8]);
-        let mut r = RowBatch::new(3);
+        let mut r = ColBatch::new(3);
         r.push_row(&[1, 2, 9]);
         r.push_row(&[2, 2, 9]);
         joiner.add(JoinSide::Left, &l).unwrap();
@@ -1372,8 +1470,9 @@ mod tests {
     #[test]
     fn spill_ship_reload_round_trip_is_bit_for_bit() {
         // The same partition taken from a fully-spilled joiner and from an
-        // all-in-memory joiner must hold identical rows: a ship carries the
-        // same partition whether or not it went through a spill file.
+        // all-in-memory joiner must hold identical columns: a ship carries
+        // the same partition whether or not it went through a spill file —
+        // here one of several blocks, a block per threshold spill.
         let n = 600u32;
         let left: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 10_000]).collect();
         let right: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 20_000]).collect();
@@ -1386,29 +1485,107 @@ mod tests {
                 spill_dir(),
                 MemoryTrackerHandle::Untracked,
             );
-            joiner.add(JoinSide::Left, &batch2(&left)).unwrap();
-            joiner.add(JoinSide::Right, &batch2(&right)).unwrap();
+            for (l, r) in left.chunks(50).zip(right.chunks(50)) {
+                joiner.add(JoinSide::Left, &batch2(l)).unwrap();
+                joiner.add(JoinSide::Right, &batch2(r)).unwrap();
+            }
             joiner
         };
         let mut spilled = build(1024);
-        spilled.spill_to_disk().unwrap();
         assert!(spilled.spilled());
+        spilled.spill_to_disk().unwrap();
+        let blocks = spilled.left.partitions.iter().map(|p| p.spilled_rows);
+        assert_eq!(blocks.sum::<u64>(), u64::from(n));
         let mut resident = build(1 << 20);
         assert!(!resident.spilled());
-        let (p_spilled, l_spilled, r_spilled) = spilled
+        let taken_spilled = spilled
             .take_unprobed_partition()
             .unwrap()
             .expect("spilled joiner has a shippable partition");
-        let (p_resident, l_resident, r_resident) = resident
+        let taken_resident = resident
             .take_unprobed_partition()
             .unwrap()
             .expect("resident joiner has a shippable partition");
-        assert_eq!(p_spilled, p_resident);
-        assert_eq!(encode_rows(&l_spilled), encode_rows(&l_resident));
-        assert_eq!(encode_rows(&r_spilled), encode_rows(&r_resident));
-        // And the encoding round-trips exactly.
-        assert_eq!(decode_rows(&encode_rows(&l_spilled)), l_spilled);
-        assert_eq!(decode_rows(&encode_rows(&r_spilled)), r_spilled);
+        assert_eq!(taken_spilled, taken_resident);
+        let (_, left_columns, right_columns) = taken_spilled;
+        assert!(column_rows(&left_columns) > 0 && left_columns.len() == 2);
+        assert_eq!(left_columns[0], right_columns[0]);
+    }
+
+    /// Every spill file under `dir` whose name starts with `prefix`.
+    fn spill_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+        let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        let mut files: Vec<PathBuf> = entries
+            .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with(prefix))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_truncated_or_overlong_spill_file_is_invalid_data_on_reload_and_on_ship() {
+        // Two blocks of 200 rows a side, every partition holding both sides.
+        type Corrupt = fn(&std::fs::File, u64);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("cut mid-block", |f, len| f.set_len(len - 6).unwrap()),
+            ("cut inside a header", |f, len| f.set_len(len + 5).unwrap()),
+            ("a header promising more than is left", |mut f, _| {
+                f.write_all(&[0xff; 12]).unwrap()
+            }),
+            // A whole block gone: every header fits, the row total does not.
+            ("cut at a block boundary", |f, len| {
+                let mut header = [0u8; 8];
+                (&mut &*f).read_exact(&mut header).unwrap();
+                let first = 8 + u64::from_le_bytes(header) * 2 * 4;
+                assert!(first < len, "the partition spilled two blocks");
+                f.set_len(first).unwrap()
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            for ship in [false, true] {
+                let tracker = std::sync::Arc::new(MemoryTracker::new());
+                let dir = spill_dir();
+                let mut joiner = HashJoiner::new(
+                    simple_op(),
+                    2,
+                    2,
+                    1 << 20,
+                    dir.clone(),
+                    MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
+                );
+                for block in 0..2u32 {
+                    let rows: Vec<[u32; 2]> = (0..200).map(|i| [i, 10_000 * block + i]).collect();
+                    joiner.add(JoinSide::Left, &batch2(&rows)).unwrap();
+                    joiner.add(JoinSide::Right, &batch2(&rows)).unwrap();
+                    joiner.spill_to_disk().unwrap();
+                }
+                for path in spill_files(&dir, "join-r-") {
+                    let file = OpenOptions::new()
+                        .read(true)
+                        .append(true)
+                        .open(&path)
+                        .unwrap();
+                    corrupt(&file, file.metadata().unwrap().len());
+                }
+                let failed = if ship {
+                    let failed = joiner.take_unprobed_partition().err();
+                    drop(joiner);
+                    failed
+                } else {
+                    joiner.into_stream(64).count_batch().err()
+                };
+                match failed {
+                    Some(crate::EngineError::Io(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}")
+                    }
+                    other => panic!("{what}, ship {ship}: expected InvalidData, got {other:?}"),
+                }
+                // Nothing the failed load held stays charged, nothing stays
+                // on disk once the joiner (or its stream) is gone.
+                assert_eq!(tracker.current(), 0, "{what}, ship {ship}");
+                assert!(spill_files(&dir, "join-").is_empty(), "{what}, ship {ship}");
+            }
+        }
     }
 
     #[test]
@@ -1573,7 +1750,6 @@ mod tests {
     /// states agree on the high 32 bits collide once the final columns make
     /// up the difference (a birthday search over 32 bits).
     fn colliding_wide_keys() -> ([u32; 5], [u32; 5]) {
-        const KEY: [usize; 4] = [0, 1, 2, 3];
         let mut seen: HashMap<u32, ([u32; 4], u64)> = HashMap::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         loop {
@@ -1582,7 +1758,7 @@ mod tests {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 *v = (x >> 33) as u32;
             }
-            let state = key_hash(&prefix, &KEY);
+            let state = key_hash(prefix);
             match seen.insert((state >> 32) as u32, (prefix, state)) {
                 Some((other, other_state)) if other != prefix => {
                     let [a, b, c, d] = prefix;
@@ -1614,7 +1790,6 @@ mod tests {
             key_left: vec![3],
             key_right: vec![2],
             left_arity: 4,
-            right_arity: 3,
             kept: vec![0, 1],
             payload: 2,
             gates: vec![],
@@ -1622,7 +1797,7 @@ mod tests {
             below: vec![(1, 2)],
             ordered: vec![],
         };
-        assert_eq!(ProbeSpec::compile(&op, 4, 3), expected);
+        assert_eq!(ProbeSpec::compile(&op, 4), expected);
     }
 
     #[test]
@@ -1664,6 +1839,12 @@ mod tests {
         /// and payloads collide with the other side's bindings.
         fn arb_rows(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<u32>>> {
             prop::collection::vec(prop::collection::vec(0u32..6, 7..8), len)
+        }
+
+        /// [`pack_key`] of a row given as a slice.
+        fn packed(row: &[u32], key_positions: &[usize]) -> u128 {
+            let columns: Vec<Vec<u32>> = row.iter().map(|&v| vec![v]).collect();
+            pack_key(&columns, key_positions, 0)
         }
 
         fn flag() -> impl Strategy<Value = bool> {
@@ -1740,7 +1921,7 @@ mod tests {
                     // Rows under two keys that hash alike share a key group.
                     let (a, b) = colliding_wide_keys();
                     assert_ne!(a, b);
-                    assert_eq!(pack_key(&a, &op.key_left), pack_key(&b, &op.key_left));
+                    assert_eq!(packed(&a, &op.key_left), packed(&b, &op.key_left));
                     for (i, key) in [a, b, a].iter().enumerate() {
                         let extras = [i as u32, 4 - i as u32];
                         left.push(key.iter().chain(&extras[..left_extra]).copied().collect());
@@ -1760,12 +1941,16 @@ mod tests {
                         (JoinSide::Left, &left, left_arity),
                         (JoinSide::Right, &right, right_arity),
                     ] {
-                        let mut batch = RowBatch::new(arity);
-                        rows.iter().for_each(|r| batch.push_row(r));
-                        joiner.add(side, &batch).unwrap();
-                    }
-                    if spill {
-                        joiner.spill_to_disk().unwrap();
+                        // Three batches a side, each one more block of every
+                        // partition's spill file when spilling.
+                        for rows in rows.chunks(rows.len().div_ceil(3).max(1)) {
+                            let mut batch = ColBatch::new(arity);
+                            rows.iter().for_each(|r| batch.push_row(r));
+                            joiner.add(side, &batch).unwrap();
+                            if spill {
+                                joiner.spill_to_disk().unwrap();
+                            }
+                        }
                     }
                     joiner.into_stream(batch_rows)
                 };
@@ -1774,11 +1959,13 @@ mod tests {
                 // one, the reference's order: left rows as they arrived, each
                 // against its key group as that arrived.
                 let mut expected = nested_loop_join(&op, &left, &right);
-                expected.sort_by_key(|row| grace_partition(key_hash(row, &op.key_left)));
+                expected.sort_by_key(|row| {
+                    grace_partition(key_hash(op.key_left.iter().map(|&c| row[c])))
+                });
                 let candidates = left
                     .iter()
                     .flat_map(|l| right.iter().map(move |r| (l, r)))
-                    .filter(|(l, r)| pack_key(l, &op.key_left) == pack_key(r, &op.key_right))
+                    .filter(|(l, r)| packed(l, &op.key_left) == packed(r, &op.key_right))
                     .count() as u64;
 
                 let mut gathering = sealed();
@@ -1801,6 +1988,69 @@ mod tests {
                 prop_assert!(counting.is_exhausted());
                 prop_assert_eq!(counted, expected.len() as u64);
                 prop_assert_eq!(counting.tested(), candidates);
+            }
+
+            /// Equal keys of the two sides meet: whatever the key's width
+            /// (past `PACK_MAX_KEY` too) and wherever its columns sit in
+            /// either schema, the shuffle sends both sides' rows of a key to
+            /// one machine and `add` puts them into one Grace partition there.
+            #[test]
+            fn equal_keys_of_both_sides_share_a_machine_and_a_grace_partition(
+                keys in prop::collection::vec(prop::collection::vec(0u32..4, 6..7), 1..40),
+                key_width in 1usize..7,
+                left_pad in 0usize..3,
+                right_pad in 0usize..3,
+                k in 1usize..5,
+            ) {
+                // Left rows are [pad.., key..]; right rows hold the key's
+                // columns in reverse order, then their pad.
+                let op = JoinOp {
+                    left: 0,
+                    right: 1,
+                    key_left: (left_pad..left_pad + key_width).collect(),
+                    key_right: (0..key_width).rev().collect(),
+                    right_payload: (key_width..key_width + right_pad).collect(),
+                    filters: vec![],
+                };
+                let (left_arity, right_arity) = (left_pad + key_width, key_width + right_pad);
+                let mut left = ColBatch::new(left_arity);
+                let mut right = ColBatch::new(right_arity);
+                for (i, key) in keys.iter().enumerate() {
+                    let (key, pad) = (&key[..key_width], [i as u32; 2]);
+                    left.push_row(&[&pad[..left_pad], key].concat());
+                    let reversed: Vec<u32> = key.iter().rev().copied().collect();
+                    right.push_row(&[&reversed[..], &pad[..right_pad]].concat());
+                }
+                // Where each key's rows ended up: key -> (machine, partition).
+                let mut homes: [HashMap<Vec<u32>, (usize, usize)>; 2] = Default::default();
+                let shuffled_left = crate::exec::partition_cols_by_key(&left, &op.key_left, k);
+                let shuffled_right = crate::exec::partition_cols_by_key(&right, &op.key_right, k);
+                for (machine, (l, r)) in shuffled_left.iter().zip(&shuffled_right).enumerate() {
+                    let mut joiner = HashJoiner::new(
+                        op.clone(),
+                        left_arity,
+                        right_arity,
+                        1 << 20,
+                        spill_dir(),
+                        MemoryTrackerHandle::Untracked,
+                    );
+                    joiner.add(JoinSide::Left, l).unwrap();
+                    joiner.add(JoinSide::Right, r).unwrap();
+                    let sides = [(&joiner.left, &op.key_left), (&joiner.right, &op.key_right)];
+                    for (homes, (side, key_positions)) in homes.iter_mut().zip(sides) {
+                        for (p, part) in side.partitions.iter().enumerate() {
+                            for row in 0..column_rows(&part.columns) {
+                                let key = key_positions.iter().map(|&c| part.columns[c][row]).collect();
+                                let home = *homes.entry(key).or_insert((machine, p));
+                                prop_assert_eq!(home, (machine, p), "one key, two homes");
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(&homes[0], &homes[1]);
+                let distinct: std::collections::HashSet<&[u32]> =
+                    keys.iter().map(|key| &key[..key_width]).collect();
+                prop_assert_eq!(homes[0].len(), distinct.len());
             }
         }
     }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, ControlMsg, MachineId, RouterEndpoint, RpcFabric};
-use huge_graph::{GraphPartition, VertexId};
+use huge_graph::GraphPartition;
 use huge_plan::translate::{Segment, SegmentSource};
 use huge_query::QueryVertex;
 use huge_trace::{kv, kv2, SpanId, TraceBuf};
@@ -42,7 +42,7 @@ use crate::exec::{
     partition_cols_by_key, BatchOperator, OpContext, OpPoll, PullExtend, PushJoin, ScanSource,
 };
 use crate::governor::{MemoryGovernor, PressureLevel};
-use crate::join::{JoinSide, MemoryTrackerHandle};
+use crate::join::{column_bytes, JoinSide, MemoryTrackerHandle, TakenPartition};
 use crate::memory::MemoryTracker;
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
@@ -183,8 +183,9 @@ struct JoinSteal {
     /// exists.
     tried: Vec<bool>,
     /// Shipped partitions accepted but not yet attached to the local
-    /// `JoinStream`: `(left rows, right rows, charged bytes)`.
-    adopted: VecDeque<(Vec<VertexId>, Vec<VertexId>, u64)>,
+    /// `JoinStream`, each charged to this machine's tracker for the bytes its
+    /// columns hold.
+    adopted: VecDeque<TakenPartition>,
 }
 
 /// The outcome of one stealing attempt on a draining segment.
@@ -477,7 +478,7 @@ impl MachineState {
             }
             ControlMsg::PartitionShip {
                 segment,
-                partition: _,
+                partition,
                 bytes,
                 left,
                 right,
@@ -487,7 +488,7 @@ impl MachineState {
                 self.memory.allocate(bytes);
                 let ctl = self.join_ctl.entry(segment).or_default();
                 ctl.outstanding = false;
-                ctl.adopted.push_back((left, right, bytes));
+                ctl.adopted.push_back((partition, left, right));
                 self.router
                     .send_control(from, ControlMsg::ShipAck { segment, bytes });
             }
@@ -514,7 +515,7 @@ impl MachineState {
         &mut self,
         dest: MachineId,
         segment: usize,
-        batch: huge_comm::RowBatch,
+        batch: ColBatch,
         run: &RunShared,
     ) -> Result<()> {
         let mut pending = batch;
@@ -1105,7 +1106,7 @@ impl MachineState {
                 // Envelopes are tagged with the *producing* segment id so the
                 // consuming join can tell its left input from its right. The
                 // selection gather happens inside the partitioner, so the
-                // row-major wire batches carry only surviving rows.
+                // wire batches are dense and carry only surviving rows.
                 for (dest, out) in partition_cols_by_key(batch, key_positions, k)
                     .into_iter()
                     .enumerate()
@@ -1207,7 +1208,7 @@ impl MachineState {
     /// Pops the next adopted-but-unattached partition for `segment`. A
     /// successful adoption proves peers still had shippable work, so the
     /// tried-peers marks reset.
-    fn pop_adopted(&mut self, segment: usize) -> Option<(Vec<VertexId>, Vec<VertexId>, u64)> {
+    fn pop_adopted(&mut self, segment: usize) -> Option<TakenPartition> {
         let ctl = self.join_ctl.get_mut(&segment)?;
         let part = ctl.adopted.pop_front()?;
         ctl.tried.clear();
@@ -1215,7 +1216,7 @@ impl MachineState {
     }
 
     /// Ships one sealed partition to `thief` over the router's control
-    /// plane. The rows' tracker charge stays on this machine (recorded in
+    /// plane. The columns' tracker charge stays on this machine (recorded in
     /// `pending_ship_bytes`) until the thief's [`ControlMsg::ShipAck`]
     /// releases it — the same allocate-before-release hand-off as
     /// [`SharedQueue::steal_into`](crate::scheduler::SharedQueue::steal_into).
@@ -1223,12 +1224,10 @@ impl MachineState {
         &mut self,
         thief: MachineId,
         segment: usize,
-        partition: usize,
-        left: Vec<VertexId>,
-        right: Vec<VertexId>,
+        (partition, left, right): TakenPartition,
     ) {
         self.maybe_panic_at(segment, PanicPoint::Ship);
-        let bytes = ((left.len() + right.len()) * std::mem::size_of::<VertexId>()) as u64;
+        let bytes = column_bytes(&left) + column_bytes(&right);
         self.pending_ship_bytes += bytes;
         self.trace.instant_kv(
             "ship_partition",
@@ -1270,7 +1269,7 @@ impl MachineState {
                     .expect("filtered on pending joins")
                     .take_unprobed_partition()?;
                 match taken {
-                    Some((p, left, right)) => self.ship_partition(thief, segment, p, left, right),
+                    Some(taken) => self.ship_partition(thief, segment, taken),
                     None => self
                         .router
                         .send_control(thief, ControlMsg::ShipNack { segment }),
@@ -1286,7 +1285,7 @@ impl MachineState {
     fn service_active_join_steals(&mut self, segment: usize, join: &mut PushJoin) -> Result<()> {
         while let Some(thief) = self.pop_steal_request(segment) {
             match join.take_unprobed_partition()? {
-                Some((p, left, right)) => self.ship_partition(thief, segment, p, left, right),
+                Some(taken) => self.ship_partition(thief, segment, taken),
                 None => self
                     .router
                     .send_control(thief, ControlMsg::ShipNack { segment }),
@@ -1321,7 +1320,8 @@ impl MachineState {
             self.router
                 .send_control(thief, ControlMsg::ShipNack { segment });
         }
-        if let Some((left, right, bytes)) = self.pop_adopted(segment) {
+        if let Some((_, left, right)) = self.pop_adopted(segment) {
+            let bytes = column_bytes(&left) + column_bytes(&right);
             // Adopted work in hand: stay visibly non-idle and probe the
             // partition through the chain like a locally-built one.
             seg.idle[self.machine].store(false, Ordering::SeqCst);
@@ -1379,8 +1379,9 @@ impl MachineState {
     /// (aborted with ships or adoptions in flight) so the trackers balance.
     fn reclaim_skew_state(&mut self) {
         for ctl in self.join_ctl.values_mut() {
-            for (_, _, bytes) in ctl.adopted.drain(..) {
-                self.memory.release(bytes);
+            for (_, left, right) in ctl.adopted.drain(..) {
+                self.memory
+                    .release(column_bytes(&left) + column_bytes(&right));
             }
         }
         if self.pending_ship_bytes > 0 {

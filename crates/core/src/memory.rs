@@ -132,7 +132,9 @@ mod tests {
             dir,
             MemoryTrackerHandle::Tracked(Arc::clone(&t)),
         );
-        let batch = huge_comm::RowBatch::from_flat(2, (0..200).collect());
+        let keys: Vec<u32> = (0..100).map(|i| 2 * i).collect();
+        let payload = |offset: u32| keys.iter().map(|k| k + offset).collect();
+        let batch = huge_comm::ColBatch::from_columns(vec![keys.clone(), payload(1)]);
         let bytes = batch.byte_size();
         joiner.add(JoinSide::Left, &batch).unwrap();
         assert_eq!((t.allocations(), t.current(), t.peak()), (1, bytes, bytes));
@@ -143,8 +145,7 @@ mod tests {
         assert!(joiner.spilled() && t.current() <= 1024);
         // The build side (no payload equals a left value): one more batch,
         // one more allocate.
-        let right = (0..200).map(|v| v + v % 2 * 1_000).collect();
-        let right = huge_comm::RowBatch::from_flat(2, right);
+        let right = huge_comm::ColBatch::from_columns(vec![keys.clone(), payload(1_001)]);
         joiner.add(JoinSide::Right, &right).unwrap();
         assert_eq!(t.allocations(), 3);
 
@@ -154,7 +155,7 @@ mod tests {
         let mut stream = joiner.into_stream(16);
         let cancel = crate::cancel::CancelToken::new();
         stream.set_cancel(cancel.clone());
-        let rows = |payload: u32| -> Vec<u32> { (0..64).flat_map(|i| [7, payload + i]).collect() };
+        let rows = |payload: u32| vec![vec![7; 64], (payload..payload + 64).collect()];
         let (left_bytes, shipped_bytes) = (64 * 2 * 4, 2 * 64 * 2 * 4);
         t.allocate(shipped_bytes);
         stream.adopt_partition(rows(1_000), rows(2_000));

@@ -3,6 +3,8 @@
 //! arbitrary cluster shapes and engine knobs.
 
 use huge_comm::{ColBatch, RowBatch};
+use huge_core::exec::partition_cols_by_key;
+use huge_core::join::key_hash;
 use huge_core::{ClusterConfig, HugeCluster, SinkMode};
 use huge_graph::Graph;
 use huge_plan::baselines::{plug_into_huge, BaselineSystem};
@@ -89,8 +91,8 @@ proptest! {
 
     /// Columnar ↔ row-major conversion is lossless for arbitrary batches,
     /// including batches narrowed by a selection vector: the logical rows a
-    /// `ColBatch` exposes (and ships through the wire format) are exactly
-    /// the selected ones, before and after compaction.
+    /// `ColBatch` exposes are exactly the selected ones, before and after
+    /// compaction.
     #[test]
     fn colbatch_rowbatch_round_trip(
         arity in 1usize..5,
@@ -125,5 +127,46 @@ proptest! {
         prop_assert!(cols.selection().is_none());
         prop_assert_eq!(cols.byte_size(), selected_bytes);
         prop_assert_eq!(cols.to_rows().as_flat(), expected.as_slice());
+    }
+
+    /// The columnar shuffle sends every surviving row where a row-at-a-time
+    /// `key_hash` reference sends it: per destination exactly those rows, in
+    /// input order, dense — whether or not a selection vector narrows the
+    /// batch.
+    #[test]
+    fn columnar_shuffle_matches_the_row_at_a_time_reference(
+        arity in 1usize..5,
+        values in prop::collection::vec(0u32..40, 0..240),
+        mask in prop::collection::vec(0u8..2, 0..60),
+        selected in prop_oneof![Just(false), Just(true)],
+        key in prop::collection::vec(0usize..4, 1..4),
+        k in 1usize..6,
+    ) {
+        let key: Vec<usize> = key.iter().map(|p| p % arity).collect();
+        let n = values.len() / arity;
+        let row = |i: usize| &values[i * arity..(i + 1) * arity];
+        let mut rows = RowBatch::new(arity);
+        (0..n).for_each(|i| rows.push_row(row(i)));
+        let mut cols = ColBatch::from_rows(&rows);
+        let survivors: Vec<usize> = (0..n)
+            .filter(|&i| !selected || mask.get(i).copied().unwrap_or(0) == 1)
+            .collect();
+        if selected {
+            cols.set_selection(survivors.iter().map(|&i| i as u32).collect());
+        }
+
+        let mut expected = vec![Vec::new(); k];
+        for &i in &survivors {
+            let dest = key_hash(key.iter().map(|&c| row(i)[c])) as usize % k;
+            expected[dest].extend_from_slice(row(i));
+        }
+        let parts = partition_cols_by_key(&cols, &key, k);
+        prop_assert_eq!(parts.len(), k);
+        for (part, expected) in parts.iter().zip(&expected) {
+            prop_assert_eq!(part.arity(), arity);
+            prop_assert!(part.selection().is_none());
+            prop_assert_eq!(part.physical_rows() * arity, expected.len());
+            prop_assert_eq!(part.to_rows().as_flat(), expected.as_slice());
+        }
     }
 }

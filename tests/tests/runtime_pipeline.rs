@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use huge_baselines::exec::{hash_join_pushing, scan_star, BaselineCtx};
 use huge_baselines::Baseline;
 use huge_comm::stats::ClusterStats;
-use huge_comm::{Router, RowBatch};
+use huge_comm::{ColBatch, Router};
 use huge_core::memory::MemoryTracker;
 use huge_core::pool::WorkerPool;
 use huge_core::scheduler::SharedQueue;
@@ -126,7 +126,7 @@ fn bounded_router_backpressure_terminates_with_parked_consumer() {
         });
         for i in 0..BATCHES {
             // Blocking push: waits for space when the inbox is full.
-            producer.push(1, 3, RowBatch::from_flat(1, vec![i as u32; 4]));
+            producer.push(1, 3, ColBatch::from_columns(vec![vec![i as u32; 4]]));
         }
         done.store(true, Ordering::SeqCst);
         producer.wake(1);
