@@ -6,19 +6,42 @@
 //! vertex).
 //!
 //! [`ColBatch`] is the one currency, between operators and on the wire: one
-//! dense `Vec<u32>` per bound query vertex, plus an optional *selection
-//! vector* of surviving row indices. An extension appends one candidate
-//! column instead of rewriting `a + 1`-wide rows, a filter narrows the
-//! selection instead of compacting the data, the shuffle scatters each column
-//! through the selection into dense per-destination batches, and the router,
-//! the join build, its spill files and partition ships move those columns as
-//! they are — nothing between an extend's output and a probe's output is
-//! transposed.
+//! `Vec<u32>` per bound query vertex, in one of three layouts.
+//!
+//! * **Dense** — every column holds one value per row. What the scan cursor,
+//!   the join probe, the partitioners and the wire produce.
+//! * **Selected** — dense columns plus a *selection vector* of surviving row
+//!   indices: a verify-mode extend over a dense batch narrows the selection
+//!   instead of compacting the data.
+//! * **Runs** — what a match-mode extend emits. Its output is `(input row ×
+//!   that row's candidates)`, so all columns but the newest are constant over
+//!   the candidates of one input row: they hold one value per **run**, the
+//!   newest column one value per **row**, and `run_ends[r]` is the row at
+//!   which run `r` ends (cumulative, non-decreasing — a run may be empty).
+//!   [`ColBatch::len`] stays the number of logical rows and
+//!   [`ColBatch::byte_size`] counts what is actually held, so a hub row that
+//!   expands 200× costs the queue one candidate column, not `arity + 1`.
+//!
+//! **Runs xor selection.** A batch never carries both: a verify-mode extend
+//! over a run batch rewrites the newest column and the run ends
+//! ([`ColBatch::retain_rows`]), a selection is only ever installed on dense
+//! columns.
+//!
+//! **Where rows are materialised.** [`ColBatch::flatten`] is the only place
+//! that writes a prefix value once per output row. Everything between two
+//! extends — re-chunking, the operator queues, stealing, the memory ledger —
+//! carries runs as they are; `flatten` (or its borrowing twin
+//! [`ColBatch::flattened`]) is for consumers that need rows: the shuffle
+//! partitioners, the collect sink, [`ColBatch::to_rows`], and
+//! [`ColBatch::append`] into a dense batch.
 //!
 //! [`RowBatch`] — `n` rows of arity `a` as one flat `Vec<u32>` — is what is
 //! left of the row-major layout: the scan cursor still assembles `[src, dst]`
-//! rows and `SCAN` transposes them once ([`ColBatch::from_rows`]); tests use
-//! [`ColBatch::to_rows`] to compare against row-at-a-time references.
+//! rows and `SCAN` regroups them once; tests use [`ColBatch::to_rows`] to
+//! compare against row-at-a-time references.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use huge_graph::VertexId;
 
@@ -118,48 +141,76 @@ impl RowBatch {
 
 /// A batch of fixed-arity partial matches in columnar layout.
 ///
-/// Column `c` holds the binding of query vertex `c` for every *physical*
-/// row; all columns have equal length. An optional selection vector — a
-/// strictly ascending list of physical row indices — marks the rows that
-/// are logically present. Filters narrow the selection without touching
-/// column data; [`ColBatch::compact`] materialises the selection when a
-/// dense layout is needed (chunking, appending).
+/// Column `c` holds the binding of query vertex `c`. In a dense batch every
+/// column has one value per *physical* row; an optional selection vector — a
+/// strictly ascending list of physical row indices — marks the rows that are
+/// logically present. In a run batch (`run_ends` set, never together with a
+/// selection) every column but the newest has one value per run and the
+/// newest one per row; see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ColBatch {
     cols: Vec<Vec<VertexId>>,
     sel: Option<Vec<u32>>,
+    run_ends: Option<Vec<u32>>,
 }
 
 impl ColBatch {
     /// Creates an empty batch of the given arity.
     pub fn new(arity: usize) -> Self {
         assert!(arity > 0, "rows must bind at least one query vertex");
-        ColBatch {
-            cols: vec![Vec::new(); arity],
-            sel: None,
-        }
+        ColBatch::from_columns(vec![Vec::new(); arity])
     }
 
     /// Creates an empty batch with space reserved for `rows` rows.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         assert!(arity > 0);
-        ColBatch {
-            cols: (0..arity).map(|_| Vec::with_capacity(rows)).collect(),
-            sel: None,
-        }
+        ColBatch::from_columns((0..arity).map(|_| Vec::with_capacity(rows)).collect())
     }
 
-    /// Builds a batch from pre-assembled columns of equal length.
+    /// Builds a dense batch from pre-assembled columns of equal length.
     pub fn from_columns(cols: Vec<Vec<VertexId>>) -> Self {
         assert!(!cols.is_empty(), "rows must bind at least one query vertex");
         assert!(
             cols.windows(2).all(|w| w[0].len() == w[1].len()),
             "columns must have equal length"
         );
-        ColBatch { cols, sel: None }
+        ColBatch {
+            cols,
+            sel: None,
+            run_ends: None,
+        }
     }
 
-    /// Transposes a row-major batch into columns (no selection).
+    /// Builds a run batch: every column but the last holds one value per
+    /// run, the last one value per row, and `run_ends[r]` is the (exclusive)
+    /// row at which run `r` ends.
+    ///
+    /// # Panics
+    /// Panics if the run ends decrease, do not end at the newest column's
+    /// length, or a prefix column does not have one value per run.
+    pub fn from_runs(cols: Vec<Vec<VertexId>>, run_ends: Vec<u32>) -> Self {
+        let (newest, prefix) = cols.split_last().expect("rows bind a query vertex");
+        assert!(
+            prefix.iter().all(|c| c.len() == run_ends.len()),
+            "prefix columns must hold one value per run"
+        );
+        assert!(
+            run_ends.windows(2).all(|w| w[0] <= w[1]),
+            "run ends must not decrease"
+        );
+        assert_eq!(
+            run_ends.last().map_or(0, |&e| e as usize),
+            newest.len(),
+            "the last run must end at the newest column's length"
+        );
+        ColBatch {
+            cols,
+            sel: None,
+            run_ends: Some(run_ends),
+        }
+    }
+
+    /// Transposes a row-major batch into dense columns.
     pub fn from_rows(rows: &RowBatch) -> Self {
         let arity = rows.arity();
         let mut cols: Vec<Vec<VertexId>> =
@@ -169,17 +220,19 @@ impl ColBatch {
                 cols[c].push(v);
             }
         }
-        ColBatch { cols, sel: None }
+        ColBatch::from_columns(cols)
     }
 
-    /// Transposes into a row-major batch, honouring the selection.
+    /// Transposes into a row-major batch, honouring the selection and
+    /// expanding runs.
     pub fn to_rows(&self) -> RowBatch {
-        let arity = self.arity();
-        let mut out = RowBatch::with_capacity(arity, self.len());
+        let dense = self.flattened();
+        let arity = dense.arity();
+        let mut out = RowBatch::with_capacity(arity, dense.len());
         let mut row = Vec::with_capacity(arity);
-        for i in 0..self.len() {
+        for i in 0..dense.len() {
             row.clear();
-            self.read_row(i, &mut row);
+            dense.read_row(i, &mut row);
             out.push_row(&row);
         }
         out
@@ -191,19 +244,21 @@ impl ColBatch {
         self.cols.len()
     }
 
-    /// Number of *logical* rows (selected rows when a selection is set).
+    /// Number of *logical* rows: selected rows when a selection is set, the
+    /// newest column's length otherwise (runs or not).
     #[inline]
     pub fn len(&self) -> usize {
         match &self.sel {
             Some(sel) => sel.len(),
-            None => self.cols[0].len(),
+            None => self.physical_rows(),
         }
     }
 
-    /// Number of physical rows stored in the columns.
+    /// Number of values stored in the newest column (in every column, for a
+    /// batch without runs).
     #[inline]
     pub fn physical_rows(&self) -> usize {
-        self.cols[0].len()
+        self.cols[self.cols.len() - 1].len()
     }
 
     /// `true` when no logical rows remain.
@@ -212,14 +267,17 @@ impl ColBatch {
         self.len() == 0
     }
 
-    /// The binding of query vertex `col` in logical row `i`.
+    /// The binding of query vertex `col` in logical row `i`. On a run batch
+    /// a prefix column costs a binary search over the run ends: walk
+    /// [`ColBatch::run_rows`] instead when reading many rows.
     #[inline]
     pub fn value(&self, col: usize, i: usize) -> VertexId {
-        self.cols[col][self.physical_index(i)]
+        self.cols[col][self.index_in(col, i)]
     }
 
-    /// Physical index of logical row `i` (what a narrowed selection must
-    /// reference when filters re-select an already-selected batch).
+    /// Physical index of logical row `i` in the newest column — and, without
+    /// runs, in every column (what a narrowed selection must reference when
+    /// filters re-select an already-selected batch).
     #[inline]
     pub fn physical_index(&self, i: usize) -> usize {
         match &self.sel {
@@ -228,30 +286,44 @@ impl ColBatch {
         }
     }
 
+    /// Where column `col` keeps its value for logical row `i`.
+    #[inline]
+    fn index_in(&self, col: usize, i: usize) -> usize {
+        match &self.run_ends {
+            Some(ends) if col + 1 < self.cols.len() => ends.partition_point(|&e| e as usize <= i),
+            _ => self.physical_index(i),
+        }
+    }
+
     /// Appends the values of logical row `i` to `out`.
     #[inline]
     pub fn read_row(&self, i: usize, out: &mut Vec<VertexId>) {
-        let p = self.physical_index(i);
-        for col in &self.cols {
-            out.push(col[p]);
-        }
+        let newest = self.physical_index(i);
+        let prefix = self.index_in(0, i);
+        let last = self.cols.len() - 1;
+        out.extend(self.cols[..last].iter().map(|col| col[prefix]));
+        out.push(self.cols[last][newest]);
     }
 
     /// Appends one row.
     ///
     /// # Panics
-    /// Panics (debug) if a selection is set — builders append to dense
-    /// batches only.
+    /// Panics (debug) if a selection or runs are set — builders append to
+    /// dense batches only.
     #[inline]
     pub fn push_row(&mut self, row: &[VertexId]) {
-        debug_assert!(self.sel.is_none(), "cannot append under a selection");
+        debug_assert!(
+            self.sel.is_none() && self.run_ends.is_none(),
+            "rows are appended to dense batches only"
+        );
         debug_assert_eq!(row.len(), self.arity());
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
         }
     }
 
-    /// The physical (unfiltered) data of column `c`.
+    /// The physical data of column `c`: one value per physical row, or — for
+    /// every column but the newest of a run batch — one value per run.
     #[inline]
     pub fn column(&self, c: usize) -> &[VertexId] {
         &self.cols[c]
@@ -262,11 +334,37 @@ impl ColBatch {
         self.sel.as_deref()
     }
 
+    /// The run ends, if this is a run batch.
+    pub fn run_ends(&self) -> Option<&[u32]> {
+        self.run_ends.as_deref()
+    }
+
+    /// Number of runs; a batch without run structure is the degenerate case
+    /// in which every logical row is a run of one.
+    #[inline]
+    pub fn runs(&self) -> usize {
+        match &self.run_ends {
+            Some(ends) => ends.len(),
+            None => self.len(),
+        }
+    }
+
+    /// The logical rows of run `r` (possibly none).
+    #[inline]
+    pub fn run_rows(&self, r: usize) -> Range<usize> {
+        match &self.run_ends {
+            Some(ends) => r.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[r] as usize,
+            None => r..r + 1,
+        }
+    }
+
     /// Installs a selection vector (strictly ascending physical indices).
     ///
     /// Replaces any existing selection, so callers narrowing an already
-    /// selected batch must compose indices themselves.
+    /// selected batch must compose indices themselves (or call
+    /// [`ColBatch::retain_rows`], which does).
     pub fn set_selection(&mut self, sel: Vec<u32>) {
+        debug_assert!(self.run_ends.is_none(), "runs and selection never coexist");
         debug_assert!(
             sel.windows(2).all(|w| w[0] < w[1]),
             "selection not ascending"
@@ -279,8 +377,34 @@ impl ColBatch {
         self.sel = Some(sel);
     }
 
+    /// Keeps only the logical rows listed in `keep` (strictly ascending).
+    /// Prefix data is never moved: without runs the survivors become the
+    /// (composed) selection vector; with runs the newest column is compacted
+    /// in place and the run ends recounted, which may leave runs empty.
+    pub fn retain_rows(&mut self, mut keep: Vec<u32>) {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "rows not ascending");
+        let Some(ends) = &mut self.run_ends else {
+            if let Some(old) = &self.sel {
+                keep.iter_mut().for_each(|i| *i = old[*i as usize]);
+            }
+            return self.set_selection(keep);
+        };
+        let newest = self.cols.last_mut().expect("arity > 0");
+        let mut kept = 0;
+        for end in ends.iter_mut() {
+            while keep.get(kept).is_some_and(|&row| row < *end) {
+                newest[kept] = newest[keep[kept] as usize];
+                kept += 1;
+            }
+            // `kept` counts rows below the old `*end`, which fit in 32 bits.
+            *end = kept as u32;
+        }
+        debug_assert_eq!(kept, keep.len(), "row index out of range");
+        newest.truncate(kept);
+    }
+
     /// Materialises the selection: unselected rows are discarded and the
-    /// selection vector is dropped. No-op for dense batches.
+    /// selection vector is dropped. No-op without a selection.
     pub fn compact(&mut self) {
         let Some(sel) = self.sel.take() else { return };
         for col in &mut self.cols {
@@ -291,7 +415,37 @@ impl ColBatch {
         }
     }
 
-    /// Moves all logical rows of `other` into `self` (both compacted).
+    /// Materialises the runs: every prefix value is written once per row of
+    /// its run and the run ends are dropped. No-op without runs. This is the
+    /// only per-output-row gather of prefix columns; see the module docs for
+    /// who may call it.
+    pub fn flatten(&mut self) {
+        let Some(ends) = self.run_ends.take() else {
+            return;
+        };
+        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
+        for col in prefix {
+            let mut dense = Vec::with_capacity(newest.len());
+            let mut start = 0;
+            for (&v, &end) in col.iter().zip(&ends) {
+                dense.extend(std::iter::repeat_n(v, (end - start) as usize));
+                start = end;
+            }
+            *col = dense;
+        }
+    }
+
+    /// `self` if it has no runs, a flattened copy otherwise (for consumers
+    /// that need rows but only borrow the batch).
+    pub fn flattened(&self) -> Cow<'_, ColBatch> {
+        let mut dense = Cow::Borrowed(self);
+        if self.run_ends.is_some() {
+            dense.to_mut().flatten();
+        }
+        dense
+    }
+
+    /// Moves all logical rows of `other` into `self`, both made dense first.
     ///
     /// # Panics
     /// Panics if arities differ.
@@ -301,54 +455,77 @@ impl ColBatch {
             other.arity(),
             "cannot append mismatched arity"
         );
-        self.compact();
-        other.compact();
+        for batch in [&mut *self, &mut *other] {
+            batch.compact();
+            batch.flatten();
+        }
         for (dst, src) in self.cols.iter_mut().zip(other.cols.iter_mut()) {
             dst.append(src);
         }
     }
 
-    /// Splits off the last `rows` logical rows into a new batch (work
-    /// stealing hands half a queue entry to another worker).
-    pub fn split_off_back(&mut self, rows: usize) -> ColBatch {
-        self.compact();
-        let rows = rows.min(self.len());
-        let at = self.physical_rows() - rows;
-        ColBatch {
-            cols: self.cols.iter_mut().map(|c| c.split_off(at)).collect(),
-            sel: None,
-        }
-    }
-
-    /// Splits this batch into dense chunks of at most `rows_per_chunk`
-    /// logical rows. A batch that already fits is handed back as-is (after
-    /// compaction), so the common case moves buffers instead of copying.
+    /// Splits this batch into chunks of at most `rows_per_chunk` logical
+    /// rows, cutting at the same rows whatever the layout. A batch that
+    /// already fits is handed back as-is (after compaction), so the common
+    /// case moves buffers instead of copying. Dense batches yield dense
+    /// chunks; a run batch yields run batches — the newest column is cut
+    /// every `rows_per_chunk` rows, a run straddling a cut continues as the
+    /// first run of the next chunk, and empty runs are dropped.
     pub fn split_into_chunks(mut self, rows_per_chunk: usize) -> Vec<ColBatch> {
         assert!(rows_per_chunk > 0);
         self.compact();
         if self.len() <= rows_per_chunk {
             return vec![self];
         }
-        let arity = self.arity();
-        let chunks = self.len().div_ceil(rows_per_chunk);
-        let mut out: Vec<ColBatch> = (0..chunks)
-            .map(|_| ColBatch::with_capacity(arity, rows_per_chunk))
-            .collect();
-        for (c, col) in self.cols.into_iter().enumerate() {
-            for (k, piece) in col.chunks(rows_per_chunk).enumerate() {
-                out[k].cols[c].extend_from_slice(piece);
+        let Some(ends) = self.run_ends.take() else {
+            let mut out: Vec<ColBatch> = (0..self.len().div_ceil(rows_per_chunk))
+                .map(|_| ColBatch::with_capacity(self.arity(), rows_per_chunk))
+                .collect();
+            for (c, col) in self.cols.into_iter().enumerate() {
+                for (k, piece) in col.chunks(rows_per_chunk).enumerate() {
+                    out[k].cols[c].extend_from_slice(piece);
+                }
             }
-        }
-        out
+            return out;
+        };
+        let (newest, prefix) = self.cols.split_last().expect("arity > 0");
+        let mut run = 0;
+        let mut start = 0;
+        let chunks = newest.chunks(rows_per_chunk).enumerate().map(|(k, piece)| {
+            let from = k * rows_per_chunk;
+            let to = from + piece.len();
+            let mut cols: Vec<Vec<VertexId>> = vec![Vec::new(); prefix.len()];
+            let mut chunk_ends = Vec::new();
+            // `run` is the first run not wholly before `from`, `start` its
+            // first row.
+            while run < ends.len() && start < to {
+                let end = ends[run] as usize;
+                if end > start.max(from) {
+                    for (col, source) in cols.iter_mut().zip(prefix) {
+                        col.push(source[run]);
+                    }
+                    // At most `piece.len()`, itself below the old run end.
+                    chunk_ends.push((end.min(to) - from) as u32);
+                }
+                if end > to {
+                    break;
+                }
+                (run, start) = (run + 1, end);
+            }
+            cols.push(piece.to_vec());
+            ColBatch::from_runs(cols, chunk_ends)
+        });
+        chunks.collect()
     }
 
-    /// Heap bytes held by the batch: column data plus the selection vector.
-    /// This is what queue accounting and the memory governor charge.
+    /// Heap bytes held by the batch: the values of every column as stored
+    /// (per run or per row) plus the selection vector or the run ends. This
+    /// is what queue accounting and the memory governor charge.
     #[inline]
     pub fn byte_size(&self) -> u64 {
         let vals: usize = self.cols.iter().map(Vec::len).sum();
-        let sel = self.sel.as_ref().map_or(0, Vec::len);
-        (vals * std::mem::size_of::<VertexId>() + sel * std::mem::size_of::<u32>()) as u64
+        let index = self.sel.as_ref().or(self.run_ends.as_ref());
+        ((vals + index.map_or(0, Vec::len)) * std::mem::size_of::<VertexId>()) as u64
     }
 }
 
@@ -375,9 +552,9 @@ mod tests {
         a.append(&mut b);
         assert_eq!(a.len(), 4);
         assert!(b.is_empty());
-        let tail = a.split_off_back(2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(tail.to_rows().as_flat(), &[5, 6, 7, 8]);
+        let halves = a.split_into_chunks(2);
+        assert_eq!(halves.len(), 2);
+        assert_eq!(halves[1].to_rows().as_flat(), &[5, 6, 7, 8]);
     }
 
     #[test]
@@ -404,14 +581,6 @@ mod tests {
         assert_eq!([only.column(0).as_ptr(), only.column(1).as_ptr()], ptrs);
         assert_eq!(only.len(), 10);
         assert!(chunks.is_empty());
-    }
-
-    #[test]
-    fn split_off_more_than_len_takes_everything() {
-        let mut b = ColBatch::from_columns(vec![vec![1, 2, 3]]);
-        let tail = b.split_off_back(10);
-        assert_eq!(tail.len(), 3);
-        assert!(b.is_empty());
     }
 
     #[test]
@@ -487,16 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn col_batch_split_off_back() {
-        let mut cols = ColBatch::from_columns(vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]]);
-        let tail = cols.split_off_back(1);
-        assert_eq!(cols.len(), 3);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail.column(0), &[4]);
-        assert_eq!(tail.column(1), &[8]);
-    }
-
-    #[test]
     #[should_panic(expected = "equal length")]
     fn col_batch_checks_column_lengths() {
         ColBatch::from_columns(vec![vec![1, 2], vec![3]]);
@@ -508,5 +667,180 @@ mod tests {
         let mut a = RowBatch::new(2);
         let mut b = RowBatch::new(3);
         a.append(&mut b);
+    }
+
+    /// `(a, b)` prefixes 10·r, 10·r + 1 over runs of the given lengths, the
+    /// newest column counting rows.
+    fn run_batch(lens: &[u32]) -> ColBatch {
+        let runs = lens.len() as u32;
+        let ends: Vec<u32> = lens
+            .iter()
+            .scan(0, |end, n| {
+                *end += n;
+                Some(*end)
+            })
+            .collect();
+        let rows = ends.last().copied().unwrap_or(0);
+        ColBatch::from_runs(
+            vec![
+                (0..runs).map(|r| 10 * r).collect(),
+                (0..runs).map(|r| 10 * r + 1).collect(),
+                (1000..1000 + rows).collect(),
+            ],
+            ends,
+        )
+    }
+
+    /// The row-at-a-time reference a run batch must flatten to.
+    fn reference_rows(lens: &[u32]) -> RowBatch {
+        let mut rows = RowBatch::new(3);
+        let mut next = 1000;
+        for (r, &n) in lens.iter().enumerate() {
+            for _ in 0..n {
+                rows.push_row(&[10 * r as u32, 10 * r as u32 + 1, next]);
+                next += 1;
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn a_run_batch_answers_like_its_rows() {
+        let lens = [2, 0, 3, 1, 0];
+        let runs = run_batch(&lens);
+        let rows = reference_rows(&lens);
+        assert_eq!((runs.len(), runs.arity(), runs.runs()), (6, 3, 5));
+        assert_eq!(runs.run_ends(), Some(&[2, 2, 5, 6, 6][..]));
+        assert_eq!(runs.run_rows(0), 0..2);
+        assert_eq!(runs.run_rows(1), 2..2);
+        assert_eq!(runs.run_rows(2), 2..5);
+        // 5 runs × (2 prefix values + 1 end) + 6 rows, 4 bytes each.
+        assert_eq!(runs.byte_size(), (5 * 3 + 6) * 4);
+        let mut row = Vec::new();
+        for i in 0..rows.len() {
+            row.clear();
+            runs.read_row(i, &mut row);
+            assert_eq!(row, rows.row(i));
+            assert_eq!(runs.value(1, i), rows.row(i)[1]);
+            assert_eq!(runs.value(2, i), rows.row(i)[2]);
+        }
+        assert_eq!(runs.to_rows(), rows);
+        assert_eq!(runs.flattened().run_ends(), None);
+        assert_eq!(*runs.flattened(), ColBatch::from_rows(&rows));
+        // A dense batch is borrowed, not copied; its runs are its rows.
+        let dense = ColBatch::from_rows(&rows);
+        assert!(matches!(dense.flattened(), Cow::Borrowed(_)));
+        assert_eq!((dense.runs(), dense.run_rows(4)), (6, 4..5));
+        // Appending makes both sides dense.
+        let mut all = ColBatch::new(3);
+        all.append(&mut runs.clone());
+        all.append(&mut runs.clone());
+        assert_eq!(all.len(), 12);
+        assert_eq!(all.column(0)[6..], [0, 0, 20, 20, 20, 30]);
+    }
+
+    #[test]
+    fn retain_rows_rewrites_the_newest_column_or_narrows_the_selection() {
+        let lens = [2, 0, 3, 1];
+        let mut runs = run_batch(&lens);
+        let prefix = runs.column(0).as_ptr();
+        runs.retain_rows(vec![1, 2, 4]);
+        assert_eq!(runs.run_ends(), Some(&[1, 1, 3, 3][..]));
+        assert_eq!(runs.column(2), &[1001, 1002, 1004]);
+        assert_eq!(runs.column(0).as_ptr(), prefix, "prefix data never moves");
+        assert_eq!(runs.selection(), None, "runs and selection never coexist");
+        let rows = reference_rows(&lens);
+        let kept: Vec<u32> = [1, 2, 4]
+            .iter()
+            .flat_map(|&i| rows.row(i).to_vec())
+            .collect();
+        assert_eq!(runs.to_rows().as_flat(), kept);
+        runs.retain_rows(vec![]);
+        assert!(runs.is_empty());
+        assert_eq!(runs.run_ends(), Some(&[0, 0, 0, 0][..]));
+
+        // Without runs the survivors compose with the selection in place.
+        let mut dense = ColBatch::from_rows(&rows);
+        dense.retain_rows(vec![1, 2, 4, 5]);
+        dense.retain_rows(vec![0, 3]);
+        assert_eq!(dense.selection(), Some(&[1, 5][..]));
+        assert_eq!(dense.physical_rows(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per run")]
+    fn from_runs_checks_the_prefix_columns() {
+        ColBatch::from_runs(vec![vec![1, 2], vec![3, 4, 5]], vec![3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "newest column's length")]
+    fn from_runs_checks_the_last_end() {
+        ColBatch::from_runs(vec![vec![1], vec![3, 4, 5]], vec![2]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Run lengths with empty runs anywhere (the tail included) and the
+        /// occasional run longer than several chunks.
+        fn arb_lens() -> impl Strategy<Value = Vec<u32>> {
+            let len = prop_oneof![Just(0u32), Just(0u32), 1u32..6, 1u32..6, 20u32..60];
+            proptest::collection::vec(len, 0..12)
+        }
+
+        fn held_bytes(b: &ColBatch) -> u64 {
+            let values: usize = (0..b.arity()).map(|c| b.column(c).len()).sum();
+            let index = b.run_ends().or(b.selection()).map_or(0, <[u32]>::len);
+            ((values + index) * 4) as u64
+        }
+
+        proptest! {
+            #[test]
+            fn flatten_equals_the_row_at_a_time_reference(lens in arb_lens()) {
+                let runs = run_batch(&lens);
+                let rows = reference_rows(&lens);
+                prop_assert_eq!(runs.len(), rows.len());
+                prop_assert_eq!(runs.byte_size(), held_bytes(&runs));
+                let mut flat = runs.clone();
+                flat.flatten();
+                prop_assert_eq!(flat.run_ends(), None);
+                prop_assert_eq!(flat.byte_size(), held_bytes(&flat));
+                prop_assert_eq!(&flat, &ColBatch::from_rows(&rows));
+                prop_assert_eq!(runs.to_rows(), rows);
+            }
+
+            /// Cuts at, inside and exactly on run boundaries: the chunks
+            /// concatenate to the source, none exceeds `n` rows, each is cut
+            /// where a dense batch would be, and each is charged what it holds.
+            #[test]
+            fn chunks_of_a_run_batch_concatenate_to_it(lens in arb_lens(), n in 1usize..25) {
+                let runs = run_batch(&lens);
+                let rows = reference_rows(&lens);
+                let dense_chunks = ColBatch::from_rows(&rows).split_into_chunks(n);
+                let chunks = runs.clone().split_into_chunks(n);
+                prop_assert_eq!(chunks.len(), dense_chunks.len());
+                let mut all = ColBatch::new(3);
+                for (chunk, dense) in chunks.iter().zip(&dense_chunks) {
+                    prop_assert!(chunk.len() <= n);
+                    prop_assert_eq!(chunk.byte_size(), held_bytes(chunk));
+                    prop_assert_eq!(chunk.to_rows(), dense.to_rows());
+                    if chunks.len() > 1 {
+                        // Copied chunks keep the run shape and no empty runs.
+                        let ends = chunk.run_ends().expect("a run batch chunks into runs");
+                        prop_assert!(ends.first().is_none_or(|&e| e > 0));
+                        prop_assert!(ends.windows(2).all(|w| w[0] < w[1]));
+                    }
+                    all.append(&mut chunk.clone());
+                }
+                prop_assert_eq!(all.to_rows(), rows);
+                // A run cut by chunk boundaries is stored once per chunk it
+                // touches, never once per row.
+                let runs_held: usize = chunks.iter().map(|c| c.runs()).sum();
+                let nonempty = lens.iter().filter(|&&l| l > 0).count();
+                prop_assert!(chunks.len() == 1 || runs_held < nonempty + chunks.len());
+            }
+        }
     }
 }

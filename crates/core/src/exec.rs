@@ -109,7 +109,9 @@ pub trait BatchOperator {
 /// The `SCAN` source behind the [`BatchOperator`] interface.
 ///
 /// Wraps a [`ScanCursor`] over a (stealable) [`ScanPool`]; each poll yields
-/// one batch of `[src, dst]` edge rows.
+/// one batch of `[src, dst]` edge rows as a run batch: the cursor emits a
+/// vertex's edges consecutively, so `src` is stored once per vertex and the
+/// first extend reads its runs like any later one.
 pub struct ScanSource {
     cursor: ScanCursor,
 }
@@ -140,9 +142,22 @@ impl BatchOperator for ScanSource {
     fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
         match self.cursor.next_batch(ctx) {
             Some(batch) => {
-                // The cursor assembles rows; transpose once into the columnar
-                // currency and charge the column bytes.
-                let cols = ColBatch::from_rows(&batch);
+                // The cursor assembles rows; regroup them once into the
+                // columnar currency and charge the column bytes.
+                let (mut src, mut ends) = (Vec::new(), Vec::new());
+                let mut dst = Vec::with_capacity(batch.len());
+                for row in batch.rows() {
+                    if src.last() != Some(&row[0]) {
+                        if !dst.is_empty() {
+                            ends.push(dst.len() as u32);
+                        }
+                        src.push(row[0]);
+                    }
+                    dst.push(row[1]);
+                }
+                // `batch_size` rows at most, far below 32 bits.
+                ends.push(dst.len() as u32);
+                let cols = ColBatch::from_runs(vec![src, dst], ends);
                 ctx.rpc
                     .stats()
                     .machine(ctx.machine)
@@ -268,7 +283,7 @@ impl BatchOperator for PullExtend {
                 OpPoll::Pending
             });
         }
-        let out = self.spec.run_cols(input, ctx);
+        let out = self.spec.run_cols(input, ctx)?;
         self.absorb_timings(out.fetch_time, &out.worker_busy);
         Ok(OpPoll::Ready(out.batch))
     }
@@ -499,6 +514,8 @@ impl BatchOperator for PushJoin {
 /// key columns: one pass over the key columns computes the destinations, then
 /// every column of every destination is one gather through the selection
 /// vector, so the per-destination batches come out dense (input order kept).
+/// A run batch is flattened first — the shuffle is where an extend's output
+/// becomes rows.
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
@@ -507,6 +524,7 @@ impl BatchOperator for PushJoin {
 /// destination is [`key_hash`](crate::join::key_hash)` % k`, the hash the
 /// receiving join takes its Grace partition from.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
+    let batch = &*batch.flattened();
     let hash = row_key_hash(batch, key_positions);
     scatter(batch, |row| (hash(row) % k as u64) as usize, k)
 }
@@ -520,6 +538,7 @@ pub fn partition_cols_by_owner(
     rpc: &RpcFabric,
     k: usize,
 ) -> Vec<ColBatch> {
+    let batch = &*batch.flattened();
     let vertices = batch.column(column);
     scatter(batch, |row| rpc.owner(vertices[row]), k)
 }

@@ -344,6 +344,8 @@ impl HashJoiner {
             JoinSide::Right => (&mut self.right, "r"),
         };
         debug_assert_eq!(batch.arity(), buffer.arity);
+        // Wire batches arrive dense; a local caller may hand over runs.
+        let batch = &*batch.flattened();
         let hash = row_key_hash(batch, &buffer.key_positions);
         let partition = |row| grace_partition(hash(row));
         let parts = buffer.partitions.iter_mut().map(|p| &mut p.columns);

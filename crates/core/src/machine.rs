@@ -1018,7 +1018,7 @@ impl MachineState {
             if current == terminal_idx {
                 let start = Instant::now();
                 while let Some(batch) = queues.queue(num_extends).pop() {
-                    self.consume_terminal(plan, &batch, sink, run)?;
+                    self.consume_terminal(plan, batch, sink, run)?;
                 }
                 self.trace.op_add_busy(segment, current, start.elapsed());
                 current -= 1;
@@ -1076,7 +1076,7 @@ impl MachineState {
     fn consume_terminal(
         &mut self,
         plan: &SegmentPlan,
-        batch: &ColBatch,
+        mut batch: ColBatch,
         sink: SinkMode,
         run: &RunShared,
     ) -> Result<()> {
@@ -1086,15 +1086,17 @@ impl MachineState {
                 // verify-mode final batch is never compacted.
                 self.matches += batch.len() as u64;
                 if let SinkMode::Collect(limit) = sink {
-                    let schema = &plan.segment.schema;
-                    let mut row = Vec::with_capacity(batch.arity());
-                    for i in 0..batch.len() {
-                        if self.samples.len() >= limit {
-                            break;
+                    let wanted = limit.saturating_sub(self.samples.len());
+                    if wanted > 0 {
+                        // The collect sink reads rows: runs end here.
+                        batch.flatten();
+                        let schema = &plan.segment.schema;
+                        let mut row = Vec::with_capacity(batch.arity());
+                        for i in 0..batch.len().min(wanted) {
+                            row.clear();
+                            batch.read_row(i, &mut row);
+                            self.samples.push(reorder_row(&row, schema));
                         }
-                        row.clear();
-                        batch.read_row(i, &mut row);
-                        self.samples.push(reorder_row(&row, schema));
                     }
                 }
             }
@@ -1103,11 +1105,14 @@ impl MachineState {
                 key_positions,
             } => {
                 let k = self.router.num_machines();
+                // The shuffle needs rows: runs end here, in place (the
+                // partitioner would flatten a copy of a borrowed batch).
+                batch.flatten();
                 // Envelopes are tagged with the *producing* segment id so the
                 // consuming join can tell its left input from its right. The
                 // selection gather happens inside the partitioner, so the
                 // wire batches are dense and carry only surviving rows.
-                for (dest, out) in partition_cols_by_key(batch, key_positions, k)
+                for (dest, out) in partition_cols_by_key(&batch, key_positions, k)
                     .into_iter()
                     .enumerate()
                 {

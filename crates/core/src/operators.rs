@@ -3,39 +3,50 @@
 //! (`PUSH-JOIN` lives in [`crate::join`]; the `SINK` is part of the segment
 //! terminal in [`crate::machine`].)
 //!
-//! Match-mode `PULL-EXTEND` is **one run-aware candidate generator with two
-//! sinks** (`for_each_candidate_set`), and the generator is two things:
+//! Match-mode `PULL-EXTEND` is **one candidate generator with two sinks**
+//! (`for_each_candidate_set`), and the generator is two things:
 //!
 //! * an [`ExtendSpec`] — what the plan decides, compiled once per operator:
 //!   which extend position is the newest column (`last`) and which are the
-//!   shared `prefix`, which order filters gate a row and which bound the
-//!   candidate from below or above, and the few positions (`collide`, often
-//!   none) whose value a candidate could equal at all;
-//! * the run state — what the previous row left. A batch comes out of the
-//!   previous extend, so its rows arrive in runs that differ only in their
-//!   newest column; the generator keeps the intersection of the prefix
-//!   positions' lists, recomputes it only when those vertices change, and
-//!   keeps the slice of it inside the candidates' value range *set in a
-//!   [`ProbeFilter`]*. A row then scans only its own newest list against the
-//!   filter — the shared side is not merged again for every row of the run.
-//!   The filter is set when a run's first slice is computed, once more with
-//!   the whole shared list if a later row's range reaches outside that slice
-//!   (so bounds that move with every row do not rebuild it once a row), and
-//!   cleared — by re-hashing what it holds — before the run's list is
-//!   replaced. It is refused for a set over [`kernels::PROBE_MAX_SET`] and
-//!   bypassed for a list over [`kernels::PROBE_MAX_SKEW`] × the slice; those
-//!   rows, and indexed hubs, take the merge / gallop / bitmap dispatch.
+//!   shared `prefix`, which order filters gate a whole run and which one row,
+//!   which bound the candidate from below or above, and the few positions
+//!   (`collide`, often none) whose value a candidate could equal at all —
+//!   each split by whether it reads a per-run column or the newest one;
+//! * **a loop over `(run, rows of the run)`**. A match-mode extend emits a
+//!   run batch ([`ColBatch::from_runs`]): every input column once per
+//!   extended input row, the candidates in the newest column, the `(row, n)`
+//!   list it kept anyway as the run ends. The next extend reads those runs
+//!   instead of rediscovering them row by row; a batch without runs (a join's
+//!   output, a test's) is the same loop with every row a run of one.
 //!
-//! The reuse test compares vertex ids, nothing else, so it cannot be wrong
-//! for any row order — shuffled, selected, split or stolen rows only reuse
-//! less and rebuild the filter more often. [`ExtendSpec::run_count_cols`]
-//! counts each row's last step with the kernel count twins;
-//! [`ExtendSpec::run_cols`] lets the kernels write it straight into the new
-//! column. Verify mode is a per-row membership test and shares only the
-//! fetch stage. A row-major `run_extend` / `run_extend_count` that
-//! intersects every list for every row and filters per candidate lives in
-//! the test-only `row_major` module: the reference the tests hold the
-//! generator to.
+//! What is decided **per run**: the gates between per-run columns, the part
+//! of the candidates' value range those columns fix, the run's `collide`
+//! values, and the prefix key — the intersection of the prefix positions'
+//! lists is recomputed only when the key's vertex ids differ from the
+//! previous run's, and the slice of it inside the value range stays *set in a
+//! [`ProbeFilter`]*. What is done **per row**: gates and bounds that read the
+//! newest column, and the last step — a scan of the row's own newest list
+//! against the filter; the shared side is not merged again for every row. The
+//! filter is set when a key's first slice is computed, once more with the
+//! whole shared list if a later row's range reaches outside that slice (so
+//! bounds that move with every row do not rebuild it once a row), and cleared
+//! — by re-hashing what it holds — before the list is replaced. It is refused
+//! for a set over [`kernels::PROBE_MAX_SET`] and bypassed for a list over
+//! [`kernels::PROBE_MAX_SKEW`] × the slice; those rows, and indexed hubs,
+//! take the merge / gallop / bitmap dispatch. Work items are cut on run
+//! boundaries, so within a batch nothing a run computed is computed twice;
+//! only a chunk edge (`split_into_chunks` cuts rows, and a straddling run in
+//! two) makes one run two.
+//!
+//! The key comparison reads vertex ids, nothing else, so it cannot be wrong
+//! for any order of runs — shuffled, selected, split or stolen batches only
+//! recompute more. [`ExtendSpec::run_count_cols`] counts each row's last
+//! step with the kernel count twins; [`ExtendSpec::run_cols`] lets the
+//! kernels write it straight into the new column. Verify mode is a per-row
+//! membership test over the same `(run, rows)` walk and shares the fetch
+//! stage. A row-major `run_extend` / `run_extend_count` that intersects
+//! every list for every row and filters per candidate lives in the test-only
+//! `row_major` module: the reference the tests hold the generator to.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -49,6 +60,7 @@ use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
 
 pub use crate::exec::OpContext;
+use crate::{EngineError, Result};
 
 /// Applies the symmetry-breaking filters of an operator to a row.
 #[inline]
@@ -277,50 +289,67 @@ fn resolve_remote(
 /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
 /// remote adjacency list the batch's extend positions reference, and returns
 /// the per-batch side table (used when the cache is disabled) and the stage
-/// duration. Reads the extend positions column-at-a-time, skipping
-/// consecutive duplicates: a column that is constant over a run of rows
-/// would push the same vertex once per row only for [`resolve_remote`]'s
-/// sort + dedup to throw it away.
+/// duration. Reads each extend position once per run — once per row only
+/// for the newest column, or when every row is its own run — and skips
+/// consecutive duplicates: a value repeated over adjacent runs would push the
+/// same vertex again only for [`resolve_remote`]'s sort + dedup to throw it
+/// away. Empty runs (a verify-mode extend leaves them behind) reference
+/// nothing.
 fn fetch_stage_cols(
     op: &ExtendOp,
     input: &ColBatch,
     ctx: &OpContext<'_>,
 ) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
-    fn collect(
-        values: impl Iterator<Item = VertexId>,
-        ctx: &OpContext<'_>,
-        remote: &mut Vec<VertexId>,
-    ) {
-        let mut prev = None;
-        for v in values {
-            if prev != Some(v) {
-                prev = Some(v);
-                if !ctx.partition.is_local(v) {
-                    remote.push(v);
-                }
-            }
-        }
-    }
     let fetch_start = Instant::now();
+    let newest = input.arity() - 1;
     let mut remote: Vec<VertexId> = Vec::new();
     for &pos in &op.ext_positions {
         let col = input.column(pos);
-        match input.selection() {
-            None => collect(col.iter().copied(), ctx, &mut remote),
-            Some(sel) => collect(sel.iter().map(|&i| col[i as usize]), ctx, &mut remote),
+        let mut prev = None;
+        for r in 0..input.runs() {
+            let rows = input.run_rows(r);
+            // A per-run column is read once for the run, if it has rows.
+            let reads = match pos == newest {
+                true => rows,
+                false => r..r + rows.len().min(1),
+            };
+            for v in reads.map(|at| col[input.physical_index(at)]) {
+                if prev != Some(v) {
+                    prev = Some(v);
+                    if !ctx.partition.is_local(v) {
+                        remote.push(v);
+                    }
+                }
+            }
         }
     }
     let batch_table = resolve_remote(remote, ctx);
     (batch_table, fetch_start.elapsed())
 }
 
-/// Splits `rows` into row-range work items for the worker pool.
-fn intersect_ranges(rows: usize, ctx: &OpContext<'_>) -> Vec<(usize, usize)> {
-    let chunk_rows = (rows / (ctx.pool.workers() * 4).max(1)).max(256);
-    (0..rows)
-        .step_by(chunk_rows)
-        .map(|start| (start, (start + chunk_rows).min(rows)))
-        .collect()
+/// Splits the runs of `input` into work items `(first run, one past the
+/// last)` of about the same number of rows. Items are cut on run boundaries
+/// only, so a run's shared intersection and its filter are never computed
+/// twice within a batch; for a batch without runs that is every row.
+fn intersect_ranges(input: &ColBatch, ctx: &OpContext<'_>) -> Vec<(usize, usize)> {
+    let target = (input.len() / (ctx.pool.workers() * 4).max(1)).max(256);
+    let runs = input.runs();
+    let Some(ends) = input.run_ends() else {
+        let cuts = (0..runs).step_by(target);
+        return cuts
+            .map(|first| (first, (first + target).min(runs)))
+            .collect();
+    };
+    let mut items = Vec::new();
+    let mut first = 0;
+    while first < runs {
+        let full = input.run_rows(first).start + target;
+        // Through the run that brings the item to `target` rows.
+        let end = (ends.partition_point(|&e| (e as usize) < full) + 1).min(runs);
+        items.push((first, end));
+        first = end;
+    }
+    items
 }
 
 /// Flushes a work item's kernel tally to the machine's shared counters
@@ -435,10 +464,40 @@ pub struct ExtendColsOutput {
     pub fetch_time: Duration,
 }
 
+/// The positions one part of an extend reads, split by what a read costs in a
+/// run batch: the `run` columns hold one value per run, the newest column
+/// one per row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Reads {
+    /// Positions below the newest column.
+    run: Vec<usize>,
+    /// Whether the newest column is read too.
+    newest: bool,
+}
+
+impl Reads {
+    fn of(positions: impl IntoIterator<Item = usize>, newest: usize) -> Reads {
+        let (row, run): (Vec<usize>, Vec<usize>) =
+            positions.into_iter().partition(|&p| p == newest);
+        Reads {
+            run,
+            newest: !row.is_empty(),
+        }
+    }
+
+    /// Every position read.
+    #[cfg(test)]
+    fn all(&self, newest: usize) -> Vec<usize> {
+        let row = self.newest.then_some(newest);
+        self.run.iter().copied().chain(row).collect()
+    }
+}
+
 /// A `PULL-EXTEND` compiled against the arity of its input, once per
 /// operator: everything about a row's extension that the plan decides and
-/// the rows do not. The fields below describe match mode; verify mode keeps
-/// reading `op`.
+/// the rows do not — and, for each part, whether it can be decided once per
+/// run or needs the newest column. The fields below describe match mode;
+/// verify mode keeps reading `op`.
 #[derive(Clone, Debug)]
 pub struct ExtendSpec {
     op: ExtendOp,
@@ -447,20 +506,23 @@ pub struct ExtendSpec {
     /// column if it is an extend position, or the only one of a one-list
     /// extend.
     last: Option<usize>,
-    /// The other extend positions: a run of rows shares their vertices, and
-    /// so the intersection of their lists.
+    /// The other extend positions, never the newest column: a run of rows
+    /// shares their vertices, and so the intersection of their lists.
     prefix: Vec<usize>,
-    /// Order filters between two bound positions, `(smaller, larger)`: they
-    /// pass or fail the whole row.
-    gates: Vec<(usize, usize)>,
+    /// Order filters between two positions below the newest column,
+    /// `(smaller, larger)`: they pass or fail a whole run.
+    run_gates: Vec<(usize, usize)>,
+    /// Order filters between the newest column and another bound position:
+    /// they pass or fail one row.
+    row_gates: Vec<(usize, usize)>,
     /// Positions whose value the candidate must exceed.
-    lo_from: Vec<usize>,
+    lo_from: Reads,
     /// Positions whose value the candidate must stay under.
-    hi_from: Vec<usize>,
+    hi_from: Reads,
     /// The only positions whose value a candidate can equal, so the only
     /// ones injectivity has to look at: not an extend position (the graph is
     /// simple, `v ∉ N(v)`) and not strictly ordered against the candidate.
-    collide: Vec<usize>,
+    collide: Reads,
 }
 
 impl ExtendSpec {
@@ -468,9 +530,10 @@ impl ExtendSpec {
     /// output position `arity`).
     pub fn compile(op: &ExtendOp, arity: usize) -> ExtendSpec {
         let exts = &op.ext_positions;
+        let newest = arity - 1;
         let last = match exts[..] {
             [only] => Some(only),
-            _ => exts.contains(&(arity - 1)).then_some(arity - 1),
+            _ => exts.contains(&newest).then_some(newest),
         };
         let prefix = exts.iter().copied().filter(|&p| Some(p) != last).collect();
         let (mut gates, mut lo_from, mut hi_from) = (Vec::new(), Vec::new(), Vec::new());
@@ -483,18 +546,21 @@ impl ExtendSpec {
                 gates.push((f.smaller, f.larger));
             }
         }
+        let (row_gates, run_gates) = gates
+            .into_iter()
+            .partition(|&(smaller, larger)| smaller == newest || larger == newest);
         let collide = (0..arity)
-            .filter(|p| !exts.contains(p) && !lo_from.contains(p) && !hi_from.contains(p))
-            .collect();
+            .filter(|p| !exts.contains(p) && !lo_from.contains(p) && !hi_from.contains(p));
         ExtendSpec {
             op: op.clone(),
             arity,
             last,
             prefix,
-            gates,
-            lo_from,
-            hi_from,
-            collide,
+            run_gates,
+            row_gates,
+            collide: Reads::of(collide, newest),
+            lo_from: Reads::of(lo_from, newest),
+            hi_from: Reads::of(hi_from, newest),
         }
     }
 
@@ -588,36 +654,41 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
     a..b.max(a)
 }
 
-/// The run-aware candidate generator of match mode (Equation 2): walks the
-/// rows `start..end` of `input` and hands `sink` each row's [`Candidates`]
-/// plus the row's values at the spec's `collide` positions (what
-/// injectivity must remove). The generator is the [`ExtendSpec`] — what the
-/// plan fixes — plus the run state below — what the previous row left.
+/// The candidate generator of match mode (Equation 2): **one loop over
+/// `(run, rows of the run)`** for the runs `first..end` of `input`. It hands
+/// `sink` each row's [`Candidates`], where the row's values live in `input`'s
+/// columns — `(index in the per-run columns, index in the newest column)` —
+/// and the row's values at the spec's `collide` positions (what injectivity
+/// must remove). A batch without run structure goes through the same loop
+/// with every row a run of one; nothing below asks which shape it has.
 ///
-/// Batches come out of the previous extend, so consecutive rows differ only
-/// in their newest column: the prefix lists' intersection `shared`
-/// (smallest-degree first, hub bitmaps where indexed) is kept and recomputed
-/// only when a row's prefix vertices differ from the previous row's. That
-/// reuse is keyed on the vertex ids alone — equal vertices have equal
-/// adjacency lists — so any row order, selection vector, chunk split or
-/// stolen batch is correct; a row that starts a new run just misses.
+/// **Once per run**, from the columns that hold one value per run: the
+/// `run_gates` pass or fail the whole run; the part of the candidates' value
+/// range the run fixes; the run's `collide` values; and the prefix key. The
+/// prefix lists' intersection `shared` (smallest-degree first, hub bitmaps
+/// where indexed) is recomputed only when the key — the prefix vertices,
+/// compared by id — differs from the previous run's: consecutive runs often
+/// share it (q1's `(a, b₁)`, `(a, b₂)` both intersect `N(a)`), and equal
+/// vertices have equal adjacency lists, so any order of runs is correct; a
+/// run under a new key just misses. Work items are cut on run boundaries
+/// ([`intersect_ranges`]), so within a batch a run computes `shared` and arms
+/// its filter once.
 ///
-/// Per row: `gates` pass or fail the row, `lo_from` / `hi_from` give the
-/// candidates' value range, read straight from the columns; the slice of
-/// `shared` inside it is recomputed only when the run or the range changed
-/// (an empty slice ends the row without touching the newest list). That
-/// slice is not merged with each row's newest list: its elements are set in
-/// a [`ProbeFilter`] and each row only scans its own list against the
-/// filter ([`Candidates::Probe`]). A run sets the filter with its first
-/// slice and, if a later row's range reaches outside that, once more with
-/// the whole shared list; what the filter holds clears itself before it is
-/// replaced. The filter is refused for a set over
-/// [`kernels::PROBE_MAX_SET`] and bypassed for a newest list over
-/// [`kernels::PROBE_MAX_SKEW`] × the slice; those rows, and hubs' bitmaps,
-/// take the merge / gallop / bitmap dispatch. The newest column's list is
-/// borrowed, not copied — as is the only list of a one-list extend, which
-/// has no prefix and never builds a filter. A list that is unavailable
-/// (evicted and not re-pullable) yields no candidates.
+/// **Once per row**, from the newest column: the `row_gates`, the rest of
+/// the range `(lo, hi)`, and the last step. The slice of `shared` inside the
+/// range is recomputed only when the key or the range changed (an empty
+/// slice ends the row without touching the newest list). That slice is not
+/// merged with each row's newest list: its elements are set in a
+/// [`ProbeFilter`] and each row only scans its own list against the filter
+/// ([`Candidates::Probe`]). A key sets the filter with its first slice and,
+/// if a later row's range reaches outside that, once more with the whole
+/// shared list; what the filter holds clears itself before it is replaced.
+/// The filter is refused for a set over [`kernels::PROBE_MAX_SET`] and
+/// bypassed for a newest list over [`kernels::PROBE_MAX_SKEW`] × the slice;
+/// those rows, and hubs' bitmaps, take the merge / gallop / bitmap dispatch.
+/// The newest column's list is borrowed, not copied — as is the only list of
+/// a one-list extend, which has no prefix and never builds a filter. A list
+/// that is unavailable (evicted and not re-pullable) yields no candidates.
 ///
 /// Input rows are injective — scan, extend and join outputs are by
 /// construction — so the values at `collide` are distinct and each removes
@@ -625,13 +696,13 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 fn for_each_candidate_set(
     spec: &ExtendSpec,
     input: &ColBatch,
-    (start, end): (usize, usize),
+    (first, end): (usize, usize),
     ctx: &OpContext<'_>,
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    mut sink: impl FnMut(usize, Candidates<'_>, &[VertexId], &mut KernelTally),
+    mut sink: impl FnMut((usize, usize), Candidates<'_>, &[VertexId], &mut KernelTally),
 ) {
     let cols: Vec<&[VertexId]> = (0..input.arity()).map(|c| input.column(c)).collect();
-    let sel = input.selection();
+    let newest = cols[spec.arity - 1];
     let has_prefix = !spec.prefix.is_empty();
 
     // `shared` is the intersection of the lists of `key`'s vertices,
@@ -644,87 +715,120 @@ fn for_each_candidate_set(
     let (mut cut, mut span) = (None, 0..0);
     let mut bound: Vec<VertexId> = Vec::new();
     let mut tally = KernelTally::default();
-    let mut reuses = 0u64;
-    'rows: for i in start..end {
-        let p = sel.map_or(i, |sel| sel[i] as usize);
-        for &(smaller, larger) in &spec.gates {
-            if cols[smaller][p] >= cols[larger][p] {
-                continue 'rows;
-            }
+    let (mut total, mut started) = (0u64, 0u64);
+    for r in first..end {
+        let rows = input.run_rows(r);
+        if rows.is_empty() {
+            continue;
         }
-        let lo = spec.lo_from.iter().map(|&c| cols[c][p]).max();
-        let hi = spec.hi_from.iter().map(|&c| cols[c][p]).min();
-        if has_prefix {
-            let same_run = spec
+        total += rows.len() as u64;
+        started += 1;
+        // Where the run's values sit in the per-run columns (for a batch
+        // without runs, the row's own physical index).
+        let p = input.physical_index(r);
+        if spec
+            .run_gates
+            .iter()
+            .any(|&(s, l)| cols[s][p] >= cols[l][p])
+        {
+            continue;
+        }
+        let run_lo = spec.lo_from.run.iter().map(|&c| cols[c][p]).max();
+        let run_hi = spec.hi_from.run.iter().map(|&c| cols[c][p]).min();
+        bound.clear();
+        bound.extend(spec.collide.run.iter().map(|&c| cols[c][p]));
+        let run_bound = bound.len();
+        if has_prefix
+            && !spec
                 .prefix
                 .iter()
                 .map(|&c| cols[c][p])
-                .eq(key.iter().copied());
-            reuses += same_run as u64;
-            if !same_run || cut != Some((lo, hi)) {
-                if !same_run {
-                    filter.clear_all(&shared[armed.clone()]);
-                    (armed, sets_left) = (0..0, 2u8);
-                    key.clear();
-                    key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
-                    by_degree.clone_from(&key);
-                    by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-                    intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
-                }
-                cut = Some((lo, hi));
-                span = range_of(&shared, lo, hi);
-                let covered = armed.start <= span.start && span.end <= armed.end;
-                if !covered && !span.is_empty() {
-                    // A run sets the filter at most twice: its first slice,
-                    // then — if a later row's range reaches outside that —
-                    // the whole list, which covers every range. Bounds that
-                    // move with each row must not rebuild it once a row.
-                    filter.clear_all(&shared[armed.clone()]);
-                    armed = match sets_left {
-                        2 => span.clone(),
-                        1 => 0..shared.len(),
-                        _ => 0..0,
-                    };
-                    sets_left = sets_left.saturating_sub(1);
-                    if armed.len() > kernels::PROBE_MAX_SET {
-                        armed = 0..0;
-                    }
-                    filter.set_all(&shared[armed.clone()]);
-                }
-            }
-            if span.is_empty() {
-                continue;
-            }
+                .eq(key.iter().copied())
+        {
+            filter.clear_all(&shared[armed.clone()]);
+            (armed, sets_left) = (0..0, 2u8);
+            key.clear();
+            key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
+            by_degree.clone_from(&key);
+            by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+            intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
+            cut = None;
         }
-        let s = &shared[span.clone()];
-        bound.clear();
-        bound.extend(spec.collide.iter().map(|&c| cols[c][p]));
-        debug_assert!(
-            (1..bound.len()).all(|k| !bound[..k].contains(&bound[k])),
-            "input rows must be injective"
-        );
-        let Some(last) = spec.last else {
-            sink(i, Candidates::Slice(s), &bound, &mut tally);
-            continue;
-        };
-        let v = cols[last][p];
-        if !has_prefix {
-            with_neighbours(ctx, batch_table, v, |nbrs| {
-                let only = Candidates::Slice(&nbrs[range_of(nbrs, lo, hi)]);
-                sink(i, only, &bound, &mut tally);
-            });
-        } else if let Some(bm) = ctx.partition.hub_bitmap(v) {
-            sink(i, Candidates::Hub(s, bm), &bound, &mut tally);
-        } else {
-            with_neighbours(ctx, batch_table, v, |nbrs| {
-                let nb = &nbrs[range_of(nbrs, lo, hi)];
-                let both = if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len() {
-                    Candidates::Probe(&filter, s, nb)
-                } else {
-                    Candidates::Lists(s, nb)
-                };
-                sink(i, both, &bound, &mut tally);
-            });
+        'rows: for i in rows {
+            let q = input.physical_index(i);
+            let x = newest[q];
+            let at = |c: usize| if c + 1 == spec.arity { x } else { cols[c][p] };
+            for &(smaller, larger) in &spec.row_gates {
+                if at(smaller) >= at(larger) {
+                    continue 'rows;
+                }
+            }
+            let lo = run_lo.max(spec.lo_from.newest.then_some(x));
+            let hi = match spec.hi_from.newest {
+                true => Some(run_hi.map_or(x, |h| h.min(x))),
+                false => run_hi,
+            };
+            if has_prefix {
+                if cut != Some((lo, hi)) {
+                    cut = Some((lo, hi));
+                    span = range_of(&shared, lo, hi);
+                    let covered = armed.start <= span.start && span.end <= armed.end;
+                    if !covered && !span.is_empty() {
+                        // A key sets the filter at most twice: its first
+                        // slice, then — if a later row's range reaches
+                        // outside that — the whole list, which covers every
+                        // range. Bounds that move with each row must not
+                        // rebuild it once a row.
+                        filter.clear_all(&shared[armed.clone()]);
+                        armed = match sets_left {
+                            2 => span.clone(),
+                            1 => 0..shared.len(),
+                            _ => 0..0,
+                        };
+                        sets_left = sets_left.saturating_sub(1);
+                        if armed.len() > kernels::PROBE_MAX_SET {
+                            armed = 0..0;
+                        }
+                        filter.set_all(&shared[armed.clone()]);
+                    }
+                }
+                if span.is_empty() {
+                    continue;
+                }
+            }
+            let s = &shared[span.clone()];
+            bound.truncate(run_bound);
+            if spec.collide.newest {
+                bound.push(x);
+            }
+            debug_assert!(
+                (1..bound.len()).all(|k| !bound[..k].contains(&bound[k])),
+                "input rows must be injective"
+            );
+            let Some(last) = spec.last else {
+                sink((p, q), Candidates::Slice(s), &bound, &mut tally);
+                continue;
+            };
+            let v = at(last);
+            if !has_prefix {
+                with_neighbours(ctx, batch_table, v, |nbrs| {
+                    let only = Candidates::Slice(&nbrs[range_of(nbrs, lo, hi)]);
+                    sink((p, q), only, &bound, &mut tally);
+                });
+            } else if let Some(bm) = ctx.partition.hub_bitmap(v) {
+                sink((p, q), Candidates::Hub(s, bm), &bound, &mut tally);
+            } else {
+                with_neighbours(ctx, batch_table, v, |nbrs| {
+                    let nb = &nbrs[range_of(nbrs, lo, hi)];
+                    let both = if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len()
+                    {
+                        Candidates::Probe(&filter, s, nb)
+                    } else {
+                        Candidates::Lists(s, nb)
+                    };
+                    sink((p, q), both, &bound, &mut tally);
+                });
+            }
         }
     }
     if cfg!(debug_assertions) {
@@ -732,122 +836,162 @@ fn for_each_candidate_set(
         assert!(filter.is_clear(), "a replaced slice left its bits behind");
     }
     flush_tally(ctx, &tally);
+    // Structural, not observed: every row after the first of its run reuses
+    // what the run computed. A one-list extend shares nothing.
+    let reuses = if has_prefix { total - started } else { 0 };
     let stats = ctx.rpc.stats().machine(ctx.machine);
-    stats.record_extend((end - start) as u64, reuses);
+    stats.record_extend(total, reuses);
 }
 
-/// Verify mode over the rows `start..end` of `input`: calls `keep` with the
-/// logical index of every row that passes [`verify_one_row`].
+/// Verify mode over the runs `first..end` of `input`: calls `keep` with the
+/// logical index of every row that passes [`verify_one_row`]. The row's
+/// prefix is read once per run, its newest value once per row.
 fn for_each_verified_row(
     op: &ExtendOp,
     vpos: usize,
     input: &ColBatch,
-    (start, end): (usize, usize),
+    (first, end): (usize, usize),
     ctx: &OpContext<'_>,
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
     mut keep: impl FnMut(usize),
 ) {
+    let newest = input.arity() - 1;
     let mut row: Vec<VertexId> = Vec::new();
-    for i in start..end {
+    for r in first..end {
+        let rows = input.run_rows(r);
+        if rows.is_empty() {
+            continue;
+        }
+        let p = input.physical_index(r);
         row.clear();
-        input.read_row(i, &mut row);
-        if verify_one_row(op, vpos, &row, ctx, batch_table) {
-            keep(i);
+        row.extend((0..newest).map(|c| input.column(c)[p]));
+        row.push(0);
+        for i in rows {
+            row[newest] = input.column(newest)[input.physical_index(i)];
+            if verify_one_row(op, vpos, &row, ctx, batch_table) {
+                keep(i);
+            }
         }
     }
+}
+
+/// The cumulative run ends of consecutive runs of the given lengths: the run
+/// table of a match-mode extend's output. A batch indexes its rows in 32
+/// bits, so one input batch expanding past `u32::MAX` rows is an error, not
+/// a wrapped index.
+fn run_ends_of(lens: impl IntoIterator<Item = usize>) -> Result<Vec<u32>> {
+    let lens = lens.into_iter();
+    let mut ends = Vec::with_capacity(lens.size_hint().0);
+    let mut rows = 0u64;
+    for n in lens {
+        rows += n as u64;
+        ends.push(u32::try_from(rows).map_err(|_| EngineError::BatchTooLarge(rows))?);
+    }
+    Ok(ends)
 }
 
 impl ExtendSpec {
     /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one columnar batch.
     ///
-    /// *Verify* mode never moves data: the surviving rows become a narrowed
-    /// selection vector over the input's columns. *Match* mode is the
-    /// materialising sink of [`for_each_candidate_set`]: the kernels write each
-    /// row's candidates straight into a piece of the new column, and the prefix
-    /// columns are then gathered once per output column (dense sequential
-    /// writes, one input read per extended row) — no `arity + 1`-wide row
-    /// rewrites.
-    pub fn run_cols(&self, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
+    /// *Verify* mode never moves prefix data: the surviving rows become a
+    /// narrowed selection vector over a dense input's columns, or a shorter
+    /// newest column and recounted run ends of a run batch
+    /// ([`ColBatch::retain_rows`]). *Match* mode is the materialising sink of
+    /// [`for_each_candidate_set`] and always emits a **run batch**: the
+    /// kernels write each row's candidates straight into a piece of the new
+    /// column, the `(input row, candidates)` list the sink keeps is the run
+    /// table, and every input column is gathered once per *extended input
+    /// row* — never once per output row; that gather exists only in
+    /// [`ColBatch::flatten`]. Output rows keep the input's order.
+    ///
+    /// Fails with [`EngineError::BatchTooLarge`] if the batch has, or expands
+    /// to, more rows than a batch can index.
+    pub fn run_cols(&self, input: ColBatch, ctx: &OpContext<'_>) -> Result<ExtendColsOutput> {
         debug_assert_eq!(input.arity(), self.arity);
+        // Row indices below are 32-bit: check once, then cast.
+        run_ends_of([input.physical_rows()])?;
         let op = &self.op;
         let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
-        let ranges = intersect_ranges(input.len(), ctx);
+        let ranges = intersect_ranges(&input, ctx);
         let batch_table = &batch_table;
         let input_ref = &input;
 
-        if let Some(vpos) = op.verify_position {
-            // Survivors as physical indices; the pool returns work items in
-            // arbitrary order, so sort before installing the selection.
+        let (batch, worker_busy) = if let Some(vpos) = op.verify_position {
             let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
                 for_each_verified_row(op, vpos, input_ref, range, ctx, batch_table, |i| {
-                    out.push(input_ref.physical_index(i) as u32)
+                    out.push(i as u32)
                 });
             });
-            let worker_busy = run.busy.clone();
-            let mut sel: Vec<u32> = run.outputs.into_iter().flatten().collect();
-            sel.sort_unstable();
+            // The pool returns work items in arbitrary order.
+            let mut keep: Vec<u32> = run.outputs.into_iter().flatten().collect();
+            keep.sort_unstable();
             let mut batch = input;
-            batch.set_selection(sel);
-            if ctx.use_cache {
-                ctx.cache.release();
-            }
-            ctx.rpc
-                .stats()
-                .machine(ctx.machine)
-                .record_col_bytes(batch.byte_size());
-            return ExtendColsOutput {
-                batch,
-                worker_busy,
-                fetch_time,
-            };
-        }
-
-        // Match mode: each work item emits its piece of the candidate column
-        // and, per extended row, (logical row, number of candidates).
-        type Piece = (Vec<(u32, u32)>, Vec<VertexId>);
-        let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
-            let (mut rows, mut cands) = (Vec::new(), Vec::new());
-            for_each_candidate_set(
-                self,
-                input_ref,
-                range,
-                ctx,
-                batch_table,
-                |i, c, bound, tally| {
-                    let n = c.append_to(bound, &mut cands, tally);
-                    if n > 0 {
-                        rows.push((i as u32, n as u32));
-                    }
-                },
-            );
-            out.push((rows, cands));
-        });
-        let worker_busy = run.busy.clone();
-        let arity = input.arity();
-        let pieces = || run.outputs.iter().flatten();
-        let total: usize = pieces().map(|(_, cands)| cands.len()).sum();
-        let mut cols: Vec<Vec<VertexId>> = (0..=arity).map(|_| Vec::with_capacity(total)).collect();
-        for (rows, cands) in pieces() {
-            for (c, col) in cols.iter_mut().enumerate().take(arity) {
-                for &(i, n) in rows {
-                    col.extend(std::iter::repeat_n(input.value(c, i as usize), n as usize));
+            batch.retain_rows(keep);
+            (Ok(batch), run.busy)
+        } else {
+            // Each work item emits its piece of the candidate column and,
+            // per extended row, where the row sits in the input's per-run
+            // columns and in its newest column, and how many candidates it
+            // got.
+            type Piece = (usize, Vec<(u32, u32, usize)>, Vec<VertexId>);
+            let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
+                let (mut rows, mut cands) = (Vec::new(), Vec::new());
+                for_each_candidate_set(
+                    self,
+                    input_ref,
+                    range,
+                    ctx,
+                    batch_table,
+                    |(p, q), c, bound, tally| {
+                        let n = c.append_to(bound, &mut cands, tally);
+                        if n > 0 {
+                            rows.push((p as u32, q as u32, n));
+                        }
+                    },
+                );
+                out.push((range.0, rows, cands));
+            });
+            let mut pieces: Vec<Piece> = run.outputs.into_iter().flatten().collect();
+            pieces.sort_unstable_by_key(|piece| piece.0);
+            let extended = || pieces.iter().map(|(_, rows, _)| rows.as_slice());
+            let lens = extended().flatten().map(|&(_, _, n)| n);
+            let batch = run_ends_of(lens).map(|run_ends| {
+                let newest = self.arity - 1;
+                let mut cols: Vec<Vec<VertexId>> = (0..self.arity)
+                    .map(|c| {
+                        let source = input.column(c);
+                        let at = |&(p, q, _): &(u32, u32, usize)| if c == newest { q } else { p };
+                        let mut col = Vec::with_capacity(run_ends.len());
+                        for rows in extended() {
+                            col.extend(rows.iter().map(|row| source[at(row) as usize]));
+                        }
+                        col
+                    })
+                    .collect();
+                let total = run_ends.last().map_or(0, |&end| end as usize);
+                let mut candidates = Vec::with_capacity(total);
+                for (_, _, cands) in &pieces {
+                    candidates.extend_from_slice(cands);
                 }
-            }
-            cols[arity].extend_from_slice(cands);
-        }
-        let batch = ColBatch::from_columns(cols);
+                cols.push(candidates);
+                ColBatch::from_runs(cols, run_ends)
+            });
+            (batch, run.busy)
+        };
+        // Unseal what the fetch stage sealed before any error leaves.
         if ctx.use_cache {
             ctx.cache.release();
         }
+        let batch = batch?;
         ctx.rpc
             .stats()
             .machine(ctx.machine)
             .record_col_bytes(batch.byte_size());
-        ExtendColsOutput {
+        Ok(ExtendColsOutput {
             batch,
             worker_busy,
             fetch_time,
-        }
+        })
     }
 
     /// Counts the extensions of one columnar batch without materialising
@@ -861,7 +1005,7 @@ impl ExtendSpec {
         debug_assert_eq!(input.arity(), self.arity);
         let op = &self.op;
         let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
-        let ranges = intersect_ranges(input.len(), ctx);
+        let ranges = intersect_ranges(input, ctx);
         let batch_table = &batch_table;
         let run = ctx.pool.run(ranges, |range, out: &mut Vec<u64>| {
             let mut count = 0u64;
@@ -892,8 +1036,13 @@ impl ExtendSpec {
 
 /// [`ExtendSpec::run_cols`] for a caller that holds no operator (the perf
 /// ledger's stage replay, tests): compiles `op` for this one batch.
+///
+/// # Panics
+/// Panics where [`ExtendSpec::run_cols`] returns an error.
 pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
-    ExtendSpec::compile(op, input.arity()).run_cols(input, ctx)
+    let spec = ExtendSpec::compile(op, input.arity());
+    spec.run_cols(input, ctx)
+        .expect("one batch's expansion is indexed in 32 bits")
 }
 
 /// [`ExtendSpec::run_count_cols`] for a caller that holds no operator.
@@ -912,6 +1061,12 @@ pub fn run_extend_count_cols(
 #[cfg(test)]
 mod row_major {
     use super::*;
+
+    /// Row-range work items for the worker pool.
+    fn row_ranges(rows: usize) -> Vec<(usize, usize)> {
+        let cuts = (0..rows).step_by(256);
+        cuts.map(|start| (start, (start + 256).min(rows))).collect()
+    }
 
     /// The result of running a `PULL-EXTEND` over one input batch.
     pub(super) struct ExtendOutput {
@@ -952,7 +1107,7 @@ mod row_major {
         let (batch_table, _) = fetch_stage(op, input, ctx);
 
         // ---------------- intersect stage ----------------
-        let ranges = intersect_ranges(input.len(), ctx);
+        let ranges = row_ranges(input.len());
         let batch_table = &batch_table;
         let run = ctx
             .pool
@@ -999,7 +1154,7 @@ mod row_major {
         ctx: &OpContext<'_>,
     ) -> ExtendCountOutput {
         let (batch_table, fetch_time) = fetch_stage(op, input, ctx);
-        let ranges = intersect_ranges(input.len(), ctx);
+        let ranges = row_ranges(input.len());
         let batch_table = &batch_table;
         let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
             let mut exts: Vec<VertexId> = Vec::new();
@@ -1472,7 +1627,7 @@ mod tests {
             .unwrap();
         let q7 = compiled(&translate(&plan).unwrap());
 
-        let collide = |spec: &ExtendSpec| spec.collide.clone();
+        let collide = |spec: &ExtendSpec| spec.collide.all(spec.arity - 1);
         let square = wco(Pattern::Square);
         assert_eq!(collide(square[0].last().unwrap()), []);
         let clique: Vec<_> = wco(Pattern::FourClique)[0].iter().map(collide).collect();
@@ -1492,20 +1647,26 @@ mod tests {
             chains.extend(wco(pattern));
         }
         for spec in chains.iter().flatten() {
-            let ruled_out = spec
-                .op
-                .ext_positions
-                .iter()
-                .chain(&spec.lo_from)
-                .chain(&spec.hi_from);
+            let newest = spec.arity - 1;
+            let mut ruled_out = spec.op.ext_positions.clone();
+            ruled_out.extend(spec.lo_from.all(newest));
+            ruled_out.extend(spec.hi_from.all(newest));
             for p in 0..spec.arity {
-                let ruled_out = ruled_out.clone().any(|&q| q == p);
                 assert_eq!(
-                    spec.collide.contains(&p),
-                    !ruled_out,
+                    spec.collide.all(newest).contains(&p),
+                    !ruled_out.contains(&p),
                     "{spec:?} position {p}"
                 );
             }
+            // A gate is decided per run unless it reads the newest column.
+            assert!(spec
+                .run_gates
+                .iter()
+                .all(|&(s, l)| s != newest && l != newest));
+            assert!(spec
+                .row_gates
+                .iter()
+                .all(|&(s, l)| s == newest || l == newest));
         }
     }
 
@@ -1520,7 +1681,9 @@ mod tests {
         let c = ctx(0, &parts, &rpc, &cache, &pool);
         let [third, fourth] = clique_steps();
         let rows = run_extend_cols(&third, all_edges(&c), &c).batch;
-        assert_eq!(rows.len(), 120);
+        assert_eq!((rows.len(), rows.runs()), (120, 30));
+        // Each (a, b) held once, each c once, 30 run ends.
+        assert_eq!(rows.byte_size(), (2 * 30 + 120 + 30) * 4);
         let executed = |f: &dyn Fn() -> u64| {
             let before = rpc.stats().total();
             let count = f();
@@ -1592,6 +1755,19 @@ mod tests {
         assert_eq!(one_list, (360, 0, 120, 0, 0));
     }
 
+    #[test]
+    fn an_expansion_past_32_bit_rows_is_a_typed_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(run_ends_of([3, 0, max - 3]).unwrap(), [3, 3, u32::MAX]);
+        match run_ends_of([max, 1]) {
+            Err(EngineError::BatchTooLarge(rows)) => assert_eq!(rows, 1 << 32),
+            other => panic!("expected BatchTooLarge, got {other:?}"),
+        }
+        // Never a wrapped index: 2³² + 4 truncates to a plausible 4.
+        assert!(run_ends_of([max, max, 6]).is_err());
+        assert!(run_ends_of([max + 1]).is_err());
+    }
+
     /// `graph` plus `leaves` new vertices under two hubs: vertex 0
     /// reaches every leaf, so its list straddles
     /// [`kernels::PROBE_MAX_SET`] (4080 or 4100 leaves, plus its own few
@@ -1651,7 +1827,7 @@ mod tests {
             // its next row widens the filter to all of N(0) — which either
             // fits, and serves every later row, or is refused, and the rest
             // of the run goes unfiltered.
-            let items = intersect_ranges(rows.len(), &c).len() as u64;
+            let items = intersect_ranges(&rows, &c).len() as u64;
             assert!(items > 1 && calls > 2 * items);
             if fits {
                 assert_eq!(probes, calls);
@@ -1669,11 +1845,12 @@ mod tests {
         use huge_query::{naive, Pattern};
         use proptest::prelude::*;
 
-        /// How a stage's input batches are rearranged before the extend sees
-        /// them; none of it may change the answer.
+        /// How the dense chain's input batches are rearranged before the
+        /// extend sees them; none of it may change the answer.
         #[derive(Clone, Copy, Debug)]
         enum Shape {
-            /// As produced: runs intact, one work item per 256 rows.
+            /// The rows as produced, flattened: runs only the key comparison
+            /// can find, one work item per 256 rows.
             Plain,
             /// Every row followed by a junk row the selection vector skips.
             Selected,
@@ -1683,12 +1860,13 @@ mod tests {
             Shuffled(u64),
         }
 
-        fn reshape(batch: ColBatch, shape: Shape) -> Vec<ColBatch> {
+        /// Dense batches holding the rows of `batch`, rearranged.
+        fn reshape(batch: &ColBatch, shape: Shape) -> Vec<ColBatch> {
             let arity = batch.arity();
             let rows = batch.to_rows();
             match shape {
-                Shape::Plain => vec![batch],
-                Shape::Chunked(n) => batch.split_into_chunks(n),
+                Shape::Plain => vec![ColBatch::from_rows(&rows)],
+                Shape::Chunked(n) => ColBatch::from_rows(&rows).split_into_chunks(n),
                 Shape::Selected => {
                     let mut padded = ColBatch::new(arity);
                     for row in rows.rows() {
@@ -1723,6 +1901,28 @@ mod tests {
             ]
         }
 
+        /// The run chain hands an extend's run batches on whole (`None`) or
+        /// re-chunked the way the machine re-chunks them: at one row (every
+        /// run cut to pieces), at seven, and at the batch size.
+        fn arb_rechunk() -> impl Strategy<Value = Option<usize>> {
+            prop_oneof![Just(None), Just(Some(1)), Just(Some(7)), Just(Some(1024))]
+        }
+
+        fn rechunk(batch: ColBatch, rows: Option<usize>) -> Vec<ColBatch> {
+            match rows {
+                None => vec![batch],
+                Some(n) => batch.split_into_chunks(n),
+            }
+        }
+
+        /// The rows of `batches`, sorted.
+        fn sorted_rows<'a>(batches: impl IntoIterator<Item = &'a RowBatch>) -> Vec<Vec<VertexId>> {
+            let rows = batches.into_iter().flat_map(|b| b.rows());
+            let mut rows: Vec<Vec<VertexId>> = rows.map(<[VertexId]>::to_vec).collect();
+            rows.sort_unstable();
+            rows
+        }
+
         /// `None` runs without a cache (per-batch table); the LRU variants
         /// get a capacity of one entry per shard, so sealed-looking entries
         /// are gone by the intersect stage and the fallback pull runs.
@@ -1738,10 +1938,14 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The run-aware count, the materialised batches, the row-major
-            /// reference and the sequential enumerator agree on every
-            /// pure-extend chain, however the rows reach the generator and
-            /// wherever the lists come from.
+            /// Three implementations agree with the sequential enumerator on
+            /// every pure-extend chain, wherever the lists come from: the
+            /// row-major reference; the generator over dense batches, however
+            /// the rows reach it; and the run chain — scan runs into extend
+            /// 1, extend *i*'s run output whole or re-chunked into extend
+            /// *i + 1*, both sinks. Along the run chain every stage's output
+            /// also goes through a verify-mode extend (which leaves empty
+            /// runs behind), and what survives through the last extend.
             #[test]
             fn both_sinks_match_the_row_major_reference_and_naive(
                 n in 8usize..36,
@@ -1758,6 +1962,7 @@ mod tests {
                 k in 1usize..4,
                 hub_threshold in prop_oneof![Just(0usize), Just(4usize), Just(9usize)],
                 shape in arb_shape(),
+                cut in arb_rechunk(),
                 lists in arb_lists(),
                 leaves in prop_oneof![Just(0usize), Just(0usize), Just(4080usize), Just(4100usize)],
             ) {
@@ -1773,41 +1978,106 @@ mod tests {
                 let SegmentSource::Scan(scan) = &segment.source else {
                     panic!("a worst-case-optimal plan starts from a scan");
                 };
-                let (last, inner) = segment.extends.split_last().unwrap();
+                let last = segment.extends.last().unwrap();
+                // Keeps the rows whose first vertex is adjacent to, and
+                // smaller than, the newest.
+                let verify = |arity: usize| ExtendOp {
+                    target: 0,
+                    ext_positions: vec![arity - 1],
+                    verify_position: Some(0),
+                    filters: vec![OrderFilter { smaller: 0, larger: arity - 1 }],
+                    comm: CommMode::Pulling,
+                };
 
                 let mut parts = Partitioner::new(k).unwrap().partition(graph);
                 parts.iter_mut().for_each(|p| p.build_hub_index(hub_threshold));
                 let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(k));
                 let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
-                let (mut counted, mut gathered, mut reference) = (0, 0, 0);
+                let (mut counted, mut gathered, mut reference) = ([0, 0], [0, 0], 0);
+                let (mut verified, mut verified_reference) = ([0, 0], 0);
                 for m in 0..k {
                     let (kind, bytes) = lists.unwrap_or((CacheKind::Lrbu, 0));
                     let cache = kind.build(bytes);
                     let mut c = ctx(m, &parts, &rpc, cache.as_ref(), &pool);
                     c.use_cache = lists.is_some();
-                    let vertices = ScanPool::new(parts[m].local_vertices(), 8);
-                    let mut cursor = ScanCursor::new(scan.clone(), vertices);
+                    let vertices = || ScanPool::new(parts[m].local_vertices(), 8);
+                    let mut cursor = ScanCursor::new(scan.clone(), vertices());
                     let mut rows: Vec<RowBatch> = Vec::new();
                     while let Some(batch) = cursor.next_batch(&c) {
                         rows.push(batch);
                     }
-                    let mut cols: Vec<ColBatch> = rows.iter().map(ColBatch::from_rows).collect();
-                    for op in inner {
-                        let inputs = cols.into_iter().flat_map(|b| reshape(b, shape));
-                        cols = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
-                        rows = rows.iter().map(|b| run_extend(op, b, &c).batch).collect();
+                    let mut dense: Vec<ColBatch> = rows.iter().map(ColBatch::from_rows).collect();
+                    let mut source = crate::exec::ScanSource::new(scan.clone(), vertices());
+                    let mut runs: Vec<ColBatch> = Vec::new();
+                    while let crate::exec::OpPoll::Ready(batch) =
+                        crate::exec::BatchOperator::poll_next(&mut source, &c).unwrap()
+                    {
+                        prop_assert!(batch.run_ends().is_some());
+                        runs.push(batch);
                     }
-                    for batch in cols.into_iter().flat_map(|b| reshape(b, shape)) {
-                        counted += run_extend_count_cols(last, &batch, &c).count;
-                        gathered += run_extend_cols(last, batch, &c).batch.len() as u64;
-                    }
-                    for batch in &rows {
-                        reference += run_extend_count(last, batch, &c).count;
+                    prop_assert_eq!(sorted_rows(&rows), sorted_rows(&runs.iter().map(ColBatch::to_rows).collect::<Vec<_>>()));
+
+                    let mut arity = 2;
+                    for (stage, op) in segment.extends.iter().enumerate() {
+                        // What the verify-mode extend keeps of this stage's
+                        // input, by shape of the input: rows and count.
+                        let keep = verify(arity);
+                        let kept_reference: Vec<RowBatch> =
+                            rows.iter().map(|b| run_extend(&keep, b, &c).batch).collect();
+                        let mut kept_runs = Vec::new();
+                        let mut kept_count = 0;
+                        for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
+                            let had_runs = batch.run_ends().map(<[u32]>::len);
+                            kept_count += run_extend_count_cols(&keep, &batch, &c).count;
+                            let kept = run_extend_cols(&keep, batch, &c).batch;
+                            // Runs in, runs out: only the newest column and
+                            // the ends were rewritten.
+                            prop_assert_eq!(kept.run_ends().map(<[u32]>::len), had_runs);
+                            prop_assert_eq!(kept.selection(), None);
+                            kept_runs.push(kept);
+                        }
+                        let kept_rows: Vec<RowBatch> = kept_runs.iter().map(ColBatch::to_rows).collect();
+                        prop_assert_eq!(sorted_rows(&kept_rows), sorted_rows(&kept_reference));
+                        prop_assert_eq!(kept_count as usize, kept_rows.iter().map(RowBatch::len).sum::<usize>());
+
+                        if stage + 1 < segment.extends.len() {
+                            let inputs = dense.iter().flat_map(|b| reshape(b, shape));
+                            dense = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
+                            let inputs = runs.into_iter().flat_map(|b| rechunk(b, cut));
+                            runs = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
+                            prop_assert!(runs.iter().all(|b| b.run_ends().is_some()));
+                            rows = rows.iter().map(|b| run_extend(op, b, &c).batch).collect();
+                            arity += 1;
+                            continue;
+                        }
+                        let chains = [
+                            dense.iter().flat_map(|b| reshape(b, shape)).collect::<Vec<_>>(),
+                            runs.iter().flat_map(|b| rechunk(b.clone(), cut)).collect(),
+                        ];
+                        for (chain, batches) in chains.into_iter().enumerate() {
+                            for batch in batches {
+                                counted[chain] += run_extend_count_cols(last, &batch, &c).count;
+                                gathered[chain] += run_extend_cols(last, batch, &c).batch.len() as u64;
+                            }
+                        }
+                        for batch in &rows {
+                            reference += run_extend_count(last, batch, &c).count;
+                        }
+                        // The verified runs — some now empty — through the
+                        // last extend's both sinks.
+                        for batch in kept_runs {
+                            verified[0] += run_extend_count_cols(last, &batch, &c).count;
+                            verified[1] += run_extend_cols(last, batch, &c).batch.len() as u64;
+                        }
+                        for batch in &kept_reference {
+                            verified_reference += run_extend_count(last, batch, &c).count;
+                        }
                     }
                 }
-                prop_assert_eq!(counted, expected);
-                prop_assert_eq!(gathered, expected);
+                prop_assert_eq!(counted, [expected; 2]);
+                prop_assert_eq!(gathered, [expected; 2]);
                 prop_assert_eq!(reference, expected);
+                prop_assert_eq!(verified, [verified_reference; 2]);
             }
         }
     }

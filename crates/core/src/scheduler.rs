@@ -425,6 +425,44 @@ mod tests {
     }
 
     #[test]
+    fn stolen_run_batches_move_the_bytes_they_hold() {
+        // Runs of 1..=8 rows under a two-column prefix: 12 bytes a run plus
+        // 4 a row, far from the 12 a row of the flattened rows.
+        let runs = |n: u32| {
+            let prefix = vec![7; n as usize];
+            let newest = (0..n * (n + 1) / 2).collect();
+            let ends = (1..=n).map(|r| r * (r + 1) / 2).collect();
+            ColBatch::from_runs(vec![prefix.clone(), prefix, newest], ends)
+        };
+        let victim_tracker = Arc::new(MemoryTracker::new());
+        let thief_tracker = Arc::new(MemoryTracker::new());
+        let victim = SharedQueue::new(1000, Some(Arc::clone(&victim_tracker)));
+        let thief = SharedQueue::new(1000, Some(Arc::clone(&thief_tracker)));
+        let mut held = 0;
+        for n in 1..=8 {
+            held += runs(n).byte_size();
+            victim.push(runs(n));
+        }
+        assert_eq!(
+            victim.rows(),
+            (1..=8).map(|n| n * (n + 1) / 2).sum::<usize>()
+        );
+        assert_eq!(victim_tracker.current(), held);
+        assert!(held < victim.rows() as u64 * 12);
+        let (batches, bytes) = victim.steal_into(&thief);
+        assert_eq!((batches, bytes), (4, thief_tracker.current()));
+        assert_eq!(victim_tracker.current() + thief_tracker.current(), held);
+        assert_eq!(victim.rows() + thief.rows(), 120);
+        // Stolen batches keep their runs; popping returns every byte.
+        while let Some(batch) = thief.pop() {
+            assert!(batch.run_ends().is_some());
+        }
+        while victim.pop().is_some() {}
+        assert_eq!(victim_tracker.current() + thief_tracker.current(), 0);
+        assert_eq!(victim.rows() + thief.rows(), 0);
+    }
+
+    #[test]
     fn readiness_follows_remaining_counters() {
         let seg = |remaining: usize| SegmentShared {
             scan_pools: vec![ScanPool::empty()],

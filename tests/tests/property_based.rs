@@ -2,11 +2,13 @@
 //! distributed pipeline must agree with the sequential reference, for
 //! arbitrary cluster shapes and engine knobs.
 
+use huge_comm::stats::ClusterStats;
+use huge_comm::RpcFabric;
 use huge_comm::{ColBatch, RowBatch};
-use huge_core::exec::partition_cols_by_key;
+use huge_core::exec::{partition_cols_by_key, partition_cols_by_owner};
 use huge_core::join::key_hash;
 use huge_core::{ClusterConfig, HugeCluster, SinkMode};
-use huge_graph::Graph;
+use huge_graph::{gen, Graph, Partitioner};
 use huge_plan::baselines::{plug_into_huge, BaselineSystem};
 use huge_query::{naive, Pattern};
 use proptest::prelude::*;
@@ -167,6 +169,45 @@ proptest! {
             prop_assert!(part.selection().is_none());
             prop_assert_eq!(part.physical_rows() * arity, expected.len());
             prop_assert_eq!(part.to_rows().as_flat(), expected.as_slice());
+        }
+    }
+
+    /// A run batch answers the shuffle and the transpose exactly like its
+    /// flattened twin — runs of any length (empty ones included), keys on
+    /// per-run columns, on the newest column or on both.
+    #[test]
+    fn a_run_batch_shuffles_and_transposes_like_its_flattened_twin(
+        prefix in 0usize..4,
+        lens in prop::collection::vec(prop_oneof![Just(0u32), 1u32..5, 1u32..5, 20u32..40], 0..14),
+        values in prop::collection::vec(0u32..40, 400..401),
+        key in prop::collection::vec(0usize..4, 1..4),
+        k in 1usize..6,
+    ) {
+        let arity = prefix + 1;
+        let key: Vec<usize> = key.iter().map(|p| p % arity).collect();
+        let ends: Vec<u32> = lens.iter().scan(0, |end, n| { *end += n; Some(*end) }).collect();
+        let rows = ends.last().copied().unwrap_or(0) as usize;
+        let mut next = values.iter().copied().cycle();
+        let mut cols: Vec<Vec<u32>> = (0..prefix)
+            .map(|_| next.by_ref().take(lens.len()).collect())
+            .collect();
+        cols.push(next.by_ref().take(rows).collect());
+        let runs = ColBatch::from_runs(cols, ends);
+        let mut flat = runs.clone();
+        flat.flatten();
+        prop_assert_eq!((flat.len(), flat.run_ends()), (rows, None));
+        prop_assert_eq!(flat.column(0).len(), rows);
+
+        prop_assert_eq!(runs.to_rows(), flat.to_rows());
+        let parts = partition_cols_by_key(&runs, &key, k);
+        prop_assert!(parts.iter().all(|p| p.run_ends().is_none() && p.selection().is_none()));
+        prop_assert_eq!(parts.iter().map(ColBatch::len).sum::<usize>(), rows);
+        prop_assert_eq!(parts, partition_cols_by_key(&flat, &key, k));
+        let partitions = Partitioner::new(k).unwrap().partition(gen::complete(4));
+        let rpc = RpcFabric::new(std::sync::Arc::new(partitions), ClusterStats::new(k));
+        for column in [0, arity - 1] {
+            let parts = partition_cols_by_owner(&runs, column, &rpc, k);
+            prop_assert_eq!(parts, partition_cols_by_owner(&flat, column, &rpc, k));
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use huge_cache::CacheKind;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, SinkMode};
-use huge_graph::gen;
+use huge_graph::{gen, Graph};
 use huge_query::{naive, Pattern};
 
 #[test]
@@ -201,4 +201,80 @@ fn fetch_time_is_a_small_fraction_of_total() {
         .run(&query, SinkMode::Count)
         .unwrap();
     assert!(report.fetch_time <= report.compute_time);
+}
+
+#[test]
+fn a_hub_expansion_is_charged_one_candidate_column() {
+    // Two hubs over 600 shared leaves: every edge fits one scan batch, and
+    // q1's first extend turns each `(leaf, hub)` row into one row per leaf of
+    // the hub. The expansion lands in the queue at once (a queue overflows by
+    // one batch's results), so it *is* the peak.
+    let leaves = 600;
+    let graph = Graph::from_edges((2..leaves + 2).flat_map(|leaf| [(0, leaf), (1, leaf)]));
+    let query = Pattern::Square.query_graph();
+    let batch_size = 4_096u64;
+    let scanned_at_most = 2 * graph.num_edges();
+    assert!(scanned_at_most <= batch_size, "one scan batch");
+    let report = HugeCluster::build(
+        graph.clone(),
+        ClusterConfig::new(1)
+            .workers(1)
+            .batch_size(batch_size as usize),
+    )
+    .unwrap()
+    .run(&query, SinkMode::Count)
+    .unwrap();
+    assert_eq!(report.matches, naive::enumerate(&graph, &query));
+
+    // `extend_rows` = rows into extend 1 (the scan's) + rows into extend 2
+    // (the expansion).
+    let expansion = report.comm.extend_rows - scanned_at_most..=report.comm.extend_rows;
+    assert!(
+        *expansion.start() >= 100 * scanned_at_most,
+        "{expansion:?} from {scanned_at_most}"
+    );
+    // Held as runs: the candidate column, plus at most 16 bytes (two prefix
+    // values, a run end, a run cut by a chunk edge) per scan row; the scan
+    // batch itself was 8 bytes a row at most.
+    let peak = report.peak_memory_bytes;
+    assert!(
+        peak <= 4 * expansion.end() + 16 * batch_size + 8 * scanned_at_most,
+        "peak {peak} for {expansion:?} rows"
+    );
+    // Flattened between the extends it was three dense columns.
+    assert!(
+        2 * peak < 3 * 4 * expansion.start(),
+        "peak {peak} vs {} dense",
+        3 * 4 * expansion.start()
+    );
+    assert_eq!(report.leaked_bytes, 0);
+}
+
+#[test]
+fn prefix_reuse_is_structural_not_timed() {
+    // One scan chunk per machine (≤ 1024 local vertices), so only whole
+    // queued batches are ever stolen, and one worker, so the scan cursor
+    // emits its rows in vertex order: the batches, their runs and so
+    // `rows − runs` are the same whichever machine extends them, whenever.
+    let graph = gen::barabasi_albert(1_500, 8, 5);
+    let query = Pattern::FourClique.query_graph();
+    let cluster = HugeCluster::build(
+        graph,
+        ClusterConfig::new(2)
+            .workers(1)
+            .batch_size(256)
+            .output_queue_rows(1_024),
+    )
+    .unwrap();
+    let runs: Vec<_> = (0..3)
+        .map(|_| cluster.run(&query, SinkMode::Count).unwrap())
+        .collect();
+    let first = &runs[0].comm;
+    assert!(0 < first.extend_prefix_reuses && first.extend_prefix_reuses < first.extend_rows);
+    for report in &runs[1..] {
+        assert_eq!(report.matches, runs[0].matches);
+        assert_eq!(report.comm.extend_rows, first.extend_rows);
+        assert_eq!(report.comm.extend_prefix_reuses, first.extend_prefix_reuses);
+        assert_eq!(report.comm.kernel_invocations(), first.kernel_invocations());
+    }
 }
