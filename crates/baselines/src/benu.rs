@@ -96,7 +96,7 @@ impl Benu {
             query: format!("BENU:{}", query.name()),
             matches,
             compute_time: wall + overhead,
-            comm_time: self.config.network.time_for_snapshot(&comm),
+            comm_time: self.config.network().time_for_snapshot(&comm),
             comm_bytes: comm.total_bytes(),
             comm,
             peak_memory_bytes: peak_cache_bytes,

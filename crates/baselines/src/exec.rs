@@ -10,7 +10,7 @@
 //! execute through the same primitives as the HUGE engine: star scans are
 //! [`BatchOperator`] sources, distributed hash joins shuffle through the
 //! accounted [`huge_comm::Router`] and join with the shared
-//! [`huge_core::exec::PushJoin`], and pulls go through
+//! [`huge_core::join::HashJoiner`], and pulls go through
 //! [`huge_comm::RpcFabric::get_nbrs`]. Every cross-machine byte is therefore
 //! charged to [`huge_comm::ClusterStats`] by exactly the code paths the HUGE
 //! engine uses, so reports are directly comparable.
@@ -42,9 +42,8 @@ use huge_comm::stats::ClusterStats;
 use huge_comm::{ColBatch, QueueAccounting, Router, RouterEndpoint, RpcFabric};
 use huge_core::exec::{
     partition_cols_by_key, partition_cols_by_owner, run_pipeline, BatchOperator, OpContext, OpPoll,
-    PushJoin,
 };
-use huge_core::join::{JoinSide, MemoryTrackerHandle};
+use huge_core::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
 use huge_core::memory::MemoryTracker;
 use huge_core::operators::passes_filters;
 use huge_core::pool::WorkerPool;
@@ -446,14 +445,14 @@ const LEFT_TAG: usize = 0;
 const RIGHT_TAG: usize = 1;
 
 /// Moves every envelope queued in machine `m`'s inbox into its joiner build.
-fn absorb_into_joiner(ctx: &BaselineCtx, m: usize, join: &mut PushJoin) -> Result<()> {
+fn absorb_into_joiner(ctx: &BaselineCtx, m: usize, join: &mut HashJoiner) -> Result<()> {
     for env in ctx.drain_machine(m) {
         let side = if env.segment == LEFT_TAG {
             JoinSide::Left
         } else {
             JoinSide::Right
         };
-        join.push_side(side, &env.batch)?;
+        join.add(side, &env.batch)?;
     }
     Ok(())
 }
@@ -539,7 +538,7 @@ fn shuffle_rendezvous(
 
 /// A pushing distributed hash join: both sides are shuffled by the join key
 /// through the accounted router, then joined per machine with the shared
-/// [`PushJoin`] operator. The tables are consumed: each machine's share
+/// [`HashJoiner`]. The tables are consumed: each machine's share
 /// moves into its shuffle without being copied first.
 ///
 /// The machines run concurrently (one persistent pool worker each) and the
@@ -592,16 +591,15 @@ pub fn hash_join_pushing(
         right_payload: payload_right,
         filters,
     };
-    let joiners: Vec<PushJoin> = (0..k)
+    let joiners: Vec<HashJoiner> = (0..k)
         .map(|m| {
-            PushJoin::new(
+            HashJoiner::new(
                 op.clone(),
                 left.arity(),
                 right.arity(),
                 ctx.join_spill_bytes,
                 ctx.spill_dir.join(format!("m{m}")),
                 MemoryTrackerHandle::Tracked(Arc::clone(&ctx.memory)),
-                ctx.batch_size,
             )
         })
         .collect();
@@ -612,7 +610,7 @@ pub fn hash_join_pushing(
     // reported message counts stay comparable), then rendezvous and join.
     let shuffling = AtomicUsize::new(k);
     let failed = AtomicBool::new(false);
-    let items: Vec<(usize, ColBatch, ColBatch, PushJoin)> = joiners
+    let items: Vec<(usize, ColBatch, ColBatch, HashJoiner)> = joiners
         .into_iter()
         .zip(left.rows)
         .zip(right.rows)

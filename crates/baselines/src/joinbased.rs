@@ -45,7 +45,7 @@ fn run_join_based(
         query: format!("{name}:{}", query.name()),
         matches,
         compute_time,
-        comm_time: config.network.time_for_snapshot(&comm),
+        comm_time: config.network().time_for_snapshot(&comm),
         comm_bytes: comm.total_bytes(),
         comm,
         peak_memory_bytes: ctx.report_peak_memory(),

@@ -95,7 +95,7 @@ impl Rads {
             query: format!("RADS:{}", query.name()),
             matches,
             compute_time,
-            comm_time: self.config.network.time_for_snapshot(&comm),
+            comm_time: self.config.network().time_for_snapshot(&comm),
             comm_bytes: comm.total_bytes(),
             comm,
             peak_memory_bytes: ctx.report_peak_memory(),

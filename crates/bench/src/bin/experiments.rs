@@ -304,7 +304,7 @@ fn exp4(opts: &Options) {
         let query = paper_query(qi);
         for batch in [2_000usize, 8_000, 32_000, 128_000] {
             let config = default_config(opts.machines).batch_size(batch).no_cache();
-            let network = config.network;
+            let network = config.network();
             let cluster = HugeCluster::build(graph.clone(), config).expect("cluster");
             let report = cluster.run(&query, SinkMode::Count).expect("run");
             let util = network.utilisation(report.comm_bytes, report.comm_time);

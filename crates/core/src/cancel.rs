@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cheap, cloneable handle shared by the caller and
 //! every machine thread of a run. Cancellation is *cooperative*: nothing is
 //! interrupted pre-emptively — the scheduling loop, the steal loop,
-//! `Fault::Delay` slices and `JoinStream` probing all poll the token at
+//! `Fault::Delay` slices and the `PUSH-JOIN` probe all poll the token at
 //! batch granularity and unwind with a typed error
 //! ([`EngineError::Cancelled`](crate::EngineError) /
 //! [`EngineError::DeadlineExceeded`](crate::EngineError)) when it fires.

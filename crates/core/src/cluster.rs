@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use huge_comm::stats::ClusterStats;
-use huge_comm::{LinkFault, LinkFaultKind, Router, RouterTrace, RpcFabric, TransportConfig};
+use huge_comm::{LinkFault, Router, RouterTrace, RpcFabric, TransportConfig};
 use huge_graph::{Graph, GraphStats, Partitioner};
 use huge_plan::cost::{CostModel, HybridEstimator};
 use huge_plan::logical::ExecutionPlan;
@@ -16,7 +16,7 @@ use huge_query::QueryGraph;
 use huge_trace::{kv, Recorder, TraceMode};
 
 use crate::cancel::{CancelCause, CancelToken};
-use crate::config::{ClusterConfig, Fault, SinkMode};
+use crate::config::{ClusterConfig, SinkMode};
 use crate::governor::MemoryGovernor;
 use crate::machine::{MachineState, SegmentPlan, Terminal};
 use crate::memory::MemoryTracker;
@@ -158,17 +158,10 @@ impl HugeCluster {
                 .fault_plan
                 .iter()
                 .filter_map(|spec| {
-                    let kind = match spec.fault {
-                        Fault::DropBatch { ppm } => LinkFaultKind::Drop { ppm },
-                        Fault::DuplicateBatch { ppm } => LinkFaultKind::Duplicate { ppm },
-                        Fault::ReorderWindow { window } => LinkFaultKind::Reorder { window },
-                        Fault::SlowLink { delay } => LinkFaultKind::Slow { delay },
-                        _ => return None,
-                    };
                     Some(LinkFault {
                         machine: spec.machine,
                         segment: spec.segment,
-                        kind,
+                        kind: spec.fault.link_kind()?,
                     })
                 })
                 .collect();
@@ -341,7 +334,7 @@ impl HugeCluster {
 
         // Aggregate the report.
         let comm_total = comm_stats.total();
-        let comm_time = self.config.network.time_for_snapshot(&comm_total);
+        let comm_time = self.config.network().time_for_snapshot(&comm_total);
         let machine_reports: Vec<_> = machines.iter().map(|m| m.report()).collect();
         let matches = machine_reports.iter().map(|m| m.matches).sum();
         let mut samples: Vec<Vec<u32>> = Vec::new();

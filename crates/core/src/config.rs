@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use huge_cache::CacheKind;
-use huge_comm::NetworkModel;
+use huge_comm::{LinkFaultKind, NetworkModel};
 use huge_trace::TraceConfig;
 
 /// How the results of a run are consumed by the `SINK` operator.
@@ -91,16 +91,17 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// `true` for the fault kinds that perturb the data transport (and so
-    /// arm [`ClusterConfig::unreliable_transport`]).
-    pub fn is_transport(&self) -> bool {
-        matches!(
-            self,
-            Fault::DropBatch { .. }
-                | Fault::DuplicateBatch { .. }
-                | Fault::ReorderWindow { .. }
-                | Fault::SlowLink { .. }
-        )
+    /// The link fault a transport fault arms on the fault-injection link (a
+    /// plan holding any arms [`ClusterConfig::unreliable_transport`]); `None`
+    /// for the faults that fire on the machine itself.
+    pub fn link_kind(&self) -> Option<LinkFaultKind> {
+        Some(match *self {
+            Fault::DropBatch { ppm } => LinkFaultKind::Drop { ppm },
+            Fault::DuplicateBatch { ppm } => LinkFaultKind::Duplicate { ppm },
+            Fault::ReorderWindow { window } => LinkFaultKind::Reorder { window },
+            Fault::SlowLink { delay } => LinkFaultKind::Slow { delay },
+            Fault::Panic | Fault::PanicAt(_) | Fault::Delay(_) => return None,
+        })
     }
 }
 
@@ -185,9 +186,6 @@ pub struct ClusterConfig {
     /// [`EngineError::DeadlineExceeded`](crate::EngineError) carrying the
     /// partial-stats report. `None` (the default) never expires.
     pub deadline: Option<Duration>,
-    /// Network model used to convert recorded traffic into the reported
-    /// communication time `T_C`.
-    pub network: NetworkModel,
     /// Flight-recorder configuration: off (default), metrics-only, or full
     /// span recording with timeline export. See
     /// [`RunReport::trace`](crate::report::RunReport) and
@@ -215,7 +213,6 @@ impl ClusterConfig {
             fault_plan: Vec::new(),
             fault_seed: 0x9e37_79b9_7f4a_7c15,
             deadline: None,
-            network: NetworkModel::ten_gbps(machines.max(1)),
             tracing: TraceConfig::default(),
         }
     }
@@ -305,7 +302,9 @@ impl ClusterConfig {
     /// bounded backoff): exactly when the fault plan holds a transport
     /// fault, which would corrupt results without it.
     pub fn unreliable_transport(&self) -> bool {
-        self.fault_plan.iter().any(|s| s.fault.is_transport())
+        self.fault_plan
+            .iter()
+            .any(|s| s.fault.link_kind().is_some())
     }
 
     /// Sets the seed behind every probabilistic fault decision.
@@ -352,6 +351,13 @@ impl ClusterConfig {
     pub fn machine_memory_budget(&self) -> Option<u64> {
         self.memory_budget
             .map(|b| (b / self.machines.max(1) as u64).max(1))
+    }
+
+    /// The network model that converts recorded traffic into the reported
+    /// communication time `T_C`: the paper's 10 Gbps cluster of
+    /// [`ClusterConfig::machines`] machines.
+    pub fn network(&self) -> NetworkModel {
+        NetworkModel::ten_gbps(self.machines)
     }
 
     /// The effective cache capacity for a graph of `graph_bytes` CSR bytes.

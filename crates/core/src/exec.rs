@@ -10,10 +10,12 @@
 //!   worker pool and the batch size.
 //! * [`BatchOperator`] is the uniform operator interface: inputs are pushed
 //!   in as batches, outputs are polled out as batches ([`OpPoll`]).
-//! * [`ScanSource`], [`PullExtend`] and [`PushJoin`] are the HUGE operators
-//!   (`SCAN`, `PULL-EXTEND`, `PUSH-JOIN`) behind that interface. The
-//!   baselines add their own sources (e.g. star scans) in their crate but
-//!   reuse [`PushJoin`] and the routing utilities below.
+//! * [`ScanSource`], [`PullExtend`] and
+//!   [`HashJoiner`](crate::join::HashJoiner) are the HUGE operators (`SCAN`,
+//!   `PULL-EXTEND`, `PUSH-JOIN`) behind that interface; the join implements
+//!   it in [`crate::join`]. The baselines add their own sources (e.g. star
+//!   scans) in their crate but reuse the joiner and the routing utilities
+//!   below.
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
 //!   batch's columns into one dense batch per destination machine; callers
 //!   move those through the accounted `huge-comm` fabric
@@ -26,17 +28,14 @@
 //!   BFS/DFS-adaptive scheduler in [`crate::machine`].
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
 use huge_graph::GraphPartition;
-use huge_plan::translate::{ExtendOp, JoinOp, ScanOp};
+use huge_plan::translate::{ExtendOp, ScanOp};
 
-use crate::join::{
-    row_key_hash, scatter_rows, HashJoiner, JoinSide, JoinStream, MemoryTrackerHandle,
-};
+use crate::join::{row_key_hash, scatter_rows};
 use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
 use crate::pool::WorkerPool;
 use crate::{EngineError, Result};
@@ -290,223 +289,6 @@ impl BatchOperator for PullExtend {
 }
 
 // ---------------------------------------------------------------------------
-// PUSH-JOIN
-// ---------------------------------------------------------------------------
-
-/// The `PUSH-JOIN` operator behind the [`BatchOperator`] interface.
-///
-/// A binary operator: feed each side with [`PushJoin::push_side`], then seal
-/// with [`BatchOperator::finish_input`] and poll. Sealing converts the
-/// buffered joiner into a lazily-driven [`JoinStream`], so *polling* drives
-/// the Grace partitions one at a time — memory is bounded by one partition
-/// plus one output batch on every consumption path.
-///
-/// In *count-only* mode ([`PushJoin::set_count_only`]) polling drives the
-/// same probe but only counts the joined rows ([`PushJoin::take_count`]) and
-/// emits no batches — the fast path for a join feeding a counting sink.
-pub struct PushJoin {
-    joiner: Option<HashJoiner>,
-    stream: Option<JoinStream>,
-    out_arity: usize,
-    batch_rows: usize,
-    count_only: bool,
-    counted: u64,
-    cancel: Option<crate::cancel::CancelToken>,
-}
-
-impl PushJoin {
-    /// Creates the join over the given producer arities.
-    pub fn new(
-        op: JoinOp,
-        left_arity: usize,
-        right_arity: usize,
-        spill_threshold_bytes: u64,
-        spill_dir: PathBuf,
-        memory: MemoryTrackerHandle,
-        batch_rows: usize,
-    ) -> Self {
-        let joiner = HashJoiner::new(
-            op,
-            left_arity,
-            right_arity,
-            spill_threshold_bytes,
-            spill_dir,
-            memory,
-        );
-        let out_arity = joiner.output_arity();
-        PushJoin {
-            joiner: Some(joiner),
-            stream: None,
-            out_arity,
-            batch_rows: batch_rows.max(1),
-            count_only: false,
-            counted: 0,
-            cancel: None,
-        }
-    }
-
-    /// Switches the operator to count-only mode: joined rows are counted,
-    /// not materialised, and polling never yields output batches.
-    pub fn set_count_only(&mut self, count_only: bool) {
-        self.count_only = count_only;
-    }
-
-    /// Drains the joined rows counted in count-only mode.
-    pub fn take_count(&mut self) -> u64 {
-        std::mem::take(&mut self.counted)
-    }
-
-    /// `(candidate pairs tested, pairs that survived)` by the probe so far.
-    pub fn probe_stats(&self) -> (u64, u64) {
-        let stream = self.stream.as_ref();
-        stream.map_or((0, 0), |s| (s.tested(), s.produced()))
-    }
-
-    /// Threads the run's cancellation token into the join so probing
-    /// ([`JoinStream::next_batch`]) polls it at batch granularity.
-    pub fn set_cancel(&mut self, cancel: crate::cancel::CancelToken) {
-        if let Some(stream) = self.stream.as_mut() {
-            stream.set_cancel(cancel.clone());
-        }
-        self.cancel = Some(cancel);
-    }
-
-    /// Feeds one input batch to one side of the join.
-    pub fn push_side(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
-        match self.joiner.as_mut() {
-            Some(j) => j.add(side, batch),
-            None => Err(EngineError::Config(
-                "PUSH-JOIN received input after finishing".into(),
-            )),
-        }
-    }
-
-    /// Joined rows emitted or counted so far.
-    pub fn produced(&self) -> u64 {
-        self.probe_stats().1
-    }
-
-    /// `true` while the join may still produce output (inputs not sealed, or
-    /// the sealed stream has partitions left).
-    pub fn has_more(&self) -> bool {
-        self.joiner.is_some() || self.stream.as_ref().is_some_and(|s| !s.is_exhausted())
-    }
-
-    /// Bytes currently buffered in memory (whichever phase the join is in).
-    pub fn buffered_bytes(&self) -> u64 {
-        match (&self.joiner, &self.stream) {
-            (Some(j), _) => j.buffered_bytes(),
-            (_, Some(s)) => s.buffered_bytes(),
-            _ => 0,
-        }
-    }
-
-    /// Flushes the join's in-memory Grace partitions to disk (the memory
-    /// governor's spill actuator), whether the join is still building or
-    /// already sealed into a stream. Returns the bytes released.
-    pub fn spill_to_disk(&mut self) -> Result<u64> {
-        match (&mut self.joiner, &mut self.stream) {
-            (Some(j), _) => j.spill_to_disk(),
-            (_, Some(s)) => s.spill_to_disk(),
-            _ => Ok(0),
-        }
-    }
-
-    /// Extracts one sealed-but-unprobed Grace partition for shipping to a
-    /// peer (partition stealing), whichever phase the join is in. Returns
-    /// the partition index and both sides' columns, which keep their memory
-    /// charge until the thief acks adoption. `None` when nothing is
-    /// shippable. Only sound once no further input can arrive for this join.
-    pub fn take_unprobed_partition(&mut self) -> Result<Option<crate::join::TakenPartition>> {
-        match (&mut self.joiner, &mut self.stream) {
-            (Some(j), _) => j.take_unprobed_partition(),
-            (_, Some(s)) => s.take_unprobed_partition(),
-            _ => Ok(None),
-        }
-    }
-
-    /// Adopts a partition shipped from a peer into the sealed stream. The
-    /// caller must have charged the columns' bytes to this machine's tracker
-    /// already (on receipt); the stream releases them after the probe. An
-    /// exhausted stream still adopts; a join not sealed yet cannot.
-    pub fn adopt_partition(
-        &mut self,
-        left: Vec<Vec<huge_graph::VertexId>>,
-        right: Vec<Vec<huge_graph::VertexId>>,
-    ) -> Result<()> {
-        let stream = self.stream.as_mut().ok_or_else(|| {
-            EngineError::Config("PUSH-JOIN adopted a partition before sealing".into())
-        })?;
-        stream.adopt_partition(left, right);
-        Ok(())
-    }
-}
-
-impl BatchOperator for PushJoin {
-    fn name(&self) -> &'static str {
-        "PUSH-JOIN"
-    }
-
-    fn output_arity(&self) -> usize {
-        self.out_arity
-    }
-
-    fn push_input(&mut self, _input: ColBatch, _ctx: &OpContext<'_>) -> Result<()> {
-        Err(EngineError::Config(
-            "PUSH-JOIN is a binary operator: feed it through push_side(JoinSide, ..)".into(),
-        ))
-    }
-
-    fn finish_input(&mut self, _ctx: &OpContext<'_>) -> Result<()> {
-        if let Some(joiner) = self.joiner.take() {
-            // Sealing is cheap: partitions stay buffered/spilled until the
-            // stream is polled.
-            let mut stream = joiner.into_stream(self.batch_rows);
-            if let Some(cancel) = &self.cancel {
-                stream.set_cancel(cancel.clone());
-            }
-            self.stream = Some(stream);
-        }
-        Ok(())
-    }
-
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
-        if let Some(stream) = self.stream.as_mut() {
-            if self.count_only {
-                // Yield after every batch of pairs, like a materialising poll:
-                // the scheduler absorbs the inbox and ticks the governor.
-                return Ok(match stream.count_batch()? {
-                    Some(counted) => {
-                        self.counted += counted;
-                        OpPoll::Pending
-                    }
-                    None => OpPoll::Exhausted,
-                });
-            }
-            match stream.next_batch()? {
-                Some(batch) => {
-                    ctx.rpc
-                        .stats()
-                        .machine(ctx.machine)
-                        .record_col_bytes(batch.byte_size());
-                    return Ok(OpPoll::Ready(batch));
-                }
-                None => {
-                    // Keep the exhausted stream alive: a partition adopted
-                    // from a peer (partition stealing) revives it.
-                    return Ok(OpPoll::Exhausted);
-                }
-            }
-        }
-        Ok(if self.joiner.is_some() {
-            OpPoll::Pending
-        } else {
-            OpPoll::Exhausted
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Routing utilities
 // ---------------------------------------------------------------------------
 
@@ -589,11 +371,12 @@ pub fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
     use huge_cache::LrbuCache;
     use huge_comm::stats::ClusterStats;
     use huge_graph::{gen, Partitioner};
     use huge_plan::physical::CommMode;
-    use huge_plan::translate::OrderFilter;
+    use huge_plan::translate::{JoinOp, OrderFilter};
     use std::sync::Arc;
 
     fn setup(k: usize) -> (Vec<GraphPartition>, RpcFabric) {
@@ -652,6 +435,45 @@ mod tests {
     }
 
     #[test]
+    fn scan_batches_do_not_depend_on_the_worker_count() {
+        // A skewed graph, one chunk cut into several per-worker slices, and
+        // batches small enough that hubs overflow them: the pool hands the
+        // slices to its workers in any order, the batches must not show it.
+        let g = gen::barabasi_albert(1_500, 8, 5);
+        let parts = Partitioner::new(1).unwrap().partition(g);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = LrbuCache::new(1 << 20);
+        let scan = |workers| {
+            let pool = WorkerPool::new(workers, crate::config::LoadBalance::WorkStealing);
+            let ctx = OpContext {
+                machine: 0,
+                partition: &parts[0],
+                rpc: &rpc,
+                cache: &cache,
+                use_cache: true,
+                pool: &pool,
+                batch_size: 100,
+            };
+            let op = ScanOp {
+                src: 0,
+                dst: 1,
+                filters: vec![],
+            };
+            let mut scan = ScanSource::new(op, ScanPool::new(parts[0].local_vertices(), 1024));
+            let mut batches = Vec::new();
+            while let OpPoll::Ready(batch) = scan.poll_next(&ctx).unwrap() {
+                batches.push(batch);
+            }
+            batches
+        };
+        let one = scan(1);
+        assert!(one.len() > 100);
+        for workers in [2, 3] {
+            assert!(scan(workers) == one, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn push_join_trait_path_buffers_outputs() {
         let (parts, rpc) = setup(1);
         let cache = LrbuCache::new(1 << 20);
@@ -663,7 +485,8 @@ mod tests {
             cache: &cache,
             use_cache: true,
             pool: &pool,
-            batch_size: 16,
+            // The seal takes it: four joined rows come out in two batches.
+            batch_size: 3,
         };
         let op = JoinOp {
             left: 0,
@@ -674,23 +497,37 @@ mod tests {
             filters: vec![],
         };
         let dir = std::env::temp_dir().join(format!("huge-exec-test-{}", std::process::id()));
-        let mut join = PushJoin::new(op, 2, 2, 1 << 20, dir, MemoryTrackerHandle::Untracked, 16);
-        let mut left = ColBatch::new(2);
-        left.push_row(&[1, 10]);
-        left.push_row(&[2, 20]);
-        let mut right = ColBatch::new(2);
-        right.push_row(&[1, 100]);
-        join.push_side(JoinSide::Left, &left).unwrap();
-        join.push_side(JoinSide::Right, &right).unwrap();
-        join.finish_input(&ctx).unwrap();
+        let build = |count_only: bool| {
+            let memory = MemoryTrackerHandle::Untracked;
+            let mut join = HashJoiner::new(op.clone(), 2, 2, 1 << 20, dir.clone(), memory);
+            join.set_count_only(count_only);
+            let left = ColBatch::from_columns(vec![vec![1, 2, 1], vec![10, 20, 11]]);
+            let right = ColBatch::from_columns(vec![vec![1, 1], vec![100, 101]]);
+            join.add(JoinSide::Left, &left).unwrap();
+            join.add(JoinSide::Right, &right).unwrap();
+            // Adoption before the seal and input after it are refused.
+            let adopted = join.adopt_partition(Vec::new(), Vec::new());
+            assert!(matches!(adopted, Err(EngineError::Config(_))));
+            join.finish_input(&ctx).unwrap();
+            let late = join.add(JoinSide::Left, &left);
+            assert!(matches!(late, Err(EngineError::Config(_))));
+            join
+        };
+        let mut join = build(false);
         let mut rows = Vec::new();
         while let OpPoll::Ready(b) = join.poll_next(&ctx).unwrap() {
-            let rb = b.to_rows();
-            rows.extend(rb.rows().map(|r| r.to_vec()));
+            assert!(b.len() <= 3);
+            rows.extend(b.to_rows().rows().map(|r| r.to_vec()));
         }
-        assert_eq!(rows, vec![vec![1, 10, 100]]);
-        assert_eq!(join.produced(), 1);
+        rows.sort();
+        let expected = [[1, 10, 100], [1, 10, 101], [1, 11, 100], [1, 11, 101]];
+        assert_eq!(rows, expected.map(Vec::from));
+        assert_eq!((join.produced(), join.counted()), (4, 0));
         assert!(matches!(join.poll_next(&ctx).unwrap(), OpPoll::Exhausted));
+        // Count-only: the same probe, nothing emitted, the same rows counted.
+        let mut counting = build(true);
+        while let OpPoll::Pending = counting.poll_next(&ctx).unwrap() {}
+        assert_eq!(counting.counted(), rows.len() as u64);
     }
 
     #[test]

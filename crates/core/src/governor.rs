@@ -20,9 +20,10 @@
 //!   BFS/DFS-adaptive scheduler (Algorithm 5) leans towards DFS.
 //! * **Red** — at the budget: queue capacities collapse to a single row
 //!   (strict DFS: every operator drains downstream after each batch), the
-//!   scan batch size is capped, inboxes hold one batch, and the machine
-//!   flushes its `PUSH-JOIN` Grace partitions to disk
-//!   ([`PushJoin::spill_to_disk`](crate::exec::PushJoin::spill_to_disk)).
+//!   scan batch size is capped, inboxes hold one batch, and every
+//!   `PUSH-JOIN` of the machine, building or probing, flushes its unprobed
+//!   Grace partitions to disk
+//!   ([`HashJoiner::spill_to_disk`](crate::join::HashJoiner::spill_to_disk)).
 //!
 //! Hysteresis (separate enter/exit thresholds — the `ENTER_*`/`EXIT_*`
 //! constants below, fixed fractions of the per-machine budget) keeps the

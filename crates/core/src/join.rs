@@ -1,5 +1,6 @@
 //! The `PUSH-JOIN` operator: a buffered, partitioned (Grace-style) hash join
-//! with disk spill (§4.3).
+//! with disk spill (§4.3) — one [`HashJoiner`] from its first input row to
+//! its last probed pair, behind the [`BatchOperator`] interface.
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
 //! of partitions, and a partition is columns from end to end: the shuffle's
@@ -8,31 +9,35 @@
 //! partition ship carries and what the probe is built from — no row is ever
 //! assembled. A partition buffers rows in memory until the configured
 //! threshold, after which they are appended to a temporary file on disk.
-//! When both inputs are complete, the joiner converts into a
-//! [`JoinStream`] that drives the partitions *lazily*: each poll loads at
-//! most one partition, groups its right rows by join key behind a hash
-//! table, and probes with the left rows until one batch of pairs survived.
-//! Memory is therefore bounded by the largest single partition plus one
-//! output batch — matching the paper's "memory consumption is bounded to the
-//! buffer size" claim — on *every* consumption path, including incremental
-//! `poll`-driven execution.
+//! Every partition carries a [`PartitionState`] from the start, and the
+//! joiner's one ship, spill, byte count and `Drop` read it whatever the
+//! phase. Sealing ([`HashJoiner::seal`]) moves no buffer: it fixes the output
+//! batch size and flips building partitions to sealed. The sealed joiner
+//! then drives the partitions *lazily*: each poll loads at most one
+//! partition, groups its right rows by join key behind a hash table, and
+//! probes with the left rows until one batch of pairs survived. Memory is
+//! therefore bounded by the largest single partition plus one output batch —
+//! matching the paper's "memory consumption is bounded to the buffer size"
+//! claim — on *every* consumption path, including incremental `poll`-driven
+//! execution.
 //!
 //! The probe is **one pair generator with two sinks**. What a candidate pair
 //! must pass — the wide-key re-check, cross-side injectivity, the order
-//! filters — is compiled once when the join seals ([`ProbeSpec::compile`]):
-//! every filter is classified by where its operands live (both on the left
-//! row, one on each side, both in the right payload) and the right columns
-//! the checks read are fixed. The resident partition keeps exactly those
-//! columns of its build side, one dense vector each, grouped by join key;
-//! the generator binds a left row's values once, then tests its key group a
-//! block of right rows at a time, one branch-free pass per column into a
-//! mask. [`JoinStream::count_batch`] sums the mask — the sink the engine
-//! pushes down when the join feeds a counting `SINK` directly —
-//! [`JoinStream::next_batch`] turns it into `(left row, right row)` index
+//! filters — is compiled once when the joiner is created
+//! ([`ProbeSpec::compile`]): every filter is classified by where its
+//! operands live (both on the left row, one on each side, both in the right
+//! payload) and the right columns the checks read are fixed. The resident
+//! partition keeps exactly those columns of its build side, one dense vector
+//! each, grouped by join key; the generator binds a left row's values once,
+//! then tests its key group a block of right rows at a time, one
+//! branch-free pass per column into a mask. [`HashJoiner::count_batch`] sums
+//! the mask — the sink the engine pushes down when the join feeds a counting
+//! `SINK` directly ([`HashJoiner::set_count_only`]) —
+//! [`HashJoiner::next_batch`] turns it into `(left row, right row)` index
 //! pairs and gathers the output columns from them. Both share the partition
 //! lifecycle, the tracker charges and the per-poll cancel check.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -42,21 +47,26 @@ use huge_comm::ColBatch;
 use huge_graph::VertexId;
 use huge_plan::translate::JoinOp;
 
+use crate::cancel::CancelToken;
+use crate::exec::{BatchOperator, OpContext, OpPoll};
 use crate::memory::MemoryTracker;
-use crate::Result;
+use crate::{EngineError, Result};
 
 /// Number of Grace partitions per side.
 pub const NUM_PARTITIONS: usize = 16;
 
-/// Lifecycle of one Grace partition inside a sealed join.
+/// Lifecycle of one Grace partition.
 ///
-/// `Sealed` partitions are first-class work items: they can be probed
-/// locally or shipped whole to an idle peer (partition stealing). The
-/// transitions are `Sealed → Probing → Done` locally and `Sealed → Shipped`
-/// when a steal request claims the partition.
+/// A partition is `Building` while [`HashJoiner::add`] fills it, and the
+/// seal flips it to `Sealed`. Either way it is unprobed, and an unprobed
+/// partition is a first-class work item: it is probed here (`Probing →
+/// Done`, or straight to `Done` when a side is empty) or shipped whole to an
+/// idle peer (`Shipped`, partition stealing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionState {
-    /// Sealed but not yet probed — eligible for shipping to a peer.
+    /// Still taking input.
+    Building,
+    /// Sealed but not yet probed.
     Sealed,
     /// Loaded and currently being probed on this machine.
     Probing,
@@ -66,8 +76,11 @@ pub enum PartitionState {
     Done,
 }
 
-/// A sealed Grace partition claimed for shipping: `(partition index, left
-/// columns, right columns)`.
+/// One side of a partition, one vector per column.
+type Columns = Vec<Vec<VertexId>>;
+
+/// An unprobed Grace partition claimed for shipping: `(partition index,
+/// left columns, right columns)`.
 pub type TakenPartition = (usize, Vec<Vec<VertexId>>, Vec<Vec<VertexId>>);
 
 /// Which input of the join a batch belongs to.
@@ -225,16 +238,14 @@ impl Drop for SidePartition {
 
 struct SideBuffer {
     arity: usize,
-    key_positions: Vec<usize>,
     partitions: Vec<SidePartition>,
     buffered_bytes: u64,
 }
 
 impl SideBuffer {
-    fn new(arity: usize, key_positions: Vec<usize>) -> Self {
+    fn new(arity: usize) -> Self {
         SideBuffer {
             arity,
-            key_positions,
             partitions: (0..NUM_PARTITIONS)
                 .map(|_| SidePartition {
                     columns: vec![Vec::new(); arity],
@@ -247,17 +258,47 @@ impl SideBuffer {
     }
 }
 
-/// The buffered hash join of one machine.
+/// The buffered hash join of one machine, from its first
+/// [`HashJoiner::add`] to its last probed pair.
+///
+/// While building, `add` scatters input into the Grace partitions.
+/// [`HashJoiner::seal`] ends the input, and the sealed joiner is driven one
+/// batch of pairs at a time ([`HashJoiner::next_batch`],
+/// [`HashJoiner::count_batch`]). At most one Grace partition is resident for
+/// probing at any moment. Spill files are deleted as their partitions are
+/// consumed, and by `Drop` if the join is abandoned early. Unprobed
+/// partitions ship to peers in either phase
+/// ([`HashJoiner::take_unprobed_partition`]); a sealed joiner probes the
+/// partitions peers ship to it after its own
+/// ([`HashJoiner::adopt_partition`]).
 pub struct HashJoiner {
-    op: JoinOp,
+    spec: ProbeSpec,
     left: SideBuffer,
     right: SideBuffer,
     spill_threshold_bytes: u64,
     spill_dir: PathBuf,
     spill_counter: usize,
     memory: MemoryTrackerHandle,
-    /// Partitions already shipped to a thief before sealing.
-    shipped: Vec<bool>,
+    /// Lifecycle of each local Grace partition.
+    states: [PartitionState; NUM_PARTITIONS],
+    /// Rows per output batch, set by the seal (`None` while building).
+    batch_rows: Option<u64>,
+    /// The next local partition the probe loads.
+    partition: usize,
+    /// The partition being probed.
+    current: Option<PartitionProbe>,
+    /// `(left, right)` columns of partitions adopted from peers, probed after
+    /// the local ones. Their bytes were charged on receipt.
+    adopted: VecDeque<(Columns, Columns)>,
+    /// Joined rows emitted or counted so far.
+    produced: u64,
+    /// Candidate pairs tested so far (`produced` of them survived).
+    tested: u64,
+    /// Polls count joined rows instead of materialising them.
+    count_only: bool,
+    /// The run's cancellation token, polled per batch of pairs so a cancel
+    /// lands mid-probe instead of after the whole join drains.
+    cancel: Option<CancelToken>,
 }
 
 /// A thin optional handle so the joiner can be used without a tracker in
@@ -293,60 +334,43 @@ impl HashJoiner {
         spill_dir: PathBuf,
         memory: MemoryTrackerHandle,
     ) -> Self {
-        let left = SideBuffer::new(left_arity, op.key_left.clone());
-        let right = SideBuffer::new(right_arity, op.key_right.clone());
         HashJoiner {
-            op,
-            left,
-            right,
+            spec: ProbeSpec::compile(&op, left_arity),
+            left: SideBuffer::new(left_arity),
+            right: SideBuffer::new(right_arity),
             spill_threshold_bytes: spill_threshold_bytes.max(1024),
             spill_dir,
             spill_counter: 0,
             memory,
-            shipped: vec![false; NUM_PARTITIONS],
+            states: [PartitionState::Building; NUM_PARTITIONS],
+            batch_rows: None,
+            partition: 0,
+            current: None,
+            adopted: VecDeque::new(),
+            produced: 0,
+            tested: 0,
+            count_only: false,
+            cancel: None,
         }
-    }
-
-    /// Ships one not-yet-shipped partition out of a pending (unsealed)
-    /// joiner, highest index first. Only sound once no further input can
-    /// arrive for this join — the thief's steal request implies global
-    /// end-of-stream for both producers. Partitions empty on either side are
-    /// skipped (they produce nothing and are cheaper discarded locally).
-    ///
-    /// The returned columns *keep* their memory-tracker charge: in-memory
-    /// bytes stay charged and spilled bytes are newly charged as they are
-    /// read back, so the charge travels with the partition and is only
-    /// released when the thief acknowledges adoption
-    /// (allocate-before-release, as in `SharedQueue::steal_into`).
-    pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
-        for p in (0..NUM_PARTITIONS).rev() {
-            if self.shipped[p] || !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
-                continue;
-            }
-            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
-            self.shipped[p] = true;
-            return Ok(Some(taken));
-        }
-        Ok(None)
-    }
-
-    /// Arity of the joined output rows.
-    pub fn output_arity(&self) -> usize {
-        self.left.arity + self.op.right_payload.len()
     }
 
     /// Adds an input batch to one side: one pass over its key columns picks
     /// each row's Grace partition, then every partition's columns take their
-    /// rows in one gather each ([`scatter_rows`]).
+    /// rows in one gather each ([`scatter_rows`]). Input after the seal is a
+    /// [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
-        let (buffer, tag) = match side {
-            JoinSide::Left => (&mut self.left, "l"),
-            JoinSide::Right => (&mut self.right, "r"),
+        if self.batch_rows.is_some() {
+            let message = "PUSH-JOIN received input after sealing";
+            return Err(EngineError::Config(message.into()));
+        }
+        let (buffer, key_positions, tag) = match side {
+            JoinSide::Left => (&mut self.left, &self.spec.key_left, "l"),
+            JoinSide::Right => (&mut self.right, &self.spec.key_right, "r"),
         };
         debug_assert_eq!(batch.arity(), buffer.arity);
         // Wire batches arrive dense; a local caller may hand over runs.
         let batch = &*batch.flattened();
-        let hash = row_key_hash(batch, &buffer.key_positions);
+        let hash = row_key_hash(batch, key_positions);
         let partition = |row| grace_partition(hash(row));
         let parts = buffer.partitions.iter_mut().map(|p| &mut p.columns);
         scatter_rows(batch, partition, parts);
@@ -375,11 +399,77 @@ impl HashJoiner {
         Ok(())
     }
 
-    /// Flushes every in-memory partition of both sides to disk — the memory
-    /// governor's spill actuator. Rows are appended to the partitions' spill
-    /// files and re-loaded lazily when the join is streamed, so results are
-    /// unchanged; only the tracked resident bytes drop. Returns the bytes
-    /// released.
+    /// Seals both inputs: `add` is refused from now on, every building
+    /// partition becomes sealed, and each probe poll yields at most
+    /// `batch_rows` joined rows. No buffer moves — partitions stay resident
+    /// or spilled until the probe loads them one at a time, so the consumer
+    /// controls the pace (and the memory).
+    pub fn seal(&mut self, batch_rows: usize) {
+        self.batch_rows = Some(batch_rows.max(1) as u64);
+        for state in &mut self.states {
+            if *state == PartitionState::Building {
+                *state = PartitionState::Sealed;
+            }
+        }
+    }
+
+    /// [`HashJoiner::seal`] by value: the sealed joiner, ready to be probed.
+    pub fn into_stream(mut self, batch_rows: usize) -> Self {
+        self.seal(batch_rows);
+        self
+    }
+
+    /// Ships one unprobed partition, highest index first (the probe cursor
+    /// walks upward, so the highest one is the farthest from being reached —
+    /// the same take-from-the-back policy as `SharedQueue::steal_into`).
+    /// Partitions empty on either side are skipped: they produce nothing and
+    /// are cheaper discarded locally. Before the seal this is only sound once
+    /// no further input can arrive — a thief's steal request implies global
+    /// end-of-stream for both producers.
+    ///
+    /// The returned columns *keep* their memory-tracker charge: in-memory
+    /// bytes stay charged and spilled bytes are newly charged as they are
+    /// read back, so the charge travels with the partition and is only
+    /// released when the thief acknowledges adoption
+    /// (allocate-before-release, as in `SharedQueue::steal_into`).
+    pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
+        let unprobed = |&p: &usize| {
+            matches!(
+                self.states[p],
+                PartitionState::Building | PartitionState::Sealed
+            ) && side_has_rows(&self.left, p)
+                && side_has_rows(&self.right, p)
+        };
+        let Some(p) = (self.partition..NUM_PARTITIONS).rev().find(unprobed) else {
+            return Ok(None);
+        };
+        let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
+        self.states[p] = PartitionState::Shipped;
+        Ok(Some(taken))
+    }
+
+    /// Adopts a partition shipped from a peer; the sealed joiner probes it
+    /// after its own, and an exhausted one is revived by it. The caller has
+    /// already charged the columns' bytes to this machine's tracker (on
+    /// receipt, before the shipper releases its side —
+    /// allocate-before-release); the joiner releases them when the adopted
+    /// probe completes. Adoption before the seal is a
+    /// [`EngineError::Config`] error.
+    pub fn adopt_partition(&mut self, left: Columns, right: Columns) -> Result<()> {
+        if self.batch_rows.is_none() {
+            let message = "PUSH-JOIN adopted a partition before sealing";
+            return Err(EngineError::Config(message.into()));
+        }
+        self.adopted.push_back((left, right));
+        Ok(())
+    }
+
+    /// Flushes every in-memory, not-yet-loaded partition of both sides to
+    /// disk — the memory governor's spill actuator, in either phase. The
+    /// partition being probed stays resident (it is the working set); spilled
+    /// rows are re-loaded when the probe reaches their partition, so results
+    /// are unchanged and only the tracked resident bytes drop. Returns the
+    /// bytes released.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
         let dir = &self.spill_dir;
         let mut total = spill_side(&mut self.left, dir, "l", &mut self.spill_counter)?;
@@ -388,7 +478,8 @@ impl HashJoiner {
         Ok(total)
     }
 
-    /// Total bytes currently buffered in memory (both sides).
+    /// Bytes of not-yet-loaded partitions still resident in memory (both
+    /// sides).
     pub fn buffered_bytes(&self) -> u64 {
         self.left.buffered_bytes + self.right.buffered_bytes
     }
@@ -402,44 +493,217 @@ impl HashJoiner {
             .any(|p| p.spill_file.is_some())
     }
 
-    /// Seals both inputs and converts the joiner into a lazily-driven
-    /// [`JoinStream`]. Partitions are loaded one at a time as the stream is
-    /// polled, so the consumer controls the pace (and the memory).
-    pub fn into_stream(mut self, batch_rows: usize) -> JoinStream {
-        let left = std::mem::replace(&mut self.left, SideBuffer::new(0, Vec::new()));
-        let right = std::mem::replace(&mut self.right, SideBuffer::new(0, Vec::new()));
-        let spec = ProbeSpec::compile(&self.op, left.arity);
-        let sealed_or_shipped = |&shipped: &bool| match shipped {
-            true => PartitionState::Shipped,
-            false => PartitionState::Sealed,
-        };
-        JoinStream {
-            spec,
-            left,
-            right,
-            memory: self.memory.clone(),
-            batch_rows: batch_rows.max(1) as u64,
-            partition: 0,
-            current: None,
-            produced: 0,
-            tested: 0,
-            spill_dir: self.spill_dir.clone(),
-            spill_counter: self.spill_counter,
-            states: self.shipped.iter().map(sealed_or_shipped).collect(),
-            adopted: std::collections::VecDeque::new(),
-            cancel: None,
+    /// Installs the run's cancellation token: every probe poll checks it
+    /// first, so a cancel unwinds mid-probe (`Drop` balances charges and
+    /// spill files).
+    pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.cancel = Some(cancel);
+    }
+
+    /// Switches [`BatchOperator::poll_next`] to count-only mode: it drives
+    /// the same probe but only counts the joined rows ([`HashJoiner::counted`])
+    /// and emits no batches — the fast path for a join feeding a counting
+    /// sink.
+    pub fn set_count_only(&mut self, count_only: bool) {
+        self.count_only = count_only;
+    }
+
+    /// Joined rows emitted or counted so far.
+    pub fn produced(&self) -> u64 {
+        self.produced
+    }
+
+    /// The rows a count-only join counted: its [`HashJoiner::produced`], or 0
+    /// when it materialises them.
+    pub fn counted(&self) -> u64 {
+        if self.count_only {
+            self.produced
+        } else {
+            0
         }
+    }
+
+    /// Candidate pairs tested so far ([`HashJoiner::produced`] survived).
+    pub fn tested(&self) -> u64 {
+        self.tested
+    }
+
+    /// `true` once the joiner is sealed and every local and adopted partition
+    /// has been consumed.
+    pub fn is_exhausted(&self) -> bool {
+        self.current.is_none() && self.partition >= NUM_PARTITIONS && self.adopted.is_empty()
+    }
+
+    /// Produces the next output batch (at most the sealed batch size), or
+    /// `None` when the join is exhausted.
+    pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
+        // A block's pairs are all written before the rejected ones are cut.
+        let capacity = self.batch_rows.unwrap_or(0).min(64 * 1024) as usize + BLOCK;
+        let mut pairs = Vec::with_capacity(capacity);
+        let polled = self.poll_pairs(|probe, spec, budget| {
+            pairs.clear();
+            let walked = probe.walk(spec, budget, |left, first, mask| {
+                // Branch-free compaction: every pair is written, the cursor
+                // only moves past the ones that survived.
+                let mut len = pairs.len();
+                pairs.resize(len + mask.len(), (0, 0));
+                for (right, &keep) in (first..).zip(mask) {
+                    pairs[len] = (left, right);
+                    len += keep as usize;
+                }
+                pairs.truncate(len);
+            });
+            (walked, probe.gather(spec, &pairs))
+        })?;
+        Ok(polled.map(|(_, batch)| batch))
+    }
+
+    /// Counts the next batch of joined rows (at most the sealed batch size)
+    /// without materialising them, or returns `None` when the join is
+    /// exhausted. Every check [`HashJoiner::next_batch`] applies is applied
+    /// here too — it is the same pair generator with a sink that only counts.
+    pub fn count_batch(&mut self) -> Result<Option<u64>> {
+        let polled =
+            self.poll_pairs(|probe, spec, budget| (probe.walk(spec, budget, |_, _, _| {}), ()))?;
+        Ok(polled.map(|(matched, ())| matched))
+    }
+
+    /// One probe poll, shared by both sinks: checks for cancellation, then
+    /// runs `sink` over the resident partition — loading the next one and
+    /// retiring exhausted ones — until a walk yields surviving pairs.
+    /// Returns the pairs matched and the sink's output, or `None` when every
+    /// partition is consumed.
+    fn poll_pairs<T>(
+        &mut self,
+        mut sink: impl FnMut(&mut PartitionProbe, &ProbeSpec, u64) -> ((u64, u64, bool), T),
+    ) -> Result<Option<(u64, T)>> {
+        let Some(batch_rows) = self.batch_rows else {
+            let message = "PUSH-JOIN probed before sealing";
+            return Err(EngineError::Config(message.into()));
+        };
+        if let Some(cancel) = &self.cancel {
+            cancel.check()?;
+        }
+        loop {
+            if self.current.is_none() && !self.load_next_partition()? {
+                return Ok(None);
+            }
+            let probe = self.current.as_mut().expect("a partition is resident");
+            let ((tested, matched, exhausted), out) = sink(probe, &self.spec, batch_rows);
+            self.tested += tested;
+            if exhausted {
+                let probe = self.current.take().expect("a partition is resident");
+                self.memory.release(probe.loaded_bytes);
+                if let Some(p) = probe.index {
+                    self.states[p] = PartitionState::Done;
+                }
+            }
+            if matched > 0 {
+                self.produced += matched;
+                return Ok(Some((matched, out)));
+            }
+            // The partition produced nothing (no key overlap): move on.
+        }
+    }
+
+    /// Makes the next partition with rows on both sides resident, local
+    /// partitions first, then adopted (stolen) ones. Returns `false` when
+    /// none is left.
+    fn load_next_partition(&mut self) -> Result<bool> {
+        let (left, right, index) = loop {
+            if self.partition >= NUM_PARTITIONS {
+                // Adopted partitions' bytes were charged on receipt, not here.
+                let Some((left, right)) = self.adopted.pop_front() else {
+                    return Ok(false);
+                };
+                break (left, right, None);
+            }
+            let p = self.partition;
+            self.partition += 1;
+            if self.states[p] == PartitionState::Shipped {
+                // A thief owns this partition now.
+                continue;
+            }
+            if !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
+                // Nothing can pair: unlink both sides' buffers and spill
+                // files without reading them back.
+                discard_partition(&mut self.left, p, &self.memory);
+                discard_partition(&mut self.right, p, &self.memory);
+                self.states[p] = PartitionState::Done;
+                continue;
+            }
+            // Both sides come out charged, as an adopted partition arrives;
+            // the build below trades the right one for the kept columns.
+            let (_, left, right) =
+                take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
+            self.states[p] = PartitionState::Probing;
+            break (left, right, Some(p));
+        };
+        let probe = PartitionProbe::build(&self.spec, left, right, &self.memory, index);
+        self.current = Some(probe);
+        Ok(true)
     }
 }
 
 impl Drop for HashJoiner {
     fn drop(&mut self) {
-        // Balance the tracker if the joiner is dropped before streaming
-        // (spill files are removed by the partitions' own `Drop`).
+        // Balance the tracker for everything still buffered, loaded or
+        // adopted (spill files are removed by the partitions' own `Drop`).
+        let loaded = self.current.as_ref().map_or(0, |probe| probe.loaded_bytes);
+        let adopted = self
+            .adopted
+            .iter()
+            .map(|(l, r)| column_bytes(l) + column_bytes(r));
         self.memory
-            .release(self.left.buffered_bytes + self.right.buffered_bytes);
-        self.left.buffered_bytes = 0;
-        self.right.buffered_bytes = 0;
+            .release(self.buffered_bytes() + loaded + adopted.sum::<u64>());
+    }
+}
+
+impl BatchOperator for HashJoiner {
+    fn name(&self) -> &'static str {
+        "PUSH-JOIN"
+    }
+
+    fn output_arity(&self) -> usize {
+        self.spec.left_arity + self.spec.payload
+    }
+
+    fn push_input(&mut self, _input: ColBatch, _ctx: &OpContext<'_>) -> Result<()> {
+        Err(EngineError::Config(
+            "PUSH-JOIN is a binary operator: feed it through add(JoinSide, ..)".into(),
+        ))
+    }
+
+    /// Seals the join at the context's batch size.
+    fn finish_input(&mut self, ctx: &OpContext<'_>) -> Result<()> {
+        self.seal(ctx.batch_size);
+        Ok(())
+    }
+
+    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
+        if self.batch_rows.is_none() {
+            return Ok(OpPoll::Pending);
+        }
+        if self.count_only {
+            // Yield after every batch of pairs, like a materialising poll:
+            // the scheduler absorbs the inbox and ticks the governor.
+            return Ok(match self.count_batch()? {
+                Some(_) => OpPoll::Pending,
+                None => OpPoll::Exhausted,
+            });
+        }
+        Ok(match self.next_batch()? {
+            Some(batch) => {
+                let stats = ctx.rpc.stats();
+                stats
+                    .machine(ctx.machine)
+                    .record_col_bytes(batch.byte_size());
+                OpPoll::Ready(batch)
+            }
+            // An exhausted join stays alive: a partition adopted from a
+            // peer revives it.
+            None => OpPoll::Exhausted,
+        })
     }
 }
 
@@ -458,7 +722,7 @@ const LANES: usize = 8;
 /// Left-row values one injectivity pass compares a column against.
 const BOUND_LANES: usize = 4;
 
-/// The pair predicate of one join, compiled when the join seals: which right
+/// The pair predicate of one join, compiled with its joiner: which right
 /// columns the probe keeps and what each is tested against. Positions of the
 /// (virtual) joined row below `left_arity` are left-row columns, the rest are
 /// right payload columns in output order.
@@ -813,241 +1077,6 @@ fn pass(mask: &mut [u32], values: &[VertexId], keep: impl Fn(VertexId) -> bool) 
     }
 }
 
-/// A partition shipped from a peer, queued for probing. Its columns' bytes
-/// were charged to this machine's tracker on receipt; the stream releases
-/// them when the probe completes (or on `Drop`).
-struct AdoptedPartition {
-    left: Vec<Vec<VertexId>>,
-    right: Vec<Vec<VertexId>>,
-}
-
-/// The sealed join, driven lazily one batch of pairs at a time.
-///
-/// At any moment at most one Grace partition is resident in memory; spill
-/// files are deleted as their partitions are consumed (and by `Drop` if the
-/// stream is abandoned early).
-pub struct JoinStream {
-    spec: ProbeSpec,
-    left: SideBuffer,
-    right: SideBuffer,
-    memory: MemoryTrackerHandle,
-    batch_rows: u64,
-    partition: usize,
-    current: Option<PartitionProbe>,
-    produced: u64,
-    /// Candidate pairs tested so far (`produced` of them survived).
-    tested: u64,
-    spill_dir: PathBuf,
-    spill_counter: usize,
-    /// Lifecycle of each local Grace partition.
-    states: Vec<PartitionState>,
-    /// Partitions adopted from peers, probed after the local ones.
-    adopted: std::collections::VecDeque<AdoptedPartition>,
-    /// The run's cancellation token, polled per batch of pairs so a cancel
-    /// lands mid-probe instead of after the whole join drains.
-    cancel: Option<crate::cancel::CancelToken>,
-}
-
-impl JoinStream {
-    /// Joined rows emitted or counted so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// Candidate pairs tested so far ([`JoinStream::produced`] survived).
-    pub fn tested(&self) -> u64 {
-        self.tested
-    }
-
-    /// `true` once every local partition and every adopted partition has
-    /// been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.current.is_none() && self.partition >= NUM_PARTITIONS && self.adopted.is_empty()
-    }
-
-    /// Lifecycle states of the local Grace partitions.
-    pub fn partition_states(&self) -> &[PartitionState] {
-        &self.states
-    }
-
-    /// Ships one sealed-but-unprobed partition, highest index first (the
-    /// probe cursor walks upward, so the highest sealed partition is the
-    /// farthest from being reached — the same take-from-the-back policy as
-    /// `SharedQueue::steal_into`). Partitions empty on either side are
-    /// skipped. The columns keep their tracker charge; see
-    /// [`HashJoiner::take_unprobed_partition`] for the hand-off discipline.
-    pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
-        for p in (self.partition..NUM_PARTITIONS).rev() {
-            if self.states[p] != PartitionState::Sealed
-                || !side_has_rows(&self.left, p)
-                || !side_has_rows(&self.right, p)
-            {
-                continue;
-            }
-            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
-            self.states[p] = PartitionState::Shipped;
-            return Ok(Some(taken));
-        }
-        Ok(None)
-    }
-
-    /// Adopts a partition shipped from a peer. The caller has already
-    /// charged the partition's bytes to this machine's tracker (on receipt,
-    /// before the shipper releases its side — allocate-before-release); the
-    /// stream releases the charge when the adopted probe completes.
-    pub fn adopt_partition(&mut self, left: Vec<Vec<VertexId>>, right: Vec<Vec<VertexId>>) {
-        self.adopted.push_back(AdoptedPartition { left, right });
-    }
-
-    /// Bytes of not-yet-loaded partitions still resident in memory.
-    pub fn buffered_bytes(&self) -> u64 {
-        self.left.buffered_bytes + self.right.buffered_bytes
-    }
-
-    /// Flushes every not-yet-loaded in-memory partition to disk — the memory
-    /// governor's spill actuator on a *sealed* join. The partition currently
-    /// being probed stays resident (it is the working set); the stream
-    /// lazily re-loads spilled partitions exactly as it loads
-    /// naturally-spilled ones. Returns the bytes released.
-    pub fn spill_to_disk(&mut self) -> Result<u64> {
-        let dir = &self.spill_dir;
-        let mut total = spill_side(&mut self.left, dir, "l", &mut self.spill_counter)?;
-        total += spill_side(&mut self.right, dir, "r", &mut self.spill_counter)?;
-        self.memory.release(total);
-        Ok(total)
-    }
-
-    /// Installs the run's cancellation token: every poll of the stream
-    /// checks it first, so a cancel unwinds mid-probe (the stream's `Drop`
-    /// balances charges and spill files).
-    pub fn set_cancel(&mut self, cancel: crate::cancel::CancelToken) {
-        self.cancel = Some(cancel);
-    }
-
-    /// Produces the next output batch (at most `batch_rows` rows), or `None`
-    /// when the join is exhausted.
-    pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
-        // A block's pairs are all written before the rejected ones are cut.
-        let mut pairs = Vec::with_capacity(self.batch_rows.min(64 * 1024) as usize + BLOCK);
-        let polled = self.poll_pairs(|probe, spec, budget| {
-            pairs.clear();
-            let walked = probe.walk(spec, budget, |left, first, mask| {
-                // Branch-free compaction: every pair is written, the cursor
-                // only moves past the ones that survived.
-                let mut len = pairs.len();
-                pairs.resize(len + mask.len(), (0, 0));
-                for (right, &keep) in (first..).zip(mask) {
-                    pairs[len] = (left, right);
-                    len += keep as usize;
-                }
-                pairs.truncate(len);
-            });
-            (walked, probe.gather(spec, &pairs))
-        })?;
-        Ok(polled.map(|(_, batch)| batch))
-    }
-
-    /// Counts the next batch of joined rows (at most `batch_rows`) without
-    /// materialising them, or returns `None` when the join is exhausted.
-    /// Every check [`JoinStream::next_batch`] applies is applied here too —
-    /// it is the same pair generator with a sink that only counts.
-    pub fn count_batch(&mut self) -> Result<Option<u64>> {
-        let polled =
-            self.poll_pairs(|probe, spec, budget| (probe.walk(spec, budget, |_, _, _| {}), ()))?;
-        Ok(polled.map(|(matched, ())| matched))
-    }
-
-    /// One poll of the stream, shared by both sinks: checks for cancellation,
-    /// then runs `sink` over the resident partition — loading the next one
-    /// and retiring exhausted ones — until a walk yields surviving pairs.
-    /// Returns the pairs matched and the sink's output, or `None` when every
-    /// partition is consumed.
-    fn poll_pairs<T>(
-        &mut self,
-        mut sink: impl FnMut(&mut PartitionProbe, &ProbeSpec, u64) -> ((u64, u64, bool), T),
-    ) -> Result<Option<(u64, T)>> {
-        if let Some(cancel) = &self.cancel {
-            cancel.check()?;
-        }
-        loop {
-            if self.current.is_none() && !self.load_next_partition()? {
-                return Ok(None);
-            }
-            let probe = self.current.as_mut().expect("a partition is resident");
-            let ((tested, matched, exhausted), out) = sink(probe, &self.spec, self.batch_rows);
-            self.tested += tested;
-            if exhausted {
-                let probe = self.current.take().expect("a partition is resident");
-                self.memory.release(probe.loaded_bytes);
-                if let Some(p) = probe.index {
-                    self.states[p] = PartitionState::Done;
-                }
-            }
-            if matched > 0 {
-                self.produced += matched;
-                return Ok(Some((matched, out)));
-            }
-            // The partition produced nothing (no key overlap): move on.
-        }
-    }
-
-    /// Makes the next partition with rows on both sides resident, local
-    /// partitions first, then adopted (stolen) ones. Returns `false` when
-    /// none is left.
-    fn load_next_partition(&mut self) -> Result<bool> {
-        let (left, right, index) = loop {
-            if self.partition >= NUM_PARTITIONS {
-                // Adopted partitions' bytes were charged on receipt, not here.
-                let Some(a) = self.adopted.pop_front() else {
-                    return Ok(false);
-                };
-                break (a.left, a.right, None);
-            }
-            let p = self.partition;
-            self.partition += 1;
-            if self.states[p] == PartitionState::Shipped {
-                // A thief owns this partition now.
-                continue;
-            }
-            if !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
-                // Nothing can pair: unlink both sides' buffers and spill
-                // files without reading them back.
-                discard_partition(&mut self.left, p, &self.memory);
-                discard_partition(&mut self.right, p, &self.memory);
-                self.states[p] = PartitionState::Done;
-                continue;
-            }
-            // Both sides come out charged, as an adopted partition arrives;
-            // the build below trades the right one for the kept columns.
-            let (_, left, right) =
-                take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
-            self.states[p] = PartitionState::Probing;
-            break (left, right, Some(p));
-        };
-        let probe = PartitionProbe::build(&self.spec, left, right, &self.memory, index);
-        self.current = Some(probe);
-        Ok(true)
-    }
-}
-
-impl Drop for JoinStream {
-    fn drop(&mut self) {
-        // Balance the tracker for anything still buffered or loaded (spill
-        // files are removed by the partitions' own `Drop`).
-        self.memory
-            .release(self.left.buffered_bytes + self.right.buffered_bytes);
-        self.left.buffered_bytes = 0;
-        self.right.buffered_bytes = 0;
-        if let Some(probe) = self.current.take() {
-            self.memory.release(probe.loaded_bytes);
-        }
-        for adopted in self.adopted.drain(..) {
-            self.memory
-                .release(column_bytes(&adopted.left) + column_bytes(&adopted.right));
-        }
-    }
-}
-
 /// Values a spill file moves at a time: the one fixed buffer (64 KiB) a spill
 /// or a reload holds beside the columns themselves.
 const SPILL_PIECE: usize = 16 * 1024;
@@ -1260,15 +1289,20 @@ mod tests {
         }
     }
 
-    /// Drains a stream through the materialising sink: the joined rows in
-    /// emission order.
-    fn drain(mut stream: JoinStream) -> Vec<Vec<u32>> {
-        let mut rows = Vec::new();
-        while let Some(batch) = stream.next_batch().unwrap() {
+    /// Drains a sealed joiner through the materialising sink: the joined rows
+    /// in emission order.
+    fn drain(mut joiner: HashJoiner) -> Vec<Vec<u32>> {
+        let rows = drain_into(&mut joiner, Vec::new());
+        assert_eq!(joiner.produced(), rows.len() as u64);
+        rows
+    }
+
+    /// Appends the rows `joiner` has left to `rows`, leaving it exhausted.
+    fn drain_into(joiner: &mut HashJoiner, mut rows: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+        while let Some(batch) = joiner.next_batch().unwrap() {
             rows.extend(batch.to_rows().rows().map(|r| r.to_vec()));
         }
-        assert_eq!(stream.produced(), rows.len() as u64);
-        assert!(stream.is_exhausted());
+        assert!(joiner.is_exhausted());
         rows
     }
 
@@ -1592,9 +1626,10 @@ mod tests {
 
     #[test]
     fn shipped_partitions_join_to_the_same_rows_elsewhere() {
-        // Splitting a join between a shipper stream and an adopter stream
-        // produces exactly the rows of the unsplit join, and the memory
-        // charge that travels with the shipped partitions balances out.
+        // Splitting a join between a shipper and an adopter produces exactly
+        // the rows of the unsplit join, whether a partition ships before the
+        // seal or mid-probe, and the memory charge that travels with the
+        // shipped partitions balances out.
         let n = 800u32;
         let left: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 10_000]).collect();
         let right: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 20_000]).collect();
@@ -1618,34 +1653,48 @@ mod tests {
         };
         let mut reference_rows = drain(build(false).into_stream(128));
 
-        let mut shipper = build(true).into_stream(128);
-        // An "adopter" on the same tracker: an empty build of the same op.
-        let adopter_joiner = HashJoiner::new(
+        let mut shipper = build(true);
+        let mut shipped = Vec::new();
+        let mut ship = |joiner: &mut HashJoiner| {
+            let (p, l, r) = joiner.take_unprobed_partition().unwrap().expect("a ship");
+            assert_eq!(joiner.states[p], PartitionState::Shipped);
+            shipped.push((l, r));
+        };
+        // Before the seal: the rest keep building, then all of it seals.
+        ship(&mut shipper);
+        let building = shipper
+            .states
+            .iter()
+            .filter(|&&s| s == PartitionState::Building);
+        assert_eq!(building.count(), NUM_PARTITIONS - 1);
+        shipper.seal(16);
+        assert!(!shipper.states.contains(&PartitionState::Building));
+        // Mid-probe: one batch out of a partition, one more partition away.
+        let first = shipper.next_batch().unwrap().expect("local rows");
+        assert!(shipper.states.contains(&PartitionState::Probing));
+        ship(&mut shipper);
+        let mut split_rows = first.to_rows().rows().map(|r| r.to_vec()).collect();
+        split_rows = drain_into(&mut shipper, split_rows);
+        // Exhausted: nothing is left to ship.
+        assert!(shipper.take_unprobed_partition().unwrap().is_none());
+
+        // An adopter on the same tracker: an empty build of the same op,
+        // sealed and exhausted before the ships land — they revive it.
+        let mut adopter = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
             spill_dir(),
             MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
-        );
-        let mut adopter = adopter_joiner.into_stream(128);
-        let mut shipped = 0;
-        while let Some((p, l, r)) = shipper.take_unprobed_partition().unwrap() {
-            assert_eq!(shipper.partition_states()[p], PartitionState::Shipped);
-            adopter.adopt_partition(l, r);
-            shipped += 1;
-            if shipped == 2 {
-                break;
-            }
+        )
+        .into_stream(128);
+        assert!(adopter.next_batch().unwrap().is_none() && adopter.is_exhausted());
+        for (l, r) in shipped {
+            adopter.adopt_partition(l, r).unwrap();
         }
-        assert_eq!(shipped, 2);
-        let mut split_rows: Vec<Vec<u32>> = Vec::new();
-        for stream in [&mut shipper, &mut adopter] {
-            while let Some(b) = stream.next_batch().unwrap() {
-                split_rows.extend(b.to_rows().rows().map(|r| r.to_vec()));
-            }
-            assert!(stream.is_exhausted());
-        }
+        assert!(!adopter.is_exhausted());
+        split_rows = drain_into(&mut adopter, split_rows);
         reference_rows.sort();
         split_rows.sort();
         assert_eq!(split_rows, reference_rows);

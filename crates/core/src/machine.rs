@@ -5,9 +5,11 @@
 //!
 //! The runtime is *pipelined* at two levels. Inside a segment, join inputs
 //! shuffled during a producing segment are absorbed into pre-instantiated
-//! [`PushJoin`] operators as they arrive ([`MachineState::absorb_inbox`]), so
+//! [`HashJoiner`]s as they arrive ([`MachineState::absorb_inbox`]), so
 //! shuffle and build phases overlap and the bounded router inboxes never need
-//! to hold a segment's whole output. Across segments
+//! to hold a segment's whole output. Each join lives in one map for the whole
+//! run — built there, sealed and probed there by its segment's chain, and
+//! dropped when the segment completes. Across segments
 //! ([`MachineState::run_all`]), each machine thread is spawned once per run
 //! and picks the next segment by readiness (see
 //! [`crate::scheduler::RunShared`]), so a fast machine moves on to the next
@@ -20,10 +22,12 @@
 //!
 //! Join skew is handled by **cross-machine Grace partition stealing** over
 //! the router's control plane: a machine that drained its own build requests
-//! sealed-but-unprobed partitions from busy peers (see
-//! [`MachineState::steal_join_once`]).
+//! unprobed partitions from busy peers (see
+//! [`MachineState::steal_join_once`]). A victim answers each request the
+//! moment its inbox yields it, from whichever join the request names and
+//! whatever that join's phase ([`MachineState::answer_steal_request`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -39,14 +43,14 @@ use std::sync::Arc;
 use crate::cancel::CancelToken;
 use crate::config::{ClusterConfig, Fault, PanicPoint, SinkMode};
 use crate::exec::{
-    partition_cols_by_key, BatchOperator, OpContext, OpPoll, PullExtend, PushJoin, ScanSource,
+    partition_cols_by_key, BatchOperator, OpContext, OpPoll, PullExtend, ScanSource,
 };
 use crate::governor::{MemoryGovernor, PressureLevel};
-use crate::join::{column_bytes, JoinSide, MemoryTrackerHandle, TakenPartition};
+use crate::join::{column_bytes, HashJoiner, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
-use crate::scheduler::{RunShared, SegmentShared};
+use crate::scheduler::{RunShared, SegmentQueues, SegmentShared};
 use crate::{EngineError, Result};
 
 /// How long a machine parks on the router before re-checking conditions that
@@ -119,31 +123,11 @@ impl Drop for AbortOnPanic<'_> {
 
 /// The input feeding a segment's operator chain.
 enum ChainSource {
-    /// A join segment's `PUSH-JOIN`, polled lazily partition by partition
-    /// (boxed: the joiner's partition buffers dwarf the scan cursor).
-    Join(Box<PushJoin>),
+    /// A join segment's `PUSH-JOIN` — the segment's entry in
+    /// `MachineState::joins` — polled lazily partition by partition.
+    Join,
     /// A scan segment's (stealable) cursor.
     Scan(ScanSource),
-}
-
-impl ChainSource {
-    fn has_more(&self) -> bool {
-        match self {
-            ChainSource::Scan(s) => s.has_more(),
-            ChainSource::Join(j) => j.has_more(),
-        }
-    }
-
-    fn poll(&mut self, ctx: &OpContext<'_>) -> Result<Option<ColBatch>> {
-        let poll = match self {
-            ChainSource::Scan(s) => s.poll_next(ctx)?,
-            ChainSource::Join(j) => j.poll_next(ctx)?,
-        };
-        Ok(match poll {
-            OpPoll::Ready(batch) => Some(batch),
-            OpPoll::Pending | OpPoll::Exhausted => None,
-        })
-    }
 }
 
 /// One segment's instantiated operator chain on one machine. A chain
@@ -168,9 +152,9 @@ enum SegmentState {
 /// The thief-side state of cross-machine Grace partition stealing for one
 /// join segment. The invariants the all-idle termination gate relies on:
 /// a machine never advertises idleness on a join segment while it has a
-/// request outstanding (`outstanding`) or an adopted partition waiting
-/// (`adopted`), and a victim answers *every* request with a ship or a nack,
-/// so `outstanding` always resolves.
+/// request outstanding (`outstanding`) or an adopted partition unprobed in
+/// its join, and a victim answers *every* request with a ship or a nack, so
+/// `outstanding` always resolves.
 #[derive(Default)]
 struct JoinSteal {
     /// A `StealRequest` is in flight and neither a ship nor a nack has
@@ -182,10 +166,6 @@ struct JoinSteal {
     /// is sent), so the marks only reset when an adoption proves work still
     /// exists.
     tried: Vec<bool>,
-    /// Shipped partitions accepted but not yet attached to the local
-    /// `JoinStream`, each charged to this machine's tracker for the bytes its
-    /// columns hold.
-    adopted: VecDeque<TakenPartition>,
 }
 
 /// The outcome of one stealing attempt on a draining segment.
@@ -243,15 +223,15 @@ pub struct MachineState {
     /// machine thread that witnessed them (the governor itself is passive —
     /// it has no thread, hence no single-writer ring of its own).
     last_level: PressureLevel,
-    /// Pre-instantiated joiners for every `PUSH-JOIN` segment of the current
-    /// run, keyed by the join segment's id. Shuffled inputs stream into them
-    /// as they arrive (replacing the old consumer-side envelope stash).
-    pending_joins: HashMap<usize, PushJoin>,
+    /// The joiner of every `PUSH-JOIN` segment of the current run, keyed by
+    /// the join segment's id, from its first shuffled input to its segment's
+    /// completion: shuffled inputs stream into it as they arrive, the
+    /// segment's chain seals and probes it in place, and steal requests are
+    /// answered from it in any phase.
+    joins: HashMap<usize, HashJoiner>,
     /// Routing table for inbound envelopes: producing segment id → (join
     /// segment id, side of the join it feeds).
     join_feeds: HashMap<usize, (usize, JoinSide)>,
-    /// Steal requests received but not yet answered, per join segment.
-    steal_requests: HashMap<usize, VecDeque<MachineId>>,
     /// Thief-side partition-stealing state, per join segment.
     join_ctl: HashMap<usize, JoinSteal>,
     /// Bytes of shipped partitions this machine still holds charged while
@@ -302,9 +282,8 @@ impl MachineState {
             batches_stolen: 0,
             trace: TraceBuf::disabled(),
             last_level: PressureLevel::Green,
-            pending_joins: HashMap::new(),
+            joins: HashMap::new(),
             join_feeds: HashMap::new(),
-            steal_requests: HashMap::new(),
             join_ctl: HashMap::new(),
             pending_ship_bytes: 0,
             cancel: CancelToken::new(),
@@ -312,7 +291,7 @@ impl MachineState {
         }
     }
 
-    /// Prepares a run: instantiates one [`PushJoin`] per join segment and
+    /// Prepares a run: instantiates one [`HashJoiner`] per join segment and
     /// the envelope routing table, so inbound shuffle data can be absorbed
     /// the moment it arrives — during the *producing* segment. `trace` is
     /// this machine's flight-recorder track, minted by the cluster's
@@ -331,19 +310,18 @@ impl MachineState {
                     .insert(op.left, (plan.segment.id, JoinSide::Left));
                 self.join_feeds
                     .insert(op.right, (plan.segment.id, JoinSide::Right));
-                let mut join = PushJoin::new(
+                let mut join = HashJoiner::new(
                     op.clone(),
                     left_arity,
                     right_arity,
                     self.config.join_buffer_bytes,
                     self.spill_dir.join(format!("seg-{}", plan.segment.id)),
                     MemoryTrackerHandle::Tracked(Arc::clone(&self.memory)),
-                    self.config.batch_size,
                 );
-                // A cancelled probe must stop between batches, so the join's
-                // eventual stream polls the run token too.
+                // A cancelled probe must stop between batches, so the join
+                // polls the run token too.
                 join.set_cancel(self.cancel.clone());
-                self.pending_joins.insert(plan.segment.id, join);
+                self.joins.insert(plan.segment.id, join);
             }
         }
     }
@@ -351,14 +329,14 @@ impl MachineState {
     /// Tears down this machine's per-run state after its thread has joined,
     /// whatever the run's outcome: drains the router inbox (releasing the
     /// byte charges queued envelopes hold), balances the skew-protocol
-    /// charges, and drops any unfinished `PUSH-JOIN` builds — their `Drop`
-    /// impls release buffered bytes and delete spill files. After this sweep
-    /// a non-leaky run leaves the memory trackers at zero.
+    /// charges, and drops any unfinished `PUSH-JOIN` — its `Drop` releases
+    /// buffered, loaded and adopted bytes and deletes spill files. After this
+    /// sweep a non-leaky run leaves the memory trackers at zero.
     pub fn finish_run(&mut self) {
         while self.router.try_recv().is_some() {}
         while self.router.try_recv_control().is_some() {}
         self.reclaim_skew_state();
-        self.pending_joins.clear();
+        self.joins.clear();
     }
 
     /// Produces the per-machine report after a run.
@@ -385,23 +363,11 @@ impl MachineState {
             .effective_batch_size(self.machine, self.config.batch_size)
     }
 
-    fn op_context(&self) -> OpContext<'_> {
-        OpContext {
-            machine: self.machine,
-            partition: &self.partition,
-            rpc: &self.rpc,
-            cache: self.cache.as_ref(),
-            use_cache: !self.config.disable_cache,
-            pool: &self.pool,
-            batch_size: self.effective_batch_size(),
-        }
-    }
-
     /// Re-evaluates memory pressure and fires the actuators that need
-    /// machine-local state: under Red pressure the pending `PUSH-JOIN`
-    /// builds flush their Grace partitions to disk (sealed streams are
-    /// spilled by [`MachineState::run_chain`], which owns them). Returns the
-    /// current level so callers can tighten their own scheduling.
+    /// machine-local state: under Red pressure every `PUSH-JOIN` of the run,
+    /// building or probing, flushes its unprobed Grace partitions to disk.
+    /// Returns the current level so callers can tighten their own
+    /// scheduling.
     fn governor_tick(&mut self) -> Result<PressureLevel> {
         let level = self.governor.tick(self.machine);
         if level != self.last_level {
@@ -417,7 +383,7 @@ impl MachineState {
         }
         if level == PressureLevel::Red {
             let mut spilled = 0u64;
-            for join in self.pending_joins.values_mut() {
+            for join in self.joins.values_mut() {
                 if join.buffered_bytes() >= SPILL_WATERMARK_BYTES {
                     spilled += join.spill_to_disk()?;
                 }
@@ -434,61 +400,66 @@ impl MachineState {
     /// during chain execution, while waiting for space on a full destination
     /// inbox, and whenever the dataflow scheduler has nothing runnable.
     ///
-    /// Data envelopes are always drained *before* control envelopes: a
-    /// `StealRequest` implies the sender observed the join's input globally
-    /// complete, so servicing it after the data drain guarantees every row
-    /// of the requested partitions is already in the local build.
+    /// Every control envelope is handled only after a data drain that
+    /// started once it had been popped: a `StealRequest` implies the sender
+    /// observed the join's input globally complete, so every row of the
+    /// requested partitions was in the inbox before the request was — and
+    /// is in the local build before the request is answered. (Draining data
+    /// only once, ahead of the control queue, would let a request that lands
+    /// just after that drain ship a partition whose last rows are still
+    /// queued; they would arrive at a shipped partition and be lost.)
     fn absorb_inbox(&mut self) -> Result<()> {
         // Service the fault-injection link first (a no-op unless a test
         // armed one): retransmit due drops and open due gates, so inbound
         // data below includes recovered envelopes. Exhausted retries surface
         // as a typed transport failure.
         self.router.pump_link().map_err(EngineError::Transport)?;
-        while let Some(env) = self.router.try_recv() {
-            let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
-                EngineError::Config(format!(
-                    "machine {} received an envelope for unknown segment {}",
-                    self.machine, env.segment
-                ))
-            })?;
-            let join = self.pending_joins.get_mut(&join_id).ok_or_else(|| {
-                EngineError::Config(format!(
-                    "machine {} received input for already-finished join segment {join_id}",
-                    self.machine
-                ))
-            })?;
-            join.push_side(side, &env.batch)?;
+        loop {
+            let ctl = self.router.try_recv_control();
+            while let Some(env) = self.router.try_recv() {
+                let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
+                    EngineError::Config(format!(
+                        "machine {} received an envelope for unknown segment {}",
+                        self.machine, env.segment
+                    ))
+                })?;
+                join_of(&mut self.joins, join_id)?.add(side, &env.batch)?;
+            }
+            match ctl {
+                Some(ctl) => self.handle_control(ctl.from, ctl.msg)?,
+                None => return Ok(()),
+            }
         }
-        while let Some(ctl) = self.router.try_recv_control() {
-            self.handle_control(ctl.from, ctl.msg);
-        }
-        Ok(())
     }
 
     /// Routes one control envelope of the skew-handling protocol.
-    fn handle_control(&mut self, from: MachineId, msg: ControlMsg) {
+    fn handle_control(&mut self, from: MachineId, msg: ControlMsg) -> Result<()> {
         match msg {
-            ControlMsg::StealRequest { segment } => {
-                // Stash it; requests are answered from the points that own
-                // the join (pending build, active chain, or draining chain).
-                self.steal_requests
-                    .entry(segment)
-                    .or_default()
-                    .push_back(from);
-            }
+            ControlMsg::StealRequest { segment } => self.answer_steal_request(from, segment)?,
             ControlMsg::PartitionShip {
                 segment,
-                partition,
+                partition: _,
                 bytes,
                 left,
                 right,
             } => {
-                // Allocate on the thief *before* acking (the victim releases
-                // only on the ack), preserving the steal-accounting parity.
+                // A thief only asks while its join is sealed and draining,
+                // and the segment cannot complete under an outstanding
+                // request, so the join is there to adopt the partition; the
+                // next steal attempt probes it. The charge lands *before*
+                // the ack (the victim releases only on the ack), preserving
+                // the steal-accounting parity.
+                join_of(&mut self.joins, segment)?.adopt_partition(left, right)?;
                 self.memory.allocate(bytes);
+                // The adoption proves peers still had shippable work.
                 let ctl = self.join_ctl.entry(segment).or_default();
                 ctl.outstanding = false;
-                ctl.adopted.push_back((partition, left, right));
+                ctl.tried.clear();
+                self.join_stats.partitions_stolen += 1;
+                self.trace.instant_kv(
+                    "adopt_partition",
+                    kv2("segment", segment as u64, "bytes", bytes),
+                );
                 self.router
                     .send_control(from, ControlMsg::ShipAck { segment, bytes });
             }
@@ -504,6 +475,7 @@ impl MachineState {
                 self.governor.record_shipped(self.machine, bytes);
             }
         }
+        Ok(())
     }
 
     /// Pushes one shuffle batch with backpressure: while the destination
@@ -564,8 +536,8 @@ impl MachineState {
     /// Fires the configured chaos fault if it targets this machine/segment.
     ///
     /// An injected `Delay` stalls this machine's *chain*, not its control
-    /// plane: the sleep is taken in short slices with the inbox absorbed and
-    /// queued steal requests answered in between — the way a real
+    /// plane: the sleep is taken in short slices with the inbox absorbed —
+    /// steal requests answered with it — in between, the way a real
     /// straggler's runtime keeps servicing network traffic while its compute
     /// lags. That responsiveness is what lets idle peers steal a stalled
     /// machine's sealed Grace partitions *during* the stall instead of
@@ -592,7 +564,6 @@ impl MachineState {
                         // the stall short instead of waiting it out.
                         self.cancel.check()?;
                         self.absorb_inbox()?;
-                        self.service_pending_join_steals()?;
                         let now = Instant::now();
                         if now >= deadline {
                             break;
@@ -646,7 +617,8 @@ impl MachineState {
     /// Instantiates a segment's operator chain from the shared execution
     /// substrate. For join segments the producers are globally done (the
     /// readiness policy guarantees it), so any final envelopes still queued
-    /// are absorbed and the build sealed.
+    /// are absorbed and the join sealed in place — at the configured batch
+    /// size, not the governor-capped one the scan takes.
     fn build_chain(
         &mut self,
         plan: &SegmentPlan,
@@ -680,23 +652,18 @@ impl MachineState {
             )),
             SegmentSource::Join(_) => {
                 self.absorb_inbox()?;
-                let mut join = self.pending_joins.remove(&plan.segment.id).ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "join segment {} was not prepared",
-                        plan.segment.id
-                    ))
-                })?;
+                let join = join_of(&mut self.joins, plan.segment.id)?;
                 join.set_count_only(count_only && extends.is_empty());
-                let ctx = self.op_context();
-                join.finish_input(&ctx)?;
-                ChainSource::Join(Box::new(join))
+                join.seal(self.config.batch_size);
+                ChainSource::Join
             }
         };
         Ok(SegmentChain { source, extends })
     }
 
-    /// Harvests a finished chain's timings and counters and stamps the
-    /// segment's completion time.
+    /// Harvests a finished chain's timings and counters — dropping a join
+    /// segment's joiner, which is done — and stamps the segment's completion
+    /// time.
     fn finish_chain(&mut self, idx: usize, chain: &mut SegmentChain) {
         for ext in &mut chain.extends {
             let (fetch, busy) = ext.take_timings();
@@ -708,11 +675,11 @@ impl MachineState {
             }
             self.matches += ext.take_count();
         }
-        if let ChainSource::Join(join) = &mut chain.source {
-            self.matches += join.take_count();
-            let (pairs, matches) = join.probe_stats();
-            self.join_stats.probe_pairs += pairs;
-            self.join_stats.probe_matches += matches;
+        // Only a join segment has a joiner (segment ids are plan indices).
+        if let Some(join) = self.joins.remove(&idx) {
+            self.matches += join.counted();
+            self.join_stats.probe_pairs += join.tested();
+            self.join_stats.probe_matches += join.produced();
         }
         // Completion stamps over the start mark if the chain was built
         // without ever noting a start (the aggregate clamps end >= start).
@@ -816,10 +783,9 @@ impl MachineState {
             if run.is_aborted() {
                 return Err(EngineError::Aborted("a peer machine failed".into()));
             }
-            // Keep the streaming shuffle flowing whatever segment runs next,
-            // and answer thieves queued on joins this machine has not started.
+            // Keep the streaming shuffle flowing (and thieves answered)
+            // whatever segment runs next.
             self.absorb_inbox()?;
-            self.service_pending_join_steals()?;
             // Under Red pressure the DFS bias tightens into strict DFS:
             // *only* the deepest non-done segment may run, so the machine
             // drains partials towards the sink instead of starting shallower
@@ -857,7 +823,7 @@ impl MachineState {
                     SegmentState::Draining(chain) => {
                         let outcome = match chain.source {
                             ChainSource::Scan(_) => self.steal_once(chain, plan, seg, run, sink)?,
-                            ChainSource::Join(_) => {
+                            ChainSource::Join => {
                                 self.steal_join_once(chain, plan, seg, run, sink)?
                             }
                         };
@@ -943,7 +909,7 @@ impl MachineState {
         run: &RunShared,
         sink: SinkMode,
     ) -> Result<()> {
-        if matches!(chain.source, ChainSource::Join(_)) {
+        if matches!(chain.source, ChainSource::Join) {
             self.maybe_panic_at(plan.segment.id, PanicPoint::Probe);
         }
         let queues = Arc::clone(&seg.queues[self.machine]);
@@ -960,35 +926,19 @@ impl MachineState {
             // scheduling step bounds how long a cancel can go unobserved.
             run.check_cancel()?;
             // Keep the streaming shuffle flowing: route anything that peers
-            // pushed at us into its pending joiner before scheduling.
+            // pushed at us into its joiner before scheduling, and answer
+            // thieves without waiting for the chain to finish (a long probe
+            // must not starve an idle peer).
             if self.router.has_data() {
                 let start = Instant::now();
                 self.absorb_inbox()?;
                 self.trace
                     .op_add_busy(segment, absorb_slot, start.elapsed());
             }
-            // Answer thieves without waiting for the chain to finish — both
-            // for the join this chain is probing and for joins still pending
-            // (a long probe must not starve an idle peer).
-            if !self.steal_requests.is_empty() {
-                if let ChainSource::Join(join) = &mut chain.source {
-                    self.service_active_join_steals(segment, join)?;
-                }
-                self.service_pending_join_steals()?;
-            }
-            // Re-evaluate memory pressure every scheduling step; under Red
-            // the chain's own sealed join (if any) spills its not-yet-probed
-            // partitions too (`governor_tick` handles the pending builds).
-            if self.governor_tick()? == PressureLevel::Red {
-                if let ChainSource::Join(join) = &mut chain.source {
-                    if join.buffered_bytes() >= SPILL_WATERMARK_BYTES {
-                        let spilled = join.spill_to_disk()?;
-                        self.governor.record_spill(self.machine, spilled);
-                    }
-                }
-            }
+            // Re-evaluate memory pressure every scheduling step.
+            self.governor_tick()?;
             let has_input = match current {
-                0 => chain.source.has_more(),
+                0 => self.source_has_more(&chain.source, segment),
                 i if i == terminal_idx => !queues.queue(num_extends).is_empty(),
                 i => !queues.queue(i - 1).is_empty(),
             };
@@ -1004,7 +954,7 @@ impl MachineState {
                 // Backtrack only while some upstream operator still has work;
                 // otherwise keep moving towards the terminal (and stop at the
                 // terminal once the whole chain has drained).
-                let upstream_has_work = chain.source.has_more()
+                let upstream_has_work = self.source_has_more(&chain.source, segment)
                     || (0..current.saturating_sub(1)).any(|i| !queues.queue(i).is_empty());
                 if upstream_has_work {
                     current -= 1;
@@ -1028,23 +978,7 @@ impl MachineState {
             // fills or the input drains (Algorithm 5 lines 6-9).
             loop {
                 let start = Instant::now();
-                let produced: Option<ColBatch> = if current == 0 {
-                    let ctx = self.op_context();
-                    chain.source.poll(&ctx)?
-                } else {
-                    match queues.queue(current - 1).pop() {
-                        Some(input) => {
-                            let ctx = self.op_context();
-                            let op = &mut chain.extends[current - 1];
-                            op.push_input(input, &ctx)?;
-                            match op.poll_next(&ctx)? {
-                                OpPoll::Ready(batch) => Some(batch),
-                                OpPoll::Pending | OpPoll::Exhausted => None,
-                            }
-                        }
-                        None => None,
-                    }
-                };
+                let produced = self.step(chain, &queues, segment, current)?;
                 self.trace.op_add_busy(segment, current, start.elapsed());
                 let Some(produced) = produced else { break };
                 for chunk in produced.split_into_chunks(self.effective_batch_size()) {
@@ -1070,6 +1004,53 @@ impl MachineState {
             current += 1;
         }
         Ok(())
+    }
+
+    /// `true` while the chain's source may still produce: the scan cursor
+    /// has (own or stolen) work, or the segment's join has partitions left.
+    fn source_has_more(&self, source: &ChainSource, segment: usize) -> bool {
+        match source {
+            ChainSource::Scan(scan) => scan.has_more(),
+            ChainSource::Join => self.joins.get(&segment).is_some_and(|j| !j.is_exhausted()),
+        }
+    }
+
+    /// Runs operator `current` of the chain once: polls the source (the scan
+    /// cursor, or the segment's joiner) or feeds an extend one queued batch.
+    /// Returns the batch it produced, if any.
+    fn step(
+        &mut self,
+        chain: &mut SegmentChain,
+        queues: &SegmentQueues,
+        segment: usize,
+        current: usize,
+    ) -> Result<Option<ColBatch>> {
+        // Assembled field by field: the joiner polled below is a field too.
+        let ctx = OpContext {
+            machine: self.machine,
+            partition: &self.partition,
+            rpc: &self.rpc,
+            cache: self.cache.as_ref(),
+            use_cache: !self.config.disable_cache,
+            pool: &self.pool,
+            batch_size: self.effective_batch_size(),
+        };
+        let poll = match (current, &mut chain.source) {
+            (0, ChainSource::Scan(scan)) => scan.poll_next(&ctx)?,
+            (0, ChainSource::Join) => join_of(&mut self.joins, segment)?.poll_next(&ctx)?,
+            (i, _) => {
+                let Some(input) = queues.queue(i - 1).pop() else {
+                    return Ok(None);
+                };
+                let op = &mut chain.extends[i - 1];
+                op.push_input(input, &ctx)?;
+                op.poll_next(&ctx)?
+            }
+        };
+        Ok(match poll {
+            OpPoll::Ready(batch) => Some(batch),
+            OpPoll::Pending | OpPoll::Exhausted => None,
+        })
     }
 
     /// Consumes one fully-extended batch at the terminal.
@@ -1198,39 +1179,29 @@ impl MachineState {
     // Cross-machine Grace partition stealing
     // -----------------------------------------------------------------------
 
-    /// Pops the next unanswered steal request for `segment`, dropping the
-    /// stash entry once empty (so `steal_requests.is_empty()` stays a cheap
-    /// "nothing to service" guard on the hot paths).
-    fn pop_steal_request(&mut self, segment: usize) -> Option<MachineId> {
-        let queue = self.steal_requests.get_mut(&segment)?;
-        let thief = queue.pop_front();
-        if queue.is_empty() {
-            self.steal_requests.remove(&segment);
-        }
-        thief
-    }
-
-    /// Pops the next adopted-but-unattached partition for `segment`. A
-    /// successful adoption proves peers still had shippable work, so the
-    /// tried-peers marks reset.
-    fn pop_adopted(&mut self, segment: usize) -> Option<TakenPartition> {
-        let ctl = self.join_ctl.get_mut(&segment)?;
-        let part = ctl.adopted.pop_front()?;
-        ctl.tried.clear();
-        Some(part)
-    }
-
-    /// Ships one sealed partition to `thief` over the router's control
-    /// plane. The columns' tracker charge stays on this machine (recorded in
+    /// Answers `thief`'s steal request for join segment `segment` — the one
+    /// place a request is answered, reached the moment the inbox yields it.
+    /// It ships the highest unprobed partition of the join the request
+    /// names, whatever that join's phase (building, probing or drained), and
+    /// nacks when nothing is shippable or the segment completed and its join
+    /// is gone. Shipping before the local seal is sound: a request is only
+    /// sent once the join's input is globally complete, and
+    /// [`MachineState::absorb_inbox`] drained every data envelope before it.
+    ///
+    /// A ship's tracker charge stays on this machine (recorded in
     /// `pending_ship_bytes`) until the thief's [`ControlMsg::ShipAck`]
     /// releases it — the same allocate-before-release hand-off as
     /// [`SharedQueue::steal_into`](crate::scheduler::SharedQueue::steal_into).
-    fn ship_partition(
-        &mut self,
-        thief: MachineId,
-        segment: usize,
-        (partition, left, right): TakenPartition,
-    ) {
+    fn answer_steal_request(&mut self, thief: MachineId, segment: usize) -> Result<()> {
+        let taken = match self.joins.get_mut(&segment) {
+            Some(join) => join.take_unprobed_partition()?,
+            None => None,
+        };
+        let Some((partition, left, right)) = taken else {
+            let nack = ControlMsg::ShipNack { segment };
+            self.router.send_control(thief, nack);
+            return Ok(());
+        };
         self.maybe_panic_at(segment, PanicPoint::Ship);
         let bytes = column_bytes(&left) + column_bytes(&right);
         self.pending_ship_bytes += bytes;
@@ -1248,59 +1219,11 @@ impl MachineState {
                 right,
             },
         );
-    }
-
-    /// Answers thieves queued on join segments this machine has *not
-    /// started yet* (the build still sits in `pending_joins`). Safe even
-    /// before the local seal: a request is only ever sent after the join's
-    /// input is globally complete, and [`MachineState::absorb_inbox`]
-    /// drained all data envelopes before stashing the request, so the
-    /// buffered partitions can no longer grow.
-    fn service_pending_join_steals(&mut self) -> Result<()> {
-        if self.steal_requests.is_empty() {
-            return Ok(());
-        }
-        let segments: Vec<usize> = self
-            .steal_requests
-            .keys()
-            .copied()
-            .filter(|s| self.pending_joins.contains_key(s))
-            .collect();
-        for segment in segments {
-            while let Some(thief) = self.pop_steal_request(segment) {
-                let taken = self
-                    .pending_joins
-                    .get_mut(&segment)
-                    .expect("filtered on pending joins")
-                    .take_unprobed_partition()?;
-                match taken {
-                    Some(taken) => self.ship_partition(thief, segment, taken),
-                    None => self
-                        .router
-                        .send_control(thief, ControlMsg::ShipNack { segment }),
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Answers thieves queued on the join segment whose chain this machine
-    /// is actively probing: sealed-but-unprobed partitions ship straight out
-    /// of the live [`JoinStream`](crate::join::JoinStream).
-    fn service_active_join_steals(&mut self, segment: usize, join: &mut PushJoin) -> Result<()> {
-        while let Some(thief) = self.pop_steal_request(segment) {
-            match join.take_unprobed_partition()? {
-                Some(taken) => self.ship_partition(thief, segment, taken),
-                None => self
-                    .router
-                    .send_control(thief, ControlMsg::ShipNack { segment }),
-            }
-        }
-        Ok(())
-    }
-
-    /// One partition-stealing attempt on a *draining join segment*: adopt a
-    /// shipped partition and probe it, keep waiting on an outstanding
+    /// One partition-stealing attempt on a *draining join segment*: probe
+    /// partitions adopted into the join, keep waiting on an outstanding
     /// request, ask the next untried peer, or conclude that every machine is
     /// idle. Mirrors [`MachineState::steal_once`], with `PartitionShip`
     /// envelopes instead of shared-queue batches.
@@ -1317,28 +1240,10 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         let segment = plan.segment.id;
-        // Our own probing exhausted the local partitions (that is what put
-        // the chain into Draining), so queued thieves always get a nack —
-        // never silence, which would wedge two draining machines on each
-        // other's answers.
-        while let Some(thief) = self.pop_steal_request(segment) {
-            self.router
-                .send_control(thief, ControlMsg::ShipNack { segment });
-        }
-        if let Some((_, left, right)) = self.pop_adopted(segment) {
-            let bytes = column_bytes(&left) + column_bytes(&right);
+        if self.source_has_more(&chain.source, segment) {
             // Adopted work in hand: stay visibly non-idle and probe the
-            // partition through the chain like a locally-built one.
+            // partitions through the chain like locally-built ones.
             seg.idle[self.machine].store(false, Ordering::SeqCst);
-            match &mut chain.source {
-                ChainSource::Join(join) => join.adopt_partition(left, right)?,
-                ChainSource::Scan(_) => unreachable!("only join chains drain through here"),
-            }
-            self.join_stats.partitions_stolen += 1;
-            self.trace.instant_kv(
-                "adopt_partition",
-                kv2("segment", segment as u64, "bytes", bytes),
-            );
             self.run_chain(chain, plan, seg, run, sink)?;
             return Ok(StealOutcome::Stole);
         }
@@ -1380,21 +1285,21 @@ impl MachineState {
         Ok(StealOutcome::Pending)
     }
 
-    /// Releases any skew-protocol bytes still charged when a run tears down
-    /// (aborted with ships or adoptions in flight) so the trackers balance.
+    /// Releases the charge of ships still unacked when a run tears down
+    /// (aborted with ships in flight) so the trackers balance. Adopted
+    /// partitions need nothing here: they sit in their joins, whose `Drop`
+    /// releases them.
     fn reclaim_skew_state(&mut self) {
-        for ctl in self.join_ctl.values_mut() {
-            for (_, left, right) in ctl.adopted.drain(..) {
-                self.memory
-                    .release(column_bytes(&left) + column_bytes(&right));
-            }
-        }
-        if self.pending_ship_bytes > 0 {
-            self.memory.release(self.pending_ship_bytes);
-            self.pending_ship_bytes = 0;
-        }
-        self.steal_requests.clear();
+        self.memory
+            .release(std::mem::take(&mut self.pending_ship_bytes));
     }
+}
+
+/// The joiner of join segment `segment` — a typed error once the segment
+/// completed (or if it was never prepared).
+fn join_of(joins: &mut HashMap<usize, HashJoiner>, segment: usize) -> Result<&mut HashJoiner> {
+    let gone = || EngineError::Config(format!("join segment {segment} is not running"));
+    joins.get_mut(&segment).ok_or_else(gone)
 }
 
 /// Reorders a row (laid out by segment schema) into query-vertex order.

@@ -158,7 +158,7 @@ mod tests {
         let rows = |payload: u32| vec![vec![7; 64], (payload..payload + 64).collect()];
         let (left_bytes, shipped_bytes) = (64 * 2 * 4, 2 * 64 * 2 * 4);
         t.allocate(shipped_bytes);
-        stream.adopt_partition(rows(1_000), rows(2_000));
+        stream.adopt_partition(rows(1_000), rows(2_000)).unwrap();
         // The spilled local partitions come back, join to 200 rows (every
         // left row arrived twice) and retire one by one.
         let mut counted = 0;

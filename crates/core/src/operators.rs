@@ -198,10 +198,11 @@ impl ScanCursor {
                 ctx.rpc.get_nbrs(ctx.machine, &remote).into_iter().collect()
             };
             let per = (chunk.len() / (ctx.pool.workers() * 2).max(1)).max(64);
-            let slices: Vec<&[VertexId]> = chunk.chunks(per).collect();
+            let slices: Vec<(usize, &[VertexId])> = chunk.chunks(per).enumerate().collect();
             let filters = &self.op.filters;
             let remote_lists = &remote_lists;
-            let run = ctx.pool.run(slices, |vertices, out: &mut Vec<VertexId>| {
+            let run = ctx.pool.run(slices, |(i, vertices), out: &mut Vec<_>| {
+                let mut flat = Vec::new();
                 for &u in vertices {
                     let neighbours: &[VertexId] = if ctx.partition.is_local(u) {
                         ctx.partition.local_neighbours(u)
@@ -210,13 +211,20 @@ impl ScanCursor {
                     };
                     for &v in neighbours {
                         if passes_filters(&[u, v], filters) {
-                            out.push(u);
-                            out.push(v);
+                            flat.push(u);
+                            flat.push(v);
                         }
                     }
                 }
+                out.push((i, flat));
             });
-            for flat in run.outputs {
+            // The pool returns work items in arbitrary order: put the slices
+            // back in vertex order, so batches (and their runs) do not depend
+            // on which worker took which slice.
+            let mut slices: Vec<(usize, Vec<VertexId>)> =
+                run.outputs.into_iter().flatten().collect();
+            slices.sort_unstable_by_key(|&(i, _)| i);
+            for (_, flat) in slices {
                 for pair in flat.chunks_exact(2) {
                     if batch.len() < target_rows {
                         batch.push_row(pair);

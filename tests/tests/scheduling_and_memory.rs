@@ -253,28 +253,39 @@ fn a_hub_expansion_is_charged_one_candidate_column() {
 #[test]
 fn prefix_reuse_is_structural_not_timed() {
     // One scan chunk per machine (≤ 1024 local vertices), so only whole
-    // queued batches are ever stolen, and one worker, so the scan cursor
-    // emits its rows in vertex order: the batches, their runs and so
-    // `rows − runs` are the same whichever machine extends them, whenever.
-    let graph = gen::barabasi_albert(1_500, 8, 5);
+    // queued batches are ever stolen, and the scan cursor emits its rows in
+    // vertex order with any number of workers: the batches, their runs and
+    // so `rows − runs` are the same whichever machine extends them, whenever.
+    // (Work items are cut per worker count, so the reuses are compared
+    // within one.)
     let query = Pattern::FourClique.query_graph();
-    let cluster = HugeCluster::build(
-        graph,
-        ClusterConfig::new(2)
-            .workers(1)
-            .batch_size(256)
-            .output_queue_rows(1_024),
-    )
-    .unwrap();
-    let runs: Vec<_> = (0..3)
-        .map(|_| cluster.run(&query, SinkMode::Count).unwrap())
-        .collect();
-    let first = &runs[0].comm;
-    assert!(0 < first.extend_prefix_reuses && first.extend_prefix_reuses < first.extend_rows);
-    for report in &runs[1..] {
-        assert_eq!(report.matches, runs[0].matches);
-        assert_eq!(report.comm.extend_rows, first.extend_rows);
-        assert_eq!(report.comm.extend_prefix_reuses, first.extend_prefix_reuses);
-        assert_eq!(report.comm.kernel_invocations(), first.kernel_invocations());
+    let mut matches = Vec::new();
+    for workers in [1, 2] {
+        let cluster = HugeCluster::build(
+            gen::barabasi_albert(1_500, 8, 5),
+            ClusterConfig::new(2)
+                .workers(workers)
+                .batch_size(256)
+                .output_queue_rows(1_024),
+        )
+        .unwrap();
+        let runs: Vec<_> = (0..3)
+            .map(|_| cluster.run(&query, SinkMode::Count).unwrap())
+            .collect();
+        let first = &runs[0].comm;
+        assert!(0 < first.extend_prefix_reuses && first.extend_prefix_reuses < first.extend_rows);
+        for report in &runs[1..] {
+            assert_eq!(report.matches, runs[0].matches, "{workers} workers");
+            assert_eq!(
+                report.comm.extend_rows, first.extend_rows,
+                "{workers} workers"
+            );
+            let reuses = report.comm.extend_prefix_reuses;
+            assert_eq!(reuses, first.extend_prefix_reuses, "{workers} workers");
+            let calls = report.comm.kernel_invocations();
+            assert_eq!(calls, first.kernel_invocations(), "{workers} workers");
+        }
+        matches.push(runs[0].matches);
     }
+    assert_eq!(matches[0], matches[1]);
 }
