@@ -1,4 +1,4 @@
-//! BENU [84]: DFS backtracking over an external key-value store.
+//! BENU \[84\]: DFS backtracking over an external key-value store.
 //!
 //! BENU stores the data graph in a distributed key-value store (Cassandra)
 //! and runs an embarrassingly parallel depth-first backtracking program on

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the baseline engines, built on the
-//! [`huge_core::exec`] batch-operator substrate.
+//! Shared infrastructure for the baseline engines, built on what
+//! [`huge_core::exec`] shares between engines.
 //!
 //! The baselines materialise their intermediate *results* in full (that is
 //! the behaviour the paper criticises), so the common substrate is a
@@ -7,10 +7,9 @@
 //! of query vertices bound by its columns. The operations on tables mirror
 //! the physical operators of the respective systems — star scans, pushing
 //! hash joins, pushing wco extensions and pulling star expansions — and they
-//! execute through the same primitives as the HUGE engine: star scans are
-//! [`BatchOperator`] sources, distributed hash joins shuffle through the
-//! accounted [`huge_comm::Router`] and join with the shared
-//! [`huge_core::join::HashJoiner`], and pulls go through
+//! execute through the same primitives as the HUGE engine: distributed hash
+//! joins shuffle through the accounted [`huge_comm::Router`] and join with
+//! the shared [`huge_core::join::HashJoiner`], and pulls go through
 //! [`huge_comm::RpcFabric::get_nbrs`]. Every cross-machine byte is therefore
 //! charged to [`huge_comm::ClusterStats`] by exactly the code paths the HUGE
 //! engine uses, so reports are directly comparable.
@@ -40,9 +39,7 @@ use std::time::Duration;
 use huge_comm::router::PushEnvelope;
 use huge_comm::stats::ClusterStats;
 use huge_comm::{ColBatch, QueueAccounting, Router, RouterEndpoint, RpcFabric};
-use huge_core::exec::{
-    partition_cols_by_key, partition_cols_by_owner, run_pipeline, BatchOperator, OpContext, OpPoll,
-};
+use huge_core::exec::{partition_cols_by_key, partition_cols_by_owner};
 use huge_core::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
 use huge_core::memory::MemoryTracker;
 use huge_core::operators::passes_filters;
@@ -118,8 +115,6 @@ pub struct BaselineCtx {
     pub stats: ClusterStats,
     rpc: RpcFabric,
     endpoints: Vec<RouterEndpoint>,
-    cache: huge_cache::LrbuCache,
-    pool: WorkerPool,
     /// Machine-level pool: one persistent worker per simulated machine, so
     /// the machines execute concurrently and wall time includes their real
     /// synchronisation cost (workers spawn once and are reused by every
@@ -165,8 +160,6 @@ impl BaselineCtx {
             stats,
             rpc,
             endpoints,
-            cache: huge_cache::LrbuCache::new(0),
-            pool: WorkerPool::new(1, LoadBalance::None),
             // `None` pins one job per worker: k machine jobs land on k
             // distinct workers, so jobs that rendezvous on a shuffle barrier
             // can never serialise onto one worker and deadlock.
@@ -208,19 +201,6 @@ impl BaselineCtx {
     /// The pulling fabric (accounted `GetNbrs`).
     pub fn rpc(&self) -> &RpcFabric {
         &self.rpc
-    }
-
-    /// The execution context of machine `m` for [`BatchOperator`]s.
-    pub fn op_context(&self, m: usize) -> OpContext<'_> {
-        OpContext {
-            machine: m,
-            partition: &self.partitions[m],
-            rpc: &self.rpc,
-            cache: &self.cache,
-            use_cache: false,
-            pool: &self.pool,
-            batch_size: self.batch_size,
-        }
     }
 
     /// Records the footprint of a newly materialised table.
@@ -267,9 +247,10 @@ impl BaselineCtx {
         self.endpoints[m].inbox_full(m)
     }
 
-    /// Parks machine `m` briefly until data lands in its inbox.
-    fn wait_data(&self, m: usize) {
-        self.endpoints[m].wait_data(SHUFFLE_PARK);
+    /// Parks machine `m` briefly until data lands in its inbox or a peer
+    /// nudges it — at once if one did since `m` read wake epoch `seen`.
+    fn wait_data(&self, m: usize, seen: u64) {
+        self.endpoints[m].wait_data(seen, SHUFFLE_PARK);
     }
 
     /// Parks machine `m` briefly until `dest`'s inbox has room.
@@ -303,81 +284,38 @@ pub fn order_filters(order: &PartialOrder, schema: &[QueryVertex]) -> Vec<OrderF
 // Star scan: the baselines' source operator
 // ---------------------------------------------------------------------------
 
-/// A [`BatchOperator`] source enumerating the matches of a star
-/// `(root; leaves)` over one machine's local vertices (ordered, injective
-/// leaf assignments, symmetry filters applied).
-pub struct StarScan {
+/// The matches of a star `(root; leaves)` rooted at machine `m`'s local
+/// vertices — ordered, injective leaf assignments that pass `filters`
+/// (positional over `[root, leaves...]`) — with their column bytes charged
+/// to the machine.
+fn scan_local_stars(
+    ctx: &BaselineCtx,
+    m: usize,
     leaves: usize,
-    filters: Vec<OrderFilter>,
-    cursor: usize,
-    done: bool,
-}
-
-impl StarScan {
-    /// Creates the scan; `filters` are positional over `[root, leaves...]`.
-    pub fn new(leaves: usize, filters: Vec<OrderFilter>) -> Self {
-        StarScan {
-            leaves,
-            filters,
-            cursor: 0,
-            done: false,
-        }
+    filters: &[OrderFilter],
+) -> ColBatch {
+    let partition = &ctx.partitions[m];
+    let mut batch = ColBatch::new(leaves + 1);
+    let mut assignment: Vec<VertexId> = Vec::with_capacity(leaves);
+    let mut row = Vec::with_capacity(leaves + 1);
+    for &u in partition.local_vertices() {
+        let nbrs = partition.local_neighbours(u);
+        enumerate_leaf_tuples(u, nbrs, leaves, &mut assignment, &mut |leaf_vals| {
+            row.clear();
+            row.push(u);
+            row.extend_from_slice(leaf_vals);
+            if passes_filters(&row, filters) {
+                batch.push_row(&row);
+            }
+        });
     }
-}
-
-impl BatchOperator for StarScan {
-    fn name(&self) -> &'static str {
-        "STAR-SCAN"
-    }
-
-    fn output_arity(&self) -> usize {
-        self.leaves + 1
-    }
-
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
-        if self.done {
-            return Ok(OpPoll::Exhausted);
-        }
-        let arity = self.output_arity();
-        let locals = ctx.partition.local_vertices();
-        let mut batch = ColBatch::new(arity);
-        while self.cursor < locals.len() && batch.len() < ctx.batch_size {
-            let u = locals[self.cursor];
-            self.cursor += 1;
-            let nbrs = ctx.partition.local_neighbours(u);
-            let mut assignment: Vec<VertexId> = Vec::with_capacity(self.leaves);
-            let mut row = Vec::with_capacity(arity);
-            enumerate_leaf_tuples(u, nbrs, self.leaves, &mut assignment, &mut |leaf_vals| {
-                row.clear();
-                row.push(u);
-                row.extend_from_slice(leaf_vals);
-                if passes_filters(&row, &self.filters) {
-                    batch.push_row(&row);
-                }
-            });
-        }
-        if self.cursor >= locals.len() {
-            self.done = true;
-        }
-        if batch.is_empty() {
-            Ok(if self.done {
-                OpPoll::Exhausted
-            } else {
-                OpPoll::Pending
-            })
-        } else {
-            ctx.rpc
-                .stats()
-                .machine(ctx.machine)
-                .record_col_bytes(batch.byte_size());
-            Ok(OpPoll::Ready(batch))
-        }
-    }
+    ctx.stats.machine(m).record_col_bytes(batch.byte_size());
+    batch
 }
 
 /// Enumerates the matches of a star `(root; leaves)` as a distributed table:
-/// each machine materialises the stars rooted at its local vertices through
-/// a [`StarScan`] operator. The machines run concurrently on the context's
+/// each machine materialises the stars rooted at its local vertices
+/// (`scan_local_stars`). The machines run concurrently on the context's
 /// machine pool.
 pub fn scan_star(
     ctx: &mut BaselineCtx,
@@ -387,26 +325,15 @@ pub fn scan_star(
     let mut schema = vec![root];
     schema.extend_from_slice(leaves);
     let filters = order_filters(&ctx.order, &schema);
-    let arity = schema.len();
     let k = ctx.k();
     let mut table = DistTable::new(schema, k);
     let pool = ctx.machine_pool.clone();
     let shared: &BaselineCtx = ctx;
-    let scanned = pool.run(
-        (0..k).collect::<Vec<_>>(),
-        |m, out: &mut Vec<(usize, Result<ColBatch>)>| {
-            let op_ctx = shared.op_context(m);
-            let mut scan = StarScan::new(leaves.len(), filters.clone());
-            let mut rows = ColBatch::new(arity);
-            let mut ops: [&mut dyn BatchOperator; 1] = [&mut scan];
-            let res = run_pipeline(&mut ops, &op_ctx, &mut |mut batch| {
-                rows.append(&mut batch);
-            });
-            out.push((m, res.map(|()| rows)));
-        },
-    );
+    let scanned = pool.run((0..k).collect::<Vec<_>>(), |m, out: &mut Vec<_>| {
+        out.push((m, scan_local_stars(shared, m, leaves.len(), &filters)));
+    });
     for (m, rows) in scanned.into_flat() {
-        table.rows[m] = rows?;
+        table.rows[m] = rows;
     }
     ctx.note_table(&table);
     Ok(table)
@@ -524,16 +451,23 @@ fn shuffle_rendezvous(
         }
     }
     // Done shuffling: keep absorbing until every machine is too, so no
-    // peer's final envelopes are stranded.
+    // peer's final envelopes are stranded. Each machine nudges its parked
+    // peers once done, and reads its wake epoch before checking the count.
     shuffling.fetch_sub(1, Ordering::SeqCst);
-    while shuffling.load(Ordering::SeqCst) > 0 {
+    for peer in 0..shared.k() {
+        shared.endpoints[m].wake(peer);
+    }
+    loop {
+        let seen = shared.endpoints[m].wake_epoch();
+        if shuffling.load(Ordering::SeqCst) == 0 {
+            return drain();
+        }
         if failed.load(Ordering::SeqCst) {
             return Err(aborted());
         }
         drain()?;
-        shared.wait_data(m);
+        shared.wait_data(m, seen);
     }
-    drain()
 }
 
 /// A pushing distributed hash join: both sides are shuffled by the join key
@@ -548,7 +482,7 @@ fn shuffle_rendezvous(
 /// deadlock-free protocol the HUGE engine's machines follow. Once a machine
 /// has shuffled everything it keeps absorbing until every machine is done
 /// (that rendezvous is the real synchronisation cost of a BFS-style
-/// distributed join), then seals and polls its join.
+/// distributed join), then seals its join and drains it.
 pub fn hash_join_pushing(
     ctx: &mut BaselineCtx,
     left: DistTable,
@@ -639,10 +573,10 @@ pub fn hash_join_pushing(
                     },
                     || absorb_into_joiner(shared, m, &mut join),
                 )?;
-                let op_ctx = shared.op_context(m);
-                join.finish_input(&op_ctx)?;
+                join.seal(shared.batch_size);
                 let mut rows = ColBatch::new(out_arity);
-                while let OpPoll::Ready(mut batch) = join.poll_next(&op_ctx)? {
+                while let Some(mut batch) = join.next_batch()? {
+                    shared.stats.machine(m).record_col_bytes(batch.byte_size());
                     rows.append(&mut batch);
                 }
                 Ok(rows)

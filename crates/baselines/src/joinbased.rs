@@ -119,7 +119,7 @@ macro_rules! join_based_engine {
 }
 
 join_based_engine!(
-    /// StarJoin [80]: left-deep star decomposition executed with pushing
+    /// StarJoin \[80\]: left-deep star decomposition executed with pushing
     /// hash joins.
     StarJoin,
     BaselineSystem::StarJoin,
@@ -127,7 +127,7 @@ join_based_engine!(
 );
 
 join_based_engine!(
-    /// SEED [46]: bushy star decomposition executed with pushing hash joins
+    /// SEED \[46\]: bushy star decomposition executed with pushing hash joins
     /// (without the clique/triangle index, as in the paper's index-free
     /// configuration).
     Seed,
@@ -136,7 +136,7 @@ join_based_engine!(
 );
 
 join_based_engine!(
-    /// BiGJoin [5]: left-deep worst-case-optimal extensions executed with
+    /// BiGJoin \[5\]: left-deep worst-case-optimal extensions executed with
     /// pushing communication and full materialisation between rounds.
     BigJoin,
     BaselineSystem::BigJoin,

@@ -42,15 +42,15 @@ use huge_query::QueryGraph;
 /// The baseline systems, in the order the paper lists them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Baseline {
-    /// StarJoin [80].
+    /// StarJoin \[80\].
     StarJoin,
-    /// SEED [46].
+    /// SEED \[46\].
     Seed,
-    /// BiGJoin [5].
+    /// BiGJoin \[5\].
     BigJoin,
-    /// BENU [84].
+    /// BENU \[84\].
     Benu,
-    /// RADS [66].
+    /// RADS \[66\].
     Rads,
 }
 

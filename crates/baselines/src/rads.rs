@@ -1,4 +1,4 @@
-//! RADS [66]: star-expand-and-verify with pulling communication.
+//! RADS \[66\]: star-expand-and-verify with pulling communication.
 //!
 //! RADS avoids shuffling intermediate results: in each round it expands the
 //! partial matches by a star rooted at an *already matched* vertex, pulling

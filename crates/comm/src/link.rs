@@ -606,7 +606,6 @@ mod tests {
         let b = router.endpoint(1);
         let ship = ControlMsg::PartitionShip {
             segment: 2,
-            partition: 1,
             bytes: 8,
             left: vec![vec![1]],
             right: vec![vec![2]],
@@ -623,7 +622,7 @@ mod tests {
         };
         assert!(matches!(
             got.msg,
-            ControlMsg::PartitionShip { partition: 1, .. }
+            ControlMsg::PartitionShip { segment: 2, .. }
         ));
         assert_eq!(a.link_pending(None), 0);
         // Non-ship control never rides the link, faults or not.

@@ -34,16 +34,6 @@ impl NetworkModel {
         }
     }
 
-    /// A slow 1 Gbps network, useful for ablations on the communication
-    /// sensitivity of plans.
-    pub fn one_gbps(machines: usize) -> Self {
-        NetworkModel {
-            bandwidth_bytes_per_sec: 1.0e9 / 8.0,
-            latency_per_message: Duration::from_micros(80),
-            machines: machines.max(1),
-        }
-    }
-
     /// Modelled time to transfer `bytes` in `messages` messages.
     pub fn time_for(&self, bytes: u64, messages: u64) -> Duration {
         let transfer = bytes as f64 / self.bandwidth_bytes_per_sec / self.machines as f64;

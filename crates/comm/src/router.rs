@@ -103,8 +103,6 @@ pub enum ControlMsg {
     PartitionShip {
         /// The join segment the partition belongs to.
         segment: usize,
-        /// The Grace partition index at the shipper.
-        partition: usize,
         /// Row bytes the shipper still holds charged until the ack arrives.
         bytes: u64,
         /// The left side's columns.
@@ -219,6 +217,9 @@ struct InboxState {
     /// sequence number, i.e. those that crossed the link).
     seen: HashMap<MachineId, SeenSet>,
     accounting: Option<Arc<dyn QueueAccounting>>,
+    /// [`RouterEndpoint::wake`] nudges received so far: the epoch a parked
+    /// owner compares against what it read before its readiness checks.
+    wakes: u64,
 }
 
 /// One machine's bounded inbox.
@@ -247,6 +248,7 @@ impl Inbox {
                 control: VecDeque::new(),
                 seen: HashMap::new(),
                 accounting: None,
+                wakes: 0,
             }),
             rows: AtomicUsize::new(0),
             control_msgs: AtomicUsize::new(0),
@@ -355,14 +357,14 @@ impl Inbox {
     }
 
     /// Parks until data (or a control message) is queued, a `wake` nudge
-    /// arrives, or the timeout elapses. Returns `true` when something is
+    /// arrives, or the timeout elapses — at once if a nudge arrived since the
+    /// owner read wake epoch `seen`. Returns `true` when something is
     /// available.
-    fn wait_data(&self, timeout: Duration) -> bool {
+    fn wait_data(&self, seen: u64, timeout: Duration) -> bool {
         let state = self.state.lock().unwrap();
-        if self.has_any() {
-            return true;
+        if !self.has_any() && state.wakes == seen {
+            let _unused = self.data.wait_timeout(state, timeout).unwrap();
         }
-        let _unused = self.data.wait_timeout(state, timeout).unwrap();
         self.has_any()
     }
 
@@ -573,11 +575,6 @@ impl RouterEndpoint {
         out
     }
 
-    /// Rows currently queued in this machine's inbox.
-    pub fn queued_rows(&self) -> usize {
-        self.inboxes[self.machine].rows.load(Ordering::Relaxed)
-    }
-
     /// `true` when machine `to`'s inbox is at or over capacity (lock-free).
     /// Forced local pushes can overfill an inbox past its bound; callers
     /// that force (see [`RouterEndpoint::push`]) should poll this and drain.
@@ -610,12 +607,22 @@ impl RouterEndpoint {
         self.inboxes[self.machine].has_any()
     }
 
+    /// The count of [`RouterEndpoint::wake`] nudges this machine has
+    /// received. Read it *before* checking whatever a park waits on and
+    /// hand it to [`RouterEndpoint::wait_data`]: a nudge that lands between
+    /// those checks and the park then cuts the park short instead of being
+    /// lost.
+    pub fn wake_epoch(&self) -> u64 {
+        self.inboxes[self.machine].state.lock().unwrap().wakes
+    }
+
     /// Parks the calling thread until data arrives in this machine's inbox,
-    /// a [`RouterEndpoint::wake`] nudge lands, or `timeout` elapses. Returns
-    /// `true` when data is available — the event-driven replacement for
-    /// busy-draining `try_recv`.
-    pub fn wait_data(&self, timeout: Duration) -> bool {
-        self.inboxes[self.machine].wait_data(timeout)
+    /// a [`RouterEndpoint::wake`] nudge lands, or `timeout` elapses; returns
+    /// at once if a nudge landed since [`RouterEndpoint::wake_epoch`]
+    /// returned `seen`. Returns `true` when data is available — the
+    /// event-driven replacement for busy-draining `try_recv`.
+    pub fn wait_data(&self, seen: u64, timeout: Duration) -> bool {
+        self.inboxes[self.machine].wait_data(seen, timeout)
     }
 
     /// Parks until machine `to`'s inbox has room (or `timeout` elapses).
@@ -627,8 +634,11 @@ impl RouterEndpoint {
     }
 
     /// Wakes machine `to` if it is parked in [`RouterEndpoint::wait_data`]
-    /// (used to re-check termination conditions without data arriving).
+    /// (used to re-check termination conditions without data arriving). The
+    /// nudge is counted, so a machine that has not parked yet parks not at
+    /// all.
     pub fn wake(&self, to: MachineId) {
+        self.inboxes[to].state.lock().unwrap().wakes += 1;
         self.inboxes[to].data.notify_all();
     }
 }
@@ -802,14 +812,13 @@ mod tests {
             1,
             ControlMsg::PartitionShip {
                 segment: 9,
-                partition: 3,
                 bytes: 8,
                 left: vec![vec![1]],
                 right: vec![vec![2]],
             },
         );
         assert!(b.has_data());
-        assert!(b.wait_data(Duration::from_millis(1)));
+        assert!(b.wait_data(b.wake_epoch(), Duration::from_millis(1)));
         let first = b.try_recv_control().unwrap();
         assert_eq!(first.from, 0);
         assert!(matches!(first.msg, ControlMsg::StealRequest { segment: 4 }));
@@ -817,12 +826,11 @@ mod tests {
         match ship.msg {
             ControlMsg::PartitionShip {
                 segment,
-                partition,
                 bytes,
                 left,
                 right,
             } => {
-                assert_eq!((segment, partition, bytes), (9, 3, 8));
+                assert_eq!((segment, bytes), (9, 8));
                 assert_eq!((left, right), (vec![vec![1]], vec![vec![2]]));
             }
             other => panic!("expected a ship, got {other:?}"),
@@ -852,7 +860,6 @@ mod tests {
             1,
             ControlMsg::PartitionShip {
                 segment: 0,
-                partition: 0,
                 bytes: 8,
                 left: vec![vec![0]],
                 right: vec![vec![0]],
@@ -873,7 +880,7 @@ mod tests {
             let handle = s.spawn(move || {
                 let mut got = 0;
                 while got < 3 {
-                    if b.wait_data(Duration::from_millis(50)) {
+                    if b.wait_data(b.wake_epoch(), Duration::from_millis(50)) {
                         while b.try_recv().is_some() {
                             got += 1;
                         }
@@ -887,5 +894,18 @@ mod tests {
             }
             assert_eq!(handle.join().unwrap(), 3);
         });
+    }
+
+    #[test]
+    fn a_wake_before_the_park_is_not_lost() {
+        let router = Router::new(2, ClusterStats::new(2));
+        let (a, b) = (router.endpoint(0), router.endpoint(1));
+        // `b` reads the epoch and checks its conditions; a peer's nudge lands
+        // before `b` parks. The park must not sleep through it.
+        let seen = b.wake_epoch();
+        a.wake(1);
+        let start = std::time::Instant::now();
+        assert!(!b.wait_data(seen, Duration::from_secs(2)));
+        assert!(start.elapsed() < Duration::from_millis(200));
     }
 }

@@ -1,44 +1,30 @@
-//! The shared batch-operator substrate.
-//!
-//! Every engine in this workspace — the HUGE engine itself *and* the
-//! baseline systems in `huge-baselines` — executes physical operators over
-//! columnar [`ColBatch`]es through this module, and ships the same
-//! [`ColBatch`]es on its shuffle paths:
+//! What every engine in this workspace shares to run physical operators over
+//! columnar [`ColBatch`]es and to ship those batches on its shuffle paths —
+//! the HUGE engine itself *and* the baseline systems in `huge-baselines`:
 //!
 //! * [`OpContext`] bundles what any operator needs from the machine it runs
 //!   on: the graph partition, the pulling fabric, the adjacency cache, the
 //!   worker pool and the batch size.
-//! * [`BatchOperator`] is the uniform operator interface: inputs are pushed
-//!   in as batches, outputs are polled out as batches ([`OpPoll`]).
-//! * [`ScanSource`], [`PullExtend`] and
-//!   [`HashJoiner`](crate::join::HashJoiner) are the HUGE operators (`SCAN`,
-//!   `PULL-EXTEND`, `PUSH-JOIN`) behind that interface; the join implements
-//!   it in [`crate::join`]. The baselines add their own sources (e.g. star
-//!   scans) in their crate but reuse the joiner and the routing utilities
-//!   below.
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
 //!   batch's columns into one dense batch per destination machine; callers
 //!   move those through the accounted `huge-comm` fabric
 //!   (`RouterEndpoint::push` / `RpcFabric::get_nbrs`), so every engine's
 //!   traffic is charged to [`huge_comm::ClusterStats`] by the same code path
 //!   and the reported `C`/`T_C` columns are comparable.
-//! * [`run_pipeline`] is a simple breadth-first driver (poll a stage to
-//!   exhaustion, feed the next) used by the BFS-style baselines and by
-//!   tests; the HUGE engine drives the same operators with its own
-//!   BFS/DFS-adaptive scheduler in [`crate::machine`].
-
-use std::collections::VecDeque;
-use std::time::Duration;
+//!
+//! The operators are called directly, with no interface in between: `SCAN`
+//! is [`ScanCursor`](crate::operators::ScanCursor), `PULL-EXTEND` an
+//! [`ExtendSpec`](crate::operators::ExtendSpec) and `PUSH-JOIN` a
+//! [`HashJoiner`](crate::join::HashJoiner). The HUGE engine chains them
+//! under its BFS/DFS-adaptive scheduler in [`crate::machine`]; the baselines
+//! add their own star scan and reuse the joiner and the partitioners.
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
 use huge_graph::GraphPartition;
-use huge_plan::translate::{ExtendOp, ScanOp};
 
 use crate::join::{row_key_hash, scatter_rows};
-use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
 use crate::pool::WorkerPool;
-use crate::{EngineError, Result};
 
 /// Everything an operator needs from its machine.
 pub struct OpContext<'a> {
@@ -56,236 +42,6 @@ pub struct OpContext<'a> {
     pub pool: &'a WorkerPool,
     /// Rows per output batch.
     pub batch_size: usize,
-}
-
-/// The result of polling a [`BatchOperator`] for output.
-#[derive(Debug)]
-pub enum OpPoll {
-    /// A batch of output rows was produced.
-    Ready(ColBatch),
-    /// No output is available now, but more input may still arrive.
-    Pending,
-    /// The operator has produced everything it ever will.
-    Exhausted,
-}
-
-/// The uniform physical-operator interface: push input batches in, poll
-/// output batches out.
-///
-/// Sources ignore `push_input`; unary operators take input through it;
-/// binary operators (joins) expose side-specific feeds as inherent methods
-/// and use [`BatchOperator::finish_input`] to seal both sides.
-pub trait BatchOperator {
-    /// Operator name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Arity of the output rows.
-    fn output_arity(&self) -> usize;
-
-    /// Feeds one input batch. The default rejects input (source operators).
-    fn push_input(&mut self, input: ColBatch, ctx: &OpContext<'_>) -> Result<()> {
-        let _ = (input, ctx);
-        Err(EngineError::Config(format!(
-            "{} is a source operator and takes no input",
-            self.name()
-        )))
-    }
-
-    /// Signals that no further input will arrive.
-    fn finish_input(&mut self, ctx: &OpContext<'_>) -> Result<()> {
-        let _ = ctx;
-        Ok(())
-    }
-
-    /// Polls for the next output batch.
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll>;
-}
-
-// ---------------------------------------------------------------------------
-// SCAN
-// ---------------------------------------------------------------------------
-
-/// The `SCAN` source behind the [`BatchOperator`] interface.
-///
-/// Wraps a [`ScanCursor`] over a (stealable) [`ScanPool`]; each poll yields
-/// one batch of `[src, dst]` edge rows as a run batch: the cursor emits a
-/// vertex's edges consecutively, so `src` is stored once per vertex and the
-/// first extend reads its runs like any later one.
-pub struct ScanSource {
-    cursor: ScanCursor,
-}
-
-impl ScanSource {
-    /// Creates a scan over a pool of vertices.
-    pub fn new(op: ScanOp, pool: ScanPool) -> Self {
-        ScanSource {
-            cursor: ScanCursor::new(op, pool),
-        }
-    }
-
-    /// `true` while the scan may still produce batches (own or stolen work).
-    pub fn has_more(&self) -> bool {
-        self.cursor.has_more()
-    }
-}
-
-impl BatchOperator for ScanSource {
-    fn name(&self) -> &'static str {
-        "SCAN"
-    }
-
-    fn output_arity(&self) -> usize {
-        2
-    }
-
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
-        match self.cursor.next_batch(ctx) {
-            Some(batch) => {
-                // The cursor assembles rows; regroup them once into the
-                // columnar currency and charge the column bytes.
-                let (mut src, mut ends) = (Vec::new(), Vec::new());
-                let mut dst = Vec::with_capacity(batch.len());
-                for row in batch.rows() {
-                    if src.last() != Some(&row[0]) {
-                        if !dst.is_empty() {
-                            ends.push(dst.len() as u32);
-                        }
-                        src.push(row[0]);
-                    }
-                    dst.push(row[1]);
-                }
-                // `batch_size` rows at most, far below 32 bits.
-                ends.push(dst.len() as u32);
-                let cols = ColBatch::from_runs(vec![src, dst], ends);
-                ctx.rpc
-                    .stats()
-                    .machine(ctx.machine)
-                    .record_col_bytes(cols.byte_size());
-                Ok(OpPoll::Ready(cols))
-            }
-            // The pool may be refilled by work stealing, so an empty pool is
-            // only `Exhausted` from the caller's termination protocol.
-            None => Ok(OpPoll::Exhausted),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PULL-EXTEND
-// ---------------------------------------------------------------------------
-
-/// The `PULL-EXTEND` operator behind the [`BatchOperator`] interface.
-///
-/// Each queued input batch runs the two-stage fetch/intersect extension
-/// (Algorithm 4); fetch time and per-worker busy time accumulate and can be
-/// drained with [`PullExtend::take_timings`].
-///
-/// In *count-only* mode ([`PullExtend::set_count_only`]) the operator never
-/// materialises its output rows: it counts the extensions each input batch
-/// would produce (accumulated in [`PullExtend::take_count`]) and emits no
-/// batches — the fast path for count sinks on chain/path queries, whose
-/// final extension column dominates the materialised volume.
-pub struct PullExtend {
-    spec: ExtendSpec,
-    inputs: VecDeque<ColBatch>,
-    input_done: bool,
-    count_only: bool,
-    counted: u64,
-    fetch_time: Duration,
-    worker_busy: Vec<Duration>,
-}
-
-impl PullExtend {
-    /// Creates the operator over input rows of `input_arity` columns,
-    /// compiling `op` against them once ([`ExtendSpec::compile`]).
-    pub fn new(op: &ExtendOp, input_arity: usize) -> Self {
-        PullExtend {
-            spec: ExtendSpec::compile(op, input_arity),
-            inputs: VecDeque::new(),
-            input_done: false,
-            count_only: false,
-            counted: 0,
-            fetch_time: Duration::ZERO,
-            worker_busy: Vec::new(),
-        }
-    }
-
-    /// The translated operator this executes.
-    pub fn op(&self) -> &ExtendOp {
-        self.spec.op()
-    }
-
-    /// Switches the operator to count-only mode: inputs are counted, not
-    /// materialised, and polling never yields output batches.
-    pub fn set_count_only(&mut self, count_only: bool) {
-        self.count_only = count_only;
-    }
-
-    /// Drains the extensions counted in count-only mode.
-    pub fn take_count(&mut self) -> u64 {
-        std::mem::take(&mut self.counted)
-    }
-
-    /// Drains the accumulated (fetch time, per-worker busy time) counters.
-    pub fn take_timings(&mut self) -> (Duration, Vec<Duration>) {
-        (
-            std::mem::take(&mut self.fetch_time),
-            std::mem::take(&mut self.worker_busy),
-        )
-    }
-
-    fn absorb_timings(&mut self, fetch: Duration, busy: &[Duration]) {
-        self.fetch_time += fetch;
-        if self.worker_busy.len() < busy.len() {
-            self.worker_busy.resize(busy.len(), Duration::ZERO);
-        }
-        for (w, d) in busy.iter().enumerate() {
-            self.worker_busy[w] += *d;
-        }
-    }
-}
-
-impl BatchOperator for PullExtend {
-    fn name(&self) -> &'static str {
-        "PULL-EXTEND"
-    }
-
-    fn output_arity(&self) -> usize {
-        self.spec.output_arity()
-    }
-
-    fn push_input(&mut self, input: ColBatch, _ctx: &OpContext<'_>) -> Result<()> {
-        self.inputs.push_back(input);
-        Ok(())
-    }
-
-    fn finish_input(&mut self, _ctx: &OpContext<'_>) -> Result<()> {
-        self.input_done = true;
-        Ok(())
-    }
-
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
-        let Some(input) = self.inputs.pop_front() else {
-            return Ok(if self.input_done {
-                OpPoll::Exhausted
-            } else {
-                OpPoll::Pending
-            });
-        };
-        if self.count_only {
-            let out = self.spec.run_count_cols(&input, ctx);
-            self.counted += out.count;
-            self.absorb_timings(out.fetch_time, &out.worker_busy);
-            return Ok(if self.input_done && self.inputs.is_empty() {
-                OpPoll::Exhausted
-            } else {
-                OpPoll::Pending
-            });
-        }
-        let out = self.spec.run_cols(input, ctx)?;
-        self.absorb_timings(out.fetch_time, &out.worker_busy);
-        Ok(OpPoll::Ready(out.batch))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,51 +88,15 @@ fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<
     parts.into_iter().map(ColBatch::from_columns).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline driver
-// ---------------------------------------------------------------------------
-
-/// Drives a chain of operators breadth-first: stage `i` is polled to
-/// exhaustion and its batches fed to stage `i + 1`; the final stage's
-/// batches go to `sink`.
-///
-/// This is the materialise-everything execution model of the baseline
-/// systems (and of tests). The HUGE engine schedules the same operators
-/// adaptively with bounded queues instead (see [`crate::machine`]).
-pub fn run_pipeline(
-    ops: &mut [&mut dyn BatchOperator],
-    ctx: &OpContext<'_>,
-    sink: &mut dyn FnMut(ColBatch),
-) -> Result<()> {
-    let n = ops.len();
-    for i in 0..n {
-        if i > 0 {
-            ops[i].finish_input(ctx)?;
-        }
-        while let OpPoll::Ready(batch) = ops[i].poll_next(ctx)? {
-            if batch.is_empty() {
-                continue;
-            }
-            if i + 1 < n {
-                let (_, downstream) = ops.split_at_mut(i + 1);
-                downstream[0].push_input(batch, ctx)?;
-            } else {
-                sink(batch);
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
+    use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
     use huge_cache::LrbuCache;
     use huge_comm::stats::ClusterStats;
     use huge_graph::{gen, Partitioner};
     use huge_plan::physical::CommMode;
-    use huge_plan::translate::{JoinOp, OrderFilter};
+    use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
     use std::sync::Arc;
 
     fn setup(k: usize) -> (Vec<GraphPartition>, RpcFabric) {
@@ -403,7 +123,7 @@ mod tests {
                 pool: &pool,
                 batch_size: 64,
             };
-            let mut scan = ScanSource::new(
+            let mut scan = ScanCursor::new(
                 ScanOp {
                     src: 0,
                     dst: 1,
@@ -414,7 +134,7 @@ mod tests {
                 },
                 ScanPool::new(partition.local_vertices(), 4),
             );
-            let mut extend = PullExtend::new(
+            let extend = ExtendSpec::compile(
                 &ExtendOp {
                     target: 2,
                     ext_positions: vec![0, 1],
@@ -427,8 +147,9 @@ mod tests {
                 },
                 2,
             );
-            let mut ops: [&mut dyn BatchOperator; 2] = [&mut scan, &mut extend];
-            run_pipeline(&mut ops, &ctx, &mut |b| total += b.len() as u64).unwrap();
+            while let Some(batch) = scan.next_runs(&ctx) {
+                total += extend.run_cols(batch, &ctx).unwrap().batch.len() as u64;
+            }
         }
         // K8 has C(8,3) = 56 triangles.
         assert_eq!(total, 56);
@@ -459,9 +180,9 @@ mod tests {
                 dst: 1,
                 filters: vec![],
             };
-            let mut scan = ScanSource::new(op, ScanPool::new(parts[0].local_vertices(), 1024));
+            let mut scan = ScanCursor::new(op, ScanPool::new(parts[0].local_vertices(), 1024));
             let mut batches = Vec::new();
-            while let OpPoll::Ready(batch) = scan.poll_next(&ctx).unwrap() {
+            while let Some(batch) = scan.next_runs(&ctx) {
                 batches.push(batch);
             }
             batches
@@ -471,63 +192,6 @@ mod tests {
         for workers in [2, 3] {
             assert!(scan(workers) == one, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn push_join_trait_path_buffers_outputs() {
-        let (parts, rpc) = setup(1);
-        let cache = LrbuCache::new(1 << 20);
-        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let ctx = OpContext {
-            machine: 0,
-            partition: &parts[0],
-            rpc: &rpc,
-            cache: &cache,
-            use_cache: true,
-            pool: &pool,
-            // The seal takes it: four joined rows come out in two batches.
-            batch_size: 3,
-        };
-        let op = JoinOp {
-            left: 0,
-            right: 1,
-            key_left: vec![0],
-            key_right: vec![0],
-            right_payload: vec![1],
-            filters: vec![],
-        };
-        let dir = std::env::temp_dir().join(format!("huge-exec-test-{}", std::process::id()));
-        let build = |count_only: bool| {
-            let memory = MemoryTrackerHandle::Untracked;
-            let mut join = HashJoiner::new(op.clone(), 2, 2, 1 << 20, dir.clone(), memory);
-            join.set_count_only(count_only);
-            let left = ColBatch::from_columns(vec![vec![1, 2, 1], vec![10, 20, 11]]);
-            let right = ColBatch::from_columns(vec![vec![1, 1], vec![100, 101]]);
-            join.add(JoinSide::Left, &left).unwrap();
-            join.add(JoinSide::Right, &right).unwrap();
-            // Adoption before the seal and input after it are refused.
-            let adopted = join.adopt_partition(Vec::new(), Vec::new());
-            assert!(matches!(adopted, Err(EngineError::Config(_))));
-            join.finish_input(&ctx).unwrap();
-            let late = join.add(JoinSide::Left, &left);
-            assert!(matches!(late, Err(EngineError::Config(_))));
-            join
-        };
-        let mut join = build(false);
-        let mut rows = Vec::new();
-        while let OpPoll::Ready(b) = join.poll_next(&ctx).unwrap() {
-            assert!(b.len() <= 3);
-            rows.extend(b.to_rows().rows().map(|r| r.to_vec()));
-        }
-        rows.sort();
-        let expected = [[1, 10, 100], [1, 10, 101], [1, 11, 100], [1, 11, 101]];
-        assert_eq!(rows, expected.map(Vec::from));
-        assert_eq!((join.produced(), join.counted()), (4, 0));
-        assert!(matches!(join.poll_next(&ctx).unwrap(), OpPoll::Exhausted));
-        // Count-only: the same probe, nothing emitted, the same rows counted.
-        let mut counting = build(true);
-        while let OpPoll::Pending = counting.poll_next(&ctx).unwrap() {}
-        assert_eq!(counting.counted(), rows.len() as u64);
     }
 
     #[test]

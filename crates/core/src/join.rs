@@ -1,6 +1,7 @@
 //! The `PUSH-JOIN` operator: a buffered, partitioned (Grace-style) hash join
 //! with disk spill (§4.3) — one [`HashJoiner`] from its first input row to
-//! its last probed pair, behind the [`BatchOperator`] interface.
+//! its last probed pair, called directly by whoever drives it: the machine's
+//! segment chain, the baselines' pushing hash join, the perf ledger.
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
 //! of partitions, and a partition is columns from end to end: the shuffle's
@@ -18,24 +19,24 @@
 //! probes with the left rows until one batch of pairs survived. Memory is
 //! therefore bounded by the largest single partition plus one output batch —
 //! matching the paper's "memory consumption is bounded to the buffer size"
-//! claim — on *every* consumption path, including incremental `poll`-driven
-//! execution.
+//! claim — on *every* consumption path, including the machine's chain,
+//! which takes one batch per scheduling step.
 //!
 //! The probe is **one pair generator with two sinks**. What a candidate pair
 //! must pass — the wide-key re-check, cross-side injectivity, the order
 //! filters — is compiled once when the joiner is created
-//! ([`ProbeSpec::compile`]): every filter is classified by where its
+//! (`ProbeSpec::compile`): every filter is classified by where its
 //! operands live (both on the left row, one on each side, both in the right
 //! payload) and the right columns the checks read are fixed. The resident
 //! partition keeps exactly those columns of its build side, one dense vector
 //! each, grouped by join key; the generator binds a left row's values once,
 //! then tests its key group a block of right rows at a time, one
 //! branch-free pass per column into a mask. [`HashJoiner::count_batch`] sums
-//! the mask — the sink the engine pushes down when the join feeds a counting
-//! `SINK` directly ([`HashJoiner::set_count_only`]) —
-//! [`HashJoiner::next_batch`] turns it into `(left row, right row)` index
-//! pairs and gathers the output columns from them. Both share the partition
-//! lifecycle, the tracker charges and the per-poll cancel check.
+//! the mask — the sink the machine's chain calls when the join feeds a
+//! counting `SINK` directly — [`HashJoiner::next_batch`] turns it into
+//! `(left row, right row)` index pairs and gathers the output columns from
+//! them. Both share the partition lifecycle, the tracker charges and the
+//! per-poll cancel check.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -48,7 +49,6 @@ use huge_graph::VertexId;
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
-use crate::exec::{BatchOperator, OpContext, OpPoll};
 use crate::memory::MemoryTracker;
 use crate::{EngineError, Result};
 
@@ -79,9 +79,9 @@ pub enum PartitionState {
 /// One side of a partition, one vector per column.
 type Columns = Vec<Vec<VertexId>>;
 
-/// An unprobed Grace partition claimed for shipping: `(partition index,
-/// left columns, right columns)`.
-pub type TakenPartition = (usize, Vec<Vec<VertexId>>, Vec<Vec<VertexId>>);
+/// An unprobed Grace partition claimed for shipping: `(left columns, right
+/// columns)`.
+pub type TakenPartition = (Columns, Columns);
 
 /// Which input of the join a batch belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,7 +104,7 @@ pub(crate) fn column_bytes(columns: &[Vec<VertexId>]) -> u64 {
 }
 
 /// Hashes a join key, given as its column values in key order. The shuffle's
-/// destination machine, the Grace partition and [`pack_key`]'s wide-key
+/// destination machine, the Grace partition and `pack_key`'s wide-key
 /// fallback are all taken from this one function of the key's values, which
 /// is what lands equal keys of the two sides on the same machine, in the same
 /// partition, under the same table key.
@@ -294,8 +294,6 @@ pub struct HashJoiner {
     produced: u64,
     /// Candidate pairs tested so far (`produced` of them survived).
     tested: u64,
-    /// Polls count joined rows instead of materialising them.
-    count_only: bool,
     /// The run's cancellation token, polled per batch of pairs so a cancel
     /// lands mid-probe instead of after the whole join drains.
     cancel: Option<CancelToken>,
@@ -349,14 +347,13 @@ impl HashJoiner {
             adopted: VecDeque::new(),
             produced: 0,
             tested: 0,
-            count_only: false,
             cancel: None,
         }
     }
 
     /// Adds an input batch to one side: one pass over its key columns picks
     /// each row's Grace partition, then every partition's columns take their
-    /// rows in one gather each ([`scatter_rows`]). Input after the seal is a
+    /// rows in one gather each (`scatter_rows`). Input after the seal is a
     /// [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         if self.batch_rows.is_some() {
@@ -500,27 +497,9 @@ impl HashJoiner {
         self.cancel = Some(cancel);
     }
 
-    /// Switches [`BatchOperator::poll_next`] to count-only mode: it drives
-    /// the same probe but only counts the joined rows ([`HashJoiner::counted`])
-    /// and emits no batches — the fast path for a join feeding a counting
-    /// sink.
-    pub fn set_count_only(&mut self, count_only: bool) {
-        self.count_only = count_only;
-    }
-
     /// Joined rows emitted or counted so far.
     pub fn produced(&self) -> u64 {
         self.produced
-    }
-
-    /// The rows a count-only join counted: its [`HashJoiner::produced`], or 0
-    /// when it materialises them.
-    pub fn counted(&self) -> u64 {
-        if self.count_only {
-            self.produced
-        } else {
-            0
-        }
     }
 
     /// Candidate pairs tested so far ([`HashJoiner::produced`] survived).
@@ -535,7 +514,9 @@ impl HashJoiner {
     }
 
     /// Produces the next output batch (at most the sealed batch size), or
-    /// `None` when the join is exhausted.
+    /// `None` when the join is exhausted — for now: a partition adopted from
+    /// a peer revives it. Probing before the seal is a
+    /// [`EngineError::Config`] error, with either sink.
     pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
         // A block's pairs are all written before the rejected ones are cut.
         let capacity = self.batch_rows.unwrap_or(0).min(64 * 1024) as usize + BLOCK;
@@ -634,8 +615,7 @@ impl HashJoiner {
             }
             // Both sides come out charged, as an adopted partition arrives;
             // the build below trades the right one for the kept columns.
-            let (_, left, right) =
-                take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
+            let (left, right) = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
             self.states[p] = PartitionState::Probing;
             break (left, right, Some(p));
         };
@@ -656,54 +636,6 @@ impl Drop for HashJoiner {
             .map(|(l, r)| column_bytes(l) + column_bytes(r));
         self.memory
             .release(self.buffered_bytes() + loaded + adopted.sum::<u64>());
-    }
-}
-
-impl BatchOperator for HashJoiner {
-    fn name(&self) -> &'static str {
-        "PUSH-JOIN"
-    }
-
-    fn output_arity(&self) -> usize {
-        self.spec.left_arity + self.spec.payload
-    }
-
-    fn push_input(&mut self, _input: ColBatch, _ctx: &OpContext<'_>) -> Result<()> {
-        Err(EngineError::Config(
-            "PUSH-JOIN is a binary operator: feed it through add(JoinSide, ..)".into(),
-        ))
-    }
-
-    /// Seals the join at the context's batch size.
-    fn finish_input(&mut self, ctx: &OpContext<'_>) -> Result<()> {
-        self.seal(ctx.batch_size);
-        Ok(())
-    }
-
-    fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
-        if self.batch_rows.is_none() {
-            return Ok(OpPoll::Pending);
-        }
-        if self.count_only {
-            // Yield after every batch of pairs, like a materialising poll:
-            // the scheduler absorbs the inbox and ticks the governor.
-            return Ok(match self.count_batch()? {
-                Some(_) => OpPoll::Pending,
-                None => OpPoll::Exhausted,
-            });
-        }
-        Ok(match self.next_batch()? {
-            Some(batch) => {
-                let stats = ctx.rpc.stats();
-                stats
-                    .machine(ctx.machine)
-                    .record_col_bytes(batch.byte_size());
-                OpPoll::Ready(batch)
-            }
-            // An exhausted join stays alive: a partition adopted from a
-            // peer revives it.
-            None => OpPoll::Exhausted,
-        })
     }
 }
 
@@ -1258,7 +1190,7 @@ fn take_partition(
     let left = take_side_columns(left, p, memory)?;
     let right =
         take_side_columns(right, p, memory).inspect_err(|_| memory.release(column_bytes(&left)))?;
-    Ok((p, left, right))
+    Ok((left, right))
 }
 
 #[cfg(test)]
@@ -1543,7 +1475,7 @@ mod tests {
             .unwrap()
             .expect("resident joiner has a shippable partition");
         assert_eq!(taken_spilled, taken_resident);
-        let (_, left_columns, right_columns) = taken_spilled;
+        let (left_columns, right_columns) = taken_spilled;
         assert!(column_rows(&left_columns) > 0 && left_columns.len() == 2);
         assert_eq!(left_columns[0], right_columns[0]);
     }
@@ -1656,9 +1588,10 @@ mod tests {
         let mut shipper = build(true);
         let mut shipped = Vec::new();
         let mut ship = |joiner: &mut HashJoiner| {
-            let (p, l, r) = joiner.take_unprobed_partition().unwrap().expect("a ship");
-            assert_eq!(joiner.states[p], PartitionState::Shipped);
-            shipped.push((l, r));
+            shipped.push(joiner.take_unprobed_partition().unwrap().expect("a ship"));
+            let states = joiner.states.iter();
+            let gone = states.filter(|&&s| s == PartitionState::Shipped);
+            assert_eq!(gone.count(), shipped.len());
         };
         // Before the seal: the rest keep building, then all of it seals.
         ship(&mut shipper);
@@ -1703,6 +1636,48 @@ mod tests {
         // Charges transferred with the partitions and were released by the
         // adopter's probes: the shared tracker balances to zero.
         assert_eq!(tracker.current(), 0);
+    }
+
+    #[test]
+    fn the_seal_gates_both_phases_and_count_batch_sums_next_batch() {
+        let build = || {
+            let memory = MemoryTrackerHandle::Untracked;
+            let mut join = HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), memory);
+            let left = ColBatch::from_columns(vec![vec![1, 2, 1], vec![10, 20, 11]]);
+            let right = ColBatch::from_columns(vec![vec![1, 1], vec![100, 101]]);
+            join.add(JoinSide::Left, &left).unwrap();
+            join.add(JoinSide::Right, &right).unwrap();
+            // Before the seal: adoption and both sinks are refused.
+            let refused = |e: EngineError| matches!(e, EngineError::Config(_));
+            let adopted = join.adopt_partition(Vec::new(), Vec::new());
+            assert!(adopted.is_err_and(refused));
+            assert!(join.next_batch().is_err_and(refused));
+            assert!(join.count_batch().is_err_and(refused));
+            // The seal takes the batch size: four joined rows come out in
+            // two batches. Input after it is refused.
+            join.seal(3);
+            assert!(join.add(JoinSide::Left, &left).is_err_and(refused));
+            join
+        };
+        let mut join = build();
+        let mut rows = Vec::new();
+        while let Some(b) = join.next_batch().unwrap() {
+            assert!(b.len() <= 3);
+            rows.extend(b.to_rows().rows().map(|r| r.to_vec()));
+        }
+        rows.sort();
+        let expected = [[1, 10, 100], [1, 10, 101], [1, 11, 100], [1, 11, 101]];
+        assert_eq!(rows, expected.map(Vec::from));
+        assert_eq!(join.produced(), 4);
+        assert!(join.is_exhausted() && join.next_batch().unwrap().is_none());
+        // The counting sink: the same probe, nothing emitted, the same rows.
+        let mut counting = build();
+        let mut counted = 0;
+        while let Some(n) = counting.count_batch().unwrap() {
+            counted += n;
+        }
+        assert_eq!(counted, rows.len() as u64);
+        assert_eq!(counting.produced(), counted);
     }
 
     #[test]

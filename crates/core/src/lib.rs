@@ -54,7 +54,7 @@ pub mod scheduler;
 pub use cancel::{CancelCause, CancelToken};
 pub use cluster::HugeCluster;
 pub use config::{ClusterConfig, Fault, FaultSpec, LoadBalance, PanicPoint, SinkMode};
-pub use exec::{BatchOperator, OpContext, OpPoll};
+pub use exec::OpContext;
 pub use governor::{MemoryGovernor, PressureLevel};
 pub use huge_trace::{TraceConfig, TraceMode, TraceSegment, TraceSummary};
 pub use report::{GovernorReport, JoinReport, MachineReport, RunOutcome, RunReport};
@@ -114,18 +114,6 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-impl EngineError {
-    /// The partial-stats report attached to a cancelled/deadline outcome
-    /// (the teardown sweep already ran when it is present), `None` for
-    /// every other error.
-    pub fn partial_report(&self) -> Option<&RunReport> {
-        match self {
-            EngineError::Cancelled(r) | EngineError::DeadlineExceeded(r) => r.as_deref(),
-            _ => None,
-        }
-    }
-}
 
 impl From<huge_plan::logical::PlanError> for EngineError {
     fn from(e: huge_plan::logical::PlanError) -> Self {

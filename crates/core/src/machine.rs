@@ -3,9 +3,14 @@
 //! inter-machine work stealing, and the per-machine *dataflow scheduler*
 //! that drives all segments of a run from one thread.
 //!
+//! A segment's chain calls its operators directly — the scan cursor or the
+//! segment's joiner, then each compiled extend — and is the one place that
+//! decides count-or-materialise: in a root segment feeding a counting sink,
+//! its last operator (the final extend, or a bare join) counts.
+//!
 //! The runtime is *pipelined* at two levels. Inside a segment, join inputs
 //! shuffled during a producing segment are absorbed into pre-instantiated
-//! [`HashJoiner`]s as they arrive ([`MachineState::absorb_inbox`]), so
+//! [`HashJoiner`]s as they arrive (`MachineState::absorb_inbox`), so
 //! shuffle and build phases overlap and the bounded router inboxes never need
 //! to hold a segment's whole output. Each join lives in one map for the whole
 //! run — built there, sealed and probed there by its segment's chain, and
@@ -23,9 +28,9 @@
 //! Join skew is handled by **cross-machine Grace partition stealing** over
 //! the router's control plane: a machine that drained its own build requests
 //! unprobed partitions from busy peers (see
-//! [`MachineState::steal_join_once`]). A victim answers each request the
+//! `MachineState::steal_join_once`). A victim answers each request the
 //! moment its inbox yields it, from whichever join the request names and
-//! whatever that join's phase ([`MachineState::answer_steal_request`]).
+//! whatever that join's phase (`MachineState::answer_steal_request`).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -42,12 +47,11 @@ use std::sync::Arc;
 
 use crate::cancel::CancelToken;
 use crate::config::{ClusterConfig, Fault, PanicPoint, SinkMode};
-use crate::exec::{
-    partition_cols_by_key, BatchOperator, OpContext, OpPoll, PullExtend, ScanSource,
-};
+use crate::exec::{partition_cols_by_key, OpContext};
 use crate::governor::{MemoryGovernor, PressureLevel};
 use crate::join::{column_bytes, HashJoiner, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
+use crate::operators::{ExtendSpec, ScanCursor};
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
 use crate::scheduler::{RunShared, SegmentQueues, SegmentShared};
@@ -127,7 +131,7 @@ enum ChainSource {
     /// `MachineState::joins` — polled lazily partition by partition.
     Join,
     /// A scan segment's (stealable) cursor.
-    Scan(ScanSource),
+    Scan(ScanCursor),
 }
 
 /// One segment's instantiated operator chain on one machine. A chain
@@ -135,7 +139,11 @@ enum ChainSource {
 /// steal from peers) until the segment finishes.
 struct SegmentChain {
     source: ChainSource,
-    extends: Vec<PullExtend>,
+    /// The segment's extends, each compiled against its input arity.
+    extends: Vec<ExtendSpec>,
+    /// The chain's last operator counts its output instead of
+    /// materialising it: a root segment feeding a counting sink.
+    counts: bool,
 }
 
 /// Where this machine stands with one segment under the dataflow scheduler.
@@ -438,7 +446,6 @@ impl MachineState {
             ControlMsg::StealRequest { segment } => self.answer_steal_request(from, segment)?,
             ControlMsg::PartitionShip {
                 segment,
-                partition: _,
                 bytes,
                 left,
                 right,
@@ -614,11 +621,12 @@ impl MachineState {
         self.compute_time += elapsed;
     }
 
-    /// Instantiates a segment's operator chain from the shared execution
-    /// substrate. For join segments the producers are globally done (the
-    /// readiness policy guarantees it), so any final envelopes still queued
-    /// are absorbed and the join sealed in place — at the configured batch
-    /// size, not the governor-capped one the scan takes.
+    /// Instantiates a segment's operator chain: its source, its compiled
+    /// extends, and whether its last operator counts. For join segments the
+    /// producers are globally done (the readiness policy guarantees it), so
+    /// any final envelopes still queued are absorbed and the join sealed in
+    /// place — at the configured batch size, not the governor-capped one the
+    /// scan takes.
     fn build_chain(
         &mut self,
         plan: &SegmentPlan,
@@ -631,53 +639,40 @@ impl MachineState {
         let ops = &plan.segment.extends;
         let added = ops.iter().filter(|op| op.verify_position.is_none());
         let mut arity = plan.segment.schema.len() - added.count();
-        let mut extends: Vec<PullExtend> = ops
+        let extends = ops
             .iter()
             .map(|op| {
-                let extend = PullExtend::new(op, arity);
-                arity = extend.output_arity();
-                extend
+                let spec = ExtendSpec::compile(op, arity);
+                arity = spec.output_arity();
+                spec
             })
             .collect();
-        // Count-only fast path: when the root segment merely counts matches,
-        // its last operator (final extend, or the bare join) materialises nothing.
-        let count_only = matches!(plan.terminal, Terminal::Sink) && sink == SinkMode::Count;
-        if let Some(last) = extends.last_mut() {
-            last.set_count_only(count_only);
-        }
+        // Count pushdown: when the root segment merely counts matches, its
+        // last operator (final extend, or the bare join) materialises nothing.
+        let counts = matches!(plan.terminal, Terminal::Sink) && sink == SinkMode::Count;
         let source = match &plan.segment.source {
-            SegmentSource::Scan(scan) => ChainSource::Scan(ScanSource::new(
+            SegmentSource::Scan(scan) => ChainSource::Scan(ScanCursor::new(
                 scan.clone(),
                 seg.scan_pools[self.machine].clone(),
             )),
             SegmentSource::Join(_) => {
                 self.absorb_inbox()?;
-                let join = join_of(&mut self.joins, plan.segment.id)?;
-                join.set_count_only(count_only && extends.is_empty());
-                join.seal(self.config.batch_size);
+                join_of(&mut self.joins, plan.segment.id)?.seal(self.config.batch_size);
                 ChainSource::Join
             }
         };
-        Ok(SegmentChain { source, extends })
+        Ok(SegmentChain {
+            source,
+            extends,
+            counts,
+        })
     }
 
-    /// Harvests a finished chain's timings and counters — dropping a join
-    /// segment's joiner, which is done — and stamps the segment's completion
-    /// time.
-    fn finish_chain(&mut self, idx: usize, chain: &mut SegmentChain) {
-        for ext in &mut chain.extends {
-            let (fetch, busy) = ext.take_timings();
-            self.fetch_time += fetch;
-            for (w, d) in busy.iter().enumerate() {
-                if w < self.worker_busy.len() {
-                    self.worker_busy[w] += *d;
-                }
-            }
-            self.matches += ext.take_count();
-        }
+    /// Drops a finished join segment's joiner, harvesting its probe
+    /// counters, and stamps the segment's completion time.
+    fn finish_chain(&mut self, idx: usize) {
         // Only a join segment has a joiner (segment ids are plan indices).
         if let Some(join) = self.joins.remove(&idx) {
-            self.matches += join.counted();
             self.join_stats.probe_pairs += join.tested();
             self.join_stats.probe_matches += join.produced();
         }
@@ -694,6 +689,7 @@ impl MachineState {
     /// build with rows still in flight. Returns at once on a reliable router.
     fn flush_segment_link(&mut self, segment: usize, run: &RunShared) -> Result<()> {
         loop {
+            let seen = self.router.wake_epoch();
             self.router.flush_link().map_err(EngineError::Transport)?;
             if self.router.link_pending(Some(segment)) == 0 {
                 return Ok(());
@@ -708,23 +704,18 @@ impl MachineState {
             // absorb our own inbox (peers may be blocked on us) and park
             // until the next retry comes due.
             self.absorb_inbox()?;
-            self.router.wait_data(PARK_TIMEOUT);
+            self.router.wait_data(seen, PARK_TIMEOUT);
         }
     }
 
     /// A segment's epilogue on this machine, once its own and any stolen work
-    /// is done: deliver what the link still owes, harvest the chain, then
+    /// is done: deliver what the link still owes, finish the chain, then
     /// settle this machine's slot on the segment's release counter — the one
     /// end-of-stream signal — and nudge every parked peer to re-check
     /// readiness.
-    fn complete_segment(
-        &mut self,
-        idx: usize,
-        chain: &mut SegmentChain,
-        run: &RunShared,
-    ) -> Result<()> {
+    fn complete_segment(&mut self, idx: usize, run: &RunShared) -> Result<()> {
         self.flush_segment_link(idx, run)?;
-        self.finish_chain(idx, chain);
+        self.finish_chain(idx);
         run.segments[idx].remaining.fetch_sub(1, Ordering::SeqCst);
         for m in 0..self.router.num_machines() {
             self.router.wake(m);
@@ -779,6 +770,9 @@ impl MachineState {
         let mut states: Vec<SegmentState> = (0..n).map(|_| SegmentState::NotStarted).collect();
         let mut done = 0usize;
         while done < n {
+            // Read before any readiness check: a peer's nudge landing after
+            // the checks cuts the park below short instead of being lost.
+            let seen = self.router.wake_epoch();
             run.check_cancel()?;
             if run.is_aborted() {
                 return Err(EngineError::Aborted("a peer machine failed".into()));
@@ -815,7 +809,7 @@ impl MachineState {
                         states[idx] = if drains {
                             SegmentState::Draining(chain)
                         } else {
-                            self.complete_segment(idx, &mut chain, run)?;
+                            self.complete_segment(idx, run)?;
                             done += 1;
                             SegmentState::Done
                         };
@@ -830,7 +824,7 @@ impl MachineState {
                         match outcome {
                             StealOutcome::Stole => {}
                             StealOutcome::AllIdle => {
-                                self.complete_segment(idx, chain, run)?;
+                                self.complete_segment(idx, run)?;
                                 states[idx] = SegmentState::Done;
                                 done += 1;
                             }
@@ -859,20 +853,24 @@ impl MachineState {
                 // arrives) until a peer finishes a segment or pushes data.
                 self.absorb_inbox()?;
                 let span = self.trace.enter("park");
-                self.router.wait_data(PARK_TIMEOUT);
+                self.router.wait_data(seen, PARK_TIMEOUT);
                 self.trace.exit(span);
             }
         }
         // Wait for thieves to ack in-flight partition ships so the charge
         // held for them is released before the run tears down (the ack was
         // sent the moment the thief absorbed the ship, so this drains fast).
-        while self.pending_ship_bytes > 0 && !run.is_aborted() {
+        loop {
+            let seen = self.router.wake_epoch();
+            if self.pending_ship_bytes == 0 || run.is_aborted() {
+                break;
+            }
             run.check_cancel()?;
             self.absorb_inbox()?;
             if self.pending_ship_bytes == 0 {
                 break;
             }
-            self.router.wait_data(PARK_TIMEOUT);
+            self.router.wait_data(seen, PARK_TIMEOUT);
         }
         Ok(())
     }
@@ -1015,9 +1013,11 @@ impl MachineState {
         }
     }
 
-    /// Runs operator `current` of the chain once: polls the source (the scan
-    /// cursor, or the segment's joiner) or feeds an extend one queued batch.
-    /// Returns the batch it produced, if any.
+    /// Runs operator `current` of the chain once: one batch from the source
+    /// (the scan cursor, or the segment's joiner) or one queued batch through
+    /// an extend. Returns the batch it produced; the chain's counting last
+    /// operator adds its count to the sink's matches and returns `None`, so a
+    /// counting join, like a materialising one, yields after every batch.
     fn step(
         &mut self,
         chain: &mut SegmentChain,
@@ -1025,7 +1025,7 @@ impl MachineState {
         segment: usize,
         current: usize,
     ) -> Result<Option<ColBatch>> {
-        // Assembled field by field: the joiner polled below is a field too.
+        // Assembled field by field: the joiner called below is a field too.
         let ctx = OpContext {
             machine: self.machine,
             partition: &self.partition,
@@ -1035,22 +1035,47 @@ impl MachineState {
             pool: &self.pool,
             batch_size: self.effective_batch_size(),
         };
-        let poll = match (current, &mut chain.source) {
-            (0, ChainSource::Scan(scan)) => scan.poll_next(&ctx)?,
-            (0, ChainSource::Join) => join_of(&mut self.joins, segment)?.poll_next(&ctx)?,
+        let counts = chain.counts && current == chain.extends.len();
+        match (current, &mut chain.source) {
+            (0, ChainSource::Scan(cursor)) => Ok(cursor.next_runs(&ctx)),
+            (0, ChainSource::Join) => {
+                let join = join_of(&mut self.joins, segment)?;
+                if counts {
+                    self.matches += join.count_batch()?.unwrap_or(0);
+                    return Ok(None);
+                }
+                let batch = join.next_batch()?;
+                if let Some(batch) = &batch {
+                    let stats = self.rpc.stats().machine(self.machine);
+                    stats.record_col_bytes(batch.byte_size());
+                }
+                Ok(batch)
+            }
             (i, _) => {
                 let Some(input) = queues.queue(i - 1).pop() else {
                     return Ok(None);
                 };
-                let op = &mut chain.extends[i - 1];
-                op.push_input(input, &ctx)?;
-                op.poll_next(&ctx)?
+                let spec = &chain.extends[i - 1];
+                if counts {
+                    let out = spec.run_count_cols(&input, &ctx);
+                    self.matches += out.count;
+                    self.add_extend_time(out.fetch_time, &out.worker_busy);
+                    return Ok(None);
+                }
+                let out = spec.run_cols(input, &ctx)?;
+                self.add_extend_time(out.fetch_time, &out.worker_busy);
+                Ok(Some(out.batch))
             }
-        };
-        Ok(match poll {
-            OpPoll::Ready(batch) => Some(batch),
-            OpPoll::Pending | OpPoll::Exhausted => None,
-        })
+        }
+    }
+
+    /// Adds one extend call's fetch-stage time and per-worker busy time to
+    /// the machine's totals.
+    fn add_extend_time(&mut self, fetch: Duration, busy: &[Duration]) {
+        self.fetch_time += fetch;
+        for (total, d) in self.worker_busy.iter_mut().zip(busy) {
+            *total += *d;
+        }
     }
 
     /// Consumes one fully-extended batch at the terminal.
@@ -1197,7 +1222,7 @@ impl MachineState {
             Some(join) => join.take_unprobed_partition()?,
             None => None,
         };
-        let Some((partition, left, right)) = taken else {
+        let Some((left, right)) = taken else {
             let nack = ControlMsg::ShipNack { segment };
             self.router.send_control(thief, nack);
             return Ok(());
@@ -1213,7 +1238,6 @@ impl MachineState {
             thief,
             ControlMsg::PartitionShip {
                 segment,
-                partition,
                 bytes,
                 left,
                 right,

@@ -1,7 +1,11 @@
-//! Operator implementations: `SCAN` and `PULL-EXTEND`.
+//! Operator implementations: `SCAN` ([`ScanCursor`]) and `PULL-EXTEND`
+//! ([`ExtendSpec`]).
 //!
 //! (`PUSH-JOIN` lives in [`crate::join`]; the `SINK` is part of the segment
-//! terminal in [`crate::machine`].)
+//! terminal in [`crate::machine`], whose chain calls these operators
+//! directly — [`ScanCursor::next_runs`], then [`ExtendSpec::run_cols`], or
+//! [`ExtendSpec::run_count_cols`] for the last extend of a counting root
+//! segment.)
 //!
 //! Match-mode `PULL-EXTEND` is **one candidate generator with two sinks**
 //! (`for_each_candidate_set`), and the generator is two things:
@@ -240,6 +244,34 @@ impl ScanCursor {
         } else {
             Some(batch)
         }
+    }
+
+    /// [`ScanCursor::next_batch`] as a chain consumes it: one run batch of
+    /// `[src, dst]` columns with its column bytes charged to the machine. The
+    /// cursor emits a vertex's edges consecutively, so `src` is stored once
+    /// per vertex and the first extend reads its runs like any later one.
+    /// `None` while the pool is empty (stealing may refill it).
+    pub fn next_runs(&mut self, ctx: &OpContext<'_>) -> Option<ColBatch> {
+        let batch = self.next_batch(ctx)?;
+        let (mut src, mut ends) = (Vec::new(), Vec::new());
+        let mut dst = Vec::with_capacity(batch.len());
+        for row in batch.rows() {
+            if src.last() != Some(&row[0]) {
+                if !dst.is_empty() {
+                    ends.push(dst.len() as u32);
+                }
+                src.push(row[0]);
+            }
+            dst.push(row[1]);
+        }
+        // `batch_size` rows at most, far below 32 bits.
+        ends.push(dst.len() as u32);
+        let cols = ColBatch::from_runs(vec![src, dst], ends);
+        ctx.rpc
+            .stats()
+            .machine(ctx.machine)
+            .record_col_bytes(cols.byte_size());
+        Some(cols)
     }
 }
 
@@ -572,11 +604,6 @@ impl ExtendSpec {
         }
     }
 
-    /// The translated operator this was compiled from.
-    pub fn op(&self) -> &ExtendOp {
-        &self.op
-    }
-
     /// Arity of the output rows: verify mode adds no column.
     pub fn output_arity(&self) -> usize {
         self.arity + self.op.verify_position.is_none() as usize
@@ -905,7 +932,7 @@ impl ExtendSpec {
     /// narrowed selection vector over a dense input's columns, or a shorter
     /// newest column and recounted run ends of a run batch
     /// ([`ColBatch::retain_rows`]). *Match* mode is the materialising sink of
-    /// [`for_each_candidate_set`] and always emits a **run batch**: the
+    /// `for_each_candidate_set` and always emits a **run batch**: the
     /// kernels write each row's candidates straight into a piece of the new
     /// column, the `(input row, candidates)` list the sink keeps is the run
     /// table, and every input column is gathered once per *extended input
@@ -1004,7 +1031,7 @@ impl ExtendSpec {
 
     /// Counts the extensions of one columnar batch without materialising
     /// anything the kernels can avoid: the counting sink of
-    /// [`for_each_candidate_set`]. The newest column's list is never written —
+    /// `for_each_candidate_set`. The newest column's list is never written —
     /// with one extend list the count is two `partition_point`s; with several,
     /// the final step runs an `intersect_count_*` twin (probe twin against the
     /// run's filter, bitmap twin for indexed hubs) against the shared prefix
@@ -2015,11 +2042,9 @@ mod tests {
                         rows.push(batch);
                     }
                     let mut dense: Vec<ColBatch> = rows.iter().map(ColBatch::from_rows).collect();
-                    let mut source = crate::exec::ScanSource::new(scan.clone(), vertices());
+                    let mut source = ScanCursor::new(scan.clone(), vertices());
                     let mut runs: Vec<ColBatch> = Vec::new();
-                    while let crate::exec::OpPoll::Ready(batch) =
-                        crate::exec::BatchOperator::poll_next(&mut source, &c).unwrap()
-                    {
+                    while let Some(batch) = source.next_runs(&c) {
                         prop_assert!(batch.run_ends().is_some());
                         runs.push(batch);
                     }

@@ -163,24 +163,9 @@ impl GraphPartition {
         self.graph.has_edge(u, v)
     }
 
-    /// Number of vertices in the *global* graph.
-    pub fn global_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    /// Number of edges in the *global* graph.
-    pub fn global_edges(&self) -> u64 {
-        self.graph.num_edges()
-    }
-
     /// Bytes of adjacency data stored locally.
     pub fn local_bytes(&self) -> u64 {
         self.local_bytes
-    }
-
-    /// A shared handle to the global graph (used by the RPC server).
-    pub fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
     }
 
     /// Builds (or disables, for `threshold == 0`) the hub-bitmap index over

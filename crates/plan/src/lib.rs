@@ -15,8 +15,9 @@
 //!   which configures them for a given join.
 //! * [`cost`] — cardinality estimation and the cost model of Algorithm 1.
 //! * [`optimizer`] — the dynamic-programming optimiser (Algorithm 1).
-//! * [`translate`] — translation of an execution plan into a dataflow of
-//!   `SCAN` / `PULL-EXTEND` / `PUSH-JOIN` / `SINK` operators (Algorithm 2),
+//! * [`translate`](mod@translate) — translation of an execution plan into a
+//!   dataflow of `SCAN` / `PULL-EXTEND` / `PUSH-JOIN` / `SINK` operators
+//!   (Algorithm 2),
 //!   including the §5.2 rewrites of star scans and pulling-based hash joins
 //!   into chains of `PULL-EXTEND`s for bounded memory.
 //! * [`baselines`] — the logical plans of StarJoin, SEED, BiGJoin, BENU and

@@ -97,18 +97,6 @@ impl SubQuery {
         Self::from_edge_mask(q, edges)
     }
 
-    /// The raw vertex bitmask.
-    #[inline]
-    pub fn vertex_mask(&self) -> u32 {
-        self.verts
-    }
-
-    /// The raw edge bitmask (indices into the parent's edge list).
-    #[inline]
-    pub fn edge_mask(&self) -> u64 {
-        self.edges
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {

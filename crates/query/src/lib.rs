@@ -10,7 +10,7 @@
 //! * [`patterns`] — the paper's benchmark queries `q1`–`q8` plus common
 //!   building blocks (triangle, paths, stars, cliques, cycles).
 //! * [`symmetry`] — automorphism enumeration and symmetry-breaking partial
-//!   orders (the Grochow–Kellis method the paper cites [28]).
+//!   orders (the Grochow–Kellis method the paper cites \[28\]).
 //! * [`naive`] — a sequential Ullmann-style backtracking enumerator used as
 //!   ground truth by every test in the workspace.
 

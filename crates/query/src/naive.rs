@@ -1,7 +1,7 @@
 //! A sequential reference enumerator.
 //!
 //! This is the Ullmann-style backtracking algorithm the paper attributes to
-//! BENU's per-machine program (§3.1, [82]): match query vertices one at a
+//! BENU's per-machine program (§3.1, \[82\]): match query vertices one at a
 //! time along a connected order, maintaining the candidate set of the next
 //! vertex as the intersection of the neighbourhoods of its already-matched
 //! neighbours. It is intentionally simple and single-threaded; every other

@@ -5,7 +5,8 @@
 //! and under every runtime regime that touches the join's lifecycle —
 //! spilled Grace partitions, governed budgets, stolen partitions, a lossy
 //! transport — and a cancel landing mid-count must unwind as cleanly as one
-//! landing mid-materialise.
+//! landing mid-materialise. Roots that end in an extend count with that
+//! extend instead, held to the same two references.
 
 use std::time::Duration;
 
@@ -163,6 +164,43 @@ fn count_equals_collect_equals_reference_across_the_matrix() {
                 // inner joins produced on the way).
                 assert!(counted.join.probe_matches >= expected, "{case}");
             }
+        }
+    }
+}
+
+#[test]
+fn count_equals_collect_for_extend_rooted_plans() {
+    // The other half of the count pushdown: under HUGE's own plans these
+    // roots end in an extend, and `Count` counts with that last extend
+    // instead of materialising its column.
+    let graph = gen::erdos_renyi(60, 420, 7);
+    let patterns = [
+        Pattern::Triangle,
+        Pattern::Square,
+        Pattern::ChordalSquare,
+        Pattern::FourClique,
+    ];
+    for pattern in patterns {
+        let query = pattern.query_graph();
+        let expected = naive::enumerate(&graph, &query);
+        assert!(expected > 0, "{pattern:?} must occur in the graph");
+        for machines in 1..=3 {
+            let case = format!("{pattern:?}, {machines} machine(s)");
+            let cluster = HugeCluster::build(graph.clone(), base_config(machines)).unwrap();
+            let dataflow = translate(&cluster.plan(&query).unwrap()).unwrap();
+            let root = dataflow.segments.last().expect("plans have a root segment");
+            assert!(
+                !root.extends.is_empty(),
+                "the root must end in an extend: {case}"
+            );
+            let counted = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+            let collected = cluster
+                .run_dataflow(&dataflow, SinkMode::Collect(usize::MAX))
+                .unwrap();
+            assert_eq!(counted.matches, expected, "Count vs reference: {case}");
+            assert_eq!(collected.matches, expected, "Collect vs reference: {case}");
+            let rows = collected.sample_matches.len() as u64;
+            assert_eq!(rows, expected, "Collect(∞) rows: {case}");
         }
     }
 }

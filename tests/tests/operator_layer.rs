@@ -1,16 +1,16 @@
-//! Tests of the shared `huge_core::exec` batch-operator layer: the HUGE
-//! engine and the baseline engines must produce identical counts through it
-//! and report non-zero, comparable communication statistics, because both
-//! charge traffic through the same `huge-comm` code paths.
+//! Tests of what the engines share — the operators called directly, the
+//! joiner, the partitioners: the HUGE engine and the baseline engines must
+//! produce identical counts and report non-zero, comparable communication
+//! statistics, because both charge traffic through the same `huge-comm` code
+//! paths.
 
 use std::sync::Arc;
 
 use huge_baselines::exec::{scan_star, wco_extend_pushing, BaselineCtx};
 use huge_baselines::Baseline;
-use huge_core::exec::{BatchOperator, OpContext, PullExtend, ScanSource};
-use huge_core::operators::ScanPool;
+use huge_core::operators::{ExtendSpec, ScanCursor, ScanPool};
 use huge_core::pool::WorkerPool;
-use huge_core::{ClusterConfig, HugeCluster, LoadBalance, OpPoll, SinkMode};
+use huge_core::{ClusterConfig, HugeCluster, LoadBalance, OpContext, SinkMode};
 use huge_graph::{gen, Graph, Partitioner};
 use huge_plan::physical::CommMode;
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
@@ -80,7 +80,7 @@ fn exec_layer_pipeline_matches_reference() {
             pool: &pool,
             batch_size: 256,
         };
-        let mut scan = ScanSource::new(
+        let mut scan = ScanCursor::new(
             ScanOp {
                 src: 0,
                 dst: 1,
@@ -91,7 +91,7 @@ fn exec_layer_pipeline_matches_reference() {
             },
             ScanPool::new(partition.local_vertices(), 16),
         );
-        let mut extend = PullExtend::new(
+        let extend = ExtendSpec::compile(
             &ExtendOp {
                 target: 2,
                 ext_positions: vec![0, 1],
@@ -104,11 +104,8 @@ fn exec_layer_pipeline_matches_reference() {
             },
             2,
         );
-        while let OpPoll::Ready(batch) = scan.poll_next(&ctx).unwrap() {
-            extend.push_input(batch, &ctx).unwrap();
-            while let OpPoll::Ready(out) = extend.poll_next(&ctx).unwrap() {
-                total += out.len() as u64;
-            }
+        while let Some(batch) = scan.next_runs(&ctx) {
+            total += extend.run_cols(batch, &ctx).unwrap().batch.len() as u64;
         }
     }
     assert_eq!(total, expected);

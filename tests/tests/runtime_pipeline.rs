@@ -114,15 +114,20 @@ fn bounded_router_backpressure_terminates_with_parked_consumer() {
         let done_consumer = Arc::clone(&done);
         let consume = scope.spawn(move || {
             let mut rows = 0usize;
-            while !done_consumer.load(Ordering::SeqCst) || consumer.has_data() {
+            loop {
+                // The epoch is read before the checks, so the producer's
+                // final nudge cannot slip in between them and the park.
+                let seen = consumer.wake_epoch();
+                if done_consumer.load(Ordering::SeqCst) && !consumer.has_data() {
+                    return rows;
+                }
                 // Park on the notify handle instead of spinning.
-                if consumer.wait_data(Duration::from_millis(20)) {
+                if consumer.wait_data(seen, Duration::from_millis(20)) {
                     while let Some(env) = consumer.try_recv() {
                         rows += env.batch.len();
                     }
                 }
             }
-            rows
         });
         for i in 0..BATCHES {
             // Blocking push: waits for space when the inbox is full.
