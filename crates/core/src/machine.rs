@@ -21,9 +21,17 @@
 //! runnable segment while a straggler finishes — there is no per-segment
 //! barrier unless `pipeline_segments(false)` asks for one, and then the
 //! barrier is a readiness gate in the same loop (a segment starts only once
-//! every earlier segment is released cluster-wide). When a machine has
-//! nothing to compute it *parks* on the router's notify handle instead of
-//! spinning.
+//! every earlier segment is released cluster-wide).
+//!
+//! The machine is a state machine: `MachineState::step` advances it by one
+//! scheduling decision and returns a `Step`. Nothing below it waits — a push
+//! that bounces off a full inbox, an injected stall, a completion whose link
+//! still owes frames and the end-of-run wait for ship acks are states `step`
+//! resumes, reported as `Step::Blocked` with the `WakeOn` condition. The
+//! run driver (`MachineState::run_all_inner`) is the one place that parks:
+//! each iteration checks cancellation, absorbs the inbox (answering thieves,
+//! which keeps the cooperative protocol deadlock-free), ticks the governor,
+//! steps, and parks on the router when blocked.
 //!
 //! Join skew is handled by **cross-machine Grace partition stealing** over
 //! the router's control plane: a machine that drained its own build requests
@@ -32,7 +40,7 @@
 //! moment its inbox yields it, from whichever join the request names and
 //! whatever that join's phase (`MachineState::answer_steal_request`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -57,8 +65,9 @@ use crate::report::{JoinReport, MachineReport};
 use crate::scheduler::{RunShared, SegmentQueues, SegmentShared};
 use crate::{EngineError, Result};
 
-/// How long a machine parks on the router before re-checking conditions that
-/// change without data arriving (idle flags, segment completion, aborts).
+/// How long the run driver parks on the router before re-checking conditions
+/// that change without data arriving (idle flags, segment completion,
+/// aborts, cancellation, a stall's deadline).
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Join buffers below this resident size are not worth a governed spill
@@ -136,7 +145,8 @@ enum ChainSource {
 
 /// One segment's instantiated operator chain on one machine. A chain
 /// persists across scheduler visits (a draining segment is revisited to
-/// steal from peers) until the segment finishes.
+/// steal from peers; a blocked one is resumed where it stopped) until the
+/// segment finishes.
 struct SegmentChain {
     source: ChainSource,
     /// The segment's extends, each compiled against its input arity.
@@ -144,17 +154,86 @@ struct SegmentChain {
     /// The chain's last operator counts its output instead of
     /// materialising it: a root segment feeding a counting sink.
     counts: bool,
+    /// Where the next visit resumes: the terminal of a blocked chain, else 0.
+    current: usize,
+    /// The shuffle terminal's parts not yet accepted by their destination
+    /// inboxes, in push order; the front one bounced.
+    unsent: VecDeque<Part>,
+    /// The front part was counted as a throttled batch.
+    throttled: bool,
+    /// The `chain` span a blocked visit left open for its resumption.
+    span: SpanId,
+    /// The front part's open `backpressure` span, once it bounced.
+    backpressure: SpanId,
 }
 
+/// One destination's part of a shuffled batch.
+type Part = (MachineId, ColBatch);
+
 /// Where this machine stands with one segment under the dataflow scheduler.
+/// `Stalled`, `Running` and `Completing` are *active*: at most one segment
+/// is, and [`MachineState::step`] resumes it before considering any other.
 enum SegmentState {
     /// Not yet started (may be waiting on producer segments).
     NotStarted,
+    /// An injected [`Fault::Delay`] holds the chain until `until`; the control
+    /// plane keeps running, so idle peers steal from the straggler meanwhile.
+    Stalled { until: Instant, span: SpanId },
+    /// The chain stopped on a push that bounced off a full inbox.
+    Running(SegmentChain),
     /// Own work done; the machine revisits the segment's chain to steal from
     /// peers until every machine is idle on it.
     Draining(SegmentChain),
+    /// All work done; the link still owes frames for the segment.
+    Completing,
     /// Finished on this machine (its `remaining` slot has been released).
     Done,
+}
+
+impl SegmentState {
+    fn is_active(&self) -> bool {
+        use SegmentState::*;
+        !matches!(self, NotStarted | Draining(_) | Done)
+    }
+}
+
+/// What one [`MachineState::step`] did: advanced some segment, found nothing
+/// that can advance until a condition holds, or finished the run (every
+/// segment done, every ship acked).
+enum Step {
+    Progressed,
+    Blocked(WakeOn),
+    Done,
+}
+
+/// What a blocked machine waits for.
+#[derive(Clone, Copy)]
+enum WakeOn {
+    /// Inbox data, a control message or a peer's `wake` nudge.
+    Data,
+    /// Room in that machine's inbox.
+    Space(MachineId),
+    /// A stall's deadline (inbox traffic still ends the park early).
+    Until(Instant),
+}
+
+/// A segment's next state, and what the step did — `None` when a draining
+/// segment could not advance (peers still own its work).
+type Advance = (SegmentState, Option<Step>);
+
+/// One segment as the scheduler visits it.
+#[derive(Clone, Copy)]
+struct Visit<'a> {
+    plan: &'a SegmentPlan,
+    run: &'a RunShared,
+    sink: SinkMode,
+}
+
+impl<'a> Visit<'a> {
+    /// What every machine shares about the segment.
+    fn seg(self) -> &'a SegmentShared {
+        &self.run.segments[self.plan.segment.id]
+    }
 }
 
 /// The thief-side state of cross-machine Grace partition stealing for one
@@ -178,7 +257,7 @@ struct JoinSteal {
 
 /// The outcome of one stealing attempt on a draining segment.
 enum StealOutcome {
-    /// Work was stolen and executed; try again.
+    /// Work was stolen (or adopted); run the chain on it.
     Stole,
     /// Every machine is idle on the segment (or the run aborted): finish it.
     AllIdle,
@@ -248,9 +327,6 @@ pub struct MachineState {
     /// Every ship is adopted and acked exactly once — the thief's inbox
     /// deduplicates whatever a lossy link re-delivers.
     pending_ship_bytes: u64,
-    /// The run's cancellation token (deadline-armed by the cluster); every
-    /// cooperative loop polls it at batch granularity.
-    cancel: CancelToken,
     /// Skew-handling counters surfaced in the run report.
     join_stats: JoinReport,
 }
@@ -294,7 +370,6 @@ impl MachineState {
             join_feeds: HashMap::new(),
             join_ctl: HashMap::new(),
             pending_ship_bytes: 0,
-            cancel: CancelToken::new(),
             join_stats: JoinReport::default(),
         }
     }
@@ -308,7 +383,6 @@ impl MachineState {
     /// shared instant all spans measure against.
     pub fn prepare_run(&mut self, plans: &[SegmentPlan], trace: TraceBuf, cancel: CancelToken) {
         self.trace = trace;
-        self.cancel = cancel;
         for plan in plans {
             if let SegmentSource::Join(op) = &plan.segment.source {
                 let (left_arity, right_arity) = plan
@@ -328,7 +402,7 @@ impl MachineState {
                 );
                 // A cancelled probe must stop between batches, so the join
                 // polls the run token too.
-                join.set_cancel(self.cancel.clone());
+                join.set_cancel(cancel.clone());
                 self.joins.insert(plan.segment.id, join);
             }
         }
@@ -404,9 +478,8 @@ impl MachineState {
     }
 
     /// Moves every queued inbound envelope into the joiner it feeds. This is
-    /// the consumer half of the streaming shuffle: it runs opportunistically
-    /// during chain execution, while waiting for space on a full destination
-    /// inbox, and whenever the dataflow scheduler has nothing runnable.
+    /// the consumer half of the streaming shuffle: it runs on every driver
+    /// iteration, blocked or not, and between a chain's scheduling steps.
     ///
     /// Every control envelope is handled only after a data drain that
     /// started once it had been popped: a `StealRequest` implies the sender
@@ -485,134 +558,51 @@ impl MachineState {
         Ok(())
     }
 
-    /// Pushes one shuffle batch with backpressure: while the destination
-    /// inbox is full, absorb the own inbox (so peers blocked on *us* make
-    /// progress — this is what keeps the cooperative protocol deadlock-free)
-    /// and park briefly for space. Bails out when a peer aborted the run
-    /// (a failed machine will never drain its inbox).
-    fn push_with_backpressure(
-        &mut self,
-        dest: MachineId,
-        segment: usize,
-        batch: ColBatch,
-        run: &RunShared,
-    ) -> Result<()> {
-        let mut pending = batch;
-        let mut throttle_counted = false;
-        // The span opens on the first bounce only, so an uncontended push
-        // records nothing; an error mid-wait leaves it open and the timeline
-        // closes it at the track's end (the wait really did last that long).
-        let mut bp_span = SpanId::NONE;
-        loop {
-            match self.router.try_push(dest, segment, pending) {
-                Ok(()) => {
-                    if !bp_span.is_none() {
-                        self.trace.exit_kv(bp_span, kv("dest", dest as u64));
-                    }
-                    return Ok(());
+    /// Pushes the shuffle terminal's unsent parts in order. Returns the
+    /// destination whose full inbox bounced the front part, which stays
+    /// queued with every part behind it for the chain's resumption.
+    fn push_unsent(&mut self, chain: &mut SegmentChain, segment: usize) -> Option<MachineId> {
+        while let Some((dest, part)) = chain.unsent.pop_front() {
+            if let Err(back) = self.router.try_push(dest, segment, part) {
+                // A bounce is the governor's backpressure actuator at work
+                // when the *destination* is under pressure (it is the dest's
+                // inbox capacity the governor shrank): count the deferred
+                // batch once, against the machine whose pressure caused it.
+                if !chain.throttled && self.governor.is_throttling(dest) {
+                    self.governor.record_throttled(dest);
+                    chain.throttled = true;
                 }
-                Err(back) => {
-                    run.check_cancel()?;
-                    if run.is_aborted() {
-                        return Err(EngineError::Aborted(
-                            "shuffle target lost to a failed peer machine".into(),
-                        ));
-                    }
-                    // A bounce is the governor's backpressure actuator at
-                    // work when the *destination* is under pressure (it is
-                    // the dest's inbox capacity the governor shrank): count
-                    // the deferred batch once, against the machine whose
-                    // pressure caused it.
-                    if !throttle_counted && self.governor.is_throttling(dest) {
-                        self.governor.record_throttled(dest);
-                        throttle_counted = true;
-                    }
-                    if bp_span.is_none() {
-                        bp_span = self
-                            .trace
-                            .enter_kv("backpressure", kv("segment", segment as u64));
-                    }
-                    pending = back;
-                    self.absorb_inbox()?;
-                    self.router.wait_space(dest, PARK_TIMEOUT);
+                // The span opens on the first bounce only; an error mid-wait
+                // leaves it open and the timeline closes it at the track's end.
+                if chain.backpressure.is_none() {
+                    let args = kv("segment", segment as u64);
+                    chain.backpressure = self.trace.enter_kv("backpressure", args);
                 }
+                chain.unsent.push_front((dest, back));
+                return Some(dest);
             }
+            let span = std::mem::replace(&mut chain.backpressure, SpanId::NONE);
+            if !span.is_none() {
+                self.trace.exit_kv(span, kv("dest", dest as u64));
+            }
+            chain.throttled = false;
         }
+        None
     }
 
-    /// Fires the configured chaos fault if it targets this machine/segment.
-    ///
-    /// An injected `Delay` stalls this machine's *chain*, not its control
-    /// plane: the sleep is taken in short slices with the inbox absorbed —
-    /// steal requests answered with it — in between, the way a real
-    /// straggler's runtime keeps servicing network traffic while its compute
-    /// lags. That responsiveness is what lets idle peers steal a stalled
-    /// machine's sealed Grace partitions *during* the stall instead of
-    /// queueing behind it.
-    fn maybe_inject_fault(&mut self, segment: usize) -> Result<()> {
-        let faults: Vec<Fault> = self
-            .config
-            .fault_plan
-            .iter()
-            .filter(|spec| spec.machine == self.machine && spec.segment == segment)
+    /// The chaos plan's faults for this machine in `segment`.
+    fn faults(&self, segment: usize) -> impl Iterator<Item = Fault> + '_ {
+        let plan = self.config.fault_plan.iter();
+        plan.filter(move |spec| spec.machine == self.machine && spec.segment == segment)
             .map(|spec| spec.fault)
-            .collect();
-        for fault in faults {
-            match fault {
-                Fault::Delay(total) => {
-                    let span = self.trace.enter_kv(
-                        "fault_delay",
-                        kv2("segment", segment as u64, "ms", total.as_millis() as u64),
-                    );
-                    let deadline = Instant::now() + total;
-                    loop {
-                        // A stalled machine still honours cancellation: the
-                        // slices poll the token, so a cancel or deadline cuts
-                        // the stall short instead of waiting it out.
-                        self.cancel.check()?;
-                        self.absorb_inbox()?;
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(2).min(deadline - now));
-                    }
-                    self.trace.exit(span);
-                }
-                Fault::Panic => panic!(
-                    "injected fault: machine {} panics in segment {segment}",
-                    self.machine
-                ),
-                // Point panics fire from `maybe_panic_at` at their named
-                // sites; transport faults live in the router's link.
-                Fault::PanicAt(_)
-                | Fault::DropBatch { .. }
-                | Fault::DuplicateBatch { .. }
-                | Fault::ReorderWindow { .. }
-                | Fault::SlowLink { .. } => {}
-            }
-        }
-        Ok(())
     }
 
     /// Fires any [`Fault::PanicAt`] armed for this machine/segment/point.
     fn maybe_panic_at(&self, segment: usize, point: PanicPoint) {
-        for spec in &self.config.fault_plan {
-            if spec.machine == self.machine
-                && spec.segment == segment
-                && spec.fault == Fault::PanicAt(point)
-            {
-                panic!(
-                    "injected fault: machine {} panics at {point:?} in segment {segment}",
-                    self.machine
-                );
-            }
+        if self.faults(segment).any(|f| f == Fault::PanicAt(point)) {
+            let me = self.machine;
+            panic!("injected fault: machine {me} panics at {point:?} in segment {segment}");
         }
-    }
-
-    /// Records the first time this machine touches segment `idx`.
-    fn note_segment_start(&mut self, idx: usize) {
-        self.trace.seg_mark_start(idx);
     }
 
     /// Accumulates active time spent on segment `idx`.
@@ -627,12 +617,8 @@ impl MachineState {
     /// any final envelopes still queued are absorbed and the join sealed in
     /// place — at the configured batch size, not the governor-capped one the
     /// scan takes.
-    fn build_chain(
-        &mut self,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        sink: SinkMode,
-    ) -> Result<SegmentChain> {
+    fn build_chain(&mut self, v: Visit) -> Result<SegmentChain> {
+        let plan = v.plan;
         self.maybe_panic_at(plan.segment.id, PanicPoint::Build);
         // A match-mode extend adds a column, so the chain's input arities
         // follow from the width of the segment's output.
@@ -649,11 +635,11 @@ impl MachineState {
             .collect();
         // Count pushdown: when the root segment merely counts matches, its
         // last operator (final extend, or the bare join) materialises nothing.
-        let counts = matches!(plan.terminal, Terminal::Sink) && sink == SinkMode::Count;
+        let counts = matches!(plan.terminal, Terminal::Sink) && v.sink == SinkMode::Count;
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanCursor::new(
                 scan.clone(),
-                seg.scan_pools[self.machine].clone(),
+                v.seg().scan_pools[self.machine].clone(),
             )),
             SegmentSource::Join(_) => {
                 self.absorb_inbox()?;
@@ -665,13 +651,29 @@ impl MachineState {
             source,
             extends,
             counts,
+            current: 0,
+            unsent: VecDeque::new(),
+            throttled: false,
+            span: SpanId::NONE,
+            backpressure: SpanId::NONE,
         })
     }
 
-    /// Drops a finished join segment's joiner, harvesting its probe
-    /// counters, and stamps the segment's completion time.
-    fn finish_chain(&mut self, idx: usize) {
-        // Only a join segment has a joiner (segment ids are plan indices).
+    /// A segment's epilogue on this machine, once its own and any stolen work
+    /// is done. The segment is `Completing` until every frame this machine
+    /// owes for it over the fault-injection link has landed, or a consumer
+    /// would seal its build with rows still in flight. Then drop its joiner,
+    /// harvesting the probe counters, settle this machine's slot on the
+    /// segment's release counter — the one end-of-stream signal — and nudge
+    /// every parked peer to re-check readiness.
+    fn complete_segment(&mut self, v: Visit) -> Result<Advance> {
+        let idx = v.plan.segment.id;
+        self.router.flush_link().map_err(EngineError::Transport)?;
+        if self.router.link_pending(Some(idx)) > 0 {
+            // Retransmits respect their backoff due-times even under flush.
+            let blocked = Step::Blocked(WakeOn::Data);
+            return Ok((SegmentState::Completing, Some(blocked)));
+        }
         if let Some(join) = self.joins.remove(&idx) {
             self.join_stats.probe_pairs += join.tested();
             self.join_stats.probe_matches += join.produced();
@@ -680,47 +682,11 @@ impl MachineState {
         // without ever noting a start (the aggregate clamps end >= start).
         self.trace.seg_mark_start(idx);
         self.trace.seg_mark_end(idx);
-    }
-
-    /// The delivery barrier a segment runs before it releases its counter:
-    /// every frame this machine still owes for the segment over the
-    /// fault-injection link (parked behind a reorder/slow gate or awaiting
-    /// retransmit) must actually land first, or a consumer would seal its
-    /// build with rows still in flight. Returns at once on a reliable router.
-    fn flush_segment_link(&mut self, segment: usize, run: &RunShared) -> Result<()> {
-        loop {
-            let seen = self.router.wake_epoch();
-            self.router.flush_link().map_err(EngineError::Transport)?;
-            if self.router.link_pending(Some(segment)) == 0 {
-                return Ok(());
-            }
-            run.check_cancel()?;
-            if run.is_aborted() {
-                return Err(EngineError::Aborted(
-                    "transport flush interrupted by a failed peer machine".into(),
-                ));
-            }
-            // Retransmits respect their backoff due-times even under flush;
-            // absorb our own inbox (peers may be blocked on us) and park
-            // until the next retry comes due.
-            self.absorb_inbox()?;
-            self.router.wait_data(seen, PARK_TIMEOUT);
-        }
-    }
-
-    /// A segment's epilogue on this machine, once its own and any stolen work
-    /// is done: deliver what the link still owes, finish the chain, then
-    /// settle this machine's slot on the segment's release counter — the one
-    /// end-of-stream signal — and nudge every parked peer to re-check
-    /// readiness.
-    fn complete_segment(&mut self, idx: usize, run: &RunShared) -> Result<()> {
-        self.flush_segment_link(idx, run)?;
-        self.finish_chain(idx);
-        run.segments[idx].remaining.fetch_sub(1, Ordering::SeqCst);
+        v.seg().remaining.fetch_sub(1, Ordering::SeqCst);
         for m in 0..self.router.num_machines() {
             self.router.wake(m);
         }
-        Ok(())
+        Ok((SegmentState::Done, Some(Step::Progressed)))
     }
 
     // -----------------------------------------------------------------------
@@ -728,12 +694,8 @@ impl MachineState {
     // -----------------------------------------------------------------------
 
     /// Drives *all* segments of the run to completion from this machine's
-    /// single thread — the one run driver, pipelined or barriered. Segments
-    /// advance through `SegmentState`; the next segment is picked
-    /// deepest-first among the runnable ones (DFS bias — drain consumers
-    /// before growing producers), and `pipeline_segments(false)` only narrows
-    /// "runnable" to [`RunShared::barrier_open`]. Any failure (or panic)
-    /// aborts the whole run and unparks every peer.
+    /// single thread — the one run driver, pipelined or barriered. Any
+    /// failure (or panic) aborts the whole run and unparks every peer.
     pub fn run_all(
         &mut self,
         plans: &[SegmentPlan],
@@ -757,19 +719,18 @@ impl MachineState {
         result
     }
 
+    /// The run driver: steps the machine until it is done, and is the one
+    /// place it waits.
     fn run_all_inner(
         &mut self,
         plans: &[SegmentPlan],
         run: &RunShared,
         sink: SinkMode,
     ) -> Result<()> {
-        let n = plans.len();
-        // Idle machines steal from peers: scan chunks and queued batches on
-        // scan segments, sealed Grace partitions on join segments.
-        let drains = self.router.num_machines() > 1 && self.config.inter_machine_stealing();
-        let mut states: Vec<SegmentState> = (0..n).map(|_| SegmentState::NotStarted).collect();
-        let mut done = 0usize;
-        while done < n {
+        let visits: Vec<Visit> = plans.iter().map(|plan| Visit { plan, run, sink }).collect();
+        let mut states: Vec<_> = visits.iter().map(|_| SegmentState::NotStarted).collect();
+        let mut mark = Instant::now();
+        loop {
             // Read before any readiness check: a peer's nudge landing after
             // the checks cuts the park below short instead of being lost.
             let seen = self.router.wake_epoch();
@@ -777,102 +738,191 @@ impl MachineState {
             if run.is_aborted() {
                 return Err(EngineError::Aborted("a peer machine failed".into()));
             }
-            // Keep the streaming shuffle flowing (and thieves answered)
-            // whatever segment runs next.
+            // Keep the streaming shuffle flowing and thieves answered,
+            // whatever the machine does next and while it is blocked: peers
+            // blocked on *us* make progress, which keeps the cooperative
+            // protocol deadlock-free.
             self.absorb_inbox()?;
-            // Under Red pressure the DFS bias tightens into strict DFS:
-            // *only* the deepest non-done segment may run, so the machine
-            // drains partials towards the sink instead of starting shallower
-            // producers that generate new ones.
+            // Under Red pressure the DFS bias tightens into strict DFS.
             let strict = self.governor_tick()? == PressureLevel::Red;
-            let mut progressed = false;
-            for idx in (0..n).rev() {
-                let plan = &plans[idx];
-                let seg = &run.segments[idx];
-                let start = Instant::now();
-                match &mut states[idx] {
-                    SegmentState::Done => continue,
-                    SegmentState::NotStarted => {
-                        // Barriered mode is this gate and nothing else.
-                        let open = if self.config.pipeline_segments {
-                            run.ready(&plan.segment.dependencies())
-                        } else {
-                            run.barrier_open(idx)
-                        };
-                        if !open {
-                            continue;
-                        }
-                        self.note_segment_start(idx);
-                        self.maybe_inject_fault(idx)?;
-                        let mut chain = self.build_chain(plan, seg, sink)?;
-                        self.run_chain(&mut chain, plan, seg, run, sink)?;
-                        states[idx] = if drains {
-                            SegmentState::Draining(chain)
-                        } else {
-                            self.complete_segment(idx, run)?;
-                            done += 1;
-                            SegmentState::Done
-                        };
-                    }
-                    SegmentState::Draining(chain) => {
-                        let outcome = match chain.source {
-                            ChainSource::Scan(_) => self.steal_once(chain, plan, seg, run, sink)?,
-                            ChainSource::Join => {
-                                self.steal_join_once(chain, plan, seg, run, sink)?
-                            }
-                        };
-                        match outcome {
-                            StealOutcome::Stole => {}
-                            StealOutcome::AllIdle => {
-                                self.complete_segment(idx, run)?;
-                                states[idx] = SegmentState::Done;
-                                done += 1;
-                            }
-                            StealOutcome::Pending => {
-                                // Peers still own the segment's remaining
-                                // work; fall through to shallower segments —
-                                // unless strict DFS forbids generating new
-                                // work while a deeper segment is unfinished
-                                // (the segment resolves without us: peers
-                                // drain it or go idle, and we keep absorbing
-                                // the inbox from the park below).
-                                if strict {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                    }
+            self.charge_wait(&states, &visits, &mut mark);
+            let wake_on = match self.step(&mut states, &visits, strict, &mut mark)? {
+                Step::Progressed => continue,
+                Step::Blocked(wake_on) => wake_on,
+                Step::Done => return Ok(()),
+            };
+            self.park(wake_on, seen, !states.iter().any(SegmentState::is_active));
+            self.charge_wait(&states, &visits, &mut mark);
+        }
+    }
+
+    /// Charges the driver's time since `mark` to the active segment, if any,
+    /// as busy time — as if the segment had waited inline — and a blocked
+    /// push to its terminal slot too. Idle waits charge nothing.
+    fn charge_wait(&mut self, states: &[SegmentState], visits: &[Visit], mark: &mut Instant) {
+        let waited = lap(mark);
+        let Some(idx) = states.iter().position(SegmentState::is_active) else {
+            return;
+        };
+        self.record_segment_busy(idx, waited);
+        if let SegmentState::Running(_) = states[idx] {
+            let terminal = visits[idx].plan.segment.extends.len() + 1;
+            self.trace.op_add_busy(idx, terminal, waited);
+        }
+    }
+
+    /// Parks on the router until `wake_on` may hold, for at most
+    /// [`PARK_TIMEOUT`] and never past a stall's deadline; `seen` is the wake
+    /// epoch read before the checks that led here. An idle park is a `park`
+    /// span; a blocked segment's waits sit inside its own spans.
+    fn park(&self, wake_on: WakeOn, seen: u64, idle: bool) {
+        let span = idle.then(|| self.trace.enter("park"));
+        let timeout = match wake_on {
+            WakeOn::Until(deadline) => deadline.saturating_duration_since(Instant::now()),
+            WakeOn::Data | WakeOn::Space(_) => Duration::MAX,
+        }
+        .min(PARK_TIMEOUT);
+        match wake_on {
+            WakeOn::Space(dest) => self.router.wait_space(dest, timeout),
+            WakeOn::Data | WakeOn::Until(_) => {
+                self.router.wait_data(seen, timeout);
+            }
+        }
+        if let Some(span) = span {
+            self.trace.exit(span);
+        }
+    }
+
+    /// Advances the machine by one scheduling decision. An active segment
+    /// (see [`SegmentState`]) is resumed before any other; otherwise the
+    /// deepest runnable segment goes (DFS bias — drain consumers before
+    /// growing producers). Under Red pressure (`strict`) the bias tightens
+    /// into strict DFS: a draining segment whose peers still own work stops
+    /// the search, so the machine drains partials towards the sink instead of
+    /// starting shallower producers that generate new ones.
+    fn step(
+        &mut self,
+        states: &mut [SegmentState],
+        visits: &[Visit],
+        strict: bool,
+        mark: &mut Instant,
+    ) -> Result<Step> {
+        let (lo, hi) = match states.iter().position(SegmentState::is_active) {
+            Some(idx) => (idx, idx + 1),
+            None => (0, states.len()),
+        };
+        for idx in (lo..hi).rev() {
+            let v = visits[idx];
+            // Barriered mode is this gate and nothing else.
+            let open = || match self.config.pipeline_segments {
+                true => v.run.ready(&v.plan.segment.dependencies()),
+                false => v.run.barrier_open(idx),
+            };
+            match &states[idx] {
+                SegmentState::Done => continue,
+                SegmentState::NotStarted if !open() => continue,
+                _ => {}
+            }
+            let state = std::mem::replace(&mut states[idx], SegmentState::Done);
+            let (state, step) = self.advance(state, v)?;
+            states[idx] = state;
+            match step {
+                Some(step) => {
+                    self.record_segment_busy(idx, lap(mark));
+                    return Ok(step);
                 }
-                self.record_segment_busy(idx, start.elapsed());
-                progressed = true;
-                break;
-            }
-            if !progressed && done < n {
-                // Nothing runnable: park on the inbox (absorbing whatever
-                // arrives) until a peer finishes a segment or pushes data.
-                self.absorb_inbox()?;
-                let span = self.trace.enter("park");
-                self.router.wait_data(seen, PARK_TIMEOUT);
-                self.trace.exit(span);
+                // The segment resolves without us: peers drain it or go
+                // idle, and the driver keeps absorbing the inbox.
+                None if strict => break,
+                None => continue,
             }
         }
-        // Wait for thieves to ack in-flight partition ships so the charge
-        // held for them is released before the run tears down (the ack was
-        // sent the moment the thief absorbed the ship, so this drains fast).
-        loop {
-            let seen = self.router.wake_epoch();
-            if self.pending_ship_bytes == 0 || run.is_aborted() {
-                break;
+        // Nothing runnable: wait for a peer to finish a segment or push data.
+        // Once every segment is done, wait for thieves to ack in-flight
+        // partition ships, so the charge held for them is released before
+        // the run tears down (the ack was sent the moment the thief absorbed
+        // the ship, so this drains fast).
+        let finished = states.iter().all(|s| matches!(s, SegmentState::Done));
+        Ok(if finished && self.pending_ship_bytes == 0 {
+            Step::Done
+        } else {
+            Step::Blocked(WakeOn::Data)
+        })
+    }
+
+    /// Moves one segment on from `state`.
+    fn advance(&mut self, state: SegmentState, v: Visit) -> Result<Advance> {
+        let idx = v.plan.segment.id;
+        match state {
+            SegmentState::NotStarted => {
+                self.trace.seg_mark_start(idx);
+                let delays = self.faults(idx).filter_map(|fault| match fault {
+                    Fault::Delay(delay) => Some(delay),
+                    _ => None,
+                });
+                let stall = delays.reduce(|a, b| a + b);
+                let span = stall.map_or(SpanId::NONE, |delay| {
+                    let args = kv2("segment", idx as u64, "ms", delay.as_millis() as u64);
+                    self.trace.enter_kv("fault_delay", args)
+                });
+                let until = Instant::now() + stall.unwrap_or_default();
+                self.advance(SegmentState::Stalled { until, span }, v)
             }
-            run.check_cancel()?;
-            self.absorb_inbox()?;
-            if self.pending_ship_bytes == 0 {
-                break;
+            SegmentState::Stalled { until, span } => {
+                if Instant::now() < until {
+                    let blocked = Step::Blocked(WakeOn::Until(until));
+                    return Ok((SegmentState::Stalled { until, span }, Some(blocked)));
+                }
+                if !span.is_none() {
+                    self.trace.exit(span);
+                }
+                if self.faults(idx).any(|fault| fault == Fault::Panic) {
+                    let me = self.machine;
+                    panic!("injected fault: machine {me} panics in segment {idx}");
+                }
+                let chain = self.build_chain(v)?;
+                self.run_segment(chain, v)
             }
-            self.router.wait_data(seen, PARK_TIMEOUT);
+            SegmentState::Running(chain) => self.run_segment(chain, v),
+            SegmentState::Draining(chain) => {
+                let outcome = match chain.source {
+                    ChainSource::Scan(_) => self.steal_once(v),
+                    ChainSource::Join => self.steal_join_once(v),
+                };
+                match outcome {
+                    StealOutcome::Stole => self.run_segment(chain, v),
+                    StealOutcome::AllIdle => self.complete_segment(v),
+                    StealOutcome::Pending => Ok((SegmentState::Draining(chain), None)),
+                }
+            }
+            SegmentState::Completing => self.complete_segment(v),
+            SegmentState::Done => Ok((SegmentState::Done, None)),
         }
-        Ok(())
+    }
+
+    /// Runs (or resumes) a segment's chain, one `chain` span per run to a
+    /// drain. A chain blocked on a push keeps the segment `Running`; one that
+    /// drains leaves it `Draining` when idle machines steal, else completes it.
+    fn run_segment(&mut self, mut chain: SegmentChain, v: Visit) -> Result<Advance> {
+        let segment = kv("segment", v.plan.segment.id as u64);
+        let span = match chain.current {
+            0 => self.trace.enter_kv("chain", segment),
+            _ => chain.span,
+        };
+        let blocked = self.run_chain(&mut chain, v);
+        if let Ok(Some(dest)) = blocked {
+            chain.span = span;
+            let blocked = Step::Blocked(WakeOn::Space(dest));
+            return Ok((SegmentState::Running(chain), Some(blocked)));
+        }
+        self.trace.exit(span);
+        blocked?;
+        // Idle machines steal from peers: scan chunks and queued batches on
+        // scan segments, sealed Grace partitions on join segments.
+        if self.router.num_machines() > 1 && self.config.inter_machine_stealing() {
+            return Ok((SegmentState::Draining(chain), Some(Step::Progressed)));
+        }
+        self.complete_segment(v)
     }
 
     // -----------------------------------------------------------------------
@@ -881,48 +931,25 @@ impl MachineState {
 
     /// The BFS/DFS-adaptive scheduling loop (Algorithm 5) over this
     /// segment's operator chain: source (scan or join), extends, terminal.
-    /// Each invocation is one `chain` span on the machine's track (a
-    /// draining segment re-enters here per stolen batch or adoption).
-    fn run_chain(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        let span = self
-            .trace
-            .enter_kv("chain", kv("segment", plan.segment.id as u64));
-        let result = self.run_chain_inner(chain, plan, seg, run, sink);
-        self.trace.exit(span);
-        result
-    }
-
-    fn run_chain_inner(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
+    /// Resumes at `chain.current`; returns the destination whose full inbox
+    /// stopped the terminal, or `None` once the chain has drained.
+    fn run_chain(&mut self, chain: &mut SegmentChain, v: Visit) -> Result<Option<MachineId>> {
+        let segment = v.plan.segment.id;
         if matches!(chain.source, ChainSource::Join) {
-            self.maybe_panic_at(plan.segment.id, PanicPoint::Probe);
+            self.maybe_panic_at(segment, PanicPoint::Probe);
         }
-        let queues = Arc::clone(&seg.queues[self.machine]);
+        let queues = Arc::clone(&v.seg().queues[self.machine]);
         let num_extends = chain.extends.len();
         // Operator indices: 0 = source, 1..=num_extends = extends,
         // num_extends + 1 = terminal. They double as the operators' busy-time
         // slots (`SegmentPlan::op_names`), followed by the absorb slot.
         let terminal_idx = num_extends + 1;
         let absorb_slot = terminal_idx + 1;
-        let segment = plan.segment.id;
-        let mut current = 0usize;
+        let mut current = chain.current;
         loop {
             // The per-batch cancellation poll: one atomic load per
             // scheduling step bounds how long a cancel can go unobserved.
-            run.check_cancel()?;
+            v.run.check_cancel()?;
             // Keep the streaming shuffle flowing: route anything that peers
             // pushed at us into its joiner before scheduling, and answer
             // thieves without waiting for the chain to finish (a long probe
@@ -937,7 +964,9 @@ impl MachineState {
             self.governor_tick()?;
             let has_input = match current {
                 0 => self.source_has_more(&chain.source, segment),
-                i if i == terminal_idx => !queues.queue(num_extends).is_empty(),
+                i if i == terminal_idx => {
+                    !chain.unsent.is_empty() || !queues.queue(num_extends).is_empty()
+                }
                 i => !queues.queue(i - 1).is_empty(),
             };
             if !has_input {
@@ -965,10 +994,20 @@ impl MachineState {
             }
             if current == terminal_idx {
                 let start = Instant::now();
-                while let Some(batch) = queues.queue(num_extends).pop() {
-                    self.consume_terminal(plan, batch, sink, run)?;
-                }
+                let blocked = loop {
+                    if let Some(dest) = self.push_unsent(chain, segment) {
+                        break Some(dest);
+                    }
+                    let Some(batch) = queues.queue(num_extends).pop() else {
+                        break None;
+                    };
+                    self.consume_terminal(v, batch, &mut chain.unsent);
+                };
                 self.trace.op_add_busy(segment, current, start.elapsed());
+                if blocked.is_some() {
+                    chain.current = current;
+                    return Ok(blocked);
+                }
                 current -= 1;
                 continue;
             }
@@ -976,7 +1015,7 @@ impl MachineState {
             // fills or the input drains (Algorithm 5 lines 6-9).
             loop {
                 let start = Instant::now();
-                let produced = self.step(chain, &queues, segment, current)?;
+                let produced = self.run_op(chain, &queues, segment, current)?;
                 self.trace.op_add_busy(segment, current, start.elapsed());
                 let Some(produced) = produced else { break };
                 for chunk in produced.split_into_chunks(self.effective_batch_size()) {
@@ -1001,7 +1040,8 @@ impl MachineState {
             // Move to the successor (the terminal backtracks on its own).
             current += 1;
         }
-        Ok(())
+        chain.current = 0;
+        Ok(None)
     }
 
     /// `true` while the chain's source may still produce: the scan cursor
@@ -1018,7 +1058,7 @@ impl MachineState {
     /// an extend. Returns the batch it produced; the chain's counting last
     /// operator adds its count to the sink's matches and returns `None`, so a
     /// counting join, like a materialising one, yields after every batch.
-    fn step(
+    fn run_op(
         &mut self,
         chain: &mut SegmentChain,
         queues: &SegmentQueues,
@@ -1078,25 +1118,21 @@ impl MachineState {
         }
     }
 
-    /// Consumes one fully-extended batch at the terminal.
-    fn consume_terminal(
-        &mut self,
-        plan: &SegmentPlan,
-        mut batch: ColBatch,
-        sink: SinkMode,
-        run: &RunShared,
-    ) -> Result<()> {
-        match &plan.terminal {
+    /// Consumes one fully-extended batch at the terminal: the sink counts
+    /// (and collects) it; a shuffle partitions it by join key into `unsent`,
+    /// one part per destination, for [`MachineState::push_unsent`].
+    fn consume_terminal(&mut self, v: Visit, mut batch: ColBatch, unsent: &mut VecDeque<Part>) {
+        match &v.plan.terminal {
             Terminal::Sink => {
                 // Count-only sinks touch nothing but the logical length: a
                 // verify-mode final batch is never compacted.
                 self.matches += batch.len() as u64;
-                if let SinkMode::Collect(limit) = sink {
+                if let SinkMode::Collect(limit) = v.sink {
                     let wanted = limit.saturating_sub(self.samples.len());
                     if wanted > 0 {
                         // The collect sink reads rows: runs end here.
                         batch.flatten();
-                        let schema = &plan.segment.schema;
+                        let schema = &v.plan.segment.schema;
                         let mut row = Vec::with_capacity(batch.arity());
                         for i in 0..batch.len().min(wanted) {
                             row.clear();
@@ -1106,10 +1142,7 @@ impl MachineState {
                     }
                 }
             }
-            Terminal::FeedJoin {
-                consumer: _,
-                key_positions,
-            } => {
+            Terminal::FeedJoin { key_positions, .. } => {
                 let k = self.router.num_machines();
                 // The shuffle needs rows: runs end here, in place (the
                 // partitioner would flatten a copy of a borrowed batch).
@@ -1118,86 +1151,60 @@ impl MachineState {
                 // consuming join can tell its left input from its right. The
                 // selection gather happens inside the partitioner, so the
                 // wire batches are dense and carry only surviving rows.
-                for (dest, out) in partition_cols_by_key(&batch, key_positions, k)
-                    .into_iter()
-                    .enumerate()
-                {
-                    self.push_with_backpressure(dest, plan.segment.id, out, run)?;
-                }
+                let parts = partition_cols_by_key(&batch, key_positions, k);
+                unsent.extend(parts.into_iter().enumerate());
             }
         }
-        Ok(())
     }
 
     /// One inter-machine stealing attempt on a draining scan segment
-    /// (§5.3): steal scan chunks or queued batches from a peer and run the
-    /// chain on them, report that every machine is idle, or report that
-    /// peers are still busy (so the dataflow scheduler can visit another
-    /// segment instead of blocking).
-    fn steal_once(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<StealOutcome> {
-        let k = seg.queues.len();
-        if k <= 1 {
-            return Ok(StealOutcome::AllIdle);
-        }
+    /// (§5.3): steal scan chunks or queued batches from a peer for the chain
+    /// to run, report that every machine is idle, or report that peers are
+    /// still busy (so the dataflow scheduler can visit another segment
+    /// instead of blocking).
+    fn steal_once(&mut self, v: Visit) -> StealOutcome {
+        let (seg, k) = (v.seg(), v.seg().queues.len());
         // Drop the idle flag *before* scanning for work: the instant every
         // flag is set is the segment's end-of-stream
         // ([`SegmentShared::idle`]), so a machine must never hold (or be
         // acquiring) work while it advertises idleness.
         seg.idle[self.machine].store(false, Ordering::SeqCst);
-        let mut stolen_any = false;
-        for offset in 1..k {
-            let victim = (self.machine + offset) % k;
-            // Prefer stealing unscanned vertices (most work remaining).
+        // Prefer stealing unscanned vertices (most work remaining); else
+        // buffered batches from the victim's queues, upstream-most first
+        // (they carry the most remaining work). `steal_into` transfers the
+        // memory accounting with the batches, so cluster-wide `current()`
+        // stays conserved.
+        let me = self.machine;
+        let stolen = (1..k).map(|offset| (me + offset) % k).find_map(|victim| {
             let chunks = seg.scan_pools[victim].steal_half();
             if !chunks.is_empty() {
-                let bytes: u64 = chunks
-                    .iter()
-                    .map(|c| (c.len() * std::mem::size_of::<u32>()) as u64)
-                    .sum();
-                self.rpc.record_steal(self.machine, bytes);
-                self.batches_stolen += chunks.len() as u64;
-                seg.scan_pools[self.machine].add_chunks(chunks);
-                stolen_any = true;
-                break;
+                let bytes: usize = chunks.iter().map(|c| std::mem::size_of_val(&c[..])).sum();
+                let batches = chunks.len() as u64;
+                seg.scan_pools[me].add_chunks(chunks);
+                return Some((batches, bytes as u64));
             }
-            // Otherwise steal buffered batches from the victim's queues,
-            // upstream-most first (they carry the most remaining work).
-            // `steal_into` transfers the memory accounting with the
-            // batches, so cluster-wide `current()` stays conserved.
-            for op in 0..seg.queues[victim].len() {
-                let (batches, bytes) = seg.queues[victim]
-                    .queue(op)
-                    .steal_into(seg.queues[self.machine].queue(op));
-                if batches == 0 {
-                    continue;
-                }
-                self.rpc.record_steal(self.machine, bytes);
-                self.batches_stolen += batches;
-                stolen_any = true;
-                break;
-            }
-            if stolen_any {
-                break;
-            }
+            let (theirs, mine) = (&seg.queues[victim], &seg.queues[me]);
+            let mut taken = (0..theirs.len()).map(|op| theirs.queue(op).steal_into(mine.queue(op)));
+            taken.find(|&(batches, _)| batches > 0)
+        });
+        if let Some((batches, bytes)) = stolen {
+            self.rpc.record_steal(me, bytes);
+            self.batches_stolen += batches;
+            let segment = kv("segment", v.plan.segment.id as u64);
+            self.trace.instant_kv("steal", segment);
+            return StealOutcome::Stole;
         }
-        if stolen_any {
-            self.trace
-                .instant_kv("steal", kv("segment", plan.segment.id as u64));
-            self.run_chain(chain, plan, seg, run, sink)?;
-            return Ok(StealOutcome::Stole);
+        self.go_idle(v)
+    }
+
+    /// Advertises this machine idle on a draining segment: the segment is
+    /// finished once every machine is (or the run aborted), else revisited.
+    fn go_idle(&self, v: Visit) -> StealOutcome {
+        v.seg().idle[self.machine].store(true, Ordering::SeqCst);
+        if v.seg().idle.iter().all(|f| f.load(Ordering::SeqCst)) || v.run.is_aborted() {
+            return StealOutcome::AllIdle;
         }
-        seg.idle[self.machine].store(true, Ordering::SeqCst);
-        if seg.idle.iter().all(|f| f.load(Ordering::SeqCst)) || run.is_aborted() {
-            return Ok(StealOutcome::AllIdle);
-        }
-        Ok(StealOutcome::Pending)
+        StealOutcome::Pending
     }
 
     // -----------------------------------------------------------------------
@@ -1246,30 +1253,18 @@ impl MachineState {
         Ok(())
     }
 
-    /// One partition-stealing attempt on a *draining join segment*: probe
-    /// partitions adopted into the join, keep waiting on an outstanding
-    /// request, ask the next untried peer, or conclude that every machine is
-    /// idle. Mirrors [`MachineState::steal_once`], with `PartitionShip`
-    /// envelopes instead of shared-queue batches.
-    fn steal_join_once(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<StealOutcome> {
-        let k = seg.queues.len();
-        if k <= 1 {
-            return Ok(StealOutcome::AllIdle);
-        }
-        let segment = plan.segment.id;
-        if self.source_has_more(&chain.source, segment) {
+    /// One partition-stealing attempt on a *draining join segment*: hand
+    /// partitions adopted into the join to the chain, keep waiting on an
+    /// outstanding request, ask the next untried peer, or conclude that every
+    /// machine is idle. Mirrors [`MachineState::steal_once`], with
+    /// `PartitionShip` envelopes instead of shared-queue batches.
+    fn steal_join_once(&mut self, v: Visit) -> StealOutcome {
+        let (seg, k, segment) = (v.seg(), v.seg().queues.len(), v.plan.segment.id);
+        if self.source_has_more(&ChainSource::Join, segment) {
             // Adopted work in hand: stay visibly non-idle and probe the
             // partitions through the chain like locally-built ones.
             seg.idle[self.machine].store(false, Ordering::SeqCst);
-            self.run_chain(chain, plan, seg, run, sink)?;
-            return Ok(StealOutcome::Stole);
+            return StealOutcome::Stole;
         }
         if self
             .join_ctl
@@ -1279,7 +1274,7 @@ impl MachineState {
             // A victim owes us a ship or a nack; the idle flag stays down
             // while the answer is in flight so the all-idle gate cannot
             // fire under a ship.
-            return Ok(StealOutcome::Pending);
+            return StealOutcome::Pending;
         }
         // Ask the next peer not tried yet. A drained peer has nothing left to
         // ship, so it is marked without the round-trip. (Nacks are permanent
@@ -1300,13 +1295,9 @@ impl MachineState {
             ctl.outstanding = true;
             self.router
                 .send_control(victim, ControlMsg::StealRequest { segment });
-            return Ok(StealOutcome::Pending);
+            return StealOutcome::Pending;
         }
-        seg.idle[self.machine].store(true, Ordering::SeqCst);
-        if seg.idle.iter().all(|f| f.load(Ordering::SeqCst)) || run.is_aborted() {
-            return Ok(StealOutcome::AllIdle);
-        }
-        Ok(StealOutcome::Pending)
+        self.go_idle(v)
     }
 
     /// Releases the charge of ships still unacked when a run tears down
@@ -1317,6 +1308,13 @@ impl MachineState {
         self.memory
             .release(std::mem::take(&mut self.pending_ship_bytes));
     }
+}
+
+/// The time since `mark`, moving `mark` to now: consecutive laps cover a
+/// timeline without gaps.
+fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    now - std::mem::replace(mark, now)
 }
 
 /// The joiner of join segment `segment` — a typed error once the segment

@@ -161,11 +161,6 @@ impl ScanCursor {
         }
     }
 
-    /// The underlying stealable pool.
-    pub fn pool(&self) -> &ScanPool {
-        &self.pool
-    }
-
     /// `true` if more batches may be produced.
     pub fn has_more(&self) -> bool {
         !self.pending.is_empty() || !self.pool.is_empty()
@@ -523,13 +518,6 @@ impl Reads {
             run,
             newest: !row.is_empty(),
         }
-    }
-
-    /// Every position read.
-    #[cfg(test)]
-    fn all(&self, newest: usize) -> Vec<usize> {
-        let row = self.newest.then_some(newest);
-        self.run.iter().copied().chain(row).collect()
     }
 }
 
@@ -1315,6 +1303,14 @@ mod tests {
     use huge_comm::RpcFabric;
     use huge_graph::{gen, GraphPartition, Partitioner};
     use huge_plan::physical::CommMode;
+
+    impl Reads {
+        /// Every position read.
+        fn all(&self, newest: usize) -> Vec<usize> {
+            let row = self.newest.then_some(newest);
+            self.run.iter().copied().chain(row).collect()
+        }
+    }
 
     fn setup(k: usize) -> (Vec<GraphPartition>, RpcFabric) {
         let g = gen::complete(8);

@@ -249,11 +249,6 @@ impl WorkerPool {
         self.core.workers
     }
 
-    /// The configured balancing strategy.
-    pub fn strategy(&self) -> LoadBalance {
-        self.core.strategy
-    }
-
     /// Total worker threads spawned over the pool's lifetime. Stays equal to
     /// [`WorkerPool::workers`] no matter how many batches run — the
     /// regression handle for "workers are created once and reused".

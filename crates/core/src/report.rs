@@ -113,11 +113,6 @@ impl GovernorReport {
     pub fn over_budget(&self) -> bool {
         self.peak_bytes > self.machine_budget_bytes
     }
-
-    /// Headroom left under the per-machine budget (negative = overshoot).
-    pub fn headroom_bytes(&self) -> i64 {
-        self.machine_budget_bytes as i64 - self.peak_bytes as i64
-    }
 }
 
 /// How a run ended. [`RunOutcome::Completed`] is the only outcome whose
@@ -374,13 +369,11 @@ mod tests {
         };
         assert_eq!(report.transitions(), 5);
         assert!(!report.over_budget());
-        assert_eq!(report.headroom_bytes(), 100);
         let over = GovernorReport {
             peak_bytes: 1_200,
             ..report
         };
         assert!(over.over_budget());
-        assert_eq!(over.headroom_bytes(), -200);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   events. Recording is gated by one shared [`AtomicBool`]; the disabled
 //!   path is a single relaxed load — no allocation, no lock, nothing to
 //!   mispredict in a scheduling loop.
-//! - **Metrics registry** ([`metrics::Registry`]): typed counters, gauges and
+//! - **Metrics registry** ([`metrics::Registry`]): typed counters and
 //!   fixed-bucket histograms registered once and exported as a
 //!   Prometheus-text snapshot. Counters are plain relaxed atomics and stay
 //!   live in every mode (they are as cheap as the comm byte counters the
@@ -32,7 +32,7 @@
 pub mod metrics;
 pub mod timeline;
 
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Histogram, Registry};
 pub use timeline::{Timeline, TraceSegment, TraceSummary, Track};
 
 use std::cell::{Cell, UnsafeCell};

@@ -1,5 +1,5 @@
-//! Typed metrics: counters, gauges, and fixed-bucket histograms, registered
-//! once per run and exported as a Prometheus-text snapshot.
+//! Typed metrics: counters, counter families and fixed-bucket histograms,
+//! registered once per run and exported as a Prometheus-text snapshot.
 //!
 //! Metrics are deliberately *not* gated by the span switch: a counter
 //! increment is one relaxed atomic add — the same cost as the comm byte
@@ -29,37 +29,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// A last-write-wins gauge.
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    help: &'static str,
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the value to at least `v` (for peak-style gauges).
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -125,7 +94,6 @@ struct Family {
 
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     Family(Family),
 }
@@ -134,7 +102,6 @@ impl Metric {
     fn name(&self) -> &'static str {
         match self {
             Metric::Counter(c) => c.name,
-            Metric::Gauge(g) => g.name,
             Metric::Histogram(h) => h.name,
             Metric::Family(f) => f.name,
         }
@@ -174,27 +141,6 @@ impl Registry {
         });
         metrics.push(Metric::Counter(Arc::clone(&c)));
         c
-    }
-
-    /// Registers (or looks up) a gauge.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock().unwrap();
-        if let Some(m) = metrics.iter().find(|m| m.name() == name) {
-            match m {
-                Metric::Gauge(g) => return Arc::clone(g),
-                _ => panic!("metric {name} already registered with a different type"),
-            }
-        }
-        let g = Arc::new(Gauge {
-            name,
-            help,
-            value: AtomicU64::new(0),
-        });
-        metrics.push(Metric::Gauge(Arc::clone(&g)));
-        g
     }
 
     /// Registers (or looks up) a histogram with inclusive bucket bounds
@@ -262,11 +208,6 @@ impl Registry {
                     let _ = writeln!(out, "# TYPE {} counter", c.name);
                     let _ = writeln!(out, "{} {}", c.name, c.get());
                 }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# HELP {} {}", g.name, g.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", g.name);
-                    let _ = writeln!(out, "{} {}", g.name, g.get());
-                }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# HELP {} {}", h.name, h.help);
                     let _ = writeln!(out, "# TYPE {} histogram", h.name);
@@ -312,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_peak() {
-        let r = Registry::new();
-        let g = r.gauge("huge_level", "a gauge");
-        g.set(3);
-        g.set_max(2);
-        assert_eq!(g.get(), 3);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
-    }
-
-    #[test]
     fn histogram_buckets_are_cumulative_in_export() {
         let r = Registry::new();
         let h = r.histogram("huge_wait_micros", "waits", &[10, 100, 1000]);
@@ -358,6 +288,6 @@ mod tests {
     fn type_mismatch_panics() {
         let r = Registry::new();
         let _ = r.counter("huge_x", "x");
-        let _ = r.gauge("huge_x", "x");
+        let _ = r.histogram("huge_x", "x", &[1]);
     }
 }

@@ -311,23 +311,38 @@ fn all_five_engines_agree_and_account_comparable_traffic() {
 fn push_join_plans_pipeline_through_the_bounded_router() {
     // Force PUSH-JOIN segments with a small router inbox: the producing
     // segments must stream their shuffles through backpressure into the
-    // pre-built joins and still count correctly.
+    // pre-built joins and still count correctly. A one-row inbox bounces
+    // every cross-machine push, so each one blocks and is resumed by the
+    // run driver — pipelined and barriered, counting and materialising.
     let graph = gen::erdos_renyi(250, 1_200, 31);
     let query = Pattern::Path(4).query_graph();
     let expected = naive::enumerate(&graph, &query);
-    let cluster = HugeCluster::build(
-        graph,
-        ClusterConfig::new(3)
-            .workers(2)
-            .batch_size(256)
-            .router_queue_rows(512)
-            .join_buffer_bytes(8 * 1024),
-    )
-    .unwrap();
-    let (plan, _) = join_plan(&cluster, &query);
-    let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
-    assert_eq!(report.matches, expected);
-    assert!(report.comm.bytes_pushed > 0);
+    for inbox_rows in [1, 512] {
+        for pipelined in [true, false] {
+            let cluster = HugeCluster::build(
+                graph.clone(),
+                ClusterConfig::new(3)
+                    .workers(2)
+                    .batch_size(256)
+                    .router_queue_rows(inbox_rows)
+                    .pipeline_segments(pipelined)
+                    .join_buffer_bytes(8 * 1024),
+            )
+            .unwrap();
+            let (plan, _) = join_plan(&cluster, &query);
+            for sink in [SinkMode::Count, SinkMode::Collect(usize::MAX)] {
+                let case = format!("inbox {inbox_rows}, pipelined {pipelined}, {sink:?}");
+                let report = cluster.run_with_plan(&plan, sink).unwrap();
+                assert_eq!(report.matches, expected, "{case}");
+                if sink != SinkMode::Count {
+                    assert_eq!(report.sample_matches.len() as u64, expected, "{case}");
+                }
+                assert!(report.comm.bytes_pushed > 0, "{case}");
+                assert_eq!(report.leaked_bytes, 0, "{case}");
+                assert_eq!(report.orphaned_spill_files, 0, "{case}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -232,6 +232,13 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
                 );
             }
         }
+        // The stall is charged to the stalled machine's join segment as busy
+        // time, like any other wait the segment's own work is blocked on.
+        let stalled_busy = report.machines[1].segment_busy[join_segment];
+        assert!(
+            stalled_busy >= std::time::Duration::from_millis(300),
+            "machine 1's join segment was busy {stalled_busy:?} through a 300 ms stall"
+        );
         let probe_busy: std::time::Duration = report
             .machines
             .iter()
@@ -250,9 +257,12 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
         let Some(chrome) = trace.chrome_json else {
             continue;
         };
-        assert!(
-            chrome.contains("\"fault_delay\""),
-            "timeline misses the stall"
+        assert_eq!(
+            chrome
+                .matches("\"name\":\"fault_delay\",\"pid\":1,")
+                .count(),
+            1,
+            "machine 1's timeline holds exactly one stall"
         );
         assert!(chrome.contains("\"chain\""));
         assert!(
