@@ -9,14 +9,13 @@
 //!
 //! This crate provides LRBU plus every comparison point of Exp-6 (Table 5):
 //!
-//! | name                   | paper variant | behaviour                                      |
-//! |------------------------|---------------|------------------------------------------------|
-//! | [`LrbuCache`]          | LRBU          | single-writer inserts, zero-copy batch reads   |
-//! | [`CopyLrbuCache`]      | LRBU-Copy     | LRBU with a forced copy on every read          |
-//! | [`LockLrbuCache`]      | LRBU-Lock     | LRBU behind a mutex with copies                |
-//! | [`InfiniteLruCache`]   | LRU-Inf       | unbounded LRU (never evicts)                   |
-//! | [`ConcurrentLruCache`] | Cncr-LRU      | locking LRU updated on every access, no        |
-//! |                        |               | two-stage protocol                             |
+//! | name                   | paper variant | what the fetch stage's handle costs              |
+//! |------------------------|---------------|--------------------------------------------------|
+//! | [`LrbuCache`]          | LRBU          | a shared `Arc` of the entry: no copy             |
+//! | [`CopyLrbuCache`]      | LRBU-Copy     | LRBU's policy, the list copied out               |
+//! | [`LockLrbuCache`]      | LRBU-Lock     | LRBU behind a mutex, the list copied out         |
+//! | [`InfiniteLruCache`]   | LRU-Inf       | unbounded LRU (never evicts), copied out         |
+//! | [`ConcurrentLruCache`] | Cncr-LRU      | locking LRU without seal/release, copied out     |
 //!
 //! All variants implement [`PullCache`] so the engine can swap them without
 //! code changes; the experiment harness measures the difference.
@@ -28,7 +27,7 @@ pub mod variants;
 
 pub use concurrent_lru::ConcurrentLruCache;
 pub use lrbu::LrbuCache;
-pub use traits::{CacheStats, PullCache};
+pub use traits::{CacheStats, ListHandle, PullCache};
 pub use variants::{CopyLrbuCache, InfiniteLruCache, LockLrbuCache};
 
 /// Which cache design to instantiate (used by configuration and the Exp-6
@@ -89,13 +88,19 @@ mod tests {
         for kind in CacheKind::ALL {
             let cache = kind.build(1 << 20);
             cache.insert(7, vec![1, 2, 3]);
-            assert!(cache.contains(7), "{}", kind.name());
+            assert!(cache.read(7, &mut |_| {}), "{}", kind.name());
             let mut seen = Vec::new();
             let found = cache.read(7, &mut |nbrs| seen.extend_from_slice(nbrs));
             assert!(found);
             assert_eq!(seen, vec![1, 2, 3]);
-            assert!(!cache.contains(8));
             assert!(!cache.read(8, &mut |_| {}));
+            // The fetch stage's handles hold their lists past a clear.
+            let pulled = cache.insert_sealed(9, vec![4, 5].into());
+            let hit = cache.acquire(7).expect("cached");
+            cache.release();
+            cache.clear();
+            assert_eq!((&pulled[..], &hit[..]), (&[4, 5][..], &[1, 2, 3][..]));
+            assert!(cache.acquire(7).is_none(), "{}", kind.name());
         }
     }
 

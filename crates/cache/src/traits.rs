@@ -1,6 +1,7 @@
 //! The cache interface shared by every design.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use huge_graph::VertexId;
 
@@ -60,20 +61,24 @@ impl AtomicCacheStats {
     }
 }
 
+/// A shared handle to one adjacency list; it outlives the cache entry it
+/// came from, so eviction never takes a list from a reader.
+pub type ListHandle = Arc<[VertexId]>;
+
 /// The interface the `PULL-EXTEND` operator programs against.
 ///
-/// The method set mirrors Algorithm 3: `Get`/`Contains` are the read-side
-/// (expressed here as [`PullCache::read`] with a callback so zero-copy
-/// implementations can hand out borrowed slices), `Insert` adds a fetched
+/// The method set mirrors Algorithm 3: `Get` is the read side (expressed
+/// here as [`PullCache::read`] with a callback), `Insert` adds a fetched
 /// adjacency list, and `Seal`/`Release` bracket the vertices used by the
-/// batch currently being processed so they cannot be evicted mid-intersect.
+/// batch currently being processed so they are not evicted mid-batch.
 /// Designs that have no seal concept (plain LRUs) implement them as no-ops.
+/// The fetch stage is the only caller: one [`PullCache::acquire`] or
+/// [`PullCache::insert_sealed`] per distinct remote vertex of a batch, whose
+/// handles the intersect stage reads instead of the cache.
 pub trait PullCache: Send + Sync {
-    /// `true` if the vertex's adjacency list is cached.
-    fn contains(&self, v: VertexId) -> bool;
-
     /// Reads the cached adjacency list of `v`, invoking `f` with the data.
-    /// Returns `false` (without invoking `f`) when `v` is not cached.
+    /// Returns `false` (without invoking `f`) when `v` is not cached. No
+    /// lock is held while `f` runs, so `f` may call back into the cache.
     fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool;
 
     /// Inserts the adjacency list of `v` (fetched from its owner).
@@ -81,6 +86,23 @@ pub trait PullCache: Send + Sync {
 
     /// Protects `v` from eviction until the next [`PullCache::release`].
     fn seal(&self, v: VertexId);
+
+    /// Seals `v` and returns a handle to its list (`None` when not cached).
+    /// The default copies the list out, as a design without shared entries
+    /// must.
+    fn acquire(&self, v: VertexId) -> Option<ListHandle> {
+        let mut handle = None;
+        self.read(v, &mut |nbrs| handle = Some(ListHandle::from(nbrs)));
+        handle.inspect(|_| self.seal(v))
+    }
+
+    /// Inserts the pulled list of `v` sealed and returns the handle to read
+    /// it through. The default copies it into [`PullCache::insert`].
+    fn insert_sealed(&self, v: VertexId, neighbours: ListHandle) -> ListHandle {
+        self.insert(v, neighbours.to_vec());
+        self.seal(v);
+        neighbours
+    }
 
     /// Makes every sealed vertex evictable again, marking them as the most
     /// recently used batch.

@@ -61,6 +61,27 @@ impl RpcFabric {
         requester: MachineId,
         vertices: &[VertexId],
     ) -> Vec<(VertexId, Vec<VertexId>)> {
+        self.pull(requester, vertices, <[VertexId]>::to_vec)
+    }
+
+    /// [`RpcFabric::get_nbrs`] with every list received into a shared
+    /// `Arc`, which a cache entry and a batch's readers can hold without
+    /// copying it again.
+    pub fn get_shared_nbrs(
+        &self,
+        requester: MachineId,
+        vertices: &[VertexId],
+    ) -> Vec<(VertexId, Arc<[VertexId]>)> {
+        self.pull(requester, vertices, |list| Arc::from(list))
+    }
+
+    /// `GetNbrs`, each list received through `receive`.
+    fn pull<L>(
+        &self,
+        requester: MachineId,
+        vertices: &[VertexId],
+        receive: impl Fn(&[VertexId]) -> L,
+    ) -> Vec<(VertexId, L)> {
         let mut unique: Vec<VertexId> = vertices.to_vec();
         unique.sort_unstable();
         unique.dedup();
@@ -80,7 +101,7 @@ impl RpcFabric {
                 let nbrs = owner_partition.any_neighbours(v);
                 bytes += nbrs.len() as u64 * std::mem::size_of::<VertexId>() as u64
                     + PER_VERTEX_OVERHEAD;
-                out.push((v, nbrs.to_vec()));
+                out.push((v, receive(nbrs)));
             }
             if owner != requester {
                 self.stats

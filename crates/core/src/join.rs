@@ -40,12 +40,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use huge_comm::ColBatch;
-use huge_graph::VertexId;
+use huge_graph::{IdBuildHasher, VertexId};
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
@@ -191,34 +190,10 @@ fn pack_key(columns: &[Vec<VertexId>], key_positions: &[usize], row: usize) -> u
     }
 }
 
-/// Hasher for the partition table's packed `u128` keys: one folded 64×64-bit
-/// multiply instead of SipHash. The keys are vertex ids of rows this engine
-/// produced, not adversarial input, so `HashMap`'s collision-flooding
-/// protection buys nothing on the probe's hottest path.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn write_u128(&mut self, key: u128) {
-        let lo = key as u64 ^ 0x9e37_79b9_7f4a_7c15;
-        let hi = (key >> 64) as u64 ^ 0xc2b2_ae3d_27d4_eb4f;
-        let product = u128::from(lo) * u128::from(hi);
-        self.0 = product as u64 ^ (product >> 64) as u64;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Packed join key -> `(start, end)` row range of the grouped right rows.
-type KeyTable = HashMap<u128, (u32, u32), BuildHasherDefault<KeyHasher>>;
+/// The keys are vertex ids of rows this engine produced, so the table hashes
+/// them with [`IdHasher`](huge_graph::IdHasher), not SipHash.
+type KeyTable = HashMap<u128, (u32, u32), IdBuildHasher>;
 
 struct SidePartition {
     /// The resident rows, one vector per column.

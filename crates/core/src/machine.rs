@@ -6,7 +6,9 @@
 //! A segment's chain calls its operators directly — the scan cursor or the
 //! segment's joiner, then each compiled extend — and is the one place that
 //! decides count-or-materialise: in a root segment feeding a counting sink,
-//! its last operator (the final extend, or a bare join) counts.
+//! its last operator (the final extend, or a bare join) counts, and a
+//! match-mode extend before a counting one feeds it piece by piece as a
+//! fused pair (`ExtendSpec::run_count_pair`), so that queue stays empty.
 //!
 //! The runtime is *pipelined* at two levels. Inside a segment, join inputs
 //! shuffled during a producing segment are absorbed into pre-instantiated
@@ -154,6 +156,9 @@ struct SegmentChain {
     /// The chain's last operator counts its output instead of
     /// materialising it: a root segment feeding a counting sink.
     counts: bool,
+    /// A counting chain's last two extends are a fused pair
+    /// ([`ExtendSpec::run_count_pair`]): the last one's queue is never pushed.
+    fused: bool,
     /// Where the next visit resumes: the terminal of a blocked chain, else 0.
     current: usize,
     /// The shuffle terminal's parts not yet accepted by their destination
@@ -634,8 +639,11 @@ impl MachineState {
             })
             .collect();
         // Count pushdown: when the root segment merely counts matches, its
-        // last operator (final extend, or the bare join) materialises nothing.
+        // last operator (final extend, or the bare join) materialises nothing,
+        // and a match-mode extend before a counting one feeds it in pieces.
         let counts = matches!(plan.terminal, Terminal::Sink) && v.sink == SinkMode::Count;
+        let parent = ops.len().checked_sub(2).map(|i| &ops[i]);
+        let fused = counts && parent.is_some_and(|op| op.verify_position.is_none());
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanCursor::new(
                 scan.clone(),
@@ -651,6 +659,7 @@ impl MachineState {
             source,
             extends,
             counts,
+            fused,
             current: 0,
             unsent: VecDeque::new(),
             throttled: false,
@@ -1015,9 +1024,15 @@ impl MachineState {
             // fills or the input drains (Algorithm 5 lines 6-9).
             loop {
                 let start = Instant::now();
-                let produced = self.run_op(chain, &queues, segment, current)?;
-                self.trace.op_add_busy(segment, current, start.elapsed());
+                let (produced, pieces) = self.run_op(chain, &queues, segment, current)?;
+                let took = start.elapsed().saturating_sub(pieces);
+                self.trace.op_add_busy(segment, current, took);
+                self.trace.op_add_busy(segment, current + 1, pieces);
                 let Some(produced) = produced else { break };
+                debug_assert!(
+                    !(chain.fused && current + 1 == num_extends),
+                    "a fused pair's last extend is fed in pieces, never queued"
+                );
                 for chunk in produced.split_into_chunks(self.effective_batch_size()) {
                     queues.queue(current).push(chunk);
                 }
@@ -1057,14 +1072,16 @@ impl MachineState {
     /// (the scan cursor, or the segment's joiner) or one queued batch through
     /// an extend. Returns the batch it produced; the chain's counting last
     /// operator adds its count to the sink's matches and returns `None`, so a
-    /// counting join, like a materialising one, yields after every batch.
+    /// counting join, like a materialising one, yields after every batch. So
+    /// does a fused pair's parent; the second value is the time its pieces
+    /// took, which belongs to the next slot (zero for every other operator).
     fn run_op(
         &mut self,
         chain: &mut SegmentChain,
         queues: &SegmentQueues,
         segment: usize,
         current: usize,
-    ) -> Result<Option<ColBatch>> {
+    ) -> Result<(Option<ColBatch>, Duration)> {
         // Assembled field by field: the joiner called below is a field too.
         let ctx = OpContext {
             machine: self.machine,
@@ -1075,38 +1092,43 @@ impl MachineState {
             pool: &self.pool,
             batch_size: self.effective_batch_size(),
         };
-        let counts = chain.counts && current == chain.extends.len();
-        match (current, &mut chain.source) {
-            (0, ChainSource::Scan(cursor)) => Ok(cursor.next_runs(&ctx)),
+        let n = chain.extends.len();
+        let counts = chain.counts && current == n;
+        let batch = match (current, &mut chain.source) {
+            (0, ChainSource::Scan(cursor)) => cursor.next_runs(&ctx),
             (0, ChainSource::Join) => {
                 let join = join_of(&mut self.joins, segment)?;
                 if counts {
                     self.matches += join.count_batch()?.unwrap_or(0);
-                    return Ok(None);
+                    return Ok((None, Duration::ZERO));
                 }
                 let batch = join.next_batch()?;
                 if let Some(batch) = &batch {
                     let stats = self.rpc.stats().machine(self.machine);
                     stats.record_col_bytes(batch.byte_size());
                 }
-                Ok(batch)
+                batch
             }
             (i, _) => {
                 let Some(input) = queues.queue(i - 1).pop() else {
-                    return Ok(None);
+                    return Ok((None, Duration::ZERO));
                 };
                 let spec = &chain.extends[i - 1];
-                if counts {
-                    let out = spec.run_count_cols(&input, &ctx);
-                    self.matches += out.count;
+                let counted = if chain.fused && i + 1 == n {
+                    spec.run_count_pair(&chain.extends[n - 1], &input, &ctx)
+                } else if counts {
+                    spec.run_count_cols(&input, &ctx)
+                } else {
+                    let out = spec.run_cols(input, &ctx)?;
                     self.add_extend_time(out.fetch_time, &out.worker_busy);
-                    return Ok(None);
-                }
-                let out = spec.run_cols(input, &ctx)?;
-                self.add_extend_time(out.fetch_time, &out.worker_busy);
-                Ok(Some(out.batch))
+                    return Ok((Some(out.batch), Duration::ZERO));
+                };
+                self.matches += counted.count;
+                self.add_extend_time(counted.fetch_time, &counted.worker_busy);
+                return Ok((None, counted.pieces_time));
             }
-        }
+        };
+        Ok((batch, Duration::ZERO))
     }
 
     /// Adds one extend call's fetch-stage time and per-worker busy time to

@@ -5,7 +5,15 @@
 //! terminal in [`crate::machine`], whose chain calls these operators
 //! directly — [`ScanCursor::next_runs`], then [`ExtendSpec::run_cols`], or
 //! [`ExtendSpec::run_count_cols`] for the last extend of a counting root
-//! segment.)
+//! segment, or [`ExtendSpec::run_count_pair`] for the last two when the
+//! first of them is match-mode: the *fused pair*, which counts the middle
+//! level a worker-local piece at a time instead of materialising it.)
+//!
+//! The **fetch stage** of Algorithm 4 makes one cache call per distinct
+//! remote vertex of a batch and returns the batch's *list view* (vertex →
+//! shared list handle). The **intersect stage** reads the local partition
+//! or the view, never the cache: no lock, and no release or eviction
+//! anywhere can take a list from under it.
 //!
 //! Match-mode `PULL-EXTEND` is **one candidate generator with two sinks**
 //! (`for_each_candidate_set`), and the generator is two things:
@@ -52,14 +60,15 @@
 //! every list for every row and filters per candidate lives in the test-only
 //! `row_major` module: the reference the tests hold the generator to.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use huge_cache::ListHandle;
 use huge_comm::{ColBatch, RowBatch};
 use huge_graph::kernels::{self, KernelKind, KernelTally, ProbeFilter};
-use huge_graph::VertexId;
+use huge_graph::{VertexId, VertexMap};
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
 
@@ -147,8 +156,9 @@ impl ScanPool {
 pub struct ScanCursor {
     op: ScanOp,
     pool: ScanPool,
-    /// Pending rows carried over when a vertex's edges overflow a batch.
-    pending: Vec<VertexId>,
+    /// Rows carried over when a vertex's edges overflow a batch, oldest
+    /// first.
+    pending: VecDeque<[VertexId; 2]>,
 }
 
 impl ScanCursor {
@@ -157,7 +167,7 @@ impl ScanCursor {
         ScanCursor {
             op,
             pool,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
         }
     }
 
@@ -176,11 +186,12 @@ impl ScanCursor {
     pub fn next_batch(&mut self, ctx: &OpContext<'_>) -> Option<RowBatch> {
         let target_rows = ctx.batch_size;
         let mut batch = RowBatch::with_capacity(2, target_rows.min(64 * 1024));
-        // First drain carried-over rows.
-        while batch.len() < target_rows && self.pending.len() >= 2 {
-            let v = self.pending.pop().expect("pair");
-            let u = self.pending.pop().expect("pair");
-            batch.push_row(&[u, v]);
+        // First drain carried-over rows, in the order they were cut off.
+        while batch.len() < target_rows {
+            let Some(row) = self.pending.pop_front() else {
+                break;
+            };
+            batch.push_row(&row);
         }
         while batch.len() < target_rows {
             let Some(chunk) = self.pool.pop() else { break };
@@ -228,8 +239,7 @@ impl ScanCursor {
                     if batch.len() < target_rows {
                         batch.push_row(pair);
                     } else {
-                        self.pending.push(pair[0]);
-                        self.pending.push(pair[1]);
+                        self.pending.push_back([pair[0], pair[1]]);
                     }
                 }
             }
@@ -283,58 +293,54 @@ pub struct ExtendCountOutput {
     pub worker_busy: Vec<Duration>,
     /// Time spent in the fetch stage (RPCs + cache writes + sealing).
     pub fetch_time: Duration,
+    /// The wall time a fused pair ([`ExtendSpec::run_count_pair`]) spent
+    /// counting its pieces, which belongs to the counting extend.
+    pub pieces_time: Duration,
 }
 
-/// Resolves a collected list of remote vertices: seals them in the cache
-/// (fetching misses) or builds the per-batch side table used when the cache
-/// is disabled. Shared tail of both fetch-stage layouts.
-fn resolve_remote(
-    mut remote: Vec<VertexId>,
-    ctx: &OpContext<'_>,
-) -> HashMap<VertexId, Vec<VertexId>> {
+/// A batch's list view: the handle of every remote list its extend
+/// positions reference, as the fetch stage resolved them.
+type ListView = VertexMap<ListHandle>;
+
+/// Resolves a collected list of remote vertices into the batch's view: one
+/// cache call per distinct vertex seals it and takes its handle, and a miss
+/// is pulled and inserted sealed (straight into the view with the cache
+/// off). Shared tail of both fetch-stage layouts.
+fn resolve_remote(mut remote: Vec<VertexId>, ctx: &OpContext<'_>) -> ListView {
     remote.sort_unstable();
     remote.dedup();
-    let mut batch_table: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+    let mut view = ListView::default();
     if ctx.use_cache {
-        let mut to_fetch: Vec<VertexId> = Vec::new();
-        for &v in &remote {
-            if ctx.cache.contains(v) {
-                ctx.cache.seal(v);
-            } else {
-                to_fetch.push(v);
-            }
-        }
-        // This is where a lookup hits or misses: once sealed, the intersect
-        // stage's reads cannot miss.
-        let misses = to_fetch.len() as u64;
+        remote.retain(|&v| {
+            ctx.cache
+                .acquire(v)
+                .map(|list| view.insert(v, list))
+                .is_none()
+        });
+        // This is where a lookup hits or misses: the intersect stage reads
+        // the view and cannot miss.
         ctx.cache
-            .record_lookups(remote.len() as u64 - misses, misses);
-        if !to_fetch.is_empty() {
-            for (v, nbrs) in ctx.rpc.get_nbrs(ctx.machine, &to_fetch) {
-                ctx.cache.insert(v, nbrs);
-                ctx.cache.seal(v);
-            }
-        }
-    } else if !remote.is_empty() {
-        batch_table = ctx.rpc.get_nbrs(ctx.machine, &remote).into_iter().collect();
+            .record_lookups(view.len() as u64, remote.len() as u64);
     }
-    batch_table
+    for (v, list) in ctx.rpc.get_shared_nbrs(ctx.machine, &remote) {
+        let list = match ctx.use_cache {
+            true => ctx.cache.insert_sealed(v, list),
+            false => list,
+        };
+        view.insert(v, list);
+    }
+    view
 }
 
 /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
 /// remote adjacency list the batch's extend positions reference, and returns
-/// the per-batch side table (used when the cache is disabled) and the stage
-/// duration. Reads each extend position once per run — once per row only
-/// for the newest column, or when every row is its own run — and skips
-/// consecutive duplicates: a value repeated over adjacent runs would push the
-/// same vertex again only for [`resolve_remote`]'s sort + dedup to throw it
-/// away. Empty runs (a verify-mode extend leaves them behind) reference
-/// nothing.
-fn fetch_stage_cols(
-    op: &ExtendOp,
-    input: &ColBatch,
-    ctx: &OpContext<'_>,
-) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
+/// the batch's list view and the stage duration. Reads each extend position
+/// once per run — once per row only for the newest column, or when every row
+/// is its own run — and skips consecutive duplicates: a value repeated over
+/// adjacent runs would push the same vertex again only for
+/// [`resolve_remote`]'s sort + dedup to throw it away. Empty runs (a
+/// verify-mode extend leaves them behind) reference nothing.
+fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
     let fetch_start = Instant::now();
     let newest = input.arity() - 1;
     let mut remote: Vec<VertexId> = Vec::new();
@@ -358,8 +364,16 @@ fn fetch_stage_cols(
             }
         }
     }
-    let batch_table = resolve_remote(remote, ctx);
-    (batch_table, fetch_start.elapsed())
+    let view = resolve_remote(remote, ctx);
+    (view, fetch_start.elapsed())
+}
+
+/// Unseals what a fetch stage sealed (Algorithm 3's end of a batch); the
+/// view keeps its handles, so this is safe while any batch is mid-intersect.
+fn release(ctx: &OpContext<'_>) {
+    if ctx.use_cache {
+        ctx.cache.release();
+    }
 }
 
 /// Splits the runs of `input` into work items `(first run, one past the
@@ -400,26 +414,21 @@ fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
 /// first) into `scratch`, dispatching every step through the adaptive
 /// kernel family: hub bitmaps for indexed high-degree vertices, galloping
 /// under cardinality skew, branch-light merge otherwise. A missing list
-/// (an evicted steal) clears the accumulator — no candidates.
+/// (a vertex its owner does not know) clears the accumulator — no
+/// candidates.
 fn intersect_ext_lists(
     exts: &[VertexId],
     ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    view: &ListView,
     scratch: &mut Vec<VertexId>,
     tally: &mut KernelTally,
 ) {
     scratch.clear();
-    let mut first = true;
-    for &v in exts {
-        if first {
-            if with_neighbours(ctx, batch_table, v, |nbrs| scratch.extend_from_slice(nbrs))
-                .is_none()
-            {
-                scratch.clear();
-            }
-            first = false;
-            continue;
-        }
+    let Some((&first, rest)) = exts.split_first() else {
+        return;
+    };
+    scratch.extend_from_slice(neighbours(ctx, view, first).unwrap_or_default());
+    for &v in rest {
         if scratch.is_empty() {
             break;
         }
@@ -428,10 +437,8 @@ fn intersect_ext_lists(
             tally.bump(KernelKind::Bitmap);
             continue;
         }
-        match with_neighbours(ctx, batch_table, v, |nbrs| {
-            kernels::intersect_in_place(scratch, nbrs)
-        }) {
-            Some(kind) => tally.bump(kind),
+        match neighbours(ctx, view, v) {
+            Some(nbrs) => tally.bump(kernels::intersect_in_place(scratch, nbrs)),
             None => scratch.clear(),
         }
     }
@@ -445,44 +452,24 @@ fn verify_one_row(
     vpos: usize,
     row: &[VertexId],
     ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    view: &ListView,
 ) -> bool {
     let target = row[vpos];
-    op.ext_positions.iter().all(|&pos| {
-        let v = row[pos];
-        with_neighbours(ctx, batch_table, v, |nbrs| {
-            nbrs.binary_search(&target).is_ok()
-        })
-        .unwrap_or(false)
-    }) && passes_filters(row, &op.filters)
+    let adjacent = |&pos: &usize| {
+        neighbours(ctx, view, row[pos]).is_some_and(|nbrs| nbrs.binary_search(&target).is_ok())
+    };
+    op.ext_positions.iter().all(adjacent) && passes_filters(row, &op.filters)
 }
 
-/// Looks up the adjacency list of `v` (local partition, cache, or the
-/// per-batch table) and applies `f` to it. Returns `None` when the list is
-/// unavailable.
-fn with_neighbours<R>(
-    ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    v: VertexId,
-    mut f: impl FnMut(&[VertexId]) -> R,
-) -> Option<R> {
-    if ctx.partition.is_local(v) {
-        return Some(f(ctx.partition.local_neighbours(v)));
+/// The adjacency list of `v`: the local partition's slice, else the batch
+/// view's. `None` only for a remote vertex the fetch stage did not resolve.
+#[inline]
+fn neighbours<'v>(ctx: &OpContext<'v>, view: &'v ListView, v: VertexId) -> Option<&'v [VertexId]> {
+    let partition = ctx.partition;
+    match partition.is_local(v) {
+        true => Some(partition.local_neighbours(v)),
+        false => view.get(&v).map(|list| &list[..]),
     }
-    if ctx.use_cache {
-        let mut result = None;
-        let found = ctx.cache.read(v, &mut |nbrs| result = Some(f(nbrs)));
-        if found {
-            return result;
-        }
-        // Cache designs without seal/release (the Exp-6 LRU variants) may
-        // have evicted the entry between the fetch and intersect stages;
-        // correctness requires falling back to an extra (accounted) pull.
-        ctx.cache.record_lookups(0, 1);
-        let fetched = ctx.rpc.get_nbrs(ctx.machine, &[v]);
-        return fetched.first().map(|(_, nbrs)| f(nbrs));
-    }
-    batch_table.get(&v).map(|nbrs| f(nbrs))
 }
 
 // ---------------------------------------------------------------------------
@@ -710,8 +697,9 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 /// bypassed for a newest list over [`kernels::PROBE_MAX_SKEW`] × the slice;
 /// those rows, and hubs' bitmaps, take the merge / gallop / bitmap dispatch.
 /// The newest column's list is borrowed, not copied — as is the only list of
-/// a one-list extend, which has no prefix and never builds a filter. A list
-/// that is unavailable (evicted and not re-pullable) yields no candidates.
+/// a one-list extend, which has no prefix and never builds a filter. Every
+/// list comes from the local partition or the batch's `view`; a vertex the
+/// fetch stage could not resolve yields no candidates.
 ///
 /// Input rows are injective — scan, extend and join outputs are by
 /// construction — so the values at `collide` are distinct and each removes
@@ -721,7 +709,7 @@ fn for_each_candidate_set(
     input: &ColBatch,
     (first, end): (usize, usize),
     ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    view: &ListView,
     mut sink: impl FnMut((usize, usize), Candidates<'_>, &[VertexId], &mut KernelTally),
 ) {
     let cols: Vec<&[VertexId]> = (0..input.arity()).map(|c| input.column(c)).collect();
@@ -774,7 +762,7 @@ fn for_each_candidate_set(
             key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
             by_degree.clone_from(&key);
             by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-            intersect_ext_lists(&by_degree, ctx, batch_table, &mut shared, &mut tally);
+            intersect_ext_lists(&by_degree, ctx, view, &mut shared, &mut tally);
             cut = None;
         }
         'rows: for i in rows {
@@ -833,25 +821,22 @@ fn for_each_candidate_set(
                 continue;
             };
             let v = at(last);
-            if !has_prefix {
-                with_neighbours(ctx, batch_table, v, |nbrs| {
-                    let only = Candidates::Slice(&nbrs[range_of(nbrs, lo, hi)]);
-                    sink((p, q), only, &bound, &mut tally);
-                });
-            } else if let Some(bm) = ctx.partition.hub_bitmap(v) {
+            if let Some(bm) = has_prefix.then(|| ctx.partition.hub_bitmap(v)).flatten() {
                 sink((p, q), Candidates::Hub(s, bm), &bound, &mut tally);
-            } else {
-                with_neighbours(ctx, batch_table, v, |nbrs| {
-                    let nb = &nbrs[range_of(nbrs, lo, hi)];
-                    let both = if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len()
-                    {
-                        Candidates::Probe(&filter, s, nb)
-                    } else {
-                        Candidates::Lists(s, nb)
-                    };
-                    sink((p, q), both, &bound, &mut tally);
-                });
+                continue;
             }
+            let Some(nbrs) = neighbours(ctx, view, v) else {
+                continue;
+            };
+            let nb = &nbrs[range_of(nbrs, lo, hi)];
+            let candidates = if !has_prefix {
+                Candidates::Slice(nb)
+            } else if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len() {
+                Candidates::Probe(&filter, s, nb)
+            } else {
+                Candidates::Lists(s, nb)
+            };
+            sink((p, q), candidates, &bound, &mut tally);
         }
     }
     if cfg!(debug_assertions) {
@@ -875,7 +860,7 @@ fn for_each_verified_row(
     input: &ColBatch,
     (first, end): (usize, usize),
     ctx: &OpContext<'_>,
-    batch_table: &HashMap<VertexId, Vec<VertexId>>,
+    view: &ListView,
     mut keep: impl FnMut(usize),
 ) {
     let newest = input.arity() - 1;
@@ -891,7 +876,7 @@ fn for_each_verified_row(
         row.push(0);
         for i in rows {
             row[newest] = input.column(newest)[input.physical_index(i)];
-            if verify_one_row(op, vpos, &row, ctx, batch_table) {
+            if verify_one_row(op, vpos, &row, ctx, view) {
                 keep(i);
             }
         }
@@ -934,14 +919,13 @@ impl ExtendSpec {
         // Row indices below are 32-bit: check once, then cast.
         run_ends_of([input.physical_rows()])?;
         let op = &self.op;
-        let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
+        let (view, fetch_time) = fetch_stage_cols(op, &input, ctx);
         let ranges = intersect_ranges(&input, ctx);
-        let batch_table = &batch_table;
-        let input_ref = &input;
+        let (view, input_ref) = (&view, &input);
 
         let (batch, worker_busy) = if let Some(vpos) = op.verify_position {
             let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
-                for_each_verified_row(op, vpos, input_ref, range, ctx, batch_table, |i| {
+                for_each_verified_row(op, vpos, input_ref, range, ctx, view, |i| {
                     out.push(i as u32)
                 });
             });
@@ -956,15 +940,15 @@ impl ExtendSpec {
             // per extended row, where the row sits in the input's per-run
             // columns and in its newest column, and how many candidates it
             // got.
-            type Piece = (usize, Vec<(u32, u32, usize)>, Vec<VertexId>);
-            let run = ctx.pool.run(ranges, |range, out: &mut Vec<Piece>| {
+            type Item = (usize, Vec<(u32, u32, usize)>, Vec<VertexId>);
+            let run = ctx.pool.run(ranges, |range, out: &mut Vec<Item>| {
                 let (mut rows, mut cands) = (Vec::new(), Vec::new());
                 for_each_candidate_set(
                     self,
                     input_ref,
                     range,
                     ctx,
-                    batch_table,
+                    view,
                     |(p, q), c, bound, tally| {
                         let n = c.append_to(bound, &mut cands, tally);
                         if n > 0 {
@@ -974,9 +958,9 @@ impl ExtendSpec {
                 );
                 out.push((range.0, rows, cands));
             });
-            let mut pieces: Vec<Piece> = run.outputs.into_iter().flatten().collect();
-            pieces.sort_unstable_by_key(|piece| piece.0);
-            let extended = || pieces.iter().map(|(_, rows, _)| rows.as_slice());
+            let mut items: Vec<Item> = run.outputs.into_iter().flatten().collect();
+            items.sort_unstable_by_key(|item| item.0);
+            let extended = || items.iter().map(|(_, rows, _)| rows.as_slice());
             let lens = extended().flatten().map(|&(_, _, n)| n);
             let batch = run_ends_of(lens).map(|run_ends| {
                 let newest = self.arity - 1;
@@ -993,7 +977,7 @@ impl ExtendSpec {
                     .collect();
                 let total = run_ends.last().map_or(0, |&end| end as usize);
                 let mut candidates = Vec::with_capacity(total);
-                for (_, _, cands) in &pieces {
+                for (_, _, cands) in &items {
                     candidates.extend_from_slice(cands);
                 }
                 cols.push(candidates);
@@ -1002,9 +986,7 @@ impl ExtendSpec {
             (batch, run.busy)
         };
         // Unseal what the fetch stage sealed before any error leaves.
-        if ctx.use_cache {
-            ctx.cache.release();
-        }
+        release(ctx);
         let batch = batch?;
         ctx.rpc
             .stats()
@@ -1026,34 +1008,149 @@ impl ExtendSpec {
     /// intersection.
     pub fn run_count_cols(&self, input: &ColBatch, ctx: &OpContext<'_>) -> ExtendCountOutput {
         debug_assert_eq!(input.arity(), self.arity);
-        let op = &self.op;
-        let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
-        let ranges = intersect_ranges(input, ctx);
-        let batch_table = &batch_table;
-        let run = ctx.pool.run(ranges, |range, out: &mut Vec<u64>| {
-            let mut count = 0u64;
-            if let Some(vpos) = op.verify_position {
-                for_each_verified_row(op, vpos, input, range, ctx, batch_table, |_| count += 1);
-            } else {
-                for_each_candidate_set(
-                    self,
-                    input,
-                    range,
-                    ctx,
-                    batch_table,
-                    |_, c, bound, tally| count += c.count(bound, tally),
-                );
-            }
-            out.push(count);
+        let (view, fetch_time) = fetch_stage_cols(&self.op, input, ctx);
+        let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
+            out.push(self.count_runs(input, range, ctx, &view));
         });
-        if ctx.use_cache {
-            ctx.cache.release();
-        }
+        release(ctx);
         ExtendCountOutput {
             count: run.outputs.iter().flatten().sum(),
             worker_busy: run.busy,
             fetch_time,
+            pieces_time: Duration::ZERO,
         }
+    }
+
+    /// The counting sink over the runs `range` of `input`, whose lists the
+    /// fetch stage resolved into `view`: the count of `for_each_candidate_set`
+    /// in match mode, of the rows that pass in verify mode.
+    fn count_runs(
+        &self,
+        input: &ColBatch,
+        range: (usize, usize),
+        ctx: &OpContext<'_>,
+        view: &ListView,
+    ) -> u64 {
+        let mut count = 0u64;
+        match self.op.verify_position {
+            Some(vpos) => {
+                for_each_verified_row(&self.op, vpos, input, range, ctx, view, |_| count += 1)
+            }
+            None => for_each_candidate_set(self, input, range, ctx, view, |_, c, bound, tally| {
+                count += c.count(bound, tally)
+            }),
+        }
+        count
+    }
+
+    /// The fused pair of a counting chain: runs this match-mode extend over
+    /// `input` and counts `last`, the extend that reads its output, without
+    /// materialising that output. Each work item's generator appends its
+    /// candidates to a `Piece` of at most `ctx.batch_size` rows, and its
+    /// worker counts each full piece in place — `last`'s fetch stage, its
+    /// counting sink, the release — never through the worker pool, which is
+    /// not re-entrant. Sound at any number of workers: no intersect stage
+    /// reads the cache, so a piece's fetch and release cannot disturb one.
+    pub fn run_count_pair(
+        &self,
+        last: &ExtendSpec,
+        input: &ColBatch,
+        ctx: &OpContext<'_>,
+    ) -> ExtendCountOutput {
+        debug_assert!(self.op.verify_position.is_none() && last.arity == self.arity + 1);
+        let (view, fetch_time) = fetch_stage_cols(&self.op, input, ctx);
+        let start = Instant::now();
+        let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
+            let mut piece = Piece::new(last, ctx.batch_size);
+            let mut cands = Vec::new();
+            for_each_candidate_set(self, input, range, ctx, &view, |at, c, bound, tally| {
+                cands.clear();
+                c.append_to(bound, &mut cands, tally);
+                piece.push(input, at, &cands, ctx);
+            });
+            piece.count(ctx);
+            out.push(piece);
+        });
+        release(ctx);
+        let pieces = run.outputs.iter().flatten();
+        // The pieces' share of the pool's busy time, as wall time.
+        let busy = run.busy.iter().sum::<Duration>().as_secs_f64();
+        let share = pieces.clone().map(|p| p.busy.as_secs_f64()).sum::<f64>() / busy.max(1e-9);
+        ExtendCountOutput {
+            count: pieces.clone().map(|p| p.counted).sum(),
+            fetch_time: fetch_time + pieces.map(|p| p.fetch_time).sum::<Duration>(),
+            pieces_time: start.elapsed().mul_f64(share.min(1.0)),
+            worker_busy: run.busy,
+        }
+    }
+}
+
+/// A fused pair's middle level on one worker: a run batch for `last` (per
+/// extended row of the parent, a run of its values and then its candidates)
+/// counted and emptied every `rows` rows.
+struct Piece<'s> {
+    last: &'s ExtendSpec,
+    rows: usize,
+    cols: Vec<Vec<VertexId>>,
+    ends: Vec<u32>,
+    /// What the counted pieces found, and their fetch-stage and total time.
+    counted: u64,
+    fetch_time: Duration,
+    busy: Duration,
+}
+
+impl<'s> Piece<'s> {
+    fn new(last: &'s ExtendSpec, rows: usize) -> Self {
+        Piece {
+            last,
+            rows: rows.clamp(1, u32::MAX as usize),
+            cols: vec![Vec::new(); last.arity],
+            ends: Vec::new(),
+            counted: 0,
+            fetch_time: Duration::ZERO,
+            busy: Duration::ZERO,
+        }
+    }
+
+    /// Appends `cands`, the candidates of the parent's row at `(p, q)` of
+    /// `input` (per-run and newest-column index), counting at every fill.
+    fn push(
+        &mut self,
+        input: &ColBatch,
+        (p, q): (usize, usize),
+        mut cands: &[VertexId],
+        ctx: &OpContext<'_>,
+    ) {
+        let newest = self.cols.len() - 1;
+        while !cands.is_empty() {
+            let held = self.cols[newest].len();
+            let (now, rest) = cands.split_at(cands.len().min(self.rows - held));
+            for (c, col) in self.cols[..newest].iter_mut().enumerate() {
+                col.push(input.column(c)[if c + 1 == newest { q } else { p }]);
+            }
+            self.cols[newest].extend_from_slice(now);
+            // At most `rows`, which fits in 32 bits.
+            self.ends.push((held + now.len()) as u32);
+            if held + now.len() == self.rows {
+                self.count(ctx);
+            }
+            cands = rest;
+        }
+    }
+
+    /// Counts what the piece holds through `last` and empties it.
+    fn count(&mut self, ctx: &OpContext<'_>) {
+        if self.ends.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        let cols = self.cols.iter_mut().map(std::mem::take).collect();
+        let piece = ColBatch::from_runs(cols, std::mem::take(&mut self.ends));
+        let (view, fetch_time) = fetch_stage_cols(&self.last.op, &piece, ctx);
+        self.counted += self.last.count_runs(&piece, (0, piece.runs()), ctx, &view);
+        release(ctx);
+        self.fetch_time += fetch_time;
+        self.busy += start.elapsed();
     }
 }
 
@@ -1099,13 +1196,8 @@ mod row_major {
 
     /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
     /// remote adjacency list the batch's extend positions reference. Returns the
-    /// per-batch side table (used when the cache is disabled) and the stage
-    /// duration.
-    fn fetch_stage(
-        op: &ExtendOp,
-        input: &RowBatch,
-        ctx: &OpContext<'_>,
-    ) -> (HashMap<VertexId, Vec<VertexId>>, Duration) {
+    /// batch's list view and the stage duration.
+    fn fetch_stage(op: &ExtendOp, input: &RowBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
         let fetch_start = Instant::now();
         let mut remote: Vec<VertexId> = Vec::new();
         for row in input.rows() {
@@ -1116,8 +1208,8 @@ mod row_major {
                 }
             }
         }
-        let batch_table = resolve_remote(remote, ctx);
-        (batch_table, fetch_start.elapsed())
+        let view = resolve_remote(remote, ctx);
+        (view, fetch_start.elapsed())
     }
 
     /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one input batch.
@@ -1127,11 +1219,11 @@ mod row_major {
         } else {
             input.arity() + 1
         };
-        let (batch_table, _) = fetch_stage(op, input, ctx);
+        let (view, _) = fetch_stage(op, input, ctx);
 
         // ---------------- intersect stage ----------------
         let ranges = row_ranges(input.len());
-        let batch_table = &batch_table;
+        let view = &view;
         let run = ctx
             .pool
             .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
@@ -1144,7 +1236,7 @@ mod row_major {
                         op,
                         row,
                         ctx,
-                        batch_table,
+                        view,
                         &mut exts,
                         &mut scratch,
                         &mut tally,
@@ -1160,9 +1252,7 @@ mod row_major {
             batch.append(&mut piece);
         }
 
-        if ctx.use_cache {
-            ctx.cache.release();
-        }
+        release(ctx);
 
         ExtendOutput { batch }
     }
@@ -1176,9 +1266,9 @@ mod row_major {
         input: &RowBatch,
         ctx: &OpContext<'_>,
     ) -> ExtendCountOutput {
-        let (batch_table, fetch_time) = fetch_stage(op, input, ctx);
+        let (view, fetch_time) = fetch_stage(op, input, ctx);
         let ranges = row_ranges(input.len());
-        let batch_table = &batch_table;
+        let view = &view;
         let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
             let mut exts: Vec<VertexId> = Vec::new();
             let mut scratch: Vec<VertexId> = Vec::new();
@@ -1190,7 +1280,7 @@ mod row_major {
                     op,
                     row,
                     ctx,
-                    batch_table,
+                    view,
                     &mut exts,
                     &mut scratch,
                     &mut tally,
@@ -1200,13 +1290,12 @@ mod row_major {
             flush_tally(ctx, &tally);
             out.push(count);
         });
-        if ctx.use_cache {
-            ctx.cache.release();
-        }
+        release(ctx);
         ExtendCountOutput {
             count: run.outputs.iter().flatten().sum(),
             worker_busy: run.busy,
             fetch_time,
+            pieces_time: Duration::ZERO,
         }
     }
 
@@ -1266,14 +1355,14 @@ mod row_major {
         op: &ExtendOp,
         row: &[VertexId],
         ctx: &OpContext<'_>,
-        batch_table: &HashMap<VertexId, Vec<VertexId>>,
+        view: &ListView,
         exts: &mut Vec<VertexId>,
         scratch: &mut Vec<VertexId>,
         tally: &mut KernelTally,
         sink: &mut ExtendSink<'_>,
     ) {
         if let Some(vpos) = op.verify_position {
-            if verify_one_row(op, vpos, row, ctx, batch_table) {
+            if verify_one_row(op, vpos, row, ctx, view) {
                 sink.emit_verified(row);
             }
             return;
@@ -1284,7 +1373,7 @@ mod row_major {
         exts.clear();
         exts.extend(op.ext_positions.iter().map(|&p| row[p]));
         exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-        intersect_ext_lists(exts, ctx, batch_table, scratch, tally);
+        intersect_ext_lists(exts, ctx, view, scratch, tally);
         for &candidate in scratch.iter() {
             if candidate_passes(op, row, candidate) {
                 sink.emit_extended(row, candidate);
@@ -1444,7 +1533,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_without_cache_uses_batch_table() {
+    fn extend_without_cache_pulls_into_the_view() {
         let (parts, rpc) = setup(2);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
@@ -1463,6 +1552,40 @@ mod tests {
         // All other 6 vertices of K8 complete the triangle.
         assert_eq!(out.batch.len(), 6);
         assert_eq!(cache.len(), 0, "cache must stay untouched when disabled");
+    }
+
+    #[test]
+    fn scan_carries_overflowing_rows_over_in_order() {
+        // A hub's edges overflow many 7-row batches; joined, the batches
+        // are the one batch an unbounded scan emits, in vertex order.
+        let g = with_hubs(gen::erdos_renyi(12, 30, 7), 40);
+        let parts = Partitioner::new(1).unwrap().partition(g);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let scan = |batch_size: usize| {
+            let mut c = ctx(0, &parts, &rpc, &cache, &pool);
+            c.batch_size = batch_size;
+            let op = ScanOp {
+                src: 0,
+                dst: 1,
+                filters: vec![],
+            };
+            let mut cursor = ScanCursor::new(op, ScanPool::new(parts[0].local_vertices(), 4));
+            let (mut batches, mut rows) = (0, Vec::new());
+            while let Some(batch) = cursor.next_batch(&c) {
+                assert!(batch.len() <= batch_size);
+                batches += 1;
+                rows.extend(batch.rows().map(<[VertexId]>::to_vec));
+            }
+            (batches, rows)
+        };
+        let (one, whole) = scan(1 << 20);
+        let (many, split) = scan(7);
+        assert_eq!(one, 1);
+        assert!(many > 10, "{many} batches");
+        assert!(whole.windows(2).all(|w| w[0] < w[1]), "vertex order");
+        assert_eq!(split, whole);
     }
 
     #[test]
@@ -1954,12 +2077,14 @@ mod tests {
             rows
         }
 
-        /// `None` runs without a cache (per-batch table); the LRU variants
-        /// get a capacity of one entry per shard, so sealed-looking entries
-        /// are gone by the intersect stage and the fallback pull runs.
+        /// `None` runs without a cache (every list pulled into the view);
+        /// the LRU variants get a capacity of one entry per shard, and the
+        /// small LRBU a few entries, so cached lists are evicted while a
+        /// batch's view still reads them.
         fn arb_lists() -> impl Strategy<Value = Option<(CacheKind, u64)>> {
             prop_oneof![
                 Just(Some((CacheKind::Lrbu, 1 << 20))),
+                Just(Some((CacheKind::Lrbu, 256))),
                 Just(None),
                 Just(Some((CacheKind::ConcurrentLru, 8))),
                 Just(Some((CacheKind::LruInfinite, 0))),
@@ -1974,9 +2099,12 @@ mod tests {
             /// row-major reference; the generator over dense batches, however
             /// the rows reach it; and the run chain — scan runs into extend
             /// 1, extend *i*'s run output whole or re-chunked into extend
-            /// *i + 1*, both sinks. Along the run chain every stage's output
-            /// also goes through a verify-mode extend (which leaves empty
-            /// runs behind), and what survives through the last extend.
+            /// *i + 1*, three sinks: gathered, counted, and counted by the
+            /// fused pair, extend *i* feeding *i + 1* in pieces of `piece`
+            /// rows. Along the run chain every stage's output also goes
+            /// through a verify-mode extend (which leaves empty runs behind),
+            /// directly and as the counting half of a fused pair, and what
+            /// survives through the last extend.
             #[test]
             fn both_sinks_match_the_row_major_reference_and_naive(
                 n in 8usize..36,
@@ -1995,6 +2123,7 @@ mod tests {
                 shape in arb_shape(),
                 cut in arb_rechunk(),
                 lists in arb_lists(),
+                piece in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
                 leaves in prop_oneof![Just(0usize), Just(0usize), Just(4080usize), Just(4100usize)],
             ) {
                 // Square-like patterns would enumerate leaf² paths through a hub.
@@ -2026,6 +2155,7 @@ mod tests {
                 let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
                 let (mut counted, mut gathered, mut reference) = ([0, 0], [0, 0], 0);
                 let (mut verified, mut verified_reference) = ([0, 0], 0);
+                let (mut paired, mut paired_reference) = ([0, 0], 0);
                 for m in 0..k {
                     let (kind, bytes) = lists.unwrap_or((CacheKind::Lrbu, 0));
                     let cache = kind.build(bytes);
@@ -2069,6 +2199,29 @@ mod tests {
                         prop_assert_eq!(sorted_rows(&kept_rows), sorted_rows(&kept_reference));
                         prop_assert_eq!(kept_count as usize, kept_rows.iter().map(RowBatch::len).sum::<usize>());
 
+                        // The fused pair: this extend counted through the
+                        // verify-mode extend of its output (match → verify),
+                        // and through the chain's last one (match → match).
+                        let spec = ExtendSpec::compile(op, arity);
+                        let keep_next = verify(arity + 1);
+                        let counters = [
+                            Some(ExtendSpec::compile(&keep_next, arity + 1)),
+                            (stage + 2 == segment.extends.len()).then(|| ExtendSpec::compile(last, arity + 1)),
+                        ];
+                        let pc = OpContext { batch_size: piece, ..ctx(m, &parts, &rpc, cache.as_ref(), &pool) };
+                        let pc = OpContext { use_cache: lists.is_some(), ..pc };
+                        for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
+                            for (pair, counter) in counters.iter().enumerate() {
+                                if let Some(counter) = counter {
+                                    paired[pair] += spec.run_count_pair(counter, &batch, &pc).count;
+                                }
+                            }
+                        }
+                        for batch in &rows {
+                            let extended = run_extend(op, batch, &c).batch;
+                            paired_reference += run_extend_count(&keep_next, &extended, &c).count;
+                        }
+
                         if stage + 1 < segment.extends.len() {
                             let inputs = dense.iter().flat_map(|b| reshape(b, shape));
                             dense = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
@@ -2107,6 +2260,8 @@ mod tests {
                 prop_assert_eq!(gathered, [expected; 2]);
                 prop_assert_eq!(reference, expected);
                 prop_assert_eq!(verified, [verified_reference; 2]);
+                let pairs = segment.extends.len() >= 2;
+                prop_assert_eq!(paired, [paired_reference, expected * pairs as u64]);
             }
         }
     }

@@ -50,10 +50,10 @@
 //! prefix intersection instead of repeating it per row, so the mix is that
 //! of the work done, not of the extend steps the plan nominally has.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::graph::VertexId;
+use crate::hash::VertexMap;
 
 /// Cardinality ratio at which galloping overtakes the sorted merge.
 ///
@@ -574,7 +574,7 @@ pub fn intersect_count_adaptive(a: &[VertexId], b: &[VertexId]) -> (u64, KernelK
 #[derive(Clone, Debug, Default)]
 pub struct HubIndex {
     threshold: usize,
-    map: HashMap<VertexId, HubBitmap>,
+    map: VertexMap<HubBitmap>,
     bytes: u64,
 }
 
@@ -585,7 +585,7 @@ impl HubIndex {
     where
         I: IntoIterator<Item = (VertexId, &'a [VertexId])>,
     {
-        let mut map = HashMap::new();
+        let mut map = VertexMap::default();
         let mut bytes = 0u64;
         if threshold > 0 {
             for (v, nbrs) in lists {

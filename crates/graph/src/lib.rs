@@ -15,6 +15,7 @@
 //!   RMAT, grid) used as laptop-scale stand-ins for the paper's datasets.
 //! * [`datasets`] — named dataset descriptors mirroring Table 3 of the paper
 //!   (`GO-S`, `LJ-S`, …) at configurable scale.
+//! * [`hash`] — the folded-multiply hasher for vertex-id keys.
 //! * [`stats`] — degree statistics (average/max degree, degeneracy ordering)
 //!   used by the optimiser's cost model.
 
@@ -22,6 +23,7 @@ pub mod builder;
 pub mod datasets;
 pub mod gen;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod kernels;
 pub mod partition;
@@ -30,6 +32,7 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use datasets::{Dataset, DatasetKind};
 pub use graph::{Graph, VertexId};
+pub use hash::{IdBuildHasher, IdHasher, VertexMap};
 pub use kernels::{HubBitmap, HubIndex, KernelKind, KernelTally};
 pub use partition::{GraphPartition, PartitionMap, Partitioner};
 pub use stats::GraphStats;

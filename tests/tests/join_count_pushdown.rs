@@ -172,7 +172,8 @@ fn count_equals_collect_equals_reference_across_the_matrix() {
 fn count_equals_collect_for_extend_rooted_plans() {
     // The other half of the count pushdown: under HUGE's own plans these
     // roots end in an extend, and `Count` counts with that last extend
-    // instead of materialising its column.
+    // instead of materialising its column — fed piece by piece by the
+    // extend before it, on each worker, when that one is match-mode.
     let graph = gen::erdos_renyi(60, 420, 7);
     let patterns = [
         Pattern::Triangle,
@@ -184,9 +185,10 @@ fn count_equals_collect_for_extend_rooted_plans() {
         let query = pattern.query_graph();
         let expected = naive::enumerate(&graph, &query);
         assert!(expected > 0, "{pattern:?} must occur in the graph");
-        for machines in 1..=3 {
-            let case = format!("{pattern:?}, {machines} machine(s)");
-            let cluster = HugeCluster::build(graph.clone(), base_config(machines)).unwrap();
+        for (machines, workers) in (1..=3).flat_map(|k| [(k, 1), (k, 2)]) {
+            let case = format!("{pattern:?}, {machines} machine(s) × {workers} worker(s)");
+            let config = base_config(machines).workers(workers);
+            let cluster = HugeCluster::build(graph.clone(), config).unwrap();
             let dataflow = translate(&cluster.plan(&query).unwrap()).unwrap();
             let root = dataflow.segments.last().expect("plans have a root segment");
             assert!(

@@ -10,7 +10,8 @@ use huge_query::{naive, Pattern};
 fn bounded_queues_bound_memory() {
     // A dense-ish graph where the square query has a large intermediate
     // (2-path) stage; bounded queues must keep the peak far below the
-    // unbounded (pure BFS) run.
+    // unbounded (pure BFS) run. The rows are collected (none kept), so the
+    // 2-path stage is queued: a counting run would count it piece by piece.
     let graph = gen::barabasi_albert(2_000, 12, 3);
     let query = Pattern::Square.query_graph();
     let bounded = HugeCluster::build(
@@ -21,7 +22,7 @@ fn bounded_queues_bound_memory() {
             .batch_size(1_000),
     )
     .unwrap()
-    .run(&query, SinkMode::Count)
+    .run(&query, SinkMode::Collect(0))
     .unwrap();
     let unbounded = HugeCluster::build(
         graph,
@@ -30,7 +31,7 @@ fn bounded_queues_bound_memory() {
             .output_queue_rows(usize::MAX / 2),
     )
     .unwrap()
-    .run(&query, SinkMode::Count)
+    .run(&query, SinkMode::Collect(0))
     .unwrap();
     assert_eq!(bounded.matches, unbounded.matches);
     assert!(
@@ -207,8 +208,9 @@ fn fetch_time_is_a_small_fraction_of_total() {
 fn a_hub_expansion_is_charged_one_candidate_column() {
     // Two hubs over 600 shared leaves: every edge fits one scan batch, and
     // q1's first extend turns each `(leaf, hub)` row into one row per leaf of
-    // the hub. The expansion lands in the queue at once (a queue overflows by
-    // one batch's results), so it *is* the peak.
+    // the hub. Collected (none kept), the expansion lands in the queue at
+    // once (a queue overflows by one batch's results), so it *is* the peak —
+    // with one batch of the last extend's output, whose queue holds a batch.
     let leaves = 600;
     let graph = Graph::from_edges((2..leaves + 2).flat_map(|leaf| [(0, leaf), (1, leaf)]));
     let query = Pattern::Square.query_graph();
@@ -219,10 +221,11 @@ fn a_hub_expansion_is_charged_one_candidate_column() {
         graph.clone(),
         ClusterConfig::new(1)
             .workers(1)
-            .batch_size(batch_size as usize),
+            .batch_size(batch_size as usize)
+            .output_queue_rows(batch_size as usize),
     )
     .unwrap()
-    .run(&query, SinkMode::Count)
+    .run(&query, SinkMode::Collect(0))
     .unwrap();
     assert_eq!(report.matches, naive::enumerate(&graph, &query));
 
@@ -247,6 +250,31 @@ fn a_hub_expansion_is_charged_one_candidate_column() {
         "peak {peak} vs {} dense",
         3 * 4 * expansion.start()
     );
+    assert_eq!(report.leaked_bytes, 0);
+}
+
+#[test]
+fn a_counting_square_never_queues_a_hub_expansion() {
+    // One hub over 1 100 leaves, a second vertex over ten of them: q1's
+    // first extend turns each `(leaf, hub)` row into one row per leaf of the
+    // hub. Counted, the last extend takes that expansion piece by piece as
+    // it is generated, so no queue ever holds it.
+    let leaves = 1_100;
+    let hub = (2..leaves + 2).map(|leaf| (0, leaf));
+    let graph = Graph::from_edges(hub.chain((2..12).map(|leaf| (1, leaf))));
+    let query = Pattern::Square.query_graph();
+    let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
+    let report = HugeCluster::build(graph.clone(), config)
+        .unwrap()
+        .run(&query, SinkMode::Count)
+        .unwrap();
+    assert_eq!(report.matches, naive::enumerate(&graph, &query));
+    // `extend_rows` = rows into extend 1 (the scan's) + the expansion.
+    let expansion = report.comm.extend_rows - 2 * graph.num_edges();
+    assert!(expansion >= 500 * leaves as u64, "{expansion} rows");
+    let column = 4 * expansion;
+    let peak = report.peak_memory_bytes;
+    assert!(4 * peak < column, "peak {peak} vs a {column}-byte column");
     assert_eq!(report.leaked_bytes, 0);
 }
 
