@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use huge_comm::kv::KvStoreCost;
+use huge_comm::stats::CommSnapshot;
 use huge_comm::ExternalKvStore;
 use huge_core::pool::WorkerPool;
 use huge_core::report::RunReport;
@@ -21,88 +22,69 @@ use huge_core::{ClusterConfig, LoadBalance, Result};
 use huge_graph::{Graph, Partitioner, VertexId};
 use huge_query::{QueryGraph, QueryVertex};
 
-/// The BENU baseline engine.
-pub struct Benu {
-    config: ClusterConfig,
+use crate::{native_report, Baseline};
+
+/// Runs BENU's backtracking program on every machine against a simulated
+/// store charging `store_cost` per lookup.
+pub(crate) fn run(
+    graph: &Graph,
+    query: &QueryGraph,
+    config: &ClusterConfig,
     store_cost: KvStoreCost,
-}
-
-impl Benu {
-    /// Creates the engine with default store costs.
-    pub fn new(config: ClusterConfig) -> Self {
-        Benu {
-            config,
-            store_cost: KvStoreCost::default(),
-        }
+) -> Result<RunReport> {
+    let k = config.machines;
+    let partitions = Partitioner::new(k)?.partition(graph.clone());
+    let store = Arc::new(ExternalKvStore::new(Arc::new(graph.clone()), store_cost));
+    let order = query.connected_order();
+    let start = Instant::now();
+    // Each machine runs its backtracking program on its own persistent
+    // pool worker (BENU's execution is embarrassingly parallel), caching
+    // every adjacency list it pulls from the store. The wall clock is
+    // the real parallel time, stragglers included.
+    let pool = WorkerPool::new(k.max(1), LoadBalance::None);
+    let per_machine = pool.run(
+        partitions.iter().collect::<Vec<_>>(),
+        |partition, out: &mut Vec<(u64, u64)>| {
+            let mut cache: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+            let mut assignment = vec![u32::MAX; query.num_vertices()];
+            let mut local = 0u64;
+            for &pivot in partition.local_vertices() {
+                assignment[order[0] as usize] = pivot;
+                local += dfs(query, &order, 1, &mut assignment, &store, &mut cache);
+                assignment[order[0] as usize] = u32::MAX;
+            }
+            let cache_bytes: u64 = cache
+                .values()
+                .map(|v| (v.len() * std::mem::size_of::<VertexId>() + 16) as u64)
+                .sum();
+            out.push((local, cache_bytes));
+        },
+    );
+    let mut matches = 0u64;
+    let mut peak_cache_bytes = 0u64;
+    for (local, cache_bytes) in per_machine.into_flat() {
+        matches += local;
+        peak_cache_bytes = peak_cache_bytes.max(cache_bytes);
     }
-
-    /// Overrides the simulated key-value store cost.
-    pub fn with_store_cost(mut self, cost: KvStoreCost) -> Self {
-        self.store_cost = cost;
-        self
-    }
-
-    /// Enumerates `query` on `graph`.
-    pub fn run(&self, graph: &Graph, query: &QueryGraph) -> Result<RunReport> {
-        let k = self.config.machines;
-        let partitions = Partitioner::new(k)?.partition(graph.clone());
-        let store = Arc::new(ExternalKvStore::new(
-            Arc::new(graph.clone()),
-            self.store_cost,
-        ));
-        let order = query.connected_order();
-        let start = Instant::now();
-        // Each machine runs its backtracking program on its own persistent
-        // pool worker (BENU's execution is embarrassingly parallel), caching
-        // every adjacency list it pulls from the store. The wall clock is
-        // the real parallel time, stragglers included.
-        let pool = WorkerPool::new(k.max(1), LoadBalance::None);
-        let per_machine = pool.run(
-            partitions.iter().collect::<Vec<_>>(),
-            |partition, out: &mut Vec<(u64, u64)>| {
-                let mut cache: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-                let mut assignment = vec![u32::MAX; query.num_vertices()];
-                let mut local = 0u64;
-                for &pivot in partition.local_vertices() {
-                    assignment[order[0] as usize] = pivot;
-                    local += dfs(query, &order, 1, &mut assignment, &store, &mut cache);
-                    assignment[order[0] as usize] = u32::MAX;
-                }
-                let cache_bytes: u64 = cache
-                    .values()
-                    .map(|v| (v.len() * std::mem::size_of::<VertexId>() + 16) as u64)
-                    .sum();
-                out.push((local, cache_bytes));
-            },
-        );
-        let mut matches = 0u64;
-        let mut peak_cache_bytes = 0u64;
-        for (local, cache_bytes) in per_machine.into_flat() {
-            matches += local;
-            peak_cache_bytes = peak_cache_bytes.max(cache_bytes);
-        }
-        let wall = start.elapsed();
-        // The store's simulated overhead accrues on a virtual clock shared by
-        // all machines; their lookups overlap, so each machine pays 1/k of it.
-        let overhead = store.overhead() / k.max(1) as u32;
-        let bytes = store.bytes_served();
-        let comm = huge_comm::stats::CommSnapshot {
-            bytes_pulled: bytes,
-            rpc_requests: store.requests(),
-            vertices_fetched: store.requests(),
-            ..Default::default()
-        };
-        Ok(RunReport {
-            query: format!("BENU:{}", query.name()),
-            matches,
-            compute_time: wall + overhead,
-            comm_time: self.config.network().time_for_snapshot(&comm),
-            comm_bytes: comm.total_bytes(),
-            comm,
-            peak_memory_bytes: peak_cache_bytes,
-            ..Default::default()
-        })
-    }
+    let wall = start.elapsed();
+    // The store's simulated overhead accrues on a virtual clock shared by
+    // all machines; their lookups overlap, so each machine pays 1/k of it.
+    let overhead = store.overhead() / k.max(1) as u32;
+    let comm = CommSnapshot {
+        bytes_pulled: store.bytes_served(),
+        rpc_requests: store.requests(),
+        vertices_fetched: store.requests(),
+        ..Default::default()
+    };
+    Ok(native_report(
+        Baseline::Benu,
+        query,
+        config,
+        matches,
+        wall + overhead,
+        comm,
+        peak_cache_bytes,
+    ))
 }
 
 /// One step of the backtracking program: match `order[depth]` against the
@@ -177,7 +159,7 @@ mod tests {
         for pattern in [Pattern::Triangle, Pattern::Square] {
             let q = pattern.query_graph();
             let expected = naive::enumerate(&g, &q);
-            let report = Benu::new(ClusterConfig::new(2)).run(&g, &q).unwrap();
+            let report = Baseline::Benu.run(&g, &q, &ClusterConfig::new(2)).unwrap();
             assert_eq!(report.matches, expected, "{pattern:?}");
         }
     }
@@ -186,20 +168,26 @@ mod tests {
     fn store_overhead_dominates_runtime() {
         let g = gen::barabasi_albert(300, 6, 2);
         let q = Pattern::Square.query_graph();
-        let slow = Benu::new(ClusterConfig::new(2))
-            .with_store_cost(KvStoreCost {
+        let slow = run(
+            &g,
+            &q,
+            &ClusterConfig::new(2),
+            KvStoreCost {
                 per_request: Duration::from_millis(1),
                 per_byte: Duration::ZERO,
-            })
-            .run(&g, &q)
-            .unwrap();
-        let fast = Benu::new(ClusterConfig::new(2))
-            .with_store_cost(KvStoreCost {
+            },
+        )
+        .unwrap();
+        let fast = run(
+            &g,
+            &q,
+            &ClusterConfig::new(2),
+            KvStoreCost {
                 per_request: Duration::from_nanos(1),
                 per_byte: Duration::ZERO,
-            })
-            .run(&g, &q)
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(slow.matches, fast.matches);
         assert!(slow.compute_time > fast.compute_time * 2);
     }
@@ -208,7 +196,7 @@ mod tests {
     fn communication_volume_is_bounded_by_graph_size_per_machine() {
         let g = gen::erdos_renyi(200, 1000, 4);
         let q = Pattern::Triangle.query_graph();
-        let report = Benu::new(ClusterConfig::new(2)).run(&g, &q).unwrap();
+        let report = Baseline::Benu.run(&g, &q, &ClusterConfig::new(2)).unwrap();
         // Each machine pulls each vertex at most once thanks to its local
         // cache, so the pulled volume is at most k * |E| * 2 * 4 bytes.
         let bound = 2 * 2 * 2 * 4 * g.num_edges();

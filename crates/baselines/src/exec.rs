@@ -1,62 +1,55 @@
-//! Shared infrastructure for the baseline engines, built on what
-//! [`huge_core::exec`] shares between engines.
+//! Shared infrastructure for the natively executed baselines (BiGJoin,
+//! RADS), built on what [`huge_core::exec`] shares between engines.
 //!
-//! The baselines materialise their intermediate *results* in full (that is
+//! These baselines materialise their intermediate *results* in full (that is
 //! the behaviour the paper criticises), so the common substrate is a
 //! *distributed table*: one [`ColBatch`] buffer per machine plus the schema
 //! of query vertices bound by its columns. The operations on tables mirror
 //! the physical operators of the respective systems — star scans, pushing
-//! hash joins, pushing wco extensions and pulling star expansions — and they
-//! execute through the same primitives as the HUGE engine: distributed hash
-//! joins shuffle through the accounted [`huge_comm::Router`] and join with
-//! the shared [`huge_core::join::HashJoiner`], and pulls go through
+//! wco extensions and pulling star expansions — and they execute through the
+//! same primitives as the HUGE engine: pushes shuffle through the accounted
+//! [`huge_comm::Router`] (partitioned by
+//! [`huge_core::exec::partition_cols_by_owner`]) and pulls go through
 //! [`huge_comm::RpcFabric::get_nbrs`]. Every cross-machine byte is therefore
 //! charged to [`huge_comm::ClusterStats`] by exactly the code paths the HUGE
 //! engine uses, so reports are directly comparable.
 //!
-//! The *shuffles* themselves stream: table rows are pushed chunk-wise
-//! through the bounded router, and when a destination inbox fills the
-//! evaluating machine cooperatively drains *its own* inbox straight into its
-//! `PUSH-JOIN` build (the same deadlock-free protocol the HUGE engine's
-//! machines follow). The shuffle therefore never double-buffers a whole
-//! table — transient shuffle memory is bounded by the router capacity plus
-//! the joiners' spill threshold, and it is charged to the context's
-//! [`MemoryTracker`] so the bound is observable.
+//! A shuffle *streams*: table rows are pushed chunk-wise through the bounded
+//! router, and when a destination inbox fills the evaluating machine
+//! cooperatively drains *its own* inbox (the same deadlock-free protocol the
+//! HUGE engine's machines follow), then rendezvouses with its peers. Queued
+//! bytes are charged to the context's [`MemoryTracker`].
 //!
-//! Execution note: the simulated machines run *concurrently*, one persistent
-//! worker per machine on the context's [`WorkerPool`]
-//! ([`BaselineCtx::machine_pool`]). The measured wall time therefore
-//! includes the baselines' real synchronisation cost — stragglers, shuffle
-//! backpressure and the end-of-shuffle barrier — instead of the historic
-//! sequential evaluation that divided wall time by the machine count and
-//! charged no synchronisation at all.
+//! The simulated machines run *concurrently*, one persistent worker per
+//! machine on the context's [`WorkerPool`] ([`BaselineCtx::machine_pool`]),
+//! so the measured wall time includes the real synchronisation cost —
+//! stragglers, shuffle backpressure and the end-of-shuffle barrier.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use huge_comm::router::PushEnvelope;
 use huge_comm::stats::ClusterStats;
 use huge_comm::{ColBatch, QueueAccounting, Router, RouterEndpoint, RpcFabric};
-use huge_core::exec::{partition_cols_by_key, partition_cols_by_owner};
-use huge_core::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
+use huge_core::exec::partition_cols_by_owner;
 use huge_core::memory::MemoryTracker;
 use huge_core::operators::passes_filters;
 use huge_core::pool::WorkerPool;
-use huge_core::{EngineError, LoadBalance, Result};
-use huge_graph::{GraphPartition, VertexId};
-use huge_plan::translate::{JoinOp, OrderFilter};
+use huge_core::report::RunReport;
+use huge_core::{ClusterConfig, EngineError, LoadBalance, Result};
+use huge_graph::{Graph, GraphPartition, Partitioner, VertexId};
+use huge_plan::baselines::native_plan;
+use huge_plan::logical::JoinNode;
+use huge_plan::translate::OrderFilter;
 use huge_query::{PartialOrder, QueryGraph, QueryVertex};
 
-/// Default rows per batch for baseline execution.
-const DEFAULT_BATCH_SIZE: usize = 4096;
+use crate::{native_report, Baseline};
 
-/// Default per-machine router inbox capacity (rows) for baseline shuffles.
-const DEFAULT_QUEUE_ROWS: usize = 16 * DEFAULT_BATCH_SIZE;
+/// Rows per batch for baseline execution.
+const BATCH_SIZE: usize = 4096;
 
-/// Default in-memory bytes per `PUSH-JOIN` side before spilling to disk.
-const DEFAULT_SPILL_BYTES: u64 = 64 * 1024 * 1024;
+/// Per-machine router inbox capacity (rows) for baseline shuffles.
+const QUEUE_ROWS: usize = 16 * BATCH_SIZE;
 
 /// How long a baseline machine parks while cooperating on a shuffle.
 const SHUFFLE_PARK: Duration = Duration::from_millis(1);
@@ -94,11 +87,6 @@ impl DistTable {
         self.rows.iter().map(|r| r.len() as u64).sum()
     }
 
-    /// Total bytes across machines.
-    pub fn total_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.byte_size()).sum()
-    }
-
     /// Largest per-machine byte footprint (contributes to the peak-memory
     /// metric).
     pub fn max_machine_bytes(&self) -> u64 {
@@ -120,11 +108,8 @@ pub struct BaselineCtx {
     /// synchronisation cost (workers spawn once and are reused by every
     /// operator of the run).
     machine_pool: WorkerPool,
-    spill_dir: PathBuf,
-    batch_size: usize,
-    join_spill_bytes: u64,
-    /// Tracks transient shuffle/join memory (router inboxes, `PUSH-JOIN`
-    /// buffers and loaded partitions) — the observable streaming bound.
+    /// Tracks transient shuffle memory (router inboxes) — the observable
+    /// streaming bound.
     pub memory: Arc<MemoryTracker>,
     /// The query's symmetry-breaking order.
     pub order: PartialOrder,
@@ -135,22 +120,11 @@ pub struct BaselineCtx {
 impl BaselineCtx {
     /// Creates a context over the cluster's partitions.
     pub fn new(partitions: Arc<Vec<GraphPartition>>, query: &QueryGraph) -> Self {
-        Self::with_streaming_limits(partitions, query, DEFAULT_QUEUE_ROWS, DEFAULT_SPILL_BYTES)
-    }
-
-    /// Creates a context with explicit streaming bounds: the per-machine
-    /// router inbox capacity and the per-side `PUSH-JOIN` spill threshold.
-    pub fn with_streaming_limits(
-        partitions: Arc<Vec<GraphPartition>>,
-        query: &QueryGraph,
-        queue_capacity_rows: usize,
-        join_spill_bytes: u64,
-    ) -> Self {
         let k = partitions.len();
         let stats = ClusterStats::new(k);
         let rpc = RpcFabric::new(Arc::clone(&partitions), stats.clone());
         let memory = Arc::new(MemoryTracker::new());
-        let router = Router::with_capacity(k, stats.clone(), queue_capacity_rows.max(1));
+        let router = Router::with_capacity(k, stats.clone(), QUEUE_ROWS);
         for m in 0..k {
             router.set_accounting(m, Arc::clone(&memory) as Arc<dyn QueueAccounting>);
         }
@@ -164,13 +138,6 @@ impl BaselineCtx {
             // distinct workers, so jobs that rendezvous on a shuffle barrier
             // can never serialise onto one worker and deadlock.
             machine_pool: WorkerPool::new(k, LoadBalance::None),
-            spill_dir: {
-                static CTX_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                let seq = CTX_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                std::env::temp_dir().join(format!("huge-baselines-{}-{seq}", std::process::id()))
-            },
-            batch_size: DEFAULT_BATCH_SIZE,
-            join_spill_bytes,
             memory,
             order: query.order().clone(),
             peak_memory: 0,
@@ -187,15 +154,10 @@ impl BaselineCtx {
         &self.machine_pool
     }
 
-    /// Peak intermediate-result bytes for the run report: the largest
-    /// materialised table plus the tracked transient shuffle/join peak.
+    /// Peak intermediate-result bytes for the run report: the larger of the
+    /// largest materialised table and the tracked transient shuffle peak.
     pub fn report_peak_memory(&self) -> u64 {
         self.peak_memory.max(self.memory.peak())
-    }
-
-    /// The cluster's partitions.
-    pub fn partitions(&self) -> &[GraphPartition] {
-        &self.partitions
     }
 
     /// The pulling fabric (accounted `GetNbrs`).
@@ -206,11 +168,6 @@ impl BaselineCtx {
     /// Records the footprint of a newly materialised table.
     pub fn note_table(&mut self, table: &DistTable) {
         self.peak_memory = self.peak_memory.max(table.max_machine_bytes());
-    }
-
-    /// The owner machine of a data vertex.
-    pub fn owner(&self, v: VertexId) -> usize {
-        self.rpc.owner(v)
     }
 
     /// Checks the symmetry constraints whose endpoints are both bound in
@@ -229,15 +186,16 @@ impl BaselineCtx {
         &self,
         from: usize,
         dest: usize,
-        tag: usize,
         batch: ColBatch,
     ) -> std::result::Result<(), ColBatch> {
-        self.endpoints[from].try_push(dest, tag, batch)
+        self.endpoints[from].try_push(dest, 0, batch)
     }
 
-    /// Drains machine `m`'s router inbox.
-    fn drain_machine(&self, m: usize) -> Vec<PushEnvelope> {
-        self.endpoints[m].drain()
+    /// Drains machine `m`'s router inbox into `into`.
+    fn drain_into(&self, m: usize, into: &mut ColBatch) {
+        for mut env in self.endpoints[m].drain() {
+            into.append(&mut env.batch);
+        }
     }
 
     /// `true` when machine `m`'s inbox is at or over capacity. Pushes to the
@@ -300,7 +258,7 @@ fn scan_local_stars(
     let mut row = Vec::with_capacity(leaves + 1);
     for &u in partition.local_vertices() {
         let nbrs = partition.local_neighbours(u);
-        enumerate_leaf_tuples(u, nbrs, leaves, &mut assignment, &mut |leaf_vals| {
+        enumerate_injective(nbrs, &[u], leaves, &mut assignment, &mut |leaf_vals| {
             row.clear();
             row.push(u);
             row.extend_from_slice(leaf_vals);
@@ -339,11 +297,12 @@ pub fn scan_star(
     Ok(table)
 }
 
-/// Recursively enumerates ordered, injective leaf assignments from a
-/// neighbour list.
-fn enumerate_leaf_tuples(
-    root: VertexId,
+/// Recursively enumerates ordered, injective assignments of `remaining`
+/// values from a neighbour list, skipping the values in `avoid` (a star's
+/// root, or the row being expanded).
+pub(crate) fn enumerate_injective(
     nbrs: &[VertexId],
+    avoid: &[VertexId],
     remaining: usize,
     assignment: &mut Vec<VertexId>,
     emit: &mut impl FnMut(&[VertexId]),
@@ -353,36 +312,82 @@ fn enumerate_leaf_tuples(
         return;
     }
     for &v in nbrs {
-        if v == root || assignment.contains(&v) {
+        if avoid.contains(&v) || assignment.contains(&v) {
             continue;
         }
         assignment.push(v);
-        enumerate_leaf_tuples(root, nbrs, remaining - 1, assignment, emit);
+        enumerate_injective(nbrs, avoid, remaining - 1, assignment, emit);
         assignment.pop();
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pushing hash join
-// ---------------------------------------------------------------------------
-
-/// Tag of the left input in a hash-join shuffle.
-const LEFT_TAG: usize = 0;
-/// Tag of the right input in a hash-join shuffle.
-const RIGHT_TAG: usize = 1;
-
-/// Moves every envelope queued in machine `m`'s inbox into its joiner build.
-fn absorb_into_joiner(ctx: &BaselineCtx, m: usize, join: &mut HashJoiner) -> Result<()> {
-    for env in ctx.drain_machine(m) {
-        let side = if env.segment == LEFT_TAG {
-            JoinSide::Left
-        } else {
-            JoinSide::Right
-        };
-        join.add(side, &env.batch)?;
+/// The stars of a left-deep plan in evaluation order — the first unit, then
+/// each join's right operand — as `(root, leaves)`.
+fn left_deep_stars(
+    query: &QueryGraph,
+    mut node: &JoinNode,
+) -> Result<Vec<(QueryVertex, Vec<QueryVertex>)>> {
+    let mut operands = Vec::new();
+    while let JoinNode::Join { left, right, .. } = node {
+        operands.push(&**right);
+        node = left;
     }
-    Ok(())
+    operands.push(node);
+    operands
+        .iter()
+        .rev()
+        .map(|operand| {
+            operand
+                .output()
+                .as_star(query)
+                .ok_or(EngineError::Config("baseline operand is not a star".into()))
+        })
+        .collect()
 }
+
+/// Runs `system`'s left-deep star plan natively: scans the plan's first
+/// star, then hands the table and each further star `(root, leaves)` to
+/// `step`, and reports the run.
+pub(crate) fn run_left_deep(
+    system: Baseline,
+    graph: &Graph,
+    query: &QueryGraph,
+    config: &ClusterConfig,
+    mut step: impl FnMut(
+        &mut BaselineCtx,
+        DistTable,
+        QueryVertex,
+        Vec<QueryVertex>,
+    ) -> Result<DistTable>,
+) -> Result<RunReport> {
+    let plan = native_plan(system.system(), query)?;
+    let partitions = Arc::new(Partitioner::new(config.machines)?.partition(graph.clone()));
+    let mut ctx = BaselineCtx::new(partitions, query);
+    let start = Instant::now();
+    let mut stars = left_deep_stars(query, &plan.tree.root)?.into_iter();
+    let (root, leaves) = stars.next().expect("a plan has at least one unit");
+    let mut table = scan_star(&mut ctx, root, &leaves)?;
+    for (root, leaves) in stars {
+        table = step(&mut ctx, table, root, leaves)?;
+    }
+    // The machines run concurrently on the context's machine pool, so the
+    // wall clock includes their real synchronisation cost (stragglers,
+    // shuffle backpressure, end-of-shuffle rendezvous).
+    let compute_time = start.elapsed();
+    Ok(native_report(
+        system,
+        query,
+        config,
+        table.total_rows(),
+        compute_time,
+        ctx.stats.total(),
+        ctx.report_peak_memory(),
+    ))
+}
+
+// ---------------------------------------------------------------------------
+// The cooperative shuffle
+// ---------------------------------------------------------------------------
 
 /// Runs one machine job's fallible body, converting a panic into an error
 /// and raising the shared failure flag either way, so peers parked in a
@@ -401,53 +406,50 @@ fn guard_job<T>(failed: &AtomicBool, body: impl FnOnce() -> Result<T>) -> Result
 }
 
 /// The cooperative shuffle protocol of one machine `m`: push every chunk of
-/// `batches` (each a `(tag, rows)` side; a chunk is a selection over the
-/// side's columns, so nothing is copied before `route` scatters it) to the
-/// destinations `route` chooses, draining the *own* inbox via `drain` under
-/// backpressure (the deadlock-free discipline the HUGE machines follow), then
-/// rendezvous — keep absorbing until every machine has decremented
-/// `shuffling` — so no peer's final envelopes are stranded. Bails out with an
-/// error as soon as `failed` is raised by any machine.
+/// `rows` (a chunk is a selection over its columns, so nothing is copied
+/// before `route` scatters it) to the destinations `route` chooses, draining
+/// the *own* inbox into `received` under backpressure (the deadlock-free
+/// discipline the HUGE machines follow), then rendezvous — keep absorbing
+/// until every machine has decremented `shuffling` — so no peer's final
+/// envelopes are stranded. Bails out with an error as soon as `failed` is
+/// raised by any machine.
 fn shuffle_rendezvous(
     shared: &BaselineCtx,
     m: usize,
     shuffling: &AtomicUsize,
     failed: &AtomicBool,
-    batches: Vec<(usize, ColBatch)>,
-    route: impl Fn(&ColBatch, usize) -> Vec<ColBatch>,
-    mut drain: impl FnMut() -> Result<()>,
+    mut rows: ColBatch,
+    route: impl Fn(&ColBatch) -> Vec<ColBatch>,
+    received: &mut ColBatch,
 ) -> Result<()> {
     let aborted = || EngineError::Aborted("baseline shuffle aborted by a failed machine".into());
-    for (tag, mut rows) in batches {
-        rows.compact();
-        let total = u32::try_from(rows.len()).expect("selection vectors index rows in 32 bits");
-        for start in (0..total).step_by(shared.batch_size) {
-            let end = total.min(start.saturating_add(shared.batch_size as u32));
-            rows.set_selection((start..end).collect());
-            for (dest, part) in route(&rows, tag).into_iter().enumerate() {
-                let mut pending = part;
-                loop {
-                    match shared.try_push_shuffled(m, dest, tag, pending) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if failed.load(Ordering::SeqCst) {
-                                return Err(aborted());
-                            }
-                            pending = back;
-                            // Cooperate: absorb the own inbox so peers
-                            // blocked on *us* progress, then park for space.
-                            drain()?;
-                            shared.wait_space(m, dest);
+    rows.compact();
+    let total = u32::try_from(rows.len()).expect("selection vectors index rows in 32 bits");
+    for start in (0..total).step_by(BATCH_SIZE) {
+        let end = total.min(start.saturating_add(BATCH_SIZE as u32));
+        rows.set_selection((start..end).collect());
+        for (dest, part) in route(&rows).into_iter().enumerate() {
+            let mut pending = part;
+            loop {
+                match shared.try_push_shuffled(m, dest, pending) {
+                    Ok(()) => break,
+                    Err(back) => {
+                        if failed.load(Ordering::SeqCst) {
+                            return Err(aborted());
                         }
+                        pending = back;
+                        // Cooperate: absorb the own inbox so peers blocked
+                        // on *us* progress, then park for space.
+                        shared.drain_into(m, received);
+                        shared.wait_space(m, dest);
                     }
                 }
             }
-            // Pushes to the own machine are forced past the bound (they can
-            // never block); drain them as soon as the inbox fills so the
-            // local share of a table is never double-buffered either.
-            if shared.inbox_full(m) {
-                drain()?;
-            }
+        }
+        // Pushes to the own machine are forced past the bound (they can
+        // never block); drain them as soon as the inbox fills.
+        if shared.inbox_full(m) {
+            shared.drain_into(m, received);
         }
     }
     // Done shuffling: keep absorbing until every machine is too, so no
@@ -460,137 +462,15 @@ fn shuffle_rendezvous(
     loop {
         let seen = shared.endpoints[m].wake_epoch();
         if shuffling.load(Ordering::SeqCst) == 0 {
-            return drain();
+            shared.drain_into(m, received);
+            return Ok(());
         }
         if failed.load(Ordering::SeqCst) {
             return Err(aborted());
         }
-        drain()?;
+        shared.drain_into(m, received);
         shared.wait_data(m, seen);
     }
-}
-
-/// A pushing distributed hash join: both sides are shuffled by the join key
-/// through the accounted router, then joined per machine with the shared
-/// [`HashJoiner`]. The tables are consumed: each machine's share
-/// moves into its shuffle without being copied first.
-///
-/// The machines run concurrently (one persistent pool worker each) and the
-/// shuffle *streams*: table rows are pushed chunk-wise, and a machine that
-/// sees backpressure cooperatively drains *its own* inbox into its build
-/// (which itself spills past its threshold) before retrying — the same
-/// deadlock-free protocol the HUGE engine's machines follow. Once a machine
-/// has shuffled everything it keeps absorbing until every machine is done
-/// (that rendezvous is the real synchronisation cost of a BFS-style
-/// distributed join), then seals its join and drains it.
-pub fn hash_join_pushing(
-    ctx: &mut BaselineCtx,
-    left: DistTable,
-    right: DistTable,
-) -> Result<DistTable> {
-    let key: Vec<QueryVertex> = left
-        .schema
-        .iter()
-        .copied()
-        .filter(|v| right.schema.contains(v))
-        .collect();
-    let key_left: Vec<usize> = key
-        .iter()
-        .map(|v| left.schema.iter().position(|x| x == v).expect("key"))
-        .collect();
-    let key_right: Vec<usize> = key
-        .iter()
-        .map(|v| right.schema.iter().position(|x| x == v).expect("key"))
-        .collect();
-    let payload_right: Vec<usize> = right
-        .schema
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !key.contains(v))
-        .map(|(i, _)| i)
-        .collect();
-    let mut out_schema = left.schema.clone();
-    for &i in &payload_right {
-        out_schema.push(right.schema[i]);
-    }
-    let filters = order_filters(&ctx.order, &out_schema);
-
-    let k = ctx.k();
-    let out_arity = out_schema.len();
-    let op = JoinOp {
-        left: LEFT_TAG,
-        right: RIGHT_TAG,
-        key_left,
-        key_right,
-        right_payload: payload_right,
-        filters,
-    };
-    let joiners: Vec<HashJoiner> = (0..k)
-        .map(|m| {
-            HashJoiner::new(
-                op.clone(),
-                left.arity(),
-                right.arity(),
-                ctx.join_spill_bytes,
-                ctx.spill_dir.join(format!("m{m}")),
-                MemoryTrackerHandle::Tracked(Arc::clone(&ctx.memory)),
-            )
-        })
-        .collect();
-
-    // One job per machine: shuffle the local share of both sides (bytes
-    // crossing machines are charged in the router, one message per batch of
-    // at most `batch_size` rows — the granularity the HUGE engine ships, so
-    // reported message counts stay comparable), then rendezvous and join.
-    let shuffling = AtomicUsize::new(k);
-    let failed = AtomicBool::new(false);
-    let items: Vec<(usize, ColBatch, ColBatch, HashJoiner)> = joiners
-        .into_iter()
-        .zip(left.rows)
-        .zip(right.rows)
-        .enumerate()
-        .map(|(m, ((join, l), r))| (m, l, r, join))
-        .collect();
-    let pool = ctx.machine_pool.clone();
-    let shared: &BaselineCtx = ctx;
-    let joined = pool.run(
-        items,
-        |(m, left_rows, right_rows, mut join), out: &mut Vec<(usize, Result<ColBatch>)>| {
-            let res = guard_job(&failed, || {
-                shuffle_rendezvous(
-                    shared,
-                    m,
-                    &shuffling,
-                    &failed,
-                    vec![(LEFT_TAG, left_rows), (RIGHT_TAG, right_rows)],
-                    |chunk, tag| {
-                        let keys = if tag == LEFT_TAG {
-                            &op.key_left
-                        } else {
-                            &op.key_right
-                        };
-                        partition_cols_by_key(chunk, keys, k)
-                    },
-                    || absorb_into_joiner(shared, m, &mut join),
-                )?;
-                join.seal(shared.batch_size);
-                let mut rows = ColBatch::new(out_arity);
-                while let Some(mut batch) = join.next_batch()? {
-                    shared.stats.machine(m).record_col_bytes(batch.byte_size());
-                    rows.append(&mut batch);
-                }
-                Ok(rows)
-            });
-            out.push((m, res));
-        },
-    );
-
-    let mut output = DistTable::new(out_schema, k);
-    for (m, rows) in joined.into_flat() {
-        output.rows[m] = rows?;
-    }
-    ctx.note_table(&output);
-    Ok(output)
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +499,6 @@ pub fn wco_extend_pushing(
     let k = ctx.k();
     let arity = input.arity();
     let out_arity = out_schema.len();
-    const WCO_TAG: usize = 0;
     let pool = ctx.machine_pool.clone();
 
     // Route the partial results hop by hop through the owners of the
@@ -646,14 +525,9 @@ pub fn wco_extend_pushing(
                         m,
                         &shuffling,
                         &failed,
-                        vec![(WCO_TAG, buffered)],
-                        |chunk, _tag| partition_cols_by_owner(chunk, p, shared.rpc(), k),
-                        || {
-                            for mut env in shared.drain_machine(m) {
-                                mine.append(&mut env.batch);
-                            }
-                            Ok(())
-                        },
+                        buffered,
+                        |chunk| partition_cols_by_owner(chunk, p, shared.rpc(), k),
+                        &mut mine,
                     )?;
                     Ok(mine)
                 });
@@ -738,20 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_assembles_squares() {
-        // Square = path(1-0-3) ⋈ path(1-2-3), joined on {1, 3}.
-        let parts = parts(2);
-        let q = Pattern::Square.query_graph();
-        let mut ctx = BaselineCtx::new(parts, &q);
-        let left = scan_star(&mut ctx, 0, &[1, 3]).unwrap();
-        let right = scan_star(&mut ctx, 2, &[1, 3]).unwrap();
-        let joined = hash_join_pushing(&mut ctx, left, right).unwrap();
-        let expected = huge_query::naive::enumerate(&gen::complete(6), &q);
-        assert_eq!(joined.total_rows(), expected);
-        assert!(ctx.stats.total().bytes_pushed > 0);
-    }
-
-    #[test]
     fn wco_extension_counts_triangles() {
         let parts = parts(3);
         let q = Pattern::Triangle.query_graph();
@@ -780,10 +640,8 @@ mod tests {
         let mut ctx = BaselineCtx::new(parts, &q);
         let table = scan_star(&mut ctx, 0, &[1]).unwrap();
         assert_eq!(table.total_rows(), 0);
-        let extended = wco_extend_pushing(&mut ctx, table.clone(), 2, &[0, 1]).unwrap();
+        let extended = wco_extend_pushing(&mut ctx, table, 2, &[0, 1]).unwrap();
         assert_eq!(extended.total_rows(), 0);
-        let joined = hash_join_pushing(&mut ctx, table, extended).unwrap();
-        assert_eq!(joined.total_rows(), 0);
         assert_eq!(ctx.stats.total().total_bytes(), 0);
     }
 }

@@ -9,70 +9,24 @@
 //! q2 where large stars appear early.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use huge_core::report::RunReport;
-use huge_core::{ClusterConfig, EngineError, Result};
-use huge_graph::{Graph, Partitioner, VertexId};
-use huge_plan::baselines::{native_plan, BaselineSystem};
-use huge_plan::logical::JoinNode;
+use huge_core::{ClusterConfig, Result};
+use huge_graph::{Graph, VertexId};
 use huge_query::{QueryGraph, QueryVertex};
 
-use crate::exec::{scan_star, BaselineCtx, DistTable};
+use crate::exec::{enumerate_injective, run_left_deep, BaselineCtx, DistTable};
+use crate::Baseline;
 
-/// The RADS baseline engine.
-pub struct Rads {
-    config: ClusterConfig,
-}
-
-impl Rads {
-    /// Creates the engine.
-    pub fn new(config: ClusterConfig) -> Self {
-        Rads { config }
-    }
-
-    /// Enumerates `query` on `graph`.
-    pub fn run(&self, graph: &Graph, query: &QueryGraph) -> Result<RunReport> {
-        let plan = native_plan(BaselineSystem::Rads, query)?;
-        let partitions =
-            std::sync::Arc::new(Partitioner::new(self.config.machines)?.partition(graph.clone()));
-        let mut ctx = BaselineCtx::new(partitions, query);
-        let start = Instant::now();
-
-        // RADS' plan is left-deep: flatten it into the initial star plus the
-        // sequence of expansion/verification stars.
-        let mut steps: Vec<&JoinNode> = Vec::new();
-        let mut node = &plan.tree.root;
-        loop {
-            match node {
-                JoinNode::Unit(_) => {
-                    steps.push(node);
-                    break;
-                }
-                JoinNode::Join { left, right, .. } => {
-                    steps.push(right);
-                    node = left;
-                }
-            }
-        }
-        steps.reverse();
-
-        // Initial star scan.
-        let first = match steps[0] {
-            JoinNode::Unit(sub) => sub,
-            _ => unreachable!("left-deep plans start with a unit"),
-        };
-        let (root, leaves) = first
-            .as_star(query)
-            .ok_or(EngineError::Config("RADS unit is not a star".into()))?;
-        let mut table = scan_star(&mut ctx, root, &leaves)?;
-
-        // Expansion / verification rounds.
-        for step in &steps[1..] {
-            let sub = step.output();
-            let (mut root, mut leaves) = sub
-                .as_star(query)
-                .ok_or(EngineError::Config("RADS expansion is not a star".into()))?;
+/// Runs RADS' native plan: the initial star scan, then one pulling
+/// expansion (or verification) round per remaining star.
+pub(crate) fn run(graph: &Graph, query: &QueryGraph, config: &ClusterConfig) -> Result<RunReport> {
+    run_left_deep(
+        Baseline::Rads,
+        graph,
+        query,
+        config,
+        |ctx, table, mut root, mut leaves| {
             // A single-edge star is rooted at its lower-id endpoint by
             // convention; RADS expands from whichever endpoint is already
             // matched, so re-orient if needed.
@@ -82,26 +36,9 @@ impl Rads {
             {
                 std::mem::swap(&mut root, &mut leaves[0]);
             }
-            table = expand_star_pulling(&mut ctx, &table, root, &leaves);
-        }
-
-        let matches = table.total_rows();
-        // Machines expand concurrently on the context's machine pool, so the
-        // wall clock includes their real skew instead of assuming ideal
-        // parallelism.
-        let compute_time = start.elapsed();
-        let comm = ctx.stats.total();
-        Ok(RunReport {
-            query: format!("RADS:{}", query.name()),
-            matches,
-            compute_time,
-            comm_time: self.config.network().time_for_snapshot(&comm),
-            comm_bytes: comm.total_bytes(),
-            comm,
-            peak_memory_bytes: ctx.report_peak_memory(),
-            ..Default::default()
-        })
-    }
+            Ok(expand_star_pulling(ctx, &table, root, &leaves))
+        },
+    )
 }
 
 /// Expands every partial match by a star rooted at the already-bound vertex
@@ -170,7 +107,7 @@ fn expand_star_pulling(
                 }
                 // Enumerate injective assignments for the unbound leaves.
                 let mut assignment: Vec<VertexId> = Vec::with_capacity(unbound.len());
-                enumerate_unbound(nbrs, &row, unbound.len(), &mut assignment, &mut |vals| {
+                enumerate_injective(nbrs, &row, unbound.len(), &mut assignment, &mut |vals| {
                     let mut joined = Vec::with_capacity(out_arity);
                     joined.extend_from_slice(&row);
                     joined.extend_from_slice(vals);
@@ -190,27 +127,6 @@ fn expand_star_pulling(
     output
 }
 
-fn enumerate_unbound(
-    nbrs: &[VertexId],
-    row: &[VertexId],
-    remaining: usize,
-    assignment: &mut Vec<VertexId>,
-    emit: &mut impl FnMut(&[VertexId]),
-) {
-    if remaining == 0 {
-        emit(assignment);
-        return;
-    }
-    for &v in nbrs {
-        if row.contains(&v) || assignment.contains(&v) {
-            continue;
-        }
-        assignment.push(v);
-        enumerate_unbound(nbrs, row, remaining - 1, assignment, emit);
-        assignment.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +139,7 @@ mod tests {
         for pattern in [Pattern::Triangle, Pattern::Square, Pattern::ChordalSquare] {
             let q = pattern.query_graph();
             let expected = naive::enumerate(&g, &q);
-            let report = Rads::new(ClusterConfig::new(3)).run(&g, &q).unwrap();
+            let report = Baseline::Rads.run(&g, &q, &ClusterConfig::new(3)).unwrap();
             assert_eq!(report.matches, expected, "{pattern:?}");
         }
     }
@@ -232,7 +148,7 @@ mod tests {
     fn rads_pulls_rather_than_pushes() {
         let g = gen::barabasi_albert(250, 6, 21);
         let q = Pattern::Square.query_graph();
-        let report = Rads::new(ClusterConfig::new(4)).run(&g, &q).unwrap();
+        let report = Baseline::Rads.run(&g, &q, &ClusterConfig::new(4)).unwrap();
         assert_eq!(report.comm.bytes_pushed, 0);
         assert!(report.comm.bytes_pulled > 0);
     }
@@ -243,7 +159,7 @@ mod tests {
         // should exceed the final result size for a sparse query.
         let g = gen::barabasi_albert(300, 8, 5);
         let q = Pattern::Square.query_graph();
-        let report = Rads::new(ClusterConfig::new(2)).run(&g, &q).unwrap();
+        let report = Baseline::Rads.run(&g, &q, &ClusterConfig::new(2)).unwrap();
         assert!(report.peak_memory_bytes > 0);
     }
 }

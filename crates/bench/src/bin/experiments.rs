@@ -100,15 +100,11 @@ fn guarded_native(
     query: &huge_query::QueryGraph,
     config: &ClusterConfig,
 ) -> Option<huge_core::report::RunReport> {
-    let system = match baseline {
-        Baseline::StarJoin => BaselineSystem::StarJoin,
-        Baseline::Seed => BaselineSystem::Seed,
-        Baseline::BigJoin => BaselineSystem::BigJoin,
-        Baseline::Benu => return baseline.run(graph, query, config).ok(),
-        Baseline::Rads => BaselineSystem::Rads,
-    };
+    if baseline == Baseline::Benu {
+        return baseline.run(graph, query, config).ok();
+    }
     let estimator = HybridEstimator::from_graph(graph);
-    let plan = huge_plan::baselines::native_plan(system, query).ok()?;
+    let plan = huge_plan::baselines::native_plan(baseline.system(), query).ok()?;
     let mut worst: f64 = 0.0;
     fn walk(
         node: &huge_plan::logical::JoinNode,
@@ -181,11 +177,11 @@ fn exp1(opts: &Options) {
         "HUGE-X T(s)",
         "speed-up",
     ]);
-    for (system, plugged_name) in [
-        (Baseline::Benu, BaselineSystem::Benu),
-        (Baseline::Rads, BaselineSystem::Rads),
-        (Baseline::Seed, BaselineSystem::Seed),
-        (Baseline::BigJoin, BaselineSystem::BigJoin),
+    for system in [
+        Baseline::Benu,
+        Baseline::Rads,
+        Baseline::Seed,
+        Baseline::BigJoin,
     ] {
         // RADS is evaluated on LJ (its plan times out on UK in the paper).
         let dataset = if system == Baseline::Rads {
@@ -198,7 +194,7 @@ fn exp1(opts: &Options) {
         for qi in [1usize, 2] {
             let query = paper_query(qi);
             let native = guarded_native(system, &graph, &query, &config);
-            let plan = plug_into_huge(plugged_name, &query).expect("plug");
+            let plan = plug_into_huge(system.system(), &query).expect("plug");
             let plugged = cluster
                 .run_with_plan(&plan, SinkMode::Count)
                 .expect("HUGE-X run");

@@ -161,7 +161,7 @@ fn star_decomposition(q: &QueryGraph) -> Vec<SubQuery> {
 /// Orders the stars of a decomposition so that each one (after the first)
 /// shares a vertex with the union of its predecessors, keeping every
 /// intermediate join connected.
-fn order_stars_connected(q: &QueryGraph, mut stars: Vec<SubQuery>) -> Vec<SubQuery> {
+fn order_stars_connected(mut stars: Vec<SubQuery>) -> Vec<SubQuery> {
     let mut ordered: Vec<SubQuery> = Vec::with_capacity(stars.len());
     while !stars.is_empty() {
         let idx = if ordered.is_empty() {
@@ -177,13 +177,12 @@ fn order_stars_connected(q: &QueryGraph, mut stars: Vec<SubQuery>) -> Vec<SubQue
         };
         ordered.push(stars.remove(idx));
     }
-    let _ = q;
     ordered
 }
 
 /// StarJoin: left-deep hash joins over the greedy star decomposition.
 fn star_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinTree, PlanError> {
-    let stars = order_stars_connected(q, star_decomposition(q));
+    let stars = order_stars_connected(star_decomposition(q));
     let mut node = JoinNode::Unit(stars[0]);
     for star in &stars[1..] {
         node = JoinNode::join_with(node, JoinNode::Unit(*star), physical);
@@ -195,12 +194,11 @@ fn star_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<Join
 /// over the connected star order, falling back to left-deep when a balanced
 /// split would create a Cartesian (disconnected) join.
 fn star_bushy_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinTree, PlanError> {
-    let stars = order_stars_connected(q, star_decomposition(q));
-    Ok(JoinTree::new(build_bushy(q, &stars, physical)))
+    let stars = order_stars_connected(star_decomposition(q));
+    Ok(JoinTree::new(build_bushy(&stars, physical)))
 }
 
-#[allow(clippy::only_used_in_recursion)]
-fn build_bushy(q: &QueryGraph, stars: &[SubQuery], physical: PhysicalSetting) -> JoinNode {
+fn build_bushy(stars: &[SubQuery], physical: PhysicalSetting) -> JoinNode {
     if stars.len() == 1 {
         return JoinNode::Unit(stars[0]);
     }
@@ -216,8 +214,8 @@ fn build_bushy(q: &QueryGraph, stars: &[SubQuery], physical: PhysicalSetting) ->
     } else {
         stars.split_at(stars.len() - 1)
     };
-    let left = build_bushy(q, l, physical);
-    let right = build_bushy(q, r, physical);
+    let left = build_bushy(l, physical);
+    let right = build_bushy(r, physical);
     JoinNode::join_with(left, right, physical)
 }
 

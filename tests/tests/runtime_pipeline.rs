@@ -1,14 +1,12 @@
 //! Integration tests of the event-driven pipelined runtime: the per-machine
 //! dataflow scheduler (cross-segment pipelining, the barrier gate, abort
 //! propagation), the persistent worker pool, the bounded notifying
-//! router, the streaming baseline shuffles, the count-only sink and the
-//! steal accounting hand-off.
+//! router, the count-only sink and the steal accounting hand-off.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use huge_baselines::exec::{hash_join_pushing, scan_star, BaselineCtx};
 use huge_baselines::Baseline;
 use huge_comm::stats::ClusterStats;
 use huge_comm::{ColBatch, Router};
@@ -16,7 +14,7 @@ use huge_core::memory::MemoryTracker;
 use huge_core::pool::WorkerPool;
 use huge_core::scheduler::SharedQueue;
 use huge_core::{ClusterConfig, Fault, HugeCluster, LoadBalance, SinkMode};
-use huge_graph::{gen, Graph, Partitioner};
+use huge_graph::{gen, Graph};
 use huge_query::{naive, Pattern, QueryGraph};
 
 /// A multi-segment (PUSH-JOIN) plan for `query` on `cluster`: pulling is
@@ -183,54 +181,6 @@ fn steal_hand_off_conserves_cluster_wide_memory_accounting() {
     while victim.pop().is_some() {}
     while thief.pop().is_some() {}
     assert_eq!(trackers[0].current() + trackers[1].current(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming baseline shuffle: bounded memory
-// ---------------------------------------------------------------------------
-
-#[test]
-fn baseline_join_streams_instead_of_double_buffering() {
-    // A join whose shuffled inputs far exceed the router capacity: with the
-    // streaming shuffle (bounded inboxes + spilling joiners) the tracked
-    // transient peak must stay below what materialising both shuffled tables
-    // at once would need — the pre-streaming behaviour.
-    let graph = gen::barabasi_albert(600, 10, 3);
-    let query = Pattern::Square.query_graph();
-    let partitions = Arc::new(Partitioner::new(3).unwrap().partition(graph.clone()));
-    // 2048-row inboxes, 64 KiB spill threshold per joiner side.
-    let mut ctx = BaselineCtx::with_streaming_limits(partitions, &query, 2_048, 64 * 1024);
-    let left = scan_star(&mut ctx, 0, &[1, 3]).unwrap();
-    let right = scan_star(&mut ctx, 2, &[1, 3]).unwrap();
-    let shuffled_bytes = left.total_bytes() + right.total_bytes();
-    let joined = hash_join_pushing(&mut ctx, left, right).unwrap();
-    assert_eq!(joined.total_rows(), naive::enumerate(&graph, &query));
-    assert!(
-        ctx.memory.peak() < shuffled_bytes,
-        "streaming shuffle peak {} must stay below full materialisation {}",
-        ctx.memory.peak(),
-        shuffled_bytes
-    );
-    // Everything transient was drained and released.
-    assert_eq!(ctx.memory.current(), 0);
-
-    // The degenerate all-local case (k = 1): every push goes to the own
-    // machine, which bypasses the inbox bound — the absorb-on-full path must
-    // still keep the shuffle from double-buffering the whole table.
-    let single = Arc::new(Partitioner::new(1).unwrap().partition(graph.clone()));
-    let mut ctx1 = BaselineCtx::with_streaming_limits(single, &query, 2_048, 64 * 1024);
-    let left1 = scan_star(&mut ctx1, 0, &[1, 3]).unwrap();
-    let right1 = scan_star(&mut ctx1, 2, &[1, 3]).unwrap();
-    let shuffled1 = left1.total_bytes() + right1.total_bytes();
-    let joined1 = hash_join_pushing(&mut ctx1, left1, right1).unwrap();
-    assert_eq!(joined1.total_rows(), naive::enumerate(&graph, &query));
-    assert!(
-        ctx1.memory.peak() < shuffled1,
-        "local-only streaming peak {} must stay below full materialisation {}",
-        ctx1.memory.peak(),
-        shuffled1
-    );
-    assert_eq!(ctx1.memory.current(), 0);
 }
 
 // ---------------------------------------------------------------------------

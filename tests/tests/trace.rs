@@ -151,8 +151,9 @@ fn tracing_is_a_pure_observer_across_the_five_engine_matrix() {
                 baseline.name()
             );
             assert!(b_off.trace.is_none());
-            // Baselines execute outside HugeCluster; the tracing config must
-            // be a no-op for them — same counts, no trace attached.
+            // Baselines ignore the caller's tracing config (StarJoin and SEED
+            // run on a cluster configured by the baselines crate) — same
+            // counts, no trace attached.
             let b_full = baseline.run(&graph, &query, &full).unwrap();
             assert_eq!(
                 b_full.matches,
