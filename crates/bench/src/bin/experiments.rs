@@ -392,9 +392,11 @@ fn exp8(opts: &Options) {
         "T(s)",
         "worker time std-dev(s)",
         "total worker time(s)",
+        "matches",
     ]);
     for qi in [1usize, 2, 3, 6] {
         let query = paper_query(qi);
+        let mut expected = None;
         for (label, lb) in [
             ("HUGE", LoadBalance::WorkStealing),
             ("HUGE-NOSTL", LoadBalance::None),
@@ -403,12 +405,19 @@ fn exp8(opts: &Options) {
             let config = default_config(opts.machines).load_balance(lb);
             let cluster = HugeCluster::build(graph.clone(), config).expect("cluster");
             let report = cluster.run(&query, SinkMode::Count).expect("run");
+            // Every strategy must find the same matches.
+            assert_eq!(
+                *expected.get_or_insert(report.matches),
+                report.matches,
+                "q{qi} {label}"
+            );
             table.add_row(vec![
                 format!("q{qi}"),
                 label.to_string(),
                 secs(report.total_time()),
                 format!("{:.4}", report.worker_time_stddev()),
                 secs(report.total_worker_time()),
+                report.matches.to_string(),
             ]);
         }
     }

@@ -297,8 +297,6 @@ pub struct MachineState {
     pub matches: u64,
     /// Collected sample matches (in query-vertex order).
     pub samples: Vec<Vec<u32>>,
-    /// Busy time per intra-machine worker.
-    pub worker_busy: Vec<Duration>,
     /// Total time spent in `PULL-EXTEND` fetch stages.
     pub fetch_time: Duration,
     /// Total active time this machine spent executing segments.
@@ -350,8 +348,7 @@ impl MachineState {
         config: ClusterConfig,
         spill_dir: PathBuf,
     ) -> Self {
-        let workers = config.workers_per_machine;
-        let pool = WorkerPool::new(workers, config.load_balance);
+        let pool = WorkerPool::new(config.workers_per_machine, config.load_balance);
         MachineState {
             machine,
             partition,
@@ -365,7 +362,6 @@ impl MachineState {
             spill_dir,
             matches: 0,
             samples: Vec::new(),
-            worker_busy: vec![Duration::ZERO; workers],
             fetch_time: Duration::ZERO,
             compute_time: Duration::ZERO,
             batches_stolen: 0,
@@ -432,7 +428,7 @@ impl MachineState {
             machine: self.machine,
             matches: self.matches,
             compute_time: self.compute_time,
-            worker_busy: self.worker_busy.clone(),
+            worker_busy: self.pool.busy(),
             peak_memory_bytes: self.memory.peak(),
             comm: self.rpc.stats().machine(self.machine).snapshot(),
             batches_stolen: self.batches_stolen,
@@ -1120,24 +1116,15 @@ impl MachineState {
                     spec.run_count_cols(&input, &ctx)
                 } else {
                     let out = spec.run_cols(input, &ctx)?;
-                    self.add_extend_time(out.fetch_time, &out.worker_busy);
+                    self.fetch_time += out.fetch_time;
                     return Ok((Some(out.batch), Duration::ZERO));
                 };
                 self.matches += counted.count;
-                self.add_extend_time(counted.fetch_time, &counted.worker_busy);
+                self.fetch_time += counted.fetch_time;
                 return Ok((None, counted.pieces_time));
             }
         };
         Ok((batch, Duration::ZERO))
-    }
-
-    /// Adds one extend call's fetch-stage time and per-worker busy time to
-    /// the machine's totals.
-    fn add_extend_time(&mut self, fetch: Duration, busy: &[Duration]) {
-        self.fetch_time += fetch;
-        for (total, d) in self.worker_busy.iter_mut().zip(busy) {
-            *total += *d;
-        }
     }
 
     /// Consumes one fully-extended batch at the terminal: the sink counts

@@ -180,9 +180,9 @@ impl ScanCursor {
     /// when the scan is exhausted.
     ///
     /// The expansion of a chunk's vertices into edge rows runs on the
-    /// machine's persistent worker pool (split into per-worker ranges), so
-    /// the scan path exercises the same `submit`/`join_epoch` substrate as
-    /// `PULL-EXTEND`.
+    /// machine's persistent worker pool (split into per-worker ranges), like
+    /// `PULL-EXTEND`'s intersect stage; the pool charges its busy time to
+    /// the workers that ran it.
     pub fn next_batch(&mut self, ctx: &OpContext<'_>) -> Option<RowBatch> {
         let target_rows = ctx.batch_size;
         let mut batch = RowBatch::with_capacity(2, target_rows.min(64 * 1024));
@@ -289,8 +289,6 @@ impl ScanCursor {
 pub struct ExtendCountOutput {
     /// Number of rows the extension would have produced.
     pub count: u64,
-    /// Busy time of each intra-machine worker during the intersect stage.
-    pub worker_busy: Vec<Duration>,
     /// Time spent in the fetch stage (RPCs + cache writes + sealing).
     pub fetch_time: Duration,
     /// The wall time a fused pair ([`ExtendSpec::run_count_pair`]) spent
@@ -480,8 +478,6 @@ fn neighbours<'v>(ctx: &OpContext<'v>, view: &'v ListView, v: VertexId) -> Optio
 pub struct ExtendColsOutput {
     /// The extended (or selection-narrowed) columnar batch.
     pub batch: ColBatch,
-    /// Busy time of each intra-machine worker during the intersect stage.
-    pub worker_busy: Vec<Duration>,
     /// Time spent in the fetch stage (RPCs + cache writes + sealing).
     pub fetch_time: Duration,
 }
@@ -923,7 +919,7 @@ impl ExtendSpec {
         let ranges = intersect_ranges(&input, ctx);
         let (view, input_ref) = (&view, &input);
 
-        let (batch, worker_busy) = if let Some(vpos) = op.verify_position {
+        let batch = if let Some(vpos) = op.verify_position {
             let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
                 for_each_verified_row(op, vpos, input_ref, range, ctx, view, |i| {
                     out.push(i as u32)
@@ -934,7 +930,7 @@ impl ExtendSpec {
             keep.sort_unstable();
             let mut batch = input;
             batch.retain_rows(keep);
-            (Ok(batch), run.busy)
+            Ok(batch)
         } else {
             // Each work item emits its piece of the candidate column and,
             // per extended row, where the row sits in the input's per-run
@@ -962,7 +958,7 @@ impl ExtendSpec {
             items.sort_unstable_by_key(|item| item.0);
             let extended = || items.iter().map(|(_, rows, _)| rows.as_slice());
             let lens = extended().flatten().map(|&(_, _, n)| n);
-            let batch = run_ends_of(lens).map(|run_ends| {
+            run_ends_of(lens).map(|run_ends| {
                 let newest = self.arity - 1;
                 let mut cols: Vec<Vec<VertexId>> = (0..self.arity)
                     .map(|c| {
@@ -982,8 +978,7 @@ impl ExtendSpec {
                 }
                 cols.push(candidates);
                 ColBatch::from_runs(cols, run_ends)
-            });
-            (batch, run.busy)
+            })
         };
         // Unseal what the fetch stage sealed before any error leaves.
         release(ctx);
@@ -992,11 +987,7 @@ impl ExtendSpec {
             .stats()
             .machine(ctx.machine)
             .record_col_bytes(batch.byte_size());
-        Ok(ExtendColsOutput {
-            batch,
-            worker_busy,
-            fetch_time,
-        })
+        Ok(ExtendColsOutput { batch, fetch_time })
     }
 
     /// Counts the extensions of one columnar batch without materialising
@@ -1015,7 +1006,6 @@ impl ExtendSpec {
         release(ctx);
         ExtendCountOutput {
             count: run.outputs.iter().flatten().sum(),
-            worker_busy: run.busy,
             fetch_time,
             pieces_time: Duration::ZERO,
         }
@@ -1080,7 +1070,6 @@ impl ExtendSpec {
             count: pieces.clone().map(|p| p.counted).sum(),
             fetch_time: fetch_time + pieces.map(|p| p.fetch_time).sum::<Duration>(),
             pieces_time: start.elapsed().mul_f64(share.min(1.0)),
-            worker_busy: run.busy,
         }
     }
 }
@@ -1293,7 +1282,6 @@ mod row_major {
         release(ctx);
         ExtendCountOutput {
             count: run.outputs.iter().flatten().sum(),
-            worker_busy: run.busy,
             fetch_time,
             pieces_time: Duration::ZERO,
         }

@@ -1,38 +1,34 @@
 //! The intra-machine worker pool.
 //!
-//! Each HUGE machine runs a pool of workers (§4.1). Workers are *persistent*:
-//! they are spawned once per pool (lazily, on the first parallel workload)
-//! and then reused across every operator invocation and segment of a run —
-//! no per-batch thread spawning on the hot path. Idle workers park on a
-//! condvar and are woken by submissions.
+//! Each HUGE machine runs a pool of workers (§4.1), spawned once per pool
+//! (lazily, on the first parallel workload) and reused by every operator
+//! call and segment of a run — no per-batch thread spawning on the hot path.
 //!
-//! Work distribution follows the configured [`LoadBalance`] strategy: every
-//! worker owns a lock-free Chase–Lev deque fed from a small per-worker inbox,
-//! and with [`LoadBalance::WorkStealing`] (HUGE's default) idle workers steal
-//! from their siblings' deques and inboxes — the intra-machine half of the
-//! paper's two-layer work stealing (§5.3). `None` pins items round-robin with
-//! no stealing (load follows the pivot vertex, as in BENU) and `RegionGroup`
-//! pins contiguous ranges (RADS' region groups), reproducing the Exp-8
-//! comparison points.
-//!
-//! The low-level interface is epoch-based: [`WorkerPool::begin_epoch`] /
-//! [`WorkerPool::submit`] / [`WorkerPool::join_epoch`]. Epochs from multiple
-//! threads may overlap freely; each tracks only its own jobs. The high-level
-//! [`WorkerPool::run`] used by the operators is built on top of it.
+//! The pool's one operation is the fork-join [`WorkerPool::run`] over a fixed
+//! list of work items. A run publishes one borrowed task under the pool's
+//! lock and every worker runs it once, taking items as the configured
+//! [`LoadBalance`] says: [`LoadBalance::WorkStealing`] (HUGE's default) claims
+//! the next item from a shared cursor, so idle workers pick up what is left
+//! of the call — the intra-machine half of the paper's two-layer work
+//! stealing (§5.3); `None` pins items round-robin (load follows the pivot
+//! vertex, as in BENU) and `RegionGroup` in contiguous ranges (RADS' region
+//! groups), the Exp-8 comparison points. A run ends when its items are done
+//! and no worker is inside its task; it then unpublishes the task, so a
+//! worker that wakes late skips it. Concurrent runs are served one at a time.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Condvar, LockResult, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Steal, Stealer, Worker};
-
 use crate::config::LoadBalance;
 
-/// A unit of work: receives the id of the worker executing it.
-type Job = Box<dyn FnOnce(usize) + Send + 'static>;
+/// Item panics are caught while their worker holds its slot; nothing else panics under a lock.
+const UNPOISONED: &str = "no pool lock is held across a panic";
+
+/// A run's task, called once by each worker that joins the run with its id.
+type Task = &'static (dyn Fn(usize) + Sync);
 
 /// Output of a pool run: the items produced by each worker and how long each
 /// worker stayed busy.
@@ -51,149 +47,101 @@ impl<T> PoolRun<T> {
     }
 }
 
-/// Tracks one batch of submitted jobs so the submitter can wait for exactly
-/// its own work (epochs from different threads may overlap on one pool).
-pub struct Epoch {
-    inner: Arc<EpochInner>,
-}
-
-struct EpochInner {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-    busy_nanos: Vec<AtomicU64>,
-}
-
-impl Epoch {
-    fn new(workers: usize) -> Self {
-        Epoch {
-            inner: Arc::new(EpochInner {
-                remaining: Mutex::new(0),
-                done: Condvar::new(),
-                panicked: AtomicBool::new(false),
-                busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            }),
-        }
-    }
-
-    /// Busy time accumulated per worker while executing this epoch's jobs.
-    pub fn busy(&self) -> Vec<Duration> {
-        self.inner
-            .busy_nanos
-            .iter()
-            .map(|n| Duration::from_nanos(n.load(Ordering::Relaxed)))
-            .collect()
-    }
+/// What the pool's lock guards.
+#[derive(Default)]
+struct State {
+    /// The task of the run in progress, if any.
+    task: Option<Task>,
+    /// Number of tasks published so far: a worker runs each one at most once.
+    published: u64,
+    /// Workers currently inside `task`.
+    inside: usize,
+    shutdown: bool,
 }
 
 /// State shared between the pool handle and its worker threads.
-struct PoolShared {
-    /// Targeted submissions, drained by each worker into its own deque.
-    inboxes: Vec<Mutex<VecDeque<Job>>>,
-    /// Stealers over every worker's Chase–Lev deque.
-    stealers: Vec<Stealer<Job>>,
-    /// Whether idle workers may steal from siblings.
-    allow_steal: bool,
-    /// Submission generation; bumped under the lock so sleepers never miss a
-    /// wake-up (a worker only waits while the generation is unchanged since
-    /// it last found no work).
-    generation: Mutex<u64>,
-    work_available: Condvar,
-    shutdown: AtomicBool,
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    /// Wakes workers: a task was published, or the pool shuts down.
+    work: Condvar,
+    /// Wakes callers: the last worker left a task, or a run ended.
+    idle: Condvar,
 }
 
-impl PoolShared {
-    fn bump_and_notify(&self) {
-        {
-            let mut generation = self.generation.lock().unwrap();
-            *generation = generation.wrapping_add(1);
-        }
-        self.work_available.notify_all();
-    }
+/// The state lock's guard, poisoned or not: every update of `State` is one
+/// field write, valid at every step, and `serve` must not unwind while its
+/// task is published.
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
-    /// One steal attempt over the siblings of `wid` (deques first, then the
-    /// back of their inboxes).
-    fn try_steal(&self, wid: usize) -> Option<Job> {
-        let n = self.stealers.len();
-        for offset in 1..n {
-            let victim = (wid + offset) % n;
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(job) => return Some(job),
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
+impl Shared {
+    /// Publishes `task`, waits until `finished` reaches `items` with no
+    /// worker inside it, and unpublishes it.
+    fn serve(&self, task: &(dyn Fn(usize) + Sync), finished: &AtomicUsize, items: usize) {
+        // SAFETY: a worker calls the task only between raising and lowering
+        // `inside`, both under the lock and only while `state.task` holds it.
+        // This function clears `state.task` under the lock once `inside` is
+        // zero, so no call outlives the borrow. Nothing in between can
+        // unwind: the lock and its waits recover from poisoning.
+        let task: Task = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(task) };
+        let mut state = unpoisoned(self.state.lock());
+        while state.task.is_some() {
+            state = unpoisoned(self.idle.wait(state));
+        }
+        state.task = Some(task);
+        state.published += 1;
+        // Wake the workers with the lock released: they would queue on it.
+        drop(state);
+        self.work.notify_all();
+        let mut state = unpoisoned(self.state.lock());
+        // `finished` is raised before its worker lowers `inside` under the
+        // lock, so the outputs of every item are visible once this exits.
+        while state.inside > 0 || finished.load(Ordering::Acquire) < items {
+            state = unpoisoned(self.idle.wait(state));
+        }
+        state.task = None;
+        self.idle.notify_all();
+    }
+}
+
+fn worker_loop(wid: usize, shared: &Shared, ready: &Barrier) {
+    ready.wait();
+    let mut seen = 0;
+    let mut state = unpoisoned(shared.state.lock());
+    while !state.shutdown {
+        match state.task {
+            Some(task) if state.published != seen => {
+                seen = state.published;
+                state.inside += 1;
+                drop(state);
+                task(wid);
+                state = unpoisoned(shared.state.lock());
+                state.inside -= 1;
+                if state.inside == 0 {
+                    shared.idle.notify_all();
                 }
             }
-            if let Some(job) = self.inboxes[victim].lock().unwrap().pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-fn worker_loop(wid: usize, local: Worker<Job>, shared: Arc<PoolShared>) {
-    loop {
-        // 1. Own deque (LIFO: best cache locality for freshly split work).
-        if let Some(job) = local.pop() {
-            job(wid);
-            continue;
-        }
-        // 2. Refill the deque from the inbox of targeted submissions.
-        let refilled = {
-            let mut inbox = shared.inboxes[wid].lock().unwrap();
-            let had = !inbox.is_empty();
-            for job in inbox.drain(..) {
-                local.push(job);
-            }
-            had
-        };
-        if refilled {
-            continue;
-        }
-        // 3. Steal from siblings (work-stealing strategy only).
-        if shared.allow_steal {
-            if let Some(job) = shared.try_steal(wid) {
-                job(wid);
-                continue;
-            }
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // 4. Park until the next submission. Reading the generation *before*
-        // the (failed) work checks above would race; instead re-check: any
-        // submission completed before we read `generation` here is visible
-        // in the queues, and any later one changes the generation.
-        let seen = *shared.generation.lock().unwrap();
-        let has_work = !shared.inboxes[wid].lock().unwrap().is_empty()
-            || (shared.allow_steal && shared.stealers.iter().any(|s| !s.is_empty()));
-        if has_work {
-            continue;
-        }
-        let mut generation = shared.generation.lock().unwrap();
-        while *generation == seen && !shared.shutdown.load(Ordering::Acquire) {
-            generation = shared.work_available.wait(generation).unwrap();
+            _ => state = unpoisoned(shared.work.wait(state)),
         }
     }
 }
 
 struct PoolCore {
-    shared: Arc<PoolShared>,
-    /// Worker-owned deques, handed to the threads on first start.
-    seeds: Mutex<Vec<Worker<Job>>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    started: AtomicBool,
-    threads_spawned: AtomicUsize,
+    shared: Arc<Shared>,
+    handles: OnceLock<Vec<JoinHandle<()>>>,
+    /// Busy time of each worker, summed over every run.
+    busy: Mutex<Vec<Duration>>,
     workers: usize,
     strategy: LoadBalance,
 }
 
 impl Drop for PoolCore {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.bump_and_notify();
-        for handle in self.handles.lock().unwrap().drain(..) {
+        unpoisoned(self.shared.state.lock()).shutdown = true;
+        self.shared.work.notify_all();
+        for handle in self.handles.take().into_iter().flatten() {
             let _ = handle.join();
         }
     }
@@ -211,7 +159,7 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("workers", &self.core.workers)
             .field("strategy", &self.core.strategy)
-            .field("started", &self.core.started.load(Ordering::Relaxed))
+            .field("started", &self.core.handles.get().is_some())
             .finish()
     }
 }
@@ -221,23 +169,11 @@ impl WorkerPool {
     /// workload and live until the last pool handle is dropped.
     pub fn new(workers: usize, strategy: LoadBalance) -> Self {
         let workers = workers.max(1);
-        let seeds: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = seeds.iter().map(|w| w.stealer()).collect();
-        let shared = Arc::new(PoolShared {
-            inboxes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            stealers,
-            allow_steal: strategy == LoadBalance::WorkStealing,
-            generation: Mutex::new(0),
-            work_available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
         WorkerPool {
             core: Arc::new(PoolCore {
-                shared,
-                seeds: Mutex::new(seeds),
-                handles: Mutex::new(Vec::new()),
-                started: AtomicBool::new(false),
-                threads_spawned: AtomicUsize::new(0),
+                shared: Arc::default(),
+                handles: OnceLock::new(),
+                busy: Mutex::new(vec![Duration::ZERO; workers]),
                 workers,
                 strategy,
             }),
@@ -253,103 +189,39 @@ impl WorkerPool {
     /// [`WorkerPool::workers`] no matter how many batches run — the
     /// regression handle for "workers are created once and reused".
     pub fn threads_spawned(&self) -> usize {
-        self.core.threads_spawned.load(Ordering::SeqCst)
+        self.core.handles.get().map_or(0, Vec::len)
+    }
+
+    /// Busy time of each worker, summed over every run of this pool (inline
+    /// runs included).
+    pub fn busy(&self) -> Vec<Duration> {
+        self.core.busy.lock().expect(UNPOISONED).clone()
     }
 
     /// Spawns the worker threads if they are not running yet.
     fn ensure_started(&self) {
-        if self.core.started.load(Ordering::Acquire) {
-            return;
-        }
-        let mut seeds = self.core.seeds.lock().unwrap();
-        if self.core.started.load(Ordering::Acquire) {
-            return;
-        }
-        let mut handles = self.core.handles.lock().unwrap();
-        for (wid, local) in seeds.drain(..).enumerate() {
-            let shared = Arc::clone(&self.core.shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("huge-worker-{wid}"))
-                    .spawn(move || worker_loop(wid, local, shared))
-                    .expect("spawn pool worker"),
-            );
-            self.core.threads_spawned.fetch_add(1, Ordering::SeqCst);
-        }
-        self.core.started.store(true, Ordering::Release);
-    }
-
-    /// Starts a new epoch. Epochs from different threads may overlap.
-    pub fn begin_epoch(&self) -> Epoch {
-        Epoch::new(self.core.workers)
-    }
-
-    /// Submits a job to the worker `target % workers` (any idle worker may
-    /// steal it under [`LoadBalance::WorkStealing`]). The job runs on a pool
-    /// thread; [`WorkerPool::join_epoch`] waits for it.
-    pub fn submit(&self, epoch: &Epoch, target: usize, job: impl FnOnce(usize) + Send + 'static) {
-        self.ensure_started();
-        // SAFETY: the job is already `'static`.
-        unsafe { self.submit_erased(epoch, target, Box::new(job)) };
-        self.core.shared.bump_and_notify();
-    }
-
-    /// Submits a job whose borrows the caller promises outlive the epoch.
-    ///
-    /// # Safety
-    /// The caller must call [`WorkerPool::join_epoch`] on `epoch` before any
-    /// data borrowed by `job` goes out of scope (including on panic paths).
-    unsafe fn submit_erased(
-        &self,
-        epoch: &Epoch,
-        target: usize,
-        job: Box<dyn FnOnce(usize) + Send + '_>,
-    ) {
-        let job: Job = std::mem::transmute::<Box<dyn FnOnce(usize) + Send + '_>, Job>(job);
-        {
-            let mut remaining = epoch.inner.remaining.lock().unwrap();
-            *remaining += 1;
-        }
-        let tracker = Arc::clone(&epoch.inner);
-        let wrapped: Job = Box::new(move |wid| {
-            let start = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| job(wid)));
-            tracker.busy_nanos[wid].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if outcome.is_err() {
-                tracker.panicked.store(true, Ordering::SeqCst);
-            }
-            let mut remaining = tracker.remaining.lock().unwrap();
-            *remaining -= 1;
-            if *remaining == 0 {
-                tracker.done.notify_all();
-            }
+        self.core.handles.get_or_init(|| {
+            let ready = Arc::new(Barrier::new(self.core.workers + 1));
+            let handles = (0..self.core.workers)
+                .map(|wid| {
+                    let (shared, ready) = (Arc::clone(&self.core.shared), Arc::clone(&ready));
+                    std::thread::Builder::new()
+                        .name(format!("huge-worker-{wid}"))
+                        .spawn(move || worker_loop(wid, &shared, &ready))
+                        .expect("spawn pool worker")
+                })
+                .collect();
+            // Return once every worker runs, so the first run's items are not
+            // left to whichever threads happened to start first.
+            ready.wait();
+            handles
         });
-        let wid = target % self.core.workers;
-        self.core.shared.inboxes[wid]
-            .lock()
-            .unwrap()
-            .push_back(wrapped);
-    }
-
-    /// Blocks until every job submitted under `epoch` has finished, then
-    /// returns the per-worker busy times. Panics (propagating) if any job
-    /// panicked.
-    pub fn join_epoch(&self, epoch: Epoch) -> Vec<Duration> {
-        {
-            let mut remaining = epoch.inner.remaining.lock().unwrap();
-            while *remaining > 0 {
-                remaining = epoch.inner.done.wait(remaining).unwrap();
-            }
-        }
-        if epoch.inner.panicked.load(Ordering::SeqCst) {
-            panic!("worker panicked");
-        }
-        epoch.busy()
     }
 
     /// Processes `items` in parallel on the persistent workers; `f(item,
     /// out)` appends its results to `out`. Returns per-worker outputs and
-    /// busy times.
+    /// busy times. If any item panics, the panic is re-raised once every
+    /// item has run; the pool stays usable.
     ///
     /// Falls back to inline execution when there is a single worker or a
     /// single item (no cross-thread hand-off for tiny batches).
@@ -360,52 +232,67 @@ impl WorkerPool {
         F: Fn(I, &mut Vec<T>) + Sync,
     {
         let workers = self.core.workers;
-        if workers == 1 || items.len() <= 1 {
-            let start = Instant::now();
-            let mut out = Vec::new();
-            for item in items {
-                f(item, &mut out);
-            }
-            let mut busy = vec![Duration::ZERO; workers];
-            busy[0] = start.elapsed();
-            let mut outputs: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-            outputs[0] = out;
-            return PoolRun { outputs, busy };
-        }
-
-        self.ensure_started();
-        let epoch = self.begin_epoch();
-        let outputs: Vec<Mutex<Vec<T>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
         let n = items.len();
-        {
-            let f = &f;
-            let outputs = &outputs;
-            for (idx, item) in items.into_iter().enumerate() {
-                let target = match self.core.strategy {
-                    // Round-robin: even static split.
-                    LoadBalance::WorkStealing | LoadBalance::None => idx % workers,
-                    // Contiguous region groups.
-                    LoadBalance::RegionGroup => (idx * workers / n).min(workers - 1),
-                };
-                // Each worker executes one job at a time, so the lock on its
-                // own output slot is uncontended.
-                let job = move |wid: usize| {
-                    let mut slot = outputs[wid].lock().unwrap();
-                    f(item, &mut slot);
-                };
-                // SAFETY: `join_epoch` below returns only after every job
-                // ran, so the borrows of `f` and `outputs` stay valid; a
-                // worker panic is recorded and re-raised by `join_epoch`
-                // after the epoch fully drains.
-                unsafe { self.submit_erased(&epoch, target, Box::new(job)) };
+        let mut outputs: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut busy = vec![Duration::ZERO; workers];
+        let panicked = if workers == 1 || n <= 1 {
+            let start = Instant::now();
+            for item in items {
+                f(item, &mut outputs[0]);
             }
+            busy[0] = start.elapsed();
+            false
+        } else {
+            self.ensure_started();
+            let items: Vec<_> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+            let slots: Vec<Mutex<(Vec<T>, Duration)>> =
+                (0..workers).map(|_| Mutex::default()).collect();
+            let cursor = AtomicUsize::new(0);
+            let finished = AtomicUsize::new(0);
+            let failed = AtomicBool::new(false);
+            let task = |wid: usize| {
+                let start = Instant::now();
+                let mut slot = slots[wid].lock().expect(UNPOISONED);
+                let mut take = |i: usize| {
+                    let item = items[i].lock().expect(UNPOISONED).take();
+                    let item = item.expect("each item is claimed once");
+                    if catch_unwind(AssertUnwindSafe(|| f(item, &mut slot.0))).is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                };
+                match self.core.strategy {
+                    LoadBalance::WorkStealing => loop {
+                        // The cursor only hands out indices; each item is
+                        // published by its own mutex.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        take(i);
+                    },
+                    LoadBalance::None => (wid..n).step_by(workers).for_each(take),
+                    LoadBalance::RegionGroup => {
+                        let region_start = |w: usize| (w * n).div_ceil(workers);
+                        (region_start(wid)..region_start(wid + 1)).for_each(take)
+                    }
+                }
+                slot.1 += start.elapsed();
+            };
+            self.core.shared.serve(&task, &finished, n);
+            for (wid, slot) in slots.into_iter().enumerate() {
+                (outputs[wid], busy[wid]) = slot.into_inner().expect(UNPOISONED);
+            }
+            failed.into_inner()
+        };
+        let mut totals = self.core.busy.lock().expect(UNPOISONED);
+        for (total, d) in totals.iter_mut().zip(&busy) {
+            *total += *d;
         }
-        self.core.shared.bump_and_notify();
-        let busy = self.join_epoch(epoch);
-        let outputs = outputs
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_default())
-            .collect();
+        drop(totals);
+        if panicked {
+            panic!("worker panicked");
+        }
         PoolRun { outputs, busy }
     }
 }
@@ -490,6 +377,17 @@ mod tests {
     }
 
     #[test]
+    fn pool_busy_sums_every_run_inline_runs_included() {
+        let pool = WorkerPool::new(2, LoadBalance::WorkStealing);
+        let nap = |_: u32, _: &mut Vec<()>| std::thread::sleep(Duration::from_millis(5));
+        let runs = [pool.run(vec![0], nap), pool.run(vec![0, 1, 2, 3], nap)];
+        let per_run: Duration = runs.iter().flat_map(|r| r.busy.iter()).sum();
+        let total: Duration = pool.busy().iter().sum();
+        assert_eq!(total, per_run);
+        assert!(total >= Duration::from_millis(25));
+    }
+
+    #[test]
     fn empty_input_is_fine() {
         let pool = WorkerPool::new(4, LoadBalance::WorkStealing);
         let run = pool.run(Vec::<u32>::new(), |x, out| out.push(x));
@@ -508,26 +406,30 @@ mod tests {
     }
 
     #[test]
-    fn explicit_epochs_track_only_their_jobs() {
-        let pool = WorkerPool::new(2, LoadBalance::WorkStealing);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let first = pool.begin_epoch();
-        for i in 0..10 {
-            let counter = Arc::clone(&counter);
-            pool.submit(&first, i, move |_| {
-                counter.fetch_add(1, Ordering::SeqCst);
+    fn pinned_items_run_on_distinct_workers_at_once() {
+        // The baselines rely on this: under `LoadBalance::None`, k items on a
+        // k-worker pool meet at a rendezvous, which deadlocks if two of them
+        // share a worker.
+        let k = 4;
+        let pool = WorkerPool::new(k, LoadBalance::None);
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runner = pool.clone();
+        let caller = std::thread::spawn(move || {
+            let barrier = Barrier::new(k);
+            let run = runner.run((0..k).collect(), |i, out| {
+                barrier.wait();
+                out.push(i);
             });
+            let _ = done.send(run.outputs);
+        });
+        let outputs = watchdog
+            .recv_timeout(Duration::from_secs(30))
+            .expect("pinned items deadlocked at the barrier");
+        caller.join().unwrap();
+        // Each item ran on the worker it is pinned to.
+        for (wid, out) in outputs.iter().enumerate() {
+            assert_eq!(out, &vec![wid]);
         }
-        let second = pool.begin_epoch();
-        for i in 0..5 {
-            let counter = Arc::clone(&counter);
-            pool.submit(&second, i, move |_| {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.join_epoch(first);
-        pool.join_epoch(second);
-        assert_eq!(counter.load(Ordering::SeqCst), 15);
     }
 
     #[test]

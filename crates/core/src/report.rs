@@ -15,8 +15,9 @@ pub struct MachineReport {
     pub matches: u64,
     /// Wall-clock computation time of the machine thread.
     pub compute_time: Duration,
-    /// Busy time of each worker on this machine (used for the Exp-8 load
-    /// balance standard deviation).
+    /// Busy time of each worker on this machine over every pool run — scan
+    /// expansion and extend calls alike (used for the Exp-8 load balance
+    /// standard deviation).
     pub worker_busy: Vec<Duration>,
     /// Peak intermediate-result memory on this machine.
     pub peak_memory_bytes: u64,

@@ -217,11 +217,6 @@ impl SegmentQueues {
     pub fn all_empty(&self) -> bool {
         self.queues.iter().all(|q| q.is_empty())
     }
-
-    /// Total rows across all queues (diagnostic).
-    pub fn total_rows(&self) -> usize {
-        self.queues.iter().map(|q| q.rows()).sum()
-    }
 }
 
 /// Cross-machine shared state of one segment: every machine's stealable scan
@@ -505,6 +500,6 @@ mod tests {
         assert!(sq.all_empty());
         sq.queue(1).push(batch(4));
         assert!(!sq.all_empty());
-        assert_eq!(sq.total_rows(), 4);
+        assert_eq!(sq.queue(1).rows(), 4);
     }
 }

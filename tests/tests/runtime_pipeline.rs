@@ -45,10 +45,11 @@ fn join_plan(
 // ---------------------------------------------------------------------------
 
 #[test]
-fn pool_survives_overlapping_epochs_from_many_threads() {
-    // Hammer one pool with concurrent `run` calls (each an epoch) from many
-    // threads; every item must be processed exactly once per run, and the
-    // pool must never spawn more than its configured worker threads.
+fn pool_serves_concurrent_runs_from_many_threads() {
+    // Hammer one pool with concurrent `run` calls from many threads (the
+    // pool serves them one at a time); every item must be processed exactly
+    // once per run, and the pool must never spawn more than its configured
+    // worker threads.
     let pool = WorkerPool::new(4, LoadBalance::WorkStealing);
     std::thread::scope(|scope| {
         for t in 0..8 {
@@ -66,31 +67,8 @@ fn pool_survives_overlapping_epochs_from_many_threads() {
             });
         }
     });
-    // Workers were created once and reused across all 240 overlapping runs.
+    // Workers were created once and reused across all 240 runs.
     assert_eq!(pool.threads_spawned(), 4);
-}
-
-#[test]
-fn pool_explicit_epochs_interleave() {
-    let pool = WorkerPool::new(3, LoadBalance::WorkStealing);
-    let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    // Interleave submissions to two epochs, then join them in reverse order.
-    let a = pool.begin_epoch();
-    let b = pool.begin_epoch();
-    for i in 0..50 {
-        let hits_a = Arc::clone(&hits);
-        pool.submit(&a, i, move |_| {
-            hits_a.fetch_add(1, Ordering::SeqCst);
-        });
-        let hits_b = Arc::clone(&hits);
-        pool.submit(&b, i + 1, move |_| {
-            hits_b.fetch_add(1000, Ordering::SeqCst);
-        });
-    }
-    pool.join_epoch(b);
-    pool.join_epoch(a);
-    assert_eq!(hits.load(Ordering::SeqCst), 50 + 50 * 1000);
-    assert_eq!(pool.threads_spawned(), 3);
 }
 
 // ---------------------------------------------------------------------------

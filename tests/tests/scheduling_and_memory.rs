@@ -205,6 +205,26 @@ fn fetch_time_is_a_small_fraction_of_total() {
 }
 
 #[test]
+fn scan_work_counts_as_worker_time() {
+    // A one-edge star is a scan-only plan: all of its work is the scan's
+    // expansion of vertices into edge rows, and Exp-8's worker-time figures
+    // must see it at one worker and at two.
+    let graph = gen::erdos_renyi(20_000, 200_000, 7);
+    let query = Pattern::Star(1).query_graph();
+    for workers in [1, 2] {
+        let report = HugeCluster::build(graph.clone(), ClusterConfig::new(2).workers(workers))
+            .unwrap()
+            .run(&query, SinkMode::Count)
+            .unwrap();
+        assert_eq!(report.matches, 200_000);
+        assert!(
+            report.total_worker_time() > std::time::Duration::ZERO,
+            "{workers} workers"
+        );
+    }
+}
+
+#[test]
 fn a_hub_expansion_is_charged_one_candidate_column() {
     // Two hubs over 600 shared leaves: every edge fits one scan batch, and
     // q1's first extend turns each `(leaf, hub)` row into one row per leaf of
