@@ -230,8 +230,15 @@ impl MemoryGovernor {
                 }
             }
         };
-        if new != old {
-            ctl.level.store(new as u8, Ordering::Relaxed);
+        // Peers tick a machine too (before pushing to it): one of them
+        // records a transition.
+        let (relaxed, from) = (Ordering::Relaxed, old as u8);
+        if new != old
+            && ctl
+                .level
+                .compare_exchange(from, new as u8, relaxed, relaxed)
+                .is_ok()
+        {
             match new {
                 PressureLevel::Yellow => self.transitions_yellow.inc(),
                 PressureLevel::Red => self.transitions_red.inc(),

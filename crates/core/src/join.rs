@@ -1,4 +1,4 @@
-//! The `PUSH-JOIN` operator: a buffered, partitioned (Grace-style) hash join
+//! The `PUSH-JOIN` operator: a partitioned (Grace-style) hybrid hash join
 //! with disk spill (§4.3) — one [`HashJoiner`] from its first input row to
 //! its last probed pair, called directly by whoever drives it: the machine's
 //! segment chain, the baselines' pushing hash join, the perf ledger.
@@ -12,15 +12,16 @@
 //! threshold, after which they are appended to a temporary file on disk.
 //! Every partition carries a [`PartitionState`] from the start, and the
 //! joiner's one ship, spill, byte count and `Drop` read it whatever the
-//! phase. Sealing ([`HashJoiner::seal`]) moves no buffer: it fixes the output
-//! batch size and flips building partitions to sealed. The sealed joiner
-//! then drives the partitions *lazily*: each poll loads at most one
-//! partition, groups its right rows by join key behind a hash table, and
-//! probes with the left rows until one batch of pairs survived. Memory is
-//! therefore bounded by the largest single partition plus one output batch —
-//! matching the paper's "memory consumption is bounded to the buffer size"
-//! claim — on *every* consumption path, including the machine's chain,
-//! which takes one batch per scheduling step.
+//! phase.
+//!
+//! The right (build) side seals first ([`HashJoiner::seal_right`]): each
+//! partition whose right rows are all in memory gets a resident build and
+//! *streams* — left rows that land in it are probed by the next poll. A
+//! partition whose right side spilled stays *deferred* until the left seal
+//! ([`HashJoiner::seal`]); then each poll loads at most one, builds and
+//! probes it, and only a deferred partition ships to an idle peer. Memory is
+//! bounded by the resident builds, plus one partition and one output batch
+//! on the deferred path, whoever consumes the join.
 //!
 //! The probe is **one pair generator with two sinks**. What a candidate pair
 //! must pass — the wide-key re-check, cross-side injectivity, the order
@@ -56,15 +57,18 @@ pub const NUM_PARTITIONS: usize = 16;
 
 /// Lifecycle of one Grace partition.
 ///
-/// A partition is `Building` while [`HashJoiner::add`] fills it, and the
-/// seal flips it to `Sealed`. Either way it is unprobed, and an unprobed
-/// partition is a first-class work item: it is probed here (`Probing →
-/// Done`, or straight to `Done` when a side is empty) or shipped whole to an
-/// idle peer (`Shipped`, partition stealing).
+/// A partition is `Building` while [`HashJoiner::add`] fills it; the right
+/// seal makes it `Streaming` if its right rows are all in memory (the spill
+/// actuator may demote it back), and the left seal flips the rest to
+/// `Sealed`. Building or sealed, it is an unprobed work item: probed here
+/// (`Probing → Done`, or straight to `Done` when a side is empty) or shipped
+/// whole to an idle peer (`Shipped`, partition stealing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionState {
     /// Still taking input.
     Building,
+    /// Its build is resident; left rows are probed as they arrive.
+    Streaming,
     /// Sealed but not yet probed.
     Sealed,
     /// Loaded and currently being probed on this machine.
@@ -233,16 +237,16 @@ impl SideBuffer {
     }
 }
 
-/// The buffered hash join of one machine, from its first
-/// [`HashJoiner::add`] to its last probed pair.
+/// The hash join of one machine, from its first [`HashJoiner::add`] to its
+/// last probed pair.
 ///
-/// While building, `add` scatters input into the Grace partitions.
-/// [`HashJoiner::seal`] ends the input, and the sealed joiner is driven one
-/// batch of pairs at a time ([`HashJoiner::next_batch`],
-/// [`HashJoiner::count_batch`]). At most one Grace partition is resident for
-/// probing at any moment. Spill files are deleted as their partitions are
+/// `add` scatters input into the Grace partitions. After
+/// [`HashJoiner::seal_right`] the joiner is driven one batch of pairs at a
+/// time ([`HashJoiner::next_batch`], [`HashJoiner::count_batch`]) over the
+/// left rows that have arrived, and after [`HashJoiner::seal`] over the
+/// deferred partitions too. Spill files are deleted as their partitions are
 /// consumed, and by `Drop` if the join is abandoned early. Unprobed
-/// partitions ship to peers in either phase
+/// partitions ship to peers in any phase
 /// ([`HashJoiner::take_unprobed_partition`]); a sealed joiner probes the
 /// partitions peers ship to it after its own
 /// ([`HashJoiner::adopt_partition`]).
@@ -256,8 +260,12 @@ pub struct HashJoiner {
     memory: MemoryTrackerHandle,
     /// Lifecycle of each local Grace partition.
     states: [PartitionState; NUM_PARTITIONS],
-    /// Rows per output batch, set by the seal (`None` while building).
+    /// Each streaming partition's resident build, while no probe holds it.
+    builds: [Option<Build>; NUM_PARTITIONS],
+    /// Rows per output batch, set by the first seal (`None` before it).
     batch_rows: Option<u64>,
+    /// The left side is sealed too.
+    left_sealed: bool,
     /// The next local partition the probe loads.
     partition: usize,
     /// The partition being probed.
@@ -269,6 +277,10 @@ pub struct HashJoiner {
     produced: u64,
     /// Candidate pairs tested so far (`produced` of them survived).
     tested: u64,
+    /// Left rows probed against a resident build.
+    streamed: u64,
+    /// Left rows the deferred path took after the left seal.
+    deferred: u64,
     /// The run's cancellation token, polled per batch of pairs so a cancel
     /// lands mid-probe instead of after the whole join drains.
     cancel: Option<CancelToken>,
@@ -316,22 +328,31 @@ impl HashJoiner {
             spill_counter: 0,
             memory,
             states: [PartitionState::Building; NUM_PARTITIONS],
+            builds: std::array::from_fn(|_| None),
             batch_rows: None,
+            left_sealed: false,
             partition: 0,
             current: None,
             adopted: VecDeque::new(),
             produced: 0,
             tested: 0,
+            streamed: 0,
+            deferred: 0,
             cancel: None,
         }
     }
 
     /// Adds an input batch to one side: one pass over its key columns picks
     /// each row's Grace partition, then every partition's columns take their
-    /// rows in one gather each (`scatter_rows`). Input after the seal is a
-    /// [`EngineError::Config`] error.
+    /// rows in one gather each (`scatter_rows`). Left rows that land in a
+    /// streaming partition wait there for the next probe poll. Input after
+    /// its side's seal is a [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
-        if self.batch_rows.is_some() {
+        let sealed = match side {
+            JoinSide::Left => self.left_sealed,
+            JoinSide::Right => self.batch_rows.is_some(),
+        };
+        if sealed {
             let message = "PUSH-JOIN received input after sealing";
             return Err(EngineError::Config(message.into()));
         }
@@ -352,17 +373,19 @@ impl HashJoiner {
         let bytes = (batch.len() * buffer.arity * std::mem::size_of::<VertexId>()) as u64;
         buffer.buffered_bytes += bytes;
         self.memory.allocate(bytes);
-        // Spill the largest partitions while the buffer exceeds the threshold.
+        // Spill the largest partitions while the buffer exceeds the threshold
+        // — never a streaming one: its left rows are probe input, not buffer.
+        let states = &self.states;
         while buffer.buffered_bytes > self.spill_threshold_bytes {
-            let (victim, part) = buffer
+            let victim = buffer
                 .partitions
                 .iter_mut()
                 .enumerate()
-                .max_by_key(|(_, p)| column_rows(&p.columns))
-                .expect("partitions exist");
-            if column_rows(&part.columns) == 0 {
+                .filter(|&(p, _)| states[p] != PartitionState::Streaming)
+                .max_by_key(|(_, p)| column_rows(&p.columns));
+            let Some((victim, part)) = victim.filter(|(_, p)| column_rows(&p.columns) > 0) else {
                 break;
-            }
+            };
             let bytes =
                 spill_partition(part, &self.spill_dir, tag, victim, &mut self.spill_counter)?;
             buffer.buffered_bytes -= bytes;
@@ -371,18 +394,42 @@ impl HashJoiner {
         Ok(())
     }
 
-    /// Seals both inputs: `add` is refused from now on, every building
-    /// partition becomes sealed, and each probe poll yields at most
-    /// `batch_rows` joined rows. No buffer moves — partitions stay resident
-    /// or spilled until the probe loads them one at a time, so the consumer
-    /// controls the pace (and the memory).
+    /// Seals the right (build) input: right rows are refused from now on,
+    /// each probe poll yields at most `batch_rows` joined rows, and every
+    /// building partition whose right rows are all in memory gets a resident
+    /// build and streams — the next polls probe the left rows it holds and
+    /// every one that lands in it later.
+    pub fn seal_right(&mut self, batch_rows: usize) {
+        self.batch_rows.get_or_insert(batch_rows.max(1) as u64);
+        for p in 0..NUM_PARTITIONS {
+            let part = &mut self.right.partitions[p];
+            if self.states[p] != PartitionState::Building || part.spill_file.is_some() {
+                continue;
+            }
+            let right = std::mem::replace(&mut part.columns, vec![Vec::new(); self.right.arity]);
+            self.right.buffered_bytes -= column_bytes(&right);
+            self.builds[p] = Some(Build::new(&self.spec, right, &self.memory));
+            self.states[p] = PartitionState::Streaming;
+        }
+    }
+
+    /// Seals the left input, and the right one if it is still open (then
+    /// `batch_rows` counts): every building partition becomes sealed. No
+    /// buffer moves — deferred partitions stay resident or spilled until the
+    /// probe loads them one at a time, so the consumer controls the pace.
     pub fn seal(&mut self, batch_rows: usize) {
-        self.batch_rows = Some(batch_rows.max(1) as u64);
+        self.batch_rows.get_or_insert(batch_rows.max(1) as u64);
+        self.left_sealed = true;
         for state in &mut self.states {
             if *state == PartitionState::Building {
                 *state = PartitionState::Sealed;
             }
         }
+    }
+
+    /// `true` once both sides are sealed.
+    pub fn is_sealed(&self) -> bool {
+        self.left_sealed
     }
 
     /// [`HashJoiner::seal`] by value: the sealed joiner, ready to be probed.
@@ -425,10 +472,10 @@ impl HashJoiner {
     /// already charged the columns' bytes to this machine's tracker (on
     /// receipt, before the shipper releases its side —
     /// allocate-before-release); the joiner releases them when the adopted
-    /// probe completes. Adoption before the seal is a
+    /// probe completes. Adoption before the (left) seal is a
     /// [`EngineError::Config`] error.
     pub fn adopt_partition(&mut self, left: Columns, right: Columns) -> Result<()> {
-        if self.batch_rows.is_none() {
+        if !self.left_sealed {
             let message = "PUSH-JOIN adopted a partition before sealing";
             return Err(EngineError::Config(message.into()));
         }
@@ -436,24 +483,51 @@ impl HashJoiner {
         Ok(())
     }
 
-    /// Flushes every in-memory, not-yet-loaded partition of both sides to
-    /// disk — the memory governor's spill actuator, in either phase. The
-    /// partition being probed stays resident (it is the working set); spilled
-    /// rows are re-loaded when the probe reaches their partition, so results
-    /// are unchanged and only the tracked resident bytes drop. Returns the
-    /// bytes released.
+    /// Flushes every in-memory, not-yet-loaded deferred partition of both
+    /// sides to disk — the memory governor's spill actuator, in any phase —
+    /// and demotes the largest resident build, so lasting pressure takes the
+    /// streaming partitions one per call. What a probe holds stays, and so
+    /// do left rows waiting for a build. Returns the bytes released.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
-        let dir = &self.spill_dir;
-        let mut total = spill_side(&mut self.left, dir, "l", &mut self.spill_counter)?;
-        total += spill_side(&mut self.right, dir, "r", &mut self.spill_counter)?;
-        self.memory.release(total);
-        Ok(total)
+        let before = self.buffered_bytes();
+        let builds = self.builds.iter().enumerate();
+        let largest = builds.filter_map(|(p, b)| Some((p, b.as_ref()?.bytes)));
+        if let Some((p, _)) = largest.max_by_key(|&(_, bytes)| bytes) {
+            self.demote(p);
+        }
+        for p in (0..NUM_PARTITIONS).filter(|&p| self.states[p] != PartitionState::Streaming) {
+            for (side, tag) in [(&mut self.left, "l"), (&mut self.right, "r")] {
+                let part = &mut side.partitions[p];
+                let bytes =
+                    spill_partition(part, &self.spill_dir, tag, p, &mut self.spill_counter)?;
+                side.buffered_bytes -= bytes;
+                self.memory.release(bytes);
+            }
+        }
+        Ok(before - self.buffered_bytes())
     }
 
-    /// Bytes of not-yet-loaded partitions still resident in memory (both
-    /// sides).
+    /// Demotes streaming partition `p`, whose build is in its slot, to the
+    /// deferred path: the build turns back into the right rows it was made
+    /// from, buffered like any others.
+    fn demote(&mut self, p: usize) {
+        let build = self.builds[p].take().expect("a resident build");
+        let part = &mut self.right.partitions[p];
+        part.columns = build.unbuild(&self.spec, part.columns.len());
+        let bytes = column_bytes(&part.columns);
+        self.memory.allocate(bytes);
+        self.memory.release(build.bytes);
+        self.right.buffered_bytes += bytes;
+        self.states[p] = match self.left_sealed {
+            true => PartitionState::Sealed,
+            false => PartitionState::Building,
+        };
+    }
+
+    /// Bytes resident in memory that no probe holds: rows and builds.
     pub fn buffered_bytes(&self) -> u64 {
-        self.left.buffered_bytes + self.right.buffered_bytes
+        let builds = self.builds.iter().flatten().map(|b| b.bytes);
+        self.left.buffered_bytes + self.right.buffered_bytes + builds.sum::<u64>()
     }
 
     /// `true` if any partition spilled to disk.
@@ -482,16 +556,49 @@ impl HashJoiner {
         self.tested
     }
 
-    /// `true` once the joiner is sealed and every local and adopted partition
-    /// has been consumed.
+    /// Left rows `(streamed, deferred)`: probed against a resident build,
+    /// and taken by the deferred path after the left seal (probed, or
+    /// dropped when their partition has no right rows).
+    pub fn left_rows(&self) -> (u64, u64) {
+        (self.streamed, self.deferred)
+    }
+
+    /// `true` once both sides are sealed and every local and adopted
+    /// partition has been consumed.
     pub fn is_exhausted(&self) -> bool {
-        self.current.is_none() && self.partition >= NUM_PARTITIONS && self.adopted.is_empty()
+        self.left_sealed
+            && self.current.is_none()
+            && self.partition >= NUM_PARTITIONS
+            && self.adopted.is_empty()
+    }
+
+    /// `true` when a probe poll can make progress now.
+    pub fn has_work(&self) -> bool {
+        self.current.is_some()
+            || self.waiting_partition().is_some()
+            || (self.left_sealed && !self.is_exhausted())
+    }
+
+    /// Left rows that wait in streaming partitions for a probe.
+    pub fn waiting_rows(&self) -> u64 {
+        let streaming =
+            (0..NUM_PARTITIONS).filter(|&p| self.states[p] == PartitionState::Streaming);
+        streaming.map(|p| side_rows(&self.left, p)).sum()
+    }
+
+    /// The streaming partition with a free build and the most rows waiting.
+    fn waiting_partition(&self) -> Option<usize> {
+        let free = (0..NUM_PARTITIONS).filter(|&p| self.builds[p].is_some());
+        let (p, rows) = free
+            .map(|p| (p, side_rows(&self.left, p)))
+            .max_by_key(|&(_, rows)| rows)?;
+        (rows > 0).then_some(p)
     }
 
     /// Produces the next output batch (at most the sealed batch size), or
-    /// `None` when the join is exhausted — for now: a partition adopted from
-    /// a peer revives it. Probing before the seal is a
-    /// [`EngineError::Config`] error, with either sink.
+    /// `None` when nothing is left to probe — for now: arriving left rows or
+    /// an adopted partition revive the join. Probing before the (right) seal
+    /// is a [`EngineError::Config`] error, with either sink.
     pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
         // A block's pairs are all written before the rejected ones are cut.
         let capacity = self.batch_rows.unwrap_or(0).min(64 * 1024) as usize + BLOCK;
@@ -515,8 +622,8 @@ impl HashJoiner {
     }
 
     /// Counts the next batch of joined rows (at most the sealed batch size)
-    /// without materialising them, or returns `None` when the join is
-    /// exhausted. Every check [`HashJoiner::next_batch`] applies is applied
+    /// without materialising them, or returns `None` when nothing is left to
+    /// probe. Every check [`HashJoiner::next_batch`] applies is applied
     /// here too — it is the same pair generator with a sink that only counts.
     pub fn count_batch(&mut self) -> Result<Option<u64>> {
         let polled =
@@ -525,10 +632,10 @@ impl HashJoiner {
     }
 
     /// One probe poll, shared by both sinks: checks for cancellation, then
-    /// runs `sink` over the resident partition — loading the next one and
-    /// retiring exhausted ones — until a walk yields surviving pairs.
-    /// Returns the pairs matched and the sink's output, or `None` when every
-    /// partition is consumed.
+    /// runs `sink` over the loaded probe — loading the next one and retiring
+    /// exhausted ones — until a walk yields surviving pairs. Returns the
+    /// pairs matched and the sink's output, or `None` when nothing is left
+    /// to probe.
     fn poll_pairs<T>(
         &mut self,
         mut sink: impl FnMut(&mut PartitionProbe, &ProbeSpec, u64) -> ((u64, u64, bool), T),
@@ -549,9 +656,18 @@ impl HashJoiner {
             self.tested += tested;
             if exhausted {
                 let probe = self.current.take().expect("a partition is resident");
-                self.memory.release(probe.loaded_bytes);
-                if let Some(p) = probe.index {
-                    self.states[p] = PartitionState::Done;
+                self.memory.release(probe.left_bytes);
+                match probe.index {
+                    // A streaming build waits in its slot for more left rows.
+                    Some(p) if self.states[p] == PartitionState::Streaming => {
+                        self.builds[p] = Some(probe.build);
+                    }
+                    index => {
+                        self.memory.release(probe.build.bytes);
+                        if let Some(p) = index {
+                            self.states[p] = PartitionState::Done;
+                        }
+                    }
                 }
             }
             if matched > 0 {
@@ -562,49 +678,76 @@ impl HashJoiner {
         }
     }
 
-    /// Makes the next partition with rows on both sides resident, local
-    /// partitions first, then adopted (stolen) ones. Returns `false` when
-    /// none is left.
+    /// Loads the next probe: a streaming partition's waiting left rows
+    /// against its build; once both sides are sealed, the next deferred
+    /// partition with rows on both sides, local partitions first, then
+    /// adopted (stolen) ones. Returns `false` when none is left.
     fn load_next_partition(&mut self) -> Result<bool> {
-        let (left, right, index) = loop {
+        if let Some(p) = self.waiting_partition() {
+            // Charged until the probe is done (reloaded ones newly so).
+            let left = take_side_columns(&mut self.left, p, &self.memory)?;
+            self.streamed += column_rows(&left) as u64;
+            let build = self.builds[p].take().expect("a waiting partition's build");
+            self.current = Some(PartitionProbe::new(&self.spec, build, left, Some(p)));
+            return Ok(true);
+        }
+        if !self.left_sealed {
+            return Ok(false);
+        }
+        let (left, build, index) = loop {
             if self.partition >= NUM_PARTITIONS {
                 // Adopted partitions' bytes were charged on receipt, not here.
                 let Some((left, right)) = self.adopted.pop_front() else {
                     return Ok(false);
                 };
-                break (left, right, None);
+                break (left, Build::new(&self.spec, right, &self.memory), None);
             }
             let p = self.partition;
             self.partition += 1;
-            if self.states[p] == PartitionState::Shipped {
-                // A thief owns this partition now.
-                continue;
+            match self.states[p] {
+                // A thief owns this partition now, or it is probed already.
+                PartitionState::Shipped | PartitionState::Done => continue,
+                // Its left rows are all probed: the build can go.
+                PartitionState::Streaming => {
+                    let build = self.builds[p].take().expect("an idle streaming build");
+                    self.memory.release(build.bytes);
+                    self.states[p] = PartitionState::Done;
+                    continue;
+                }
+                _ => {}
             }
             if !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
                 // Nothing can pair: unlink both sides' buffers and spill
                 // files without reading them back.
+                self.deferred += side_rows(&self.left, p);
                 discard_partition(&mut self.left, p, &self.memory);
                 discard_partition(&mut self.right, p, &self.memory);
                 self.states[p] = PartitionState::Done;
                 continue;
             }
-            // Both sides come out charged, as an adopted partition arrives;
-            // the build below trades the right one for the kept columns.
-            let (left, right) = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
+            // Both sides come out charged, as an adopted partition arrives:
+            // the right one first, traded for its build before the left loads.
+            let right = take_side_columns(&mut self.right, p, &self.memory)?;
+            let build = Build::new(&self.spec, right, &self.memory);
+            let left = take_side_columns(&mut self.left, p, &self.memory)
+                .inspect_err(|_| self.memory.release(build.bytes))?;
             self.states[p] = PartitionState::Probing;
-            break (left, right, Some(p));
+            break (left, build, Some(p));
         };
-        let probe = PartitionProbe::build(&self.spec, left, right, &self.memory, index);
-        self.current = Some(probe);
+        self.deferred += column_rows(&left) as u64;
+        self.current = Some(PartitionProbe::new(&self.spec, build, left, index));
         Ok(true)
     }
 }
 
 impl Drop for HashJoiner {
     fn drop(&mut self) {
-        // Balance the tracker for everything still buffered, loaded or
-        // adopted (spill files are removed by the partitions' own `Drop`).
-        let loaded = self.current.as_ref().map_or(0, |probe| probe.loaded_bytes);
+        // Balance the tracker for everything still buffered, built, loaded
+        // or adopted (spill files are removed by the partitions' own `Drop`).
+        let loaded = self
+            .current
+            .as_ref()
+            .map_or(0, |probe| probe.left_bytes + probe.build.bytes);
         let adopted = self
             .adopted
             .iter()
@@ -625,6 +768,9 @@ const BLOCK: usize = 64;
 /// group are never looked at. That keeps every pass a fixed-width loop with
 /// no remainder.
 const LANES: usize = 8;
+
+/// Left rows whose key groups the walk looks up ahead of the one it probes.
+const LOOKAHEAD: usize = 64;
 
 /// Left-row values one injectivity pass compares a column against.
 const BOUND_LANES: usize = 4;
@@ -736,53 +882,34 @@ impl BoundRow {
     }
 }
 
-/// Probe state of the one partition currently loaded in memory.
-///
-/// The kept right columns are physically grouped by join key, so a left
-/// row's candidates are one contiguous range of every column and the probe
-/// loop allocates nothing per row — stolen partitions are probed
-/// *concurrently* by several machine threads, and per-row allocation
-/// serialises them on the global allocator.
-struct PartitionProbe {
-    /// The left side, one vector per column, as it was partitioned.
-    left: Vec<Vec<VertexId>>,
+/// The build side of one partition, resident: the kept right columns
+/// grouped by join key behind a hash table. A streaming partition keeps it
+/// from the right seal to its last left row; a deferred one builds it when
+/// the probe loads the partition.
+struct Build {
     /// One dense vector per kept right column ([`ProbeSpec::kept`]), rows
     /// grouped by join key (input order kept within a group), [`LANES`]
     /// zeroes after the last row.
     columns: Vec<Vec<VertexId>>,
     table: KeyTable,
-    /// Index of the left row being probed.
-    probe: usize,
-    /// Cursor into the current left row's range of right rows.
-    match_pos: u32,
-    /// End of the current left row's range of right rows.
-    match_end: u32,
-    bound: BoundRow,
-    /// Bytes of the left columns and the kept columns, charged to the
-    /// tracker while resident.
-    loaded_bytes: u64,
-    /// Local partition index (`None` for partitions adopted from a peer).
-    index: Option<usize>,
+    /// Right rows it holds.
+    rows: usize,
+    /// Bytes of the kept columns, charged to the tracker while resident.
+    bytes: u64,
 }
 
-impl PartitionProbe {
-    /// Groups the right rows (the build side) by join key, indexes the
-    /// groups from the key columns, and scatters the columns the probe reads
-    /// into group order. One hash per right row: the counting pass remembers
-    /// each row's group, so placement needs no second lookup.
+impl Build {
+    /// Groups the right rows by join key, indexes the groups from the key
+    /// columns, and scatters the columns the probe reads into group order.
+    /// One hash per right row: the counting pass remembers each row's group,
+    /// so placement needs no second lookup.
     ///
-    /// On entry the tracker holds both sides' bytes; on return it holds
-    /// `loaded_bytes`. A right column the probe never reads is released as
-    /// soon as the groups are known; a kept one is charged before it is
-    /// filled and its source released right after, so the tracked peak covers
-    /// the one moment both exist.
-    fn build(
-        spec: &ProbeSpec,
-        left: Vec<Vec<VertexId>>,
-        mut right: Vec<Vec<VertexId>>,
-        memory: &MemoryTrackerHandle,
-        index: Option<usize>,
-    ) -> Self {
+    /// On entry the tracker holds the right rows' bytes; on return it holds
+    /// `bytes`. A right column the probe never reads is released as soon as
+    /// the groups are known; a kept one is charged before it is filled and
+    /// its source released right after, so the tracked peak covers the one
+    /// moment both exist.
+    fn new(spec: &ProbeSpec, mut right: Vec<Vec<VertexId>>, memory: &MemoryTrackerHandle) -> Self {
         let n_rows = column_rows(&right);
         let mut table = KeyTable::with_capacity_and_hasher(n_rows, Default::default());
         // Rows per group, then (after the scan) each group's first row.
@@ -841,12 +968,72 @@ impl PartitionProbe {
                 release(&mut right[position]);
             }
         }
-        PartitionProbe {
-            loaded_bytes: self::column_bytes(&left) + spec.kept.len() as u64 * column_bytes,
-            left,
+        Build {
             columns,
             table,
+            rows: n_rows,
+            bytes: spec.kept.len() as u64 * column_bytes,
+        }
+    }
+
+    /// The right rows the build was made from, in group order: kept columns
+    /// as they are, narrow key columns unpacked from the table keys (a wide
+    /// key's columns are kept).
+    fn unbuild(&self, spec: &ProbeSpec, arity: usize) -> Columns {
+        let column = |position| {
+            if let Some(k) = spec.kept.iter().position(|&c| c == position) {
+                return self.columns[k][..self.rows].to_vec();
+            }
+            let key = spec.key_right.iter().position(|&c| c == position);
+            let shift = 32 * (spec.key_right.len() - 1 - key.expect("a key column"));
+            let mut column = vec![0; self.rows];
+            for (&key, &(start, end)) in &self.table {
+                column[start as usize..end as usize].fill((key >> shift) as VertexId);
+            }
+            column
+        };
+        (0..arity).map(column).collect()
+    }
+}
+
+/// Probe state of the one partition being probed: left rows against a
+/// build.
+///
+/// The kept right columns are physically grouped by join key, so a left
+/// row's candidates are one contiguous range of every column and the probe
+/// loop allocates nothing per row — stolen partitions are probed
+/// *concurrently* by several machine threads, and per-row allocation
+/// serialises them on the global allocator.
+struct PartitionProbe {
+    /// The left rows, one vector per column, as they were partitioned.
+    left: Vec<Vec<VertexId>>,
+    /// Bytes of the left columns, charged to the tracker while loaded.
+    left_bytes: u64,
+    build: Build,
+    /// Index of the left row being probed.
+    probe: usize,
+    /// Key groups of the rows below `looked`, by row mod [`LOOKAHEAD`].
+    groups: [(u32, u32); LOOKAHEAD],
+    looked: usize,
+    /// Cursor into the current left row's range of right rows.
+    match_pos: u32,
+    /// End of the current left row's range of right rows.
+    match_end: u32,
+    bound: BoundRow,
+    /// Local partition index (`None` for partitions adopted from a peer).
+    index: Option<usize>,
+}
+
+impl PartitionProbe {
+    /// A probe of `left` against `build`, from its first row.
+    fn new(spec: &ProbeSpec, build: Build, left: Vec<Vec<VertexId>>, index: Option<usize>) -> Self {
+        PartitionProbe {
+            left_bytes: column_bytes(&left),
+            left,
+            build,
             probe: 0,
+            groups: [(0, 0); LOOKAHEAD],
+            looked: 0,
             match_pos: 0,
             match_end: 0,
             bound: BoundRow::new(spec),
@@ -877,8 +1064,17 @@ impl PartitionProbe {
                     if self.probe >= left_len {
                         return (tested, matched, true);
                     }
-                    let key = pack_key(&self.left, &spec.key_left, self.probe);
-                    if let Some(&(start, end)) = self.table.get(&key) {
+                    if self.probe == self.looked {
+                        // Independent lookups in one pass: their misses overlap.
+                        self.looked = (self.probe + LOOKAHEAD).min(left_len);
+                        for row in self.probe..self.looked {
+                            let key = pack_key(&self.left, &spec.key_left, row);
+                            let group = self.build.table.get(&key).copied();
+                            self.groups[row % LOOKAHEAD] = group.unwrap_or_default();
+                        }
+                    }
+                    let (start, end) = self.groups[self.probe % LOOKAHEAD];
+                    if start < end {
                         self.match_pos = start;
                         self.match_end = end;
                         break;
@@ -899,7 +1095,14 @@ impl PartitionProbe {
                     .min(BLOCK as u64)
                     .min(budget - matched) as usize;
                 let start = self.match_pos as usize;
-                test_block(spec, &self.columns, &self.bound, start, rows, &mut mask);
+                test_block(
+                    spec,
+                    &self.build.columns,
+                    &self.bound,
+                    start,
+                    rows,
+                    &mut mask,
+                );
                 let mask = &mask[..rows];
                 emit(self.probe as u32, self.match_pos, mask);
                 tested += rows as u64;
@@ -918,7 +1121,7 @@ impl PartitionProbe {
     fn gather(&self, spec: &ProbeSpec, pairs: &[(u32, u32)]) -> ColBatch {
         let left = self.left.iter();
         let left = left.map(|column| pairs.iter().map(|p| column[p.0 as usize]).collect());
-        let payload = self.columns[..spec.payload].iter();
+        let payload = self.build.columns[..spec.payload].iter();
         let right = payload.map(|column| pairs.iter().map(|p| column[p.1 as usize]).collect());
         ColBatch::from_columns(left.chain(right).collect())
     }
@@ -1087,24 +1290,6 @@ fn read_spill_file(
     Ok(())
 }
 
-/// Spills every in-memory partition of one side, adjusting the side's
-/// buffered-byte count. Returns the total bytes flushed (the caller releases
-/// them from the memory tracker).
-fn spill_side(
-    side: &mut SideBuffer,
-    spill_dir: &Path,
-    tag: &str,
-    counter: &mut usize,
-) -> Result<u64> {
-    let mut total = 0u64;
-    for (index, part) in side.partitions.iter_mut().enumerate() {
-        let bytes = spill_partition(part, spill_dir, tag, index, counter)?;
-        side.buffered_bytes -= bytes;
-        total += bytes;
-    }
-    Ok(total)
-}
-
 /// Drops one partition of one side without reading it back: releases its
 /// in-memory rows and unlinks its spill file (used when either side's
 /// partition is empty, so the join cannot produce anything from it).
@@ -1116,6 +1301,12 @@ fn discard_partition(side: &mut SideBuffer, p: usize, memory: &MemoryTrackerHand
     if let Some(path) = part.spill_file.take() {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// Rows one partition of one side holds, in memory and spilled.
+fn side_rows(side: &SideBuffer, p: usize) -> u64 {
+    let part = &side.partitions[p];
+    column_rows(&part.columns) as u64 + part.spilled_rows
 }
 
 /// `true` when one partition of one side holds any rows (in memory or
@@ -1139,8 +1330,10 @@ fn take_side_columns(
     p: usize,
     memory: &MemoryTrackerHandle,
 ) -> Result<Vec<Vec<VertexId>>> {
+    let arity = side.arity;
     let part = &mut side.partitions[p];
-    let mut columns = std::mem::take(&mut part.columns);
+    // The partition keeps its arity: a streaming one takes more rows later.
+    let mut columns = std::mem::replace(&mut part.columns, vec![Vec::new(); arity]);
     let resident = column_bytes(&columns);
     side.buffered_bytes -= resident;
     if let Some(path) = part.spill_file.take() {
@@ -1856,10 +2049,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// Both sinks agree with the nested-loop reference — the count
-            /// sink on how many, the gather sink on which and in what order —
-            /// whether the partitions are resident or were spilled and
-            /// re-loaded, and both report the reference's key-equal pairs as
-            /// tested.
+            /// sink on how many, the gather sink on which (and, when both
+            /// sides seal at once, in what order) — whether the partitions
+            /// are resident or were spilled and re-loaded, whether the left
+            /// rows are probed as they arrive or after the left seal, and
+            /// both report the reference's key-equal pairs as tested. Every
+            /// left row is counted streamed or deferred, once, and every
+            /// tracked byte comes back.
             #[test]
             fn both_sinks_match_the_nested_loop_reference(
                 left in arb_rows(0..40),
@@ -1886,6 +2082,14 @@ mod tests {
                 // Stretch the id range to both ends: 0 is also what pads the
                 // columns, `u32::MAX` and 0 leave a bound no room.
                 extreme in flag(),
+                // `None` seals both sides at once. `Some` seals the right
+                // side first: `(left rows before the right seal, partitions
+                // spilled before it, streaming partitions demoted mid-stream,
+                // left rows before the demotion)`, row counts in 48ths.
+                arrival in prop_oneof![
+                    Just(None),
+                    (0usize..49, 0u32..1 << 16, 0u32..1 << 16, 0usize..49).prop_map(Some)
+                ],
             ) {
                 // Left rows are [key.., extras..]; right rows [extras.., key..].
                 let (left_arity, right_arity) = (key_width + left_extra, right_extra + key_width);
@@ -1929,36 +2133,80 @@ mod tests {
                         right.push(extras[..right_extra].iter().chain(key).copied().collect());
                     }
                 }
-                let sealed = || {
-                    let mut joiner = HashJoiner::new(
-                        op.clone(),
-                        left_arity,
-                        right_arity,
-                        1 << 20,
-                        spill_dir(),
-                        MemoryTrackerHandle::Untracked,
-                    );
-                    for (side, rows, arity) in [
-                        (JoinSide::Left, &left, left_arity),
-                        (JoinSide::Right, &right, right_arity),
-                    ] {
-                        // Three batches a side, each one more block of every
-                        // partition's spill file when spilling.
-                        for rows in rows.chunks(rows.len().div_ceil(3).max(1)) {
-                            let mut batch = ColBatch::new(arity);
-                            rows.iter().for_each(|r| batch.push_row(r));
-                            joiner.add(side, &batch).unwrap();
+                let batches = |rows: &[Vec<u32>], arity: usize| -> Vec<ColBatch> {
+                    // Three batches a side, each one more block of every
+                    // partition's spill file when spilling.
+                    let chunks = rows.chunks(rows.len().div_ceil(3).max(1));
+                    chunks.map(|rows| {
+                        let mut batch = ColBatch::new(arity);
+                        rows.iter().for_each(|r| batch.push_row(r));
+                        batch
+                    }).collect()
+                };
+                // Feeds the input on `arrival`'s schedule, polling `sink` once
+                // after every left batch past the right seal and until it is
+                // dry after each seal; returns the exhausted joiner.
+                let drive = |tracker: &std::sync::Arc<MemoryTracker>,
+                             sink: &mut dyn FnMut(&mut HashJoiner, bool) -> Result<()>|
+                 -> Result<HashJoiner> {
+                    let memory = MemoryTrackerHandle::Tracked(std::sync::Arc::clone(tracker));
+                    let mut joiner =
+                        HashJoiner::new(op.clone(), left_arity, right_arity, 1 << 20, spill_dir(), memory);
+                    // Adds `rows` to one side; `poll` takes one sink call after
+                    // every batch.
+                    type Sink<'a> = dyn FnMut(&mut HashJoiner, bool) -> Result<()> + 'a;
+                    let add = |joiner: &mut HashJoiner, side, rows: &[Vec<u32>], poll: Option<&mut Sink>| {
+                        let arity = if side == JoinSide::Left { left_arity } else { right_arity };
+                        let mut poll = poll;
+                        for batch in batches(rows, arity) {
+                            joiner.add(side, &batch)?;
                             if spill {
-                                joiner.spill_to_disk().unwrap();
+                                joiner.spill_to_disk()?;
+                            }
+                            if let Some(sink) = poll.as_mut() {
+                                sink(joiner, false)?;
                             }
                         }
+                        Ok::<_, EngineError>(())
+                    };
+                    let Some((before, spilled, demoted, demote_at)) = arrival else {
+                        add(&mut joiner, JoinSide::Left, &left, None)?;
+                        add(&mut joiner, JoinSide::Right, &right, None)?;
+                        joiner.seal(batch_rows);
+                        sink(&mut joiner, true)?;
+                        return Ok(joiner);
+                    };
+                    let at = |n: usize| n * left.len() / 48;
+                    let (before, demote_at) = (at(before), at(demote_at).max(at(before)));
+                    add(&mut joiner, JoinSide::Right, &right, None)?;
+                    add(&mut joiner, JoinSide::Left, &left[..before], None)?;
+                    for p in (0..NUM_PARTITIONS).filter(|p| spilled >> p & 1 == 1) {
+                        let (dir, counter) = (&joiner.spill_dir, &mut joiner.spill_counter);
+                        for (side, tag) in [(&mut joiner.left, "l"), (&mut joiner.right, "r")] {
+                            let bytes = spill_partition(&mut side.partitions[p], dir, tag, p, counter)?;
+                            side.buffered_bytes -= bytes;
+                            tracker.release(bytes);
+                        }
                     }
-                    joiner.into_stream(batch_rows)
+                    joiner.seal_right(batch_rows);
+                    sink(&mut joiner, true)?;
+                    add(&mut joiner, JoinSide::Left, &left[before..demote_at], Some(&mut *sink))?;
+                    // A build a probe holds stays: it is the working set.
+                    for p in (0..NUM_PARTITIONS).filter(|p| demoted >> p & 1 == 1) {
+                        if joiner.builds[p].is_some() {
+                            joiner.demote(p);
+                        }
+                    }
+                    add(&mut joiner, JoinSide::Left, &left[demote_at..], Some(&mut *sink))?;
+                    joiner.seal(batch_rows);
+                    sink(&mut joiner, true)?;
+                    Ok(joiner)
                 };
 
-                // The stream walks the Grace partitions in order and, inside
-                // one, the reference's order: left rows as they arrived, each
-                // against its key group as that arrived.
+                // When both sides seal at once, the stream walks the Grace
+                // partitions in order and, inside one, the reference's
+                // order: left rows as they arrived, each against its key
+                // group as that arrived.
                 let mut expected = nested_loop_join(&op, &left, &right);
                 expected.sort_by_key(|row| {
                     grace_partition(key_hash(op.key_left.iter().map(|&c| row[c])))
@@ -1968,27 +2216,58 @@ mod tests {
                     .flat_map(|l| right.iter().map(move |r| (l, r)))
                     .filter(|(l, r)| packed(l, &op.key_left) == packed(r, &op.key_right))
                     .count() as u64;
+                let left_rows = left.len() as u64;
 
-                let mut gathering = sealed();
+                let tracker = std::sync::Arc::new(MemoryTracker::new());
                 let mut rows = Vec::new();
-                while let Some(batch) = gathering.next_batch().unwrap() {
-                    prop_assert!(!batch.is_empty() && batch.len() <= batch_rows);
-                    rows.extend(batch.to_rows().rows().map(|r| r.to_vec()));
-                }
+                let mut batch_sizes = Vec::new();
+                let gathering = drive(&tracker, &mut |joiner, dry| {
+                    while let Some(batch) = joiner.next_batch()? {
+                        batch_sizes.push(batch.len());
+                        rows.extend(batch.to_rows().rows().map(|r| r.to_vec()));
+                        if !dry {
+                            break;
+                        }
+                    }
+                    Ok(())
+                }).unwrap();
+                prop_assert!(batch_sizes.iter().all(|&n| n >= 1 && n <= batch_rows));
                 prop_assert!(gathering.is_exhausted());
-                prop_assert_eq!(&rows, &expected);
                 prop_assert_eq!(gathering.produced(), expected.len() as u64);
                 prop_assert_eq!(gathering.tested(), candidates);
-
-                let mut counting = sealed();
-                let mut counted = 0;
-                while let Some(n) = counting.count_batch().unwrap() {
-                    prop_assert!(n >= 1 && n <= batch_rows as u64);
-                    counted += n;
+                let (streamed, deferred) = gathering.left_rows();
+                prop_assert_eq!(streamed + deferred, left_rows);
+                if arrival.is_none() {
+                    prop_assert_eq!(streamed, 0);
+                    prop_assert_eq!(&rows, &expected);
+                } else {
+                    rows.sort();
+                    expected.sort();
+                    prop_assert_eq!(&rows, &expected);
                 }
+                drop(gathering);
+                prop_assert_eq!(tracker.current(), 0);
+
+                let mut counted = 0;
+                let mut counts = Vec::new();
+                let counting = drive(&tracker, &mut |joiner, dry| {
+                    while let Some(n) = joiner.count_batch()? {
+                        counts.push(n);
+                        counted += n;
+                        if !dry {
+                            break;
+                        }
+                    }
+                    Ok(())
+                }).unwrap();
+                prop_assert!(counts.iter().all(|&n| n >= 1 && n <= batch_rows as u64));
                 prop_assert!(counting.is_exhausted());
                 prop_assert_eq!(counted, expected.len() as u64);
                 prop_assert_eq!(counting.tested(), candidates);
+                let (streamed, deferred) = counting.left_rows();
+                prop_assert_eq!(streamed + deferred, left_rows);
+                drop(counting);
+                prop_assert_eq!(tracker.current(), 0);
             }
 
             /// Equal keys of the two sides meet: whatever the key's width

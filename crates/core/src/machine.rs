@@ -25,19 +25,24 @@
 //! barrier is a readiness gate in the same loop (a segment starts only once
 //! every earlier segment is released cluster-wide).
 //!
+//! A join segment is runnable once its right producer is released: its chain
+//! probes the left rows as they arrive, pausing in between, while producers
+//! hand the thread back between batches whenever a deeper join has rows.
+//!
 //! The machine is a state machine: `MachineState::step` advances it by one
 //! scheduling decision and returns a `Step`. Nothing below it waits — a push
 //! that bounces off a full inbox, an injected stall, a completion whose link
 //! still owes frames and the end-of-run wait for ship acks are states `step`
-//! resumes, reported as `Step::Blocked` with the `WakeOn` condition. The
+//! resumes, reported as `Step::Blocked` with the `WakeOn` condition; a chain
+//! that handed the thread back, or a join waiting for left rows, is paused. The
 //! run driver (`MachineState::run_all_inner`) is the one place that parks:
 //! each iteration checks cancellation, absorbs the inbox (answering thieves,
 //! which keeps the cooperative protocol deadlock-free), ticks the governor,
 //! steps, and parks on the router when blocked.
 //!
 //! Join skew is handled by **cross-machine Grace partition stealing** over
-//! the router's control plane: a machine that drained its own build requests
-//! unprobed partitions from busy peers (see
+//! the router's control plane: a machine that drained its own join requests
+//! unprobed deferred partitions from busy peers (see
 //! `MachineState::steal_join_once`). A victim answers each request the
 //! moment its inbox yields it, from whichever join the request names and
 //! whatever that join's phase (`MachineState::answer_steal_request`).
@@ -159,7 +164,8 @@ struct SegmentChain {
     /// A counting chain's last two extends are a fused pair
     /// ([`ExtendSpec::run_count_pair`]): the last one's queue is never pushed.
     fused: bool,
-    /// Where the next visit resumes: the terminal of a blocked chain, else 0.
+    /// Where the next visit resumes: the terminal of a blocked chain, the
+    /// operator a paused one stopped before, else 0.
     current: usize,
     /// The shuffle terminal's parts not yet accepted by their destination
     /// inboxes, in push order; the front one bounced.
@@ -186,6 +192,9 @@ enum SegmentState {
     Stalled { until: Instant, span: SpanId },
     /// The chain stopped on a push that bounced off a full inbox.
     Running(SegmentChain),
+    /// The chain handed the thread back with nothing unsent, or is a join
+    /// that probed every left row that has arrived before its left seal.
+    Paused(SegmentChain),
     /// Own work done; the machine revisits the segment's chain to steal from
     /// peers until every machine is idle on it.
     Draining(SegmentChain),
@@ -198,7 +207,7 @@ enum SegmentState {
 impl SegmentState {
     fn is_active(&self) -> bool {
         use SegmentState::*;
-        !matches!(self, NotStarted | Draining(_) | Done)
+        !matches!(self, NotStarted | Paused(_) | Draining(_) | Done)
     }
 }
 
@@ -238,6 +247,14 @@ impl<'a> Visit<'a> {
     /// What every machine shares about the segment.
     fn seg(self) -> &'a SegmentShared {
         &self.run.segments[self.plan.segment.id]
+    }
+
+    /// `true` once a join's left producer is released (always for a scan).
+    fn left_released(self) -> bool {
+        match &self.plan.segment.source {
+            SegmentSource::Join(op) => self.run.segments[op.left].released(),
+            SegmentSource::Scan(_) => true,
+        }
     }
 }
 
@@ -332,6 +349,8 @@ pub struct MachineState {
     pending_ship_bytes: u64,
     /// Skew-handling counters surfaced in the run report.
     join_stats: JoinReport,
+    /// The wake epoch the driver read before this step's readiness checks.
+    seen: u64,
 }
 
 impl MachineState {
@@ -372,6 +391,7 @@ impl MachineState {
             join_ctl: HashMap::new(),
             pending_ship_bytes: 0,
             join_stats: JoinReport::default(),
+            seen: 0,
         }
     }
 
@@ -490,7 +510,12 @@ impl MachineState {
     /// only once, ahead of the control queue, would let a request that lands
     /// just after that drain ship a partition whose last rows are still
     /// queued; they would arrive at a shipped partition and be lost.)
-    fn absorb_inbox(&mut self) -> Result<()> {
+    ///
+    /// `paced` (a machine free to probe) caps what a streaming join takes:
+    /// left rows stay in the bounded inbox while an inbox's worth
+    /// (`router_queue_rows`) wait to be probed, which slows their producers
+    /// to the probe. A drain ahead of a control message takes everything.
+    fn absorb_inbox(&mut self, paced: bool) -> Result<()> {
         // Service the fault-injection link first (a no-op unless a test
         // armed one): retransmit due drops and open due gates, so inbound
         // data below includes recovered envelopes. Exhausted retries surface
@@ -498,14 +523,29 @@ impl MachineState {
         self.router.pump_link().map_err(EngineError::Transport)?;
         loop {
             let ctl = self.router.try_recv_control();
-            while let Some(env) = self.router.try_recv() {
-                let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "machine {} received an envelope for unknown segment {}",
-                        self.machine, env.segment
-                    ))
-                })?;
-                join_of(&mut self.joins, join_id)?.add(side, &env.batch)?;
+            if paced && ctl.is_none() {
+                let cap = self.config.router_queue_rows as u64;
+                for (&producer, &(join, side)) in &self.join_feeds {
+                    let Some(join) = self.joins.get_mut(&join) else {
+                        continue;
+                    };
+                    while side == JoinSide::Right || join.waiting_rows() < cap {
+                        let Some(env) = self.router.try_recv_segment(producer) else {
+                            break;
+                        };
+                        join.add(side, &env.batch)?;
+                    }
+                }
+            } else {
+                while let Some(env) = self.router.try_recv() {
+                    let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
+                        EngineError::Config(format!(
+                            "machine {} received an envelope for unknown segment {}",
+                            self.machine, env.segment
+                        ))
+                    })?;
+                    join_of(&mut self.joins, join_id)?.add(side, &env.batch)?;
+                }
             }
             match ctl {
                 Some(ctl) => self.handle_control(ctl.from, ctl.msg)?,
@@ -559,11 +599,14 @@ impl MachineState {
         Ok(())
     }
 
-    /// Pushes the shuffle terminal's unsent parts in order. Returns the
-    /// destination whose full inbox bounced the front part, which stays
-    /// queued with every part behind it for the chain's resumption.
+    /// Pushes the shuffle terminal's unsent parts in order, ticking each
+    /// destination's governor first: its inbox shrinks the moment its
+    /// pressure rises, not at its own next tick. Returns the destination
+    /// whose full inbox bounced the front part, which stays queued with
+    /// every part behind it for the chain's resumption.
     fn push_unsent(&mut self, chain: &mut SegmentChain, segment: usize) -> Option<MachineId> {
         while let Some((dest, part)) = chain.unsent.pop_front() {
+            self.governor.tick(dest);
             if let Err(back) = self.router.try_push(dest, segment, part) {
                 // A bounce is the governor's backpressure actuator at work
                 // when the *destination* is under pressure (it is the dest's
@@ -614,10 +657,10 @@ impl MachineState {
 
     /// Instantiates a segment's operator chain: its source, its compiled
     /// extends, and whether its last operator counts. For join segments the
-    /// producers are globally done (the readiness policy guarantees it), so
-    /// any final envelopes still queued are absorbed and the join sealed in
-    /// place — at the configured batch size, not the governor-capped one the
-    /// scan takes.
+    /// right producer is globally done (the readiness policy guarantees it),
+    /// so any final envelopes still queued are absorbed and the join sealed
+    /// in place (its left side too if that producer is done) — at the
+    /// configured batch size, not the governor-capped one the scan takes.
     fn build_chain(&mut self, v: Visit) -> Result<SegmentChain> {
         let plan = v.plan;
         self.maybe_panic_at(plan.segment.id, PanicPoint::Build);
@@ -646,8 +689,10 @@ impl MachineState {
                 v.seg().scan_pools[self.machine].clone(),
             )),
             SegmentSource::Join(_) => {
-                self.absorb_inbox()?;
-                join_of(&mut self.joins, plan.segment.id)?.seal(self.config.batch_size);
+                // Both sides at once if the left producer is done too.
+                self.seal_left_if_released(v)?;
+                self.absorb_inbox(false)?;
+                join_of(&mut self.joins, plan.segment.id)?.seal_right(self.config.batch_size);
                 ChainSource::Join
             }
         };
@@ -662,6 +707,19 @@ impl MachineState {
             span: SpanId::NONE,
             backpressure: SpanId::NONE,
         })
+    }
+
+    /// Seals a join's left side (its right one too if still open) once the
+    /// left producer is released — read before the absorb, so every row it
+    /// shuffled is in the join.
+    fn seal_left_if_released(&mut self, v: Visit) -> Result<()> {
+        let id = v.plan.segment.id;
+        if !v.left_released() || self.joins.get(&id).is_none_or(HashJoiner::is_sealed) {
+            return Ok(());
+        }
+        self.absorb_inbox(false)?;
+        join_of(&mut self.joins, id)?.seal(self.config.batch_size);
+        Ok(())
     }
 
     /// A segment's epilogue on this machine, once its own and any stolen work
@@ -682,6 +740,9 @@ impl MachineState {
         if let Some(join) = self.joins.remove(&idx) {
             self.join_stats.probe_pairs += join.tested();
             self.join_stats.probe_matches += join.produced();
+            let (streamed, deferred) = join.left_rows();
+            self.join_stats.streamed_rows += streamed;
+            self.join_stats.deferred_rows += deferred;
         }
         // Completion stamps over the start mark if the chain was built
         // without ever noting a start (the aggregate clamps end >= start).
@@ -738,7 +799,7 @@ impl MachineState {
         loop {
             // Read before any readiness check: a peer's nudge landing after
             // the checks cuts the park below short instead of being lost.
-            let seen = self.router.wake_epoch();
+            self.seen = self.router.wake_epoch();
             run.check_cancel()?;
             if run.is_aborted() {
                 return Err(EngineError::Aborted("a peer machine failed".into()));
@@ -747,7 +808,7 @@ impl MachineState {
             // whatever the machine does next and while it is blocked: peers
             // blocked on *us* make progress, which keeps the cooperative
             // protocol deadlock-free.
-            self.absorb_inbox()?;
+            self.absorb_inbox(!states.iter().any(SegmentState::is_active))?;
             // Under Red pressure the DFS bias tightens into strict DFS.
             let strict = self.governor_tick()? == PressureLevel::Red;
             self.charge_wait(&states, &visits, &mut mark);
@@ -756,7 +817,7 @@ impl MachineState {
                 Step::Blocked(wake_on) => wake_on,
                 Step::Done => return Ok(()),
             };
-            self.park(wake_on, seen, !states.iter().any(SegmentState::is_active));
+            self.park(wake_on, !states.iter().any(SegmentState::is_active));
             self.charge_wait(&states, &visits, &mut mark);
         }
     }
@@ -777,10 +838,10 @@ impl MachineState {
     }
 
     /// Parks on the router until `wake_on` may hold, for at most
-    /// [`PARK_TIMEOUT`] and never past a stall's deadline; `seen` is the wake
-    /// epoch read before the checks that led here. An idle park is a `park`
-    /// span; a blocked segment's waits sit inside its own spans.
-    fn park(&self, wake_on: WakeOn, seen: u64, idle: bool) {
+    /// [`PARK_TIMEOUT`] and never past a stall's deadline; `self.seen` is the
+    /// wake epoch read before the checks that led here. An idle park is a
+    /// `park` span; a blocked segment's waits sit inside its own spans.
+    fn park(&self, wake_on: WakeOn, idle: bool) {
         let span = idle.then(|| self.trace.enter("park"));
         let timeout = match wake_on {
             WakeOn::Until(deadline) => deadline.saturating_duration_since(Instant::now()),
@@ -790,7 +851,7 @@ impl MachineState {
         match wake_on {
             WakeOn::Space(dest) => self.router.wait_space(dest, timeout),
             WakeOn::Data | WakeOn::Until(_) => {
-                self.router.wait_data(seen, timeout);
+                self.router.wait_data(self.seen, timeout);
             }
         }
         if let Some(span) = span {
@@ -818,14 +879,19 @@ impl MachineState {
         };
         for idx in (lo..hi).rev() {
             let v = visits[idx];
-            // Barriered mode is this gate and nothing else.
-            let open = || match self.config.pipeline_segments {
-                true => v.run.ready(&v.plan.segment.dependencies()),
-                false => v.run.barrier_open(idx),
+            // Barriered mode is this gate and nothing else. A join waits for
+            // its right producer only, but a `Fault::Delay` straggler reaches
+            // it late, after both: its partitions are all unprobed for thieves.
+            let stall = || self.faults(idx).any(|f| matches!(f, Fault::Delay(_)));
+            let open = || match (self.config.pipeline_segments, &v.plan.segment.source) {
+                (false, _) => v.run.barrier_open(idx),
+                (true, SegmentSource::Join(op)) if !stall() => v.run.ready(&[op.right]),
+                (true, _) => v.run.ready(&v.plan.segment.dependencies()),
             };
             match &states[idx] {
                 SegmentState::Done => continue,
                 SegmentState::NotStarted if !open() => continue,
+                SegmentState::Paused(chain) if !self.can_resume(chain, v) => continue,
                 _ => {}
             }
             let state = std::mem::replace(&mut states[idx], SegmentState::Done);
@@ -853,6 +919,12 @@ impl MachineState {
         } else {
             Step::Blocked(WakeOn::Data)
         })
+    }
+
+    /// A paused scan resumes at once, a join once it has work or can seal.
+    fn can_resume(&self, chain: &SegmentChain, v: Visit) -> bool {
+        let more = self.source_has_more(&chain.source, v.plan.segment.id);
+        matches!(chain.source, ChainSource::Scan(_)) || more || v.left_released()
     }
 
     /// Moves one segment on from `state`.
@@ -889,6 +961,10 @@ impl MachineState {
                 self.run_segment(chain, v)
             }
             SegmentState::Running(chain) => self.run_segment(chain, v),
+            SegmentState::Paused(chain) => {
+                self.seal_left_if_released(v)?;
+                self.run_segment(chain, v)
+            }
             SegmentState::Draining(chain) => {
                 let outcome = match chain.source {
                     ChainSource::Scan(_) => self.steal_once(v),
@@ -906,22 +982,29 @@ impl MachineState {
     }
 
     /// Runs (or resumes) a segment's chain, one `chain` span per run to a
-    /// drain. A chain blocked on a push keeps the segment `Running`; one that
+    /// stop. A chain blocked on a push keeps the segment `Running`; one that
+    /// yields, or drains a join before its left seal, pauses it; one that
     /// drains leaves it `Draining` when idle machines steal, else completes it.
     fn run_segment(&mut self, mut chain: SegmentChain, v: Visit) -> Result<Advance> {
         let segment = kv("segment", v.plan.segment.id as u64);
-        let span = match chain.current {
-            0 => self.trace.enter_kv("chain", segment),
-            _ => chain.span,
+        let span = match std::mem::replace(&mut chain.span, SpanId::NONE) {
+            span if span.is_none() => self.trace.enter_kv("chain", segment),
+            span => span,
         };
-        let blocked = self.run_chain(&mut chain, v);
-        if let Ok(Some(dest)) = blocked {
+        let stopped = self.run_chain(&mut chain, v);
+        if let Ok(Some(blocked @ Step::Blocked(_))) = stopped {
             chain.span = span;
-            let blocked = Step::Blocked(WakeOn::Space(dest));
             return Ok((SegmentState::Running(chain), Some(blocked)));
         }
         self.trace.exit(span);
-        blocked?;
+        let waiting = || {
+            let id = v.plan.segment.id;
+            matches!(chain.source, ChainSource::Join)
+                && self.joins.get(&id).is_some_and(|j| !j.is_sealed())
+        };
+        if stopped?.is_some() || waiting() {
+            return Ok((SegmentState::Paused(chain), Some(Step::Progressed)));
+        }
         // Idle machines steal from peers: scan chunks and queued batches on
         // scan segments, sealed Grace partitions on join segments.
         if self.router.num_machines() > 1 && self.config.inter_machine_stealing() {
@@ -936,9 +1019,10 @@ impl MachineState {
 
     /// The BFS/DFS-adaptive scheduling loop (Algorithm 5) over this
     /// segment's operator chain: source (scan or join), extends, terminal.
-    /// Resumes at `chain.current`; returns the destination whose full inbox
-    /// stopped the terminal, or `None` once the chain has drained.
-    fn run_chain(&mut self, chain: &mut SegmentChain, v: Visit) -> Result<Option<MachineId>> {
+    /// Resumes at `chain.current`. Returns `None` once the chain has drained,
+    /// else how it stopped: blocked on a full inbox, or yielded at a clean
+    /// point (`Progressed`).
+    fn run_chain(&mut self, chain: &mut SegmentChain, v: Visit) -> Result<Option<Step>> {
         let segment = v.plan.segment.id;
         if matches!(chain.source, ChainSource::Join) {
             self.maybe_panic_at(segment, PanicPoint::Probe);
@@ -951,6 +1035,8 @@ impl MachineState {
         let terminal_idx = num_extends + 1;
         let absorb_slot = terminal_idx + 1;
         let mut current = chain.current;
+        // From before the step's checks: a release they missed still counts.
+        let mut epoch = self.seen;
         loop {
             // The per-batch cancellation poll: one atomic load per
             // scheduling step bounds how long a cancel can go unobserved.
@@ -961,7 +1047,7 @@ impl MachineState {
             // must not starve an idle peer).
             if self.router.has_data() {
                 let start = Instant::now();
-                self.absorb_inbox()?;
+                self.absorb_inbox(true)?;
                 self.trace
                     .op_add_busy(segment, absorb_slot, start.elapsed());
             }
@@ -1009,9 +1095,9 @@ impl MachineState {
                     self.consume_terminal(v, batch, &mut chain.unsent);
                 };
                 self.trace.op_add_busy(segment, current, start.elapsed());
-                if blocked.is_some() {
+                if let Some(dest) = blocked {
                     chain.current = current;
-                    return Ok(blocked);
+                    return Ok(Some(Step::Blocked(WakeOn::Space(dest))));
                 }
                 current -= 1;
                 continue;
@@ -1038,6 +1124,11 @@ impl MachineState {
                 // (otherwise a generous Green capacity lets one operator
                 // materialise its whole input before the next control step).
                 self.governor_tick()?;
+                // Between an operator's batches nothing is unsent: a clean point.
+                if self.should_yield(segment, &mut epoch) {
+                    chain.current = current;
+                    return Ok(Some(Step::Progressed));
+                }
                 if queues.queue(current).is_full() {
                     // Under pressure the queue fills early because the
                     // governor shrank it — that deferral is the throttling
@@ -1055,12 +1146,25 @@ impl MachineState {
         Ok(None)
     }
 
-    /// `true` while the chain's source may still produce: the scan cursor
-    /// has (own or stolen) work, or the segment's join has partitions left.
+    /// Whether a chain with nothing unsent hands the thread back to `step`:
+    /// a deeper join has work (the DFS bias, per batch), or a peer released
+    /// a segment since `epoch` (maybe one this machine drained can go too).
+    fn should_yield(&self, segment: usize, epoch: &mut u64) -> bool {
+        let now = self.router.wake_epoch();
+        if std::mem::replace(epoch, now) != now {
+            return true;
+        }
+        self.joins
+            .iter()
+            .any(|(&id, join)| id > segment && join.has_work())
+    }
+
+    /// `true` while the chain's source can produce now: the scan cursor has
+    /// (own or stolen) work, or the segment's join has something to probe.
     fn source_has_more(&self, source: &ChainSource, segment: usize) -> bool {
         match source {
             ChainSource::Scan(scan) => scan.has_more(),
-            ChainSource::Join => self.joins.get(&segment).is_some_and(|j| !j.is_exhausted()),
+            ChainSource::Join => self.joins.get(&segment).is_some_and(HashJoiner::has_work),
         }
     }
 

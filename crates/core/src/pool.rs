@@ -326,22 +326,34 @@ mod tests {
 
     #[test]
     fn stealing_balances_skewed_items() {
-        // One very expensive item plus many cheap ones: with stealing the
-        // cheap items migrate to the idle workers.
+        // One expensive item plus many cheap ones: with stealing the cheap
+        // items migrate to the idle workers. The expensive item holds its
+        // worker until a cheap one has run on another thread — under a 30 s
+        // watchdog — so the interleaving is forced, not timed.
         let pool = WorkerPool::new(4, LoadBalance::WorkStealing);
-        let mut items: Vec<u64> = vec![2_000_000];
-        items.extend(std::iter::repeat_n(20_000, 63));
-        let run = pool.run(items, |iters, out: &mut Vec<u64>| {
-            let mut acc = 0u64;
-            for i in 0..iters {
-                acc = acc.wrapping_add(i ^ (acc << 1));
+        let cheap_threads = Mutex::new(Vec::new());
+        let mut items = vec![0u64];
+        items.extend(std::iter::repeat_n(1, 63));
+        let run = pool.run(items, |item, out: &mut Vec<u64>| {
+            let me = std::thread::current().id();
+            if item == 1 {
+                cheap_threads.lock().unwrap().push(me);
+            } else {
+                let watchdog = Instant::now() + Duration::from_secs(30);
+                while !cheap_threads.lock().unwrap().iter().any(|&t| t != me) {
+                    assert!(
+                        Instant::now() < watchdog,
+                        "no cheap item ran elsewhere in 30 s"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             }
-            out.push(acc);
+            out.push(item);
         });
         let produced: usize = run.outputs.iter().map(|o| o.len()).sum();
         assert_eq!(produced, 64);
         // Every worker should have produced something (the cheap items are
-        // spread out even though worker 0 holds the expensive one).
+        // spread out even though one worker holds the expensive one).
         assert!(run.outputs.iter().filter(|o| !o.is_empty()).count() >= 2);
     }
 

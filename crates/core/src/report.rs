@@ -63,6 +63,11 @@ pub struct JoinReport {
     /// Tested pairs that survived injectivity, key re-check and order
     /// filters — the joined rows, whether counted or materialised.
     pub probe_matches: u64,
+    /// Left rows probed on arrival, against a resident build.
+    pub streamed_rows: u64,
+    /// Left rows probed after the left seal, on the deferred path (or
+    /// dropped there unprobed when their partition has no right rows).
+    pub deferred_rows: u64,
 }
 
 impl JoinReport {
@@ -73,6 +78,8 @@ impl JoinReport {
         self.shipped_bytes += other.shipped_bytes;
         self.probe_pairs += other.probe_pairs;
         self.probe_matches += other.probe_matches;
+        self.streamed_rows += other.streamed_rows;
+        self.deferred_rows += other.deferred_rows;
     }
 }
 
@@ -263,14 +270,17 @@ impl RunReport {
     /// A one-line summary used by the experiment harness.
     pub fn summary(&self) -> String {
         format!(
-            "{:<22} matches={:<14} T={:>9.3}s  T_R={:>9.3}s  T_C={:>9.3}s  C={:>10} bytes  M={:>10} bytes",
+            "{:<22} matches={:<14} T={:>9.3}s  T_R={:>9.3}s  T_C={:>9.3}s  C={:>10} bytes  M={:>10} bytes  \
+             streamed={} deferred={}",
             self.query,
             self.matches,
             self.total_time().as_secs_f64(),
             self.compute_time.as_secs_f64(),
             self.comm_time.as_secs_f64(),
             self.comm_bytes,
-            self.peak_memory_bytes
+            self.peak_memory_bytes,
+            self.join.streamed_rows,
+            self.join.deferred_rows
         )
     }
 }
@@ -385,6 +395,8 @@ mod tests {
             shipped_bytes: 100,
             probe_pairs: 10,
             probe_matches: 4,
+            streamed_rows: 7,
+            deferred_rows: 0,
         };
         total.merge(&JoinReport {
             partitions_shipped: 0,
@@ -392,11 +404,14 @@ mod tests {
             shipped_bytes: 50,
             probe_pairs: 5,
             probe_matches: 5,
+            streamed_rows: 1,
+            deferred_rows: 3,
         });
         assert_eq!(total.partitions_shipped, 1);
         assert_eq!(total.partitions_stolen, 2);
         assert_eq!(total.shipped_bytes, 150);
         assert_eq!((total.probe_pairs, total.probe_matches), (15, 9));
+        assert_eq!((total.streamed_rows, total.deferred_rows), (8, 3));
     }
 
     #[test]
@@ -426,10 +441,16 @@ mod tests {
         let report = RunReport {
             query: "q1".into(),
             matches: 7,
+            join: JoinReport {
+                streamed_rows: 5,
+                deferred_rows: 2,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let s = report.summary();
         assert!(s.contains("q1"));
         assert!(s.contains("matches=7"));
+        assert!(s.contains("streamed=5 deferred=2"));
     }
 }

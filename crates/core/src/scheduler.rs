@@ -17,11 +17,12 @@
 //! picks what to run next by readiness:
 //!
 //! * a **scan** segment is always runnable;
-//! * a **join** segment becomes runnable (its `PUSH-JOIN` may be sealed and
-//!   polled) once every producer segment has been finished by *every*
-//!   machine — tracked by the per-segment [`SegmentShared::remaining`]
-//!   counter, which doubles as the end-of-stream signal for the shuffle
-//!   envelopes demultiplexed by the router.
+//! * a **join** segment becomes runnable once its *right* (build) producer
+//!   has been finished by *every* machine — tracked by the per-segment
+//!   [`SegmentShared::remaining`] counter, which doubles as the end-of-stream
+//!   signal for the shuffle envelopes demultiplexed by the router. It probes
+//!   left rows as they arrive; its source is exhausted only once the *left*
+//!   producer is released too, and the left side sealed.
 //!
 //! There is no barrier between segments unless `pipeline_segments` is off,
 //! and then the barrier is a stricter readiness rule in the same loop, not a
@@ -31,9 +32,11 @@
 //! Among the runnable segments the scheduler prefers the *deepest* one
 //! (highest id, closest to the sink): draining consumers first bounds the
 //! intermediate memory exactly like the intra-segment DFS bias of Algorithm 5
-//! (the paper's Exp-7 argument). A producer blocked on shuffle backpressure
-//! never deadlocks: it absorbs its own inbox while it waits, so the machines
-//! it is pushing to always eventually drain it.
+//! (the paper's Exp-7 argument), per batch: a producer's chain hands the
+//! thread back whenever a deeper join has left rows to probe. A producer
+//! blocked on shuffle backpressure never deadlocks: it absorbs its own inbox
+//! in full while it waits, so the machines it is pushing to always
+//! eventually drain it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -241,7 +244,7 @@ pub struct SegmentShared {
     /// Machines that have not yet finished this segment. Reaching zero is the
     /// segment's end-of-stream signal: every machine has executed (and
     /// flushed the shuffle output of) the segment, so a consuming join may
-    /// absorb the last envelopes and seal its build.
+    /// absorb the last envelopes and seal the side the segment feeds.
     pub remaining: AtomicUsize,
 }
 
@@ -298,10 +301,10 @@ impl RunShared {
         self.aborted.load(Ordering::SeqCst)
     }
 
-    /// The readiness policy: a segment may start once every dependency's
-    /// release counter has drained — every machine settled its slot, which
-    /// it does the moment it finishes the segment (scan segments have no
-    /// dependencies and are always ready).
+    /// The readiness policy: a segment may start once every segment in
+    /// `dependencies` is released — every machine settled its slot, which it
+    /// does the moment it finishes the segment. The machine passes a join's
+    /// right producer (scan segments wait for nothing and are always ready).
     pub fn ready(&self, dependencies: &[usize]) -> bool {
         dependencies.iter().all(|&d| self.segments[d].released())
     }

@@ -15,6 +15,7 @@ use huge_core::pool::WorkerPool;
 use huge_core::scheduler::SharedQueue;
 use huge_core::{ClusterConfig, Fault, HugeCluster, LoadBalance, SinkMode};
 use huge_graph::{gen, Graph};
+use huge_plan::translate::SegmentSource;
 use huge_query::{naive, Pattern, QueryGraph};
 
 /// A multi-segment (PUSH-JOIN) plan for `query` on `cluster`: pulling is
@@ -476,39 +477,99 @@ fn all_engines_agree_on_the_hot_partition_graph_with_stealing_forced_on() {
 
 #[test]
 fn a_delayed_producer_never_lets_a_consumer_seal_early() {
-    // Delay a straggler's first scan segment. The release counters are the
-    // one end-of-stream signal: on every machine the join may start only
-    // once every machine — the straggler included — has finished both
-    // producing segments, and not a moment earlier.
+    // Delay a straggler's left producer, then its right one. The release
+    // counters are the one end-of-stream signal: on every machine the join
+    // may start — seal its right side — only once every machine, the
+    // straggler included, has finished the right producer, and it may seal
+    // its left side only once every machine finished the left one, so it
+    // cannot finish before that. (A row arriving after its side sealed
+    // would fail the run.)
     let graph = gen::erdos_renyi(120, 500, 23);
     let query = Pattern::Path(4).query_graph();
     let expected = naive::enumerate(&graph, &query);
-    let config = ClusterConfig::new(2).workers(1).inject_fault(
-        1,
-        0,
-        Fault::Delay(Duration::from_millis(100)),
-    );
-    let cluster = HugeCluster::build(graph.clone(), config).unwrap();
-    let (plan, segments) = join_plan(&cluster, &query);
-    assert_eq!(segments, 3, "two producing scans into one join");
-    let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
-    assert_eq!(report.matches, expected);
-    let span = |machine: usize, segment: usize| {
-        report.machines[machine].segment_spans[segment]
-            .unwrap_or_else(|| panic!("machine {machine} never ran segment {segment}"))
-    };
-    for consumer in 0..2 {
-        let join_start = span(consumer, 2).0;
-        for producer in 0..2 {
-            for segment in 0..2 {
-                let end = span(producer, segment).1;
+    for delayed in 0..2 {
+        let config = ClusterConfig::new(2).workers(1).inject_fault(
+            1,
+            delayed,
+            Fault::Delay(Duration::from_millis(100)),
+        );
+        let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+        let (plan, segments) = join_plan(&cluster, &query);
+        assert_eq!(segments, 3, "two producing scans into one join");
+        let dataflow = huge_plan::translate::translate(&plan).unwrap();
+        let SegmentSource::Join(op) = &dataflow.segments[2].source else {
+            panic!("segment 2 is the join");
+        };
+        let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
+        assert_eq!(report.matches, expected);
+        let span = |machine: usize, segment: usize| {
+            report.machines[machine].segment_spans[segment]
+                .unwrap_or_else(|| panic!("machine {machine} never ran segment {segment}"))
+        };
+        for consumer in 0..2 {
+            let (join_start, join_end) = span(consumer, 2);
+            for producer in 0..2 {
+                let right_end = span(producer, op.right).1;
                 assert!(
-                    join_start >= end,
-                    "machine {consumer} started the join at {join_start:?}, before machine \
-                     {producer} finished segment {segment} at {end:?}"
+                    join_start >= right_end,
+                    "delayed segment {delayed}: machine {consumer} started the join at \
+                     {join_start:?}, before machine {producer} finished the right producer \
+                     at {right_end:?}"
+                );
+                let left_end = span(producer, op.left).1;
+                assert!(
+                    join_end >= left_end,
+                    "delayed segment {delayed}: machine {consumer} finished the join at \
+                     {join_end:?}, before machine {producer} finished the left producer \
+                     at {left_end:?}"
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_drained_producer_is_released_before_the_next_one_is_half_done() {
+    // q7 on a grid: the right producer (2-paths) is a fraction of the left
+    // one (3-paths) — about a quarter of its busy time in a debug build. A machine that drained the right producer early goes
+    // idle on it and starts the left one; once its peer finishes the right
+    // producer too, the machine must release it at its next clean point —
+    // not when its own left chain returns — so the join's build side seals
+    // while the left producer is still young. Small queues keep a
+    // scheduling step short next to the segment.
+    let graph = gen::grid(120, 120, 0, 7);
+    let config = ClusterConfig::new(2)
+        .workers(1)
+        .batch_size(256)
+        .output_queue_rows(1024);
+    let cluster = HugeCluster::build(graph, config).unwrap();
+    let query = Pattern::paper(7).unwrap().query_graph();
+    let dataflow = huge_plan::translate::translate(&cluster.plan(&query).unwrap()).unwrap();
+    let join = dataflow.segments.last().unwrap();
+    let SegmentSource::Join(op) = &join.source else {
+        panic!("q7's root is its PUSH-JOIN");
+    };
+    let report = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+    let barriered = HugeCluster::build(
+        gen::grid(120, 120, 0, 7),
+        ClusterConfig::new(2).workers(1).pipeline_segments(false),
+    )
+    .unwrap();
+    let reference = barriered.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+    assert_eq!(report.matches, reference.matches);
+    for m in &report.machines {
+        let right = m.segment_spans[op.right].expect("ran the right producer");
+        let left = m.segment_spans[op.left].expect("ran the left producer");
+        let half_done = left.0 + (left.1 - left.0) / 2;
+        assert!(
+            right.1 < half_done,
+            "machine {} released the right producer at {:?}, after the left one \
+             ({:?} to {:?}) was half done",
+            m.machine,
+            right.1,
+            left.0,
+            left.1
+        );
     }
 }
 

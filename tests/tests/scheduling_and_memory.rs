@@ -4,6 +4,7 @@
 use huge_cache::CacheKind;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, SinkMode};
 use huge_graph::{gen, Graph};
+use huge_plan::translate::SegmentSource;
 use huge_query::{naive, Pattern};
 
 #[test]
@@ -173,6 +174,51 @@ fn pushing_plans_spill_and_still_count_correctly() {
     let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
     assert_eq!(report.matches, expected);
     assert!(report.comm.bytes_pushed > 0);
+}
+
+#[test]
+fn a_streaming_join_never_buffers_its_probe_side() {
+    // q7 (the 6-path) on a grid: its root PUSH-JOIN builds on 2-paths and
+    // probes with 3-paths. The right producer is released long before the
+    // left one, so the join seals its build side first and probes every
+    // left row as it arrives: none waits for the left seal, and no machine
+    // ever holds even half of the left side. The barriered run of the same
+    // dataflow seals both sides at once, so every left row goes through the
+    // deferred path there — which is how many rows the left producer made.
+    // A small inbox is what paces the producers to the probe.
+    let graph = gen::grid(150, 150, 0, 7);
+    let query = Pattern::paper(7).unwrap().query_graph();
+    let run = |pipelined: bool| {
+        let config = ClusterConfig::new(2)
+            .workers(1)
+            .router_queue_rows(8 * 1024)
+            .pipeline_segments(pipelined);
+        let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+        let plan = cluster.plan(&query).unwrap();
+        let dataflow = huge_plan::translate::translate(&plan).unwrap();
+        let Some(SegmentSource::Join(op)) = dataflow.segments.last().map(|s| &s.source) else {
+            panic!("q7's root is its PUSH-JOIN");
+        };
+        let left_arity = dataflow.segments[op.left].schema.len();
+        let report = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+        (report, left_arity)
+    };
+    let (barriered, left_arity) = run(false);
+    let left_rows = barriered.join.deferred_rows;
+    assert!(left_rows > 0);
+    assert_eq!(barriered.join.streamed_rows, 0);
+    let (streaming, _) = run(true);
+    assert_eq!(streaming.matches, barriered.matches);
+    assert_eq!(streaming.join.probe_pairs, barriered.join.probe_pairs);
+    assert_eq!(streaming.join.deferred_rows, 0, "{:?}", streaming.join);
+    assert_eq!(streaming.join.streamed_rows, left_rows);
+    let left_bytes = left_rows * left_arity as u64 * 4;
+    assert!(
+        streaming.peak_memory_bytes < left_bytes / 2,
+        "peak {} bytes against {left_bytes} bytes of left rows",
+        streaming.peak_memory_bytes
+    );
+    assert_eq!(streaming.leaked_bytes, 0);
 }
 
 #[test]
