@@ -59,9 +59,10 @@ pub enum Fault {
     Panic,
     /// The machine thread panics at a specific point inside the segment.
     PanicAt(PanicPoint),
-    /// The machine sleeps for the given duration before executing the
-    /// segment (makes one machine a deterministic straggler). The sleep is
-    /// sliced so cancellation still lands at batch granularity.
+    /// The machine holds the segment back for the given duration once it
+    /// is runnable (makes one machine a deterministic straggler in it). The
+    /// machine runs its other segments and answers peers meanwhile, and a
+    /// cancel still lands within a park timeout.
     Delay(Duration),
     /// Each data envelope the machine sends is lost in transit with
     /// probability `ppm` / 1 000 000; the sender's retry path recovers it.

@@ -40,7 +40,7 @@
 //! throttled batches, spilled bytes, and peak-versus-budget.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use huge_comm::RouterEndpoint;
 use huge_trace::{Counter, Registry};
@@ -87,10 +87,50 @@ impl PressureLevel {
     }
 }
 
+/// The ladder's next level from `old` for a machine holding `current` bytes
+/// of `budget`, with the hysteresis bands between the enter and exit
+/// thresholds.
+fn next_level(old: PressureLevel, current: u64, budget: u64) -> PressureLevel {
+    let (current, budget) = (current as f64, budget as f64);
+    match old {
+        PressureLevel::Green => {
+            if current >= budget * ENTER_RED {
+                PressureLevel::Red
+            } else if current >= budget * ENTER_YELLOW {
+                PressureLevel::Yellow
+            } else {
+                PressureLevel::Green
+            }
+        }
+        PressureLevel::Yellow => {
+            if current >= budget * ENTER_RED {
+                PressureLevel::Red
+            } else if current < budget * EXIT_YELLOW {
+                PressureLevel::Green
+            } else {
+                PressureLevel::Yellow
+            }
+        }
+        PressureLevel::Red => {
+            if current < budget * EXIT_YELLOW {
+                PressureLevel::Green
+            } else if current < budget * EXIT_RED {
+                PressureLevel::Yellow
+            } else {
+                PressureLevel::Red
+            }
+        }
+    }
+}
+
 /// Per-machine controller state.
 struct MachineControl {
     tracker: Arc<MemoryTracker>,
     level: AtomicU8,
+    /// Held across a level change and the capacities it applies: peers tick
+    /// a machine too, and the capacities last applied must be the stored
+    /// level's.
+    transition: Mutex<()>,
     /// Effective row capacity shared by every `SharedQueue` of this machine.
     queue_capacity: Arc<AtomicUsize>,
     throttled_batches: AtomicU64,
@@ -134,6 +174,7 @@ impl MemoryGovernor {
             .map(|tracker| MachineControl {
                 tracker: Arc::clone(tracker),
                 level: AtomicU8::new(0),
+                transition: Mutex::new(()),
                 queue_capacity: Arc::new(AtomicUsize::new(output_queue_rows)),
                 throttled_batches: AtomicU64::new(0),
                 spilled_bytes: AtomicU64::new(0),
@@ -189,56 +230,28 @@ impl MemoryGovernor {
 
     /// Re-evaluates machine `m`'s pressure from its tracker and applies the
     /// capacity actuators on a transition. Called by machine `m`'s own
-    /// thread from its scheduling loops (cheap: one atomic read and a
-    /// comparison on the non-transition path). Returns the current level so
-    /// the caller can fire the machine-local actuators (join spills, strict
-    /// segment choice).
+    /// thread from its scheduling loops, and by peers before they push to
+    /// it, so its inbox shrinks the moment its pressure rises (cheap: one
+    /// atomic read and a comparison on the non-transition path). Returns the
+    /// current level so the caller can fire the machine-local actuators
+    /// (join spills, strict segment choice).
     pub fn tick(&self, m: usize) -> PressureLevel {
         let Some(budget) = self.machine_budget else {
             return PressureLevel::Green;
         };
         let ctl = &self.machines[m];
-        let current = ctl.tracker.current() as f64;
-        let budget = budget as f64;
-        let old = PressureLevel::from_u8(ctl.level.load(Ordering::Relaxed));
-        let new = match old {
-            PressureLevel::Green => {
-                if current >= budget * ENTER_RED {
-                    PressureLevel::Red
-                } else if current >= budget * ENTER_YELLOW {
-                    PressureLevel::Yellow
-                } else {
-                    PressureLevel::Green
-                }
-            }
-            PressureLevel::Yellow => {
-                if current >= budget * ENTER_RED {
-                    PressureLevel::Red
-                } else if current < budget * EXIT_YELLOW {
-                    PressureLevel::Green
-                } else {
-                    PressureLevel::Yellow
-                }
-            }
-            PressureLevel::Red => {
-                if current < budget * EXIT_YELLOW {
-                    PressureLevel::Green
-                } else if current < budget * EXIT_RED {
-                    PressureLevel::Yellow
-                } else {
-                    PressureLevel::Red
-                }
-            }
-        };
-        // Peers tick a machine too (before pushing to it): one of them
-        // records a transition.
-        let (relaxed, from) = (Ordering::Relaxed, old as u8);
-        if new != old
-            && ctl
-                .level
-                .compare_exchange(from, new as u8, relaxed, relaxed)
-                .is_ok()
-        {
+        let old = self.level(m);
+        if next_level(old, ctl.tracker.current(), budget) == old {
+            return old;
+        }
+        let _transition = ctl
+            .transition
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let old = self.level(m);
+        let new = next_level(old, ctl.tracker.current(), budget);
+        if new != old {
+            ctl.level.store(new as u8, Ordering::Relaxed);
             match new {
                 PressureLevel::Yellow => self.transitions_yellow.inc(),
                 PressureLevel::Red => self.transitions_red.inc(),

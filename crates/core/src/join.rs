@@ -19,7 +19,8 @@
 //! *streams* — left rows that land in it are probed by the next poll. A
 //! partition whose right side spilled stays *deferred* until the left seal
 //! ([`HashJoiner::seal`]); then each poll loads at most one, builds and
-//! probes it, and only a deferred partition ships to an idle peer. Memory is
+//! probes it. An idle peer can take a deferred partition whole, or a
+//! streaming one's waiting left rows with a copy of its right rows. Memory is
 //! bounded by the resident builds, plus one partition and one output batch
 //! on the deferred path, whoever consumes the join.
 //!
@@ -62,7 +63,9 @@ pub const NUM_PARTITIONS: usize = 16;
 /// actuator may demote it back), and the left seal flips the rest to
 /// `Sealed`. Building or sealed, it is an unprobed work item: probed here
 /// (`Probing → Done`, or straight to `Done` when a side is empty) or shipped
-/// whole to an idle peer (`Shipped`, partition stealing).
+/// whole to an idle peer (`Shipped`, partition stealing). A streaming
+/// partition ships its waiting left rows (`Shipped` unless the probe holds
+/// its build).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionState {
     /// Still taking input.
@@ -438,33 +441,46 @@ impl HashJoiner {
         self
     }
 
-    /// Ships one unprobed partition, highest index first (the probe cursor
-    /// walks upward, so the highest one is the farthest from being reached —
-    /// the same take-from-the-back policy as `SharedQueue::steal_into`).
-    /// Partitions empty on either side are skipped: they produce nothing and
-    /// are cheaper discarded locally. Before the seal this is only sound once
-    /// no further input can arrive — a thief's steal request implies global
-    /// end-of-stream for both producers.
+    /// Ships one partition's unprobed work, highest index first (the probe
+    /// cursor walks upward — the take-from-the-back policy of
+    /// `SharedQueue::steal_into`): a deferred partition whole, a streaming
+    /// one's waiting left rows with its build unbuilt (copied if the probe
+    /// holds it). Partitions empty on either side are skipped. Before the
+    /// left seal this is only sound once no further input can arrive — a
+    /// thief's steal request implies global end-of-stream for both sides.
     ///
     /// The returned columns *keep* their memory-tracker charge: in-memory
-    /// bytes stay charged and spilled bytes are newly charged as they are
-    /// read back, so the charge travels with the partition and is only
-    /// released when the thief acknowledges adoption
-    /// (allocate-before-release, as in `SharedQueue::steal_into`).
+    /// bytes stay charged, spilled bytes are newly charged as they are read
+    /// back and unbuilt right rows as they are made, so the charge travels
+    /// with the partition and is only released when the thief acknowledges
+    /// adoption (allocate-before-release, as in `SharedQueue::steal_into`).
     pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
         let unprobed = |&p: &usize| {
-            matches!(
-                self.states[p],
-                PartitionState::Building | PartitionState::Sealed
-            ) && side_has_rows(&self.left, p)
-                && side_has_rows(&self.right, p)
+            side_has_rows(&self.left, p)
+                && match self.states[p] {
+                    PartitionState::Building | PartitionState::Sealed => {
+                        side_has_rows(&self.right, p)
+                    }
+                    // Its build is in the slot or held by the probe.
+                    PartitionState::Streaming => self.builds[p].as_ref().is_none_or(|b| b.rows > 0),
+                    _ => false,
+                }
         };
         let Some(p) = (self.partition..NUM_PARTITIONS).rev().find(unprobed) else {
             return Ok(None);
         };
-        let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
-        self.states[p] = PartitionState::Shipped;
-        Ok(Some(taken))
+        let Some(probe) = self.current.as_ref().filter(|probe| probe.index == Some(p)) else {
+            if self.states[p] == PartitionState::Streaming {
+                self.demote(p);
+            }
+            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
+            self.states[p] = PartitionState::Shipped;
+            return Ok(Some(taken));
+        };
+        let right = probe.build.unbuild(&self.spec, self.right.arity);
+        self.memory.allocate(column_bytes(&right));
+        let left = take_side_columns(&mut self.left, p, &self.memory)?;
+        Ok(Some((left, right)))
     }
 
     /// Adopts a partition shipped from a peer; the sealed joiner probes it
@@ -1803,6 +1819,71 @@ mod tests {
         drop(adopter);
         // Charges transferred with the partitions and were released by the
         // adopter's probes: the shared tracker balances to zero.
+        assert_eq!(tracker.current(), 0);
+    }
+
+    #[test]
+    fn streaming_partitions_ship_their_waiting_rows_with_their_builds() {
+        // After the right seal a partition streams; a thief takes the left
+        // rows waiting in it with its right rows unbuilt from its build —
+        // from the build's slot, or a copy while the probe holds it (the
+        // probe keeps the rows it loaded). Shipper and adopter together
+        // produce the rows of the unsplit join, and the charges balance.
+        let n = 800u32;
+        let left: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 10_000]).collect();
+        let right: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 20_000]).collect();
+        let tracker = std::sync::Arc::new(MemoryTracker::new());
+        let joiner = |memory| HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), memory);
+        let tracked = || MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker));
+        let mut reference = joiner(MemoryTrackerHandle::Untracked);
+        reference.add(JoinSide::Left, &batch2(&left)).unwrap();
+        reference.add(JoinSide::Right, &batch2(&right)).unwrap();
+        let mut reference_rows = drain(reference.into_stream(128));
+
+        let mut shipper = joiner(tracked());
+        shipper.add(JoinSide::Right, &batch2(&right)).unwrap();
+        shipper.seal_right(16);
+        assert!(shipper
+            .states
+            .iter()
+            .all(|&s| s == PartitionState::Streaming));
+        let half = n as usize / 2;
+        shipper.add(JoinSide::Left, &batch2(&left[..half])).unwrap();
+        let first = shipper.next_batch().unwrap().expect("streamed rows");
+        let held = shipper.current.as_ref().and_then(|probe| probe.index);
+        let held = held.expect("the probe holds a build");
+        shipper.add(JoinSide::Left, &batch2(&left[half..])).unwrap();
+        let mut shipped = Vec::new();
+        while let Some(taken) = shipper.take_unprobed_partition().unwrap() {
+            shipped.push(taken);
+        }
+        assert_eq!(shipper.waiting_rows(), 0);
+        assert_eq!(shipper.states[held], PartitionState::Streaming);
+        let gone = shipper
+            .states
+            .iter()
+            .filter(|&&s| s == PartitionState::Shipped);
+        assert_eq!(
+            gone.count(),
+            shipped.len() - 1,
+            "every free build went along"
+        );
+        shipper.seal(16);
+        let split_rows = first.to_rows().rows().map(|r| r.to_vec()).collect();
+        let mut split_rows = drain_into(&mut shipper, split_rows);
+
+        let mut adopter = joiner(tracked()).into_stream(128);
+        for (l, r) in shipped {
+            adopter.adopt_partition(l, r).unwrap();
+        }
+        split_rows = drain_into(&mut adopter, split_rows);
+        reference_rows.sort();
+        split_rows.sort();
+        assert_eq!(split_rows, reference_rows);
+        let streamed = shipper.left_rows().0 + adopter.left_rows().0;
+        assert_eq!(streamed + adopter.left_rows().1, n as u64);
+        drop(shipper);
+        drop(adopter);
         assert_eq!(tracker.current(), 0);
     }
 

@@ -26,23 +26,25 @@
 //! every earlier segment is released cluster-wide).
 //!
 //! A join segment is runnable once its right producer is released: its chain
-//! probes the left rows as they arrive, pausing in between, while producers
-//! hand the thread back between batches whenever a deeper join has rows.
+//! probes the left rows as they arrive, pausing in between; a producer hands
+//! the thread back between batches once a deeper join's intake is full, and
+//! runs nothing while blocked on a push but the segments deeper than it.
 //!
 //! The machine is a state machine: `MachineState::step` advances it by one
 //! scheduling decision and returns a `Step`. Nothing below it waits — a push
-//! that bounces off a full inbox, an injected stall, a completion whose link
-//! still owes frames and the end-of-run wait for ship acks are states `step`
-//! resumes, reported as `Step::Blocked` with the `WakeOn` condition; a chain
-//! that handed the thread back, or a join waiting for left rows, is paused. The
-//! run driver (`MachineState::run_all_inner`) is the one place that parks:
+//! that bounces off a full inbox, a completion whose link still owes frames
+//! and the end-of-run wait for ship acks are states `step` resumes, reported
+//! as `Step::Blocked` with the `WakeOn` condition; a chain that handed the
+//! thread back, a join waiting for left rows and an injected stall are
+//! paused while the machine runs its other segments. The run driver (`MachineState::run_all_inner`) is the one place that parks:
 //! each iteration checks cancellation, absorbs the inbox (answering thieves,
 //! which keeps the cooperative protocol deadlock-free), ticks the governor,
 //! steps, and parks on the router when blocked.
 //!
 //! Join skew is handled by **cross-machine Grace partition stealing** over
 //! the router's control plane: a machine that drained its own join requests
-//! unprobed deferred partitions from busy peers (see
+//! unprobed work from busy peers — a deferred partition, or the left rows
+//! waiting in a streaming one with a copy of its build (see
 //! `MachineState::steal_join_once`). A victim answers each request the
 //! moment its inbox yields it, from whichever join the request names and
 //! whatever that join's phase (`MachineState::answer_steal_request`).
@@ -74,7 +76,7 @@ use crate::{EngineError, Result};
 
 /// How long the run driver parks on the router before re-checking conditions
 /// that change without data arriving (idle flags, segment completion,
-/// aborts, cancellation, a stall's deadline).
+/// aborts, cancellation, a stall's deadline) — and so how late a stall ends.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Join buffers below this resident size are not worth a governed spill
@@ -182,14 +184,18 @@ struct SegmentChain {
 type Part = (MachineId, ColBatch);
 
 /// Where this machine stands with one segment under the dataflow scheduler.
-/// `Stalled`, `Running` and `Completing` are *active*: at most one segment
-/// is, and [`MachineState::step`] resumes it before considering any other.
+/// `Running` and `Completing` are *active*: [`MachineState::step`] starts
+/// or resumes no segment shallower than an active one.
 enum SegmentState {
     /// Not yet started (may be waiting on producer segments).
     NotStarted,
-    /// An injected [`Fault::Delay`] holds the chain until `until`; the control
-    /// plane keeps running, so idle peers steal from the straggler meanwhile.
-    Stalled { until: Instant, span: SpanId },
+    /// An injected [`Fault::Delay`] holds the built chain until `until`, while
+    /// the machine runs its other segments and answers thieves.
+    Stalled {
+        until: Instant,
+        span: SpanId,
+        chain: SegmentChain,
+    },
     /// The chain stopped on a push that bounced off a full inbox.
     Running(SegmentChain),
     /// The chain handed the thread back with nothing unsent, or is a join
@@ -206,8 +212,7 @@ enum SegmentState {
 
 impl SegmentState {
     fn is_active(&self) -> bool {
-        use SegmentState::*;
-        !matches!(self, NotStarted | Paused(_) | Draining(_) | Done)
+        matches!(self, SegmentState::Running(_) | SegmentState::Completing)
     }
 }
 
@@ -227,8 +232,6 @@ enum WakeOn {
     Data,
     /// Room in that machine's inbox.
     Space(MachineId),
-    /// A stall's deadline (inbox traffic still ends the park early).
-    Until(Instant),
 }
 
 /// A segment's next state, and what the step did — `None` when a draining
@@ -474,9 +477,9 @@ impl MachineState {
     fn governor_tick(&mut self) -> Result<PressureLevel> {
         let level = self.governor.tick(self.machine);
         if level != self.last_level {
-            // Ladder transitions land on this machine's track: the governor
-            // is ticked from machine threads, so the machine that observed
-            // the change is the one that acts on it.
+            // Ladder transitions land on this machine's track. Peers may
+            // move its level (they tick it before pushing to it), but only
+            // its own thread fires the machine-local actuators below.
             self.trace.instant(match level {
                 PressureLevel::Green => "governor: green",
                 PressureLevel::Yellow => "governor: yellow",
@@ -511,10 +514,9 @@ impl MachineState {
     /// just after that drain ship a partition whose last rows are still
     /// queued; they would arrive at a shipped partition and be lost.)
     ///
-    /// `paced` (a machine free to probe) caps what a streaming join takes:
-    /// left rows stay in the bounded inbox while an inbox's worth
-    /// (`router_queue_rows`) wait to be probed, which slows their producers
-    /// to the probe. A drain ahead of a control message takes everything.
+    /// `paced` (not blocked on a push) caps what a streaming join takes at
+    /// its intake: the rest stays in the bounded inbox, which slows their
+    /// producers. A drain ahead of a control message takes everything.
     fn absorb_inbox(&mut self, paced: bool) -> Result<()> {
         // Service the fault-injection link first (a no-op unless a test
         // armed one): retransmit due drops and open due gates, so inbound
@@ -523,28 +525,20 @@ impl MachineState {
         self.router.pump_link().map_err(EngineError::Transport)?;
         loop {
             let ctl = self.router.try_recv_control();
-            if paced && ctl.is_none() {
-                let cap = self.config.router_queue_rows as u64;
-                for (&producer, &(join, side)) in &self.join_feeds {
-                    let Some(join) = self.joins.get_mut(&join) else {
-                        continue;
+            let cap = match paced && ctl.is_none() {
+                true => self.intake(),
+                false => u64::MAX,
+            };
+            for (&producer, &(join, side)) in &self.join_feeds {
+                // A completed join's producers are done: nothing is queued.
+                let Some(join) = self.joins.get_mut(&join) else {
+                    continue;
+                };
+                while side == JoinSide::Right || join.waiting_rows() < cap {
+                    let Some(env) = self.router.try_recv_segment(producer) else {
+                        break;
                     };
-                    while side == JoinSide::Right || join.waiting_rows() < cap {
-                        let Some(env) = self.router.try_recv_segment(producer) else {
-                            break;
-                        };
-                        join.add(side, &env.batch)?;
-                    }
-                }
-            } else {
-                while let Some(env) = self.router.try_recv() {
-                    let &(join_id, side) = self.join_feeds.get(&env.segment).ok_or_else(|| {
-                        EngineError::Config(format!(
-                            "machine {} received an envelope for unknown segment {}",
-                            self.machine, env.segment
-                        ))
-                    })?;
-                    join_of(&mut self.joins, join_id)?.add(side, &env.batch)?;
+                    join.add(side, &env.batch)?;
                 }
             }
             match ctl {
@@ -838,20 +832,15 @@ impl MachineState {
     }
 
     /// Parks on the router until `wake_on` may hold, for at most
-    /// [`PARK_TIMEOUT`] and never past a stall's deadline; `self.seen` is the
-    /// wake epoch read before the checks that led here. An idle park is a
-    /// `park` span; a blocked segment's waits sit inside its own spans.
+    /// [`PARK_TIMEOUT`]; `self.seen` is the wake epoch read before the checks
+    /// that led here. An idle park is a `park` span; a blocked segment's
+    /// waits sit inside its own spans.
     fn park(&self, wake_on: WakeOn, idle: bool) {
         let span = idle.then(|| self.trace.enter("park"));
-        let timeout = match wake_on {
-            WakeOn::Until(deadline) => deadline.saturating_duration_since(Instant::now()),
-            WakeOn::Data | WakeOn::Space(_) => Duration::MAX,
-        }
-        .min(PARK_TIMEOUT);
         match wake_on {
-            WakeOn::Space(dest) => self.router.wait_space(dest, timeout),
-            WakeOn::Data | WakeOn::Until(_) => {
-                self.router.wait_data(self.seen, timeout);
+            WakeOn::Space(dest) => self.router.wait_space(dest, PARK_TIMEOUT),
+            WakeOn::Data => {
+                self.router.wait_data(self.seen, PARK_TIMEOUT);
             }
         }
         if let Some(span) = span {
@@ -859,10 +848,11 @@ impl MachineState {
         }
     }
 
-    /// Advances the machine by one scheduling decision. An active segment
-    /// (see [`SegmentState`]) is resumed before any other; otherwise the
-    /// deepest runnable segment goes (DFS bias — drain consumers before
-    /// growing producers). Under Red pressure (`strict`) the bias tightens
+    /// Advances the machine by one scheduling decision: the deepest runnable
+    /// segment goes (DFS bias — drain consumers before growing producers).
+    /// An active segment (see [`SegmentState`]) holds back every shallower
+    /// one, but not the deeper ones: a producer blocked on a push lets the
+    /// join below it probe meanwhile. Under Red pressure (`strict`) the bias tightens
     /// into strict DFS: a draining segment whose peers still own work stops
     /// the search, so the machine drains partials towards the sink instead of
     /// starting shallower producers that generate new ones.
@@ -873,25 +863,38 @@ impl MachineState {
         strict: bool,
         mark: &mut Instant,
     ) -> Result<Step> {
-        let (lo, hi) = match states.iter().position(SegmentState::is_active) {
-            Some(idx) => (idx, idx + 1),
-            None => (0, states.len()),
+        let lo = states.iter().position(SegmentState::is_active).unwrap_or(0);
+        let hi = states.len();
+        // Releasing a drained segment goes first: a busy deeper join must
+        // not hold back the end-of-stream its peers wait for.
+        let idle = |i: usize| {
+            visits[i]
+                .seg()
+                .idle
+                .iter()
+                .all(|f| f.load(Ordering::SeqCst))
         };
+        let drained = |&idx: &usize| matches!(states[idx], SegmentState::Draining(_)) && idle(idx);
+        if let Some(idx) = (lo..hi).find(drained) {
+            let (state, step) = self.complete_segment(visits[idx])?;
+            states[idx] = state;
+            self.record_segment_busy(idx, lap(mark));
+            return Ok(step.unwrap_or(Step::Progressed));
+        }
         for idx in (lo..hi).rev() {
             let v = visits[idx];
-            // Barriered mode is this gate and nothing else. A join waits for
-            // its right producer only, but a `Fault::Delay` straggler reaches
-            // it late, after both: its partitions are all unprobed for thieves.
-            let stall = || self.faults(idx).any(|f| matches!(f, Fault::Delay(_)));
+            // Barriered mode is this gate and nothing else; pipelined, a join
+            // waits for its right producer only.
             let open = || match (self.config.pipeline_segments, &v.plan.segment.source) {
                 (false, _) => v.run.barrier_open(idx),
-                (true, SegmentSource::Join(op)) if !stall() => v.run.ready(&[op.right]),
-                (true, _) => v.run.ready(&v.plan.segment.dependencies()),
+                (true, SegmentSource::Join(op)) => v.run.ready(&[op.right]),
+                (true, SegmentSource::Scan(_)) => true,
             };
             match &states[idx] {
                 SegmentState::Done => continue,
                 SegmentState::NotStarted if !open() => continue,
                 SegmentState::Paused(chain) if !self.can_resume(chain, v) => continue,
+                SegmentState::Stalled { until, .. } if Instant::now() < *until => continue,
                 _ => {}
             }
             let state = std::mem::replace(&mut states[idx], SegmentState::Done);
@@ -933,32 +936,30 @@ impl MachineState {
         match state {
             SegmentState::NotStarted => {
                 self.trace.seg_mark_start(idx);
-                let delays = self.faults(idx).filter_map(|fault| match fault {
-                    Fault::Delay(delay) => Some(delay),
-                    _ => None,
-                });
-                let stall = delays.reduce(|a, b| a + b);
-                let span = stall.map_or(SpanId::NONE, |delay| {
-                    let args = kv2("segment", idx as u64, "ms", delay.as_millis() as u64);
-                    self.trace.enter_kv("fault_delay", args)
-                });
-                let until = Instant::now() + stall.unwrap_or_default();
-                self.advance(SegmentState::Stalled { until, span }, v)
-            }
-            SegmentState::Stalled { until, span } => {
-                if Instant::now() < until {
-                    let blocked = Step::Blocked(WakeOn::Until(until));
-                    return Ok((SegmentState::Stalled { until, span }, Some(blocked)));
-                }
-                if !span.is_none() {
-                    self.trace.exit(span);
-                }
                 if self.faults(idx).any(|fault| fault == Fault::Panic) {
                     let me = self.machine;
                     panic!("injected fault: machine {me} panics in segment {idx}");
                 }
                 let chain = self.build_chain(v)?;
-                self.run_segment(chain, v)
+                let delays = self.faults(idx).filter_map(|fault| match fault {
+                    Fault::Delay(delay) => Some(delay),
+                    _ => None,
+                });
+                let Some(stall) = delays.reduce(|a, b| a + b) else {
+                    return self.advance(SegmentState::Paused(chain), v);
+                };
+                let args = kv2("segment", idx as u64, "ms", stall.as_millis() as u64);
+                let span = self.trace.enter_kv("fault_delay", args);
+                // The segment's own work waits the stall out: its busy time,
+                // like a blocked push. The machine's goes to what it runs.
+                self.trace.seg_add_busy(idx, stall);
+                let until = Instant::now() + stall;
+                let stalled = SegmentState::Stalled { until, span, chain };
+                Ok((stalled, Some(Step::Progressed)))
+            }
+            SegmentState::Stalled { span, chain, .. } => {
+                self.trace.exit(span);
+                self.advance(SegmentState::Paused(chain), v)
             }
             SegmentState::Running(chain) => self.run_segment(chain, v),
             SegmentState::Paused(chain) => {
@@ -1146,17 +1147,24 @@ impl MachineState {
         Ok(None)
     }
 
-    /// Whether a chain with nothing unsent hands the thread back to `step`:
-    /// a deeper join has work (the DFS bias, per batch), or a peer released
-    /// a segment since `epoch` (maybe one this machine drained can go too).
+    /// Whether a chain with nothing unsent hands the thread back to `step`: a
+    /// deeper join's intake is full or it has deferred partitions (the DFS
+    /// bias, per batch — not per row, which would probe a cold build a few
+    /// rows at a time), or a peer released a segment since `epoch`.
     fn should_yield(&self, segment: usize, epoch: &mut u64) -> bool {
         let now = self.router.wake_epoch();
         if std::mem::replace(epoch, now) != now {
             return true;
         }
-        self.joins
-            .iter()
-            .any(|(&id, join)| id > segment && join.has_work())
+        let full = |join: &HashJoiner| join.waiting_rows() >= self.intake();
+        let deferred = |join: &HashJoiner| join.is_sealed() && join.has_work();
+        (self.joins.iter()).any(|(&id, join)| id > segment && (full(join) || deferred(join)))
+    }
+
+    /// Left rows a streaming join takes in before they are probed: an inbox's
+    /// worth, as the governor sizes it now.
+    fn intake(&self) -> u64 {
+        self.router.inbox_capacity(self.machine) as u64
     }
 
     /// `true` while the chain's source can produce now: the scan cursor has
@@ -1326,7 +1334,8 @@ impl MachineState {
 
     /// Answers `thief`'s steal request for join segment `segment` — the one
     /// place a request is answered, reached the moment the inbox yields it.
-    /// It ships the highest unprobed partition of the join the request
+    /// It ships the unprobed work of the highest partition that has some
+    /// ([`HashJoiner::take_unprobed_partition`]) from the join the request
     /// names, whatever that join's phase (building, probing or drained), and
     /// nacks when nothing is shippable or the segment completed and its join
     /// is gone. Shipping before the local seal is sound: a request is only

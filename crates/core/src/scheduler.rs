@@ -33,10 +33,10 @@
 //! (highest id, closest to the sink): draining consumers first bounds the
 //! intermediate memory exactly like the intra-segment DFS bias of Algorithm 5
 //! (the paper's Exp-7 argument), per batch: a producer's chain hands the
-//! thread back whenever a deeper join has left rows to probe. A producer
-//! blocked on shuffle backpressure never deadlocks: it absorbs its own inbox
-//! in full while it waits, so the machines it is pushing to always
-//! eventually drain it.
+//! thread back whenever a deeper join's intake of left rows is full. A
+//! producer blocked on shuffle backpressure never deadlocks: it absorbs its
+//! own inbox in full and runs the segments deeper than it while it waits,
+//! so the machines it is pushing to always eventually drain it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

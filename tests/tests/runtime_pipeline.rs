@@ -531,24 +531,28 @@ fn a_delayed_producer_never_lets_a_consumer_seal_early() {
 #[test]
 fn a_drained_producer_is_released_before_the_next_one_is_half_done() {
     // q7 on a grid: the right producer (2-paths) is a fraction of the left
-    // one (3-paths) — about a quarter of its busy time in a debug build. A machine that drained the right producer early goes
+    // one (3-paths). A machine that drained the right producer early goes
     // idle on it and starts the left one; once its peer finishes the right
     // producer too, the machine must release it at its next clean point —
     // not when its own left chain returns — so the join's build side seals
-    // while the left producer is still young. Small queues keep a
-    // scheduling step short next to the segment.
+    // while the left producer is still young. Counted in rows, not time:
+    // left rows that land before the right seal wait unprobed and unpaced,
+    // so a late release makes a machine hold most of its left rows at once,
+    // where a prompt one holds about an inbox's worth. (Stealing stays on:
+    // without it a drained segment completes at once, never `Draining`.)
     let graph = gen::grid(120, 120, 0, 7);
     let config = ClusterConfig::new(2)
         .workers(1)
         .batch_size(256)
-        .output_queue_rows(1024);
+        .output_queue_rows(1024)
+        .router_queue_rows(4096);
     let cluster = HugeCluster::build(graph, config).unwrap();
     let query = Pattern::paper(7).unwrap().query_graph();
     let dataflow = huge_plan::translate::translate(&cluster.plan(&query).unwrap()).unwrap();
-    let join = dataflow.segments.last().unwrap();
-    let SegmentSource::Join(op) = &join.source else {
+    let SegmentSource::Join(op) = &dataflow.segments.last().unwrap().source else {
         panic!("q7's root is its PUSH-JOIN");
     };
+    let left_arity = dataflow.segments[op.left].schema.len() as u64;
     let report = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
     let barriered = HugeCluster::build(
         gen::grid(120, 120, 0, 7),
@@ -558,17 +562,12 @@ fn a_drained_producer_is_released_before_the_next_one_is_half_done() {
     let reference = barriered.run_dataflow(&dataflow, SinkMode::Count).unwrap();
     assert_eq!(report.matches, reference.matches);
     for m in &report.machines {
-        let right = m.segment_spans[op.right].expect("ran the right producer");
-        let left = m.segment_spans[op.left].expect("ran the left producer");
-        let half_done = left.0 + (left.1 - left.0) / 2;
+        let left_bytes = (m.join.streamed_rows + m.join.deferred_rows) * left_arity * 4;
         assert!(
-            right.1 < half_done,
-            "machine {} released the right producer at {:?}, after the left one \
-             ({:?} to {:?}) was half done",
+            m.peak_memory_bytes < left_bytes / 2,
+            "machine {} peaked at {} bytes against {left_bytes} bytes of left rows",
             m.machine,
-            right.1,
-            left.0,
-            left.1
+            m.peak_memory_bytes
         );
     }
 }

@@ -185,12 +185,15 @@ fn a_streaming_join_never_buffers_its_probe_side() {
     // ever holds even half of the left side. The barriered run of the same
     // dataflow seals both sides at once, so every left row goes through the
     // deferred path there — which is how many rows the left producer made.
-    // A small inbox is what paces the producers to the probe.
+    // A small inbox is what paces the producers to the probe. Stealing is
+    // off: a thief probes the waiting rows it takes after its own left seal,
+    // which counts them as deferred.
     let graph = gen::grid(150, 150, 0, 7);
     let query = Pattern::paper(7).unwrap().query_graph();
     let run = |pipelined: bool| {
         let config = ClusterConfig::new(2)
             .workers(1)
+            .load_balance(LoadBalance::None)
             .router_queue_rows(8 * 1024)
             .pipeline_segments(pipelined);
         let cluster = HugeCluster::build(graph.clone(), config).unwrap();
