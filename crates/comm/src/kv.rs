@@ -66,21 +66,6 @@ impl ExternalKvStore {
         nbrs
     }
 
-    /// Fetches a batch of adjacency lists with a single request charge
-    /// (BENU batches its reads where possible).
-    pub fn multi_get(&self, vs: &[VertexId]) -> Vec<Vec<VertexId>> {
-        let lists: Vec<Vec<VertexId>> = vs
-            .iter()
-            .map(|&v| self.graph.neighbours(v).to_vec())
-            .collect();
-        let bytes: u64 = lists
-            .iter()
-            .map(|l| (l.len() * std::mem::size_of::<VertexId>()) as u64)
-            .sum();
-        self.charge(1, bytes);
-        lists
-    }
-
     fn charge(&self, requests: u64, bytes: u64) {
         self.requests.fetch_add(requests, Ordering::Relaxed);
         self.bytes_served.fetch_add(bytes, Ordering::Relaxed);
@@ -119,16 +104,6 @@ mod tests {
         assert_eq!(store.requests(), 1);
         assert_eq!(store.bytes_served(), 8);
         assert!(store.overhead() >= Duration::from_micros(300));
-    }
-
-    #[test]
-    fn multi_get_charges_one_request() {
-        let g = Arc::new(gen::complete(6));
-        let store = ExternalKvStore::new(g, KvStoreCost::default());
-        let lists = store.multi_get(&[0, 1, 2]);
-        assert_eq!(lists.len(), 3);
-        assert_eq!(store.requests(), 1);
-        assert_eq!(store.bytes_served(), 3 * 5 * 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `PUSH-JOIN` operator: a partitioned (Grace-style) hybrid hash join
 //! with disk spill (§4.3) — one [`HashJoiner`] from its first input row to
 //! its last probed pair, called directly by whoever drives it: the machine's
-//! segment chain, the baselines' pushing hash join, the perf ledger.
+//! segment chain, the perf ledger.
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
 //! of partitions, and a partition is columns from end to end: the shuffle's
@@ -10,19 +10,20 @@
 //! partition ship carries and what the probe is built from — no row is ever
 //! assembled. A partition buffers rows in memory until the configured
 //! threshold, after which they are appended to a temporary file on disk.
-//! Every partition carries a [`PartitionState`] from the start, and the
-//! joiner's one ship, spill, byte count and `Drop` read it whatever the
-//! phase.
+//! The joiner keeps one table of partitions, each entry its state, both
+//! sides' rows and its build, and the joiner's one ship, spill, byte count
+//! and `Drop` read that table whatever the phase.
 //!
-//! The right (build) side seals first ([`HashJoiner::seal_right`]): each
-//! partition whose right rows are all in memory gets a resident build and
-//! *streams* — left rows that land in it are probed by the next poll. A
-//! partition whose right side spilled stays *deferred* until the left seal
-//! ([`HashJoiner::seal`]); then each poll loads at most one, builds and
-//! probes it. An idle peer can take a deferred partition whole, or a
-//! streaming one's waiting left rows with a copy of its right rows. Memory is
-//! bounded by the resident builds, plus one partition and one output batch
-//! on the deferred path, whoever consumes the join.
+//! Sealing the right (build) side ([`HashJoiner::seal_right`]) builds every
+//! partition whose right rows are all in memory. Until the left seal
+//! ([`HashJoiner::seal`]) such a partition *streams*: left rows that land in
+//! it are probed by the next poll. After the left seal a cursor walks the
+//! partitions in order, building the ones whose right side spilled, probing
+//! what waits in each and retiring it. An idle peer can take a partition's
+//! unprobed work: an unbuilt one whole, or a built one's waiting left rows
+//! with a copy of its right rows. Memory is bounded by the resident builds,
+//! plus the partition the cursor loads and one output batch, whoever
+//! consumes the join.
 //!
 //! The probe is **one pair generator with two sinks**. What a candidate pair
 //! must pass — the wide-key re-check, cross-side injectivity, the order
@@ -40,7 +41,7 @@
 //! them. Both share the partition lifecycle, the tracker charges and the
 //! per-poll cancel check.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -58,27 +59,18 @@ pub const NUM_PARTITIONS: usize = 16;
 
 /// Lifecycle of one Grace partition.
 ///
-/// A partition is `Building` while [`HashJoiner::add`] fills it; the right
-/// seal makes it `Streaming` if its right rows are all in memory (the spill
-/// actuator may demote it back), and the left seal flips the rest to
-/// `Sealed`. Building or sealed, it is an unprobed work item: probed here
-/// (`Probing → Done`, or straight to `Done` when a side is empty) or shipped
-/// whole to an idle peer (`Shipped`, partition stealing). A streaming
-/// partition ships its waiting left rows (`Shipped` unless the probe holds
-/// its build).
+/// A partition is `Open` while it has no build: it takes input, and after
+/// the right seal it waits for the cursor (its right side spilled, the spill
+/// actuator demoted it, or a peer shipped it here). It is `Built` from the
+/// moment its build is made — at the right seal if its right rows are all in
+/// memory, else by the cursor — until the cursor retires it (`Done`). Open
+/// or built, its unprobed rows may be shipped to an idle peer (`Shipped`,
+/// partition stealing; a built one stays built while a probe holds it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PartitionState {
-    /// Still taking input.
-    Building,
-    /// Its build is resident; left rows are probed as they arrive.
-    Streaming,
-    /// Sealed but not yet probed.
-    Sealed,
-    /// Loaded and currently being probed on this machine.
-    Probing,
-    /// Handed to a thief machine; no longer this machine's work.
+enum PartitionState {
+    Open,
+    Built,
     Shipped,
-    /// Probed to completion (or discarded as unmatchable).
     Done,
 }
 
@@ -202,15 +194,16 @@ fn pack_key(columns: &[Vec<VertexId>], key_positions: &[usize], row: usize) -> u
 /// them with [`IdHasher`](huge_graph::IdHasher), not SipHash.
 type KeyTable = HashMap<u128, (u32, u32), IdBuildHasher>;
 
-struct SidePartition {
+/// One side of a partition: its resident rows and its spill file.
+struct Side {
     /// The resident rows, one vector per column.
-    columns: Vec<Vec<VertexId>>,
+    columns: Columns,
     spill_file: Option<PathBuf>,
     /// Rows appended to the spill file so far — what a reload must find.
     spilled_rows: u64,
 }
 
-impl Drop for SidePartition {
+impl Drop for Side {
     fn drop(&mut self) {
         if let Some(path) = self.spill_file.take() {
             let _ = std::fs::remove_file(path);
@@ -218,25 +211,42 @@ impl Drop for SidePartition {
     }
 }
 
-struct SideBuffer {
-    arity: usize,
-    partitions: Vec<SidePartition>,
-    buffered_bytes: u64,
+/// One Grace partition of the joiner's table, local or adopted from a peer.
+struct Partition {
+    state: PartitionState,
+    left: Side,
+    right: Side,
+    /// The build, once made, while no probe holds it.
+    build: Option<Build>,
 }
 
-impl SideBuffer {
-    fn new(arity: usize) -> Self {
-        SideBuffer {
-            arity,
-            partitions: (0..NUM_PARTITIONS)
-                .map(|_| SidePartition {
-                    columns: vec![Vec::new(); arity],
-                    spill_file: None,
-                    spilled_rows: 0,
-                })
-                .collect(),
-            buffered_bytes: 0,
+impl Partition {
+    fn new(state: PartitionState, left: Columns, right: Columns) -> Self {
+        let side = |columns| Side {
+            columns,
+            spill_file: None,
+            spilled_rows: 0,
+        };
+        let (left, right) = (side(left), side(right));
+        Partition {
+            state,
+            left,
+            right,
+            build: None,
         }
+    }
+
+    fn side(&mut self, side: JoinSide) -> &mut Side {
+        match side {
+            JoinSide::Left => &mut self.left,
+            JoinSide::Right => &mut self.right,
+        }
+    }
+
+    /// Bytes resident in memory that no probe holds: rows and build.
+    fn bytes(&self) -> u64 {
+        let build = self.build.as_ref().map_or(0, |b| b.bytes);
+        column_bytes(&self.left.columns) + column_bytes(&self.right.columns) + build
     }
 }
 
@@ -246,44 +256,36 @@ impl SideBuffer {
 /// `add` scatters input into the Grace partitions. After
 /// [`HashJoiner::seal_right`] the joiner is driven one batch of pairs at a
 /// time ([`HashJoiner::next_batch`], [`HashJoiner::count_batch`]) over the
-/// left rows that have arrived, and after [`HashJoiner::seal`] over the
-/// deferred partitions too. Spill files are deleted as their partitions are
-/// consumed, and by `Drop` if the join is abandoned early. Unprobed
-/// partitions ship to peers in any phase
-/// ([`HashJoiner::take_unprobed_partition`]); a sealed joiner probes the
-/// partitions peers ship to it after its own
+/// left rows that have arrived in built partitions, and after
+/// [`HashJoiner::seal`] over every partition. Spill files are deleted as
+/// their partitions are consumed, and by `Drop` if the join is abandoned
+/// early. Unprobed partitions ship to peers in any phase
+/// ([`HashJoiner::take_unprobed_partition`]); a sealed joiner appends the
+/// partitions peers ship to it to its table and probes them after its own
 /// ([`HashJoiner::adopt_partition`]).
 pub struct HashJoiner {
     spec: ProbeSpec,
-    left: SideBuffer,
-    right: SideBuffer,
+    /// The Grace partitions: the local ones, then those adopted from peers.
+    partitions: Vec<Partition>,
     spill_threshold_bytes: u64,
     spill_dir: PathBuf,
     spill_counter: usize,
     memory: MemoryTrackerHandle,
-    /// Lifecycle of each local Grace partition.
-    states: [PartitionState; NUM_PARTITIONS],
-    /// Each streaming partition's resident build, while no probe holds it.
-    builds: [Option<Build>; NUM_PARTITIONS],
-    /// Rows per output batch, set by the first seal (`None` before it).
+    /// Rows per output batch, set by the right seal (`None` before it).
     batch_rows: Option<u64>,
     /// The left side is sealed too.
     left_sealed: bool,
-    /// The next local partition the probe loads.
-    partition: usize,
+    /// The next partition the probe visits after the left seal.
+    cursor: usize,
     /// The partition being probed.
     current: Option<PartitionProbe>,
-    /// `(left, right)` columns of partitions adopted from peers, probed after
-    /// the local ones. Their bytes were charged on receipt.
-    adopted: VecDeque<(Columns, Columns)>,
     /// Joined rows emitted or counted so far.
     produced: u64,
     /// Candidate pairs tested so far (`produced` of them survived).
     tested: u64,
-    /// Left rows probed against a resident build.
-    streamed: u64,
-    /// Left rows the deferred path took after the left seal.
-    deferred: u64,
+    /// Left rows the probe took, `[streamed, deferred]`: indexed by
+    /// whether the build they met was made after the left seal.
+    left_rows: [u64; 2],
     /// The run's cancellation token, polled per batch of pairs so a cancel
     /// lands mid-probe instead of after the whole join drains.
     cancel: Option<CancelToken>,
@@ -322,25 +324,24 @@ impl HashJoiner {
         spill_dir: PathBuf,
         memory: MemoryTrackerHandle,
     ) -> Self {
+        let open = |_| {
+            let (left, right) = (vec![Vec::new(); left_arity], vec![Vec::new(); right_arity]);
+            Partition::new(PartitionState::Open, left, right)
+        };
         HashJoiner {
             spec: ProbeSpec::compile(&op, left_arity),
-            left: SideBuffer::new(left_arity),
-            right: SideBuffer::new(right_arity),
+            partitions: (0..NUM_PARTITIONS).map(open).collect(),
             spill_threshold_bytes: spill_threshold_bytes.max(1024),
             spill_dir,
             spill_counter: 0,
             memory,
-            states: [PartitionState::Building; NUM_PARTITIONS],
-            builds: std::array::from_fn(|_| None),
             batch_rows: None,
             left_sealed: false,
-            partition: 0,
+            cursor: 0,
             current: None,
-            adopted: VecDeque::new(),
             produced: 0,
             tested: 0,
-            streamed: 0,
-            deferred: 0,
+            left_rows: [0; 2],
             cancel: None,
         }
     }
@@ -348,50 +349,47 @@ impl HashJoiner {
     /// Adds an input batch to one side: one pass over its key columns picks
     /// each row's Grace partition, then every partition's columns take their
     /// rows in one gather each (`scatter_rows`). Left rows that land in a
-    /// streaming partition wait there for the next probe poll. Input after
-    /// its side's seal is a [`EngineError::Config`] error.
+    /// built partition wait there for the next probe poll. Input after its
+    /// side's seal is a [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
-        let sealed = match side {
-            JoinSide::Left => self.left_sealed,
-            JoinSide::Right => self.batch_rows.is_some(),
+        let (sealed, key_positions, tag) = match side {
+            JoinSide::Left => (self.left_sealed, &self.spec.key_left, "l"),
+            JoinSide::Right => (self.batch_rows.is_some(), &self.spec.key_right, "r"),
         };
         if sealed {
             let message = "PUSH-JOIN received input after sealing";
             return Err(EngineError::Config(message.into()));
         }
-        let (buffer, key_positions, tag) = match side {
-            JoinSide::Left => (&mut self.left, &self.spec.key_left, "l"),
-            JoinSide::Right => (&mut self.right, &self.spec.key_right, "r"),
-        };
-        debug_assert_eq!(batch.arity(), buffer.arity);
+        debug_assert_eq!(batch.arity(), self.partitions[0].side(side).columns.len());
         // Wire batches arrive dense; a local caller may hand over runs.
         let batch = &*batch.flattened();
         let hash = row_key_hash(batch, key_positions);
         let partition = |row| grace_partition(hash(row));
-        let parts = buffer.partitions.iter_mut().map(|p| &mut p.columns);
+        let parts = self
+            .partitions
+            .iter_mut()
+            .map(|p| &mut p.side(side).columns);
         scatter_rows(batch, partition, parts);
         // One tracker charge per batch: the spill loop below only runs after
         // the whole batch is buffered, so the tracked peak is the same as
         // charging row by row.
-        let bytes = (batch.len() * buffer.arity * std::mem::size_of::<VertexId>()) as u64;
-        buffer.buffered_bytes += bytes;
+        let bytes = (batch.len() * batch.arity() * std::mem::size_of::<VertexId>()) as u64;
         self.memory.allocate(bytes);
-        // Spill the largest partitions while the buffer exceeds the threshold
-        // — never a streaming one: its left rows are probe input, not buffer.
-        let states = &self.states;
-        while buffer.buffered_bytes > self.spill_threshold_bytes {
-            let victim = buffer
-                .partitions
-                .iter_mut()
-                .enumerate()
-                .filter(|&(p, _)| states[p] != PartitionState::Streaming)
-                .max_by_key(|(_, p)| column_rows(&p.columns));
-            let Some((victim, part)) = victim.filter(|(_, p)| column_rows(&p.columns) > 0) else {
+        // Spill the largest open partitions while the side's resident rows
+        // exceed the threshold — never a built one: its left rows are probe
+        // input, not buffer.
+        let sides = self.partitions.iter_mut().map(|p| p.side(side));
+        let mut resident: u64 = sides.map(|s| column_bytes(&s.columns)).sum();
+        while resident > self.spill_threshold_bytes {
+            let open = self.partitions.iter_mut().enumerate();
+            let open = open.filter(|(_, p)| p.state == PartitionState::Open);
+            let sides = open.map(|(p, part)| (p, part.side(side)));
+            let victim = sides.max_by_key(|(_, s)| column_rows(&s.columns));
+            let Some((p, victim)) = victim.filter(|(_, s)| column_rows(&s.columns) > 0) else {
                 break;
             };
-            let bytes =
-                spill_partition(part, &self.spill_dir, tag, victim, &mut self.spill_counter)?;
-            buffer.buffered_bytes -= bytes;
+            let bytes = victim.spill(&self.spill_dir, tag, p, &mut self.spill_counter)?;
+            resident -= bytes;
             self.memory.release(bytes);
         }
         Ok(())
@@ -399,35 +397,34 @@ impl HashJoiner {
 
     /// Seals the right (build) input: right rows are refused from now on,
     /// each probe poll yields at most `batch_rows` joined rows, and every
-    /// building partition whose right rows are all in memory gets a resident
-    /// build and streams — the next polls probe the left rows it holds and
-    /// every one that lands in it later.
+    /// open partition whose right rows are all in memory is built — before
+    /// the left seal it streams: the next polls probe the left rows it holds
+    /// and every one that lands in it later. A second call does nothing.
     pub fn seal_right(&mut self, batch_rows: usize) {
-        self.batch_rows.get_or_insert(batch_rows.max(1) as u64);
-        for p in 0..NUM_PARTITIONS {
-            let part = &mut self.right.partitions[p];
-            if self.states[p] != PartitionState::Building || part.spill_file.is_some() {
+        if self.batch_rows.is_some() {
+            return;
+        }
+        self.batch_rows = Some(batch_rows.max(1) as u64);
+        for part in &mut self.partitions {
+            if part.state != PartitionState::Open || part.right.spill_file.is_some() {
                 continue;
             }
-            let right = std::mem::replace(&mut part.columns, vec![Vec::new(); self.right.arity]);
-            self.right.buffered_bytes -= column_bytes(&right);
-            self.builds[p] = Some(Build::new(&self.spec, right, &self.memory));
-            self.states[p] = PartitionState::Streaming;
+            let arity = part.right.columns.len();
+            let right = std::mem::replace(&mut part.right.columns, vec![Vec::new(); arity]);
+            let streams = !self.left_sealed;
+            part.build = Some(Build::new(&self.spec, right, &self.memory, streams));
+            part.state = PartitionState::Built;
         }
     }
 
-    /// Seals the left input, and the right one if it is still open (then
-    /// `batch_rows` counts): every building partition becomes sealed. No
-    /// buffer moves — deferred partitions stay resident or spilled until the
-    /// probe loads them one at a time, so the consumer controls the pace.
+    /// Seals the left input: [`HashJoiner::seal_right`] (whose `batch_rows`
+    /// counts only if the right side is still open, and whose builds then do
+    /// not stream) plus closing the left input. What is not built by then
+    /// stays resident or spilled until the probe's cursor loads it, one
+    /// partition at a time, so the consumer controls the pace.
     pub fn seal(&mut self, batch_rows: usize) {
-        self.batch_rows.get_or_insert(batch_rows.max(1) as u64);
         self.left_sealed = true;
-        for state in &mut self.states {
-            if *state == PartitionState::Building {
-                *state = PartitionState::Sealed;
-            }
-        }
+        self.seal_right(batch_rows);
     }
 
     /// `true` once both sides are sealed.
@@ -441,13 +438,14 @@ impl HashJoiner {
         self
     }
 
-    /// Ships one partition's unprobed work, highest index first (the probe
-    /// cursor walks upward — the take-from-the-back policy of
-    /// `SharedQueue::steal_into`): a deferred partition whole, a streaming
-    /// one's waiting left rows with its build unbuilt (copied if the probe
-    /// holds it). Partitions empty on either side are skipped. Before the
-    /// left seal this is only sound once no further input can arrive — a
-    /// thief's steal request implies global end-of-stream for both sides.
+    /// Ships one local partition's unprobed work, highest index first (the
+    /// probe cursor walks upward — the take-from-the-back policy of
+    /// `SharedQueue::steal_into`): an open partition whole, a built one's
+    /// waiting left rows with its build unbuilt (copied if the probe holds
+    /// it). Partitions empty on either side are skipped, and so are those
+    /// adopted from peers. Before the left seal this is only sound once no
+    /// further input can arrive — a thief's steal request implies global
+    /// end-of-stream for both sides.
     ///
     /// The returned columns *keep* their memory-tracker charge: in-memory
     /// bytes stay charged, spilled bytes are newly charged as they are read
@@ -456,103 +454,102 @@ impl HashJoiner {
     /// adoption (allocate-before-release, as in `SharedQueue::steal_into`).
     pub fn take_unprobed_partition(&mut self) -> Result<Option<TakenPartition>> {
         let unprobed = |&p: &usize| {
-            side_has_rows(&self.left, p)
-                && match self.states[p] {
-                    PartitionState::Building | PartitionState::Sealed => {
-                        side_has_rows(&self.right, p)
-                    }
+            let part = &self.partitions[p];
+            part.left.rows() > 0
+                && match part.state {
+                    PartitionState::Open => part.right.rows() > 0,
                     // Its build is in the slot or held by the probe.
-                    PartitionState::Streaming => self.builds[p].as_ref().is_none_or(|b| b.rows > 0),
+                    PartitionState::Built => part.build.as_ref().is_none_or(|b| b.rows > 0),
                     _ => false,
                 }
         };
-        let Some(p) = (self.partition..NUM_PARTITIONS).rev().find(unprobed) else {
+        let Some(p) = (self.cursor..NUM_PARTITIONS).rev().find(unprobed) else {
             return Ok(None);
         };
-        let Some(probe) = self.current.as_ref().filter(|probe| probe.index == Some(p)) else {
-            if self.states[p] == PartitionState::Streaming {
+        let Some(probe) = self.current.as_ref().filter(|probe| probe.index == p) else {
+            if self.partitions[p].state == PartitionState::Built {
                 self.demote(p);
             }
-            let taken = take_partition(&mut self.left, &mut self.right, p, &self.memory)?;
-            self.states[p] = PartitionState::Shipped;
-            return Ok(Some(taken));
+            let part = &mut self.partitions[p];
+            let left = part.left.take(&self.memory)?;
+            let right = part.right.take(&self.memory);
+            let right = right.inspect_err(|_| self.memory.release(column_bytes(&left)))?;
+            part.state = PartitionState::Shipped;
+            return Ok(Some((left, right)));
         };
-        let right = probe.build.unbuild(&self.spec, self.right.arity);
+        let part = &mut self.partitions[p];
+        let right = probe.build.unbuild(&self.spec, part.right.columns.len());
         self.memory.allocate(column_bytes(&right));
-        let left = take_side_columns(&mut self.left, p, &self.memory)?;
+        let left = part.left.take(&self.memory)?;
         Ok(Some((left, right)))
     }
 
-    /// Adopts a partition shipped from a peer; the sealed joiner probes it
-    /// after its own, and an exhausted one is revived by it. The caller has
-    /// already charged the columns' bytes to this machine's tracker (on
-    /// receipt, before the shipper releases its side —
-    /// allocate-before-release); the joiner releases them when the adopted
-    /// probe completes. Adoption before the (left) seal is a
+    /// Adopts a partition shipped from a peer: it joins the table, and the
+    /// sealed joiner's cursor probes it after its own — an exhausted joiner
+    /// is revived by it. The caller has already charged the columns' bytes
+    /// to this machine's tracker (on receipt, before the shipper releases
+    /// its side — allocate-before-release); the joiner releases them as it
+    /// would its own rows. Adoption before the (left) seal is a
     /// [`EngineError::Config`] error.
     pub fn adopt_partition(&mut self, left: Columns, right: Columns) -> Result<()> {
         if !self.left_sealed {
             let message = "PUSH-JOIN adopted a partition before sealing";
             return Err(EngineError::Config(message.into()));
         }
-        self.adopted.push_back((left, right));
+        self.partitions
+            .push(Partition::new(PartitionState::Open, left, right));
         Ok(())
     }
 
-    /// Flushes every in-memory, not-yet-loaded deferred partition of both
-    /// sides to disk — the memory governor's spill actuator, in any phase —
-    /// and demotes the largest resident build, so lasting pressure takes the
-    /// streaming partitions one per call. What a probe holds stays, and so
-    /// do left rows waiting for a build. Returns the bytes released.
+    /// The memory governor's spill actuator, in any phase: demotes resident
+    /// builds and flushes both sides of every open partition to disk. While
+    /// left rows stream in, the largest free build is demoted, so lasting
+    /// pressure takes them one per call; after the left seal a free build is
+    /// only waiting for the cursor, and every one goes. What a probe holds
+    /// stays, and so do left rows waiting for a build. Returns the bytes
+    /// released.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
         let before = self.buffered_bytes();
-        let builds = self.builds.iter().enumerate();
-        let largest = builds.filter_map(|(p, b)| Some((p, b.as_ref()?.bytes)));
-        if let Some((p, _)) = largest.max_by_key(|&(_, bytes)| bytes) {
+        let builds = self.partitions.iter().enumerate();
+        let mut free: Vec<_> = builds
+            .filter_map(|(p, part)| Some((part.build.as_ref()?.bytes, p)))
+            .collect();
+        free.sort_unstable();
+        let demoted = if self.left_sealed { free.len() } else { 1 };
+        for &(_, p) in free.iter().rev().take(demoted) {
             self.demote(p);
         }
-        for p in (0..NUM_PARTITIONS).filter(|&p| self.states[p] != PartitionState::Streaming) {
-            for (side, tag) in [(&mut self.left, "l"), (&mut self.right, "r")] {
-                let part = &mut side.partitions[p];
-                let bytes =
-                    spill_partition(part, &self.spill_dir, tag, p, &mut self.spill_counter)?;
-                side.buffered_bytes -= bytes;
+        let open = self.partitions.iter_mut().enumerate();
+        for (p, part) in open.filter(|(_, part)| part.state == PartitionState::Open) {
+            for (side, tag) in [(&mut part.left, "l"), (&mut part.right, "r")] {
+                let bytes = side.spill(&self.spill_dir, tag, p, &mut self.spill_counter)?;
                 self.memory.release(bytes);
             }
         }
         Ok(before - self.buffered_bytes())
     }
 
-    /// Demotes streaming partition `p`, whose build is in its slot, to the
-    /// deferred path: the build turns back into the right rows it was made
-    /// from, buffered like any others.
+    /// Demotes built partition `p`, whose build is in its slot, to open: the
+    /// build turns back into the right rows it was made from, buffered like
+    /// any others.
     fn demote(&mut self, p: usize) {
-        let build = self.builds[p].take().expect("a resident build");
-        let part = &mut self.right.partitions[p];
-        part.columns = build.unbuild(&self.spec, part.columns.len());
-        let bytes = column_bytes(&part.columns);
-        self.memory.allocate(bytes);
+        let part = &mut self.partitions[p];
+        let build = part.build.take().expect("a free build");
+        part.right.columns = build.unbuild(&self.spec, part.right.columns.len());
+        self.memory.allocate(column_bytes(&part.right.columns));
         self.memory.release(build.bytes);
-        self.right.buffered_bytes += bytes;
-        self.states[p] = match self.left_sealed {
-            true => PartitionState::Sealed,
-            false => PartitionState::Building,
-        };
+        part.state = PartitionState::Open;
     }
 
     /// Bytes resident in memory that no probe holds: rows and builds.
     pub fn buffered_bytes(&self) -> u64 {
-        let builds = self.builds.iter().flatten().map(|b| b.bytes);
-        self.left.buffered_bytes + self.right.buffered_bytes + builds.sum::<u64>()
+        self.partitions.iter().map(Partition::bytes).sum()
     }
 
     /// `true` if any partition spilled to disk.
     pub fn spilled(&self) -> bool {
-        self.left
-            .partitions
-            .iter()
-            .chain(self.right.partitions.iter())
-            .any(|p| p.spill_file.is_some())
+        let mut sides = self.partitions.iter().flat_map(|p| [&p.left, &p.right]);
+        sides.any(|s| s.spill_file.is_some())
     }
 
     /// Installs the run's cancellation token: every probe poll checks it
@@ -572,20 +569,17 @@ impl HashJoiner {
         self.tested
     }
 
-    /// Left rows `(streamed, deferred)`: probed against a resident build,
-    /// and taken by the deferred path after the left seal (probed, or
-    /// dropped when their partition has no right rows).
+    /// Left rows `(streamed, deferred)`: probed against a build made before
+    /// the left seal, and the rest (probed against a build made at or after
+    /// it, or dropped with a partition that has no right rows).
     pub fn left_rows(&self) -> (u64, u64) {
-        (self.streamed, self.deferred)
+        (self.left_rows[0], self.left_rows[1])
     }
 
     /// `true` once both sides are sealed and every local and adopted
     /// partition has been consumed.
     pub fn is_exhausted(&self) -> bool {
-        self.left_sealed
-            && self.current.is_none()
-            && self.partition >= NUM_PARTITIONS
-            && self.adopted.is_empty()
+        self.left_sealed && self.current.is_none() && self.cursor >= self.partitions.len()
     }
 
     /// `true` when a probe poll can make progress now.
@@ -595,18 +589,24 @@ impl HashJoiner {
             || (self.left_sealed && !self.is_exhausted())
     }
 
-    /// Left rows that wait in streaming partitions for a probe.
+    /// Left rows that wait in built partitions for a probe.
     pub fn waiting_rows(&self) -> u64 {
-        let streaming =
-            (0..NUM_PARTITIONS).filter(|&p| self.states[p] == PartitionState::Streaming);
-        streaming.map(|p| side_rows(&self.left, p)).sum()
+        let built = self
+            .partitions
+            .iter()
+            .filter(|p| p.state == PartitionState::Built);
+        built.map(|p| p.left.rows()).sum()
     }
 
-    /// The streaming partition with a free build and the most rows waiting.
+    /// The partition with a free build and the most rows waiting.
     fn waiting_partition(&self) -> Option<usize> {
-        let free = (0..NUM_PARTITIONS).filter(|&p| self.builds[p].is_some());
+        let free = self
+            .partitions
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.build.is_some());
         let (p, rows) = free
-            .map(|p| (p, side_rows(&self.left, p)))
+            .map(|(p, part)| (p, part.left.rows()))
             .max_by_key(|&(_, rows)| rows)?;
         (rows > 0).then_some(p)
     }
@@ -671,19 +671,14 @@ impl HashJoiner {
             let ((tested, matched, exhausted), out) = sink(probe, &self.spec, batch_rows);
             self.tested += tested;
             if exhausted {
+                // The build goes back to its slot for more left rows — or,
+                // with the left side sealed and none waiting, it is retired.
                 let probe = self.current.take().expect("a partition is resident");
                 self.memory.release(probe.left_bytes);
-                match probe.index {
-                    // A streaming build waits in its slot for more left rows.
-                    Some(p) if self.states[p] == PartitionState::Streaming => {
-                        self.builds[p] = Some(probe.build);
-                    }
-                    index => {
-                        self.memory.release(probe.build.bytes);
-                        if let Some(p) = index {
-                            self.states[p] = PartitionState::Done;
-                        }
-                    }
+                let part = &mut self.partitions[probe.index];
+                part.build = Some(probe.build);
+                if self.left_sealed && part.left.rows() == 0 {
+                    self.retire(probe.index);
                 }
             }
             if matched > 0 {
@@ -694,82 +689,73 @@ impl HashJoiner {
         }
     }
 
-    /// Loads the next probe: a streaming partition's waiting left rows
-    /// against its build; once both sides are sealed, the next deferred
-    /// partition with rows on both sides, local partitions first, then
-    /// adopted (stolen) ones. Returns `false` when none is left.
+    /// Loads the next probe of a built partition's waiting left rows: before
+    /// the left seal, the one with the most rows waiting; after it, the
+    /// cursor's, the cursor building each open partition it reaches and
+    /// retiring each that cannot pair or has nothing waiting. Returns
+    /// `false` when none is left.
     fn load_next_partition(&mut self) -> Result<bool> {
-        if let Some(p) = self.waiting_partition() {
-            // Charged until the probe is done (reloaded ones newly so).
-            let left = take_side_columns(&mut self.left, p, &self.memory)?;
-            self.streamed += column_rows(&left) as u64;
-            let build = self.builds[p].take().expect("a waiting partition's build");
-            self.current = Some(PartitionProbe::new(&self.spec, build, left, Some(p)));
-            return Ok(true);
-        }
-        if !self.left_sealed {
-            return Ok(false);
-        }
-        let (left, build, index) = loop {
-            if self.partition >= NUM_PARTITIONS {
-                // Adopted partitions' bytes were charged on receipt, not here.
-                let Some((left, right)) = self.adopted.pop_front() else {
+        let p = if self.left_sealed {
+            loop {
+                let Some(part) = self.partitions.get_mut(self.cursor) else {
                     return Ok(false);
                 };
-                break (left, Build::new(&self.spec, right, &self.memory), None);
-            }
-            let p = self.partition;
-            self.partition += 1;
-            match self.states[p] {
-                // A thief owns this partition now, or it is probed already.
-                PartitionState::Shipped | PartitionState::Done => continue,
-                // Its left rows are all probed: the build can go.
-                PartitionState::Streaming => {
-                    let build = self.builds[p].take().expect("an idle streaming build");
-                    self.memory.release(build.bytes);
-                    self.states[p] = PartitionState::Done;
-                    continue;
+                let right_rows = part
+                    .build
+                    .as_ref()
+                    .map_or(part.right.rows(), |b| b.rows as u64);
+                match part.state {
+                    // A thief owns this partition now, or it is probed already.
+                    PartitionState::Shipped | PartitionState::Done => {}
+                    _ if part.left.rows() == 0 || right_rows == 0 => self.retire(self.cursor),
+                    PartitionState::Open => {
+                        // Charged as an adopted partition arrives, then
+                        // traded for its build.
+                        let right = part.right.take(&self.memory)?;
+                        part.build = Some(Build::new(&self.spec, right, &self.memory, false));
+                        part.state = PartitionState::Built;
+                        continue;
+                    }
+                    PartitionState::Built => break self.cursor,
                 }
-                _ => {}
+                self.cursor += 1;
             }
-            if !side_has_rows(&self.left, p) || !side_has_rows(&self.right, p) {
-                // Nothing can pair: unlink both sides' buffers and spill
-                // files without reading them back.
-                self.deferred += side_rows(&self.left, p);
-                discard_partition(&mut self.left, p, &self.memory);
-                discard_partition(&mut self.right, p, &self.memory);
-                self.states[p] = PartitionState::Done;
-                continue;
-            }
-            // Both sides come out charged, as an adopted partition arrives:
-            // the right one first, traded for its build before the left loads.
-            let right = take_side_columns(&mut self.right, p, &self.memory)?;
-            let build = Build::new(&self.spec, right, &self.memory);
-            let left = take_side_columns(&mut self.left, p, &self.memory)
-                .inspect_err(|_| self.memory.release(build.bytes))?;
-            self.states[p] = PartitionState::Probing;
-            break (left, build, Some(p));
+        } else {
+            let Some(p) = self.waiting_partition() else {
+                return Ok(false);
+            };
+            p
         };
-        self.deferred += column_rows(&left) as u64;
-        self.current = Some(PartitionProbe::new(&self.spec, build, left, index));
+        // Charged until the probe is done (reloaded ones newly so).
+        let part = &mut self.partitions[p];
+        let left = part.left.take(&self.memory)?;
+        let build = part.build.take().expect("a free build");
+        self.left_rows[usize::from(!build.streams)] += column_rows(&left) as u64;
+        self.current = Some(PartitionProbe::new(&self.spec, build, left, p));
         Ok(true)
+    }
+
+    /// Retires partition `p`, whose rows can no longer pair: both sides'
+    /// buffers and spill files go without being read back (its left rows
+    /// count as taken), and so does its build.
+    fn retire(&mut self, p: usize) {
+        let done = Partition::new(PartitionState::Done, Vec::new(), Vec::new());
+        let part = std::mem::replace(&mut self.partitions[p], done);
+        let streams = part.build.as_ref().is_some_and(|b| b.streams);
+        self.left_rows[usize::from(!streams)] += part.left.rows();
+        self.memory.release(part.bytes());
     }
 }
 
 impl Drop for HashJoiner {
     fn drop(&mut self) {
-        // Balance the tracker for everything still buffered, built, loaded
-        // or adopted (spill files are removed by the partitions' own `Drop`).
+        // Balance the tracker for everything still buffered, built or
+        // loaded (spill files are removed by the sides' own `Drop`).
         let loaded = self
             .current
             .as_ref()
             .map_or(0, |probe| probe.left_bytes + probe.build.bytes);
-        let adopted = self
-            .adopted
-            .iter()
-            .map(|(l, r)| column_bytes(l) + column_bytes(r));
-        self.memory
-            .release(self.buffered_bytes() + loaded + adopted.sum::<u64>());
+        self.memory.release(self.buffered_bytes() + loaded);
     }
 }
 
@@ -899,9 +885,8 @@ impl BoundRow {
 }
 
 /// The build side of one partition, resident: the kept right columns
-/// grouped by join key behind a hash table. A streaming partition keeps it
-/// from the right seal to its last left row; a deferred one builds it when
-/// the probe loads the partition.
+/// grouped by join key behind a hash table, made at the right seal or by
+/// the probe's cursor and kept until the partition's last left row.
 struct Build {
     /// One dense vector per kept right column ([`ProbeSpec::kept`]), rows
     /// grouped by join key (input order kept within a group), [`LANES`]
@@ -912,6 +897,8 @@ struct Build {
     rows: usize,
     /// Bytes of the kept columns, charged to the tracker while resident.
     bytes: u64,
+    /// Made before the left seal: left rows probed against it stream.
+    streams: bool,
 }
 
 impl Build {
@@ -925,7 +912,12 @@ impl Build {
     /// the groups are known; a kept one is charged before it is filled and
     /// its source released right after, so the tracked peak covers the one
     /// moment both exist.
-    fn new(spec: &ProbeSpec, mut right: Vec<Vec<VertexId>>, memory: &MemoryTrackerHandle) -> Self {
+    fn new(
+        spec: &ProbeSpec,
+        mut right: Columns,
+        memory: &MemoryTrackerHandle,
+        streams: bool,
+    ) -> Self {
         let n_rows = column_rows(&right);
         let mut table = KeyTable::with_capacity_and_hasher(n_rows, Default::default());
         // Rows per group, then (after the scan) each group's first row.
@@ -989,6 +981,7 @@ impl Build {
             table,
             rows: n_rows,
             bytes: spec.kept.len() as u64 * column_bytes,
+            streams,
         }
     }
 
@@ -1036,13 +1029,13 @@ struct PartitionProbe {
     /// End of the current left row's range of right rows.
     match_end: u32,
     bound: BoundRow,
-    /// Local partition index (`None` for partitions adopted from a peer).
-    index: Option<usize>,
+    /// The partition's index in the joiner's table.
+    index: usize,
 }
 
 impl PartitionProbe {
     /// A probe of `left` against `build`, from its first row.
-    fn new(spec: &ProbeSpec, build: Build, left: Vec<Vec<VertexId>>, index: Option<usize>) -> Self {
+    fn new(spec: &ProbeSpec, build: Build, left: Vec<Vec<VertexId>>, index: usize) -> Self {
         PartitionProbe {
             left_bytes: column_bytes(&left),
             left,
@@ -1210,47 +1203,74 @@ const SPILL_PIECE: usize = 16 * 1024;
 /// Bytes of one value in a spill file.
 const VALUE_BYTES: usize = std::mem::size_of::<VertexId>();
 
-/// Appends one partition's in-memory rows to its spill file (creating the
-/// file on first spill) as one block: the row count as a little-endian `u64`,
-/// then the columns one after another, every value a little-endian `u32`.
-/// Returns the in-memory bytes flushed; the caller is responsible for
-/// adjusting the side's `buffered_bytes` and the memory tracker (so the
-/// helper composes with both the threshold spill in [`HashJoiner::add`] and
-/// the governor-driven full spills).
-fn spill_partition(
-    part: &mut SidePartition,
-    spill_dir: &Path,
-    tag: &str,
-    index: usize,
-    counter: &mut usize,
-) -> Result<u64> {
-    let bytes = column_bytes(&part.columns);
-    if bytes == 0 {
-        return Ok(0);
+impl Side {
+    /// Rows held, in memory and spilled.
+    fn rows(&self) -> u64 {
+        column_rows(&self.columns) as u64 + self.spilled_rows
     }
-    let path = part.spill_file.get_or_insert_with(|| {
-        *counter += 1;
-        spill_dir.join(format!("join-{tag}-{index}-{counter}.spill"))
-    });
-    std::fs::create_dir_all(spill_dir)?;
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut w = BufWriter::new(file);
-    let block_rows = column_rows(&part.columns);
-    w.write_all(&(block_rows as u64).to_le_bytes())?;
-    let mut piece = vec![0u8; block_rows.min(SPILL_PIECE) * VALUE_BYTES];
-    for values in part.columns.iter().flat_map(|c| c.chunks(SPILL_PIECE)) {
-        let piece = &mut piece[..values.len() * VALUE_BYTES];
-        for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
-            bytes.copy_from_slice(&value.to_le_bytes());
+
+    /// Appends the resident rows to the spill file (creating the file on
+    /// first spill) as one block: the row count as a little-endian `u64`,
+    /// then the columns one after another, every value a little-endian
+    /// `u32`. Returns the in-memory bytes flushed; the caller releases them
+    /// from the memory tracker (so the helper composes with both the
+    /// threshold spill in [`HashJoiner::add`] and the governor-driven full
+    /// spills).
+    fn spill(&mut self, dir: &Path, tag: &str, index: usize, counter: &mut usize) -> Result<u64> {
+        let bytes = column_bytes(&self.columns);
+        if bytes == 0 {
+            return Ok(0);
         }
-        w.write_all(piece)?;
+        let path = self.spill_file.get_or_insert_with(|| {
+            *counter += 1;
+            dir.join(format!("join-{tag}-{index}-{counter}.spill"))
+        });
+        std::fs::create_dir_all(dir)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut w = BufWriter::new(file);
+        let block_rows = column_rows(&self.columns);
+        w.write_all(&(block_rows as u64).to_le_bytes())?;
+        let mut piece = vec![0u8; block_rows.min(SPILL_PIECE) * VALUE_BYTES];
+        for values in self.columns.iter().flat_map(|c| c.chunks(SPILL_PIECE)) {
+            let piece = &mut piece[..values.len() * VALUE_BYTES];
+            for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
+                bytes.copy_from_slice(&value.to_le_bytes());
+            }
+            w.write_all(piece)?;
+        }
+        w.flush()?;
+        self.spilled_rows += block_rows as u64;
+        // Drop the allocations too (not just the lengths): a spill exists to
+        // make the resident footprint actually shrink.
+        self.columns.fill(Vec::new());
+        Ok(bytes)
     }
-    w.flush()?;
-    part.spilled_rows += block_rows as u64;
-    // Drop the allocations too (not just the lengths): a spill exists to make
-    // the resident footprint actually shrink.
-    part.columns.fill(Vec::new());
-    Ok(bytes)
+
+    /// Takes the rows out — to be built, probed or shipped — with whatever
+    /// spilled read back behind the resident rows (the file is deleted
+    /// either way). The columns come out *charged*: resident rows stay
+    /// charged to the tracker (ownership of the charge moves to the caller)
+    /// and spilled rows are newly charged as they come back from disk.
+    /// Combined with a thief charging on receipt before the shipper releases
+    /// on ack, the cluster-wide tracked sum can transiently over-count but
+    /// never under-count during a hand-off — the same discipline as
+    /// `SharedQueue::steal_into`. A failed reload releases what it held.
+    fn take(&mut self, memory: &MemoryTrackerHandle) -> Result<Columns> {
+        // The side keeps its arity: a built partition takes more rows later.
+        let arity = self.columns.len();
+        let mut columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
+        let resident = column_bytes(&columns);
+        if let Some(path) = self.spill_file.take() {
+            let read = read_spill_file(&path, std::mem::take(&mut self.spilled_rows), &mut columns);
+            let _ = std::fs::remove_file(&path);
+            if let Err(e) = read {
+                memory.release(resident);
+                return Err(e.into());
+            }
+            memory.allocate(column_bytes(&columns) - resident);
+        }
+        Ok(columns)
+    }
 }
 
 /// Reads a spill file's blocks back onto the end of `columns`. Nothing in the
@@ -1304,77 +1324,6 @@ fn read_spill_file(
         )));
     }
     Ok(())
-}
-
-/// Drops one partition of one side without reading it back: releases its
-/// in-memory rows and unlinks its spill file (used when either side's
-/// partition is empty, so the join cannot produce anything from it).
-fn discard_partition(side: &mut SideBuffer, p: usize, memory: &MemoryTrackerHandle) {
-    let part = &mut side.partitions[p];
-    let bytes = column_bytes(&std::mem::take(&mut part.columns));
-    side.buffered_bytes -= bytes;
-    memory.release(bytes);
-    if let Some(path) = part.spill_file.take() {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-/// Rows one partition of one side holds, in memory and spilled.
-fn side_rows(side: &SideBuffer, p: usize) -> u64 {
-    let part = &side.partitions[p];
-    column_rows(&part.columns) as u64 + part.spilled_rows
-}
-
-/// `true` when one partition of one side holds any rows (in memory or
-/// spilled) — i.e. probing or shipping it would move real work.
-fn side_has_rows(side: &SideBuffer, p: usize) -> bool {
-    let part = &side.partitions[p];
-    column_rows(&part.columns) > 0 || part.spill_file.is_some()
-}
-
-/// Takes one partition of one side out of its buffer — to be probed here or
-/// shipped — with whatever it spilled read back behind its resident rows
-/// (the file is deleted either way). The columns come out *charged*: resident
-/// rows stay charged to the tracker (ownership of the charge moves to the
-/// caller) and spilled rows are newly charged as they come back from disk.
-/// Combined with a thief charging on receipt before the shipper releases on
-/// ack, the cluster-wide tracked sum can transiently over-count but never
-/// under-count during a hand-off — the same discipline as
-/// `SharedQueue::steal_into`. A failed reload releases what it held.
-fn take_side_columns(
-    side: &mut SideBuffer,
-    p: usize,
-    memory: &MemoryTrackerHandle,
-) -> Result<Vec<Vec<VertexId>>> {
-    let arity = side.arity;
-    let part = &mut side.partitions[p];
-    // The partition keeps its arity: a streaming one takes more rows later.
-    let mut columns = std::mem::replace(&mut part.columns, vec![Vec::new(); arity]);
-    let resident = column_bytes(&columns);
-    side.buffered_bytes -= resident;
-    if let Some(path) = part.spill_file.take() {
-        let read = read_spill_file(&path, std::mem::take(&mut part.spilled_rows), &mut columns);
-        let _ = std::fs::remove_file(&path);
-        if let Err(e) = read {
-            memory.release(resident);
-            return Err(e.into());
-        }
-        memory.allocate(column_bytes(&columns) - resident);
-    }
-    Ok(columns)
-}
-
-/// [`take_side_columns`] of both sides of partition `p`.
-fn take_partition(
-    left: &mut SideBuffer,
-    right: &mut SideBuffer,
-    p: usize,
-    memory: &MemoryTrackerHandle,
-) -> Result<TakenPartition> {
-    let left = take_side_columns(left, p, memory)?;
-    let right =
-        take_side_columns(right, p, memory).inspect_err(|_| memory.release(column_bytes(&left)))?;
-    Ok((left, right))
 }
 
 #[cfg(test)]
@@ -1646,7 +1595,7 @@ mod tests {
         let mut spilled = build(1024);
         assert!(spilled.spilled());
         spilled.spill_to_disk().unwrap();
-        let blocks = spilled.left.partitions.iter().map(|p| p.spilled_rows);
+        let blocks = spilled.partitions.iter().map(|p| p.left.spilled_rows);
         assert_eq!(blocks.sum::<u64>(), u64::from(n));
         let mut resident = build(1 << 20);
         assert!(!resident.spilled());
@@ -1773,22 +1722,25 @@ mod tests {
         let mut shipped = Vec::new();
         let mut ship = |joiner: &mut HashJoiner| {
             shipped.push(joiner.take_unprobed_partition().unwrap().expect("a ship"));
-            let states = joiner.states.iter();
-            let gone = states.filter(|&&s| s == PartitionState::Shipped);
+            let states = joiner.partitions.iter().map(|p| p.state);
+            let gone = states.filter(|&s| s == PartitionState::Shipped);
             assert_eq!(gone.count(), shipped.len());
         };
         // Before the seal: the rest keep building, then all of it seals.
         ship(&mut shipper);
         let building = shipper
-            .states
+            .partitions
             .iter()
-            .filter(|&&s| s == PartitionState::Building);
+            .filter(|p| p.state == PartitionState::Open);
         assert_eq!(building.count(), NUM_PARTITIONS - 1);
         shipper.seal(16);
-        assert!(!shipper.states.contains(&PartitionState::Building));
+        assert!(shipper
+            .partitions
+            .iter()
+            .all(|p| p.state != PartitionState::Open));
         // Mid-probe: one batch out of a partition, one more partition away.
         let first = shipper.next_batch().unwrap().expect("local rows");
-        assert!(shipper.states.contains(&PartitionState::Probing));
+        assert!(shipper.current.is_some());
         ship(&mut shipper);
         let mut split_rows = first.to_rows().rows().map(|r| r.to_vec()).collect();
         split_rows = drain_into(&mut shipper, split_rows);
@@ -1844,13 +1796,13 @@ mod tests {
         shipper.add(JoinSide::Right, &batch2(&right)).unwrap();
         shipper.seal_right(16);
         assert!(shipper
-            .states
+            .partitions
             .iter()
-            .all(|&s| s == PartitionState::Streaming));
+            .all(|p| p.state == PartitionState::Built));
         let half = n as usize / 2;
         shipper.add(JoinSide::Left, &batch2(&left[..half])).unwrap();
         let first = shipper.next_batch().unwrap().expect("streamed rows");
-        let held = shipper.current.as_ref().and_then(|probe| probe.index);
+        let held = shipper.current.as_ref().map(|probe| probe.index);
         let held = held.expect("the probe holds a build");
         shipper.add(JoinSide::Left, &batch2(&left[half..])).unwrap();
         let mut shipped = Vec::new();
@@ -1858,11 +1810,11 @@ mod tests {
             shipped.push(taken);
         }
         assert_eq!(shipper.waiting_rows(), 0);
-        assert_eq!(shipper.states[held], PartitionState::Streaming);
+        assert_eq!(shipper.partitions[held].state, PartitionState::Built);
         let gone = shipper
-            .states
+            .partitions
             .iter()
-            .filter(|&&s| s == PartitionState::Shipped);
+            .filter(|p| p.state == PartitionState::Shipped);
         assert_eq!(
             gone.count(),
             shipped.len() - 1,
@@ -1906,6 +1858,9 @@ mod tests {
             // two batches. Input after it is refused.
             join.seal(3);
             assert!(join.add(JoinSide::Left, &left).is_err_and(refused));
+            // Nothing spilled, so the seal built every partition: all three
+            // left rows wait for the probe.
+            assert_eq!(join.waiting_rows(), 3);
             join
         };
         let mut join = build();
@@ -2094,7 +2049,7 @@ mod tests {
                 );
                 joiner.add(JoinSide::Left, rows).unwrap();
                 let empty: Vec<usize> = (0..NUM_PARTITIONS)
-                    .filter(|&p| !side_has_rows(&joiner.left, p))
+                    .filter(|&p| joiner.partitions[p].left.rows() == 0)
                     .collect();
                 assert!(
                     empty.is_empty(),
@@ -2163,14 +2118,15 @@ mod tests {
                 // Stretch the id range to both ends: 0 is also what pads the
                 // columns, `u32::MAX` and 0 leave a bound no room.
                 extreme in flag(),
-                // `None` seals both sides at once. `Some` seals the right
-                // side first: `(left rows before the right seal, partitions
-                // spilled before it, streaming partitions demoted mid-stream,
-                // left rows before the demotion)`, row counts in 48ths.
-                arrival in prop_oneof![
+                // Partitions spilled just before the first seal, then the
+                // schedule. `None` seals both sides at once. `Some` seals the
+                // right side first: `(left rows before the right seal, built
+                // partitions demoted mid-stream, left rows before the
+                // demotion)`, row counts in 48ths.
+                (spilled, arrival) in (0u32..1 << 16, prop_oneof![
                     Just(None),
-                    (0usize..49, 0u32..1 << 16, 0u32..1 << 16, 0usize..49).prop_map(Some)
-                ],
+                    (0usize..49, 0u32..1 << 16, 0usize..49).prop_map(Some)
+                ]),
             ) {
                 // Left rows are [key.., extras..]; right rows [extras.., key..].
                 let (left_arity, right_arity) = (key_width + left_extra, right_extra + key_width);
@@ -2250,9 +2206,22 @@ mod tests {
                         }
                         Ok::<_, EngineError>(())
                     };
-                    let Some((before, spilled, demoted, demote_at)) = arrival else {
+                    // Spills both sides of the `spilled` partitions: the
+                    // seal leaves them open, for the cursor to build.
+                    let spill_masked = |joiner: &mut HashJoiner| {
+                        for p in (0..NUM_PARTITIONS).filter(|p| spilled >> p & 1 == 1) {
+                            let part = &mut joiner.partitions[p];
+                            for (side, tag) in [(&mut part.left, "l"), (&mut part.right, "r")] {
+                                let counter = &mut joiner.spill_counter;
+                                tracker.release(side.spill(&joiner.spill_dir, tag, p, counter)?);
+                            }
+                        }
+                        Ok::<_, EngineError>(())
+                    };
+                    let Some((before, demoted, demote_at)) = arrival else {
                         add(&mut joiner, JoinSide::Left, &left, None)?;
                         add(&mut joiner, JoinSide::Right, &right, None)?;
+                        spill_masked(&mut joiner)?;
                         joiner.seal(batch_rows);
                         sink(&mut joiner, true)?;
                         return Ok(joiner);
@@ -2261,20 +2230,13 @@ mod tests {
                     let (before, demote_at) = (at(before), at(demote_at).max(at(before)));
                     add(&mut joiner, JoinSide::Right, &right, None)?;
                     add(&mut joiner, JoinSide::Left, &left[..before], None)?;
-                    for p in (0..NUM_PARTITIONS).filter(|p| spilled >> p & 1 == 1) {
-                        let (dir, counter) = (&joiner.spill_dir, &mut joiner.spill_counter);
-                        for (side, tag) in [(&mut joiner.left, "l"), (&mut joiner.right, "r")] {
-                            let bytes = spill_partition(&mut side.partitions[p], dir, tag, p, counter)?;
-                            side.buffered_bytes -= bytes;
-                            tracker.release(bytes);
-                        }
-                    }
+                    spill_masked(&mut joiner)?;
                     joiner.seal_right(batch_rows);
                     sink(&mut joiner, true)?;
                     add(&mut joiner, JoinSide::Left, &left[before..demote_at], Some(&mut *sink))?;
                     // A build a probe holds stays: it is the working set.
                     for p in (0..NUM_PARTITIONS).filter(|p| demoted >> p & 1 == 1) {
-                        if joiner.builds[p].is_some() {
+                        if joiner.partitions[p].build.is_some() {
                             joiner.demote(p);
                         }
                     }
@@ -2397,11 +2359,12 @@ mod tests {
                     );
                     joiner.add(JoinSide::Left, l).unwrap();
                     joiner.add(JoinSide::Right, r).unwrap();
-                    let sides = [(&joiner.left, &op.key_left), (&joiner.right, &op.key_right)];
+                    let sides = [(JoinSide::Left, &op.key_left), (JoinSide::Right, &op.key_right)];
                     for (homes, (side, key_positions)) in homes.iter_mut().zip(sides) {
-                        for (p, part) in side.partitions.iter().enumerate() {
-                            for row in 0..column_rows(&part.columns) {
-                                let key = key_positions.iter().map(|&c| part.columns[c][row]).collect();
+                        for (p, part) in joiner.partitions.iter_mut().enumerate() {
+                            let side = part.side(side);
+                            for row in 0..column_rows(&side.columns) {
+                                let key = key_positions.iter().map(|&c| side.columns[c][row]).collect();
                                 let home = *homes.entry(key).or_insert((machine, p));
                                 prop_assert_eq!(home, (machine, p), "one key, two homes");
                             }

@@ -43,8 +43,8 @@
 //!
 //! Join skew is handled by **cross-machine Grace partition stealing** over
 //! the router's control plane: a machine that drained its own join requests
-//! unprobed work from busy peers — a deferred partition, or the left rows
-//! waiting in a streaming one with a copy of its build (see
+//! unprobed work from busy peers — an open partition, or the left rows
+//! waiting in a built one with a copy of its build (see
 //! `MachineState::steal_join_once`). A victim answers each request the
 //! moment its inbox yields it, from whichever join the request names and
 //! whatever that join's phase (`MachineState::answer_steal_request`).
@@ -1148,7 +1148,7 @@ impl MachineState {
     }
 
     /// Whether a chain with nothing unsent hands the thread back to `step`: a
-    /// deeper join's intake is full or it has deferred partitions (the DFS
+    /// deeper join's intake is full or it is sealed with work left (the DFS
     /// bias, per batch — not per row, which would probe a cold build a few
     /// rows at a time), or a peer released a segment since `epoch`.
     fn should_yield(&self, segment: usize, epoch: &mut u64) -> bool {
@@ -1157,8 +1157,8 @@ impl MachineState {
             return true;
         }
         let full = |join: &HashJoiner| join.waiting_rows() >= self.intake();
-        let deferred = |join: &HashJoiner| join.is_sealed() && join.has_work();
-        (self.joins.iter()).any(|(&id, join)| id > segment && (full(join) || deferred(join)))
+        let sealed = |join: &HashJoiner| join.is_sealed() && join.has_work();
+        (self.joins.iter()).any(|(&id, join)| id > segment && (full(join) || sealed(join)))
     }
 
     /// Left rows a streaming join takes in before they are probed: an inbox's

@@ -51,7 +51,7 @@ pub struct MachineReport {
 /// probes' pair counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JoinReport {
-    /// Sealed partitions this machine shipped to thieves.
+    /// Unprobed partitions this machine shipped to thieves.
     pub partitions_shipped: u64,
     /// Partitions this machine adopted from victims and probed locally.
     pub partitions_stolen: u64,
@@ -63,10 +63,12 @@ pub struct JoinReport {
     /// Tested pairs that survived injectivity, key re-check and order
     /// filters — the joined rows, whether counted or materialised.
     pub probe_matches: u64,
-    /// Left rows probed on arrival, against a resident build.
+    /// Left rows probed against a build made before the left seal — as
+    /// they arrive.
     pub streamed_rows: u64,
-    /// Left rows probed after the left seal, on the deferred path (or
-    /// dropped there unprobed when their partition has no right rows).
+    /// The other left rows: probed against a build made at or after the
+    /// left seal, or dropped unprobed with a partition that has no right
+    /// rows.
     pub deferred_rows: u64,
 }
 
@@ -100,7 +102,7 @@ pub struct GovernorReport {
     pub throttled_batches: u64,
     /// `PUSH-JOIN` buffer bytes flushed to disk by the spill actuator.
     pub spilled_bytes: u64,
-    /// Sealed Grace partition bytes shipped to thieves while governed (the
+    /// Grace partition bytes shipped to thieves while governed (the
     /// victim's charge is held until the thief's ack, so shipping moves
     /// pressure rather than hiding it).
     pub shipped_bytes: u64,

@@ -47,17 +47,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds every edge from the iterator.
-    pub fn extend_edges<I: IntoIterator<Item = (VertexId, VertexId)>>(
-        &mut self,
-        iter: I,
-    ) -> &mut Self {
-        for (u, v) in iter {
-            self.add_edge(u, v);
-        }
-        self
-    }
-
     /// Finalizes the builder into a CSR graph.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -139,14 +128,5 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(5), 0);
-    }
-
-    #[test]
-    fn extend_edges_works() {
-        let mut b = GraphBuilder::new();
-        b.extend_edges([(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(b.edge_count(), 3);
-        let g = b.build();
-        assert_eq!(g.count_triangles(), 1);
     }
 }

@@ -2,11 +2,10 @@
 //!
 //! The paper's datasets (SNAP, WebGraph, DIMACS) are distributed as plain
 //! edge lists; this module supports the common variants: whitespace-separated
-//! `u v` pairs, optional `#`/`%` comment lines, and an optional binary format
-//! for fast round-trips of generated graphs.
+//! `u v` pairs and optional `#`/`%` comment lines.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use crate::graph::{Graph, VertexId};
@@ -62,52 +61,6 @@ pub fn write_edge_list<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
     Ok(())
 }
 
-const BINARY_MAGIC: &[u8; 8] = b"HUGEGRF1";
-
-/// Writes a graph in a compact binary format (magic, vertex count, edge
-/// count, CSR-free edge pairs). Intended for caching generated datasets.
-pub fn write_binary<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&graph.num_edges().to_le_bytes())?;
-    for (u, v) in graph.edges() {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    let mut file = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(GraphError::Parse {
-            line: 0,
-            content: "bad magic in binary graph file".to_string(),
-        });
-    }
-    let mut buf8 = [0u8; 8];
-    file.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
-    file.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8);
-    let mut builder = GraphBuilder::with_vertices(n);
-    let mut buf4 = [0u8; 4];
-    for _ in 0..m {
-        file.read_exact(&mut buf4)?;
-        let u = VertexId::from_le_bytes(buf4);
-        file.read_exact(&mut buf4)?;
-        let v = VertexId::from_le_bytes(buf4);
-        builder.add_edge(u, v);
-    }
-    Ok(builder.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,22 +101,6 @@ mod tests {
         let g2 = load_edge_list(&path).unwrap();
         assert_eq!(g.num_vertices(), g2.num_vertices());
         assert_eq!(g.num_edges(), g2.num_edges());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = Graph::from_edges([(0, 5), (5, 3), (3, 0), (2, 4)]);
-        let dir = std::env::temp_dir().join("huge_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.bin");
-        write_binary(&g, &path).unwrap();
-        let g2 = read_binary(&path).unwrap();
-        assert_eq!(g.num_vertices(), g2.num_vertices());
-        assert_eq!(g.num_edges(), g2.num_edges());
-        for v in g.vertices() {
-            assert_eq!(g.neighbours(v), g2.neighbours(v));
-        }
         let _ = std::fs::remove_file(path);
     }
 }

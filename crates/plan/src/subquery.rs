@@ -221,11 +221,6 @@ impl SubQuery {
         }
     }
 
-    /// `true` if the sub-query is a single edge.
-    pub fn is_single_edge(&self) -> bool {
-        self.edge_count() == 1
-    }
-
     /// `true` if this sub-query is a *join unit* under HUGE's default
     /// setting (stars, §3.3: "we use stars as the join unit, as our system
     /// does not assume any index data").
@@ -290,7 +285,6 @@ mod tests {
     fn single_edge_is_star_and_unit() {
         let q = square();
         let e = SubQuery::from_edge_indices(&q, [0]);
-        assert!(e.is_single_edge());
         assert!(e.is_join_unit(&q));
         let (_, leaves) = e.as_star(&q).unwrap();
         assert_eq!(leaves.len(), 1);

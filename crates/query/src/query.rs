@@ -252,11 +252,6 @@ impl QueryGraph {
         n >= 2 && self.num_edges() == n * (n - 1) / 2
     }
 
-    /// Returns `true` if this query is a single edge.
-    pub fn is_edge(&self) -> bool {
-        self.num_vertices == 2 && self.num_edges() == 1
-    }
-
     /// Query vertices whose matches must be adjacent to a match of `v` — the
     /// *backward neighbours* smaller than `v`, used by the wco-join
     /// intersection (Equation 2).
@@ -294,29 +289,6 @@ impl QueryGraph {
             in_order |= 1 << next;
         }
         order
-    }
-
-    /// Relabels the query graph so that vertices appear in `order`
-    /// (i.e. `order[i]` becomes vertex `i`). The partial order and name are
-    /// relabelled accordingly.
-    pub fn relabel(&self, order: &[QueryVertex]) -> QueryGraph {
-        assert_eq!(order.len(), self.num_vertices);
-        let mut inverse = vec![0 as QueryVertex; self.num_vertices];
-        for (new, &old) in order.iter().enumerate() {
-            inverse[old as usize] = new as QueryVertex;
-        }
-        let edges = self
-            .edges
-            .iter()
-            .map(|&(u, v)| (inverse[u as usize], inverse[v as usize]));
-        let constraints = self
-            .order
-            .constraints()
-            .iter()
-            .map(|&(a, b)| (inverse[a as usize], inverse[b as usize]));
-        QueryGraph::new(self.num_vertices, edges)
-            .with_order(PartialOrder::from_pairs(constraints))
-            .with_name(self.name.clone())
     }
 
     /// Checks whether `mapping` (a permutation of query vertices) is an
@@ -373,7 +345,6 @@ mod tests {
         assert_eq!(leaves, vec![1, 2, 3]);
         let edge = QueryGraph::new(2, [(0, 1)]);
         assert!(edge.as_star().is_some());
-        assert!(edge.is_edge());
         let path3 = QueryGraph::new(3, [(0, 1), (1, 2)]);
         let (root, _) = path3.as_star().unwrap();
         assert_eq!(root, 1);
@@ -408,15 +379,6 @@ mod tests {
             );
             seen |= 1 << v;
         }
-    }
-
-    #[test]
-    fn relabel_preserves_structure() {
-        let q = square().with_order(PartialOrder::from_pairs([(0, 2)]));
-        let relabelled = q.relabel(&[2, 3, 0, 1]);
-        assert_eq!(relabelled.num_edges(), 4);
-        assert!(relabelled.is_connected());
-        assert_eq!(relabelled.order().len(), 1);
     }
 
     #[test]

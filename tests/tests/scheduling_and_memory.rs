@@ -183,8 +183,9 @@ fn a_streaming_join_never_buffers_its_probe_side() {
     // left one, so the join seals its build side first and probes every
     // left row as it arrives: none waits for the left seal, and no machine
     // ever holds even half of the left side. The barriered run of the same
-    // dataflow seals both sides at once, so every left row goes through the
-    // deferred path there — which is how many rows the left producer made.
+    // dataflow seals both sides at once, so every left row is probed
+    // against a build made at the left seal and counts as deferred there —
+    // which is how many rows the left producer made.
     // A small inbox is what paces the producers to the probe. Stealing is
     // off: a thief probes the waiting rows it takes after its own left seal,
     // which counts them as deferred.
