@@ -9,7 +9,6 @@
 //! table rendering.
 
 use huge_core::report::RunReport;
-use huge_core::{ClusterConfig, HugeCluster, Result, SinkMode};
 use huge_graph::{Dataset, DatasetKind, Graph};
 use huge_query::{Pattern, QueryGraph};
 
@@ -27,12 +26,6 @@ pub fn paper_query(i: usize) -> QueryGraph {
     Pattern::paper(i)
         .unwrap_or_else(|| panic!("q{i} is not defined"))
         .query_graph()
-}
-
-/// Runs HUGE with a default configuration on a dataset and query.
-pub fn run_huge(graph: Graph, query: &QueryGraph, machines: usize) -> Result<RunReport> {
-    let cluster = HugeCluster::build(graph, ClusterConfig::new(machines).workers(2))?;
-    cluster.run(query, SinkMode::Count)
 }
 
 /// A minimal fixed-width table printer for experiment output.
@@ -137,8 +130,6 @@ mod tests {
         assert!(g.num_vertices() > 0);
         let q = paper_query(1);
         assert_eq!(q.num_vertices(), 4);
-        let report = run_huge(g, &huge_query::QueryGraph::triangle(), 2).unwrap();
-        assert!(report.matches > 0);
     }
 
     #[test]

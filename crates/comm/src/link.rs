@@ -661,7 +661,7 @@ mod tests {
         // behind their gates.
         assert_eq!(a.link_pending(Some(1)), 0);
         assert!(a.link_pending(Some(0)) > 0);
-        assert_eq!(b.drain_segment(1).len(), 100);
+        assert_eq!(std::iter::from_fn(|| b.try_recv_segment(1)).count(), 100);
         // The barrier: flush until the sender owes nothing.
         let mut rows = drain_rows(&a, &b, 100);
         rows.sort_unstable();

@@ -566,15 +566,6 @@ impl RouterEndpoint {
         out
     }
 
-    /// Drains every queued batch belonging to `segment`.
-    pub fn drain_segment(&self, segment: usize) -> Vec<PushEnvelope> {
-        let mut out = Vec::new();
-        while let Some(env) = self.try_recv_segment(segment) {
-            out.push(env);
-        }
-        out
-    }
-
     /// `true` when machine `to`'s inbox is at or over capacity (lock-free).
     /// Forced local pushes can overfill an inbox past its bound; callers
     /// that force (see [`RouterEndpoint::push`]) should poll this and drain.
@@ -728,7 +719,7 @@ mod tests {
         assert!(b.try_recv_segment(7).is_none());
         let first = b.try_recv_segment(9).unwrap();
         assert_eq!(first.batch.len(), 2);
-        assert_eq!(b.drain_segment(5).len(), 2);
+        assert_eq!(std::iter::from_fn(|| b.try_recv_segment(5)).count(), 2);
         assert!(b.try_recv_segment(5).is_none());
         assert!(!b.has_data());
     }

@@ -238,7 +238,7 @@ impl HugeCluster {
                         SegmentSource::Scan(_) => {
                             ScanPool::new(self.partitions[m].local_vertices(), SCAN_CHUNK_VERTICES)
                         }
-                        SegmentSource::Join(_) => ScanPool::empty(),
+                        SegmentSource::Join(_) => ScanPool::new(&[], 1),
                     })
                     .collect();
                 let num_ops = 1 + plan.segment.extends.len();

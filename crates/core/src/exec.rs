@@ -8,7 +8,7 @@
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
 //!   batch's columns into one dense batch per destination machine; callers
 //!   move those through the accounted `huge-comm` fabric
-//!   (`RouterEndpoint::push` / `RpcFabric::get_nbrs`), so every engine's
+//!   (`RouterEndpoint::try_push` / `RpcFabric::get_nbrs`), so every engine's
 //!   traffic is charged to [`huge_comm::ClusterStats`] by the same code path
 //!   and the reported `C`/`T_C` columns are comparable.
 //!
@@ -58,7 +58,7 @@ pub struct OpContext<'a> {
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
 /// joins); the caller moves the per-destination batches through
-/// `RouterEndpoint::push`, which is where the traffic gets charged. The
+/// `RouterEndpoint::try_push`, which is where the traffic gets charged. The
 /// destination is [`key_hash`](crate::join::key_hash)` % k`, the hash the
 /// receiving join takes its Grace partition from.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {

@@ -6,9 +6,11 @@
 //! A segment's chain calls its operators directly — the scan cursor or the
 //! segment's joiner, then each compiled extend — and is the one place that
 //! decides count-or-materialise: in a root segment feeding a counting sink,
-//! its last operator (the final extend, or a bare join) counts, and a
-//! match-mode extend before a counting one feeds it piece by piece as a
-//! fused pair (`ExtendSpec::run_count_pair`), so that queue stays empty.
+//! a bare join counts, and otherwise the chain's *nest* does — the longest
+//! suffix of its extends that are all match-mode but the last
+//! ([`count_nest`]). The nest's head takes queued batches; the levels below
+//! it are fed piece by piece inside the head's call, so their queues stay
+//! empty, and the call's time is split over their busy slots.
 //!
 //! The runtime is *pipelined* at two levels. Inside a segment, join inputs
 //! shuffled during a producing segment are absorbed into pre-instantiated
@@ -68,7 +70,7 @@ use crate::exec::{partition_cols_by_key, OpContext};
 use crate::governor::{MemoryGovernor, PressureLevel};
 use crate::join::{column_bytes, HashJoiner, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
-use crate::operators::{ExtendSpec, ScanCursor};
+use crate::operators::{count_nest, ExtendSpec, ScanCursor};
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
 use crate::scheduler::{RunShared, SegmentQueues, SegmentShared};
@@ -160,12 +162,11 @@ struct SegmentChain {
     source: ChainSource,
     /// The segment's extends, each compiled against its input arity.
     extends: Vec<ExtendSpec>,
-    /// The chain's last operator counts its output instead of
-    /// materialising it: a root segment feeding a counting sink.
-    counts: bool,
-    /// A counting chain's last two extends are a fused pair
-    /// ([`ExtendSpec::run_count_pair`]): the last one's queue is never pushed.
-    fused: bool,
+    /// The operator that counts the output of a root segment feeding a
+    /// counting sink, and so the first whose output no queue holds: a bare
+    /// join, or the head of the chain's nest of extends ([`count_nest`]).
+    /// Past the last extend when nothing counts before the terminal.
+    nest: usize,
     /// Where the next visit resumes: the terminal of a blocked chain, the
     /// operator a paused one stopped before, else 0.
     current: usize,
@@ -650,7 +651,7 @@ impl MachineState {
     }
 
     /// Instantiates a segment's operator chain: its source, its compiled
-    /// extends, and whether its last operator counts. For join segments the
+    /// extends, and where it starts counting. For join segments the
     /// right producer is globally done (the readiness policy guarantees it),
     /// so any final envelopes still queued are absorbed and the join sealed
     /// in place (its left side too if that producer is done) — at the
@@ -672,11 +673,16 @@ impl MachineState {
             })
             .collect();
         // Count pushdown: when the root segment merely counts matches, its
-        // last operator (final extend, or the bare join) materialises nothing,
-        // and a match-mode extend before a counting one feeds it in pieces.
+        // bare join or its nest materialises nothing. The nest is every
+        // extend after the last verify-mode one that is not the last extend.
         let counts = matches!(plan.terminal, Terminal::Sink) && v.sink == SinkMode::Count;
-        let parent = ops.len().checked_sub(2).map(|i| &ops[i]);
-        let fused = counts && parent.is_some_and(|op| op.verify_position.is_none());
+        let above = &ops[..ops.len().saturating_sub(1)];
+        let verified = above.iter().rposition(|op| op.verify_position.is_some());
+        let nest = match (counts, &plan.segment.source) {
+            (false, _) => ops.len() + 1,
+            (true, SegmentSource::Join(_)) if ops.is_empty() => 0,
+            (true, _) => verified.map_or(1, |i| i + 2),
+        };
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanCursor::new(
                 scan.clone(),
@@ -693,8 +699,7 @@ impl MachineState {
         Ok(SegmentChain {
             source,
             extends,
-            counts,
-            fused,
+            nest,
             current: 0,
             unsent: VecDeque::new(),
             throttled: false,
@@ -1107,15 +1112,12 @@ impl MachineState {
             // fills or the input drains (Algorithm 5 lines 6-9).
             loop {
                 let start = Instant::now();
-                let (produced, pieces) = self.run_op(chain, &queues, segment, current)?;
-                let took = start.elapsed().saturating_sub(pieces);
-                self.trace.op_add_busy(segment, current, took);
-                self.trace.op_add_busy(segment, current + 1, pieces);
+                let (produced, levels) = self.run_op(chain, &queues, v, current)?;
+                for (level, took) in split_wall(start.elapsed(), &levels).into_iter().enumerate() {
+                    self.trace.op_add_busy(segment, current + level, took);
+                }
                 let Some(produced) = produced else { break };
-                debug_assert!(
-                    !(chain.fused && current + 1 == num_extends),
-                    "a fused pair's last extend is fed in pieces, never queued"
-                );
+                debug_assert!(current < chain.nest, "a nest's levels are never queued");
                 for chunk in produced.split_into_chunks(self.effective_batch_size()) {
                     queues.queue(current).push(chunk);
                 }
@@ -1178,18 +1180,17 @@ impl MachineState {
 
     /// Runs operator `current` of the chain once: one batch from the source
     /// (the scan cursor, or the segment's joiner) or one queued batch through
-    /// an extend. Returns the batch it produced; the chain's counting last
-    /// operator adds its count to the sink's matches and returns `None`, so a
-    /// counting join, like a materialising one, yields after every batch. So
-    /// does a fused pair's parent; the second value is the time its pieces
-    /// took, which belongs to the next slot (zero for every other operator).
+    /// an extend, and returns what it produced. A counting join or nest adds
+    /// to the sink's matches instead and returns `None` — and, for a nest,
+    /// its busy time per level (empty for every other operator).
     fn run_op(
         &mut self,
         chain: &mut SegmentChain,
         queues: &SegmentQueues,
-        segment: usize,
+        v: Visit,
         current: usize,
-    ) -> Result<(Option<ColBatch>, Duration)> {
+    ) -> Result<(Option<ColBatch>, Vec<Duration>)> {
+        let segment = v.plan.segment.id;
         // Assembled field by field: the joiner called below is a field too.
         let ctx = OpContext {
             machine: self.machine,
@@ -1200,15 +1201,13 @@ impl MachineState {
             pool: &self.pool,
             batch_size: self.effective_batch_size(),
         };
-        let n = chain.extends.len();
-        let counts = chain.counts && current == n;
         let batch = match (current, &mut chain.source) {
             (0, ChainSource::Scan(cursor)) => cursor.next_runs(&ctx),
             (0, ChainSource::Join) => {
                 let join = join_of(&mut self.joins, segment)?;
-                if counts {
+                if chain.nest == 0 {
                     self.matches += join.count_batch()?.unwrap_or(0);
-                    return Ok((None, Duration::ZERO));
+                    return Ok((None, Vec::new()));
                 }
                 let batch = join.next_batch()?;
                 if let Some(batch) = &batch {
@@ -1219,24 +1218,21 @@ impl MachineState {
             }
             (i, _) => {
                 let Some(input) = queues.queue(i - 1).pop() else {
-                    return Ok((None, Duration::ZERO));
+                    return Ok((None, Vec::new()));
                 };
-                let spec = &chain.extends[i - 1];
-                let counted = if chain.fused && i + 1 == n {
-                    spec.run_count_pair(&chain.extends[n - 1], &input, &ctx)
-                } else if counts {
-                    spec.run_count_cols(&input, &ctx)
-                } else {
-                    let out = spec.run_cols(input, &ctx)?;
-                    self.fetch_time += out.fetch_time;
-                    return Ok((Some(out.batch), Duration::ZERO));
-                };
-                self.matches += counted.count;
-                self.fetch_time += counted.fetch_time;
-                return Ok((None, counted.pieces_time));
+                if i == chain.nest {
+                    let nest = &chain.extends[i - 1..];
+                    let counted = count_nest(nest, &input, &ctx, Some(&v.run.cancel));
+                    self.matches += counted.count;
+                    self.fetch_time += counted.fetch_time;
+                    return Ok((None, counted.busy));
+                }
+                let out = chain.extends[i - 1].run_cols(input, &ctx)?;
+                self.fetch_time += out.fetch_time;
+                Some(out.batch)
             }
         };
-        Ok((batch, Duration::ZERO))
+        Ok((batch, Vec::new()))
     }
 
     /// Consumes one fully-extended batch at the terminal: the sink counts
@@ -1439,6 +1435,24 @@ fn lap(mark: &mut Instant) -> Duration {
     now - std::mem::replace(mark, now)
 }
 
+/// Splits `wall`, the time of one operator call, over the busy slots of the
+/// levels it ran by each level's share of `busy` — a nest's busy time per
+/// level; empty for any other operator, whose slot takes it all. The head's
+/// slot takes what rounding leaves, so the slots sum to `wall`.
+fn split_wall(wall: Duration, busy: &[Duration]) -> Vec<Duration> {
+    let total = busy.iter().sum::<Duration>().as_secs_f64();
+    let mut slots = vec![wall];
+    for level in busy.iter().skip(1) {
+        let share = match total > 0.0 {
+            true => wall.mul_f64(level.as_secs_f64() / total).min(slots[0]),
+            false => Duration::ZERO,
+        };
+        slots[0] -= share;
+        slots.push(share);
+    }
+    slots
+}
+
 /// The joiner of join segment `segment` — a typed error once the segment
 /// completed (or if it was never prepared).
 fn join_of(joins: &mut HashMap<usize, HashJoiner>, segment: usize) -> Result<&mut HashJoiner> {
@@ -1459,6 +1473,24 @@ pub fn reorder_row(row: &[u32], schema: &[QueryVertex]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_nest_call_is_split_over_its_levels_without_a_gap() {
+        let ms = Duration::from_millis;
+        assert_eq!(split_wall(ms(7), &[]), [ms(7)]);
+        assert_eq!(
+            split_wall(ms(7), &[Duration::ZERO; 3]),
+            [ms(7), ms(0), ms(0)]
+        );
+        assert_eq!(
+            split_wall(ms(8), &[ms(1), ms(2), ms(1)]),
+            [ms(2), ms(4), ms(2)]
+        );
+        let wall = Duration::from_nanos(1_000_000_007);
+        let slots = split_wall(wall, &[ms(3), ms(5), ms(7), ms(11)]);
+        assert_eq!(slots.iter().sum::<Duration>(), wall);
+        assert!(slots.windows(2).skip(1).all(|w| w[0] < w[1]), "{slots:?}");
+    }
 
     #[test]
     fn reorder_row_maps_schema_to_vertex_order() {

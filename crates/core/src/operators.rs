@@ -1,13 +1,12 @@
 //! Operator implementations: `SCAN` ([`ScanCursor`]) and `PULL-EXTEND`
-//! ([`ExtendSpec`]).
-//!
-//! (`PUSH-JOIN` lives in [`crate::join`]; the `SINK` is part of the segment
-//! terminal in [`crate::machine`], whose chain calls these operators
-//! directly — [`ScanCursor::next_runs`], then [`ExtendSpec::run_cols`], or
-//! [`ExtendSpec::run_count_cols`] for the last extend of a counting root
-//! segment, or [`ExtendSpec::run_count_pair`] for the last two when the
-//! first of them is match-mode: the *fused pair*, which counts the middle
-//! level a worker-local piece at a time instead of materialising it.)
+//! ([`ExtendSpec`]). `PUSH-JOIN` lives in [`crate::join`]; the `SINK` is the
+//! segment terminal in [`crate::machine`], whose chain calls these operators
+//! directly: [`ScanCursor::next_runs`], [`ExtendSpec::run_cols`], and
+//! [`count_nest`] for a counting root segment's *nest* — the longest suffix
+//! of its extends that are all match-mode but the last. The nest runs its
+//! head over a queued batch and every level below depth-first, a worker-local
+//! piece of at most `batch_size` rows at a time, counting at the last level:
+//! at most depth × `batch_size` rows per worker, none of them queued.
 //!
 //! The **fetch stage** of Algorithm 4 makes one cache call per distinct
 //! remote vertex of a batch and returns the batch's *list view* (vertex →
@@ -31,33 +30,16 @@
 //!   instead of rediscovering them row by row; a batch without runs (a join's
 //!   output, a test's) is the same loop with every row a run of one.
 //!
-//! What is decided **per run**: the gates between per-run columns, the part
-//! of the candidates' value range those columns fix, the run's `collide`
-//! values, and the prefix key — the intersection of the prefix positions'
-//! lists is recomputed only when the key's vertex ids differ from the
-//! previous run's, and the slice of it inside the value range stays *set in a
-//! [`ProbeFilter`]*. What is done **per row**: gates and bounds that read the
-//! newest column, and the last step — a scan of the row's own newest list
-//! against the filter; the shared side is not merged again for every row. The
-//! filter is set when a key's first slice is computed, once more with the
-//! whole shared list if a later row's range reaches outside that slice (so
-//! bounds that move with every row do not rebuild it once a row), and cleared
-//! — by re-hashing what it holds — before the list is replaced. It is refused
-//! for a set over [`kernels::PROBE_MAX_SET`] and bypassed for a list over
-//! [`kernels::PROBE_MAX_SKEW`] × the slice; those rows, and indexed hubs,
-//! take the merge / gallop / bitmap dispatch. Work items are cut on run
-//! boundaries, so within a batch nothing a run computed is computed twice;
-//! only a chunk edge (`split_into_chunks` cuts rows, and a straddling run in
-//! two) makes one run two.
-//!
-//! The key comparison reads vertex ids, nothing else, so it cannot be wrong
-//! for any order of runs — shuffled, selected, split or stolen batches only
-//! recompute more. [`ExtendSpec::run_count_cols`] counts each row's last
-//! step with the kernel count twins; [`ExtendSpec::run_cols`] lets the
-//! kernels write it straight into the new column. Verify mode is a per-row
-//! membership test over the same `(run, rows)` walk and shares the fetch
-//! stage. A row-major `run_extend` / `run_extend_count` that intersects
-//! every list for every row and filters per candidate lives in the test-only
+//! A run's shared intersection is computed once per run (and reused while
+//! the next run's prefix vertices are the same) and held in a
+//! [`ProbeFilter`]; each row only scans its own newest list against it. The
+//! key comparison reads vertex ids, nothing else, so it cannot be wrong for
+//! any order of runs — shuffled, selected, split or stolen batches only
+//! recompute more. The counting sink runs the kernels' count twins, the
+//! materialising one lets them write straight into the new column. Verify
+//! mode is a per-row membership test over the same walk and shares the fetch
+//! stage. A row-major `run_extend` / `run_extend_count` that intersects every
+//! list for every row and filters per candidate lives in the test-only
 //! `row_major` module: the reference the tests hold the generator to.
 
 use std::collections::{HashMap, VecDeque};
@@ -72,6 +54,7 @@ use huge_graph::{VertexId, VertexMap};
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
 
+use crate::cancel::CancelToken;
 pub use crate::exec::OpContext;
 use crate::{EngineError, Result};
 
@@ -91,7 +74,7 @@ pub fn passes_filters(row: &[VertexId], filters: &[OrderFilter]) -> bool {
 /// steal chunks from the back (the inter-machine half of work stealing).
 #[derive(Clone)]
 pub struct ScanPool {
-    chunks: Arc<Mutex<std::collections::VecDeque<Vec<VertexId>>>>,
+    chunks: Arc<Mutex<VecDeque<Vec<VertexId>>>>,
 }
 
 impl ScanPool {
@@ -101,16 +84,9 @@ impl ScanPool {
         let chunks = vertices
             .chunks(chunk_size)
             .map(|c| c.to_vec())
-            .collect::<std::collections::VecDeque<_>>();
+            .collect::<VecDeque<_>>();
         ScanPool {
             chunks: Arc::new(Mutex::new(chunks)),
-        }
-    }
-
-    /// An empty pool (used for non-scan segments).
-    pub fn empty() -> Self {
-        ScanPool {
-            chunks: Arc::new(Mutex::new(std::collections::VecDeque::new())),
         }
     }
 
@@ -143,11 +119,6 @@ impl ScanPool {
     /// `true` when no chunks remain.
     pub fn is_empty(&self) -> bool {
         self.chunks.lock().is_empty()
-    }
-
-    /// Number of vertices remaining (diagnostic).
-    pub fn remaining_vertices(&self) -> usize {
-        self.chunks.lock().iter().map(|c| c.len()).sum()
     }
 }
 
@@ -187,12 +158,8 @@ impl ScanCursor {
         let target_rows = ctx.batch_size;
         let mut batch = RowBatch::with_capacity(2, target_rows.min(64 * 1024));
         // First drain carried-over rows, in the order they were cut off.
-        while batch.len() < target_rows {
-            let Some(row) = self.pending.pop_front() else {
-                break;
-            };
-            batch.push_row(&row);
-        }
+        let carried = self.pending.len().min(target_rows);
+        (self.pending.drain(..carried)).for_each(|row| batch.push_row(&row));
         while batch.len() < target_rows {
             let Some(chunk) = self.pool.pop() else { break };
             // Fetch adjacency lists: local vertices read the partition
@@ -244,11 +211,7 @@ impl ScanCursor {
                 }
             }
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
-        }
+        (!batch.is_empty()).then_some(batch)
     }
 
     /// [`ScanCursor::next_batch`] as a chain consumes it: one run batch of
@@ -289,11 +252,11 @@ impl ScanCursor {
 pub struct ExtendCountOutput {
     /// Number of rows the extension would have produced.
     pub count: u64,
-    /// Time spent in the fetch stage (RPCs + cache writes + sealing).
+    /// Time spent in the fetch stages (RPCs + cache writes + sealing).
     pub fetch_time: Duration,
-    /// The wall time a fused pair ([`ExtendSpec::run_count_pair`]) spent
-    /// counting its pieces, which belongs to the counting extend.
-    pub pieces_time: Duration,
+    /// Busy time of each level of the nest ([`count_nest`]), summed over
+    /// its workers; the head's includes its fetch stage.
+    pub busy: Vec<Duration>,
 }
 
 /// A batch's list view: the handle of every remote list its extend
@@ -990,30 +953,10 @@ impl ExtendSpec {
         Ok(ExtendColsOutput { batch, fetch_time })
     }
 
-    /// Counts the extensions of one columnar batch without materialising
-    /// anything the kernels can avoid: the counting sink of
-    /// `for_each_candidate_set`. The newest column's list is never written —
-    /// with one extend list the count is two `partition_point`s; with several,
-    /// the final step runs an `intersect_count_*` twin (probe twin against the
-    /// run's filter, bitmap twin for indexed hubs) against the shared prefix
-    /// intersection.
-    pub fn run_count_cols(&self, input: &ColBatch, ctx: &OpContext<'_>) -> ExtendCountOutput {
-        debug_assert_eq!(input.arity(), self.arity);
-        let (view, fetch_time) = fetch_stage_cols(&self.op, input, ctx);
-        let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
-            out.push(self.count_runs(input, range, ctx, &view));
-        });
-        release(ctx);
-        ExtendCountOutput {
-            count: run.outputs.iter().flatten().sum(),
-            fetch_time,
-            pieces_time: Duration::ZERO,
-        }
-    }
-
     /// The counting sink over the runs `range` of `input`, whose lists the
     /// fetch stage resolved into `view`: the count of `for_each_candidate_set`
-    /// in match mode, of the rows that pass in verify mode.
+    /// in match mode (nothing is written), of the rows that pass in verify
+    /// mode.
     fn count_runs(
         &self,
         input: &ColBatch,
@@ -1032,114 +975,156 @@ impl ExtendSpec {
         }
         count
     }
+}
 
-    /// The fused pair of a counting chain: runs this match-mode extend over
-    /// `input` and counts `last`, the extend that reads its output, without
-    /// materialising that output. Each work item's generator appends its
-    /// candidates to a `Piece` of at most `ctx.batch_size` rows, and its
-    /// worker counts each full piece in place — `last`'s fetch stage, its
-    /// counting sink, the release — never through the worker pool, which is
-    /// not re-entrant. Sound at any number of workers: no intersect stage
-    /// reads the cache, so a piece's fetch and release cannot disturb one.
-    pub fn run_count_pair(
-        &self,
-        last: &ExtendSpec,
-        input: &ColBatch,
-        ctx: &OpContext<'_>,
-    ) -> ExtendCountOutput {
-        debug_assert!(self.op.verify_position.is_none() && last.arity == self.arity + 1);
-        let (view, fetch_time) = fetch_stage_cols(&self.op, input, ctx);
-        let start = Instant::now();
-        let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
-            let mut piece = Piece::new(last, ctx.batch_size);
-            let mut cands = Vec::new();
-            for_each_candidate_set(self, input, range, ctx, &view, |at, c, bound, tally| {
+/// Counts a counting chain's *nest* — `nest[0]` over `input`, every later
+/// extend over what the one above it generates — depth-first. The head runs
+/// its fetch stage and the worker pool over `input`; a work item hands its
+/// candidates to a worker-local piece of at most `ctx.batch_size` rows for
+/// the next level, and a full piece runs that level's fetch stage, generator
+/// (at the last level, counting sink) and release in the same worker: the
+/// pool is not re-entrant, and no intersect stage reads the cache, so a
+/// piece's fetch and release disturb no other. A nest of depth d holds at
+/// most d × `batch_size` rows per worker, none queued or tracked. Every
+/// extend but the last is match-mode. `cancel` is polled before each piece;
+/// once it fires the nest drops what it holds and returns a partial count.
+pub fn count_nest(
+    nest: &[ExtendSpec],
+    input: &ColBatch,
+    ctx: &OpContext<'_>,
+    cancel: Option<&CancelToken>,
+) -> ExtendCountOutput {
+    debug_assert_eq!(input.arity(), nest[0].arity);
+    let above = &nest[..nest.len() - 1];
+    debug_assert!(above.iter().all(|s| s.op.verify_position.is_none()));
+    let (view, fetch_time) = fetch_stage_cols(&nest[0].op, input, ctx);
+    let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
+        let mut item = Nest {
+            specs: nest,
+            ctx,
+            cancel,
+            stopped: cancel.is_some_and(CancelToken::is_cancelled),
+            pieces: nest[1..]
+                .iter()
+                .map(|s| (vec![Vec::new(); s.arity], Vec::new()))
+                .collect(),
+            out: ExtendCountOutput {
+                count: 0,
+                fetch_time: Duration::ZERO,
+                busy: vec![Duration::ZERO; nest.len()],
+            },
+            clock: (0, Instant::now()),
+        };
+        item.run(0, input, range, &view);
+        // Top down: what a level's last piece generates lands in the next.
+        (1..nest.len()).for_each(|level| item.flush(level));
+        item.switch(0);
+        out.push(item.out);
+    });
+    release(ctx);
+    let mut busy = vec![Duration::ZERO; nest.len()];
+    busy[0] = fetch_time;
+    let mut total = ExtendCountOutput {
+        count: 0,
+        fetch_time,
+        busy,
+    };
+    for item in run.outputs.into_iter().flatten() {
+        total.count += item.count;
+        total.fetch_time += item.fetch_time;
+        for (sum, level) in total.busy.iter_mut().zip(item.busy) {
+            *sum += level;
+        }
+    }
+    total
+}
+
+/// One work item of a nest.
+struct Nest<'a> {
+    specs: &'a [ExtendSpec],
+    ctx: &'a OpContext<'a>,
+    cancel: Option<&'a CancelToken>,
+    stopped: bool,
+    /// `pieces[i]` is a run batch for `specs[i + 1]`: per extended row of
+    /// the level above, a run of its values and then its candidates.
+    pieces: Vec<(Vec<Vec<VertexId>>, Vec<u32>)>,
+    out: ExtendCountOutput,
+    /// The level running, and since when.
+    clock: (usize, Instant),
+}
+
+impl Nest<'_> {
+    /// Runs `level` over the runs `range` of `input`, whose lists are in
+    /// `view`: the last level counts, any other feeds the next one's piece.
+    fn run(&mut self, level: usize, input: &ColBatch, range: (usize, usize), view: &ListView) {
+        let (spec, ctx) = (&self.specs[level], self.ctx);
+        if level + 1 == self.specs.len() {
+            self.out.count += spec.count_runs(input, range, ctx, view);
+            return;
+        }
+        let mut cands = Vec::new();
+        for_each_candidate_set(spec, input, range, ctx, view, |at, c, bound, tally| {
+            if !self.stopped {
                 cands.clear();
                 c.append_to(bound, &mut cands, tally);
-                piece.push(input, at, &cands, ctx);
-            });
-            piece.count(ctx);
-            out.push(piece);
+                self.push(level + 1, input, at, &cands);
+            }
         });
-        release(ctx);
-        let pieces = run.outputs.iter().flatten();
-        // The pieces' share of the pool's busy time, as wall time.
-        let busy = run.busy.iter().sum::<Duration>().as_secs_f64();
-        let share = pieces.clone().map(|p| p.busy.as_secs_f64()).sum::<f64>() / busy.max(1e-9);
-        ExtendCountOutput {
-            count: pieces.clone().map(|p| p.counted).sum(),
-            fetch_time: fetch_time + pieces.map(|p| p.fetch_time).sum::<Duration>(),
-            pieces_time: start.elapsed().mul_f64(share.min(1.0)),
-        }
-    }
-}
-
-/// A fused pair's middle level on one worker: a run batch for `last` (per
-/// extended row of the parent, a run of its values and then its candidates)
-/// counted and emptied every `rows` rows.
-struct Piece<'s> {
-    last: &'s ExtendSpec,
-    rows: usize,
-    cols: Vec<Vec<VertexId>>,
-    ends: Vec<u32>,
-    /// What the counted pieces found, and their fetch-stage and total time.
-    counted: u64,
-    fetch_time: Duration,
-    busy: Duration,
-}
-
-impl<'s> Piece<'s> {
-    fn new(last: &'s ExtendSpec, rows: usize) -> Self {
-        Piece {
-            last,
-            rows: rows.clamp(1, u32::MAX as usize),
-            cols: vec![Vec::new(); last.arity],
-            ends: Vec::new(),
-            counted: 0,
-            fetch_time: Duration::ZERO,
-            busy: Duration::ZERO,
-        }
     }
 
-    /// Appends `cands`, the candidates of the parent's row at `(p, q)` of
-    /// `input` (per-run and newest-column index), counting at every fill.
+    /// Appends `cands`, the candidates of the row at `(p, q)` of `input`
+    /// (per-run and newest-column index), to the piece of `level`, running
+    /// the piece whenever it fills.
     fn push(
         &mut self,
+        level: usize,
         input: &ColBatch,
         (p, q): (usize, usize),
         mut cands: &[VertexId],
-        ctx: &OpContext<'_>,
     ) {
-        let newest = self.cols.len() - 1;
+        let rows = self.ctx.batch_size.clamp(1, u32::MAX as usize);
         while !cands.is_empty() {
-            let held = self.cols[newest].len();
-            let (now, rest) = cands.split_at(cands.len().min(self.rows - held));
-            for (c, col) in self.cols[..newest].iter_mut().enumerate() {
+            let (cols, ends) = &mut self.pieces[level - 1];
+            let newest = cols.len() - 1;
+            let held = cols[newest].len();
+            let (now, rest) = cands.split_at(cands.len().min(rows - held));
+            for (c, col) in cols[..newest].iter_mut().enumerate() {
                 col.push(input.column(c)[if c + 1 == newest { q } else { p }]);
             }
-            self.cols[newest].extend_from_slice(now);
+            cols[newest].extend_from_slice(now);
             // At most `rows`, which fits in 32 bits.
-            self.ends.push((held + now.len()) as u32);
-            if held + now.len() == self.rows {
-                self.count(ctx);
+            ends.push((held + now.len()) as u32);
+            if held + now.len() == rows {
+                self.flush(level);
             }
             cands = rest;
         }
     }
 
-    /// Counts what the piece holds through `last` and empties it.
-    fn count(&mut self, ctx: &OpContext<'_>) {
-        if self.ends.is_empty() {
+    /// Empties the piece of `level`, running what it held — fetch stage,
+    /// level, release — unless `cancel` fired.
+    fn flush(&mut self, level: usize) {
+        let (cols, ends) = &mut self.pieces[level - 1];
+        let cols = cols.iter_mut().map(std::mem::take).collect();
+        let piece = ColBatch::from_runs(cols, std::mem::take(ends));
+        self.stopped |= self.cancel.is_some_and(CancelToken::is_cancelled);
+        if piece.runs() == 0 || self.stopped {
             return;
         }
-        let start = Instant::now();
-        let cols = self.cols.iter_mut().map(std::mem::take).collect();
-        let piece = ColBatch::from_runs(cols, std::mem::take(&mut self.ends));
-        let (view, fetch_time) = fetch_stage_cols(&self.last.op, &piece, ctx);
-        self.counted += self.last.count_runs(&piece, (0, piece.runs()), ctx, &view);
-        release(ctx);
-        self.fetch_time += fetch_time;
-        self.busy += start.elapsed();
+        let above = self.switch(level);
+        let (view, fetch_time) = fetch_stage_cols(&self.specs[level].op, &piece, self.ctx);
+        self.out.fetch_time += fetch_time;
+        self.run(level, &piece, (0, piece.runs()), &view);
+        release(self.ctx);
+        self.switch(above);
+    }
+
+    /// Charges the time since the last switch to the level running, and makes
+    /// `level` the running one. Returns the one it replaces.
+    fn switch(&mut self, level: usize) -> usize {
+        let (running, since) = std::mem::replace(&mut self.clock, (level, Instant::now()));
+        self.out.busy[running] += self.clock.1 - since;
+        running
     }
 }
 
@@ -1154,13 +1139,13 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
         .expect("one batch's expansion is indexed in 32 bits")
 }
 
-/// [`ExtendSpec::run_count_cols`] for a caller that holds no operator.
+/// [`count_nest`] of one level for a caller that holds no operator.
 pub fn run_extend_count_cols(
     op: &ExtendOp,
     input: &ColBatch,
     ctx: &OpContext<'_>,
 ) -> ExtendCountOutput {
-    ExtendSpec::compile(op, input.arity()).run_count_cols(input, ctx)
+    count_nest(&[ExtendSpec::compile(op, input.arity())], input, ctx, None)
 }
 
 /// The row-major `PULL-EXTEND`: every list intersected for every row, every
@@ -1283,7 +1268,7 @@ mod row_major {
         ExtendCountOutput {
             count: run.outputs.iter().flatten().sum(),
             fetch_time,
-            pieces_time: Duration::ZERO,
+            busy: Vec::new(),
         }
     }
 
@@ -1579,13 +1564,14 @@ mod tests {
     #[test]
     fn scan_pool_stealing() {
         let pool = ScanPool::new(&(0..100u32).collect::<Vec<_>>(), 10);
+        let remaining = |pool: &ScanPool| std::iter::from_fn(|| pool.pop()).flatten().count();
         let stolen = pool.steal_half();
         assert_eq!(stolen.len(), 5);
-        assert_eq!(pool.remaining_vertices(), 50);
-        let other = ScanPool::empty();
+        let other = ScanPool::new(&[], 1);
+        assert!(other.is_empty());
         other.add_chunks(stolen);
-        assert_eq!(other.remaining_vertices(), 50);
         assert!(!other.is_empty());
+        assert_eq!((remaining(&pool), remaining(&other)), (50, 50));
     }
 
     #[test]
@@ -2088,11 +2074,13 @@ mod tests {
             /// the rows reach it; and the run chain — scan runs into extend
             /// 1, extend *i*'s run output whole or re-chunked into extend
             /// *i + 1*, three sinks: gathered, counted, and counted by the
-            /// fused pair, extend *i* feeding *i + 1* in pieces of `piece`
-            /// rows. Along the run chain every stage's output also goes
-            /// through a verify-mode extend (which leaves empty runs behind),
-            /// directly and as the counting half of a fused pair, and what
-            /// survives through the last extend.
+            /// nest from every stage *i* through the last extend, each level
+            /// feeding the next in pieces of `piece` rows. Along the run
+            /// chain every stage's output also goes through a verify-mode
+            /// extend (which leaves empty runs behind), directly and as the
+            /// last level of a nest — under stage *i* alone and under the
+            /// whole nest from *i* — and what survives through the last
+            /// extend.
             #[test]
             fn both_sinks_match_the_row_major_reference_and_naive(
                 n in 8usize..36,
@@ -2136,6 +2124,14 @@ mod tests {
                     filters: vec![OrderFilter { smaller: 0, larger: arity - 1 }],
                     comm: CommMode::Pulling,
                 };
+                let mut specs: Vec<ExtendSpec> = Vec::new();
+                for op in &segment.extends {
+                    let arity = specs.last().map_or(2, ExtendSpec::output_arity);
+                    specs.push(ExtendSpec::compile(op, arity));
+                }
+                let done = specs.last().unwrap().output_arity();
+                let mut then_verify = specs.clone();
+                then_verify.push(ExtendSpec::compile(&verify(done), done));
 
                 let mut parts = Partitioner::new(k).unwrap().partition(graph);
                 parts.iter_mut().for_each(|p| p.build_hub_index(hub_threshold));
@@ -2143,7 +2139,7 @@ mod tests {
                 let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
                 let (mut counted, mut gathered, mut reference) = ([0, 0], [0, 0], 0);
                 let (mut verified, mut verified_reference) = ([0, 0], 0);
-                let (mut paired, mut paired_reference) = ([0, 0], 0);
+                let (mut nested, mut paired_reference, mut done_verified) = ([0, 0, 0], 0, 0);
                 for m in 0..k {
                     let (kind, bytes) = lists.unwrap_or((CacheKind::Lrbu, 0));
                     let cache = kind.build(bytes);
@@ -2187,22 +2183,21 @@ mod tests {
                         prop_assert_eq!(sorted_rows(&kept_rows), sorted_rows(&kept_reference));
                         prop_assert_eq!(kept_count as usize, kept_rows.iter().map(RowBatch::len).sum::<usize>());
 
-                        // The fused pair: this extend counted through the
-                        // verify-mode extend of its output (match → verify),
-                        // and through the chain's last one (match → match).
-                        let spec = ExtendSpec::compile(op, arity);
+                        // The nests from this extend: through the verify-mode
+                        // extend of its output (match → verify), through the
+                        // chain's last extend, and through a verify-mode
+                        // extend after that.
                         let keep_next = verify(arity + 1);
-                        let counters = [
-                            Some(ExtendSpec::compile(&keep_next, arity + 1)),
-                            (stage + 2 == segment.extends.len()).then(|| ExtendSpec::compile(last, arity + 1)),
+                        let nests = [
+                            vec![specs[stage].clone(), ExtendSpec::compile(&keep_next, arity + 1)],
+                            specs[stage..].to_vec(),
+                            then_verify[stage..].to_vec(),
                         ];
                         let pc = OpContext { batch_size: piece, ..ctx(m, &parts, &rpc, cache.as_ref(), &pool) };
                         let pc = OpContext { use_cache: lists.is_some(), ..pc };
                         for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
-                            for (pair, counter) in counters.iter().enumerate() {
-                                if let Some(counter) = counter {
-                                    paired[pair] += spec.run_count_pair(counter, &batch, &pc).count;
-                                }
+                            for (sink, nest) in nests.iter().enumerate() {
+                                nested[sink] += count_nest(nest, &batch, &pc, None).count;
                             }
                         }
                         for batch in &rows {
@@ -2232,6 +2227,8 @@ mod tests {
                         }
                         for batch in &rows {
                             reference += run_extend_count(last, batch, &c).count;
+                            let matched = run_extend(last, batch, &c).batch;
+                            done_verified += run_extend_count(&verify(done), &matched, &c).count;
                         }
                         // The verified runs — some now empty — through the
                         // last extend's both sinks.
@@ -2248,8 +2245,8 @@ mod tests {
                 prop_assert_eq!(gathered, [expected; 2]);
                 prop_assert_eq!(reference, expected);
                 prop_assert_eq!(verified, [verified_reference; 2]);
-                let pairs = segment.extends.len() >= 2;
-                prop_assert_eq!(paired, [paired_reference, expected * pairs as u64]);
+                let stages = segment.extends.len() as u64;
+                prop_assert_eq!(nested, [paired_reference, expected * stages, done_verified * stages]);
             }
         }
     }

@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn readiness_follows_remaining_counters() {
         let seg = |remaining: usize| SegmentShared {
-            scan_pools: vec![ScanPool::empty()],
+            scan_pools: vec![ScanPool::new(&[], 1)],
             queues: vec![Arc::new(SegmentQueues::new(1, 10, None))],
             idle: vec![AtomicBool::new(false), AtomicBool::new(false)],
             remaining: AtomicUsize::new(remaining),

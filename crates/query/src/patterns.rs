@@ -170,16 +170,6 @@ impl QueryGraph {
         Pattern::Square.query_graph()
     }
 
-    /// q2: the chordal square (diamond).
-    pub fn chordal_square() -> QueryGraph {
-        Pattern::ChordalSquare.query_graph()
-    }
-
-    /// q3: the 4-clique.
-    pub fn four_clique() -> QueryGraph {
-        Pattern::FourClique.query_graph()
-    }
-
     /// The triangle, the smallest non-trivial query.
     pub fn triangle() -> QueryGraph {
         Pattern::Triangle.query_graph()
@@ -312,7 +302,5 @@ mod tests {
     fn convenience_constructors() {
         assert_eq!(QueryGraph::square().num_edges(), 4);
         assert_eq!(QueryGraph::triangle().num_edges(), 3);
-        assert!(QueryGraph::four_clique().is_clique());
-        assert_eq!(QueryGraph::chordal_square().num_edges(), 5);
     }
 }

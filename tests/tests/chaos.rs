@@ -223,6 +223,45 @@ fn cancel_with_spilled_joins_leaves_no_spill_files_or_bytes() {
     }
 }
 
+#[test]
+fn cancel_lands_inside_a_deep_counting_nest() {
+    // The 5-clique without symmetry breaking, counted on K128 as one chain
+    // of three extends: every edge roots the same 1.95 million embeddings,
+    // so each of the head's work items (a thousand edges) is about a minute
+    // of work even in release. The nest polls the run's token between
+    // pieces, so the cancel lands inside a work item.
+    let n = 128u64;
+    let query = Pattern::FiveClique.query_graph_unordered();
+    let config = ClusterConfig::new(1).workers(2);
+    let cluster = HugeCluster::build(gen::complete(n as usize), config).unwrap();
+    let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+    let dataflow = huge_plan::translate::translate(&plan).unwrap();
+    assert_eq!(dataflow.root().extends.len(), 3);
+
+    let cancel = CancelToken::new();
+    let canceller = cancel.clone();
+    let cancelled_at = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        canceller.cancel();
+        Instant::now()
+    });
+    let result = cluster.run_dataflow_with_cancel(&dataflow, SinkMode::Count, cancel);
+    let returned_at = Instant::now();
+    let cancelled_at = cancelled_at.join().unwrap();
+
+    let report = match result {
+        Err(EngineError::Cancelled(Some(report))) => report,
+        other => panic!("expected Cancelled with a partial report, got {other:?}"),
+    };
+    let latency = returned_at.saturating_duration_since(cancelled_at);
+    assert!(latency < Duration::from_secs(1), "cancel took {latency:?}");
+    let all = (0..5).map(|i| n - i).product::<u64>();
+    assert!(report.matches < all, "the run finished before the cancel");
+    assert_eq!(report.outcome, RunOutcome::Cancelled);
+    assert_eq!(report.leaked_bytes, 0);
+    assert_eq!(report.orphaned_spill_files, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fault-plan validation
 // ---------------------------------------------------------------------------

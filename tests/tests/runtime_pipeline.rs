@@ -594,20 +594,26 @@ fn ship_hand_off_conserves_cluster_wide_memory_accounting() {
     // partition until the thief's ShipAck arrives, and the thief allocates
     // before acking: cluster-wide accounting may transiently double-count
     // the one partition in flight but must never undercount, and must be
-    // exact once the hand-offs quiesce.
+    // exact once the hand-offs quiesce. Each side moves its counter under
+    // `hand_off`, and the checker reads both under it: one instant, not two
+    // reads that any number of hand-offs could land between.
     const PARTITIONS: u64 = 64;
     const BYTES: u64 = 1_024;
     let victim = Arc::new(MemoryTracker::new());
     let thief = Arc::new(MemoryTracker::new());
     victim.allocate(PARTITIONS * BYTES);
+    let hand_off = std::sync::Mutex::new(());
     let (ship_tx, ship_rx) = std::sync::mpsc::channel::<u64>();
     let (ack_tx, ack_rx) = std::sync::mpsc::channel::<u64>();
     std::thread::scope(|scope| {
-        let thief_side = Arc::clone(&thief);
+        let (thief_side, hand_off) = (Arc::clone(&thief), &hand_off);
         scope.spawn(move || {
             // Thief: allocate on receipt, then ack — never the other order.
             for bytes in ship_rx {
-                thief_side.allocate(bytes);
+                {
+                    let _moving = hand_off.lock().unwrap();
+                    thief_side.allocate(bytes);
+                }
                 ack_tx.send(bytes).unwrap();
             }
         });
@@ -617,11 +623,15 @@ fn ship_hand_off_conserves_cluster_wide_memory_accounting() {
             for _ in 0..PARTITIONS {
                 ship_tx.send(BYTES).unwrap();
                 let acked = ack_rx.recv().unwrap();
+                let _moving = hand_off.lock().unwrap();
                 victim_side.release(acked);
             }
         });
         for _ in 0..10_000 {
-            let sum = victim.current() + thief.current();
+            let sum = {
+                let _reading = hand_off.lock().unwrap();
+                victim.current() + thief.current()
+            };
             assert!(sum >= PARTITIONS * BYTES, "undercounted: {sum}");
             assert!(sum <= (PARTITIONS + 1) * BYTES, "overcounted: {sum}");
         }

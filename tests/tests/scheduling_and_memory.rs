@@ -387,3 +387,33 @@ fn prefix_reuse_is_structural_not_timed() {
     }
     assert_eq!(matches[0], matches[1]);
 }
+
+#[test]
+fn a_counting_chain_never_queues_a_middle_level_hub_expansion() {
+    // q5 (the 5-cycle) as a chain of three extends: scan `(v3, v4)`, then
+    // `v2 ∈ N(v3)`, `v1 ∈ N(v2)` and `v0 ∈ N(v1) ∩ N(v4)`. One hub over
+    // 1 100 leaves: the first extend turns each `(hub, leaf)` row into one
+    // row per leaf of the hub — the second extend's input. Counted, the nest
+    // hands that expansion to its second and third levels piece by piece as
+    // it is generated, so no queue ever holds it.
+    let leaves = 1_100;
+    let hub = (2..leaves + 2).map(|leaf| (0, leaf));
+    let rim = (2..12).flat_map(|leaf| [(1, leaf), (leaf, leaf + 1)]);
+    let graph = Graph::from_edges(hub.chain(rim));
+    let query = Pattern::FiveCycle.query_graph();
+    let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+    let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
+    let report = HugeCluster::build(graph.clone(), config)
+        .unwrap()
+        .run_with_plan(&plan, SinkMode::Count)
+        .unwrap();
+    assert_eq!(report.matches, naive::enumerate(&graph, &query));
+    // `extend_rows` = rows into extend 1 (at most the scan's) + the
+    // expansion + the second extend's few rows of rim leaves.
+    let expansion = report.comm.extend_rows - 2 * graph.num_edges();
+    assert!(expansion >= 500 * leaves as u64, "{expansion} rows");
+    let column = 4 * expansion;
+    let peak = report.peak_memory_bytes;
+    assert!(4 * peak < column, "peak {peak} vs a {column}-byte column");
+    assert_eq!(report.leaked_bytes, 0);
+}
