@@ -12,7 +12,9 @@
 use std::time::Duration;
 
 use huge_baselines::Baseline;
-use huge_bench::{load_dataset, mib, paper_query, secs, table1_row, TextTable, DEFAULT_SCALE};
+use huge_bench::{
+    load_dataset, mib, paper_query, process_cpu_seconds, secs, table1_row, TextTable, DEFAULT_SCALE,
+};
 use huge_cache::CacheKind;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, SinkMode};
 use huge_graph::DatasetKind;
@@ -383,7 +385,7 @@ fn exp7(opts: &Options) {
     println!("\n{}", table.render());
 }
 
-/// Exp-8 (Fig. 10): load balancing strategies.
+/// Exp-8 (Fig. 10): load balancing strategies, then the scale-out row.
 fn exp8(opts: &Options) {
     let graph = load_dataset(DatasetKind::Uk, opts.scale);
     let mut table = TextTable::new(vec![
@@ -422,6 +424,66 @@ fn exp8(opts: &Options) {
         }
     }
     println!("\n{}", table.render());
+    scale_out(&graph);
+}
+
+/// Exp-8/9's scale-out row: q1 and q3 at 1, 2, 4 and 8 machines of one
+/// worker each. Only figures that do not depend on how many cores the host
+/// has are printed: the process CPU time a run takes against one machine's
+/// (each configuration repeats until it has used a second of CPU, so the
+/// 10 ms tick does not show), the bytes pulled and pushed per match, the
+/// slowest machine's compute time over the mean (`machine_imbalance`) and
+/// the cache hit rate.
+fn scale_out(graph: &huge_graph::Graph) {
+    let mut table = TextTable::new(vec![
+        "query",
+        "machines",
+        "CPU / k=1",
+        "pulled B/match",
+        "pushed B/match",
+        "imbalance",
+        "cache hit",
+        "matches",
+    ]);
+    for qi in [1usize, 3] {
+        let query = paper_query(qi);
+        let mut single: Option<(u64, Option<f64>)> = None;
+        for machines in [1usize, 2, 4, 8] {
+            let config = ClusterConfig::new(machines).workers(1);
+            let cluster = HugeCluster::build(graph.clone(), config).expect("cluster");
+            let start = process_cpu_seconds();
+            let mut compute = vec![0.0; machines];
+            let mut runs = 0u32;
+            let (report, cpu) = loop {
+                let report = cluster.run(&query, SinkMode::Count).expect("run");
+                runs += 1;
+                for (total, m) in compute.iter_mut().zip(&report.machines) {
+                    *total += m.compute_time.as_secs_f64();
+                }
+                let used = start.zip(process_cpu_seconds()).map(|(a, b)| b - a);
+                if used.is_none_or(|s| s >= 1.0) {
+                    break (report, used.map(|s| s / f64::from(runs)));
+                }
+            };
+            let (matches, single_cpu) = *single.get_or_insert((report.matches, cpu));
+            assert_eq!(matches, report.matches, "q{qi} at {machines} machines");
+            let mean = compute.iter().sum::<f64>() / machines as f64;
+            let max = compute.iter().copied().fold(0.0, f64::max);
+            let per_match = |bytes: u64| format!("{:.2}", bytes as f64 / matches.max(1) as f64);
+            table.add_row(vec![
+                format!("q{qi}"),
+                machines.to_string(),
+                cpu.zip(single_cpu)
+                    .map_or("n/a".into(), |(c, one)| format!("{:.2}", c / one)),
+                per_match(report.comm.bytes_pulled),
+                per_match(report.comm.bytes_pushed),
+                format!("{:.2}", max / mean),
+                format!("{:.3}", report.cache.hit_rate()),
+                matches.to_string(),
+            ]);
+        }
+    }
+    println!("\nscale-out (workers 1)\n{}", table.render());
 }
 
 /// Exp-9 (Table 6): hybrid plan comparison.

@@ -92,6 +92,19 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
+/// CPU seconds (user + system) this process has used so far, read from
+/// `/proc/self/stat`, or `None` where that file does not exist. Linux counts
+/// them in `USER_HZ` ticks, which its ABI fixes at 100 per second.
+pub fn process_cpu_seconds() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name may hold spaces; the fields after its `)` do not.
+    // `utime` and `stime` are the 12th and 13th of those.
+    let mut fields = stat.get(stat.rfind(')')? + 2..)?.split(' ');
+    let utime: f64 = fields.nth(11)?.parse().ok()?;
+    let stime: f64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) / 100.0)
+}
+
 /// Summarises a run report as the row the paper's Table 1 uses:
 /// `T, T_R, T_C, C (MiB), M (MiB)`.
 pub fn table1_row(report: &RunReport) -> Vec<String> {
@@ -130,6 +143,18 @@ mod tests {
         assert!(g.num_vertices() > 0);
         let q = paper_query(1);
         assert_eq!(q.num_vertices(), 4);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn process_cpu_time_is_read_and_grows() {
+        let before = process_cpu_seconds().expect("/proc/self/stat parses");
+        let start = std::time::Instant::now();
+        let mut x = 0u64;
+        while start.elapsed() < std::time::Duration::from_millis(200) {
+            x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+        }
+        assert!(process_cpu_seconds().unwrap() > before);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
-use huge_graph::GraphPartition;
+use huge_graph::{machine_of, GraphPartition};
 
 use crate::join::{row_key_hash, scatter_rows};
 use crate::pool::WorkerPool;
@@ -59,12 +59,13 @@ pub struct OpContext<'a> {
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
 /// joins); the caller moves the per-destination batches through
 /// `RouterEndpoint::try_push`, which is where the traffic gets charged. The
-/// destination is [`key_hash`](crate::join::key_hash)` % k`, the hash the
-/// receiving join takes its Grace partition from.
+/// destination is [`machine_of`] the row's [`key_hash`](crate::join::key_hash)
+/// — the high bits of the mixed hash, the same placement as a vertex's owner
+/// — and the receiving join takes its Grace partition from other bits of it.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
     let batch = &*batch.flattened();
     let hash = row_key_hash(batch, key_positions);
-    scatter(batch, |row| (hash(row) % k as u64) as usize, k)
+    scatter(batch, |row| machine_of(hash(row), k), k)
 }
 
 /// Partitions the logical rows of `batch` over `k` machines by the *owner* of
@@ -210,6 +211,26 @@ mod tests {
             }
         }
         assert_eq!(partition_cols_by_key(&batch, &[0], 4), parts);
+    }
+
+    #[test]
+    fn one_residue_class_of_keys_spreads_over_every_machine() {
+        // A grid's checkerboard or an R-MAT's quadrant bits put structure in
+        // an id's low bits; the shuffle must not follow it.
+        for k in 2..=4usize {
+            for residue in 0..4u32 {
+                let keys: Vec<u32> = (0..10_000).map(|i| i * 4 + residue).collect();
+                let parts = partition_cols_by_key(&ColBatch::from_columns(vec![keys]), &[0], k);
+                let fair = 10_000.0 / k as f64;
+                for (machine, part) in parts.iter().enumerate() {
+                    assert!(
+                        (part.len() as f64 - fair).abs() <= 0.1 * fair,
+                        "k {k}, keys ≡ {residue} mod 4: machine {machine} gets {} of 10 000",
+                        part.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use huge_comm::ColBatch;
-use huge_graph::{IdBuildHasher, VertexId};
+use huge_graph::{mix, IdBuildHasher, VertexId};
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
@@ -165,12 +165,14 @@ pub(crate) fn scatter_rows<'a>(
 }
 
 /// The Grace partition of a row whose join key hashes to `hash`. The shuffle
-/// already routed the row by `hash % k`, so every row a machine receives
-/// agrees on those low bits; taking the partition from them again would leave
-/// all but `NUM_PARTITIONS / k` partitions empty. The multiply folds the
-/// whole hash into the high half, which the shuffle never looked at.
+/// already placed the row by the top bits of [`mix`]`(hash)`
+/// ([`machine_of`](huge_graph::machine_of)), so every row a machine receives
+/// agrees on those; taking the partition from them again would leave all but
+/// `NUM_PARTITIONS / k` partitions empty. The partition reads bits 32–35 of
+/// the same mixed value instead, far below the top `log₂ k` bits the
+/// placement turns on.
 fn grace_partition(hash: u64) -> usize {
-    (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % NUM_PARTITIONS
+    (mix(hash) >> 32) as usize % NUM_PARTITIONS
 }
 
 /// Widest join key (in columns) that packs exactly into a `u128`.
@@ -2032,11 +2034,12 @@ mod tests {
 
     #[test]
     fn shuffled_rows_fill_every_grace_partition() {
-        // The shuffle routes by `key_hash % k`; what one machine receives
-        // must still spread over all of its Grace partitions.
+        // The shuffle places by the top bits of the mixed key hash; what one
+        // machine receives must still spread over all of its Grace
+        // partitions.
         let keys: Vec<u32> = (0..12_000).map(|i| i * 7 + 3).collect();
         let batch = ColBatch::from_columns(vec![keys.clone(), keys]);
-        for k in [2, 4, 16] {
+        for k in [2, 3, 4, 16] {
             let routed = crate::exec::partition_cols_by_key(&batch, &[0], k);
             for (machine, rows) in routed.iter().enumerate() {
                 let mut joiner = HashJoiner::new(

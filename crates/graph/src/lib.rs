@@ -34,7 +34,7 @@ pub use datasets::{Dataset, DatasetKind};
 pub use graph::{Graph, VertexId};
 pub use hash::{IdBuildHasher, IdHasher, VertexMap};
 pub use kernels::{HubBitmap, HubIndex, KernelKind, KernelTally};
-pub use partition::{GraphPartition, PartitionMap, Partitioner};
+pub use partition::{machine_of, mix, GraphPartition, PartitionMap, Partitioner};
 pub use stats::GraphStats;
 
 /// Errors produced while building, loading or partitioning graphs.

@@ -17,14 +17,12 @@ pub type MachineId = usize;
 
 /// Maps vertices to owning machines.
 ///
-/// The default strategy is modulo hashing on the vertex id, which matches
-/// the "random partitioning" of the paper (ids carry no locality).
+/// A vertex is owned by [`machine_of`] its id: the high bits of the id after
+/// one mixing multiply, which is the "random partitioning" of the paper —
+/// neither an id nor its low bits carry any locality.
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     num_machines: usize,
-    /// `⌊2⁶⁴ / num_machines⌋`, or 0 when `num_machines` is a power of two
-    /// and [`PartitionMap::owner`] masks instead of multiplying.
-    recip: u64,
 }
 
 impl PartitionMap {
@@ -33,16 +31,7 @@ impl PartitionMap {
         if num_machines == 0 {
             return Err(GraphError::InvalidPartitionCount);
         }
-        let recip = if num_machines.is_power_of_two() {
-            0
-        } else {
-            // 2⁶⁴ is not a multiple of `k`, so ⌊(2⁶⁴ − 1) / k⌋ = ⌊2⁶⁴ / k⌋.
-            u64::MAX / num_machines as u64
-        };
-        Ok(PartitionMap {
-            num_machines,
-            recip,
-        })
+        Ok(PartitionMap { num_machines })
     }
 
     /// Number of machines.
@@ -54,19 +43,7 @@ impl PartitionMap {
     /// The machine that owns vertex `v`.
     #[inline]
     pub fn owner(&self, v: VertexId) -> MachineId {
-        // Multiplicative hashing spreads consecutive ids (BA generators
-        // produce id-correlated degrees) across machines.
-        let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // `h % k` without the division — this runs per row of every extend.
-        let k = self.num_machines as u64;
-        if self.recip == 0 {
-            return (h & (k - 1)) as MachineId;
-        }
-        // ⌊h · ⌊2⁶⁴/k⌋ / 2⁶⁴⌋ is ⌊h / k⌋ or one less, so the remainder it
-        // leaves is under 2k: one conditional subtraction finishes it.
-        let q = ((h as u128 * self.recip as u128) >> 64) as u64;
-        let r = h - q * k;
-        (if r >= k { r - k } else { r }) as MachineId
+        machine_of(u64::from(v), self.num_machines)
     }
 
     /// Returns `true` if `v` is owned by `machine`.
@@ -74,6 +51,28 @@ impl PartitionMap {
     pub fn is_local(&self, v: VertexId, machine: MachineId) -> bool {
         self.owner(v) == machine
     }
+}
+
+/// Mixes a 64-bit hash so that its high bits depend on all of it: the
+/// halves are folded together (an identity on a 32-bit vertex id), then one
+/// multiply by an odd constant carries every bit upwards. The fold is what
+/// makes a join-key hash safe to place: for a one-column key the join's FNV
+/// fold is one multiply of the id, a second multiply on top would still be
+/// one, and its high bits would follow the id's residue classes (keys that
+/// are multiples of 4 went 42 % / 58 % over two machines without the fold).
+#[inline]
+pub fn mix(h: u64) -> u64 {
+    (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The machine, of `k`, that the 64-bit hash `h` is placed on: a
+/// multiply-high scales [`mix`]`(h)` to `0..k`, so the placement reads the
+/// *high* bits of the mixed value, and at a power-of-two `k` it does not
+/// reduce to the low bits of `h`, as a remainder would. The vertex owner and
+/// the join shuffle both place through here.
+#[inline]
+pub fn machine_of(h: u64, k: usize) -> MachineId {
+    ((u128::from(mix(h)) * k as u128) >> 64) as MachineId
 }
 
 /// The slice of the data graph stored on one machine: the adjacency lists of
@@ -200,11 +199,6 @@ impl GraphPartition {
         }
         hubs.get(v)
     }
-
-    /// The hub index handle, if built.
-    pub fn hub_index(&self) -> Option<&Arc<HubIndex>> {
-        self.hubs.as_ref()
-    }
 }
 
 /// Splits a graph into `k` partitions.
@@ -295,13 +289,36 @@ mod tests {
     }
 
     #[test]
-    fn owner_is_the_remainder_it_replaced() {
+    fn owner_is_the_high_bits_of_the_mixed_id() {
         let ids = (0..=10_000).chain([u32::MAX - 1, u32::MAX]);
         for v in ids {
             let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             for k in (1..=9usize).chain([1000, 65_537]) {
                 let map = PartitionMap::new(k).unwrap();
-                assert_eq!(map.owner(v), (h % k as u64) as usize, "v {v} k {k}");
+                let high = ((h as u128 * k as u128) >> 64) as usize;
+                assert_eq!(map.owner(v), high, "v {v} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_residue_class_spreads_over_every_machine() {
+        // A grid's checkerboard or an R-MAT's quadrant bits put structure in
+        // an id's low bits; the owner must not follow it.
+        for k in 2..=4usize {
+            let map = PartitionMap::new(k).unwrap();
+            for residue in 0..4u32 {
+                let mut owned = vec![0usize; k];
+                for i in 0..10_000u32 {
+                    owned[map.owner(i * 4 + residue)] += 1;
+                }
+                let fair = 10_000.0 / k as f64;
+                for (machine, &n) in owned.iter().enumerate() {
+                    assert!(
+                        (n as f64 - fair).abs() <= 0.1 * fair,
+                        "k {k}, ids ≡ {residue} mod 4: machine {machine} owns {n} of 10 000"
+                    );
+                }
             }
         }
     }
@@ -320,8 +337,13 @@ mod tests {
         let g = gen::barabasi_albert(2000, 8, 7);
         let threshold = 64;
         let mut parts = Partitioner::new(3).unwrap().partition(g);
+        let unindexed = |p: &GraphPartition| {
+            p.local_vertices()
+                .iter()
+                .all(|&v| p.hub_bitmap(v).is_none())
+        };
         for p in &mut parts {
-            assert!(p.hub_index().is_none());
+            assert!(unindexed(p));
             p.build_hub_index(threshold);
         }
         let mut indexed = 0usize;
@@ -341,7 +363,7 @@ mod tests {
         assert!(indexed > 0, "BA graph with m=8 should have hubs above 64");
         // Threshold 0 disables the index.
         parts[0].build_hub_index(0);
-        assert!(parts[0].hub_index().is_none());
+        assert!(unindexed(&parts[0]));
     }
 
     #[test]

@@ -132,9 +132,10 @@ proptest! {
     }
 
     /// The columnar shuffle sends every surviving row where a row-at-a-time
-    /// `key_hash` reference sends it: per destination exactly those rows, in
-    /// input order, dense — whether or not a selection vector narrows the
-    /// batch.
+    /// reference sends it (the high bits of the row's `key_hash` once its
+    /// halves are folded together and one mixing multiply is applied): per
+    /// destination exactly those rows, in input order, dense — whether or
+    /// not a selection vector narrows the batch.
     #[test]
     fn columnar_shuffle_matches_the_row_at_a_time_reference(
         arity in 1usize..5,
@@ -159,7 +160,9 @@ proptest! {
 
         let mut expected = vec![Vec::new(); k];
         for &i in &survivors {
-            let dest = key_hash(key.iter().map(|&c| row(i)[c])) as usize % k;
+            let hash = key_hash(key.iter().map(|&c| row(i)[c]));
+            let mixed = (hash ^ (hash >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let dest = ((u128::from(mixed) * k as u128) >> 64) as usize;
             expected[dest].extend_from_slice(row(i));
         }
         let parts = partition_cols_by_key(&cols, &key, k);
