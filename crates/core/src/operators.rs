@@ -31,8 +31,9 @@
 //!   output, a test's) is the same loop with every row a run of one.
 //!
 //! A run's shared intersection is computed once per run (and reused while
-//! the next run's prefix vertices are the same) and held in a
-//! [`ProbeFilter`]; each row only scans its own newest list against it. The
+//! the next run's prefix vertices are the same), cut to the order bounds
+//! those vertices fix, and held in a [`ProbeFilter`]; each row slices it to
+//! its range and only scans its own newest list against it. The
 //! key comparison reads vertex ids, nothing else, so it cannot be wrong for
 //! any order of runs — shuffled, selected, split or stolen batches only
 //! recompute more. The counting sink runs the kernels' count twins, the
@@ -372,13 +373,16 @@ fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
 }
 
 /// Intersects the adjacency lists of `exts` (already sorted smallest-degree
-/// first) into `scratch`, dispatching every step through the adaptive
-/// kernel family: hub bitmaps for indexed high-degree vertices, galloping
-/// under cardinality skew, branch-light merge otherwise. A missing list
-/// (a vertex its owner does not know) clears the accumulator — no
-/// candidates.
+/// first) into `scratch`, keeping only the ids strictly between `lo` and
+/// `hi`: each list is cut to that range before it is copied or intersected,
+/// so no step reads ids the caller would slice away. Every step dispatches
+/// through the adaptive kernel family: hub bitmaps for indexed high-degree
+/// vertices (the accumulator is already cut), galloping under cardinality
+/// skew, branch-light merge otherwise. A missing list (a vertex its owner
+/// does not know) clears the accumulator — no candidates.
 fn intersect_ext_lists(
     exts: &[VertexId],
+    (lo, hi): (Option<VertexId>, Option<VertexId>),
     ctx: &OpContext<'_>,
     view: &ListView,
     scratch: &mut Vec<VertexId>,
@@ -388,7 +392,8 @@ fn intersect_ext_lists(
     let Some((&first, rest)) = exts.split_first() else {
         return;
     };
-    scratch.extend_from_slice(neighbours(ctx, view, first).unwrap_or_default());
+    let nbrs = neighbours(ctx, view, first).unwrap_or_default();
+    scratch.extend_from_slice(&nbrs[range_of(nbrs, lo, hi)]);
     for &v in rest {
         if scratch.is_empty() {
             break;
@@ -399,7 +404,10 @@ fn intersect_ext_lists(
             continue;
         }
         match neighbours(ctx, view, v) {
-            Some(nbrs) => tally.bump(kernels::intersect_in_place(scratch, nbrs)),
+            Some(nbrs) => {
+                let nbrs = &nbrs[range_of(nbrs, lo, hi)];
+                tally.bump(kernels::intersect_in_place(scratch, nbrs));
+            }
             None => scratch.clear(),
         }
     }
@@ -483,6 +491,10 @@ pub struct ExtendSpec {
     /// The other extend positions, never the newest column: a run of rows
     /// shares their vertices, and so the intersection of their lists.
     prefix: Vec<usize>,
+    /// The bounds the prefix vertices set the candidate themselves, as
+    /// indices into `prefix`: above every `key_lo` one, under every `key_hi`.
+    key_lo: Vec<usize>,
+    key_hi: Vec<usize>,
     /// Order filters between two positions below the newest column,
     /// `(smaller, larger)`: they pass or fail a whole run.
     run_gates: Vec<(usize, usize)>,
@@ -509,7 +521,7 @@ impl ExtendSpec {
             [only] => Some(only),
             _ => exts.contains(&newest).then_some(newest),
         };
-        let prefix = exts.iter().copied().filter(|&p| Some(p) != last).collect();
+        let prefix: Vec<usize> = exts.iter().copied().filter(|&p| Some(p) != last).collect();
         let (mut gates, mut lo_from, mut hi_from) = (Vec::new(), Vec::new(), Vec::new());
         for f in &op.filters {
             if f.larger == arity {
@@ -525,10 +537,14 @@ impl ExtendSpec {
             .partition(|&(smaller, larger)| smaller == newest || larger == newest);
         let collide = (0..arity)
             .filter(|p| !exts.contains(p) && !lo_from.contains(p) && !hi_from.contains(p));
+        let at = |p: &usize| prefix.iter().position(|q| q == p);
+        let in_prefix = |from: &[usize]| from.iter().filter_map(at).collect();
         ExtendSpec {
             op: op.clone(),
             arity,
             last,
+            key_lo: in_prefix(&lo_from),
+            key_hi: in_prefix(&hi_from),
             prefix,
             run_gates,
             row_gates,
@@ -536,6 +552,12 @@ impl ExtendSpec {
             lo_from: Reads::of(lo_from, newest),
             hi_from: Reads::of(hi_from, newest),
         }
+    }
+
+    /// The range `key` (the prefix vertices) fixes alone, as it fixes `shared`.
+    fn key_bounds(&self, key: &[VertexId]) -> (Option<VertexId>, Option<VertexId>) {
+        let lo = self.key_lo.iter().map(|&i| key[i]).max();
+        (lo, self.key_hi.iter().map(|&i| key[i]).min())
     }
 
     /// Arity of the output rows: verify mode adds no column.
@@ -635,13 +657,15 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 /// `run_gates` pass or fail the whole run; the part of the candidates' value
 /// range the run fixes; the run's `collide` values; and the prefix key. The
 /// prefix lists' intersection `shared` (smallest-degree first, hub bitmaps
-/// where indexed) is recomputed only when the key — the prefix vertices,
+/// where indexed, every list first cut to the bounds the key's own vertices
+/// set — q3's `d < a` with `a` in the prefix — so only ids a row can use are
+/// intersected) is recomputed only when the key — the prefix vertices,
 /// compared by id — differs from the previous run's: consecutive runs often
 /// share it (q1's `(a, b₁)`, `(a, b₂)` both intersect `N(a)`), and equal
-/// vertices have equal adjacency lists, so any order of runs is correct; a
-/// run under a new key just misses. Work items are cut on run boundaries
-/// ([`intersect_ranges`]), so within a batch a run computes `shared` and arms
-/// its filter once.
+/// vertices have equal adjacency lists and equal key bounds, so any order of
+/// runs is correct; a run under a new key just misses. Work items are cut on
+/// run boundaries ([`intersect_ranges`]), so within a batch a run computes
+/// `shared` and arms its filter once.
 ///
 /// **Once per row**, from the newest column: the `row_gates`, the rest of
 /// the range `(lo, hi)`, and the last step. The slice of `shared` inside the
@@ -651,10 +675,11 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 /// [`ProbeFilter`] and each row only scans its own list against the filter
 /// ([`Candidates::Probe`]). A key sets the filter with its first slice and,
 /// if a later row's range reaches outside that, once more with the whole
-/// shared list; what the filter holds clears itself before it is replaced.
-/// The filter is refused for a set over [`kernels::PROBE_MAX_SET`] and
-/// bypassed for a newest list over [`kernels::PROBE_MAX_SKEW`] × the slice;
-/// those rows, and hubs' bitmaps, take the merge / gallop / bitmap dispatch.
+/// (key-bounded) shared list; what the filter holds clears itself before it
+/// is replaced. The filter is refused for a set over
+/// [`kernels::PROBE_MAX_SET`] and bypassed for a newest list over
+/// [`kernels::PROBE_MAX_SKEW`] × the slice; those rows, and hubs' bitmaps,
+/// take the merge / gallop / bitmap dispatch.
 /// The newest column's list is borrowed, not copied — as is the only list of
 /// a one-list extend, which has no prefix and never builds a filter. Every
 /// list comes from the local partition or the batch's `view`; a vertex the
@@ -721,7 +746,8 @@ fn for_each_candidate_set(
             key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
             by_degree.clone_from(&key);
             by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-            intersect_ext_lists(&by_degree, ctx, view, &mut shared, &mut tally);
+            let cut_by_key = spec.key_bounds(&key);
+            intersect_ext_lists(&by_degree, cut_by_key, ctx, view, &mut shared, &mut tally);
             cut = None;
         }
         'rows: for i in rows {
@@ -1346,7 +1372,7 @@ mod row_major {
         exts.clear();
         exts.extend(op.ext_positions.iter().map(|&p| row[p]));
         exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-        intersect_ext_lists(exts, ctx, view, scratch, tally);
+        intersect_ext_lists(exts, (None, None), ctx, view, scratch, tally);
         for &candidate in scratch.iter() {
             if candidate_passes(op, row, candidate) {
                 sink.emit_extended(row, candidate);
@@ -1964,6 +1990,96 @@ mod tests {
             }
             assert_eq!(run_extend_cols(&op, rows, &c).batch.len() as u64, reference);
         }
+    }
+
+    #[test]
+    fn a_bounded_intersection_is_the_unbounded_one_filtered() {
+        let g = gen::barabasi_albert(400, 6, 3);
+        let mut parts = Partitioner::new(1).unwrap().partition(g);
+        parts[0].build_hub_index(8);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let view = ListView::default();
+        let bounds = [
+            (None, None),
+            (Some(40), None),
+            (None, Some(250)),
+            (Some(30), Some(300)),
+            (Some(100), Some(101)), // no id strictly between
+            (Some(120), Some(120)),
+            (Some(300), Some(30)), // lo ≥ hi
+        ];
+        let (mut whole, mut cut) = (Vec::new(), Vec::new());
+        let mut tally = KernelTally::default();
+        // Pairs and triples whose later operands include hubs (vertex 0 and
+        // its early neighbours are BA's oldest, highest-degree vertices).
+        for u in (10..400).step_by(7) {
+            for mut exts in [vec![u, 0], vec![u, u / 2, 1], vec![u, 2, 0]] {
+                exts.sort_unstable_by_key(|&v| c.partition.degree(v));
+                intersect_ext_lists(&exts, (None, None), &c, &view, &mut whole, &mut tally);
+                for (lo, hi) in bounds {
+                    intersect_ext_lists(&exts, (lo, hi), &c, &view, &mut cut, &mut tally);
+                    let inside =
+                        |&&x: &&VertexId| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h);
+                    let expected: Vec<VertexId> = whole.iter().filter(inside).copied().collect();
+                    assert_eq!(cut, expected, "{exts:?} in ({lo:?}, {hi:?})");
+                }
+            }
+        }
+        assert!(
+            tally.bitmap > 0 && tally.merge + tally.gallop > 0,
+            "{tally:?}"
+        );
+    }
+
+    #[test]
+    fn a_bound_outside_the_prefix_stays_per_row() {
+        use huge_plan::translate::{translate, SegmentSource};
+        use huge_query::{naive, Pattern};
+
+        // The square's worst-case-optimal plan: scan (a, b), then c ∈ N(a)
+        // under b, then d ∈ N(b) ∩ N(c) under a, b and c.
+        let query = Pattern::Square.query_graph();
+        let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+        let dataflow = translate(&plan).unwrap();
+        let specs = &compiled(&dataflow)[0];
+        let last = &specs[1];
+        // Only the prefix's own vertex cuts `shared`; column 0 and the newest
+        // column bound each row's slice of it.
+        assert_eq!((&last.prefix[..], last.last), (&[1][..], Some(2)));
+        assert_eq!((&last.key_lo[..], &last.key_hi[..]), (&[][..], &[0][..]));
+        assert_eq!(last.hi_from.all(2), [0, 1, 2]);
+        assert_eq!(last.key_bounds(&[17]), (None, Some(17)));
+
+        let graph = gen::erdos_renyi(30, 120, 5);
+        let expected = naive::enumerate(&graph, &query);
+        assert!(expected > 0);
+        let mut parts = Partitioner::new(1).unwrap().partition(graph);
+        parts[0].build_hub_index(6);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let SegmentSource::Scan(scan) = &dataflow.root().source else {
+            panic!("a worst-case-optimal plan starts from a scan");
+        };
+        let mut cursor = ScanCursor::new(scan.clone(), ScanPool::new(parts[0].local_vertices(), 8));
+        let [first, second] = &dataflow.root().extends[..] else {
+            panic!("two extends");
+        };
+        let (mut counted, mut gathered, mut reference) = (0, 0, 0);
+        while let Some(batch) = cursor.next_runs(&c) {
+            let rows = run_extend_cols(first, batch, &c).batch;
+            reference += run_extend_count(second, &rows.to_rows(), &c).count;
+            counted += run_extend_count_cols(second, &rows, &c).count;
+            gathered += run_extend_cols(second, rows, &c).batch.len() as u64;
+        }
+        assert_eq!(
+            (counted, gathered, reference),
+            (expected, expected, expected)
+        );
     }
 
     mod properties {

@@ -1,11 +1,11 @@
-//! Reading and writing edge-list files.
+//! Reading edge-list files.
 //!
 //! The paper's datasets (SNAP, WebGraph, DIMACS) are distributed as plain
 //! edge lists; this module supports the common variants: whitespace-separated
 //! `u v` pairs and optional `#`/`%` comment lines.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::graph::{Graph, VertexId};
@@ -48,19 +48,6 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<Graph> {
     read_edge_list(BufReader::new(file))
 }
 
-/// Writes a graph as a `u v` edge list (one undirected edge per line).
-pub fn write_edge_list<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "# vertices: {}", graph.num_vertices())?;
-    writeln!(w, "# edges: {}", graph.num_edges())?;
-    for (u, v) in graph.edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +84,8 @@ mod tests {
         let dir = std::env::temp_dir().join("huge_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.txt");
-        write_edge_list(&g, &path).unwrap();
+        let text: String = g.edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+        std::fs::write(&path, text).unwrap();
         let g2 = load_edge_list(&path).unwrap();
         assert_eq!(g.num_vertices(), g2.num_vertices());
         assert_eq!(g.num_edges(), g2.num_edges());

@@ -16,7 +16,7 @@
 //! * [`datasets`] — named dataset descriptors mirroring Table 3 of the paper
 //!   (`GO-S`, `LJ-S`, …) at configurable scale.
 //! * [`hash`] — the folded-multiply hasher for vertex-id keys.
-//! * [`stats`] — degree statistics (average/max degree, degeneracy ordering)
+//! * [`stats`] — degree statistics (average/max degree, triangles)
 //!   used by the optimiser's cost model.
 
 pub mod builder;

@@ -73,69 +73,6 @@ impl GraphStats {
     }
 }
 
-/// Computes a degeneracy ordering of the graph (smallest-degree-last).
-///
-/// The ordering is useful as a matching-order heuristic: matching
-/// high-coreness vertices first shrinks candidate sets early. Returns a
-/// permutation of vertex ids and the graph degeneracy.
-pub fn degeneracy_ordering(graph: &Graph) -> (Vec<u32>, usize) {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v as u32)).collect();
-    let max_deg = *degree.iter().max().unwrap_or(&0);
-    // Bucket queue keyed by current degree.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v as u32);
-    }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0usize;
-    let mut cur = 0usize;
-    for _ in 0..n {
-        // Find the non-empty bucket with the smallest degree.
-        while cur < buckets.len() && buckets[cur].is_empty() {
-            cur += 1;
-        }
-        // The bucket may contain stale entries; skip them.
-        let v = loop {
-            if cur >= buckets.len() {
-                // All remaining entries were stale; rescan from zero.
-                cur = 0;
-                while buckets[cur].is_empty() {
-                    cur += 1;
-                }
-            }
-            match buckets[cur].pop() {
-                Some(v) if !removed[v as usize] && degree[v as usize] == cur => break v,
-                Some(_) => continue,
-                None => {
-                    cur += 1;
-                    continue;
-                }
-            }
-        };
-        removed[v as usize] = true;
-        degeneracy = degeneracy.max(cur);
-        order.push(v);
-        for &u in graph.neighbours(v) {
-            if !removed[u as usize] {
-                let d = degree[u as usize];
-                if d > 0 {
-                    degree[u as usize] = d - 1;
-                    buckets[d - 1].push(u);
-                    if d - 1 < cur {
-                        cur = d - 1;
-                    }
-                }
-            }
-        }
-    }
-    (order, degeneracy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,29 +98,5 @@ mod tests {
         // The cheap triangle estimate should be the right order of magnitude.
         assert!(cheap.triangles > 0);
         assert!(cheap.triangles < exact.triangles * 20 + 100);
-    }
-
-    #[test]
-    fn degeneracy_of_complete_graph() {
-        let g = gen::complete(8);
-        let (order, d) = degeneracy_ordering(&g);
-        assert_eq!(order.len(), 8);
-        assert_eq!(d, 7);
-    }
-
-    #[test]
-    fn degeneracy_of_tree_is_one() {
-        let g = crate::Graph::from_edges([(0, 1), (1, 2), (1, 3), (3, 4)]);
-        let (order, d) = degeneracy_ordering(&g);
-        assert_eq!(order.len(), 5);
-        assert_eq!(d, 1);
-    }
-
-    #[test]
-    fn degeneracy_of_empty_graph() {
-        let g = crate::Graph::default();
-        let (order, d) = degeneracy_ordering(&g);
-        assert!(order.is_empty());
-        assert_eq!(d, 0);
     }
 }

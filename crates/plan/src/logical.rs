@@ -41,20 +41,6 @@ impl JoinNode {
         }
     }
 
-    /// Creates a join node over two children, computing the output as their
-    /// union and the physical setting by Equation 3.
-    pub fn join_auto(q: &QueryGraph, left: JoinNode, right: JoinNode) -> JoinNode {
-        let l = left.output();
-        let r = right.output();
-        let physical = configure(q, &l, &r);
-        JoinNode::Join {
-            output: l.union(&r),
-            left: Box::new(left),
-            right: Box::new(right),
-            physical,
-        }
-    }
-
     /// Creates a join node with an explicit physical setting.
     pub fn join_with(left: JoinNode, right: JoinNode, physical: PhysicalSetting) -> JoinNode {
         let output = left.output().union(&right.output());
@@ -351,14 +337,20 @@ mod tests {
     use super::*;
     use huge_query::Pattern;
 
+    /// A join node over two children, set up by Equation 3.
+    fn join_auto(q: &QueryGraph, left: JoinNode, right: JoinNode) -> JoinNode {
+        let physical = configure(q, &left.output(), &right.output());
+        JoinNode::join_with(left, right, physical)
+    }
+
     /// Builds the Example 3.1 plan: the 4-clique assembled by two complete
     /// star joins from an initial edge.
     fn clique_wco_tree(q: &QueryGraph) -> JoinTree {
         let e01 = SubQuery::star(q, 0, &[1]);
         let star2 = SubQuery::star(q, 2, &[0, 1]);
         let star3 = SubQuery::star(q, 3, &[0, 1, 2]);
-        let j1 = JoinNode::join_auto(q, JoinNode::Unit(e01), JoinNode::Unit(star2));
-        let j2 = JoinNode::join_auto(q, j1, JoinNode::Unit(star3));
+        let j1 = join_auto(q, JoinNode::Unit(e01), JoinNode::Unit(star2));
+        let j2 = join_auto(q, j1, JoinNode::Unit(star3));
         JoinTree::new(j2)
     }
 
@@ -402,7 +394,7 @@ mod tests {
         let q = Pattern::Square.query_graph();
         let a = SubQuery::star(&q, 0, &[1, 3]);
         let b = SubQuery::star(&q, 0, &[1]); // overlaps edge (0,1)
-        let node = JoinNode::join_auto(&q, JoinNode::Unit(a), JoinNode::Unit(b));
+        let node = join_auto(&q, JoinNode::Unit(a), JoinNode::Unit(b));
         let tree = JoinTree::new(node);
         assert!(matches!(
             tree.validate(&q),
@@ -415,7 +407,7 @@ mod tests {
         let q = Pattern::FourClique.query_graph();
         let tri = SubQuery::induced_by_vertices(&q, [0, 1, 2]);
         let rest = SubQuery::star(&q, 3, &[0, 1, 2]);
-        let node = JoinNode::join_auto(&q, JoinNode::Unit(tri), JoinNode::Unit(rest));
+        let node = join_auto(&q, JoinNode::Unit(tri), JoinNode::Unit(rest));
         let tree = JoinTree::new(node);
         assert!(matches!(tree.validate(&q), Err(PlanError::UnitNotAStar(_))));
     }

@@ -140,12 +140,6 @@ impl SubQuery {
         self.verts & (1 << v) != 0
     }
 
-    /// `true` if every vertex of `other` is a vertex of `self`.
-    #[inline]
-    pub fn contains_vertices_of(&self, other: &SubQuery) -> bool {
-        other.verts & !self.verts == 0
-    }
-
     /// Union of two sub-queries (vertices and edges).
     #[inline]
     pub fn union(&self, other: &SubQuery) -> SubQuery {
@@ -232,20 +226,6 @@ impl SubQuery {
     pub fn is_full(&self, q: &QueryGraph) -> bool {
         self.edge_count() == q.num_edges()
     }
-
-    /// `true` when this sub-query equals the subgraph of `q` induced by its
-    /// own vertex set (needed by the BiGJoin ↔ framework equivalence,
-    /// Example 3.1).
-    pub fn is_induced(&self, q: &QueryGraph) -> bool {
-        for (i, &(a, b)) in q.edges().iter().enumerate() {
-            let both_in = self.contains_vertex(a) && self.contains_vertex(b);
-            let included = self.edges & (1 << i) != 0;
-            if both_in && !included {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -257,6 +237,11 @@ mod tests {
         Pattern::Square.query_graph()
     }
 
+    /// `true` when `s` is the subgraph of `q` induced by its own vertices.
+    fn is_induced(s: &SubQuery, q: &QueryGraph) -> bool {
+        *s == SubQuery::induced_by_vertices(q, s.vertices())
+    }
+
     #[test]
     fn full_subquery_covers_everything() {
         let q = square();
@@ -265,7 +250,7 @@ mod tests {
         assert_eq!(full.vertex_count(), 4);
         assert!(full.is_connected(&q));
         assert!(full.is_full(&q));
-        assert!(full.is_induced(&q));
+        assert!(is_induced(&full, &q));
         assert!(!full.is_join_unit(&q));
     }
 
@@ -278,7 +263,7 @@ mod tests {
         assert_eq!(root, 0);
         assert_eq!(leaves, vec![1, 2, 3]);
         assert!(star.is_join_unit(&q));
-        assert!(!star.is_induced(&q));
+        assert!(!is_induced(&star, &q));
     }
 
     #[test]
@@ -349,15 +334,6 @@ mod tests {
         let q = Pattern::FourClique.query_graph();
         let tri = SubQuery::induced_by_vertices(&q, [0, 1, 2]);
         assert_eq!(tri.edge_count(), 3);
-        assert!(tri.is_induced(&q));
-    }
-
-    #[test]
-    fn contains_vertices_of() {
-        let q = square();
-        let small = SubQuery::from_edge_indices(&q, [0]);
-        let big = SubQuery::full(&q);
-        assert!(big.contains_vertices_of(&small));
-        assert!(!small.contains_vertices_of(&big));
+        assert!(is_induced(&tri, &q));
     }
 }

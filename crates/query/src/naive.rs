@@ -131,59 +131,59 @@ impl<'g, 'q> Context<'g, 'q> {
     }
 }
 
-/// Counts matches of a pattern by brute force over all `n`-subsets when the
-/// graph is tiny. Used only by tests as an independent cross-check of
-/// [`enumerate`]; complexity is `O(|V|^|V_q|)`.
-pub fn brute_force_count(graph: &Graph, query: &QueryGraph) -> u64 {
-    let n = graph.num_vertices();
-    let k = query.num_vertices();
-    if n == 0 || k == 0 {
-        return 0;
-    }
-    let mut count = 0u64;
-    let mut selection = vec![0usize; k];
-    loop {
-        // Check injectivity.
-        let mut ok = true;
-        'outer: for i in 0..k {
-            for j in (i + 1)..k {
-                if selection[i] == selection[j] {
-                    ok = false;
-                    break 'outer;
-                }
-            }
-        }
-        if ok {
-            let mapping: Vec<u32> = selection.iter().map(|&x| x as u32).collect();
-            let edges_ok = query
-                .edges()
-                .iter()
-                .all(|&(a, b)| graph.has_edge(mapping[a as usize], mapping[b as usize]));
-            if edges_ok && query.order().check_full(&mapping) {
-                count += 1;
-            }
-        }
-        // Next tuple in lexicographic order.
-        let mut pos = k;
-        loop {
-            if pos == 0 {
-                return count;
-            }
-            pos -= 1;
-            selection[pos] += 1;
-            if selection[pos] < n {
-                break;
-            }
-            selection[pos] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::patterns::Pattern;
     use huge_graph::gen;
+
+    /// Counts matches of a pattern by brute force over all `n`-tuples of a
+    /// tiny graph: an independent cross-check of [`enumerate`], in
+    /// `O(|V|^|V_q|)`.
+    fn brute_force_count(graph: &Graph, query: &QueryGraph) -> u64 {
+        let n = graph.num_vertices();
+        let k = query.num_vertices();
+        if n == 0 || k == 0 {
+            return 0;
+        }
+        let mut count = 0u64;
+        let mut selection = vec![0usize; k];
+        loop {
+            // Check injectivity.
+            let mut ok = true;
+            'outer: for i in 0..k {
+                for j in (i + 1)..k {
+                    if selection[i] == selection[j] {
+                        ok = false;
+                        break 'outer;
+                    }
+                }
+            }
+            if ok {
+                let mapping: Vec<u32> = selection.iter().map(|&x| x as u32).collect();
+                let edges_ok = query
+                    .edges()
+                    .iter()
+                    .all(|&(a, b)| graph.has_edge(mapping[a as usize], mapping[b as usize]));
+                if edges_ok && query.order().check_full(&mapping) {
+                    count += 1;
+                }
+            }
+            // Next tuple in lexicographic order.
+            let mut pos = k;
+            loop {
+                if pos == 0 {
+                    return count;
+                }
+                pos -= 1;
+                selection[pos] += 1;
+                if selection[pos] < n {
+                    break;
+                }
+                selection[pos] = 0;
+            }
+        }
+    }
 
     #[test]
     fn triangle_count_matches_graph_routine() {

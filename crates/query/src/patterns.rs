@@ -9,7 +9,7 @@
 //! building blocks (paths, cycles, stars, cliques) used by tests and by the
 //! application examples (§6 of the paper).
 
-use crate::query::{PartialOrder, QueryGraph, QueryVertex};
+use crate::query::{QueryGraph, QueryVertex};
 use crate::symmetry::symmetry_breaking_order;
 
 /// A named query pattern.
@@ -182,60 +182,10 @@ impl QueryGraph {
     }
 }
 
-/// Parses a pattern name as used on the experiment command line
-/// (`q1`–`q8`, `triangle`, `path-N`, `cycle-N`, `clique-N`, `star-N`).
-pub fn parse_pattern(s: &str) -> Option<Pattern> {
-    let s = s.trim().to_ascii_lowercase();
-    if let Some(rest) = s.strip_prefix('q') {
-        if let Ok(i) = rest.parse::<usize>() {
-            return Pattern::paper(i);
-        }
-    }
-    if s == "triangle" {
-        return Some(Pattern::Triangle);
-    }
-    if s == "5clique" {
-        return Some(Pattern::FiveClique);
-    }
-    for (prefix, f) in [
-        ("path-", Pattern::Path as fn(usize) -> Pattern),
-        ("cycle-", Pattern::Cycle as fn(usize) -> Pattern),
-        ("star-", Pattern::Star as fn(usize) -> Pattern),
-        ("clique-", Pattern::Clique as fn(usize) -> Pattern),
-    ] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            if let Ok(n) = rest.parse::<usize>() {
-                return Some(f(n));
-            }
-        }
-    }
-    None
-}
-
-/// The symmetry-breaking partial orders the paper lists under Figure 4, for
-/// the queries where our reconstruction matches the paper's vertex
-/// numbering. Exposed for documentation and cross-checking; the engine uses
-/// the automatically derived orders.
-pub fn paper_listed_order(i: usize) -> Option<PartialOrder> {
-    // Paper vertices are 1-based; ours are 0-based.
-    let pairs: Vec<(QueryVertex, QueryVertex)> = match i {
-        1 => vec![(0, 1), (0, 2), (0, 3), (1, 3)],
-        2 => vec![(0, 2), (1, 3)],
-        3 => vec![(0, 1), (1, 2), (2, 3)],
-        4 => vec![(1, 4)],
-        5 => vec![(0, 3)],
-        6 => vec![(1, 4), (2, 3)],
-        7 => vec![(0, 5)],
-        8 => vec![(1, 2), (1, 4), (1, 5)],
-        _ => return None,
-    };
-    Some(PartialOrder::from_pairs(pairs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symmetry::automorphism_count;
+    use crate::symmetry::{automorphism_count, automorphisms};
 
     #[test]
     fn paper_queries_all_build() {
@@ -274,16 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_pattern_names() {
-        assert_eq!(parse_pattern("q1"), Some(Pattern::Square));
-        assert_eq!(parse_pattern("Q3"), Some(Pattern::FourClique));
-        assert_eq!(parse_pattern("triangle"), Some(Pattern::Triangle));
-        assert_eq!(parse_pattern("path-4"), Some(Pattern::Path(4)));
-        assert_eq!(parse_pattern("clique-5"), Some(Pattern::Clique(5)));
-        assert_eq!(parse_pattern("bogus"), None);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(Pattern::Square.name(), "q1-square");
         assert_eq!(Pattern::Path(6).name(), "q7-6path");
@@ -292,10 +232,14 @@ mod tests {
 
     #[test]
     fn paper_orders_available_for_all_eight() {
-        for i in 1..=8 {
-            assert!(paper_listed_order(i).is_some());
+        // Of the automorphic images of one embedding, the order keeps one.
+        for pattern in Pattern::PAPER_QUERIES {
+            let q = pattern.query_graph();
+            let images = automorphisms(&q).into_iter();
+            let images = images.map(|f| f.into_iter().map(u32::from).collect::<Vec<_>>());
+            let kept = images.filter(|f| q.order().check_full(f)).count();
+            assert_eq!(kept, 1, "{pattern:?}");
         }
-        assert!(paper_listed_order(9).is_none());
     }
 
     #[test]

@@ -58,15 +58,6 @@ impl PartialOrder {
             .all(|&(a, b)| assignment[a as usize] < assignment[b as usize])
     }
 
-    /// Checks only the constraints whose two endpoints are both `< bound`
-    /// (i.e. already assigned when vertices are matched in id order).
-    pub fn check_prefix(&self, assignment: &[u32], bound: QueryVertex) -> bool {
-        self.constraints
-            .iter()
-            .filter(|&&(a, b)| a < bound && b < bound)
-            .all(|&(a, b)| assignment[a as usize] < assignment[b as usize])
-    }
-
     /// Constraints that involve `v` and some vertex in `assigned`.
     pub fn constraints_on(
         &self,
@@ -246,13 +237,6 @@ impl QueryGraph {
         n >= 2 && self.num_edges() == n * (n - 1) / 2
     }
 
-    /// Query vertices whose matches must be adjacent to a match of `v` — the
-    /// *backward neighbours* smaller than `v`, used by the wco-join
-    /// intersection (Equation 2).
-    pub fn backward_neighbours(&self, v: QueryVertex) -> Vec<QueryVertex> {
-        self.neighbours(v).filter(|&u| u < v).collect()
-    }
-
     /// Produces a vertex order in which every vertex (after the first) has at
     /// least one earlier neighbour, i.e. a connected matching order. Prefers
     /// higher-degree vertices first (a common heuristic).
@@ -378,17 +362,8 @@ mod tests {
         let po = PartialOrder::from_pairs([(0, 1), (1, 2)]);
         assert!(po.check_full(&[1, 5, 9]));
         assert!(!po.check_full(&[5, 1, 9]));
-        assert!(po.check_prefix(&[1, 5, 0], 2));
-        assert!(!po.check_prefix(&[5, 1, 0], 2));
         assert_eq!(po.constraints_on(1).count(), 2);
         assert!(PartialOrder::empty().is_empty());
-    }
-
-    #[test]
-    fn backward_neighbours() {
-        let q = QueryGraph::new(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
-        assert_eq!(q.backward_neighbours(3), vec![1, 2]);
-        assert_eq!(q.backward_neighbours(0), Vec::<u8>::new());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use huge_core::join::key_hash;
 use huge_core::{ClusterConfig, HugeCluster, SinkMode};
 use huge_graph::{gen, Graph, Partitioner};
 use huge_plan::baselines::{plug_into_huge, BaselineSystem};
-use huge_query::{naive, Pattern};
+use huge_query::{naive, symmetry, Pattern};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -25,6 +25,9 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
         Just(Pattern::Square),
         Just(Pattern::ChordalSquare),
         Just(Pattern::FourClique),
+        Just(Pattern::Clique(5)),
+        Just(Pattern::House),
+        Just(Pattern::Prism),
         Just(Pattern::Star(3)),
         Just(Pattern::Path(4)),
     ]
@@ -80,15 +83,22 @@ proptest! {
         prop_assert_eq!(report.matches, expected);
     }
 
-    /// The number of matches never depends on the symmetry-breaking
-    /// constraints being checked early or late: multiplying by the
-    /// automorphism count recovers the embedding count.
+    /// The engine's symmetry-breaking order keeps exactly one embedding per
+    /// match, wherever it checks a constraint (a run's shared intersection,
+    /// a row's slice of it, a per-candidate filter): multiplying the
+    /// engine's count by the automorphism count recovers the number of
+    /// embeddings the unordered enumerator finds.
     #[test]
-    fn symmetry_breaking_counts_are_consistent(graph in arb_graph()) {
-        let query = Pattern::Square.query_graph();
-        let matches = naive::enumerate(&graph, &query);
+    fn symmetry_breaking_counts_are_consistent(
+        graph in arb_graph(),
+        pattern in arb_pattern(),
+        machines in 1usize..4,
+    ) {
+        let query = pattern.query_graph();
         let embeddings = naive::enumerate_embeddings(&graph, &query);
-        prop_assert_eq!(embeddings, matches * 8); // |Aut(C4)| = 8
+        let cluster = HugeCluster::build(graph, ClusterConfig::new(machines).workers(1)).unwrap();
+        let report = cluster.run(&query, SinkMode::Count).unwrap();
+        prop_assert_eq!(report.matches * symmetry::automorphism_count(&query), embeddings);
     }
 
     /// Columnar ↔ row-major conversion is lossless for arbitrary batches,
