@@ -114,13 +114,13 @@ fn dfs(
         })
         .collect();
     // Intersect the cached neighbour lists (adaptive merge/gallop kernel).
-    let mut candidates: Vec<VertexId> = Vec::new();
+    let (mut candidates, mut spare) = (Vec::new(), Vec::new());
     for (i, &b) in bound.iter().enumerate() {
         let nbrs = &*cache.entry(b).or_insert_with(|| store.get(b));
         if i == 0 {
             candidates.extend_from_slice(nbrs);
         } else {
-            huge_graph::kernels::intersect_in_place(&mut candidates, nbrs);
+            huge_graph::kernels::intersect_in_place(&mut candidates, nbrs, &mut spare);
         }
         if candidates.is_empty() {
             break;

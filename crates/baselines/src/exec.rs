@@ -549,7 +549,7 @@ pub fn wco_extend_pushing(
         current.into_iter().enumerate().collect::<Vec<_>>(),
         |(m, buffered), out: &mut Vec<(usize, ColBatch)>| {
             let mut rows = ColBatch::new(out_arity);
-            let mut candidates: Vec<VertexId> = Vec::new();
+            let (mut candidates, mut spare) = (Vec::new(), Vec::new());
             let mut row = Vec::with_capacity(arity);
             for i in 0..buffered.len() {
                 row.clear();
@@ -560,7 +560,7 @@ pub fn wco_extend_pushing(
                     if i == 0 {
                         candidates.extend_from_slice(nbrs);
                     } else {
-                        huge_graph::kernels::intersect_in_place(&mut candidates, nbrs);
+                        huge_graph::kernels::intersect_in_place(&mut candidates, nbrs, &mut spare);
                     }
                     if candidates.is_empty() {
                         break;

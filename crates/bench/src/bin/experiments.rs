@@ -114,7 +114,6 @@ fn guarded_native(
         est: &HybridEstimator,
         worst: &mut f64,
     ) {
-        use huge_plan::cost::CardinalityEstimator;
         match node {
             huge_plan::logical::JoinNode::Unit(sub) => {
                 *worst = worst.max(est.estimate(q, sub));

@@ -96,7 +96,6 @@ mod tests {
     use huge_cache::LrbuCache;
     use huge_comm::stats::ClusterStats;
     use huge_graph::{gen, Partitioner};
-    use huge_plan::physical::CommMode;
     use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
     use std::sync::Arc;
 
@@ -144,7 +143,6 @@ mod tests {
                         smaller: 1,
                         larger: 2,
                     }],
-                    comm: CommMode::Pulling,
                 },
                 2,
             );

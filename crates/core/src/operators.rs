@@ -36,8 +36,9 @@
 //! its range and only scans its own newest list against it. The
 //! key comparison reads vertex ids, nothing else, so it cannot be wrong for
 //! any order of runs — shuffled, selected, split or stolen batches only
-//! recompute more. The counting sink runs the kernels' count twins, the
-//! materialising one lets them write straight into the new column. Verify
+//! recompute more. Both sinks run the same kernel walk per row
+//! (`Candidates::each`): the counting one counts its hits, the materialising
+//! one appends them straight into the new column. Verify
 //! mode is a per-row membership test over the same walk and shares the fetch
 //! stage. A row-major `run_extend` / `run_extend_count` that intersects every
 //! list for every row and filters per candidate lives in the test-only
@@ -373,43 +374,45 @@ fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
 }
 
 /// Intersects the adjacency lists of `exts` (already sorted smallest-degree
-/// first) into `scratch`, keeping only the ids strictly between `lo` and
-/// `hi`: each list is cut to that range before it is copied or intersected,
-/// so no step reads ids the caller would slice away. Every step dispatches
-/// through the adaptive kernel family: hub bitmaps for indexed high-degree
-/// vertices (the accumulator is already cut), galloping under cardinality
-/// skew, branch-light merge otherwise. A missing list (a vertex its owner
-/// does not know) clears the accumulator — no candidates.
+/// first) into `acc`, keeping only the ids strictly between `lo` and `hi`:
+/// each list is cut to that range before it is copied or intersected, so no
+/// step reads ids the caller would slice away. Every step writes `acc ∩
+/// list` into `spare` — the caller's, one per work item — and swaps the two;
+/// it walks through the adaptive kernel family: hub bitmaps for indexed
+/// high-degree vertices (the accumulator is already cut), galloping under
+/// cardinality skew, branch-light merge otherwise. A missing list (a vertex
+/// its owner does not know) clears the accumulator — no candidates.
 fn intersect_ext_lists(
     exts: &[VertexId],
     (lo, hi): (Option<VertexId>, Option<VertexId>),
     ctx: &OpContext<'_>,
     view: &ListView,
-    scratch: &mut Vec<VertexId>,
+    (acc, spare): (&mut Vec<VertexId>, &mut Vec<VertexId>),
     tally: &mut KernelTally,
 ) {
-    scratch.clear();
+    acc.clear();
     let Some((&first, rest)) = exts.split_first() else {
         return;
     };
     let nbrs = neighbours(ctx, view, first).unwrap_or_default();
-    scratch.extend_from_slice(&nbrs[range_of(nbrs, lo, hi)]);
+    acc.extend_from_slice(&nbrs[range_of(nbrs, lo, hi)]);
     for &v in rest {
-        if scratch.is_empty() {
+        if acc.is_empty() {
             break;
         }
-        if let Some(bm) = ctx.partition.hub_bitmap(v) {
-            kernels::intersect_bitmap_in_place(scratch, bm);
-            tally.bump(KernelKind::Bitmap);
-            continue;
-        }
-        match neighbours(ctx, view, v) {
-            Some(nbrs) => {
-                let nbrs = &nbrs[range_of(nbrs, lo, hi)];
-                tally.bump(kernels::intersect_in_place(scratch, nbrs));
-            }
-            None => scratch.clear(),
-        }
+        spare.clear();
+        let hit = |x| spare.push(x);
+        let kind = if let Some(bm) = ctx.partition.hub_bitmap(v) {
+            kernels::bitmap(acc, bm, hit);
+            KernelKind::Bitmap
+        } else if let Some(nbrs) = neighbours(ctx, view, v) {
+            kernels::intersect(acc, &nbrs[range_of(nbrs, lo, hi)], hit)
+        } else {
+            acc.clear();
+            break;
+        };
+        tally.bump(kind);
+        std::mem::swap(acc, spare);
     }
 }
 
@@ -582,34 +585,48 @@ enum Candidates<'a> {
 }
 
 impl Candidates<'_> {
-    /// The counting sink: `|candidates|` via the kernel count twins, minus
-    /// the `bound` row values among them (injectivity).
-    fn count(self, bound: &[VertexId], tally: &mut KernelTally) -> u64 {
-        let has = |s: &[VertexId], r: &VertexId| s.binary_search(r).is_ok();
-        let (n, dups) = match self {
-            Candidates::Slice(s) => (s.len() as u64, bound.iter().filter(|r| has(s, r)).count()),
-            Candidates::Lists(s, nb) => {
-                let (n, kind) = kernels::intersect_count_adaptive(s, nb);
-                tally.bump(kind);
-                let dups = bound.iter().filter(|r| has(nb, r) && has(s, r));
-                (n, dups.count())
-            }
+    /// The one walk both sinks share: calls `hit` with every candidate,
+    /// ascending, through the kernel the variant names, and tallies it.
+    #[inline]
+    fn each(self, tally: &mut KernelTally, hit: impl FnMut(VertexId)) {
+        let kind = match self {
+            Candidates::Slice(s) => return s.iter().copied().for_each(hit),
+            Candidates::Lists(s, nb) => kernels::intersect(s, nb, hit),
             Candidates::Probe(filter, s, nb) => {
-                tally.bump(KernelKind::Probe);
-                let dups = bound.iter().filter(|r| has(nb, r) && has(s, r));
-                (kernels::intersect_count_probe(filter, s, nb), dups.count())
+                kernels::probe(filter, s, nb, hit);
+                KernelKind::Probe
             }
             Candidates::Hub(s, bm) => {
-                tally.bump(KernelKind::Bitmap);
-                let dups = bound.iter().filter(|r| bm.contains(**r) && has(s, r));
-                (kernels::intersect_count_bitmap(s, bm), dups.count())
+                kernels::bitmap(s, bm, hit);
+                KernelKind::Bitmap
             }
         };
-        n - dups as u64
+        tally.bump(kind);
     }
 
-    /// The materialising sink: appends the candidates, minus the `bound`
-    /// row values among them, to `out`. Returns how many it appended.
+    /// Whether `x` is a candidate, by search rather than a walk.
+    fn contains(&self, x: VertexId) -> bool {
+        let has = |s: &[VertexId]| s.binary_search(&x).is_ok();
+        match *self {
+            Candidates::Slice(s) => has(s),
+            Candidates::Lists(s, nb) | Candidates::Probe(_, s, nb) => has(nb) && has(s),
+            Candidates::Hub(s, bm) => bm.contains(x) && has(s),
+        }
+    }
+
+    /// The counting sink: `|candidates|` by the walk, minus the `bound` row
+    /// values among them (injectivity) — searched once per row, never
+    /// tested per hit.
+    fn count(self, bound: &[VertexId], tally: &mut KernelTally) -> u64 {
+        let dups = bound.iter().filter(|&&r| self.contains(r)).count() as u64;
+        let mut n = 0u64;
+        self.each(tally, |_| n += 1);
+        n - dups
+    }
+
+    /// The materialising sink: appends the candidates (a slice in bulk, the
+    /// rest by the walk's append sink), minus the `bound` row values among
+    /// them, to `out`. Returns how many it appended.
     fn append_to(
         self,
         bound: &[VertexId],
@@ -619,15 +636,7 @@ impl Candidates<'_> {
         let from = out.len();
         match self {
             Candidates::Slice(s) => out.extend_from_slice(s),
-            Candidates::Lists(s, nb) => tally.bump(kernels::intersect_into(s, nb, out)),
-            Candidates::Probe(filter, s, nb) => {
-                kernels::intersect_probe_into(filter, s, nb, out);
-                tally.bump(KernelKind::Probe);
-            }
-            Candidates::Hub(s, bm) => {
-                kernels::intersect_bitmap_into(s, bm, out);
-                tally.bump(KernelKind::Bitmap);
-            }
+            _ => self.each(tally, |x| out.push(x)),
         }
         for r in bound {
             if let Ok(k) = out[from..].binary_search(r) {
@@ -704,6 +713,7 @@ fn for_each_candidate_set(
     // `shared[span]` its part inside the range `cut`; `filter` holds exactly
     // `shared[armed]`, which is empty or covers `span`.
     let (mut key, mut shared): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
+    let mut spare = Vec::new();
     let mut by_degree: Vec<VertexId> = Vec::new();
     let mut filter = ProbeFilter::default();
     let (mut armed, mut sets_left) = (0..0, 0u8);
@@ -747,7 +757,8 @@ fn for_each_candidate_set(
             by_degree.clone_from(&key);
             by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
             let cut_by_key = spec.key_bounds(&key);
-            intersect_ext_lists(&by_degree, cut_by_key, ctx, view, &mut shared, &mut tally);
+            let bufs = (&mut shared, &mut spare);
+            intersect_ext_lists(&by_degree, cut_by_key, ctx, view, bufs, &mut tally);
             cut = None;
         }
         'rows: for i in rows {
@@ -1228,7 +1239,7 @@ mod row_major {
             .pool
             .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
                 let mut exts: Vec<VertexId> = Vec::new();
-                let mut scratch: Vec<VertexId> = Vec::new();
+                let mut scratch = (Vec::new(), Vec::new());
                 let mut tally = KernelTally::default();
                 for i in start..end {
                     let row = input.row(i);
@@ -1271,7 +1282,7 @@ mod row_major {
         let view = &view;
         let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
             let mut exts: Vec<VertexId> = Vec::new();
-            let mut scratch: Vec<VertexId> = Vec::new();
+            let mut scratch = (Vec::new(), Vec::new());
             let mut tally = KernelTally::default();
             let mut count = 0u64;
             for i in start..end {
@@ -1356,7 +1367,7 @@ mod row_major {
         ctx: &OpContext<'_>,
         view: &ListView,
         exts: &mut Vec<VertexId>,
-        scratch: &mut Vec<VertexId>,
+        scratch: &mut (Vec<VertexId>, Vec<VertexId>),
         tally: &mut KernelTally,
         sink: &mut ExtendSink<'_>,
     ) {
@@ -1372,8 +1383,9 @@ mod row_major {
         exts.clear();
         exts.extend(op.ext_positions.iter().map(|&p| row[p]));
         exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-        intersect_ext_lists(exts, (None, None), ctx, view, scratch, tally);
-        for &candidate in scratch.iter() {
+        let (acc, spare) = scratch;
+        intersect_ext_lists(exts, (None, None), ctx, view, (acc, spare), tally);
+        for &candidate in acc.iter() {
             if candidate_passes(op, row, candidate) {
                 sink.emit_extended(row, candidate);
             }
@@ -1390,7 +1402,6 @@ mod tests {
     use huge_comm::stats::ClusterStats;
     use huge_comm::RpcFabric;
     use huge_graph::{gen, GraphPartition, Partitioner};
-    use huge_plan::physical::CommMode;
 
     impl Reads {
         /// Every position read.
@@ -1497,7 +1508,6 @@ mod tests {
                     smaller: 1,
                     larger: 2,
                 }],
-                comm: CommMode::Pulling,
             };
             let mut cursor = ScanCursor::new(scan, ScanPool::new(parts[m].local_vertices(), 2));
             while let Some(batch) = cursor.next_batch(&c) {
@@ -1524,7 +1534,6 @@ mod tests {
             ext_positions: vec![1],
             verify_position: Some(0),
             filters: vec![],
-            comm: CommMode::Pulling,
         };
         let out = run_extend(&op, &input, &c);
         assert_eq!(out.batch.len(), 1);
@@ -1545,7 +1554,6 @@ mod tests {
             ext_positions: vec![0, 1],
             verify_position: None,
             filters: vec![],
-            comm: CommMode::Pulling,
         };
         let out = run_extend(&op, &input, &c);
         // All other 6 vertices of K8 complete the triangle.
@@ -1626,7 +1634,6 @@ mod tests {
                     smaller: 1,
                     larger: 2,
                 }],
-                comm: CommMode::Pulling,
             };
             let mut cursor = ScanCursor::new(scan, ScanPool::new(parts[m].local_vertices(), 2));
             while let Some(batch) = cursor.next_batch(&c) {
@@ -1663,7 +1670,6 @@ mod tests {
             ext_positions: vec![1],
             verify_position: Some(0),
             filters: vec![],
-            comm: CommMode::Pulling,
         };
         let out = run_extend_cols(&op, input, &c);
         assert_eq!(out.batch.len(), 2);
@@ -1699,7 +1705,6 @@ mod tests {
                 smaller: 1,
                 larger: 2,
             }],
-            comm: CommMode::Pulling,
         };
         let mut row_total = 0u64;
         let mut count_total = 0u64;
@@ -1724,7 +1729,6 @@ mod tests {
             ext_positions: (0..k).collect(),
             verify_position: None,
             filters: vec![],
-            comm: CommMode::Pulling,
         };
         [step(2), step(3)]
     }
@@ -1903,7 +1907,6 @@ mod tests {
             ext_positions: vec![1],
             verify_position: None,
             filters: vec![],
-            comm: CommMode::Pulling,
         };
         let one_list = executed(&|| run_extend_count_cols(&path, &rows, &c).count);
         assert_eq!(one_list, (360, 0, 120, 0, 0));
@@ -1956,7 +1959,6 @@ mod tests {
                 smaller: 2,
                 larger: 1,
             }],
-            comm: CommMode::Pulling,
         };
         for (leaves, fits) in [(4080, true), (4100, false)] {
             let g = with_hubs(gen::erdos_renyi(12, 30, 7), leaves);
@@ -2011,16 +2013,18 @@ mod tests {
             (Some(120), Some(120)),
             (Some(300), Some(30)), // lo ≥ hi
         ];
-        let (mut whole, mut cut) = (Vec::new(), Vec::new());
+        let (mut whole, mut cut, mut spare) = (Vec::new(), Vec::new(), Vec::new());
         let mut tally = KernelTally::default();
         // Pairs and triples whose later operands include hubs (vertex 0 and
         // its early neighbours are BA's oldest, highest-degree vertices).
         for u in (10..400).step_by(7) {
             for mut exts in [vec![u, 0], vec![u, u / 2, 1], vec![u, 2, 0]] {
                 exts.sort_unstable_by_key(|&v| c.partition.degree(v));
-                intersect_ext_lists(&exts, (None, None), &c, &view, &mut whole, &mut tally);
+                let bufs = (&mut whole, &mut spare);
+                intersect_ext_lists(&exts, (None, None), &c, &view, bufs, &mut tally);
                 for (lo, hi) in bounds {
-                    intersect_ext_lists(&exts, (lo, hi), &c, &view, &mut cut, &mut tally);
+                    let bufs = (&mut cut, &mut spare);
+                    intersect_ext_lists(&exts, (lo, hi), &c, &view, bufs, &mut tally);
                     let inside =
                         |&&x: &&VertexId| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h);
                     let expected: Vec<VertexId> = whole.iter().filter(inside).copied().collect();
@@ -2238,7 +2242,6 @@ mod tests {
                     ext_positions: vec![arity - 1],
                     verify_position: Some(0),
                     filters: vec![OrderFilter { smaller: 0, larger: arity - 1 }],
-                    comm: CommMode::Pulling,
                 };
                 let mut specs: Vec<ExtendSpec> = Vec::new();
                 for op in &segment.extends {

@@ -221,20 +221,20 @@ pub fn intersect_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
 ///
 /// This is the multiway intersection of Equation 2 in the paper, used by the
 /// `PULL-EXTEND` operator to compute the candidate set of the next query
-/// vertex. The accumulator is seeded from the smallest list and compacted
-/// in place against each remaining list by the adaptive kernel — one
-/// allocation total, instead of one fresh vector per list.
+/// vertex. The accumulator is seeded from the smallest list and stepped
+/// against each remaining list by the adaptive kernel through one spare
+/// buffer — two allocations total, instead of one fresh vector per list.
 pub fn intersect_many(mut lists: Vec<&[VertexId]>) -> Vec<VertexId> {
     if lists.is_empty() {
         return Vec::new();
     }
     lists.sort_by_key(|l| l.len());
-    let mut acc: Vec<VertexId> = lists[0].to_vec();
+    let (mut acc, mut spare) = (lists[0].to_vec(), Vec::new());
     for l in &lists[1..] {
         if acc.is_empty() {
             break;
         }
-        crate::kernels::intersect_in_place(&mut acc, l);
+        crate::kernels::intersect_in_place(&mut acc, l, &mut spare);
     }
     acc
 }

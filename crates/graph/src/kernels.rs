@@ -5,48 +5,54 @@
 //! wrong shape for most real calls: adjacency cardinalities in power-law
 //! graphs differ by orders of magnitude, and hub vertices are intersected
 //! against thousands of partial results per run. This module provides a
-//! small kernel *family* and a per-call dispatcher:
+//! small kernel *family* and a per-call dispatcher. Each kernel is one
+//! *walk* that hands every element of the intersection, ascending, to a
+//! closure:
 //!
-//! * [`intersect_merge_into`] — branch-light sorted merge for balanced
-//!   lists. The loop advances both cursors with arithmetic on comparison
-//!   results instead of a three-way `match`, which keeps the hot loop free
-//!   of unpredictable branches and lets the compiler vectorise the common
-//!   all-misses stretches.
-//! * [`intersect_gallop_into`] — galloping (exponential search) when the
-//!   cardinalities differ by at least [`GALLOP_RATIO`]×: iterate the small
-//!   list, bound each probe into the large list by doubling steps, finish
-//!   with a binary search on the bracketed window. `O(s · log(l/s))` versus
-//!   the merge's `O(s + l)`.
-//! * [`intersect_bitmap_into`] — block-skipping bitmap membership for hub
-//!   vertices. A [`HubBitmap`] stores only the non-zero 64-bit blocks of the
-//!   hub's adjacency set (sorted block ids + one word each); the query list
-//!   is walked once with a monotone block cursor, so runs of the query that
+//! * [`merge`] — branch-light sorted merge for balanced lists. The loop
+//!   advances both cursors with arithmetic on comparison results instead of
+//!   a three-way `match`, which keeps the hot loop free of unpredictable
+//!   branches and lets the compiler vectorise the common all-misses
+//!   stretches.
+//! * [`gallop`] — galloping (exponential search) when the cardinalities
+//!   differ by at least [`GALLOP_RATIO`]×: iterate the small list, bound
+//!   each probe into the large list by doubling steps, finish with a binary
+//!   search on the bracketed window. `O(s · log(l/s))` versus the merge's
+//!   `O(s + l)`.
+//! * [`bitmap`] — block-skipping bitmap membership for hub vertices. A
+//!   [`HubBitmap`] stores only the non-zero 64-bit blocks of the hub's
+//!   adjacency set (sorted block ids + one word each); the query list is
+//!   walked once with a monotone block cursor, so runs of the query that
 //!   fall into absent blocks cost one comparison per element and no binary
 //!   search.
-//! * [`intersect_probe_into`] — hashed membership against a [`ProbeFilter`]
-//!   for one side that stays the same over many calls (`PULL-EXTEND`'s
-//!   shared prefix over a run of rows). The caller sets the shared side's
-//!   elements in the filter once ([`ProbeFilter::set_all`]), every call then
-//!   scans only its *other* operand — one independent 8 KiB-table load per
-//!   element, a binary search of the shared side on a hit — and the caller
-//!   clears the filter by re-hashing the same elements
-//!   ([`ProbeFilter::clear_all`]) before the shared side changes. Hashed and
-//!   verified rather than a |V|-bit bitmap: the same size at any graph
-//!   scale, no allocation per worker ∝ |V|. The caller also decides when not
-//!   to: a shared side over [`PROBE_MAX_SET`] would crowd the filter, and an
-//!   operand over [`PROBE_MAX_SKEW`] × the shared side is cheaper to gallop
-//!   through than to scan.
+//! * [`probe`] — hashed membership against a [`ProbeFilter`] for one side
+//!   that stays the same over many calls (`PULL-EXTEND`'s shared prefix
+//!   over a run of rows). The caller sets the shared side's elements in the
+//!   filter once ([`ProbeFilter::set_all`]), every call then scans only its
+//!   *other* operand — one independent 8 KiB-table load per element, a
+//!   binary search of the shared side on a hit — and the caller clears the
+//!   filter by re-hashing the same elements ([`ProbeFilter::clear_all`])
+//!   before the shared side changes. Hashed and verified rather than a
+//!   |V|-bit bitmap: the same size at any graph scale, no allocation per
+//!   worker ∝ |V|. The caller also decides when not to: a shared side over
+//!   [`PROBE_MAX_SET`] would crowd the filter, and an operand over
+//!   [`PROBE_MAX_SKEW`] × the shared side is cheaper to gallop through than
+//!   to scan.
 //!
-//! Every kernel has an `intersect_count_*` twin that skips output writes
-//! entirely — the count-only sinks of the runtime never materialise
-//! candidates. [`select_kernel`] picks the branch per call from
-//! `(|smallest|, |largest|, hub-ness)` — the operands of a call are what is
-//! left of the lists after earlier steps and range filters, which no
-//! up-front look at vertex degrees describes — and callers record the choice
-//! in a [`KernelTally`] so the kernel mix is observable in `ClusterStats`
-//! (the probe kernel is not `select_kernel`'s to pick: whether a filter over
-//! one operand exists is the caller's state, not a property of the call).
-//! The tally counts intersections *executed*: `PULL-EXTEND` reuses a run's
+//! What a caller does with the elements is the closure — its *sink*: `|_| n
+//! += 1` counts (the count-only sinks of the runtime never materialise
+//! candidates), `|x| out.push(x)` appends, and a multiway intersection
+//! steps its accumulator by writing into a spare buffer it owns and
+//! swapping the two ([`intersect_in_place`]). The closures inline, so a
+//! sink costs what a hand-written loop would. [`intersect`] picks merge or
+//! gallop per call from `(|smallest|, |largest|)` ([`select_kernel`]) — the
+//! operands of a call are what is left of the lists after earlier steps and
+//! range filters, which no up-front look at vertex degrees describes — and
+//! callers record the choice in a [`KernelTally`] so the kernel mix is
+//! observable in `ClusterStats`. The bitmap and probe kernels are not
+//! `select_kernel`'s to pick: whether a hub bitmap or a filter over one
+//! operand exists is the caller's state, not a property of the call. The
+//! tally counts intersections *executed*: `PULL-EXTEND` reuses a run's
 //! prefix intersection instead of repeating it per row, so the mix is that
 //! of the work done, not of the extend steps the plan nominally has.
 
@@ -100,36 +106,18 @@ impl KernelTally {
         }
     }
 
-    /// Adds another tally into this one.
-    pub fn absorb(&mut self, other: KernelTally) {
-        self.merge += other.merge;
-        self.gallop += other.gallop;
-        self.bitmap += other.bitmap;
-        self.probe += other.probe;
-    }
-
     /// Total invocations across all kernels.
     pub fn total(&self) -> u64 {
         self.merge + self.gallop + self.bitmap + self.probe
     }
 }
 
-/// Picks the kernel for one intersection call.
-///
-/// `small`/`large` are the two list cardinalities (order-insensitive);
-/// `hub` says whether a cached [`HubBitmap`] is available for the larger
-/// side. Bitmap wins whenever available (O(1) membership, no search),
-/// galloping wins at ≥ [`GALLOP_RATIO`]× skew, the merge handles the rest.
+/// Picks merge or gallop for one intersection call of lists with `a` and
+/// `b` elements (order-insensitive): galloping wins at ≥ [`GALLOP_RATIO`]×
+/// skew, the merge handles the rest.
 #[inline]
-pub fn select_kernel(small: usize, large: usize, hub: bool) -> KernelKind {
-    let (small, large) = if small <= large {
-        (small, large)
-    } else {
-        (large, small)
-    };
-    if hub {
-        KernelKind::Bitmap
-    } else if large >= small.saturating_mul(GALLOP_RATIO) {
+pub fn select_kernel(a: usize, b: usize) -> KernelKind {
+    if a.max(b) >= a.min(b).saturating_mul(GALLOP_RATIO) {
         KernelKind::Gallop
     } else {
         KernelKind::Merge
@@ -140,31 +128,27 @@ pub fn select_kernel(small: usize, large: usize, hub: bool) -> KernelKind {
 // Merge kernel
 // ---------------------------------------------------------------------------
 
-/// Branch-light sorted merge: appends `a ∩ b` to `out`.
-pub fn intersect_merge_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+/// Branch-light sorted merge: calls `hit` with every element of `a ∩ b`,
+/// ascending.
+#[inline]
+pub fn merge(a: &[VertexId], b: &[VertexId], mut hit: impl FnMut(VertexId)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
         if x == y {
-            out.push(x);
+            hit(x);
         }
         // Cursor advancement as arithmetic on the comparison outcome keeps
-        // the loop body branchless apart from the rare `push`.
+        // the loop body branchless apart from the hit.
         i += (x <= y) as usize;
         j += (y <= x) as usize;
     }
 }
 
-/// Count twin of [`intersect_merge_into`]: `|a ∩ b|` with no output writes.
+/// `|a ∩ b|` by the [`merge`] walk.
 pub fn intersect_count_merge(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j) = (0, 0);
     let mut n = 0u64;
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        n += (x == y) as u64;
-        i += (x <= y) as usize;
-        j += (y <= x) as usize;
-    }
+    merge(a, b, |_| n += 1);
     n
 }
 
@@ -190,11 +174,13 @@ fn lower_bound_gallop(hay: &[VertexId], needle: VertexId) -> usize {
     lo + hay[lo..hi].partition_point(|&x| x < needle)
 }
 
-/// Galloping intersection: iterates `small`, exponential-searches `large`.
-///
-/// Appends `small ∩ large` to `out`. The search restarts from the previous
-/// match position, so the large list is consumed monotonically.
-pub fn intersect_gallop_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
+/// Galloping intersection: iterates `small`, exponential-searches `large`,
+/// and calls `hit` with every element of `small ∩ large`, ascending. The
+/// search restarts from the previous match position, so the large list is
+/// consumed monotonically. Correct in either orientation; fast when `small`
+/// is the shorter list.
+#[inline]
+pub fn gallop(small: &[VertexId], large: &[VertexId], mut hit: impl FnMut(VertexId)) {
     let mut base = 0usize;
     for &x in small {
         base += lower_bound_gallop(&large[base..], x);
@@ -202,27 +188,10 @@ pub fn intersect_gallop_into(small: &[VertexId], large: &[VertexId], out: &mut V
             break;
         }
         if large[base] == x {
-            out.push(x);
+            hit(x);
             base += 1;
         }
     }
-}
-
-/// Count twin of [`intersect_gallop_into`].
-pub fn intersect_count_gallop(small: &[VertexId], large: &[VertexId]) -> u64 {
-    let mut base = 0usize;
-    let mut n = 0u64;
-    for &x in small {
-        base += lower_bound_gallop(&large[base..], x);
-        if base >= large.len() {
-            break;
-        }
-        if large[base] == x {
-            n += 1;
-            base += 1;
-        }
-    }
-    n
 }
 
 // ---------------------------------------------------------------------------
@@ -278,11 +247,12 @@ impl HubBitmap {
     }
 }
 
-/// Bitmap intersection: appends `query ∩ hub` to `out`.
-///
-/// Walks the sorted `query` once with a monotone cursor over the bitmap's
-/// non-zero blocks; query elements in absent blocks cost one comparison.
-pub fn intersect_bitmap_into(query: &[VertexId], hub: &HubBitmap, out: &mut Vec<VertexId>) {
+/// Bitmap intersection: calls `hit` with every element of `query ∩ hub`,
+/// ascending. Walks the sorted `query` once with a monotone cursor over the
+/// bitmap's non-zero blocks; query elements in absent blocks cost one
+/// comparison.
+#[inline]
+pub fn bitmap(query: &[VertexId], hub: &HubBitmap, mut hit: impl FnMut(VertexId)) {
     let mut bi = 0usize;
     for &v in query {
         let blk = v >> 6;
@@ -293,48 +263,9 @@ pub fn intersect_bitmap_into(query: &[VertexId], hub: &HubBitmap, out: &mut Vec<
             break;
         }
         if hub.blocks[bi] == blk && (hub.words[bi] >> (v & 63)) & 1 == 1 {
-            out.push(v);
+            hit(v);
         }
     }
-}
-
-/// In-place variant of [`intersect_bitmap_into`]: compacts `acc` to
-/// `acc ∩ hub` using the same monotone block cursor.
-pub fn intersect_bitmap_in_place(acc: &mut Vec<VertexId>, hub: &HubBitmap) {
-    let mut w = 0usize;
-    let mut bi = 0usize;
-    for r in 0..acc.len() {
-        let v = acc[r];
-        let blk = v >> 6;
-        while bi < hub.blocks.len() && hub.blocks[bi] < blk {
-            bi += 1;
-        }
-        if bi == hub.blocks.len() {
-            break;
-        }
-        if hub.blocks[bi] == blk && (hub.words[bi] >> (v & 63)) & 1 == 1 {
-            acc[w] = v;
-            w += 1;
-        }
-    }
-    acc.truncate(w);
-}
-
-/// Count twin of [`intersect_bitmap_into`].
-pub fn intersect_count_bitmap(query: &[VertexId], hub: &HubBitmap) -> u64 {
-    let mut bi = 0usize;
-    let mut n = 0u64;
-    for &v in query {
-        let blk = v >> 6;
-        while bi < hub.blocks.len() && hub.blocks[bi] < blk {
-            bi += 1;
-        }
-        if bi == hub.blocks.len() {
-            break;
-        }
-        n += (hub.blocks[bi] == blk && (hub.words[bi] >> (v & 63)) & 1 == 1) as u64;
-    }
-    n
 }
 
 // ---------------------------------------------------------------------------
@@ -361,12 +292,11 @@ pub const PROBE_MAX_SET: usize = (1 << PROBE_FILTER_BITS) / 16;
 pub const PROBE_MAX_SKEW: usize = 32;
 
 /// A fixed-size hashed bit set over one sorted vertex set `s`, built once and
-/// probed many times: the run-scoped side of [`intersect_count_probe`] /
-/// [`intersect_probe_into`].
+/// probed many times: the run-scoped side of [`probe`].
 ///
 /// 2¹⁶ bits (8 KiB) whatever the graph's size, so it stays L1-resident and
-/// costs no memory ∝ |V|. A set bit means "maybe in `s`" — the kernels
-/// confirm every hit by searching `s`, so the filter only has to be a
+/// costs no memory ∝ |V|. A set bit means "maybe in `s`" — the kernel
+/// confirms every hit by searching `s`, so the filter only has to be a
 /// superset: stale or colliding bits cost a search, never a wrong answer.
 pub struct ProbeFilter {
     words: [u64; PROBE_FILTER_WORDS],
@@ -421,8 +351,9 @@ impl ProbeFilter {
     }
 }
 
-/// The scan both probe sinks share: calls `hit` with every element of
-/// `s ∩ nb`, ascending, where `filter` holds at least the elements of `s`.
+/// Probe intersection: calls `hit` with every element of `s ∩ nb`,
+/// ascending, where `filter` holds at least the elements of `s`
+/// ([`ProbeFilter::set_all`]).
 ///
 /// Scans `nb` once: each element costs one independent filter load, and only
 /// a filter hit is confirmed by a binary search in what is left of `s` — so
@@ -430,12 +361,7 @@ impl ProbeFilter {
 /// depends on the previous element until a hit, unlike the merge's
 /// loop-carried cursor pair.
 #[inline]
-fn for_each_probe_hit(
-    filter: &ProbeFilter,
-    s: &[VertexId],
-    nb: &[VertexId],
-    mut hit: impl FnMut(VertexId),
-) {
+pub fn probe(filter: &ProbeFilter, s: &[VertexId], nb: &[VertexId], mut hit: impl FnMut(VertexId)) {
     let mut rest = s;
     for &x in nb {
         if filter.may_contain(x) {
@@ -450,115 +376,45 @@ fn for_each_probe_hit(
     }
 }
 
-/// Probe intersection: appends `s ∩ nb` (sorted) to `out`, where `filter`
-/// holds at least the elements of `s` ([`ProbeFilter::set_all`]).
-pub fn intersect_probe_into(
-    filter: &ProbeFilter,
-    s: &[VertexId],
-    nb: &[VertexId],
-    out: &mut Vec<VertexId>,
-) {
-    for_each_probe_hit(filter, s, nb, |x| out.push(x));
-}
-
-/// Count twin of [`intersect_probe_into`].
-pub fn intersect_count_probe(filter: &ProbeFilter, s: &[VertexId], nb: &[VertexId]) -> u64 {
-    let mut n = 0u64;
-    for_each_probe_hit(filter, s, nb, |_| n += 1);
-    n
-}
-
 // ---------------------------------------------------------------------------
 // Adaptive dispatch
 // ---------------------------------------------------------------------------
 
-/// Intersects `acc` with `other` in place (compacting `acc`), dispatching
-/// on cardinality skew. Returns the kernel used so callers can tally it.
-///
-/// This is the one shared in-place compaction used by `intersect_many` and
-/// the operator layer's multiway extension loop. Galloping searches
-/// whichever side is larger: the accumulator shrinks as a multiway
-/// intersection proceeds, so the galloped side can flip between steps.
-pub fn intersect_in_place(acc: &mut Vec<VertexId>, other: &[VertexId]) -> KernelKind {
-    let kind = select_kernel(acc.len(), other.len(), false);
-    let mut w = 0usize;
-    match kind {
-        // `select_kernel(.., false)` only ever answers merge or gallop.
-        KernelKind::Merge | KernelKind::Bitmap | KernelKind::Probe => {
-            let (mut i, mut j) = (0, 0);
-            while i < acc.len() && j < other.len() {
-                let (x, y) = (acc[i], other[j]);
-                if x == y {
-                    acc[w] = x;
-                    w += 1;
-                }
-                i += (x <= y) as usize;
-                j += (y <= x) as usize;
-            }
-        }
-        KernelKind::Gallop if acc.len() <= other.len() => {
-            // Small accumulator, large list: gallop the list.
-            let mut base = 0usize;
-            for i in 0..acc.len() {
-                let x = acc[i];
-                base += lower_bound_gallop(&other[base..], x);
-                if base >= other.len() {
-                    break;
-                }
-                if other[base] == x {
-                    acc[w] = x;
-                    w += 1;
-                    base += 1;
-                }
-            }
-        }
-        KernelKind::Gallop => {
-            // Large accumulator, small list: gallop the accumulator. The
-            // write cursor trails the read cursor (w ≤ matches ≤ base), so
-            // compaction in place is safe.
-            let mut base = 0usize;
-            for &x in other {
-                base += lower_bound_gallop(&acc[base..], x);
-                if base >= acc.len() {
-                    break;
-                }
-                if acc[base] == x {
-                    acc[w] = x;
-                    w += 1;
-                    base += 1;
-                }
-            }
-        }
-    }
-    acc.truncate(w);
-    kind
-}
-
-/// Appends `a ∩ b` (sorted) to `out`, dispatching between the merge and
-/// galloping kernels on skew. Returns the kernel used. The out-of-place
-/// sibling of [`intersect_in_place`], for callers whose operands are
-/// borrowed slices.
-pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> KernelKind {
+/// The adaptive walk: calls `hit` with every element of `a ∩ b`, ascending,
+/// through [`merge`] or — at [`select_kernel`]'s skew — [`gallop`] over
+/// the longer list. Returns the kernel used so callers can tally it.
+#[inline]
+pub fn intersect(a: &[VertexId], b: &[VertexId], hit: impl FnMut(VertexId)) -> KernelKind {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let kind = select_kernel(small.len(), large.len(), false);
+    let kind = select_kernel(small.len(), large.len());
     match kind {
-        KernelKind::Gallop => intersect_gallop_into(small, large, out),
-        _ => intersect_merge_into(small, large, out),
+        KernelKind::Gallop => gallop(small, large, hit),
+        _ => merge(small, large, hit),
     }
     kind
 }
 
-/// Counts `|a ∩ b|`, dispatching between the merge and galloping count
-/// twins on skew (use [`intersect_count_bitmap`] directly when a hub bitmap
-/// is cached). Returns the count and the kernel used.
+/// Counts `|a ∩ b|` by the [`intersect`] walk. Returns the count and the
+/// kernel used.
 pub fn intersect_count_adaptive(a: &[VertexId], b: &[VertexId]) -> (u64, KernelKind) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let kind = select_kernel(small.len(), large.len(), false);
-    let n = match kind {
-        KernelKind::Gallop => intersect_count_gallop(small, large),
-        _ => intersect_count_merge(small, large),
-    };
+    let mut n = 0u64;
+    let kind = intersect(a, b, |_| n += 1);
     (n, kind)
+}
+
+/// One step of a multiway intersection: `acc` becomes `acc ∩ other`. The
+/// [`intersect`] walk writes into `spare`, a buffer the caller owns and
+/// keeps across steps, and the two swap — no compaction loop of its own,
+/// and no allocation once both buffers have grown. Returns the kernel used.
+pub fn intersect_in_place(
+    acc: &mut Vec<VertexId>,
+    other: &[VertexId],
+    spare: &mut Vec<VertexId>,
+) -> KernelKind {
+    spare.clear();
+    let kind = intersect(acc, other, |x| spare.push(x));
+    std::mem::swap(acc, spare);
+    kind
 }
 
 // ---------------------------------------------------------------------------
@@ -639,35 +495,48 @@ mod tests {
         (0..len as u32).map(|i| i * stride + offset).collect()
     }
 
+    /// What each sink makes of `walk`: the elements it appends after what a
+    /// buffer held, and their count.
+    fn sinks(walk: impl Fn(&mut dyn FnMut(VertexId))) -> (Vec<VertexId>, u64) {
+        let mut out = vec![7];
+        walk(&mut |x| out.push(x));
+        assert_eq!(out[0], 7, "appends after what `out` held");
+        let mut n = 0u64;
+        walk(&mut |_| n += 1);
+        (out.split_off(1), n)
+    }
+
     #[test]
     fn merge_matches_scalar_reference() {
         let a = strided(100, 3, 0);
         let b = strided(400, 2, 1);
-        let mut out = Vec::new();
-        intersect_merge_into(&a, &b, &mut out);
-        assert_eq!(out, intersect_sorted(&a, &b));
-        assert_eq!(intersect_count_merge(&a, &b), out.len() as u64);
+        let want = intersect_sorted(&a, &b);
+        let (out, n) = sinks(|hit| merge(&a, &b, hit));
+        assert_eq!(out, want);
+        assert_eq!(n, want.len() as u64);
+        assert_eq!(intersect_count_merge(&a, &b), n);
     }
 
     #[test]
     fn gallop_matches_scalar_reference() {
         let small = strided(16, 97, 5);
         let large = strided(4096, 3, 0);
-        let mut out = Vec::new();
-        intersect_gallop_into(&small, &large, &mut out);
-        assert_eq!(out, intersect_sorted(&small, &large));
-        assert_eq!(intersect_count_gallop(&small, &large), out.len() as u64);
+        let want = intersect_sorted(&small, &large);
+        let (out, n) = sinks(|hit| gallop(&small, &large, hit));
+        assert_eq!(out, want);
+        assert_eq!(n, want.len() as u64);
+        assert_eq!(sinks(|hit| gallop(&large, &small, hit)), (want, n));
     }
 
     #[test]
     fn gallop_handles_empty_and_disjoint() {
-        let mut out = Vec::new();
-        intersect_gallop_into(&[], &[1, 2, 3], &mut out);
-        assert!(out.is_empty());
-        intersect_gallop_into(&[10, 20], &[], &mut out);
-        assert!(out.is_empty());
-        intersect_gallop_into(&[100, 200], &[1, 2, 3], &mut out);
-        assert!(out.is_empty());
+        for (small, large) in [
+            (&[][..], &[1, 2, 3][..]),
+            (&[10, 20], &[]),
+            (&[100, 200], &[1, 2, 3]),
+        ] {
+            assert_eq!(sinks(|hit| gallop(small, large, hit)), (Vec::new(), 0));
+        }
     }
 
     #[test]
@@ -686,13 +555,11 @@ mod tests {
         let query = strided(300, 11, 0);
         let bm = HubBitmap::build(&hub);
         assert_eq!(bm.cardinality(), 500);
-        let mut out = Vec::new();
-        intersect_bitmap_into(&query, &bm, &mut out);
-        assert_eq!(out, intersect_sorted(&query, &hub));
-        assert_eq!(intersect_count_bitmap(&query, &bm), out.len() as u64);
-        let mut acc = query.clone();
-        intersect_bitmap_in_place(&mut acc, &bm);
-        assert_eq!(acc, out);
+        let want = intersect_sorted(&query, &hub);
+        assert_eq!(
+            sinks(|hit| bitmap(&query, &bm, hit)),
+            (want.clone(), want.len() as u64)
+        );
     }
 
     #[test]
@@ -710,31 +577,23 @@ mod tests {
 
     #[test]
     fn in_place_dispatches_and_compacts() {
-        // Balanced → merge.
-        let mut acc = strided(64, 3, 0);
-        let other = strided(64, 2, 0);
-        let want = intersect_sorted(&acc, &other);
-        assert_eq!(intersect_in_place(&mut acc, &other), KernelKind::Merge);
-        assert_eq!(acc, want);
-
-        // Small acc vs large list → gallop.
-        let mut acc = strided(8, 50, 0);
-        let other = strided(1024, 5, 0);
-        let want = intersect_sorted(&acc, &other);
-        assert_eq!(intersect_in_place(&mut acc, &other), KernelKind::Gallop);
-        assert_eq!(acc, want);
-
-        // Large acc vs small list → gallop (the other direction).
-        let mut acc = strided(1024, 5, 0);
-        let other = strided(8, 50, 0);
-        let want = intersect_sorted(&acc, &other);
-        assert_eq!(intersect_in_place(&mut acc, &other), KernelKind::Gallop);
-        assert_eq!(acc, want);
+        // One spare across every step, as a multiway intersection keeps it.
+        let mut spare = vec![9, 9, 9];
+        let steps = [
+            (strided(64, 3, 0), strided(64, 2, 0), KernelKind::Merge), // balanced
+            (strided(8, 50, 0), strided(1024, 5, 0), KernelKind::Gallop), // small acc
+            (strided(1024, 5, 0), strided(8, 50, 0), KernelKind::Gallop), // large acc
+        ];
+        for (mut acc, other, kind) in steps {
+            let want = intersect_sorted(&acc, &other);
+            assert_eq!(intersect_in_place(&mut acc, &other, &mut spare), kind);
+            assert_eq!(acc, want);
+        }
     }
 
     #[test]
     fn adaptive_entry_points_agree_on_every_shape() {
-        // In place, out of place and count-only must produce the same
+        // The accumulator step, append and count must produce the same
         // set/count whichever kernel the operand sizes select.
         let shapes = [
             (strided(64, 3, 0), strided(64, 2, 0)),   // balanced
@@ -746,11 +605,12 @@ mod tests {
         for (acc0, other) in &shapes {
             let want = intersect_sorted(acc0, other);
             let mut acc = acc0.clone();
-            let kind = intersect_in_place(&mut acc, other);
+            let kind = intersect_in_place(&mut acc, other, &mut Vec::new());
             assert_eq!(acc, want, "in-place {kind:?}");
-            let mut out = vec![7];
-            assert_eq!(intersect_into(acc0, other, &mut out), kind);
-            assert_eq!(out[1..], want[..], "appends after what `out` held");
+            assert_eq!(
+                sinks(|hit| assert_eq!(intersect(acc0, other, hit), kind)).0,
+                want
+            );
             assert_eq!(
                 intersect_count_adaptive(acc0, other),
                 (want.len() as u64, kind)
@@ -772,12 +632,11 @@ mod tests {
 
     #[test]
     fn kernel_selection_rules() {
-        assert_eq!(select_kernel(100, 100, false), KernelKind::Merge);
-        assert_eq!(select_kernel(100, 799, false), KernelKind::Merge);
-        assert_eq!(select_kernel(100, 800, false), KernelKind::Gallop);
-        assert_eq!(select_kernel(800, 100, false), KernelKind::Gallop);
-        assert_eq!(select_kernel(100, 100, true), KernelKind::Bitmap);
-        assert_eq!(select_kernel(0, 10, false), KernelKind::Gallop);
+        assert_eq!(select_kernel(100, 100), KernelKind::Merge);
+        assert_eq!(select_kernel(100, 799), KernelKind::Merge);
+        assert_eq!(select_kernel(100, 800), KernelKind::Gallop);
+        assert_eq!(select_kernel(800, 100), KernelKind::Gallop);
+        assert_eq!(select_kernel(0, 10), KernelKind::Gallop);
     }
 
     #[test]
@@ -793,11 +652,6 @@ mod tests {
         assert_eq!(t.bitmap, 1);
         assert_eq!(t.probe, 1);
         assert_eq!(t.total(), 5);
-        let mut u = KernelTally::default();
-        u.absorb(t);
-        u.absorb(t);
-        assert_eq!(u.probe, 2);
-        assert_eq!(u.total(), 10);
     }
 
     /// Another id in the filter slot of `x`, found by search over the hash.
@@ -833,10 +687,10 @@ mod tests {
         );
         filter.set_all(&b);
         let nb = sorted(a.iter().chain(&b).copied().collect());
-        let mut out = Vec::new();
-        intersect_probe_into(&filter, &b, &nb, &mut out);
-        assert_eq!(out, b);
-        assert_eq!(intersect_count_probe(&filter, &b, &nb), b.len() as u64);
+        assert_eq!(
+            sinks(|hit| probe(&filter, &b, &nb, hit)),
+            (b.clone(), b.len() as u64)
+        );
         filter.clear_all(&b);
         assert!(filter.is_clear());
     }
@@ -848,10 +702,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Both probe sinks against the merge kernel, element for
-            /// element: set sizes on both sides of a [`ProbeFilter`]'s
-            /// design load, every overlap shape, the extreme ids, and an id
-            /// the filter cannot tell from a member.
+            /// The probe walk against the merge walk, element for element,
+            /// through both sinks: set sizes on both sides of a
+            /// [`ProbeFilter`]'s design load, every overlap shape, the
+            /// extreme ids, and an id the filter cannot tell from a member.
             #[test]
             fn probe_agrees_with_merge_on_every_shape(
                 s_len in prop_oneof![Just(0usize), Just(1usize), 2usize..200, Just(4095usize), Just(4096usize)],
@@ -883,12 +737,8 @@ mod tests {
 
                 let mut filter = ProbeFilter::default();
                 filter.set_all(&s);
-                let mut want = Vec::new();
-                intersect_merge_into(&s, &nb, &mut want);
-                let mut got = vec![7];
-                intersect_probe_into(&filter, &s, &nb, &mut got);
-                prop_assert_eq!(&got[1..], &want[..], "appends after what `out` held");
-                prop_assert_eq!(intersect_count_probe(&filter, &s, &nb), intersect_count_merge(&s, &nb));
+                let want = sinks(|hit| merge(&s, &nb, hit));
+                prop_assert_eq!(sinks(|hit| probe(&filter, &s, &nb, hit)), want);
                 filter.clear_all(&s);
                 prop_assert!(filter.is_clear());
             }

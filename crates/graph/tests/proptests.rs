@@ -1,10 +1,7 @@
 //! Property-based tests of the graph substrate.
 
 use huge_graph::graph::{intersect_many, intersect_sorted};
-use huge_graph::kernels::{
-    self, intersect_bitmap_into, intersect_count_bitmap, intersect_count_gallop,
-    intersect_count_merge, intersect_gallop_into, intersect_merge_into, HubBitmap, HubIndex,
-};
+use huge_graph::kernels::{self, bitmap, gallop, intersect, merge, HubBitmap, HubIndex};
 use huge_graph::{gen, Graph, GraphBuilder, Partitioner};
 use proptest::prelude::*;
 
@@ -31,6 +28,23 @@ fn arb_skewed_lists() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
             large.dedup();
             (small, large)
         })
+}
+
+/// What each sink makes of a walk whose first operand is `acc`: the
+/// elements it appends after what a buffer held, their count, and the
+/// accumulator step — `acc ∩ …` written into a spare buffer that still
+/// holds an earlier step's elements, then swapped with `acc`.
+fn sinks(acc: &[u32], walk: impl Fn(&[u32], &mut dyn FnMut(u32))) -> (Vec<u32>, u64, Vec<u32>) {
+    let mut out = vec![u32::MAX];
+    walk(acc, &mut |x| out.push(x));
+    assert_eq!(out[0], u32::MAX, "appends after what `out` held");
+    let mut n = 0u64;
+    walk(acc, &mut |_| n += 1);
+    let (mut acc, mut spare) = (acc.to_vec(), vec![u32::MAX; 3]);
+    spare.clear();
+    walk(&acc, &mut |x| spare.push(x));
+    std::mem::swap(&mut acc, &mut spare);
+    (out.split_off(1), n, acc)
 }
 
 proptest! {
@@ -129,47 +143,43 @@ proptest! {
         prop_assert_eq!(g1.num_edges(), g2.num_edges());
     }
 
-    /// Every kernel of the intersection family — merge, gallop, bitmap, the
-    /// adaptive dispatchers, and all the `*_count_*` twins — agrees with the
-    /// scalar reference on random sorted lists of every cardinality ratio.
+    /// Every walk of the intersection family — merge, gallop in both
+    /// orientations, bitmap, probe and the adaptive dispatcher — agrees with
+    /// the scalar reference through every sink, on random sorted lists of
+    /// every cardinality ratio; so does the adaptive accumulator step, with
+    /// the accumulator both shorter and longer than the other list.
     #[test]
     fn kernel_family_agrees_with_scalar_reference((small, large) in arb_skewed_lists()) {
         let want = intersect_sorted(&small, &large);
-        let want_n = want.len() as u64;
+        let want = (want.clone(), want.len() as u64, want);
 
-        let mut merge = Vec::new();
-        intersect_merge_into(&small, &large, &mut merge);
-        prop_assert_eq!(&merge, &want);
-        prop_assert_eq!(intersect_count_merge(&small, &large), want_n);
+        prop_assert_eq!(sinks(&small, |acc, hit| merge(acc, &large, hit)), want.clone());
+        prop_assert_eq!(sinks(&small, |acc, hit| gallop(acc, &large, hit)), want.clone());
+        prop_assert_eq!(sinks(&large, |acc, hit| gallop(acc, &small, hit)), want.clone());
 
-        // Galloping in either orientation.
-        let mut gallop = Vec::new();
-        intersect_gallop_into(&small, &large, &mut gallop);
-        prop_assert_eq!(&gallop, &want);
-        gallop.clear();
-        intersect_gallop_into(&large, &small, &mut gallop);
-        prop_assert_eq!(&gallop, &want);
-        prop_assert_eq!(intersect_count_gallop(&small, &large), want_n);
-        prop_assert_eq!(intersect_count_gallop(&large, &small), want_n);
-
-        // Bitmap over the larger side, probed with the smaller.
+        // Bitmap over the larger side, walked by the smaller.
         let bm = HubBitmap::build(&large);
         prop_assert_eq!(bm.cardinality() as usize, large.len());
-        let mut bitmap = Vec::new();
-        intersect_bitmap_into(&small, &bm, &mut bitmap);
-        prop_assert_eq!(&bitmap, &want);
-        prop_assert_eq!(intersect_count_bitmap(&small, &bm), want_n);
+        prop_assert_eq!(sinks(&small, |acc, hit| bitmap(acc, &bm, hit)), want.clone());
 
-        // Adaptive dispatchers pick some kernel; the result must not depend
-        // on which.
-        let mut acc = small.clone();
-        kernels::intersect_in_place(&mut acc, &large);
-        prop_assert_eq!(&acc, &want);
-        let mut acc = large.clone();
-        kernels::intersect_in_place(&mut acc, &small);
-        prop_assert_eq!(&acc, &want);
-        let (n, _) = kernels::intersect_count_adaptive(&small, &large);
-        prop_assert_eq!(n, want_n);
+        // Probe with the smaller side in the filter, scanning the larger.
+        let mut filter = kernels::ProbeFilter::default();
+        filter.set_all(&small);
+        let probe = |acc: &[u32], hit: &mut dyn FnMut(u32)| kernels::probe(&filter, &small, acc, hit);
+        prop_assert_eq!(sinks(&large, probe), want.clone());
+
+        // The adaptive walk picks some kernel; the result must not depend
+        // on which, nor on the order of the operands.
+        prop_assert_eq!(sinks(&small, |acc, hit| { intersect(acc, &large, hit); }), want.clone());
+        prop_assert_eq!(sinks(&large, |acc, hit| { intersect(acc, &small, hit); }), want.clone());
+        let mut spare = vec![u32::MAX];
+        for (acc0, other) in [(&small, &large), (&large, &small)] {
+            let mut acc = acc0.clone();
+            kernels::intersect_in_place(&mut acc, other, &mut spare);
+            prop_assert_eq!(&acc, &want.0);
+        }
+        prop_assert_eq!(kernels::intersect_count_adaptive(&small, &large).0, want.1);
+        prop_assert_eq!(kernels::intersect_count_merge(&small, &large), want.1);
     }
 
     /// A hub index over random adjacency data answers exactly the vertices
@@ -188,7 +198,7 @@ proptest! {
                 Some(bm) => {
                     prop_assert!(g.degree(v) >= threshold);
                     let mut from_bm = Vec::new();
-                    intersect_bitmap_into(g.neighbours(v), bm, &mut from_bm);
+                    bitmap(g.neighbours(v), bm, |x| from_bm.push(x));
                     prop_assert_eq!(from_bm.as_slice(), g.neighbours(v));
                 }
                 None => prop_assert!(g.degree(v) < threshold),

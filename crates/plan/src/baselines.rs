@@ -19,7 +19,7 @@
 
 use huge_query::{QueryGraph, QueryVertex};
 
-use crate::cost::{CardinalityEstimator, CostModel};
+use crate::cost::{CostModel, HybridEstimator};
 use crate::logical::{ExecutionPlan, JoinNode, JoinTree, PlanError};
 use crate::optimizer::{Optimizer, OptimizerOptions};
 use crate::physical::PhysicalSetting;
@@ -75,7 +75,7 @@ pub fn plug_into_huge(system: BaselineSystem, q: &QueryGraph) -> Result<Executio
 /// (those systems target a single machine). Used by Exp-9.
 pub fn hybrid_computation_only_plan(
     q: &QueryGraph,
-    estimator: &dyn CardinalityEstimator,
+    estimator: &HybridEstimator,
     cost_model: CostModel,
 ) -> Result<ExecutionPlan, PlanError> {
     Optimizer::new(estimator, cost_model)

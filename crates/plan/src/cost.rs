@@ -4,7 +4,7 @@
 //! paper delegates this to existing estimators ([46, 51, 58]); we provide a
 //! degree-moment based estimator that is exact for stars (the default join
 //! unit) and falls back to an Erdős–Rényi style chain estimate for general
-//! sub-queries, plus an optional sampling-based refinement.
+//! sub-queries.
 
 use huge_graph::{Graph, GraphStats};
 use huge_query::QueryGraph;
@@ -12,13 +12,8 @@ use huge_query::QueryGraph;
 use crate::physical::PhysicalSetting;
 use crate::subquery::SubQuery;
 
-/// Estimates the number of matches `|R(q')|` of a sub-query.
-pub trait CardinalityEstimator: Send + Sync {
-    /// Estimated number of (labelled) matches of `sub` in the data graph.
-    fn estimate(&self, q: &QueryGraph, sub: &SubQuery) -> f64;
-}
-
-/// Degree-moment estimator.
+/// Degree-moment estimator of the number of matches `|R(q')|` of a
+/// sub-query.
 ///
 /// * For a star with `ℓ` leaves the number of labelled matches is exactly
 ///   `Σ_v d(v) (d(v)-1) … (d(v)-ℓ+1)`, the ℓ-th falling-factorial moment of
@@ -81,6 +76,17 @@ impl HybridEstimator {
     /// precomputed range).
     pub fn degree_moment(&self, k: usize) -> f64 {
         self.falling_moments[k.min(8)]
+    }
+
+    /// Estimated number of (labelled) matches of `sub` in the data graph.
+    pub fn estimate(&self, q: &QueryGraph, sub: &SubQuery) -> f64 {
+        if sub.is_empty() {
+            return 0.0;
+        }
+        if let Some((_root, leaves)) = sub.as_star(q) {
+            return self.degree_moment(leaves.len()).max(1.0);
+        }
+        self.chain_estimate(q, sub)
     }
 
     /// Number of data vertices.
@@ -153,66 +159,6 @@ impl HybridEstimator {
                 (self.num_vertices * p.powi(b as i32)).max(1e-3)
             }
         }
-    }
-}
-
-impl CardinalityEstimator for HybridEstimator {
-    fn estimate(&self, q: &QueryGraph, sub: &SubQuery) -> f64 {
-        if sub.is_empty() {
-            return 0.0;
-        }
-        if let Some((_root, leaves)) = sub.as_star(q) {
-            return self.degree_moment(leaves.len()).max(1.0);
-        }
-        self.chain_estimate(q, sub)
-    }
-}
-
-/// A sampling-based estimator: enumerates the sub-query exactly on an
-/// induced sample of the data graph and scales up. More accurate on skewed
-/// graphs, at the price of running a small enumeration per estimate.
-pub struct SamplingEstimator {
-    sample: Graph,
-    scale_per_vertex: f64,
-}
-
-impl SamplingEstimator {
-    /// Samples `fraction` of the vertices (by id hashing, deterministic) and
-    /// builds the induced subgraph.
-    pub fn new(graph: &Graph, fraction: f64) -> Self {
-        let fraction = fraction.clamp(0.001, 1.0);
-        let keep = |v: u32| -> bool {
-            let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            (h as f64 / (1u64 << 24) as f64) < fraction
-        };
-        let edges = graph
-            .edges()
-            .filter(|&(u, v)| keep(u) && keep(v))
-            .collect::<Vec<_>>();
-        let sample = Graph::from_edges(edges);
-        SamplingEstimator {
-            sample,
-            scale_per_vertex: 1.0 / fraction,
-        }
-    }
-}
-
-impl CardinalityEstimator for SamplingEstimator {
-    fn estimate(&self, q: &QueryGraph, sub: &SubQuery) -> f64 {
-        if sub.is_empty() {
-            return 0.0;
-        }
-        // Build a standalone query graph for the sub-query and enumerate it
-        // on the sample. Relabel sub-query vertices to 0..k.
-        let verts: Vec<u8> = sub.vertices().collect();
-        let index = |v: u8| verts.iter().position(|&x| x == v).unwrap() as u8;
-        let edges: Vec<(u8, u8)> = sub.edges_of(q).map(|(a, b)| (index(a), index(b))).collect();
-        let small = QueryGraph::new(verts.len(), edges);
-        if !small.is_connected() || self.sample.is_empty() {
-            return 1.0;
-        }
-        let count = huge_query::naive::enumerate_embeddings(&self.sample, &small) as f64;
-        (count * self.scale_per_vertex.powi(verts.len() as i32)).max(1.0)
     }
 }
 
@@ -386,19 +332,6 @@ mod tests {
         // ER graphs have little skew, so both estimates should be within an
         // order of magnitude of each other.
         assert!(a / b < 10.0 && b / a < 10.0, "a={a} b={b}");
-    }
-
-    #[test]
-    fn sampling_estimator_close_on_triangles() {
-        let g = gen::erdos_renyi(400, 4000, 11);
-        let est = SamplingEstimator::new(&g, 0.5);
-        let q = Pattern::Triangle.query_graph();
-        let guess = est.estimate(&q, &SubQuery::full(&q));
-        let exact = (g.count_triangles() * 6) as f64; // labelled embeddings
-        assert!(
-            guess > exact / 20.0 && guess < exact * 20.0,
-            "guess {guess} exact {exact}"
-        );
     }
 
     #[test]

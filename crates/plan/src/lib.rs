@@ -33,7 +33,7 @@ pub mod physical;
 pub mod subquery;
 pub mod translate;
 
-pub use cost::{CardinalityEstimator, CostModel, HybridEstimator};
+pub use cost::{CostModel, HybridEstimator};
 pub use logical::{ExecutionPlan, JoinNode, JoinTree};
 pub use optimizer::{Optimizer, OptimizerOptions};
 pub use physical::{CommMode, JoinAlgorithm, PhysicalSetting};

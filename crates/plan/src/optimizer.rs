@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use huge_query::QueryGraph;
 
-use crate::cost::{CardinalityEstimator, CostModel};
+use crate::cost::{CostModel, HybridEstimator};
 use crate::logical::{ExecutionPlan, JoinNode, JoinTree, PlanError};
 use crate::physical::configure;
 use crate::subquery::SubQuery;
@@ -36,7 +36,7 @@ pub struct OptimizerOptions {
 
 /// The plan optimiser.
 pub struct Optimizer<'a> {
-    estimator: &'a dyn CardinalityEstimator,
+    estimator: &'a HybridEstimator,
     cost_model: CostModel,
     options: OptimizerOptions,
 }
@@ -51,7 +51,7 @@ struct Entry {
 
 impl<'a> Optimizer<'a> {
     /// Creates an optimiser with the given estimator and cost model.
-    pub fn new(estimator: &'a dyn CardinalityEstimator, cost_model: CostModel) -> Self {
+    pub fn new(estimator: &'a HybridEstimator, cost_model: CostModel) -> Self {
         Optimizer {
             estimator,
             cost_model,

@@ -20,7 +20,7 @@
 use huge_query::{QueryGraph, QueryVertex};
 
 use crate::logical::{ExecutionPlan, JoinNode, PlanError};
-use crate::physical::{CommMode, JoinAlgorithm, PhysicalSetting};
+use crate::physical::{CommMode, JoinAlgorithm};
 use crate::subquery::SubQuery;
 
 /// A symmetry-breaking filter over row positions: requires
@@ -63,9 +63,6 @@ pub struct ExtendOp {
     /// Symmetry filters applied to the output row (positions refer to the
     /// output schema, i.e. including the appended column if any).
     pub filters: Vec<OrderFilter>,
-    /// Communication mode. HUGE always pulls; the BiGJoin baseline executes
-    /// the same operator with pushing communication.
-    pub comm: CommMode,
 }
 
 /// The `PUSH-JOIN` operator: a buffered distributed hash join of two
@@ -248,12 +245,12 @@ impl<'q> Translator<'q> {
                         // share the same dataflow shape; only the engine's
                         // communication strategy differs.)
                         let left_id = self.translate_node(left)?;
-                        self.append_star_extends(left_id, right, *physical, true)
+                        self.append_star_extends(left_id, right, true)
                     }
                     (JoinAlgorithm::Hash, CommMode::Pulling) => {
                         // §5.2: rewrite into verify + extend chain.
                         let left_id = self.translate_node(left)?;
-                        self.append_star_extends(left_id, right, *physical, false)
+                        self.append_star_extends(left_id, right, false)
                     }
                     (JoinAlgorithm::Hash, CommMode::Pushing) => {
                         let left_id = self.translate_node(left)?;
@@ -290,7 +287,6 @@ impl<'q> Translator<'q> {
                 ext_positions,
                 verify_position: None,
                 filters,
-                comm: CommMode::Pulling,
             });
             schema = new_schema;
         }
@@ -308,7 +304,6 @@ impl<'q> Translator<'q> {
         &mut self,
         left_id: usize,
         right: &JoinNode,
-        physical: PhysicalSetting,
         complete: bool,
     ) -> Result<usize, PlanError> {
         let right_sub = right.output();
@@ -318,7 +313,6 @@ impl<'q> Translator<'q> {
         let seg = &self.segments[left_id];
         let mut schema = seg.schema.clone();
         let mut new_extends: Vec<ExtendOp> = Vec::new();
-        let comm = physical.comm;
 
         let position_of = |schema: &[QueryVertex], v: QueryVertex| -> Option<usize> {
             schema.iter().position(|&x| x == v)
@@ -340,7 +334,6 @@ impl<'q> Translator<'q> {
                         ext_positions,
                         verify_position: Some(p),
                         filters: Vec::new(),
-                        comm,
                     });
                 }
                 None => {
@@ -352,7 +345,6 @@ impl<'q> Translator<'q> {
                         ext_positions,
                         verify_position: None,
                         filters,
-                        comm,
                     });
                     schema = new_schema;
                 }
@@ -382,7 +374,6 @@ impl<'q> Translator<'q> {
                     ext_positions,
                     verify_position: Some(root_pos),
                     filters: Vec::new(),
-                    comm,
                 });
             }
             for leaf in unbound {
@@ -394,7 +385,6 @@ impl<'q> Translator<'q> {
                     ext_positions: vec![root_pos],
                     verify_position: None,
                     filters,
-                    comm,
                 });
                 schema = new_schema;
             }

@@ -12,7 +12,6 @@ use huge_core::operators::{ExtendSpec, ScanCursor, ScanPool};
 use huge_core::pool::WorkerPool;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, OpContext, SinkMode};
 use huge_graph::{gen, Graph, Partitioner};
-use huge_plan::physical::CommMode;
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use huge_query::{naive, Pattern};
 
@@ -100,7 +99,6 @@ fn exec_layer_pipeline_matches_reference() {
                     smaller: 1,
                     larger: 2,
                 }],
-                comm: CommMode::Pulling,
             },
             2,
         );
