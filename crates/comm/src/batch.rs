@@ -8,12 +8,15 @@
 //! [`ColBatch`] is the one currency, between operators and on the wire: one
 //! `Vec<u32>` per bound query vertex, in one of three layouts.
 //!
-//! * **Dense** — every column holds one value per row. What the scan cursor,
-//!   the join probe, the partitioners and the wire produce.
+//! * **Dense** — every column holds one value per row. What the join probe
+//!   produces, and what the shuffle ships when a batch has no runs or is
+//!   keyed on its newest column.
 //! * **Selected** — dense columns plus a *selection vector* of surviving row
 //!   indices: a verify-mode extend over a dense batch narrows the selection
 //!   instead of compacting the data.
-//! * **Runs** — what a match-mode extend emits. Its output is `(input row ×
+//! * **Runs** — what the scan cursor and a match-mode extend emit, and what
+//!   the shuffle ships when every key column is a prefix column (each run
+//!   whole, to one machine). An extend's output is `(input row ×
 //!   that row's candidates)`, so all columns but the newest are constant over
 //!   the candidates of one input row: they hold one value per **run**, the
 //!   newest column one value per **row**, and `run_ends[r]` is the row at
@@ -27,13 +30,14 @@
 //! ([`ColBatch::retain_rows`]), a selection is only ever installed on dense
 //! columns.
 //!
-//! **Where rows are materialised.** [`ColBatch::flatten`] is the only place
-//! that writes a prefix value once per output row. Everything between two
-//! extends — re-chunking, the operator queues, stealing, the memory ledger —
-//! carries runs as they are; `flatten` (or its borrowing twin
-//! [`ColBatch::flattened`]) is for consumers that need rows: the shuffle
-//! partitioners, the collect sink, [`ColBatch::to_rows`], and
-//! [`ColBatch::append`] into a dense batch.
+//! **Where rows are materialised.** Everything between two extends —
+//! re-chunking, the operator queues, stealing, the memory ledger — carries
+//! runs as they are, and so does the wire when the join key lies in the
+//! prefix. [`ColBatch::flatten`] (or its borrowing twin
+//! [`ColBatch::flattened`]) is for the consumers that need rows: the
+//! receiving join before its Grace scatter, the shuffle partitioners for a
+//! batch keyed on its newest column, the owner partitioner, the collect
+//! sink, [`ColBatch::to_rows`], and [`ColBatch::append`] into a dense batch.
 //!
 //! [`RowBatch`] — `n` rows of arity `a` as one flat `Vec<u32>` — is what is
 //! left of the row-major layout: the scan cursor still assembles `[src, dst]`

@@ -6,7 +6,8 @@
 //!   on: the graph partition, the pulling fabric, the adjacency cache, the
 //!   worker pool and the batch size.
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
-//!   batch's columns into one dense batch per destination machine; callers
+//!   batch's columns into one batch per destination machine — whole runs
+//!   when every key column is a prefix column, dense rows otherwise; callers
 //!   move those through the accounted `huge-comm` fabric
 //!   (`RouterEndpoint::try_push` / `RpcFabric::get_nbrs`), so every engine's
 //!   traffic is charged to [`huge_comm::ClusterStats`] by the same code path
@@ -49,11 +50,14 @@ pub struct OpContext<'a> {
 // ---------------------------------------------------------------------------
 
 /// Hash-partitions the logical rows of `batch` over `k` machines by the given
-/// key columns: one pass over the key columns computes the destinations, then
+/// key columns, input order kept within a destination. A run batch whose key
+/// columns are all prefix columns ships run-wise: one hash per run sends the
+/// whole run to one destination, which receives a run batch — the prefix
+/// once, the newest column's slice, the run's end; empty runs are dropped.
+/// Any other batch (dense, selected, or keyed on its newest column) is made
+/// rows here: one pass over the key columns computes the destinations, then
 /// every column of every destination is one gather through the selection
-/// vector, so the per-destination batches come out dense (input order kept).
-/// A run batch is flattened first — the shuffle is where an extend's output
-/// becomes rows.
+/// vector, so those per-destination batches come out dense.
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
@@ -63,6 +67,10 @@ pub struct OpContext<'a> {
 /// — the high bits of the mixed hash, the same placement as a vertex's owner
 /// — and the receiving join takes its Grace partition from other bits of it.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
+    if prefix_keyed(batch, key_positions) {
+        let hash = row_key_hash(batch, key_positions);
+        return scatter_runs(batch, |run| machine_of(hash(run), k), k);
+    }
     let batch = &*batch.flattened();
     let hash = row_key_hash(batch, key_positions);
     scatter(batch, |row| machine_of(hash(row), k), k)
@@ -87,6 +95,34 @@ fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<
     let mut parts = vec![vec![Vec::new(); batch.arity()]; k];
     scatter_rows(batch, dest_of, parts.iter_mut());
     parts.into_iter().map(ColBatch::from_columns).collect()
+}
+
+/// `true` when `batch` is a run batch and every key column is a prefix
+/// column, so all rows of a run share one key and the run ships whole.
+fn prefix_keyed(batch: &ColBatch, key_positions: &[usize]) -> bool {
+    let newest = batch.arity() - 1;
+    batch.run_ends().is_some() && key_positions.iter().all(|&c| c < newest)
+}
+
+/// One run batch per destination machine; `dest_of` names a run's.
+fn scatter_runs(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
+    let newest = batch.arity() - 1;
+    let mut parts = vec![(vec![Vec::new(); batch.arity()], Vec::new()); k];
+    for run in 0..batch.runs() {
+        let rows = batch.run_rows(run);
+        if rows.is_empty() {
+            continue;
+        }
+        let (cols, ends) = &mut parts[dest_of(run)];
+        for (c, col) in cols[..newest].iter_mut().enumerate() {
+            col.push(batch.column(c)[run]);
+        }
+        cols[newest].extend_from_slice(&batch.column(newest)[rows]);
+        // A part holds at most the batch's rows, which fit in 32 bits.
+        ends.push(cols[newest].len() as u32);
+    }
+    let part = |(cols, ends)| ColBatch::from_runs(cols, ends);
+    parts.into_iter().map(part).collect()
 }
 
 #[cfg(test)]

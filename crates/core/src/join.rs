@@ -5,11 +5,12 @@
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
 //! of partitions, and a partition is columns from end to end: the shuffle's
-//! dense [`ColBatch`]es are scattered into one vector per column
-//! ([`HashJoiner::add`]), those vectors are what a spill file stores, what a
-//! partition ship carries and what the probe is built from — no row is ever
-//! assembled. A partition buffers rows in memory until the configured
-//! threshold, after which they are appended to a temporary file on disk.
+//! [`ColBatch`]es — whole runs, or dense rows — are scattered into one flat
+//! vector per column ([`HashJoiner::add`]), those vectors are what a spill
+//! file stores, what a partition ship carries and what the probe is built
+//! from — no row is ever assembled. A partition buffers rows in memory
+//! until the configured threshold, after which they are appended to a
+//! temporary file on disk.
 //! The joiner keeps one table of partitions, each entry its state, both
 //! sides' rows and its build, and the joiner's one ship, spill, byte count
 //! and `Drop` read that table whatever the phase.
@@ -348,11 +349,12 @@ impl HashJoiner {
         }
     }
 
-    /// Adds an input batch to one side: one pass over its key columns picks
-    /// each row's Grace partition, then every partition's columns take their
-    /// rows in one gather each (`scatter_rows`). Left rows that land in a
-    /// built partition wait there for the next probe poll. Input after its
-    /// side's seal is a [`EngineError::Config`] error.
+    /// Adds an input batch to one side: it is made rows first, then one pass
+    /// over its key columns picks each row's Grace partition, and every
+    /// partition's columns take their rows in one gather each
+    /// (`scatter_rows`). Left rows that land in a built partition wait there
+    /// for the next probe poll. Input after its side's seal is a
+    /// [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         let (sealed, key_positions, tag) = match side {
             JoinSide::Left => (self.left_sealed, &self.spec.key_left, "l"),
@@ -363,7 +365,8 @@ impl HashJoiner {
             return Err(EngineError::Config(message.into()));
         }
         debug_assert_eq!(batch.arity(), self.partitions[0].side(side).columns.len());
-        // Wire batches arrive dense; a local caller may hand over runs.
+        // The shuffle ships prefix-keyed runs whole; this is where their
+        // rows are materialised.
         let batch = &*batch.flattened();
         let hash = row_key_hash(batch, key_positions);
         let partition = |row| grace_partition(hash(row));

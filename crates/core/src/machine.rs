@@ -1261,13 +1261,11 @@ impl MachineState {
             }
             Terminal::FeedJoin { key_positions, .. } => {
                 let k = self.router.num_machines();
-                // The shuffle needs rows: runs end here, in place (the
-                // partitioner would flatten a copy of a borrowed batch).
-                batch.flatten();
                 // Envelopes are tagged with the *producing* segment id so the
-                // consuming join can tell its left input from its right. The
-                // selection gather happens inside the partitioner, so the
-                // wire batches are dense and carry only surviving rows.
+                // consuming join can tell its left input from its right. Runs
+                // keyed on a prefix column go on the wire whole, prefix once;
+                // the partitioner makes anything else rows, gathering through
+                // the selection, so a wire batch carries only surviving rows.
                 let parts = partition_cols_by_key(&batch, key_positions, k);
                 unsent.extend(parts.into_iter().enumerate());
             }

@@ -1790,9 +1790,10 @@ mod tests {
         assert_eq!(collide(square[0].last().unwrap()), []);
         let clique: Vec<_> = wco(Pattern::FourClique)[0].iter().map(collide).collect();
         assert_eq!(clique, [vec![], vec![]]);
-        // (v4, v3, v5) extended by v2 ∈ N(v3): v2 may be v4 or v5.
+        // (v4, v3, v2) extended by v5 ∈ N(v4): v5 may be v3 or v2 (the join
+        // key v2 is bound before the last extend).
         assert_eq!(q7.len(), 3, "two scan segments into a join");
-        assert_eq!(collide(&q7[0][1]), [0, 2]);
+        assert_eq!(collide(&q7[0][1]), [1, 2]);
 
         let mut chains = q7;
         for pattern in [

@@ -16,12 +16,26 @@
 //! * a pulling-based hash join `(q', q'_l, (v; L))` with `v ∈ V(q'_l)`
 //!   becomes a *verify* extend over `L ∩ V(q'_l)` (checking adjacency of the
 //!   already-bound root) followed by one extend per leaf in `L \ V(q'_l)`.
+//!
+//! One ordering rule follows for every `PUSH-JOIN` input that a scan starts:
+//! its newest column binds a vertex that is not a join key whenever a step
+//! binding one can go last (no other step reads it). A match-mode extend
+//! emits runs whose prefix holds every other column, so the key is then
+//! fixed per run and the shuffle ships each run whole, to one machine,
+//! prefix once. The extends commute, so the rows are the same. The 6-path's
+//! input `SCAN(v1 - v0) → v2 ∈ N(v1)`, keyed on `v2`, becomes
+//! `SCAN(v1 - v2) → v0 ∈ N(v1)`: moving the scan's `dst` promotes the next
+//! step, which can then read only the scan root, to `dst`.
 
 use huge_query::{QueryGraph, QueryVertex};
 
 use crate::logical::{ExecutionPlan, JoinNode, PlanError};
 use crate::physical::{CommMode, JoinAlgorithm};
 use crate::subquery::SubQuery;
+
+/// One step of a scan segment after its root: the query vertex it binds and
+/// the bound vertices whose neighbourhoods it intersects.
+type Step = (QueryVertex, Vec<QueryVertex>);
 
 /// A symmetry-breaking filter over row positions: requires
 /// `row[smaller] < row[larger]`.
@@ -268,29 +282,47 @@ impl<'q> Translator<'q> {
         let (root, leaves) = sub
             .as_star(self.query)
             .ok_or(PlanError::UnitNotAStar(*sub))?;
-        let first = leaves[0];
-        let mut schema = vec![root, first];
-        let filters = self.filters_for_new_vertex(&schema, first, &[root]);
-        let scan = ScanOp {
-            src: root,
-            dst: first,
-            filters,
-        };
+        let id = self.segments.len();
+        let steps = leaves.iter().map(|&leaf| (leaf, vec![root])).collect();
+        let segment = self.scan_segment(id, root, steps);
+        self.segments.push(segment);
+        Ok(id)
+    }
+
+    /// The scan segment that binds `root`, then each step's vertex from the
+    /// neighbourhoods of the vertices the step reads: the first step (which
+    /// reads only `root`) is the scan's `dst`, every later one an extend.
+    fn scan_segment(&self, id: usize, root: QueryVertex, steps: Vec<Step>) -> Segment {
+        let dst = steps[0].0;
+        debug_assert_eq!(steps[0].1, [root], "the scan's dst reads only its root");
+        let mut schema = vec![root, dst];
+        let filters = self.filters_for_new_vertex(&schema, dst, &[root]);
         let mut extends = Vec::new();
-        for &leaf in &leaves[1..] {
-            let ext_positions = vec![0]; // the root is always column 0
+        for (target, reads) in steps.into_iter().skip(1) {
+            let position = |v: &QueryVertex| schema.iter().position(|x| x == v).expect("bound");
+            let ext_positions = reads.iter().map(position).collect();
             let mut new_schema = schema.clone();
-            new_schema.push(leaf);
-            let filters = self.filters_for_new_vertex(&new_schema, leaf, &schema);
+            new_schema.push(target);
+            let filters = self.filters_for_new_vertex(&new_schema, target, &schema);
             extends.push(ExtendOp {
-                target: leaf,
+                target,
                 ext_positions,
                 verify_position: None,
                 filters,
             });
             schema = new_schema;
         }
-        Ok(self.push_segment(SegmentSource::Scan(scan), extends, schema))
+        let scan = ScanOp {
+            src: root,
+            dst,
+            filters,
+        };
+        Segment {
+            id,
+            source: SegmentSource::Scan(scan),
+            extends,
+            schema,
+        }
     }
 
     /// Appends extend operators for a star right operand onto the segment
@@ -399,19 +431,19 @@ impl<'q> Translator<'q> {
 
     /// Creates a new segment joining two completed segments.
     fn append_push_join(&mut self, left_id: usize, right_id: usize) -> Result<usize, PlanError> {
-        let left_schema = self.segments[left_id].schema.clone();
-        let right_schema = self.segments[right_id].schema.clone();
-        let key: Vec<QueryVertex> = left_schema
-            .iter()
-            .copied()
-            .filter(|v| right_schema.contains(v))
-            .collect();
+        let left = &self.segments[left_id].schema;
+        let right = &self.segments[right_id].schema;
+        let key: Vec<QueryVertex> = left.iter().copied().filter(|v| right.contains(v)).collect();
         if key.is_empty() {
             return Err(PlanError::CartesianJoin(
                 SubQuery::empty(),
                 SubQuery::empty(),
             ));
         }
+        self.bind_key_before_last(left_id, &key);
+        self.bind_key_before_last(right_id, &key);
+        let left_schema = self.segments[left_id].schema.clone();
+        let right_schema = self.segments[right_id].schema.clone();
         let key_left: Vec<usize> = key
             .iter()
             .map(|v| {
@@ -463,6 +495,41 @@ impl<'q> Translator<'q> {
             filters,
         };
         Ok(self.push_segment(SegmentSource::Join(join), Vec::new(), schema))
+    }
+
+    /// Re-binds a scan-sourced join input whose newest column is a key
+    /// vertex so that a non-key vertex is bound last: the latest non-key
+    /// step no other step reads moves to the end, and positions and order
+    /// filters are derived again ([`Translator::scan_segment`]). A segment
+    /// with a verify extend, or without such a step, is left as it is.
+    fn bind_key_before_last(&mut self, id: usize, key: &[QueryVertex]) {
+        let seg = &self.segments[id];
+        let SegmentSource::Scan(scan) = &seg.source else {
+            return;
+        };
+        let verifies = seg.extends.iter().any(|e| e.verify_position.is_some());
+        if verifies || seg.schema.last().is_none_or(|v| !key.contains(v)) {
+            return;
+        }
+        let root = scan.src;
+        let reads = |e: &ExtendOp| e.ext_positions.iter().map(|&p| seg.schema[p]).collect();
+        let mut steps: Vec<Step> = std::iter::once((scan.dst, vec![root]))
+            .chain(seg.extends.iter().map(|e| (e.target, reads(e))))
+            .collect();
+        let movable = |&i: &usize| {
+            let v = steps[i].0;
+            (i > 0 || steps.len() > 1)
+                && !key.contains(&v)
+                && steps.iter().all(|(_, reads)| !reads.contains(&v))
+        };
+        let Some(i) = (0..steps.len()).rev().find(movable) else {
+            return;
+        };
+        // When the step nothing reads is the scan's `dst`, the next step can
+        // read only the root, and becomes `dst`.
+        let last = steps.remove(i);
+        steps.push(last);
+        self.segments[id] = self.scan_segment(id, root, steps);
     }
 
     fn push_segment(
@@ -592,6 +659,88 @@ mod tests {
         // Dependencies must precede dependents.
         df.validate().unwrap();
         assert!(df.explain().contains("PUSH-JOIN"));
+    }
+
+    /// The two children of every pushing hash join, in the order the
+    /// translation creates the join segments.
+    fn push_join_children<'a>(node: &'a JoinNode, out: &mut Vec<[&'a JoinNode; 2]>) {
+        if let JoinNode::Join {
+            left,
+            right,
+            physical,
+            ..
+        } = node
+        {
+            push_join_children(left, out);
+            push_join_children(right, out);
+            if (physical.algorithm, physical.comm) == (JoinAlgorithm::Hash, CommMode::Pushing) {
+                out.push([left, right]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_join_input_binds_a_non_key_vertex_last() {
+        let g = gen::barabasi_albert(1000, 5, 7);
+        let est = HybridEstimator::from_graph(&g);
+        let model = CostModel::new(4, g.num_edges()).with_avg_degree(g.avg_degree());
+        let options = crate::optimizer::OptimizerOptions {
+            disable_pulling: true,
+            ..Default::default()
+        };
+        let (mut moved, mut kept) = (0, 0);
+        for pattern in [Pattern::Path(5), Pattern::Path(6)] {
+            let plan = Optimizer::new(&est, model.clone())
+                .with_options(options)
+                .optimize(&pattern.query_graph())
+                .unwrap();
+            let df = translate(&plan).unwrap();
+            let mut children = Vec::new();
+            push_join_children(&plan.tree.root, &mut children);
+            let joins = df.segments.iter().filter_map(|s| match &s.source {
+                SegmentSource::Join(j) => Some(j),
+                SegmentSource::Scan(_) => None,
+            });
+            let joins: Vec<&JoinOp> = joins.collect();
+            assert_eq!(joins.len(), children.len());
+            for (join, children) in joins.into_iter().zip(children) {
+                let [left, right] = [join.left, join.right].map(|id| &df.segments[id]);
+                let key: Vec<QueryVertex> = left
+                    .schema
+                    .iter()
+                    .copied()
+                    .filter(|v| right.schema.contains(v))
+                    .collect();
+                for (seg, child) in [left, right].into_iter().zip(children) {
+                    // The same vertices as the plan's operand, in any order.
+                    let mut bound = seg.schema.clone();
+                    bound.sort_unstable();
+                    assert_eq!(bound, child.output().vertices().collect::<Vec<_>>());
+                    // What the translation makes of the operand on its own.
+                    let JoinNode::Unit(unit) = child else {
+                        assert!(matches!(seg.source, SegmentSource::Join(_)));
+                        continue;
+                    };
+                    let mut alone = Translator {
+                        query: &plan.query,
+                        segments: Vec::new(),
+                    };
+                    let id = alone.translate_unit(unit).unwrap();
+                    let before = &alone.segments[id];
+                    let same = (&seg.source, &seg.extends, &seg.schema)
+                        == (&before.source, &before.extends, &before.schema);
+                    if key.contains(seg.schema.last().unwrap()) {
+                        // Only a segment no step of which can move keeps its
+                        // key newest: here a bare scan of a key and its root.
+                        assert!(same && seg.extends.is_empty(), "{}", df.explain());
+                        kept += 1;
+                    } else if !same {
+                        moved += 1;
+                    }
+                }
+            }
+        }
+        assert!(moved >= 2 && kept >= 1, "moved {moved}, kept {kept}");
     }
 
     #[test]

@@ -40,6 +40,23 @@ fn root_is_bare_join(dataflow: &Dataflow) -> bool {
     matches!(root.source, SegmentSource::Join(_)) && root.extends.is_empty()
 }
 
+/// `true` when some join input starts at a scan and binds a non-key vertex
+/// last: its runs are keyed on prefix columns, so the shuffle ships each one
+/// whole and the join scatters it run by run.
+fn ships_runs_whole(dataflow: &Dataflow) -> bool {
+    let inputs = dataflow
+        .segments
+        .iter()
+        .filter_map(|seg| match &seg.source {
+            SegmentSource::Join(j) => Some([(j.left, &j.key_left), (j.right, &j.key_right)]),
+            SegmentSource::Scan(_) => None,
+        });
+    inputs.flatten().any(|(input, key)| {
+        let input = &dataflow.segments[input];
+        matches!(input.source, SegmentSource::Scan(_)) && !key.contains(&(input.schema.len() - 1))
+    })
+}
+
 /// A sparse ring plus a `K_{2,64}` gadget on two fresh hubs: every gadget
 /// square joins through the one Grace partition the hub pair hashes into,
 /// which is thereby far more than 64× hotter than any other — sealed work
@@ -128,6 +145,11 @@ fn count_equals_collect_equals_reference_across_the_matrix() {
                     root_is_bare_join(&dataflow),
                     "the case must exercise the pushed-down count sink: {case}"
                 );
+                // Both shuffle paths run: a path's inputs bind a non-key
+                // vertex last and ship runs whole, the square's wedges are
+                // keyed on their newest column too and ship rows.
+                let run_wise = !matches!(pattern, Pattern::Square);
+                assert_eq!(ships_runs_whole(&dataflow), run_wise, "{case}");
                 let expected = naive::enumerate(&graph, &query);
 
                 let counted = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();

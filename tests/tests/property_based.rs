@@ -187,7 +187,10 @@ proptest! {
 
     /// A run batch answers the shuffle and the transpose exactly like its
     /// flattened twin — runs of any length (empty ones included), keys on
-    /// per-run columns, on the newest column or on both.
+    /// per-run columns, on the newest column or on both. Keyed on per-run
+    /// columns only it ships run batches, whose rows flatten to the twin's
+    /// part in order; keyed on its newest column it ships dense rows, and so
+    /// does the owner partitioner.
     #[test]
     fn a_run_batch_shuffles_and_transposes_like_its_flattened_twin(
         prefix in 0usize..4,
@@ -213,13 +216,20 @@ proptest! {
 
         prop_assert_eq!(runs.to_rows(), flat.to_rows());
         let parts = partition_cols_by_key(&runs, &key, k);
-        prop_assert!(parts.iter().all(|p| p.run_ends().is_none() && p.selection().is_none()));
+        let run_wise = key.iter().all(|&c| c < prefix);
+        prop_assert!(parts.iter().all(|p| p.run_ends().is_some() == run_wise));
+        prop_assert!(parts.iter().all(|p| p.selection().is_none()));
         prop_assert_eq!(parts.iter().map(ColBatch::len).sum::<usize>(), rows);
-        prop_assert_eq!(parts, partition_cols_by_key(&flat, &key, k));
+        let flat_parts = partition_cols_by_key(&flat, &key, k);
+        for (part, twin) in parts.iter().zip(&flat_parts) {
+            prop_assert!(twin.run_ends().is_none());
+            prop_assert_eq!(&*part.flattened(), twin);
+        }
         let partitions = Partitioner::new(k).unwrap().partition(gen::complete(4));
         let rpc = RpcFabric::new(std::sync::Arc::new(partitions), ClusterStats::new(k));
         for column in [0, arity - 1] {
             let parts = partition_cols_by_owner(&runs, column, &rpc, k);
+            prop_assert!(parts.iter().all(|p| p.run_ends().is_none()));
             prop_assert_eq!(parts, partition_cols_by_owner(&flat, column, &rpc, k));
         }
     }
