@@ -10,9 +10,10 @@
 //!
 //! The **fetch stage** of Algorithm 4 makes one cache call per distinct
 //! remote vertex of a batch and returns the batch's *list view* (vertex →
-//! shared list handle). The **intersect stage** reads the local partition
-//! or the view, never the cache: no lock, and no release or eviction
-//! anywhere can take a list from under it.
+//! shared list handle); a small filter of the ids it has just collected
+//! keeps most repeats of a vertex out of its sort + dedup. The **intersect
+//! stage** reads the local partition or the view, never the cache: no lock,
+//! and no release or eviction anywhere can take a list from under it.
 //!
 //! Match-mode `PULL-EXTEND` is **one candidate generator with two sinks**
 //! (`for_each_candidate_set`), and the generator is two things:
@@ -272,7 +273,7 @@ type ListView = VertexMap<ListHandle>;
 fn resolve_remote(mut remote: Vec<VertexId>, ctx: &OpContext<'_>) -> ListView {
     remote.sort_unstable();
     remote.dedup();
-    let mut view = ListView::default();
+    let mut view = ListView::with_capacity_and_hasher(remote.len(), Default::default());
     if ctx.use_cache {
         remote.retain(|&v| {
             ctx.cache
@@ -295,21 +296,44 @@ fn resolve_remote(mut remote: Vec<VertexId>, ctx: &OpContext<'_>) -> ListView {
     view
 }
 
+/// log₂ of the number of slots in a [`Seen`] filter.
+const SEEN_BITS: u32 = 10;
+
+/// A direct-mapped filter of the remote ids a fetch stage pushed last, one
+/// per slot: 8 KiB on the stack at any graph scale. A slot starts at
+/// `u64::MAX`, which no id widens to, so no id (`VertexId::MAX` included)
+/// is taken for an empty slot.
+struct Seen([u64; 1 << SEEN_BITS]);
+
+impl Seen {
+    /// The slot of `v`: the top bits of a multiplicative hash.
+    fn slot(v: VertexId) -> usize {
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - SEEN_BITS)) as usize
+    }
+
+    /// `true` unless `v` is what its slot holds; the slot holds `v` after.
+    #[inline]
+    fn first_sight(&mut self, v: VertexId) -> bool {
+        std::mem::replace(&mut self.0[Self::slot(v)], u64::from(v)) != u64::from(v)
+    }
+}
+
 /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
 /// remote adjacency list the batch's extend positions reference, and returns
 /// the batch's list view and the stage duration. Reads each extend position
 /// once per run — once per row only for the newest column, or when every row
-/// is its own run — and skips consecutive duplicates: a value repeated over
-/// adjacent runs would push the same vertex again only for
-/// [`resolve_remote`]'s sort + dedup to throw it away. Empty runs (a
+/// is its own run — and pushes a remote id only if a [`Seen`] filter has not
+/// just seen it, so few of a batch's repeats of a vertex reach
+/// [`resolve_remote`]'s sort + dedup. The filter may forget an id, never
+/// invent one: every list is still looked up once. Empty runs (a
 /// verify-mode extend leaves them behind) reference nothing.
 fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
     let fetch_start = Instant::now();
     let newest = input.arity() - 1;
     let mut remote: Vec<VertexId> = Vec::new();
+    let mut seen = Seen([u64::MAX; 1 << SEEN_BITS]);
     for &pos in &op.ext_positions {
         let col = input.column(pos);
-        let mut prev = None;
         for r in 0..input.runs() {
             let rows = input.run_rows(r);
             // A per-run column is read once for the run, if it has rows.
@@ -318,11 +342,8 @@ fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (Li
                 false => r..r + rows.len().min(1),
             };
             for v in reads.map(|at| col[input.physical_index(at)]) {
-                if prev != Some(v) {
-                    prev = Some(v);
-                    if !ctx.partition.is_local(v) {
-                        remote.push(v);
-                    }
+                if !ctx.partition.is_local(v) && seen.first_sight(v) {
+                    remote.push(v);
                 }
             }
         }
@@ -824,10 +845,18 @@ fn for_each_candidate_set(
             let Some(nbrs) = neighbours(ctx, view, v) else {
                 continue;
             };
-            let nb = &nbrs[range_of(nbrs, lo, hi)];
+            let probes = |nb: &[VertexId]| {
+                !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len()
+            };
+            // The probe stops past `s`, which lies below `hi`: a row with no
+            // lower bound probes its whole list, if that passes, uncut.
+            let nb = match has_prefix && lo.is_none() && probes(nbrs) {
+                true => nbrs,
+                false => &nbrs[range_of(nbrs, lo, hi)],
+            };
             let candidates = if !has_prefix {
                 Candidates::Slice(nb)
-            } else if !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len() {
+            } else if probes(nb) {
                 Candidates::Probe(&filter, s, nb)
             } else {
                 Candidates::Lists(s, nb)
@@ -1911,6 +1940,83 @@ mod tests {
         };
         let one_list = executed(&|| run_extend_count_cols(&path, &rows, &c).count);
         assert_eq!(one_list, (360, 0, 120, 0, 0));
+    }
+
+    #[test]
+    fn the_fetch_filter_reports_every_id_on_first_sight() {
+        let twin = (1..).find(|&v| Seen::slot(v) == Seen::slot(0)).unwrap();
+        let mut seen = Seen([u64::MAX; 1 << SEEN_BITS]);
+        for v in [0, VertexId::MAX, twin] {
+            assert!(seen.first_sight(v), "{v} on first sight");
+        }
+        // The twin evicted 0; `MAX` is still held.
+        assert!(seen.first_sight(0) && !seen.first_sight(VertexId::MAX));
+        assert!(!seen.first_sight(0));
+    }
+
+    #[test]
+    fn a_fetch_looks_up_each_distinct_remote_list_once() {
+        use huge_query::{naive, Pattern};
+
+        let graph = gen::erdos_renyi(2500, 15_000, 19);
+        let expected = naive::enumerate(&graph, &Pattern::Triangle.query_graph());
+        let parts = Partitioner::new(2).unwrap().partition(graph);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(2));
+        let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+        let less = |smaller, larger| OrderFilter { smaller, larger };
+        let scan = ScanOp {
+            src: 0,
+            dst: 1,
+            filters: vec![less(0, 1)],
+        };
+        let [mut triangle, _] = clique_steps();
+        triangle.filters = vec![less(1, 2)];
+        let (mut counted, mut gathered) = (0, 0);
+        for m in 0..2 {
+            let cache = huge_cache::LrbuCache::new(1 << 20);
+            let mut c = ctx(m, &parts, &rpc, &cache, &pool);
+            c.batch_size = 1 << 16;
+            let mut cursor =
+                ScanCursor::new(scan.clone(), ScanPool::new(parts[m].local_vertices(), 8));
+            let runs = cursor.next_runs(&c).unwrap();
+            assert!(cursor.next_runs(&c).is_none(), "one batch");
+            // The newest column repeats remote ids under other runs, and two
+            // of its distinct remote ids share a filter slot.
+            let remote: Vec<VertexId> = runs
+                .column(1)
+                .iter()
+                .copied()
+                .filter(|&v| !parts[m].is_local(v))
+                .collect();
+            let mut distinct = remote.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(distinct.len() * 2 < remote.len());
+            let mut slots: Vec<usize> = distinct.iter().map(|&v| Seen::slot(v)).collect();
+            slots.sort_unstable();
+            assert!(slots.windows(2).any(|w| w[0] == w[1]), "a slot collision");
+
+            let reference = run_extend(&triangle, &runs.to_rows(), &c).batch;
+            let lookups = || {
+                let stats = cache.stats();
+                stats.hits + stats.misses
+            };
+            let before = lookups();
+            let count = run_extend_count_cols(&triangle, &runs, &c).count;
+            assert_eq!(lookups() - before, distinct.len() as u64);
+            let out = run_extend_cols(&triangle, runs, &c).batch.to_rows();
+            assert_eq!(lookups() - before, 2 * distinct.len() as u64);
+            let sorted = |rows: &RowBatch| {
+                let mut rows: Vec<Vec<VertexId>> = rows.rows().map(<[VertexId]>::to_vec).collect();
+                rows.sort_unstable();
+                rows
+            };
+            assert_eq!(sorted(&out), sorted(&reference));
+            assert_eq!(count, reference.len() as u64);
+            (counted, gathered) = (counted + count, gathered + out.len() as u64);
+        }
+        assert!(expected > 0);
+        assert_eq!((counted, gathered), (expected, expected));
     }
 
     #[test]

@@ -29,15 +29,15 @@
 //!   that stays the same over many calls (`PULL-EXTEND`'s shared prefix
 //!   over a run of rows). The caller sets the shared side's elements in the
 //!   filter once ([`ProbeFilter::set_all`]), every call then scans only its
-//!   *other* operand — one independent 8 KiB-table load per element, a
-//!   binary search of the shared side on a hit — and the caller clears the
-//!   filter by re-hashing the same elements ([`ProbeFilter::clear_all`])
-//!   before the shared side changes. Hashed and verified rather than a
-//!   |V|-bit bitmap: the same size at any graph scale, no allocation per
-//!   worker ∝ |V|. The caller also decides when not to: a shared side over
-//!   [`PROBE_MAX_SET`] would crowd the filter, and an operand over
-//!   [`PROBE_MAX_SKEW`] × the shared side is cheaper to gallop through than
-//!   to scan.
+//!   *other* operand, up to the first element past the shared side's last —
+//!   one independent 8 KiB-table load per element, a binary search of the
+//!   shared side on a hit — and the caller clears the filter by re-hashing
+//!   the same elements ([`ProbeFilter::clear_all`]) before the shared side
+//!   changes. Hashed and verified rather than a |V|-bit bitmap: the same
+//!   size at any graph scale, no allocation per worker ∝ |V|. The caller
+//!   also decides when not to: a shared side over [`PROBE_MAX_SET`] would
+//!   crowd the filter, and an operand over [`PROBE_MAX_SKEW`] × the shared
+//!   side is cheaper to gallop through than to scan.
 //!
 //! What a caller does with the elements is the closure — its *sink*: `|_| n
 //! += 1` counts (the count-only sinks of the runtime never materialise
@@ -355,15 +355,16 @@ impl ProbeFilter {
 /// ascending, where `filter` holds at least the elements of `s`
 /// ([`ProbeFilter::set_all`]).
 ///
-/// Scans `nb` once: each element costs one independent filter load, and only
-/// a filter hit is confirmed by a binary search in what is left of `s` — so
-/// the result is exact whatever else the filter holds. Nothing in the loop
-/// depends on the previous element until a hit, unlike the merge's
-/// loop-carried cursor pair.
+/// Scans `nb` once, up to the first element past `s`'s last: each element
+/// costs one independent filter load, and only a filter hit is confirmed by a
+/// binary search in what is left of `s` — so the result is exact whatever
+/// else the filter holds. Nothing in the loop depends on the previous element
+/// until a hit, unlike the merge's loop-carried cursor pair. Because the walk
+/// stops itself, a caller may pass `nb` uncut above: `s ∩ nb` is the same.
 #[inline]
 pub fn probe(filter: &ProbeFilter, s: &[VertexId], nb: &[VertexId], mut hit: impl FnMut(VertexId)) {
-    let mut rest = s;
-    for &x in nb {
+    let (mut rest, last) = (s, s.last().copied().unwrap_or(0));
+    for &x in nb.iter().take_while(|&&x| x <= last) {
         if filter.may_contain(x) {
             match rest.binary_search(&x) {
                 Ok(k) => {
@@ -711,7 +712,7 @@ mod tests {
                 s_len in prop_oneof![Just(0usize), Just(1usize), 2usize..200, Just(4095usize), Just(4096usize)],
                 nb_len in prop_oneof![Just(0usize), 1usize..200, 200usize..6000],
                 stride in 1u32..1000,
-                overlap in 0usize..5,
+                overlap in 0usize..6,
                 ends in 0usize..4,
             ) {
                 let mut s = strided(s_len, 3 * stride, stride);
@@ -720,6 +721,14 @@ mod tests {
                     1 => strided(nb_len, 3 * stride, stride + 1), // disjoint
                     2 => s.clone(),                           // equal
                     3 => strided(nb_len, 1, 0),               // dense low ids
+                    // `s` a band strictly inside `nb`'s range: elements of
+                    // `nb` below it, among it, and past its last.
+                    4 => {
+                        let top = s.last().map_or(0, |&x| x + 1);
+                        let mut nb = strided(nb_len, stride, 0);
+                        nb.extend([top, top + stride, top + 2 * stride]);
+                        nb
+                    }
                     _ => sorted((0..nb_len as u32).map(|i| i.wrapping_mul(0x85EB_CA6B) ^ stride).collect()),
                 };
                 if ends & 1 != 0 {

@@ -188,13 +188,15 @@ impl GraphPartition {
     }
 
     /// The cached bitmap for a local hub vertex, if the index is built and
-    /// `v` met the degree threshold. The degree compare (one array read)
-    /// answers for the non-hubs — nearly every vertex — before the index's
-    /// hash lookup is paid.
+    /// `v` met the degree threshold. The index holds local hubs only, so a
+    /// remote `v` is answered by its owner (a hash, no memory read) before
+    /// its degree is read from the global CSR; the degree compare then
+    /// answers for the local non-hubs — nearly every vertex — before the
+    /// index's hash lookup is paid.
     #[inline]
     pub fn hub_bitmap(&self, v: VertexId) -> Option<&HubBitmap> {
         let hubs = self.hubs.as_ref()?;
-        if self.graph.degree(v) < hubs.threshold() {
+        if !self.is_local(v) || self.graph.degree(v) < hubs.threshold() {
             return None;
         }
         hubs.get(v)
@@ -361,6 +363,13 @@ mod tests {
             }
         }
         assert!(indexed > 0, "BA graph with m=8 should have hubs above 64");
+        // Another machine's hub has no bitmap here.
+        let remote_hub = |&v: &VertexId| !parts[0].is_local(v) && parts[0].degree(v) >= threshold;
+        let remote_hubs: Vec<VertexId> = (0..2000).filter(remote_hub).collect();
+        assert!(!remote_hubs.is_empty());
+        assert!(remote_hubs
+            .iter()
+            .all(|&v| parts[0].hub_bitmap(v).is_none()));
         // Threshold 0 disables the index.
         parts[0].build_hub_index(0);
         assert!(unindexed(&parts[0]));
