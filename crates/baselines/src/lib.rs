@@ -33,9 +33,11 @@ pub mod exec;
 mod joinbased;
 mod rads;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use huge_comm::stats::CommSnapshot;
+use huge_comm::ExternalKvStore;
 use huge_core::report::RunReport;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, Result, SinkMode};
 use huge_graph::Graph;
@@ -108,7 +110,10 @@ impl Baseline {
                 Ok(report)
             }
             Baseline::BigJoin => joinbased::run(graph, query, config),
-            Baseline::Benu => benu::run(graph, query, config, Default::default()),
+            Baseline::Benu => {
+                let store = ExternalKvStore::new(Arc::new(graph.clone()), Default::default());
+                benu::run(graph, query, config, &store)
+            }
             Baseline::Rads => rads::run(graph, query, config),
         }
     }

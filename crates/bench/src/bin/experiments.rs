@@ -362,14 +362,27 @@ fn exp6(opts: &Options) {
 }
 
 /// Exp-7 (Fig. 9): BFS/DFS-adaptive scheduling — output-queue size sweep.
+/// q6 is collected (none kept), so every match is gathered into a machine's
+/// terminal queue before the sink takes it: the peak is what a chain's
+/// queues hold at each capacity — scan batches ahead of the nest, gathered
+/// matches behind it, and what the nest leaves at its levels while the
+/// terminal queue is full — and the counts must not change with it. A
+/// counting run queues only scan batches, and its peak reads the same at
+/// every size.
 fn exp7(opts: &Options) {
     let graph = load_dataset(DatasetKind::Uk, opts.scale);
     let query = paper_query(6);
-    let mut table = TextTable::new(vec!["queue rows", "T(s)", "peak memory (MiB)"]);
+    let mut table = TextTable::new(vec!["queue rows", "T(s)", "peak memory (MiB)", "matches"]);
+    let mut expected = None;
     for rows in [1_000usize, 10_000, 100_000, 1_000_000, usize::MAX / 2] {
         let config = default_config(opts.machines).output_queue_rows(rows);
         let cluster = HugeCluster::build(graph.clone(), config).expect("cluster");
-        let report = cluster.run(&query, SinkMode::Count).expect("run");
+        let report = cluster.run(&query, SinkMode::Collect(0)).expect("run");
+        assert_eq!(
+            *expected.get_or_insert(report.matches),
+            report.matches,
+            "q6 counts changed with the queue size ({rows} rows)"
+        );
         let label = if rows > 1_000_000 {
             "BFS (unbounded)".to_string()
         } else {
@@ -379,6 +392,7 @@ fn exp7(opts: &Options) {
             label,
             secs(report.total_time()),
             mib(report.peak_memory_bytes),
+            report.matches.to_string(),
         ]);
     }
     println!("\n{}", table.render());

@@ -25,10 +25,8 @@
 //!   [`ColBatch::byte_size`] counts what is actually held, so a hub row that
 //!   expands 200× costs the queue one candidate column, not `arity + 1`.
 //!
-//! **Runs xor selection.** A batch never carries both: a verify-mode extend
-//! over a run batch rewrites the newest column and the run ends
-//! ([`ColBatch::retain_rows`]), a selection is only ever installed on dense
-//! columns.
+//! **Runs xor selection.** A batch never carries both: a selection is only
+//! ever installed on dense columns.
 //!
 //! **Where rows are materialised.** Everything between two extends —
 //! re-chunking, the operator queues, stealing, the memory ledger — carries
@@ -365,8 +363,7 @@ impl ColBatch {
     /// Installs a selection vector (strictly ascending physical indices).
     ///
     /// Replaces any existing selection, so callers narrowing an already
-    /// selected batch must compose indices themselves (or call
-    /// [`ColBatch::retain_rows`], which does).
+    /// selected batch must compose indices themselves.
     pub fn set_selection(&mut self, sel: Vec<u32>) {
         debug_assert!(self.run_ends.is_none(), "runs and selection never coexist");
         debug_assert!(
@@ -379,32 +376,6 @@ impl ColBatch {
             "selection index out of range"
         );
         self.sel = Some(sel);
-    }
-
-    /// Keeps only the logical rows listed in `keep` (strictly ascending).
-    /// Prefix data is never moved: without runs the survivors become the
-    /// (composed) selection vector; with runs the newest column is compacted
-    /// in place and the run ends recounted, which may leave runs empty.
-    pub fn retain_rows(&mut self, mut keep: Vec<u32>) {
-        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "rows not ascending");
-        let Some(ends) = &mut self.run_ends else {
-            if let Some(old) = &self.sel {
-                keep.iter_mut().for_each(|i| *i = old[*i as usize]);
-            }
-            return self.set_selection(keep);
-        };
-        let newest = self.cols.last_mut().expect("arity > 0");
-        let mut kept = 0;
-        for end in ends.iter_mut() {
-            while keep.get(kept).is_some_and(|&row| row < *end) {
-                newest[kept] = newest[keep[kept] as usize];
-                kept += 1;
-            }
-            // `kept` counts rows below the old `*end`, which fit in 32 bits.
-            *end = kept as u32;
-        }
-        debug_assert_eq!(kept, keep.len(), "row index out of range");
-        newest.truncate(kept);
     }
 
     /// Materialises the selection: unselected rows are discarded and the
@@ -741,34 +712,6 @@ mod tests {
         all.append(&mut runs.clone());
         assert_eq!(all.len(), 12);
         assert_eq!(all.column(0)[6..], [0, 0, 20, 20, 20, 30]);
-    }
-
-    #[test]
-    fn retain_rows_rewrites_the_newest_column_or_narrows_the_selection() {
-        let lens = [2, 0, 3, 1];
-        let mut runs = run_batch(&lens);
-        let prefix = runs.column(0).as_ptr();
-        runs.retain_rows(vec![1, 2, 4]);
-        assert_eq!(runs.run_ends(), Some(&[1, 1, 3, 3][..]));
-        assert_eq!(runs.column(2), &[1001, 1002, 1004]);
-        assert_eq!(runs.column(0).as_ptr(), prefix, "prefix data never moves");
-        assert_eq!(runs.selection(), None, "runs and selection never coexist");
-        let rows = reference_rows(&lens);
-        let kept: Vec<u32> = [1, 2, 4]
-            .iter()
-            .flat_map(|&i| rows.row(i).to_vec())
-            .collect();
-        assert_eq!(runs.to_rows().as_flat(), kept);
-        runs.retain_rows(vec![]);
-        assert!(runs.is_empty());
-        assert_eq!(runs.run_ends(), Some(&[0, 0, 0, 0][..]));
-
-        // Without runs the survivors compose with the selection in place.
-        let mut dense = ColBatch::from_rows(&rows);
-        dense.retain_rows(vec![1, 2, 4, 5]);
-        dense.retain_rows(vec![0, 3]);
-        assert_eq!(dense.selection(), Some(&[1, 5][..]));
-        assert_eq!(dense.physical_rows(), 6);
     }
 
     #[test]

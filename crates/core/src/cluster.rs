@@ -228,7 +228,7 @@ impl HugeCluster {
         }
 
         // Pre-build every segment's cross-machine state (stealable scan
-        // pools, operator queues, end-of-stream counters) up front, so the
+        // pools, head and terminal queues, end-of-stream counters) up front, so the
         // scheduler never synchronises to set a segment up.
         let shared_segments: Vec<SegmentShared> = segment_plans
             .iter()
@@ -241,14 +241,13 @@ impl HugeCluster {
                         SegmentSource::Join(_) => ScanPool::new(&[], 1),
                     })
                     .collect();
-                let num_ops = 1 + plan.segment.extends.len();
                 let queues: Vec<Arc<SegmentQueues>> = (0..k)
                     .map(|m| {
-                        // Every queue of machine m reads its *effective*
+                        // Both queues of machine m read their *effective*
                         // capacity from the governor's per-machine handle
                         // (initialised to the configured capacity).
                         Arc::new(SegmentQueues::governed(
-                            num_ops,
+                            plan.segment.extends.len(),
                             governor.queue_capacity_handle(m),
                             Some(Arc::clone(&machines[m].memory)),
                         ))
@@ -299,10 +298,8 @@ impl HugeCluster {
             state.finish_run();
         }
         for seg in &run_shared.segments {
-            for queues in &seg.queues {
-                for op in 0..queues.len() {
-                    while queues.queue(op).pop().is_some() {}
-                }
+            for queue in seg.queues.iter().flat_map(|queues| queues.all()) {
+                while queue.pop().is_some() {}
             }
         }
         let leaked_bytes: u64 = trackers.iter().map(|t| t.current()).sum();

@@ -128,7 +128,7 @@ fn scatter_runs(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{ExtendSpec, ScanCursor, ScanPool};
+    use crate::operators::{run_extend_cols, ScanCursor, ScanPool};
     use huge_cache::LrbuCache;
     use huge_comm::stats::ClusterStats;
     use huge_graph::{gen, Partitioner};
@@ -170,20 +170,17 @@ mod tests {
                 },
                 ScanPool::new(partition.local_vertices(), 4),
             );
-            let extend = ExtendSpec::compile(
-                &ExtendOp {
-                    target: 2,
-                    ext_positions: vec![0, 1],
-                    verify_position: None,
-                    filters: vec![OrderFilter {
-                        smaller: 1,
-                        larger: 2,
-                    }],
-                },
-                2,
-            );
+            let op = ExtendOp {
+                target: 2,
+                ext_positions: vec![0, 1],
+                verify_position: None,
+                filters: vec![OrderFilter {
+                    smaller: 1,
+                    larger: 2,
+                }],
+            };
             while let Some(batch) = scan.next_runs(&ctx) {
-                total += extend.run_cols(batch, &ctx).unwrap().batch.len() as u64;
+                total += run_extend_cols(&op, batch, &ctx).batch.len() as u64;
             }
         }
         // K8 has C(8,3) = 56 triangles.

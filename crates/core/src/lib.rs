@@ -87,10 +87,6 @@ pub enum EngineError {
     Transport(String),
     /// Spilling to disk failed.
     Io(std::io::Error),
-    /// One `PULL-EXTEND` input batch has, or expanded to, this many rows —
-    /// more than the 32-bit row index of a batch can address. Lower
-    /// [`ClusterConfig::batch_size`](config::ClusterConfig).
-    BatchTooLarge(u64),
 }
 
 impl std::fmt::Display for EngineError {
@@ -105,10 +101,6 @@ impl std::fmt::Display for EngineError {
             EngineError::DeadlineExceeded(_) => write!(f, "query deadline exceeded"),
             EngineError::Transport(msg) => write!(f, "transport failure: {msg}"),
             EngineError::Io(e) => write!(f, "io error: {e}"),
-            EngineError::BatchTooLarge(rows) => write!(
-                f,
-                "an extend batch reached {rows} rows, past the 32-bit row index of a batch"
-            ),
         }
     }
 }

@@ -3,14 +3,17 @@
 //! inter-machine work stealing, and the per-machine *dataflow scheduler*
 //! that drives all segments of a run from one thread.
 //!
-//! A segment's chain calls its operators directly — the scan cursor or the
-//! segment's joiner, then each compiled extend — and is the one place that
-//! decides count-or-materialise: in a root segment feeding a counting sink,
-//! a bare join counts, and otherwise the chain's *nest* does — the longest
-//! suffix of its extends that are all match-mode but the last
-//! ([`count_nest`]). The nest's head takes queued batches; the levels below
-//! it are fed piece by piece inside the head's call, so their queues stay
-//! empty, and the call's time is split over their busy slots.
+//! Every segment's chain is source → head queue → [`nest`] of all its
+//! extends → terminal queue → terminal (a chain without extends feeds the
+//! terminal queue from its source). The chain calls its operators directly —
+//! the scan cursor or the segment's joiner, then the nest — and is the one
+//! place that decides count-or-materialise: in a root segment feeding a
+//! counting sink, a bare join counts, and otherwise the nest's last level
+//! does; every other nest gathers into the terminal queue. The levels below
+//! the head are fed piece by piece inside the nest's call, and the call's
+//! time is split over their busy slots; a level's own queue holds only what
+//! a call left of its input when the terminal queue filled, and is drained,
+//! deepest first, before the head queue's next batch.
 //!
 //! The runtime is *pipelined* at two levels. Inside a segment, join inputs
 //! shuffled during a producing segment are absorbed into pre-instantiated
@@ -70,7 +73,7 @@ use crate::exec::{partition_cols_by_key, OpContext};
 use crate::governor::{MemoryGovernor, PressureLevel};
 use crate::join::{column_bytes, HashJoiner, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
-use crate::operators::{count_nest, ExtendSpec, ScanCursor};
+use crate::operators::{nest, ExtendSpec, ScanCursor};
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
 use crate::scheduler::{RunShared, SegmentQueues, SegmentShared};
@@ -160,15 +163,15 @@ enum ChainSource {
 /// segment finishes.
 struct SegmentChain {
     source: ChainSource,
-    /// The segment's extends, each compiled against its input arity.
+    /// The segment's extends, each compiled against its input arity: the
+    /// levels of the chain's [`nest`].
     extends: Vec<ExtendSpec>,
-    /// The operator that counts the output of a root segment feeding a
-    /// counting sink, and so the first whose output no queue holds: a bare
-    /// join, or the head of the chain's nest of extends ([`count_nest`]).
-    /// Past the last extend when nothing counts before the terminal.
-    nest: usize,
+    /// The chain is a root segment's feeding a counting sink: its nest, or a
+    /// bare join, counts, and nothing reaches the terminal.
+    counts: bool,
     /// Where the next visit resumes: the terminal of a blocked chain, the
-    /// operator a paused one stopped before, else 0.
+    /// operator a paused one stopped before, else the source (see
+    /// [`MachineState::run_chain`]).
     current: usize,
     /// The shuffle terminal's parts not yet accepted by their destination
     /// inboxes, in push order; the front one bounced.
@@ -673,16 +676,8 @@ impl MachineState {
             })
             .collect();
         // Count pushdown: when the root segment merely counts matches, its
-        // bare join or its nest materialises nothing. The nest is every
-        // extend after the last verify-mode one that is not the last extend.
+        // bare join or its nest materialises nothing.
         let counts = matches!(plan.terminal, Terminal::Sink) && v.sink == SinkMode::Count;
-        let above = &ops[..ops.len().saturating_sub(1)];
-        let verified = above.iter().rposition(|op| op.verify_position.is_some());
-        let nest = match (counts, &plan.segment.source) {
-            (false, _) => ops.len() + 1,
-            (true, SegmentSource::Join(_)) if ops.is_empty() => 0,
-            (true, _) => verified.map_or(1, |i| i + 2),
-        };
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanCursor::new(
                 scan.clone(),
@@ -699,7 +694,7 @@ impl MachineState {
         Ok(SegmentChain {
             source,
             extends,
-            nest,
+            counts,
             current: 0,
             unsent: VecDeque::new(),
             throttled: false,
@@ -1024,7 +1019,13 @@ impl MachineState {
     // -----------------------------------------------------------------------
 
     /// The BFS/DFS-adaptive scheduling loop (Algorithm 5) over this
-    /// segment's operator chain: source (scan or join), extends, terminal.
+    /// segment's chain of three operators — 0, the source (scan or join);
+    /// 1, the nest of its extends; 2, the terminal — and its two scheduled
+    /// queues: the head queue from the source to the nest and the terminal
+    /// queue from the nest to the terminal (the source's own without
+    /// extends). The nest's input is also what it left in its deeper levels'
+    /// queues. An operator is fed until its output queue fills or its input
+    /// drains.
     /// Resumes at `chain.current`. Returns `None` once the chain has drained,
     /// else how it stopped: blocked on a full inbox, or yielded at a clean
     /// point (`Progressed`).
@@ -1034,12 +1035,10 @@ impl MachineState {
             self.maybe_panic_at(segment, PanicPoint::Probe);
         }
         let queues = Arc::clone(&v.seg().queues[self.machine]);
-        let num_extends = chain.extends.len();
-        // Operator indices: 0 = source, 1..=num_extends = extends,
-        // num_extends + 1 = terminal. They double as the operators' busy-time
-        // slots (`SegmentPlan::op_names`), followed by the absorb slot.
-        let terminal_idx = num_extends + 1;
-        let absorb_slot = terminal_idx + 1;
+        // Busy-time slots (`SegmentPlan::op_names`): the source, one per
+        // extend, the terminal, the absorb.
+        let terminal_slot = chain.extends.len() + 1;
+        let absorb_slot = terminal_slot + 1;
         let mut current = chain.current;
         // From before the step's checks: a release they missed still counts.
         let mut epoch = self.seen;
@@ -1059,80 +1058,67 @@ impl MachineState {
             }
             // Re-evaluate memory pressure every scheduling step.
             self.governor_tick()?;
-            let has_input = match current {
-                0 => self.source_has_more(&chain.source, segment),
-                i if i == terminal_idx => {
-                    !chain.unsent.is_empty() || !queues.queue(num_extends).is_empty()
-                }
-                i => !queues.queue(i - 1).is_empty(),
-            };
-            if !has_input {
-                if current == 0 {
-                    // Source exhausted: finish when nothing remains anywhere.
-                    if queues.all_empty() {
-                        break;
-                    }
-                    current += 1;
-                    continue;
-                }
-                // Backtrack only while some upstream operator still has work;
-                // otherwise keep moving towards the terminal (and stop at the
-                // terminal once the whole chain has drained).
-                let upstream_has_work = self.source_has_more(&chain.source, segment)
-                    || (0..current.saturating_sub(1)).any(|i| !queues.queue(i).is_empty());
-                if upstream_has_work {
-                    current -= 1;
-                } else if current == terminal_idx {
-                    break;
-                } else {
-                    current += 1;
+            let has_input = [
+                self.source_has_more(&chain.source, segment),
+                queues.levels.iter().any(|queue| !queue.is_empty()),
+                !chain.unsent.is_empty() || !queues.terminal.is_empty(),
+            ];
+            if !has_input[current] {
+                // Backtrack to the nearest upstream operator with work, else
+                // move towards the terminal; stop once the chain has drained.
+                let mut next = (0..current).rev().chain(current + 1..3);
+                match next.find(|&op| has_input[op]) {
+                    Some(op) => current = op,
+                    None => break,
                 }
                 continue;
             }
-            if current == terminal_idx {
+            if current == 2 {
                 let start = Instant::now();
                 let blocked = loop {
                     if let Some(dest) = self.push_unsent(chain, segment) {
                         break Some(dest);
                     }
-                    let Some(batch) = queues.queue(num_extends).pop() else {
+                    let Some(batch) = queues.terminal.pop() else {
                         break None;
                     };
                     self.consume_terminal(v, batch, &mut chain.unsent);
                 };
-                self.trace.op_add_busy(segment, current, start.elapsed());
+                self.trace
+                    .op_add_busy(segment, terminal_slot, start.elapsed());
                 if let Some(dest) = blocked {
                     chain.current = current;
                     return Ok(Some(Step::Blocked(WakeOn::Space(dest))));
                 }
-                current -= 1;
                 continue;
             }
             // Schedule the operator: consume input until its output queue
             // fills or the input drains (Algorithm 5 lines 6-9).
+            let output = match current {
+                0 => queues.fed_by_source(),
+                _ => &queues.terminal,
+            };
             loop {
                 let start = Instant::now();
-                let (produced, levels) = self.run_op(chain, &queues, v, current)?;
-                for (level, took) in split_wall(start.elapsed(), &levels).into_iter().enumerate() {
-                    self.trace.op_add_busy(segment, current + level, took);
+                let Some((first, levels)) = self.run_op(chain, &queues, v, current)? else {
+                    break;
+                };
+                let slots = split_wall(start.elapsed(), &levels);
+                for (level, took) in slots.into_iter().enumerate() {
+                    self.trace.op_add_busy(segment, first + level, took);
                 }
-                let Some(produced) = produced else { break };
-                debug_assert!(current < chain.nest, "a nest's levels are never queued");
-                for chunk in produced.split_into_chunks(self.effective_batch_size()) {
-                    queues.queue(current).push(chunk);
-                }
-                // Re-check pressure after every batch landed in a queue: the
-                // feed loop is where memory actually grows, so the governor
-                // must be able to shrink the effective capacity *mid-feed*
-                // (otherwise a generous Green capacity lets one operator
-                // materialise its whole input before the next control step).
+                // Re-check pressure after every call: the feed loop is where
+                // memory actually grows, so the governor must be able to
+                // shrink the effective capacity *mid-feed* (otherwise a
+                // generous Green capacity lets one operator materialise its
+                // whole input before the next control step).
                 self.governor_tick()?;
-                // Between an operator's batches nothing is unsent: a clean point.
+                // Between an operator's calls nothing is unsent: a clean point.
                 if self.should_yield(segment, &mut epoch) {
                     chain.current = current;
                     return Ok(Some(Step::Progressed));
                 }
-                if queues.queue(current).is_full() {
+                if output.is_full() {
                     // Under pressure the queue fills early because the
                     // governor shrank it — that deferral is the throttling
                     // the run report counts.
@@ -1142,8 +1128,11 @@ impl MachineState {
                     break;
                 }
             }
-            // Move to the successor (the terminal backtracks on its own).
-            current += 1;
+            // Move to the operator the full queue feeds: the nest reads the
+            // head queue, the terminal the terminal queue, which a source
+            // without extends feeds too (the terminal backtracks on its own).
+            let feeds_nest = current == 0 && !queues.levels.is_empty();
+            current = if feeds_nest { 1 } else { 2 };
         }
         chain.current = 0;
         Ok(None)
@@ -1179,17 +1168,21 @@ impl MachineState {
     }
 
     /// Runs operator `current` of the chain once: one batch from the source
-    /// (the scan cursor, or the segment's joiner) or one queued batch through
-    /// an extend, and returns what it produced. A counting join or nest adds
-    /// to the sink's matches instead and returns `None` — and, for a nest,
-    /// its busy time per level (empty for every other operator).
+    /// (the scan cursor, or the segment's joiner) into the queue it feeds,
+    /// or one batch of the deepest nonempty level queue through the nest from
+    /// that level, which counts into the sink's matches or gathers into the
+    /// terminal queue (and leaves the rest of each level's input in its
+    /// queue once that fills). A bare counting join counts a batch instead.
+    /// Returns `None` when the operator had no input, else its first busy
+    /// slot and the nest's busy time per level from there (empty for the
+    /// source).
     fn run_op(
         &mut self,
         chain: &mut SegmentChain,
         queues: &SegmentQueues,
         v: Visit,
         current: usize,
-    ) -> Result<(Option<ColBatch>, Vec<Duration>)> {
+    ) -> Result<Option<(usize, Vec<Duration>)>> {
         let segment = v.plan.segment.id;
         // Assembled field by field: the joiner called below is a field too.
         let ctx = OpContext {
@@ -1205,9 +1198,10 @@ impl MachineState {
             (0, ChainSource::Scan(cursor)) => cursor.next_runs(&ctx),
             (0, ChainSource::Join) => {
                 let join = join_of(&mut self.joins, segment)?;
-                if chain.nest == 0 {
-                    self.matches += join.count_batch()?.unwrap_or(0);
-                    return Ok((None, Vec::new()));
+                if chain.counts && chain.extends.is_empty() {
+                    let counted = join.count_batch()?;
+                    self.matches += counted.unwrap_or(0);
+                    return Ok(counted.map(|_| (0, Vec::new())));
                 }
                 let batch = join.next_batch()?;
                 if let Some(batch) = &batch {
@@ -1216,23 +1210,25 @@ impl MachineState {
                 }
                 batch
             }
-            (i, _) => {
-                let Some(input) = queues.queue(i - 1).pop() else {
-                    return Ok((None, Vec::new()));
+            _ => {
+                let Some((level, input)) = queues.pop_deepest() else {
+                    return Ok(None);
                 };
-                if i == chain.nest {
-                    let nest = &chain.extends[i - 1..];
-                    let counted = count_nest(nest, &input, &ctx, Some(&v.run.cancel));
-                    self.matches += counted.count;
-                    self.fetch_time += counted.fetch_time;
-                    return Ok((None, counted.busy));
+                let gather = (!chain.counts).then(|| queues.gather(level));
+                let nest_from = &chain.extends[level..];
+                let out = nest(nest_from, &input, &ctx, Some(&v.run.cancel), gather);
+                if chain.counts {
+                    self.matches += out.count;
                 }
-                let out = chain.extends[i - 1].run_cols(input, &ctx)?;
                 self.fetch_time += out.fetch_time;
-                Some(out.batch)
+                return Ok(Some((1 + level, out.busy)));
             }
         };
-        Ok((batch, Vec::new()))
+        let Some(batch) = batch else {
+            return Ok(None);
+        };
+        queues.fed_by_source().push(batch);
+        Ok(Some((0, Vec::new())))
     }
 
     /// Consumes one fully-extended batch at the terminal: the sink counts
@@ -1241,8 +1237,7 @@ impl MachineState {
     fn consume_terminal(&mut self, v: Visit, mut batch: ColBatch, unsent: &mut VecDeque<Part>) {
         match &v.plan.terminal {
             Terminal::Sink => {
-                // Count-only sinks touch nothing but the logical length: a
-                // verify-mode final batch is never compacted.
+                // Count-only sinks touch nothing but the logical length.
                 self.matches += batch.len() as u64;
                 if let SinkMode::Collect(limit) = v.sink {
                     let wanted = limit.saturating_sub(self.samples.len());
@@ -1298,8 +1293,8 @@ impl MachineState {
                 seg.scan_pools[me].add_chunks(chunks);
                 return Some((batches, bytes as u64));
             }
-            let (theirs, mine) = (&seg.queues[victim], &seg.queues[me]);
-            let mut taken = (0..theirs.len()).map(|op| theirs.queue(op).steal_into(mine.queue(op)));
+            let (theirs, mine) = (seg.queues[victim].all(), seg.queues[me].all());
+            let mut taken = theirs.zip(mine).map(|(q, into)| q.steal_into(into));
             taken.find(|&(batches, _)| batches > 0)
         });
         if let Some((batches, bytes)) = stolen {

@@ -1,12 +1,15 @@
 //! Operator implementations: `SCAN` ([`ScanCursor`]) and `PULL-EXTEND`
 //! ([`ExtendSpec`]). `PUSH-JOIN` lives in [`crate::join`]; the `SINK` is the
 //! segment terminal in [`crate::machine`], whose chain calls these operators
-//! directly: [`ScanCursor::next_runs`], [`ExtendSpec::run_cols`], and
-//! [`count_nest`] for a counting root segment's *nest* — the longest suffix
-//! of its extends that are all match-mode but the last. The nest runs its
-//! head over a queued batch and every level below depth-first, a worker-local
-//! piece of at most `batch_size` rows at a time, counting at the last level:
-//! at most depth × `batch_size` rows per worker, none of them queued.
+//! directly: [`ScanCursor::next_runs`] and [`nest`], the one extend engine.
+//! A chain's extends, match or verify mode in any order, are the levels of
+//! one *nest*: it runs its head over a queued batch and every level below
+//! depth-first, a worker-local piece of at most `batch_size` rows at a time
+//! (a verify level passes each surviving row on unchanged), and its last
+//! level counts or gathers full pieces into the terminal queue as run
+//! batches: at most depth × `batch_size` rows per worker, none of them
+//! queued. Once it finds the terminal queue full a gathering nest stops,
+//! and each level leaves what it has not taken in its own queue.
 //!
 //! The **fetch stage** of Algorithm 4 makes one cache call per distinct
 //! remote vertex of a batch and returns the batch's *list view* (vertex →
@@ -39,9 +42,9 @@
 //! any order of runs — shuffled, selected, split or stolen batches only
 //! recompute more. Both sinks run the same kernel walk per row
 //! (`Candidates::each`): the counting one counts its hits, the materialising
-//! one appends them straight into the new column. Verify
-//! mode is a per-row membership test over the same walk and shares the fetch
-//! stage. A row-major `run_extend` / `run_extend_count` that intersects every
+//! one appends them straight into the new column. Verify mode is a per-row
+//! membership test of its own and shares the fetch stage. A row-major
+//! `run_extend` / `run_extend_count` that intersects every
 //! list for every row and filters per candidate lives in the test-only
 //! `row_major` module: the reference the tests hold the generator to.
 
@@ -59,7 +62,7 @@ use parking_lot::Mutex;
 
 use crate::cancel::CancelToken;
 pub use crate::exec::OpContext;
-use crate::{EngineError, Result};
+use crate::scheduler::SharedQueue;
 
 /// Applies the symmetry-breaking filters of an operator to a row.
 #[inline]
@@ -250,17 +253,23 @@ impl ScanCursor {
 // PULL-EXTEND
 // ---------------------------------------------------------------------------
 
-/// The result of counting a `PULL-EXTEND` over one input batch without
-/// materialising the extended rows.
-pub struct ExtendCountOutput {
-    /// Number of rows the extension would have produced.
+/// What one [`nest`] call did.
+pub struct ExtendOutput {
+    /// The gathered rows as one run batch ([`run_extend_cols`]); empty for
+    /// a nest that counts or gathers into queues.
+    pub batch: ColBatch,
+    /// Rows the last level counted or gathered.
     pub count: u64,
     /// Time spent in the fetch stages (RPCs + cache writes + sealing).
     pub fetch_time: Duration,
-    /// Busy time of each level of the nest ([`count_nest`]), summed over
-    /// its workers; the head's includes its fetch stage.
+    /// Busy time of each level of the nest, summed over its workers; the
+    /// head's includes its fetch stage.
     pub busy: Vec<Duration>,
 }
+
+/// Where a gathering [`nest`] puts rows: `.1` takes the gathered rows, and
+/// `.0[l]` what level `l` of the call leaves of its input once `.1` is full.
+pub type Gather<'q> = (&'q [SharedQueue], &'q SharedQueue);
 
 /// A batch's list view: the handle of every remote list its extend
 /// positions reference, as the fetch stage resolved them.
@@ -469,14 +478,6 @@ fn neighbours<'v>(ctx: &OpContext<'v>, view: &'v ListView, v: VertexId) -> Optio
 // Columnar PULL-EXTEND
 // ---------------------------------------------------------------------------
 
-/// The result of running a columnar `PULL-EXTEND` over one input batch.
-pub struct ExtendColsOutput {
-    /// The extended (or selection-narrowed) columnar batch.
-    pub batch: ColBatch,
-    /// Time spent in the fetch stage (RPCs + cache writes + sealing).
-    pub fetch_time: Duration,
-}
-
 /// The positions one part of an extend reads, split by what a read costs in a
 /// run batch: the `run` columns hold one value per run, the newest column
 /// one per row.
@@ -681,7 +682,10 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 /// columns — `(index in the per-run columns, index in the newest column)` —
 /// and the row's values at the spec's `collide` positions (what injectivity
 /// must remove). A batch without run structure goes through the same loop
-/// with every row a run of one; nothing below asks which shape it has.
+/// with every row a run of one; nothing below asks which shape it has. A
+/// sink that returns `false` stops the loop at its row: the result is that
+/// row's `(run, logical row)`, and the rows from it on are not counted as
+/// extended.
 ///
 /// **Once per run**, from the columns that hold one value per run: the
 /// `run_gates` pass or fail the whole run; the part of the candidates' value
@@ -724,8 +728,8 @@ fn for_each_candidate_set(
     (first, end): (usize, usize),
     ctx: &OpContext<'_>,
     view: &ListView,
-    mut sink: impl FnMut((usize, usize), Candidates<'_>, &[VertexId], &mut KernelTally),
-) {
+    mut sink: impl FnMut((usize, usize), Candidates<'_>, &[VertexId], &mut KernelTally) -> bool,
+) -> Option<(usize, usize)> {
     let cols: Vec<&[VertexId]> = (0..input.arity()).map(|c| input.column(c)).collect();
     let newest = cols[spec.arity - 1];
     let has_prefix = !spec.prefix.is_empty();
@@ -742,7 +746,8 @@ fn for_each_candidate_set(
     let mut bound: Vec<VertexId> = Vec::new();
     let mut tally = KernelTally::default();
     let (mut total, mut started) = (0u64, 0u64);
-    for r in first..end {
+    let mut halted = None;
+    'runs: for r in first..end {
         let rows = input.run_rows(r);
         if rows.is_empty() {
             continue;
@@ -782,7 +787,7 @@ fn for_each_candidate_set(
             intersect_ext_lists(&by_degree, cut_by_key, ctx, view, bufs, &mut tally);
             cut = None;
         }
-        'rows: for i in rows {
+        'rows: for i in rows.clone() {
             let q = input.physical_index(i);
             let x = newest[q];
             let at = |c: usize| if c + 1 == spec.arity { x } else { cols[c][p] };
@@ -833,35 +838,41 @@ fn for_each_candidate_set(
                 (1..bound.len()).all(|k| !bound[..k].contains(&bound[k])),
                 "input rows must be injective"
             );
-            let Some(last) = spec.last else {
-                sink((p, q), Candidates::Slice(s), &bound, &mut tally);
-                continue;
+            let candidates = 'last: {
+                let Some(last) = spec.last else {
+                    break 'last Candidates::Slice(s);
+                };
+                let v = at(last);
+                if let Some(bm) = has_prefix.then(|| ctx.partition.hub_bitmap(v)).flatten() {
+                    break 'last Candidates::Hub(s, bm);
+                }
+                let Some(nbrs) = neighbours(ctx, view, v) else {
+                    continue 'rows;
+                };
+                let probes = |nb: &[VertexId]| {
+                    !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len()
+                };
+                // The probe stops past `s`, which lies below `hi`: a row with
+                // no lower bound probes its whole list, if that passes, uncut.
+                let nb = match has_prefix && lo.is_none() && probes(nbrs) {
+                    true => nbrs,
+                    false => &nbrs[range_of(nbrs, lo, hi)],
+                };
+                if !has_prefix {
+                    Candidates::Slice(nb)
+                } else if probes(nb) {
+                    Candidates::Probe(&filter, s, nb)
+                } else {
+                    Candidates::Lists(s, nb)
+                }
             };
-            let v = at(last);
-            if let Some(bm) = has_prefix.then(|| ctx.partition.hub_bitmap(v)).flatten() {
-                sink((p, q), Candidates::Hub(s, bm), &bound, &mut tally);
-                continue;
+            if !sink((p, q), candidates, &bound, &mut tally) {
+                // The rows from `i` on are not extended here.
+                total -= (rows.end - i) as u64;
+                started -= u64::from(i == rows.start);
+                halted = Some((r, i));
+                break 'runs;
             }
-            let Some(nbrs) = neighbours(ctx, view, v) else {
-                continue;
-            };
-            let probes = |nb: &[VertexId]| {
-                !armed.is_empty() && nb.len() <= kernels::PROBE_MAX_SKEW * s.len()
-            };
-            // The probe stops past `s`, which lies below `hi`: a row with no
-            // lower bound probes its whole list, if that passes, uncut.
-            let nb = match has_prefix && lo.is_none() && probes(nbrs) {
-                true => nbrs,
-                false => &nbrs[range_of(nbrs, lo, hi)],
-            };
-            let candidates = if !has_prefix {
-                Candidates::Slice(nb)
-            } else if probes(nb) {
-                Candidates::Probe(&filter, s, nb)
-            } else {
-                Candidates::Lists(s, nb)
-            };
-            sink((p, q), candidates, &bound, &mut tally);
         }
     }
     if cfg!(debug_assertions) {
@@ -874,11 +885,14 @@ fn for_each_candidate_set(
     let reuses = if has_prefix { total - started } else { 0 };
     let stats = ctx.rpc.stats().machine(ctx.machine);
     stats.record_extend(total, reuses);
+    halted
 }
 
-/// Verify mode over the runs `first..end` of `input`: calls `keep` with the
-/// logical index of every row that passes [`verify_one_row`]. The row's
-/// prefix is read once per run, its newest value once per row.
+/// Verify mode over the runs `first..end` of `input`: calls `keep` with
+/// `(index in the per-run columns, index in the newest column)` of every
+/// row that passes [`verify_one_row`], and stops where `keep` returns
+/// `false` (see [`for_each_candidate_set`]). The row's prefix is read once
+/// per run, its newest value once per row.
 fn for_each_verified_row(
     op: &ExtendOp,
     vpos: usize,
@@ -886,8 +900,8 @@ fn for_each_verified_row(
     (first, end): (usize, usize),
     ctx: &OpContext<'_>,
     view: &ListView,
-    mut keep: impl FnMut(usize),
-) {
+    mut keep: impl FnMut((usize, usize)) -> bool,
+) -> Option<(usize, usize)> {
     let newest = input.arity() - 1;
     let mut row: Vec<VertexId> = Vec::new();
     for r in first..end {
@@ -900,209 +914,119 @@ fn for_each_verified_row(
         row.extend((0..newest).map(|c| input.column(c)[p]));
         row.push(0);
         for i in rows {
-            row[newest] = input.column(newest)[input.physical_index(i)];
-            if verify_one_row(op, vpos, &row, ctx, view) {
-                keep(i);
+            let q = input.physical_index(i);
+            row[newest] = input.column(newest)[q];
+            if verify_one_row(op, vpos, &row, ctx, view) && !keep((p, q)) {
+                return Some((r, i));
             }
         }
     }
+    None
 }
 
-/// The cumulative run ends of consecutive runs of the given lengths: the run
-/// table of a match-mode extend's output. A batch indexes its rows in 32
-/// bits, so one input batch expanding past `u32::MAX` rows is an error, not
-/// a wrapped index.
-fn run_ends_of(lens: impl IntoIterator<Item = usize>) -> Result<Vec<u32>> {
-    let lens = lens.into_iter();
-    let mut ends = Vec::with_capacity(lens.size_hint().0);
-    let mut rows = 0u64;
-    for n in lens {
-        rows += n as u64;
-        ends.push(u32::try_from(rows).map_err(|_| EngineError::BatchTooLarge(rows))?);
-    }
-    Ok(ends)
-}
-
-impl ExtendSpec {
-    /// Runs the two-stage `PULL-EXTEND` (Algorithm 4) over one columnar batch.
-    ///
-    /// *Verify* mode never moves prefix data: the surviving rows become a
-    /// narrowed selection vector over a dense input's columns, or a shorter
-    /// newest column and recounted run ends of a run batch
-    /// ([`ColBatch::retain_rows`]). *Match* mode is the materialising sink of
-    /// `for_each_candidate_set` and always emits a **run batch**: the
-    /// kernels write each row's candidates straight into a piece of the new
-    /// column, the `(input row, candidates)` list the sink keeps is the run
-    /// table, and every input column is gathered once per *extended input
-    /// row* — never once per output row; that gather exists only in
-    /// [`ColBatch::flatten`]. Output rows keep the input's order.
-    ///
-    /// Fails with [`EngineError::BatchTooLarge`] if the batch has, or expands
-    /// to, more rows than a batch can index.
-    pub fn run_cols(&self, input: ColBatch, ctx: &OpContext<'_>) -> Result<ExtendColsOutput> {
-        debug_assert_eq!(input.arity(), self.arity);
-        // Row indices below are 32-bit: check once, then cast.
-        run_ends_of([input.physical_rows()])?;
-        let op = &self.op;
-        let (view, fetch_time) = fetch_stage_cols(op, &input, ctx);
-        let ranges = intersect_ranges(&input, ctx);
-        let (view, input_ref) = (&view, &input);
-
-        let batch = if let Some(vpos) = op.verify_position {
-            let run = ctx.pool.run(ranges, |range, out: &mut Vec<u32>| {
-                for_each_verified_row(op, vpos, input_ref, range, ctx, view, |i| {
-                    out.push(i as u32)
-                });
-            });
-            // The pool returns work items in arbitrary order.
-            let mut keep: Vec<u32> = run.outputs.into_iter().flatten().collect();
-            keep.sort_unstable();
-            let mut batch = input;
-            batch.retain_rows(keep);
-            Ok(batch)
-        } else {
-            // Each work item emits its piece of the candidate column and,
-            // per extended row, where the row sits in the input's per-run
-            // columns and in its newest column, and how many candidates it
-            // got.
-            type Item = (usize, Vec<(u32, u32, usize)>, Vec<VertexId>);
-            let run = ctx.pool.run(ranges, |range, out: &mut Vec<Item>| {
-                let (mut rows, mut cands) = (Vec::new(), Vec::new());
-                for_each_candidate_set(
-                    self,
-                    input_ref,
-                    range,
-                    ctx,
-                    view,
-                    |(p, q), c, bound, tally| {
-                        let n = c.append_to(bound, &mut cands, tally);
-                        if n > 0 {
-                            rows.push((p as u32, q as u32, n));
-                        }
-                    },
-                );
-                out.push((range.0, rows, cands));
-            });
-            let mut items: Vec<Item> = run.outputs.into_iter().flatten().collect();
-            items.sort_unstable_by_key(|item| item.0);
-            let extended = || items.iter().map(|(_, rows, _)| rows.as_slice());
-            let lens = extended().flatten().map(|&(_, _, n)| n);
-            run_ends_of(lens).map(|run_ends| {
-                let newest = self.arity - 1;
-                let mut cols: Vec<Vec<VertexId>> = (0..self.arity)
-                    .map(|c| {
-                        let source = input.column(c);
-                        let at = |&(p, q, _): &(u32, u32, usize)| if c == newest { q } else { p };
-                        let mut col = Vec::with_capacity(run_ends.len());
-                        for rows in extended() {
-                            col.extend(rows.iter().map(|row| source[at(row) as usize]));
-                        }
-                        col
-                    })
-                    .collect();
-                let total = run_ends.last().map_or(0, |&end| end as usize);
-                let mut candidates = Vec::with_capacity(total);
-                for (_, _, cands) in &items {
-                    candidates.extend_from_slice(cands);
-                }
-                cols.push(candidates);
-                ColBatch::from_runs(cols, run_ends)
-            })
-        };
-        // Unseal what the fetch stage sealed before any error leaves.
-        release(ctx);
-        let batch = batch?;
-        ctx.rpc
-            .stats()
-            .machine(ctx.machine)
-            .record_col_bytes(batch.byte_size());
-        Ok(ExtendColsOutput { batch, fetch_time })
-    }
-
-    /// The counting sink over the runs `range` of `input`, whose lists the
-    /// fetch stage resolved into `view`: the count of `for_each_candidate_set`
-    /// in match mode (nothing is written), of the rows that pass in verify
-    /// mode.
-    fn count_runs(
-        &self,
-        input: &ColBatch,
-        range: (usize, usize),
-        ctx: &OpContext<'_>,
-        view: &ListView,
-    ) -> u64 {
-        let mut count = 0u64;
-        match self.op.verify_position {
-            Some(vpos) => {
-                for_each_verified_row(&self.op, vpos, input, range, ctx, view, |_| count += 1)
-            }
-            None => for_each_candidate_set(self, input, range, ctx, view, |_, c, bound, tally| {
-                count += c.count(bound, tally)
-            }),
-        }
-        count
-    }
-}
-
-/// Counts a counting chain's *nest* — `nest[0]` over `input`, every later
-/// extend over what the one above it generates — depth-first. The head runs
-/// its fetch stage and the worker pool over `input`; a work item hands its
-/// candidates to a worker-local piece of at most `ctx.batch_size` rows for
-/// the next level, and a full piece runs that level's fetch stage, generator
-/// (at the last level, counting sink) and release in the same worker: the
-/// pool is not re-entrant, and no intersect stage reads the cache, so a
-/// piece's fetch and release disturb no other. A nest of depth d holds at
-/// most d × `batch_size` rows per worker, none queued or tracked. Every
-/// extend but the last is match-mode. `cancel` is polled before each piece;
-/// once it fires the nest drops what it holds and returns a partial count.
-pub fn count_nest(
-    nest: &[ExtendSpec],
+/// Runs a chain's extends as one depth-first *nest* over `input`:
+/// `specs[0]` over `input`, every later extend over what the one above it
+/// makes, and the last level counts, or gathers into `gather`'s terminal
+/// queue ([`Gather`]). The head runs its fetch stage and the worker pool
+/// over `input`; a work item hands its rows to a worker-local piece of at
+/// most `ctx.batch_size` rows for the next level — a match level each row's
+/// candidates, a verify level each row that passes, unchanged — and a full
+/// piece runs that level's fetch stage, generator and release in the same
+/// worker: the pool is not re-entrant, and no intersect stage reads the
+/// cache, so a piece's fetch and release disturb no other. A gathering last
+/// level pushes its full pieces, each a run batch (prefix once per run), to
+/// the terminal queue. So a nest of depth d holds at most d × `batch_size`
+/// rows per worker, none queued or tracked until gathered. A work item that
+/// finds the terminal queue full — at its start or after a push of its own
+/// — takes no further row at any level: each level leaves the rest of its
+/// input, and each piece it holds whole, in its level's queue, so one
+/// worker's gathered rows overrun the full queue by at most a piece and one
+/// row's candidates. `cancel` is polled before each piece; once it fires the
+/// nest drops what it holds and returns a partial count.
+pub fn nest(
+    specs: &[ExtendSpec],
     input: &ColBatch,
     ctx: &OpContext<'_>,
     cancel: Option<&CancelToken>,
-) -> ExtendCountOutput {
-    debug_assert_eq!(input.arity(), nest[0].arity);
-    let above = &nest[..nest.len() - 1];
-    debug_assert!(above.iter().all(|s| s.op.verify_position.is_none()));
-    let (view, fetch_time) = fetch_stage_cols(&nest[0].op, input, ctx);
+    gather: Option<Gather<'_>>,
+) -> ExtendOutput {
+    debug_assert_eq!(input.arity(), specs[0].arity);
+    let done = specs[specs.len() - 1].output_arity();
+    // One piece per level below the head, and the gathered rows' own.
+    let arities = specs[1..].iter().map(|s| s.arity);
+    let arities: Vec<usize> = arities.chain(gather.map(|_| done)).collect();
+    let (view, fetch_time) = fetch_stage_cols(&specs[0].op, input, ctx);
     let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
         let mut item = Nest {
-            specs: nest,
+            specs,
             ctx,
             cancel,
+            gather,
+            room: !gather.is_some_and(|(_, terminal)| terminal.is_full()),
             stopped: cancel.is_some_and(CancelToken::is_cancelled),
-            pieces: nest[1..]
-                .iter()
-                .map(|s| (vec![Vec::new(); s.arity], Vec::new()))
+            pieces: (arities.iter())
+                .map(|&arity| (vec![Vec::new(); arity], Vec::new()))
                 .collect(),
-            out: ExtendCountOutput {
-                count: 0,
-                fetch_time: Duration::ZERO,
-                busy: vec![Duration::ZERO; nest.len()],
-            },
+            count: 0,
+            fetch_time: Duration::ZERO,
+            busy: vec![Duration::ZERO; specs.len()],
             clock: (0, Instant::now()),
         };
-        item.run(0, input, range, &view);
-        // Top down: what a level's last piece generates lands in the next.
-        (1..nest.len()).for_each(|level| item.flush(level));
+        let halted = item.run(0, input, range, &view);
+        // Top down: what a level's last piece makes lands in the next.
+        (0..arities.len()).for_each(|level| item.flush(level));
         item.switch(0);
-        out.push(item.out);
+        let left = halted.map(|(run, row)| (run, row, range.1));
+        out.push((item.count, item.fetch_time, item.busy, left));
     });
     release(ctx);
-    let mut busy = vec![Duration::ZERO; nest.len()];
+    let mut busy = vec![Duration::ZERO; specs.len()];
     busy[0] = fetch_time;
-    let mut total = ExtendCountOutput {
+    let mut total = ExtendOutput {
+        batch: ColBatch::new(done),
         count: 0,
         fetch_time,
         busy,
     };
-    for item in run.outputs.into_iter().flatten() {
-        total.count += item.count;
-        total.fetch_time += item.fetch_time;
-        for (sum, level) in total.busy.iter_mut().zip(item.busy) {
+    let mut left = Vec::new();
+    for (count, fetch_time, busy, halted) in run.outputs.into_iter().flatten() {
+        left.extend(halted);
+        total.count += count;
+        total.fetch_time += fetch_time;
+        for (sum, level) in total.busy.iter_mut().zip(busy) {
             *sum += level;
         }
     }
+    if let (Some((levels, _)), false) = (gather, left.is_empty()) {
+        left.sort_unstable();
+        levels[0].push(rows_left(input, &left));
+    }
     total
+}
+
+/// The rows of `input` from logical row `from` on in the runs `first..end`,
+/// for each `(first, from, end)` of `left`, in order, as one run batch.
+fn rows_left(input: &ColBatch, left: &[(usize, usize, usize)]) -> ColBatch {
+    let newest = input.arity() - 1;
+    let (mut cols, mut ends) = (vec![Vec::new(); input.arity()], Vec::new());
+    for &(first, from, end) in left {
+        for r in first..end {
+            let rows = input.run_rows(r);
+            let rows = rows.start.max(from)..rows.end;
+            if rows.is_empty() {
+                continue;
+            }
+            let p = input.physical_index(r);
+            for (c, col) in cols[..newest].iter_mut().enumerate() {
+                col.push(input.column(c)[p]);
+            }
+            let values = rows.map(|i| input.column(newest)[input.physical_index(i)]);
+            cols[newest].extend(values);
+            // At most the input's rows, which fit in 32 bits.
+            ends.push(cols[newest].len() as u32);
+        }
+    }
+    ColBatch::from_runs(cols, ends)
 }
 
 /// One work item of a nest.
@@ -1110,77 +1034,170 @@ struct Nest<'a> {
     specs: &'a [ExtendSpec],
     ctx: &'a OpContext<'a>,
     cancel: Option<&'a CancelToken>,
+    gather: Option<Gather<'a>>,
+    /// The terminal queue had room when this item last pushed to it.
+    room: bool,
     stopped: bool,
-    /// `pieces[i]` is a run batch for `specs[i + 1]`: per extended row of
-    /// the level above, a run of its values and then its candidates.
+    /// `pieces[i]` is a run batch of the rows level `i` made: the input of
+    /// `specs[i + 1]`, or — past the last extend — the gathered rows.
     pieces: Vec<(Vec<Vec<VertexId>>, Vec<u32>)>,
-    out: ExtendCountOutput,
+    count: u64,
+    fetch_time: Duration,
+    /// Busy time per level.
+    busy: Vec<Duration>,
     /// The level running, and since when.
     clock: (usize, Instant),
 }
 
 impl Nest<'_> {
     /// Runs `level` over the runs `range` of `input`, whose lists are in
-    /// `view`: the last level counts, any other feeds the next one's piece.
-    fn run(&mut self, level: usize, input: &ColBatch, range: (usize, usize), view: &ListView) {
+    /// `view`: a counting last level counts — the candidates of match mode
+    /// (nothing is written), the rows that pass in verify mode — and any
+    /// other feeds its piece. Returns `(run, logical row)` where a gathering
+    /// level stopped.
+    fn run(
+        &mut self,
+        level: usize,
+        input: &ColBatch,
+        range: (usize, usize),
+        view: &ListView,
+    ) -> Option<(usize, usize)> {
         let (spec, ctx) = (&self.specs[level], self.ctx);
-        if level + 1 == self.specs.len() {
-            self.out.count += spec.count_runs(input, range, ctx, view);
-            return;
+        let counts = level == self.pieces.len();
+        let newest = input.arity() - 1;
+        match spec.op.verify_position {
+            Some(vpos) => for_each_verified_row(&spec.op, vpos, input, range, ctx, view, |at| {
+                let go = self.room;
+                if counts {
+                    self.count += 1;
+                } else if go && !self.stopped {
+                    let x = input.column(newest)[at.1];
+                    self.push(level, input, at, newest, &[x]);
+                }
+                go
+            }),
+            None => for_each_candidate_set(spec, input, range, ctx, view, |at, c, bound, tally| {
+                let go = self.room;
+                if counts {
+                    self.count += c.count(bound, tally);
+                } else if go && !self.stopped {
+                    self.extend_row(level, input, at, c, bound, tally);
+                }
+                go
+            }),
         }
-        let mut cands = Vec::new();
-        for_each_candidate_set(spec, input, range, ctx, view, |at, c, bound, tally| {
-            if !self.stopped {
-                cands.clear();
-                c.append_to(bound, &mut cands, tally);
-                self.push(level + 1, input, at, &cands);
-            }
-        });
     }
 
-    /// Appends `cands`, the candidates of the row at `(p, q)` of `input`
-    /// (per-run and newest-column index), to the piece of `level`, running
-    /// the piece whenever it fills.
+    /// Appends to the piece of `level` the row at `(p, q)` of `input`
+    /// (per-run and newest-column index) extended by its candidates `c`,
+    /// minus the `bound` values: one run, the candidates written straight
+    /// into the newest column. A piece that fills is flushed, and candidates
+    /// past its end start the next one.
+    fn extend_row(
+        &mut self,
+        level: usize,
+        input: &ColBatch,
+        (p, q): (usize, usize),
+        c: Candidates<'_>,
+        bound: &[VertexId],
+        tally: &mut KernelTally,
+    ) {
+        let rows = self.ctx.batch_size.clamp(1, u32::MAX as usize);
+        let (cols, ends) = &mut self.pieces[level];
+        let (run_cols, new_col) = cols.split_at_mut(input.arity());
+        let new_col = &mut new_col[0];
+        if c.append_to(bound, new_col, tally) == 0 {
+            return;
+        }
+        let newest = input.arity() - 1;
+        for (c, col) in run_cols.iter_mut().enumerate() {
+            col.push(input.column(c)[if c == newest { q } else { p }]);
+        }
+        // At most `rows`, which fits in 32 bits.
+        if new_col.len() < rows {
+            return ends.push(new_col.len() as u32);
+        }
+        let rest = new_col.split_off(rows);
+        ends.push(rows as u32);
+        self.flush(level);
+        self.push(level, input, (p, q), input.arity(), &rest);
+    }
+
+    /// Appends to the piece of `level` one row per value of `newest`, whose
+    /// per-run columns hold the first `width` values of the row at `(p, q)`
+    /// of `input` (per-run and newest-column index): a new run, or more of
+    /// the piece's last one if that holds the same values. A piece that
+    /// fills is flushed.
     fn push(
         &mut self,
         level: usize,
         input: &ColBatch,
         (p, q): (usize, usize),
-        mut cands: &[VertexId],
+        width: usize,
+        mut newest: &[VertexId],
     ) {
         let rows = self.ctx.batch_size.clamp(1, u32::MAX as usize);
-        while !cands.is_empty() {
-            let (cols, ends) = &mut self.pieces[level - 1];
-            let newest = cols.len() - 1;
-            let held = cols[newest].len();
-            let (now, rest) = cands.split_at(cands.len().min(rows - held));
-            for (c, col) in cols[..newest].iter_mut().enumerate() {
-                col.push(input.column(c)[if c + 1 == newest { q } else { p }]);
+        let value = |c: usize| input.column(c)[if c + 1 == input.arity() { q } else { p }];
+        while !newest.is_empty() {
+            let (cols, ends) = &mut self.pieces[level];
+            let (run_cols, new_col) = cols.split_at_mut(width);
+            let held = new_col[0].len();
+            let (now, rest) = newest.split_at(newest.len().min(rows - held));
+            // Only a verify level's rows (no candidate column) can continue
+            // a run.
+            let mut held_cols = run_cols.iter().enumerate();
+            let same = width < input.arity()
+                && !ends.is_empty()
+                && held_cols.all(|(c, col)| col.last() == Some(&value(c)));
+            if !same {
+                for (c, col) in run_cols.iter_mut().enumerate() {
+                    col.push(value(c));
+                }
+                ends.push(0);
             }
-            cols[newest].extend_from_slice(now);
+            new_col[0].extend_from_slice(now);
             // At most `rows`, which fits in 32 bits.
-            ends.push((held + now.len()) as u32);
+            *ends.last_mut().expect("a run is open") = (held + now.len()) as u32;
             if held + now.len() == rows {
                 self.flush(level);
             }
-            cands = rest;
+            newest = rest;
         }
     }
 
-    /// Empties the piece of `level`, running what it held — fetch stage,
-    /// level, release — unless `cancel` fired.
+    /// Empties the piece of `level`, unless `cancel` fired: pushes gathered
+    /// rows to the terminal queue, and leaves the next level's input in its
+    /// queue while the terminal queue is full; else runs the next level over
+    /// it — fetch stage, level, release — and leaves what that did not take.
     fn flush(&mut self, level: usize) {
-        let (cols, ends) = &mut self.pieces[level - 1];
+        let (cols, ends) = &mut self.pieces[level];
         let cols = cols.iter_mut().map(std::mem::take).collect();
         let piece = ColBatch::from_runs(cols, std::mem::take(ends));
         self.stopped |= self.cancel.is_some_and(CancelToken::is_cancelled);
         if piece.runs() == 0 || self.stopped {
             return;
         }
-        let above = self.switch(level);
-        let (view, fetch_time) = fetch_stage_cols(&self.specs[level].op, &piece, self.ctx);
-        self.out.fetch_time += fetch_time;
-        self.run(level, &piece, (0, piece.runs()), &view);
+        let next = level + 1;
+        if let Some((levels, terminal)) = self.gather {
+            if next == self.specs.len() {
+                self.count += piece.len() as u64;
+                let stats = self.ctx.rpc.stats().machine(self.ctx.machine);
+                stats.record_col_bytes(piece.byte_size());
+                terminal.push(piece);
+                self.room = !terminal.is_full();
+                return;
+            }
+            if !self.room {
+                return levels[next].push(piece);
+            }
+        }
+        let above = self.switch(next);
+        let (view, fetch_time) = fetch_stage_cols(&self.specs[next].op, &piece, self.ctx);
+        self.fetch_time += fetch_time;
+        if let Some((run, row)) = self.run(next, &piece, (0, piece.runs()), &view) {
+            let (levels, _) = self.gather.expect("only a gathering level stops");
+            levels[next].push(rows_left(&piece, &[(run, row, piece.runs())]));
+        }
         release(self.ctx);
         self.switch(above);
     }
@@ -1189,29 +1206,50 @@ impl Nest<'_> {
     /// `level` the running one. Returns the one it replaces.
     fn switch(&mut self, level: usize) -> usize {
         let (running, since) = std::mem::replace(&mut self.clock, (level, Instant::now()));
-        self.out.busy[running] += self.clock.1 - since;
+        self.busy[running] += self.clock.1 - since;
         running
     }
 }
 
-/// [`ExtendSpec::run_cols`] for a caller that holds no operator (the perf
-/// ledger's stage replay, tests): compiles `op` for this one batch.
+/// Run batches of one arity as one, in order.
 ///
 /// # Panics
-/// Panics where [`ExtendSpec::run_cols`] returns an error.
-pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
-    let spec = ExtendSpec::compile(op, input.arity());
-    spec.run_cols(input, ctx)
-        .expect("one batch's expansion is indexed in 32 bits")
+/// Panics if they hold more rows than 32 bits index.
+fn concat_runs(pieces: impl Iterator<Item = ColBatch>, arity: usize) -> ColBatch {
+    let (mut cols, mut ends) = (vec![Vec::new(); arity], Vec::new());
+    for piece in pieces {
+        let held = cols[arity - 1].len();
+        for (c, col) in cols.iter_mut().enumerate() {
+            col.extend_from_slice(piece.column(c));
+        }
+        let moved = piece.run_ends().into_iter().flatten();
+        let end = |&e: &u32| u32::try_from(held + e as usize).expect("32-bit rows");
+        ends.extend(moved.map(end));
+    }
+    ColBatch::from_runs(cols, ends)
 }
 
-/// [`count_nest`] of one level for a caller that holds no operator.
-pub fn run_extend_count_cols(
-    op: &ExtendOp,
-    input: &ColBatch,
-    ctx: &OpContext<'_>,
-) -> ExtendCountOutput {
-    count_nest(&[ExtendSpec::compile(op, input.arity())], input, ctx, None)
+/// A one-level gathering [`nest`] for a caller that holds no operator (the
+/// perf ledger's stage replay, tests): compiles `op` for this one batch and
+/// returns what it gathers as one run batch, its pieces in the order the
+/// workers pushed them.
+///
+/// # Panics
+/// Panics if that batch would hold more rows than 32 bits index.
+pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendOutput {
+    let spec = ExtendSpec::compile(op, input.arity());
+    // A queue that never fills: the nest never stops, so it leaves nothing.
+    let gathered = SharedQueue::new(usize::MAX, None);
+    let gather = Some((&[][..], &gathered));
+    let mut out = nest(std::slice::from_ref(&spec), &input, ctx, None, gather);
+    out.batch = concat_runs(std::iter::from_fn(|| gathered.pop()), spec.output_arity());
+    out
+}
+
+/// A one-level counting [`nest`] for a caller that holds no operator.
+pub fn run_extend_count_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> ExtendOutput {
+    let spec = ExtendSpec::compile(op, input.arity());
+    nest(&[spec], input, ctx, None, None)
 }
 
 /// The row-major `PULL-EXTEND`: every list intersected for every row, every
@@ -1232,6 +1270,12 @@ mod row_major {
     pub(super) struct ExtendOutput {
         /// The extended (or verified) rows.
         pub(super) batch: RowBatch,
+    }
+
+    /// The result of counting a `PULL-EXTEND` over one input batch.
+    pub(super) struct CountOutput {
+        /// Number of rows the extension would have produced.
+        pub(super) count: u64,
     }
 
     /// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
@@ -1305,8 +1349,8 @@ mod row_major {
         op: &ExtendOp,
         input: &RowBatch,
         ctx: &OpContext<'_>,
-    ) -> ExtendCountOutput {
-        let (view, fetch_time) = fetch_stage(op, input, ctx);
+    ) -> CountOutput {
+        let (view, _) = fetch_stage(op, input, ctx);
         let ranges = row_ranges(input.len());
         let view = &view;
         let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
@@ -1331,10 +1375,8 @@ mod row_major {
             out.push(count);
         });
         release(ctx);
-        ExtendCountOutput {
+        CountOutput {
             count: run.outputs.iter().flatten().sum(),
-            fetch_time,
-            busy: Vec::new(),
         }
     }
 
@@ -1427,6 +1469,7 @@ mod tests {
     use super::row_major::{run_extend, run_extend_count};
     use super::*;
     use crate::pool::WorkerPool;
+    use crate::scheduler::SegmentQueues;
     use huge_cache::PullCache;
     use huge_comm::stats::ClusterStats;
     use huge_comm::RpcFabric;
@@ -1685,27 +1728,30 @@ mod tests {
     }
 
     #[test]
-    fn columnar_verify_narrows_selection_without_copying() {
+    fn columnar_verify_keeps_a_runs_survivors_as_one_run() {
         let (parts, rpc) = setup(1);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
         let c = ctx(0, &parts, &rpc, &cache, &pool);
-        let mut input = ColBatch::new(2);
-        input.push_row(&[0, 1]);
-        input.push_row(&[2, 2]); // self pair: 2 is not its own neighbour
-        input.push_row(&[3, 5]);
         let op = ExtendOp {
             target: 0,
             ext_positions: vec![1],
             verify_position: Some(0),
             filters: vec![],
         };
-        let out = run_extend_cols(&op, input, &c);
-        assert_eq!(out.batch.len(), 2);
-        assert_eq!(out.batch.physical_rows(), 3, "verify must not compact");
-        assert_eq!(out.batch.selection(), Some(&[0, 2][..]));
-        assert_eq!(out.batch.value(0, 1), 3);
-        assert_eq!(out.batch.to_rows().row(0), &[0, 1]);
+        let mut input = ColBatch::new(2);
+        input.push_row(&[0, 1]);
+        input.push_row(&[2, 2]); // self pair: 2 is not its own neighbour
+        input.push_row(&[3, 5]);
+        let out = run_extend_cols(&op, input, &c).batch;
+        assert_eq!(out.to_rows().as_flat(), &[0, 1, 3, 5]);
+        assert_eq!(out.run_ends(), Some(&[1, 2][..]));
+        // Runs (0: 1, 2, 3) and (2: 2): the first run's rows all pass and
+        // stay one run, prefix once; the second's fails.
+        let runs = ColBatch::from_runs(vec![vec![0, 2], vec![1, 2, 3, 2]], vec![3, 4]);
+        let out = run_extend_cols(&op, runs, &c).batch;
+        assert_eq!((out.column(0), out.run_ends()), (&[0][..], Some(&[3][..])));
+        assert_eq!(out.column(1), &[1, 2, 3]);
     }
 
     #[test]
@@ -2019,19 +2065,6 @@ mod tests {
         assert_eq!((counted, gathered), (expected, expected));
     }
 
-    #[test]
-    fn an_expansion_past_32_bit_rows_is_a_typed_error() {
-        let max = u32::MAX as usize;
-        assert_eq!(run_ends_of([3, 0, max - 3]).unwrap(), [3, 3, u32::MAX]);
-        match run_ends_of([max, 1]) {
-            Err(EngineError::BatchTooLarge(rows)) => assert_eq!(rows, 1 << 32),
-            other => panic!("expected BatchTooLarge, got {other:?}"),
-        }
-        // Never a wrapped index: 2³² + 4 truncates to a plausible 4.
-        assert!(run_ends_of([max, max, 6]).is_err());
-        assert!(run_ends_of([max + 1]).is_err());
-    }
-
     /// `graph` plus `leaves` new vertices under two hubs: vertex 0
     /// reaches every leaf, so its list straddles
     /// [`kernels::PROBE_MAX_SET`] (4080 or 4100 leaves, plus its own few
@@ -2193,6 +2226,99 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_stopped_nest_leaves_each_queue_within_its_term() {
+        use huge_plan::translate::{translate, SegmentSource};
+        use huge_query::{naive, Pattern};
+
+        // q5 (the 5-cycle) as three extends, collected, on a graph with a
+        // hub whose fan-out is several times the batch size, driven the way a
+        // machine drives a chain: the scan fills the head queue once every
+        // level queue is empty, the nest runs the deepest queued batch until
+        // the terminal queue is full, the terminal empties it. After every
+        // call each queue holds at most what `scheduler.rs` states: the head
+        // queue `Q + B`, a deeper level's `W·(B + F)` and the terminal
+        // `Q + W·(B + F)`, with `F` at most the largest degree. One worker:
+        // inputs this small are one work item a call anyway. A nest whose
+        // deeper levels keep taking rows into a full terminal queue leaves
+        // several times the level term.
+        let mut edges: Vec<(VertexId, VertexId)> = {
+            let g = gen::erdos_renyi(120, 600, 3);
+            let edges = g
+                .vertices()
+                .flat_map(|u| g.neighbours(u).iter().map(move |&v| (u, v)));
+            edges.collect()
+        };
+        edges.extend((0..120).step_by(2).map(|leaf| (120, leaf)));
+        let graph = huge_graph::Graph::from_edges(edges);
+        let fan_out = graph.vertices().map(|v| graph.degree(v)).max().unwrap();
+        let query = Pattern::FiveCycle.query_graph();
+        let expected = naive::enumerate(&graph, &query);
+        let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+        let dataflow = translate(&plan).unwrap();
+        let specs = &compiled(&dataflow)[0];
+        assert_eq!(specs.len(), 3);
+        let SegmentSource::Scan(scan) = &dataflow.root().source else {
+            panic!("a worst-case-optimal plan starts from a scan");
+        };
+        let (batch, queue, workers) = (16, 16, 1);
+        let parts = Partitioner::new(1).unwrap().partition(graph);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(1));
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let pool = WorkerPool::new(workers, crate::config::LoadBalance::WorkStealing);
+        let c = OpContext {
+            batch_size: batch,
+            ..ctx(0, &parts, &rpc, &cache, &pool)
+        };
+        let mut cursor = ScanCursor::new(scan.clone(), ScanPool::new(parts[0].local_vertices(), 8));
+        let queues = SegmentQueues::new(specs.len(), queue, None);
+        let level_term = workers * (batch + fan_out);
+        let (mut gathered, mut deepest) = (0, 0);
+        loop {
+            if queues.levels.iter().all(SharedQueue::is_empty) {
+                while !queues.levels[0].is_full() {
+                    let Some(rows) = cursor.next_runs(&c) else {
+                        break;
+                    };
+                    queues.levels[0].push(rows);
+                }
+            }
+            let mut called = false;
+            while let Some((level, input)) = queues.pop_deepest() {
+                called = true;
+                nest(
+                    &specs[level..],
+                    &input,
+                    &c,
+                    None,
+                    Some(queues.gather(level)),
+                );
+                let rows: Vec<usize> = queues.all().map(SharedQueue::rows).collect();
+                assert!(rows[0] <= queue + batch, "head queue {rows:?}");
+                for &held in &rows[1..specs.len()] {
+                    assert!(held <= level_term, "level queues {rows:?}");
+                    deepest = deepest.max(held);
+                }
+                assert!(rows[specs.len()] <= queue + level_term, "terminal {rows:?}");
+                if queues.terminal.is_full() {
+                    break;
+                }
+            }
+            gathered += std::iter::from_fn(|| queues.terminal.pop())
+                .map(|b| b.len())
+                .sum::<usize>();
+            if !called {
+                break;
+            }
+        }
+        assert_eq!(gathered as u64, expected);
+        // A hub row's candidates, not two pieces a worker, set a level's term.
+        assert!(
+            deepest > 2 * workers * batch,
+            "deepest level queue {deepest}"
+        );
+    }
+
     mod properties {
         use super::*;
         use huge_cache::CacheKind;
@@ -2300,14 +2426,18 @@ mod tests {
             /// row-major reference; the generator over dense batches, however
             /// the rows reach it; and the run chain — scan runs into extend
             /// 1, extend *i*'s run output whole or re-chunked into extend
-            /// *i + 1*, three sinks: gathered, counted, and counted by the
-            /// nest from every stage *i* through the last extend, each level
-            /// feeding the next in pieces of `piece` rows. Along the run
-            /// chain every stage's output also goes through a verify-mode
-            /// extend (which leaves empty runs behind), directly and as the
-            /// last level of a nest — under stage *i* alone and under the
-            /// whole nest from *i* — and what survives through the last
-            /// extend.
+            /// *i + 1*, both sinks. From every stage *i* of the run chain,
+            /// four nests — stage *i* then a verify-mode extend; stages *i*
+            /// to the last; those then a verify; and a verify then stages
+            /// *i* to the last, so a verify passes rows on to further
+            /// extends — each level feeding the next in pieces of `piece`
+            /// rows, count and gather what the row-major reference makes
+            /// chained level by level — gathered into a queue that fills at
+            /// one piece, so every level stops and leaves its rest — and
+            /// every gathered piece is a run batch of at most `piece` rows.
+            /// Along the run chain every stage's output also goes through a
+            /// verify-mode extend, directly, and what survives through the
+            /// last extend.
             #[test]
             fn both_sinks_match_the_row_major_reference_and_naive(
                 n in 8usize..36,
@@ -2365,7 +2495,6 @@ mod tests {
                 let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
                 let (mut counted, mut gathered, mut reference) = ([0, 0], [0, 0], 0);
                 let (mut verified, mut verified_reference) = ([0, 0], 0);
-                let (mut nested, mut paired_reference, mut done_verified) = ([0, 0, 0], 0, 0);
                 for m in 0..k {
                     let (kind, bytes) = lists.unwrap_or((CacheKind::Lrbu, 0));
                     let cache = kind.build(bytes);
@@ -2396,39 +2525,68 @@ mod tests {
                         let mut kept_runs = Vec::new();
                         let mut kept_count = 0;
                         for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
-                            let had_runs = batch.run_ends().map(<[u32]>::len);
                             kept_count += run_extend_count_cols(&keep, &batch, &c).count;
                             let kept = run_extend_cols(&keep, batch, &c).batch;
-                            // Runs in, runs out: only the newest column and
-                            // the ends were rewritten.
-                            prop_assert_eq!(kept.run_ends().map(<[u32]>::len), had_runs);
-                            prop_assert_eq!(kept.selection(), None);
+                            prop_assert!(kept.run_ends().is_some());
                             kept_runs.push(kept);
                         }
                         let kept_rows: Vec<RowBatch> = kept_runs.iter().map(ColBatch::to_rows).collect();
                         prop_assert_eq!(sorted_rows(&kept_rows), sorted_rows(&kept_reference));
                         prop_assert_eq!(kept_count as usize, kept_rows.iter().map(RowBatch::len).sum::<usize>());
 
-                        // The nests from this extend: through the verify-mode
-                        // extend of its output (match → verify), through the
-                        // chain's last extend, and through a verify-mode
-                        // extend after that.
+                        // The nests from this extend, and what the row-major
+                        // reference makes of the same levels.
                         let keep_next = verify(arity + 1);
+                        let tail = &segment.extends[stage..];
+                        let chained = |rows: &[RowBatch], ops: &[ExtendOp]| {
+                            let mut rows = rows.to_vec();
+                            for op in ops {
+                                rows = rows.iter().map(|b| run_extend(op, b, &c).batch).collect();
+                            }
+                            rows
+                        };
+                        let whole = chained(&rows, tail);
+                        let references = [
+                            chained(&rows, &[op.clone(), keep_next.clone()]),
+                            chained(&kept_reference, tail),
+                            chained(&whole, &[verify(done)]),
+                            whole,
+                        ];
+                        let mut kept_then = vec![ExtendSpec::compile(&keep, arity)];
+                        kept_then.extend_from_slice(&specs[stage..]);
                         let nests = [
                             vec![specs[stage].clone(), ExtendSpec::compile(&keep_next, arity + 1)],
-                            specs[stage..].to_vec(),
+                            kept_then,
                             then_verify[stage..].to_vec(),
+                            specs[stage..].to_vec(),
                         ];
                         let pc = OpContext { batch_size: piece, ..ctx(m, &parts, &rpc, cache.as_ref(), &pool) };
                         let pc = OpContext { use_cache: lists.is_some(), ..pc };
-                        for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
-                            for (sink, nest) in nests.iter().enumerate() {
-                                nested[sink] += count_nest(nest, &batch, &pc, None).count;
+                        for (nest, reference) in nests.iter().zip(&references) {
+                            let (mut count, mut pieces) = (0, Vec::new());
+                            // Gathered into a queue of one piece, emptied after
+                            // each call the way the terminal empties it: the
+                            // nest stops once it is full, and what it leaves
+                            // is run deepest first, as the machine runs it.
+                            let queues = SegmentQueues::new(nest.len(), piece, None);
+                            for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
+                                count += super::nest(nest, &batch, &pc, None, None).count;
+                                queues.levels[0].push(batch);
                             }
-                        }
-                        for batch in &rows {
-                            let extended = run_extend(op, batch, &c).batch;
-                            paired_reference += run_extend_count(&keep_next, &extended, &c).count;
+                            while let Some((level, batch)) = queues.pop_deepest() {
+                                let gather = Some(queues.gather(level));
+                                let made = super::nest(&nest[level..], &batch, &pc, None, gather).count;
+                                let before = pieces.len();
+                                pieces.extend(std::iter::from_fn(|| queues.terminal.pop()));
+                                let rows = pieces[before..].iter().map(ColBatch::len);
+                                prop_assert_eq!(rows.sum::<usize>() as u64, made);
+                            }
+                            for gathered in &pieces {
+                                prop_assert!(gathered.run_ends().is_some() && gathered.len() <= piece);
+                            }
+                            let rows: Vec<RowBatch> = pieces.iter().map(ColBatch::to_rows).collect();
+                            prop_assert_eq!(count as usize, reference.iter().map(RowBatch::len).sum::<usize>());
+                            prop_assert_eq!(sorted_rows(&rows), sorted_rows(reference));
                         }
 
                         if stage + 1 < segment.extends.len() {
@@ -2453,11 +2611,9 @@ mod tests {
                         }
                         for batch in &rows {
                             reference += run_extend_count(last, batch, &c).count;
-                            let matched = run_extend(last, batch, &c).batch;
-                            done_verified += run_extend_count(&verify(done), &matched, &c).count;
                         }
-                        // The verified runs — some now empty — through the
-                        // last extend's both sinks.
+                        // The verified runs through the last extend's both
+                        // sinks.
                         for batch in kept_runs {
                             verified[0] += run_extend_count_cols(last, &batch, &c).count;
                             verified[1] += run_extend_cols(last, batch, &c).batch.len() as u64;
@@ -2471,8 +2627,6 @@ mod tests {
                 prop_assert_eq!(gathered, [expected; 2]);
                 prop_assert_eq!(reference, expected);
                 prop_assert_eq!(verified, [verified_reference; 2]);
-                let stages = segment.extends.len() as u64;
-                prop_assert_eq!(nested, [paired_reference, expected * stages, done_verified * stages]);
             }
         }
     }

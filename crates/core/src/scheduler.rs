@@ -1,14 +1,43 @@
-//! Scheduling primitives: the bounded output queues of the BFS/DFS-adaptive
+//! Scheduling primitives: the bounded queues of the BFS/DFS-adaptive
 //! scheduler (§5.2), the cross-machine per-segment state, and the readiness
 //! policy of the per-machine dataflow scheduler.
 //!
-//! Every operator owns a fixed-capacity output queue. The adaptive scheduler
-//! (Algorithm 5, implemented in [`crate::machine`]) keeps feeding an operator
-//! as long as its queue has room, yields to the successor when the queue
-//! fills (BFS-like behaviour under low memory pressure degrades gracefully to
-//! DFS-like behaviour under high pressure), and backtracks when inputs drain.
+//! A segment's chain has three operators — source, the nest of its extends,
+//! terminal — and two scheduled queues of one capacity (`output_queue_rows`,
+//! as the governor sets it): the head queue from the source to the nest and
+//! the terminal queue from the nest to the terminal ([`SegmentQueues`]). The
+//! adaptive scheduler (Algorithm 5, implemented in [`crate::machine`]) keeps
+//! feeding an operator as long as its output queue has room, yields to the
+//! successor when the queue fills (BFS-like behaviour under low memory
+//! pressure degrades gracefully to DFS-like behaviour under high pressure;
+//! `usize::MAX` rows is BFS, one row DFS), and backtracks when inputs drain.
 //! Because queues are shared, idle machines can also steal whole batches from
 //! a remote machine's queues — the inter-machine half of work stealing.
+//!
+//! # The memory bound (Theorem 5.4)
+//!
+//! A gathering nest's work item that finds the terminal queue full — at its
+//! start or after a push of its own — takes no further row at any level and
+//! leaves the rest of each level's input in that level's queue; the
+//! scheduler runs those first, deepest first. These *level queues* are the
+//! per-extend queues of Algorithm 5 under another name, but only a stopped
+//! nest fills them. A row's candidates are written whole, so the rest of
+//! the row whose candidates filled a piece lands in the next level's queue
+//! too. With capacity `Q`, batch size `B`, `W` workers and `F` the most
+//! rows one row makes at the level above a queue (its candidates, at most
+//! the largest degree; one at a verify level), one machine's chain holds
+//! tracked at most
+//!
+//! * `Q + B` rows in the head queue (a queue overflows by one batch);
+//! * `W·(B + F)` rows in each deeper level's queue: per worker, the rest of
+//!   the piece it was running there and the rest of that one row; and
+//! * `Q + W·(B + F)` rows in the terminal queue: per worker, the piece
+//!   whose push found it full and the rest of that one row.
+//!
+//! Untracked, each worker holds at most depth × `B` rows in its pieces. A
+//! counting nest queues nothing but the head's input.
+//! `operators::tests::a_stopped_nest_leaves_each_queue_within_its_term`
+//! checks each term after every call.
 //!
 //! # Cross-segment readiness
 //!
@@ -46,7 +75,7 @@ use huge_comm::ColBatch;
 use parking_lot::Mutex;
 
 use crate::memory::MemoryTracker;
-use crate::operators::ScanPool;
+use crate::operators::{Gather, ScanPool};
 
 /// A shared, capacity-aware queue of columnar batches.
 ///
@@ -170,66 +199,71 @@ impl SharedQueue {
     }
 }
 
-/// The queues of one machine for one segment: one per operator
-/// (index 0 = source, 1..=n = extends).
+/// The queues of one machine for one segment: the input of each level of
+/// the chain's nest, and the terminal's. The first level's is the *head
+/// queue*, what the source made; a deeper level's holds only what a nest
+/// call left of that level's input when the terminal queue filled. A chain
+/// without extends has no levels: its source feeds the terminal queue.
 pub struct SegmentQueues {
-    queues: Vec<Arc<SharedQueue>>,
+    /// The input queue of each level of the nest, the head queue first.
+    pub levels: Vec<SharedQueue>,
+    /// What the nest gathered, or what the source made without a nest.
+    pub terminal: SharedQueue,
 }
 
 impl SegmentQueues {
-    /// Creates `num_ops` queues with the given (fixed) row capacity.
-    pub fn new(num_ops: usize, capacity_rows: usize, memory: Option<Arc<MemoryTracker>>) -> Self {
-        SegmentQueues::governed(num_ops, Arc::new(AtomicUsize::new(capacity_rows)), memory)
+    /// Creates the queues of a nest of `levels` levels with the given
+    /// (fixed) row capacity.
+    pub fn new(levels: usize, capacity_rows: usize, memory: Option<Arc<MemoryTracker>>) -> Self {
+        SegmentQueues::governed(levels, Arc::new(AtomicUsize::new(capacity_rows)), memory)
     }
 
-    /// Creates `num_ops` queues sharing one runtime-adjustable capacity
-    /// handle (see [`SharedQueue::governed`]).
+    /// Creates the queues of a nest of `levels` levels sharing one
+    /// runtime-adjustable capacity handle (see [`SharedQueue::governed`]).
     pub fn governed(
-        num_ops: usize,
+        levels: usize,
         capacity_rows: Arc<AtomicUsize>,
         memory: Option<Arc<MemoryTracker>>,
     ) -> Self {
+        let queue = || SharedQueue::governed(Arc::clone(&capacity_rows), memory.clone());
         SegmentQueues {
-            queues: (0..num_ops)
-                .map(|_| {
-                    Arc::new(SharedQueue::governed(
-                        Arc::clone(&capacity_rows),
-                        memory.clone(),
-                    ))
-                })
-                .collect(),
+            levels: (0..levels).map(|_| queue()).collect(),
+            terminal: queue(),
         }
     }
 
-    /// Number of operator queues.
-    pub fn len(&self) -> usize {
-        self.queues.len()
+    /// The queue the source feeds: the head queue, or the terminal queue of
+    /// a chain without extends.
+    pub fn fed_by_source(&self) -> &SharedQueue {
+        self.levels.first().unwrap_or(&self.terminal)
     }
 
-    /// `true` when there are no queues.
-    pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
+    /// The nest's next input batch and the level it enters at: what a nest
+    /// call left, deepest level first, before the head queue's next batch.
+    pub fn pop_deepest(&self) -> Option<(usize, ColBatch)> {
+        let mut deepest = self.levels.iter().enumerate().rev();
+        deepest.find_map(|(level, queue)| Some((level, queue.pop()?)))
     }
 
-    /// The queue of operator `i`.
-    pub fn queue(&self, i: usize) -> &Arc<SharedQueue> {
-        &self.queues[i]
+    /// Where a nest call that starts at level `from` gathers.
+    pub fn gather(&self, from: usize) -> Gather<'_> {
+        (&self.levels[from..], &self.terminal)
     }
 
-    /// `true` when every queue is empty.
-    pub fn all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
+    /// Every queue, the head queue first.
+    pub fn all(&self) -> impl Iterator<Item = &SharedQueue> {
+        self.levels.iter().chain([&self.terminal])
     }
 }
 
 /// Cross-machine shared state of one segment: every machine's stealable scan
-/// pool and operator queues, plus the counters of the termination protocol.
+/// pool and two queues, plus the counters of the termination protocol.
 /// Pre-built for *all* segments before any machine thread starts, so the
 /// scheduler never synchronises to set up a segment.
 pub struct SegmentShared {
     /// One scan pool per machine (empty for join segments).
     pub scan_pools: Vec<ScanPool>,
-    /// One set of operator queues per machine.
+    /// The two queues of each machine.
     pub queues: Vec<Arc<SegmentQueues>>,
     /// Idle flags of the work-stealing termination protocol: a machine sets
     /// its flag once its own work is drained and nothing is stealable, and
@@ -356,17 +390,17 @@ mod tests {
     #[test]
     fn governed_capacity_is_shared_and_adjustable() {
         let handle = Arc::new(AtomicUsize::new(100));
-        let queues = SegmentQueues::governed(2, Arc::clone(&handle), None);
-        queues.queue(0).push(batch(10));
-        assert!(!queues.queue(0).is_full());
+        let queues = SegmentQueues::governed(1, Arc::clone(&handle), None);
+        queues.levels[0].push(batch(10));
+        assert!(!queues.levels[0].is_full());
         // One store shrinks every queue behind the handle.
         handle.store(5, Ordering::Relaxed);
-        assert!(queues.queue(0).is_full());
-        assert!(!queues.queue(1).is_full());
-        assert_eq!(queues.queue(1).capacity_rows(), 5);
+        assert!(queues.levels[0].is_full());
+        assert!(!queues.terminal.is_full());
+        assert_eq!(queues.terminal.capacity_rows(), 5);
         // Growing re-opens the queue without draining it.
         handle.store(50, Ordering::Relaxed);
-        assert!(!queues.queue(0).is_full());
+        assert!(!queues.levels[0].is_full());
     }
 
     #[test]
@@ -498,11 +532,12 @@ mod tests {
 
     #[test]
     fn segment_queues() {
-        let sq = SegmentQueues::new(3, 10, None);
-        assert_eq!(sq.len(), 3);
-        assert!(sq.all_empty());
-        sq.queue(1).push(batch(4));
-        assert!(!sq.all_empty());
-        assert_eq!(sq.queue(1).rows(), 4);
+        let sq = SegmentQueues::new(2, 10, None);
+        let rows = |sq: &SegmentQueues| sq.all().map(SharedQueue::rows).collect::<Vec<_>>();
+        assert_eq!(rows(&sq), [0, 0, 0]);
+        sq.terminal.push(batch(4));
+        assert_eq!(rows(&sq), [0, 0, 4]);
+        assert_eq!(sq.gather(1).0.len(), 1);
+        assert!(std::ptr::eq(sq.fed_by_source(), &sq.levels[0]));
     }
 }

@@ -7,6 +7,7 @@ use huge_baselines::Baseline;
 use huge_core::{ClusterConfig, HugeCluster, SinkMode};
 use huge_graph::{gen, Dataset, DatasetKind, Graph};
 use huge_plan::baselines::{plug_into_huge, BaselineSystem};
+use huge_plan::translate::{translate, Segment};
 use huge_query::{naive, Pattern};
 
 fn reference(graph: &Graph, pattern: Pattern) -> u64 {
@@ -42,8 +43,12 @@ fn huge_matches_reference_on_synthetic_datasets() {
 
 #[test]
 fn plugged_baseline_plans_agree_with_the_optimiser() {
+    // Every plugged plan under both sinks: counted, and collected (none
+    // kept), so a verify-mode extend ahead of another one passes its rows
+    // on in a counting nest and in a gathering one.
     let graph = gen::barabasi_albert(250, 6, 13);
     let cluster = HugeCluster::build(graph.clone(), ClusterConfig::new(2).workers(2)).unwrap();
+    let mut verify_mid_chain = 0;
     for pattern in [Pattern::Square, Pattern::ChordalSquare, Pattern::FourClique] {
         let query = pattern.query_graph();
         let expected = naive::enumerate(&graph, &query);
@@ -55,13 +60,22 @@ fn plugged_baseline_plans_agree_with_the_optimiser() {
             BaselineSystem::Rads,
         ] {
             let plan = plug_into_huge(system, &query).unwrap();
-            let report = cluster.run_with_plan(&plan, SinkMode::Count).unwrap();
-            assert_eq!(
-                report.matches, expected,
-                "{system:?} plan on {pattern:?} disagrees"
-            );
+            let dataflow = translate(&plan).unwrap();
+            let mid_chain = |segment: &Segment| {
+                let above = segment.extends.iter().rev().skip(1);
+                above.filter(|op| op.verify_position.is_some()).count()
+            };
+            verify_mid_chain += dataflow.segments.iter().map(mid_chain).sum::<usize>();
+            for sink in [SinkMode::Count, SinkMode::Collect(0)] {
+                let report = cluster.run_with_plan(&plan, sink).unwrap();
+                assert_eq!(
+                    report.matches, expected,
+                    "{system:?} plan on {pattern:?} under {sink:?} disagrees"
+                );
+            }
         }
     }
+    assert!(verify_mid_chain > 0, "no plan verifies before it extends");
 }
 
 #[test]

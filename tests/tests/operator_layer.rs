@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use huge_baselines::exec::{scan_star, wco_extend_pushing, BaselineCtx};
 use huge_baselines::Baseline;
-use huge_core::operators::{ExtendSpec, ScanCursor, ScanPool};
+use huge_core::operators::{run_extend_cols, ScanCursor, ScanPool};
 use huge_core::pool::WorkerPool;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, OpContext, SinkMode};
 use huge_graph::{gen, Graph, Partitioner};
@@ -90,20 +90,17 @@ fn exec_layer_pipeline_matches_reference() {
             },
             ScanPool::new(partition.local_vertices(), 16),
         );
-        let extend = ExtendSpec::compile(
-            &ExtendOp {
-                target: 2,
-                ext_positions: vec![0, 1],
-                verify_position: None,
-                filters: vec![OrderFilter {
-                    smaller: 1,
-                    larger: 2,
-                }],
-            },
-            2,
-        );
+        let op = ExtendOp {
+            target: 2,
+            ext_positions: vec![0, 1],
+            verify_position: None,
+            filters: vec![OrderFilter {
+                smaller: 1,
+                larger: 2,
+            }],
+        };
         while let Some(batch) = scan.next_runs(&ctx) {
-            total += extend.run_cols(batch, &ctx).unwrap().batch.len() as u64;
+            total += run_extend_cols(&op, batch, &ctx).batch.len() as u64;
         }
     }
     assert_eq!(total, expected);

@@ -9,10 +9,14 @@ use huge_query::{naive, Pattern};
 
 #[test]
 fn bounded_queues_bound_memory() {
-    // A dense-ish graph where the square query has a large intermediate
-    // (2-path) stage; bounded queues must keep the peak far below the
-    // unbounded (pure BFS) run. The rows are collected (none kept), so the
-    // 2-path stage is queued: a counting run would count it piece by piece.
+    // A dense-ish graph where the square query has many matches; bounded
+    // queues must keep the peak far below the unbounded (pure BFS) run. The
+    // rows are collected (none kept), so the matches themselves are queued
+    // for the sink: the bounded run holds scan batches in its head queue, at
+    // most a queue's worth of gathered matches (plus one nest call's
+    // overflow) in its terminal queue, and what a stopped nest left at its
+    // second level; the unbounded one holds every scan batch and then every
+    // match.
     let graph = gen::barabasi_albert(2_000, 12, 3);
     let query = Pattern::Square.query_graph();
     let bounded = HugeCluster::build(
@@ -275,51 +279,64 @@ fn scan_work_counts_as_worker_time() {
 }
 
 #[test]
-fn a_hub_expansion_is_charged_one_candidate_column() {
-    // Two hubs over 600 shared leaves: every edge fits one scan batch, and
-    // q1's first extend turns each `(leaf, hub)` row into one row per leaf of
-    // the hub. Collected (none kept), the expansion lands in the queue at
-    // once (a queue overflows by one batch's results), so it *is* the peak —
-    // with one batch of the last extend's output, whose queue holds a batch.
-    let leaves = 600;
-    let graph = Graph::from_edges((2..leaves + 2).flat_map(|leaf| [(0, leaf), (1, leaf)]));
+fn a_collected_hub_expansion_stops_at_a_full_terminal_queue() {
+    // Two hubs over 600 shared leaves: q1's first extend turns each
+    // `(leaf, hub)` row into one row per leaf of the hub, and its last closes
+    // most of them into a square — 179 700 matches. Collected (none kept),
+    // the nest gathers them into the terminal queue and stops once it finds
+    // that queue full. So (`scheduler.rs`) the head queue holds at most its
+    // capacity and a scan batch, the second level's a piece and one row's
+    // candidates at the first level (a hub's 600 leaves), and the terminal
+    // queue its capacity, a piece and one row's candidates at the last
+    // level (at most 2: the hubs). A row costs at most 12 bytes in the head
+    // queue, 16 in the second level's and 20 gathered.
+    let graph = Graph::from_edges((2..602).flat_map(|leaf| [(0, leaf), (1, leaf)]));
     let query = Pattern::Square.query_graph();
-    let batch_size = 4_096u64;
-    let scanned_at_most = 2 * graph.num_edges();
-    assert!(scanned_at_most <= batch_size, "one scan batch");
-    let report = HugeCluster::build(
-        graph.clone(),
-        ClusterConfig::new(1)
-            .workers(1)
-            .batch_size(batch_size as usize)
-            .output_queue_rows(batch_size as usize),
-    )
-    .unwrap()
-    .run(&query, SinkMode::Collect(0))
-    .unwrap();
+    let batch = 1_024u64;
+    let config = ClusterConfig::new(1)
+        .workers(1)
+        .batch_size(batch as usize)
+        .output_queue_rows(batch as usize);
+    let report = HugeCluster::build(graph.clone(), config)
+        .unwrap()
+        .run(&query, SinkMode::Collect(0))
+        .unwrap();
     assert_eq!(report.matches, naive::enumerate(&graph, &query));
-
-    // `extend_rows` = rows into extend 1 (the scan's) + rows into extend 2
-    // (the expansion).
-    let expansion = report.comm.extend_rows - scanned_at_most..=report.comm.extend_rows;
-    assert!(
-        *expansion.start() >= 100 * scanned_at_most,
-        "{expansion:?} from {scanned_at_most}"
-    );
-    // Held as runs: the candidate column, plus at most 16 bytes (two prefix
-    // values, a run end, a run cut by a chunk edge) per scan row; the scan
-    // batch itself was 8 bytes a row at most.
+    let bound = 12 * 2 * batch + 16 * (batch + 600) + 20 * (2 * batch + 2);
     let peak = report.peak_memory_bytes;
+    assert!(peak <= bound, "peak {peak} over the bound {bound}");
+    // Gathered whole, the matches' candidate column alone is over twice it.
     assert!(
-        peak <= 4 * expansion.end() + 16 * batch_size + 8 * scanned_at_most,
-        "peak {peak} for {expansion:?} rows"
+        2 * bound < 4 * report.matches,
+        "{bound} vs {} matches",
+        report.matches
     );
-    // Flattened between the extends it was three dense columns.
-    assert!(
-        2 * peak < 3 * 4 * expansion.start(),
-        "peak {peak} vs {} dense",
-        3 * 4 * expansion.start()
-    );
+    assert_eq!(report.leaked_bytes, 0);
+}
+
+#[test]
+fn a_chain_without_extends_hands_a_full_terminal_queue_to_its_terminal() {
+    // A single edge is a bare scan: its source feeds the terminal queue
+    // directly. Once that queue fills, the terminal drains it before the
+    // scan makes another batch, so the queue holds at most its capacity
+    // and one scan batch — a row costs at most 12 bytes (its two values
+    // and a run end) — however many edges the graph has.
+    let graph = gen::erdos_renyi(2_000, 40_000, 5);
+    let query = Pattern::Path(2).query_graph();
+    let (batch, queue) = (256u64, 512u64);
+    let config = ClusterConfig::new(1)
+        .workers(1)
+        .batch_size(batch as usize)
+        .output_queue_rows(queue as usize);
+    let report = HugeCluster::build(graph.clone(), config)
+        .unwrap()
+        .run(&query, SinkMode::Collect(0))
+        .unwrap();
+    assert_eq!(report.matches, naive::enumerate(&graph, &query));
+    let bound = 12 * (queue + batch);
+    let peak = report.peak_memory_bytes;
+    assert!(peak <= bound, "peak {peak} over the bound {bound}");
+    assert!(10 * bound < 8 * report.matches, "the bound must bite");
     assert_eq!(report.leaked_bytes, 0);
 }
 
@@ -327,25 +344,33 @@ fn a_hub_expansion_is_charged_one_candidate_column() {
 fn a_counting_square_never_queues_a_hub_expansion() {
     // One hub over 1 100 leaves, a second vertex over ten of them: q1's
     // first extend turns each `(leaf, hub)` row into one row per leaf of the
-    // hub. Counted, the last extend takes that expansion piece by piece as
-    // it is generated, so no queue ever holds it.
+    // hub. Counted or collected, the last extend takes that expansion piece
+    // by piece as it is generated, so no queue ever holds it.
     let leaves = 1_100;
     let hub = (2..leaves + 2).map(|leaf| (0, leaf));
     let graph = Graph::from_edges(hub.chain((2..12).map(|leaf| (1, leaf))));
     let query = Pattern::Square.query_graph();
-    let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
-    let report = HugeCluster::build(graph.clone(), config)
-        .unwrap()
-        .run(&query, SinkMode::Count)
-        .unwrap();
-    assert_eq!(report.matches, naive::enumerate(&graph, &query));
-    // `extend_rows` = rows into extend 1 (the scan's) + the expansion.
-    let expansion = report.comm.extend_rows - 2 * graph.num_edges();
-    assert!(expansion >= 500 * leaves as u64, "{expansion} rows");
-    let column = 4 * expansion;
-    let peak = report.peak_memory_bytes;
-    assert!(4 * peak < column, "peak {peak} vs a {column}-byte column");
-    assert_eq!(report.leaked_bytes, 0);
+    for sink in [SinkMode::Count, SinkMode::Collect(0)] {
+        let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
+        let report = HugeCluster::build(graph.clone(), config)
+            .unwrap()
+            .run(&query, sink)
+            .unwrap();
+        assert_eq!(report.matches, naive::enumerate(&graph, &query));
+        // `extend_rows` = rows into extend 1 (the scan's) + the expansion.
+        let expansion = report.comm.extend_rows - 2 * graph.num_edges();
+        assert!(
+            expansion >= 500 * leaves as u64,
+            "{sink:?}: {expansion} rows"
+        );
+        let column = 4 * expansion;
+        let peak = report.peak_memory_bytes;
+        assert!(
+            4 * peak < column,
+            "{sink:?}: peak {peak} vs a {column}-byte column"
+        );
+        assert_eq!(report.leaked_bytes, 0);
+    }
 }
 
 #[test]
@@ -393,27 +418,101 @@ fn a_counting_chain_never_queues_a_middle_level_hub_expansion() {
     // q5 (the 5-cycle) as a chain of three extends: scan `(v3, v4)`, then
     // `v2 ∈ N(v3)`, `v1 ∈ N(v2)` and `v0 ∈ N(v1) ∩ N(v4)`. One hub over
     // 1 100 leaves: the first extend turns each `(hub, leaf)` row into one
-    // row per leaf of the hub — the second extend's input. Counted, the nest
-    // hands that expansion to its second and third levels piece by piece as
-    // it is generated, so no queue ever holds it.
+    // row per leaf of the hub — the second extend's input. Counted or
+    // collected, the nest hands that expansion to its second and third
+    // levels piece by piece as it is generated, so no queue ever holds it.
     let leaves = 1_100;
     let hub = (2..leaves + 2).map(|leaf| (0, leaf));
     let rim = (2..12).flat_map(|leaf| [(1, leaf), (leaf, leaf + 1)]);
     let graph = Graph::from_edges(hub.chain(rim));
     let query = Pattern::FiveCycle.query_graph();
     let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
-    let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
-    let report = HugeCluster::build(graph.clone(), config)
-        .unwrap()
-        .run_with_plan(&plan, SinkMode::Count)
+    for sink in [SinkMode::Count, SinkMode::Collect(0)] {
+        let config = ClusterConfig::new(1).workers(2).batch_size(1_024);
+        let report = HugeCluster::build(graph.clone(), config)
+            .unwrap()
+            .run_with_plan(&plan, sink)
+            .unwrap();
+        assert_eq!(report.matches, naive::enumerate(&graph, &query));
+        // `extend_rows` = rows into extend 1 (at most the scan's) + the
+        // expansion + the second extend's few rows of rim leaves.
+        let expansion = report.comm.extend_rows - 2 * graph.num_edges();
+        assert!(
+            expansion >= 500 * leaves as u64,
+            "{sink:?}: {expansion} rows"
+        );
+        let column = 4 * expansion;
+        let peak = report.peak_memory_bytes;
+        assert!(
+            4 * peak < column,
+            "{sink:?}: peak {peak} vs a {column}-byte column"
+        );
+        assert_eq!(report.leaked_bytes, 0);
+    }
+}
+
+#[test]
+fn a_collecting_chain_holds_two_queues_and_one_calls_overflow() {
+    // Theorem 5.4 for a materialising chain: q5 (the 5-cycle) as three
+    // extends — `v2 ∈ N(v3)`, `v1 ∈ N(v2)`, `v0 ∈ N(v1) ∩ N(v4)` — collected
+    // (none kept), on a graph with a hub, 2 workers and small queues. The
+    // bound is the one `scheduler.rs` states: the head queue at capacity
+    // plus one scan batch; each deeper level's queue, per worker, a piece
+    // and one row's candidates at the level above (at most the hub's
+    // degree); the terminal queue at capacity plus, per worker, a piece and
+    // one row's candidates at the last level.
+    let mut edges: Vec<(u32, u32)> = {
+        let g = gen::erdos_renyi(100, 700, 11);
+        g.vertices()
+            .flat_map(|u| g.neighbours(u).iter().map(move |&v| (u, v)))
+            .collect()
+    };
+    edges.extend((0..100).step_by(2).map(|leaf| (100, leaf)));
+    let graph = Graph::from_edges(edges);
+    let query = Pattern::FiveCycle.query_graph();
+    let plan = huge_plan::baselines::huge_wco_plan(&query).unwrap();
+    let (batch, queue, workers) = (8u64, 256u64, 2u64);
+    let run = |queue_rows: usize| {
+        let config = ClusterConfig::new(1)
+            .workers(workers as usize)
+            .batch_size(batch as usize)
+            .output_queue_rows(queue_rows);
+        HugeCluster::build(graph.clone(), config)
+            .unwrap()
+            .run_with_plan(&plan, SinkMode::Collect(0))
+            .unwrap()
+    };
+    let (bounded, unbounded) = (run(queue as usize), run(usize::MAX / 2));
+    let expected = naive::enumerate(&graph, &query);
+    assert_eq!((bounded.matches, unbounded.matches), (expected, expected));
+    // A row's candidates at the last level are at most `c`, the most
+    // neighbours two vertices share. A row of arity a costs at most its a
+    // values and a run end: 12 bytes a head row, 16 and 20 at the two
+    // deeper levels, 24 a gathered one.
+    let common = |u: u32, v: u32| {
+        let nv = graph.neighbours(v);
+        graph
+            .neighbours(u)
+            .iter()
+            .filter(|w| nv.contains(w))
+            .count() as u64
+    };
+    let vertices: Vec<u32> = graph.vertices().collect();
+    let c = (vertices.iter())
+        .flat_map(|&u| vertices.iter().map(move |&v| (u, v)))
+        .filter(|(u, v)| u < v)
+        .map(|(u, v)| common(u, v))
+        .max()
         .unwrap();
-    assert_eq!(report.matches, naive::enumerate(&graph, &query));
-    // `extend_rows` = rows into extend 1 (at most the scan's) + the
-    // expansion + the second extend's few rows of rim leaves.
-    let expansion = report.comm.extend_rows - 2 * graph.num_edges();
-    assert!(expansion >= 500 * leaves as u64, "{expansion} rows");
-    let column = 4 * expansion;
-    let peak = report.peak_memory_bytes;
-    assert!(4 * peak < column, "peak {peak} vs a {column}-byte column");
-    assert_eq!(report.leaked_bytes, 0);
+    let degree = graph.vertices().map(|v| graph.degree(v)).max().unwrap() as u64;
+    let levels = (16 + 20) * workers * (batch + degree);
+    let bound = 12 * (queue + batch) + levels + 24 * (queue + workers * (batch + c));
+    let peak = bounded.peak_memory_bytes;
+    assert!(peak <= bound, "peak {peak} over the bound {bound}");
+    assert!(
+        2 * bound < unbounded.peak_memory_bytes,
+        "the bound {bound} must bite: unbounded {}",
+        unbounded.peak_memory_bytes
+    );
+    assert_eq!(bounded.leaked_bytes, 0);
 }
