@@ -405,30 +405,25 @@ fn guard_job<T>(failed: &AtomicBool, body: impl FnOnce() -> Result<T>) -> Result
     res
 }
 
-/// The cooperative shuffle protocol of one machine `m`: push every chunk of
-/// `rows` (a chunk is a selection over its columns, so nothing is copied
-/// before `route` scatters it) to the destinations `route` chooses, draining
-/// the *own* inbox into `received` under backpressure (the deadlock-free
-/// discipline the HUGE machines follow), then rendezvous — keep absorbing
-/// until every machine has decremented `shuffling` — so no peer's final
-/// envelopes are stranded. Bails out with an error as soon as `failed` is
-/// raised by any machine.
+/// The cooperative shuffle protocol of one machine `m`: cut `rows` into
+/// chunks of `BATCH_SIZE` rows and push each chunk's parts to the
+/// destinations `route` chooses, draining the *own* inbox into `received`
+/// under backpressure (the deadlock-free discipline the HUGE machines
+/// follow), then rendezvous — keep absorbing until every machine has
+/// decremented `shuffling` — so no peer's final envelopes are stranded.
+/// Bails out with an error as soon as `failed` is raised by any machine.
 fn shuffle_rendezvous(
     shared: &BaselineCtx,
     m: usize,
     shuffling: &AtomicUsize,
     failed: &AtomicBool,
-    mut rows: ColBatch,
+    rows: ColBatch,
     route: impl Fn(&ColBatch) -> Vec<ColBatch>,
     received: &mut ColBatch,
 ) -> Result<()> {
     let aborted = || EngineError::Aborted("baseline shuffle aborted by a failed machine".into());
-    rows.compact();
-    let total = u32::try_from(rows.len()).expect("selection vectors index rows in 32 bits");
-    for start in (0..total).step_by(BATCH_SIZE) {
-        let end = total.min(start.saturating_add(BATCH_SIZE as u32));
-        rows.set_selection((start..end).collect());
-        for (dest, part) in route(&rows).into_iter().enumerate() {
+    for chunk in rows.split_into_chunks(BATCH_SIZE) {
+        for (dest, part) in route(&chunk).into_iter().enumerate() {
             let mut pending = part;
             loop {
                 match shared.try_push_shuffled(m, dest, pending) {

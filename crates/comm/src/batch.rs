@@ -6,14 +6,13 @@
 //! vertex).
 //!
 //! [`ColBatch`] is the one currency, between operators and on the wire: one
-//! `Vec<u32>` per bound query vertex, in one of three layouts.
+//! `Vec<u32>` per bound query vertex, in one of two layouts. Both are read
+//! by `(run, row)`: [`ColBatch::run_rows`] gives a run's rows, and a run's
+//! index reads its prefix columns, a row's index the newest column.
 //!
-//! * **Dense** — every column holds one value per row. What the join probe
-//!   produces, and what the shuffle ships when a batch has no runs or is
-//!   keyed on its newest column.
-//! * **Selected** — dense columns plus a *selection vector* of surviving row
-//!   indices: a verify-mode extend over a dense batch narrows the selection
-//!   instead of compacting the data.
+//! * **Dense** — every column holds one value per row, and every row is a
+//!   run of one. What the join probe produces, and what the shuffle ships
+//!   when a batch has no runs or is keyed on its newest column.
 //! * **Runs** — what the scan cursor and a match-mode extend emit, and what
 //!   the shuffle ships when every key column is a prefix column (each run
 //!   whole, to one machine). An extend's output is `(input row ×
@@ -21,12 +20,9 @@
 //!   the candidates of one input row: they hold one value per **run**, the
 //!   newest column one value per **row**, and `run_ends[r]` is the row at
 //!   which run `r` ends (cumulative, non-decreasing — a run may be empty).
-//!   [`ColBatch::len`] stays the number of logical rows and
+//!   [`ColBatch::len`] stays the number of rows and
 //!   [`ColBatch::byte_size`] counts what is actually held, so a hub row that
 //!   expands 200× costs the queue one candidate column, not `arity + 1`.
-//!
-//! **Runs xor selection.** A batch never carries both: a selection is only
-//! ever installed on dense columns.
 //!
 //! **Where rows are materialised.** Everything between two extends —
 //! re-chunking, the operator queues, stealing, the memory ledger — carries
@@ -144,15 +140,12 @@ impl RowBatch {
 /// A batch of fixed-arity partial matches in columnar layout.
 ///
 /// Column `c` holds the binding of query vertex `c`. In a dense batch every
-/// column has one value per *physical* row; an optional selection vector — a
-/// strictly ascending list of physical row indices — marks the rows that are
-/// logically present. In a run batch (`run_ends` set, never together with a
-/// selection) every column but the newest has one value per run and the
-/// newest one per row; see the module docs.
+/// column has one value per row. In a run batch (`run_ends` set) every
+/// column but the newest has one value per run and the newest one per row;
+/// see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ColBatch {
     cols: Vec<Vec<VertexId>>,
-    sel: Option<Vec<u32>>,
     run_ends: Option<Vec<u32>>,
 }
 
@@ -178,7 +171,6 @@ impl ColBatch {
         );
         ColBatch {
             cols,
-            sel: None,
             run_ends: None,
         }
     }
@@ -207,7 +199,6 @@ impl ColBatch {
         );
         ColBatch {
             cols,
-            sel: None,
             run_ends: Some(run_ends),
         }
     }
@@ -225,8 +216,7 @@ impl ColBatch {
         ColBatch::from_columns(cols)
     }
 
-    /// Transposes into a row-major batch, honouring the selection and
-    /// expanding runs.
+    /// Transposes into a row-major batch, expanding runs.
     pub fn to_rows(&self) -> RowBatch {
         let dense = self.flattened();
         let arity = dense.arity();
@@ -246,76 +236,43 @@ impl ColBatch {
         self.cols.len()
     }
 
-    /// Number of *logical* rows: selected rows when a selection is set, the
-    /// newest column's length otherwise (runs or not).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.sel {
-            Some(sel) => sel.len(),
-            None => self.physical_rows(),
-        }
-    }
-
-    /// Number of values stored in the newest column (in every column, for a
+    /// Number of rows: the newest column's length (in every column, for a
     /// batch without runs).
     #[inline]
-    pub fn physical_rows(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.cols[self.cols.len() - 1].len()
     }
 
-    /// `true` when no logical rows remain.
+    /// `true` when no rows remain.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The binding of query vertex `col` in logical row `i`. On a run batch
-    /// a prefix column costs a binary search over the run ends: walk
-    /// [`ColBatch::run_rows`] instead when reading many rows.
-    #[inline]
-    pub fn value(&self, col: usize, i: usize) -> VertexId {
-        self.cols[col][self.index_in(col, i)]
-    }
-
-    /// Physical index of logical row `i` in the newest column — and, without
-    /// runs, in every column (what a narrowed selection must reference when
-    /// filters re-select an already-selected batch).
-    #[inline]
-    pub fn physical_index(&self, i: usize) -> usize {
-        match &self.sel {
-            Some(sel) => sel[i] as usize,
-            None => i,
-        }
-    }
-
-    /// Where column `col` keeps its value for logical row `i`.
-    #[inline]
-    fn index_in(&self, col: usize, i: usize) -> usize {
-        match &self.run_ends {
-            Some(ends) if col + 1 < self.cols.len() => ends.partition_point(|&e| e as usize <= i),
-            _ => self.physical_index(i),
-        }
-    }
-
-    /// Appends the values of logical row `i` to `out`.
+    /// Appends the values of row `i` of a dense batch to `out`; flatten a
+    /// run batch first.
+    ///
+    /// # Panics
+    /// Panics if the batch has runs: its prefix columns are not indexed by
+    /// row.
     #[inline]
     pub fn read_row(&self, i: usize, out: &mut Vec<VertexId>) {
-        let newest = self.physical_index(i);
-        let prefix = self.index_in(0, i);
-        let last = self.cols.len() - 1;
-        out.extend(self.cols[..last].iter().map(|col| col[prefix]));
-        out.push(self.cols[last][newest]);
+        assert!(
+            self.run_ends.is_none(),
+            "rows are read from dense batches only"
+        );
+        out.extend(self.cols.iter().map(|col| col[i]));
     }
 
     /// Appends one row.
     ///
     /// # Panics
-    /// Panics (debug) if a selection or runs are set — builders append to
-    /// dense batches only.
+    /// Panics (debug) if runs are set — builders append to dense batches
+    /// only.
     #[inline]
     pub fn push_row(&mut self, row: &[VertexId]) {
         debug_assert!(
-            self.sel.is_none() && self.run_ends.is_none(),
+            self.run_ends.is_none(),
             "rows are appended to dense batches only"
         );
         debug_assert_eq!(row.len(), self.arity());
@@ -324,16 +281,11 @@ impl ColBatch {
         }
     }
 
-    /// The physical data of column `c`: one value per physical row, or — for
-    /// every column but the newest of a run batch — one value per run.
+    /// The data of column `c`: one value per row, or — for every column but
+    /// the newest of a run batch — one value per run.
     #[inline]
     pub fn column(&self, c: usize) -> &[VertexId] {
         &self.cols[c]
-    }
-
-    /// The selection vector, if one is set.
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
     }
 
     /// The run ends, if this is a run batch.
@@ -342,7 +294,7 @@ impl ColBatch {
     }
 
     /// Number of runs; a batch without run structure is the degenerate case
-    /// in which every logical row is a run of one.
+    /// in which every row is a run of one.
     #[inline]
     pub fn runs(&self) -> usize {
         match &self.run_ends {
@@ -351,42 +303,12 @@ impl ColBatch {
         }
     }
 
-    /// The logical rows of run `r` (possibly none).
+    /// The rows of run `r` (possibly none).
     #[inline]
     pub fn run_rows(&self, r: usize) -> Range<usize> {
         match &self.run_ends {
             Some(ends) => r.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[r] as usize,
             None => r..r + 1,
-        }
-    }
-
-    /// Installs a selection vector (strictly ascending physical indices).
-    ///
-    /// Replaces any existing selection, so callers narrowing an already
-    /// selected batch must compose indices themselves.
-    pub fn set_selection(&mut self, sel: Vec<u32>) {
-        debug_assert!(self.run_ends.is_none(), "runs and selection never coexist");
-        debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1]),
-            "selection not ascending"
-        );
-        debug_assert!(
-            sel.last()
-                .is_none_or(|&i| (i as usize) < self.physical_rows()),
-            "selection index out of range"
-        );
-        self.sel = Some(sel);
-    }
-
-    /// Materialises the selection: unselected rows are discarded and the
-    /// selection vector is dropped. No-op without a selection.
-    pub fn compact(&mut self) {
-        let Some(sel) = self.sel.take() else { return };
-        for col in &mut self.cols {
-            for (w, &p) in sel.iter().enumerate() {
-                col[w] = col[p as usize];
-            }
-            col.truncate(sel.len());
         }
     }
 
@@ -420,7 +342,7 @@ impl ColBatch {
         dense
     }
 
-    /// Moves all logical rows of `other` into `self`, both made dense first.
+    /// Moves all rows of `other` into `self`, both made dense first.
     ///
     /// # Panics
     /// Panics if arities differ.
@@ -430,25 +352,22 @@ impl ColBatch {
             other.arity(),
             "cannot append mismatched arity"
         );
-        for batch in [&mut *self, &mut *other] {
-            batch.compact();
-            batch.flatten();
-        }
+        self.flatten();
+        other.flatten();
         for (dst, src) in self.cols.iter_mut().zip(other.cols.iter_mut()) {
             dst.append(src);
         }
     }
 
-    /// Splits this batch into chunks of at most `rows_per_chunk` logical
-    /// rows, cutting at the same rows whatever the layout. A batch that
-    /// already fits is handed back as-is (after compaction), so the common
-    /// case moves buffers instead of copying. Dense batches yield dense
-    /// chunks; a run batch yields run batches — the newest column is cut
-    /// every `rows_per_chunk` rows, a run straddling a cut continues as the
-    /// first run of the next chunk, and empty runs are dropped.
+    /// Splits this batch into chunks of at most `rows_per_chunk` rows,
+    /// cutting at the same rows whatever the layout. A batch that already
+    /// fits is handed back as-is, so the common case moves buffers instead
+    /// of copying. Dense batches yield dense chunks; a run batch yields run
+    /// batches — the newest column is cut every `rows_per_chunk` rows, a run
+    /// straddling a cut continues as the first run of the next chunk, and
+    /// empty runs are dropped.
     pub fn split_into_chunks(mut self, rows_per_chunk: usize) -> Vec<ColBatch> {
         assert!(rows_per_chunk > 0);
-        self.compact();
         if self.len() <= rows_per_chunk {
             return vec![self];
         }
@@ -494,13 +413,13 @@ impl ColBatch {
     }
 
     /// Heap bytes held by the batch: the values of every column as stored
-    /// (per run or per row) plus the selection vector or the run ends. This
-    /// is what queue accounting and the memory governor charge.
+    /// (per run or per row) plus the run ends. This is what queue accounting
+    /// and the memory governor charge.
     #[inline]
     pub fn byte_size(&self) -> u64 {
         let vals: usize = self.cols.iter().map(Vec::len).sum();
-        let index = self.sel.as_ref().or(self.run_ends.as_ref());
-        ((vals + index.map_or(0, Vec::len)) * std::mem::size_of::<VertexId>()) as u64
+        let ends = self.run_ends.as_ref().map_or(0, Vec::len);
+        ((vals + ends) * std::mem::size_of::<VertexId>()) as u64
     }
 }
 
@@ -576,54 +495,31 @@ mod tests {
     }
 
     #[test]
-    fn col_batch_selection_filters_rows() {
-        let rows = RowBatch::from_flat(2, (0..10).collect());
-        let mut cols = ColBatch::from_rows(&rows);
-        cols.set_selection(vec![1, 3, 4]);
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols.physical_rows(), 5);
-        assert_eq!(cols.value(0, 0), 2);
-        assert_eq!(cols.value(1, 2), 9);
-        let mut row = Vec::new();
-        cols.read_row(1, &mut row);
-        assert_eq!(row, vec![6, 7]);
-        // Conversion honours the selection.
-        let back = cols.to_rows();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.row(0), &[2, 3]);
-        assert_eq!(back.row(2), &[8, 9]);
-        // byte_size charges data + selection until compaction.
-        assert_eq!(cols.byte_size(), (10 + 3) * 4);
-        cols.compact();
-        assert_eq!(cols.byte_size(), 6 * 4);
-        assert_eq!(cols.selection(), None);
-        assert_eq!(cols.to_rows(), back);
-    }
-
-    #[test]
     fn col_batch_push_and_append() {
         let mut a = ColBatch::new(2);
         a.push_row(&[1, 2]);
         a.push_row(&[3, 4]);
         let mut b = ColBatch::from_columns(vec![vec![5, 7], vec![6, 8]]);
-        b.set_selection(vec![1]);
         a.append(&mut b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.column(0), &[1, 3, 7]);
-        assert_eq!(a.column(1), &[2, 4, 8]);
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.column(0), &[1, 3, 5, 7]);
+        assert_eq!(a.column(1), &[2, 4, 6, 8]);
         assert!(b.is_empty());
+        let mut row = Vec::new();
+        a.read_row(2, &mut row);
+        assert_eq!(row, vec![5, 6]);
     }
 
     #[test]
     fn col_batch_split_into_chunks_is_dense_and_total() {
-        let mut cols = ColBatch::from_rows(&RowBatch::from_flat(2, (0..40).collect()));
-        cols.set_selection((0..20).filter(|i| i % 2 == 0).collect());
+        let cols = ColBatch::from_rows(&RowBatch::from_flat(2, (0..20).collect()));
         let chunks = cols.split_into_chunks(3);
         assert_eq!(chunks.len(), 4);
         assert_eq!(chunks[0].len(), 3);
         assert_eq!(chunks[3].len(), 1);
+        assert!(chunks.iter().all(|c| c.run_ends().is_none()));
         let first: Vec<u32> = chunks.iter().flat_map(|c| c.column(0).to_vec()).collect();
-        assert_eq!(first, vec![0, 4, 8, 12, 16, 20, 24, 28, 32, 36]);
+        assert_eq!(first, vec![0, 2, 4, 6, 8, 10, 12, 14, 16, 18]);
         // A batch that fits in one chunk is returned whole.
         let small = ColBatch::from_columns(vec![vec![1, 2]]);
         let same = small.clone().split_into_chunks(10);
@@ -691,14 +587,6 @@ mod tests {
         assert_eq!(runs.run_rows(2), 2..5);
         // 5 runs × (2 prefix values + 1 end) + 6 rows, 4 bytes each.
         assert_eq!(runs.byte_size(), (5 * 3 + 6) * 4);
-        let mut row = Vec::new();
-        for i in 0..rows.len() {
-            row.clear();
-            runs.read_row(i, &mut row);
-            assert_eq!(row, rows.row(i));
-            assert_eq!(runs.value(1, i), rows.row(i)[1]);
-            assert_eq!(runs.value(2, i), rows.row(i)[2]);
-        }
         assert_eq!(runs.to_rows(), rows);
         assert_eq!(runs.flattened().run_ends(), None);
         assert_eq!(*runs.flattened(), ColBatch::from_rows(&rows));
@@ -712,6 +600,12 @@ mod tests {
         all.append(&mut runs.clone());
         assert_eq!(all.len(), 12);
         assert_eq!(all.column(0)[6..], [0, 0, 20, 20, 20, 30]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense batches only")]
+    fn read_row_refuses_a_run_batch() {
+        run_batch(&[2, 1]).read_row(0, &mut Vec::new());
     }
 
     #[test]
@@ -739,8 +633,8 @@ mod tests {
 
         fn held_bytes(b: &ColBatch) -> u64 {
             let values: usize = (0..b.arity()).map(|c| b.column(c).len()).sum();
-            let index = b.run_ends().or(b.selection()).map_or(0, <[u32]>::len);
-            ((values + index) * 4) as u64
+            let ends = b.run_ends().map_or(0, <[u32]>::len);
+            ((values + ends) * 4) as u64
         }
 
         proptest! {

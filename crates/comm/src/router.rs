@@ -83,7 +83,8 @@ pub struct PushEnvelope {
     pub from: MachineId,
     /// Dataflow segment (operator) the batch belongs to.
     pub segment: usize,
-    /// The rows, dense (no selection vector crosses the wire).
+    /// The rows: runs when the shuffle keyed them on prefix columns, dense
+    /// otherwise.
     pub batch: ColBatch,
 }
 

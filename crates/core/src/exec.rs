@@ -49,15 +49,15 @@ pub struct OpContext<'a> {
 // Routing utilities
 // ---------------------------------------------------------------------------
 
-/// Hash-partitions the logical rows of `batch` over `k` machines by the given
+/// Hash-partitions the rows of `batch` over `k` machines by the given
 /// key columns, input order kept within a destination. A run batch whose key
 /// columns are all prefix columns ships run-wise: one hash per run sends the
 /// whole run to one destination, which receives a run batch — the prefix
 /// once, the newest column's slice, the run's end; empty runs are dropped.
-/// Any other batch (dense, selected, or keyed on its newest column) is made
-/// rows here: one pass over the key columns computes the destinations, then
-/// every column of every destination is one gather through the selection
-/// vector, so those per-destination batches come out dense.
+/// Any other batch (dense, or keyed on its newest column) is made rows here:
+/// one pass over the key columns computes the destinations, then every
+/// column of every destination is one gather, so those per-destination
+/// batches come out dense.
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
@@ -76,7 +76,7 @@ pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize
     scatter(batch, |row| machine_of(hash(row), k), k)
 }
 
-/// Partitions the logical rows of `batch` over `k` machines by the *owner* of
+/// Partitions the rows of `batch` over `k` machines by the *owner* of
 /// the vertex in `column` (used by pushing wco extensions, which route
 /// partial results to the owners of the vertices being intersected).
 pub fn partition_cols_by_owner(
@@ -228,17 +228,16 @@ mod tests {
 
     #[test]
     fn partition_by_key_is_total_and_deterministic() {
-        let mut batch = ColBatch::from_columns(vec![(0..40).collect(), (100..140).collect()]);
-        batch.set_selection((0..40).filter(|i| i % 3 != 0).collect());
+        let batch = ColBatch::from_columns(vec![(0..40).collect(), (100..140).collect()]);
         let parts = partition_cols_by_key(&batch, &[0], 4);
         let total: usize = parts.iter().map(|b| b.len()).sum();
         assert_eq!(total, batch.len());
         for part in &parts {
             // Dense, the payload still beside its key, input order kept.
-            assert_eq!(part.selection(), None);
+            assert_eq!(part.run_ends(), None);
             assert!(part.column(0).windows(2).all(|w| w[0] < w[1]));
             for (key, payload) in part.column(0).iter().zip(part.column(1)) {
-                assert!(key % 3 != 0 && *payload == key + 100);
+                assert_eq!(*payload, key + 100);
             }
         }
         assert_eq!(partition_cols_by_key(&batch, &[0], 4), parts);

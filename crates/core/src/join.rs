@@ -113,7 +113,7 @@ pub fn key_hash(key: impl IntoIterator<Item = VertexId>) -> u64 {
     })
 }
 
-/// The [`key_hash`] of a physical row of `batch`, read off its key columns.
+/// The [`key_hash`] of a row of the dense `batch`, read off its key columns.
 pub(crate) fn row_key_hash<'a>(
     batch: &'a ColBatch,
     key_positions: &[usize],
@@ -122,27 +122,21 @@ pub(crate) fn row_key_hash<'a>(
     move |row| key_hash(keys.iter().map(|column| column[row]))
 }
 
-/// Appends every logical row of `batch` to the columns of the part (by
-/// position in `parts`) `dest_of` names for its physical row. One pass computes the destinations and each
-/// row's rank within its own, which fixes the batch's physical rows in
-/// destination order (input order kept within a destination); every column of
-/// every destination is then one gather through that order — so each
-/// destination receives its rows dense, and the read through the selection
-/// vector happens here, exactly once per surviving row: upstream verify
-/// filters never force a compaction.
+/// Appends every row of the dense `batch` to the columns of the part (by
+/// position in `parts`) `dest_of` names for it. One pass computes the
+/// destinations and each row's rank within its own, which fixes the batch's
+/// rows in destination order (input order kept within a destination); every
+/// column of every destination is then one gather through that order.
 pub(crate) fn scatter_rows<'a>(
     batch: &ColBatch,
     dest_of: impl Fn(usize) -> usize,
     parts: impl ExactSizeIterator<Item = &'a mut Vec<Vec<VertexId>>>,
 ) {
-    assert!(
-        u32::try_from(batch.physical_rows()).is_ok(),
-        "row indices are 32-bit"
-    );
+    assert!(u32::try_from(batch.len()).is_ok(), "row indices are 32-bit");
     let mut counts = vec![0u32; parts.len()];
     let ranked: Vec<(u32, u32)> = (0..batch.len())
         .map(|i| {
-            let dest = dest_of(batch.physical_index(i));
+            let dest = dest_of(i);
             counts[dest] += 1;
             (dest as u32, counts[dest] - 1)
         })
@@ -154,7 +148,7 @@ pub(crate) fn scatter_rows<'a>(
     }
     let mut order = vec![0u32; ranked.len()];
     for (i, &(dest, rank)) in ranked.iter().enumerate() {
-        order[(starts[dest as usize] + rank) as usize] = batch.physical_index(i) as u32;
+        order[(starts[dest as usize] + rank) as usize] = i as u32;
     }
     for (part, range) in parts.zip(starts.windows(2)) {
         let rows = &order[range[0] as usize..range[1] as usize];

@@ -1237,7 +1237,7 @@ impl MachineState {
     fn consume_terminal(&mut self, v: Visit, mut batch: ColBatch, unsent: &mut VecDeque<Part>) {
         match &v.plan.terminal {
             Terminal::Sink => {
-                // Count-only sinks touch nothing but the logical length.
+                // Count-only sinks touch nothing but the length.
                 self.matches += batch.len() as u64;
                 if let SinkMode::Collect(limit) = v.sink {
                     let wanted = limit.saturating_sub(self.samples.len());
@@ -1259,8 +1259,7 @@ impl MachineState {
                 // Envelopes are tagged with the *producing* segment id so the
                 // consuming join can tell its left input from its right. Runs
                 // keyed on a prefix column go on the wire whole, prefix once;
-                // the partitioner makes anything else rows, gathering through
-                // the selection, so a wire batch carries only surviving rows.
+                // the partitioner makes anything else dense rows.
                 let parts = partition_cols_by_key(&batch, key_positions, k);
                 unsent.extend(parts.into_iter().enumerate());
             }

@@ -39,8 +39,8 @@
 //! those vertices fix, and held in a [`ProbeFilter`]; each row slices it to
 //! its range and only scans its own newest list against it. The
 //! key comparison reads vertex ids, nothing else, so it cannot be wrong for
-//! any order of runs — shuffled, selected, split or stolen batches only
-//! recompute more. Both sinks run the same kernel walk per row
+//! any order of runs — shuffled, split or stolen batches only recompute
+//! more. Both sinks run the same kernel walk per row
 //! (`Candidates::each`): the counting one counts its hits, the materialising
 //! one appends them straight into the new column. Verify mode is a per-row
 //! membership test of its own and shares the fetch stage. A row-major
@@ -334,8 +334,8 @@ impl Seen {
 /// is its own run — and pushes a remote id only if a [`Seen`] filter has not
 /// just seen it, so few of a batch's repeats of a vertex reach
 /// [`resolve_remote`]'s sort + dedup. The filter may forget an id, never
-/// invent one: every list is still looked up once. Empty runs (a
-/// verify-mode extend leaves them behind) reference nothing.
+/// invent one: every list is still looked up once. An empty run references
+/// nothing.
 fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
     let fetch_start = Instant::now();
     let newest = input.arity() - 1;
@@ -350,7 +350,7 @@ fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (Li
                 true => rows,
                 false => r..r + rows.len().min(1),
             };
-            for v in reads.map(|at| col[input.physical_index(at)]) {
+            for &v in &col[reads] {
                 if !ctx.partition.is_local(v) && seen.first_sight(v) {
                     remote.push(v);
                 }
@@ -678,14 +678,13 @@ fn range_of(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> Range
 
 /// The candidate generator of match mode (Equation 2): **one loop over
 /// `(run, rows of the run)`** for the runs `first..end` of `input`. It hands
-/// `sink` each row's [`Candidates`], where the row's values live in `input`'s
-/// columns — `(index in the per-run columns, index in the newest column)` —
-/// and the row's values at the spec's `collide` positions (what injectivity
-/// must remove). A batch without run structure goes through the same loop
-/// with every row a run of one; nothing below asks which shape it has. A
-/// sink that returns `false` stops the loop at its row: the result is that
-/// row's `(run, logical row)`, and the rows from it on are not counted as
-/// extended.
+/// `sink` each row's `(run, row)` — its index in the per-run columns and in
+/// the newest column — its [`Candidates`], and its values at the spec's
+/// `collide` positions (what injectivity must remove). A batch without run
+/// structure goes through the same loop with every row a run of one;
+/// nothing below asks which shape it has. A sink that returns `false` stops
+/// the loop at its row: the result is that row's `(run, row)`, and the rows
+/// from it on are not counted as extended.
 ///
 /// **Once per run**, from the columns that hold one value per run: the
 /// `run_gates` pass or fail the whole run; the part of the candidates' value
@@ -730,8 +729,7 @@ fn for_each_candidate_set(
     view: &ListView,
     mut sink: impl FnMut((usize, usize), Candidates<'_>, &[VertexId], &mut KernelTally) -> bool,
 ) -> Option<(usize, usize)> {
-    let cols: Vec<&[VertexId]> = (0..input.arity()).map(|c| input.column(c)).collect();
-    let newest = cols[spec.arity - 1];
+    let newest = input.column(spec.arity - 1);
     let has_prefix = !spec.prefix.is_empty();
 
     // `shared` is the intersection of the lists of `key`'s vertices,
@@ -754,32 +752,20 @@ fn for_each_candidate_set(
         }
         total += rows.len() as u64;
         started += 1;
-        // Where the run's values sit in the per-run columns (for a batch
-        // without runs, the row's own physical index).
-        let p = input.physical_index(r);
-        if spec
-            .run_gates
-            .iter()
-            .any(|&(s, l)| cols[s][p] >= cols[l][p])
-        {
+        let run = |c: usize| input.column(c)[r];
+        if spec.run_gates.iter().any(|&(s, l)| run(s) >= run(l)) {
             continue;
         }
-        let run_lo = spec.lo_from.run.iter().map(|&c| cols[c][p]).max();
-        let run_hi = spec.hi_from.run.iter().map(|&c| cols[c][p]).min();
+        let run_lo = spec.lo_from.run.iter().map(|&c| run(c)).max();
+        let run_hi = spec.hi_from.run.iter().map(|&c| run(c)).min();
         bound.clear();
-        bound.extend(spec.collide.run.iter().map(|&c| cols[c][p]));
+        bound.extend(spec.collide.run.iter().map(|&c| run(c)));
         let run_bound = bound.len();
-        if has_prefix
-            && !spec
-                .prefix
-                .iter()
-                .map(|&c| cols[c][p])
-                .eq(key.iter().copied())
-        {
+        if has_prefix && !spec.prefix.iter().map(|&c| run(c)).eq(key.iter().copied()) {
             filter.clear_all(&shared[armed.clone()]);
             (armed, sets_left) = (0..0, 2u8);
             key.clear();
-            key.extend(spec.prefix.iter().map(|&c| cols[c][p]));
+            key.extend(spec.prefix.iter().map(|&c| run(c)));
             by_degree.clone_from(&key);
             by_degree.sort_unstable_by_key(|&v| ctx.partition.degree(v));
             let cut_by_key = spec.key_bounds(&key);
@@ -788,9 +774,8 @@ fn for_each_candidate_set(
             cut = None;
         }
         'rows: for i in rows.clone() {
-            let q = input.physical_index(i);
-            let x = newest[q];
-            let at = |c: usize| if c + 1 == spec.arity { x } else { cols[c][p] };
+            let x = newest[i];
+            let at = |c: usize| if c + 1 == spec.arity { x } else { run(c) };
             for &(smaller, larger) in &spec.row_gates {
                 if at(smaller) >= at(larger) {
                     continue 'rows;
@@ -866,7 +851,7 @@ fn for_each_candidate_set(
                     Candidates::Lists(s, nb)
                 }
             };
-            if !sink((p, q), candidates, &bound, &mut tally) {
+            if !sink((r, i), candidates, &bound, &mut tally) {
                 // The rows from `i` on are not extended here.
                 total -= (rows.end - i) as u64;
                 started -= u64::from(i == rows.start);
@@ -888,11 +873,10 @@ fn for_each_candidate_set(
     halted
 }
 
-/// Verify mode over the runs `first..end` of `input`: calls `keep` with
-/// `(index in the per-run columns, index in the newest column)` of every
-/// row that passes [`verify_one_row`], and stops where `keep` returns
-/// `false` (see [`for_each_candidate_set`]). The row's prefix is read once
-/// per run, its newest value once per row.
+/// Verify mode over the runs `first..end` of `input`: calls `keep` with the
+/// `(run, row)` of every row that passes [`verify_one_row`], and stops where
+/// `keep` returns `false` (see [`for_each_candidate_set`]). The row's prefix
+/// is read once per run, its newest value once per row.
 fn for_each_verified_row(
     op: &ExtendOp,
     vpos: usize,
@@ -909,14 +893,12 @@ fn for_each_verified_row(
         if rows.is_empty() {
             continue;
         }
-        let p = input.physical_index(r);
         row.clear();
-        row.extend((0..newest).map(|c| input.column(c)[p]));
+        row.extend((0..newest).map(|c| input.column(c)[r]));
         row.push(0);
         for i in rows {
-            let q = input.physical_index(i);
-            row[newest] = input.column(newest)[q];
-            if verify_one_row(op, vpos, &row, ctx, view) && !keep((p, q)) {
+            row[newest] = input.column(newest)[i];
+            if verify_one_row(op, vpos, &row, ctx, view) && !keep((r, i)) {
                 return Some((r, i));
             }
         }
@@ -1004,8 +986,9 @@ pub fn nest(
     total
 }
 
-/// The rows of `input` from logical row `from` on in the runs `first..end`,
-/// for each `(first, from, end)` of `left`, in order, as one run batch.
+/// The rows of `input` from row `from` on in the runs `first..end`, for
+/// each `(first, from, end)` of `left`, in order, as one run batch: each
+/// run's prefix once, its newest values copied as one slice.
 fn rows_left(input: &ColBatch, left: &[(usize, usize, usize)]) -> ColBatch {
     let newest = input.arity() - 1;
     let (mut cols, mut ends) = (vec![Vec::new(); input.arity()], Vec::new());
@@ -1016,12 +999,10 @@ fn rows_left(input: &ColBatch, left: &[(usize, usize, usize)]) -> ColBatch {
             if rows.is_empty() {
                 continue;
             }
-            let p = input.physical_index(r);
             for (c, col) in cols[..newest].iter_mut().enumerate() {
-                col.push(input.column(c)[p]);
+                col.push(input.column(c)[r]);
             }
-            let values = rows.map(|i| input.column(newest)[input.physical_index(i)]);
-            cols[newest].extend(values);
+            cols[newest].extend_from_slice(&input.column(newest)[rows]);
             // At most the input's rows, which fit in 32 bits.
             ends.push(cols[newest].len() as u32);
         }
@@ -1053,8 +1034,8 @@ impl Nest<'_> {
     /// Runs `level` over the runs `range` of `input`, whose lists are in
     /// `view`: a counting last level counts — the candidates of match mode
     /// (nothing is written), the rows that pass in verify mode — and any
-    /// other feeds its piece. Returns `(run, logical row)` where a gathering
-    /// level stopped.
+    /// other feeds its piece. Returns `(run, row)` where a gathering level
+    /// stopped.
     fn run(
         &mut self,
         level: usize,
@@ -1941,10 +1922,10 @@ mod tests {
 
         // Runs of length one (every row's prefix differs from the previous
         // row's) execute what a per-row intersection would, and no more.
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by_key(|&i| (rows.value(2, i), i));
-        let mut scattered = ColBatch::new(3);
         let row_major = rows.to_rows();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| (row_major.row(i)[2], i));
+        let mut scattered = ColBatch::new(3);
         order
             .iter()
             .for_each(|&i| scattered.push_row(row_major.row(i)));
@@ -2333,8 +2314,6 @@ mod tests {
             /// The rows as produced, flattened: runs only the key comparison
             /// can find, one work item per 256 rows.
             Plain,
-            /// Every row followed by a junk row the selection vector skips.
-            Selected,
             /// Runs split across batches of this many rows.
             Chunked(usize),
             /// Seeded shuffle: (almost) every row starts a new run.
@@ -2348,15 +2327,6 @@ mod tests {
             match shape {
                 Shape::Plain => vec![ColBatch::from_rows(&rows)],
                 Shape::Chunked(n) => ColBatch::from_rows(&rows).split_into_chunks(n),
-                Shape::Selected => {
-                    let mut padded = ColBatch::new(arity);
-                    for row in rows.rows() {
-                        padded.push_row(row);
-                        padded.push_row(&vec![row[0]; arity]);
-                    }
-                    padded.set_selection((0..rows.len() as u32).map(|i| 2 * i).collect());
-                    vec![padded]
-                }
                 Shape::Shuffled(seed) => {
                     let mut order: Vec<usize> = (0..rows.len()).collect();
                     let mut state = seed | 1;
@@ -2376,7 +2346,6 @@ mod tests {
         fn arb_shape() -> impl Strategy<Value = Shape> {
             prop_oneof![
                 Just(Shape::Plain),
-                Just(Shape::Selected),
                 (1usize..9).prop_map(Shape::Chunked),
                 (0u64..1 << 32).prop_map(Shape::Shuffled),
             ]

@@ -112,21 +112,32 @@ fn exec_layer_pipeline_matches_reference() {
 
 /// The baselines' table operators ride the same substrate: a star scan plus
 /// a wco extension counts triangles and charges pushed bytes through the
-/// shared router.
+/// shared router — on a small graph, whose tables fit one shuffle chunk, and
+/// on one whose every machine's edge table spans at least three chunks of
+/// 4 096 rows.
 #[test]
 fn baseline_table_ops_count_through_shared_substrate() {
-    let graph = gen::erdos_renyi(200, 1600, 5);
-    let query = Pattern::Triangle.query_graph();
-    let expected = naive::enumerate(&graph, &query);
-    let parts = Arc::new(Partitioner::new(3).unwrap().partition(graph));
-    let mut ctx = BaselineCtx::new(parts, &query);
-    let edges = scan_star(&mut ctx, 0, &[1]).unwrap();
-    let triangles = wco_extend_pushing(&mut ctx, edges, 2, &[0, 1]).unwrap();
-    assert_eq!(triangles.total_rows(), expected);
-    assert!(
-        ctx.stats.total().bytes_pushed > 0,
-        "routing partial results between machines must charge pushes"
-    );
+    for (graph, min_table_rows) in [
+        (gen::erdos_renyi(200, 1600, 5), 0),
+        (gen::erdos_renyi(5000, 60_000, 5), 2 * 4096 + 1),
+    ] {
+        let query = Pattern::Triangle.query_graph();
+        let expected = naive::enumerate(&graph, &query);
+        let parts = Arc::new(Partitioner::new(3).unwrap().partition(graph));
+        let mut ctx = BaselineCtx::new(parts, &query);
+        let edges = scan_star(&mut ctx, 0, &[1]).unwrap();
+        let sizes: Vec<usize> = edges.rows.iter().map(|t| t.len()).collect();
+        assert!(
+            sizes.iter().all(|&n| n >= min_table_rows),
+            "edge tables {sizes:?}"
+        );
+        let triangles = wco_extend_pushing(&mut ctx, edges, 2, &[0, 1]).unwrap();
+        assert_eq!(triangles.total_rows(), expected);
+        assert!(
+            ctx.stats.total().bytes_pushed > 0,
+            "routing partial results between machines must charge pushes"
+        );
+    }
 }
 
 /// Empty and edge-less graphs run through every engine without panicking.

@@ -101,57 +101,32 @@ proptest! {
         prop_assert_eq!(report.matches * symmetry::automorphism_count(&query), embeddings);
     }
 
-    /// Columnar ↔ row-major conversion is lossless for arbitrary batches,
-    /// including batches narrowed by a selection vector: the logical rows a
-    /// `ColBatch` exposes are exactly the selected ones, before and after
-    /// compaction.
+    /// Columnar ↔ row-major conversion is lossless for arbitrary dense
+    /// batches, and a dense batch is charged one value per row and column.
     #[test]
     fn colbatch_rowbatch_round_trip(
         arity in 1usize..5,
         values in prop::collection::vec(0u32..1000, 0..120),
-        mask in prop::collection::vec(0u8..2, 0..40),
     ) {
         let n = values.len() / arity;
         let mut rows = RowBatch::new(arity);
         for i in 0..n {
             rows.push_row(&values[i * arity..(i + 1) * arity]);
         }
-        let mut cols = ColBatch::from_rows(&rows);
+        let cols = ColBatch::from_rows(&rows);
         prop_assert_eq!(cols.len(), n);
+        prop_assert_eq!(cols.byte_size(), (n * arity * 4) as u64);
         prop_assert_eq!(cols.to_rows().as_flat(), rows.as_flat());
-
-        // Install a selection and check the logical view everywhere.
-        let sel: Vec<u32> = (0..n as u32).filter(|&i| {
-            mask.get(i as usize).copied().unwrap_or(0) == 1
-        }).collect();
-        let expected: Vec<u32> = sel
-            .iter()
-            .flat_map(|&i| values[i as usize * arity..(i as usize + 1) * arity].to_vec())
-            .collect();
-        cols.set_selection(sel.clone());
-        prop_assert_eq!(cols.len(), sel.len());
-        prop_assert_eq!(cols.to_rows().as_flat(), expected.as_slice());
-
-        // Compaction materialises the selection without changing the view,
-        // and shrinks the accounted bytes to the surviving rows.
-        let selected_bytes = (sel.len() * arity * 4) as u64;
-        cols.compact();
-        prop_assert!(cols.selection().is_none());
-        prop_assert_eq!(cols.byte_size(), selected_bytes);
-        prop_assert_eq!(cols.to_rows().as_flat(), expected.as_slice());
     }
 
-    /// The columnar shuffle sends every surviving row where a row-at-a-time
-    /// reference sends it (the high bits of the row's `key_hash` once its
-    /// halves are folded together and one mixing multiply is applied): per
-    /// destination exactly those rows, in input order, dense — whether or
-    /// not a selection vector narrows the batch.
+    /// The columnar shuffle sends every row where a row-at-a-time reference
+    /// sends it (the high bits of the row's `key_hash` once its halves are
+    /// folded together and one mixing multiply is applied): per destination
+    /// exactly those rows, in input order, dense.
     #[test]
     fn columnar_shuffle_matches_the_row_at_a_time_reference(
         arity in 1usize..5,
         values in prop::collection::vec(0u32..40, 0..240),
-        mask in prop::collection::vec(0u8..2, 0..60),
-        selected in prop_oneof![Just(false), Just(true)],
         key in prop::collection::vec(0usize..4, 1..4),
         k in 1usize..6,
     ) {
@@ -160,16 +135,10 @@ proptest! {
         let row = |i: usize| &values[i * arity..(i + 1) * arity];
         let mut rows = RowBatch::new(arity);
         (0..n).for_each(|i| rows.push_row(row(i)));
-        let mut cols = ColBatch::from_rows(&rows);
-        let survivors: Vec<usize> = (0..n)
-            .filter(|&i| !selected || mask.get(i).copied().unwrap_or(0) == 1)
-            .collect();
-        if selected {
-            cols.set_selection(survivors.iter().map(|&i| i as u32).collect());
-        }
+        let cols = ColBatch::from_rows(&rows);
 
         let mut expected = vec![Vec::new(); k];
-        for &i in &survivors {
+        for i in 0..n {
             let hash = key_hash(key.iter().map(|&c| row(i)[c]));
             let mixed = (hash ^ (hash >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let dest = ((u128::from(mixed) * k as u128) >> 64) as usize;
@@ -179,8 +148,8 @@ proptest! {
         prop_assert_eq!(parts.len(), k);
         for (part, expected) in parts.iter().zip(&expected) {
             prop_assert_eq!(part.arity(), arity);
-            prop_assert!(part.selection().is_none());
-            prop_assert_eq!(part.physical_rows() * arity, expected.len());
+            prop_assert!(part.run_ends().is_none());
+            prop_assert_eq!(part.len() * arity, expected.len());
             prop_assert_eq!(part.to_rows().as_flat(), expected.as_slice());
         }
     }
@@ -218,7 +187,6 @@ proptest! {
         let parts = partition_cols_by_key(&runs, &key, k);
         let run_wise = key.iter().all(|&c| c < prefix);
         prop_assert!(parts.iter().all(|p| p.run_ends().is_some() == run_wise));
-        prop_assert!(parts.iter().all(|p| p.selection().is_none()));
         prop_assert_eq!(parts.iter().map(ColBatch::len).sum::<usize>(), rows);
         let flat_parts = partition_cols_by_key(&flat, &key, k);
         for (part, twin) in parts.iter().zip(&flat_parts) {
