@@ -267,7 +267,6 @@ fn scan_local_stars(
             }
         });
     }
-    ctx.stats.machine(m).record_col_bytes(batch.byte_size());
     batch
 }
 

@@ -130,7 +130,7 @@ pub trait PullCache: Send + Sync {
     /// reads would pin the hit rate at 1.
     fn record_lookups(&self, hits: u64, misses: u64);
 
-    /// Counter snapshot.
+    /// A snapshot of the cache's counts.
     fn stats(&self) -> CacheStats;
 
     /// Removes every entry (used between experiment runs).

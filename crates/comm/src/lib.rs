@@ -36,7 +36,7 @@ pub use kv::ExternalKvStore;
 pub use link::{LinkFault, LinkFaultKind, TransportConfig};
 pub use network::NetworkModel;
 pub use router::{
-    ControlEnvelope, ControlMsg, PushEnvelope, QueueAccounting, Router, RouterEndpoint, RouterTrace,
+    ControlEnvelope, ControlMsg, PushEnvelope, QueueAccounting, Router, RouterEndpoint,
 };
 pub use rpc::RpcFabric;
 pub use stats::{ClusterStats, CommStats};

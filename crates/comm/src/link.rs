@@ -273,9 +273,6 @@ impl Link {
             Accept::Ok => {
                 if f.attempts > 1 {
                     sender.record_retransmit();
-                    if let Some(trace) = &ep.trace {
-                        trace.retransmits.inc();
-                    }
                 }
                 if let Some(copy) = copy {
                     // The injected duplicate: the receiver's dedup takes it.

@@ -27,53 +27,6 @@ use crate::link::{Link, SeenSet, TransportConfig};
 use crate::stats::ClusterStats;
 use crate::MachineId;
 use huge_graph::VertexId;
-use huge_trace::{Counter, Registry};
-
-/// Router-level flight-recorder counters, shared by every endpoint of one
-/// run. Registered once against the run's metrics registry and incremented
-/// with relaxed atomic adds next to the existing [`ClusterStats`] sites, so
-/// they are live in every trace mode.
-#[derive(Clone)]
-pub struct RouterTrace {
-    /// Cross-machine data batches accepted by a destination inbox.
-    pub batches_pushed: Arc<Counter>,
-    /// Bytes carried by those batches.
-    pub bytes_pushed: Arc<Counter>,
-    /// Producer waits caused by a full destination inbox.
-    pub backpressure_waits: Arc<Counter>,
-    /// Successful retransmits on the lossy transport (data + control).
-    pub retransmits: Arc<Counter>,
-    /// Cross-machine control messages sent.
-    pub control_messages: Arc<Counter>,
-}
-
-impl RouterTrace {
-    /// Registers the router's metric family on `registry`.
-    pub fn register(registry: &Registry) -> RouterTrace {
-        RouterTrace {
-            batches_pushed: registry.counter(
-                "huge_router_batches_pushed_total",
-                "Cross-machine data batches accepted by a destination inbox",
-            ),
-            bytes_pushed: registry.counter(
-                "huge_router_bytes_pushed_total",
-                "Bytes carried by cross-machine data batches",
-            ),
-            backpressure_waits: registry.counter(
-                "huge_router_backpressure_waits_total",
-                "Producer waits on a full destination inbox",
-            ),
-            retransmits: registry.counter(
-                "huge_router_retransmits_total",
-                "Successful retransmits on the lossy transport",
-            ),
-            control_messages: registry.counter(
-                "huge_router_control_messages_total",
-                "Cross-machine control-plane messages sent",
-            ),
-        }
-    }
-}
 
 /// A pushed message: a batch of partial results destined for a segment's
 /// inbound channel on some machine.
@@ -384,7 +337,6 @@ pub struct Router {
     inboxes: Vec<Arc<Inbox>>,
     stats: ClusterStats,
     link: Option<Arc<Link>>,
-    trace: Option<RouterTrace>,
 }
 
 impl Router {
@@ -402,14 +354,7 @@ impl Router {
                 .collect(),
             stats,
             link: None,
-            trace: None,
         }
-    }
-
-    /// Attaches the flight-recorder counter family. Call before handing out
-    /// endpoints; endpoints minted earlier keep recording nothing.
-    pub fn set_trace(&mut self, trace: RouterTrace) {
-        self.trace = Some(trace);
     }
 
     /// Arms the fault-injection [`link`](crate::link): cross-machine data
@@ -437,7 +382,6 @@ impl Router {
             inboxes: self.inboxes.clone(),
             stats: self.stats.clone(),
             link: self.link.clone(),
-            trace: self.trace.clone(),
         }
     }
 }
@@ -450,7 +394,6 @@ pub struct RouterEndpoint {
     inboxes: Vec<Arc<Inbox>>,
     pub(crate) stats: ClusterStats,
     pub(crate) link: Option<Arc<Link>>,
-    pub(crate) trace: Option<RouterTrace>,
 }
 
 impl RouterEndpoint {
@@ -472,9 +415,6 @@ impl RouterEndpoint {
         let mut pending = batch;
         while let Err(back) = self.try_push(to, segment, pending) {
             pending = back;
-            if let Some(trace) = &self.trace {
-                trace.backpressure_waits.inc();
-            }
             self.inboxes[to].wait_space(Duration::from_millis(1));
         }
     }
@@ -527,18 +467,10 @@ impl RouterEndpoint {
     /// attempts move no data; a machine's frames to itself are free).
     pub(crate) fn deliver(&self, to: MachineId, frame: Frame, seq: Option<u64>) -> Accept {
         let remote = to != self.machine;
-        let (bytes, data) = (frame.byte_size(), matches!(frame, Frame::Data(_)));
+        let bytes = frame.byte_size();
         let accept = self.inboxes[to].push(frame, seq, !remote);
         if remote && matches!(accept, Accept::Ok) {
             self.stats.machine(self.machine).record_push(bytes);
-            if let Some(trace) = &self.trace {
-                if data {
-                    trace.batches_pushed.inc();
-                    trace.bytes_pushed.add(bytes);
-                } else {
-                    trace.control_messages.inc();
-                }
-            }
         }
         accept
     }
@@ -619,9 +551,6 @@ impl RouterEndpoint {
 
     /// Parks until machine `to`'s inbox has room (or `timeout` elapses).
     pub fn wait_space(&self, to: MachineId, timeout: Duration) {
-        if let Some(trace) = &self.trace {
-            trace.backpressure_waits.inc();
-        }
         self.inboxes[to].wait_space(timeout)
     }
 
@@ -769,8 +698,8 @@ mod tests {
 
     #[test]
     fn queue_accounting_tracks_inbox_bytes() {
-        struct Counter(AtomicUsize);
-        impl QueueAccounting for Counter {
+        struct Queued(AtomicUsize);
+        impl QueueAccounting for Queued {
             fn allocate(&self, bytes: u64) {
                 self.0.fetch_add(bytes as usize, Ordering::SeqCst);
             }
@@ -780,7 +709,7 @@ mod tests {
         }
         let stats = ClusterStats::new(2);
         let router = Router::new(2, stats);
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
+        let counter = Arc::new(Queued(AtomicUsize::new(0)));
         router.set_accounting(1, Arc::clone(&counter) as Arc<dyn QueueAccounting>);
         let a = router.endpoint(0);
         a.push(1, 0, batch(&[1, 2, 3]));
@@ -834,8 +763,8 @@ mod tests {
 
     #[test]
     fn control_payloads_are_charged_to_inbox_accounting() {
-        struct Counter(AtomicUsize);
-        impl QueueAccounting for Counter {
+        struct Queued(AtomicUsize);
+        impl QueueAccounting for Queued {
             fn allocate(&self, bytes: u64) {
                 self.0.fetch_add(bytes as usize, Ordering::SeqCst);
             }
@@ -845,7 +774,7 @@ mod tests {
         }
         let stats = ClusterStats::new(2);
         let router = Router::new(2, stats);
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
+        let counter = Arc::new(Queued(AtomicUsize::new(0)));
         router.set_accounting(1, Arc::clone(&counter) as Arc<dyn QueueAccounting>);
         let a = router.endpoint(0);
         a.send_control(

@@ -36,9 +36,6 @@ pub struct CommStats {
     /// Of those, rows whose shared prefix intersection was the previous
     /// row's (same prefix vertices), so it was not recomputed.
     pub extend_prefix_reuses: AtomicU64,
-    /// Bytes of columnar batches produced by this machine's operators (what
-    /// the memory governor charges for in-flight columnar data).
-    pub col_bytes: AtomicU64,
     /// Data envelopes this machine retransmitted over the unreliable
     /// transport (each costs a second `record_push`-equivalent send).
     pub retransmits: AtomicU64,
@@ -103,11 +100,6 @@ impl CommStats {
         }
     }
 
-    /// Records `bytes` of columnar batch data produced by an operator.
-    pub fn record_col_bytes(&self, bytes: u64) {
-        self.col_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Records one retransmitted data envelope.
     pub fn record_retransmit(&self) {
         self.retransmits.fetch_add(1, Ordering::Relaxed);
@@ -144,7 +136,6 @@ impl CommStats {
             kernel_probe: self.kernel_probe.load(Ordering::Relaxed),
             extend_rows: self.extend_rows.load(Ordering::Relaxed),
             extend_prefix_reuses: self.extend_prefix_reuses.load(Ordering::Relaxed),
-            col_bytes: self.col_bytes.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             transport_drops: self.transport_drops.load(Ordering::Relaxed),
             transport_dups: self.transport_dups.load(Ordering::Relaxed),
@@ -182,8 +173,6 @@ pub struct CommSnapshot {
     pub extend_rows: u64,
     /// Of those, rows served the previous row's prefix intersection.
     pub extend_prefix_reuses: u64,
-    /// Bytes of columnar batches produced by the operator layer.
-    pub col_bytes: u64,
     /// Data envelopes retransmitted over the unreliable transport.
     pub retransmits: u64,
     /// Envelopes lost to injected transport drops.
@@ -226,7 +215,6 @@ impl CommSnapshot {
             kernel_probe: self.kernel_probe + other.kernel_probe,
             extend_rows: self.extend_rows + other.extend_rows,
             extend_prefix_reuses: self.extend_prefix_reuses + other.extend_prefix_reuses,
-            col_bytes: self.col_bytes + other.col_bytes,
             retransmits: self.retransmits + other.retransmits,
             transport_drops: self.transport_drops + other.transport_drops,
             transport_dups: self.transport_dups + other.transport_dups,
@@ -290,7 +278,6 @@ mod tests {
             probe: 3,
         });
         stats.record_extend(9, 4);
-        stats.record_col_bytes(128);
         let s = stats.snapshot();
         assert_eq!(s.bytes_pushed, 150);
         assert_eq!(s.push_messages, 2);
@@ -307,7 +294,6 @@ mod tests {
         assert_eq!(s.merge(&s).kernel_probe, 6);
         assert_eq!((s.extend_rows, s.extend_prefix_reuses), (9, 4));
         assert_eq!(s.merge(&s).extend_prefix_reuses, 8);
-        assert_eq!(s.col_bytes, 128);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use huge_comm::stats::ClusterStats;
-use huge_comm::{LinkFault, Router, RouterTrace, RpcFabric, TransportConfig};
+use huge_comm::{LinkFault, Router, RpcFabric, TransportConfig};
 use huge_graph::{Graph, GraphStats, Partitioner};
 use huge_plan::cost::{CostModel, HybridEstimator};
 use huge_plan::logical::ExecutionPlan;
@@ -143,9 +143,9 @@ impl HugeCluster {
         }
         let k = self.config.machines;
         // The run's flight recorder owns the shared clock (t=0 on every
-        // track), the span gate and the metrics registry. It exists in every
-        // mode — counters and per-segment aggregates are always collected;
-        // span rings only record in `TraceMode::Full`.
+        // track) and the span gate. It exists in every mode — per-segment
+        // aggregates are always collected; span rings only record in
+        // `TraceMode::Full`.
         let recorder = Recorder::new(self.config.tracing);
         let comm_stats = ClusterStats::new(k);
         // Bounded, event-driven router: producers see backpressure when a
@@ -171,11 +171,6 @@ impl HugeCluster {
                 ..TransportConfig::default()
             });
         }
-        // The router's counter pack is cluster-wide (endpoints are cloned and
-        // shared across threads); it must be installed before any endpoint is
-        // minted below.
-        router.set_trace(RouterTrace::register(recorder.registry()));
-        let router = router;
         let rpc = RpcFabric::new(Arc::clone(&self.partitions), comm_stats.clone());
         let cache_bytes = self.config.effective_cache_bytes(self.stats.csr_bytes);
         let spill_root = spill_dir();
@@ -185,12 +180,7 @@ impl HugeCluster {
         // through shared handles (a no-op unless a budget is configured).
         let trackers: Vec<Arc<MemoryTracker>> =
             (0..k).map(|_| Arc::new(MemoryTracker::new())).collect();
-        let governor = MemoryGovernor::new(
-            &self.config,
-            &trackers,
-            router.endpoint(0),
-            recorder.registry(),
-        );
+        let governor = MemoryGovernor::new(&self.config, &trackers, router.endpoint(0));
 
         // Per-machine state, persisted across segments.
         let mut machines: Vec<MachineState> = (0..k)
@@ -216,8 +206,7 @@ impl HugeCluster {
         // then pre-instantiate every join segment's PUSH-JOIN on each machine
         // so shuffled inputs stream into the builds as they arrive.
         let segment_plans = build_segment_plans(dataflow);
-        let op_names: Vec<Vec<String>> = segment_plans.iter().map(|p| p.op_names()).collect();
-        let op_slots: Vec<usize> = op_names.iter().map(Vec::len).collect();
+        let op_slots: Vec<usize> = segment_plans.iter().map(SegmentPlan::op_slots).collect();
         for (m, state) in machines.iter_mut().enumerate() {
             // One flight-recorder track per machine thread, with a per-run
             // aggregate slot for every segment and each of its operators.
@@ -360,91 +349,14 @@ impl HugeCluster {
 
         // Flight-recorder export. The rings were drained by their owning
         // machine threads, which have all joined above, so the snapshot is
-        // safe. Run-level outcomes are folded into the registry here (the
-        // live counters — router, governor — accumulated during the run).
-        let (trace, metrics) = if recorder.mode() == TraceMode::Off {
-            (None, None)
-        } else {
-            let reg = recorder.registry();
-            reg.counter("huge_matches_total", "Matches counted by the sinks")
-                .add(matches);
-            reg.counter(
-                "huge_steal_batches_total",
-                "Batches obtained through inter-machine scan stealing",
-            )
-            .add(machine_reports.iter().map(|m| m.batches_stolen).sum());
-            reg.counter(
-                "huge_join_partitions_shipped_total",
-                "Grace partitions shipped to thieves (victim side)",
-            )
-            .add(join.partitions_shipped);
-            reg.counter(
-                "huge_join_partitions_stolen_total",
-                "Grace partitions adopted and probed by thieves",
-            )
-            .add(join.partitions_stolen);
-            reg.counter(
-                "huge_join_probe_pairs_total",
-                "Candidate row pairs tested by PUSH-JOIN probes",
-            )
-            .add(join.probe_pairs);
-            reg.counter(
-                "huge_join_probe_matches_total",
-                "Tested pairs that survived the probe's checks (joined rows)",
-            )
-            .add(join.probe_matches);
-            reg.counter(
-                "huge_extend_rows_total",
-                "Rows fed to match-mode PULL-EXTENDs",
-            )
-            .add(comm_total.extend_rows);
-            reg.counter(
-                "huge_extend_prefix_reuse_total",
-                "Extend rows served the previous row's prefix intersection",
-            )
-            .add(comm_total.extend_prefix_reuses);
-            reg.counter(
-                "huge_spill_bytes_total",
-                "Join build bytes spilled to disk under Red pressure",
-            )
-            .add(
-                governor_report
-                    .as_ref()
-                    .map(|g| g.spilled_bytes)
-                    .unwrap_or(0),
-            );
-            let mut op_busy = Vec::new();
-            for (segment, names) in op_names.iter().enumerate() {
-                for (slot, op) in names.iter().enumerate() {
-                    let busy: Duration = machine_reports
-                        .iter()
-                        .map(|m| m.op_busy[segment][slot])
-                        .sum();
-                    let labels = format!("segment=\"{segment}\",op=\"{op}\"");
-                    op_busy.push((labels, busy.as_secs_f64()));
-                }
-            }
-            reg.counter_family(
-                "huge_operator_busy_seconds_total",
-                "Busy time per segment and operator slot, summed over machines",
-                op_busy,
-            );
-            let compute_ms = reg.histogram(
-                "huge_machine_compute_ms",
-                "Per-machine active compute time per run (milliseconds)",
-                &[1, 5, 10, 50, 100, 500, 1000, 5000, 10000],
-            );
-            for m in &machine_reports {
-                compute_ms.observe(m.compute_time.as_millis() as u64);
-            }
+        // safe.
+        let trace = (recorder.mode() == TraceMode::Full).then(|| {
             let timeline = recorder.timeline();
             let mut summary = timeline.summary();
             summary.segments = recorder.segment_breakdown();
-            if recorder.mode() == TraceMode::Full {
-                summary.chrome_json = Some(timeline.chrome_json());
-            }
-            (Some(summary), Some(reg.prometheus_text()))
-        };
+            summary.chrome_json = Some(timeline.chrome_json());
+            summary
+        });
 
         let report = RunReport {
             query: dataflow.query.name().to_string(),
@@ -465,7 +377,6 @@ impl HugeCluster {
             leaked_bytes,
             orphaned_spill_files,
             trace,
-            metrics,
         };
         match run_err {
             None => Ok(report),

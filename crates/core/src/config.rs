@@ -187,10 +187,9 @@ pub struct ClusterConfig {
     /// [`EngineError::DeadlineExceeded`](crate::EngineError) carrying the
     /// partial-stats report. `None` (the default) never expires.
     pub deadline: Option<Duration>,
-    /// Flight-recorder configuration: off (default), metrics-only, or full
-    /// span recording with timeline export. See
-    /// [`RunReport::trace`](crate::report::RunReport) and
-    /// [`RunReport::metrics`](crate::report::RunReport) for the outputs.
+    /// Flight-recorder configuration: off (default) or full span recording
+    /// with timeline export. See
+    /// [`RunReport::trace`](crate::report::RunReport) for the output.
     pub tracing: TraceConfig,
 }
 

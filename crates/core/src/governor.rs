@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use huge_comm::RouterEndpoint;
-use huge_trace::{Counter, Registry};
 
 use crate::config::ClusterConfig;
 use crate::memory::MemoryTracker;
@@ -133,6 +132,9 @@ struct MachineControl {
     transition: Mutex<()>,
     /// Effective row capacity shared by every `SharedQueue` of this machine.
     queue_capacity: Arc<AtomicUsize>,
+    /// Ladder transitions of this machine into Yellow and into Red.
+    transitions_yellow: AtomicU64,
+    transitions_red: AtomicU64,
     throttled_batches: AtomicU64,
     spilled_bytes: AtomicU64,
     shipped_bytes: AtomicU64,
@@ -150,23 +152,16 @@ pub struct MemoryGovernor {
     router_queue_rows: usize,
     batch_size: usize,
     router: RouterEndpoint,
-    /// Ladder transitions, sourced from the run's flight-recorder registry
-    /// (one clock, one collection path — these also feed the Prometheus
-    /// snapshot and [`GovernorReport`]). Cluster-wide totals.
-    transitions_yellow: Arc<Counter>,
-    transitions_red: Arc<Counter>,
 }
 
 impl MemoryGovernor {
     /// Builds the governor for one run over the machines' trackers. The
     /// router endpoint (any machine's) is the handle through which inbox
-    /// capacities are adjusted; `registry` is the run's flight-recorder
-    /// metrics registry, on which the ladder-transition counters live.
+    /// capacities are adjusted.
     pub fn new(
         config: &ClusterConfig,
         trackers: &[Arc<MemoryTracker>],
         router: RouterEndpoint,
-        registry: &Registry,
     ) -> Arc<Self> {
         let output_queue_rows = config.output_queue_rows.max(1);
         let machines = trackers
@@ -176,6 +171,8 @@ impl MemoryGovernor {
                 level: AtomicU8::new(0),
                 transition: Mutex::new(()),
                 queue_capacity: Arc::new(AtomicUsize::new(output_queue_rows)),
+                transitions_yellow: AtomicU64::new(0),
+                transitions_red: AtomicU64::new(0),
                 throttled_batches: AtomicU64::new(0),
                 spilled_bytes: AtomicU64::new(0),
                 shipped_bytes: AtomicU64::new(0),
@@ -189,14 +186,6 @@ impl MemoryGovernor {
             router_queue_rows: config.router_queue_rows.max(1),
             batch_size: config.batch_size.max(1),
             router,
-            transitions_yellow: registry.counter(
-                "huge_governor_transitions_yellow_total",
-                "Pressure-ladder transitions into Yellow, cluster-wide",
-            ),
-            transitions_red: registry.counter(
-                "huge_governor_transitions_red_total",
-                "Pressure-ladder transitions into Red, cluster-wide",
-            ),
         })
     }
 
@@ -252,10 +241,13 @@ impl MemoryGovernor {
         let new = next_level(old, ctl.tracker.current(), budget);
         if new != old {
             ctl.level.store(new as u8, Ordering::Relaxed);
-            match new {
-                PressureLevel::Yellow => self.transitions_yellow.inc(),
-                PressureLevel::Red => self.transitions_red.inc(),
-                PressureLevel::Green => {}
+            let transitions = match new {
+                PressureLevel::Yellow => Some(&ctl.transitions_yellow),
+                PressureLevel::Red => Some(&ctl.transitions_red),
+                PressureLevel::Green => None,
+            };
+            if let Some(count) = transitions {
+                count.fetch_add(1, Ordering::Relaxed);
             }
             self.apply_capacities(m, new);
         }
@@ -335,8 +327,8 @@ impl MemoryGovernor {
         Some(GovernorReport {
             budget_bytes,
             machine_budget_bytes: machine_budget,
-            transitions_to_yellow: self.transitions_yellow.get(),
-            transitions_to_red: self.transitions_red.get(),
+            transitions_to_yellow: sum(|c| &c.transitions_yellow),
+            transitions_to_red: sum(|c| &c.transitions_red),
             throttled_batches: sum(|c| &c.throttled_batches),
             spilled_bytes: sum(|c| &c.spilled_bytes),
             shipped_bytes: sum(|c| &c.shipped_bytes),
@@ -363,8 +355,7 @@ mod tests {
         let router = Router::with_capacity(k, stats, config.router_queue_rows);
         let trackers: Vec<Arc<MemoryTracker>> =
             (0..k).map(|_| Arc::new(MemoryTracker::new())).collect();
-        let registry = Registry::new();
-        let governor = MemoryGovernor::new(config, &trackers, router.endpoint(0), &registry);
+        let governor = MemoryGovernor::new(config, &trackers, router.endpoint(0));
         (governor, trackers, router)
     }
 

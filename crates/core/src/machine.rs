@@ -117,21 +117,13 @@ pub struct SegmentPlan {
 }
 
 impl SegmentPlan {
-    /// Names of the segment's operator slots, in the order of
-    /// [`MachineReport::op_busy`]: the source (`scan` or `join`, the probe),
-    /// each extend, the terminal (a shuffle's terminal includes its
+    /// Number of the segment's operator slots, in the order of
+    /// [`MachineReport::op_busy`]: the source (the scan, or the join's
+    /// probe), each extend, the terminal (a shuffle's terminal includes its
     /// backpressure waits), and the inbox absorbed between scheduling steps
     /// (other segments' shuffle input landing in their builds).
-    pub fn op_names(&self) -> Vec<String> {
-        let source = match self.segment.source {
-            SegmentSource::Scan(_) => "scan",
-            SegmentSource::Join(_) => "join",
-        };
-        let extends = (1..=self.segment.extends.len()).map(|i| format!("extend{i}"));
-        std::iter::once(source.to_string())
-            .chain(extends)
-            .chain(["terminal".to_string(), "absorb".to_string()])
-            .collect()
+    pub fn op_slots(&self) -> usize {
+        self.segment.extends.len() + 3
     }
 }
 
@@ -407,7 +399,7 @@ impl MachineState {
     /// the moment it arrives — during the *producing* segment. `trace` is
     /// this machine's flight-recorder track, minted by the cluster's
     /// [`Recorder`](huge_trace::Recorder) with one aggregate slot per
-    /// segment and per [`SegmentPlan::op_names`] entry; its epoch is the
+    /// segment and per [`SegmentPlan::op_slots`] slot; its epoch is the
     /// shared instant all spans measure against.
     pub fn prepare_run(&mut self, plans: &[SegmentPlan], trace: TraceBuf, cancel: CancelToken) {
         self.trace = trace;
@@ -1035,7 +1027,7 @@ impl MachineState {
             self.maybe_panic_at(segment, PanicPoint::Probe);
         }
         let queues = Arc::clone(&v.seg().queues[self.machine]);
-        // Busy-time slots (`SegmentPlan::op_names`): the source, one per
+        // Busy-time slots (`SegmentPlan::op_slots`): the source, one per
         // extend, the terminal, the absorb.
         let terminal_slot = chain.extends.len() + 1;
         let absorb_slot = terminal_slot + 1;
@@ -1203,12 +1195,7 @@ impl MachineState {
                     self.matches += counted.unwrap_or(0);
                     return Ok(counted.map(|_| (0, Vec::new())));
                 }
-                let batch = join.next_batch()?;
-                if let Some(batch) = &batch {
-                    let stats = self.rpc.stats().machine(self.machine);
-                    stats.record_col_bytes(batch.byte_size());
-                }
-                batch
+                join.next_batch()?
             }
             _ => {
                 let Some((level, input)) = queues.pop_deepest() else {

@@ -240,12 +240,7 @@ impl ScanCursor {
         }
         // `batch_size` rows at most, far below 32 bits.
         ends.push(dst.len() as u32);
-        let cols = ColBatch::from_runs(vec![src, dst], ends);
-        ctx.rpc
-            .stats()
-            .machine(ctx.machine)
-            .record_col_bytes(cols.byte_size());
-        Some(cols)
+        Some(ColBatch::from_runs(vec![src, dst], ends))
     }
 }
 
@@ -1162,8 +1157,6 @@ impl Nest<'_> {
         if let Some((levels, terminal)) = self.gather {
             if next == self.specs.len() {
                 self.count += piece.len() as u64;
-                let stats = self.ctx.rpc.stats().machine(self.ctx.machine);
-                stats.record_col_bytes(piece.byte_size());
                 terminal.push(piece);
                 self.room = !terminal.is_full();
                 return;
@@ -1702,10 +1695,8 @@ mod tests {
         assert_eq!(row_total, 56);
         assert_eq!(col_total, 56);
         assert_eq!(count_total, 56);
-        // The columnar paths dispatched kernels and charged column bytes.
-        let total = rpc.stats().total();
-        assert!(total.kernel_invocations() > 0);
-        assert!(total.col_bytes > 0);
+        // The columnar paths dispatched kernels.
+        assert!(rpc.stats().total().kernel_invocations() > 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct MachineReport {
     pub segment_busy: Vec<Duration>,
     /// Where each segment's busy time went on this machine: indexed by
     /// segment id, then by operator slot in the order of
-    /// [`SegmentPlan::op_names`](crate::machine::SegmentPlan::op_names)
+    /// [`SegmentPlan::op_slots`](crate::machine::SegmentPlan::op_slots)
     /// (source, each extend, terminal, inbox absorb). A segment's slots sum
     /// to at most its `segment_busy`; the rest is scheduling between
     /// operators (queue checks, governor ticks, steal servicing, chain
@@ -191,13 +191,10 @@ pub struct RunReport {
     /// `Drop` path missed a file — the chaos harness asserts zero.
     pub orphaned_spill_files: u64,
     /// Flight-recorder summary: span/instant counts, exact ring-overflow
-    /// drops, the per-segment busy/wait breakdown, and (in full-span mode)
-    /// the Chrome trace-event JSON export. `None` unless the run was
-    /// configured with [`TraceMode::Full`](huge_trace::TraceMode).
+    /// drops, the per-segment busy/wait breakdown and the Chrome
+    /// trace-event JSON export. `None` unless the run was configured with
+    /// [`TraceMode::Full`](huge_trace::TraceMode).
     pub trace: Option<TraceSummary>,
-    /// Prometheus-text snapshot of the run's metrics registry. `None` when
-    /// tracing is off entirely.
-    pub metrics: Option<String>,
 }
 
 impl RunReport {

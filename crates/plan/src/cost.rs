@@ -6,7 +6,7 @@
 //! unit) and falls back to an Erdős–Rényi style chain estimate for general
 //! sub-queries.
 
-use huge_graph::{Graph, GraphStats};
+use huge_graph::Graph;
 use huge_query::QueryGraph;
 
 use crate::physical::PhysicalSetting;
@@ -51,23 +51,6 @@ impl HybridEstimator {
             num_vertices: n,
             num_edges: graph.num_edges() as f64,
             avg_degree: graph.avg_degree(),
-            falling_moments: moments,
-        }
-    }
-
-    /// Builds an estimator from summary statistics only (degree moments are
-    /// approximated as `n · d̄^k`, which underestimates skewed graphs).
-    pub fn from_stats(stats: &GraphStats) -> Self {
-        let n = stats.num_vertices as f64;
-        let mut moments = [0.0f64; 9];
-        moments[0] = n;
-        for (k, moment) in moments.iter_mut().enumerate().skip(1) {
-            *moment = n * stats.avg_degree.powi(k as i32);
-        }
-        HybridEstimator {
-            num_vertices: n,
-            num_edges: stats.num_edges as f64,
-            avg_degree: stats.avg_degree,
             falling_moments: moments,
         }
     }
@@ -205,12 +188,6 @@ impl CostModel {
         }
     }
 
-    /// A cost model derived from graph statistics (enables the tightened
-    /// pulling bound).
-    pub fn from_stats(num_machines: usize, stats: &GraphStats) -> Self {
-        CostModel::new(num_machines, stats.num_edges).with_avg_degree(stats.avg_degree)
-    }
-
     /// Enables the tightened pulling bound using the graph's average degree.
     pub fn with_avg_degree(mut self, avg_degree: f64) -> Self {
         self.avg_degree = avg_degree;
@@ -318,20 +295,6 @@ mod tests {
         let c = est.estimate(&clique, &SubQuery::full(&clique));
         let s = est.estimate(&square, &SubQuery::full(&square));
         assert!(c < s, "clique {c} should be rarer than square {s}");
-    }
-
-    #[test]
-    fn stats_estimator_is_consistent() {
-        let g = gen::erdos_renyi(300, 1200, 7);
-        let from_graph = HybridEstimator::from_graph(&g);
-        let from_stats = HybridEstimator::from_stats(&GraphStats::of(&g));
-        let q = Pattern::Triangle.query_graph();
-        let sub = SubQuery::full(&q);
-        let a = from_graph.estimate(&q, &sub);
-        let b = from_stats.estimate(&q, &sub);
-        // ER graphs have little skew, so both estimates should be within an
-        // order of magnitude of each other.
-        assert!(a / b < 10.0 && b / a < 10.0, "a={a} b={b}");
     }
 
     #[test]

@@ -9,11 +9,6 @@
 //!   events. Recording is gated by one shared [`AtomicBool`]; the disabled
 //!   path is a single relaxed load — no allocation, no lock, nothing to
 //!   mispredict in a scheduling loop.
-//! - **Metrics registry** ([`metrics::Registry`]): typed counters and
-//!   fixed-bucket histograms registered once and exported as a
-//!   Prometheus-text snapshot. Counters are plain relaxed atomics and stay
-//!   live in every mode (they are as cheap as the comm byte counters the
-//!   runtime already keeps).
 //! - **Timeline assembly** ([`timeline::Timeline`]): after the run, the
 //!   rings are stitched into Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) with one track per machine/worker.
@@ -29,10 +24,8 @@
 //! the rings. On overflow the ring overwrites the oldest slots and the
 //! recorder reports exactly how many events were dropped.
 
-pub mod metrics;
 pub mod timeline;
 
-pub use metrics::{Counter, Histogram, Registry};
 pub use timeline::{Timeline, TraceSegment, TraceSummary, Track};
 
 use std::cell::{Cell, UnsafeCell};
@@ -47,14 +40,11 @@ pub const DEFAULT_RING_CAPACITY: usize = 32 * 1024;
 /// What the recorder captures for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// No spans, no exported metrics. Always-on aggregates (per-segment
-    /// busy/span stamps, registry counters) still tick — reports depend on
-    /// them — but nothing is exported.
+    /// No spans. The always-on aggregates (per-segment busy/span stamps)
+    /// still tick — reports depend on them — but nothing is exported.
     #[default]
     Off,
-    /// Export the Prometheus metrics snapshot; record no span events.
-    Metrics,
-    /// Metrics plus full span/instant recording and timeline export.
+    /// Full span/instant recording and timeline export.
     Full,
 }
 
@@ -83,15 +73,7 @@ impl TraceConfig {
         TraceConfig::default()
     }
 
-    /// Metrics snapshot only; no span recording.
-    pub fn metrics_only() -> Self {
-        TraceConfig {
-            mode: TraceMode::Metrics,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Full span recording plus metrics.
+    /// Full span recording and timeline export.
     pub fn full() -> Self {
         TraceConfig {
             mode: TraceMode::Full,
@@ -408,11 +390,6 @@ impl TraceBuf {
         }
     }
 
-    /// Number of segments this buffer aggregates over.
-    pub fn segments(&self) -> usize {
-        self.ring.seg_busy.len()
-    }
-
     /// Per-segment busy time accumulated through [`TraceBuf::seg_add_busy`].
     pub fn segment_busy(&self) -> Vec<Duration> {
         self.ring
@@ -451,9 +428,9 @@ impl TraceBuf {
     }
 }
 
-/// Per-run flight recorder: owns the clock, the span gate, the rings and the
-/// metrics registry. Created by the cluster at run start; after the machine
-/// threads join, [`Recorder::timeline`] assembles the export.
+/// Per-run flight recorder: owns the clock, the span gate and the rings.
+/// Created by the cluster at run start; after the machine threads join,
+/// [`Recorder::timeline`] assembles the export.
 pub struct Recorder {
     epoch: Instant,
     config: TraceConfig,
@@ -462,7 +439,6 @@ pub struct Recorder {
     /// Cold cross-thread track for rare whole-run events (cancellation,
     /// deadline). Mutex-protected: these fire at most once per run.
     global: Mutex<Vec<Event>>,
-    registry: Registry,
 }
 
 impl Recorder {
@@ -474,13 +450,7 @@ impl Recorder {
             spans_enabled: Arc::new(AtomicBool::new(config.mode == TraceMode::Full)),
             rings: Mutex::new(Vec::new()),
             global: Mutex::new(Vec::new()),
-            registry: Registry::new(),
         }
-    }
-
-    /// The run-relative clock's zero point.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// The configured capture level.
@@ -488,19 +458,9 @@ impl Recorder {
         self.config.mode
     }
 
-    /// Microseconds since the epoch, now.
-    pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
     /// Translates an absolute instant onto the run-relative axis.
     pub fn micros_at(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    /// The metrics registry (counters stay live in every mode).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Mints the single-writer buffer for a new track. `pid` groups tracks
@@ -616,14 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mode_still_records_no_spans() {
-        let rec = recorder(TraceMode::Metrics, 64);
-        let buf = rec.ring(0, "machine-0", &[]);
-        buf.exit(buf.enter("chain"));
-        assert!(rec.timeline().tracks[0].events.is_empty());
-    }
-
-    #[test]
     fn overflow_keeps_newest_and_counts_drops_exactly() {
         let rec = recorder(TraceMode::Full, 8);
         let buf = rec.ring(0, "m", &[]);
@@ -656,7 +608,7 @@ mod tests {
 
     #[test]
     fn segment_aggregates_work_in_every_mode() {
-        for mode in [TraceMode::Off, TraceMode::Metrics, TraceMode::Full] {
+        for mode in [TraceMode::Off, TraceMode::Full] {
             let rec = recorder(mode, 16);
             let buf = rec.ring(0, "m", &[0, 2, 0]);
             buf.seg_mark_start(1);

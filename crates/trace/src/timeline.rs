@@ -64,7 +64,7 @@ pub struct TraceSegment {
 }
 
 /// What `RunReport::trace` carries: headline counts plus the per-segment
-/// breakdown and (in full mode) the exported Chrome JSON.
+/// breakdown and the exported Chrome JSON.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
     /// Completed spans assembled across all tracks.
