@@ -249,7 +249,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use huge_graph::gen;
+    use huge_graph::{gen, GraphStats};
     use huge_query::Pattern;
 
     #[test]
@@ -295,6 +295,24 @@ mod tests {
         let c = est.estimate(&clique, &SubQuery::full(&clique));
         let s = est.estimate(&square, &SubQuery::full(&square));
         assert!(c < s, "clique {c} should be rarer than square {s}");
+    }
+
+    #[test]
+    fn stats_estimator_is_consistent() {
+        let g = gen::erdos_renyi(300, 1200, 7);
+        let est = HybridEstimator::from_graph(&g);
+        let stats = GraphStats::of(&g);
+        assert_eq!(est.num_vertices(), stats.num_vertices as f64);
+        assert_eq!(est.num_edges(), stats.num_edges as f64);
+        // The first falling moment is the degree sum, 2|E|.
+        assert_eq!(est.degree_moment(1), 2.0 * stats.num_edges as f64);
+        // ER graphs have little skew, so the triangle estimate should be
+        // within an order of magnitude of the exact labelled count (each
+        // triangle has 6 automorphisms).
+        let q = Pattern::Triangle.query_graph();
+        let a = est.estimate(&q, &SubQuery::full(&q));
+        let b = 6.0 * stats.triangles as f64;
+        assert!(a / b < 10.0 && b / a < 10.0, "a={a} b={b}");
     }
 
     #[test]
