@@ -323,14 +323,16 @@ impl HugeCluster {
         let comm_time = self.config.network().time_for_snapshot(&comm_total);
         let machine_reports: Vec<_> = machines.iter().map(|m| m.report()).collect();
         let matches = machine_reports.iter().map(|m| m.matches).sum();
+        // Samples leave the engine in the input's ids, not degree ranks.
         let mut samples: Vec<Vec<u32>> = Vec::new();
         if let SinkMode::Collect(limit) = sink {
+            let graph = &self.partitions[0];
             for m in &machines {
                 for s in &m.samples {
                     if samples.len() >= limit {
                         break;
                     }
-                    samples.push(s.clone());
+                    samples.push(s.iter().map(|&v| graph.input_id(v)).collect());
                 }
             }
         }
@@ -537,7 +539,11 @@ mod tests {
         let report = cluster.run(&query, SinkMode::Collect(10)).unwrap();
         assert_eq!(report.matches, 35);
         assert!(!report.sample_matches.is_empty());
+        // Samples come back in the input's ids.
+        let mut rank = vec![0; g.num_vertices()];
+        g.vertices().for_each(|v| rank[g.input_id(v) as usize] = v);
         for m in &report.sample_matches {
+            let m: Vec<u32> = m.iter().map(|&v| rank[v as usize]).collect();
             assert_eq!(m.len(), 3);
             // Every pair must be an edge of the data graph.
             assert!(g.has_edge(m[0], m[1]));

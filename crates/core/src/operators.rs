@@ -2127,10 +2127,11 @@ mod tests {
         ];
         let (mut whole, mut cut, mut spare) = (Vec::new(), Vec::new(), Vec::new());
         let mut tally = KernelTally::default();
-        // Pairs and triples whose later operands include hubs (vertex 0 and
-        // its early neighbours are BA's oldest, highest-degree vertices).
+        // Pairs and triples whose later operands include hubs (ids are
+        // degree ranks: vertex 0 and the low ids are the highest-degree
+        // vertices) and non-hubs (the high ids).
         for u in (10..400).step_by(7) {
-            for mut exts in [vec![u, 0], vec![u, u / 2, 1], vec![u, 2, 0]] {
+            for mut exts in [vec![u, 0], vec![u, 399 - u / 2, 1], vec![u, 2, 0]] {
                 exts.sort_unstable_by_key(|&v| c.partition.degree(v));
                 let bufs = (&mut whole, &mut spare);
                 intersect_ext_lists(&exts, (None, None), &c, &view, bufs, &mut tally);

@@ -149,7 +149,8 @@ pub struct RunReport {
     pub query: String,
     /// Total number of matches (summed over machines).
     pub matches: u64,
-    /// A sample of complete matches when the sink was configured to collect.
+    /// A sample of complete matches when the sink was configured to collect,
+    /// in the input's vertex ids ([`huge_graph::Graph::input_id`]).
     pub sample_matches: Vec<Vec<u32>>,
     /// Wall-clock time of the parallel run (the paper's computation time
     /// `T_R`; the simulation transfers no real network bytes, so wall clock

@@ -1,11 +1,16 @@
 //! Checked graph construction.
 
+use std::cmp::Reverse;
+
 use crate::graph::{Graph, VertexId};
 
-/// Incremental builder for [`Graph`].
+/// Incremental builder for [`Graph`], and the one way to make one.
 ///
 /// The builder accumulates undirected edges, removes duplicates and self
-/// loops, and produces a CSR [`Graph`] with sorted adjacency lists.
+/// loops, and produces a CSR [`Graph`] with sorted adjacency lists whose
+/// vertices are numbered by descending degree, ties by input id. Every
+/// generator and loader goes through [`GraphBuilder::build`], so every graph
+/// the engine sees has hubs at the smallest ids.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     edges: Vec<(VertexId, VertexId)>,
@@ -47,7 +52,12 @@ impl GraphBuilder {
         self
     }
 
-    /// Finalizes the builder into a CSR graph.
+    /// Finalizes the builder into a CSR graph in degree-rank order.
+    ///
+    /// The degrees counted for the offsets also renumber the vertices: a
+    /// stable sort by descending degree gives each vertex its rank, and the
+    /// CSR is filled with ranks directly, so the graph is written once. The rank → input id map is kept in the graph
+    /// ([`Graph::input_id`]).
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
@@ -63,16 +73,25 @@ impl GraphBuilder {
             degrees[u as usize] += 1;
             degrees[v as usize] += 1;
         }
+        // Renumber: rank `r` is the `r`-th vertex by descending degree, ties
+        // by input id (the sort is stable).
+        let mut input_ids: Vec<VertexId> = (0..n as VertexId).collect();
+        input_ids.sort_by_key(|&v| Reverse(degrees[v as usize]));
+        let mut rank = vec![0 as VertexId; n];
+        for (r, &v) in input_ids.iter().enumerate() {
+            rank[v as usize] = r as VertexId;
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0u64;
         offsets.push(0);
-        for d in &degrees {
-            acc += d;
+        for &v in &input_ids {
+            acc += degrees[v as usize];
             offsets.push(acc);
         }
         let mut cursor: Vec<u64> = offsets[..n].to_vec();
         let mut neighbours = vec![0 as VertexId; acc as usize];
         for &(u, v) in &self.edges {
+            let (u, v) = (rank[u as usize], rank[v as usize]);
             neighbours[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
             neighbours[cursor[v as usize] as usize] = u;
@@ -84,7 +103,7 @@ impl GraphBuilder {
             let hi = offsets[v + 1] as usize;
             neighbours[lo..hi].sort_unstable();
         }
-        Graph::from_csr(offsets, neighbours, num_edges)
+        Graph::from_csr(offsets, neighbours, num_edges, input_ids)
     }
 }
 
@@ -102,7 +121,11 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.neighbours(3), &[0, 1, 2]);
+        // Input vertex 3 is the hub, so it is vertex 0; the leaves keep
+        // their input order behind it.
+        let input_ids: Vec<VertexId> = g.vertices().map(|v| g.input_id(v)).collect();
+        assert_eq!(input_ids, [3, 0, 1, 2]);
+        assert_eq!(g.neighbours(0), &[1, 2, 3]);
     }
 
     #[test]

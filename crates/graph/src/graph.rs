@@ -8,7 +8,9 @@ use crate::stats::GraphStats;
 /// The paper assigns each vertex a unique integer id in `0..|V|` (§2); we use
 /// `u32` which is sufficient for the laptop-scale graphs this reproduction
 /// targets while halving the memory footprint of adjacency lists compared to
-/// `u64`.
+/// `u64`. Inside a [`Graph`] an id is the vertex's *degree rank*: id 0 has the
+/// largest degree, and equal degrees keep the input's id order.
+/// [`Graph::input_id`] maps a rank back to the id the input used.
 pub type VertexId = u32;
 
 /// An immutable, undirected graph in compressed sparse row (CSR) form.
@@ -18,6 +20,12 @@ pub type VertexId = u32;
 /// * binary-search edge existence checks ([`Graph::has_edge`]),
 /// * linear-merge multi-way intersections (the kernel of `PULL-EXTEND`),
 /// * cheap symmetry-breaking filters (`u < u'` comparisons on ids).
+///
+/// Vertices are numbered in descending-degree order, ties by input id (see
+/// [`VertexId`]), so hubs hold the smallest ids: an order filter `u < u'`
+/// then keeps a vertex's lower-degree side, and the vertices at or above any
+/// degree are the ids below some `h`. [`GraphBuilder::build`] is the one
+/// constructor; it keeps the rank → input id map ([`Graph::input_id`]).
 ///
 /// The graph is undirected: every edge `(u, v)` appears in both `adj(u)` and
 /// `adj(v)`. [`Graph::num_edges`] reports the number of undirected edges.
@@ -29,6 +37,8 @@ pub struct Graph {
     neighbours: Vec<VertexId>,
     /// Number of undirected edges.
     num_edges: u64,
+    /// `input_ids[v]` is the id the input gave vertex `v`.
+    input_ids: Vec<VertexId>,
 }
 
 impl Default for Graph {
@@ -38,33 +48,44 @@ impl Default for Graph {
             offsets: vec![0],
             neighbours: Vec::new(),
             num_edges: 0,
+            input_ids: Vec::new(),
         }
     }
 }
 
 impl Graph {
-    /// Creates a graph directly from CSR arrays.
+    /// Creates a graph directly from CSR arrays in degree-rank order.
     ///
     /// `offsets` must have length `n + 1`, be non-decreasing, start at 0 and
-    /// end at `neighbours.len()`. Each adjacency slice must be sorted. These
-    /// invariants are checked with debug assertions only; use
-    /// [`GraphBuilder`] for checked construction.
-    pub fn from_csr(offsets: Vec<u64>, neighbours: Vec<VertexId>, num_edges: u64) -> Self {
+    /// end at `neighbours.len()`; degrees must be non-increasing; each
+    /// adjacency slice must be sorted; `input_ids` must have length `n`.
+    /// These invariants are checked with debug assertions only: the one
+    /// caller is [`GraphBuilder::build`].
+    pub(crate) fn from_csr(
+        offsets: Vec<u64>,
+        neighbours: Vec<VertexId>,
+        num_edges: u64,
+        input_ids: Vec<VertexId>,
+    ) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.first().unwrap(), 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, neighbours.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(offsets.windows(3).all(|w| w[1] - w[0] >= w[2] - w[1]));
+        debug_assert_eq!(input_ids.len() + 1, offsets.len());
         Graph {
             offsets,
             neighbours,
             num_edges,
+            input_ids,
         }
     }
 
     /// Builds a graph from an iterator of undirected edges.
     ///
-    /// Duplicate edges and self loops are removed. Vertex ids are taken as
-    /// given (the vertex count is `max id + 1`).
+    /// Duplicate edges and self loops are removed. The vertex count is
+    /// `max id + 1`; vertices are renumbered by descending degree, and
+    /// [`Graph::input_id`] gives back the ids of `edges`.
     pub fn from_edges<I>(edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
@@ -111,6 +132,15 @@ impl Graph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
+    /// The id the input gave vertex `v`.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn input_id(&self, v: VertexId) -> VertexId {
+        self.input_ids[v as usize]
+    }
+
     /// Returns `true` if the undirected edge `(u, v)` exists.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
@@ -143,9 +173,13 @@ impl Graph {
         })
     }
 
-    /// Maximum degree `D_G` over all vertices.
+    /// Maximum degree `D_G` over all vertices: vertex 0's.
     pub fn max_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
+        if self.is_empty() {
+            0
+        } else {
+            self.degree(0)
+        }
     }
 
     /// Average degree `d_G`.
@@ -166,7 +200,8 @@ impl Graph {
     ///
     /// Used to model the "pull at most the whole graph data" communication
     /// bound (`k · |E_G|`, Remark 3.1) and to size caches as a fraction of
-    /// the graph (the paper's "cache capacity: 30% of the data graph").
+    /// the graph (the paper's "cache capacity: 30% of the data graph"). The
+    /// input id map is not part of it.
     pub fn csr_bytes(&self) -> u64 {
         (self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbours.len() * std::mem::size_of::<VertexId>()) as u64
@@ -247,6 +282,11 @@ mod tests {
         Graph::from_edges((0..n - 1).map(|i| (i, i + 1)))
     }
 
+    /// The vertex the input called `input`.
+    fn id(g: &Graph, input: VertexId) -> VertexId {
+        g.vertices().find(|&v| g.input_id(v) == input).unwrap()
+    }
+
     #[test]
     fn empty_graph() {
         let g = Graph::default();
@@ -260,21 +300,26 @@ mod tests {
     #[test]
     fn triangle_basics() {
         let g = Graph::from_edges([(0, 1), (1, 2), (0, 2)]);
+        let [a, b, c] = [0, 1, 2].map(|x| id(&g, x));
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.degree(0), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 3));
+        assert_eq!(g.degree(a), 2);
+        assert!(g.has_edge(a, b));
+        assert!(g.has_edge(b, a));
+        assert!(!g.has_edge(a, 3));
         assert_eq!(g.count_triangles(), 1);
-        assert_eq!(g.neighbours(1), &[0, 2]);
+        let mut nbrs: Vec<VertexId> = g.neighbours(b).iter().map(|&v| g.input_id(v)).collect();
+        nbrs.sort_unstable();
+        assert_eq!(nbrs, [0, 2]);
+        assert_eq!(g.neighbours(b), &[a.min(c), a.max(c)]);
     }
 
     #[test]
     fn duplicate_and_self_loops_removed() {
         let g = Graph::from_edges([(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)]);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(2), 1);
+        assert_eq!(g.degree(id(&g, 2)), 1);
+        assert_eq!(g.degree(id(&g, 1)), 2);
     }
 
     #[test]

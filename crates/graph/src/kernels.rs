@@ -59,7 +59,6 @@
 use std::sync::Arc;
 
 use crate::graph::VertexId;
-use crate::hash::VertexMap;
 
 /// Cardinality ratio at which galloping overtakes the sorted merge.
 ///
@@ -424,66 +423,33 @@ pub fn intersect_in_place(
 
 /// Per-partition cache of [`HubBitmap`]s for local high-degree vertices.
 ///
-/// Built once at cluster start for every local vertex whose degree is at
-/// least `threshold` (a `threshold` of 0 disables the index). The bitmap
-/// kernel is used whenever an extension intersects against one of these
-/// hubs; lower-degree vertices fall back to merge/gallop.
+/// Vertex ids are degree ranks, so the vertices whose degree meets the hub
+/// threshold are exactly the ids `0..h`: the index is one slot per such id,
+/// `None` for a hub another machine owns. Built once at cluster start
+/// ([`crate::GraphPartition::build_hub_index`]); the bitmap kernel is used
+/// whenever an extension intersects against one of these hubs, and
+/// lower-degree vertices fall back to merge/gallop.
 #[derive(Clone, Debug, Default)]
 pub struct HubIndex {
-    threshold: usize,
-    map: VertexMap<HubBitmap>,
-    bytes: u64,
+    bitmaps: Vec<Option<HubBitmap>>,
 }
 
 impl HubIndex {
-    /// Builds the index over `(vertex, adjacency)` pairs whose degree meets
-    /// `threshold`. Callers supply only the vertices they own.
-    pub fn build<'a, I>(threshold: usize, lists: I) -> Arc<HubIndex>
+    /// Builds the index over the ids `0..h`: `lists` yields one entry per
+    /// id, in order — the adjacency list of a hub the caller owns, or `None`.
+    pub fn build<'a, I>(lists: I) -> Arc<HubIndex>
     where
-        I: IntoIterator<Item = (VertexId, &'a [VertexId])>,
+        I: IntoIterator<Item = Option<&'a [VertexId]>>,
     {
-        let mut map = VertexMap::default();
-        let mut bytes = 0u64;
-        if threshold > 0 {
-            for (v, nbrs) in lists {
-                if nbrs.len() >= threshold {
-                    let bm = HubBitmap::build(nbrs);
-                    bytes += bm.byte_size() as u64;
-                    map.insert(v, bm);
-                }
-            }
-        }
-        Arc::new(HubIndex {
-            threshold,
-            map,
-            bytes,
-        })
+        let bitmaps = lists.into_iter().map(|l| l.map(HubBitmap::build)).collect();
+        Arc::new(HubIndex { bitmaps })
     }
 
-    /// The degree threshold the index was built with.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// The bitmap for `v`, if `v` is an indexed hub.
+    /// The bitmap for `v`, if `v` is an indexed hub. One compare answers
+    /// every id at or past `h`.
     #[inline]
     pub fn get(&self, v: VertexId) -> Option<&HubBitmap> {
-        self.map.get(&v)
-    }
-
-    /// Number of indexed hubs.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` if no vertex met the threshold.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Total heap bytes held by the cached bitmaps.
-    pub fn byte_size(&self) -> u64 {
-        self.bytes
+        self.bitmaps.get(v as usize)?.as_ref()
     }
 }
 
@@ -758,14 +724,11 @@ mod tests {
     fn hub_index_builds_only_hubs() {
         let big = strided(300, 2, 0);
         let small = strided(10, 2, 1);
-        let idx = HubIndex::build(256, vec![(0u32, big.as_slice()), (1u32, small.as_slice())]);
-        assert_eq!(idx.len(), 1);
-        assert!(idx.get(0).is_some());
+        let idx = HubIndex::build([Some(big.as_slice()), None, Some(small.as_slice())]);
+        assert_eq!(idx.get(0).map(HubBitmap::cardinality), Some(300));
         assert!(idx.get(1).is_none());
-        assert_eq!(idx.threshold(), 256);
-        assert!(idx.byte_size() > 0);
-
-        let off = HubIndex::build(0, vec![(0u32, big.as_slice())]);
-        assert!(off.is_empty());
+        assert_eq!(idx.get(2).map(HubBitmap::cardinality), Some(10));
+        assert!(idx.get(3).is_none() && idx.get(u32::MAX).is_none());
+        assert!(HubIndex::build([]).get(0).is_none());
     }
 }

@@ -155,6 +155,12 @@ impl GraphPartition {
         self.graph.degree(v)
     }
 
+    /// The id the input gave vertex `v` ([`Graph::input_id`]).
+    #[inline]
+    pub fn input_id(&self, v: VertexId) -> VertexId {
+        self.graph.input_id(v)
+    }
+
     /// Checks edge existence against the underlying graph. Used only by
     /// verification paths and tests.
     #[inline]
@@ -168,7 +174,9 @@ impl GraphPartition {
     }
 
     /// Builds (or disables, for `threshold == 0`) the hub-bitmap index over
-    /// local vertices with degree at least `threshold`.
+    /// local vertices with degree at least `threshold`. Ids are degree ranks,
+    /// so those are the local ids below `h`, the number of vertices at or
+    /// above the threshold: only `0..h` is walked.
     ///
     /// The bitmaps are chunk-sparse (only non-zero 64-bit blocks are kept)
     /// and cached per partition so the intersection kernels can dispatch to
@@ -179,27 +187,20 @@ impl GraphPartition {
             return;
         }
         let graph = &self.graph;
-        self.hubs = Some(HubIndex::build(
-            threshold,
-            self.local_vertices
-                .iter()
-                .map(|&v| (v, graph.neighbours(v))),
-        ));
+        let hubs = graph
+            .vertices()
+            .take_while(|&v| graph.degree(v) >= threshold);
+        let lists = hubs.map(|v| self.is_local(v).then(|| graph.neighbours(v)));
+        self.hubs = Some(HubIndex::build(lists));
     }
 
     /// The cached bitmap for a local hub vertex, if the index is built and
-    /// `v` met the degree threshold. The index holds local hubs only, so a
-    /// remote `v` is answered by its owner (a hash, no memory read) before
-    /// its degree is read from the global CSR; the degree compare then
-    /// answers for the local non-hubs — nearly every vertex — before the
-    /// index's hash lookup is paid.
+    /// `v` met the degree threshold. Hubs are the ids below `h`, so one
+    /// compare answers for nearly every vertex, before any owner hash or
+    /// degree read; a remote hub's slot is empty.
     #[inline]
     pub fn hub_bitmap(&self, v: VertexId) -> Option<&HubBitmap> {
-        let hubs = self.hubs.as_ref()?;
-        if !self.is_local(v) || self.graph.degree(v) < hubs.threshold() {
-            return None;
-        }
-        hubs.get(v)
+        self.hubs.as_ref()?.get(v)
     }
 }
 
@@ -331,7 +332,15 @@ mod tests {
         let parts = Partitioner::new(1).unwrap().partition(g);
         assert_eq!(parts[0].num_local_vertices(), 10);
         assert!(parts[0].is_local(7));
-        assert_eq!(parts[0].local_neighbours(0), &[1, 9]);
+        // A cycle is regular, so ties keep the input order: ranks are ids.
+        let p = &parts[0];
+        let nbrs: Vec<VertexId> = p
+            .local_neighbours(0)
+            .iter()
+            .map(|&v| p.input_id(v))
+            .collect();
+        assert_eq!(p.input_id(0), 0);
+        assert_eq!(nbrs, [1, 9]);
     }
 
     #[test]
@@ -363,6 +372,16 @@ mod tests {
             }
         }
         assert!(indexed > 0, "BA graph with m=8 should have hubs above 64");
+        // The hubs are the ids below `h`: indexed exactly where local.
+        let h = (0..2000)
+            .take_while(|&v| parts[0].degree(v) >= threshold)
+            .count() as VertexId;
+        assert!((h..2000).all(|v| parts[0].degree(v) < threshold));
+        for p in &parts {
+            let hubs: Vec<VertexId> = (0..2000).filter(|&v| p.hub_bitmap(v).is_some()).collect();
+            let local_below_h: Vec<VertexId> = (0..h).filter(|&v| p.is_local(v)).collect();
+            assert_eq!(hubs, local_below_h, "machine {}", p.machine());
+        }
         // Another machine's hub has no bitmap here.
         let remote_hub = |&v: &VertexId| !parts[0].is_local(v) && parts[0].degree(v) >= threshold;
         let remote_hubs: Vec<VertexId> = (0..2000).filter(remote_hub).collect();

@@ -182,17 +182,15 @@ proptest! {
         prop_assert_eq!(kernels::intersect_count_merge(&small, &large), want.1);
     }
 
-    /// A hub index over random adjacency data answers exactly the vertices
-    /// at or above the threshold, and its bitmaps reproduce their lists.
+    /// A hub index over the ids `0..h` of the vertices at or above the
+    /// threshold answers exactly those, and its bitmaps reproduce their
+    /// lists.
     #[test]
     fn hub_index_covers_exactly_the_hubs(edges in arb_edges(96, 400),
                                          threshold in 1usize..16) {
         let g = Graph::from_edges(edges);
-        let verts: Vec<u32> = g.vertices().collect();
-        let index = HubIndex::build(
-            threshold,
-            verts.iter().map(|&v| (v, g.neighbours(v))),
-        );
+        let hubs = g.vertices().take_while(|&v| g.degree(v) >= threshold);
+        let index = HubIndex::build(hubs.map(|v| Some(g.neighbours(v))));
         for v in g.vertices() {
             match index.get(v) {
                 Some(bm) => {
@@ -204,6 +202,45 @@ proptest! {
                 None => prop_assert!(g.degree(v) < threshold),
             }
         }
+    }
+
+    /// Relabelling the input by any permutation builds the same graph up to
+    /// the input id map: degrees non-increasing in the id, ties in input id
+    /// order, the same degree sequence as the unpermuted input, and
+    /// `edges()` mapped through `input_id` is the permuted input's edge set.
+    #[test]
+    fn builder_renumbers_any_permutation_by_degree(edges in arb_edges(64, 300),
+                                                   keys in prop::collection::vec(0u32..u32::MAX, 64..65)) {
+        let mut perm: Vec<u32> = (0..64).collect();
+        perm.sort_by_key(|&v| (keys[v as usize], v));
+        let permuted: Vec<(u32, u32)> =
+            edges.iter().map(|&(u, v)| (perm[u as usize], perm[v as usize])).collect();
+        let build = |edges: &[(u32, u32)]| {
+            let mut b = GraphBuilder::with_vertices(64);
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            b.build()
+        };
+        let (plain, relabelled) = (build(&edges), build(&permuted));
+        let degrees = |g: &Graph| g.vertices().map(|v| g.degree(v)).collect::<Vec<_>>();
+        prop_assert_eq!(degrees(&plain), degrees(&relabelled));
+        for g in [&plain, &relabelled] {
+            for v in 1..g.num_vertices() as u32 {
+                let (d0, d1) = (g.degree(v - 1), g.degree(v));
+                prop_assert!(d0 > d1 || (d0 == d1 && g.input_id(v - 1) < g.input_id(v)));
+            }
+        }
+        let normalised = |edges: &mut dyn Iterator<Item = (u32, u32)>| {
+            edges
+                .filter(|&(u, v)| u != v)
+                .map(|(u, v)| (u.min(v), u.max(v)))
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let back = normalised(
+            &mut relabelled.edges().map(|(u, v)| (relabelled.input_id(u), relabelled.input_id(v))),
+        );
+        prop_assert_eq!(back, normalised(&mut permuted.iter().copied()));
     }
 }
 

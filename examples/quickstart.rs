@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Collect a handful of concrete matches for inspection.
     let query = Pattern::Square.query_graph();
     let report = cluster.run(&query, SinkMode::Collect(3))?;
-    println!("\nthree example squares (vertex ids per query vertex v1..v4):");
+    println!("\nthree example squares (input vertex ids per query vertex v1..v4):");
     for m in &report.sample_matches {
         println!("  {m:?}");
     }

@@ -2,13 +2,15 @@
 //! distributed pipeline must agree with the sequential reference, for
 //! arbitrary cluster shapes and engine knobs.
 
+use std::collections::HashSet;
+
 use huge_comm::stats::ClusterStats;
 use huge_comm::RpcFabric;
 use huge_comm::{ColBatch, RowBatch};
 use huge_core::exec::{partition_cols_by_key, partition_cols_by_owner};
 use huge_core::join::key_hash;
 use huge_core::{ClusterConfig, HugeCluster, SinkMode};
-use huge_graph::{gen, Graph, Partitioner};
+use huge_graph::{gen, Graph, GraphBuilder, Partitioner};
 use huge_plan::baselines::{plug_into_huge, BaselineSystem};
 use huge_query::{naive, symmetry, Pattern};
 use proptest::prelude::*;
@@ -56,6 +58,44 @@ proptest! {
         ).unwrap();
         let report = cluster.run(&query, SinkMode::Count).unwrap();
         prop_assert_eq!(report.matches, expected);
+    }
+
+    /// The input's ids do not change the answer: an `arb_graph` relabelled by
+    /// a random permutation counts what the reference counts on the
+    /// original, and its collected rows, in the relabelled input's ids, are
+    /// distinct embeddings of the query, one per match.
+    #[test]
+    fn engine_agrees_under_permuted_input_ids(
+        graph in arb_graph(),
+        pattern in arb_pattern(),
+        keys in prop::collection::vec(0u32..u32::MAX, 60..61),
+        machines in 1usize..4,
+    ) {
+        let query = pattern.query_graph();
+        let expected = naive::enumerate(&graph, &query);
+        let n = graph.num_vertices();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.sort_by_key(|&v| (keys[v as usize], v));
+        let input: HashSet<(u32, u32)> = graph
+            .edges()
+            .flat_map(|(u, v)| {
+                let (u, v) = (perm[u as usize], perm[v as usize]);
+                [(u, v), (v, u)]
+            })
+            .collect();
+        let mut builder = GraphBuilder::with_vertices(n);
+        input.iter().for_each(|&(u, v)| { builder.add_edge(u, v); });
+        let cluster = HugeCluster::build(builder.build(), ClusterConfig::new(machines).workers(1)).unwrap();
+        prop_assert_eq!(cluster.run(&query, SinkMode::Count).unwrap().matches, expected);
+        let rows = cluster.run(&query, SinkMode::Collect(usize::MAX)).unwrap().sample_matches;
+        prop_assert_eq!(rows.len() as u64, expected);
+        for m in &rows {
+            for &(a, b) in query.edges() {
+                prop_assert!(input.contains(&(m[a as usize], m[b as usize])), "{:?}", m);
+            }
+            prop_assert_eq!(m.iter().collect::<HashSet<_>>().len(), query.num_vertices());
+        }
+        prop_assert_eq!(rows.iter().collect::<HashSet<_>>().len(), rows.len());
     }
 
     /// Plugged baseline logical plans compute exactly the same result set
