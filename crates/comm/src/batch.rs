@@ -26,12 +26,14 @@
 //!
 //! **Where rows are materialised.** Everything between two extends —
 //! re-chunking, the operator queues, stealing, the memory ledger — carries
-//! runs as they are, and so does the wire when the join key lies in the
-//! prefix. [`ColBatch::flatten`] (or its borrowing twin
-//! [`ColBatch::flattened`]) is for the consumers that need rows: the
-//! receiving join before its Grace scatter, the shuffle partitioners for a
-//! batch keyed on its newest column, the owner partitioner, the collect
-//! sink, [`ColBatch::to_rows`], and [`ColBatch::append`] into a dense batch.
+//! runs as they are, and so do the wire and the receiving join (its Grace
+//! partitions, builds, spill files and partition ships) when the join key
+//! lies in the prefix. [`ColBatch::flatten`] (or its borrowing twin
+//! [`ColBatch::flattened`]) is for the consumers that need rows: the key
+//! partitioner (the shuffle's and the join's Grace scatter) for a batch
+//! keyed on its newest column, the owner partitioner, the collect sink,
+//! [`ColBatch::to_rows`], and [`ColBatch::append`] of a run batch and a
+//! dense one. Two run batches append as runs.
 //!
 //! [`RowBatch`] — `n` rows of arity `a` as one flat `Vec<u32>` — is what is
 //! left of the row-major layout: the scan cursor still assembles `[src, dst]`
@@ -342,21 +344,46 @@ impl ColBatch {
         dense
     }
 
-    /// Moves all rows of `other` into `self`, both made dense first.
+    /// Moves all rows of `other` into `self`. Two run batches concatenate as
+    /// runs (`other`'s run ends shifted past `self`'s rows, `other` left an
+    /// empty run batch); any other pair is made dense first.
     ///
     /// # Panics
-    /// Panics if arities differ.
+    /// Panics if arities differ, or if two run batches together hold more
+    /// rows than 32-bit run ends index.
     pub fn append(&mut self, other: &mut ColBatch) {
         assert_eq!(
             self.arity(),
             other.arity(),
             "cannot append mismatched arity"
         );
-        self.flatten();
-        other.flatten();
+        let held = self.len();
+        if let (Some(ends), Some(more)) = (&mut self.run_ends, &mut other.run_ends) {
+            let shift = |e: u32| u32::try_from(held + e as usize).expect("32-bit rows");
+            ends.extend(more.drain(..).map(shift));
+        } else {
+            self.flatten();
+            other.flatten();
+        }
         for (dst, src) in self.cols.iter_mut().zip(other.cols.iter_mut()) {
             dst.append(src);
         }
+    }
+
+    /// This batch with run structure: itself if it has runs, otherwise the
+    /// same columns with every row a run of one (one run end per row more).
+    pub fn into_runs(mut self) -> ColBatch {
+        if self.run_ends.is_none() {
+            let rows = u32::try_from(self.len()).expect("32-bit rows");
+            self.run_ends = Some((1..=rows).collect());
+        }
+        self
+    }
+
+    /// The columns and the run ends, taken apart: what
+    /// [`ColBatch::from_columns`] or [`ColBatch::from_runs`] was given.
+    pub fn into_parts(self) -> (Vec<Vec<VertexId>>, Option<Vec<u32>>) {
+        (self.cols, self.run_ends)
     }
 
     /// Splits this batch into chunks of at most `rows_per_chunk` rows,
@@ -594,12 +621,32 @@ mod tests {
         let dense = ColBatch::from_rows(&rows);
         assert!(matches!(dense.flattened(), Cow::Borrowed(_)));
         assert_eq!((dense.runs(), dense.run_rows(4)), (6, 4..5));
-        // Appending makes both sides dense.
+        // Appending to a dense batch makes both sides dense.
         let mut all = ColBatch::new(3);
         all.append(&mut runs.clone());
         all.append(&mut runs.clone());
         assert_eq!(all.len(), 12);
         assert_eq!(all.column(0)[6..], [0, 0, 20, 20, 20, 30]);
+        // Two run batches concatenate as runs, the second's ends shifted.
+        let mut twice = runs.clone();
+        let mut more = runs.clone();
+        twice.append(&mut more);
+        assert_eq!(
+            twice.run_ends(),
+            Some(&[2, 2, 5, 6, 6, 8, 8, 11, 12, 12][..])
+        );
+        assert_eq!(
+            (twice.byte_size(), more.byte_size()),
+            (2 * runs.byte_size(), 0)
+        );
+        assert_eq!(more.run_ends(), Some(&[][..]));
+        assert_eq!(twice.to_rows(), all.to_rows());
+        // A dense batch as runs: one run per row, the same rows.
+        let units = dense.clone().into_runs();
+        assert_eq!(units.run_ends(), Some(&[1, 2, 3, 4, 5, 6][..]));
+        assert_eq!(units.to_rows(), rows);
+        assert_eq!(units.byte_size(), dense.byte_size() + 6 * 4);
+        assert_eq!(runs.clone().into_runs(), runs);
     }
 
     #[test]
@@ -663,7 +710,12 @@ mod tests {
                 let chunks = runs.clone().split_into_chunks(n);
                 prop_assert_eq!(chunks.len(), dense_chunks.len());
                 let mut all = ColBatch::new(3);
+                let mut as_runs = ColBatch::new(3).into_runs();
                 for (chunk, dense) in chunks.iter().zip(&dense_chunks) {
+                    // Appended as runs, chunks keep their layout and charge.
+                    let held = as_runs.byte_size();
+                    as_runs.append(&mut chunk.clone().into_runs());
+                    prop_assert_eq!(as_runs.byte_size(), held + chunk.clone().into_runs().byte_size());
                     prop_assert!(chunk.len() <= n);
                     prop_assert_eq!(chunk.byte_size(), held_bytes(chunk));
                     prop_assert_eq!(chunk.to_rows(), dense.to_rows());
@@ -675,7 +727,8 @@ mod tests {
                     }
                     all.append(&mut chunk.clone());
                 }
-                prop_assert_eq!(all.to_rows(), rows);
+                prop_assert_eq!(all.to_rows(), rows.clone());
+                prop_assert_eq!(as_runs.to_rows(), rows);
                 // A run cut by chunk boundaries is stored once per chunk it
                 // touches, never once per row.
                 let runs_held: usize = chunks.iter().map(|c| c.runs()).sum();

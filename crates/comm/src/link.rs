@@ -604,8 +604,8 @@ mod tests {
         let ship = ControlMsg::PartitionShip {
             segment: 2,
             bytes: 8,
-            left: vec![vec![1]],
-            right: vec![vec![2]],
+            left: ColBatch::from_columns(vec![vec![1]]),
+            right: ColBatch::from_columns(vec![vec![2]]),
         };
         a.send_control(1, ship);
         let deadline = std::time::Instant::now() + Duration::from_secs(2);

@@ -26,7 +26,6 @@ use crate::batch::ColBatch;
 use crate::link::{Link, SeenSet, TransportConfig};
 use crate::stats::ClusterStats;
 use crate::MachineId;
-use huge_graph::VertexId;
 
 /// A pushed message: a batch of partial results destined for a segment's
 /// inbound channel on some machine.
@@ -53,16 +52,17 @@ pub enum ControlMsg {
         /// The join segment being drained.
         segment: usize,
     },
-    /// One sealed Grace partition, each side one vector per column.
+    /// One sealed Grace partition, each side in the layout the shipper held
+    /// it in (runs or dense rows).
     PartitionShip {
         /// The join segment the partition belongs to.
         segment: usize,
         /// Row bytes the shipper still holds charged until the ack arrives.
         bytes: u64,
-        /// The left side's columns.
-        left: Vec<Vec<VertexId>>,
-        /// The right side's columns.
-        right: Vec<Vec<VertexId>>,
+        /// The left side's rows.
+        left: ColBatch,
+        /// The right side's rows.
+        right: ColBatch,
     },
     /// Negative reply to a [`ControlMsg::StealRequest`]: nothing shippable.
     ShipNack {
@@ -84,8 +84,7 @@ impl ControlMsg {
     pub fn byte_size(&self) -> u64 {
         match self {
             ControlMsg::PartitionShip { left, right, .. } => {
-                let values: usize = left.iter().chain(right).map(Vec::len).sum();
-                16 + (values * std::mem::size_of::<VertexId>()) as u64
+                16 + left.byte_size() + right.byte_size()
             }
             _ => 16,
         }
@@ -734,8 +733,8 @@ mod tests {
             ControlMsg::PartitionShip {
                 segment: 9,
                 bytes: 8,
-                left: vec![vec![1]],
-                right: vec![vec![2]],
+                left: ColBatch::from_columns(vec![vec![1]]),
+                right: ColBatch::from_columns(vec![vec![2]]),
             },
         );
         assert!(b.has_data());
@@ -752,7 +751,7 @@ mod tests {
                 right,
             } => {
                 assert_eq!((segment, bytes), (9, 8));
-                assert_eq!((left, right), (vec![vec![1]], vec![vec![2]]));
+                assert_eq!((left.column(0), right.column(0)), (&[1][..], &[2][..]));
             }
             other => panic!("expected a ship, got {other:?}"),
         }
@@ -782,8 +781,8 @@ mod tests {
             ControlMsg::PartitionShip {
                 segment: 0,
                 bytes: 8,
-                left: vec![vec![0]],
-                right: vec![vec![0]],
+                left: ColBatch::from_columns(vec![vec![0]]),
+                right: ColBatch::from_columns(vec![vec![0]]),
             },
         );
         assert_eq!(counter.0.load(Ordering::SeqCst), 16 + 8);

@@ -22,9 +22,9 @@
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
-use huge_graph::{machine_of, GraphPartition};
+use huge_graph::{machine_of, GraphPartition, VertexId};
 
-use crate::join::{row_key_hash, scatter_rows};
+use crate::join::key_hash;
 use crate::pool::WorkerPool;
 
 /// Everything an operator needs from its machine.
@@ -50,30 +50,51 @@ pub struct OpContext<'a> {
 // ---------------------------------------------------------------------------
 
 /// Hash-partitions the rows of `batch` over `k` machines by the given
-/// key columns, input order kept within a destination. A run batch whose key
-/// columns are all prefix columns ships run-wise: one hash per run sends the
-/// whole run to one destination, which receives a run batch — the prefix
-/// once, the newest column's slice, the run's end; empty runs are dropped.
-/// Any other batch (dense, or keyed on its newest column) is made rows here:
-/// one pass over the key columns computes the destinations, then every
-/// column of every destination is one gather, so those per-destination
-/// batches come out dense.
+/// key columns, input order kept within a destination. A run batch whose
+/// key columns are all prefix columns ships run-wise, each run whole to one
+/// destination; any other batch is made rows, and its parts come out dense
+/// (`split_by_key`, which the receiving join's Grace scatter shares).
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
 /// joins); the caller moves the per-destination batches through
 /// `RouterEndpoint::try_push`, which is where the traffic gets charged. The
-/// destination is [`machine_of`] the row's [`key_hash`](crate::join::key_hash)
+/// destination is [`machine_of`] the row's [`key_hash`]
 /// — the high bits of the mixed hash, the same placement as a vertex's owner
 /// — and the receiving join takes its Grace partition from other bits of it.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
+    split_by_key(batch, key_positions, k, |hash| machine_of(hash, k))
+}
+
+/// Splits the rows of `batch` into `k` parts by the [`key_hash`] of the
+/// given key columns, `place` naming a hash's part: the shuffle's machines
+/// and the receiving join's Grace partitions. A run batch whose key columns
+/// are all prefix columns splits run-wise: one hash per run sends the whole
+/// run to one part, which is a run batch — the prefix once, the newest
+/// column's slice, the run's end; empty runs are dropped. Any other batch
+/// (dense, or keyed on its newest column) is made rows here: one pass over
+/// the key columns computes the parts, then every column of every part is
+/// one gather, so those parts come out dense.
+pub(crate) fn split_by_key(
+    batch: &ColBatch,
+    key_positions: &[usize],
+    k: usize,
+    place: impl Fn(u64) -> usize,
+) -> Vec<ColBatch> {
     if prefix_keyed(batch, key_positions) {
-        let hash = row_key_hash(batch, key_positions);
-        return scatter_runs(batch, |run| machine_of(hash(run), k), k);
+        let hash = unit_key_hash(batch, key_positions);
+        return scatter_runs(batch, |run| place(hash(run)), k);
     }
     let batch = &*batch.flattened();
-    let hash = row_key_hash(batch, key_positions);
-    scatter(batch, |row| machine_of(hash(row), k), k)
+    let hash = unit_key_hash(batch, key_positions);
+    scatter(batch, |row| place(hash(row)), k)
+}
+
+/// The [`key_hash`] of a run of `batch` (a row, for a dense batch), read off
+/// its key columns — prefix columns, for a run batch.
+fn unit_key_hash<'a>(batch: &'a ColBatch, key_positions: &[usize]) -> impl Fn(usize) -> u64 + 'a {
+    let keys: Vec<&[VertexId]> = key_positions.iter().map(|&c| batch.column(c)).collect();
+    move |unit| key_hash(keys.iter().map(|column| column[unit]))
 }
 
 /// Partitions the rows of `batch` over `k` machines by the *owner* of
@@ -90,11 +111,38 @@ pub fn partition_cols_by_owner(
     scatter(batch, |row| rpc.owner(vertices[row]), k)
 }
 
-/// One dense batch per destination machine.
+/// One dense batch per destination. One pass computes the destinations and
+/// each row's rank within its own, which fixes the batch's rows in
+/// destination order (input order kept within a destination); every column
+/// of every destination is then one gather through that order.
 fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
-    let mut parts = vec![vec![Vec::new(); batch.arity()]; k];
-    scatter_rows(batch, dest_of, parts.iter_mut());
-    parts.into_iter().map(ColBatch::from_columns).collect()
+    assert!(u32::try_from(batch.len()).is_ok(), "row indices are 32-bit");
+    let mut counts = vec![0u32; k];
+    let ranked: Vec<(u32, u32)> = (0..batch.len())
+        .map(|i| {
+            let dest = dest_of(i);
+            counts[dest] += 1;
+            (dest as u32, counts[dest] - 1)
+        })
+        .collect();
+    // Each destination's first slot in the order, and one past the last one's.
+    let mut starts = vec![0u32; k + 1];
+    for (d, count) in counts.iter().enumerate() {
+        starts[d + 1] = starts[d] + count;
+    }
+    let mut order = vec![0u32; ranked.len()];
+    for (i, &(dest, rank)) in ranked.iter().enumerate() {
+        order[(starts[dest as usize] + rank) as usize] = i as u32;
+    }
+    let part = |range: &[u32]| {
+        let rows = &order[range[0] as usize..range[1] as usize];
+        let column = |c| {
+            let source = batch.column(c);
+            rows.iter().map(|&row| source[row as usize]).collect()
+        };
+        ColBatch::from_columns((0..batch.arity()).map(column).collect())
+    };
+    starts.windows(2).map(part).collect()
 }
 
 /// `true` when `batch` is a run batch and every key column is a prefix
@@ -104,7 +152,7 @@ fn prefix_keyed(batch: &ColBatch, key_positions: &[usize]) -> bool {
     batch.run_ends().is_some() && key_positions.iter().all(|&c| c < newest)
 }
 
-/// One run batch per destination machine; `dest_of` names a run's.
+/// One run batch per destination; `dest_of` names a run's.
 fn scatter_runs(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
     let newest = batch.arity() - 1;
     let mut parts = vec![(vec![Vec::new(); batch.arity()], Vec::new()); k];

@@ -4,13 +4,14 @@
 //! segment chain, the perf ledger.
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
-//! of partitions, and a partition is columns from end to end: the shuffle's
-//! [`ColBatch`]es — whole runs, or dense rows — are scattered into one flat
-//! vector per column ([`HashJoiner::add`]), those vectors are what a spill
-//! file stores, what a partition ship carries and what the probe is built
-//! from — no row is ever assembled. A partition buffers rows in memory
-//! until the configured threshold, after which they are appended to a
-//! temporary file on disk.
+//! of partitions, and a partition keeps the shuffle's layout from end to end:
+//! each of its sides is one [`ColBatch`] — whole runs when the side's key
+//! lies in the prefix (one hash per run, the prefix once per run), dense rows
+//! otherwise ([`HashJoiner::add`]) — and that batch is what a spill file
+//! stores, what a partition ship carries and what the probe is built from.
+//! Rows are assembled in one place, the output gather. A partition buffers
+//! rows in memory until the configured threshold, after which they are
+//! appended to a temporary file on disk.
 //! The joiner keeps one table of partitions, each entry its state, both
 //! sides' rows and its build, and the joiner's one ship, spill, byte count
 //! and `Drop` read that table whatever the phase.
@@ -32,15 +33,17 @@
 //! (`ProbeSpec::compile`): every filter is classified by where its
 //! operands live (both on the left row, one on each side, both in the right
 //! payload) and the right columns the checks read are fixed. The resident
-//! partition keeps exactly those columns of its build side, one dense vector
-//! each, grouped by join key; the generator binds a left row's values once,
-//! then tests its key group a block of right rows at a time, one
-//! branch-free pass per column into a mask. [`HashJoiner::count_batch`] sums
-//! the mask — the sink the machine's chain calls when the join feeds a
-//! counting `SINK` directly — [`HashJoiner::next_batch`] turns it into
-//! `(left row, right row)` index pairs and gathers the output columns from
-//! them. Both share the partition lifecycle, the tracker charges and the
-//! per-poll cancel check.
+//! partition keeps exactly those columns of its build side, grouped by join
+//! key and in the side's layout: a run build holds a prefix column once per
+//! run. The generator looks up a left run's key group once, binds the run's
+//! prefix values once and its newest value once per row, then tests the key
+//! group a block of right rows at a time, one branch-free pass per column
+//! into a mask (a run build's per-run columns are expanded into scratch rows
+//! once per left run). [`HashJoiner::count_batch`] sums the mask — the sink
+//! the machine's chain calls when the join feeds a counting `SINK` directly
+//! — [`HashJoiner::next_batch`] turns it into `(left row, right row)` index
+//! pairs and gathers the output columns from them. Both share the partition
+//! lifecycle, the tracker charges and the per-poll cancel check.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -52,6 +55,7 @@ use huge_graph::{mix, IdBuildHasher, VertexId};
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
+use crate::exec::split_by_key;
 use crate::memory::MemoryTracker;
 use crate::{EngineError, Result};
 
@@ -75,12 +79,9 @@ enum PartitionState {
     Done,
 }
 
-/// One side of a partition, one vector per column.
-type Columns = Vec<Vec<VertexId>>;
-
-/// An unprobed Grace partition claimed for shipping: `(left columns, right
-/// columns)`.
-pub type TakenPartition = (Columns, Columns);
+/// An unprobed Grace partition claimed for shipping: `(left side, right
+/// side)`, each in the layout the partition held it in.
+pub type TakenPartition = (ColBatch, ColBatch);
 
 /// Which input of the join a batch belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,17 +90,6 @@ pub enum JoinSide {
     Left,
     /// The right input (only its non-key payload columns are appended).
     Right,
-}
-
-/// Rows held by a partition's columns.
-fn column_rows(columns: &[Vec<VertexId>]) -> usize {
-    columns.first().map_or(0, Vec::len)
-}
-
-/// Bytes held by a partition's columns — what the tracker is charged for
-/// them and what a ship puts on the wire.
-pub(crate) fn column_bytes(columns: &[Vec<VertexId>]) -> u64 {
-    (columns.len() * column_rows(columns) * std::mem::size_of::<VertexId>()) as u64
 }
 
 /// Hashes a join key, given as its column values in key order. The shuffle's
@@ -111,52 +101,6 @@ pub fn key_hash(key: impl IntoIterator<Item = VertexId>) -> u64 {
     key.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
         (h ^ u64::from(v)).wrapping_mul(0x1000_0000_01b3)
     })
-}
-
-/// The [`key_hash`] of a row of the dense `batch`, read off its key columns.
-pub(crate) fn row_key_hash<'a>(
-    batch: &'a ColBatch,
-    key_positions: &[usize],
-) -> impl Fn(usize) -> u64 + 'a {
-    let keys: Vec<&[VertexId]> = key_positions.iter().map(|&c| batch.column(c)).collect();
-    move |row| key_hash(keys.iter().map(|column| column[row]))
-}
-
-/// Appends every row of the dense `batch` to the columns of the part (by
-/// position in `parts`) `dest_of` names for it. One pass computes the
-/// destinations and each row's rank within its own, which fixes the batch's
-/// rows in destination order (input order kept within a destination); every
-/// column of every destination is then one gather through that order.
-pub(crate) fn scatter_rows<'a>(
-    batch: &ColBatch,
-    dest_of: impl Fn(usize) -> usize,
-    parts: impl ExactSizeIterator<Item = &'a mut Vec<Vec<VertexId>>>,
-) {
-    assert!(u32::try_from(batch.len()).is_ok(), "row indices are 32-bit");
-    let mut counts = vec![0u32; parts.len()];
-    let ranked: Vec<(u32, u32)> = (0..batch.len())
-        .map(|i| {
-            let dest = dest_of(i);
-            counts[dest] += 1;
-            (dest as u32, counts[dest] - 1)
-        })
-        .collect();
-    // Each destination's first slot in the order, and one past the last one's.
-    let mut starts = vec![0u32; parts.len() + 1];
-    for (d, count) in counts.iter().enumerate() {
-        starts[d + 1] = starts[d] + count;
-    }
-    let mut order = vec![0u32; ranked.len()];
-    for (i, &(dest, rank)) in ranked.iter().enumerate() {
-        order[(starts[dest as usize] + rank) as usize] = i as u32;
-    }
-    for (part, range) in parts.zip(starts.windows(2)) {
-        let rows = &order[range[0] as usize..range[1] as usize];
-        for (c, out) in part.iter_mut().enumerate() {
-            let column = batch.column(c);
-            out.extend(rows.iter().map(|&row| column[row as usize]));
-        }
-    }
 }
 
 /// The Grace partition of a row whose join key hashes to `hash`. The shuffle
@@ -173,12 +117,13 @@ fn grace_partition(hash: u64) -> usize {
 /// Widest join key (in columns) that packs exactly into a `u128`.
 const PACK_MAX_KEY: usize = 4;
 
-/// Packs the join-key values of row `row` of `columns` into a single `u128`
+/// Packs the join-key values of run `unit` of `batch` (a row of a dense
+/// batch; a run batch's key columns are prefix columns) into a single `u128`
 /// table key. Up to [`PACK_MAX_KEY`] columns pack positionally
 /// (collision-free); wider keys fall back to [`key_hash`], and the probe
 /// re-checks column equality on each candidate match.
-fn pack_key(columns: &[Vec<VertexId>], key_positions: &[usize], row: usize) -> u128 {
-    let key = key_positions.iter().map(|&c| columns[c][row]);
+fn pack_key(batch: &ColBatch, key_positions: &[usize], unit: usize) -> u128 {
+    let key = key_positions.iter().map(|&c| batch.column(c)[unit]);
     if key_positions.len() <= PACK_MAX_KEY {
         key.fold(0, |packed, v| (packed << 32) | u128::from(v))
     } else {
@@ -186,15 +131,25 @@ fn pack_key(columns: &[Vec<VertexId>], key_positions: &[usize], row: usize) -> u
     }
 }
 
-/// Packed join key -> `(start, end)` row range of the grouped right rows.
-/// The keys are vertex ids of rows this engine produced, so the table hashes
-/// them with [`IdHasher`](huge_graph::IdHasher), not SipHash.
+/// Packed join key -> `(first, end)` units of the grouped right side: runs
+/// of a run build, rows of a dense one. The keys are vertex ids of rows this
+/// engine produced, so the table hashes them with
+/// [`IdHasher`](huge_graph::IdHasher), not SipHash.
 type KeyTable = HashMap<u128, (u32, u32), IdBuildHasher>;
+
+/// The first row of `unit` under `run_ends`; without them a unit is a row.
+fn unit_start(run_ends: Option<&[u32]>, unit: usize) -> u32 {
+    match run_ends {
+        Some(ends) => unit.checked_sub(1).map_or(0, |u| ends[u]),
+        None => unit as u32,
+    }
+}
 
 /// One side of a partition: its resident rows and its spill file.
 struct Side {
-    /// The resident rows, one vector per column.
-    columns: Columns,
+    /// The resident rows: runs once any batch with runs arrived, dense rows
+    /// otherwise ([`Side::push`]).
+    batch: ColBatch,
     spill_file: Option<PathBuf>,
     /// Rows appended to the spill file so far — what a reload must find.
     spilled_rows: u64,
@@ -218,9 +173,9 @@ struct Partition {
 }
 
 impl Partition {
-    fn new(state: PartitionState, left: Columns, right: Columns) -> Self {
-        let side = |columns| Side {
-            columns,
+    fn new(state: PartitionState, left: ColBatch, right: ColBatch) -> Self {
+        let side = |batch| Side {
+            batch,
             spill_file: None,
             spilled_rows: 0,
         };
@@ -243,7 +198,7 @@ impl Partition {
     /// Bytes resident in memory that no probe holds: rows and build.
     fn bytes(&self) -> u64 {
         let build = self.build.as_ref().map_or(0, |b| b.bytes);
-        column_bytes(&self.left.columns) + column_bytes(&self.right.columns) + build
+        self.left.batch.byte_size() + self.right.batch.byte_size() + build
     }
 }
 
@@ -322,7 +277,7 @@ impl HashJoiner {
         memory: MemoryTrackerHandle,
     ) -> Self {
         let open = |_| {
-            let (left, right) = (vec![Vec::new(); left_arity], vec![Vec::new(); right_arity]);
+            let (left, right) = (ColBatch::new(left_arity), ColBatch::new(right_arity));
             Partition::new(PartitionState::Open, left, right)
         };
         HashJoiner {
@@ -343,10 +298,11 @@ impl HashJoiner {
         }
     }
 
-    /// Adds an input batch to one side: it is made rows first, then one pass
-    /// over its key columns picks each row's Grace partition, and every
-    /// partition's columns take their rows in one gather each
-    /// (`scatter_rows`). Left rows that land in a built partition wait there
+    /// Adds an input batch to one side: the shuffle's own split
+    /// (`exec::split_by_key`, by Grace partition instead of machine) sends a
+    /// prefix-keyed run batch's runs whole, one hash per run, and any other
+    /// batch's rows, and every partition's side appends its part in the
+    /// layout it came in. Left rows that land in a built partition wait there
     /// for the next probe poll. Input after its side's seal is a
     /// [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
@@ -358,33 +314,25 @@ impl HashJoiner {
             let message = "PUSH-JOIN received input after sealing";
             return Err(EngineError::Config(message.into()));
         }
-        debug_assert_eq!(batch.arity(), self.partitions[0].side(side).columns.len());
-        // The shuffle ships prefix-keyed runs whole; this is where their
-        // rows are materialised.
-        let batch = &*batch.flattened();
-        let hash = row_key_hash(batch, key_positions);
-        let partition = |row| grace_partition(hash(row));
-        let parts = self
-            .partitions
-            .iter_mut()
-            .map(|p| &mut p.side(side).columns);
-        scatter_rows(batch, partition, parts);
+        debug_assert_eq!(batch.arity(), self.partitions[0].side(side).batch.arity());
+        let parts = split_by_key(batch, key_positions, NUM_PARTITIONS, grace_partition);
+        let grown = self.partitions.iter_mut().zip(parts);
+        let grown: u64 = grown.map(|(p, part)| p.side(side).push(part)).sum();
         // One tracker charge per batch: the spill loop below only runs after
         // the whole batch is buffered, so the tracked peak is the same as
         // charging row by row.
-        let bytes = (batch.len() * batch.arity() * std::mem::size_of::<VertexId>()) as u64;
-        self.memory.allocate(bytes);
+        self.memory.allocate(grown);
         // Spill the largest open partitions while the side's resident rows
         // exceed the threshold — never a built one: its left rows are probe
         // input, not buffer.
         let sides = self.partitions.iter_mut().map(|p| p.side(side));
-        let mut resident: u64 = sides.map(|s| column_bytes(&s.columns)).sum();
+        let mut resident: u64 = sides.map(|s| s.batch.byte_size()).sum();
         while resident > self.spill_threshold_bytes {
             let open = self.partitions.iter_mut().enumerate();
             let open = open.filter(|(_, p)| p.state == PartitionState::Open);
             let sides = open.map(|(p, part)| (p, part.side(side)));
-            let victim = sides.max_by_key(|(_, s)| column_rows(&s.columns));
-            let Some((p, victim)) = victim.filter(|(_, s)| column_rows(&s.columns) > 0) else {
+            let victim = sides.max_by_key(|(_, s)| s.batch.byte_size());
+            let Some((p, victim)) = victim.filter(|(_, s)| s.batch.byte_size() > 0) else {
                 break;
             };
             let bytes = victim.spill(&self.spill_dir, tag, p, &mut self.spill_counter)?;
@@ -408,8 +356,7 @@ impl HashJoiner {
             if part.state != PartitionState::Open || part.right.spill_file.is_some() {
                 continue;
             }
-            let arity = part.right.columns.len();
-            let right = std::mem::replace(&mut part.right.columns, vec![Vec::new(); arity]);
+            let right = part.right.take_resident();
             let streams = !self.left_sealed;
             part.build = Some(Build::new(&self.spec, right, &self.memory, streams));
             part.state = PartitionState::Built;
@@ -446,7 +393,7 @@ impl HashJoiner {
     /// further input can arrive — a thief's steal request implies global
     /// end-of-stream for both sides.
     ///
-    /// The returned columns *keep* their memory-tracker charge: in-memory
+    /// The returned batches *keep* their memory-tracker charge: in-memory
     /// bytes stay charged, spilled bytes are newly charged as they are read
     /// back and unbuilt right rows as they are made, so the charge travels
     /// with the partition and is only released when the thief acknowledges
@@ -472,25 +419,26 @@ impl HashJoiner {
             let part = &mut self.partitions[p];
             let left = part.left.take(&self.memory)?;
             let right = part.right.take(&self.memory);
-            let right = right.inspect_err(|_| self.memory.release(column_bytes(&left)))?;
+            let right = right.inspect_err(|_| self.memory.release(left.byte_size()))?;
             part.state = PartitionState::Shipped;
             return Ok(Some((left, right)));
         };
         let part = &mut self.partitions[p];
-        let right = probe.build.unbuild(&self.spec, part.right.columns.len());
-        self.memory.allocate(column_bytes(&right));
-        let left = part.left.take(&self.memory)?;
+        let right = probe.build.unbuild(&self.spec, part.right.batch.arity());
+        self.memory.allocate(right.byte_size());
+        let left = part.left.take(&self.memory);
+        let left = left.inspect_err(|_| self.memory.release(right.byte_size()))?;
         Ok(Some((left, right)))
     }
 
     /// Adopts a partition shipped from a peer: it joins the table, and the
     /// sealed joiner's cursor probes it after its own — an exhausted joiner
-    /// is revived by it. The caller has already charged the columns' bytes
+    /// is revived by it. The caller has already charged the batches' bytes
     /// to this machine's tracker (on receipt, before the shipper releases
     /// its side — allocate-before-release); the joiner releases them as it
     /// would its own rows. Adoption before the (left) seal is a
     /// [`EngineError::Config`] error.
-    pub fn adopt_partition(&mut self, left: Columns, right: Columns) -> Result<()> {
+    pub fn adopt_partition(&mut self, left: ColBatch, right: ColBatch) -> Result<()> {
         if !self.left_sealed {
             let message = "PUSH-JOIN adopted a partition before sealing";
             return Err(EngineError::Config(message.into()));
@@ -506,7 +454,7 @@ impl HashJoiner {
     /// pressure takes them one per call; after the left seal a free build is
     /// only waiting for the cursor, and every one goes. What a probe holds
     /// stays, and so do left rows waiting for a build. Returns the bytes
-    /// released.
+    /// released; the tracked peak never rises.
     pub fn spill_to_disk(&mut self) -> Result<u64> {
         let before = self.buffered_bytes();
         let builds = self.partitions.iter().enumerate();
@@ -516,7 +464,20 @@ impl HashJoiner {
         free.sort_unstable();
         let demoted = if self.left_sealed { free.len() } else { 1 };
         for &(_, p) in free.iter().rev().take(demoted) {
-            self.demote(p);
+            // The build's charge goes first and its rows go to disk uncharged
+            // (a demotion for a ship charges them instead, see `demote`).
+            let part = &mut self.partitions[p];
+            let build = part.build.take().expect("a free build");
+            self.memory.release(build.bytes);
+            part.right.batch = build.unbuild(&self.spec, part.right.batch.arity());
+            part.state = PartitionState::Open;
+            let spilled = part
+                .right
+                .spill(&self.spill_dir, "r", p, &mut self.spill_counter);
+            if let Err(e) = spilled {
+                self.memory.allocate(part.right.batch.byte_size());
+                return Err(e);
+            }
         }
         let open = self.partitions.iter_mut().enumerate();
         for (p, part) in open.filter(|(_, part)| part.state == PartitionState::Open) {
@@ -529,13 +490,13 @@ impl HashJoiner {
     }
 
     /// Demotes built partition `p`, whose build is in its slot, to open: the
-    /// build turns back into the right rows it was made from, buffered like
-    /// any others.
+    /// build turns back into the right rows it was made from, in the layout
+    /// they were held in, buffered like any others.
     fn demote(&mut self, p: usize) {
         let part = &mut self.partitions[p];
         let build = part.build.take().expect("a free build");
-        part.right.columns = build.unbuild(&self.spec, part.right.columns.len());
-        self.memory.allocate(column_bytes(&part.right.columns));
+        part.right.batch = build.unbuild(&self.spec, part.right.batch.arity());
+        self.memory.allocate(part.right.batch.byte_size());
         self.memory.release(build.bytes);
         part.state = PartitionState::Open;
     }
@@ -729,7 +690,7 @@ impl HashJoiner {
         let part = &mut self.partitions[p];
         let left = part.left.take(&self.memory)?;
         let build = part.build.take().expect("a free build");
-        self.left_rows[usize::from(!build.streams)] += column_rows(&left) as u64;
+        self.left_rows[usize::from(!build.streams)] += left.len() as u64;
         self.current = Some(PartitionProbe::new(&self.spec, build, left, p));
         Ok(true)
     }
@@ -738,7 +699,9 @@ impl HashJoiner {
     /// buffers and spill files go without being read back (its left rows
     /// count as taken), and so does its build.
     fn retire(&mut self, p: usize) {
-        let done = Partition::new(PartitionState::Done, Vec::new(), Vec::new());
+        let arity = self.partitions[p].right.batch.arity();
+        let (left, right) = (ColBatch::new(self.spec.left_arity), ColBatch::new(arity));
+        let done = Partition::new(PartitionState::Done, left, right);
         let part = std::mem::replace(&mut self.partitions[p], done);
         let streams = part.build.as_ref().is_some_and(|b| b.streams);
         self.left_rows[usize::from(!streams)] += part.left.rows();
@@ -765,12 +728,12 @@ const BLOCK: usize = 64;
 /// Granularity of a block's column reads. A key group rarely ends on a
 /// multiple of it, so the last read of a block runs up to `LANES - 1` rows
 /// into whatever follows the group — the next group's rows, or the padding
-/// every column carries after its last row — and the mask's lanes past the
-/// group are never looked at. That keeps every pass a fixed-width loop with
-/// no remainder.
+/// every per-row column carries after its last row — and the mask's lanes
+/// past the group are never looked at. That keeps every pass a fixed-width
+/// loop with no remainder.
 const LANES: usize = 8;
 
-/// Left rows whose key groups the walk looks up ahead of the one it probes.
+/// Left runs whose key groups the walk looks up ahead of the one it probes.
 const LOOKAHEAD: usize = 64;
 
 /// Left-row values one injectivity pass compares a column against.
@@ -833,19 +796,19 @@ impl ProbeSpec {
         spec
     }
 
-    /// Binds row `row` of the left columns: decides whether any right row can
-    /// pair with it at all (left–left gates, a non-empty value range for
-    /// every kept column) and, if so, leaves in `bound` what the column
-    /// passes compare against.
-    fn bind(&self, left: &[Vec<VertexId>], row: usize, bound: &mut BoundRow) -> bool {
-        // The row's values, gathered once. The tail repeats a real value:
-        // comparing against it twice is free of false rejections, which no
-        // constant would be.
-        let (values, tail) = bound.distinct.as_flattened_mut().split_at_mut(left.len());
-        for (value, column) in values.iter_mut().zip(left) {
-            *value = column[row];
-        }
-        tail.fill(values.first().copied().unwrap_or_default());
+    /// Binds row `row` of the left side, whose run's prefix values
+    /// [`BoundRow::bind_run`] bound: decides whether any right row can pair
+    /// with it at all (left–left gates, a non-empty value range for every
+    /// kept column) and, if so, leaves in `bound` what the column passes
+    /// compare against.
+    fn bind(&self, left: &ColBatch, row: usize, bound: &mut BoundRow) -> bool {
+        // The row's values: the newest one read here. The tail repeats a real
+        // value: comparing against it twice is free of false rejections,
+        // which no constant would be.
+        let newest = left.arity() - 1;
+        let (values, tail) = bound.distinct.as_flattened_mut().split_at_mut(newest + 1);
+        values[newest] = left.column(newest)[row];
+        tail.fill(values[0]);
         if !self.gates.iter().all(|&(s, l)| values[s] < values[l]) {
             return false;
         }
@@ -881,52 +844,66 @@ impl BoundRow {
             range: vec![(0, 0); spec.kept.len()],
         }
     }
+
+    /// Binds the prefix values of left run `run` (of row `run`, for a dense
+    /// side): every row of the run shares them.
+    fn bind_run(&mut self, left: &ColBatch, run: usize) {
+        let prefix = &mut self.distinct.as_flattened_mut()[..left.arity() - 1];
+        for (c, value) in prefix.iter_mut().enumerate() {
+            *value = left.column(c)[run];
+        }
+    }
 }
 
 /// The build side of one partition, resident: the kept right columns
-/// grouped by join key behind a hash table, made at the right seal or by
-/// the probe's cursor and kept until the partition's last left row.
+/// grouped by join key behind a hash table, in the layout the right side
+/// was held in, made at the right seal or by the probe's cursor and kept
+/// until the partition's last left row.
 struct Build {
-    /// One dense vector per kept right column ([`ProbeSpec::kept`]), rows
-    /// grouped by join key (input order kept within a group), [`LANES`]
-    /// zeroes after the last row.
+    /// One vector per kept right column ([`ProbeSpec::kept`]), units grouped
+    /// by join key (input order kept within a group): a prefix column of a
+    /// run build holds one value per run, any other column one value per
+    /// row and [`LANES`] zeroes after the last.
     columns: Vec<Vec<VertexId>>,
+    /// Whether each kept column holds one value per run.
+    per_run: Vec<bool>,
+    /// A run build's run ends, in group order.
+    run_ends: Option<Vec<u32>>,
     table: KeyTable,
     /// Right rows it holds.
     rows: usize,
-    /// Bytes of the kept columns, charged to the tracker while resident.
+    /// Bytes of the kept columns and run ends, charged to the tracker while
+    /// resident.
     bytes: u64,
     /// Made before the left seal: left rows probed against it stream.
     streams: bool,
 }
 
 impl Build {
-    /// Groups the right rows by join key, indexes the groups from the key
-    /// columns, and scatters the columns the probe reads into group order.
-    /// One hash per right row: the counting pass remembers each row's group,
-    /// so placement needs no second lookup.
+    /// Groups the right side's units (runs of a run batch, whose key lies in
+    /// the prefix; rows of a dense one) by join key, indexes the groups from
+    /// the key columns, and scatters the columns the probe reads into group
+    /// order, each in its layout. One hash per unit: the counting pass
+    /// remembers each unit's group, so placement needs no second lookup. A
+    /// run never straddles a group, so its rows move as one slice.
     ///
-    /// On entry the tracker holds the right rows' bytes; on return it holds
+    /// On entry the tracker holds the right side's bytes; on return it holds
     /// `bytes`. A right column the probe never reads is released as soon as
     /// the groups are known; a kept one is charged before it is filled and
     /// its source released right after, so the tracked peak covers the one
     /// moment both exist.
-    fn new(
-        spec: &ProbeSpec,
-        mut right: Columns,
-        memory: &MemoryTrackerHandle,
-        streams: bool,
-    ) -> Self {
-        let n_rows = column_rows(&right);
-        let mut table = KeyTable::with_capacity_and_hasher(n_rows, Default::default());
-        // Rows per group, then (after the scan) each group's first row.
+    fn new(spec: &ProbeSpec, right: ColBatch, memory: &MemoryTrackerHandle, streams: bool) -> Self {
+        let (units, rows, newest) = (right.runs(), right.len(), right.arity() - 1);
+        debug_assert!(right.run_ends().is_none() || spec.key_right.iter().all(|&c| c < newest));
+        let mut table = KeyTable::with_capacity_and_hasher(units, Default::default());
+        // Units per group, then (after the scan) each group's first unit.
         let mut starts: Vec<u32> = Vec::new();
-        // Each row's group, then (after placement) its destination row.
-        let mut dest: Vec<u32> = Vec::with_capacity(n_rows);
-        for row in 0..n_rows {
+        // Each unit's group, then (after placement) its destination unit.
+        let mut dest: Vec<u32> = Vec::with_capacity(units);
+        for unit in 0..units {
             let next = starts.len() as u32;
             let group = table
-                .entry(pack_key(&right, &spec.key_right, row))
+                .entry(pack_key(&right, &spec.key_right, unit))
                 .or_insert((next, 0))
                 .0;
             if group == next {
@@ -935,7 +912,7 @@ impl Build {
             starts[group as usize] += 1;
             dest.push(group);
         }
-        // Presizing by rows avoids every rehash when keys are unique; when
+        // Presizing by units avoids every rehash when keys are unique; when
         // they repeat, give the slack back so lookups stay cache-resident.
         table.shrink_to_fit();
         starts.push(0);
@@ -952,81 +929,192 @@ impl Build {
             *d = *cursor;
             *cursor += 1;
         }
-        let release = |source: &mut Vec<VertexId>| {
-            memory.release(std::mem::size_of_val(&source[..]) as u64);
-            *source = Vec::new();
+        let (mut source, source_ends) = right.into_parts();
+        let release = |values: &mut Vec<VertexId>| {
+            memory.release(std::mem::size_of_val(&values[..]) as u64);
+            *values = Vec::new();
         };
-        for (position, source) in right.iter_mut().enumerate() {
+        for (position, values) in source.iter_mut().enumerate() {
             if !spec.kept.contains(&position) {
-                release(source);
+                release(values);
             }
         }
-        let column_len = n_rows + LANES;
-        let column_bytes = (column_len * std::mem::size_of::<VertexId>()) as u64;
+        let mut bytes = 0;
+        let mut charge = |values: usize| {
+            let charged = (values * VALUE_BYTES) as u64;
+            memory.allocate(charged);
+            bytes += charged;
+        };
+        // A run build's ends in group order: each run's rows, summed over
+        // the runs placed before it.
+        let run_ends = source_ends.as_deref().map(|ends| {
+            charge(units);
+            let mut placed = vec![0u32; units];
+            for (u, &d) in dest.iter().enumerate() {
+                placed[d as usize] = ends[u] - unit_start(Some(ends), u);
+            }
+            let mut end = 0;
+            for rows in &mut placed {
+                end += *rows;
+                *rows = end;
+            }
+            placed
+        });
         let mut columns = Vec::with_capacity(spec.kept.len());
+        let mut per_run = Vec::with_capacity(spec.kept.len());
         for (k, &position) in spec.kept.iter().enumerate() {
-            memory.allocate(column_bytes);
-            let mut column = vec![0; column_len];
-            for (&value, &d) in right[position].iter().zip(&dest) {
-                column[d as usize] = value;
-            }
+            let values = &source[position];
+            let column = match (source_ends.as_deref(), run_ends.as_deref()) {
+                // The newest column of a run build: each run's rows move as
+                // one slice.
+                (Some(from), Some(to)) if position == newest => {
+                    charge(rows + LANES);
+                    let mut column = vec![0; rows + LANES];
+                    for (u, &d) in dest.iter().enumerate() {
+                        let at = unit_start(Some(to), d as usize) as usize;
+                        let run = unit_start(Some(from), u) as usize..from[u] as usize;
+                        column[at..at + run.len()].copy_from_slice(&values[run]);
+                    }
+                    column
+                }
+                // One value per unit: a run's prefix value, or a dense row's
+                // value (padded, for the probe's block reads).
+                (ends, _) => {
+                    let len = if ends.is_some() { units } else { rows + LANES };
+                    charge(len);
+                    let mut column = vec![0; len];
+                    for (&value, &d) in values.iter().zip(&dest) {
+                        column[d as usize] = value;
+                    }
+                    column
+                }
+            };
             columns.push(column);
+            per_run.push(source_ends.is_some() && position != newest);
             if !spec.kept[k + 1..].contains(&position) {
-                release(&mut right[position]);
+                release(&mut source[position]);
             }
+        }
+        if let Some(mut ends) = source_ends {
+            release(&mut ends);
         }
         Build {
             columns,
+            per_run,
+            run_ends,
             table,
-            rows: n_rows,
-            bytes: spec.kept.len() as u64 * column_bytes,
+            rows,
+            bytes,
             streams,
         }
     }
 
-    /// The right rows the build was made from, in group order: kept columns
-    /// as they are, narrow key columns unpacked from the table keys (a wide
-    /// key's columns are kept).
-    fn unbuild(&self, spec: &ProbeSpec, arity: usize) -> Columns {
+    /// The right rows of `units`, as a `(first, end)` row range.
+    fn rows_of(&self, (first, end): (u32, u32)) -> (u32, u32) {
+        let ends = self.run_ends.as_deref();
+        (
+            unit_start(ends, first as usize),
+            unit_start(ends, end as usize),
+        )
+    }
+
+    /// Writes the per-run kept columns of `units` (one key group) into
+    /// `scratch` one value per row, [`LANES`] zeroes after the last: what
+    /// the probe's block reads take for those columns. A dense build has
+    /// none.
+    fn expand(&self, (first, end): (u32, u32), scratch: &mut [Vec<VertexId>]) {
+        let Some(ends) = self.run_ends.as_deref() else {
+            return;
+        };
+        let kept = self.columns.iter().zip(&self.per_run).zip(scratch);
+        for ((column, _), rows) in kept.filter(|((_, &per_run), _)| per_run) {
+            rows.clear();
+            for unit in first as usize..end as usize {
+                let len = ends[unit] - unit_start(Some(ends), unit);
+                rows.extend(std::iter::repeat_n(column[unit], len as usize));
+            }
+            rows.resize(rows.len() + LANES, 0);
+        }
+    }
+
+    /// The right rows the build was made from, in group order and in the
+    /// layout they were held in: kept columns as they are, narrow key
+    /// columns unpacked from the table keys (a wide key's columns are kept).
+    fn unbuild(&self, spec: &ProbeSpec, arity: usize) -> ColBatch {
+        let units = self.run_ends.as_ref().map_or(self.rows, Vec::len);
         let column = |position| {
             if let Some(k) = spec.kept.iter().position(|&c| c == position) {
-                return self.columns[k][..self.rows].to_vec();
+                let len = if self.per_run[k] { units } else { self.rows };
+                return self.columns[k][..len].to_vec();
             }
             let key = spec.key_right.iter().position(|&c| c == position);
             let shift = 32 * (spec.key_right.len() - 1 - key.expect("a key column"));
-            let mut column = vec![0; self.rows];
-            for (&key, &(start, end)) in &self.table {
-                column[start as usize..end as usize].fill((key >> shift) as VertexId);
+            let mut column = vec![0; units];
+            for (&key, &(first, end)) in &self.table {
+                column[first as usize..end as usize].fill((key >> shift) as VertexId);
             }
             column
         };
-        (0..arity).map(column).collect()
+        let columns = (0..arity).map(column).collect();
+        match &self.run_ends {
+            Some(ends) => ColBatch::from_runs(columns, ends.clone()),
+            None => ColBatch::from_columns(columns),
+        }
     }
+}
+
+/// The run of each of `rows` under `run_ends`, or the rows themselves
+/// without them. The rows come in probe order, increasing but for a jump
+/// back to a key group's first row, so each is looked for in the run of the
+/// one before first.
+fn runs_of(run_ends: Option<&[u32]>, rows: &[u32]) -> Vec<u32> {
+    let Some(ends) = run_ends else {
+        return rows.to_vec();
+    };
+    let mut run = 0;
+    let run_of = |&row: &u32| {
+        if !(unit_start(run_ends, run)..ends[run]).contains(&row) {
+            run = ends.partition_point(|&end| end <= row);
+        }
+        run as u32
+    };
+    rows.iter().map(run_of).collect()
 }
 
 /// Probe state of the one partition being probed: left rows against a
 /// build.
 ///
 /// The kept right columns are physically grouped by join key, so a left
-/// row's candidates are one contiguous range of every column and the probe
+/// run's candidates are one contiguous range of every column and the probe
 /// loop allocates nothing per row — stolen partitions are probed
 /// *concurrently* by several machine threads, and per-row allocation
 /// serialises them on the global allocator.
 struct PartitionProbe {
-    /// The left rows, one vector per column, as they were partitioned.
-    left: Vec<Vec<VertexId>>,
-    /// Bytes of the left columns, charged to the tracker while loaded.
+    /// The left rows, in the layout they were partitioned in.
+    left: ColBatch,
+    /// Bytes of the left rows, charged to the tracker while loaded.
     left_bytes: u64,
     build: Build,
-    /// Index of the left row being probed.
-    probe: usize,
-    /// Key groups of the rows below `looked`, by row mod [`LOOKAHEAD`].
+    /// The next left run the walk enters (a row, for a dense side).
+    next_run: usize,
+    /// Key groups (as units) of the runs below `looked`, by run mod
+    /// [`LOOKAHEAD`].
     groups: [(u32, u32); LOOKAHEAD],
     looked: usize,
+    /// The left row being probed, and the end of its run's rows.
+    row: usize,
+    row_end: usize,
+    /// The current run's key group as right rows, and the units the scratch
+    /// rows were last expanded from.
+    group: (u32, u32),
+    expanded: Option<(u32, u32)>,
     /// Cursor into the current left row's range of right rows.
     match_pos: u32,
     /// End of the current left row's range of right rows.
     match_end: u32,
+    /// The current group's per-run kept columns, one value per row
+    /// ([`Build::expand`]); the other kept columns are read in place.
+    scratch: Vec<Vec<VertexId>>,
     bound: BoundRow,
     /// The partition's index in the joiner's table.
     index: usize,
@@ -1034,18 +1122,61 @@ struct PartitionProbe {
 
 impl PartitionProbe {
     /// A probe of `left` against `build`, from its first row.
-    fn new(spec: &ProbeSpec, build: Build, left: Vec<Vec<VertexId>>, index: usize) -> Self {
+    fn new(spec: &ProbeSpec, build: Build, left: ColBatch, index: usize) -> Self {
         PartitionProbe {
-            left_bytes: column_bytes(&left),
+            left_bytes: left.byte_size(),
             left,
             build,
-            probe: 0,
+            next_run: 0,
             groups: [(0, 0); LOOKAHEAD],
             looked: 0,
+            row: 0,
+            row_end: 0,
+            group: (0, 0),
+            expanded: None,
             match_pos: 0,
             match_end: 0,
+            scratch: vec![Vec::new(); spec.kept.len()],
             bound: BoundRow::new(spec),
             index,
+        }
+    }
+
+    /// Moves the walk into the next left run that has rows and candidates:
+    /// looks its key group up (with the next [`LOOKAHEAD`] runs' once it
+    /// reaches them), binds the run's prefix values and expands the group's
+    /// per-run columns unless they are expanded already. Returns `false`
+    /// when no run is left.
+    fn enter_next_run(&mut self, spec: &ProbeSpec) -> bool {
+        let runs = self.left.runs();
+        loop {
+            let run = self.next_run;
+            if run >= runs {
+                return false;
+            }
+            if run == self.looked {
+                // Independent lookups in one pass: their misses overlap.
+                self.looked = (run + LOOKAHEAD).min(runs);
+                for unit in run..self.looked {
+                    let key = pack_key(&self.left, &spec.key_left, unit);
+                    let group = self.build.table.get(&key).copied();
+                    self.groups[unit % LOOKAHEAD] = group.unwrap_or_default();
+                }
+            }
+            self.next_run += 1;
+            let units = self.groups[run % LOOKAHEAD];
+            let group = self.build.rows_of(units);
+            let rows = self.left.run_rows(run);
+            if group.0 == group.1 || rows.is_empty() {
+                continue;
+            }
+            if self.expanded != Some(units) {
+                self.build.expand(units, &mut self.scratch);
+                self.expanded = Some(units);
+            }
+            self.bound.bind_run(&self.left, run);
+            (self.row, self.row_end, self.group) = (rows.start, rows.end, group);
+            return true;
         }
     }
 
@@ -1062,89 +1193,85 @@ impl PartitionProbe {
         budget: u64,
         mut emit: impl FnMut(u32, u32, &[u32]),
     ) -> (u64, u64, bool) {
-        let left_len = column_rows(&self.left);
         let (mut tested, mut matched) = (0, 0);
         let mut mask = [0u32; BLOCK];
         while matched < budget {
             if self.match_pos == self.match_end {
-                // Advance to the next left row with candidate matches.
-                loop {
-                    if self.probe >= left_len {
-                        return (tested, matched, true);
-                    }
-                    if self.probe == self.looked {
-                        // Independent lookups in one pass: their misses overlap.
-                        self.looked = (self.probe + LOOKAHEAD).min(left_len);
-                        for row in self.probe..self.looked {
-                            let key = pack_key(&self.left, &spec.key_left, row);
-                            let group = self.build.table.get(&key).copied();
-                            self.groups[row % LOOKAHEAD] = group.unwrap_or_default();
-                        }
-                    }
-                    let (start, end) = self.groups[self.probe % LOOKAHEAD];
-                    if start < end {
-                        self.match_pos = start;
-                        self.match_end = end;
-                        break;
-                    }
-                    self.probe += 1;
+                // Advance to the next left row, in this run or the next one
+                // with candidate matches.
+                if self.row == self.row_end && !self.enter_next_run(spec) {
+                    return (tested, matched, true);
                 }
+                (self.match_pos, self.match_end) = self.group;
             }
-            if !spec.bind(&self.left, self.probe, &mut self.bound) {
+            if !spec.bind(&self.left, self.row, &mut self.bound) {
                 // No right row can pair with this left row. Its group still
                 // counts as candidates: `tested` means key-equal pairs.
                 tested += u64::from(self.match_end - self.match_pos);
                 self.match_pos = self.match_end;
-                self.probe += 1;
+                self.row += 1;
                 continue;
             }
+            // Block reads index the group from its first row.
+            let first = self.group.0 as usize;
+            let (build, scratch) = (&self.build, &self.scratch);
+            let column = |k: usize| match build.per_run[k] {
+                true => &scratch[k][..],
+                false => &build.columns[k][first..],
+            };
             while self.match_pos < self.match_end && matched < budget {
                 let rows = u64::from(self.match_end - self.match_pos)
                     .min(BLOCK as u64)
                     .min(budget - matched) as usize;
-                let start = self.match_pos as usize;
-                test_block(
-                    spec,
-                    &self.build.columns,
-                    &self.bound,
-                    start,
-                    rows,
-                    &mut mask,
-                );
+                let start = self.match_pos as usize - first;
+                test_block(spec, column, &self.bound, start, rows, &mut mask);
                 let mask = &mask[..rows];
-                emit(self.probe as u32, self.match_pos, mask);
+                emit(self.row as u32, self.match_pos, mask);
                 tested += rows as u64;
                 matched += u64::from(mask.iter().sum::<u32>());
                 self.match_pos += rows as u32;
             }
             if self.match_pos == self.match_end {
-                self.probe += 1;
+                self.row += 1;
             }
         }
         (tested, matched, false)
     }
 
     /// The materialising sink: gathers the joined rows of `pairs`, one
-    /// output column at a time.
+    /// output column at a time — a run's values through its run index, a
+    /// row's through its row index.
     fn gather(&self, spec: &ProbeSpec, pairs: &[(u32, u32)]) -> ColBatch {
-        let left = self.left.iter();
-        let left = left.map(|column| pairs.iter().map(|p| column[p.0 as usize]).collect());
+        let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+        let left_runs = runs_of(self.left.run_ends(), &left_rows);
+        let right_runs = runs_of(self.build.run_ends.as_deref(), &right_rows);
+        let pick =
+            |column: &[VertexId], at: &[u32]| at.iter().map(|&i| column[i as usize]).collect();
+        let newest = self.left.arity() - 1;
+        let left = (0..=newest).map(|c| {
+            let at = if c < newest { &left_runs } else { &left_rows };
+            pick(self.left.column(c), at)
+        });
         let payload = self.build.columns[..spec.payload].iter();
-        let right = payload.map(|column| pairs.iter().map(|p| column[p.1 as usize]).collect());
+        let right = payload.zip(&self.build.per_run).map(|(column, &per_run)| {
+            let at = if per_run { &right_runs } else { &right_rows };
+            pick(column, at)
+        });
         ColBatch::from_columns(left.chain(right).collect())
     }
 }
 
 /// Tests right rows `start..start + rows` of a key group against the bound
-/// left row: `mask[j]` ends as 1 iff row `start + j` passes every column's
+/// left row, `column(k)` giving kept column `k` from the group's first row
+/// on: `mask[j]` ends as 1 iff row `start + j` passes every column's
 /// checks. One branch-free pass per kept column — its value range and the
 /// first [`BOUND_LANES`] left values it must differ from, fused — and one
 /// more per further [`BOUND_LANES`] left values, all over whole
 /// [`LANES`]-wide pieces: the lanes past `rows` hold neighbouring rows'
 /// verdicts and mean nothing.
-fn test_block(
+fn test_block<'c>(
     spec: &ProbeSpec,
-    columns: &[Vec<VertexId>],
+    column: impl Fn(usize) -> &'c [VertexId],
     bound: &BoundRow,
     start: usize,
     rows: usize,
@@ -1153,8 +1280,8 @@ fn test_block(
     let lanes = rows.next_multiple_of(LANES);
     let mask = &mut mask[..lanes];
     mask.fill(1);
-    for (c, (column, &(lo, hi))) in columns.iter().zip(&bound.range).enumerate() {
-        let values = &column[start..start + lanes];
+    for (c, &(lo, hi)) in bound.range.iter().enumerate() {
+        let values = &column(c)[start..start + lanes];
         let (lo, hi) = (lo as VertexId, hi as VertexId);
         let in_range = |v: VertexId| (v >= lo) & (v <= hi);
         let differs = |v: VertexId, from: &[VertexId; BOUND_LANES]| {
@@ -1175,8 +1302,8 @@ fn test_block(
         }
     }
     for &(smaller, larger) in &spec.ordered {
-        let smaller = &columns[smaller][start..start + lanes];
-        let larger = &columns[larger][start..start + lanes];
+        let smaller = &column(smaller)[start..start + lanes];
+        let larger = &column(larger)[start..start + lanes];
         for ((keep, s), l) in mask.iter_mut().zip(smaller).zip(larger) {
             *keep &= u32::from(s < l);
         }
@@ -1196,7 +1323,7 @@ fn pass(mask: &mut [u32], values: &[VertexId], keep: impl Fn(VertexId) -> bool) 
 }
 
 /// Values a spill file moves at a time: the one fixed buffer (64 KiB) a spill
-/// or a reload holds beside the columns themselves.
+/// or a reload holds beside the rows themselves.
 const SPILL_PIECE: usize = 16 * 1024;
 
 /// Bytes of one value in a spill file.
@@ -1205,18 +1332,48 @@ const VALUE_BYTES: usize = std::mem::size_of::<VertexId>();
 impl Side {
     /// Rows held, in memory and spilled.
     fn rows(&self) -> u64 {
-        column_rows(&self.columns) as u64 + self.spilled_rows
+        self.batch.len() as u64 + self.spilled_rows
+    }
+
+    /// Appends `batch` to the resident rows and returns the bytes they grew
+    /// by. An empty side takes a batch as it is. A side with rows holds runs
+    /// as soon as either holds them — dense rows join as runs of one row
+    /// ([`ColBatch::into_runs`]) — so resident runs are never flattened.
+    fn push(&mut self, mut batch: ColBatch) -> u64 {
+        let before = self.batch.byte_size();
+        if batch.runs() == 0 {
+            return 0;
+        }
+        if self.batch.runs() == 0 {
+            self.batch = batch;
+            return self.batch.byte_size();
+        }
+        if self.batch.run_ends().is_some() != batch.run_ends().is_some() {
+            self.batch = std::mem::take(&mut self.batch).into_runs();
+            batch = batch.into_runs();
+        }
+        self.batch.append(&mut batch);
+        self.batch.byte_size() - before
+    }
+
+    /// The resident rows, leaving none: the side keeps its arity, as a
+    /// built partition takes more rows later.
+    fn take_resident(&mut self) -> ColBatch {
+        let arity = self.batch.arity();
+        std::mem::replace(&mut self.batch, ColBatch::new(arity))
     }
 
     /// Appends the resident rows to the spill file (creating the file on
-    /// first spill) as one block: the row count as a little-endian `u64`,
-    /// then the columns one after another, every value a little-endian
-    /// `u32`. Returns the in-memory bytes flushed; the caller releases them
-    /// from the memory tracker (so the helper composes with both the
-    /// threshold spill in [`HashJoiner::add`] and the governor-driven full
-    /// spills).
+    /// first spill) as one block, in their layout: a header of two
+    /// little-endian `u64`s, the rows and the runs (0 for a dense block —
+    /// a run batch with rows has a run), then a run block's ends, then the
+    /// columns one after another as held (a run block's prefix columns one
+    /// value per run), every value a little-endian `u32`. Returns the
+    /// in-memory bytes flushed; the caller releases them from the memory
+    /// tracker (so the helper composes with both the threshold spill in
+    /// [`HashJoiner::add`] and the governor-driven full spills).
     fn spill(&mut self, dir: &Path, tag: &str, index: usize, counter: &mut usize) -> Result<u64> {
-        let bytes = column_bytes(&self.columns);
+        let bytes = self.batch.byte_size();
         if bytes == 0 {
             return Ok(0);
         }
@@ -1227,10 +1384,17 @@ impl Side {
         std::fs::create_dir_all(dir)?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut w = BufWriter::new(file);
-        let block_rows = column_rows(&self.columns);
-        w.write_all(&(block_rows as u64).to_le_bytes())?;
-        let mut piece = vec![0u8; block_rows.min(SPILL_PIECE) * VALUE_BYTES];
-        for values in self.columns.iter().flat_map(|c| c.chunks(SPILL_PIECE)) {
+        let (batch, ends) = (&self.batch, self.batch.run_ends());
+        w.write_all(&(batch.len() as u64).to_le_bytes())?;
+        w.write_all(&(ends.map_or(0, <[u32]>::len) as u64).to_le_bytes())?;
+        let values = bytes as usize / VALUE_BYTES;
+        let mut piece = vec![0u8; values.min(SPILL_PIECE) * VALUE_BYTES];
+        let columns = (0..batch.arity()).map(|c| batch.column(c));
+        for values in ends
+            .into_iter()
+            .chain(columns)
+            .flat_map(|v| v.chunks(SPILL_PIECE))
+        {
             let piece = &mut piece[..values.len() * VALUE_BYTES];
             for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
                 bytes.copy_from_slice(&value.to_le_bytes());
@@ -1238,49 +1402,53 @@ impl Side {
             w.write_all(piece)?;
         }
         w.flush()?;
-        self.spilled_rows += block_rows as u64;
+        self.spilled_rows += batch.len() as u64;
         // Drop the allocations too (not just the lengths): a spill exists to
         // make the resident footprint actually shrink.
-        self.columns.fill(Vec::new());
+        self.take_resident();
         Ok(bytes)
     }
 
     /// Takes the rows out — to be built, probed or shipped — with whatever
     /// spilled read back behind the resident rows (the file is deleted
-    /// either way). The columns come out *charged*: resident rows stay
-    /// charged to the tracker (ownership of the charge moves to the caller)
-    /// and spilled rows are newly charged as they come back from disk.
+    /// either way). The rows come out *charged*: resident rows stay charged
+    /// to the tracker (ownership of the charge moves to the caller) and
+    /// spilled rows are newly charged as they come back from disk.
     /// Combined with a thief charging on receipt before the shipper releases
     /// on ack, the cluster-wide tracked sum can transiently over-count but
     /// never under-count during a hand-off — the same discipline as
     /// `SharedQueue::steal_into`. A failed reload releases what it held.
-    fn take(&mut self, memory: &MemoryTrackerHandle) -> Result<Columns> {
-        // The side keeps its arity: a built partition takes more rows later.
-        let arity = self.columns.len();
-        let mut columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
-        let resident = column_bytes(&columns);
+    fn take(&mut self, memory: &MemoryTrackerHandle) -> Result<ColBatch> {
+        let resident = self.batch.byte_size();
         if let Some(path) = self.spill_file.take() {
-            let read = read_spill_file(&path, std::mem::take(&mut self.spilled_rows), &mut columns);
+            let (rows, arity) = (std::mem::take(&mut self.spilled_rows), self.batch.arity());
+            let read = read_spill_file(&path, rows, arity, |block| {
+                self.push(block);
+            });
             let _ = std::fs::remove_file(&path);
             if let Err(e) = read {
+                self.take_resident();
                 memory.release(resident);
                 return Err(e.into());
             }
-            memory.allocate(column_bytes(&columns) - resident);
+            memory.allocate(self.batch.byte_size() - resident);
         }
-        Ok(columns)
+        Ok(self.take_resident())
     }
 }
 
-/// Reads a spill file's blocks back onto the end of `columns`. Nothing in the
-/// file is trusted: each block's row count is checked against what is left of
-/// the file before anything is reserved for it, and the blocks' total against
-/// the rows the partition spilled, so a truncated or overlong file is an
-/// `InvalidData` error instead of a silently shifted column.
+/// Reads a spill file's blocks back, handing each to `push` as a batch of
+/// the layout it was written in. Nothing in the file is trusted: each
+/// block's header is checked against what is left of the file before
+/// anything is reserved for it, a run block's ends must rise to exactly its
+/// rows, and the blocks' total must be the rows the partition spilled, so a
+/// truncated, overlong or garbled file is an `InvalidData` error instead of
+/// a silently shifted column.
 fn read_spill_file(
     path: &Path,
     spilled_rows: u64,
-    columns: &mut [Vec<VertexId>],
+    arity: usize,
+    mut push: impl FnMut(ColBatch),
 ) -> io::Result<()> {
     let invalid = |what: &str| {
         let message = format!("spill file {}: {what}", path.display());
@@ -1289,33 +1457,55 @@ fn read_spill_file(
     let file = File::open(path)?;
     let mut left = file.metadata()?.len();
     let mut r = BufReader::new(file);
-    let row_bytes = (columns.len() * VALUE_BYTES) as u64;
     let mut found_rows = 0u64;
     let mut piece = vec![0u8; left.min((SPILL_PIECE * VALUE_BYTES) as u64) as usize];
+    let mut read = |r: &mut BufReader<File>, count: u64| -> io::Result<Vec<VertexId>> {
+        let mut values = Vec::with_capacity(count as usize);
+        let mut todo = count as usize;
+        while todo > 0 {
+            let piece = &mut piece[..todo.min(SPILL_PIECE) * VALUE_BYTES];
+            r.read_exact(piece)?;
+            let bytes = piece.chunks_exact(VALUE_BYTES);
+            values.extend(bytes.map(|b| VertexId::from_le_bytes([b[0], b[1], b[2], b[3]])));
+            todo -= piece.len() / VALUE_BYTES;
+        }
+        Ok(values)
+    };
     while left > 0 {
-        let mut header = [0u8; 8];
+        let mut header = [0u8; 16];
         left = left
             .checked_sub(header.len() as u64)
             .ok_or_else(|| invalid("ends inside a block header"))?;
         r.read_exact(&mut header)?;
-        let block_rows = u64::from_le_bytes(header);
-        left = block_rows
-            .checked_mul(row_bytes)
+        let (rows, runs) = header.split_at(8);
+        let [rows, runs] = [rows, runs].map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        // A dense block holds `arity` values a row; a run block a run end
+        // and `arity - 1` prefix values a run, and a value a row.
+        let per_unit = arity as u64;
+        let values = match runs {
+            0 => rows.checked_mul(per_unit),
+            _ => runs.checked_mul(per_unit).and_then(|v| v.checked_add(rows)),
+        };
+        left = values
+            .and_then(|v| v.checked_mul(VALUE_BYTES as u64))
             .and_then(|block| left.checked_sub(block))
             .ok_or_else(|| invalid("ends inside a block"))?;
-        found_rows += block_rows;
-        for column in columns.iter_mut() {
-            column.reserve(block_rows as usize);
-            let mut todo = block_rows as usize;
-            while todo > 0 {
-                let count = todo.min(SPILL_PIECE);
-                let piece = &mut piece[..count * VALUE_BYTES];
-                r.read_exact(piece)?;
-                let values = piece.chunks_exact(VALUE_BYTES);
-                column.extend(values.map(|b| VertexId::from_le_bytes([b[0], b[1], b[2], b[3]])));
-                todo -= count;
+        found_rows += rows;
+        let block = if runs == 0 {
+            let columns = (0..arity).map(|_| read(&mut r, rows));
+            ColBatch::from_columns(columns.collect::<io::Result<_>>()?)
+        } else {
+            let ends = read(&mut r, runs)?;
+            let last = ends.last().map(|&end| u64::from(end));
+            if !ends.windows(2).all(|w| w[0] <= w[1]) || last != Some(rows) {
+                return Err(invalid("run ends do not rise to the block's rows"));
             }
-        }
+            let columns = (1..arity).map(|_| read(&mut r, runs));
+            let mut columns: Vec<_> = columns.collect::<io::Result<_>>()?;
+            columns.push(read(&mut r, rows)?);
+            ColBatch::from_runs(columns, ends)
+        };
+        push(block);
     }
     if found_rows != spilled_rows {
         return Err(invalid(&format!(
@@ -1376,6 +1566,34 @@ mod tests {
             b.push_row(r);
         }
         b
+    }
+
+    /// `rows` as a run batch: consecutive rows that agree on every column
+    /// but the last are one run.
+    fn run_batch<R: AsRef<[u32]>>(rows: &[R], arity: usize) -> ColBatch {
+        let (mut columns, mut ends) = (vec![Vec::new(); arity], Vec::<u32>::new());
+        for row in rows {
+            let (prefix, newest) = row.as_ref()[..arity].split_at(arity - 1);
+            let held = columns.iter().zip(prefix).all(|(c, v)| c.last() == Some(v));
+            if ends.is_empty() || !held {
+                for (column, &v) in columns.iter_mut().zip(prefix) {
+                    column.push(v);
+                }
+                ends.push(ends.last().copied().unwrap_or(0));
+            }
+            columns[arity - 1].push(newest[0]);
+            *ends.last_mut().expect("a run is open") += 1;
+        }
+        ColBatch::from_runs(columns, ends)
+    }
+
+    /// `rows` of `simple_op`'s arity in either layout.
+    fn batch_of(rows: &[[u32; 2]], runs: bool) -> ColBatch {
+        if runs {
+            run_batch(rows, 2)
+        } else {
+            batch2(rows)
+        }
     }
 
     #[test]
@@ -1570,46 +1788,62 @@ mod tests {
     #[test]
     fn spill_ship_reload_round_trip_is_bit_for_bit() {
         // The same partition taken from a fully-spilled joiner and from an
-        // all-in-memory joiner must hold identical columns: a ship carries
+        // all-in-memory joiner must hold identical batches: a ship carries
         // the same partition whether or not it went through a spill file —
-        // here one of several blocks, a block per threshold spill.
+        // here one of several blocks, a block per threshold spill — and a
+        // run side comes back with the same runs and the same charge.
         let n = 600u32;
-        let left: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 10_000]).collect();
-        let right: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 20_000]).collect();
-        let build = |threshold: u64| {
-            let mut joiner = HashJoiner::new(
-                simple_op(),
-                2,
-                2,
-                threshold,
-                spill_dir(),
-                MemoryTrackerHandle::Untracked,
-            );
-            for (l, r) in left.chunks(50).zip(right.chunks(50)) {
-                joiner.add(JoinSide::Left, &batch2(l)).unwrap();
-                joiner.add(JoinSide::Right, &batch2(r)).unwrap();
+        // Keys repeat three times in a row: three-row runs.
+        let left: Vec<[u32; 2]> = (0..n).map(|i| [i / 3, i + 10_000]).collect();
+        let right: Vec<[u32; 2]> = (0..n).map(|i| [i / 3, i + 20_000]).collect();
+        for runs in [false, true] {
+            let build = |threshold: u64| {
+                let mut joiner = HashJoiner::new(
+                    simple_op(),
+                    2,
+                    2,
+                    threshold,
+                    spill_dir(),
+                    MemoryTrackerHandle::Untracked,
+                );
+                for (l, r) in left.chunks(50).zip(right.chunks(50)) {
+                    joiner.add(JoinSide::Left, &batch_of(l, runs)).unwrap();
+                    joiner.add(JoinSide::Right, &batch_of(r, runs)).unwrap();
+                }
+                joiner
+            };
+            let mut spilled = build(1024);
+            assert!(spilled.spilled());
+            spilled.spill_to_disk().unwrap();
+            let blocks = spilled.partitions.iter().map(|p| p.left.spilled_rows);
+            assert_eq!(blocks.sum::<u64>(), u64::from(n));
+            let mut resident = build(1 << 20);
+            assert!(!resident.spilled());
+            let taken_spilled = spilled
+                .take_unprobed_partition()
+                .unwrap()
+                .expect("spilled joiner has a shippable partition");
+            let taken_resident = resident
+                .take_unprobed_partition()
+                .unwrap()
+                .expect("resident joiner has a shippable partition");
+            for (reloaded, held) in [
+                (&taken_spilled.0, &taken_resident.0),
+                (&taken_spilled.1, &taken_resident.1),
+            ] {
+                assert_eq!(reloaded.run_ends().is_some(), runs, "runs {runs}");
+                assert_eq!(reloaded.run_ends(), held.run_ends(), "runs {runs}");
+                assert_eq!(reloaded.byte_size(), held.byte_size(), "runs {runs}");
             }
-            joiner
-        };
-        let mut spilled = build(1024);
-        assert!(spilled.spilled());
-        spilled.spill_to_disk().unwrap();
-        let blocks = spilled.partitions.iter().map(|p| p.left.spilled_rows);
-        assert_eq!(blocks.sum::<u64>(), u64::from(n));
-        let mut resident = build(1 << 20);
-        assert!(!resident.spilled());
-        let taken_spilled = spilled
-            .take_unprobed_partition()
-            .unwrap()
-            .expect("spilled joiner has a shippable partition");
-        let taken_resident = resident
-            .take_unprobed_partition()
-            .unwrap()
-            .expect("resident joiner has a shippable partition");
-        assert_eq!(taken_spilled, taken_resident);
-        let (left_columns, right_columns) = taken_spilled;
-        assert!(column_rows(&left_columns) > 0 && left_columns.len() == 2);
-        assert_eq!(left_columns[0], right_columns[0]);
+            assert_eq!(taken_spilled, taken_resident);
+            let (left_side, right_side) = taken_spilled;
+            assert!(!left_side.is_empty() && left_side.arity() == 2);
+            assert_eq!(left_side.column(0), right_side.column(0));
+            if runs {
+                // Three rows a run, none cut: a third of the rows are runs.
+                assert_eq!(left_side.runs() * 3, left_side.len());
+            }
+        }
     }
 
     /// Every spill file under `dir` whose name starts with `prefix`.
@@ -1622,27 +1856,54 @@ mod tests {
         files
     }
 
+    /// The `(rows, runs)` header of a spill file's first block and the
+    /// block's length in bytes, for `simple_op`'s arity.
+    fn first_block(file: &std::fs::File) -> (u64, u64, u64) {
+        use std::os::unix::fs::FileExt;
+        let mut header = [0u8; 16];
+        file.read_exact_at(&mut header, 0).unwrap();
+        let (rows, runs) = header.split_at(8);
+        let [rows, runs] = [rows, runs].map(|b| u64::from_le_bytes(b.try_into().unwrap()));
+        let values = if runs == 0 { 2 * rows } else { 2 * runs + rows };
+        (rows, runs, 16 + 4 * values)
+    }
+
     #[test]
     fn a_truncated_or_overlong_spill_file_is_invalid_data_on_reload_and_on_ship() {
-        // Two blocks of 200 rows a side, every partition holding both sides.
+        use std::os::unix::fs::FileExt;
+        // Two blocks of 200 rows a side, every partition holding both sides,
+        // dense or in runs of four rows.
         type Corrupt = fn(&std::fs::File, u64);
-        let corruptions: [(&str, Corrupt); 4] = [
-            ("cut mid-block", |f, len| f.set_len(len - 6).unwrap()),
-            ("cut inside a header", |f, len| f.set_len(len + 5).unwrap()),
-            ("a header promising more than is left", |mut f, _| {
-                f.write_all(&[0xff; 12]).unwrap()
+        let corruptions: [(&str, bool, Corrupt); 6] = [
+            ("cut mid-block", false, |f, len| f.set_len(len - 6).unwrap()),
+            ("cut inside a header", false, |f, len| {
+                f.set_len(len + 5).unwrap()
+            }),
+            ("a header promising more than is left", false, |f, len| {
+                f.write_all_at(&[0xff; 20], len).unwrap()
             }),
             // A whole block gone: every header fits, the row total does not.
-            ("cut at a block boundary", |f, len| {
-                let mut header = [0u8; 8];
-                (&mut &*f).read_exact(&mut header).unwrap();
-                let first = 8 + u64::from_le_bytes(header) * 2 * 4;
+            ("cut at a block boundary", false, |f, len| {
+                let (_, _, first) = first_block(f);
                 assert!(first < len, "the partition spilled two blocks");
                 f.set_len(first).unwrap()
             }),
+            ("a cut run-end list", true, |f, _| {
+                let (_, runs, _) = first_block(f);
+                f.set_len(16 + 4 * (runs / 2)).unwrap()
+            }),
+            // The file's length still adds up; the ends do not.
+            ("run ends short of the block's rows", true, |f, _| {
+                let (rows, runs, _) = first_block(f);
+                let short = (rows as u32 - 1).to_le_bytes();
+                f.write_all_at(&short, 16 + 4 * (runs - 1)).unwrap()
+            }),
         ];
-        for (what, corrupt) in corruptions {
-            for ship in [false, true] {
+        for (what, runs_only, corrupt) in corruptions {
+            for (runs, ship) in [(false, false), (false, true), (true, false), (true, true)] {
+                if runs_only && !runs {
+                    continue;
+                }
                 let tracker = std::sync::Arc::new(MemoryTracker::new());
                 let dir = spill_dir();
                 let mut joiner = HashJoiner::new(
@@ -1654,17 +1915,19 @@ mod tests {
                     MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
                 );
                 for block in 0..2u32 {
-                    let rows: Vec<[u32; 2]> = (0..200).map(|i| [i, 10_000 * block + i]).collect();
-                    joiner.add(JoinSide::Left, &batch2(&rows)).unwrap();
-                    joiner.add(JoinSide::Right, &batch2(&rows)).unwrap();
+                    let rows: Vec<[u32; 2]> =
+                        (0..200).map(|i| [i / 4, 10_000 * block + i]).collect();
+                    joiner.add(JoinSide::Left, &batch_of(&rows, runs)).unwrap();
+                    joiner.add(JoinSide::Right, &batch_of(&rows, runs)).unwrap();
                     joiner.spill_to_disk().unwrap();
                 }
                 for path in spill_files(&dir, "join-r-") {
                     let file = OpenOptions::new()
                         .read(true)
-                        .append(true)
+                        .write(true)
                         .open(&path)
                         .unwrap();
+                    assert_eq!(first_block(&file).1 > 0, runs, "{what}: a block of runs");
                     corrupt(&file, file.metadata().unwrap().len());
                 }
                 let failed = if ship {
@@ -1674,18 +1937,142 @@ mod tests {
                 } else {
                     joiner.into_stream(64).count_batch().err()
                 };
+                let case = format!("{what}, runs {runs}, ship {ship}");
                 match failed {
                     Some(crate::EngineError::Io(e)) => {
-                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}")
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{case}: {e}")
                     }
-                    other => panic!("{what}, ship {ship}: expected InvalidData, got {other:?}"),
+                    other => panic!("{case}: expected InvalidData, got {other:?}"),
                 }
                 // Nothing the failed load held stays charged, nothing stays
                 // on disk once the joiner (or its stream) is gone.
-                assert_eq!(tracker.current(), 0, "{what}, ship {ship}");
-                assert!(spill_files(&dir, "join-").is_empty(), "{what}, ship {ship}");
+                assert_eq!(tracker.current(), 0, "{case}");
+                assert!(spill_files(&dir, "join-").is_empty(), "{case}");
             }
         }
+    }
+
+    /// Bytes a build holds, counted off its vectors.
+    fn build_held(build: &Build) -> u64 {
+        let values: usize = build.columns.iter().map(Vec::len).sum();
+        (4 * (values + build.run_ends.as_ref().map_or(0, Vec::len))) as u64
+    }
+
+    /// Checks that `joiner`'s charges are what it holds: its buffered bytes
+    /// are its sides' batches plus its builds, each build's charge is its
+    /// vectors, and `tracker` holds those plus the probe's, plus `away` —
+    /// shipped bytes charged until their ack.
+    fn assert_charged(joiner: &HashJoiner, tracker: &MemoryTracker, away: u64, step: &str) {
+        let mut held = 0;
+        for part in &joiner.partitions {
+            held += part.left.batch.byte_size() + part.right.batch.byte_size();
+            if let Some(build) = &part.build {
+                assert_eq!(build.bytes, build_held(build), "{step}: a build's charge");
+                held += build.bytes;
+            }
+        }
+        assert_eq!(joiner.buffered_bytes(), held, "{step}: buffered bytes");
+        let probe = joiner.current.as_ref().map_or(0, |probe| {
+            assert_eq!(probe.left_bytes, probe.left.byte_size(), "{step}");
+            assert_eq!(probe.build.bytes, build_held(&probe.build), "{step}");
+            probe.left_bytes + probe.build.bytes
+        });
+        assert_eq!(tracker.current(), held + probe + away, "{step}: tracked");
+    }
+
+    #[test]
+    fn the_tracker_charge_is_what_is_held() {
+        let tracker = std::sync::Arc::new(MemoryTracker::new());
+        let tracked = || MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker));
+        let mut joiner = HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), tracked());
+        // Keys in runs of five on both sides, and a dense batch that joins a
+        // run side as runs of one row.
+        let rows = |from: u32, payload: u32| -> Vec<[u32; 2]> {
+            (from..from + 400).map(|i| [i / 5, payload + i]).collect()
+        };
+        joiner
+            .add(JoinSide::Right, &run_batch(&rows(0, 20_000), 2))
+            .unwrap();
+        assert_charged(&joiner, &tracker, 0, "right runs");
+        joiner
+            .add(JoinSide::Left, &run_batch(&rows(0, 10_000), 2))
+            .unwrap();
+        assert_charged(&joiner, &tracker, 0, "left runs");
+        joiner
+            .add(JoinSide::Left, &batch2(&rows(400, 10_000)))
+            .unwrap();
+        assert_charged(&joiner, &tracker, 0, "dense rows into run sides");
+        let sides = joiner.partitions.iter().map(|p| &p.left.batch);
+        assert!(sides.clone().all(|b| b.run_ends().is_some()));
+        assert_eq!(sides.map(ColBatch::len).sum::<usize>(), 800);
+        joiner.seal_right(64);
+        assert_charged(&joiner, &tracker, 0, "right seal");
+        assert!(joiner.partitions.iter().all(|p| p.build.is_some()));
+        // A probe holds one build and its left rows.
+        assert_eq!(joiner.count_batch().unwrap(), Some(64));
+        assert_charged(&joiner, &tracker, 0, "probe");
+        let held = joiner.current.as_ref().map(|probe| probe.index);
+        let free = (0..NUM_PARTITIONS).find(|&p| Some(p) != held).unwrap();
+        joiner.demote(free);
+        assert_charged(&joiner, &tracker, 0, "demote");
+        assert!(joiner.partitions[free].right.batch.run_ends().is_some());
+        // More left rows put the tracker at its peak: a spill that charged
+        // an unbuilt build before releasing it would raise the peak.
+        joiner
+            .add(JoinSide::Left, &run_batch(&rows(800, 10_000), 2))
+            .unwrap();
+        assert_charged(&joiner, &tracker, 0, "left runs into built partitions");
+        let peak = tracker.peak();
+        assert_eq!(tracker.current(), peak, "at the peak");
+        let spill = |joiner: &mut HashJoiner, step: &str| {
+            assert!(joiner.spill_to_disk().unwrap() > 0, "{step}");
+            assert_eq!(tracker.peak(), peak, "{step}: the spill raised the peak");
+            assert_charged(joiner, &tracker, 0, step);
+        };
+        spill(
+            &mut joiner,
+            "spill: the largest free build and the open sides",
+        );
+        // Ships keep their charge until the adopter's ack; the adopter, on
+        // a tracker of its own, charges them on receipt.
+        let adopted = std::sync::Arc::new(MemoryTracker::new());
+        let memory = MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&adopted));
+        let mut adopter = HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), memory);
+        adopter.seal(64);
+        assert_charged(&adopter, &adopted, 0, "an empty sealed adopter");
+        while let Some((left, right)) = joiner.take_unprobed_partition().unwrap() {
+            let bytes = left.byte_size() + right.byte_size();
+            assert_charged(&joiner, &tracker, bytes, "ship");
+            assert!(left.run_ends().is_some() && right.run_ends().is_some());
+            adopted.allocate(bytes);
+            adopter.adopt_partition(left, right).unwrap();
+            assert_charged(&adopter, &adopted, 0, "adopt");
+            tracker.release(bytes);
+        }
+        assert!(
+            adopter.partitions.len() > NUM_PARTITIONS,
+            "partitions shipped"
+        );
+        joiner.seal(64);
+        adopter.add(JoinSide::Left, &ColBatch::new(2)).unwrap_err();
+        // After the left seal every free build goes.
+        assert!(adopter.count_batch().unwrap().is_some());
+        let peak = adopted.peak();
+        assert!(adopter.spill_to_disk().unwrap() > 0);
+        assert_eq!(
+            adopted.peak(),
+            peak,
+            "a spill after the left seal raised the peak"
+        );
+        assert_charged(&adopter, &adopted, 0, "spill after the left seal");
+        for join in [&mut joiner, &mut adopter] {
+            while join.count_batch().unwrap().is_some() {}
+        }
+        // Each of the first 400 left rows meets the five right rows of its
+        // key; the later keys have no right rows.
+        assert_eq!(joiner.produced() + adopter.produced(), 5 * 400);
+        drop((joiner, adopter));
+        assert_eq!((tracker.current(), adopted.current()), (0, 0));
     }
 
     #[test]
@@ -1849,7 +2236,7 @@ mod tests {
             join.add(JoinSide::Right, &right).unwrap();
             // Before the seal: adoption and both sinks are refused.
             let refused = |e: EngineError| matches!(e, EngineError::Config(_));
-            let adopted = join.adopt_partition(Vec::new(), Vec::new());
+            let adopted = join.adopt_partition(ColBatch::new(2), ColBatch::new(2));
             assert!(adopted.is_err_and(refused));
             assert!(join.next_batch().is_err_and(refused));
             assert!(join.count_batch().is_err_and(refused));
@@ -2073,8 +2460,8 @@ mod tests {
 
         /// [`pack_key`] of a row given as a slice.
         fn packed(row: &[u32], key_positions: &[usize]) -> u128 {
-            let columns: Vec<Vec<u32>> = row.iter().map(|&v| vec![v]).collect();
-            pack_key(&columns, key_positions, 0)
+            let columns = row.iter().map(|&v| vec![v]).collect();
+            pack_key(&ColBatch::from_columns(columns), key_positions, 0)
         }
 
         fn flag() -> impl Strategy<Value = bool> {
@@ -2087,11 +2474,14 @@ mod tests {
             /// Both sinks agree with the nested-loop reference — the count
             /// sink on how many, the gather sink on which (and, when both
             /// sides seal at once, in what order) — whether the partitions
-            /// are resident or were spilled and re-loaded, whether the left
-            /// rows are probed as they arrive or after the left seal, and
-            /// both report the reference's key-equal pairs as tested. Every
-            /// left row is counted streamed or deferred, once, and every
-            /// tracked byte comes back.
+            /// are resident or were spilled and re-loaded, demoted and
+            /// rebuilt, whether the left rows are probed as they arrive or
+            /// after the left seal, and whichever layout either side
+            /// arrives in: dense, runs keyed in the prefix (held as runs),
+            /// or runs keyed on the newest column (held dense). Both report
+            /// the reference's key-equal pairs as tested. Every left row is
+            /// counted streamed or deferred, once, and every tracked byte
+            /// comes back.
             #[test]
             fn both_sinks_match_the_nested_loop_reference(
                 left in arb_rows(0..40),
@@ -2108,16 +2498,21 @@ mod tests {
                 batch_rows in prop_oneof![
                     Just(1usize), Just(3usize), Just(BLOCK - 1), Just(BLOCK + 1)
                 ],
-                spill in flag(),
+                // Spill after every batch; stretch the id range to both ends
+                // (0 is also what pads the columns, `u32::MAX` and 0 leave a
+                // bound no room).
+                (spill, extreme) in (flag(), flag()),
+                // Per side: the key last in the row (so a run batch is keyed
+                // on its newest column) instead of first, and the batches
+                // as runs of consecutive rows that share a prefix (the side's
+                // rows sorted by it first) instead of dense.
+                (left_key_last, right_key_last, left_runs, right_runs) in (flag(), flag(), flag(), flag()),
                 // One key group sized around the block width, sharing the
                 // first left row's key.
                 hot_group in prop_oneof![
                     Just(0usize), Just(BLOCK - 1), Just(BLOCK), Just(BLOCK + 1), Just(2 * BLOCK + 1)
                 ],
                 hot_rows in arb_rows(2 * BLOCK + 1..2 * BLOCK + 2),
-                // Stretch the id range to both ends: 0 is also what pads the
-                // columns, `u32::MAX` and 0 leave a bound no room.
-                extreme in flag(),
                 // Partitions spilled just before the first seal, then the
                 // schedule. `None` seals both sides at once. `Some` seals the
                 // right side first: `(left rows before the right seal, built
@@ -2128,8 +2523,23 @@ mod tests {
                     (0usize..49, 0u32..1 << 16, 0usize..49).prop_map(Some)
                 ]),
             ) {
-                // Left rows are [key.., extras..]; right rows [extras.., key..].
+                // A row is [key.., extras..], or [extras.., key..] with its
+                // side's key last.
                 let (left_arity, right_arity) = (key_width + left_extra, right_extra + key_width);
+                let key_at = |key_last: bool, extra: usize| match key_last {
+                    true => (extra..extra + key_width).collect::<Vec<_>>(),
+                    false => (0..key_width).collect(),
+                };
+                let extras_at = |key_last: bool, extra: usize| match key_last {
+                    true => (0..extra).collect::<Vec<_>>(),
+                    false => (key_width..key_width + extra).collect(),
+                };
+                let assemble = |key_last: bool, key: &[u32], extras: &[u32]| -> Vec<u32> {
+                    match key_last {
+                        true => extras.iter().chain(key).copied().collect(),
+                        false => key.iter().chain(extras).copied().collect(),
+                    }
+                };
                 // A joined-row position on the asked-for side (the left one
                 // when there is no payload to pick from).
                 let position = |on_right: bool, i: usize| match on_right && right_extra > 0 {
@@ -2139,9 +2549,9 @@ mod tests {
                 let op = JoinOp {
                     left: 0,
                     right: 1,
-                    key_left: (0..key_width).collect(),
-                    key_right: (right_extra..right_arity).collect(),
-                    right_payload: (0..right_extra).collect(),
+                    key_left: key_at(left_key_last, left_extra),
+                    key_right: key_at(right_key_last, right_extra),
+                    right_payload: extras_at(right_key_last, right_extra),
                     filters: filters
                         .iter()
                         .map(|&(a_right, b_right, a, b)| (position(a_right, a), position(b_right, b)))
@@ -2155,29 +2565,41 @@ mod tests {
                 };
                 let mut left = shaped(&left, left_arity);
                 let mut right = shaped(&right, right_arity);
-                let hot_key = left.first().map_or(vec![0; key_width], |l| l[..key_width].to_vec());
-                for row in &shaped(&hot_rows, right_extra)[..hot_group] {
-                    right.push(row.iter().chain(&hot_key).copied().collect());
+                let hot_key = left.first().map_or(vec![0; key_width], |l| {
+                    op.key_left.iter().map(|&c| l[c]).collect()
+                });
+                for extras in &shaped(&hot_rows, right_extra)[..hot_group] {
+                    right.push(assemble(right_key_last, &hot_key, extras));
                 }
                 if key_width > PACK_MAX_KEY {
                     // Rows under two keys that hash alike share a key group.
                     let (a, b) = colliding_wide_keys();
                     assert_ne!(a, b);
-                    assert_eq!(packed(&a, &op.key_left), packed(&b, &op.key_left));
+                    let whole: Vec<usize> = (0..key_width).collect();
+                    assert_eq!(packed(&a, &whole), packed(&b, &whole));
                     for (i, key) in [a, b, a].iter().enumerate() {
                         let extras = [i as u32, 4 - i as u32];
-                        left.push(key.iter().chain(&extras[..left_extra]).copied().collect());
-                        right.push(extras[..right_extra].iter().chain(key).copied().collect());
+                        left.push(assemble(left_key_last, key, &extras[..left_extra]));
+                        right.push(assemble(right_key_last, key, &extras[..right_extra]));
                     }
                 }
-                let batches = |rows: &[Vec<u32>], arity: usize| -> Vec<ColBatch> {
+                // Runs form where consecutive rows share their prefix.
+                for (rows, arity, runs) in [(&mut left, left_arity, left_runs), (&mut right, right_arity, right_runs)] {
+                    if runs {
+                        rows.sort_by(|a, b| a[..arity - 1].cmp(&b[..arity - 1]));
+                    }
+                }
+                let batches = |rows: &[Vec<u32>], arity: usize, runs: bool| -> Vec<ColBatch> {
                     // Three batches a side, each one more block of every
                     // partition's spill file when spilling.
                     let chunks = rows.chunks(rows.len().div_ceil(3).max(1));
-                    chunks.map(|rows| {
-                        let mut batch = ColBatch::new(arity);
-                        rows.iter().for_each(|r| batch.push_row(r));
-                        batch
+                    chunks.map(|rows| match runs {
+                        true => run_batch(rows, arity),
+                        false => {
+                            let mut batch = ColBatch::new(arity);
+                            rows.iter().for_each(|r| batch.push_row(r));
+                            batch
+                        }
                     }).collect()
                 };
                 // Feeds the input on `arrival`'s schedule, polling `sink` once
@@ -2193,10 +2615,20 @@ mod tests {
                     // every batch.
                     type Sink<'a> = dyn FnMut(&mut HashJoiner, bool) -> Result<()> + 'a;
                     let add = |joiner: &mut HashJoiner, side, rows: &[Vec<u32>], poll: Option<&mut Sink>| {
-                        let arity = if side == JoinSide::Left { left_arity } else { right_arity };
+                        let (arity, runs, key_last) = match side {
+                            JoinSide::Left => (left_arity, left_runs, left_key_last),
+                            JoinSide::Right => (right_arity, right_runs, right_key_last),
+                        };
+                        // Held as runs: runs keyed in the prefix, which a row
+                        // of key columns only has no room for.
+                        let held_as_runs = runs && !key_last && arity > key_width;
                         let mut poll = poll;
-                        for batch in batches(rows, arity) {
+                        for batch in batches(rows, arity, runs) {
                             joiner.add(side, &batch)?;
+                            for part in &mut joiner.partitions {
+                                let held = &part.side(side).batch;
+                                assert!(held.is_empty() || held.run_ends().is_some() == held_as_runs);
+                            }
                             if spill {
                                 joiner.spill_to_disk()?;
                             }
@@ -2363,8 +2795,8 @@ mod tests {
                     for (homes, (side, key_positions)) in homes.iter_mut().zip(sides) {
                         for (p, part) in joiner.partitions.iter_mut().enumerate() {
                             let side = part.side(side);
-                            for row in 0..column_rows(&side.columns) {
-                                let key = key_positions.iter().map(|&c| side.columns[c][row]).collect();
+                            for row in side.batch.to_rows().rows() {
+                                let key = key_positions.iter().map(|&c| row[c]).collect();
                                 let home = *homes.entry(key).or_insert((machine, p));
                                 prop_assert_eq!(home, (machine, p), "one key, two homes");
                             }

@@ -71,7 +71,7 @@ use crate::cancel::CancelToken;
 use crate::config::{ClusterConfig, Fault, PanicPoint, SinkMode};
 use crate::exec::{partition_cols_by_key, OpContext};
 use crate::governor::{MemoryGovernor, PressureLevel};
-use crate::join::{column_bytes, HashJoiner, JoinSide, MemoryTrackerHandle};
+use crate::join::{HashJoiner, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
 use crate::operators::{nest, ExtendSpec, ScanCursor};
 use crate::pool::WorkerPool;
@@ -1332,7 +1332,7 @@ impl MachineState {
             return Ok(());
         };
         self.maybe_panic_at(segment, PanicPoint::Ship);
-        let bytes = column_bytes(&left) + column_bytes(&right);
+        let bytes = left.byte_size() + right.byte_size();
         self.pending_ship_bytes += bytes;
         self.trace.instant_kv(
             "ship_partition",

@@ -155,7 +155,9 @@ mod tests {
         let mut stream = joiner.into_stream(16);
         let cancel = crate::cancel::CancelToken::new();
         stream.set_cancel(cancel.clone());
-        let rows = |payload: u32| vec![vec![7; 64], (payload..payload + 64).collect()];
+        let rows = |payload: u32| {
+            huge_comm::ColBatch::from_columns(vec![vec![7; 64], (payload..payload + 64).collect()])
+        };
         let (left_bytes, shipped_bytes) = (64 * 2 * 4, 2 * 64 * 2 * 4);
         t.allocate(shipped_bytes);
         stream.adopt_partition(rows(1_000), rows(2_000)).unwrap();

@@ -1185,24 +1185,6 @@ impl Nest<'_> {
     }
 }
 
-/// Run batches of one arity as one, in order.
-///
-/// # Panics
-/// Panics if they hold more rows than 32 bits index.
-fn concat_runs(pieces: impl Iterator<Item = ColBatch>, arity: usize) -> ColBatch {
-    let (mut cols, mut ends) = (vec![Vec::new(); arity], Vec::new());
-    for piece in pieces {
-        let held = cols[arity - 1].len();
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.extend_from_slice(piece.column(c));
-        }
-        let moved = piece.run_ends().into_iter().flatten();
-        let end = |&e: &u32| u32::try_from(held + e as usize).expect("32-bit rows");
-        ends.extend(moved.map(end));
-    }
-    ColBatch::from_runs(cols, ends)
-}
-
 /// A one-level gathering [`nest`] for a caller that holds no operator (the
 /// perf ledger's stage replay, tests): compiles `op` for this one batch and
 /// returns what it gathers as one run batch, its pieces in the order the
@@ -1216,7 +1198,10 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
     let gathered = SharedQueue::new(usize::MAX, None);
     let gather = Some((&[][..], &gathered));
     let mut out = nest(std::slice::from_ref(&spec), &input, ctx, None, gather);
-    out.batch = concat_runs(std::iter::from_fn(|| gathered.pop()), spec.output_arity());
+    out.batch = ColBatch::new(spec.output_arity()).into_runs();
+    while let Some(mut piece) = gathered.pop() {
+        out.batch.append(&mut piece);
+    }
     out
 }
 

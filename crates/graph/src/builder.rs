@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 
 use crate::graph::{Graph, VertexId};
+use crate::{GraphError, Result};
 
 /// Incremental builder for [`Graph`], and the one way to make one.
 ///
@@ -56,15 +57,24 @@ impl GraphBuilder {
     ///
     /// The degrees counted for the offsets also renumber the vertices: a
     /// stable sort by descending degree gives each vertex its rank, and the
-    /// CSR is filled with ranks directly, so the graph is written once. The rank → input id map is kept in the graph
-    /// ([`Graph::input_id`]).
-    pub fn build(mut self) -> Graph {
+    /// CSR is filled with ranks directly, so the graph is written once. The
+    /// rank → input id map is kept in the graph ([`Graph::input_id`]).
+    ///
+    /// # Errors
+    /// [`GraphError::VertexOutOfRange`] if a builder made by
+    /// [`GraphBuilder::with_vertices`] was given a vertex id at or past its
+    /// declared count (the largest such id is reported).
+    pub fn build(mut self) -> Result<Graph> {
+        let n = match (self.declared_vertices, self.max_vertex) {
+            (Some(n), Some(m)) if m as usize >= n => {
+                let (vertex, max) = (u64::from(m), (n as u64).saturating_sub(1));
+                return Err(GraphError::VertexOutOfRange { vertex, max });
+            }
+            (Some(n), _) => n,
+            (None, m) => m.map_or(0, |m| m as usize + 1),
+        };
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = match self.declared_vertices {
-            Some(n) => n,
-            None => self.max_vertex.map(|m| m as usize + 1).unwrap_or(0),
-        };
         let num_edges = self.edges.len() as u64;
 
         // Degree counting pass (each undirected edge contributes to both ends).
@@ -103,7 +113,7 @@ impl GraphBuilder {
             let hi = offsets[v + 1] as usize;
             neighbours[lo..hi].sort_unstable();
         }
-        Graph::from_csr(offsets, neighbours, num_edges, input_ids)
+        Ok(Graph::from_csr(offsets, neighbours, num_edges, input_ids))
     }
 }
 
@@ -118,7 +128,7 @@ mod tests {
             .add_edge(1, 3)
             .add_edge(0, 3)
             .add_edge(2, 3);
-        let g = b.build();
+        let g = b.build().unwrap();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 3);
         // Input vertex 3 is the hub, so it is vertex 0; the leaves keep
@@ -132,14 +142,14 @@ mod tests {
     fn declared_vertices_keeps_isolated() {
         let mut b = GraphBuilder::with_vertices(10);
         b.add_edge(0, 1);
-        let g = b.build();
+        let g = b.build().unwrap();
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.degree(9), 0);
     }
 
     #[test]
     fn empty_builder_builds_empty_graph() {
-        let g = GraphBuilder::new().build();
+        let g = GraphBuilder::new().build().unwrap();
         assert!(g.is_empty());
     }
 
@@ -148,8 +158,28 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(5, 5);
         b.add_edge(1, 2);
-        let g = b.build();
+        let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(5), 0);
+    }
+
+    #[test]
+    fn an_edge_past_the_declared_vertices_is_a_typed_error() {
+        let mut b = GraphBuilder::with_vertices(4);
+        b.add_edge(0, 7).add_edge(1, 2);
+        match b.build() {
+            Err(GraphError::VertexOutOfRange { vertex, max }) => assert_eq!((vertex, max), (7, 3)),
+            other => panic!("expected VertexOutOfRange, got {other:?}"),
+        }
+        // A self loop registers its vertex too; the last declared id is fine.
+        let mut b = GraphBuilder::with_vertices(4);
+        b.add_edge(5, 5);
+        assert!(matches!(
+            b.build(),
+            Err(GraphError::VertexOutOfRange { vertex: 5, max: 3 })
+        ));
+        let mut b = GraphBuilder::with_vertices(4);
+        b.add_edge(0, 3);
+        assert_eq!(b.build().unwrap().num_vertices(), 4);
     }
 }

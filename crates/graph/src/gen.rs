@@ -14,6 +14,14 @@ use rand::{Rng, SeedableRng};
 use crate::builder::GraphBuilder;
 use crate::graph::{Graph, VertexId};
 
+/// The graph of a generator's builder, whose ids all lie below the vertex
+/// count it declared.
+fn built(builder: GraphBuilder) -> Graph {
+    builder
+        .build()
+        .expect("generated ids are below the declared count")
+}
+
 /// Erdős–Rényi `G(n, m)` random graph: `m` distinct uniform random edges.
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
     assert!(n >= 2, "need at least two vertices");
@@ -35,7 +43,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
             added += 1;
         }
     }
-    builder.build()
+    built(builder)
 }
 
 /// Barabási–Albert preferential-attachment graph.
@@ -76,7 +84,7 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
             targets.push(v);
         }
     }
-    builder.build()
+    built(builder)
 }
 
 /// Parameters of the RMAT recursive-matrix generator.
@@ -151,7 +159,7 @@ pub fn rmat(scale: u32, m: usize, params: RmatParams, seed: u64) -> Graph {
             builder.add_edge(u, v);
         }
     }
-    builder.build()
+    built(builder)
 }
 
 /// A 2-D grid graph with optional random "shortcut" edges.
@@ -180,7 +188,7 @@ pub fn grid(rows: usize, cols: usize, shortcuts: usize, seed: u64) -> Graph {
             builder.add_edge(u, v);
         }
     }
-    builder.build()
+    built(builder)
 }
 
 /// A complete graph on `n` vertices; handy in tests since every query has a
@@ -192,7 +200,7 @@ pub fn complete(n: usize) -> Graph {
             builder.add_edge(u as VertexId, v as VertexId);
         }
     }
-    builder.build()
+    built(builder)
 }
 
 /// A cycle graph on `n` vertices.
@@ -202,7 +210,7 @@ pub fn cycle(n: usize) -> Graph {
     for u in 0..n {
         builder.add_edge(u as VertexId, ((u + 1) % n) as VertexId);
     }
-    builder.build()
+    built(builder)
 }
 
 /// A "caveman"-style graph: `communities` cliques of size `size` connected in
@@ -227,7 +235,7 @@ pub fn caveman(communities: usize, size: usize, seed: u64) -> Graph {
             builder.add_edge(u as VertexId, v as VertexId);
         }
     }
-    builder.build()
+    built(builder)
 }
 
 #[cfg(test)]

@@ -94,7 +94,7 @@ impl Graph {
         for (u, v) in edges {
             b.add_edge(u, v);
         }
-        b.build()
+        b.build().expect("no declared vertex count to exceed")
     }
 
     /// Number of vertices.

@@ -39,7 +39,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph> {
             }
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Loads a graph from a whitespace-separated edge-list file.

@@ -220,7 +220,7 @@ proptest! {
             for &(u, v) in edges {
                 b.add_edge(u, v);
             }
-            b.build()
+            b.build().unwrap()
         };
         let (plain, relabelled) = (build(&edges), build(&permuted));
         let degrees = |g: &Graph| g.vertices().map(|v| g.degree(v)).collect::<Vec<_>>();
@@ -268,6 +268,6 @@ fn generators_are_connected_enough() {
 fn builder_with_vertices_allows_bigger_ids() {
     let mut b = GraphBuilder::with_vertices(4);
     b.add_edge(0, 3);
-    let g = b.build();
+    let g = b.build().unwrap();
     assert_eq!(g.num_vertices(), 4);
 }

@@ -85,7 +85,7 @@ proptest! {
             .collect();
         let mut builder = GraphBuilder::with_vertices(n);
         input.iter().for_each(|&(u, v)| { builder.add_edge(u, v); });
-        let cluster = HugeCluster::build(builder.build(), ClusterConfig::new(machines).workers(1)).unwrap();
+        let cluster = HugeCluster::build(builder.build().unwrap(), ClusterConfig::new(machines).workers(1)).unwrap();
         prop_assert_eq!(cluster.run(&query, SinkMode::Count).unwrap().matches, expected);
         let rows = cluster.run(&query, SinkMode::Collect(usize::MAX)).unwrap().sample_matches;
         prop_assert_eq!(rows.len() as u64, expected);
