@@ -370,6 +370,28 @@ impl ColBatch {
         }
     }
 
+    /// Appends run `run` of `from` (row `run`, if `from` is dense) to this
+    /// run batch as one run: its prefix values once, its newest values, its
+    /// end.
+    ///
+    /// # Panics
+    /// Panics if this batch has no runs, if arities differ, or if the rows
+    /// outgrow 32-bit run ends.
+    pub fn push_run(&mut self, from: &ColBatch, run: usize) {
+        assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
+        let rows = from.run_rows(run);
+        let ends = self
+            .run_ends
+            .as_mut()
+            .expect("runs are pushed onto a run batch");
+        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
+        for (col, source) in prefix.iter_mut().zip(&from.cols) {
+            col.push(source[run]);
+        }
+        newest.extend_from_slice(&from.cols[from.cols.len() - 1][rows]);
+        ends.push(u32::try_from(newest.len()).expect("32-bit rows"));
+    }
+
     /// This batch with run structure: itself if it has runs, otherwise the
     /// same columns with every row a run of one (one run end per row more).
     pub fn into_runs(mut self) -> ColBatch {
@@ -647,6 +669,16 @@ mod tests {
         assert_eq!(units.to_rows(), rows);
         assert_eq!(units.byte_size(), dense.byte_size() + 6 * 4);
         assert_eq!(runs.clone().into_runs(), runs);
+        // Runs pushed one by one keep their prefix once; a dense row is a
+        // run of one.
+        let mut pushed = ColBatch::new(3).into_runs();
+        for r in [2, 0, 1] {
+            pushed.push_run(&runs, r);
+        }
+        pushed.push_run(&dense, 4);
+        assert_eq!(pushed.run_ends(), Some(&[3, 5, 5, 6][..]));
+        assert_eq!(pushed.column(0), &[20, 0, 10, 20]);
+        assert_eq!(pushed.column(2), &[1002, 1003, 1004, 1000, 1001, 1004]);
     }
 
     #[test]
@@ -713,9 +745,9 @@ mod tests {
                 let mut as_runs = ColBatch::new(3).into_runs();
                 for (chunk, dense) in chunks.iter().zip(&dense_chunks) {
                     // Appended as runs, chunks keep their layout and charge.
-                    let held = as_runs.byte_size();
-                    as_runs.append(&mut chunk.clone().into_runs());
-                    prop_assert_eq!(as_runs.byte_size(), held + chunk.clone().into_runs().byte_size());
+                    let (held, chunk_runs) = (as_runs.byte_size(), chunk.clone().into_runs());
+                    as_runs.append(&mut chunk_runs.clone());
+                    prop_assert_eq!(as_runs.byte_size(), held + chunk_runs.byte_size());
                     prop_assert!(chunk.len() <= n);
                     prop_assert_eq!(chunk.byte_size(), held_bytes(chunk));
                     prop_assert_eq!(chunk.to_rows(), dense.to_rows());

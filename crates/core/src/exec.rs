@@ -20,6 +20,8 @@
 //! under its BFS/DFS-adaptive scheduler in [`crate::machine`]; the baselines
 //! add their own star scan and reuse the joiner and the partitioners.
 
+use std::borrow::BorrowMut;
+
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
 use huge_graph::{machine_of, GraphPartition, VertexId};
@@ -52,8 +54,9 @@ pub struct OpContext<'a> {
 /// Hash-partitions the rows of `batch` over `k` machines by the given
 /// key columns, input order kept within a destination. A run batch whose
 /// key columns are all prefix columns ships run-wise, each run whole to one
-/// destination; any other batch is made rows, and its parts come out dense
-/// (`split_by_key`, which the receiving join's Grace scatter shares).
+/// destination, and every destination receives a run batch; any other batch
+/// is made rows, and its parts come out dense (`scatter_by_key`, which the
+/// receiving join's Grace scatter shares).
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
@@ -63,31 +66,40 @@ pub struct OpContext<'a> {
 /// — the high bits of the mixed hash, the same placement as a vertex's owner
 /// — and the receiving join takes its Grace partition from other bits of it.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
-    split_by_key(batch, key_positions, k, |hash| machine_of(hash, k))
+    let mut parts = vec![ColBatch::new(batch.arity()); k];
+    scatter_by_key(batch, key_positions, |hash| machine_of(hash, k), &mut parts);
+    parts
 }
 
-/// Splits the rows of `batch` into `k` parts by the [`key_hash`] of the
-/// given key columns, `place` naming a hash's part: the shuffle's machines
-/// and the receiving join's Grace partitions. A run batch whose key columns
-/// are all prefix columns splits run-wise: one hash per run sends the whole
-/// run to one part, which is a run batch — the prefix once, the newest
-/// column's slice, the run's end; empty runs are dropped. Any other batch
-/// (dense, or keyed on its newest column) is made rows here: one pass over
-/// the key columns computes the parts, then every column of every part is
-/// one gather, so those parts come out dense.
-pub(crate) fn split_by_key(
+/// Appends the rows of `batch` to `parts`, each to the part `place` names
+/// for the [`key_hash`] of its key columns: the shuffle's machines and the
+/// receiving join's Grace partitions. A run batch whose key columns are all
+/// prefix columns goes run-wise: every part holds runs from then on, one
+/// hash per run sends the whole run to one part ([`ColBatch::push_run`]:
+/// the prefix once, the newest column's slice, the run's end), and empty
+/// runs are dropped. Any other batch (dense, or keyed on its newest column)
+/// is made rows here and appended by [`scatter_rows`]. Input order is kept
+/// within a part.
+pub(crate) fn scatter_by_key<P: BorrowMut<ColBatch>>(
     batch: &ColBatch,
     key_positions: &[usize],
-    k: usize,
     place: impl Fn(u64) -> usize,
-) -> Vec<ColBatch> {
+    parts: &mut [P],
+) {
     if prefix_keyed(batch, key_positions) {
+        for part in parts.iter_mut() {
+            let part = part.borrow_mut();
+            *part = std::mem::take(part).into_runs();
+        }
         let hash = unit_key_hash(batch, key_positions);
-        return scatter_runs(batch, |run| place(hash(run)), k);
+        for run in (0..batch.runs()).filter(|&run| !batch.run_rows(run).is_empty()) {
+            parts[place(hash(run))].borrow_mut().push_run(batch, run);
+        }
+        return;
     }
     let batch = &*batch.flattened();
     let hash = unit_key_hash(batch, key_positions);
-    scatter(batch, |row| place(hash(row)), k)
+    scatter_rows(batch, |row| place(hash(row)), parts);
 }
 
 /// The [`key_hash`] of a run of `batch` (a row, for a dense batch), read off
@@ -108,16 +120,25 @@ pub fn partition_cols_by_owner(
 ) -> Vec<ColBatch> {
     let batch = &*batch.flattened();
     let vertices = batch.column(column);
-    scatter(batch, |row| rpc.owner(vertices[row]), k)
+    let mut parts = vec![ColBatch::new(batch.arity()); k];
+    scatter_rows(batch, |row| rpc.owner(vertices[row]), &mut parts);
+    parts
 }
 
-/// One dense batch per destination. One pass computes the destinations and
-/// each row's rank within its own, which fixes the batch's rows in
-/// destination order (input order kept within a destination); every column
-/// of every destination is then one gather through that order.
-fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
+/// Appends every row of the dense `batch` to the part `dest_of` names for
+/// it. One pass computes the destinations and each row's rank within its
+/// own, which fixes the batch's rows in destination order (input order kept
+/// within a destination); every column of every destination is then one
+/// gather through that order. An empty part takes its rows as a dense batch;
+/// a part with rows appends them in its layout, as runs of one row if it
+/// holds runs ([`append_rows`]).
+pub(crate) fn scatter_rows<P: BorrowMut<ColBatch>>(
+    batch: &ColBatch,
+    dest_of: impl Fn(usize) -> usize,
+    parts: &mut [P],
+) {
     assert!(u32::try_from(batch.len()).is_ok(), "row indices are 32-bit");
-    let mut counts = vec![0u32; k];
+    let mut counts = vec![0u32; parts.len()];
     let ranked: Vec<(u32, u32)> = (0..batch.len())
         .map(|i| {
             let dest = dest_of(i);
@@ -126,7 +147,7 @@ fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<
         })
         .collect();
     // Each destination's first slot in the order, and one past the last one's.
-    let mut starts = vec![0u32; k + 1];
+    let mut starts = vec![0u32; parts.len() + 1];
     for (d, count) in counts.iter().enumerate() {
         starts[d + 1] = starts[d] + count;
     }
@@ -134,15 +155,29 @@ fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<
     for (i, &(dest, rank)) in ranked.iter().enumerate() {
         order[(starts[dest as usize] + rank) as usize] = i as u32;
     }
-    let part = |range: &[u32]| {
+    for (part, range) in parts.iter_mut().zip(starts.windows(2)) {
         let rows = &order[range[0] as usize..range[1] as usize];
         let column = |c| {
             let source = batch.column(c);
             rows.iter().map(|&row| source[row as usize]).collect()
         };
-        ColBatch::from_columns((0..batch.arity()).map(column).collect())
-    };
-    starts.windows(2).map(part).collect()
+        let rows = ColBatch::from_columns((0..batch.arity()).map(column).collect());
+        append_rows(part.borrow_mut(), rows);
+    }
+}
+
+/// Appends `rows` to `part` without flattening `part`: an empty part takes
+/// `rows` as they are, a part that holds runs takes dense rows as runs of
+/// one row ([`ColBatch::into_runs`]), and two run batches append as runs.
+pub(crate) fn append_rows(part: &mut ColBatch, mut rows: ColBatch) {
+    if part.runs() == 0 {
+        *part = rows;
+        return;
+    }
+    if part.run_ends().is_some() {
+        rows = rows.into_runs();
+    }
+    part.append(&mut rows);
 }
 
 /// `true` when `batch` is a run batch and every key column is a prefix
@@ -150,27 +185,6 @@ fn scatter(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<
 fn prefix_keyed(batch: &ColBatch, key_positions: &[usize]) -> bool {
     let newest = batch.arity() - 1;
     batch.run_ends().is_some() && key_positions.iter().all(|&c| c < newest)
-}
-
-/// One run batch per destination; `dest_of` names a run's.
-fn scatter_runs(batch: &ColBatch, dest_of: impl Fn(usize) -> usize, k: usize) -> Vec<ColBatch> {
-    let newest = batch.arity() - 1;
-    let mut parts = vec![(vec![Vec::new(); batch.arity()], Vec::new()); k];
-    for run in 0..batch.runs() {
-        let rows = batch.run_rows(run);
-        if rows.is_empty() {
-            continue;
-        }
-        let (cols, ends) = &mut parts[dest_of(run)];
-        for (c, col) in cols[..newest].iter_mut().enumerate() {
-            col.push(batch.column(c)[run]);
-        }
-        cols[newest].extend_from_slice(&batch.column(newest)[rows]);
-        // A part holds at most the batch's rows, which fit in 32 bits.
-        ends.push(cols[newest].len() as u32);
-    }
-    let part = |(cols, ends)| ColBatch::from_runs(cols, ends);
-    parts.into_iter().map(part).collect()
 }
 
 #[cfg(test)]

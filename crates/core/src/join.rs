@@ -41,9 +41,10 @@
 //! into a mask (a run build's per-run columns are expanded into scratch rows
 //! once per left run). [`HashJoiner::count_batch`] sums the mask — the sink
 //! the machine's chain calls when the join feeds a counting `SINK` directly
-//! — [`HashJoiner::next_batch`] turns it into `(left row, right row)` index
-//! pairs and gathers the output columns from them. Both share the partition
-//! lifecycle, the tracker charges and the per-poll cancel check.
+//! — [`HashJoiner::next_batch`] turns it into pairs of `(row, run)` indices
+//! of each side and gathers the output columns from them, a prefix value
+//! through its run and a newest value through its row. Both share the
+//! partition lifecycle, the tracker charges and the per-poll cancel check.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -55,7 +56,7 @@ use huge_graph::{mix, IdBuildHasher, VertexId};
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
-use crate::exec::split_by_key;
+use crate::exec::{append_rows, scatter_by_key};
 use crate::memory::MemoryTracker;
 use crate::{EngineError, Result};
 
@@ -147,8 +148,8 @@ fn unit_start(run_ends: Option<&[u32]>, unit: usize) -> u32 {
 
 /// One side of a partition: its resident rows and its spill file.
 struct Side {
-    /// The resident rows: runs once any batch with runs arrived, dense rows
-    /// otherwise ([`Side::push`]).
+    /// The resident rows: runs once any batch with runs arrived (dense rows
+    /// joining them as runs of one row), dense rows otherwise.
     batch: ColBatch,
     spill_file: Option<PathBuf>,
     /// Rows appended to the spill file so far — what a reload must find.
@@ -298,13 +299,13 @@ impl HashJoiner {
         }
     }
 
-    /// Adds an input batch to one side: the shuffle's own split
-    /// (`exec::split_by_key`, by Grace partition instead of machine) sends a
-    /// prefix-keyed run batch's runs whole, one hash per run, and any other
-    /// batch's rows, and every partition's side appends its part in the
-    /// layout it came in. Left rows that land in a built partition wait there
-    /// for the next probe poll. Input after its side's seal is a
-    /// [`EngineError::Config`] error.
+    /// Adds an input batch to one side with the shuffle's own scatter
+    /// (`exec::scatter_by_key`, by Grace partition instead of machine): a
+    /// prefix-keyed run batch's runs go whole, one hash per run, straight
+    /// onto the partitions' sides, which hold runs from then on; any other
+    /// batch's rows are appended as rows. Left rows that land in a built
+    /// partition wait there for the next probe poll. Input after its side's
+    /// seal is a [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         let (sealed, key_positions, tag) = match side {
             JoinSide::Left => (self.left_sealed, &self.spec.key_left, "l"),
@@ -315,18 +316,20 @@ impl HashJoiner {
             return Err(EngineError::Config(message.into()));
         }
         debug_assert_eq!(batch.arity(), self.partitions[0].side(side).batch.arity());
-        let parts = split_by_key(batch, key_positions, NUM_PARTITIONS, grace_partition);
-        let grown = self.partitions.iter_mut().zip(parts);
-        let grown: u64 = grown.map(|(p, part)| p.side(side).push(part)).sum();
+        let mut sides: Vec<&mut ColBatch> = self.partitions[..NUM_PARTITIONS]
+            .iter_mut()
+            .map(|p| &mut p.side(side).batch)
+            .collect();
+        let before: u64 = sides.iter().map(|s| s.byte_size()).sum();
+        scatter_by_key(batch, key_positions, grace_partition, &mut sides);
+        let mut resident: u64 = sides.iter().map(|s| s.byte_size()).sum();
         // One tracker charge per batch: the spill loop below only runs after
         // the whole batch is buffered, so the tracked peak is the same as
         // charging row by row.
-        self.memory.allocate(grown);
+        self.memory.allocate(resident - before);
         // Spill the largest open partitions while the side's resident rows
         // exceed the threshold — never a built one: its left rows are probe
         // input, not buffer.
-        let sides = self.partitions.iter_mut().map(|p| p.side(side));
-        let mut resident: u64 = sides.map(|s| s.batch.byte_size()).sum();
         while resident > self.spill_threshold_bytes {
             let open = self.partitions.iter_mut().enumerate();
             let open = open.filter(|(_, p)| p.state == PartitionState::Open);
@@ -581,13 +584,16 @@ impl HashJoiner {
         let mut pairs = Vec::with_capacity(capacity);
         let polled = self.poll_pairs(|probe, spec, budget| {
             pairs.clear();
-            let walked = probe.walk(spec, budget, |left, first, mask| {
+            let walked = probe.walk(spec, budget, |left, kept, mask| {
                 // Branch-free compaction: every pair is written, the cursor
-                // only moves past the ones that survived.
+                // only moves past the ones that survived. A pair holds each
+                // side's row and its run (the row itself, on a dense side).
                 let mut len = pairs.len();
-                pairs.resize(len + mask.len(), (0, 0));
-                for (right, &keep) in (first..).zip(mask) {
-                    pairs[len] = (left, right);
+                pairs.resize(len + mask.len(), [0; 4]);
+                let (row, runs) = (kept.row as u32, kept.runs());
+                for (j, &keep) in mask.iter().enumerate() {
+                    let right = row + j as u32;
+                    pairs[len] = [left.0, left.1, right, runs.map_or(right, |runs| runs[j])];
                     len += keep as usize;
                 }
                 pairs.truncate(len);
@@ -1018,23 +1024,28 @@ impl Build {
         )
     }
 
-    /// Writes the per-run kept columns of `units` (one key group) into
-    /// `scratch` one value per row, [`LANES`] zeroes after the last: what
-    /// the probe's block reads take for those columns. A dense build has
-    /// none.
+    /// Writes the key group of `units` into `scratch` one value per row,
+    /// [`LANES`] zeroes after the last: each per-run kept column's value —
+    /// what the probe's block reads take for those columns — and, in the
+    /// last vector, the row's run — what the materialising sink gathers
+    /// them by. A dense build has none.
     fn expand(&self, (first, end): (u32, u32), scratch: &mut [Vec<VertexId>]) {
         let Some(ends) = self.run_ends.as_deref() else {
             return;
         };
-        let kept = self.columns.iter().zip(&self.per_run).zip(scratch);
-        for ((column, _), rows) in kept.filter(|((_, &per_run), _)| per_run) {
-            rows.clear();
-            for unit in first as usize..end as usize {
-                let len = ends[unit] - unit_start(Some(ends), unit);
-                rows.extend(std::iter::repeat_n(column[unit], len as usize));
+        scratch.iter_mut().for_each(Vec::clear);
+        let (runs, kept) = scratch.split_last_mut().expect("a vector of runs");
+        for unit in first as usize..end as usize {
+            let len = (ends[unit] - unit_start(Some(ends), unit)) as usize;
+            let columns = self.columns.iter().zip(&self.per_run).zip(kept.iter_mut());
+            for ((column, _), rows) in columns.filter(|((_, &per_run), _)| per_run) {
+                rows.extend(std::iter::repeat_n(column[unit], len));
             }
-            rows.resize(rows.len() + LANES, 0);
+            runs.extend(std::iter::repeat_n(unit as u32, len));
         }
+        scratch
+            .iter_mut()
+            .for_each(|rows| rows.resize(rows.len() + LANES, 0));
     }
 
     /// The right rows the build was made from, in group order and in the
@@ -1061,24 +1072,6 @@ impl Build {
             None => ColBatch::from_columns(columns),
         }
     }
-}
-
-/// The run of each of `rows` under `run_ends`, or the rows themselves
-/// without them. The rows come in probe order, increasing but for a jump
-/// back to a key group's first row, so each is looked for in the run of the
-/// one before first.
-fn runs_of(run_ends: Option<&[u32]>, rows: &[u32]) -> Vec<u32> {
-    let Some(ends) = run_ends else {
-        return rows.to_vec();
-    };
-    let mut run = 0;
-    let run_of = |&row: &u32| {
-        if !(unit_start(run_ends, run)..ends[run]).contains(&row) {
-            run = ends.partition_point(|&end| end <= row);
-        }
-        run as u32
-    };
-    rows.iter().map(run_of).collect()
 }
 
 /// Probe state of the one partition being probed: left rows against a
@@ -1112,8 +1105,9 @@ struct PartitionProbe {
     match_pos: u32,
     /// End of the current left row's range of right rows.
     match_end: u32,
-    /// The current group's per-run kept columns, one value per row
-    /// ([`Build::expand`]); the other kept columns are read in place.
+    /// The current group's per-run kept columns and its rows' runs, one
+    /// value per row ([`Build::expand`]); the other kept columns are read in
+    /// place.
     scratch: Vec<Vec<VertexId>>,
     bound: BoundRow,
     /// The partition's index in the joiner's table.
@@ -1136,7 +1130,7 @@ impl PartitionProbe {
             expanded: None,
             match_pos: 0,
             match_end: 0,
-            scratch: vec![Vec::new(); spec.kept.len()],
+            scratch: vec![Vec::new(); spec.kept.len() + 1],
             bound: BoundRow::new(spec),
             index,
         }
@@ -1183,15 +1177,15 @@ impl PartitionProbe {
     /// The pair generator: resumes the probe, one left row's key group at a
     /// time, in blocks of at most [`BLOCK`] right rows and never more than
     /// the `budget` of surviving pairs still allows. Each tested block goes
-    /// to `emit` as `(left row, first right row, mask)`, `mask[j] == 1` iff
-    /// the pair with right row `first + j` survived. Returns the key-equal
-    /// pairs covered, the pairs that survived, and whether the partition is
-    /// exhausted.
+    /// to `emit` as `((left row, its run), the block's kept columns, mask)`,
+    /// `mask[j] == 1` iff the pair with the block's `j`-th right row
+    /// survived. Returns the key-equal pairs covered, the pairs that
+    /// survived, and whether the partition is exhausted.
     fn walk(
         &mut self,
         spec: &ProbeSpec,
         budget: u64,
-        mut emit: impl FnMut(u32, u32, &[u32]),
+        mut emit: impl FnMut((u32, u32), BlockColumns<'_>, &[u32]),
     ) -> (u64, u64, bool) {
         let (mut tested, mut matched) = (0, 0);
         let mut mask = [0u32; BLOCK];
@@ -1212,21 +1206,20 @@ impl PartitionProbe {
                 self.row += 1;
                 continue;
             }
-            // Block reads index the group from its first row.
-            let first = self.group.0 as usize;
-            let (build, scratch) = (&self.build, &self.scratch);
-            let column = |k: usize| match build.per_run[k] {
-                true => &scratch[k][..],
-                false => &build.columns[k][first..],
-            };
             while self.match_pos < self.match_end && matched < budget {
                 let rows = u64::from(self.match_end - self.match_pos)
                     .min(BLOCK as u64)
                     .min(budget - matched) as usize;
-                let start = self.match_pos as usize - first;
-                test_block(spec, column, &self.bound, start, rows, &mut mask);
+                let row = self.match_pos as usize;
+                let kept = BlockColumns {
+                    build: &self.build,
+                    scratch: &self.scratch,
+                    row,
+                    in_group: row - self.group.0 as usize,
+                };
+                test_block(spec, kept, &self.bound, rows, &mut mask);
                 let mask = &mask[..rows];
-                emit(self.row as u32, self.match_pos, mask);
+                emit((self.row as u32, self.next_run as u32 - 1), kept, mask);
                 tested += rows as u64;
                 matched += u64::from(mask.iter().sum::<u32>());
                 self.match_pos += rows as u32;
@@ -1238,42 +1231,65 @@ impl PartitionProbe {
         (tested, matched, false)
     }
 
-    /// The materialising sink: gathers the joined rows of `pairs`, one
-    /// output column at a time — a run's values through its run index, a
-    /// row's through its row index.
-    fn gather(&self, spec: &ProbeSpec, pairs: &[(u32, u32)]) -> ColBatch {
-        let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
-        let left_runs = runs_of(self.left.run_ends(), &left_rows);
-        let right_runs = runs_of(self.build.run_ends.as_deref(), &right_rows);
+    /// The materialising sink: gathers the joined rows of `pairs` — `[left
+    /// row, its run, right row, its run]` — one output column at a time, a
+    /// prefix value through its run and a newest value through its row.
+    fn gather(&self, spec: &ProbeSpec, pairs: &[[u32; 4]]) -> ColBatch {
         let pick =
-            |column: &[VertexId], at: &[u32]| at.iter().map(|&i| column[i as usize]).collect();
+            |column: &[VertexId], at: usize| pairs.iter().map(|p| column[p[at] as usize]).collect();
         let newest = self.left.arity() - 1;
-        let left = (0..=newest).map(|c| {
-            let at = if c < newest { &left_runs } else { &left_rows };
-            pick(self.left.column(c), at)
-        });
-        let payload = self.build.columns[..spec.payload].iter();
-        let right = payload.zip(&self.build.per_run).map(|(column, &per_run)| {
-            let at = if per_run { &right_runs } else { &right_rows };
-            pick(column, at)
-        });
+        let left = (0..=newest).map(|c| pick(self.left.column(c), if c < newest { 1 } else { 0 }));
+        let payload = self.build.columns[..spec.payload]
+            .iter()
+            .zip(&self.build.per_run);
+        let right = payload.map(|(column, &per_run)| pick(column, if per_run { 3 } else { 2 }));
         ColBatch::from_columns(left.chain(right).collect())
     }
 }
 
-/// Tests right rows `start..start + rows` of a key group against the bound
-/// left row, `column(k)` giving kept column `k` from the group's first row
-/// on: `mask[j]` ends as 1 iff row `start + j` passes every column's
+/// The kept right columns of one tested block, each read from the block's
+/// first right row on: a run build's per-run columns from the scratch rows
+/// its key group was expanded into, every other column in place.
+#[derive(Clone, Copy)]
+struct BlockColumns<'a> {
+    build: &'a Build,
+    scratch: &'a [Vec<VertexId>],
+    /// The block's first right row, in the build and counted from its key
+    /// group's first.
+    row: usize,
+    in_group: usize,
+}
+
+impl<'a> BlockColumns<'a> {
+    /// Kept column `k` from the block's first row on.
+    fn column(self, k: usize) -> &'a [VertexId] {
+        match self.build.per_run[k] {
+            true => &self.scratch[k][self.in_group..],
+            false => &self.build.columns[k][self.row..],
+        }
+    }
+
+    /// The runs of the block's rows, in a run build.
+    fn runs(self) -> Option<&'a [u32]> {
+        let runs = self.scratch.last().expect("a vector of runs");
+        self.build
+            .run_ends
+            .is_some()
+            .then(|| &runs[self.in_group..])
+    }
+}
+
+/// Tests the first `rows` right rows of a block of a key group against the
+/// bound left row: `mask[j]` ends as 1 iff row `j` passes every column's
 /// checks. One branch-free pass per kept column — its value range and the
 /// first [`BOUND_LANES`] left values it must differ from, fused — and one
 /// more per further [`BOUND_LANES`] left values, all over whole
 /// [`LANES`]-wide pieces: the lanes past `rows` hold neighbouring rows'
 /// verdicts and mean nothing.
-fn test_block<'c>(
+fn test_block(
     spec: &ProbeSpec,
-    column: impl Fn(usize) -> &'c [VertexId],
+    kept: BlockColumns<'_>,
     bound: &BoundRow,
-    start: usize,
     rows: usize,
     mask: &mut [u32; BLOCK],
 ) {
@@ -1281,7 +1297,7 @@ fn test_block<'c>(
     let mask = &mut mask[..lanes];
     mask.fill(1);
     for (c, &(lo, hi)) in bound.range.iter().enumerate() {
-        let values = &column(c)[start..start + lanes];
+        let values = &kept.column(c)[..lanes];
         let (lo, hi) = (lo as VertexId, hi as VertexId);
         let in_range = |v: VertexId| (v >= lo) & (v <= hi);
         let differs = |v: VertexId, from: &[VertexId; BOUND_LANES]| {
@@ -1302,8 +1318,8 @@ fn test_block<'c>(
         }
     }
     for &(smaller, larger) in &spec.ordered {
-        let smaller = &column(smaller)[start..start + lanes];
-        let larger = &column(larger)[start..start + lanes];
+        let smaller = &kept.column(smaller)[..lanes];
+        let larger = &kept.column(larger)[..lanes];
         for ((keep, s), l) in mask.iter_mut().zip(smaller).zip(larger) {
             *keep &= u32::from(s < l);
         }
@@ -1335,25 +1351,14 @@ impl Side {
         self.batch.len() as u64 + self.spilled_rows
     }
 
-    /// Appends `batch` to the resident rows and returns the bytes they grew
-    /// by. An empty side takes a batch as it is. A side with rows holds runs
-    /// as soon as either holds them — dense rows join as runs of one row
-    /// ([`ColBatch::into_runs`]) — so resident runs are never flattened.
-    fn push(&mut self, mut batch: ColBatch) -> u64 {
-        let before = self.batch.byte_size();
-        if batch.runs() == 0 {
-            return 0;
-        }
-        if self.batch.runs() == 0 {
-            self.batch = batch;
-            return self.batch.byte_size();
-        }
-        if self.batch.run_ends().is_some() != batch.run_ends().is_some() {
+    /// Appends a reloaded block to the resident rows without flattening
+    /// either: a block with runs makes the side hold runs
+    /// ([`ColBatch::into_runs`]), and [`append_rows`] does the rest.
+    fn push(&mut self, block: ColBatch) {
+        if block.run_ends().is_some() {
             self.batch = std::mem::take(&mut self.batch).into_runs();
-            batch = batch.into_runs();
         }
-        self.batch.append(&mut batch);
-        self.batch.byte_size() - before
+        append_rows(&mut self.batch, block);
     }
 
     /// The resident rows, leaving none: the side keeps its arity, as a
@@ -1422,9 +1427,7 @@ impl Side {
         let resident = self.batch.byte_size();
         if let Some(path) = self.spill_file.take() {
             let (rows, arity) = (std::mem::take(&mut self.spilled_rows), self.batch.arity());
-            let read = read_spill_file(&path, rows, arity, |block| {
-                self.push(block);
-            });
+            let read = read_spill_file(&path, rows, arity, |block| self.push(block));
             let _ = std::fs::remove_file(&path);
             if let Err(e) = read {
                 self.take_resident();
@@ -2506,7 +2509,8 @@ mod tests {
                 // on its newest column) instead of first, and the batches
                 // as runs of consecutive rows that share a prefix (the side's
                 // rows sorted by it first) instead of dense.
-                (left_key_last, right_key_last, left_runs, right_runs) in (flag(), flag(), flag(), flag()),
+                (left_key_last, right_key_last, left_runs, right_runs) in
+                    (flag(), flag(), flag(), flag()),
                 // One key group sized around the block width, sharing the
                 // first left row's key.
                 hot_group in prop_oneof![
@@ -2584,7 +2588,8 @@ mod tests {
                     }
                 }
                 // Runs form where consecutive rows share their prefix.
-                for (rows, arity, runs) in [(&mut left, left_arity, left_runs), (&mut right, right_arity, right_runs)] {
+                let sides = [(&mut left, left_arity, left_runs), (&mut right, right_arity, right_runs)];
+                for (rows, arity, runs) in sides {
                     if runs {
                         rows.sort_by(|a, b| a[..arity - 1].cmp(&b[..arity - 1]));
                     }
@@ -2627,7 +2632,8 @@ mod tests {
                             joiner.add(side, &batch)?;
                             for part in &mut joiner.partitions {
                                 let held = &part.side(side).batch;
-                                assert!(held.is_empty() || held.run_ends().is_some() == held_as_runs);
+                                let layout = held.run_ends().is_some() == held_as_runs;
+                                assert!(held.is_empty() || layout);
                             }
                             if spill {
                                 joiner.spill_to_disk()?;
