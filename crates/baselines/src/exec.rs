@@ -59,7 +59,7 @@ const SHUFFLE_PARK: Duration = Duration::from_millis(1);
 pub struct DistTable {
     /// Query vertices bound by each column.
     pub schema: Vec<QueryVertex>,
-    /// Row storage, one dense batch buffer per machine.
+    /// Row storage, one batch per machine, every row a run of its own.
     pub rows: Vec<ColBatch>,
 }
 
@@ -544,10 +544,8 @@ pub fn wco_extend_pushing(
         |(m, buffered), out: &mut Vec<(usize, ColBatch)>| {
             let mut rows = ColBatch::new(out_arity);
             let (mut candidates, mut spare) = (Vec::new(), Vec::new());
-            let mut row = Vec::with_capacity(arity);
-            for i in 0..buffered.len() {
-                row.clear();
-                buffered.read_row(i, &mut row);
+            let mut joined = Vec::with_capacity(out_arity);
+            buffered.for_each_row(|row| {
                 candidates.clear();
                 for (i, &p) in positions.iter().enumerate() {
                     let nbrs = shared.partitions[0].any_neighbours(row[p]);
@@ -560,19 +558,18 @@ pub fn wco_extend_pushing(
                         break;
                     }
                 }
-                let mut joined = Vec::with_capacity(row.len() + 1);
                 for &c in &candidates {
                     if row.contains(&c) {
                         continue;
                     }
                     joined.clear();
-                    joined.extend_from_slice(&row);
+                    joined.extend_from_slice(row);
                     joined.push(c);
                     if passes_filters(&joined, &filters) {
                         rows.push_row(&joined);
                     }
                 }
-            }
+            });
             out.push((m, rows));
         },
     );

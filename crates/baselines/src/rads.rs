@@ -83,11 +83,7 @@ fn expand_star_pulling(
             // is charged.
             let mut cache: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
             let mut rows = huge_comm::ColBatch::new(out_arity);
-            let matched = &input.rows[m];
-            let mut row = Vec::with_capacity(matched.arity());
-            for i in 0..matched.len() {
-                row.clear();
-                matched.read_row(i, &mut row);
+            input.rows[m].for_each_row(|row| {
                 let anchor = row[root_pos];
                 let nbrs = &*cache.entry(anchor).or_insert_with(|| {
                     shared
@@ -103,19 +99,19 @@ fn expand_star_pulling(
                     .iter()
                     .all(|&(pos, _)| nbrs.binary_search(&row[pos]).is_ok());
                 if !verified {
-                    continue;
+                    return;
                 }
                 // Enumerate injective assignments for the unbound leaves.
                 let mut assignment: Vec<VertexId> = Vec::with_capacity(unbound.len());
-                enumerate_injective(nbrs, &row, unbound.len(), &mut assignment, &mut |vals| {
+                enumerate_injective(nbrs, row, unbound.len(), &mut assignment, &mut |vals| {
                     let mut joined = Vec::with_capacity(out_arity);
-                    joined.extend_from_slice(&row);
+                    joined.extend_from_slice(row);
                     joined.extend_from_slice(vals);
                     if shared.order_ok(out_schema_ref, &joined) {
                         rows.push_row(&joined);
                     }
                 });
-            }
+            });
             out.push((m, rows));
         },
     );

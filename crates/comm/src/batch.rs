@@ -6,41 +6,31 @@
 //! vertex).
 //!
 //! [`ColBatch`] is the one currency, between operators and on the wire: one
-//! `Vec<u32>` per bound query vertex, in one of two layouts. Both are read
-//! by `(run, row)`: [`ColBatch::run_rows`] gives a run's rows, and a run's
-//! index reads its prefix columns, a row's index the newest column.
+//! `Vec<u32>` per bound query vertex, and one layout. Its rows are grouped
+//! into **runs**: an extend's output is `(input row × that row's
+//! candidates)`, so every column but the newest is constant over the
+//! candidates of one input row. Those columns hold one value per run, the
+//! newest column one value per row, and a run holds any number of rows.
+//! Every consumer walks a batch by `(run, row)` — [`ColBatch::runs`],
+//! [`ColBatch::run_rows`], [`ColBatch::value`] — and appends with
+//! [`ColBatch::push_run`]; re-chunking, the queues, stealing, the shuffle,
+//! the join's sides, spill blocks, ships and builds all carry runs. Rows
+//! leave through one walker, [`ColBatch::for_each_row`]: the collect sink,
+//! [`ColBatch::to_rows`] and the baselines' row-at-a-time operators.
 //!
-//! * **Dense** — every column holds one value per row, and every row is a
-//!   run of one. What the join probe produces, and what the shuffle ships
-//!   when a batch has no runs or is keyed on its newest column.
-//! * **Runs** — what the scan cursor and a match-mode extend emit, and what
-//!   the shuffle ships when every key column is a prefix column (each run
-//!   whole, to one machine). An extend's output is `(input row ×
-//!   that row's candidates)`, so all columns but the newest are constant over
-//!   the candidates of one input row: they hold one value per **run**, the
-//!   newest column one value per **row**, and `run_ends[r]` is the row at
-//!   which run `r` ends (cumulative, non-decreasing — a run may be empty).
-//!   [`ColBatch::len`] stays the number of rows and
-//!   [`ColBatch::byte_size`] counts what is actually held, so a hub row that
-//!   expands 200× costs the queue one candidate column, not `arity + 1`.
-//!
-//! **Where rows are materialised.** Everything between two extends —
-//! re-chunking, the operator queues, stealing, the memory ledger — carries
-//! runs as they are, and so do the wire and the receiving join (its Grace
-//! partitions, builds, spill files and partition ships) when the join key
-//! lies in the prefix. [`ColBatch::flatten`] (or its borrowing twin
-//! [`ColBatch::flattened`]) is for the consumers that need rows: the key
-//! partitioner (the shuffle's and the join's Grace scatter) for a batch
-//! keyed on its newest column, the owner partitioner, the collect sink,
-//! [`ColBatch::to_rows`], and [`ColBatch::append`] of a run batch and a
-//! dense one. Two run batches append as runs.
+//! Where the runs end is [`Runs`]' business alone. While every run is one
+//! row it stores nothing (run `r` is row `r`), so a batch built row by row
+//! — a baseline's table, the rows a shuffle sends one at a time — holds
+//! exactly its values; the first run of any other length stores every end
+//! from then on. [`ColBatch::byte_size`] counts what is held, so a hub row
+//! that expands 200× costs the queue one candidate column, not `arity + 1`.
 //!
 //! [`RowBatch`] — `n` rows of arity `a` as one flat `Vec<u32>` — is what is
 //! left of the row-major layout: the scan cursor still assembles `[src, dst]`
 //! rows and `SCAN` regroups them once; tests use [`ColBatch::to_rows`] to
 //! compare against row-at-a-time references.
 
-use std::borrow::Cow;
+use std::io::{self, Read, Write};
 use std::ops::Range;
 
 use huge_graph::VertexId;
@@ -139,96 +129,185 @@ impl RowBatch {
     }
 }
 
+/// Where the runs of a batch end: run `r` holds rows
+/// `start(r)..start(r + 1)`. Nothing is stored while every run is one row —
+/// run `r` is then row `r` — and the first run of any other length stores
+/// every end from then on, so two `Runs` with the same runs are equal.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Runs {
+    /// Number of runs.
+    count: usize,
+    /// `ends[r]` is the (exclusive) row at which run `r` ends; `None` while
+    /// every run is one row.
+    ends: Option<Vec<u32>>,
+}
+
+impl Runs {
+    /// Runs that end at `ends` (cumulative rows, non-decreasing).
+    ///
+    /// # Panics
+    /// Panics if the ends decrease.
+    fn from_ends(ends: Vec<u32>) -> Self {
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1]),
+            "run ends must not decrease"
+        );
+        let one_row_each = (1..=ends.len()).eq(ends.iter().map(|&end| end as usize));
+        Runs {
+            count: ends.len(),
+            ends: (!one_row_each).then_some(ends),
+        }
+    }
+
+    /// `count` runs of one row each.
+    fn of_one_row(count: usize) -> Self {
+        Runs { count, ends: None }
+    }
+
+    /// Number of runs.
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The first row of run `r`; `start(count())` is the number of rows.
+    #[inline]
+    pub fn start(&self, r: usize) -> usize {
+        match &self.ends {
+            Some(ends) => r.checked_sub(1).map_or(0, |p| ends[p] as usize),
+            None => r,
+        }
+    }
+
+    /// The rows of run `r` (possibly none).
+    #[inline]
+    pub fn rows(&self, r: usize) -> Range<usize> {
+        self.start(r)..self.start(r + 1)
+    }
+
+    /// Appends a run of `rows` rows.
+    ///
+    /// # Panics
+    /// Panics if the rows outgrow 32-bit run ends.
+    #[inline]
+    pub fn push(&mut self, rows: usize) {
+        let end = |held: usize| u32::try_from(held + rows).expect("32-bit rows");
+        match &mut self.ends {
+            None if rows == 1 => {}
+            // `count` runs of one row each so far.
+            None => {
+                let mut ends: Vec<u32> = (1..=self.count as u32).collect();
+                ends.push(end(self.count));
+                self.ends = Some(ends);
+            }
+            Some(ends) => ends.push(end(ends.last().map_or(0, |&e| e as usize))),
+        }
+        self.count += 1;
+    }
+
+    /// Appends `other`'s runs after these.
+    fn append(&mut self, other: Runs) {
+        match (&mut self.ends, &other.ends) {
+            (None, None) => self.count += other.count,
+            (Some(ends), Some(more)) => {
+                let held = ends.last().map_or(0, |&end| end as usize);
+                let shift = |&end: &u32| u32::try_from(held + end as usize).expect("32-bit rows");
+                ends.extend(more.iter().map(shift));
+                self.count += other.count;
+            }
+            _ => (0..other.count).for_each(|run| self.push(other.rows(run).len())),
+        }
+    }
+
+    /// `true` when every run is one row: run `r` is row `r`.
+    #[inline]
+    pub fn one_row_each(&self) -> bool {
+        self.ends.is_none()
+    }
+
+    /// Heap bytes of the stored ends.
+    #[inline]
+    pub fn byte_size(&self) -> u64 {
+        (self.ends.as_ref().map_or(0, Vec::len) * std::mem::size_of::<u32>()) as u64
+    }
+}
+
 /// A batch of fixed-arity partial matches in columnar layout.
 ///
-/// Column `c` holds the binding of query vertex `c`. In a dense batch every
-/// column has one value per row. In a run batch (`run_ends` set) every
-/// column but the newest has one value per run and the newest one per row;
-/// see the module docs.
+/// Column `c` holds the binding of query vertex `c`: every column but the
+/// newest one value per run, the newest one value per row. See the module
+/// docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ColBatch {
     cols: Vec<Vec<VertexId>>,
-    run_ends: Option<Vec<u32>>,
+    runs: Runs,
 }
+
+/// Bytes of one value in a block.
+const VALUE_BYTES: usize = std::mem::size_of::<VertexId>();
+
+/// Values a block moves through its byte buffer at a time (64 KiB): the one
+/// fixed buffer a write or a read holds beside the values themselves.
+const BLOCK_PIECE: usize = 16 * 1024;
 
 impl ColBatch {
     /// Creates an empty batch of the given arity.
     pub fn new(arity: usize) -> Self {
-        assert!(arity > 0, "rows must bind at least one query vertex");
         ColBatch::from_columns(vec![Vec::new(); arity])
     }
 
-    /// Creates an empty batch with space reserved for `rows` rows.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        assert!(arity > 0);
-        ColBatch::from_columns((0..arity).map(|_| Vec::with_capacity(rows)).collect())
-    }
-
-    /// Builds a dense batch from pre-assembled columns of equal length.
+    /// Builds a batch of one-row runs from pre-assembled columns of equal
+    /// length.
     pub fn from_columns(cols: Vec<Vec<VertexId>>) -> Self {
         assert!(!cols.is_empty(), "rows must bind at least one query vertex");
         assert!(
             cols.windows(2).all(|w| w[0].len() == w[1].len()),
             "columns must have equal length"
         );
-        ColBatch {
-            cols,
-            run_ends: None,
-        }
+        let runs = Runs::of_one_row(cols[0].len());
+        ColBatch { cols, runs }
     }
 
-    /// Builds a run batch: every column but the last holds one value per
-    /// run, the last one value per row, and `run_ends[r]` is the (exclusive)
-    /// row at which run `r` ends.
+    /// Builds a batch whose run `r` ends at (exclusive) row `run_ends[r]`:
+    /// every column but the last holds one value per run, the last one
+    /// value per row.
     ///
     /// # Panics
     /// Panics if the run ends decrease, do not end at the newest column's
     /// length, or a prefix column does not have one value per run.
     pub fn from_runs(cols: Vec<Vec<VertexId>>, run_ends: Vec<u32>) -> Self {
+        ColBatch::from_parts(cols, Runs::from_ends(run_ends))
+    }
+
+    /// Builds a batch from what [`ColBatch::into_parts`] took apart.
+    ///
+    /// # Panics
+    /// As [`ColBatch::from_runs`].
+    pub fn from_parts(cols: Vec<Vec<VertexId>>, runs: Runs) -> Self {
         let (newest, prefix) = cols.split_last().expect("rows bind a query vertex");
         assert!(
-            prefix.iter().all(|c| c.len() == run_ends.len()),
+            prefix.iter().all(|c| c.len() == runs.count),
             "prefix columns must hold one value per run"
         );
-        assert!(
-            run_ends.windows(2).all(|w| w[0] <= w[1]),
-            "run ends must not decrease"
-        );
         assert_eq!(
-            run_ends.last().map_or(0, |&e| e as usize),
+            runs.start(runs.count),
             newest.len(),
             "the last run must end at the newest column's length"
         );
-        ColBatch {
-            cols,
-            run_ends: Some(run_ends),
-        }
+        ColBatch { cols, runs }
     }
 
-    /// Transposes a row-major batch into dense columns.
+    /// Transposes a row-major batch into columns, every row a run.
     pub fn from_rows(rows: &RowBatch) -> Self {
-        let arity = rows.arity();
-        let mut cols: Vec<Vec<VertexId>> =
-            (0..arity).map(|_| Vec::with_capacity(rows.len())).collect();
-        for row in rows.rows() {
-            for (c, &v) in row.iter().enumerate() {
-                cols[c].push(v);
-            }
-        }
-        ColBatch::from_columns(cols)
+        let mut batch = ColBatch::new(rows.arity());
+        rows.rows().for_each(|row| batch.push_row(row));
+        batch
     }
 
-    /// Transposes into a row-major batch, expanding runs.
+    /// Transposes into a row-major batch.
     pub fn to_rows(&self) -> RowBatch {
-        let dense = self.flattened();
-        let arity = dense.arity();
-        let mut out = RowBatch::with_capacity(arity, dense.len());
-        let mut row = Vec::with_capacity(arity);
-        for i in 0..dense.len() {
-            row.clear();
-            dense.read_row(i, &mut row);
-            out.push_row(&row);
-        }
+        let mut out = RowBatch::with_capacity(self.arity(), self.len());
+        self.for_each_row(|row| out.push_row(row));
         out
     }
 
@@ -238,8 +317,7 @@ impl ColBatch {
         self.cols.len()
     }
 
-    /// Number of rows: the newest column's length (in every column, for a
-    /// batch without runs).
+    /// Number of rows: the newest column's length.
     #[inline]
     pub fn len(&self) -> usize {
         self.cols[self.cols.len() - 1].len()
@@ -251,224 +329,216 @@ impl ColBatch {
         self.len() == 0
     }
 
-    /// Appends the values of row `i` of a dense batch to `out`; flatten a
-    /// run batch first.
-    ///
-    /// # Panics
-    /// Panics if the batch has runs: its prefix columns are not indexed by
-    /// row.
-    #[inline]
-    pub fn read_row(&self, i: usize, out: &mut Vec<VertexId>) {
-        assert!(
-            self.run_ends.is_none(),
-            "rows are read from dense batches only"
-        );
-        out.extend(self.cols.iter().map(|col| col[i]));
+    /// Calls `f` with every row in order, its prefix values read once per
+    /// run: the one place rows leave a batch.
+    pub fn for_each_row(&self, mut f: impl FnMut(&[VertexId])) {
+        let (newest, prefix) = self.cols.split_last().expect("arity > 0");
+        let mut row = vec![0; self.arity()];
+        for run in 0..self.runs() {
+            for (value, column) in row.iter_mut().zip(prefix) {
+                *value = column[run];
+            }
+            for &v in &newest[self.run_rows(run)] {
+                row[prefix.len()] = v;
+                f(&row);
+            }
+        }
     }
 
-    /// Appends one row.
-    ///
-    /// # Panics
-    /// Panics (debug) if runs are set — builders append to dense batches
-    /// only.
+    /// Appends one row, as a run of its own.
     #[inline]
     pub fn push_row(&mut self, row: &[VertexId]) {
-        debug_assert!(
-            self.run_ends.is_none(),
-            "rows are appended to dense batches only"
-        );
         debug_assert_eq!(row.len(), self.arity());
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
         }
+        self.runs.push(1);
     }
 
-    /// The data of column `c`: one value per row, or — for every column but
-    /// the newest of a run batch — one value per run.
+    /// The data of column `c`: one value per run, or — for the newest
+    /// column — one value per row.
     #[inline]
     pub fn column(&self, c: usize) -> &[VertexId] {
         &self.cols[c]
     }
 
-    /// The run ends, if this is a run batch.
-    pub fn run_ends(&self) -> Option<&[u32]> {
-        self.run_ends.as_deref()
+    /// Column `c`'s value in row `row` of run `run`: a prefix column is read
+    /// at the run, the newest column at the row.
+    #[inline]
+    pub fn value(&self, c: usize, run: usize, row: usize) -> VertexId {
+        self.cols[c][if c + 1 == self.cols.len() { row } else { run }]
     }
 
-    /// Number of runs; a batch without run structure is the degenerate case
-    /// in which every row is a run of one.
+    /// Number of runs.
     #[inline]
     pub fn runs(&self) -> usize {
-        match &self.run_ends {
-            Some(ends) => ends.len(),
-            None => self.len(),
-        }
+        self.runs.count
     }
 
     /// The rows of run `r` (possibly none).
     #[inline]
     pub fn run_rows(&self, r: usize) -> Range<usize> {
-        match &self.run_ends {
-            Some(ends) => r.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[r] as usize,
-            None => r..r + 1,
-        }
+        self.runs.rows(r)
     }
 
-    /// Materialises the runs: every prefix value is written once per row of
-    /// its run and the run ends are dropped. No-op without runs. This is the
-    /// only per-output-row gather of prefix columns; see the module docs for
-    /// who may call it.
-    pub fn flatten(&mut self) {
-        let Some(ends) = self.run_ends.take() else {
-            return;
-        };
-        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
-        for col in prefix {
-            let mut dense = Vec::with_capacity(newest.len());
-            let mut start = 0;
-            for (&v, &end) in col.iter().zip(&ends) {
-                dense.extend(std::iter::repeat_n(v, (end - start) as usize));
-                start = end;
-            }
-            *col = dense;
-        }
-    }
-
-    /// `self` if it has no runs, a flattened copy otherwise (for consumers
-    /// that need rows but only borrow the batch).
-    pub fn flattened(&self) -> Cow<'_, ColBatch> {
-        let mut dense = Cow::Borrowed(self);
-        if self.run_ends.is_some() {
-            dense.to_mut().flatten();
-        }
-        dense
-    }
-
-    /// Moves all rows of `other` into `self`. Two run batches concatenate as
-    /// runs (`other`'s run ends shifted past `self`'s rows, `other` left an
-    /// empty run batch); any other pair is made dense first.
+    /// Moves all rows of `other` into `self`, run by run (`other` is left
+    /// empty). A batch without runs takes `other`'s buffers as they are.
     ///
     /// # Panics
-    /// Panics if arities differ, or if two run batches together hold more
-    /// rows than 32-bit run ends index.
+    /// Panics if arities differ, or if the rows outgrow 32-bit run ends.
     pub fn append(&mut self, other: &mut ColBatch) {
         assert_eq!(
             self.arity(),
             other.arity(),
             "cannot append mismatched arity"
         );
-        let held = self.len();
-        if let (Some(ends), Some(more)) = (&mut self.run_ends, &mut other.run_ends) {
-            let shift = |e: u32| u32::try_from(held + e as usize).expect("32-bit rows");
-            ends.extend(more.drain(..).map(shift));
-        } else {
-            self.flatten();
-            other.flatten();
+        if self.runs() == 0 {
+            return std::mem::swap(self, other);
         }
+        self.runs.append(std::mem::take(&mut other.runs));
         for (dst, src) in self.cols.iter_mut().zip(other.cols.iter_mut()) {
             dst.append(src);
         }
     }
 
-    /// Appends run `run` of `from` (row `run`, if `from` is dense) to this
-    /// run batch as one run: its prefix values once, its newest values, its
-    /// end.
+    /// Appends `rows` of run `run` of `from` as one run: its prefix values
+    /// once, the newest values of those rows.
     ///
     /// # Panics
-    /// Panics if this batch has no runs, if arities differ, or if the rows
-    /// outgrow 32-bit run ends.
-    pub fn push_run(&mut self, from: &ColBatch, run: usize) {
+    /// Panics if arities differ, or if the rows outgrow 32-bit run ends;
+    /// (debug) if `rows` is not within the run.
+    #[inline]
+    pub fn push_run(&mut self, from: &ColBatch, run: usize, rows: Range<usize>) {
         assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
-        let rows = from.run_rows(run);
-        let ends = self
-            .run_ends
-            .as_mut()
-            .expect("runs are pushed onto a run batch");
+        debug_assert!({
+            let within = from.run_rows(run);
+            within.start <= rows.start && rows.end <= within.end
+        });
         let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
         for (col, source) in prefix.iter_mut().zip(&from.cols) {
             col.push(source[run]);
         }
+        self.runs.push(rows.len());
         newest.extend_from_slice(&from.cols[from.cols.len() - 1][rows]);
-        ends.push(u32::try_from(newest.len()).expect("32-bit rows"));
     }
 
-    /// This batch with run structure: itself if it has runs, otherwise the
-    /// same columns with every row a run of one (one run end per row more).
-    pub fn into_runs(mut self) -> ColBatch {
-        if self.run_ends.is_none() {
-            let rows = u32::try_from(self.len()).expect("32-bit rows");
-            self.run_ends = Some((1..=rows).collect());
-        }
-        self
+    /// The columns and the runs, taken apart.
+    pub fn into_parts(self) -> (Vec<Vec<VertexId>>, Runs) {
+        (self.cols, self.runs)
     }
 
-    /// The columns and the run ends, taken apart: what
-    /// [`ColBatch::from_columns`] or [`ColBatch::from_runs`] was given.
-    pub fn into_parts(self) -> (Vec<Vec<VertexId>>, Option<Vec<u32>>) {
-        (self.cols, self.run_ends)
-    }
-
-    /// Splits this batch into chunks of at most `rows_per_chunk` rows,
-    /// cutting at the same rows whatever the layout. A batch that already
-    /// fits is handed back as-is, so the common case moves buffers instead
-    /// of copying. Dense batches yield dense chunks; a run batch yields run
-    /// batches — the newest column is cut every `rows_per_chunk` rows, a run
-    /// straddling a cut continues as the first run of the next chunk, and
-    /// empty runs are dropped.
-    pub fn split_into_chunks(mut self, rows_per_chunk: usize) -> Vec<ColBatch> {
+    /// Splits this batch into chunks of at most `rows_per_chunk` rows, each
+    /// but the last exactly that long. A batch that already fits is handed
+    /// back as-is, so the common case moves buffers instead of copying. A
+    /// run straddling a cut continues as the first run of the next chunk,
+    /// and empty runs are dropped.
+    pub fn split_into_chunks(self, rows_per_chunk: usize) -> Vec<ColBatch> {
         assert!(rows_per_chunk > 0);
         if self.len() <= rows_per_chunk {
             return vec![self];
         }
-        let Some(ends) = self.run_ends.take() else {
-            let mut out: Vec<ColBatch> = (0..self.len().div_ceil(rows_per_chunk))
-                .map(|_| ColBatch::with_capacity(self.arity(), rows_per_chunk))
-                .collect();
-            for (c, col) in self.cols.into_iter().enumerate() {
-                for (k, piece) in col.chunks(rows_per_chunk).enumerate() {
-                    out[k].cols[c].extend_from_slice(piece);
+        let fresh = || ColBatch::new(self.arity());
+        let mut chunks = Vec::with_capacity(self.len().div_ceil(rows_per_chunk));
+        let mut chunk = fresh();
+        for run in 0..self.runs() {
+            let mut rows = self.run_rows(run);
+            while !rows.is_empty() {
+                if chunk.len() == rows_per_chunk {
+                    chunks.push(std::mem::replace(&mut chunk, fresh()));
                 }
+                let end = rows.end.min(rows.start + rows_per_chunk - chunk.len());
+                chunk.push_run(&self, run, rows.start..end);
+                rows.start = end;
             }
-            return out;
-        };
-        let (newest, prefix) = self.cols.split_last().expect("arity > 0");
-        let mut run = 0;
-        let mut start = 0;
-        let chunks = newest.chunks(rows_per_chunk).enumerate().map(|(k, piece)| {
-            let from = k * rows_per_chunk;
-            let to = from + piece.len();
-            let mut cols: Vec<Vec<VertexId>> = vec![Vec::new(); prefix.len()];
-            let mut chunk_ends = Vec::new();
-            // `run` is the first run not wholly before `from`, `start` its
-            // first row.
-            while run < ends.len() && start < to {
-                let end = ends[run] as usize;
-                if end > start.max(from) {
-                    for (col, source) in cols.iter_mut().zip(prefix) {
-                        col.push(source[run]);
-                    }
-                    // At most `piece.len()`, itself below the old run end.
-                    chunk_ends.push((end.min(to) - from) as u32);
-                }
-                if end > to {
-                    break;
-                }
-                (run, start) = (run + 1, end);
-            }
-            cols.push(piece.to_vec());
-            ColBatch::from_runs(cols, chunk_ends)
-        });
-        chunks.collect()
+        }
+        chunks.push(chunk);
+        chunks
     }
 
     /// Heap bytes held by the batch: the values of every column as stored
-    /// (per run or per row) plus the run ends. This is what queue accounting
-    /// and the memory governor charge.
+    /// (per run or per row) plus the stored run ends. This is what queue
+    /// accounting and the memory governor charge.
     #[inline]
     pub fn byte_size(&self) -> u64 {
         let vals: usize = self.cols.iter().map(Vec::len).sum();
-        let ends = self.run_ends.as_ref().map_or(0, Vec::len);
-        ((vals + ends) * std::mem::size_of::<VertexId>()) as u64
+        (vals * VALUE_BYTES) as u64 + self.runs.byte_size()
+    }
+
+    /// Writes the batch to `w` as one block: a header of two little-endian
+    /// `u64`s — the rows, and the run ends stored (0 while every run is one
+    /// row) — then the stored ends, then the columns one after another as
+    /// held (every column but the newest one value per run), every value a
+    /// little-endian `u32`. [`ColBatch::read_block`] reads it back.
+    pub fn write_block(&self, w: &mut impl Write) -> io::Result<()> {
+        let ends = self.runs.ends.as_deref().unwrap_or_default();
+        w.write_all(&(self.len() as u64).to_le_bytes())?;
+        w.write_all(&(ends.len() as u64).to_le_bytes())?;
+        let mut piece = vec![0u8; (self.byte_size() as usize).min(BLOCK_PIECE * VALUE_BYTES)];
+        let columns = self.cols.iter().map(Vec::as_slice);
+        for values in std::iter::once(ends)
+            .chain(columns)
+            .flat_map(|v| v.chunks(BLOCK_PIECE))
+        {
+            let piece = &mut piece[..values.len() * VALUE_BYTES];
+            for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
+                bytes.copy_from_slice(&value.to_le_bytes());
+            }
+            w.write_all(piece)?;
+        }
+        Ok(())
+    }
+
+    /// Reads one block [`ColBatch::write_block`] wrote, of `arity` columns,
+    /// from `r`, which holds `left` bytes more; `left` is reduced by the
+    /// block. Nothing is trusted: the header is checked against `left`
+    /// before anything is reserved for the block, and stored ends must rise
+    /// to exactly the block's rows, so a truncated or garbled block is an
+    /// `InvalidData` error instead of a silently shifted column.
+    pub fn read_block(r: &mut impl Read, arity: usize, left: &mut u64) -> io::Result<ColBatch> {
+        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
+        let mut header = [0u8; 16];
+        *left = left
+            .checked_sub(header.len() as u64)
+            .ok_or_else(|| invalid("ends inside a block header"))?;
+        r.read_exact(&mut header)?;
+        let (rows, stored) = header.split_at(8);
+        let [rows, stored] =
+            [rows, stored].map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        // Every column but the newest holds a value per run, and every run is
+        // one row while no end is stored.
+        let runs = if stored == 0 { rows } else { stored };
+        let values = (runs.checked_mul(arity as u64 - 1))
+            .and_then(|v| v.checked_add(rows))
+            .and_then(|v| v.checked_add(stored));
+        *left = values
+            .and_then(|v| v.checked_mul(VALUE_BYTES as u64))
+            .and_then(|block| left.checked_sub(block))
+            .ok_or_else(|| invalid("ends inside a block"))?;
+        let mut piece = vec![0u8; (values.unwrap_or(0) as usize).min(BLOCK_PIECE) * VALUE_BYTES];
+        let mut read = |count: u64| -> io::Result<Vec<VertexId>> {
+            let mut values = Vec::with_capacity(count as usize);
+            let mut todo = count as usize;
+            while todo > 0 {
+                let piece = &mut piece[..todo.min(BLOCK_PIECE) * VALUE_BYTES];
+                r.read_exact(piece)?;
+                let bytes = piece.chunks_exact(VALUE_BYTES);
+                values.extend(bytes.map(|b| VertexId::from_le_bytes([b[0], b[1], b[2], b[3]])));
+                todo -= piece.len() / VALUE_BYTES;
+            }
+            Ok(values)
+        };
+        let ends = read(stored)?;
+        let last = ends.last().map_or(rows, |&end| u64::from(end));
+        if !ends.windows(2).all(|w| w[0] <= w[1]) || last != rows {
+            return Err(invalid("run ends do not rise to the block's rows"));
+        }
+        let mut cols: Vec<_> = (1..arity).map(|_| read(runs)).collect::<io::Result<_>>()?;
+        cols.push(read(rows)?);
+        let runs = match stored {
+            0 => Runs::of_one_row(rows as usize),
+            _ => Runs::from_ends(ends),
+        };
+        Ok(ColBatch::from_parts(cols, runs))
     }
 }
 
@@ -554,19 +624,26 @@ mod tests {
         assert_eq!(a.column(0), &[1, 3, 5, 7]);
         assert_eq!(a.column(1), &[2, 4, 6, 8]);
         assert!(b.is_empty());
-        let mut row = Vec::new();
-        a.read_row(2, &mut row);
-        assert_eq!(row, vec![5, 6]);
+        assert_eq!((a.runs(), a.run_rows(2)), (4, 2..3));
+        assert_eq!(a.to_rows().row(2), &[5, 6]);
     }
 
     #[test]
     fn col_batch_split_into_chunks_is_dense_and_total() {
+        // Rows that are their own runs chunk into rows that are their own
+        // runs: no chunk stores a run end.
         let cols = ColBatch::from_rows(&RowBatch::from_flat(2, (0..20).collect()));
         let chunks = cols.split_into_chunks(3);
         assert_eq!(chunks.len(), 4);
         assert_eq!(chunks[0].len(), 3);
         assert_eq!(chunks[3].len(), 1);
-        assert!(chunks.iter().all(|c| c.run_ends().is_none()));
+        for chunk in &chunks {
+            assert_eq!(
+                (chunk.runs(), chunk.runs.ends.as_ref()),
+                (chunk.len(), None)
+            );
+            assert_eq!(chunk.byte_size(), 2 * 4 * chunk.len() as u64);
+        }
         let first: Vec<u32> = chunks.iter().flat_map(|c| c.column(0).to_vec()).collect();
         assert_eq!(first, vec![0, 2, 4, 6, 8, 10, 12, 14, 16, 18]);
         // A batch that fits in one chunk is returned whole.
@@ -611,7 +688,7 @@ mod tests {
         )
     }
 
-    /// The row-at-a-time reference a run batch must flatten to.
+    /// The row-at-a-time reference a run batch must walk to.
     fn reference_rows(lens: &[u32]) -> RowBatch {
         let mut rows = RowBatch::new(3);
         let mut next = 1000;
@@ -624,67 +701,87 @@ mod tests {
         rows
     }
 
+    /// The stored run ends, if any.
+    fn stored(batch: &ColBatch) -> Option<&[u32]> {
+        batch.runs.ends.as_deref()
+    }
+
     #[test]
     fn a_run_batch_answers_like_its_rows() {
         let lens = [2, 0, 3, 1, 0];
         let runs = run_batch(&lens);
         let rows = reference_rows(&lens);
         assert_eq!((runs.len(), runs.arity(), runs.runs()), (6, 3, 5));
-        assert_eq!(runs.run_ends(), Some(&[2, 2, 5, 6, 6][..]));
+        assert_eq!(stored(&runs), Some(&[2, 2, 5, 6, 6][..]));
         assert_eq!(runs.run_rows(0), 0..2);
         assert_eq!(runs.run_rows(1), 2..2);
         assert_eq!(runs.run_rows(2), 2..5);
+        assert_eq!((runs.value(0, 2, 3), runs.value(2, 2, 3)), (20, 1003));
         // 5 runs × (2 prefix values + 1 end) + 6 rows, 4 bytes each.
         assert_eq!(runs.byte_size(), (5 * 3 + 6) * 4);
         assert_eq!(runs.to_rows(), rows);
-        assert_eq!(runs.flattened().run_ends(), None);
-        assert_eq!(*runs.flattened(), ColBatch::from_rows(&rows));
-        // A dense batch is borrowed, not copied; its runs are its rows.
-        let dense = ColBatch::from_rows(&rows);
-        assert!(matches!(dense.flattened(), Cow::Borrowed(_)));
-        assert_eq!((dense.runs(), dense.run_rows(4)), (6, 4..5));
-        // Appending to a dense batch makes both sides dense.
-        let mut all = ColBatch::new(3);
-        all.append(&mut runs.clone());
+        // Every row its own run: no end stored, the same rows.
+        let units = ColBatch::from_rows(&rows);
+        assert_eq!(
+            (units.runs(), units.run_rows(4), stored(&units)),
+            (6, 4..5, None)
+        );
+        assert_eq!(units.byte_size(), 6 * 3 * 4);
+        // Appending runs to rows of one row each stores every end.
+        let mut all = units.clone();
         all.append(&mut runs.clone());
         assert_eq!(all.len(), 12);
-        assert_eq!(all.column(0)[6..], [0, 0, 20, 20, 20, 30]);
+        assert_eq!(all.column(0)[6..], [0, 10, 20, 30, 40]);
+        assert_eq!(
+            stored(&all),
+            Some(&[1, 2, 3, 4, 5, 6, 8, 8, 11, 12, 12][..])
+        );
+        assert_eq!(
+            all.byte_size(),
+            units.byte_size() + runs.byte_size() + 6 * 4
+        );
         // Two run batches concatenate as runs, the second's ends shifted.
         let mut twice = runs.clone();
         let mut more = runs.clone();
         twice.append(&mut more);
-        assert_eq!(
-            twice.run_ends(),
-            Some(&[2, 2, 5, 6, 6, 8, 8, 11, 12, 12][..])
-        );
+        assert_eq!(stored(&twice), Some(&[2, 2, 5, 6, 6, 8, 8, 11, 12, 12][..]));
         assert_eq!(
             (twice.byte_size(), more.byte_size()),
             (2 * runs.byte_size(), 0)
         );
-        assert_eq!(more.run_ends(), Some(&[][..]));
-        assert_eq!(twice.to_rows(), all.to_rows());
-        // A dense batch as runs: one run per row, the same rows.
-        let units = dense.clone().into_runs();
-        assert_eq!(units.run_ends(), Some(&[1, 2, 3, 4, 5, 6][..]));
-        assert_eq!(units.to_rows(), rows);
-        assert_eq!(units.byte_size(), dense.byte_size() + 6 * 4);
-        assert_eq!(runs.clone().into_runs(), runs);
-        // Runs pushed one by one keep their prefix once; a dense row is a
-        // run of one.
-        let mut pushed = ColBatch::new(3).into_runs();
+        assert_eq!(more.runs(), 0);
+        let mut rows_twice = rows.clone();
+        rows_twice.append(&mut rows.clone());
+        assert_eq!(twice.to_rows(), rows_twice);
+        // Runs pushed one by one keep their prefix once; a slice of a run is
+        // a run of its own.
+        let mut pushed = ColBatch::new(3);
         for r in [2, 0, 1] {
-            pushed.push_run(&runs, r);
+            pushed.push_run(&runs, r, runs.run_rows(r));
         }
-        pushed.push_run(&dense, 4);
-        assert_eq!(pushed.run_ends(), Some(&[3, 5, 5, 6][..]));
+        pushed.push_run(&runs, 2, 3..4);
+        assert_eq!(stored(&pushed), Some(&[3, 5, 5, 6][..]));
         assert_eq!(pushed.column(0), &[20, 0, 10, 20]);
-        assert_eq!(pushed.column(2), &[1002, 1003, 1004, 1000, 1001, 1004]);
+        assert_eq!(pushed.column(2), &[1002, 1003, 1004, 1000, 1001, 1003]);
     }
 
     #[test]
-    #[should_panic(expected = "dense batches only")]
-    fn read_row_refuses_a_run_batch() {
-        run_batch(&[2, 1]).read_row(0, &mut Vec::new());
+    fn rows_of_one_store_no_ends_until_a_longer_run_arrives() {
+        let runs = run_batch(&[2, 1, 1]);
+        let mut rows = ColBatch::new(3);
+        for (r, row) in [(1, 2), (2, 3), (0, 1)] {
+            rows.push_run(&runs, r, row..row + 1);
+        }
+        assert_eq!(
+            (rows.runs(), stored(&rows), rows.byte_size()),
+            (3, None, 36)
+        );
+        rows.push_run(&runs, 0, 0..2);
+        assert_eq!((rows.runs(), stored(&rows)), (4, Some(&[1, 2, 3, 5][..])));
+        assert_eq!(rows.byte_size(), 4 * (4 * 2 + 5 + 4));
+        // Ends that are every row's own are not stored either.
+        let ones = ColBatch::from_runs(vec![vec![1, 2], vec![3, 4]], vec![1, 2]);
+        assert_eq!(ones, ColBatch::from_columns(vec![vec![1, 2], vec![3, 4]]));
     }
 
     #[test]
@@ -697,6 +794,42 @@ mod tests {
     #[should_panic(expected = "newest column's length")]
     fn from_runs_checks_the_last_end() {
         ColBatch::from_runs(vec![vec![1], vec![3, 4, 5]], vec![2]);
+    }
+
+    #[test]
+    fn a_block_reads_back_as_written_and_refuses_what_does_not_add_up() {
+        for batch in [
+            run_batch(&[2, 0, 3]),
+            ColBatch::from_rows(&reference_rows(&[1; 5])),
+        ] {
+            let mut file = Vec::new();
+            batch.write_block(&mut file).unwrap();
+            batch.write_block(&mut file).unwrap();
+            assert_eq!(file.len() as u64, 2 * (16 + batch.byte_size()));
+            let mut left = file.len() as u64;
+            let mut r = &file[..];
+            for _ in 0..2 {
+                assert_eq!(ColBatch::read_block(&mut r, 3, &mut left).unwrap(), batch);
+            }
+            assert_eq!(left, 0);
+            // A block one byte short of its header's promise.
+            let mut short = 16 + batch.byte_size() - 1;
+            let read = ColBatch::read_block(&mut &file[..], 3, &mut short);
+            assert_eq!(
+                read.map(|_| ()).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
+        // Ends that do not rise to the block's rows.
+        let mut file = Vec::new();
+        run_batch(&[2, 3]).write_block(&mut file).unwrap();
+        file[16..20].copy_from_slice(&9u32.to_le_bytes());
+        let mut left = file.len() as u64;
+        let read = ColBatch::read_block(&mut &file[..], 3, &mut left);
+        assert_eq!(
+            read.map(|_| ()).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     mod properties {
@@ -712,55 +845,52 @@ mod tests {
 
         fn held_bytes(b: &ColBatch) -> u64 {
             let values: usize = (0..b.arity()).map(|c| b.column(c).len()).sum();
-            let ends = b.run_ends().map_or(0, <[u32]>::len);
+            let ends = stored(b).map_or(0, <[u32]>::len);
             ((values + ends) * 4) as u64
         }
 
         proptest! {
             #[test]
-            fn flatten_equals_the_row_at_a_time_reference(lens in arb_lens()) {
+            fn the_row_walker_equals_the_row_at_a_time_reference(lens in arb_lens()) {
                 let runs = run_batch(&lens);
                 let rows = reference_rows(&lens);
                 prop_assert_eq!(runs.len(), rows.len());
                 prop_assert_eq!(runs.byte_size(), held_bytes(&runs));
-                let mut flat = runs.clone();
-                flat.flatten();
-                prop_assert_eq!(flat.run_ends(), None);
-                prop_assert_eq!(flat.byte_size(), held_bytes(&flat));
-                prop_assert_eq!(&flat, &ColBatch::from_rows(&rows));
+                let mut walked = Vec::new();
+                runs.for_each_row(|row| walked.extend_from_slice(row));
+                prop_assert_eq!(&walked[..], rows.as_flat());
+                // Ends are stored unless every run is one row.
+                let one_row_each = lens.iter().all(|&l| l == 1);
+                prop_assert_eq!(stored(&runs).is_none(), one_row_each);
                 prop_assert_eq!(runs.to_rows(), rows);
             }
 
             /// Cuts at, inside and exactly on run boundaries: the chunks
             /// concatenate to the source, none exceeds `n` rows, each is cut
-            /// where a dense batch would be, and each is charged what it holds.
+            /// where its row-per-run twin's would be, and each is charged
+            /// what it holds.
             #[test]
             fn chunks_of_a_run_batch_concatenate_to_it(lens in arb_lens(), n in 1usize..25) {
                 let runs = run_batch(&lens);
                 let rows = reference_rows(&lens);
-                let dense_chunks = ColBatch::from_rows(&rows).split_into_chunks(n);
+                let twin_chunks = ColBatch::from_rows(&rows).split_into_chunks(n);
                 let chunks = runs.clone().split_into_chunks(n);
-                prop_assert_eq!(chunks.len(), dense_chunks.len());
+                prop_assert_eq!(chunks.len(), twin_chunks.len());
                 let mut all = ColBatch::new(3);
-                let mut as_runs = ColBatch::new(3).into_runs();
-                for (chunk, dense) in chunks.iter().zip(&dense_chunks) {
-                    // Appended as runs, chunks keep their layout and charge.
-                    let (held, chunk_runs) = (as_runs.byte_size(), chunk.clone().into_runs());
-                    as_runs.append(&mut chunk_runs.clone());
-                    prop_assert_eq!(as_runs.byte_size(), held + chunk_runs.byte_size());
+                for (chunk, twin) in chunks.iter().zip(&twin_chunks) {
+                    // Appended, chunks keep their runs and are charged what
+                    // they hold.
+                    all.append(&mut chunk.clone());
+                    prop_assert_eq!(all.byte_size(), held_bytes(&all));
                     prop_assert!(chunk.len() <= n);
                     prop_assert_eq!(chunk.byte_size(), held_bytes(chunk));
-                    prop_assert_eq!(chunk.to_rows(), dense.to_rows());
+                    prop_assert_eq!(chunk.to_rows(), twin.to_rows());
                     if chunks.len() > 1 {
                         // Copied chunks keep the run shape and no empty runs.
-                        let ends = chunk.run_ends().expect("a run batch chunks into runs");
-                        prop_assert!(ends.first().is_none_or(|&e| e > 0));
-                        prop_assert!(ends.windows(2).all(|w| w[0] < w[1]));
+                        prop_assert!((0..chunk.runs()).all(|r| !chunk.run_rows(r).is_empty()));
                     }
-                    all.append(&mut chunk.clone());
                 }
-                prop_assert_eq!(all.to_rows(), rows.clone());
-                prop_assert_eq!(as_runs.to_rows(), rows);
+                prop_assert_eq!(all.to_rows(), rows);
                 // A run cut by chunk boundaries is stored once per chunk it
                 // touches, never once per row.
                 let runs_held: usize = chunks.iter().map(|c| c.runs()).sum();

@@ -31,7 +31,7 @@ pub mod router;
 pub mod rpc;
 pub mod stats;
 
-pub use batch::{ColBatch, RowBatch};
+pub use batch::{ColBatch, RowBatch, Runs};
 pub use kv::ExternalKvStore;
 pub use link::{LinkFault, LinkFaultKind, TransportConfig};
 pub use network::NetworkModel;

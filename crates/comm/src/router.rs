@@ -35,8 +35,8 @@ pub struct PushEnvelope {
     pub from: MachineId,
     /// Dataflow segment (operator) the batch belongs to.
     pub segment: usize,
-    /// The rows: runs when the shuffle keyed them on prefix columns, dense
-    /// otherwise.
+    /// The rows: whole runs when the shuffle keyed them on prefix columns,
+    /// every row a run of its own otherwise.
     pub batch: ColBatch,
 }
 
@@ -52,8 +52,8 @@ pub enum ControlMsg {
         /// The join segment being drained.
         segment: usize,
     },
-    /// One sealed Grace partition, each side in the layout the shipper held
-    /// it in (runs or dense rows).
+    /// One sealed Grace partition, each side in the runs the shipper held it
+    /// in.
     PartitionShip {
         /// The join segment the partition belongs to.
         segment: usize,

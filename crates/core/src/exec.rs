@@ -6,8 +6,9 @@
 //!   on: the graph partition, the pulling fabric, the adjacency cache, the
 //!   worker pool and the batch size.
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
-//!   batch's columns into one batch per destination machine — whole runs
-//!   when every key column is a prefix column, dense rows otherwise; callers
+//!   batch into one batch per destination machine — a run whole when its key
+//!   is constant over it (a prefix key, or a run of one row), row by row
+//!   otherwise, each row a run of one; callers
 //!   move those through the accounted `huge-comm` fabric
 //!   (`RouterEndpoint::try_push` / `RpcFabric::get_nbrs`), so every engine's
 //!   traffic is charged to [`huge_comm::ClusterStats`] by the same code path
@@ -21,10 +22,11 @@
 //! add their own star scan and reuse the joiner and the partitioners.
 
 use std::borrow::BorrowMut;
+use std::ops::Range;
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
-use huge_graph::{machine_of, GraphPartition, VertexId};
+use huge_graph::{machine_of, GraphPartition};
 
 use crate::join::key_hash;
 use crate::pool::WorkerPool;
@@ -52,11 +54,9 @@ pub struct OpContext<'a> {
 // ---------------------------------------------------------------------------
 
 /// Hash-partitions the rows of `batch` over `k` machines by the given
-/// key columns, input order kept within a destination. A run batch whose
-/// key columns are all prefix columns ships run-wise, each run whole to one
-/// destination, and every destination receives a run batch; any other batch
-/// is made rows, and its parts come out dense (`scatter_by_key`, which the
-/// receiving join's Grace scatter shares).
+/// key columns, input order kept within a destination: a run whose key
+/// columns are all prefix columns goes whole, one hash per run, and any
+/// other run row by row, each row a run of one.
 ///
 /// This is the single partitioning function behind every shuffle in the
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
@@ -73,40 +73,19 @@ pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize
 
 /// Appends the rows of `batch` to `parts`, each to the part `place` names
 /// for the [`key_hash`] of its key columns: the shuffle's machines and the
-/// receiving join's Grace partitions. A run batch whose key columns are all
-/// prefix columns goes run-wise: every part holds runs from then on, one
-/// hash per run sends the whole run to one part ([`ColBatch::push_run`]:
-/// the prefix once, the newest column's slice, the run's end), and empty
-/// runs are dropped. Any other batch (dense, or keyed on its newest column)
-/// is made rows here and appended by [`scatter_rows`]. Input order is kept
-/// within a part.
+/// receiving join's Grace partitions.
 pub(crate) fn scatter_by_key<P: BorrowMut<ColBatch>>(
     batch: &ColBatch,
     key_positions: &[usize],
     place: impl Fn(u64) -> usize,
     parts: &mut [P],
 ) {
-    if prefix_keyed(batch, key_positions) {
-        for part in parts.iter_mut() {
-            let part = part.borrow_mut();
-            *part = std::mem::take(part).into_runs();
-        }
-        let hash = unit_key_hash(batch, key_positions);
-        for run in (0..batch.runs()).filter(|&run| !batch.run_rows(run).is_empty()) {
-            parts[place(hash(run))].borrow_mut().push_run(batch, run);
-        }
-        return;
-    }
-    let batch = &*batch.flattened();
-    let hash = unit_key_hash(batch, key_positions);
-    scatter_rows(batch, |row| place(hash(row)), parts);
-}
-
-/// The [`key_hash`] of a run of `batch` (a row, for a dense batch), read off
-/// its key columns — prefix columns, for a run batch.
-fn unit_key_hash<'a>(batch: &'a ColBatch, key_positions: &[usize]) -> impl Fn(usize) -> u64 + 'a {
-    let keys: Vec<&[VertexId]> = key_positions.iter().map(|&c| batch.column(c)).collect();
-    move |unit| key_hash(keys.iter().map(|column| column[unit]))
+    let dest = |run, row| {
+        place(key_hash(
+            key_positions.iter().map(|&c| batch.value(c, run, row)),
+        ))
+    };
+    scatter(batch, key_positions, dest, parts);
 }
 
 /// Partitions the rows of `batch` over `k` machines by the *owner* of
@@ -118,73 +97,36 @@ pub fn partition_cols_by_owner(
     rpc: &RpcFabric,
     k: usize,
 ) -> Vec<ColBatch> {
-    let batch = &*batch.flattened();
-    let vertices = batch.column(column);
     let mut parts = vec![ColBatch::new(batch.arity()); k];
-    scatter_rows(batch, |row| rpc.owner(vertices[row]), &mut parts);
+    let owner = |run, row| rpc.owner(batch.value(column, run, row));
+    scatter(batch, &[column], owner, &mut parts);
     parts
 }
 
-/// Appends every row of the dense `batch` to the part `dest_of` names for
-/// it. One pass computes the destinations and each row's rank within its
-/// own, which fixes the batch's rows in destination order (input order kept
-/// within a destination); every column of every destination is then one
-/// gather through that order. An empty part takes its rows as a dense batch;
-/// a part with rows appends them in its layout, as runs of one row if it
-/// holds runs ([`append_rows`]).
-pub(crate) fn scatter_rows<P: BorrowMut<ColBatch>>(
+/// Appends every run of `batch` to the part `dest_of(run, row)` names, input
+/// order kept within a part: whole ([`ColBatch::push_run`], its prefix once)
+/// if the key `columns` are constant over it — all of them prefix columns,
+/// or a run of one row — and row by row, each row a run of one, otherwise.
+/// Empty runs are dropped.
+fn scatter<P: BorrowMut<ColBatch>>(
     batch: &ColBatch,
-    dest_of: impl Fn(usize) -> usize,
+    columns: &[usize],
+    dest_of: impl Fn(usize, usize) -> usize,
     parts: &mut [P],
 ) {
-    assert!(u32::try_from(batch.len()).is_ok(), "row indices are 32-bit");
-    let mut counts = vec![0u32; parts.len()];
-    let ranked: Vec<(u32, u32)> = (0..batch.len())
-        .map(|i| {
-            let dest = dest_of(i);
-            counts[dest] += 1;
-            (dest as u32, counts[dest] - 1)
-        })
-        .collect();
-    // Each destination's first slot in the order, and one past the last one's.
-    let mut starts = vec![0u32; parts.len() + 1];
-    for (d, count) in counts.iter().enumerate() {
-        starts[d + 1] = starts[d] + count;
+    let whole = columns.iter().all(|&c| c + 1 < batch.arity());
+    let mut push = |run, rows: Range<usize>| {
+        let part = parts[dest_of(run, rows.start)].borrow_mut();
+        part.push_run(batch, run, rows);
+    };
+    for run in 0..batch.runs() {
+        let rows = batch.run_rows(run);
+        match whole {
+            true if rows.is_empty() => {}
+            true => push(run, rows),
+            false => rows.for_each(|row| push(run, row..row + 1)),
+        }
     }
-    let mut order = vec![0u32; ranked.len()];
-    for (i, &(dest, rank)) in ranked.iter().enumerate() {
-        order[(starts[dest as usize] + rank) as usize] = i as u32;
-    }
-    for (part, range) in parts.iter_mut().zip(starts.windows(2)) {
-        let rows = &order[range[0] as usize..range[1] as usize];
-        let column = |c| {
-            let source = batch.column(c);
-            rows.iter().map(|&row| source[row as usize]).collect()
-        };
-        let rows = ColBatch::from_columns((0..batch.arity()).map(column).collect());
-        append_rows(part.borrow_mut(), rows);
-    }
-}
-
-/// Appends `rows` to `part` without flattening `part`: an empty part takes
-/// `rows` as they are, a part that holds runs takes dense rows as runs of
-/// one row ([`ColBatch::into_runs`]), and two run batches append as runs.
-pub(crate) fn append_rows(part: &mut ColBatch, mut rows: ColBatch) {
-    if part.runs() == 0 {
-        *part = rows;
-        return;
-    }
-    if part.run_ends().is_some() {
-        rows = rows.into_runs();
-    }
-    part.append(&mut rows);
-}
-
-/// `true` when `batch` is a run batch and every key column is a prefix
-/// column, so all rows of a run share one key and the run ships whole.
-fn prefix_keyed(batch: &ColBatch, key_positions: &[usize]) -> bool {
-    let newest = batch.arity() - 1;
-    batch.run_ends().is_some() && key_positions.iter().all(|&c| c < newest)
 }
 
 #[cfg(test)]
@@ -295,8 +237,10 @@ mod tests {
         let total: usize = parts.iter().map(|b| b.len()).sum();
         assert_eq!(total, batch.len());
         for part in &parts {
-            // Dense, the payload still beside its key, input order kept.
-            assert_eq!(part.run_ends(), None);
+            // Every row a run of one, the payload still beside its key,
+            // input order kept.
+            assert_eq!(part.runs(), part.len());
+            assert_eq!(part.byte_size(), 2 * 4 * part.len() as u64);
             assert!(part.column(0).windows(2).all(|w| w[0] < w[1]));
             for (key, payload) in part.column(0).iter().zip(part.column(1)) {
                 assert_eq!(*payload, key + 100);

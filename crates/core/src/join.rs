@@ -4,12 +4,13 @@
 //! segment chain, the perf ledger.
 //!
 //! Each side of the join is hash-partitioned by join key into a fixed number
-//! of partitions, and a partition keeps the shuffle's layout from end to end:
+//! of partitions, and a partition keeps the shuffle's runs from end to end:
 //! each of its sides is one [`ColBatch`] — whole runs when the side's key
-//! lies in the prefix (one hash per run, the prefix once per run), dense rows
-//! otherwise ([`HashJoiner::add`]) — and that batch is what a spill file
-//! stores, what a partition ship carries and what the probe is built from.
-//! Rows are assembled in one place, the output gather. A partition buffers
+//! lies in the prefix (one hash per run, the prefix once per run), one run
+//! per row otherwise ([`HashJoiner::add`]) — and that batch is what a spill
+//! file stores, what a partition ship carries and what the probe is built
+//! from. Rows are assembled in one place, the output gather, which emits one
+//! run per left row and right run it pairs. A partition buffers
 //! rows in memory until the configured threshold, after which they are
 //! appended to a temporary file on disk.
 //! The joiner keeps one table of partitions, each entry its state, both
@@ -34,29 +35,30 @@
 //! operands live (both on the left row, one on each side, both in the right
 //! payload) and the right columns the checks read are fixed. The resident
 //! partition keeps exactly those columns of its build side, grouped by join
-//! key and in the side's layout: a run build holds a prefix column once per
-//! run. The generator looks up a left run's key group once, binds the run's
-//! prefix values once and its newest value once per row, then tests the key
-//! group a block of right rows at a time, one branch-free pass per column
-//! into a mask (a run build's per-run columns are expanded into scratch rows
-//! once per left run). [`HashJoiner::count_batch`] sums the mask — the sink
+//! key and in the side's runs: a prefix column once per run. The generator
+//! looks up a left run's key group once, binds the run's prefix values once
+//! and its newest value once per row, then tests the key group a block of
+//! right rows at a time, one branch-free pass per column into a mask (the
+//! build's per-run columns are expanded into scratch rows once per left
+//! run). [`HashJoiner::count_batch`] sums the mask — the sink
 //! the machine's chain calls when the join feeds a counting `SINK` directly
 //! — [`HashJoiner::next_batch`] turns it into pairs of `(row, run)` indices
 //! of each side and gathers the output columns from them, a prefix value
 //! through its run and a newest value through its row. Both share the
 //! partition lifecycle, the tracker charges and the per-poll cancel check.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use huge_comm::ColBatch;
+use huge_comm::{ColBatch, Runs};
 use huge_graph::{mix, IdBuildHasher, VertexId};
 use huge_plan::translate::JoinOp;
 
 use crate::cancel::CancelToken;
-use crate::exec::{append_rows, scatter_by_key};
+use crate::exec::scatter_by_key;
 use crate::memory::MemoryTracker;
 use crate::{EngineError, Result};
 
@@ -81,7 +83,7 @@ enum PartitionState {
 }
 
 /// An unprobed Grace partition claimed for shipping: `(left side, right
-/// side)`, each in the layout the partition held it in.
+/// side)`, each in the runs the partition held it in.
 pub type TakenPartition = (ColBatch, ColBatch);
 
 /// Which input of the join a batch belongs to.
@@ -118,11 +120,13 @@ fn grace_partition(hash: u64) -> usize {
 /// Widest join key (in columns) that packs exactly into a `u128`.
 const PACK_MAX_KEY: usize = 4;
 
-/// Packs the join-key values of run `unit` of `batch` (a row of a dense
-/// batch; a run batch's key columns are prefix columns) into a single `u128`
-/// table key. Up to [`PACK_MAX_KEY`] columns pack positionally
-/// (collision-free); wider keys fall back to [`key_hash`], and the probe
-/// re-checks column equality on each candidate match.
+/// Packs the join-key values of run `unit` of `batch` into a single `u128`
+/// table key. A side's key is constant over each of its runs: its key
+/// columns are prefix columns, or its newest column is one of them and every
+/// run is one row (so run `unit` is row `unit`). Up to [`PACK_MAX_KEY`]
+/// columns pack positionally (collision-free); wider keys fall back to
+/// [`key_hash`], and the probe re-checks column equality on each candidate
+/// match.
 fn pack_key(batch: &ColBatch, key_positions: &[usize], unit: usize) -> u128 {
     let key = key_positions.iter().map(|&c| batch.column(c)[unit]);
     if key_positions.len() <= PACK_MAX_KEY {
@@ -132,24 +136,14 @@ fn pack_key(batch: &ColBatch, key_positions: &[usize], unit: usize) -> u128 {
     }
 }
 
-/// Packed join key -> `(first, end)` units of the grouped right side: runs
-/// of a run build, rows of a dense one. The keys are vertex ids of rows this
-/// engine produced, so the table hashes them with
-/// [`IdHasher`](huge_graph::IdHasher), not SipHash.
+/// Packed join key -> `(first, end)` runs of the grouped right side. The
+/// keys are vertex ids of rows this engine produced, so the table hashes
+/// them with [`IdHasher`](huge_graph::IdHasher), not SipHash.
 type KeyTable = HashMap<u128, (u32, u32), IdBuildHasher>;
-
-/// The first row of `unit` under `run_ends`; without them a unit is a row.
-fn unit_start(run_ends: Option<&[u32]>, unit: usize) -> u32 {
-    match run_ends {
-        Some(ends) => unit.checked_sub(1).map_or(0, |u| ends[u]),
-        None => unit as u32,
-    }
-}
 
 /// One side of a partition: its resident rows and its spill file.
 struct Side {
-    /// The resident rows: runs once any batch with runs arrived (dense rows
-    /// joining them as runs of one row), dense rows otherwise.
+    /// The resident rows, in the runs they arrived in.
     batch: ColBatch,
     spill_file: Option<PathBuf>,
     /// Rows appended to the spill file so far — what a reload must find.
@@ -269,6 +263,10 @@ impl MemoryTrackerHandle {
 
 impl HashJoiner {
     /// Creates a joiner for `op` whose inputs have the given arities.
+    ///
+    /// # Panics
+    /// Panics if the right side's newest column is a payload column but not
+    /// the last, which the output's runs need (`translate` never does that).
     pub fn new(
         op: JoinOp,
         left_arity: usize,
@@ -277,6 +275,11 @@ impl HashJoiner {
         spill_dir: PathBuf,
         memory: MemoryTrackerHandle,
     ) -> Self {
+        let (_, payload) = op.right_payload.split_last().unwrap_or((&0, &[]));
+        assert!(
+            payload.iter().all(|&c| c + 1 < right_arity),
+            "the right side's newest column must be the last payload column"
+        );
         let open = |_| {
             let (left, right) = (ColBatch::new(left_arity), ColBatch::new(right_arity));
             Partition::new(PartitionState::Open, left, right)
@@ -301,11 +304,10 @@ impl HashJoiner {
 
     /// Adds an input batch to one side with the shuffle's own scatter
     /// (`exec::scatter_by_key`, by Grace partition instead of machine): a
-    /// prefix-keyed run batch's runs go whole, one hash per run, straight
-    /// onto the partitions' sides, which hold runs from then on; any other
-    /// batch's rows are appended as rows. Left rows that land in a built
-    /// partition wait there for the next probe poll. Input after its side's
-    /// seal is a [`EngineError::Config`] error.
+    /// run whose key is constant over it goes whole, one hash per run,
+    /// straight onto its partition's side, any other run row by row. Left
+    /// rows that land in a built partition wait there for the next probe
+    /// poll. Input after its side's seal is a [`EngineError::Config`] error.
     pub fn add(&mut self, side: JoinSide, batch: &ColBatch) -> Result<()> {
         let (sealed, key_positions, tag) = match side {
             JoinSide::Left => (self.left_sealed, &self.spec.key_left, "l"),
@@ -493,7 +495,7 @@ impl HashJoiner {
     }
 
     /// Demotes built partition `p`, whose build is in its slot, to open: the
-    /// build turns back into the right rows it was made from, in the layout
+    /// build turns back into the right rows it was made from, in the runs
     /// they were held in, buffered like any others.
     fn demote(&mut self, p: usize) {
         let part = &mut self.partitions[p];
@@ -587,7 +589,8 @@ impl HashJoiner {
             let walked = probe.walk(spec, budget, |left, kept, mask| {
                 // Branch-free compaction: every pair is written, the cursor
                 // only moves past the ones that survived. A pair holds each
-                // side's row and its run (the row itself, on a dense side).
+                // side's row and its run (the row itself, where every run is
+                // one row).
                 let mut len = pairs.len();
                 pairs.resize(len + mask.len(), [0; 4]);
                 let (row, runs) = (kept.row as u32, kept.runs());
@@ -851,8 +854,8 @@ impl BoundRow {
         }
     }
 
-    /// Binds the prefix values of left run `run` (of row `run`, for a dense
-    /// side): every row of the run shares them.
+    /// Binds the prefix values of left run `run`: every row of the run
+    /// shares them.
     fn bind_run(&mut self, left: &ColBatch, run: usize) {
         let prefix = &mut self.distinct.as_flattened_mut()[..left.arity() - 1];
         for (c, value) in prefix.iter_mut().enumerate() {
@@ -862,19 +865,21 @@ impl BoundRow {
 }
 
 /// The build side of one partition, resident: the kept right columns
-/// grouped by join key behind a hash table, in the layout the right side
-/// was held in, made at the right seal or by the probe's cursor and kept
-/// until the partition's last left row.
+/// grouped by join key behind a hash table, a prefix column one value per
+/// run and the newest one per row, made at the right seal or by the probe's
+/// cursor and kept until the partition's last left row.
 struct Build {
-    /// One vector per kept right column ([`ProbeSpec::kept`]), units grouped
-    /// by join key (input order kept within a group): a prefix column of a
-    /// run build holds one value per run, any other column one value per
-    /// row and [`LANES`] zeroes after the last.
+    /// One vector per kept right column ([`ProbeSpec::kept`]), runs grouped
+    /// by join key (input order kept within a group): a prefix column one
+    /// value per run, the newest column one value per row and [`LANES`]
+    /// zeroes after the last (none if it has no row). When every run is one
+    /// row, a prefix column is one value per row too, padded the same way.
     columns: Vec<Vec<VertexId>>,
-    /// Whether each kept column holds one value per run.
+    /// Whether each kept column holds one value per run of several rows:
+    /// what the probe expands into scratch rows.
     per_run: Vec<bool>,
-    /// A run build's run ends, in group order.
-    run_ends: Option<Vec<u32>>,
+    /// The runs, in group order.
+    runs: Runs,
     table: KeyTable,
     /// Right rows it holds.
     rows: usize,
@@ -886,12 +891,11 @@ struct Build {
 }
 
 impl Build {
-    /// Groups the right side's units (runs of a run batch, whose key lies in
-    /// the prefix; rows of a dense one) by join key, indexes the groups from
-    /// the key columns, and scatters the columns the probe reads into group
-    /// order, each in its layout. One hash per unit: the counting pass
-    /// remembers each unit's group, so placement needs no second lookup. A
-    /// run never straddles a group, so its rows move as one slice.
+    /// Groups the right side's runs by join key (the key is constant over a
+    /// run), indexes the groups from the key columns, and moves the columns
+    /// the probe reads into group order: a prefix value once per run, a
+    /// run's newest values as one slice. One hash per run: the counting pass
+    /// remembers each run's group, so placement needs no second lookup.
     ///
     /// On entry the tracker holds the right side's bytes; on return it holds
     /// `bytes`. A right column the probe never reads is released as soon as
@@ -900,12 +904,11 @@ impl Build {
     /// moment both exist.
     fn new(spec: &ProbeSpec, right: ColBatch, memory: &MemoryTrackerHandle, streams: bool) -> Self {
         let (units, rows, newest) = (right.runs(), right.len(), right.arity() - 1);
-        debug_assert!(right.run_ends().is_none() || spec.key_right.iter().all(|&c| c < newest));
         let mut table = KeyTable::with_capacity_and_hasher(units, Default::default());
-        // Units per group, then (after the scan) each group's first unit.
+        // Runs per group, then (after the scan) each group's first run.
         let mut starts: Vec<u32> = Vec::new();
-        // Each unit's group, then (after placement) its destination unit.
-        let mut dest: Vec<u32> = Vec::with_capacity(units);
+        // Each run's group.
+        let mut groups: Vec<u32> = Vec::with_capacity(units);
         for unit in 0..units {
             let next = starts.len() as u32;
             let group = table
@@ -916,9 +919,9 @@ impl Build {
                 starts.push(0);
             }
             starts[group as usize] += 1;
-            dest.push(group);
+            groups.push(group);
         }
-        // Presizing by units avoids every rehash when keys are unique; when
+        // Presizing by runs avoids every rehash when keys are unique; when
         // they repeat, give the slack back so lookups stay cache-resident.
         table.shrink_to_fit();
         starts.push(0);
@@ -930,12 +933,14 @@ impl Build {
             let group = range.0 as usize;
             *range = (starts[group], starts[group + 1]);
         }
-        for d in &mut dest {
-            let cursor = &mut starts[*d as usize];
-            *d = *cursor;
+        // The source run at each place of the group order.
+        let mut order = vec![0u32; units];
+        for (unit, &group) in groups.iter().enumerate() {
+            let cursor = &mut starts[group as usize];
+            order[*cursor as usize] = unit as u32;
             *cursor += 1;
         }
-        let (mut source, source_ends) = right.into_parts();
+        let (mut source, source_runs) = right.into_parts();
         let release = |values: &mut Vec<VertexId>| {
             memory.release(std::mem::size_of_val(&values[..]) as u64);
             *values = Vec::new();
@@ -945,69 +950,46 @@ impl Build {
                 release(values);
             }
         }
-        let mut bytes = 0;
+        let mut runs = Runs::default();
+        for &unit in &order {
+            runs.push(source_runs.rows(unit as usize).len());
+        }
+        let mut bytes = runs.byte_size();
+        memory.allocate(bytes);
         let mut charge = |values: usize| {
             let charged = (values * VALUE_BYTES) as u64;
             memory.allocate(charged);
             bytes += charged;
         };
-        // A run build's ends in group order: each run's rows, summed over
-        // the runs placed before it.
-        let run_ends = source_ends.as_deref().map(|ends| {
-            charge(units);
-            let mut placed = vec![0u32; units];
-            for (u, &d) in dest.iter().enumerate() {
-                placed[d as usize] = ends[u] - unit_start(Some(ends), u);
-            }
-            let mut end = 0;
-            for rows in &mut placed {
-                end += *rows;
-                *rows = end;
-            }
-            placed
-        });
+        let padded = if rows == 0 { 0 } else { rows + LANES };
+        let per_run: Vec<bool> = (spec.kept.iter())
+            .map(|&position| position != newest && !runs.one_row_each())
+            .collect();
         let mut columns = Vec::with_capacity(spec.kept.len());
-        let mut per_run = Vec::with_capacity(spec.kept.len());
         for (k, &position) in spec.kept.iter().enumerate() {
             let values = &source[position];
-            let column = match (source_ends.as_deref(), run_ends.as_deref()) {
-                // The newest column of a run build: each run's rows move as
-                // one slice.
-                (Some(from), Some(to)) if position == newest => {
-                    charge(rows + LANES);
-                    let mut column = vec![0; rows + LANES];
-                    for (u, &d) in dest.iter().enumerate() {
-                        let at = unit_start(Some(to), d as usize) as usize;
-                        let run = unit_start(Some(from), u) as usize..from[u] as usize;
-                        column[at..at + run.len()].copy_from_slice(&values[run]);
-                    }
-                    column
+            let len = if per_run[k] { units } else { padded };
+            charge(len);
+            let mut column = Vec::with_capacity(len);
+            if position != newest || runs.one_row_each() {
+                column.extend(order.iter().map(|&unit| values[unit as usize]));
+            } else {
+                // A run's rows move as one slice.
+                for &unit in &order {
+                    column.extend_from_slice(&values[source_runs.rows(unit as usize)]);
                 }
-                // One value per unit: a run's prefix value, or a dense row's
-                // value (padded, for the probe's block reads).
-                (ends, _) => {
-                    let len = if ends.is_some() { units } else { rows + LANES };
-                    charge(len);
-                    let mut column = vec![0; len];
-                    for (&value, &d) in values.iter().zip(&dest) {
-                        column[d as usize] = value;
-                    }
-                    column
-                }
-            };
+            }
+            column.resize(len, 0);
             columns.push(column);
-            per_run.push(source_ends.is_some() && position != newest);
             if !spec.kept[k + 1..].contains(&position) {
                 release(&mut source[position]);
             }
         }
-        if let Some(mut ends) = source_ends {
-            release(&mut ends);
-        }
+        memory.release(source_runs.byte_size());
         Build {
             columns,
             per_run,
-            run_ends,
+            runs,
             table,
             rows,
             bytes,
@@ -1015,44 +997,35 @@ impl Build {
         }
     }
 
-    /// The right rows of `units`, as a `(first, end)` row range.
-    fn rows_of(&self, (first, end): (u32, u32)) -> (u32, u32) {
-        let ends = self.run_ends.as_deref();
-        (
-            unit_start(ends, first as usize),
-            unit_start(ends, end as usize),
-        )
-    }
-
-    /// Writes the key group of `units` into `scratch` one value per row,
+    /// Writes the key group of `runs` into `scratch` one value per row,
     /// [`LANES`] zeroes after the last: each per-run kept column's value —
     /// what the probe's block reads take for those columns — and, in the
     /// last vector, the row's run — what the materialising sink gathers
-    /// them by. A dense build has none.
+    /// them by. Nothing to do when every run is one row.
     fn expand(&self, (first, end): (u32, u32), scratch: &mut [Vec<VertexId>]) {
-        let Some(ends) = self.run_ends.as_deref() else {
+        if self.runs.one_row_each() {
             return;
-        };
+        }
         scratch.iter_mut().for_each(Vec::clear);
         let (runs, kept) = scratch.split_last_mut().expect("a vector of runs");
-        for unit in first as usize..end as usize {
-            let len = (ends[unit] - unit_start(Some(ends), unit)) as usize;
+        for run in first as usize..end as usize {
+            let len = self.runs.rows(run).len();
             let columns = self.columns.iter().zip(&self.per_run).zip(kept.iter_mut());
             for ((column, _), rows) in columns.filter(|((_, &per_run), _)| per_run) {
-                rows.extend(std::iter::repeat_n(column[unit], len));
+                rows.extend(std::iter::repeat_n(column[run], len));
             }
-            runs.extend(std::iter::repeat_n(unit as u32, len));
+            runs.extend(std::iter::repeat_n(run as u32, len));
         }
         scratch
             .iter_mut()
             .for_each(|rows| rows.resize(rows.len() + LANES, 0));
     }
 
-    /// The right rows the build was made from, in group order and in the
-    /// layout they were held in: kept columns as they are, narrow key
-    /// columns unpacked from the table keys (a wide key's columns are kept).
+    /// The right rows the build was made from, in group order and in their
+    /// runs: kept columns as they are, narrow key columns unpacked from the
+    /// table keys (a wide key's columns are kept).
     fn unbuild(&self, spec: &ProbeSpec, arity: usize) -> ColBatch {
-        let units = self.run_ends.as_ref().map_or(self.rows, Vec::len);
+        let units = self.runs.count();
         let column = |position| {
             if let Some(k) = spec.kept.iter().position(|&c| c == position) {
                 let len = if self.per_run[k] { units } else { self.rows };
@@ -1066,11 +1039,7 @@ impl Build {
             }
             column
         };
-        let columns = (0..arity).map(column).collect();
-        match &self.run_ends {
-            Some(ends) => ColBatch::from_runs(columns, ends.clone()),
-            None => ColBatch::from_columns(columns),
-        }
+        ColBatch::from_parts((0..arity).map(column).collect(), self.runs.clone())
     }
 }
 
@@ -1083,22 +1052,22 @@ impl Build {
 /// *concurrently* by several machine threads, and per-row allocation
 /// serialises them on the global allocator.
 struct PartitionProbe {
-    /// The left rows, in the layout they were partitioned in.
+    /// The left rows, in the runs they were partitioned in.
     left: ColBatch,
     /// Bytes of the left rows, charged to the tracker while loaded.
     left_bytes: u64,
     build: Build,
-    /// The next left run the walk enters (a row, for a dense side).
+    /// The next left run the walk enters.
     next_run: usize,
-    /// Key groups (as units) of the runs below `looked`, by run mod
+    /// Key groups (as right runs) of the left runs below `looked`, by run mod
     /// [`LOOKAHEAD`].
     groups: [(u32, u32); LOOKAHEAD],
     looked: usize,
     /// The left row being probed, and the end of its run's rows.
     row: usize,
     row_end: usize,
-    /// The current run's key group as right rows, and the units the scratch
-    /// rows were last expanded from.
+    /// The current run's key group as right rows, and the right runs the
+    /// scratch rows were last expanded from.
     group: (u32, u32),
     expanded: Option<(u32, u32)>,
     /// Cursor into the current left row's range of right rows.
@@ -1159,7 +1128,8 @@ impl PartitionProbe {
             }
             self.next_run += 1;
             let units = self.groups[run % LOOKAHEAD];
-            let group = self.build.rows_of(units);
+            let start = |run: u32| self.build.runs.start(run as usize) as u32;
+            let group = (start(units.0), start(units.1));
             let rows = self.left.run_rows(run);
             if group.0 == group.1 || rows.is_empty() {
                 continue;
@@ -1234,22 +1204,47 @@ impl PartitionProbe {
     /// The materialising sink: gathers the joined rows of `pairs` — `[left
     /// row, its run, right row, its run]` — one output column at a time, a
     /// prefix value through its run and a newest value through its row.
+    /// Consecutive pairs of one left row and one right run are one output
+    /// run: every output column but the last is constant over them, and the
+    /// last is the right side's newest column when it is a payload column
+    /// (else every right run is one row, and so is every output run).
     fn gather(&self, spec: &ProbeSpec, pairs: &[[u32; 4]]) -> ColBatch {
-        let pick =
-            |column: &[VertexId], at: usize| pairs.iter().map(|p| column[p[at] as usize]).collect();
+        // Each output run's first pair, and where it ends: every pair is a
+        // run of its own when every right run is one row.
+        let (heads, ends): (Cow<[[u32; 4]]>, _) = match self.build.runs.one_row_each() {
+            true => (Cow::Borrowed(pairs), None),
+            false => {
+                let runs = pairs.chunk_by(|a, b| a[0] == b[0] && a[3] == b[3]);
+                let ends = runs.clone().scan(0, |end, run| {
+                    *end += run.len() as u32;
+                    Some(*end)
+                });
+                (runs.map(|run| run[0]).collect(), Some(ends.collect()))
+            }
+        };
         let newest = self.left.arity() - 1;
-        let left = (0..=newest).map(|c| pick(self.left.column(c), if c < newest { 1 } else { 0 }));
+        let left = (0..=newest).map(|c| (self.left.column(c), if c < newest { 1 } else { 0 }));
         let payload = self.build.columns[..spec.payload]
             .iter()
             .zip(&self.build.per_run);
-        let right = payload.map(|(column, &per_run)| pick(column, if per_run { 3 } else { 2 }));
-        ColBatch::from_columns(left.chain(right).collect())
+        let right = payload.map(|(column, &per_run)| (&column[..], if per_run { 3 } else { 2 }));
+        let sources: Vec<(&[VertexId], usize)> = left.chain(right).collect();
+        let ((last, last_at), prefix) = sources.split_last().expect("a joined column");
+        let pick = |pairs: &[[u32; 4]], (column, at): (&[VertexId], usize)| {
+            pairs.iter().map(|p| column[p[at] as usize]).collect()
+        };
+        let mut columns: Vec<Vec<VertexId>> = prefix.iter().map(|&s| pick(&heads, s)).collect();
+        columns.push(pick(pairs, (last, *last_at)));
+        match ends {
+            Some(ends) => ColBatch::from_runs(columns, ends),
+            None => ColBatch::from_columns(columns),
+        }
     }
 }
 
 /// The kept right columns of one tested block, each read from the block's
-/// first right row on: a run build's per-run columns from the scratch rows
-/// its key group was expanded into, every other column in place.
+/// first right row on: the per-run columns from the scratch rows its key
+/// group was expanded into, the newest column in place.
 #[derive(Clone, Copy)]
 struct BlockColumns<'a> {
     build: &'a Build,
@@ -1269,13 +1264,10 @@ impl<'a> BlockColumns<'a> {
         }
     }
 
-    /// The runs of the block's rows, in a run build.
+    /// The runs of the block's rows, unless every run is one row.
     fn runs(self) -> Option<&'a [u32]> {
         let runs = self.scratch.last().expect("a vector of runs");
-        self.build
-            .run_ends
-            .is_some()
-            .then(|| &runs[self.in_group..])
+        (!self.build.runs.one_row_each()).then(|| &runs[self.in_group..])
     }
 }
 
@@ -1338,27 +1330,13 @@ fn pass(mask: &mut [u32], values: &[VertexId], keep: impl Fn(VertexId) -> bool) 
     }
 }
 
-/// Values a spill file moves at a time: the one fixed buffer (64 KiB) a spill
-/// or a reload holds beside the rows themselves.
-const SPILL_PIECE: usize = 16 * 1024;
-
-/// Bytes of one value in a spill file.
+/// Bytes of one value in a build's columns.
 const VALUE_BYTES: usize = std::mem::size_of::<VertexId>();
 
 impl Side {
     /// Rows held, in memory and spilled.
     fn rows(&self) -> u64 {
         self.batch.len() as u64 + self.spilled_rows
-    }
-
-    /// Appends a reloaded block to the resident rows without flattening
-    /// either: a block with runs makes the side hold runs
-    /// ([`ColBatch::into_runs`]), and [`append_rows`] does the rest.
-    fn push(&mut self, block: ColBatch) {
-        if block.run_ends().is_some() {
-            self.batch = std::mem::take(&mut self.batch).into_runs();
-        }
-        append_rows(&mut self.batch, block);
     }
 
     /// The resident rows, leaving none: the side keeps its arity, as a
@@ -1369,14 +1347,11 @@ impl Side {
     }
 
     /// Appends the resident rows to the spill file (creating the file on
-    /// first spill) as one block, in their layout: a header of two
-    /// little-endian `u64`s, the rows and the runs (0 for a dense block —
-    /// a run batch with rows has a run), then a run block's ends, then the
-    /// columns one after another as held (a run block's prefix columns one
-    /// value per run), every value a little-endian `u32`. Returns the
-    /// in-memory bytes flushed; the caller releases them from the memory
-    /// tracker (so the helper composes with both the threshold spill in
-    /// [`HashJoiner::add`] and the governor-driven full spills).
+    /// first spill) as one block ([`ColBatch::write_block`]: the rows in
+    /// their runs). Returns the in-memory bytes flushed; the caller releases
+    /// them from the memory tracker (so the helper composes with both the
+    /// threshold spill in [`HashJoiner::add`] and the governor-driven full
+    /// spills).
     fn spill(&mut self, dir: &Path, tag: &str, index: usize, counter: &mut usize) -> Result<u64> {
         let bytes = self.batch.byte_size();
         if bytes == 0 {
@@ -1389,25 +1364,9 @@ impl Side {
         std::fs::create_dir_all(dir)?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut w = BufWriter::new(file);
-        let (batch, ends) = (&self.batch, self.batch.run_ends());
-        w.write_all(&(batch.len() as u64).to_le_bytes())?;
-        w.write_all(&(ends.map_or(0, <[u32]>::len) as u64).to_le_bytes())?;
-        let values = bytes as usize / VALUE_BYTES;
-        let mut piece = vec![0u8; values.min(SPILL_PIECE) * VALUE_BYTES];
-        let columns = (0..batch.arity()).map(|c| batch.column(c));
-        for values in ends
-            .into_iter()
-            .chain(columns)
-            .flat_map(|v| v.chunks(SPILL_PIECE))
-        {
-            let piece = &mut piece[..values.len() * VALUE_BYTES];
-            for (bytes, value) in piece.chunks_exact_mut(VALUE_BYTES).zip(values) {
-                bytes.copy_from_slice(&value.to_le_bytes());
-            }
-            w.write_all(piece)?;
-        }
+        self.batch.write_block(&mut w)?;
         w.flush()?;
-        self.spilled_rows += batch.len() as u64;
+        self.spilled_rows += self.batch.len() as u64;
         // Drop the allocations too (not just the lengths): a spill exists to
         // make the resident footprint actually shrink.
         self.take_resident();
@@ -1426,8 +1385,8 @@ impl Side {
     fn take(&mut self, memory: &MemoryTrackerHandle) -> Result<ColBatch> {
         let resident = self.batch.byte_size();
         if let Some(path) = self.spill_file.take() {
-            let (rows, arity) = (std::mem::take(&mut self.spilled_rows), self.batch.arity());
-            let read = read_spill_file(&path, rows, arity, |block| self.push(block));
+            let rows = std::mem::take(&mut self.spilled_rows);
+            let read = read_spill_file(&path, rows, &mut self.batch);
             let _ = std::fs::remove_file(&path);
             if let Err(e) = read {
                 self.take_resident();
@@ -1440,80 +1399,28 @@ impl Side {
     }
 }
 
-/// Reads a spill file's blocks back, handing each to `push` as a batch of
-/// the layout it was written in. Nothing in the file is trusted: each
-/// block's header is checked against what is left of the file before
-/// anything is reserved for it, a run block's ends must rise to exactly its
-/// rows, and the blocks' total must be the rows the partition spilled, so a
-/// truncated, overlong or garbled file is an `InvalidData` error instead of
-/// a silently shifted column.
-fn read_spill_file(
-    path: &Path,
-    spilled_rows: u64,
-    arity: usize,
-    mut push: impl FnMut(ColBatch),
-) -> io::Result<()> {
-    let invalid = |what: &str| {
-        let message = format!("spill file {}: {what}", path.display());
-        io::Error::new(io::ErrorKind::InvalidData, message)
+/// Reads a spill file's blocks back ([`ColBatch::read_block`]) and appends
+/// each to `into` in the runs it was written in. Nothing in the file is
+/// trusted: besides each block's own checks, the blocks' total must be the
+/// rows the partition spilled, so a truncated, overlong or garbled file is
+/// an `InvalidData` error instead of a silently shifted column.
+fn read_spill_file(path: &Path, spilled_rows: u64, into: &mut ColBatch) -> io::Result<()> {
+    let in_file = |kind, what: &dyn std::fmt::Display| {
+        io::Error::new(kind, format!("spill file {}: {what}", path.display()))
     };
     let file = File::open(path)?;
     let mut left = file.metadata()?.len();
     let mut r = BufReader::new(file);
     let mut found_rows = 0u64;
-    let mut piece = vec![0u8; left.min((SPILL_PIECE * VALUE_BYTES) as u64) as usize];
-    let mut read = |r: &mut BufReader<File>, count: u64| -> io::Result<Vec<VertexId>> {
-        let mut values = Vec::with_capacity(count as usize);
-        let mut todo = count as usize;
-        while todo > 0 {
-            let piece = &mut piece[..todo.min(SPILL_PIECE) * VALUE_BYTES];
-            r.read_exact(piece)?;
-            let bytes = piece.chunks_exact(VALUE_BYTES);
-            values.extend(bytes.map(|b| VertexId::from_le_bytes([b[0], b[1], b[2], b[3]])));
-            todo -= piece.len() / VALUE_BYTES;
-        }
-        Ok(values)
-    };
     while left > 0 {
-        let mut header = [0u8; 16];
-        left = left
-            .checked_sub(header.len() as u64)
-            .ok_or_else(|| invalid("ends inside a block header"))?;
-        r.read_exact(&mut header)?;
-        let (rows, runs) = header.split_at(8);
-        let [rows, runs] = [rows, runs].map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
-        // A dense block holds `arity` values a row; a run block a run end
-        // and `arity - 1` prefix values a run, and a value a row.
-        let per_unit = arity as u64;
-        let values = match runs {
-            0 => rows.checked_mul(per_unit),
-            _ => runs.checked_mul(per_unit).and_then(|v| v.checked_add(rows)),
-        };
-        left = values
-            .and_then(|v| v.checked_mul(VALUE_BYTES as u64))
-            .and_then(|block| left.checked_sub(block))
-            .ok_or_else(|| invalid("ends inside a block"))?;
-        found_rows += rows;
-        let block = if runs == 0 {
-            let columns = (0..arity).map(|_| read(&mut r, rows));
-            ColBatch::from_columns(columns.collect::<io::Result<_>>()?)
-        } else {
-            let ends = read(&mut r, runs)?;
-            let last = ends.last().map(|&end| u64::from(end));
-            if !ends.windows(2).all(|w| w[0] <= w[1]) || last != Some(rows) {
-                return Err(invalid("run ends do not rise to the block's rows"));
-            }
-            let columns = (1..arity).map(|_| read(&mut r, runs));
-            let mut columns: Vec<_> = columns.collect::<io::Result<_>>()?;
-            columns.push(read(&mut r, rows)?);
-            ColBatch::from_runs(columns, ends)
-        };
-        push(block);
+        let read = ColBatch::read_block(&mut r, into.arity(), &mut left);
+        let mut block = read.map_err(|e| in_file(e.kind(), &e))?;
+        found_rows += block.len() as u64;
+        into.append(&mut block);
     }
     if found_rows != spilled_rows {
-        return Err(invalid(&format!(
-            "holds {found_rows} rows, {spilled_rows} were spilled"
-        )));
+        let what = format!("holds {found_rows} rows, {spilled_rows} were spilled");
+        return Err(in_file(io::ErrorKind::InvalidData, &what));
     }
     Ok(())
 }
@@ -1834,8 +1741,8 @@ mod tests {
                 (&taken_spilled.0, &taken_resident.0),
                 (&taken_spilled.1, &taken_resident.1),
             ] {
-                assert_eq!(reloaded.run_ends().is_some(), runs, "runs {runs}");
-                assert_eq!(reloaded.run_ends(), held.run_ends(), "runs {runs}");
+                assert_eq!(reloaded.runs() < reloaded.len(), runs, "runs {runs}");
+                assert_eq!(reloaded.runs(), held.runs(), "runs {runs}");
                 assert_eq!(reloaded.byte_size(), held.byte_size(), "runs {runs}");
             }
             assert_eq!(taken_spilled, taken_resident);
@@ -1958,7 +1865,7 @@ mod tests {
     /// Bytes a build holds, counted off its vectors.
     fn build_held(build: &Build) -> u64 {
         let values: usize = build.columns.iter().map(Vec::len).sum();
-        (4 * (values + build.run_ends.as_ref().map_or(0, Vec::len))) as u64
+        (4 * values) as u64 + build.runs.byte_size()
     }
 
     /// Checks that `joiner`'s charges are what it holds: its buffered bytes
@@ -1988,8 +1895,8 @@ mod tests {
         let tracker = std::sync::Arc::new(MemoryTracker::new());
         let tracked = || MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker));
         let mut joiner = HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), tracked());
-        // Keys in runs of five on both sides, and a dense batch that joins a
-        // run side as runs of one row.
+        // Keys in runs of five on both sides, and a batch of one-row runs that
+        // joins the run sides.
         let rows = |from: u32, payload: u32| -> Vec<[u32; 2]> {
             (from..from + 400).map(|i| [i / 5, payload + i]).collect()
         };
@@ -2004,9 +1911,9 @@ mod tests {
         joiner
             .add(JoinSide::Left, &batch2(&rows(400, 10_000)))
             .unwrap();
-        assert_charged(&joiner, &tracker, 0, "dense rows into run sides");
+        assert_charged(&joiner, &tracker, 0, "one-row runs into run sides");
         let sides = joiner.partitions.iter().map(|p| &p.left.batch);
-        assert!(sides.clone().all(|b| b.run_ends().is_some()));
+        assert_eq!(sides.clone().map(ColBatch::runs).sum::<usize>(), 80 + 400);
         assert_eq!(sides.map(ColBatch::len).sum::<usize>(), 800);
         joiner.seal_right(64);
         assert_charged(&joiner, &tracker, 0, "right seal");
@@ -2018,7 +1925,8 @@ mod tests {
         let free = (0..NUM_PARTITIONS).find(|&p| Some(p) != held).unwrap();
         joiner.demote(free);
         assert_charged(&joiner, &tracker, 0, "demote");
-        assert!(joiner.partitions[free].right.batch.run_ends().is_some());
+        let right = &joiner.partitions[free].right.batch;
+        assert_eq!(right.runs() * 5, right.len());
         // More left rows put the tracker at its peak: a spill that charged
         // an unbuilt build before releasing it would raise the peak.
         joiner
@@ -2043,10 +1951,15 @@ mod tests {
         let mut adopter = HashJoiner::new(simple_op(), 2, 2, 1 << 20, spill_dir(), memory);
         adopter.seal(64);
         assert_charged(&adopter, &adopted, 0, "an empty sealed adopter");
+        assert_eq!(
+            adopted.current(),
+            0,
+            "an empty sealed adopter holds nothing"
+        );
         while let Some((left, right)) = joiner.take_unprobed_partition().unwrap() {
             let bytes = left.byte_size() + right.byte_size();
             assert_charged(&joiner, &tracker, bytes, "ship");
-            assert!(left.run_ends().is_some() && right.run_ends().is_some());
+            assert!(left.runs() < left.len() && right.runs() * 5 == right.len());
             adopted.allocate(bytes);
             adopter.adopt_partition(left, right).unwrap();
             assert_charged(&adopter, &adopted, 0, "adopt");
@@ -2479,9 +2392,9 @@ mod tests {
             /// sides seal at once, in what order) — whether the partitions
             /// are resident or were spilled and re-loaded, demoted and
             /// rebuilt, whether the left rows are probed as they arrive or
-            /// after the left seal, and whichever layout either side
-            /// arrives in: dense, runs keyed in the prefix (held as runs),
-            /// or runs keyed on the newest column (held dense). Both report
+            /// after the left seal, and whichever runs either side arrives
+            /// in: one row each, runs keyed in the prefix (held as runs), or
+            /// runs keyed on the newest column (held one row a run). Both report
             /// the reference's key-equal pairs as tested. Every left row is
             /// counted streamed or deferred, once, and every tracked byte
             /// comes back.
@@ -2632,8 +2545,9 @@ mod tests {
                             joiner.add(side, &batch)?;
                             for part in &mut joiner.partitions {
                                 let held = &part.side(side).batch;
-                                let layout = held.run_ends().is_some() == held_as_runs;
-                                assert!(held.is_empty() || layout);
+                                // A side keyed on its newest column holds every
+                                // row as a run of its own.
+                                assert!(held_as_runs || held.runs() == held.len());
                             }
                             if spill {
                                 joiner.spill_to_disk()?;

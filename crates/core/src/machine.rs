@@ -1221,23 +1221,20 @@ impl MachineState {
     /// Consumes one fully-extended batch at the terminal: the sink counts
     /// (and collects) it; a shuffle partitions it by join key into `unsent`,
     /// one part per destination, for [`MachineState::push_unsent`].
-    fn consume_terminal(&mut self, v: Visit, mut batch: ColBatch, unsent: &mut VecDeque<Part>) {
+    fn consume_terminal(&mut self, v: Visit, batch: ColBatch, unsent: &mut VecDeque<Part>) {
         match &v.plan.terminal {
             Terminal::Sink => {
                 // Count-only sinks touch nothing but the length.
                 self.matches += batch.len() as u64;
                 if let SinkMode::Collect(limit) = v.sink {
-                    let wanted = limit.saturating_sub(self.samples.len());
-                    if wanted > 0 {
+                    if self.samples.len() < limit {
                         // The collect sink reads rows: runs end here.
-                        batch.flatten();
                         let schema = &v.plan.segment.schema;
-                        let mut row = Vec::with_capacity(batch.arity());
-                        for i in 0..batch.len().min(wanted) {
-                            row.clear();
-                            batch.read_row(i, &mut row);
-                            self.samples.push(reorder_row(&row, schema));
-                        }
+                        batch.for_each_row(|row| {
+                            if self.samples.len() < limit {
+                                self.samples.push(reorder_row(row, schema));
+                            }
+                        });
                     }
                 }
             }
@@ -1246,7 +1243,7 @@ impl MachineState {
                 // Envelopes are tagged with the *producing* segment id so the
                 // consuming join can tell its left input from its right. Runs
                 // keyed on a prefix column go on the wire whole, prefix once;
-                // the partitioner makes anything else dense rows.
+                // the partitioner sends any other run row by row.
                 let parts = partition_cols_by_key(&batch, key_positions, k);
                 unsent.extend(parts.into_iter().enumerate());
             }

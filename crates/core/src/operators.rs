@@ -227,19 +227,14 @@ impl ScanCursor {
     /// `None` while the pool is empty (stealing may refill it).
     pub fn next_runs(&mut self, ctx: &OpContext<'_>) -> Option<ColBatch> {
         let batch = self.next_batch(ctx)?;
+        let (edges, _) = batch.as_flat().as_chunks::<2>();
         let (mut src, mut ends) = (Vec::new(), Vec::new());
-        let mut dst = Vec::with_capacity(batch.len());
-        for row in batch.rows() {
-            if src.last() != Some(&row[0]) {
-                if !dst.is_empty() {
-                    ends.push(dst.len() as u32);
-                }
-                src.push(row[0]);
-            }
-            dst.push(row[1]);
+        for vertex in edges.chunk_by(|a, b| a[0] == b[0]) {
+            src.push(vertex[0][0]);
+            // `batch_size` rows at most, far below 32 bits.
+            ends.push(ends.last().copied().unwrap_or(0) + vertex.len() as u32);
         }
-        // `batch_size` rows at most, far below 32 bits.
-        ends.push(dst.len() as u32);
+        let dst = edges.iter().map(|edge| edge[1]).collect();
         Some(ColBatch::from_runs(vec![src, dst], ends))
     }
 }
@@ -367,24 +362,17 @@ fn release(ctx: &OpContext<'_>) {
 /// Splits the runs of `input` into work items `(first run, one past the
 /// last)` of about the same number of rows. Items are cut on run boundaries
 /// only, so a run's shared intersection and its filter are never computed
-/// twice within a batch; for a batch without runs that is every row.
+/// twice within a batch.
 fn intersect_ranges(input: &ColBatch, ctx: &OpContext<'_>) -> Vec<(usize, usize)> {
     let target = (input.len() / (ctx.pool.workers() * 4).max(1)).max(256);
-    let runs = input.runs();
-    let Some(ends) = input.run_ends() else {
-        let cuts = (0..runs).step_by(target);
-        return cuts
-            .map(|first| (first, (first + target).min(runs)))
-            .collect();
-    };
-    let mut items = Vec::new();
-    let mut first = 0;
-    while first < runs {
-        let full = input.run_rows(first).start + target;
-        // Through the run that brings the item to `target` rows.
-        let end = (ends.partition_point(|&e| (e as usize) < full) + 1).min(runs);
-        items.push((first, end));
-        first = end;
+    let (runs, mut items, mut first) = (input.runs(), Vec::new(), 0);
+    for run in 0..runs {
+        // Through the run that brings the item to `target` rows, or the last.
+        let rows = input.run_rows(run).end - input.run_rows(first).start;
+        if rows >= target || run + 1 == runs {
+            items.push((first, run + 1));
+            first = run + 1;
+        }
     }
     items
 }
@@ -985,24 +973,16 @@ pub fn nest(
 /// each `(first, from, end)` of `left`, in order, as one run batch: each
 /// run's prefix once, its newest values copied as one slice.
 fn rows_left(input: &ColBatch, left: &[(usize, usize, usize)]) -> ColBatch {
-    let newest = input.arity() - 1;
-    let (mut cols, mut ends) = (vec![Vec::new(); input.arity()], Vec::new());
+    let mut out = ColBatch::new(input.arity());
     for &(first, from, end) in left {
         for r in first..end {
             let rows = input.run_rows(r);
-            let rows = rows.start.max(from)..rows.end;
-            if rows.is_empty() {
-                continue;
+            if rows.end > from.max(rows.start) {
+                out.push_run(input, r, from.max(rows.start)..rows.end);
             }
-            for (c, col) in cols[..newest].iter_mut().enumerate() {
-                col.push(input.column(c)[r]);
-            }
-            cols[newest].extend_from_slice(&input.column(newest)[rows]);
-            // At most the input's rows, which fit in 32 bits.
-            ends.push(cols[newest].len() as u32);
         }
     }
-    ColBatch::from_runs(cols, ends)
+    out
 }
 
 /// One work item of a nest.
@@ -1198,7 +1178,7 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
     let gathered = SharedQueue::new(usize::MAX, None);
     let gather = Some((&[][..], &gathered));
     let mut out = nest(std::slice::from_ref(&spec), &input, ctx, None, gather);
-    out.batch = ColBatch::new(spec.output_arity()).into_runs();
+    out.batch = ColBatch::new(spec.output_arity());
     while let Some(mut piece) = gathered.pop() {
         out.batch.append(&mut piece);
     }
@@ -1702,12 +1682,13 @@ mod tests {
         input.push_row(&[3, 5]);
         let out = run_extend_cols(&op, input, &c).batch;
         assert_eq!(out.to_rows().as_flat(), &[0, 1, 3, 5]);
-        assert_eq!(out.run_ends(), Some(&[1, 2][..]));
+        assert_eq!((out.runs(), out.run_rows(1)), (2, 1..2));
         // Runs (0: 1, 2, 3) and (2: 2): the first run's rows all pass and
         // stay one run, prefix once; the second's fails.
         let runs = ColBatch::from_runs(vec![vec![0, 2], vec![1, 2, 3, 2]], vec![3, 4]);
         let out = run_extend_cols(&op, runs, &c).batch;
-        assert_eq!((out.column(0), out.run_ends()), (&[0][..], Some(&[3][..])));
+        assert_eq!((out.column(0), out.runs()), (&[0][..], 1));
+        assert_eq!(out.run_rows(0), 0..3);
         assert_eq!(out.column(1), &[1, 2, 3]);
     }
 
@@ -2456,7 +2437,6 @@ mod tests {
                     let mut source = ScanCursor::new(scan.clone(), vertices());
                     let mut runs: Vec<ColBatch> = Vec::new();
                     while let Some(batch) = source.next_runs(&c) {
-                        prop_assert!(batch.run_ends().is_some());
                         runs.push(batch);
                     }
                     prop_assert_eq!(sorted_rows(&rows), sorted_rows(&runs.iter().map(ColBatch::to_rows).collect::<Vec<_>>()));
@@ -2472,9 +2452,7 @@ mod tests {
                         let mut kept_count = 0;
                         for batch in runs.iter().flat_map(|b| rechunk(b.clone(), cut)) {
                             kept_count += run_extend_count_cols(&keep, &batch, &c).count;
-                            let kept = run_extend_cols(&keep, batch, &c).batch;
-                            prop_assert!(kept.run_ends().is_some());
-                            kept_runs.push(kept);
+                            kept_runs.push(run_extend_cols(&keep, batch, &c).batch);
                         }
                         let kept_rows: Vec<RowBatch> = kept_runs.iter().map(ColBatch::to_rows).collect();
                         prop_assert_eq!(sorted_rows(&kept_rows), sorted_rows(&kept_reference));
@@ -2528,7 +2506,7 @@ mod tests {
                                 prop_assert_eq!(rows.sum::<usize>() as u64, made);
                             }
                             for gathered in &pieces {
-                                prop_assert!(gathered.run_ends().is_some() && gathered.len() <= piece);
+                                prop_assert!(gathered.len() <= piece);
                             }
                             let rows: Vec<RowBatch> = pieces.iter().map(ColBatch::to_rows).collect();
                             prop_assert_eq!(count as usize, reference.iter().map(RowBatch::len).sum::<usize>());
@@ -2540,7 +2518,6 @@ mod tests {
                             dense = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
                             let inputs = runs.into_iter().flat_map(|b| rechunk(b, cut));
                             runs = inputs.map(|b| run_extend_cols(op, b, &c).batch).collect();
-                            prop_assert!(runs.iter().all(|b| b.run_ends().is_some()));
                             rows = rows.iter().map(|b| run_extend(op, b, &c).batch).collect();
                             arity += 1;
                             continue;

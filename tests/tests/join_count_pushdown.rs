@@ -5,9 +5,11 @@
 //! and under every runtime regime that touches the join's lifecycle —
 //! spilled Grace partitions, governed budgets, stolen partitions, a lossy
 //! transport — and a cancel landing mid-count must unwind as cleanly as one
-//! landing mid-materialise. Roots that end in an extend count with that
+//! landing mid-materialise. The collected rows themselves must be exactly
+//! the reference's matches, whichever shuffle path the join's inputs took. Roots that end in an extend count with that
 //! extend instead, held to the same two references.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use huge_core::{
@@ -16,7 +18,8 @@ use huge_core::{
 use huge_graph::{gen, Graph};
 use huge_plan::optimizer::OptimizerOptions;
 use huge_plan::translate::{translate, Dataflow, SegmentSource};
-use huge_query::{naive, Pattern, QueryGraph};
+use huge_query::naive::{self, NaiveSink};
+use huge_query::{Pattern, QueryGraph};
 
 /// The dataflow for `query` with pulling disabled, so the optimiser has to
 /// decompose it into `PUSH-JOIN` segments (the chaos suite's join plans).
@@ -55,6 +58,46 @@ fn ships_runs_whole(dataflow: &Dataflow) -> bool {
         let input = &dataflow.segments[input];
         matches!(input.source, SegmentSource::Scan(_)) && !key.contains(&(input.schema.len() - 1))
     })
+}
+
+/// Checks the rows a `Collect(usize::MAX)` run returned (in the input's
+/// ids): each is injective and maps every query edge to a data edge, no row
+/// repeats, and together they are exactly the matches `naive::enumerate`
+/// counts.
+fn assert_rows_are_the_matches(graph: &Graph, query: &QueryGraph, rows: &[Vec<u32>], case: &str) {
+    let internal: HashMap<u32, u32> = graph.vertices().map(|v| (graph.input_id(v), v)).collect();
+    for row in rows {
+        let mut distinct = row.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            row.len(),
+            "{row:?} is not injective: {case}"
+        );
+        for &(a, b) in query.edges() {
+            let (u, v) = (internal[&row[a as usize]], internal[&row[b as usize]]);
+            assert!(
+                graph.has_edge(u, v),
+                "{row:?} misses query edge {a}-{b}: {case}"
+            );
+        }
+    }
+    let mut expected: Vec<Vec<u32>> = Vec::new();
+    let mut sink = |m: &[u32]| expected.push(m.iter().map(|&v| graph.input_id(v)).collect());
+    let order = query.order().clone();
+    naive::enumerate_with(graph, query, order, &mut NaiveSink::Collect(&mut sink));
+    let mut got = rows.to_vec();
+    got.sort_unstable();
+    expected.sort_unstable();
+    assert!(
+        got.windows(2).all(|w| w[0] != w[1]),
+        "a row repeats: {case}"
+    );
+    assert!(
+        got == expected,
+        "the rows are not the reference's matches: {case}"
+    );
 }
 
 /// A sparse ring plus a `K_{2,64}` gadget on two fresh hubs: every gadget
@@ -163,6 +206,7 @@ fn count_equals_collect_equals_reference_across_the_matrix() {
                     expected,
                     "Collect(∞) rows: {case}"
                 );
+                assert_rows_are_the_matches(&graph, &query, &collected.sample_matches, &case);
                 for report in [&counted, &collected] {
                     assert_eq!(report.leaked_bytes, 0, "{case}");
                     assert_eq!(report.orphaned_spill_files, 0, "{case}");

@@ -162,7 +162,7 @@ proptest! {
     /// The columnar shuffle sends every row where a row-at-a-time reference
     /// sends it (the high bits of the row's `key_hash` once its halves are
     /// folded together and one mixing multiply is applied): per destination
-    /// exactly those rows, in input order, dense.
+    /// exactly those rows, in input order, each row a run of one.
     #[test]
     fn columnar_shuffle_matches_the_row_at_a_time_reference(
         arity in 1usize..5,
@@ -188,20 +188,22 @@ proptest! {
         prop_assert_eq!(parts.len(), k);
         for (part, expected) in parts.iter().zip(&expected) {
             prop_assert_eq!(part.arity(), arity);
-            prop_assert!(part.run_ends().is_none());
+            prop_assert_eq!(part.runs(), part.len());
+            prop_assert_eq!(part.byte_size(), (part.len() * arity * 4) as u64);
             prop_assert_eq!(part.len() * arity, expected.len());
             prop_assert_eq!(part.to_rows().as_flat(), expected.as_slice());
         }
     }
 
     /// A run batch answers the shuffle and the transpose exactly like its
-    /// flattened twin — runs of any length (empty ones included), keys on
-    /// per-run columns, on the newest column or on both. Keyed on per-run
-    /// columns only it ships run batches, whose rows flatten to the twin's
-    /// part in order; keyed on its newest column it ships dense rows, and so
-    /// does the owner partitioner.
+    /// row-per-run twin (the same rows, every one a run of its own) — runs
+    /// of any length (empty ones included), keys on per-run columns, on the
+    /// newest column or on both. A run whose key is constant over it ships
+    /// whole: keyed on per-run columns only, every non-empty run reaches a
+    /// part as one run; keyed on the newest column, every row is a run of
+    /// its own in its part. The owner partitioner splits the same way.
     #[test]
-    fn a_run_batch_shuffles_and_transposes_like_its_flattened_twin(
+    fn a_run_batch_shuffles_and_transposes_like_its_row_per_run_twin(
         prefix in 0usize..4,
         lens in prop::collection::vec(prop_oneof![Just(0u32), 1u32..5, 1u32..5, 20u32..40], 0..14),
         values in prop::collection::vec(0u32..40, 400..401),
@@ -218,27 +220,31 @@ proptest! {
             .collect();
         cols.push(next.by_ref().take(rows).collect());
         let runs = ColBatch::from_runs(cols, ends);
-        let mut flat = runs.clone();
-        flat.flatten();
-        prop_assert_eq!((flat.len(), flat.run_ends()), (rows, None));
-        prop_assert_eq!(flat.column(0).len(), rows);
+        let twin = ColBatch::from_rows(&runs.to_rows());
+        prop_assert_eq!((twin.len(), twin.runs()), (rows, rows));
+        prop_assert_eq!(twin.column(0).len(), rows);
 
-        prop_assert_eq!(runs.to_rows(), flat.to_rows());
+        let nonempty = lens.iter().filter(|&&l| l > 0).count();
+        let whole_runs = |parts: &[ColBatch], whole: bool| match whole {
+            true => parts.iter().map(ColBatch::runs).sum::<usize>() == nonempty,
+            false => parts.iter().all(|p| p.runs() == p.len()),
+        };
         let parts = partition_cols_by_key(&runs, &key, k);
-        let run_wise = key.iter().all(|&c| c < prefix);
-        prop_assert!(parts.iter().all(|p| p.run_ends().is_some() == run_wise));
+        prop_assert!(whole_runs(&parts, key.iter().all(|&c| c < prefix)));
         prop_assert_eq!(parts.iter().map(ColBatch::len).sum::<usize>(), rows);
-        let flat_parts = partition_cols_by_key(&flat, &key, k);
-        for (part, twin) in parts.iter().zip(&flat_parts) {
-            prop_assert!(twin.run_ends().is_none());
-            prop_assert_eq!(&*part.flattened(), twin);
+        let twin_parts = partition_cols_by_key(&twin, &key, k);
+        for (part, twin) in parts.iter().zip(&twin_parts) {
+            prop_assert_eq!((twin.runs(), part.to_rows()), (twin.len(), twin.to_rows()));
         }
         let partitions = Partitioner::new(k).unwrap().partition(gen::complete(4));
         let rpc = RpcFabric::new(std::sync::Arc::new(partitions), ClusterStats::new(k));
         for column in [0, arity - 1] {
             let parts = partition_cols_by_owner(&runs, column, &rpc, k);
-            prop_assert!(parts.iter().all(|p| p.run_ends().is_none()));
-            prop_assert_eq!(parts, partition_cols_by_owner(&flat, column, &rpc, k));
+            prop_assert!(whole_runs(&parts, column < prefix));
+            let twin_parts = partition_cols_by_owner(&twin, column, &rpc, k);
+            for (part, twin) in parts.iter().zip(&twin_parts) {
+                prop_assert_eq!(part.to_rows(), twin.to_rows());
+            }
         }
     }
 }
