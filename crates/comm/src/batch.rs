@@ -13,7 +13,8 @@
 //! newest column one value per row, and a run holds any number of rows.
 //! Every consumer walks a batch by `(run, row)` — [`ColBatch::runs`],
 //! [`ColBatch::run_rows`], [`ColBatch::value`] — and appends with
-//! [`ColBatch::push_run`]; re-chunking, the queues, stealing, the shuffle,
+//! [`ColBatch::push_run`] (or, a column at a time, [`ColBatch::push_runs`] /
+//! [`ColBatch::push_rows`]); re-chunking, the queues, stealing, the shuffle,
 //! the join's sides, spill blocks, ships and builds all carry runs. Rows
 //! leave through one walker, [`ColBatch::for_each_row`]: the collect sink,
 //! [`ColBatch::to_rows`] and the baselines' row-at-a-time operators.
@@ -205,24 +206,20 @@ impl Runs {
         self.count += 1;
     }
 
-    /// Appends `other`'s runs after these.
-    fn append(&mut self, other: Runs) {
-        match (&mut self.ends, &other.ends) {
-            (None, None) => self.count += other.count,
+    /// Appends runs `runs` of `from` after these.
+    fn extend(&mut self, from: &Runs, runs: Range<usize>) {
+        let base = from.start(runs.start);
+        match (&mut self.ends, &from.ends) {
+            (None, None) => self.count += runs.len(),
             (Some(ends), Some(more)) => {
                 let held = ends.last().map_or(0, |&end| end as usize);
-                let shift = |&end: &u32| u32::try_from(held + end as usize).expect("32-bit rows");
-                ends.extend(more.iter().map(shift));
-                self.count += other.count;
+                let shift =
+                    |&end: &u32| u32::try_from(held + end as usize - base).expect("32-bit rows");
+                ends.extend(more[runs.clone()].iter().map(shift));
+                self.count += runs.len();
             }
-            _ => (0..other.count).for_each(|run| self.push(other.rows(run).len())),
+            _ => runs.for_each(|run| self.push(from.rows(run).len())),
         }
-    }
-
-    /// `true` when every run is one row: run `r` is row `r`.
-    #[inline]
-    pub fn one_row_each(&self) -> bool {
-        self.ends.is_none()
     }
 
     /// Heap bytes of the stored ends.
@@ -387,18 +384,27 @@ impl ColBatch {
     /// # Panics
     /// Panics if arities differ, or if the rows outgrow 32-bit run ends.
     pub fn append(&mut self, other: &mut ColBatch) {
-        assert_eq!(
-            self.arity(),
-            other.arity(),
-            "cannot append mismatched arity"
-        );
-        if self.runs() == 0 {
-            return std::mem::swap(self, other);
+        let other = std::mem::replace(other, ColBatch::new(other.arity()));
+        match self.runs() {
+            0 if self.arity() == other.arity() => *self = other,
+            _ => self.extend_runs(&other, 0..other.runs()),
         }
-        self.runs.append(std::mem::take(&mut other.runs));
-        for (dst, src) in self.cols.iter_mut().zip(other.cols.iter_mut()) {
-            dst.append(src);
+    }
+
+    /// Appends runs `runs` of `from` as they are: each column's values of
+    /// those runs as one slice.
+    ///
+    /// # Panics
+    /// Panics if arities differ, or if the rows outgrow 32-bit run ends.
+    fn extend_runs(&mut self, from: &ColBatch, runs: Range<usize>) {
+        assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
+        let rows = from.runs.start(runs.start)..from.runs.start(runs.end);
+        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
+        for (col, source) in prefix.iter_mut().zip(&from.cols) {
+            col.extend_from_slice(&source[runs.clone()]);
         }
+        newest.extend_from_slice(&from.cols[from.cols.len() - 1][rows]);
+        self.runs.extend(&from.runs, runs);
     }
 
     /// Appends `rows` of run `run` of `from` as one run: its prefix values
@@ -407,7 +413,6 @@ impl ColBatch {
     /// # Panics
     /// Panics if arities differ, or if the rows outgrow 32-bit run ends;
     /// (debug) if `rows` is not within the run.
-    #[inline]
     pub fn push_run(&mut self, from: &ColBatch, run: usize, rows: Range<usize>) {
         assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
         debug_assert!({
@@ -422,6 +427,45 @@ impl ColBatch {
         newest.extend_from_slice(&from.cols[from.cols.len() - 1][rows]);
     }
 
+    /// Appends runs `runs` of `from` whole, in order, one column at a time.
+    ///
+    /// # Panics
+    /// Panics if arities differ, or if the rows outgrow 32-bit run ends.
+    pub fn push_runs(&mut self, from: &ColBatch, runs: &[u32]) {
+        assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
+        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
+        let (source, sources) = from.cols.split_last().expect("arity > 0");
+        for (col, source) in prefix.iter_mut().zip(sources) {
+            col.extend(runs.iter().map(|&run| source[run as usize]));
+        }
+        match from.runs.ends {
+            // Run `r` is row `r`.
+            None => newest.extend(runs.iter().map(|&run| source[run as usize])),
+            Some(_) => (runs.iter().map(|&run| from.run_rows(run as usize)))
+                .for_each(|rows| newest.extend_from_slice(&source[rows])),
+        }
+        for &run in runs {
+            self.runs.push(from.run_rows(run as usize).len());
+        }
+    }
+
+    /// Appends row `row` of run `run` of `from`, for each `(run, row)` of
+    /// `rows`, as a run of its own, in order, one column at a time.
+    ///
+    /// # Panics
+    /// Panics if arities differ, or if the rows outgrow 32-bit run ends.
+    pub fn push_rows(&mut self, from: &ColBatch, rows: &[(u32, u32)]) {
+        assert_eq!(self.arity(), from.arity(), "cannot append mismatched arity");
+        let (newest, prefix) = self.cols.split_last_mut().expect("arity > 0");
+        let (source, sources) = from.cols.split_last().expect("arity > 0");
+        for (col, source) in prefix.iter_mut().zip(sources) {
+            col.extend(rows.iter().map(|&(run, _)| source[run as usize]));
+        }
+        newest.extend(rows.iter().map(|&(_, row)| source[row as usize]));
+        let ones = Runs::of_one_row(rows.len());
+        self.runs.extend(&ones, 0..rows.len());
+    }
+
     /// The columns and the runs, taken apart.
     pub fn into_parts(self) -> (Vec<Vec<VertexId>>, Runs) {
         (self.cols, self.runs)
@@ -429,9 +473,10 @@ impl ColBatch {
 
     /// Splits this batch into chunks of at most `rows_per_chunk` rows, each
     /// but the last exactly that long. A batch that already fits is handed
-    /// back as-is, so the common case moves buffers instead of copying. A
-    /// run straddling a cut continues as the first run of the next chunk,
-    /// and empty runs are dropped.
+    /// back as-is, so the common case moves buffers instead of copying. The
+    /// runs that lie wholly inside a chunk are copied as slices; a run
+    /// straddling a cut continues as the first run of the next chunk, and
+    /// empty runs are dropped.
     pub fn split_into_chunks(self, rows_per_chunk: usize) -> Vec<ColBatch> {
         assert!(rows_per_chunk > 0);
         if self.len() <= rows_per_chunk {
@@ -440,8 +485,16 @@ impl ColBatch {
         let fresh = || ColBatch::new(self.arity());
         let mut chunks = Vec::with_capacity(self.len().div_ceil(rows_per_chunk));
         let mut chunk = fresh();
+        // Runs `first..run` fit in `chunk` whole and are not copied yet.
+        let mut first = 0;
         for run in 0..self.runs() {
             let mut rows = self.run_rows(run);
+            let held = chunk.len() + rows.start - self.runs.start(first);
+            if !rows.is_empty() && held + rows.len() <= rows_per_chunk {
+                continue;
+            }
+            chunk.extend_runs(&self, first..run);
+            first = run + 1;
             while !rows.is_empty() {
                 if chunk.len() == rows_per_chunk {
                     chunks.push(std::mem::replace(&mut chunk, fresh()));
@@ -451,6 +504,7 @@ impl ColBatch {
                 rows.start = end;
             }
         }
+        chunk.extend_runs(&self, first..self.runs());
         chunks.push(chunk);
         chunks
     }
@@ -782,6 +836,27 @@ mod tests {
         // Ends that are every row's own are not stored either.
         let ones = ColBatch::from_runs(vec![vec![1, 2], vec![3, 4]], vec![1, 2]);
         assert_eq!(ones, ColBatch::from_columns(vec![vec![1, 2], vec![3, 4]]));
+    }
+
+    #[test]
+    fn pushed_runs_and_rows_keep_their_order_and_prefixes() {
+        let runs = run_batch(&[2, 0, 3, 1]);
+        let mut whole = ColBatch::new(3);
+        whole.push_runs(&runs, &[2, 0]);
+        assert_eq!(stored(&whole), Some(&[3, 5][..]));
+        assert_eq!(whole.column(0), &[20, 0]);
+        assert_eq!(whole.column(2), &[1002, 1003, 1004, 1000, 1001]);
+        let mut rows = ColBatch::new(3);
+        rows.push_rows(&runs, &[(2, 4), (0, 0)]);
+        assert_eq!((rows.runs(), stored(&rows)), (2, None));
+        assert_eq!(rows.column(1), &[21, 1]);
+        assert_eq!(rows.column(2), &[1004, 1000]);
+        // From a batch whose every run is one row, whole runs are its rows.
+        let ones = ColBatch::from_rows(&rows.to_rows());
+        let mut back = ColBatch::new(3);
+        back.push_runs(&ones, &[1, 0]);
+        assert_eq!(back.to_rows().row(0), &[0, 1, 1000]);
+        assert_eq!((stored(&back), back.byte_size()), (None, 24));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! add their own star scan and reuse the joiner and the partitioners.
 
 use std::borrow::BorrowMut;
-use std::ops::Range;
 
 use huge_cache::PullCache;
 use huge_comm::{ColBatch, MachineId, RpcFabric};
@@ -104,27 +103,43 @@ pub fn partition_cols_by_owner(
 }
 
 /// Appends every run of `batch` to the part `dest_of(run, row)` names, input
-/// order kept within a part: whole ([`ColBatch::push_run`], its prefix once)
-/// if the key `columns` are constant over it — all of them prefix columns,
-/// or a run of one row — and row by row, each row a run of one, otherwise.
-/// Empty runs are dropped.
+/// order kept within a part: whole (its prefix once,
+/// [`ColBatch::push_runs`]) if the key `columns` are all prefix columns, and
+/// row by row, each row a run of one ([`ColBatch::push_rows`]), otherwise.
+/// Empty runs are dropped. Each part's runs or rows are listed first, so it
+/// takes them in one call, a column at a time.
 fn scatter<P: BorrowMut<ColBatch>>(
     batch: &ColBatch,
     columns: &[usize],
     dest_of: impl Fn(usize, usize) -> usize,
     parts: &mut [P],
 ) {
-    let whole = columns.iter().all(|&c| c + 1 < batch.arity());
-    let mut push = |run, rows: Range<usize>| {
-        let part = parts[dest_of(run, rows.start)].borrow_mut();
-        part.push_run(batch, run, rows);
-    };
-    for run in 0..batch.runs() {
-        let rows = batch.run_rows(run);
-        match whole {
-            true if rows.is_empty() => {}
-            true => push(run, rows),
-            false => rows.for_each(|row| push(run, row..row + 1)),
+    // One list per part, with room for an even share of `len` items.
+    fn lists<T>(len: usize, parts: usize) -> Vec<Vec<T>> {
+        (0..parts)
+            .map(|_| Vec::with_capacity(len.div_ceil(parts)))
+            .collect()
+    }
+    if columns.iter().all(|&c| c + 1 < batch.arity()) {
+        let mut runs = lists(batch.runs(), parts.len());
+        for run in 0..batch.runs() {
+            let rows = batch.run_rows(run);
+            if !rows.is_empty() {
+                runs[dest_of(run, rows.start)].push(run as u32);
+            }
+        }
+        for (part, runs) in parts.iter_mut().zip(&runs) {
+            part.borrow_mut().push_runs(batch, runs);
+        }
+    } else {
+        let mut rows = lists(batch.len(), parts.len());
+        for run in 0..batch.runs() {
+            for row in batch.run_rows(run) {
+                rows[dest_of(run, row)].push((run as u32, row as u32));
+            }
+        }
+        for (part, rows) in parts.iter_mut().zip(&rows) {
+            part.borrow_mut().push_rows(batch, rows);
         }
     }
 }

@@ -47,7 +47,6 @@
 //! through its run and a newest value through its row. Both share the
 //! partition lifecycle, the tracker charges and the per-poll cancel check.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -134,6 +133,14 @@ fn pack_key(batch: &ColBatch, key_positions: &[usize], unit: usize) -> u128 {
     } else {
         u128::from(key_hash(key))
     }
+}
+
+/// Whether the key columns `key` are constant over every run of `batch`,
+/// which [`pack_key`] reads them per run for: all of them prefix columns, or
+/// every run one row (a side keyed on its newest column).
+fn keyed_per_run(batch: &ColBatch, key: &[usize]) -> bool {
+    let prefix = key.iter().all(|&c| c + 1 < batch.arity());
+    prefix || (0..batch.runs()).all(|run| batch.run_rows(run).len() == 1)
 }
 
 /// Packed join key -> `(first, end)` runs of the grouped right side. The
@@ -589,14 +596,13 @@ impl HashJoiner {
             let walked = probe.walk(spec, budget, |left, kept, mask| {
                 // Branch-free compaction: every pair is written, the cursor
                 // only moves past the ones that survived. A pair holds each
-                // side's row and its run (the row itself, where every run is
-                // one row).
+                // side's row and its run.
                 let mut len = pairs.len();
                 pairs.resize(len + mask.len(), [0; 4]);
                 let (row, runs) = (kept.row as u32, kept.runs());
                 for (j, &keep) in mask.iter().enumerate() {
                     let right = row + j as u32;
-                    pairs[len] = [left.0, left.1, right, runs.map_or(right, |runs| runs[j])];
+                    pairs[len] = [left.0, left.1, right, runs[j]];
                     len += keep as usize;
                 }
                 pairs.truncate(len);
@@ -904,6 +910,7 @@ impl Build {
     /// moment both exist.
     fn new(spec: &ProbeSpec, right: ColBatch, memory: &MemoryTrackerHandle, streams: bool) -> Self {
         let (units, rows, newest) = (right.runs(), right.len(), right.arity() - 1);
+        debug_assert!(keyed_per_run(&right, &spec.key_right));
         let mut table = KeyTable::with_capacity_and_hasher(units, Default::default());
         // Runs per group, then (after the scan) each group's first run.
         let mut starts: Vec<u32> = Vec::new();
@@ -962,16 +969,14 @@ impl Build {
             bytes += charged;
         };
         let padded = if rows == 0 { 0 } else { rows + LANES };
-        let per_run: Vec<bool> = (spec.kept.iter())
-            .map(|&position| position != newest && !runs.one_row_each())
-            .collect();
+        let per_run: Vec<bool> = spec.kept.iter().map(|&c| c != newest).collect();
         let mut columns = Vec::with_capacity(spec.kept.len());
         for (k, &position) in spec.kept.iter().enumerate() {
             let values = &source[position];
             let len = if per_run[k] { units } else { padded };
             charge(len);
             let mut column = Vec::with_capacity(len);
-            if position != newest || runs.one_row_each() {
+            if per_run[k] {
                 column.extend(order.iter().map(|&unit| values[unit as usize]));
             } else {
                 // A run's rows move as one slice.
@@ -1001,11 +1006,8 @@ impl Build {
     /// [`LANES`] zeroes after the last: each per-run kept column's value —
     /// what the probe's block reads take for those columns — and, in the
     /// last vector, the row's run — what the materialising sink gathers
-    /// them by. Nothing to do when every run is one row.
+    /// them by.
     fn expand(&self, (first, end): (u32, u32), scratch: &mut [Vec<VertexId>]) {
-        if self.runs.one_row_each() {
-            return;
-        }
         scratch.iter_mut().for_each(Vec::clear);
         let (runs, kept) = scratch.split_last_mut().expect("a vector of runs");
         for run in first as usize..end as usize {
@@ -1086,6 +1088,7 @@ struct PartitionProbe {
 impl PartitionProbe {
     /// A probe of `left` against `build`, from its first row.
     fn new(spec: &ProbeSpec, build: Build, left: ColBatch, index: usize) -> Self {
+        debug_assert!(keyed_per_run(&left, &spec.key_left));
         PartitionProbe {
             left_bytes: left.byte_size(),
             left,
@@ -1209,19 +1212,14 @@ impl PartitionProbe {
     /// last is the right side's newest column when it is a payload column
     /// (else every right run is one row, and so is every output run).
     fn gather(&self, spec: &ProbeSpec, pairs: &[[u32; 4]]) -> ColBatch {
-        // Each output run's first pair, and where it ends: every pair is a
-        // run of its own when every right run is one row.
-        let (heads, ends): (Cow<[[u32; 4]]>, _) = match self.build.runs.one_row_each() {
-            true => (Cow::Borrowed(pairs), None),
-            false => {
-                let runs = pairs.chunk_by(|a, b| a[0] == b[0] && a[3] == b[3]);
-                let ends = runs.clone().scan(0, |end, run| {
-                    *end += run.len() as u32;
-                    Some(*end)
-                });
-                (runs.map(|run| run[0]).collect(), Some(ends.collect()))
-            }
-        };
+        // Each output run's first pair, and how many rows it has.
+        let mut runs = Runs::default();
+        let heads: Vec<[u32; 4]> = (pairs.chunk_by(|a, b| a[0] == b[0] && a[3] == b[3]))
+            .map(|run| {
+                runs.push(run.len());
+                run[0]
+            })
+            .collect();
         let newest = self.left.arity() - 1;
         let left = (0..=newest).map(|c| (self.left.column(c), if c < newest { 1 } else { 0 }));
         let payload = self.build.columns[..spec.payload]
@@ -1235,10 +1233,7 @@ impl PartitionProbe {
         };
         let mut columns: Vec<Vec<VertexId>> = prefix.iter().map(|&s| pick(&heads, s)).collect();
         columns.push(pick(pairs, (last, *last_at)));
-        match ends {
-            Some(ends) => ColBatch::from_runs(columns, ends),
-            None => ColBatch::from_columns(columns),
-        }
+        ColBatch::from_parts(columns, runs)
     }
 }
 
@@ -1264,10 +1259,9 @@ impl<'a> BlockColumns<'a> {
         }
     }
 
-    /// The runs of the block's rows, unless every run is one row.
-    fn runs(self) -> Option<&'a [u32]> {
-        let runs = self.scratch.last().expect("a vector of runs");
-        (!self.build.runs.one_row_each()).then(|| &runs[self.in_group..])
+    /// The runs of the block's rows.
+    fn runs(self) -> &'a [u32] {
+        &self.scratch.last().expect("a vector of runs")[self.in_group..]
     }
 }
 
