@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use huge_graph::VertexId;
+use huge_graph::{Interval, VertexId};
 use parking_lot::Mutex;
 
 use crate::traits::{AtomicCacheStats, CacheStats, PullCache};
@@ -17,7 +17,8 @@ use crate::traits::{AtomicCacheStats, CacheStats, PullCache};
 const SHARDS: usize = 8;
 
 struct Shard {
-    map: HashMap<VertexId, (Vec<VertexId>, u64)>,
+    /// Vertex → (the part of its list held, its interval, last use).
+    map: HashMap<VertexId, (Vec<VertexId>, Interval, u64)>,
     clock: u64,
     bytes: u64,
 }
@@ -32,8 +33,8 @@ impl Shard {
     }
 
     fn evict_one(&mut self) -> bool {
-        if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, stamp))| *stamp) {
-            if let Some((nbrs, _)) = self.map.remove(&victim) {
+        if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, _, stamp))| *stamp) {
+            if let Some((nbrs, _, _)) = self.map.remove(&victim) {
                 self.bytes -= entry_bytes(&nbrs);
                 return true;
             }
@@ -69,29 +70,38 @@ impl ConcurrentLruCache {
 }
 
 impl PullCache for ConcurrentLruCache {
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool {
         let mut shard = self.shard(v).lock();
         shard.clock += 1;
         let clock = shard.clock;
         match shard.map.get_mut(&v) {
-            Some((nbrs, stamp)) => {
+            Some((nbrs, held, stamp)) => {
                 *stamp = clock;
                 // Copy out while holding the lock (the value could otherwise
                 // be evicted by a concurrent insert).
-                let copy = nbrs.clone();
+                let (copy, held) = (nbrs.clone(), *held);
                 drop(shard);
-                f(&copy);
+                f(held, &copy);
                 true
             }
             None => false,
         }
     }
 
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
-        let bytes = entry_bytes(&neighbours);
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>) {
+        let bytes = entry_bytes(&ids);
         let mut shard = self.shard(v).lock();
-        if shard.map.contains_key(&v) {
+        if shard
+            .map
+            .get(&v)
+            .is_some_and(|(_, held, _)| held.contains(interval))
+        {
             return;
+        }
+        // A widened entry leaves while room is made, and is no new insert.
+        let widened = shard.map.remove(&v);
+        if let Some((old, _, _)) = &widened {
+            shard.bytes -= entry_bytes(old);
         }
         let mut evictions = 0;
         while shard.bytes + bytes > self.capacity_per_shard && shard.evict_one() {
@@ -100,11 +110,12 @@ impl PullCache for ConcurrentLruCache {
         shard.clock += 1;
         let clock = shard.clock;
         shard.bytes += bytes;
-        shard.map.insert(v, (neighbours, clock));
+        shard.map.insert(v, (ids, interval, clock));
         drop(shard);
-        self.stats
-            .inserts
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.inserts.fetch_add(
+            u64::from(widened.is_none()),
+            std::sync::atomic::Ordering::Relaxed,
+        );
         if evictions > 0 {
             self.stats
                 .evictions

@@ -82,6 +82,7 @@ impl CacheKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use huge_graph::Interval;
 
     #[test]
     fn every_kind_builds_and_round_trips() {
@@ -95,8 +96,15 @@ mod tests {
             assert_eq!(seen, vec![1, 2, 3]);
             assert!(!cache.read(8, &mut |_| {}));
             // The fetch stage's handles hold their lists past a clear.
-            let pulled = cache.insert_sealed(9, vec![4, 5].into());
-            let hit = cache.acquire(7).expect("cached");
+            let part = Interval::new(4, 9);
+            let pulled = cache.insert_sealed(9, part, vec![4, 5].into());
+            let (hit, held) = cache.acquire(7).expect("cached");
+            assert_eq!(held, Interval::ALL, "{}", kind.name());
+            // A part is held as a part; a wider one replaces it in place.
+            assert_eq!(cache.acquire(9).map(|(_, held)| held), Some(part));
+            cache.insert_sealed(9, Interval::ALL, vec![2, 4, 5, 11].into());
+            let (wide, held) = cache.acquire(9).expect("cached");
+            assert_eq!((&wide[..], held), (&[2, 4, 5, 11][..], Interval::ALL));
             cache.release();
             cache.clear();
             assert_eq!((&pulled[..], &hit[..]), (&[4, 5][..], &[1, 2, 3][..]));

@@ -18,7 +18,10 @@
 //! pull) seals it and returns its [`ListHandle`], and the intersect stage
 //! reads those handles — no lock, no copy, no probe of this map. A handle
 //! outlives its entry, so no later seal, release or insert, on any worker,
-//! takes a list from a reader. The Exp-6 comparison points
+//! takes a list from a reader. An entry holds the part of a list inside an
+//! [`Interval`] of ids, and is charged for that part: the fetch stage asks
+//! for the interval its batch reads, and an entry too narrow for a later
+//! batch is widened in place by the ids outside it. The Exp-6 comparison points
 //! ([`CopyLrbuCache`](crate::CopyLrbuCache),
 //! [`LockLrbuCache`](crate::LockLrbuCache),
 //! [`ConcurrentLruCache`](crate::ConcurrentLruCache)) copy each list out at
@@ -28,15 +31,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use huge_graph::{VertexId, VertexMap};
+use huge_graph::{Interval, VertexId, VertexMap};
 use parking_lot::RwLock;
 
 use crate::traits::{AtomicCacheStats, CacheStats, ListHandle, PullCache};
 
-/// Per-entry bookkeeping: the adjacency list plus its position in the free
-/// ordering (`None` while sealed).
+/// Per-entry bookkeeping: the part of the adjacency list held, its interval,
+/// and its position in the free ordering (`None` while sealed).
 struct Entry {
     neighbours: ListHandle,
+    interval: Interval,
     /// The order key in `free` when evictable; `None` while sealed.
     free_order: Option<u64>,
 }
@@ -57,13 +61,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// The handle of `v`'s entry, sealing it first when `seal` is set.
-    fn handle(&mut self, v: VertexId, seal: bool) -> Option<ListHandle> {
+    /// The handle of `v`'s entry and the interval it holds, sealing it
+    /// first when `seal` is set.
+    fn handle(&mut self, v: VertexId, seal: bool) -> Option<(ListHandle, Interval)> {
         let entry = self.map.get_mut(&v)?;
         if seal && entry.free_order.take().is_some() {
             self.sealed.push(v);
         }
-        Some(Arc::clone(&entry.neighbours))
+        Some((Arc::clone(&entry.neighbours), entry.interval))
     }
 
     /// Gives `v`'s entry the next order: it becomes the most recent free
@@ -111,13 +116,29 @@ impl LrbuCache {
         (std::mem::size_of_val(neighbours) + 16) as u64
     }
 
-    /// Inserts `v`'s list unless it is cached (a duplicate insert keeps the
-    /// cached list), sealed or evictable, and returns the entry's handle.
-    fn put(&self, v: VertexId, neighbours: ListHandle, seal: bool) -> ListHandle {
+    /// Inserts the part of `v`'s list inside `interval`, unless `v`'s
+    /// entry holds that interval already (then it keeps its list), and
+    /// returns the entry's handle. An entry that does not is widened in
+    /// place: it takes the new list, and keeps its seal — a free one becomes
+    /// the most recent.
+    fn put(
+        &self,
+        v: VertexId,
+        interval: Interval,
+        neighbours: ListHandle,
+        seal: bool,
+    ) -> ListHandle {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
-        if let Some(handle) = inner.handle(v, seal) {
+        let held = inner.handle(v, seal);
+        if let Some((handle, _)) = held.filter(|&(_, held)| held.contains(interval)) {
             return handle;
+        }
+        // Out of the map while room is made, so a widened entry is never its
+        // own victim.
+        let old = inner.map.remove(&v);
+        if let Some(old) = &old {
+            inner.bytes -= Self::entry_bytes(&old.neighbours);
         }
         let new_bytes = Self::entry_bytes(&neighbours);
         // Evict least-recent-batch entries while full and something is free.
@@ -141,46 +162,50 @@ impl LrbuCache {
         inner.bytes += new_bytes;
         let entry = Entry {
             neighbours: Arc::clone(&neighbours),
+            interval,
             free_order: None,
         };
         inner.map.insert(v, entry);
-        match seal {
-            true => inner.sealed.push(v),
-            false => inner.make_free(v),
+        match &old {
+            Some(old) if old.free_order.is_none() => {} // still in `sealed`
+            _ if seal => inner.sealed.push(v),
+            _ => inner.make_free(v),
         }
-        self.stats.inserts.fetch_add(1, Relaxed);
+        if old.is_none() {
+            self.stats.inserts.fetch_add(1, Relaxed);
+        }
         neighbours
     }
 }
 
 impl PullCache for LrbuCache {
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool {
         // Zero-copy: the closure borrows the cached list through a handle,
         // after the guard is gone.
-        let handle = self
+        let held = self
             .inner
             .read()
             .map
             .get(&v)
-            .map(|e| Arc::clone(&e.neighbours));
-        handle.map(|nbrs| f(&nbrs)).is_some()
+            .map(|e| (Arc::clone(&e.neighbours), e.interval));
+        held.map(|(nbrs, interval)| f(interval, &nbrs)).is_some()
     }
 
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
-        self.put(v, ListHandle::from(neighbours), false);
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>) {
+        self.put(v, interval, ListHandle::from(ids), false);
     }
 
     fn seal(&self, v: VertexId) {
         self.inner.write().handle(v, true);
     }
 
-    fn acquire(&self, v: VertexId) -> Option<ListHandle> {
+    fn acquire(&self, v: VertexId) -> Option<(ListHandle, Interval)> {
         self.inner.write().handle(v, true)
     }
 
     /// Zero-copy: the entry shares the pulled list with the batch.
-    fn insert_sealed(&self, v: VertexId, neighbours: ListHandle) -> ListHandle {
-        self.put(v, neighbours, true)
+    fn insert_sealed(&self, v: VertexId, interval: Interval, ids: ListHandle) -> ListHandle {
+        self.put(v, interval, ids, true)
     }
 
     fn release(&self) {
@@ -397,8 +422,8 @@ mod tests {
         // Room for two entries of ten neighbours.
         let cache = LrbuCache::new(120);
         cache.insert(1, nbrs(10, 1));
-        let hit = cache.acquire(1).expect("cached");
-        let pulled = cache.insert_sealed(2, nbrs(10, 2).into());
+        let (hit, _) = cache.acquire(1).expect("cached");
+        let pulled = cache.insert_sealed(2, Interval::ALL, nbrs(10, 2).into());
         assert_eq!(sealed(&cache), 2);
         assert!(cache.acquire(9).is_none());
         cache.release();
@@ -416,15 +441,48 @@ mod tests {
         let cache = LrbuCache::new(120);
         cache.insert(1, nbrs(10, 1));
         cache.insert(2, nbrs(10, 2));
-        let handle = cache.acquire(1).unwrap();
+        let (handle, _) = cache.acquire(1).unwrap();
         // Sealed: the older entry survives the next insert, the other goes.
         cache.insert(3, nbrs(10, 3));
         assert!(cached(&cache, 1) && !cached(&cache, 2));
         // A duplicate sealed insert keeps the cached list.
-        assert!(Arc::ptr_eq(
-            &cache.insert_sealed(1, nbrs(3, 7).into()),
-            &handle
-        ));
+        let again = cache.insert_sealed(1, Interval::ALL, nbrs(3, 7).into());
+        assert!(Arc::ptr_eq(&again, &handle));
+    }
+
+    #[test]
+    fn a_widened_entry_is_charged_what_it_holds_and_keeps_its_place() {
+        // Room for two whole entries of ten neighbours (56 bytes each).
+        let cache = LrbuCache::new(120);
+        let list = nbrs(10, 1);
+        cache.insert_sealed(1, Interval::new(1000, 1001), list[..2].into());
+        assert_eq!(cache.size_bytes(), 2 * 4 + 16);
+        cache.release();
+        cache.insert(2, nbrs(10, 2));
+        // Widening the older entry keeps it cached, now the most recent.
+        let (held, interval) = cache.acquire(1).expect("cached");
+        assert_eq!(
+            (&held[..], interval),
+            (&list[..2], Interval::new(1000, 1001))
+        );
+        let wide = cache.insert_sealed(1, Interval::new(1000, 1009), list.clone().into());
+        assert_eq!(&wide[..], &list[..]);
+        assert_eq!(cache.size_bytes(), 2 * 56);
+        assert_eq!(
+            (cache.len(), cache.stats().inserts, sealed(&cache)),
+            (2, 2, 1)
+        );
+        cache.release();
+        cache.insert(3, nbrs(10, 3));
+        assert!(cached(&cache, 1) && !cached(&cache, 2));
+        // A part inside the held interval keeps the cached list.
+        let narrow = cache.insert_sealed(1, Interval::new(1003, 1004), list[3..5].into());
+        assert!(Arc::ptr_eq(&narrow, &wide));
+        // A widening overflows like an insert once nothing else is free.
+        cache.insert_sealed(3, Interval::ALL, nbrs(10, 3).into());
+        cache.insert_sealed(1, Interval::ALL, nbrs(20, 1).into());
+        assert_eq!(cache.size_bytes(), 56 + 96);
+        assert_eq!(cache.stats().overflow_inserts, 1);
     }
 
     #[test]
@@ -435,7 +493,7 @@ mod tests {
             // Would self-deadlock if `read` still held its guard.
             cache.insert(2, list.to_vec());
             cache.seal(2);
-            cache.insert_sealed(3, list.into());
+            cache.insert_sealed(3, Interval::ALL, list.into());
         });
         assert!(found);
         assert_eq!(sealed(&cache), 2);

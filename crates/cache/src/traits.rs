@@ -3,16 +3,18 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use huge_graph::VertexId;
+use huge_graph::{Interval, VertexId};
 
 /// Counters reported by every cache implementation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found the vertex cached (no pull needed).
     pub hits: u64,
-    /// Lookups that missed, so the adjacency list had to be pulled.
+    /// Lookups that missed, so ids had to be pulled: the vertex was not
+    /// cached, or its cached interval was too narrow for the lookup (the
+    /// entry is then widened by the ids outside it).
     pub misses: u64,
-    /// Entries inserted.
+    /// Entries inserted (widening an entry inserts none).
     pub inserts: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -75,33 +77,55 @@ pub type ListHandle = Arc<[VertexId]>;
 /// The fetch stage is the only caller: one [`PullCache::acquire`] or
 /// [`PullCache::insert_sealed`] per distinct remote vertex of a batch, whose
 /// handles the intersect stage reads instead of the cache.
+///
+/// An entry holds the part of a list inside an [`Interval`] of ids — the
+/// whole list for [`PullCache::insert`] — and its bytes are what it holds.
+/// Inserting a part an entry already holds keeps the cached list; any other
+/// replaces the entry's list and interval in place.
 pub trait PullCache: Send + Sync {
-    /// Reads the cached adjacency list of `v`, invoking `f` with the data.
-    /// Returns `false` (without invoking `f`) when `v` is not cached. No
-    /// lock is held while `f` runs, so `f` may call back into the cache.
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool;
+    /// Reads the cached part of `v`'s adjacency list, invoking `f` with the
+    /// interval the entry holds and its ids. Returns `false` (without
+    /// invoking `f`) when `v` is not cached. No lock is held while `f` runs,
+    /// so `f` may call back into the cache.
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool;
 
-    /// Inserts the adjacency list of `v` (fetched from its owner).
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>);
+    /// [`PullCache::read_interval`] without the interval: the whole list,
+    /// for an entry made by [`PullCache::insert`].
+    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
+        self.read_interval(v, &mut |_, ids| f(ids))
+    }
+
+    /// Inserts `ids`, the part of `v`'s adjacency list inside `interval`
+    /// (fetched from its owner).
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>);
+
+    /// Inserts the whole adjacency list of `v`.
+    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
+        self.insert_interval(v, Interval::ALL, neighbours);
+    }
 
     /// Protects `v` from eviction until the next [`PullCache::release`].
     fn seal(&self, v: VertexId);
 
-    /// Seals `v` and returns a handle to its list (`None` when not cached).
-    /// The default copies the list out, as a design without shared entries
-    /// must.
-    fn acquire(&self, v: VertexId) -> Option<ListHandle> {
-        let mut handle = None;
-        self.read(v, &mut |nbrs| handle = Some(ListHandle::from(nbrs)));
-        handle.inspect(|_| self.seal(v))
+    /// Seals `v` and returns a handle to its cached list with the interval
+    /// the entry holds (`None` when not cached); the caller decides whether
+    /// that interval is wide enough. The default copies the list out, as a
+    /// design without shared entries must.
+    fn acquire(&self, v: VertexId) -> Option<(ListHandle, Interval)> {
+        let mut held = None;
+        self.read_interval(v, &mut |interval, ids| {
+            held = Some((ListHandle::from(ids), interval));
+        });
+        held.inspect(|_| self.seal(v))
     }
 
-    /// Inserts the pulled list of `v` sealed and returns the handle to read
-    /// it through. The default copies it into [`PullCache::insert`].
-    fn insert_sealed(&self, v: VertexId, neighbours: ListHandle) -> ListHandle {
-        self.insert(v, neighbours.to_vec());
+    /// Inserts `ids`, the part of `v`'s list inside `interval`, sealed and
+    /// returns the handle to read it through: one that holds at least
+    /// `interval`. The default copies it into [`PullCache::insert_interval`].
+    fn insert_sealed(&self, v: VertexId, interval: Interval, ids: ListHandle) -> ListHandle {
+        self.insert_interval(v, interval, ids.to_vec());
         self.seal(v);
-        neighbours
+        ids
     }
 
     /// Makes every sealed vertex evictable again, marking them as the most
@@ -123,7 +147,8 @@ pub trait PullCache: Send + Sync {
     fn capacity_bytes(&self) -> u64;
 
     /// Records the outcome of cache lookups: `hits` vertices were found
-    /// cached, `misses` had to be pulled. The caller counts, not
+    /// cached with an interval that holds the lookup's, `misses` had to be
+    /// pulled, wholly or for the ids their entry lacked. The caller counts, not
     /// [`PullCache::read`], because a lookup is decided where the operator
     /// chooses between the cache and the network (the fetch stage) — by the
     /// time sealed entries are read they cannot miss, and counting those

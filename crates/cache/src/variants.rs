@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use huge_graph::VertexId;
+use huge_graph::{Interval, VertexId};
 use parking_lot::Mutex;
 
 use crate::lrbu::LrbuCache;
@@ -31,17 +31,18 @@ impl CopyLrbuCache {
 }
 
 impl PullCache for CopyLrbuCache {
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
-        let mut copied: Option<Vec<VertexId>> = None;
-        let found = self.inner.read(v, &mut |nbrs| copied = Some(nbrs.to_vec()));
-        if let Some(c) = copied {
-            f(&c);
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool {
+        let mut copied = None;
+        let found =
+            (self.inner).read_interval(v, &mut |held, ids| copied = Some((held, ids.to_vec())));
+        if let Some((held, ids)) = copied {
+            f(held, &ids);
         }
         found
     }
 
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
-        self.inner.insert(v, neighbours);
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>) {
+        self.inner.insert_interval(v, interval, ids);
     }
 
     fn seal(&self, v: VertexId) {
@@ -94,19 +95,19 @@ impl LockLrbuCache {
 }
 
 impl PullCache for LockLrbuCache {
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool {
         let guard = self.inner.lock();
-        let mut copied: Option<Vec<VertexId>> = None;
-        let found = guard.read(v, &mut |nbrs| copied = Some(nbrs.to_vec()));
+        let mut copied = None;
+        let found = guard.read_interval(v, &mut |held, ids| copied = Some((held, ids.to_vec())));
         drop(guard);
-        if let Some(c) = copied {
-            f(&c);
+        if let Some((held, ids)) = copied {
+            f(held, &ids);
         }
         found
     }
 
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
-        self.inner.lock().insert(v, neighbours);
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>) {
+        self.inner.lock().insert_interval(v, interval, ids);
     }
 
     fn seal(&self, v: VertexId) {
@@ -152,7 +153,8 @@ pub struct InfiniteLruCache {
 }
 
 struct LruState {
-    map: HashMap<VertexId, (Vec<VertexId>, u64)>,
+    /// Vertex → (the part of its list held, its interval, last use).
+    map: HashMap<VertexId, (Vec<VertexId>, Interval, u64)>,
     clock: u64,
     bytes: u64,
 }
@@ -178,32 +180,41 @@ impl Default for InfiniteLruCache {
 }
 
 impl PullCache for InfiniteLruCache {
-    fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {
+    fn read_interval(&self, v: VertexId, f: &mut dyn FnMut(Interval, &[VertexId])) -> bool {
         let mut guard = self.inner.lock();
         guard.clock += 1;
         let clock = guard.clock;
         match guard.map.get_mut(&v) {
-            Some((nbrs, stamp)) => {
+            Some((nbrs, held, stamp)) => {
                 *stamp = clock;
-                let copy = nbrs.clone();
+                let (copy, held) = (nbrs.clone(), *held);
                 drop(guard);
-                f(&copy);
+                f(held, &copy);
                 true
             }
             None => false,
         }
     }
 
-    fn insert(&self, v: VertexId, neighbours: Vec<VertexId>) {
+    fn insert_interval(&self, v: VertexId, interval: Interval, ids: Vec<VertexId>) {
+        let bytes = |ids: &[VertexId]| (std::mem::size_of_val(ids) + 16) as u64;
         let mut guard = self.inner.lock();
         guard.clock += 1;
         let clock = guard.clock;
-        let bytes = (neighbours.len() * std::mem::size_of::<VertexId>() + 16) as u64;
-        if guard.map.insert(v, (neighbours, clock)).is_none() {
-            guard.bytes += bytes;
-            self.stats
-                .inserts
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if let Some((_, held, stamp)) = guard.map.get_mut(&v) {
+            if held.contains(interval) {
+                *stamp = clock;
+                return;
+            }
+        }
+        guard.bytes += bytes(&ids);
+        match guard.map.insert(v, (ids, interval, clock)) {
+            Some((old, _, _)) => guard.bytes -= bytes(&old),
+            None => {
+                self.stats
+                    .inserts
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
         }
     }
 

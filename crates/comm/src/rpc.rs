@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use huge_graph::{GraphPartition, VertexId};
+use huge_graph::{GraphPartition, Interval, VertexId};
 
 use crate::stats::ClusterStats;
 use crate::MachineId;
@@ -54,62 +54,62 @@ impl RpcFabric {
     /// Vertices are grouped by owning machine; one RPC round trip is charged
     /// per distinct remote owner (the paper's batched/merged RPCs), and the
     /// response bytes are charged as pulled traffic. Local vertices are
-    /// served for free. Returns `(vertex, adjacency list)` pairs in no
-    /// particular order; duplicates in the input are fetched only once.
+    /// served for free. Returns each distinct vertex with its whole
+    /// adjacency list, in ascending vertex order.
     pub fn get_nbrs(
         &self,
         requester: MachineId,
         vertices: &[VertexId],
     ) -> Vec<(VertexId, Vec<VertexId>)> {
-        self.pull(requester, vertices, <[VertexId]>::to_vec)
-    }
-
-    /// [`RpcFabric::get_nbrs`] with every list received into a shared
-    /// `Arc`, which a cache entry and a batch's readers can hold without
-    /// copying it again.
-    pub fn get_shared_nbrs(
-        &self,
-        requester: MachineId,
-        vertices: &[VertexId],
-    ) -> Vec<(VertexId, Arc<[VertexId]>)> {
-        self.pull(requester, vertices, |list| Arc::from(list))
-    }
-
-    /// `GetNbrs`, each list received through `receive`.
-    fn pull<L>(
-        &self,
-        requester: MachineId,
-        vertices: &[VertexId],
-        receive: impl Fn(&[VertexId]) -> L,
-    ) -> Vec<(VertexId, L)> {
         let mut unique: Vec<VertexId> = vertices.to_vec();
         unique.sort_unstable();
         unique.dedup();
+        let whole: Vec<_> = unique.iter().map(|&v| (v, Interval::ALL)).collect();
+        let lists = self.pull(requester, &whole, <[VertexId]>::to_vec);
+        unique.into_iter().zip(lists).collect()
+    }
 
-        let mut by_owner: Vec<Vec<VertexId>> = vec![Vec::new(); self.num_machines()];
-        for v in unique {
-            by_owner[self.owner(v)].push(v);
+    /// The fetch stage's ranged `GetNbrs`: the ids of `N(v)` inside
+    /// `interval` for each `(v, interval)` of `requests`, in request order,
+    /// each received into a shared `Arc` that a cache entry and a batch's
+    /// readers hold without copying it again. Charged like
+    /// [`RpcFabric::get_nbrs`], for the ids sent: a request repeated is
+    /// answered, and charged, again.
+    pub fn get_shared_nbrs(
+        &self,
+        requester: MachineId,
+        requests: &[(VertexId, Interval)],
+    ) -> Vec<Arc<[VertexId]>> {
+        self.pull(requester, requests, |ids| Arc::from(ids))
+    }
+
+    /// `GetNbrs`, each part of a list received through `receive`: 4 bytes
+    /// per id sent and [`PER_VERTEX_OVERHEAD`] per list, one round trip per
+    /// remote owner.
+    fn pull<L>(
+        &self,
+        requester: MachineId,
+        requests: &[(VertexId, Interval)],
+        receive: impl Fn(&[VertexId]) -> L,
+    ) -> Vec<L> {
+        let mut charged = vec![(0u64, 0u64); self.num_machines()];
+        let lists = requests
+            .iter()
+            .map(|&(v, interval)| {
+                let owner = self.owner(v);
+                let ids = interval.cut(self.partitions[owner].any_neighbours(v));
+                let (lists, bytes) = &mut charged[owner];
+                *lists += 1;
+                *bytes += std::mem::size_of_val(ids) as u64 + PER_VERTEX_OVERHEAD;
+                receive(ids)
+            })
+            .collect();
+        for (owner, &(lists, bytes)) in charged.iter().enumerate() {
+            if owner != requester && lists > 0 {
+                self.stats.machine(requester).record_pull(lists, bytes);
+            }
         }
-        let mut out = Vec::new();
-        for (owner, vs) in by_owner.into_iter().enumerate() {
-            if vs.is_empty() {
-                continue;
-            }
-            let owner_partition = &self.partitions[owner];
-            let mut bytes = 0u64;
-            for &v in &vs {
-                let nbrs = owner_partition.any_neighbours(v);
-                bytes += nbrs.len() as u64 * std::mem::size_of::<VertexId>() as u64
-                    + PER_VERTEX_OVERHEAD;
-                out.push((v, receive(nbrs)));
-            }
-            if owner != requester {
-                self.stats
-                    .machine(requester)
-                    .record_pull(vs.len() as u64, bytes);
-            }
-        }
-        out
+        lists
     }
 
     /// Records the traffic of an inter-machine work steal of `bytes` bytes
@@ -181,6 +181,45 @@ mod tests {
         fabric.get_nbrs(0, &picks);
         // 3 remote owners -> 3 round trips.
         assert_eq!(stats.total().rpc_requests, 3);
+    }
+
+    #[test]
+    fn a_ranged_pull_sends_and_charges_only_the_ids_inside() {
+        let (fabric, stats) = fabric(2);
+        let remote = |v: &VertexId| fabric.owner(*v) == 1;
+        // A remote vertex with vertex 0 among its neighbours, and room
+        // above and below the cut.
+        let v = (0..200u32)
+            .filter(remote)
+            .find(|&v| {
+                let nbrs = fabric.partition(0).any_neighbours(v);
+                nbrs.len() >= 6 && nbrs[0] == 0
+            })
+            .expect("a remote neighbour of vertex 0 with six neighbours");
+        let nbrs = fabric.partition(0).any_neighbours(v).to_vec();
+        let (lo, hi) = (nbrs[1], nbrs[4]);
+        let inside: Vec<VertexId> = nbrs.iter().copied().filter(|&x| lo < x && x < hi).collect();
+        let asks = [
+            (v, Interval::between(Some(lo), Some(hi))),
+            (v, Interval::between(None, Some(hi))),
+            (v, Interval::between(Some(lo), None)),
+            (v, Interval::between(None, None)),
+        ];
+        let lists = fabric.get_shared_nbrs(0, &asks);
+        assert_eq!(&lists[0][..], &inside[..]);
+        // An unbounded side keeps vertex 0, and every id up to the top.
+        assert_eq!(&lists[1][..], &nbrs[..4]);
+        assert_eq!(&lists[2][..], &nbrs[2..]);
+        assert_eq!(&lists[3][..], &nbrs[..]);
+        let sent: usize = lists.iter().map(|list| list.len()).sum();
+        let snap = stats.total();
+        assert_eq!(snap.bytes_pulled, 4 * sent as u64 + 12 * 4);
+        assert_eq!((snap.rpc_requests, snap.vertices_fetched), (1, 4));
+        // Locally owned lists are free; an empty interval sends no id.
+        let local = (0..200u32).find(|v| !remote(v)).unwrap();
+        let more = fabric.get_shared_nbrs(0, &[(local, Interval::ALL), (v, Interval::EMPTY)]);
+        assert!(more[1].is_empty());
+        assert_eq!(stats.total().bytes_pulled, snap.bytes_pulled + 12);
     }
 
     #[test]

@@ -12,8 +12,11 @@ pub enum SinkMode {
     /// Count matches only (the default for benchmarks; mirrors the paper's
     /// "decompress by counting to verify the results").
     Count,
-    /// Count matches and additionally collect up to the given number of
-    /// complete matches (for verification and the examples).
+    /// Materialise every match, and keep up to the given number of them
+    /// (for verification and the examples). Every match is gathered into
+    /// its machine's terminal queue whatever the number, `Collect(0)`
+    /// included: the join-based baselines and Exp-7 run `Collect(0)` to
+    /// measure what materialising costs.
     Collect(usize),
 }
 

@@ -14,9 +14,12 @@
 //! The **fetch stage** of Algorithm 4 makes one cache call per distinct
 //! remote vertex of a batch and returns the batch's *list view* (vertex →
 //! shared list handle); a small filter of the ids it has just collected
-//! keeps most repeats of a vertex out of its sort + dedup. The **intersect
-//! stage** reads the local partition or the view, never the cache: no lock,
-//! and no release or eviction anywhere can take a list from under it.
+//! keeps most repeats of a vertex out of its sort + dedup. It asks for each
+//! list only the interval of ids the batch's rows can read — the union of
+//! their order bounds, as the generator derives them — so a pull, and a
+//! cache entry, holds that part alone. The **intersect stage** reads the
+//! local partition or the view, never the cache: no lock, and no release or
+//! eviction anywhere can take a list from under it.
 //!
 //! Match-mode `PULL-EXTEND` is **one candidate generator with two sinks**
 //! (`for_each_candidate_set`), and the generator is two things:
@@ -56,7 +59,7 @@ use std::time::{Duration, Instant};
 use huge_cache::ListHandle;
 use huge_comm::{ColBatch, RowBatch};
 use huge_graph::kernels::{self, KernelKind, KernelTally, ProbeFilter};
-use huge_graph::{VertexId, VertexMap};
+use huge_graph::{Interval, VertexId, VertexMap};
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
 
@@ -261,92 +264,219 @@ pub struct ExtendOutput {
 /// `.0[l]` what level `l` of the call leaves of its input once `.1` is full.
 pub type Gather<'q> = (&'q [SharedQueue], &'q SharedQueue);
 
-/// A batch's list view: the handle of every remote list its extend
-/// positions reference, as the fetch stage resolved them.
-type ListView = VertexMap<ListHandle>;
+/// A batch's list view: for every remote list its extend positions
+/// reference, the handle the fetch stage resolved — it holds at least the
+/// interval the batch asked for — and that interval.
+type ListView = VertexMap<(ListHandle, Interval)>;
 
-/// Resolves a collected list of remote vertices into the batch's view: one
-/// cache call per distinct vertex seals it and takes its handle, and a miss
-/// is pulled and inserted sealed (straight into the view with the cache
+/// A remote list a fetch stage found missing or too narrow in the cache:
+/// the vertex, the interval the batch reads of its list, and the entry's
+/// handle and interval if it has one.
+type Miss = (VertexId, Interval, Option<(ListHandle, Interval)>);
+
+/// Resolves a collected list of remote reads — a vertex and the interval of
+/// its list that rows read, a vertex's repeats merged here — into the
+/// batch's view. One cache call per distinct vertex seals it and takes its
+/// handle; an entry that does not hold the interval is a miss, as is an
+/// absent one. A miss pulls the ids its entry lacks — the interval, or what
+/// lies between it and the held one and outside the latter — and the list
+/// is inserted or widened sealed (straight into the view with the cache
 /// off). Shared tail of both fetch-stage layouts.
-fn resolve_remote(mut remote: Vec<VertexId>, ctx: &OpContext<'_>) -> ListView {
-    remote.sort_unstable();
-    remote.dedup();
+fn resolve_remote(mut remote: Vec<(VertexId, Interval)>, ctx: &OpContext<'_>) -> ListView {
+    remote.sort_unstable_by_key(|&(v, _)| v);
+    remote.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = kept.1.hull(next.1);
+        }
+        same
+    });
     let mut view = ListView::with_capacity_and_hasher(remote.len(), Default::default());
+    let mut misses: Vec<Miss> = Vec::new();
     if ctx.use_cache {
-        remote.retain(|&v| {
-            ctx.cache
-                .acquire(v)
-                .map(|list| view.insert(v, list))
-                .is_none()
-        });
+        for (v, asked) in remote {
+            match ctx.cache.acquire(v) {
+                Some((list, held)) if held.contains(asked) => {
+                    view.insert(v, (list, asked));
+                }
+                held => misses.push((v, asked, held)),
+            }
+        }
         // This is where a lookup hits or misses: the intersect stage reads
         // the view and cannot miss.
-        ctx.cache
-            .record_lookups(view.len() as u64, remote.len() as u64);
+        (ctx.cache).record_lookups(view.len() as u64, misses.len() as u64);
+    } else {
+        misses.extend(remote.into_iter().map(|(v, asked)| (v, asked, None)));
     }
-    for (v, list) in ctx.rpc.get_shared_nbrs(ctx.machine, &remote) {
+    // The parts a miss pulls: below and above what its entry holds.
+    let lacks = |&(_, asked, ref held): &Miss| match held {
+        Some((_, held)) => asked.hull(*held).outside(*held),
+        None => [asked, Interval::EMPTY],
+    };
+    let requests: Vec<(VertexId, Interval)> = (misses.iter())
+        .flat_map(|miss| lacks(miss).map(|part| (miss.0, part)))
+        .filter(|(_, part)| !part.is_empty())
+        .collect();
+    let mut pulled = ctx.rpc.get_shared_nbrs(ctx.machine, &requests).into_iter();
+    for miss in misses {
+        let [below, above] = lacks(&miss).map(|part| match part.is_empty() {
+            true => None,
+            false => pulled.next(),
+        });
+        let (v, asked, held) = miss;
+        let (list, holds) = match held {
+            Some((held, holds)) => {
+                let (below, above) = (
+                    below.as_deref().unwrap_or(&[]),
+                    above.as_deref().unwrap_or(&[]),
+                );
+                let list: ListHandle = below
+                    .iter()
+                    .chain(&held[..])
+                    .chain(above)
+                    .copied()
+                    .collect();
+                (list, asked.hull(holds))
+            }
+            None => (below.expect("a pulled list"), asked),
+        };
         let list = match ctx.use_cache {
-            true => ctx.cache.insert_sealed(v, list),
+            true => ctx.cache.insert_sealed(v, holds, list),
             false => list,
         };
-        view.insert(v, list);
+        view.insert(v, (list, asked));
     }
     view
+}
+
+/// Whether `view` holds `interval` of the list of every remote vertex of
+/// `vs`: what the fetch stage must have asked for a row that reads
+/// `interval` of their lists.
+fn fetched(
+    ctx: &OpContext<'_>,
+    view: &ListView,
+    mut vs: impl Iterator<Item = VertexId>,
+    interval: Interval,
+) -> bool {
+    let holds = |v| {
+        view.get(&v)
+            .is_some_and(|&(_, asked)| asked.contains(interval))
+    };
+    interval.is_empty() || vs.all(|v| ctx.partition.is_local(v) || holds(v))
 }
 
 /// log₂ of the number of slots in a [`Seen`] filter.
 const SEEN_BITS: u32 = 10;
 
-/// A direct-mapped filter of the remote ids a fetch stage pushed last, one
-/// per slot: 8 KiB on the stack at any graph scale. A slot starts at
-/// `u64::MAX`, which no id widens to, so no id (`VertexId::MAX` included)
-/// is taken for an empty slot.
-struct Seen([u64; 1 << SEEN_BITS]);
+/// A direct-mapped filter of the remote reads a fetch stage collected last:
+/// a slot holds one vertex and the hull of the intervals its list was read
+/// at since it took the slot. A repeat widens the slot; a vertex that takes
+/// a slot pushes what the slot held. 16 KiB on the stack at any graph
+/// scale. A slot starts at `u64::MAX`, which no id widens to, so no id
+/// (`VertexId::MAX` included) is taken for an empty slot.
+struct Seen([(u64, Interval); 1 << SEEN_BITS]);
 
 impl Seen {
+    fn new() -> Seen {
+        Seen([(u64::MAX, Interval::EMPTY); 1 << SEEN_BITS])
+    }
+
     /// The slot of `v`: the top bits of a multiplicative hash.
     fn slot(v: VertexId) -> usize {
         (v.wrapping_mul(0x9E37_79B1) >> (32 - SEEN_BITS)) as usize
     }
 
-    /// `true` unless `v` is what its slot holds; the slot holds `v` after.
+    /// Notes that a row reads `interval` of `v`'s list: widens `v`'s slot
+    /// if it holds `v`, else pushes the slot's vertex and interval to
+    /// `remote` and gives the slot to `v`.
     #[inline]
-    fn first_sight(&mut self, v: VertexId) -> bool {
-        std::mem::replace(&mut self.0[Self::slot(v)], u64::from(v)) != u64::from(v)
+    fn note(&mut self, v: VertexId, interval: Interval, remote: &mut Vec<(VertexId, Interval)>) {
+        let slot = &mut self.0[Self::slot(v)];
+        if slot.0 == u64::from(v) {
+            slot.1 = slot.1.hull(interval);
+            return;
+        }
+        if slot.0 != u64::MAX {
+            // Only ids are ever stored.
+            remote.push((slot.0 as VertexId, slot.1));
+        }
+        *slot = (u64::from(v), interval);
+    }
+
+    /// Pushes every vertex the filter holds, with its interval, to `remote`.
+    fn drain(&self, remote: &mut Vec<(VertexId, Interval)>) {
+        let held = self.0.iter().filter(|&&(v, _)| v != u64::MAX);
+        remote.extend(held.map(|&(v, interval)| (v as VertexId, interval)));
     }
 }
 
-/// The fetch stage of Algorithm 4: pulls (or seals in the cache) every
-/// remote adjacency list the batch's extend positions reference, and returns
-/// the batch's list view and the stage duration. Reads each extend position
-/// once per run — once per row only for the newest column, or when every row
-/// is its own run — and pushes a remote id only if a [`Seen`] filter has not
-/// just seen it, so few of a batch's repeats of a vertex reach
-/// [`resolve_remote`]'s sort + dedup. The filter may forget an id, never
-/// invent one: every list is still looked up once. An empty run references
-/// nothing.
-fn fetch_stage_cols(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
+/// The fetch stage of Algorithm 4: pulls (or seals in the cache) the part of
+/// every remote adjacency list the batch's extend positions reference that
+/// its rows can read, and returns the batch's list view and the stage
+/// duration.
+///
+/// A row reads the ids its order bounds allow — in match mode the
+/// candidate's range, derived as the generator derives it (the same
+/// [`ExtendSpec::run_bounds`] and [`ExtendSpec::row_bounds`]); in verify
+/// mode its target alone. A run asks each list it references for the hull of
+/// what its rows read: a run gate that fails it asks nothing, and where what
+/// a row reads does not move with the newest column (every extend with no
+/// order bound on its candidate reads whole lists) the run derives it once;
+/// otherwise from its least and greatest newest values. Each extend
+/// position is read once per run — once per row only for the newest column,
+/// or when every row is its own run. Reads pass through a [`Seen`] filter,
+/// so few of a batch's repeats of a vertex reach [`resolve_remote`]'s sort +
+/// dedup. The filter may forget an id, never invent one: every list is still
+/// looked up once.
+fn fetch_stage_cols(
+    spec: &ExtendSpec,
+    input: &ColBatch,
+    ctx: &OpContext<'_>,
+) -> (ListView, Duration) {
     let fetch_start = Instant::now();
     let newest = input.arity() - 1;
-    let mut remote: Vec<VertexId> = Vec::new();
-    let mut seen = Seen([u64::MAX; 1 << SEEN_BITS]);
-    for &pos in &op.ext_positions {
-        let col = input.column(pos);
-        for r in 0..input.runs() {
-            let rows = input.run_rows(r);
-            // A per-run column is read once for the run, if it has rows.
-            let reads = match pos == newest {
-                true => rows,
-                false => r..r + rows.len().min(1),
-            };
-            for &v in &col[reads] {
-                if !ctx.partition.is_local(v) && seen.first_sight(v) {
-                    remote.push(v);
-                }
+    let exts = &spec.op.ext_positions;
+    let (by_row, by_run) = (
+        exts.contains(&newest),
+        exts.iter().filter(|&&p| p != newest),
+    );
+    let (moves, newest_col) = (spec.reads_move(), input.column(newest));
+    let (mut remote, mut seen) = (Vec::new(), Seen::new());
+    for r in 0..input.runs() {
+        let rows = &newest_col[input.run_rows(r)];
+        let run = |c: usize| input.column(c)[r];
+        let Some(bounds) = spec.run_bounds(run).filter(|_| !rows.is_empty()) else {
+            continue;
+        };
+        let reads = |x: VertexId| {
+            let at = |c: usize| if c == newest { x } else { run(c) };
+            spec.reads(spec.row_bounds(bounds, x), at)
+        };
+        // What a row reads lies above its newest value, below it, or is it,
+        // so the rows with the least and the greatest span every row's.
+        let hull = match moves {
+            true => {
+                let (least, most) = (rows.iter()).fold((VertexId::MAX, 0), |(least, most), &x| {
+                    (least.min(x), most.max(x))
+                });
+                reads(least).hull(reads(most))
             }
+            false => reads(rows[0]),
+        };
+        if hull.is_empty() {
+            continue;
+        }
+        let mut note = |v| {
+            if !ctx.partition.is_local(v) {
+                seen.note(v, hull, &mut remote);
+            }
+        };
+        by_run.clone().for_each(|&p| note(run(p)));
+        if by_row {
+            rows.iter().for_each(|&x| note(x));
         }
     }
+    seen.drain(&mut remote);
     let view = resolve_remote(remote, ctx);
     (view, fetch_start.elapsed())
 }
@@ -440,10 +570,15 @@ fn verify_one_row(
     view: &ListView,
 ) -> bool {
     let target = row[vpos];
-    let adjacent = |&pos: &usize| {
-        neighbours(ctx, view, row[pos]).is_some_and(|nbrs| nbrs.binary_search(&target).is_ok())
-    };
-    op.ext_positions.iter().all(adjacent) && passes_filters(row, &op.filters)
+    if !passes_filters(row, &op.filters) {
+        return false;
+    }
+    let exts = || op.ext_positions.iter().map(|&pos| row[pos]);
+    debug_assert!(
+        fetched(ctx, view, exts(), Interval::point(target)),
+        "a verified row's target lies outside the interval fetched for it"
+    );
+    exts().all(|v| neighbours(ctx, view, v).is_some_and(|nbrs| nbrs.binary_search(&target).is_ok()))
 }
 
 /// The adjacency list of `v`: the local partition's slice, else the batch
@@ -453,7 +588,7 @@ fn neighbours<'v>(ctx: &OpContext<'v>, view: &'v ListView, v: VertexId) -> Optio
     let partition = ctx.partition;
     match partition.is_local(v) {
         true => Some(partition.local_neighbours(v)),
-        false => view.get(&v).map(|list| &list[..]),
+        false => view.get(&v).map(|(list, _)| &list[..]),
     }
 }
 
@@ -482,6 +617,9 @@ impl Reads {
         }
     }
 }
+
+/// The bounds on a candidate, each strict; `None` leaves a side unbounded.
+type Bounds = (Option<VertexId>, Option<VertexId>);
 
 /// A `PULL-EXTEND` compiled against the arity of its input, once per
 /// operator: everything about a row's extension that the plan decides and
@@ -563,9 +701,57 @@ impl ExtendSpec {
     }
 
     /// The range `key` (the prefix vertices) fixes alone, as it fixes `shared`.
-    fn key_bounds(&self, key: &[VertexId]) -> (Option<VertexId>, Option<VertexId>) {
+    fn key_bounds(&self, key: &[VertexId]) -> Bounds {
         let lo = self.key_lo.iter().map(|&i| key[i]).max();
         (lo, self.key_hi.iter().map(|&i| key[i]).min())
+    }
+
+    /// What a run fixes for every row of it, from its per-run columns
+    /// (`run(c)`): `None` when a run gate fails it, else the bounds those
+    /// columns set the candidate.
+    #[inline]
+    fn run_bounds(&self, run: impl Fn(usize) -> VertexId) -> Option<Bounds> {
+        if self.run_gates.iter().any(|&(s, l)| run(s) >= run(l)) {
+            return None;
+        }
+        let lo = self.lo_from.run.iter().map(|&c| run(c)).max();
+        Some((lo, self.hi_from.run.iter().map(|&c| run(c)).min()))
+    }
+
+    /// Whether the row whose values are `at(c)` passes the row gates.
+    #[inline]
+    fn row_passes(&self, at: impl Fn(usize) -> VertexId) -> bool {
+        self.row_gates.iter().all(|&(s, l)| at(s) < at(l))
+    }
+
+    /// A row's bounds on the candidate, from its run's `bounds` and its
+    /// newest value `x`.
+    #[inline]
+    fn row_bounds(&self, (lo, hi): Bounds, x: VertexId) -> Bounds {
+        let lo = lo.max(self.lo_from.newest.then_some(x));
+        let hi = match self.hi_from.newest {
+            true => Some(hi.map_or(x, |h| h.min(x))),
+            false => hi,
+        };
+        (lo, hi)
+    }
+
+    /// The ids of its extend positions' lists a row with these `bounds` and
+    /// values (`at(c)`) reads: the candidate's range in match mode, the
+    /// target alone in verify mode.
+    #[inline]
+    fn reads(&self, (lo, hi): Bounds, at: impl Fn(usize) -> VertexId) -> Interval {
+        match self.op.verify_position {
+            Some(vpos) => Interval::point(at(vpos)),
+            None => Interval::between(lo, hi),
+        }
+    }
+
+    /// Whether what a row reads moves with its newest value; if not, every
+    /// row of a run reads the same ids.
+    fn reads_move(&self) -> bool {
+        let newest = self.arity - 1;
+        self.lo_from.newest || self.hi_from.newest || self.op.verify_position == Some(newest)
     }
 
     /// Arity of the output rows: verify mode adds no column.
@@ -736,11 +922,9 @@ fn for_each_candidate_set(
         total += rows.len() as u64;
         started += 1;
         let run = |c: usize| input.column(c)[r];
-        if spec.run_gates.iter().any(|&(s, l)| run(s) >= run(l)) {
+        let Some(run_bounds) = spec.run_bounds(run) else {
             continue;
-        }
-        let run_lo = spec.lo_from.run.iter().map(|&c| run(c)).max();
-        let run_hi = spec.hi_from.run.iter().map(|&c| run(c)).min();
+        };
         bound.clear();
         bound.extend(spec.collide.run.iter().map(|&c| run(c)));
         let run_bound = bound.len();
@@ -759,16 +943,19 @@ fn for_each_candidate_set(
         'rows: for i in rows.clone() {
             let x = newest[i];
             let at = |c: usize| if c + 1 == spec.arity { x } else { run(c) };
-            for &(smaller, larger) in &spec.row_gates {
-                if at(smaller) >= at(larger) {
-                    continue 'rows;
-                }
+            if !spec.row_passes(at) {
+                continue;
             }
-            let lo = run_lo.max(spec.lo_from.newest.then_some(x));
-            let hi = match spec.hi_from.newest {
-                true => Some(run_hi.map_or(x, |h| h.min(x))),
-                false => run_hi,
-            };
+            let (lo, hi) = spec.row_bounds(run_bounds, x);
+            debug_assert!(
+                fetched(
+                    ctx,
+                    view,
+                    key.iter().copied().chain(spec.last.map(at)),
+                    Interval::between(lo, hi)
+                ),
+                "a row reads ids outside the interval fetched for its lists"
+            );
             if has_prefix {
                 if cut != Some((lo, hi)) {
                     cut = Some((lo, hi));
@@ -920,7 +1107,7 @@ pub fn nest(
     // One piece per level below the head, and the gathered rows' own.
     let arities = specs[1..].iter().map(|s| s.arity);
     let arities: Vec<usize> = arities.chain(gather.map(|_| done)).collect();
-    let (view, fetch_time) = fetch_stage_cols(&specs[0].op, input, ctx);
+    let (view, fetch_time) = fetch_stage_cols(&specs[0], input, ctx);
     let run = ctx.pool.run(intersect_ranges(input, ctx), |range, out| {
         let mut item = Nest {
             specs,
@@ -1146,7 +1333,7 @@ impl Nest<'_> {
             }
         }
         let above = self.switch(next);
-        let (view, fetch_time) = fetch_stage_cols(&self.specs[next].op, &piece, self.ctx);
+        let (view, fetch_time) = fetch_stage_cols(&self.specs[next], &piece, self.ctx);
         self.fetch_time += fetch_time;
         if let Some((run, row)) = self.run(next, &piece, (0, piece.runs()), &view) {
             let (levels, _) = self.gather.expect("only a gathering level stops");
@@ -1222,12 +1409,12 @@ mod row_major {
     /// batch's list view and the stage duration.
     fn fetch_stage(op: &ExtendOp, input: &RowBatch, ctx: &OpContext<'_>) -> (ListView, Duration) {
         let fetch_start = Instant::now();
-        let mut remote: Vec<VertexId> = Vec::new();
+        let mut remote = Vec::new();
         for row in input.rows() {
             for &pos in &op.ext_positions {
                 let v = row[pos];
                 if !ctx.partition.is_local(v) {
-                    remote.push(v);
+                    remote.push((v, Interval::ALL));
                 }
             }
         }
@@ -1927,15 +2114,26 @@ mod tests {
     }
 
     #[test]
-    fn the_fetch_filter_reports_every_id_on_first_sight() {
+    fn the_fetch_filter_reports_every_id_with_its_widest_read() {
         let twin = (1..).find(|&v| Seen::slot(v) == Seen::slot(0)).unwrap();
-        let mut seen = Seen([u64::MAX; 1 << SEEN_BITS]);
+        let (mut seen, mut remote) = (Seen::new(), Vec::new());
+        let at = |v| Interval::point(v);
         for v in [0, VertexId::MAX, twin] {
-            assert!(seen.first_sight(v), "{v} on first sight");
+            seen.note(v, at(v), &mut remote);
         }
-        // The twin evicted 0; `MAX` is still held.
-        assert!(seen.first_sight(0) && !seen.first_sight(VertexId::MAX));
-        assert!(!seen.first_sight(0));
+        // The twin evicted 0; `MAX` is still held, and a repeat widens it.
+        assert_eq!(remote, [(0, at(0))]);
+        seen.note(VertexId::MAX, at(7), &mut remote);
+        seen.note(0, at(5), &mut remote);
+        seen.note(0, at(0), &mut remote);
+        assert_eq!(remote, [(0, at(0)), (twin, at(twin))]);
+        seen.drain(&mut remote);
+        remote[2..].sort_unstable_by_key(|&(v, _)| v);
+        let wide = [
+            (0, Interval::new(0, 5)),
+            (VertexId::MAX, Interval::new(7, VertexId::MAX)),
+        ];
+        assert_eq!(remote[2..], wide);
     }
 
     #[test]
@@ -2001,6 +2199,63 @@ mod tests {
         }
         assert!(expected > 0);
         assert_eq!((counted, gathered), (expected, expected));
+    }
+
+    #[test]
+    fn a_cached_interval_too_narrow_is_a_miss_that_pulls_what_it_lacks() {
+        let parts = Partitioner::new(2).unwrap().partition(gen::complete(40));
+        let stats = ClusterStats::new(2);
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), stats.clone());
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let cache = huge_cache::LrbuCache::new(1 << 20);
+        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        // The top remote vertex; its list is every other vertex.
+        let v = (0..40).rev().find(|&v| !parts[0].is_local(v)).unwrap();
+        assert!(v >= 20);
+        let part = |interval: Interval| interval.cut(parts[0].any_neighbours(v)).to_vec();
+        // One row `(9, v)`: the candidate is a neighbour of `v` above 9.
+        let input = ColBatch::from_runs(vec![vec![9], vec![v]], vec![1]);
+        let above_9 = ExtendOp {
+            target: 2,
+            ext_positions: vec![1],
+            verify_position: None,
+            filters: vec![OrderFilter {
+                smaller: 0,
+                larger: 2,
+            }],
+        };
+        let lookups = || (cache.stats().hits, cache.stats().misses);
+        let pulled = || stats.total().bytes_pulled;
+        let held = || {
+            let mut held = None;
+            cache.read_interval(v, &mut |interval, ids| {
+                held = Some((interval, ids.to_vec()))
+            });
+            held.expect("cached")
+        };
+        // The entry holds the list from 20 up: too narrow, so a miss that
+        // pulls the ten ids 10..=19 alone and widens the entry.
+        let from_20 = Interval::new(20, VertexId::MAX);
+        cache.insert_interval(v, from_20, part(from_20));
+        let needed = Interval::between(Some(9), None);
+        let count = run_extend_count_cols(&above_9, &input, &c).count;
+        assert_eq!(count, part(needed).len() as u64);
+        assert_eq!((lookups(), pulled()), ((0, 1), 4 * 10 + 12));
+        assert_eq!(held(), (needed, part(needed)));
+        assert_eq!((cache.len(), cache.stats().inserts), (1, 1));
+        // It holds what the row reads now: a hit, nothing pulled.
+        let rows = run_extend_cols(&above_9, input.clone(), &c).batch;
+        assert_eq!(rows.len() as u64, count);
+        assert_eq!((lookups(), pulled()), ((1, 1), 4 * 10 + 12));
+        // A row without a bound reads the whole list: the ids below 10 are
+        // what the entry lacks.
+        let unbounded = ExtendOp {
+            filters: vec![],
+            ..above_9
+        };
+        assert_eq!(run_extend_count_cols(&unbounded, &input, &c).count, 38);
+        assert_eq!((lookups(), pulled()), ((1, 2), 2 * (4 * 10 + 12)));
+        assert_eq!(held(), (Interval::ALL, part(Interval::ALL)));
     }
 
     /// `graph` plus `leaves` new vertices under two hubs: vertex 0

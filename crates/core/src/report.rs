@@ -168,7 +168,9 @@ pub struct RunReport {
     /// Aggregated cache statistics over all machines.
     pub cache: CacheStats,
     /// Time spent in the fetch stage of `PULL-EXTEND` (the `t_f` reported in
-    /// Table 5 to bound the two-stage synchronisation overhead).
+    /// Table 5 to bound the two-stage synchronisation overhead): the slowest
+    /// machine's, each machine's summed over its fetch stages — not a sum
+    /// over machines.
     pub fetch_time: Duration,
     /// `true` when segments executed without barriers; `false` when the
     /// scheduler's barrier gate was on (`pipeline_segments(false)`: no

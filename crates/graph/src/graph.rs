@@ -13,6 +13,116 @@ use crate::stats::GraphStats;
 /// [`Graph::input_id`] maps a rank back to the id the input used.
 pub type VertexId = u32;
 
+/// A closed interval `first..=last` of vertex ids: the part of an adjacency
+/// list a pull asks for and a cache entry holds. Closed, so the whole id
+/// space — 0 and `VertexId::MAX` included — is [`Interval::ALL`], and no
+/// missing bound is spelt as an id a list could hold. Empty when `first >
+/// last`; every empty interval is [`Interval::EMPTY`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interval {
+    first: VertexId,
+    last: VertexId,
+}
+
+impl Interval {
+    /// Every id.
+    pub const ALL: Interval = Interval {
+        first: 0,
+        last: VertexId::MAX,
+    };
+
+    /// No id: what [`Interval::hull`] adds nothing to.
+    pub const EMPTY: Interval = Interval {
+        first: VertexId::MAX,
+        last: 0,
+    };
+
+    /// `first..=last` (empty when `first > last`).
+    #[inline]
+    pub fn new(first: VertexId, last: VertexId) -> Interval {
+        match first <= last {
+            true => Interval { first, last },
+            false => Interval::EMPTY,
+        }
+    }
+
+    /// The ids strictly between `lo` and `hi`, the bounds an order filter
+    /// sets; `None` leaves that side unbounded.
+    #[inline]
+    pub fn between(lo: Option<VertexId>, hi: Option<VertexId>) -> Interval {
+        let first = lo.map_or(Some(0), |lo| lo.checked_add(1));
+        let last = hi.map_or(Some(VertexId::MAX), |hi| hi.checked_sub(1));
+        match (first, last) {
+            (Some(first), Some(last)) => Interval::new(first, last),
+            _ => Interval::EMPTY,
+        }
+    }
+
+    /// Just `v`.
+    #[inline]
+    pub fn point(v: VertexId) -> Interval {
+        Interval { first: v, last: v }
+    }
+
+    /// `true` when the interval holds no id.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.first > self.last
+    }
+
+    /// Whether every id of `other` lies in `self`.
+    #[inline]
+    pub fn contains(self, other: Interval) -> bool {
+        other.is_empty() || (self.first <= other.first && other.last <= self.last)
+    }
+
+    /// The smallest interval holding both.
+    #[inline]
+    pub fn hull(self, other: Interval) -> Interval {
+        // Every empty interval is `EMPTY`, whose bounds lose both contests.
+        Interval {
+            first: self.first.min(other.first),
+            last: self.last.max(other.last),
+        }
+    }
+
+    /// The ids of `self` below `held` and above it, in that order (either
+    /// may be empty): what widening an entry that holds `held` to `self`
+    /// must add.
+    #[inline]
+    pub fn outside(self, held: Interval) -> [Interval; 2] {
+        if held.is_empty() {
+            return [self, Interval::EMPTY];
+        }
+        let below = held
+            .first
+            .checked_sub(1)
+            .map(|l| Interval::new(self.first, l.min(self.last)));
+        let above = held
+            .last
+            .checked_add(1)
+            .map(|f| Interval::new(f.max(self.first), self.last));
+        [below, above].map(|part| part.unwrap_or(Interval::EMPTY))
+    }
+
+    /// The part of the ascending list `ids` inside the interval.
+    #[inline]
+    pub fn cut(self, ids: &[VertexId]) -> &[VertexId] {
+        if self.is_empty() {
+            return &[];
+        }
+        let from = match self.first {
+            0 => 0,
+            first => ids.partition_point(|&x| x < first),
+        };
+        let to = match self.last {
+            VertexId::MAX => ids.len(),
+            last => ids.partition_point(|&x| x <= last),
+        };
+        &ids[from..to.max(from)]
+    }
+}
+
 /// An immutable, undirected graph in compressed sparse row (CSR) form.
 ///
 /// Adjacency lists are sorted in ascending order which allows:
@@ -285,6 +395,53 @@ mod tests {
     /// The vertex the input called `input`.
     fn id(g: &Graph, input: VertexId) -> VertexId {
         g.vertices().find(|&v| g.input_id(v) == input).unwrap()
+    }
+
+    #[test]
+    fn an_interval_keeps_both_ends_of_the_id_space() {
+        let ids = [0, 3, 7, VertexId::MAX];
+        assert_eq!(Interval::ALL.cut(&ids), &ids);
+        assert_eq!(Interval::between(None, None), Interval::ALL);
+        // Strict bounds at either end of the id space leave nothing beyond.
+        assert_eq!(Interval::between(None, Some(3)).cut(&ids), &[0]);
+        assert_eq!(
+            Interval::between(Some(3), None).cut(&ids),
+            &[7, VertexId::MAX]
+        );
+        assert!(Interval::between(None, Some(0)).is_empty());
+        assert!(Interval::between(Some(VertexId::MAX), None).is_empty());
+        assert!(Interval::between(Some(3), Some(4)).is_empty());
+        assert_eq!(Interval::between(Some(3), Some(5)), Interval::point(4));
+        assert_eq!(Interval::new(5, 4), Interval::EMPTY);
+    }
+
+    #[test]
+    fn widening_an_interval_adds_only_what_lies_outside() {
+        let held = Interval::new(10, 20);
+        assert!(held.contains(Interval::new(12, 20)) && held.contains(Interval::EMPTY));
+        assert!(!held.contains(Interval::new(9, 12)) && !Interval::EMPTY.contains(held));
+        let wide = held.hull(Interval::point(30));
+        assert_eq!(wide, Interval::new(10, 30));
+        assert_eq!(wide.outside(held), [Interval::EMPTY, Interval::new(21, 30)]);
+        let both = held.hull(Interval::new(0, 40));
+        assert_eq!(
+            both.outside(held),
+            [Interval::new(0, 9), Interval::new(21, 40)]
+        );
+        assert_eq!(held.outside(held), [Interval::EMPTY; 2]);
+        assert_eq!(held.outside(Interval::EMPTY), [held, Interval::EMPTY]);
+        // A held interval at an end of the id space has nothing past it.
+        let top = Interval::new(5, VertexId::MAX);
+        let bottom = Interval::new(0, 5);
+        assert_eq!(
+            Interval::ALL.outside(top),
+            [Interval::new(0, 4), Interval::EMPTY]
+        );
+        assert_eq!(
+            Interval::ALL.outside(bottom),
+            [Interval::EMPTY, Interval::new(6, VertexId::MAX)]
+        );
+        assert_eq!(Interval::EMPTY.hull(held), held);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use datasets::{Dataset, DatasetKind};
-pub use graph::{Graph, VertexId};
+pub use graph::{Graph, Interval, VertexId};
 pub use hash::{IdBuildHasher, IdHasher, VertexMap};
 pub use kernels::{HubBitmap, HubIndex, KernelKind, KernelTally};
 pub use partition::{machine_of, mix, GraphPartition, PartitionMap, Partitioner};
