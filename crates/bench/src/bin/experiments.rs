@@ -115,8 +115,8 @@ fn guarded_native(
         worst: &mut f64,
     ) {
         match node {
-            huge_plan::logical::JoinNode::Unit(sub) => {
-                *worst = worst.max(est.estimate(q, sub));
+            huge_plan::logical::JoinNode::Unit { star, .. } => {
+                *worst = worst.max(est.estimate(q, star));
             }
             huge_plan::logical::JoinNode::Join {
                 output,

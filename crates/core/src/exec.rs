@@ -6,7 +6,8 @@
 //!   on: the graph partition, the pulling fabric, the adjacency cache, the
 //!   worker pool and the batch size.
 //! * [`partition_cols_by_key`] (and [`partition_cols_by_owner`]) scatter a
-//!   batch into one batch per destination machine — a run whole when its key
+//!   batch into one batch per destination machine — a one-vertex key to the
+//!   vertex's owner, a wider one by its hash; a run whole when its key
 //!   is constant over it (a prefix key, or a run of one row), row by row
 //!   otherwise, each row a run of one; callers
 //!   move those through the accounted `huge-comm` fabric
@@ -61,9 +62,12 @@ pub struct OpContext<'a> {
 /// workspace (the HUGE `PUSH-JOIN` feed and the baselines' distributed hash
 /// joins); the caller moves the per-destination batches through
 /// `RouterEndpoint::try_push`, which is where the traffic gets charged. The
-/// destination is [`machine_of`] the row's [`key_hash`]
-/// — the high bits of the mixed hash, the same placement as a vertex's owner
-/// — and the receiving join takes its Grace partition from other bits of it.
+/// destination is [`machine_of`] the row's [`key_hash`], the high bits of
+/// the mixed hash. A one-column key `v` hashes to `v`, so it lands on
+/// `machine_of(v)`, the machine that owns vertex `v`: rows scanned from `v`
+/// stay where they are. A wider key lands on its mixed FNV hash. The
+/// receiving join takes its Grace partition from other bits of the mixed
+/// hash.
 pub fn partition_cols_by_key(batch: &ColBatch, key_positions: &[usize], k: usize) -> Vec<ColBatch> {
     let mut parts = vec![ColBatch::new(batch.arity()); k];
     scatter_by_key(batch, key_positions, |hash| machine_of(hash, k), &mut parts);
@@ -262,6 +266,36 @@ mod tests {
             }
         }
         assert_eq!(partition_cols_by_key(&batch, &[0], 4), parts);
+    }
+
+    #[test]
+    fn a_one_column_key_lands_on_its_vertex_owner_and_a_wider_key_is_fnv_hashed() {
+        let fnv = |key: &[u32]| {
+            key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+                (h ^ u64::from(v)).wrapping_mul(0x1000_0000_01b3)
+            })
+        };
+        let keys: Vec<u32> = (0..2_000).map(|i| i * 37 % 1_999).collect();
+        let others: Vec<u32> = keys.iter().map(|v| v ^ 0x55).collect();
+        let batch = ColBatch::from_columns(vec![keys, others]);
+        for k in 1..=5 {
+            let owners = huge_graph::PartitionMap::new(k).unwrap();
+            let by_vertex = partition_cols_by_key(&batch, &[0], k);
+            let by_pair = partition_cols_by_key(&batch, &[0, 1], k);
+            for machine in 0..k {
+                for &v in by_vertex[machine].column(0) {
+                    assert_eq!(owners.owner(v), machine, "k {k}: key {v}");
+                }
+                let pair = &by_pair[machine];
+                for (&a, &b) in pair.column(0).iter().zip(pair.column(1)) {
+                    assert_eq!(
+                        machine_of(fnv(&[a, b]), k),
+                        machine,
+                        "k {k}: key ({a}, {b})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

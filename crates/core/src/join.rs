@@ -99,10 +99,23 @@ pub enum JoinSide {
 /// fallback are all taken from this one function of the key's values, which
 /// is what lands equal keys of the two sides on the same machine, in the same
 /// partition, under the same table key.
+///
+/// A one-value key `v` hashes to `v` itself, so the shuffle places it on
+/// [`machine_of`](huge_graph::machine_of)`(v)`, the machine that owns vertex
+/// `v`: a join input whose rows started there ships none of them. A wider
+/// key is FNV-hashed.
 pub fn key_hash(key: impl IntoIterator<Item = VertexId>) -> u64 {
-    key.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (h ^ u64::from(v)).wrapping_mul(0x1000_0000_01b3)
-    })
+    let mut key = key.into_iter();
+    let first = key.next().unwrap_or(0);
+    let Some(second) = key.next() else {
+        return u64::from(first);
+    };
+    [first, second]
+        .into_iter()
+        .chain(key)
+        .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ u64::from(v)).wrapping_mul(0x1000_0000_01b3)
+        })
 }
 
 /// The Grace partition of a row whose join key hashes to `hash`. The shuffle
@@ -111,7 +124,8 @@ pub fn key_hash(key: impl IntoIterator<Item = VertexId>) -> u64 {
 /// agrees on those; taking the partition from them again would leave all but
 /// `NUM_PARTITIONS / k` partitions empty. The partition reads bits 32–35 of
 /// the same mixed value instead, far below the top `log₂ k` bits the
-/// placement turns on.
+/// placement turns on — for a one-column key, other bits of the mixed vertex
+/// id than the ones that pick its owner.
 fn grace_partition(hash: u64) -> usize {
     (mix(hash) >> 32) as usize % NUM_PARTITIONS
 }
@@ -1697,7 +1711,8 @@ mod tests {
         // here one of several blocks, a block per threshold spill — and a
         // run side comes back with the same runs and the same charge.
         let n = 600u32;
-        // Keys repeat three times in a row: three-row runs.
+        // Keys repeat three times in a row, and a batch of 60 rows cuts no
+        // key's rows: three-row runs.
         let left: Vec<[u32; 2]> = (0..n).map(|i| [i / 3, i + 10_000]).collect();
         let right: Vec<[u32; 2]> = (0..n).map(|i| [i / 3, i + 20_000]).collect();
         for runs in [false, true] {
@@ -1710,7 +1725,7 @@ mod tests {
                     spill_dir(),
                     MemoryTrackerHandle::Untracked,
                 );
-                for (l, r) in left.chunks(50).zip(right.chunks(50)) {
+                for (l, r) in left.chunks(60).zip(right.chunks(60)) {
                     joiner.add(JoinSide::Left, &batch_of(l, runs)).unwrap();
                     joiner.add(JoinSide::Right, &batch_of(r, runs)).unwrap();
                 }

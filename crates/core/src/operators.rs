@@ -1990,10 +1990,10 @@ mod tests {
         assert_eq!(collide(square[0].last().unwrap()), []);
         let clique: Vec<_> = wco(Pattern::FourClique)[0].iter().map(collide).collect();
         assert_eq!(clique, [vec![], vec![]]);
-        // (v4, v3, v2) extended by v5 ∈ N(v4): v5 may be v3 or v2 (the join
-        // key v2 is bound before the last extend).
+        // (v2, v3, v4) extended by v5 ∈ N(v4): v5 may be v2 or v3 (the scan
+        // starts at the join key v2, so the key is bound first).
         assert_eq!(q7.len(), 3, "two scan segments into a join");
-        assert_eq!(collide(&q7[0][1]), [1, 2]);
+        assert_eq!(collide(&q7[0][1]), [0, 1]);
 
         let mut chains = q7;
         for pattern in [

@@ -55,11 +55,13 @@ impl PartitionMap {
 
 /// Mixes a 64-bit hash so that its high bits depend on all of it: the
 /// halves are folded together (an identity on a 32-bit vertex id), then one
-/// multiply by an odd constant carries every bit upwards. The fold is what
-/// makes a join-key hash safe to place: for a one-column key the join's FNV
-/// fold is one multiply of the id, a second multiply on top would still be
-/// one, and its high bits would follow the id's residue classes (keys that
-/// are multiples of 4 went 42 % / 58 % over two machines without the fold).
+/// multiply by an odd constant carries every bit upwards. A one-column join
+/// key hashes to the vertex id itself, so it is placed exactly as its
+/// vertex. The fold is what makes a wider key's FNV hash safe to place:
+/// FNV ends in a multiply, a second multiply on top would still be one, and
+/// its high bits would follow the residue classes of what it multiplies
+/// (one-column keys that are multiples of 4 went 42 % / 58 % over two
+/// machines when they were FNV-hashed without the fold).
 #[inline]
 pub fn mix(h: u64) -> u64 {
     (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)

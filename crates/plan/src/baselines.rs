@@ -106,7 +106,7 @@ fn wco_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinT
     }
     // The first two vertices must be adjacent (connected order guarantees
     // the second has an earlier neighbour, which can only be the first).
-    let mut node = JoinNode::Unit(SubQuery::star(q, order[0], &[order[1]]));
+    let mut node = JoinNode::unit(q, SubQuery::star(q, order[0], &[order[1]]));
     for i in 2..order.len() {
         let v = order[i];
         let backward: Vec<QueryVertex> = order[..i]
@@ -116,7 +116,7 @@ fn wco_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinT
             .collect();
         debug_assert!(!backward.is_empty(), "connected order violated");
         let star = SubQuery::star(q, v, &backward);
-        node = JoinNode::join_with(node, JoinNode::Unit(star), physical);
+        node = JoinNode::join_with(node, JoinNode::unit(q, star), physical);
     }
     Ok(JoinTree::new(node))
 }
@@ -183,9 +183,9 @@ fn order_stars_connected(mut stars: Vec<SubQuery>) -> Vec<SubQuery> {
 /// StarJoin: left-deep hash joins over the greedy star decomposition.
 fn star_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinTree, PlanError> {
     let stars = order_stars_connected(star_decomposition(q));
-    let mut node = JoinNode::Unit(stars[0]);
+    let mut node = JoinNode::unit(q, stars[0]);
     for star in &stars[1..] {
-        node = JoinNode::join_with(node, JoinNode::Unit(*star), physical);
+        node = JoinNode::join_with(node, JoinNode::unit(q, *star), physical);
     }
     Ok(JoinTree::new(node))
 }
@@ -195,12 +195,12 @@ fn star_left_deep_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<Join
 /// split would create a Cartesian (disconnected) join.
 fn star_bushy_tree(q: &QueryGraph, physical: PhysicalSetting) -> Result<JoinTree, PlanError> {
     let stars = order_stars_connected(star_decomposition(q));
-    Ok(JoinTree::new(build_bushy(&stars, physical)))
+    Ok(JoinTree::new(build_bushy(q, &stars, physical)))
 }
 
-fn build_bushy(stars: &[SubQuery], physical: PhysicalSetting) -> JoinNode {
+fn build_bushy(q: &QueryGraph, stars: &[SubQuery], physical: PhysicalSetting) -> JoinNode {
     if stars.len() == 1 {
-        return JoinNode::Unit(stars[0]);
+        return JoinNode::unit(q, stars[0]);
     }
     // Try a balanced split; if the halves do not share a vertex, fall back to
     // splitting off the last star (left-deep step).
@@ -214,8 +214,8 @@ fn build_bushy(stars: &[SubQuery], physical: PhysicalSetting) -> JoinNode {
     } else {
         stars.split_at(stars.len() - 1)
     };
-    let left = build_bushy(l, physical);
-    let right = build_bushy(r, physical);
+    let left = build_bushy(q, l, physical);
+    let right = build_bushy(q, r, physical);
     JoinNode::join_with(left, right, physical)
 }
 
@@ -246,7 +246,7 @@ fn rads_tree(q: &QueryGraph) -> Result<JoinTree, PlanError> {
         })
         .collect();
     let first = SubQuery::star(q, root0, &leaves0);
-    let mut node = JoinNode::Unit(first);
+    let mut node = JoinNode::unit(q, first);
     let mut matched = first;
 
     // Expansion rounds: cover edges from a matched vertex to unmatched
@@ -278,7 +278,8 @@ fn rads_tree(q: &QueryGraph) -> Result<JoinTree, PlanError> {
                 covered[i] = true;
             }
             let star = SubQuery::star(q, root, &leaves);
-            node = JoinNode::join_with(node, JoinNode::Unit(star), PhysicalSetting::HASH_PULLING);
+            node =
+                JoinNode::join_with(node, JoinNode::unit(q, star), PhysicalSetting::HASH_PULLING);
             matched = matched.union(&star);
             continue;
         }
@@ -290,8 +291,11 @@ fn rads_tree(q: &QueryGraph) -> Result<JoinTree, PlanError> {
                 covered[i] = true;
                 let (a, b) = q.edges()[i];
                 let star = SubQuery::star(q, a, &[b]);
-                node =
-                    JoinNode::join_with(node, JoinNode::Unit(star), PhysicalSetting::HASH_PULLING);
+                node = JoinNode::join_with(
+                    node,
+                    JoinNode::unit(q, star),
+                    PhysicalSetting::HASH_PULLING,
+                );
                 matched = matched.union(&star);
             }
         }

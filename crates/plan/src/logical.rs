@@ -7,7 +7,7 @@
 //! annotated with its physical setting (join algorithm + communication
 //! mode).
 
-use huge_query::QueryGraph;
+use huge_query::{QueryGraph, QueryVertex};
 
 use crate::physical::{configure, PhysicalSetting};
 use crate::subquery::SubQuery;
@@ -16,8 +16,16 @@ use crate::subquery::SubQuery;
 #[derive(Clone, Debug, PartialEq)]
 pub enum JoinNode {
     /// A join unit (a star under HUGE's default setting), computed by a
-    /// `SCAN` (possibly rewritten into scan + extends, §5.2).
-    Unit(SubQuery),
+    /// `SCAN` (possibly rewritten into scan + extends, §5.2) whose rows start
+    /// on the machine that owns `start`'s match: the star's centre, or a
+    /// leaf, scanned leaf → centre with the other leaves pulled from the
+    /// centre.
+    Unit {
+        /// The star.
+        star: SubQuery,
+        /// The star vertex the scan starts from.
+        start: QueryVertex,
+    },
     /// A two-way join `(output, left, right)` with its physical setting.
     Join {
         /// The sub-query produced by this join (`left ∪ right`).
@@ -33,10 +41,20 @@ pub enum JoinNode {
 }
 
 impl JoinNode {
+    /// A unit scanned from its star's centre (the root
+    /// [`SubQuery::as_star`] names), as every prior system scans a star.
+    ///
+    /// # Panics
+    /// Panics if `star` is not a star of `q`.
+    pub fn unit(q: &QueryGraph, star: SubQuery) -> JoinNode {
+        let (start, _) = star.as_star(q).expect("a join unit is a star");
+        JoinNode::Unit { star, start }
+    }
+
     /// The sub-query this node produces.
     pub fn output(&self) -> SubQuery {
         match self {
-            JoinNode::Unit(s) => *s,
+            JoinNode::Unit { star, .. } => *star,
             JoinNode::Join { output, .. } => *output,
         }
     }
@@ -55,7 +73,7 @@ impl JoinNode {
     /// Number of join (internal) nodes below and including this node.
     pub fn num_joins(&self) -> usize {
         match self {
-            JoinNode::Unit(_) => 0,
+            JoinNode::Unit { .. } => 0,
             JoinNode::Join { left, right, .. } => 1 + left.num_joins() + right.num_joins(),
         }
     }
@@ -63,7 +81,7 @@ impl JoinNode {
     /// Number of unit (leaf) nodes.
     pub fn num_units(&self) -> usize {
         match self {
-            JoinNode::Unit(_) => 1,
+            JoinNode::Unit { .. } => 1,
             JoinNode::Join { left, right, .. } => left.num_units() + right.num_units(),
         }
     }
@@ -71,9 +89,9 @@ impl JoinNode {
     /// `true` if the tree is left-deep: every right child is a unit.
     pub fn is_left_deep(&self) -> bool {
         match self {
-            JoinNode::Unit(_) => true,
+            JoinNode::Unit { .. } => true,
             JoinNode::Join { left, right, .. } => {
-                matches!(**right, JoinNode::Unit(_)) && left.is_left_deep()
+                matches!(**right, JoinNode::Unit { .. }) && left.is_left_deep()
             }
         }
     }
@@ -94,9 +112,12 @@ impl JoinNode {
 
     fn validate_node(&self, q: &QueryGraph) -> Result<(), PlanError> {
         match self {
-            JoinNode::Unit(s) => {
-                if !s.is_join_unit(q) {
-                    return Err(PlanError::UnitNotAStar(*s));
+            JoinNode::Unit { star, start } => {
+                if !star.is_join_unit(q) {
+                    return Err(PlanError::UnitNotAStar(*star));
+                }
+                if !star.contains_vertex(*start) {
+                    return Err(PlanError::StartOutsideUnit(*star, *start));
                 }
                 Ok(())
             }
@@ -268,9 +289,12 @@ impl ExecutionPlan {
 fn explain_node(node: &JoinNode, q: &QueryGraph, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
     match node {
-        JoinNode::Unit(s) => {
-            let verts: Vec<String> = s.vertices().map(|v| format!("v{v}")).collect();
-            out.push_str(&format!("{indent}SCAN star {{{}}}\n", verts.join(", ")));
+        JoinNode::Unit { star, start } => {
+            let verts: Vec<String> = star.vertices().map(|v| format!("v{v}")).collect();
+            out.push_str(&format!(
+                "{indent}SCAN star {{{}}} from v{start}\n",
+                verts.join(", ")
+            ));
         }
         JoinNode::Join {
             left,
@@ -296,6 +320,8 @@ fn explain_node(node: &JoinNode, q: &QueryGraph, depth: usize, out: &mut String)
 pub enum PlanError {
     /// A leaf of the join tree is not a star.
     UnitNotAStar(SubQuery),
+    /// A unit's scan starts at a vertex outside its star.
+    StartOutsideUnit(SubQuery, QueryVertex),
     /// The two operands of a join share an edge.
     OverlappingEdges(SubQuery, SubQuery),
     /// A join's recorded output is not the union of its operands.
@@ -314,6 +340,12 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::UnitNotAStar(s) => write!(f, "join unit {s:?} is not a star"),
+            PlanError::StartOutsideUnit(s, v) => {
+                write!(
+                    f,
+                    "join unit {s:?} cannot start at v{v}, not one of its vertices"
+                )
+            }
             PlanError::OverlappingEdges(l, r) => {
                 write!(f, "join operands {l:?} and {r:?} share edges")
             }
@@ -349,8 +381,8 @@ mod tests {
         let e01 = SubQuery::star(q, 0, &[1]);
         let star2 = SubQuery::star(q, 2, &[0, 1]);
         let star3 = SubQuery::star(q, 3, &[0, 1, 2]);
-        let j1 = join_auto(q, JoinNode::Unit(e01), JoinNode::Unit(star2));
-        let j2 = join_auto(q, j1, JoinNode::Unit(star3));
+        let j1 = join_auto(q, JoinNode::unit(q, e01), JoinNode::unit(q, star2));
+        let j2 = join_auto(q, j1, JoinNode::unit(q, star3));
         JoinTree::new(j2)
     }
 
@@ -366,7 +398,7 @@ mod tests {
         // Both joins are complete star joins.
         fn all_wco(node: &JoinNode) -> bool {
             match node {
-                JoinNode::Unit(_) => true,
+                JoinNode::Unit { .. } => true,
                 JoinNode::Join {
                     left,
                     right,
@@ -382,7 +414,7 @@ mod tests {
     fn validation_catches_incomplete_plans() {
         let q = Pattern::FourClique.query_graph();
         let e01 = SubQuery::star(&q, 0, &[1]);
-        let tree = JoinTree::new(JoinNode::Unit(e01));
+        let tree = JoinTree::new(JoinNode::unit(&q, e01));
         assert!(matches!(
             tree.validate(&q),
             Err(PlanError::IncompletePlan(_))
@@ -394,7 +426,7 @@ mod tests {
         let q = Pattern::Square.query_graph();
         let a = SubQuery::star(&q, 0, &[1, 3]);
         let b = SubQuery::star(&q, 0, &[1]); // overlaps edge (0,1)
-        let node = join_auto(&q, JoinNode::Unit(a), JoinNode::Unit(b));
+        let node = join_auto(&q, JoinNode::unit(&q, a), JoinNode::unit(&q, b));
         let tree = JoinTree::new(node);
         assert!(matches!(
             tree.validate(&q),
@@ -407,9 +439,28 @@ mod tests {
         let q = Pattern::FourClique.query_graph();
         let tri = SubQuery::induced_by_vertices(&q, [0, 1, 2]);
         let rest = SubQuery::star(&q, 3, &[0, 1, 2]);
-        let node = join_auto(&q, JoinNode::Unit(tri), JoinNode::Unit(rest));
+        let tri = JoinNode::Unit {
+            star: tri,
+            start: 0,
+        };
+        let node = join_auto(&q, tri, JoinNode::unit(&q, rest));
         let tree = JoinTree::new(node);
         assert!(matches!(tree.validate(&q), Err(PlanError::UnitNotAStar(_))));
+    }
+
+    #[test]
+    fn validation_catches_a_start_outside_its_unit() {
+        let q = Pattern::Path(3).query_graph();
+        let path = SubQuery::star(&q, 1, &[0, 2]);
+        let tree = JoinTree::new(JoinNode::Unit {
+            star: path,
+            start: 3,
+        });
+        assert_eq!(tree.validate(&q), Err(PlanError::StartOutsideUnit(path, 3)));
+        for start in [0, 1, 2] {
+            let tree = JoinTree::new(JoinNode::Unit { star: path, start });
+            tree.validate(&q).unwrap();
+        }
     }
 
     #[test]
@@ -420,8 +471,8 @@ mod tests {
         let e01 = SubQuery::star(&q, 0, &[1]);
         let star2 = SubQuery::star(&q, 2, &[0, 1]);
         let mut node = JoinNode::join_with(
-            JoinNode::Unit(star2),
-            JoinNode::Unit(e01),
+            JoinNode::unit(&q, star2),
+            JoinNode::unit(&q, e01),
             PhysicalSetting::HASH_PUSHING,
         );
         node.configure_physical(&q);

@@ -13,11 +13,11 @@
 
 use std::collections::HashMap;
 
-use huge_query::QueryGraph;
+use huge_query::{QueryGraph, QueryVertex};
 
 use crate::cost::{CostModel, HybridEstimator};
 use crate::logical::{ExecutionPlan, JoinNode, JoinTree, PlanError};
-use crate::physical::configure;
+use crate::physical::{configure, PhysicalSetting};
 use crate::subquery::SubQuery;
 
 /// Options controlling the optimiser's search space.
@@ -41,13 +41,25 @@ pub struct Optimizer<'a> {
     options: OptimizerOptions,
 }
 
-#[derive(Clone)]
+/// The vertex whose owner a sub-query's rows start on: a unit's scan root,
+/// which a pulling join keeps and a pushing join on a one-vertex key `k`
+/// replaces by `k` (the shuffle lands a row on `k`'s owner). `None` is no
+/// vertex's owner: a wider key hashes its rows anywhere, and on a query
+/// without a cut vertex the DP keeps no starts at all.
+type Start = Option<QueryVertex>;
+
+#[derive(Clone, Copy)]
 struct Entry {
     cost: f64,
     card: f64,
-    /// `None` when the sub-query is computed directly as a join unit.
-    split: Option<(u64, u64)>,
+    /// The operands' `(edge mask, start)` entries; `None` when the
+    /// sub-query is computed directly as a join unit.
+    split: Option<[(u64, Start); 2]>,
 }
+
+/// The DP table: for each solved sub-query (edge mask), its best plan for
+/// each start it can have.
+type Table = HashMap<u64, Vec<(Start, Entry)>>;
 
 impl<'a> Optimizer<'a> {
     /// Creates an optimiser with the given estimator and cost model.
@@ -66,12 +78,21 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Computes the optimal execution plan for `q` (Algorithm 1).
+    ///
+    /// On a query with a cut vertex the DP keeps, for each sub-query, the
+    /// best plan for each vertex its rows can start on, so that a pushing
+    /// join on a one-vertex key `k` ships no row of an input that starts at
+    /// `k`: the shuffle places that key on `k`'s owner, where the input's
+    /// rows already are. No split of any other query shares one vertex, and
+    /// the DP keeps one plan per sub-query there, as Algorithm 1 does.
     pub fn optimize(&self, q: &QueryGraph) -> Result<ExecutionPlan, PlanError> {
         if q.num_edges() == 0 || !q.is_connected() {
             return Err(PlanError::NoPlanFound);
         }
         let mut cost_model = self.cost_model.clone();
         cost_model.computation_only = self.options.computation_only;
+        let track = has_cut_vertex(q);
+        let at = |v: QueryVertex| track.then_some(v);
 
         let full_mask: u64 = if q.num_edges() == 64 {
             u64::MAX
@@ -86,20 +107,41 @@ impl<'a> Optimizer<'a> {
             .collect();
         subsets.sort_by_key(|m| m.count_ones());
 
-        let mut table: HashMap<u64, Entry> = HashMap::with_capacity(subsets.len());
+        let mut table: Table = HashMap::with_capacity(subsets.len());
 
         for &mask in &subsets {
             let sub = SubQuery::from_edge_mask(q, mask);
             let card = self.estimator.estimate(q, &sub).max(1.0);
-            let mut best: Option<Entry> = None;
+            let mut best: Vec<(Start, Entry)> = Vec::new();
+            let mut offer =
+                |start: Start, cost: f64, split| match best.iter_mut().find(|(s, _)| *s == start) {
+                    Some((_, b)) if cost < b.cost => *b = Entry { cost, card, split },
+                    Some(_) => {}
+                    None => best.push((start, Entry { cost, card, split })),
+                };
 
-            // Line 4: a join unit is computed directly at its own cardinality.
-            if sub.is_join_unit(q) {
-                best = Some(Entry {
-                    cost: card,
-                    card,
-                    split: None,
-                });
+            // Line 4: a join unit is computed directly at its own
+            // cardinality. Started from a leaf, it scans leaf → centre and
+            // pulls the centre's list for each other leaf, priced like a
+            // pulling join of that edge and the rest of the star.
+            if let Some((centre, leaves)) = sub.as_star(q) {
+                offer(at(centre), card, None);
+                if track && (leaves.len() == 1 || !self.options.disable_pulling) {
+                    for &leaf in &leaves {
+                        let pulls = if leaves.len() == 1 {
+                            0.0
+                        } else {
+                            let edge = SubQuery::star(q, centre, &[leaf]);
+                            cost_model.communication_cost(
+                                PhysicalSetting::HASH_PULLING,
+                                self.estimator.estimate(q, &edge).max(1.0),
+                                0.0,
+                                leaves.len() - 1,
+                            )
+                        };
+                        offer(Some(leaf), card + pulls, None);
+                    }
+                }
             }
 
             // Lines 5-11: try every edge-disjoint split into two connected,
@@ -107,100 +149,138 @@ impl<'a> Optimizer<'a> {
             let mut left_mask = (mask - 1) & mask;
             while left_mask != 0 {
                 let right_mask = mask & !left_mask;
+                let next = (left_mask - 1) & mask;
                 // Enumerate each unordered split once; orientation is decided
                 // by Equation 3 below.
                 if left_mask < right_mask {
-                    left_mask = (left_mask - 1) & mask;
+                    left_mask = next;
                     continue;
                 }
-                let (Some(le), Some(re)) = (table.get(&left_mask), table.get(&right_mask)) else {
-                    left_mask = (left_mask - 1) & mask;
+                let (Some(lp), Some(rp)) = (table.get(&left_mask), table.get(&right_mask)) else {
+                    left_mask = next;
                     continue;
                 };
-                let le = le.clone();
-                let re = re.clone();
                 let lq = SubQuery::from_edge_mask(q, left_mask);
                 let rq = SubQuery::from_edge_mask(q, right_mask);
-                if lq.shared_vertices(&rq).is_empty() {
-                    left_mask = (left_mask - 1) & mask;
+                let key = lq.shared_vertices(&rq);
+                if key.is_empty() {
+                    left_mask = next;
                     continue;
                 }
                 if self.options.left_deep_only && !rq.is_join_unit(q) && !lq.is_join_unit(q) {
-                    left_mask = (left_mask - 1) & mask;
+                    left_mask = next;
                     continue;
                 }
                 // Try both orientations; Equation 3 inspects the right operand.
-                for (a_mask, b_mask, ae, be, aq, bq) in [
-                    (left_mask, right_mask, &le, &re, &lq, &rq),
-                    (right_mask, left_mask, &re, &le, &rq, &lq),
+                for (a_mask, b_mask, aq, bq, a_plans, b_plans) in [
+                    (left_mask, right_mask, &lq, &rq, lp, rp),
+                    (right_mask, left_mask, &rq, &lq, rp, lp),
                 ] {
                     let mut physical = configure(q, aq, bq);
                     if self.options.disable_pulling {
-                        physical = crate::physical::PhysicalSetting::HASH_PUSHING;
+                        physical = PhysicalSetting::HASH_PUSHING;
                     }
                     if self.options.left_deep_only && !bq.is_join_unit(q) {
                         continue;
                     }
                     let right_star_leaves =
                         bq.as_star(q).map(|(_, leaves)| leaves.len()).unwrap_or(0);
-                    // A unit star consumed by a pulling join is never
-                    // materialised (PULL-EXTEND enumerates it implicitly), so
-                    // its own production cost is skipped.
-                    let right_cost = if physical.is_pulling() && bq.is_join_unit(q) {
-                        0.0
-                    } else {
-                        be.cost
-                    };
-                    let cost = cost_model.join_cost(
-                        ae.cost,
-                        right_cost,
-                        ae.card,
-                        be.card,
-                        card,
-                        physical,
-                        right_star_leaves,
-                    );
-                    if best.as_ref().is_none_or(|b| cost < b.cost) {
-                        best = Some(Entry {
-                            cost,
+                    if !physical.is_pulling() {
+                        // Each input ships its rows unless it starts on the
+                        // key's owner; the output starts there.
+                        let key = (key.len() == 1).then(|| key[0]).and_then(at);
+                        // An input's cheapest start, with the rows it ships.
+                        let side = |plans: &[(Start, Entry)]| {
+                            let plans = plans.iter().map(|&(s, e)| {
+                                let shipped = if key.is_some() && s == key {
+                                    0.0
+                                } else {
+                                    e.card
+                                };
+                                (s, e.cost, shipped)
+                            });
+                            let total = |&(_, cost, shipped): &(Start, f64, f64)| {
+                                cost + cost_model.communication_cost(physical, shipped, 0.0, 0)
+                            };
+                            plans
+                                .min_by(|x, y| total(x).total_cmp(&total(y)))
+                                .expect("a solved sub-query has a plan")
+                        };
+                        let (a_start, a_cost, a_shipped) = side(a_plans);
+                        let (b_start, b_cost, b_shipped) = side(b_plans);
+                        let cost = cost_model.join_cost(
+                            a_cost,
+                            b_cost,
+                            a_shipped,
+                            b_shipped,
                             card,
-                            split: Some((a_mask, b_mask)),
-                        });
+                            physical,
+                            right_star_leaves,
+                        );
+                        offer(key, cost, Some([(a_mask, a_start), (b_mask, b_start)]));
+                    } else {
+                        // A unit star consumed by a pulling join is never
+                        // materialised (PULL-EXTEND enumerates it
+                        // implicitly), so its own production cost is
+                        // skipped. The output keeps the left input's start.
+                        let (b_start, be) = cheapest(b_plans);
+                        let right_cost = if bq.is_join_unit(q) { 0.0 } else { be.cost };
+                        for &(a_start, ae) in a_plans {
+                            let cost = cost_model.join_cost(
+                                ae.cost,
+                                right_cost,
+                                ae.card,
+                                be.card,
+                                card,
+                                physical,
+                                right_star_leaves,
+                            );
+                            offer(a_start, cost, Some([(a_mask, a_start), (b_mask, b_start)]));
+                        }
                     }
                 }
-                left_mask = (left_mask - 1) & mask;
+                left_mask = next;
             }
 
-            if let Some(entry) = best {
-                table.insert(mask, entry);
+            if !best.is_empty() {
+                // Equal costs go to the lowest start vertex, then to none.
+                best.sort_by_key(|&(start, _)| (start.is_none(), start));
+                table.insert(mask, best);
             }
         }
 
-        let root_entry = table.get(&full_mask).ok_or(PlanError::NoPlanFound)?;
-        let estimated_cost = root_entry.cost;
-        let tree = JoinTree::new(self.recover(q, &table, full_mask));
+        let root = table.get(&full_mask).ok_or(PlanError::NoPlanFound)?;
+        let (start, root_entry) = cheapest(root);
+        let tree = JoinTree::new(self.recover(q, &table, full_mask, start));
         let plan = ExecutionPlan {
             query: q.clone(),
             tree,
-            estimated_cost,
+            estimated_cost: root_entry.cost,
         };
         plan.validate()?;
         Ok(plan)
     }
 
     /// Line 12: recovers the join tree from the DP table.
-    fn recover(&self, q: &QueryGraph, table: &HashMap<u64, Entry>, mask: u64) -> JoinNode {
-        let entry = &table[&mask];
+    fn recover(&self, q: &QueryGraph, table: &Table, mask: u64, start: Start) -> JoinNode {
+        let sub = SubQuery::from_edge_mask(q, mask);
+        let (_, entry) = table[&mask]
+            .iter()
+            .find(|(s, _)| *s == start)
+            .expect("a DP entry");
         match entry.split {
-            None => JoinNode::Unit(SubQuery::from_edge_mask(q, mask)),
-            Some((left_mask, right_mask)) => {
-                let left = self.recover(q, table, left_mask);
-                let right = self.recover(q, table, right_mask);
+            None => match start {
+                Some(start) => JoinNode::Unit { star: sub, start },
+                None => JoinNode::unit(q, sub),
+            },
+            Some([(left_mask, left_start), (right_mask, right_start)]) => {
+                let left = self.recover(q, table, left_mask, left_start);
+                let right = self.recover(q, table, right_mask, right_start);
                 let lq = left.output();
                 let rq = right.output();
                 let mut physical = configure(q, &lq, &rq);
                 if self.options.disable_pulling {
-                    physical = crate::physical::PhysicalSetting::HASH_PUSHING;
+                    physical = PhysicalSetting::HASH_PUSHING;
                 }
                 JoinNode::Join {
                     output: lq.union(&rq),
@@ -213,11 +293,46 @@ impl<'a> Optimizer<'a> {
     }
 }
 
+/// The cheapest of a sub-query's plans (the first of equals).
+fn cheapest(plans: &[(Start, Entry)]) -> (Start, Entry) {
+    let first = plans[0];
+    plans[1..]
+        .iter()
+        .fold(first, |b, &x| if x.1.cost < b.1.cost { x } else { b })
+}
+
+/// `true` if removing one vertex disconnects `q`. Only then can a split of
+/// the whole query share a single vertex, the key a pushing join can
+/// co-locate.
+fn has_cut_vertex(q: &QueryGraph) -> bool {
+    let all = (1u64 << q.num_vertices()) - 1;
+    q.vertices().any(|cut| {
+        let rest = all & !(1 << cut);
+        let mut reached = rest & rest.wrapping_neg();
+        loop {
+            let mut next = reached;
+            for &(a, b) in q.edges().iter().filter(|&&(a, b)| a != cut && b != cut) {
+                if reached & (1 << a) != 0 {
+                    next |= 1 << b;
+                }
+                if reached & (1 << b) != 0 {
+                    next |= 1 << a;
+                }
+            }
+            if next == reached {
+                break reached != rest;
+            }
+            reached = next;
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::HybridEstimator;
     use crate::physical::{CommMode, JoinAlgorithm};
+    use crate::translate::SegmentSource;
     use huge_graph::gen;
     use huge_query::Pattern;
 
@@ -338,6 +453,138 @@ mod tests {
         let q = huge_query::QueryGraph::new(4, [(0, 1), (2, 3)]);
         let res = Optimizer::new(&est, CostModel::new(2, g.num_edges())).optimize(&q);
         assert!(res.is_err());
+    }
+
+    /// A plan tree in one line: `S<edge mask>@<start>` for a unit,
+    /// `J<algorithm><comm>(left,right)` for a join.
+    fn shape(node: &JoinNode, q: &QueryGraph) -> String {
+        match node {
+            JoinNode::Unit { star, start } => {
+                let edges = star.edges_of(q).collect::<Vec<_>>();
+                let mask = q.edges().iter().enumerate();
+                let mask = mask.filter(|(_, e)| edges.contains(e)).map(|(i, _)| 1 << i);
+                format!("S{:x}@{start}", mask.sum::<u64>())
+            }
+            JoinNode::Join {
+                left,
+                right,
+                physical,
+                ..
+            } => format!(
+                "J{:?}{:?}({},{})",
+                physical.algorithm,
+                physical.comm,
+                shape(left, q),
+                shape(right, q)
+            ),
+        }
+    }
+
+    /// The plans this optimiser chose for q1–q6 before it kept a plan per
+    /// start (`graph k query cost shape`). None of the six has a cut
+    /// vertex, so none may move, estimate included.
+    const Q1_TO_Q6_PLANS: &str = "\
+ba 2 q1-square 7.335699e5 JWcoPulling(Sc@2,S3@0)
+ba 2 q2-chordal-square 7.593931e4 JWcoPulling(JWcoPulling(S2@0,S14@3),S9@1)
+ba 2 q3-4clique 7.567096e4 JWcoPulling(JWcoPulling(S8@1,S30@3),S7@0)
+ba 2 q4-house 2.070871e5 JWcoPulling(JHashPulling(JWcoPulling(S1@0,S14@4),S2@0),S28@2)
+ba 2 q5-5cycle 4.024892e7 JWcoPulling(JWcoPulling(S18@3,S4@1),S3@0)
+ba 2 q6-prism 2.310523e5 JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(S40@3,S180@5),S20@2),S18@1),S7@0)
+ba 10 q1-square 8.294019e5 JWcoPulling(Sc@2,S3@0)
+ba 10 q2-chordal-square 2.386899e5 JWcoPulling(JWcoPulling(S2@0,S14@3),S9@1)
+ba 10 q3-4clique 2.419538e5 JWcoPulling(JWcoPulling(JWcoPulling(S8@1,S30@3),S6@0),S1@0)
+ba 10 q4-house 4.202313e5 JWcoPulling(JHashPulling(JWcoPulling(S1@0,S14@4),S2@0),S28@2)
+ba 10 q5-5cycle 4.044058e7 JWcoPulling(JWcoPulling(S18@3,S4@1),S3@0)
+ba 10 q6-prism 5.400285e5 JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(S40@3,S180@5),S20@2),S18@1),S7@0)
+grid 2 q1-square 2.472224e4 JWcoPulling(Sc@2,S3@0)
+grid 2 q2-chordal-square 1.300627e4 JWcoPulling(JWcoPulling(S2@0,S14@3),S9@1)
+grid 2 q3-4clique 1.301117e4 JWcoPulling(JWcoPulling(JWcoPulling(S8@1,S30@3),S6@0),S1@0)
+grid 2 q4-house 1.483604e4 JWcoPulling(JHashPulling(JWcoPulling(S1@0,S14@4),S2@0),S28@2)
+grid 2 q5-5cycle 1.283472e5 JWcoPulling(JWcoPulling(S18@3,S4@1),S3@0)
+grid 2 q6-prism 1.485931e4 JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(S40@3,S180@5),S20@2),S18@1),S6@0),S1@0)
+grid 10 q1-square 4.968224e4 JWcoPulling(Sc@2,S3@0)
+grid 10 q2-chordal-square 3.796627e4 JWcoPulling(JWcoPulling(S2@0,S14@3),S9@1)
+grid 10 q3-4clique 3.797117e4 JWcoPulling(JWcoPulling(JWcoPulling(S8@1,S30@3),S6@0),S1@0)
+grid 10 q4-house 3.979604e4 JWcoPulling(JHashPulling(JWcoPulling(S1@0,S14@4),S2@0),S28@2)
+grid 10 q5-5cycle 1.777952e5 JWcoPulling(JHashPushing(S4@1,S18@3),S3@0)
+grid 10 q6-prism 3.981931e4 JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(JWcoPulling(S40@3,S180@5),S20@2),S18@1),S6@0),S1@0)
+";
+
+    #[test]
+    fn queries_without_a_cut_vertex_plan_as_before() {
+        let mut plans = String::new();
+        for (name, g) in [
+            ("ba", gen::barabasi_albert(2000, 6, 42)),
+            ("grid", gen::grid(40, 40, 0, 1)),
+        ] {
+            let est = HybridEstimator::from_graph(&g);
+            for k in [2usize, 10] {
+                let model = CostModel::new(k, g.num_edges()).with_avg_degree(g.avg_degree());
+                for pattern in &Pattern::PAPER_QUERIES[..6] {
+                    let q = pattern.query_graph();
+                    assert!(!has_cut_vertex(&q), "{}", pattern.name());
+                    let plan = Optimizer::new(&est, model.clone()).optimize(&q).unwrap();
+                    plans.push_str(&format!(
+                        "{name} {k} {} {:.6e} {}\n",
+                        pattern.name(),
+                        plan.estimated_cost,
+                        shape(&plan.tree.root, &q)
+                    ));
+                }
+            }
+        }
+        assert_eq!(plans, Q1_TO_Q6_PLANS);
+    }
+
+    #[test]
+    fn cut_vertices_are_found() {
+        for (pattern, cut) in [
+            (Pattern::Path(2), false),
+            (Pattern::Path(3), true),
+            (Pattern::Path(6), true),
+            (Pattern::Star(3), true),
+            (Pattern::TailedTriangleStar, true),
+            (Pattern::Triangle, false),
+            (Pattern::Cycle(6), false),
+        ] {
+            assert_eq!(has_cut_vertex(&pattern.query_graph()), cut, "{pattern:?}");
+        }
+    }
+
+    #[test]
+    fn a_six_path_pushing_join_scans_both_inputs_from_its_key() {
+        // At k = 10 the pulls of a 2-path scanned from a leaf would cost
+        // more than shipping it; at 2 and 4 machines they cost less.
+        let g = gen::grid(40, 40, 0, 1);
+        let est = HybridEstimator::from_graph(&g);
+        for k in [2usize, 4] {
+            let model = CostModel::new(k, g.num_edges()).with_avg_degree(g.avg_degree());
+            let plan = Optimizer::new(&est, model)
+                .optimize(&Pattern::Path(6).query_graph())
+                .unwrap();
+            let df = crate::translate::translate(&plan).unwrap();
+            let joins: Vec<_> = df
+                .segments
+                .iter()
+                .filter_map(|s| match &s.source {
+                    SegmentSource::Join(j) => Some((s, j)),
+                    SegmentSource::Scan(_) => None,
+                })
+                .collect();
+            let [(seg, join)] = joins[..] else {
+                panic!("k {k}: one pushing join expected\n{}", df.explain());
+            };
+            let key: Vec<QueryVertex> = join.key_left.iter().map(|&c| seg.schema[c]).collect();
+            assert_eq!(key, [2], "k {k}\n{}", df.explain());
+            for input in [join.left, join.right] {
+                let SegmentSource::Scan(scan) = &df.segments[input].source else {
+                    panic!("k {k}: input {input} is not a scan\n{}", df.explain());
+                };
+                assert_eq!(scan.src, 2, "k {k}\n{}", df.explain());
+                assert_eq!(df.start(input), Some(2));
+            }
+            assert_eq!(df.explain().matches("[co-located]").count(), 2);
+        }
     }
 
     #[test]

@@ -155,6 +155,23 @@ impl Dataflow {
             .count()
     }
 
+    /// The query vertex on whose owner the rows of segment `id` start: a
+    /// scan's root, or a join's key when that is one vertex (the shuffle
+    /// places a one-vertex key on its owner); extends keep it. `None` for a
+    /// join on a wider key, whose rows land wherever the key hashes. A
+    /// pushing join's input that starts at the join's one-vertex key ships
+    /// only the rows of scan chunks another machine stole.
+    pub fn start(&self, id: usize) -> Option<QueryVertex> {
+        let seg = &self.segments[id];
+        match &seg.source {
+            SegmentSource::Scan(scan) => Some(scan.src),
+            SegmentSource::Join(j) => match j.key_left[..] {
+                [c] => Some(seg.schema[c]),
+                _ => None,
+            },
+        }
+    }
+
     /// Validates internal consistency: schemas line up with operators, the
     /// root binds every query vertex, and dependencies precede dependents.
     pub fn validate(&self) -> Result<(), PlanError> {
@@ -184,12 +201,18 @@ impl Dataflow {
                     ));
                 }
                 SegmentSource::Join(j) => {
+                    let key: Vec<QueryVertex> = j.key_left.iter().map(|&c| seg.schema[c]).collect();
+                    let input = |id: usize| match self.start(id) {
+                        Some(v) if key == [v] => format!("segment {id} [co-located]"),
+                        _ => format!("segment {id}"),
+                    };
+                    let key: Vec<String> = key.iter().map(|v| format!("v{v}")).collect();
                     out.push_str(&format!(
-                        "segment {}: PUSH-JOIN(segment {}, segment {}) on {} key column(s)\n",
+                        "segment {}: PUSH-JOIN({}, {}) on {}\n",
                         seg.id,
-                        j.left,
-                        j.right,
-                        j.key_left.len()
+                        input(j.left),
+                        input(j.right),
+                        key.join(", ")
                     ));
                 }
             }
@@ -240,7 +263,7 @@ impl<'q> Translator<'q> {
     /// results.
     fn translate_node(&mut self, node: &JoinNode) -> Result<usize, PlanError> {
         match node {
-            JoinNode::Unit(sub) => self.translate_unit(sub),
+            JoinNode::Unit { star, start } => self.translate_unit(star, *start),
             JoinNode::Join {
                 left,
                 right,
@@ -272,14 +295,23 @@ impl<'q> Translator<'q> {
     }
 
     /// Translates a star join unit into `SCAN` + `(|L| - 1)` extends
-    /// (the §5.2 SCAN rewrite).
-    fn translate_unit(&mut self, sub: &SubQuery) -> Result<usize, PlanError> {
-        let (root, leaves) = sub
+    /// (the §5.2 SCAN rewrite), scanned from `start`: from the centre, the
+    /// scan binds a leaf and each extend another; from a leaf, the scan
+    /// binds the centre and each extend another leaf.
+    fn translate_unit(&mut self, sub: &SubQuery, start: QueryVertex) -> Result<usize, PlanError> {
+        let (centre, leaves) = sub
             .as_star(self.query)
             .ok_or(PlanError::UnitNotAStar(*sub))?;
         let id = self.segments.len();
-        let steps = leaves.iter().map(|&leaf| (leaf, vec![root])).collect();
-        let segment = self.scan_segment(id, root, steps);
+        let steps = if start == centre {
+            leaves.iter().map(|&leaf| (leaf, vec![centre])).collect()
+        } else {
+            let others = leaves.iter().filter(|&&leaf| leaf != start);
+            std::iter::once((centre, vec![start]))
+                .chain(others.map(|&leaf| (leaf, vec![centre])))
+                .collect()
+        };
+        let segment = self.scan_segment(id, start, steps);
         self.segments.push(segment);
         Ok(id)
     }
@@ -570,6 +602,7 @@ impl<'q> Translator<'q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{native_plan, BaselineSystem};
     use crate::cost::{CostModel, HybridEstimator};
     use crate::optimizer::Optimizer;
     use huge_graph::gen;
@@ -684,12 +717,22 @@ mod tests {
             disable_pulling: true,
             ..Default::default()
         };
+        // The optimiser starts an edge unit at its key where it can; the
+        // native plans scan every star from its centre.
         let (mut moved, mut kept) = (0, 0);
-        for pattern in [Pattern::Path(5), Pattern::Path(6)] {
-            let plan = Optimizer::new(&est, model.clone())
-                .with_options(options)
-                .optimize(&pattern.query_graph())
-                .unwrap();
+        let plans = [Pattern::Path(5), Pattern::Path(6)]
+            .into_iter()
+            .flat_map(|pattern| {
+                let q = pattern.query_graph();
+                let optimised = Optimizer::new(&est, model.clone())
+                    .with_options(options)
+                    .optimize(&q)
+                    .unwrap();
+                let native = [BaselineSystem::StarJoin, BaselineSystem::Seed]
+                    .map(|system| native_plan(system, &q).unwrap());
+                std::iter::once(optimised).chain(native)
+            });
+        for plan in plans {
             let df = translate(&plan).unwrap();
             let mut children = Vec::new();
             push_join_children(&plan.tree.root, &mut children);
@@ -713,7 +756,7 @@ mod tests {
                     bound.sort_unstable();
                     assert_eq!(bound, child.output().vertices().collect::<Vec<_>>());
                     // What the translation makes of the operand on its own.
-                    let JoinNode::Unit(unit) = child else {
+                    let JoinNode::Unit { star, start } = child else {
                         assert!(matches!(seg.source, SegmentSource::Join(_)));
                         continue;
                     };
@@ -721,7 +764,7 @@ mod tests {
                         query: &plan.query,
                         segments: Vec::new(),
                     };
-                    let id = alone.translate_unit(unit).unwrap();
+                    let id = alone.translate_unit(star, *start).unwrap();
                     let before = &alone.segments[id];
                     let same = (&seg.source, &seg.extends, &seg.schema)
                         == (&before.source, &before.extends, &before.schema);

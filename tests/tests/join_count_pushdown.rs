@@ -234,6 +234,99 @@ fn count_equals_collect_equals_reference_across_the_matrix() {
     }
 }
 
+/// Queries with a cut vertex, the only ones whose HUGE plans can start a
+/// pushing join's inputs at its one-vertex key: paths, a star, q8 and two
+/// triangles sharing a vertex.
+fn cut_vertex_queries() -> Vec<(String, QueryGraph)> {
+    let patterns = [4, 5, 6, 7].map(Pattern::Path).into_iter();
+    let patterns = patterns.chain([Pattern::Star(3), Pattern::TailedTriangleStar]);
+    let bowtie = QueryGraph::new(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (3, 4)]);
+    patterns
+        .map(|p| (format!("{p:?}"), p.query_graph()))
+        .chain([("two triangles sharing a vertex".to_string(), bowtie)])
+        .collect()
+}
+
+/// How many inputs of the dataflow's pushing joins start at the join's
+/// one-vertex key, and so ship only rows of stolen scan chunks.
+fn co_located_inputs(dataflow: &Dataflow) -> usize {
+    let joins = dataflow
+        .segments
+        .iter()
+        .filter_map(|seg| match &seg.source {
+            SegmentSource::Join(j) => Some((seg, j)),
+            SegmentSource::Scan(_) => None,
+        });
+    joins
+        .filter_map(|(seg, j)| match j.key_left[..] {
+            [c] => Some((seg.schema[c], [j.left, j.right])),
+            _ => None,
+        })
+        .map(|(key, inputs)| {
+            let starts = inputs.map(|input| dataflow.start(input));
+            starts.iter().filter(|&&s| s == Some(key)).count()
+        })
+        .sum()
+}
+
+#[test]
+fn co_located_joins_equal_the_reference() {
+    // HUGE's own plans: a pushing join on one query vertex lands each key
+    // on the vertex's owner, and the optimiser scans its inputs from there.
+    let graph = gen::erdos_renyi(60, 130, 23);
+    let mut co_located = [0; 3];
+    for (name, query) in cut_vertex_queries() {
+        let expected = naive::enumerate(&graph, &query);
+        assert!(expected > 0, "{name} must occur in the graph");
+        for machines in 1..=3 {
+            let case = format!("{name}, {machines} machine(s)");
+            let cluster = HugeCluster::build(graph.clone(), base_config(machines)).unwrap();
+            let dataflow = translate(&cluster.plan(&query).unwrap()).unwrap();
+            co_located[machines - 1] += co_located_inputs(&dataflow);
+            let counted = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+            let collected = cluster
+                .run_dataflow(&dataflow, SinkMode::Collect(usize::MAX))
+                .unwrap();
+            assert_eq!(counted.matches, expected, "Count vs reference: {case}");
+            assert_eq!(collected.matches, expected, "Collect vs reference: {case}");
+            assert_rows_are_the_matches(&graph, &query, &collected.sample_matches, &case);
+        }
+    }
+    assert!(co_located.iter().all(|&n| n >= 2), "{co_located:?}");
+
+    // Under a budget that spills, with a straggler whose co-located
+    // partitions an idle peer steals (segment by segment, so that the
+    // whole join waits for its probe): the 6-path's join on a road-like
+    // grid, both inputs started at its key.
+    let graph = gen::grid(40, 40, 0, 1);
+    let query = Pattern::Path(6).query_graph();
+    let expected = naive::enumerate(&graph, &query);
+    let probe = HugeCluster::build(graph.clone(), base_config(2)).unwrap();
+    let dataflow = translate(&probe.plan(&query).unwrap()).unwrap();
+    assert_eq!(co_located_inputs(&dataflow), 2, "{}", dataflow.explain());
+    let join = dataflow.segments.len() - 1;
+    let config = base_config(2)
+        .memory_budget(256 * 1024)
+        .pipeline_segments(false)
+        .inject_fault(1, join, Fault::Delay(Duration::from_secs(1)));
+    let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+    assert_eq!(translate(&cluster.plan(&query).unwrap()).unwrap(), dataflow);
+    // A steal is a race with the straggler's stall: one of the two runs
+    // must win it, and every run must be exact.
+    let mut stolen = 0;
+    for sink in [SinkMode::Count, SinkMode::Collect(usize::MAX)] {
+        let report = cluster.run_dataflow(&dataflow, sink).unwrap();
+        assert_eq!(report.matches, expected, "{sink:?}");
+        let governor = report.governor.as_ref().expect("a governed run");
+        assert!(governor.spilled_bytes > 0, "{sink:?}: {governor:?}");
+        let join = &report.join;
+        assert_eq!(join.partitions_shipped, join.partitions_stolen, "{join:?}");
+        assert_eq!((report.leaked_bytes, report.orphaned_spill_files), (0, 0));
+        stolen += join.partitions_stolen;
+    }
+    assert!(stolen > 0, "no co-located partition was shipped");
+}
+
 #[test]
 fn count_equals_collect_for_extend_rooted_plans() {
     // The other half of the count pushdown: under HUGE's own plans these
