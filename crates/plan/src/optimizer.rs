@@ -57,9 +57,27 @@ struct Entry {
     split: Option<[(u64, Start); 2]>,
 }
 
-/// The DP table: for each solved sub-query (edge mask), its best plan for
-/// each start it can have.
-type Table = HashMap<u64, Vec<(Start, Entry)>>;
+/// The DP table: each solved sub-query's (edge mask's) best plan for each
+/// start it can have, stored one sub-query after another.
+#[derive(Default)]
+struct Table {
+    ranges: HashMap<u64, (usize, usize)>,
+    plans: Vec<(Start, Entry)>,
+}
+
+impl Table {
+    fn get(&self, mask: u64) -> Option<&[(Start, Entry)]> {
+        let &(from, to) = self.ranges.get(&mask)?;
+        Some(&self.plans[from..to])
+    }
+
+    /// Moves `plans` (emptying it) into the table as `mask`'s.
+    fn insert(&mut self, mask: u64, plans: &mut Vec<(Start, Entry)>) {
+        let from = self.plans.len();
+        self.plans.append(plans);
+        self.ranges.insert(mask, (from, self.plans.len()));
+    }
+}
 
 impl<'a> Optimizer<'a> {
     /// Creates an optimiser with the given estimator and cost model.
@@ -107,12 +125,12 @@ impl<'a> Optimizer<'a> {
             .collect();
         subsets.sort_by_key(|m| m.count_ones());
 
-        let mut table: Table = HashMap::with_capacity(subsets.len());
+        let mut table = Table::default();
+        let mut best: Vec<(Start, Entry)> = Vec::new();
 
         for &mask in &subsets {
             let sub = SubQuery::from_edge_mask(q, mask);
             let card = self.estimator.estimate(q, &sub).max(1.0);
-            let mut best: Vec<(Start, Entry)> = Vec::new();
             let mut offer =
                 |start: Start, cost: f64, split| match best.iter_mut().find(|(s, _)| *s == start) {
                     Some((_, b)) if cost < b.cost => *b = Entry { cost, card, split },
@@ -124,9 +142,13 @@ impl<'a> Optimizer<'a> {
             // cardinality. Started from a leaf, it scans leaf → centre and
             // pulls the centre's list for each other leaf, priced like a
             // pulling join of that edge and the rest of the star.
-            if let Some((centre, leaves)) = sub.as_star(q) {
-                offer(at(centre), card, None);
-                if track && (leaves.len() == 1 || !self.options.disable_pulling) {
+            if !track {
+                if sub.is_join_unit(q) {
+                    offer(None, card, None);
+                }
+            } else if let Some((centre, leaves)) = sub.as_star(q) {
+                offer(Some(centre), card, None);
+                if leaves.len() == 1 || !self.options.disable_pulling {
                     for &leaf in &leaves {
                         let pulls = if leaves.len() == 1 {
                             0.0
@@ -156,14 +178,13 @@ impl<'a> Optimizer<'a> {
                     left_mask = next;
                     continue;
                 }
-                let (Some(lp), Some(rp)) = (table.get(&left_mask), table.get(&right_mask)) else {
+                let (Some(lp), Some(rp)) = (table.get(left_mask), table.get(right_mask)) else {
                     left_mask = next;
                     continue;
                 };
                 let lq = SubQuery::from_edge_mask(q, left_mask);
                 let rq = SubQuery::from_edge_mask(q, right_mask);
-                let key = lq.shared_vertices(&rq);
-                if key.is_empty() {
+                if lq.shared_vertices(&rq).is_empty() {
                     left_mask = next;
                     continue;
                 }
@@ -188,24 +209,8 @@ impl<'a> Optimizer<'a> {
                     if !physical.is_pulling() {
                         // Each input ships its rows unless it starts on the
                         // key's owner; the output starts there.
-                        let key = (key.len() == 1).then(|| key[0]).and_then(at);
-                        // An input's cheapest start, with the rows it ships.
-                        let side = |plans: &[(Start, Entry)]| {
-                            let plans = plans.iter().map(|&(s, e)| {
-                                let shipped = if key.is_some() && s == key {
-                                    0.0
-                                } else {
-                                    e.card
-                                };
-                                (s, e.cost, shipped)
-                            });
-                            let total = |&(_, cost, shipped): &(Start, f64, f64)| {
-                                cost + cost_model.communication_cost(physical, shipped, 0.0, 0)
-                            };
-                            plans
-                                .min_by(|x, y| total(x).total_cmp(&total(y)))
-                                .expect("a solved sub-query has a plan")
-                        };
+                        let key = lq.single_shared_vertex(&rq).and_then(at);
+                        let side = |plans| shipped_side(plans, key, &cost_model, physical);
                         let (a_start, a_cost, a_shipped) = side(a_plans);
                         let (b_start, b_cost, b_shipped) = side(b_plans);
                         let cost = cost_model.join_cost(
@@ -245,11 +250,11 @@ impl<'a> Optimizer<'a> {
             if !best.is_empty() {
                 // Equal costs go to the lowest start vertex, then to none.
                 best.sort_by_key(|&(start, _)| (start.is_none(), start));
-                table.insert(mask, best);
+                table.insert(mask, &mut best);
             }
         }
 
-        let root = table.get(&full_mask).ok_or(PlanError::NoPlanFound)?;
+        let root = table.get(full_mask).ok_or(PlanError::NoPlanFound)?;
         let (start, root_entry) = cheapest(root);
         let tree = JoinTree::new(self.recover(q, &table, full_mask, start));
         let plan = ExecutionPlan {
@@ -264,10 +269,8 @@ impl<'a> Optimizer<'a> {
     /// Line 12: recovers the join tree from the DP table.
     fn recover(&self, q: &QueryGraph, table: &Table, mask: u64, start: Start) -> JoinNode {
         let sub = SubQuery::from_edge_mask(q, mask);
-        let (_, entry) = table[&mask]
-            .iter()
-            .find(|(s, _)| *s == start)
-            .expect("a DP entry");
+        let plans = table.get(mask).expect("a solved sub-query");
+        let (_, entry) = plans.iter().find(|(s, _)| *s == start).expect("a DP entry");
         match entry.split {
             None => match start {
                 Some(start) => JoinNode::Unit { star: sub, start },
@@ -299,6 +302,31 @@ fn cheapest(plans: &[(Start, Entry)]) -> (Start, Entry) {
     plans[1..]
         .iter()
         .fold(first, |b, &x| if x.1.cost < b.1.cost { x } else { b })
+}
+
+/// The cheapest start of a pushing join's input, given its plans: `(start,
+/// cost, rows shipped)`, where an input that starts at the join's
+/// one-vertex `key` ships none.
+fn shipped_side(
+    plans: &[(Start, Entry)],
+    key: Start,
+    cost_model: &CostModel,
+    physical: PhysicalSetting,
+) -> (Start, f64, f64) {
+    let plans = plans.iter().map(|&(s, e)| {
+        let shipped = if key.is_some() && s == key {
+            0.0
+        } else {
+            e.card
+        };
+        (s, e.cost, shipped)
+    });
+    let total = |&(_, cost, shipped): &(Start, f64, f64)| {
+        cost + cost_model.communication_cost(physical, shipped, 0.0, 0)
+    };
+    plans
+        .min_by(|x, y| total(x).total_cmp(&total(y)))
+        .expect("a solved sub-query has a plan")
 }
 
 /// `true` if removing one vertex disconnects `q`. Only then can a split of

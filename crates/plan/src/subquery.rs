@@ -162,6 +162,13 @@ impl SubQuery {
         (0..32u8).filter(|&v| mask & (1 << v) != 0).collect()
     }
 
+    /// The vertex shared with `other` when it is the only one — a join
+    /// key of one vertex.
+    pub fn single_shared_vertex(&self, other: &SubQuery) -> Option<QueryVertex> {
+        let mask = self.verts & other.verts;
+        (mask.count_ones() == 1).then(|| mask.trailing_zeros() as QueryVertex)
+    }
+
     /// `true` if the sub-query is connected (single vertices are connected;
     /// the empty sub-query is not).
     pub fn is_connected(&self, q: &QueryGraph) -> bool {
@@ -311,6 +318,9 @@ mod tests {
         let a = SubQuery::from_edge_indices(&q, [0, 1]); // path 1-0-3
         let b = SubQuery::from_edge_indices(&q, [2, 3]); // path 1-2-3
         assert_eq!(a.shared_vertices(&b), vec![1, 3]);
+        assert_eq!(a.single_shared_vertex(&b), None);
+        let edge = SubQuery::from_edge_indices(&q, [2]);
+        assert_eq!(a.single_shared_vertex(&edge), Some(1));
     }
 
     #[test]
